@@ -1,0 +1,255 @@
+package compiler_test
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"io"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"camus/internal/compiler"
+	"camus/internal/fabric"
+	"camus/internal/lang"
+	"camus/internal/spec"
+	"camus/internal/workload"
+)
+
+// TestCompileGolden pins the compiler's output, bit for bit, on a corpus
+// that reaches every branch of the BDD builder and the lowering: the
+// digests below were recorded before the builder was restructured around
+// requirement classes, and a change to any of them means the compiler now
+// emits a different program for the same rules. That can be right — a new
+// reduction, a new table layout — but it is never an optimisation: record
+// the new digest in the change that explains why the output moved.
+func TestCompileGolden(t *testing.T) {
+	digest := func(p *compiler.Program) string {
+		h := sha256.New()
+		dumpProgram(h, p)
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	for _, c := range goldenCases(t) {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			prog, err := c.compile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := digest(prog); got != c.digest {
+				t.Errorf("digest %s, recorded %s\n%s", got, c.digest, prog.Stats)
+			}
+			if c.rules == nil {
+				return
+			}
+			// The same rules through a Session, cold and then with every
+			// sub-diagram already in the arena, must come out the same.
+			sess := compiler.NewSession(c.sp, compiler.Options{})
+			if _, err := sess.AddRules(c.rules); err != nil {
+				t.Fatal(err)
+			}
+			for _, pass := range []string{"cold", "warm"} {
+				prog, err := sess.Recompile()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := digest(prog); got != c.digest {
+					t.Errorf("%s session digest %s, recorded %s", pass, got, c.digest)
+				}
+			}
+		})
+	}
+}
+
+// goldenCase is one corpus entry. Cases made of rules also run through a
+// compiler.Session; the fabric covers have no rule form and do not.
+type goldenCase struct {
+	name    string
+	digest  string
+	sp      *spec.Spec
+	rules   []lang.Rule
+	compile func() (*compiler.Program, error)
+}
+
+// Keyed-state rules of the benchmark's itch-stateful workload: two 10 ms
+// windows per symbol decide pass, scrub or drop.
+const (
+	goldenStatefulSpec = workload.ITCHSpecSource + "@query_counter(rate, 10000)\n@query_counter(px, 10000)\n"
+	goldenStateful     = `true : rate[add_order.stock] <- count()
+true : px[add_order.stock] <- sample(add_order.price)
+rate[add_order.stock] >= 8 && rate[add_order.stock] < 14 && avg(px)[add_order.stock] > 500 : fwd(1)
+rate[add_order.stock] >= 8 && rate[add_order.stock] < 14 && avg(px)[add_order.stock] <= 500 : fwd(2)
+`
+	// A rule whose DNF repeats one conjunction (atoms in another order, and
+	// once more through a double negation), beside a contradictory term and
+	// a catch-all.
+	goldenMultiTerm = `(stock == GOOGL && price > 10) || (price > 10 && stock == GOOGL) || !(stock != GOOGL || price <= 10) || stock == AAPL : fwd(1)
+stock == GOOGL && stock == AAPL : fwd(9)
+!(stock == MSFT || price < 100) || (shares > 5 && shares < 50) : fwd(2,3)
+stock == AAPL && (price < 20 || price > 80) : fwd(4); drop()
+shares != 7 : fwd(5)
+true : fwd(6)
+`
+)
+
+func goldenCases(t *testing.T) []goldenCase {
+	itch := func(n, hosts int, grid uint64, seed int64) []lang.Rule {
+		return workload.ITCHSubscriptions(workload.ITCHSubsConfig{
+			Subscriptions: n, Stocks: 100, Hosts: hosts, PriceMax: 1000, PriceGrid: grid, Seed: seed,
+		})
+	}
+	rules := func(name, digest string, sp *spec.Spec, rules []lang.Rule) goldenCase {
+		return goldenCase{name: name, digest: digest, sp: sp, rules: rules,
+			compile: func() (*compiler.Program, error) { return compiler.Compile(sp, rules, compiler.Options{}) }}
+	}
+	source := func(name, digest string, sp *spec.Spec, src string) goldenCase {
+		parsed, err := lang.ParseRules(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if parsed == nil {
+			parsed = []lang.Rule{}
+		}
+		return rules(name, digest, sp, parsed)
+	}
+	statefulSpec, err := spec.Parse(goldenStatefulSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := statefulSpec.SetFieldOrder("stock", "price", "shares"); err != nil {
+		t.Fatal(err)
+	}
+	var stateful strings.Builder
+	stateful.WriteString(goldenStateful)
+	for _, r := range itch(300, 2, 1, 15) {
+		stateful.WriteString(r.String() + "\n")
+	}
+	siena := workload.DefaultSienaConfig()
+
+	// A spine program: four leaves' rules projected onto keep fields and
+	// compiled through CompileConjs, once on the symbol alone (one
+	// many-interval predicate per leaf) and once on symbol and price.
+	cover := func(keep ...string) func() (*compiler.Program, error) {
+		return func() (*compiler.Program, error) {
+			sp := workload.ITCHSpec()
+			leaves := make([][]lang.Rule, 4)
+			for _, r := range itch(600, 16, 50, 16) {
+				leaf := r.Actions[0].Ports[0] % len(leaves)
+				leaves[leaf] = append(leaves[leaf], r)
+			}
+			covers := make([]fabric.Cover, len(leaves))
+			ports := make([]int, len(leaves))
+			for i, rules := range leaves {
+				c, err := fabric.ComputeCover(sp, rules, fabric.CoverOptions{KeepFields: keep})
+				if err != nil {
+					return nil, err
+				}
+				covers[i], ports[i] = c, 100+i
+			}
+			return fabric.SpineProgram(sp, covers, ports, compiler.Options{})
+		}
+	}
+
+	return []goldenCase{
+		rules("fig5c-1kx2", "4f4bdec34a425a34fe487e97a5544082ce7e0be231b285fe29bb1f71d850ec42", workload.ITCHSpec(), itch(1000, 2, 1, 11)),
+		rules("fig5c-2kx200", "9ef3c466d3254f03f4982f79478e40cd43de2548c561dc9e554a07f184df3eda", workload.ITCHSpec(), itch(2000, 200, 10, 12)),
+		source("siena-ranges", "45f86aca5c97141ffcc140ed019a82742e1cc5da645546e1b223e1e2d445b4b7", workload.SienaSpec(siena), sienaRanges(siena, 160, 13)),
+		rules("siena-default", "c648f058788b38dfe3988b0e9a13803de59dfc5d447e9fca3f15962b599afe70", workload.SienaSpec(siena), workload.Siena(siena)),
+		source("multi-term-dnf", "65409e99f5bd3fc14e8ad6b6e5b6bbcd0ff49ff4a7c46141f6ed45b9f2141173", workload.ITCHSpec(), goldenMultiTerm),
+		source("itch-stateful", "6ec156d2ca279b400813b1527c5138a5695b2df4a36398a0cad0401ff44cce42", statefulSpec, stateful.String()),
+		{name: "fabric-cover-stock", digest: "403a865b19d8b5a83db6404b99acb88aa8fd4ce191b91908a0f0dc8fab363ed3", compile: cover("stock")},
+		{name: "fabric-cover-stock-price", digest: "60bec77f54a148d2bcd6eda0b67836af361df47d31d1820c3f048c317602d5ea", compile: cover("stock", "price")},
+		source("empty", "1c454e6331c4d1fc667c5c728457b543b58047ba2c8a27f49ff35d9ffc9b9a12", workload.ITCHSpec(), ""),
+	}
+}
+
+// sienaRanges draws a Siena-style rule set over cfg's spec that uses every
+// operator: one- and two-sided ranges and != on the numeric attributes
+// (requirements of one, two and three intervals), and rules that reach the
+// same requirement through different predicates (a > 9 && a < 20 against
+// a >= 10 && a <= 19 against a > 9 && a < 20 && a != 25).
+func sienaRanges(cfg workload.SienaConfig, n int, seed int64) string {
+	r := rand.New(rand.NewSource(seed))
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		var atoms []string
+		// Every rule names a symbol of the first attribute, so the diagram
+		// stays a few thousand nodes; one in ten excludes it instead.
+		op := "=="
+		if r.Intn(10) == 0 {
+			op = "!="
+		}
+		atoms = append(atoms, fmt.Sprintf("m.attr00 %s V%04d", op, r.Intn(8)))
+		for k := 1 + r.Intn(2); k > 0; k-- {
+			a := fmt.Sprintf("m.attr%02d", cfg.StringAttrs+r.Intn(cfg.Attributes-cfg.StringAttrs))
+			lo := 10 * (1 + r.Intn(20))
+			hi := lo + 10*(1+r.Intn(5))
+			switch r.Intn(8) {
+			case 0:
+				atoms = append(atoms, fmt.Sprintf("%s > %d", a, lo))
+			case 1:
+				atoms = append(atoms, fmt.Sprintf("%s < %d", a, hi))
+			case 2:
+				atoms = append(atoms, fmt.Sprintf("%s != %d", a, lo))
+			case 3:
+				atoms = append(atoms, fmt.Sprintf("%s > %d && %s < %d", a, lo-1, a, hi))
+			case 4:
+				atoms = append(atoms, fmt.Sprintf("%s >= %d && %s <= %d", a, lo, a, hi-1))
+			case 5:
+				atoms = append(atoms, fmt.Sprintf("%s > %d && %s < %d && %s != %d", a, lo-1, a, hi, a, lo+5))
+			case 6:
+				atoms = append(atoms, fmt.Sprintf("%s > %d && %s < %d && %s != %d", a, lo-1, a, hi, a, hi+5))
+			default:
+				atoms = append(atoms, fmt.Sprintf("!(%s >= %d && %s < %d)", a, lo, a, hi))
+			}
+		}
+		fmt.Fprintf(&b, "%s : fwd(%d)\n", strings.Join(atoms, " && "), 1+r.Intn(12))
+	}
+	return b.String()
+}
+
+// dumpProgram writes everything a Program carries in a canonical text
+// form: fields, every table's entries in order, leaf, actions, groups,
+// initial state, every BDD node with its state, and the statistics.
+func dumpProgram(w io.Writer, p *compiler.Program) {
+	for i, f := range p.Fields {
+		fmt.Fprintf(w, "field %d %+v\n", i, f)
+	}
+	table := func(t *compiler.Table) {
+		fmt.Fprintf(w, "table %s field=%d match=%s\n", t.Name, t.Field, t.Match)
+		if t.Codec != nil {
+			fmt.Fprintf(w, " codec max=%d bounds=%v\n", t.Codec.Max, t.Codec.Bounds)
+		}
+		for _, e := range t.Entries {
+			fmt.Fprintf(w, " %d %d %d %d %d %d\n", e.State, e.Kind, e.Lo, e.Hi, e.Next, e.Priority)
+		}
+	}
+	for _, t := range p.Tables {
+		table(t)
+	}
+	table(p.Leaf)
+	for i, a := range p.Actions {
+		fmt.Fprintf(w, "action %d ports=%v drop=%v group=%d", i, a.Ports, a.Drop, a.Group)
+		for _, u := range a.Updates {
+			fmt.Fprintf(w, " update{%d %q %q %q %q}", u.Kind, u.Var, u.StateKey, u.Func, u.Args)
+		}
+		fmt.Fprintln(w)
+	}
+	for i, g := range p.Groups {
+		fmt.Fprintf(w, "group %d %v\n", i, g)
+	}
+	fmt.Fprintf(w, "initial %d\n", p.InitialState)
+	for _, n := range p.BDD.Nodes() {
+		st, ok := p.StateOf(n.ID)
+		if !ok {
+			st = -1
+		}
+		if n.IsTerminal() {
+			fmt.Fprintf(w, "node %d state=%d payloads=%v\n", n.ID, st, n.Payloads)
+			continue
+		}
+		fmt.Fprintf(w, "node %d state=%d field=%d set=%s label=%q true=%d false=%d\n",
+			n.ID, st, n.Field, n.Set.Key(), n.Label, n.True.ID, n.False.ID)
+	}
+	fmt.Fprintf(w, "root %d\nstats %+v\n", p.BDD.Root.ID, p.Stats)
+}
