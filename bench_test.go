@@ -95,6 +95,33 @@ func BenchmarkFig5cCompileTime(b *testing.B) {
 	}
 }
 
+// BenchmarkCompileCold is the cost gate of a cold compile at the two rule
+// shapes the socket benchmark sets up with: 10k Fig. 5c rules over 2 hosts
+// (itch-sparse) and 20k over 200 hosts and a 10-wide price grid
+// (subs-churn). Workers is 1, so allocs/op is a property of the code and
+// not of the host's core count.
+func BenchmarkCompileCold(b *testing.B) {
+	sp := workload.ITCHSpec()
+	for _, v := range []struct {
+		name string
+		cfg  workload.ITCHSubsConfig
+	}{
+		{"10k×2", workload.ITCHSubsConfig{Subscriptions: 10000, Stocks: 100, Hosts: 2, PriceMax: 1000, PriceGrid: 1, Seed: 1}},
+		{"20k×200", workload.ITCHSubsConfig{Subscriptions: 20000, Stocks: 100, Hosts: 200, PriceMax: 1000, PriceGrid: 10, Seed: 1}},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			rules := workload.ITCHSubscriptions(v.cfg)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := compiler.Compile(sp, rules, compiler.Options{Workers: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func reportFig7(b *testing.B, r *experiments.Fig7Result) {
 	b.ReportMetric(float64(r.Camus.Percentile(99).Microseconds()), "camus-p99-µs")
 	b.ReportMetric(float64(r.Baseline.Percentile(99).Microseconds()), "baseline-p99-µs")

@@ -280,7 +280,7 @@ func (a *analysis) toBDDConj(rc resolvedConj, payload int) bdd.Conj {
 	for i, f := range rc.fields {
 		c.Constraints = append(c.Constraints, bdd.Constraint{
 			Field: f, Set: rc.sets[i],
-			Label: fmt.Sprintf("%s∈%s", a.fields[f].name, rc.sets[i].Key()),
+			Label: bdd.Text(a.fields[f].name + "∈" + rc.sets[i].Key()),
 		})
 	}
 	return c

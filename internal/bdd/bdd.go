@@ -22,6 +22,7 @@ package bdd
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -36,13 +37,21 @@ type Field struct {
 	Max  uint64
 }
 
-// Constraint restricts a field to an interval set. Label carries the
-// source predicate text for diagnostics ("price > 50").
+// Constraint restricts a field to an interval set. Label yields the source
+// predicate text for diagnostics ("price > 50"); it may be nil. The
+// builder formats it only for the first constraint to bring a given
+// predicate to a build, so a caller with many constraints should hand over
+// something that formats on demand rather than a formatted string.
 type Constraint struct {
 	Field int
 	Set   interval.Set
-	Label string
+	Label fmt.Stringer
 }
+
+// Text is a Constraint label that is already a string.
+type Text string
+
+func (t Text) String() string { return string(t) }
 
 // Conj is one DNF conjunction: a set of per-field constraints plus the
 // payload (typically a rule ID) delivered when the conjunction matches.
@@ -139,17 +148,33 @@ type builder struct {
 	fields []Field
 	conjs  []conjInfo
 	// conjHash[i] is a content hash of conjs[i] (payload + clamped
-	// constraint sets, in order); folding these over an alive set yields a
-	// memo key that is stable across builds.
+	// constraint sets, in order), avalanched so that sums of them collide
+	// no more often than independent 128-bit values would.
 	conjHash []hash128
 	// preds[f] lists the distinct atomic predicates appearing on field f,
-	// in canonical order.
+	// in canonical order; refs holds every conjunction's uses of them, one
+	// backing array for the build.
 	preds [][]pred
+	refs  []predRef
+	// reqs[f] lists the distinct requirements (intersections of one
+	// conjunction's constraints) on field f. cls is the conjunction-major
+	// table of each conjunction's requirement on each field, as an index
+	// into reqs[f], or -1 where it has none.
+	reqs [][]interval.Set
+	cls  []int32
 
-	// predSeen/predEpoch implement an epoch-stamped "seen" set for
-	// alivePreds, avoiding a map allocation per recursion step.
+	// Scratch for visit and chain. classSlot[f][r] is the visit-local class
+	// that requirement r of field f was given (-1 between visits).
+	// predSeen/predEpoch are an epoch-stamped "seen" set over preds[f].
+	// ints and classes are stacks: a visit or a chain step takes what it
+	// needs from the top and gives it back on return, which is sound because
+	// nothing but *Node outlives the call that allocated it.
+	classSlot [][]int32
 	predSeen  [][]int
 	predEpoch int
+	ints      []int32
+	classes   []class
+	full      []interval.Set // full[f] is field f's whole domain
 }
 
 // memoKey identifies a (sub)problem during construction. The alive
@@ -159,6 +184,13 @@ type builder struct {
 // the key depends only on content (not on per-build conjunction or
 // predicate indices), entries remain valid across Build calls on the same
 // field list.
+//
+// alive is the *sum* of the alive conjunctions' hashes, lane by lane,
+// modulo 2^64. A sum is free of order, so a set assembled class by class
+// keys the same as one listed conjunction by conjunction; it can be formed
+// for a union of classes from the classes' own sums, without visiting a
+// member; and it still depends on nothing but content. aliveLen makes the
+// key a function of the multiset's size as well.
 type memoKey struct {
 	kind     uint8 // 'B' for branch problems, 'X' for field transitions
 	field    int32
@@ -170,12 +202,30 @@ type memoKey struct {
 
 type nodeKey struct {
 	field   int32
-	predKey string
+	pred    hash128
 	trueID  int
 	falseID int
 }
 
 type hash128 struct{ a, b uint64 }
+
+func (h hash128) plus(x hash128) hash128 { return hash128{h.a + x.a, h.b + x.b} }
+
+// avalanche spreads every input bit over both lanes (the splitmix64
+// finalizer, cross-fed). The order-dependent folds below are close to
+// linear in their first lane; summing them unfinished would let two sets
+// that merely swap a constraint between members collide.
+func (h hash128) avalanche() hash128 {
+	fmix := func(x uint64) uint64 {
+		x ^= x >> 30
+		x *= 0xbf58476d1ce4e5b9
+		x ^= x >> 27
+		x *= 0x94d049bb133111eb
+		return x ^ x>>31
+	}
+	a := fmix(h.a ^ bits.RotateLeft64(h.b, 32))
+	return hash128{a, fmix(h.b + a)}
+}
 
 func hashInts(ids []int) hash128 {
 	h1 := uint64(1469598103934665603)
@@ -228,16 +278,6 @@ func mix128(h, x hash128) hash128 {
 	return h
 }
 
-// hashAlive folds the content hashes of the alive conjunctions, yielding a
-// key that identifies the same subproblem across builds.
-func (b *builder) hashAlive(alive []int) hash128 {
-	h := hash128{a: 0x9ddfea08eb382d69, b: 0xc2b2ae3d27d4eb4f}
-	for _, ci := range alive {
-		h = mix128(h, b.conjHash[ci])
-	}
-	return h
-}
-
 // hashFields keys the arena to a field list: name, domain, and order all
 // matter.
 func hashFields(fields []Field) hash128 {
@@ -251,21 +291,28 @@ func hashFields(fields []Field) hash128 {
 
 type pred struct {
 	set   interval.Set
-	key   string
+	hash  hash128 // hashSet(set): the predicate's identity in memo and node keys
 	label string
 }
 
+// predRef is one use of a predicate by a conjunction: preds[f][idx].
+type predRef struct{ f, idx int32 }
+
 type conjInfo struct {
 	payload int
-	// req[f] is the intersection of the conjunction's constraints on f,
-	// indexed densely by field. An empty set means "unconstrained": genuinely
-	// empty requirements never survive ingestion (unsatisfiable conjunctions
-	// are dropped), so emptiness is a safe absence sentinel, and the dense
-	// layout keeps the hot pruneDead/filterAlive loops on slice indexing
-	// instead of map probes.
-	req []interval.Set
-	// predIdx[f] lists indices into preds[f] used by this conjunction.
-	predIdx [][]int
+	refs    []predRef
+}
+
+// class is the part of a field visit's alive conjunctions that shares one
+// requirement on the field. Within the field a context either kills a
+// requirement or it does not, and at the end it either satisfies it or it
+// does not, so everything the per-predicate chain decides, it decides for a
+// whole class at once.
+type class struct {
+	req     interval.Set // empty: the members do not constrain the field
+	members []int32      // conjunction indices
+	preds   []int32      // distinct indices into preds[f] the members use
+	sum     hash128      // of the members' conjHash
 }
 
 // Build constructs the reduced ordered multi-terminal BDD for the given
@@ -286,89 +333,139 @@ func (bl *Builder) Build(fields []Field, conjs []Conj) (*BDD, error) {
 		bl.fieldsKey = fk
 		bl.haveFields = true
 	}
-	b := &builder{
-		shared: bl,
-		fields: fields,
+	b := &builder{shared: bl, fields: fields}
+	if err := b.ingest(conjs); err != nil {
+		return nil, err
 	}
-	predKey := make([]map[string]int, len(fields))
-	for f := range predKey {
-		predKey[f] = make(map[string]int)
-	}
-	b.preds = make([][]pred, len(fields))
+	b.sortPreds()
 
-	// Dense per-conjunction tables, bulk-allocated: one backing array for
-	// all requirement rows instead of one map per conjunction.
-	reqBacking := make([]interval.Set, len(conjs)*len(fields))
-	idxBacking := make([][]int, len(conjs)*len(fields))
-
-	for k, c := range conjs {
-		info := conjInfo{
-			payload: c.Payload,
-			req:     reqBacking[k*len(fields) : (k+1)*len(fields)],
-			predIdx: idxBacking[k*len(fields) : (k+1)*len(fields)],
+	b.predSeen = make([][]int, len(fields))
+	b.classSlot = make([][]int32, len(fields))
+	for f := range fields {
+		b.predSeen[f] = make([]int, len(b.preds[f]))
+		b.classSlot[f] = make([]int32, len(b.reqs[f]))
+		for r := range b.classSlot[f] {
+			b.classSlot[f][r] = -1
 		}
+	}
+	alive := make([]int32, len(b.conjs))
+	var sum hash128
+	for i := range alive {
+		alive[i] = int32(i)
+		sum = sum.plus(b.conjHash[i])
+	}
+	root := b.visit(0, alive, sum)
+	nodes, terminals, pubRoot := extract(root, bl.nnodes)
+	return &BDD{Fields: fields, Root: pubRoot, nodes: nodes, terminals: terminals}, nil
+}
+
+// ingest clamps every constraint to its field's domain, drops
+// unsatisfiable conjunctions, and interns what is left: the distinct
+// predicates per field (a label is formatted only for the constraint that
+// introduces one), each conjunction's requirement per field, and its
+// content hash.
+func (b *builder) ingest(conjs []Conj) error {
+	nf := len(b.fields)
+	b.preds = make([][]pred, nf)
+	b.reqs = make([][]interval.Set, nf)
+	b.full = make([]interval.Set, nf)
+	predIdx := make([]map[hash128]int32, nf)
+	reqIdx := make([]map[hash128]int32, nf)
+	for f := range predIdx {
+		predIdx[f] = make(map[hash128]int32)
+		reqIdx[f] = make(map[hash128]int32)
+		b.full[f] = interval.Full(b.fields[f].Max)
+	}
+	nrefs := 0
+	for _, c := range conjs {
+		nrefs += len(c.Constraints)
+	}
+	b.refs = make([]predRef, 0, nrefs)
+	b.cls = make([]int32, 0, len(conjs)*nf)
+	b.conjs = make([]conjInfo, 0, len(conjs))
+	b.conjHash = make([]hash128, 0, len(conjs))
+
+	// The conjunction at hand's requirement per field, empty where it has
+	// none yet, and that set's hash.
+	req := make([]interval.Set, nf)
+	reqHash := make([]hash128, nf)
+
+	for _, c := range conjs {
+		first := len(b.refs)
 		ch := mix128(hash128{a: 0x87c37b91114253d5, b: 0x4cf5ad432745937f},
 			hash128{a: uint64(c.Payload), b: uint64(len(c.Constraints))})
 		sat := true
 		for _, con := range c.Constraints {
-			if con.Field < 0 || con.Field >= len(fields) {
-				return nil, fmt.Errorf("bdd: constraint references field %d, have %d fields", con.Field, len(fields))
+			f := con.Field
+			if f < 0 || f >= nf {
+				return fmt.Errorf("bdd: constraint references field %d, have %d fields", f, nf)
 			}
-			full := interval.Full(fields[con.Field].Max)
-			set := con.Set.Intersect(full)
+			max := b.fields[f].Max
+			set := con.Set.Intersect(b.full[f])
 			if set.IsEmpty() {
 				sat = false
 				break
 			}
-			ch = mix128(ch, hash128{a: uint64(con.Field), b: 0})
-			ch = mix128(ch, hashSet(set))
-			if prev := info.req[con.Field]; !prev.IsEmpty() {
-				set2 := prev.Intersect(set)
-				if set2.IsEmpty() {
-					sat = false
-				}
-				info.req[con.Field] = set2
+			hs := hashSet(set)
+			ch = mix128(ch, hash128{a: uint64(f), b: 0})
+			ch = mix128(ch, hs)
+			if prev := req[f]; prev.IsEmpty() {
+				req[f], reqHash[f] = set, hs
 			} else {
-				info.req[con.Field] = set
-			}
-			if !sat {
-				break
-			}
-			if !set.IsFull(fields[con.Field].Max) {
-				key := set.Key()
-				idx, ok := predKey[con.Field][key]
-				if !ok {
-					idx = len(b.preds[con.Field])
-					predKey[con.Field][key] = idx
-					b.preds[con.Field] = append(b.preds[con.Field], pred{set: set, key: key, label: con.Label})
+				both := prev.Intersect(set)
+				if both.IsEmpty() {
+					sat = false
+					break
 				}
-				info.predIdx[con.Field] = append(info.predIdx[con.Field], idx)
+				req[f], reqHash[f] = both, hashSet(both)
+			}
+			if !set.IsFull(max) {
+				idx, ok := predIdx[f][hs]
+				if !ok {
+					idx = int32(len(b.preds[f]))
+					predIdx[f][hs] = idx
+					label := ""
+					if con.Label != nil {
+						label = con.Label.String()
+					}
+					b.preds[f] = append(b.preds[f], pred{set: set, hash: hs, label: label})
+				}
+				b.refs = append(b.refs, predRef{f: int32(f), idx: idx})
 			}
 		}
 		if !sat {
-			continue // unsatisfiable conjunction: drop (reduction of dead paths)
+			// Unsatisfiable conjunction: drop (reduction of dead paths). The
+			// predicates it introduced stay interned, unused.
+			b.refs = b.refs[:first]
+			for _, con := range c.Constraints {
+				if con.Field >= 0 && con.Field < nf {
+					req[con.Field] = interval.Set{}
+				}
+			}
+			continue
 		}
-		b.conjs = append(b.conjs, info)
-		b.conjHash = append(b.conjHash, ch)
+		row := len(b.cls)
+		for f := 0; f < nf; f++ {
+			b.cls = append(b.cls, -1)
+		}
+		for _, con := range c.Constraints {
+			f := con.Field
+			if req[f].IsEmpty() {
+				continue // an earlier constraint on f already recorded it
+			}
+			r, ok := reqIdx[f][reqHash[f]]
+			if !ok {
+				r = int32(len(b.reqs[f]))
+				reqIdx[f][reqHash[f]] = r
+				b.reqs[f] = append(b.reqs[f], req[f])
+			}
+			b.cls[row+f] = r
+			req[f] = interval.Set{}
+		}
+		b.conjs = append(b.conjs, conjInfo{payload: c.Payload, refs: b.refs[first:len(b.refs):len(b.refs)]})
+		b.conjHash = append(b.conjHash, ch.avalanche())
 	}
-
-	// Canonical predicate order within each field: by (min, max, key).
-	// Since predicate indices were already recorded we sort an order
-	// permutation instead of the slice itself.
-	b.sortPreds(predKey)
-
-	b.predSeen = make([][]int, len(fields))
-	for f := range b.predSeen {
-		b.predSeen[f] = make([]int, len(b.preds[f]))
-	}
-
-	alive := make([]int, len(b.conjs))
-	for i := range alive {
-		alive[i] = i
-	}
-	root := b.build(0, interval.Set{}, alive)
-	nodes, terminals, pubRoot := extract(root)
-	return &BDD{Fields: fields, Root: pubRoot, nodes: nodes, terminals: terminals}, nil
+	return nil
 }
 
 // extract snapshots the sub-DAG reachable from the arena root into fresh
@@ -376,11 +473,11 @@ func (bl *Builder) Build(fields []Field, conjs []Conj) (*BDD, error) {
 // exactly the order a cold builder creates nodes in (children complete
 // before their parent is consed, the true subtree before the false one) —
 // so a warm build's output is indistinguishable from a cold build's.
-func extract(root *Node) (nodes, terminals []*Node, pubRoot *Node) {
-	clones := make(map[int]*Node)
+func extract(root *Node, arenaNodes int) (nodes, terminals []*Node, pubRoot *Node) {
+	clones := make([]*Node, arenaNodes)
 	var walk func(n *Node) *Node
 	walk = func(n *Node) *Node {
-		if c, ok := clones[n.ID]; ok {
+		if c := clones[n.ID]; c != nil {
 			return c
 		}
 		var c *Node
@@ -401,180 +498,251 @@ func extract(root *Node) (nodes, terminals []*Node, pubRoot *Node) {
 	return nodes, terminals, pubRoot
 }
 
-// sortPreds orders each field's predicate list canonically and rewrites
-// the conjunctions' predicate indices to match.
-func (b *builder) sortPreds(predKey []map[string]int) {
-	for f := range b.preds {
-		order := make([]int, len(b.preds[f]))
+// sortPreds orders each field's predicate list canonically — by (min, max,
+// Set.Key()) — and rewrites the conjunctions' predicate references to
+// match.
+func (b *builder) sortPreds() {
+	remaps := make([][]int32, len(b.preds))
+	for f, ps := range b.preds {
+		order := make([]int, len(ps))
 		for i := range order {
 			order[i] = i
 		}
-		ps := b.preds[f]
 		sort.Slice(order, func(i, j int) bool {
-			a, c := ps[order[i]], ps[order[j]]
-			if a.set.IsEmpty() != c.set.IsEmpty() {
-				return c.set.IsEmpty()
+			a, c := ps[order[i]].set, ps[order[j]].set
+			if a.Min() != c.Min() {
+				return a.Min() < c.Min()
 			}
-			if !a.set.IsEmpty() && !c.set.IsEmpty() {
-				if a.set.Min() != c.set.Min() {
-					return a.set.Min() < c.set.Min()
-				}
-				if a.set.Max() != c.set.Max() {
-					return a.set.Max() < c.set.Max()
-				}
+			if a.Max() != c.Max() {
+				return a.Max() < c.Max()
 			}
-			return a.key < c.key
+			return a.Key() < c.Key()
 		})
-		// old index -> new index
-		remap := make([]int, len(ps))
+		remaps[f] = make([]int32, len(ps)) // old index -> new index
 		sorted := make([]pred, len(ps))
 		for newIdx, oldIdx := range order {
-			remap[oldIdx] = newIdx
+			remaps[f][oldIdx] = int32(newIdx)
 			sorted[newIdx] = ps[oldIdx]
 		}
 		b.preds[f] = sorted
-		for ci := range b.conjs {
-			idxs := b.conjs[ci].predIdx[f]
-			for k, old := range idxs {
-				idxs[k] = remap[old]
-			}
-			sort.Ints(idxs)
-		}
-		_ = predKey
+	}
+	for i, r := range b.refs {
+		b.refs[i].idx = remaps[r.f][r.idx]
 	}
 }
 
-// build recursively constructs the subgraph for fields[f:], given the
-// interval context for field f (ctx; the zero Set means "unconstrained so
-// far") and the conjunctions still alive.
-func (b *builder) build(f int, ctx interval.Set, alive []int) *Node {
+// takeInts takes n int32s from the top of the scratch stack; the caller
+// gives them back with b.ints = b.ints[:mark]. When the stack has to grow,
+// slices taken earlier keep the array they were cut from.
+func (b *builder) takeInts(n int) []int32 {
+	top := len(b.ints)
+	if top+n > cap(b.ints) {
+		b.ints = make([]int32, top, 2*cap(b.ints)+n)
+	}
+	b.ints = b.ints[:top+n]
+	return b.ints[top : top+n : top+n]
+}
+
+// visit constructs the subgraph for fields[f:] given the conjunctions still
+// alive on entering field f and the sum of their hashes. It buckets them
+// into requirement classes once; chain then works on classes.
+func (b *builder) visit(f int, alive []int32, sum hash128) *Node {
 	if f == len(b.fields) {
 		return b.terminal(alive)
 	}
-	if ctx.IsEmpty() {
-		ctx = interval.Full(b.fields[f].Max)
+	if len(b.preds[f]) == 0 {
+		return b.cross(f, alive, sum) // nothing constrains f: everything survives it
+	}
+	intMark, classMark := len(b.ints), len(b.classes)
+	defer func() { b.ints, b.classes = b.ints[:intMark], b.classes[:classMark] }()
+
+	// First pass: give every requirement present a class, in order of
+	// first appearance, and count its members.
+	nf := len(b.fields)
+	slot := b.classSlot[f]
+	bound := len(b.reqs[f]) + 1
+	if len(alive) < bound {
+		bound = len(alive)
+	}
+	counts := b.takeInts(bound)[:0]
+	wild := int32(-1) // the class of conjunctions that do not constrain f
+	for _, ci := range alive {
+		r := b.cls[int(ci)*nf+f]
+		k := wild
+		if r >= 0 {
+			k = slot[r]
+		}
+		if k < 0 {
+			k = int32(len(counts))
+			counts = append(counts, 0)
+			if r >= 0 {
+				slot[r] = k
+				b.classes = append(b.classes, class{req: b.reqs[f][r]})
+			} else {
+				wild = k
+				b.classes = append(b.classes, class{})
+			}
+		}
+		counts[k]++
+	}
+	classes := b.classes[classMark:]
+	if len(classes) == 1 && wild == 0 {
+		return b.cross(f, alive, sum)
+	}
+	// Second pass: one array holds every member list.
+	members := b.takeInts(len(alive))
+	for k, n := range counts {
+		classes[k].members, members = members[:0:n], members[n:]
+	}
+	for _, ci := range alive {
+		k := wild
+		if r := b.cls[int(ci)*nf+f]; r >= 0 {
+			k = slot[r]
+		}
+		c := &classes[k]
+		c.members = append(c.members, ci)
+		c.sum = c.sum.plus(b.conjHash[ci])
+	}
+	// Each class's distinct predicates on f, and slot back to -1.
+	seen := b.predSeen[f]
+	live := b.takeInts(len(classes))
+	for k := range classes {
+		c := &classes[k]
+		if !c.req.IsEmpty() {
+			slot[b.cls[int(c.members[0])*nf+f]] = -1
+		}
+		b.predEpoch++
+		uses := 0
+		for _, ci := range c.members {
+			uses += len(b.conjs[ci].refs)
+		}
+		if uses > len(seen) {
+			uses = len(seen)
+		}
+		c.preds = b.takeInts(uses)[:0]
+		for _, ci := range c.members {
+			for _, r := range b.conjs[ci].refs {
+				if int(r.f) == f && seen[r.idx] != b.predEpoch {
+					seen[r.idx] = b.predEpoch
+					c.preds = append(c.preds, r.idx)
+				}
+			}
+		}
+		live[k] = int32(k)
+	}
+	return b.chain(f, classes, b.full[f], live, 0)
+}
+
+// chain is the per-predicate Shannon expansion within field f: ctx is the
+// set of values of f that can still reach this point, live the classes not
+// yet killed by an ancestor's context, and from the first predicate index
+// an ancestor has not already decided (a context only shrinks down the
+// chain, so what it decided stays decided).
+func (b *builder) chain(f int, classes []class, ctx interval.Set, live []int32, from int) *Node {
+	mark := len(b.ints)
+	defer func() { b.ints = b.ints[:mark] }()
+
+	// Classes whose requirement is already disjoint from the context can
+	// never match below this point; dropping them here keeps their
+	// remaining predicates from being materialized.
+	kept, copied := live, false
+	var sum hash128
+	n := 0
+	for i, k := range live {
+		c := &classes[k]
+		if !c.req.IsEmpty() && !ctx.Overlaps(c.req) {
+			if !copied {
+				kept, copied = append(b.takeInts(len(live))[:0], live[:i]...), true
+			}
+			continue
+		}
+		if copied {
+			kept = append(kept, k)
+		}
+		sum = sum.plus(c.sum)
+		n += len(c.members)
 	}
 
-	// Conjunctions whose requirement on f is already disjoint from the
-	// context can never match below this point; dropping them here keeps
-	// their remaining predicates from being materialized.
-	alive = b.pruneDead(f, ctx, alive)
-
-	// Find the first predicate on field f that is used by an alive
-	// conjunction and is not already decided by the context.
-	next := -1
-	var nextPred pred
-	for _, pi := range b.alivePreds(f, alive) {
-		p := b.preds[f][pi]
-		if !ctx.Overlaps(p.set) || ctx.SubsetOf(p.set) {
-			continue // implied false / true: reduction (iii)
+	// The first predicate on f, in canonical order, that a kept class uses
+	// and the context does not already decide.
+	b.predEpoch++
+	seen := b.predSeen[f]
+	for _, k := range kept {
+		for _, pi := range classes[k].preds {
+			seen[pi] = b.predEpoch
 		}
-		next = pi
-		nextPred = p
-		break
+	}
+	next := -1
+	for pi := from; pi < len(seen); pi++ {
+		if seen[pi] != b.predEpoch {
+			continue
+		}
+		if p := b.preds[f][pi].set; ctx.Overlaps(p) && !ctx.SubsetOf(p) {
+			next = pi
+			break
+		} // else implied false / true: reduction (iii)
 	}
 
 	if next < 0 {
-		// Field f fully resolved for every alive conjunction: filter the
-		// alive set by this field's requirements and move on.
-		survivors := b.filterAlive(f, ctx, alive)
-		key := memoKey{kind: 'X', field: int32(f), alive: b.hashAlive(survivors), aliveLen: int32(len(survivors))}
-		if n, ok := b.shared.memo[key]; ok {
-			return n
+		// Field f is resolved for every kept class. By construction ctx is a
+		// cell of the partition their predicates induce, so it is inside or
+		// disjoint from each requirement: keep the classes it satisfies and
+		// move on, listing their conjunctions only if the memo has not seen
+		// this set before.
+		sum, n = hash128{}, 0
+		for _, k := range kept {
+			if c := &classes[k]; c.req.IsEmpty() || ctx.SubsetOf(c.req) {
+				sum = sum.plus(c.sum)
+				n += len(c.members)
+			}
 		}
-		n := b.build(f+1, interval.Set{}, survivors)
-		b.shared.memo[key] = n
-		return n
+		key := memoKey{kind: 'X', field: int32(f), alive: sum, aliveLen: int32(n)}
+		if nd, ok := b.shared.memo[key]; ok {
+			return nd
+		}
+		survivors := b.takeInts(n)[:0]
+		for _, k := range kept {
+			if c := &classes[k]; c.req.IsEmpty() || ctx.SubsetOf(c.req) {
+				survivors = append(survivors, c.members...)
+			}
+		}
+		nd := b.visit(f+1, survivors, sum)
+		b.shared.memo[key] = nd
+		return nd
 	}
 
+	p := &b.preds[f][next]
 	key := memoKey{
-		kind: 'B', field: int32(f), pred: hashString(nextPred.key),
-		ctx: hashSet(ctx), alive: b.hashAlive(alive), aliveLen: int32(len(alive)),
+		kind: 'B', field: int32(f), pred: p.hash,
+		ctx: hashSet(ctx), alive: sum, aliveLen: int32(n),
 	}
-	if n, ok := b.shared.memo[key]; ok {
-		return n
+	if nd, ok := b.shared.memo[key]; ok {
+		return nd
 	}
-
-	trueCtx := ctx.Intersect(nextPred.set)
-	falseCtx := ctx.Minus(nextPred.set, b.fields[f].Max)
-	t := b.build(f, trueCtx, alive)
-	e := b.build(f, falseCtx, alive)
-
-	var n *Node
-	if t == e {
-		n = t // reduction (ii): redundant test
-	} else {
-		n = b.consNode(f, nextPred, t, e)
+	t := b.chain(f, classes, ctx.Intersect(p.set), kept, next+1)
+	e := b.chain(f, classes, ctx.Minus(p.set, b.fields[f].Max), kept, next+1)
+	nd := t // reduction (ii): a test whose branches coincide is elided
+	if t != e {
+		nd = b.consNode(f, p, t, e)
 	}
-	b.shared.memo[key] = n
-	return n
+	b.shared.memo[key] = nd
+	return nd
 }
 
-// alivePreds returns the sorted, deduplicated predicate indices on field f
-// used by alive conjunctions. Deduplication uses an epoch-stamped scratch
-// slice; the sorted order falls out of a scan over the (canonically
-// ordered) predicate table rather than a per-call sort.
-func (b *builder) alivePreds(f int, alive []int) []int {
-	b.predEpoch++
-	seen := b.predSeen[f]
-	count := 0
-	for _, ci := range alive {
-		for _, pi := range b.conjs[ci].predIdx[f] {
-			if seen[pi] != b.predEpoch {
-				seen[pi] = b.predEpoch
-				count++
-			}
-		}
+// cross leaves field f with every alive conjunction surviving it.
+func (b *builder) cross(f int, alive []int32, sum hash128) *Node {
+	key := memoKey{kind: 'X', field: int32(f), alive: sum, aliveLen: int32(len(alive))}
+	if nd, ok := b.shared.memo[key]; ok {
+		return nd
 	}
-	out := make([]int, 0, count)
-	for pi := range seen {
-		if seen[pi] == b.predEpoch {
-			out = append(out, pi)
-			if len(out) == count {
-				break
-			}
-		}
-	}
-	return out
-}
-
-// pruneDead removes conjunctions whose requirement on field f cannot
-// intersect the current context.
-func (b *builder) pruneDead(f int, ctx interval.Set, alive []int) []int {
-	out := alive
-	copied := false
-	for i, ci := range alive {
-		req := b.conjs[ci].req[f]
-		dead := !req.IsEmpty() && !ctx.Overlaps(req)
-		if dead && !copied {
-			out = append([]int(nil), alive[:i]...)
-			copied = true
-		} else if !dead && copied {
-			out = append(out, ci)
-		}
-	}
-	return out
-}
-
-// filterAlive drops conjunctions whose requirement on field f excludes the
-// resolved context. By construction ctx is a cell of the partition induced
-// by the alive predicates on f, so ctx is either inside or disjoint from
-// each requirement.
-func (b *builder) filterAlive(f int, ctx interval.Set, alive []int) []int {
-	out := make([]int, 0, len(alive))
-	for _, ci := range alive {
-		req := b.conjs[ci].req[f]
-		if !req.IsEmpty() && !ctx.SubsetOf(req) {
-			continue
-		}
-		out = append(out, ci)
-	}
-	return out
+	nd := b.visit(f+1, alive, sum)
+	b.shared.memo[key] = nd
+	return nd
 }
 
 // terminal hash-conses the terminal node for the given satisfied
 // conjunctions.
-func (b *builder) terminal(alive []int) *Node {
+func (b *builder) terminal(alive []int32) *Node {
 	payloads := make([]int, 0, len(alive))
 	for _, ci := range alive {
 		payloads = append(payloads, b.conjs[ci].payload)
@@ -600,8 +768,8 @@ func (b *builder) terminal(alive []int) *Node {
 
 // consNode hash-conses an internal node: reduction (i). Node IDs are
 // arena-wide and monotonic; the snapshot pass renumbers them per build.
-func (b *builder) consNode(f int, p pred, t, e *Node) *Node {
-	key := nodeKey{field: int32(f), predKey: p.key, trueID: t.ID, falseID: e.ID}
+func (b *builder) consNode(f int, p *pred, t, e *Node) *Node {
+	key := nodeKey{field: int32(f), pred: p.hash, trueID: t.ID, falseID: e.ID}
 	if n, ok := b.shared.nodeCons[key]; ok {
 		return n
 	}

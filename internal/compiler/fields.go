@@ -341,14 +341,15 @@ func (r *resolver) resolveRules(rules []lang.DNFRule, workers int) ([]ruleConjs,
 			full := bdd.Conj{Payload: rc.RuleID}
 			rest := bdd.Conj{Payload: rc.UpdateID}
 			hasAggregate := false
-			for ai, atom := range c {
+			for ai := range c {
+				atom := &c[ai] // also the constraint's label, formatted only if the BDD asks
 				idx := fieldIdx[ri][ci][ai]
-				set, err := r.atomSet(idx, atom)
+				set, err := r.atomSet(idx, *atom)
 				if err != nil {
 					errs[ri] = fmt.Errorf("rule %d: %w", rule.ID, err)
 					return
 				}
-				con := bdd.Constraint{Field: idx, Set: set, Label: atom.String()}
+				con := bdd.Constraint{Field: idx, Set: set, Label: atom}
 				full.Constraints = append(full.Constraints, con)
 				// The companion condition strips only self-updating macro
 				// atoms: reads of explicitly updated variables (keyed or

@@ -113,7 +113,7 @@ func ComputeCover(sp *spec.Spec, rules []lang.Rule, opts CoverOptions) (Cover, e
 	sort.Ints(fidx)
 	for _, f := range fidx {
 		out = append(out, bdd.Conj{Constraints: []bdd.Constraint{{
-			Field: f, Set: single[f], Label: fmt.Sprintf("cover(%s)", fields[f].Name),
+			Field: f, Set: single[f], Label: bdd.Text("cover(" + fields[f].Name + ")"),
 		}}})
 	}
 	out = append(out, multi...)
