@@ -174,6 +174,7 @@ type builder struct {
 	predEpoch int
 	ints      []int32
 	classes   []class
+	bits      []uint64       // one bit per alive position, to list survivors in order
 	full      []interval.Set // full[f] is field f's whole domain
 }
 
@@ -310,9 +311,17 @@ type conjInfo struct {
 // whole class at once.
 type class struct {
 	req     interval.Set // empty: the members do not constrain the field
-	members []int32      // conjunction indices
+	members []int32      // positions in the visit's alive list, ascending
 	preds   []int32      // distinct indices into preds[f] the members use
 	sum     hash128      // of the members' conjHash
+}
+
+// fieldVisit is what one visit of a field hands its chain: the field, the
+// conjunctions alive on entry, and their classes.
+type fieldVisit struct {
+	f       int
+	alive   []int32
+	classes []class
 }
 
 // Build constructs the reduced ordered multi-terminal BDD for the given
@@ -594,13 +603,13 @@ func (b *builder) visit(f int, alive []int32, sum hash128) *Node {
 	for k, n := range counts {
 		classes[k].members, members = members[:0:n], members[n:]
 	}
-	for _, ci := range alive {
+	for pos, ci := range alive {
 		k := wild
 		if r := b.cls[int(ci)*nf+f]; r >= 0 {
 			k = slot[r]
 		}
 		c := &classes[k]
-		c.members = append(c.members, ci)
+		c.members = append(c.members, int32(pos))
 		c.sum = c.sum.plus(b.conjHash[ci])
 	}
 	// Each class's distinct predicates on f, and slot back to -1.
@@ -609,19 +618,19 @@ func (b *builder) visit(f int, alive []int32, sum hash128) *Node {
 	for k := range classes {
 		c := &classes[k]
 		if !c.req.IsEmpty() {
-			slot[b.cls[int(c.members[0])*nf+f]] = -1
+			slot[b.cls[int(alive[c.members[0]])*nf+f]] = -1
 		}
 		b.predEpoch++
 		uses := 0
-		for _, ci := range c.members {
-			uses += len(b.conjs[ci].refs)
+		for _, pos := range c.members {
+			uses += len(b.conjs[alive[pos]].refs)
 		}
 		if uses > len(seen) {
 			uses = len(seen)
 		}
 		c.preds = b.takeInts(uses)[:0]
-		for _, ci := range c.members {
-			for _, r := range b.conjs[ci].refs {
+		for _, pos := range c.members {
+			for _, r := range b.conjs[alive[pos]].refs {
 				if int(r.f) == f && seen[r.idx] != b.predEpoch {
 					seen[r.idx] = b.predEpoch
 					c.preds = append(c.preds, r.idx)
@@ -630,7 +639,7 @@ func (b *builder) visit(f int, alive []int32, sum hash128) *Node {
 		}
 		live[k] = int32(k)
 	}
-	return b.chain(f, classes, b.full[f], live, 0)
+	return b.chain(&fieldVisit{f: f, alive: alive, classes: classes}, b.full[f], live, 0)
 }
 
 // chain is the per-predicate Shannon expansion within field f: ctx is the
@@ -638,7 +647,8 @@ func (b *builder) visit(f int, alive []int32, sum hash128) *Node {
 // yet killed by an ancestor's context, and from the first predicate index
 // an ancestor has not already decided (a context only shrinks down the
 // chain, so what it decided stays decided).
-func (b *builder) chain(f int, classes []class, ctx interval.Set, live []int32, from int) *Node {
+func (b *builder) chain(v *fieldVisit, ctx interval.Set, live []int32, from int) *Node {
+	f, classes := v.f, v.classes
 	mark := len(b.ints)
 	defer func() { b.ints = b.ints[:mark] }()
 
@@ -700,10 +710,26 @@ func (b *builder) chain(f int, classes []class, ctx interval.Set, live []int32, 
 		if nd, ok := b.shared.memo[key]; ok {
 			return nd
 		}
-		survivors := b.takeInts(n)[:0]
+		// Listed through a bitmap of positions, the survivors come out in
+		// the order they went in: alive lists stay ascending, and so, for
+		// rules compiled in order, do the payloads terminal has to sort.
+		words := (len(v.alive) + 63) / 64
+		if words > len(b.bits) {
+			b.bits = make([]uint64, words)
+		}
+		set := b.bits[:words]
+		clear(set)
 		for _, k := range kept {
 			if c := &classes[k]; c.req.IsEmpty() || ctx.SubsetOf(c.req) {
-				survivors = append(survivors, c.members...)
+				for _, pos := range c.members {
+					set[pos>>6] |= 1 << (pos & 63)
+				}
+			}
+		}
+		survivors := b.takeInts(n)[:0]
+		for w, word := range set {
+			for ; word != 0; word &= word - 1 {
+				survivors = append(survivors, v.alive[w<<6+bits.TrailingZeros64(word)])
 			}
 		}
 		nd := b.visit(f+1, survivors, sum)
@@ -719,8 +745,8 @@ func (b *builder) chain(f int, classes []class, ctx interval.Set, live []int32, 
 	if nd, ok := b.shared.memo[key]; ok {
 		return nd
 	}
-	t := b.chain(f, classes, ctx.Intersect(p.set), kept, next+1)
-	e := b.chain(f, classes, ctx.Minus(p.set, b.fields[f].Max), kept, next+1)
+	t := b.chain(v, ctx.Intersect(p.set), kept, next+1)
+	e := b.chain(v, ctx.Minus(p.set, b.fields[f].Max), kept, next+1)
 	nd := t // reduction (ii): a test whose branches coincide is elided
 	if t != e {
 		nd = b.consNode(f, p, t, e)
@@ -744,10 +770,15 @@ func (b *builder) cross(f int, alive []int32, sum hash128) *Node {
 // conjunctions.
 func (b *builder) terminal(alive []int32) *Node {
 	payloads := make([]int, 0, len(alive))
+	sorted := true
 	for _, ci := range alive {
-		payloads = append(payloads, b.conjs[ci].payload)
+		p := b.conjs[ci].payload
+		sorted = sorted && (len(payloads) == 0 || payloads[len(payloads)-1] <= p)
+		payloads = append(payloads, p)
 	}
-	sort.Ints(payloads)
+	if !sorted {
+		sort.Ints(payloads)
+	}
 	// Dedupe in place (sorted).
 	uniq := payloads[:0]
 	for i, p := range payloads {

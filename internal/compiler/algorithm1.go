@@ -13,46 +13,50 @@ import (
 // name: the root (initial state) and every node that is the target of a
 // cross-component edge — i.e. every In node of every field component plus
 // every reachable terminal. Numbering is breadth-first from the root so
-// state IDs are deterministic and small.
+// state IDs are deterministic and small. states is indexed by node ID and
+// holds -1 for the nodes that get no state.
 //
-// termKey maps terminal node IDs to the canonical key of their merged
-// action set; terminals with the same key share one pipeline state (an
-// additional reduction on top of the BDD's payload-set hash-consing —
+// termAct maps terminal node IDs to their merged action set, numbered
+// 0..nActs-1; terminals with the same action set share one pipeline state
+// (an additional reduction on top of the BDD's payload-set hash-consing —
 // distinct rule sets often merge to identical actions, e.g. the same
-// forwarding port).
-func assignStates(b *bdd.BDD, termKey map[int]string) map[int]int {
-	states := make(map[int]int)
-	keyState := make(map[string]int)
-	if b.Root == nil {
-		return states
+// forwarding port). actState is that state per action set.
+func assignStates(b *bdd.BDD, termAct []int32, nActs int) (states, actState []int) {
+	states = make([]int, b.NumNodes())
+	for i := range states {
+		states[i] = -1
+	}
+	actState = make([]int, nActs)
+	for i := range actState {
+		actState[i] = -1
 	}
 	next := 0
 	assign := func(n *bdd.Node) {
-		if _, ok := states[n.ID]; ok {
+		if states[n.ID] >= 0 {
 			return
 		}
 		if n.IsTerminal() {
-			if k, ok := termKey[n.ID]; ok {
-				if st, ok := keyState[k]; ok {
-					states[n.ID] = st
-					return
-				}
-				keyState[k] = next
+			act := termAct[n.ID]
+			if actState[act] < 0 {
+				actState[act] = next
+				next++
 			}
+			states[n.ID] = actState[act]
+			return
 		}
 		states[n.ID] = next
 		next++
 	}
 	assign(b.Root)
 	queue := []*bdd.Node{b.Root}
-	seen := map[int]bool{b.Root.ID: true}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
+	seen := make([]bool, b.NumNodes())
+	seen[b.Root.ID] = true
+	for head := 0; head < len(queue); head++ {
+		n := queue[head]
 		if n.IsTerminal() {
 			continue
 		}
-		for _, child := range []*bdd.Node{n.True, n.False} {
+		for _, child := range [2]*bdd.Node{n.True, n.False} {
 			if child.Field != n.Field { // cross-component edge
 				assign(child)
 			}
@@ -62,7 +66,7 @@ func assignStates(b *bdd.BDD, termKey map[int]string) map[int]int {
 			}
 		}
 	}
-	return states
+	return states, actState
 }
 
 // pathEntry is an In→Out transition produced by Algorithm 1 before
@@ -82,15 +86,12 @@ type pathEntry struct {
 // paths leaving an In node are disjoint and partition the field domain,
 // and that their number is bounded by the cells the field's predicates cut
 // the domain into — the paper's at-most-quadratic bound on In→Out paths.
-func algorithm1(b *bdd.BDD, states map[int]int) [][]pathEntry {
+func algorithm1(b *bdd.BDD, states []int) [][]pathEntry {
 	perField := make([][]pathEntry, len(b.Fields))
 	// In nodes of component f: nodes with Field == f that carry a state.
 	inNodes := make([][]*bdd.Node, len(b.Fields))
 	for _, n := range b.Nodes() {
-		if n.IsTerminal() {
-			continue
-		}
-		if _, ok := states[n.ID]; ok {
+		if !n.IsTerminal() && states[n.ID] >= 0 {
 			inNodes[n.Field] = append(inNodes[n.Field], n)
 		}
 	}
@@ -130,19 +131,16 @@ func algorithm1(b *bdd.BDD, states map[int]int) [][]pathEntry {
 // The remaining paths become exact entries for points and range entries
 // otherwise. Exact-match fields must end up with no range entries.
 func lowerEntries(f FieldInfo, paths []pathEntry) ([]Entry, error) {
-	byState := make(map[int][]pathEntry)
-	var states []int
-	for _, pe := range paths {
-		if _, ok := byState[pe.fromState]; !ok {
-			states = append(states, pe.fromState)
-		}
-		byState[pe.fromState] = append(byState[pe.fromState], pe)
-	}
-	sort.Ints(states)
-
+	// algorithm1 emits an In state's paths together, In states ascending.
 	var out []Entry
-	for _, st := range states {
-		ps := byState[st]
+	for len(paths) > 0 {
+		st := paths[0].fromState
+		n := 1
+		for n < len(paths) && paths[n].fromState == st {
+			n++
+		}
+		var ps []pathEntry
+		ps, paths = paths[:n], paths[n:]
 		// Choose the default path: the one with the most intervals (the
 		// residual). A lone full-domain path is trivially the default.
 		def := -1

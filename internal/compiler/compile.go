@@ -2,7 +2,9 @@ package compiler
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -115,7 +117,7 @@ func CompileDNF(sp *spec.Spec, rules []lang.DNFRule, opts Options) (*Program, er
 // compression run concurrently across Options.Workers goroutines; results
 // land in a pre-sized slice, keeping the output bit-identical to serial.
 func compileFromConjs(sp *spec.Spec, fieldInfos []FieldInfo, actions [][]lang.Action,
-	conjs []bdd.Conj, nRules int, opts Options, bl *bdd.Builder, actMemo map[string]mergedActions) (*Program, error) {
+	conjs []bdd.Conj, nRules int, opts Options, bl *bdd.Builder, actMemo map[string]ActionSet) (*Program, error) {
 
 	// Copy the field table so option-driven rewrites (and later Session
 	// recompiles reusing the resolver) never alias a published Program.
@@ -140,42 +142,54 @@ func compileFromConjs(sp *spec.Spec, fieldInfos []FieldInfo, actions [][]lang.Ac
 		return nil, err
 	}
 
-	// Merge each terminal's rule actions up front; terminals whose merged
-	// actions coincide share one pipeline state. Session recompiles pass an
-	// actMemo keyed by the terminal's exact payload set: payload IDs map to
-	// the same actions for the life of a session (the resolver is
-	// append-only), so a terminal whose subscriber set survived the churn
-	// reuses its merged ActionSet instead of re-merging and re-sorting.
-	termActs := make(map[int]ActionSet, len(b.Terminals()))
-	termKey := make(map[int]string, len(b.Terminals()))
+	// Merge each terminal's rule actions once, and number the distinct
+	// results: everything downstream (state assignment, the leaf table,
+	// group allocation) tells action sets apart by that number, and the
+	// control plane, across programs, by the Key the merge gave them.
+	// Session recompiles pass an actMemo keyed by the terminal's exact
+	// payload set: payload IDs map to the same actions for the life of a
+	// session (the resolver is append-only), so a terminal whose subscriber
+	// set survived the churn reuses its merged ActionSet instead of
+	// re-merging and re-sorting.
+	termAct := make([]int32, b.NumNodes()) // terminal node ID -> index into acts
+	var acts []ActionSet
+	actID := make(map[string]int32, len(b.Terminals()))
 	var scratch []byte
+	var m *merger // built for the first terminal the memo does not know
 	var memoHits, memoMisses uint64
 	for _, term := range b.Terminals() {
-		var memo mergedActions
+		var as ActionSet
 		var ok bool
 		if actMemo != nil {
 			scratch = payloadKey(scratch[:0], term.Payloads)
-			memo, ok = actMemo[string(scratch)]
+			as, ok = actMemo[string(scratch)]
 		}
 		if !ok {
 			memoMisses++
-			as := mergeActions(actions, term.Payloads)
-			memo = mergedActions{as: as, key: as.Key()}
+			if m == nil {
+				m = newMerger(actions)
+			}
+			as = m.merge(term.Payloads)
 			if actMemo != nil {
-				actMemo[string(scratch)] = memo
+				actMemo[string(scratch)] = as
 			}
 		} else {
 			memoHits++
 		}
-		termActs[term.ID] = memo.as
-		termKey[term.ID] = memo.key
+		id, ok := actID[as.key]
+		if !ok {
+			id = int32(len(acts))
+			actID[as.key] = id
+			acts = append(acts, as)
+		}
+		termAct[term.ID] = id
 	}
 	if opts.Telemetry != nil && actMemo != nil {
 		opts.Telemetry.Counter("camus_compiler_memo_hits_total").Add(memoHits)
 		opts.Telemetry.Counter("camus_compiler_memo_misses_total").Add(memoMisses)
 	}
 
-	states := assignStates(b, termKey)
+	states, actState := assignStates(b, termAct, len(acts))
 	perField := algorithm1(b, states)
 
 	prog := &Program{
@@ -208,21 +222,9 @@ func compileFromConjs(sp *spec.Spec, fieldInfos []FieldInfo, actions [][]lang.Ac
 		return nil, err
 	}
 
-	if err := prog.buildLeaf(termActs, states); err != nil {
-		return nil, err
-	}
-
-	prog.computeStats(nRules, conjs, states)
+	prog.buildLeaf(acts, actState)
+	prog.computeStats(nRules, conjs)
 	return prog, nil
-}
-
-// mergedActions is one actMemo entry: a terminal's merged ActionSet and
-// its canonical key, cached together so warm recompiles skip both the
-// merge-sort and the key formatting. The ActionSet's slices are treated as
-// immutable once memoized (published Programs never mutate them).
-type mergedActions struct {
-	as  ActionSet
-	key string
 }
 
 // payloadKey writes an exact (collision-free) encoding of a terminal's
@@ -259,71 +261,97 @@ func autoExactLower(t *Table) {
 	t.Match = spec.MatchExact
 }
 
-// buildLeaf constructs the leaf table: one entry per terminal state,
-// pointing at the deduplicated action set and allocating multicast groups
-// for multi-port forwards.
-func (p *Program) buildLeaf(termActs map[int]ActionSet, states map[int]int) error {
+// buildLeaf constructs the leaf table: one entry per terminal state, in
+// state order, pointing at that state's action set and allocating
+// multicast groups for multi-port forwards. Terminals share a state exactly
+// when they share an action set, so acts and terminal states pair off.
+func (p *Program) buildLeaf(acts []ActionSet, actState []int) {
 	p.Leaf = &Table{Name: "leaf", Field: -1, Match: spec.MatchExact}
-	actionIdx := make(map[string]int)
-	groupIdx := make(map[string]int)
-	emitted := make(map[int]bool)
-
-	terms := append([]*bdd.Node(nil), p.BDD.Terminals()...)
-	sort.Slice(terms, func(i, j int) bool { return states[terms[i].ID] < states[terms[j].ID] })
-
-	for _, term := range terms {
-		st, ok := states[term.ID]
-		if !ok || emitted[st] {
-			continue // unreachable terminal or merged duplicate
+	order := make([]int, 0, len(acts))
+	for id, st := range actState {
+		if st >= 0 {
+			order = append(order, id)
 		}
-		emitted[st] = true
-		as := termActs[term.ID]
+	}
+	sort.Slice(order, func(i, j int) bool { return actState[order[i]] < actState[order[j]] })
+
+	groupIdx := make(map[string]int) // encoded port set -> group
+	var scratch []byte
+	p.Actions = make([]ActionSet, 0, len(order))
+	p.Leaf.Entries = make([]Entry, 0, len(order))
+	for _, id := range order {
+		as := acts[id]
 		if len(as.Ports) > 1 {
-			key := lang.FormatPorts(as.Ports)
-			g, ok := groupIdx[key]
+			scratch = appendPorts(scratch[:0], as.Ports)
+			g, ok := groupIdx[string(scratch)]
 			if !ok {
 				g = len(p.Groups)
-				groupIdx[key] = g
+				groupIdx[string(scratch)] = g
 				p.Groups = append(p.Groups, as.Ports)
 			}
 			as.Group = g
 		} else {
 			as.Group = -1
 		}
-		key := as.Key()
-		ai, ok := actionIdx[key]
-		if !ok {
-			ai = len(p.Actions)
-			actionIdx[key] = ai
-			p.Actions = append(p.Actions, as)
-		}
 		p.Leaf.Entries = append(p.Leaf.Entries, Entry{
-			State: st, Kind: EntryWild, Next: ai, Priority: 0,
+			State: actState[id], Kind: EntryWild, Next: len(p.Actions), Priority: 0,
 		})
+		p.Actions = append(p.Actions, as)
 	}
-	return nil
 }
 
-// mergeActions folds the action lists of all matched rules into one
-// ActionSet: port sets union (the paper's fwd(1) + fwd(2) ⇒ fwd(1,2)),
-// state updates accumulate, drop is recorded when explicit. A forward
-// beats a drop when both appear (the packet is wanted by someone).
-func mergeActions(ruleActions [][]lang.Action, payloads []int) ActionSet {
-	as := ActionSet{Group: -1}
-	var seen map[int]bool // dedupe before sorting: unique ports ≪ total refs
-	for _, rid := range payloads {
-		for _, a := range ruleActions[rid] {
-			switch a.Kind {
-			case lang.ActFwd:
+// merger folds the action lists of matched rules into ActionSets. Ports
+// are unioned through a bitmap over their ranks among all the ports the
+// rule set forwards to, so a terminal's ports come out sorted and distinct
+// in time linear in what it merges, with no sort per terminal.
+type merger struct {
+	actions [][]lang.Action // per payload ID
+	ports   []int           // rank -> port, ascending
+	fwd     []int32         // every rule's forwarding ports, as ranks
+	start   []int32         // rule rid's ranks are fwd[start[rid]:start[rid+1]]
+	set     []uint64        // one bit per rank; zero between merges
+	key     []byte          // scratch the result's Key is encoded in
+}
+
+func newMerger(actions [][]lang.Action) *merger {
+	m := &merger{actions: actions, start: make([]int32, len(actions)+1)}
+	for _, acts := range actions {
+		for _, a := range acts {
+			if a.Kind == lang.ActFwd {
+				m.ports = append(m.ports, a.Ports...)
+			}
+		}
+	}
+	slices.Sort(m.ports)
+	m.ports = slices.Compact(m.ports)
+	for rid, acts := range actions {
+		for _, a := range acts {
+			if a.Kind == lang.ActFwd {
 				for _, pt := range a.Ports {
-					if seen == nil {
-						seen = make(map[int]bool, 8)
-					}
-					if !seen[pt] {
-						seen[pt] = true
-						as.Ports = append(as.Ports, pt)
-					}
+					r, _ := slices.BinarySearch(m.ports, pt)
+					m.fwd = append(m.fwd, int32(r))
 				}
+			}
+		}
+		m.start[rid+1] = int32(len(m.fwd))
+	}
+	m.set = make([]uint64, (len(m.ports)+63)/64)
+	return m
+}
+
+// merge returns the ActionSet of a packet matched by exactly the given
+// rules: port sets union (the paper's fwd(1) + fwd(2) ⇒ fwd(1,2)), state
+// updates accumulate, drop is recorded when explicit. A forward beats a
+// drop when both appear (the packet is wanted by someone). The result
+// carries its Key.
+func (m *merger) merge(payloads []int) ActionSet {
+	as := ActionSet{Group: -1}
+	for _, rid := range payloads {
+		for _, r := range m.fwd[m.start[rid]:m.start[rid+1]] {
+			m.set[r>>6] |= 1 << (r & 63)
+		}
+		for _, a := range m.actions[rid] {
+			switch a.Kind {
 			case lang.ActDrop:
 				as.Drop = true
 			case lang.ActState:
@@ -333,25 +361,43 @@ func mergeActions(ruleActions [][]lang.Action, payloads []int) ActionSet {
 			}
 		}
 	}
-	sort.Ints(as.Ports)
-	if len(as.Ports) > 0 {
+	n := 0
+	for _, word := range m.set {
+		n += bits.OnesCount64(word)
+	}
+	if n > 0 {
+		as.Ports = make([]int, 0, n)
+		for w, word := range m.set {
+			for ; word != 0; word &= word - 1 {
+				as.Ports = append(as.Ports, m.ports[w<<6+bits.TrailingZeros64(word)])
+			}
+		}
+		clear(m.set)
 		as.Drop = false // a forward beats a drop: the packet is wanted
 	} else if len(as.Updates) == 0 {
 		as.Drop = true
 	}
-	as.Updates = sortRuleActions(as.Updates)
+	if len(as.Updates) > 1 {
+		as.Updates = sortRuleActions(as.Updates)
+	}
+	m.key = as.appendKey(m.key[:0])
+	as.key = string(m.key)
 	return as
 }
 
 // computeStats fills in the resource statistics.
-func (p *Program) computeStats(nRules int, conjs []bdd.Conj, states map[int]int) {
+func (p *Program) computeStats(nRules int, conjs []bdd.Conj) {
 	s := Stats{
 		Rules:        nRules,
 		Conjunctions: len(conjs),
 		BDDNodes:     p.BDD.NumNodes(),
 		BDDTerminals: len(p.BDD.Terminals()),
-		States:       len(states),
 		LeafEntries:  len(p.Leaf.Entries),
+	}
+	for _, st := range p.stateOf {
+		if st >= 0 {
+			s.States++ // nodes that carry a state; terminals that share one each count
+		}
 	}
 	s.TableEntries = len(p.Leaf.Entries)
 	s.SRAMEntries += len(p.Leaf.Entries) // leaf is an exact state match

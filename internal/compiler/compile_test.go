@@ -478,3 +478,52 @@ func TestProgramDumpIsRenderable(t *testing.T) {
 		t.Fatalf("dump incomplete:\n%s", d)
 	}
 }
+
+// TestActionSetKeyInjective: Key tells action sets apart exactly when they
+// act apart — which the decimal rendering it replaced, with its separators
+// taken out, would not.
+func TestActionSetKeyInjective(t *testing.T) {
+	upd := func(v, key, fn string, args ...string) lang.Action { return lang.KeyedStateUpdate(v, key, fn, args...) }
+	distinct := []ActionSet{
+		{Ports: []int{1, 23}},
+		{Ports: []int{12, 3}},
+		{Ports: []int{1, 2, 3}},
+		{Ports: []int{123}},
+		{Ports: []int{0}},
+		{Drop: true},
+		{Drop: true, Updates: []lang.Action{upd("v", "", "count")}},
+		{Updates: []lang.Action{upd("v", "", "count")}},
+		{Updates: []lang.Action{upd("v", "k", "count")}},
+		{Updates: []lang.Action{upd("vk", "", "count")}},
+		{Updates: []lang.Action{upd("v", "", "add", "a", "b")}},
+		{Updates: []lang.Action{upd("v", "", "add", "ab")}},
+		{Updates: []lang.Action{upd("v", "", "count"), upd("w", "", "count")}},
+		{Updates: []lang.Action{upd("w", "", "count"), upd("v", "", "count")}},
+		{Ports: []int{1}, Updates: []lang.Action{upd("v", "", "count")}},
+	}
+	seen := map[string]int{}
+	for i, as := range distinct {
+		if j, dup := seen[as.Key()]; dup {
+			t.Errorf("%+v and %+v share key %q", distinct[j], as, as.Key())
+		}
+		seen[as.Key()] = i
+	}
+	// What does not change behaviour does not change the key: the group
+	// number, a drop beside a forward, or leaving the drop of "forward
+	// nowhere, update nothing" unsaid.
+	same := [][2]ActionSet{
+		{{Ports: []int{4, 5}, Group: 7}, {Ports: []int{4, 5}, Group: -1}},
+		{{Ports: []int{4}, Drop: true}, {Ports: []int{4}}},
+		{{Drop: true}, {}},
+	}
+	for _, p := range same {
+		if p[0].Key() != p[1].Key() {
+			t.Errorf("%+v and %+v have different keys", p[0], p[1])
+		}
+	}
+	// A compiled set carries the key it was merged with.
+	m := newMerger([][]lang.Action{{lang.Fwd(1, 23)}, {lang.Fwd(12, 3), lang.Drop()}})
+	if a, b := m.merge([]int{0}), m.merge([]int{1}); a.key == "" || a.Key() == b.Key() || a.Key() != (ActionSet{Ports: []int{1, 23}}).Key() {
+		t.Errorf("merged keys %q, %q", a.Key(), b.Key())
+	}
+}

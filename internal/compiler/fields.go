@@ -338,7 +338,11 @@ func (r *resolver) resolveRules(rules []lang.DNFRule, workers int) ([]ruleConjs,
 		rule := &rules[ri]
 		rc := &out[ri]
 		for ci, c := range rule.Conjunctions {
-			full := bdd.Conj{Payload: rc.RuleID}
+			full := bdd.Conj{Payload: rc.RuleID, Constraints: make([]bdd.Constraint, 0, len(c))}
+			// The companion condition strips only self-updating macro atoms:
+			// reads of explicitly updated variables (keyed or not) carry no
+			// implicit update to ride on it. It is begun at the first such
+			// atom, so a rule without one pays nothing for it.
 			rest := bdd.Conj{Payload: rc.UpdateID}
 			hasAggregate := false
 			for ai := range c {
@@ -350,15 +354,15 @@ func (r *resolver) resolveRules(rules []lang.DNFRule, workers int) ([]ruleConjs,
 					return
 				}
 				con := bdd.Constraint{Field: idx, Set: set, Label: atom}
-				full.Constraints = append(full.Constraints, con)
-				// The companion condition strips only self-updating macro
-				// atoms: reads of explicitly updated variables (keyed or
-				// not) carry no implicit update to ride on it.
 				if r.fields[idx].SelfUpdating() && atom.LHS.IsAggregate() {
-					hasAggregate = true
-				} else {
+					if !hasAggregate {
+						hasAggregate = true
+						rest.Constraints = append(rest.Constraints, full.Constraints...)
+					}
+				} else if hasAggregate {
 					rest.Constraints = append(rest.Constraints, con)
 				}
+				full.Constraints = append(full.Constraints, con)
 			}
 			rc.Conjs = append(rc.Conjs, full)
 			if hasAggregate {

@@ -253,3 +253,28 @@ func dumpProgram(w io.Writer, p *compiler.Program) {
 	}
 	fmt.Fprintf(w, "root %d\nstats %+v\n", p.BDD.Root.ID, p.Stats)
 }
+
+// TestCompileAllocsPerRule is the cost gate of a cold compile: how many
+// heap objects a Fig. 5c rule costs from rule AST to installed-ready
+// Program, with one worker so the number belongs to the code and not to
+// the host. The bound sits a quarter above what the compiler does today
+// (31.2 per rule at 2k×200 under go1.24; before the class-expanding
+// builder and interned action sets, 98.2); a change that brings back a
+// per-constraint string or a per-terminal map goes through it.
+func TestCompileAllocsPerRule(t *testing.T) {
+	const n, bound = 2000, 39.0
+	sp := workload.ITCHSpec()
+	rules := workload.ITCHSubscriptions(workload.ITCHSubsConfig{
+		Subscriptions: n, Stocks: 100, Hosts: 200, PriceMax: 1000, PriceGrid: 10, Seed: 12,
+	})
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := compiler.Compile(sp, rules, compiler.Options{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perRule := allocs / n; perRule > bound {
+		t.Errorf("%.1f allocations per rule compiling %d rules, bound %.0f", perRule, n, bound)
+	} else {
+		t.Logf("%.1f allocations per rule", perRule)
+	}
+}

@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -107,19 +108,23 @@ func (t *Table) Lookup(state int, value uint64) (Entry, bool) {
 
 // ActionSet is the merged action of one BDD terminal: the union of the
 // actions of every rule matching the packet. Forwarding port sets from
-// multiple rules merge into one (possibly multicast) forward.
+// multiple rules merge into one (possibly multicast) forward. An ActionSet
+// is immutable once the compiler has produced it.
 type ActionSet struct {
 	Ports   []int // sorted, deduplicated output ports
 	Drop    bool  // explicit drop() (also the default when no rule matches)
 	Updates []lang.Action
 	// Group is the multicast group ID when len(Ports) > 1, else -1.
 	Group int
+
+	key string // Key(), encoded once when the compiler merged the set
 }
 
+// String renders the action set in the surface syntax, for people.
 func (a ActionSet) String() string {
 	var parts []string
 	if len(a.Ports) > 0 {
-		parts = append(parts, fmt.Sprintf("fwd(%s)", lang.FormatPorts(a.Ports)))
+		parts = append(parts, "fwd("+lang.FormatPorts(a.Ports)+")")
 	}
 	if a.Drop && len(a.Ports) == 0 {
 		parts = append(parts, "drop()")
@@ -133,8 +138,55 @@ func (a ActionSet) String() string {
 	return strings.Join(parts, "; ")
 }
 
-// Key returns a canonical identity for deduplication.
-func (a ActionSet) Key() string { return a.String() }
+// Key returns the action set's identity: a binary string that two sets
+// share exactly when they do the same thing to a packet — same ports, same
+// updates in the same order, and, where nothing is forwarded, the same
+// choice between dropping outright and only updating state. It holds
+// across programs, which is what lets the control plane match an old
+// program's actions against a new one's; Group, a per-program number, is
+// not part of it.
+func (a ActionSet) Key() string {
+	if a.key != "" {
+		return a.key
+	}
+	return string(a.appendKey(nil))
+}
+
+func (a ActionSet) appendKey(b []byte) []byte {
+	b = appendPorts(b, a.Ports)
+	// Forwarding nowhere and updating nothing is a drop, said or not.
+	if len(a.Ports) == 0 && (a.Drop || len(a.Updates) == 0) {
+		b = append(b, 1)
+	} else {
+		b = append(b, 0)
+	}
+	str := func(s string) {
+		b = binary.AppendUvarint(b, uint64(len(s)))
+		b = append(b, s...)
+	}
+	b = binary.AppendUvarint(b, uint64(len(a.Updates)))
+	for _, u := range a.Updates {
+		b = append(b, byte(u.Kind))
+		str(u.Var)
+		str(u.StateKey)
+		str(u.Func)
+		b = binary.AppendUvarint(b, uint64(len(u.Args)))
+		for _, arg := range u.Args {
+			str(arg)
+		}
+	}
+	return b
+}
+
+// appendPorts writes a length-prefixed varint encoding of a port list: no
+// two lists share one, unlike their decimal digits run together.
+func appendPorts(b []byte, ports []int) []byte {
+	b = binary.AppendUvarint(b, uint64(len(ports)))
+	for _, p := range ports {
+		b = binary.AppendUvarint(b, uint64(p))
+	}
+	return b
+}
 
 // Stats summarizes the compiled program's switch resource usage.
 type Stats struct {
@@ -173,24 +225,26 @@ type Program struct {
 	InitialState int
 	Stats        Stats
 
-	// stateOf maps BDD node IDs to pipeline state numbers (for debugging
-	// and tests).
-	stateOf map[int]int
+	// stateOf maps BDD node IDs to pipeline state numbers, -1 for the
+	// nodes that carry none (interior nodes of a field's component).
+	stateOf []int
 }
 
 // StateOf exposes the BDD-node → pipeline-state mapping (testing).
 func (p *Program) StateOf(nodeID int) (int, bool) {
-	s, ok := p.stateOf[nodeID]
-	return s, ok
+	if nodeID < 0 || nodeID >= len(p.stateOf) || p.stateOf[nodeID] < 0 {
+		return 0, false
+	}
+	return p.stateOf[nodeID], true
 }
 
 // StateNodes returns the inverse mapping: pipeline state → BDD node. The
 // control plane uses it to compute behavioral signatures for entry re-use
 // across recompilations.
 func (p *Program) StateNodes() map[int]*bdd.Node {
-	out := make(map[int]*bdd.Node, len(p.stateOf))
+	out := make(map[int]*bdd.Node, p.Stats.States)
 	for _, n := range p.BDD.Nodes() {
-		if st, ok := p.stateOf[n.ID]; ok {
+		if st := p.stateOf[n.ID]; st >= 0 {
 			out[st] = n
 		}
 	}
@@ -217,7 +271,9 @@ func (p *Program) RemapStates(mapping map[int]int) {
 	}
 	p.InitialState = remap(p.InitialState)
 	for nodeID, st := range p.stateOf {
-		p.stateOf[nodeID] = remap(st)
+		if st >= 0 {
+			p.stateOf[nodeID] = remap(st)
+		}
 	}
 }
 

@@ -38,7 +38,7 @@ type Session struct {
 
 	res     *resolver
 	builder *bdd.Builder
-	actMemo map[string]mergedActions // terminal payload set → merged ActionSet
+	actMemo map[string]ActionSet // terminal payload set → merged ActionSet
 
 	order []int // live rule handles, insertion order
 	live  map[int]sessionRule
@@ -64,7 +64,7 @@ func NewSession(sp *spec.Spec, opts Options) *Session {
 		opts:    opts,
 		res:     newResolver(sp),
 		builder: bdd.NewBuilder(),
-		actMemo: make(map[string]mergedActions),
+		actMemo: make(map[string]ActionSet),
 		live:    make(map[int]sessionRule),
 	}
 }
@@ -150,7 +150,7 @@ func (s *Session) Recompile() (*Program, error) {
 		// The action memo never goes stale (payload→action bindings are
 		// append-only), but it strands entries for payload sets that no
 		// longer occur; trim it on the same schedule as the arena.
-		s.actMemo = make(map[string]mergedActions)
+		s.actMemo = make(map[string]ActionSet)
 		if s.opts.Telemetry != nil {
 			s.opts.Telemetry.Counter("camus_compiler_arena_resets_total").Inc()
 		}

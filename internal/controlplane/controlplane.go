@@ -356,14 +356,19 @@ func AlignStates(oldProg, newProg *compiler.Program) {
 // sig is a structural signature of a state's downstream behavior.
 type sig struct{ a, b uint64 }
 
-func combine(s sig, data string) sig {
-	for i := 0; i < len(data); i++ {
-		s.a ^= uint64(data[i])
-		s.a *= 1099511628211
-		s.b = (s.b ^ uint64(data[i])) * 0xff51afd7ed558ccd
-		s.b ^= s.b >> 33
-	}
+func (s sig) mixWord(x uint64) sig {
+	s.a ^= x
+	s.a *= 1099511628211
+	s.b = (s.b ^ x) * 0xff51afd7ed558ccd
+	s.b ^= s.b >> 33
 	return s
+}
+
+func (s sig) mixString(data string) sig {
+	for i := 0; i < len(data); i++ {
+		s = s.mixWord(uint64(data[i]))
+	}
+	return s.mixWord(uint64(len(data)))
 }
 
 // stateSignatures computes a behavioral hash per pipeline state by
@@ -371,30 +376,40 @@ func combine(s sig, data string) sig {
 // merged action set, so two states are equal iff the packets reaching
 // them are treated identically regardless of state numbering.
 func stateSignatures(p *compiler.Program) map[int]sig {
-	leafAction := make(map[int]string) // terminal state -> action string
+	leafAction := make(map[int]string, len(p.Leaf.Entries)) // terminal state -> action identity
 	for _, e := range p.Leaf.Entries {
-		leafAction[e.State] = p.Actions[e.Next].String()
+		leafAction[e.State] = p.Actions[e.Next].Key()
 	}
-	memo := make(map[int]sig) // node ID -> sig
+	fieldSig := make([]sig, len(p.Fields))
+	for f := range p.Fields {
+		fieldSig[f] = sig{a: 1469598103934665603, b: 0x9e3779b97f4a7c15}.mixString(p.Fields[f].Name)
+	}
+	nodes := p.BDD.Nodes()
+	memo := make([]sig, len(nodes)) // by node ID
+	done := make([]bool, len(nodes))
 	var nodeSig func(n *bdd.Node) sig
 	nodeSig = func(n *bdd.Node) sig {
-		if s, ok := memo[n.ID]; ok {
-			return s
+		if done[n.ID] {
+			return memo[n.ID]
 		}
 		var s sig
 		if n.IsTerminal() {
-			s = combine(sig{a: 14695981039346656037, b: 0x2545F4914F6CDD1D}, "T|")
+			s = sig{a: 14695981039346656037, b: 0x2545F4914F6CDD1D}
 			if st, ok := p.StateOf(n.ID); ok {
-				s = combine(s, leafAction[st])
+				s = s.mixString(leafAction[st])
 			}
 		} else {
-			s = combine(sig{a: 1469598103934665603, b: 0x9e3779b97f4a7c15},
-				fmt.Sprintf("N|%s|%s|", p.Fields[n.Field].Name, n.Set.Key()))
+			s = fieldSig[n.Field]
+			ivs := n.Set.Intervals()
+			s = s.mixWord(uint64(len(ivs)))
+			for _, iv := range ivs {
+				s = s.mixWord(iv.Lo).mixWord(iv.Hi)
+			}
 			t := nodeSig(n.True)
 			e := nodeSig(n.False)
-			s = combine(s, fmt.Sprintf("%x.%x|%x.%x", t.a, t.b, e.a, e.b))
+			s = s.mixWord(t.a).mixWord(t.b).mixWord(e.a).mixWord(e.b)
 		}
-		memo[n.ID] = s
+		memo[n.ID], done[n.ID] = s, true
 		return s
 	}
 	out := make(map[int]sig)
@@ -404,14 +419,16 @@ func stateSignatures(p *compiler.Program) map[int]sig {
 	return out
 }
 
-// entryKey identifies an installed entry for diffing.
+// entryKey identifies an installed entry for diffing: a field table's
+// entry by its next state, a leaf entry by its action's identity.
 type entryKey struct {
 	table string
 	state int
 	kind  compiler.EntryKind
 	lo    uint64
 	hi    uint64
-	act   string // leaf action or next-state, canonicalized
+	next  int
+	act   string
 }
 
 // DiffPrograms computes the per-table entry delta between two programs
@@ -459,29 +476,30 @@ func DiffPrograms(oldProg, newProg *compiler.Program) Delta {
 }
 
 func entrySet(p *compiler.Program) map[entryKey]bool {
-	set := make(map[entryKey]bool)
+	set := make(map[entryKey]bool, p.EntriesTotal())
 	for i, t := range p.Tables {
 		name := p.Fields[i].Name
 		for _, e := range t.Entries {
-			set[entryKey{table: name, state: e.State, kind: e.Kind, lo: e.Lo, hi: e.Hi,
-				act: fmt.Sprintf("s%d", e.Next)}] = true
+			set[entryKey{table: name, state: e.State, kind: e.Kind, lo: e.Lo, hi: e.Hi, next: e.Next}] = true
 		}
 	}
 	for _, e := range p.Leaf.Entries {
-		set[entryKey{table: "leaf", state: e.State, kind: e.Kind,
-			act: p.Actions[e.Next].String()}] = true
+		set[entryKey{table: "leaf", state: e.State, kind: e.Kind, next: -1,
+			act: p.Actions[e.Next].Key()}] = true
 	}
 	return set
 }
 
-func groupSet(p *compiler.Program) map[string]bool {
-	set := make(map[string]bool)
+// groupSet is the program's multicast groups, each as a hash of its port
+// list.
+func groupSet(p *compiler.Program) map[sig]bool {
+	set := make(map[sig]bool, len(p.Groups))
 	for _, ports := range p.Groups {
-		strs := make([]string, len(ports))
-		for i, pt := range ports {
-			strs[i] = fmt.Sprintf("%d", pt)
+		s := sig{a: 1469598103934665603, b: 0x9e3779b97f4a7c15}
+		for _, pt := range ports {
+			s = s.mixWord(uint64(pt))
 		}
-		set[strings.Join(strs, ",")] = true
+		set[s.mixWord(uint64(len(ports)))] = true
 	}
 	return set
 }

@@ -96,17 +96,36 @@ func (ps *PubSub) SetSubscriptions(src string) (controlplane.Delta, error) {
 // the install stops retrying and rolls back when ctx is done, and the
 // recorded span carries the context deadline.
 func (ps *PubSub) SetSubscriptionsContext(ctx context.Context, src string) (controlplane.Delta, error) {
+	prog, err := ps.Compile(src)
+	if err != nil {
+		return controlplane.Delta{}, err
+	}
+	return ps.Install(ctx, prog)
+}
+
+// Compile parses and compiles a subscription set for this deployment. It
+// reads nothing an Install or a packet writes, so it may run while packets
+// flow and needs no serialization against them — the long half of
+// SetSubscriptions, kept out from under the caller's install lock.
+func (ps *PubSub) Compile(src string) (*compiler.Program, error) {
 	prog, err := compiler.CompileSource(ps.spec, src, ps.opts)
 	if err != nil {
-		return controlplane.Delta{}, fmt.Errorf("camus: compile: %w", err)
+		return nil, fmt.Errorf("camus: compile: %w", err)
+	}
+	return prog, nil
+}
+
+// Install installs a program Compile returned, incrementally, and swaps
+// the extractor to its field layout. Callers serialize it against
+// Processors as they did SetSubscriptions.
+func (ps *PubSub) Install(ctx context.Context, prog *compiler.Program) (controlplane.Delta, error) {
+	ex, err := itch.NewExtractor(prog)
+	if err != nil {
+		return controlplane.Delta{}, err
 	}
 	delta, err := ps.ctl.Update(ctx, prog)
 	if err != nil {
 		return controlplane.Delta{}, fmt.Errorf("camus: install: %w", err)
-	}
-	ex, err := itch.NewExtractor(prog)
-	if err != nil {
-		return controlplane.Delta{}, err
 	}
 	ps.ex = ex
 	return delta, nil

@@ -71,6 +71,7 @@ type switchStats struct {
 	RetxMessages telemetry.Counter // messages resent from the store
 	RetxBad      telemetry.Counter // malformed or unroutable retransmission requests skipped
 	Resharded    telemetry.Counter // datagrams moved lane-to-lane by the re-shard hop
+	PoolMiss     telemetry.Counter // ingress buffers allocated because the free list was empty
 
 	// Multicast egress engine: a "group encode" serializes one matched
 	// message batch once for a whole multicast group; a "group send" is
@@ -96,6 +97,7 @@ func (s *switchStats) register(reg *telemetry.Registry) {
 	reg.RegisterCounter("camus_dataplane_retx_messages_total", &s.RetxMessages)
 	reg.RegisterCounter("camus_dataplane_retx_bad_total", &s.RetxBad)
 	reg.RegisterCounter("camus_dataplane_resharded_total", &s.Resharded)
+	reg.RegisterCounter("camus_dataplane_pool_miss_total", &s.PoolMiss)
 	reg.RegisterCounter("camus_dataplane_group_encodes_total", &s.GroupEncodes)
 	reg.RegisterCounter("camus_dataplane_group_sends_total", &s.GroupSends)
 	reg.RegisterCounter("camus_dataplane_group_bytes_saved_total", &s.GroupBytesSaved)
@@ -222,6 +224,7 @@ type Switch struct {
 	retx   Conn
 	engine *core.PubSub
 
+	updateMu  sync.Mutex // serializes SetSubscriptions callers; taken before mu, never by the packet path
 	mu        sync.RWMutex
 	ports     map[int]*portState
 	bySession map[[10]byte]*portState
@@ -279,6 +282,9 @@ type Switch struct {
 	// on a lane — a test seam for injecting lane failures (panics) into
 	// the parallel ingress paths.
 	procTestHook func(lane int, datagram []byte)
+	// installTestHook, when non-nil, runs inside SetSubscriptions after the
+	// new rule set has compiled and before its install takes sw.mu.
+	installTestHook func()
 }
 
 // Listen binds the ingress and retransmission sockets and
@@ -578,14 +584,28 @@ func (sw *Switch) SetSubscriptions(src string) error {
 
 // SetSubscriptionsContext is SetSubscriptions with a cancelable context:
 // the install stops retrying and rolls back when ctx is done.
+//
+// The compile runs with no lock the packet path takes: forwarding goes on,
+// judged by the old program, until the install swaps the new one in under
+// sw.mu. Concurrent updaters queue on updateMu, so each one's program is
+// installed before the next one's compile starts.
 func (sw *Switch) SetSubscriptionsContext(ctx context.Context, src string) error {
+	sw.updateMu.Lock()
+	defer sw.updateMu.Unlock()
+	prog, err := sw.engine.Compile(src)
+	if err != nil {
+		return err
+	}
+	if sw.installTestHook != nil {
+		sw.installTestHook()
+	}
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	_, err := sw.engine.SetSubscriptionsContext(ctx, src)
-	if err == nil {
-		sw.noteGroups()
+	if _, err := sw.engine.Install(ctx, prog); err != nil {
+		return err
 	}
-	return err
+	sw.noteGroups()
+	return nil
 }
 
 // Telemetry returns the switch's shared telemetry (nil when the switch
@@ -790,7 +810,7 @@ type dgram struct {
 // nothing — and, unlike a sync.Pool, the working set survives GC cycles,
 // keeping allocs/op flat at any worker count.
 func (sw *Switch) runSharded(ctx context.Context) error {
-	pool := newDgramPool(sw.poolCapacity(), sw.readBuf)
+	pool := newDgramPool(sw.poolCapacity(), sw.readBuf, &sw.stats.PoolMiss)
 	var errMu sync.Mutex
 	var firstErr error
 	record := func(err error) {

@@ -191,6 +191,47 @@ func TestUDPLiveSubscriptionUpdate(t *testing.T) {
 	}
 }
 
+// TestUDPForwardsWhileUpdateCompiles: SetSubscriptions holds the lock the
+// lanes process under only for its install, not for its compile. Traffic
+// sent when the new rule set has compiled and is waiting to be installed is
+// forwarded, by the old rules; traffic after the call returns, by the new.
+func TestUDPForwardsWhileUpdateCompiles(t *testing.T) {
+	sw, pub, sub1, sub2 := startSwitch(t, "stock == GOOGL : fwd(1)")
+	both := moldWith(t, "S", 1, order("GOOGL", 1, 1), order("ORCL", 1, 1))
+	expect := func(when string, conn *net.UDPConn, sym string) {
+		t.Helper()
+		got, ok := recvMold(t, conn, 2*time.Second)
+		if !ok {
+			t.Fatalf("%s: nothing forwarded", when)
+		}
+		var o itch.AddOrder
+		if err := o.DecodeFromBytes(got.Messages[0]); err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Messages) != 1 || o.StockSymbol() != sym {
+			t.Fatalf("%s: got %d messages, first %q; want one %s", when, len(got.Messages), o.StockSymbol(), sym)
+		}
+	}
+	sw.installTestHook = func() {
+		if _, err := pub.Write(both); err != nil {
+			t.Error(err)
+		}
+		expect("between compile and install", sub1, "GOOGL")
+	}
+	if err := sw.SetSubscriptions("stock == ORCL : fwd(2)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pub.Write(both); err != nil {
+		t.Fatal(err)
+	}
+	expect("after install", sub2, "ORCL")
+	for _, conn := range []*net.UDPConn{sub1, sub2} {
+		if _, ok := recvMold(t, conn, 200*time.Millisecond); ok {
+			t.Fatal("a message was judged by both programs")
+		}
+	}
+}
+
 func TestUDPMalformedDatagramCounted(t *testing.T) {
 	sw, pub, _, _ := startSwitch(t, "stock == GOOGL : fwd(1)")
 	if _, err := pub.Write([]byte("definitely not molded")); err != nil {

@@ -185,14 +185,16 @@ func (sw *Switch) IngressMode() IngressMode { return sw.mode }
 // allocated, the steady state recycles the same buffers forever, which
 // is what keeps multi-worker allocs/op at ~0 over long runs. Capacity is
 // sized to the maximum number of datagrams in flight (every lane inbox
-// full plus every reader's batch), so put never drops in practice.
+// full plus every reader's batch), so put never drops and the misses
+// counted are the working set's growth, never more than the capacity.
 type dgramPool struct {
 	free chan *dgram
 	size int
+	miss *telemetry.Counter // camus_dataplane_pool_miss_total
 }
 
-func newDgramPool(capacity, bufSize int) *dgramPool {
-	return &dgramPool{free: make(chan *dgram, capacity), size: bufSize}
+func newDgramPool(capacity, bufSize int, miss *telemetry.Counter) *dgramPool {
+	return &dgramPool{free: make(chan *dgram, capacity), size: bufSize, miss: miss}
 }
 
 //camus:hotpath
@@ -201,6 +203,7 @@ func (p *dgramPool) get() *dgram {
 	case d := <-p.free:
 		return d
 	default:
+		p.miss.Add(1)
 		//camus:alloc-ok pool miss grows the working set once; the steady state recycles
 		return &dgram{buf: make([]byte, p.size)}
 	}
@@ -379,7 +382,7 @@ func (sw *Switch) runReusePort(ctx context.Context, reshard bool) error {
 		return firstErr
 	}
 
-	pool := newDgramPool(sw.poolCapacity(), sw.readBuf)
+	pool := newDgramPool(sw.poolCapacity(), sw.readBuf, &sw.stats.PoolMiss)
 	for _, l := range sw.lanes {
 		l.ch = make(chan *dgram, shardQueueDepth)
 	}

@@ -162,6 +162,48 @@ func TestSetAlgebraProperties(t *testing.T) {
 	}
 }
 
+// TestOverlapsAgreesWithTwoPointerWalk: the binary search Overlaps takes
+// when either side is one interval must answer as the merge walk over both
+// interval lists does, in either argument order, on sets of many intervals
+// and on the boundaries (touching, nested, before the first, past the last).
+func TestOverlapsAgreesWithTwoPointerWalk(t *testing.T) {
+	walk := func(s, t Set) bool {
+		i, j := 0, 0
+		for i < len(s.ivs) && j < len(t.ivs) {
+			a, b := s.ivs[i], t.ivs[j]
+			if a.Lo <= b.Hi && b.Lo <= a.Hi {
+				return true
+			}
+			if a.Hi < b.Hi {
+				i++
+			} else {
+				j++
+			}
+		}
+		return false
+	}
+	const max = 400
+	r := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 5000; trial++ {
+		many := Empty()
+		for n := r.Intn(12); n > 0; n-- {
+			lo := r.Uint64() % (max + 1)
+			many = many.Union(Range(lo, lo+r.Uint64()%8))
+		}
+		lo := r.Uint64() % (max + 10)
+		one := Range(lo, lo+r.Uint64()%20)
+		if trial%10 == 0 {
+			one = Empty()
+		}
+		other := randomSet(r, max)
+		for _, pair := range [][2]Set{{one, many}, {many, one}, {one, one}, {many, other}} {
+			if got, want := pair[0].Overlaps(pair[1]), walk(pair[0], pair[1]); got != want {
+				t.Fatalf("trial %d: %s overlaps %s = %v, the walk says %v", trial, pair[0], pair[1], got, want)
+			}
+		}
+	}
+}
+
 func TestSetKeyCanonical(t *testing.T) {
 	a := Range(1, 5).Union(Range(10, 12))
 	b := Range(10, 12).Union(Range(1, 5))

@@ -3,6 +3,7 @@ package lang
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -80,7 +81,7 @@ func (o Operand) IsKeyed() bool { return o.Key != "" }
 func (o Operand) String() string {
 	s := o.Field
 	if o.Agg != "" {
-		s = fmt.Sprintf("%s(%s)", o.Agg, o.Field)
+		s = o.Agg + "(" + o.Field + ")"
 	}
 	if o.Key != "" {
 		s += "[" + o.Key + "]"
@@ -117,9 +118,9 @@ func (v Value) String() string {
 		if isBareSymbol(v.Sym) {
 			return v.Sym
 		}
-		return fmt.Sprintf("%q", v.Sym)
+		return strconv.Quote(v.Sym)
 	}
-	return fmt.Sprintf("%d", v.Num)
+	return strconv.FormatUint(v.Num, 10)
 }
 
 // isBareSymbol reports whether a symbol can be printed without quotes and
@@ -182,7 +183,7 @@ func (e And) String() string  { return fmt.Sprintf("(%s && %s)", e.L, e.R) }
 func (e Or) String() string   { return fmt.Sprintf("(%s || %s)", e.L, e.R) }
 func (e Not) String() string  { return fmt.Sprintf("!%s", e.X) }
 func (e True) String() string { return "true" }
-func (e Cmp) String() string  { return fmt.Sprintf("%s %s %s", e.LHS, e.Op, e.RHS) }
+func (e Cmp) String() string  { return Atom(e).String() }
 
 // ActionKind enumerates the action forms of Figure 1.
 type ActionKind int
@@ -302,7 +303,7 @@ type Atom struct {
 	Pos Pos
 }
 
-func (a Atom) String() string { return fmt.Sprintf("%s %s %s", a.LHS, a.Op, a.RHS) }
+func (a Atom) String() string { return a.LHS.String() + " " + a.Op.String() + " " + a.RHS.String() }
 
 // SameAtom reports equality of the predicate itself, ignoring source
 // positions. DNF canonicalization dedups with this so that the same

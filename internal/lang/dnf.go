@@ -24,17 +24,22 @@ func ToDNF(r Rule) (DNFRule, error) {
 		return DNFRule{}, fmt.Errorf("rule %d: %w", r.ID, err)
 	}
 	out := DNFRule{Actions: r.Actions, ID: r.ID}
-	seen := make(map[string]bool)
+	var seen map[string]bool // only a rule of several terms can repeat one
+	if len(terms) > 1 {
+		seen = make(map[string]bool, len(terms))
+	}
 	for _, t := range terms {
 		c, ok := simplifyConjunction(t)
 		if !ok {
 			continue // contradiction: never matches
 		}
-		key := c.String()
-		if seen[key] {
-			continue
+		if seen != nil {
+			key := c.String()
+			if seen[key] {
+				continue
+			}
+			seen[key] = true
 		}
-		seen[key] = true
 		out.Conjunctions = append(out.Conjunctions, c)
 	}
 	return out, nil
@@ -153,7 +158,7 @@ func dnfNegated(e Expr) ([]Conjunction, error) {
 // widths are detected later by the BDD builder.
 func simplifyConjunction(c Conjunction) (Conjunction, bool) {
 	sorted := append(Conjunction(nil), c...)
-	sort.Slice(sorted, func(i, j int) bool { return atomLess(sorted[i], sorted[j]) })
+	sort.Sort(byAtom(sorted))
 	out := sorted[:0]
 	for i, a := range sorted {
 		// Compare with SameAtom, not struct equality: the same predicate
@@ -165,26 +170,32 @@ func simplifyConjunction(c Conjunction) (Conjunction, bool) {
 		out = append(out, a)
 	}
 	// Detect equality contradictions per operand.
-	eqSeen := make(map[string]Value)
 	for _, a := range out {
-		key := a.LHS.String()
-		switch a.Op {
-		case OpEq:
-			if prev, ok := eqSeen[key]; ok && prev != a.RHS {
+		if a.Op != OpEq {
+			continue
+		}
+		for _, b := range out {
+			if b.LHS != a.LHS {
+				continue
+			}
+			if b.Op == OpEq && b.RHS != a.RHS {
 				return nil, false // x == v1 && x == v2, v1 != v2
 			}
-			eqSeen[key] = a.RHS
-		}
-	}
-	for _, a := range out {
-		if a.Op == OpNeq {
-			if prev, ok := eqSeen[a.LHS.String()]; ok && prev == a.RHS {
+			if b.Op == OpNeq && b.RHS == a.RHS {
 				return nil, false // x == v && x != v
 			}
 		}
 	}
 	return out, true
 }
+
+// byAtom sorts a conjunction with atomLess (sort.Sort permutes exactly as
+// sort.Slice would, without the reflection).
+type byAtom Conjunction
+
+func (c byAtom) Len() int           { return len(c) }
+func (c byAtom) Less(i, j int) bool { return atomLess(c[i], c[j]) }
+func (c byAtom) Swap(i, j int)      { c[i], c[j] = c[j], c[i] }
 
 func atomLess(a, b Atom) bool {
 	if a.LHS.Field != b.LHS.Field {

@@ -166,7 +166,16 @@ func (s *Spec) LookupState(name string) (*StateVar, error) {
 	if v, ok := s.stateByName[name]; ok {
 		return v, nil
 	}
-	return nil, fmt.Errorf("state variable %q is not declared", name)
+	return nil, undeclaredState(name)
+}
+
+// undeclaredState is LookupState's miss. The compiler asks of every operand
+// whether it names a state variable, so the message is put together only if
+// somebody reads it.
+type undeclaredState string
+
+func (e undeclaredState) Error() string {
+	return fmt.Sprintf("state variable %q is not declared", string(e))
 }
 
 // OrderedQueries returns the query fields sorted by BDD variable order.

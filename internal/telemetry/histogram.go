@@ -45,6 +45,7 @@ func NewHistogramBuckets(bounds []time.Duration) *Histogram {
 }
 
 // Observe records one duration sample.
+//
 //camus:hotpath
 func (h *Histogram) Observe(d time.Duration) {
 	if h == nil {

@@ -38,6 +38,7 @@ type Counter struct {
 }
 
 // Add increments the counter by n.
+//
 //camus:hotpath
 func (c *Counter) Add(n uint64) {
 	if c != nil {
