@@ -37,11 +37,10 @@ type Field struct {
 	Max  uint64
 }
 
-// Constraint restricts a field to an interval set. Label yields the source
-// predicate text for diagnostics ("price > 50"); it may be nil. The
-// builder formats it only for the first constraint to bring a given
-// predicate to a build, so a caller with many constraints should hand over
-// something that formats on demand rather than a formatted string.
+// Constraint restricts a field to an interval set. Label, which may be nil,
+// yields the source predicate text for diagnostics ("price > 50"); it is
+// asked only of the first constraint to bring a predicate to a build, so a
+// caller with many should pass something that formats on demand.
 type Constraint struct {
 	Field int
 	Set   interval.Set
@@ -144,38 +143,28 @@ func (bl *Builder) ArenaSize() int { return bl.nnodes }
 // builder holds per-build construction state on top of a shared arena.
 type builder struct {
 	shared *Builder
-
 	fields []Field
 	conjs  []conjInfo
-	// conjHash[i] is a content hash of conjs[i] (payload + clamped
-	// constraint sets, in order), avalanched so that sums of them collide
-	// no more often than independent 128-bit values would.
-	conjHash []hash128
 	// preds[f] lists the distinct atomic predicates appearing on field f,
-	// in canonical order; refs holds every conjunction's uses of them, one
-	// backing array for the build.
+	// in canonical order; refs holds every conjunction's uses of them.
 	preds [][]pred
 	refs  []predRef
 	// reqs[f] lists the distinct requirements (intersections of one
-	// conjunction's constraints) on field f. cls is the conjunction-major
-	// table of each conjunction's requirement on each field, as an index
-	// into reqs[f], or -1 where it has none.
+	// conjunction's constraints) on field f, after the empty set at 0 that
+	// stands for none; cls[ci*len(fields)+f] indexes conjunction ci's.
 	reqs [][]interval.Set
 	cls  []int32
 
-	// Scratch for visit and chain. classSlot[f][r] is the visit-local class
-	// that requirement r of field f was given (-1 between visits).
-	// predSeen/predEpoch are an epoch-stamped "seen" set over preds[f].
-	// ints and classes are stacks: a visit or a chain step takes what it
-	// needs from the top and gives it back on return, which is sound because
-	// nothing but *Node outlives the call that allocated it.
+	// Scratch. classSlot[f][r] is the class a visit gave requirement r (-1
+	// between visits); predSeen[f] is an epoch-stamped set over preds[f];
+	// bits has a bit per alive position. ints and classes are stacks that a
+	// call takes from and gives back to: only *Node outlives the call.
 	classSlot [][]int32
 	predSeen  [][]int
 	predEpoch int
+	bits      []uint64
 	ints      []int32
 	classes   []class
-	bits      []uint64       // one bit per alive position, to list survivors in order
-	full      []interval.Set // full[f] is field f's whole domain
 }
 
 // memoKey identifies a (sub)problem during construction. The alive
@@ -184,14 +173,9 @@ type builder struct {
 // probability over even millions of memo entries is negligible. Because
 // the key depends only on content (not on per-build conjunction or
 // predicate indices), entries remain valid across Build calls on the same
-// field list.
-//
-// alive is the *sum* of the alive conjunctions' hashes, lane by lane,
-// modulo 2^64. A sum is free of order, so a set assembled class by class
-// keys the same as one listed conjunction by conjunction; it can be formed
-// for a union of classes from the classes' own sums, without visiting a
-// member; and it still depends on nothing but content. aliveLen makes the
-// key a function of the multiset's size as well.
+// field list. alive is the lane-wise *sum* of the alive conjunctions'
+// hashes: free of order, and formed for a union of classes from the
+// classes' own sums without visiting a member. aliveLen adds the size.
 type memoKey struct {
 	kind     uint8 // 'B' for branch problems, 'X' for field transitions
 	field    int32
@@ -210,71 +194,38 @@ type nodeKey struct {
 
 type hash128 struct{ a, b uint64 }
 
+var hashSeed = hash128{1469598103934665603, 0x9e3779b97f4a7c15}
+
+// word folds x into h order-dependently: FNV-1a in one lane, a
+// multiply-xorshift in the other.
+func (h hash128) word(x uint64) hash128 {
+	h.a = (h.a ^ x) * 1099511628211
+	h.b = (h.b ^ x) * 0xff51afd7ed558ccd
+	h.b ^= h.b >> 33
+	return h
+}
+
+func (h hash128) mix(x hash128) hash128  { return h.word(x.a).word(x.b) }
 func (h hash128) plus(x hash128) hash128 { return hash128{h.a + x.a, h.b + x.b} }
 
 // avalanche spreads every input bit over both lanes (the splitmix64
-// finalizer, cross-fed). The order-dependent folds below are close to
-// linear in their first lane; summing them unfinished would let two sets
-// that merely swap a constraint between members collide.
+// finalizer, cross-fed). word is close to linear in its first lane; summing
+// its results unfinished would let two sets that merely swap a constraint
+// between members collide.
 func (h hash128) avalanche() hash128 {
 	fmix := func(x uint64) uint64 {
-		x ^= x >> 30
-		x *= 0xbf58476d1ce4e5b9
-		x ^= x >> 27
-		x *= 0x94d049bb133111eb
+		x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+		x = (x ^ x>>27) * 0x94d049bb133111eb
 		return x ^ x>>31
 	}
 	a := fmix(h.a ^ bits.RotateLeft64(h.b, 32))
 	return hash128{a, fmix(h.b + a)}
 }
 
-func hashInts(ids []int) hash128 {
-	h1 := uint64(1469598103934665603)
-	h2 := uint64(0x9e3779b97f4a7c15)
-	for _, id := range ids {
-		x := uint64(id)
-		h1 ^= x
-		h1 *= 1099511628211
-		h2 = (h2 ^ x) * 0xff51afd7ed558ccd
-		h2 ^= h2 >> 33
-	}
-	return hash128{h1, h2}
-}
-
 func hashSet(s interval.Set) hash128 {
-	h1 := uint64(1469598103934665603)
-	h2 := uint64(0x9e3779b97f4a7c15)
+	h := hashSeed
 	for _, iv := range s.Intervals() {
-		for _, x := range [2]uint64{iv.Lo, iv.Hi} {
-			h1 ^= x
-			h1 *= 1099511628211
-			h2 = (h2 ^ x) * 0xff51afd7ed558ccd
-			h2 ^= h2 >> 33
-		}
-	}
-	return hash128{h1, h2}
-}
-
-func hashString(s string) hash128 {
-	h1 := uint64(1469598103934665603)
-	h2 := uint64(0x9e3779b97f4a7c15)
-	for i := 0; i < len(s); i++ {
-		x := uint64(s[i])
-		h1 ^= x
-		h1 *= 1099511628211
-		h2 = (h2 ^ x) * 0xff51afd7ed558ccd
-		h2 ^= h2 >> 33
-	}
-	return hash128{h1, h2}
-}
-
-// mix128 folds x into h order-dependently.
-func mix128(h, x hash128) hash128 {
-	for _, v := range [2]uint64{x.a, x.b} {
-		h.a ^= v
-		h.a *= 1099511628211
-		h.b = (h.b ^ v) * 0xff51afd7ed558ccd
-		h.b ^= h.b >> 33
+		h = h.word(iv.Lo).word(iv.Hi)
 	}
 	return h
 }
@@ -284,44 +235,43 @@ func mix128(h, x hash128) hash128 {
 func hashFields(fields []Field) hash128 {
 	h := hash128{a: 0x16a88fbbbd1ca4d9, b: 0x7fb5d329728ea185}
 	for _, f := range fields {
-		h = mix128(h, hashString(f.Name))
-		h = mix128(h, hash128{a: f.Max, b: uint64(len(f.Name))})
+		for i := 0; i < len(f.Name); i++ {
+			h = h.word(uint64(f.Name[i]))
+		}
+		h = h.word(uint64(len(f.Name))).word(f.Max)
 	}
 	return h
 }
 
 type pred struct {
-	set   interval.Set
-	hash  hash128 // hashSet(set): the predicate's identity in memo and node keys
-	label string
+	set      interval.Set
+	hash     hash128 // hashSet(set): the predicate's identity in memo and node keys
+	label    string
+	interned int32 // position in preds[f] before sortPreds
 }
 
 // predRef is one use of a predicate by a conjunction: preds[f][idx].
 type predRef struct{ f, idx int32 }
 
 type conjInfo struct {
-	payload int
-	refs    []predRef
+	payload     int
+	first, past int32 // the conjunction's predicate uses are refs[first:past]
+	// hash is a content hash (payload + clamped constraint sets, in order),
+	// avalanched so that sums of them collide no more often than
+	// independent 128-bit values would.
+	hash hash128
 }
 
 // class is the part of a field visit's alive conjunctions that shares one
-// requirement on the field. Within the field a context either kills a
-// requirement or it does not, and at the end it either satisfies it or it
-// does not, so everything the per-predicate chain decides, it decides for a
-// whole class at once.
+// requirement on the field: a context kills, spares, and in the end
+// satisfies or fails a requirement, so what the per-predicate chain decides,
+// it decides for a whole class at once.
 type class struct {
 	req     interval.Set // empty: the members do not constrain the field
+	n       int          // len(members)
 	members []int32      // positions in the visit's alive list, ascending
 	preds   []int32      // distinct indices into preds[f] the members use
-	sum     hash128      // of the members' conjHash
-}
-
-// fieldVisit is what one visit of a field hands its chain: the field, the
-// conjunctions alive on entry, and their classes.
-type fieldVisit struct {
-	f       int
-	alive   []int32
-	classes []class
+	sum     hash128      // of the members' hashes
 }
 
 // Build constructs the reduced ordered multi-terminal BDD for the given
@@ -347,7 +297,6 @@ func (bl *Builder) Build(fields []Field, conjs []Conj) (*BDD, error) {
 		return nil, err
 	}
 	b.sortPreds()
-
 	b.predSeen = make([][]int, len(fields))
 	b.classSlot = make([][]int32, len(fields))
 	for f := range fields {
@@ -361,7 +310,7 @@ func (bl *Builder) Build(fields []Field, conjs []Conj) (*BDD, error) {
 	var sum hash128
 	for i := range alive {
 		alive[i] = int32(i)
-		sum = sum.plus(b.conjHash[i])
+		sum = sum.plus(b.conjs[i].hash)
 	}
 	root := b.visit(0, alive, sum)
 	nodes, terminals, pubRoot := extract(root, bl.nnodes)
@@ -377,102 +326,80 @@ func (b *builder) ingest(conjs []Conj) error {
 	nf := len(b.fields)
 	b.preds = make([][]pred, nf)
 	b.reqs = make([][]interval.Set, nf)
-	b.full = make([]interval.Set, nf)
 	predIdx := make([]map[hash128]int32, nf)
 	reqIdx := make([]map[hash128]int32, nf)
 	for f := range predIdx {
 		predIdx[f] = make(map[hash128]int32)
 		reqIdx[f] = make(map[hash128]int32)
-		b.full[f] = interval.Full(b.fields[f].Max)
+		b.reqs[f] = []interval.Set{{}}
 	}
-	nrefs := 0
-	for _, c := range conjs {
-		nrefs += len(c.Constraints)
-	}
-	b.refs = make([]predRef, 0, nrefs)
-	b.cls = make([]int32, 0, len(conjs)*nf)
-	b.conjs = make([]conjInfo, 0, len(conjs))
-	b.conjHash = make([]hash128, 0, len(conjs))
-
-	// The conjunction at hand's requirement per field, empty where it has
-	// none yet, and that set's hash.
-	req := make([]interval.Set, nf)
-	reqHash := make([]hash128, nf)
-
+	req := make([]interval.Set, nf) // the conjunction at hand's requirements; empty: none yet
 	for _, c := range conjs {
 		first := len(b.refs)
-		ch := mix128(hash128{a: 0x87c37b91114253d5, b: 0x4cf5ad432745937f},
-			hash128{a: uint64(c.Payload), b: uint64(len(c.Constraints))})
+		ch := hash128{a: 0x87c37b91114253d5, b: 0x4cf5ad432745937f}.word(uint64(c.Payload)).word(uint64(len(c.Constraints)))
 		sat := true
 		for _, con := range c.Constraints {
 			f := con.Field
 			if f < 0 || f >= nf {
 				return fmt.Errorf("bdd: constraint references field %d, have %d fields", f, nf)
 			}
-			max := b.fields[f].Max
-			set := con.Set.Intersect(b.full[f])
-			if set.IsEmpty() {
-				sat = false
-				break
+			set := con.Set
+			if !set.IsEmpty() && set.Max() > b.fields[f].Max {
+				set = set.Intersect(interval.Full(b.fields[f].Max))
+			}
+			if !req[f].IsEmpty() {
+				req[f] = req[f].Intersect(set)
+			} else {
+				req[f] = set
+			}
+			if sat = !req[f].IsEmpty(); !sat {
+				break // never matches: dropped below (reduction of dead paths)
 			}
 			hs := hashSet(set)
-			ch = mix128(ch, hash128{a: uint64(f), b: 0})
-			ch = mix128(ch, hs)
-			if prev := req[f]; prev.IsEmpty() {
-				req[f], reqHash[f] = set, hs
-			} else {
-				both := prev.Intersect(set)
-				if both.IsEmpty() {
-					sat = false
-					break
-				}
-				req[f], reqHash[f] = both, hashSet(both)
-			}
-			if !set.IsFull(max) {
+			ch = ch.word(uint64(f)).mix(hs)
+			if !set.IsFull(b.fields[f].Max) {
 				idx, ok := predIdx[f][hs]
 				if !ok {
 					idx = int32(len(b.preds[f]))
 					predIdx[f][hs] = idx
-					label := ""
+					p := pred{set: set, hash: hs, interned: idx}
 					if con.Label != nil {
-						label = con.Label.String()
+						p.label = con.Label.String()
 					}
-					b.preds[f] = append(b.preds[f], pred{set: set, hash: hs, label: label})
+					b.preds[f] = append(b.preds[f], p)
 				}
 				b.refs = append(b.refs, predRef{f: int32(f), idx: idx})
 			}
 		}
-		if !sat {
-			// Unsatisfiable conjunction: drop (reduction of dead paths). The
-			// predicates it introduced stay interned, unused.
-			b.refs = b.refs[:first]
-			for _, con := range c.Constraints {
-				if con.Field >= 0 && con.Field < nf {
-					req[con.Field] = interval.Set{}
-				}
-			}
-			continue
-		}
+		// Record the requirements (of a satisfiable conjunction) and clear
+		// the scratch. Predicates an unsatisfiable one introduced stay
+		// interned, unused.
 		row := len(b.cls)
-		for f := 0; f < nf; f++ {
-			b.cls = append(b.cls, -1)
+		for f := 0; sat && f < nf; f++ {
+			b.cls = append(b.cls, 0)
 		}
 		for _, con := range c.Constraints {
 			f := con.Field
-			if req[f].IsEmpty() {
-				continue // an earlier constraint on f already recorded it
+			if f < 0 || f >= nf || req[f].IsEmpty() {
+				continue
 			}
-			r, ok := reqIdx[f][reqHash[f]]
-			if !ok {
-				r = int32(len(b.reqs[f]))
-				reqIdx[f][reqHash[f]] = r
-				b.reqs[f] = append(b.reqs[f], req[f])
+			if sat {
+				h := hashSet(req[f])
+				r, ok := reqIdx[f][h]
+				if !ok {
+					r = int32(len(b.reqs[f]))
+					reqIdx[f][h] = r
+					b.reqs[f] = append(b.reqs[f], req[f])
+				}
+				b.cls[row+f] = r
 			}
-			b.cls[row+f] = r
 			req[f] = interval.Set{}
 		}
-		b.conjs = append(b.conjs, conjInfo{payload: c.Payload, refs: b.refs[first:len(b.refs):len(b.refs)]})
-		b.conjHash = append(b.conjHash, ch.avalanche())
+		if !sat {
+			b.refs = b.refs[:first]
+			continue
+		}
+		b.conjs = append(b.conjs, conjInfo{c.Payload, int32(first), int32(len(b.refs)), ch.avalanche()})
 	}
 	return nil
 }
@@ -511,14 +438,10 @@ func extract(root *Node, arenaNodes int) (nodes, terminals []*Node, pubRoot *Nod
 // Set.Key()) — and rewrites the conjunctions' predicate references to
 // match.
 func (b *builder) sortPreds() {
-	remaps := make([][]int32, len(b.preds))
+	remaps := make([][]int32, len(b.preds)) // per field, interned index -> sorted index
 	for f, ps := range b.preds {
-		order := make([]int, len(ps))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(i, j int) bool {
-			a, c := ps[order[i]].set, ps[order[j]].set
+		sort.Slice(ps, func(i, j int) bool {
+			a, c := ps[i].set, ps[j].set
 			if a.Min() != c.Min() {
 				return a.Min() < c.Min()
 			}
@@ -527,22 +450,18 @@ func (b *builder) sortPreds() {
 			}
 			return a.Key() < c.Key()
 		})
-		remaps[f] = make([]int32, len(ps)) // old index -> new index
-		sorted := make([]pred, len(ps))
-		for newIdx, oldIdx := range order {
-			remaps[f][oldIdx] = int32(newIdx)
-			sorted[newIdx] = ps[oldIdx]
+		remaps[f] = make([]int32, len(ps))
+		for i, p := range ps {
+			remaps[f][p.interned] = int32(i)
 		}
-		b.preds[f] = sorted
 	}
 	for i, r := range b.refs {
 		b.refs[i].idx = remaps[r.f][r.idx]
 	}
 }
 
-// takeInts takes n int32s from the top of the scratch stack; the caller
-// gives them back with b.ints = b.ints[:mark]. When the stack has to grow,
-// slices taken earlier keep the array they were cut from.
+// takeInts takes n int32s from the top of the scratch stack. When the stack
+// has to grow, slices taken earlier keep the array they were cut from.
 func (b *builder) takeInts(n int) []int32 {
 	top := len(b.ints)
 	if top+n > cap(b.ints) {
@@ -559,87 +478,65 @@ func (b *builder) visit(f int, alive []int32, sum hash128) *Node {
 	if f == len(b.fields) {
 		return b.terminal(alive)
 	}
-	if len(b.preds[f]) == 0 {
-		return b.cross(f, alive, sum) // nothing constrains f: everything survives it
-	}
 	intMark, classMark := len(b.ints), len(b.classes)
 	defer func() { b.ints, b.classes = b.ints[:intMark], b.classes[:classMark] }()
 
-	// First pass: give every requirement present a class, in order of
-	// first appearance, and count its members.
-	nf := len(b.fields)
-	slot := b.classSlot[f]
-	bound := len(b.reqs[f]) + 1
-	if len(alive) < bound {
-		bound = len(alive)
-	}
-	counts := b.takeInts(bound)[:0]
-	wild := int32(-1) // the class of conjunctions that do not constrain f
-	for _, ci := range alive {
+	// Give every requirement present a class, then deal the positions out.
+	nf, slot := len(b.fields), b.classSlot[f]
+	which := b.takeInts(len(alive))
+	for pos, ci := range alive {
 		r := b.cls[int(ci)*nf+f]
-		k := wild
-		if r >= 0 {
-			k = slot[r]
-		}
+		k := slot[r]
 		if k < 0 {
-			k = int32(len(counts))
-			counts = append(counts, 0)
-			if r >= 0 {
-				slot[r] = k
-				b.classes = append(b.classes, class{req: b.reqs[f][r]})
-			} else {
-				wild = k
-				b.classes = append(b.classes, class{})
-			}
+			k = int32(len(b.classes) - classMark)
+			slot[r] = k
+			b.classes = append(b.classes, class{req: b.reqs[f][r]})
 		}
-		counts[k]++
+		which[pos] = k
+		c := &b.classes[classMark+int(k)]
+		c.n++
+		c.sum = c.sum.plus(b.conjs[ci].hash)
 	}
 	classes := b.classes[classMark:]
-	if len(classes) == 1 && wild == 0 {
-		return b.cross(f, alive, sum)
+	for _, ci := range alive {
+		slot[b.cls[int(ci)*nf+f]] = -1
 	}
-	// Second pass: one array holds every member list.
-	members := b.takeInts(len(alive))
-	for k, n := range counts {
-		classes[k].members, members = members[:0:n], members[n:]
-	}
-	for pos, ci := range alive {
-		k := wild
-		if r := b.cls[int(ci)*nf+f]; r >= 0 {
-			k = slot[r]
+	if len(classes) == 1 && classes[0].req.IsEmpty() {
+		// Nothing alive constrains f: everything survives it.
+		key := memoKey{kind: 'X', field: int32(f), alive: sum, aliveLen: int32(len(alive))}
+		nd, ok := b.shared.memo[key]
+		if !ok {
+			nd = b.visit(f+1, alive, sum)
+			b.shared.memo[key] = nd
 		}
-		c := &classes[k]
-		c.members = append(c.members, int32(pos))
-		c.sum = c.sum.plus(b.conjHash[ci])
+		return nd
 	}
-	// Each class's distinct predicates on f, and slot back to -1.
+	members := b.takeInts(len(alive))
+	for k := range classes {
+		classes[k].members, members = members[:0:classes[k].n], members[classes[k].n:]
+	}
+	for pos, k := range which {
+		classes[k].members = append(classes[k].members, int32(pos))
+	}
+	// Each class's distinct predicates on f.
 	seen := b.predSeen[f]
 	live := b.takeInts(len(classes))
 	for k := range classes {
 		c := &classes[k]
-		if !c.req.IsEmpty() {
-			slot[b.cls[int(alive[c.members[0]])*nf+f]] = -1
-		}
+		live[k] = int32(k)
 		b.predEpoch++
-		uses := 0
+		first := len(b.ints)
 		for _, pos := range c.members {
-			uses += len(b.conjs[alive[pos]].refs)
-		}
-		if uses > len(seen) {
-			uses = len(seen)
-		}
-		c.preds = b.takeInts(uses)[:0]
-		for _, pos := range c.members {
-			for _, r := range b.conjs[alive[pos]].refs {
+			for _, r := range b.refs[b.conjs[alive[pos]].first:b.conjs[alive[pos]].past] {
 				if int(r.f) == f && seen[r.idx] != b.predEpoch {
 					seen[r.idx] = b.predEpoch
-					c.preds = append(c.preds, r.idx)
+					b.ints = append(b.ints, r.idx) // onto the stack's top
 				}
 			}
 		}
-		live[k] = int32(k)
+		c.preds = b.ints[first:len(b.ints):len(b.ints)]
 	}
-	return b.chain(&fieldVisit{f: f, alive: alive, classes: classes}, b.full[f], live, 0)
+	return b.chain(f, alive, classes, interval.Full(b.fields[f].Max), live, 0)
 }
 
 // chain is the per-predicate Shannon expansion within field f: ctx is the
@@ -647,34 +544,27 @@ func (b *builder) visit(f int, alive []int32, sum hash128) *Node {
 // yet killed by an ancestor's context, and from the first predicate index
 // an ancestor has not already decided (a context only shrinks down the
 // chain, so what it decided stays decided).
-func (b *builder) chain(v *fieldVisit, ctx interval.Set, live []int32, from int) *Node {
-	f, classes := v.f, v.classes
+func (b *builder) chain(f int, alive []int32, classes []class, ctx interval.Set, live []int32, from int) *Node {
 	mark := len(b.ints)
 	defer func() { b.ints = b.ints[:mark] }()
 
 	// Classes whose requirement is already disjoint from the context can
 	// never match below this point; dropping them here keeps their
 	// remaining predicates from being materialized.
-	kept, copied := live, false
+	kept := b.takeInts(len(live))[:0]
 	var sum hash128
 	n := 0
-	for i, k := range live {
-		c := &classes[k]
-		if !c.req.IsEmpty() && !ctx.Overlaps(c.req) {
-			if !copied {
-				kept, copied = append(b.takeInts(len(live))[:0], live[:i]...), true
-			}
-			continue
-		}
-		if copied {
+	for _, k := range live {
+		if c := &classes[k]; c.req.IsEmpty() || ctx.Overlaps(c.req) {
 			kept = append(kept, k)
+			sum = sum.plus(c.sum)
+			n += c.n
 		}
-		sum = sum.plus(c.sum)
-		n += len(c.members)
 	}
 
 	// The first predicate on f, in canonical order, that a kept class uses
-	// and the context does not already decide.
+	// and the context does not already decide (one it does is implied true
+	// or false: reduction (iii)).
 	b.predEpoch++
 	seen := b.predSeen[f]
 	for _, k := range kept {
@@ -682,54 +572,46 @@ func (b *builder) chain(v *fieldVisit, ctx interval.Set, live []int32, from int)
 			seen[pi] = b.predEpoch
 		}
 	}
-	next := -1
-	for pi := from; pi < len(seen); pi++ {
-		if seen[pi] != b.predEpoch {
-			continue
-		}
-		if p := b.preds[f][pi].set; ctx.Overlaps(p) && !ctx.SubsetOf(p) {
-			next = pi
+	next := from
+	for ; next < len(seen); next++ {
+		if p := b.preds[f][next].set; seen[next] == b.predEpoch && ctx.Overlaps(p) && !ctx.SubsetOf(p) {
 			break
-		} // else implied false / true: reduction (iii)
+		}
 	}
 
-	if next < 0 {
+	if next == len(seen) {
 		// Field f is resolved for every kept class. By construction ctx is a
 		// cell of the partition their predicates induce, so it is inside or
-		// disjoint from each requirement: keep the classes it satisfies and
-		// move on, listing their conjunctions only if the memo has not seen
-		// this set before.
+		// disjoint from each requirement: the classes it satisfies move on.
+		pass := kept[:0]
 		sum, n = hash128{}, 0
 		for _, k := range kept {
 			if c := &classes[k]; c.req.IsEmpty() || ctx.SubsetOf(c.req) {
+				pass = append(pass, k)
 				sum = sum.plus(c.sum)
-				n += len(c.members)
+				n += c.n
 			}
 		}
 		key := memoKey{kind: 'X', field: int32(f), alive: sum, aliveLen: int32(n)}
 		if nd, ok := b.shared.memo[key]; ok {
 			return nd
 		}
-		// Listed through a bitmap of positions, the survivors come out in
-		// the order they went in: alive lists stay ascending, and so, for
-		// rules compiled in order, do the payloads terminal has to sort.
-		words := (len(v.alive) + 63) / 64
-		if words > len(b.bits) {
+		// Only now are their conjunctions listed, through a bitmap so that
+		// alive lists, and the payloads terminal sorts, stay ascending.
+		if words := (len(alive) + 63) / 64; words > len(b.bits) {
 			b.bits = make([]uint64, words)
 		}
-		set := b.bits[:words]
+		set := b.bits[:(len(alive)+63)/64]
 		clear(set)
-		for _, k := range kept {
-			if c := &classes[k]; c.req.IsEmpty() || ctx.SubsetOf(c.req) {
-				for _, pos := range c.members {
-					set[pos>>6] |= 1 << (pos & 63)
-				}
+		for _, k := range pass {
+			for _, pos := range classes[k].members {
+				set[pos>>6] |= 1 << (pos & 63)
 			}
 		}
 		survivors := b.takeInts(n)[:0]
 		for w, word := range set {
 			for ; word != 0; word &= word - 1 {
-				survivors = append(survivors, v.alive[w<<6+bits.TrailingZeros64(word)])
+				survivors = append(survivors, alive[w<<6+bits.TrailingZeros64(word)])
 			}
 		}
 		nd := b.visit(f+1, survivors, sum)
@@ -738,30 +620,16 @@ func (b *builder) chain(v *fieldVisit, ctx interval.Set, live []int32, from int)
 	}
 
 	p := &b.preds[f][next]
-	key := memoKey{
-		kind: 'B', field: int32(f), pred: p.hash,
-		ctx: hashSet(ctx), alive: sum, aliveLen: int32(n),
-	}
+	key := memoKey{kind: 'B', field: int32(f), pred: p.hash, ctx: hashSet(ctx), alive: sum, aliveLen: int32(n)}
 	if nd, ok := b.shared.memo[key]; ok {
 		return nd
 	}
-	t := b.chain(v, ctx.Intersect(p.set), kept, next+1)
-	e := b.chain(v, ctx.Minus(p.set, b.fields[f].Max), kept, next+1)
+	t := b.chain(f, alive, classes, ctx.Intersect(p.set), kept, next+1)
+	e := b.chain(f, alive, classes, ctx.Minus(p.set, b.fields[f].Max), kept, next+1)
 	nd := t // reduction (ii): a test whose branches coincide is elided
 	if t != e {
 		nd = b.consNode(f, p, t, e)
 	}
-	b.shared.memo[key] = nd
-	return nd
-}
-
-// cross leaves field f with every alive conjunction surviving it.
-func (b *builder) cross(f int, alive []int32, sum hash128) *Node {
-	key := memoKey{kind: 'X', field: int32(f), alive: sum, aliveLen: int32(len(alive))}
-	if nd, ok := b.shared.memo[key]; ok {
-		return nd
-	}
-	nd := b.visit(f+1, alive, sum)
 	b.shared.memo[key] = nd
 	return nd
 }
@@ -787,7 +655,10 @@ func (b *builder) terminal(alive []int32) *Node {
 		}
 	}
 	payloads = uniq
-	key := hashInts(payloads)
+	key := hashSeed
+	for _, p := range payloads {
+		key = key.word(uint64(p))
+	}
 	if n, ok := b.shared.termCons[key]; ok {
 		return n
 	}

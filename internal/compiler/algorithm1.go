@@ -20,13 +20,14 @@ import (
 // 0..nActs-1; terminals with the same action set share one pipeline state
 // (an additional reduction on top of the BDD's payload-set hash-consing —
 // distinct rule sets often merge to identical actions, e.g. the same
-// forwarding port). actState is that state per action set.
-func assignStates(b *bdd.BDD, termAct []int32, nActs int) (states, actState []int) {
+// forwarding port). leaves lists the first terminal given each such state,
+// in state order.
+func assignStates(b *bdd.BDD, termAct []int32, nActs int) (states, leaves []int) {
 	states = make([]int, b.NumNodes())
 	for i := range states {
 		states[i] = -1
 	}
-	actState = make([]int, nActs)
+	actState := make([]int, nActs)
 	for i := range actState {
 		actState[i] = -1
 	}
@@ -37,12 +38,12 @@ func assignStates(b *bdd.BDD, termAct []int32, nActs int) (states, actState []in
 		}
 		if n.IsTerminal() {
 			act := termAct[n.ID]
-			if actState[act] < 0 {
-				actState[act] = next
-				next++
+			if actState[act] >= 0 {
+				states[n.ID] = actState[act]
+				return
 			}
-			states[n.ID] = actState[act]
-			return
+			actState[act] = next
+			leaves = append(leaves, n.ID)
 		}
 		states[n.ID] = next
 		next++
@@ -66,7 +67,7 @@ func assignStates(b *bdd.BDD, termAct []int32, nActs int) (states, actState []in
 			}
 		}
 	}
-	return states, actState
+	return states, leaves
 }
 
 // pathEntry is an In→Out transition produced by Algorithm 1 before

@@ -2,10 +2,8 @@ package compiler
 
 import (
 	"fmt"
-	"math/bits"
 	"runtime"
 	"slices"
-	"sort"
 	"time"
 
 	"camus/internal/bdd"
@@ -154,8 +152,8 @@ func compileFromConjs(sp *spec.Spec, fieldInfos []FieldInfo, actions [][]lang.Ac
 	termAct := make([]int32, b.NumNodes()) // terminal node ID -> index into acts
 	var acts []ActionSet
 	actID := make(map[string]int32, len(b.Terminals()))
-	var scratch []byte
-	var m *merger // built for the first terminal the memo does not know
+	var scratch, key []byte
+	var ports []int
 	var memoHits, memoMisses uint64
 	for _, term := range b.Terminals() {
 		var as ActionSet
@@ -166,10 +164,7 @@ func compileFromConjs(sp *spec.Spec, fieldInfos []FieldInfo, actions [][]lang.Ac
 		}
 		if !ok {
 			memoMisses++
-			if m == nil {
-				m = newMerger(actions)
-			}
-			as = m.merge(term.Payloads)
+			as, ports, key = mergeActions(actions, term.Payloads, ports, key)
 			if actMemo != nil {
 				actMemo[string(scratch)] = as
 			}
@@ -189,7 +184,7 @@ func compileFromConjs(sp *spec.Spec, fieldInfos []FieldInfo, actions [][]lang.Ac
 		opts.Telemetry.Counter("camus_compiler_memo_misses_total").Add(memoMisses)
 	}
 
-	states, actState := assignStates(b, termAct, len(acts))
+	states, leaves := assignStates(b, termAct, len(acts))
 	perField := algorithm1(b, states)
 
 	prog := &Program{
@@ -222,7 +217,7 @@ func compileFromConjs(sp *spec.Spec, fieldInfos []FieldInfo, actions [][]lang.Ac
 		return nil, err
 	}
 
-	prog.buildLeaf(acts, actState)
+	prog.buildLeaf(acts, termAct, leaves)
 	prog.computeStats(nRules, conjs)
 	return prog, nil
 }
@@ -264,23 +259,16 @@ func autoExactLower(t *Table) {
 // buildLeaf constructs the leaf table: one entry per terminal state, in
 // state order, pointing at that state's action set and allocating
 // multicast groups for multi-port forwards. Terminals share a state exactly
-// when they share an action set, so acts and terminal states pair off.
-func (p *Program) buildLeaf(acts []ActionSet, actState []int) {
+// when they share an action set; leaves names one terminal per state, states
+// ascending.
+func (p *Program) buildLeaf(acts []ActionSet, termAct []int32, leaves []int) {
 	p.Leaf = &Table{Name: "leaf", Field: -1, Match: spec.MatchExact}
-	order := make([]int, 0, len(acts))
-	for id, st := range actState {
-		if st >= 0 {
-			order = append(order, id)
-		}
-	}
-	sort.Slice(order, func(i, j int) bool { return actState[order[i]] < actState[order[j]] })
-
 	groupIdx := make(map[string]int) // encoded port set -> group
 	var scratch []byte
-	p.Actions = make([]ActionSet, 0, len(order))
-	p.Leaf.Entries = make([]Entry, 0, len(order))
-	for _, id := range order {
-		as := acts[id]
+	p.Actions = make([]ActionSet, 0, len(leaves))
+	p.Leaf.Entries = make([]Entry, 0, len(leaves))
+	for _, term := range leaves {
+		as := acts[termAct[term]]
 		if len(as.Ports) > 1 {
 			scratch = appendPorts(scratch[:0], as.Ports)
 			g, ok := groupIdx[string(scratch)]
@@ -294,64 +282,26 @@ func (p *Program) buildLeaf(acts []ActionSet, actState []int) {
 			as.Group = -1
 		}
 		p.Leaf.Entries = append(p.Leaf.Entries, Entry{
-			State: actState[id], Kind: EntryWild, Next: len(p.Actions), Priority: 0,
+			State: p.stateOf[term], Kind: EntryWild, Next: len(p.Actions), Priority: 0,
 		})
 		p.Actions = append(p.Actions, as)
 	}
 }
 
-// merger folds the action lists of matched rules into ActionSets. Ports
-// are unioned through a bitmap over their ranks among all the ports the
-// rule set forwards to, so a terminal's ports come out sorted and distinct
-// in time linear in what it merges, with no sort per terminal.
-type merger struct {
-	actions [][]lang.Action // per payload ID
-	ports   []int           // rank -> port, ascending
-	fwd     []int32         // every rule's forwarding ports, as ranks
-	start   []int32         // rule rid's ranks are fwd[start[rid]:start[rid+1]]
-	set     []uint64        // one bit per rank; zero between merges
-	key     []byte          // scratch the result's Key is encoded in
-}
-
-func newMerger(actions [][]lang.Action) *merger {
-	m := &merger{actions: actions, start: make([]int32, len(actions)+1)}
-	for _, acts := range actions {
-		for _, a := range acts {
-			if a.Kind == lang.ActFwd {
-				m.ports = append(m.ports, a.Ports...)
-			}
-		}
-	}
-	slices.Sort(m.ports)
-	m.ports = slices.Compact(m.ports)
-	for rid, acts := range actions {
-		for _, a := range acts {
-			if a.Kind == lang.ActFwd {
-				for _, pt := range a.Ports {
-					r, _ := slices.BinarySearch(m.ports, pt)
-					m.fwd = append(m.fwd, int32(r))
-				}
-			}
-		}
-		m.start[rid+1] = int32(len(m.fwd))
-	}
-	m.set = make([]uint64, (len(m.ports)+63)/64)
-	return m
-}
-
-// merge returns the ActionSet of a packet matched by exactly the given
-// rules: port sets union (the paper's fwd(1) + fwd(2) ⇒ fwd(1,2)), state
-// updates accumulate, drop is recorded when explicit. A forward beats a
-// drop when both appear (the packet is wanted by someone). The result
-// carries its Key.
-func (m *merger) merge(payloads []int) ActionSet {
+// mergeActions folds the action lists of all matched rules into one
+// ActionSet: port sets union (the paper's fwd(1) + fwd(2) ⇒ fwd(1,2)),
+// state updates accumulate, drop is recorded when explicit. A forward
+// beats a drop when both appear (the packet is wanted by someone). The
+// result carries its Key. ports and key are buffers to work in, returned
+// for the next call.
+func mergeActions(ruleActions [][]lang.Action, payloads []int, ports []int, key []byte) (ActionSet, []int, []byte) {
 	as := ActionSet{Group: -1}
+	ports = ports[:0]
 	for _, rid := range payloads {
-		for _, r := range m.fwd[m.start[rid]:m.start[rid+1]] {
-			m.set[r>>6] |= 1 << (r & 63)
-		}
-		for _, a := range m.actions[rid] {
+		for _, a := range ruleActions[rid] {
 			switch a.Kind {
+			case lang.ActFwd:
+				ports = append(ports, a.Ports...)
 			case lang.ActDrop:
 				as.Drop = true
 			case lang.ActState:
@@ -361,18 +311,10 @@ func (m *merger) merge(payloads []int) ActionSet {
 			}
 		}
 	}
-	n := 0
-	for _, word := range m.set {
-		n += bits.OnesCount64(word)
-	}
-	if n > 0 {
-		as.Ports = make([]int, 0, n)
-		for w, word := range m.set {
-			for ; word != 0; word &= word - 1 {
-				as.Ports = append(as.Ports, m.ports[w<<6+bits.TrailingZeros64(word)])
-			}
-		}
-		clear(m.set)
+	if len(ports) > 0 {
+		slices.Sort(ports)
+		ports = slices.Compact(ports)
+		as.Ports = append([]int(nil), ports...)
 		as.Drop = false // a forward beats a drop: the packet is wanted
 	} else if len(as.Updates) == 0 {
 		as.Drop = true
@@ -380,9 +322,9 @@ func (m *merger) merge(payloads []int) ActionSet {
 	if len(as.Updates) > 1 {
 		as.Updates = sortRuleActions(as.Updates)
 	}
-	m.key = as.appendKey(m.key[:0])
-	as.key = string(m.key)
-	return as
+	key = as.appendKey(key[:0])
+	as.key = string(key)
+	return as, ports, key
 }
 
 // computeStats fills in the resource statistics.

@@ -522,8 +522,10 @@ func TestActionSetKeyInjective(t *testing.T) {
 		}
 	}
 	// A compiled set carries the key it was merged with.
-	m := newMerger([][]lang.Action{{lang.Fwd(1, 23)}, {lang.Fwd(12, 3), lang.Drop()}})
-	if a, b := m.merge([]int{0}), m.merge([]int{1}); a.key == "" || a.Key() == b.Key() || a.Key() != (ActionSet{Ports: []int{1, 23}}).Key() {
+	rules := [][]lang.Action{{lang.Fwd(1, 23)}, {lang.Fwd(12, 3), lang.Drop()}}
+	a, ports, key := mergeActions(rules, []int{0}, nil, nil)
+	b, _, _ := mergeActions(rules, []int{1}, ports, key)
+	if a.key == "" || a.Key() == b.Key() || a.Key() != (ActionSet{Ports: []int{1, 23}}).Key() {
 		t.Errorf("merged keys %q, %q", a.Key(), b.Key())
 	}
 }

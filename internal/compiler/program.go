@@ -125,26 +125,20 @@ func (a ActionSet) String() string {
 	var parts []string
 	if len(a.Ports) > 0 {
 		parts = append(parts, "fwd("+lang.FormatPorts(a.Ports)+")")
-	}
-	if a.Drop && len(a.Ports) == 0 {
-		parts = append(parts, "drop()")
+	} else if a.Drop || len(a.Updates) == 0 {
+		parts = append(parts, "drop()") // forwarding nowhere and updating nothing is a drop, said or not
 	}
 	for _, u := range a.Updates {
 		parts = append(parts, u.String())
-	}
-	if len(parts) == 0 {
-		parts = append(parts, "drop()")
 	}
 	return strings.Join(parts, "; ")
 }
 
 // Key returns the action set's identity: a binary string that two sets
-// share exactly when they do the same thing to a packet — same ports, same
-// updates in the same order, and, where nothing is forwarded, the same
-// choice between dropping outright and only updating state. It holds
-// across programs, which is what lets the control plane match an old
-// program's actions against a new one's; Group, a per-program number, is
-// not part of it.
+// share exactly when they do the same thing to a packet (same ports, same
+// updates in order, same choice between dropping and only updating state).
+// It holds across programs — Group, a per-program number, is not part of it
+// — so the control plane can match old actions against new.
 func (a ActionSet) Key() string {
 	if a.key != "" {
 		return a.key
@@ -154,32 +148,22 @@ func (a ActionSet) Key() string {
 
 func (a ActionSet) appendKey(b []byte) []byte {
 	b = appendPorts(b, a.Ports)
-	// Forwarding nowhere and updating nothing is a drop, said or not.
-	if len(a.Ports) == 0 && (a.Drop || len(a.Updates) == 0) {
+	if len(a.Ports) == 0 && (a.Drop || len(a.Updates) == 0) { // as String has it
 		b = append(b, 1)
 	} else {
 		b = append(b, 0)
 	}
-	str := func(s string) {
-		b = binary.AppendUvarint(b, uint64(len(s)))
-		b = append(b, s...)
-	}
-	b = binary.AppendUvarint(b, uint64(len(a.Updates)))
-	for _, u := range a.Updates {
-		b = append(b, byte(u.Kind))
-		str(u.Var)
-		str(u.StateKey)
-		str(u.Func)
+	for _, u := range a.Updates { // each: argument count, then length-prefixed strings
 		b = binary.AppendUvarint(b, uint64(len(u.Args)))
-		for _, arg := range u.Args {
-			str(arg)
+		for _, s := range append([]string{u.Var, u.StateKey, u.Func}, u.Args...) {
+			b = binary.AppendUvarint(b, uint64(len(s)))
+			b = append(b, s...)
 		}
 	}
 	return b
 }
 
-// appendPorts writes a length-prefixed varint encoding of a port list: no
-// two lists share one, unlike their decimal digits run together.
+// appendPorts writes a port list length-prefixed, a varint per port.
 func appendPorts(b []byte, ports []int) []byte {
 	b = binary.AppendUvarint(b, uint64(len(ports)))
 	for _, p := range ports {
@@ -236,19 +220,6 @@ func (p *Program) StateOf(nodeID int) (int, bool) {
 		return 0, false
 	}
 	return p.stateOf[nodeID], true
-}
-
-// StateNodes returns the inverse mapping: pipeline state → BDD node. The
-// control plane uses it to compute behavioral signatures for entry re-use
-// across recompilations.
-func (p *Program) StateNodes() map[int]*bdd.Node {
-	out := make(map[int]*bdd.Node, p.Stats.States)
-	for _, n := range p.BDD.Nodes() {
-		if st := p.stateOf[n.ID]; st >= 0 {
-			out[st] = n
-		}
-	}
-	return out
 }
 
 // RemapStates renumbers pipeline states in place (entries, leaf, initial

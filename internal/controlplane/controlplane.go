@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"camus/internal/analyze"
-	"camus/internal/bdd"
 	"camus/internal/compiler"
 	"camus/internal/lang"
 	"camus/internal/pipeline"
@@ -380,41 +379,29 @@ func stateSignatures(p *compiler.Program) map[int]sig {
 	for _, e := range p.Leaf.Entries {
 		leafAction[e.State] = p.Actions[e.Next].Key()
 	}
-	fieldSig := make([]sig, len(p.Fields))
-	for f := range p.Fields {
-		fieldSig[f] = sig{a: 1469598103934665603, b: 0x9e3779b97f4a7c15}.mixString(p.Fields[f].Name)
-	}
+	out := make(map[int]sig, len(p.Leaf.Entries))
 	nodes := p.BDD.Nodes()
-	memo := make([]sig, len(nodes)) // by node ID
-	done := make([]bool, len(nodes))
-	var nodeSig func(n *bdd.Node) sig
-	nodeSig = func(n *bdd.Node) sig {
-		if done[n.ID] {
-			return memo[n.ID]
-		}
+	sigs := make([]sig, len(nodes)) // by node ID; a node's children have smaller IDs
+	for _, n := range nodes {
+		st, hasState := p.StateOf(n.ID)
 		var s sig
 		if n.IsTerminal() {
 			s = sig{a: 14695981039346656037, b: 0x2545F4914F6CDD1D}
-			if st, ok := p.StateOf(n.ID); ok {
+			if hasState {
 				s = s.mixString(leafAction[st])
 			}
 		} else {
-			s = fieldSig[n.Field]
-			ivs := n.Set.Intervals()
-			s = s.mixWord(uint64(len(ivs)))
-			for _, iv := range ivs {
+			s = sig{a: 1469598103934665603, b: 0x9e3779b97f4a7c15}.mixString(p.Fields[n.Field].Name)
+			for _, iv := range n.Set.Intervals() {
 				s = s.mixWord(iv.Lo).mixWord(iv.Hi)
 			}
-			t := nodeSig(n.True)
-			e := nodeSig(n.False)
-			s = s.mixWord(t.a).mixWord(t.b).mixWord(e.a).mixWord(e.b)
+			t, e := sigs[n.True.ID], sigs[n.False.ID]
+			s = s.mixWord(uint64(len(n.Set.Intervals()))).mixWord(t.a).mixWord(t.b).mixWord(e.a).mixWord(e.b)
 		}
-		memo[n.ID], done[n.ID] = s, true
-		return s
-	}
-	out := make(map[int]sig)
-	for st, n := range p.StateNodes() {
-		out[st] = nodeSig(n)
+		sigs[n.ID] = s
+		if hasState {
+			out[st] = s
+		}
 	}
 	return out
 }
@@ -490,8 +477,7 @@ func entrySet(p *compiler.Program) map[entryKey]bool {
 	return set
 }
 
-// groupSet is the program's multicast groups, each as a hash of its port
-// list.
+// groupSet is the program's multicast groups, each as a hash of its ports.
 func groupSet(p *compiler.Program) map[sig]bool {
 	set := make(map[sig]bool, len(p.Groups))
 	for _, ports := range p.Groups {

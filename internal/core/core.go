@@ -103,10 +103,8 @@ func (ps *PubSub) SetSubscriptionsContext(ctx context.Context, src string) (cont
 	return ps.Install(ctx, prog)
 }
 
-// Compile parses and compiles a subscription set for this deployment. It
-// reads nothing an Install or a packet writes, so it may run while packets
-// flow and needs no serialization against them — the long half of
-// SetSubscriptions, kept out from under the caller's install lock.
+// Compile is the long half of SetSubscriptions. It reads nothing an Install
+// or a packet writes, so callers run it outside the lock they install under.
 func (ps *PubSub) Compile(src string) (*compiler.Program, error) {
 	prog, err := compiler.CompileSource(ps.spec, src, ps.opts)
 	if err != nil {
@@ -115,9 +113,8 @@ func (ps *PubSub) Compile(src string) (*compiler.Program, error) {
 	return prog, nil
 }
 
-// Install installs a program Compile returned, incrementally, and swaps
-// the extractor to its field layout. Callers serialize it against
-// Processors as they did SetSubscriptions.
+// Install installs a program Compile returned, incrementally, and swaps the
+// extractor to its field layout. Callers serialize it against Processors.
 func (ps *PubSub) Install(ctx context.Context, prog *compiler.Program) (controlplane.Delta, error) {
 	ex, err := itch.NewExtractor(prog)
 	if err != nil {

@@ -282,8 +282,8 @@ type Switch struct {
 	// on a lane — a test seam for injecting lane failures (panics) into
 	// the parallel ingress paths.
 	procTestHook func(lane int, datagram []byte)
-	// installTestHook, when non-nil, runs inside SetSubscriptions after the
-	// new rule set has compiled and before its install takes sw.mu.
+	// installTestHook, when non-nil, runs in SetSubscriptions between the
+	// compile and the install.
 	installTestHook func()
 }
 
@@ -584,11 +584,9 @@ func (sw *Switch) SetSubscriptions(src string) error {
 
 // SetSubscriptionsContext is SetSubscriptions with a cancelable context:
 // the install stops retrying and rolls back when ctx is done.
-//
 // The compile runs with no lock the packet path takes: forwarding goes on,
 // judged by the old program, until the install swaps the new one in under
-// sw.mu. Concurrent updaters queue on updateMu, so each one's program is
-// installed before the next one's compile starts.
+// sw.mu. Concurrent updaters queue on updateMu.
 func (sw *Switch) SetSubscriptionsContext(ctx context.Context, src string) error {
 	sw.updateMu.Lock()
 	defer sw.updateMu.Unlock()
@@ -601,11 +599,10 @@ func (sw *Switch) SetSubscriptionsContext(ctx context.Context, src string) error
 	}
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	if _, err := sw.engine.Install(ctx, prog); err != nil {
-		return err
+	if _, err = sw.engine.Install(ctx, prog); err == nil {
+		sw.noteGroups()
 	}
-	sw.noteGroups()
-	return nil
+	return err
 }
 
 // Telemetry returns the switch's shared telemetry (nil when the switch

@@ -185,8 +185,8 @@ func (sw *Switch) IngressMode() IngressMode { return sw.mode }
 // allocated, the steady state recycles the same buffers forever, which
 // is what keeps multi-worker allocs/op at ~0 over long runs. Capacity is
 // sized to the maximum number of datagrams in flight (every lane inbox
-// full plus every reader's batch), so put never drops and the misses
-// counted are the working set's growth, never more than the capacity.
+// full plus every reader's batch), so put never drops and the misses add up
+// to the working set, at most the capacity.
 type dgramPool struct {
 	free chan *dgram
 	size int

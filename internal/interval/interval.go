@@ -11,6 +11,7 @@ package interval
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -174,13 +175,6 @@ func (s Set) Count() uint64 {
 
 // Intersect returns the set of values in both s and t.
 func (s Set) Intersect(t Set) Set {
-	// One side a single interval that spans the other: the other, as it is.
-	if len(t.ivs) == 1 && len(s.ivs) > 0 && t.ivs[0].Lo <= s.Min() && s.Max() <= t.ivs[0].Hi {
-		return s
-	}
-	if len(s.ivs) == 1 && len(t.ivs) > 0 && s.ivs[0].Lo <= t.Min() && t.Max() <= s.ivs[0].Hi {
-		return t
-	}
 	var out []Interval
 	i, j := 0, 0
 	for i < len(s.ivs) && j < len(t.ivs) {
@@ -275,25 +269,15 @@ func (s Set) Equal(t Set) bool {
 }
 
 // Overlaps reports whether s and t share at least one value. When either
-// side is a single interval the other is binary-searched: the BDD builder
-// asks this of a many-interval context against one-interval requirements.
+// side is a single interval the other is binary-searched.
 func (s Set) Overlaps(t Set) bool {
 	if len(t.ivs) == 1 {
 		s, t = t, s
 	}
 	if len(s.ivs) == 1 {
-		a := s.ivs[0]
-		// The first interval of t that ends at or after a starts is the
-		// only one that can reach into a.
-		lo, hi := 0, len(t.ivs)
-		for lo < hi {
-			if mid := int(uint(lo+hi) >> 1); t.ivs[mid].Hi < a.Lo {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return lo < len(t.ivs) && t.ivs[lo].Lo <= a.Hi
+		a := s.ivs[0] // only t's first interval ending at or after a.Lo can reach into it
+		i := sort.Search(len(t.ivs), func(i int) bool { return t.ivs[i].Hi >= a.Lo })
+		return i < len(t.ivs) && t.ivs[i].Lo <= a.Hi
 	}
 	i, j := 0, 0
 	for i < len(s.ivs) && j < len(t.ivs) {

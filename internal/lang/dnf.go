@@ -158,7 +158,7 @@ func dnfNegated(e Expr) ([]Conjunction, error) {
 // widths are detected later by the BDD builder.
 func simplifyConjunction(c Conjunction) (Conjunction, bool) {
 	sorted := append(Conjunction(nil), c...)
-	sort.Sort(byAtom(sorted))
+	sort.Slice(sorted, func(i, j int) bool { return atomLess(sorted[i], sorted[j]) })
 	out := sorted[:0]
 	for i, a := range sorted {
 		// Compare with SameAtom, not struct equality: the same predicate
@@ -188,14 +188,6 @@ func simplifyConjunction(c Conjunction) (Conjunction, bool) {
 	}
 	return out, true
 }
-
-// byAtom sorts a conjunction with atomLess (sort.Sort permutes exactly as
-// sort.Slice would, without the reflection).
-type byAtom Conjunction
-
-func (c byAtom) Len() int           { return len(c) }
-func (c byAtom) Less(i, j int) bool { return atomLess(c[i], c[j]) }
-func (c byAtom) Swap(i, j int)      { c[i], c[j] = c[j], c[i] }
 
 func atomLess(a, b Atom) bool {
 	if a.LHS.Field != b.LHS.Field {

@@ -169,9 +169,8 @@ func (s *Spec) LookupState(name string) (*StateVar, error) {
 	return nil, undeclaredState(name)
 }
 
-// undeclaredState is LookupState's miss. The compiler asks of every operand
-// whether it names a state variable, so the message is put together only if
-// somebody reads it.
+// undeclaredState is LookupState's miss. The compiler asks after every
+// operand, so the message is put together only if somebody reads it.
 type undeclaredState string
 
 func (e undeclaredState) Error() string {
