@@ -371,9 +371,8 @@ func (b *builder) ingest(conjs []Conj) error {
 				b.refs = append(b.refs, predRef{f: int32(f), idx: idx})
 			}
 		}
-		// Record the requirements (of a satisfiable conjunction) and clear
-		// the scratch. Predicates an unsatisfiable one introduced stay
-		// interned, unused.
+		// Record a satisfiable conjunction's requirements; clear the scratch.
+		// (Predicates an unsatisfiable one introduced stay interned, unused.)
 		row := len(b.cls)
 		for f := 0; sat && f < nf; f++ {
 			b.cls = append(b.cls, 0)
@@ -598,10 +597,11 @@ func (b *builder) chain(f int, alive []int32, classes []class, ctx interval.Set,
 		}
 		// Only now are their conjunctions listed, through a bitmap so that
 		// alive lists, and the payloads terminal sorts, stay ascending.
-		if words := (len(alive) + 63) / 64; words > len(b.bits) {
+		words := (len(alive) + 63) / 64
+		if words > len(b.bits) {
 			b.bits = make([]uint64, words)
 		}
-		set := b.bits[:(len(alive)+63)/64]
+		set := b.bits[:words]
 		clear(set)
 		for _, k := range pass {
 			for _, pos := range classes[k].members {
