@@ -42,10 +42,10 @@ func main() {
 		rules    = flag.Int("rules", 10000, "installed subscriptions for -dataplane")
 		packets  = flag.Int("packets", 200000, "replayed ingress datagrams for -dataplane")
 		ingress  = flag.String("ingress", "auto", "ingress mode for -dataplane: auto, shared, reuseport, reshard")
-		fanoutB  = flag.Bool("fanout", false, "with -dataplane: add the multicast egress fanout series (encode-once vs per-subscriber encode)")
+		fanoutB  = flag.Bool("fanout", false, "with -dataplane: add the multicast egress fanout series (encode-once group egress vs subscriber count)")
 		portsF   = flag.String("ports", "", "comma-separated subscriber counts for the -fanout series (default 100,1000,10000)")
 		fanoutG  = flag.Int("fanout-groups", 20, "compiled multicast groups for the -fanout series")
-		scenB    = flag.Bool("scenarios", false, "shorthand for -fig scenarios: stateful scenario workloads over keyed register banks (mutex vs keyed vs keyed-affine)")
+		scenB    = flag.Bool("scenarios", false, "shorthand for -fig scenarios: stateful scenario workloads over keyed register banks")
 		keysF    = flag.Int("keys", 256, "distinct flow keys for -scenarios")
 		fabricB  = flag.Bool("fabric", false, "shorthand for -fig fabric: two-hop fabric covering-compression figure")
 		subs     = flag.Int("subscribers", 16, "subscriber hosts for -fabric")
@@ -268,11 +268,11 @@ func main() {
 						p.WallPacketsPerSec, p.Resharded, p.AllocsPerOp, p.MBPerSec)
 				}
 				if *fanoutB {
-					fmt.Println("ports,groups,fanout,proc_ns_per_packet,perport_ns_per_packet,speedup_vs_perport,encode_once_ratio,group_bytes_saved,allocs_per_op")
+					fmt.Println("ports,groups,fanout,proc_ns_per_packet,encode_once_ratio,group_bytes_saved,allocs_per_op")
 					for _, p := range fanoutPts {
-						fmt.Printf("%d,%d,%d,%.1f,%.1f,%.2f,%.4f,%d,%.3f\n",
-							p.Ports, p.Groups, p.Fanout, p.ProcNsPerPacket, p.PerPortNsPerPacket,
-							p.Speedup, p.EncodeOnceRatio, p.GroupBytesSaved, p.AllocsPerOp)
+						fmt.Printf("%d,%d,%d,%.1f,%.4f,%d,%.3f\n",
+							p.Ports, p.Groups, p.Fanout, p.ProcNsPerPacket,
+							p.EncodeOnceRatio, p.GroupBytesSaved, p.AllocsPerOp)
 					}
 				}
 				return
@@ -313,10 +313,10 @@ func main() {
 				return
 			}
 			if *csv {
-				fmt.Println("scenario,backend,workers,packets_per_sec,ns_per_packet,wall_packets_per_sec,forwarded,alerts,updates,evict_lossy,allocs_per_op")
+				fmt.Println("scenario,workers,packets_per_sec,ns_per_packet,wall_packets_per_sec,forwarded,alerts,updates,evict_lossy,allocs_per_op")
 				for _, p := range pts {
-					fmt.Printf("%s,%s,%d,%.0f,%.1f,%.0f,%d,%d,%d,%d,%.3f\n",
-						p.Scenario, p.Backend, p.Workers, p.PacketsPerSec, p.NsPerPacket,
+					fmt.Printf("%s,%d,%.0f,%.1f,%.0f,%d,%d,%d,%d,%.3f\n",
+						p.Scenario, p.Workers, p.PacketsPerSec, p.NsPerPacket,
 						p.WallPacketsPerSec, p.Forwarded, p.Alerts, p.Updates, p.EvictLossy, p.AllocsPerOp)
 				}
 				return

@@ -95,7 +95,6 @@ func main() {
 		fabricMode = flag.Bool("fabric", false, "run an in-process two-hop leaf/spine fabric (covering spines, recovering inter-switch links) instead of a single switch")
 		fabLeaves  = flag.Int("fabric-leaves", 2, "leaf switches for -fabric (host h hangs off leaf h mod leaves)")
 		fabSpines  = flag.Int("fabric-spines", 1, "spine switches for -fabric (spines beyond the first are failover paths)")
-		stateMutex = flag.Bool("state-mutex", false, "serialize stateful registers behind one global mutex instead of per-lane keyed banks (the measured A/B baseline)")
 	)
 	flag.Var(ports, "port", "bind switch port to subscriber address, PORT=HOST:PORT (repeatable)")
 	flag.Parse()
@@ -170,7 +169,6 @@ func main() {
 		Workers:       *workers,
 		IngressMode:   mode,
 		Batch:         *batch,
-		StateMutex:    *stateMutex,
 		WrapConn:      wrap,
 		Telemetry:     tel,
 	})

@@ -8,23 +8,11 @@ import (
 
 	"camus/internal/analyze"
 	"camus/internal/compiler"
+	"camus/internal/faults"
 	"camus/internal/lang"
 	"camus/internal/pipeline"
 	"camus/internal/spec"
 )
-
-// countingDevice wraps a Device and counts Reinstall calls — the proof
-// obligation for the admission gate is that a rejected rule set causes
-// zero of them.
-type countingDevice struct {
-	Device
-	reinstalls int
-}
-
-func (d *countingDevice) Reinstall(p *compiler.Program) error {
-	d.reinstalls++
-	return d.Device.Reinstall(p)
-}
 
 func parseRules(t *testing.T, src string) []lang.Rule {
 	t.Helper()
@@ -50,7 +38,7 @@ func TestChurnAdmissionGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := &countingDevice{Device: ctl.Switch()}
+	dev := faults.NewFlakyDevice(ctl.Switch()) // no faults armed: counts device writes
 	ctl.SetDevice(dev)
 	ctl.SetAdmission(analyze.NewGate(sp, analyze.Options{}, analyze.PolicyLenient))
 
@@ -66,8 +54,8 @@ func TestChurnAdmissionGate(t *testing.T) {
 	if len(rej.Report.ByCode(analyze.CodeType)) == 0 {
 		t.Errorf("rejection report carries no CAM004: %v", rej.Report.Diagnostics)
 	}
-	if dev.reinstalls != 0 {
-		t.Errorf("rejected churn reached the device: %d Reinstall call(s)", dev.reinstalls)
+	if dev.Calls() != 0 {
+		t.Errorf("rejected churn reached the device: %d Reinstall call(s)", dev.Calls())
 	}
 	if got := sess.Len(); got != len(initial) {
 		t.Errorf("rejected churn mutated the session: Len = %d, want %d", got, len(initial))
@@ -84,8 +72,8 @@ func TestChurnAdmissionGate(t *testing.T) {
 	if len(added) != 2 {
 		t.Fatalf("clean churn returned %d handles, want 2", len(added))
 	}
-	if dev.reinstalls != 1 {
-		t.Errorf("clean churn: %d Reinstall call(s), want 1", dev.reinstalls)
+	if dev.Calls() != 1 {
+		t.Errorf("clean churn: %d Reinstall call(s), want 1", dev.Calls())
 	}
 	if delta.Writes() == 0 {
 		t.Error("clean churn produced no device writes")
@@ -148,7 +136,7 @@ func TestControllerUpdateRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := &countingDevice{Device: sw}
+	dev := faults.NewFlakyDevice(sw)
 	ctl := NewController(dev)
 
 	// Without a gate the rule-level entry point refuses to guess a spec.
@@ -162,15 +150,15 @@ func TestControllerUpdateRules(t *testing.T) {
 	if _, err := ctl.UpdateRules(context.Background(), bad, compiler.Options{}); err == nil {
 		t.Fatal("rule set with a range predicate on an exact-match field (CAM004) was admitted")
 	}
-	if dev.reinstalls != 0 {
-		t.Errorf("rejected update reached the device: %d Reinstall call(s)", dev.reinstalls)
+	if dev.Calls() != 0 {
+		t.Errorf("rejected update reached the device: %d Reinstall call(s)", dev.Calls())
 	}
 
 	good := parseRules(t, "stock == AAPL && price > 100 : fwd(2)\n")
 	if _, err := ctl.UpdateRules(context.Background(), good, compiler.Options{}); err != nil {
 		t.Fatalf("clean update rejected: %v", err)
 	}
-	if dev.reinstalls != 1 {
-		t.Errorf("clean update: %d Reinstall call(s), want 1", dev.reinstalls)
+	if dev.Calls() != 1 {
+		t.Errorf("clean update: %d Reinstall call(s), want 1", dev.Calls())
 	}
 }

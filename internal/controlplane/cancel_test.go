@@ -6,116 +6,55 @@ import (
 	"testing"
 	"time"
 
-	"camus/internal/compiler"
-	"camus/internal/faults"
-	"camus/internal/lang"
 	"camus/internal/pipeline"
-	"camus/internal/spec"
 )
 
-// TestChurnCancelInterruptsBackoff: a canceled context must cut the
-// commit retry schedule short mid-backoff — with an hour-long configured
-// backoff the churn still returns within milliseconds of cancellation,
-// with the device rolled back to the prior program.
-func TestChurnCancelInterruptsBackoff(t *testing.T) {
-	sp, err := spec.Parse(raceSpecSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	initial, err := lang.ParseRules("stock == GOOGL : fwd(1)\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := compiler.NewSession(sp, compiler.Options{})
-	ctl, _, err := NewSessionController(sess, initial, pipeline.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw := ctl.Switch()
-	dev := faults.NewFlakyDevice(sw)
-	ctl.SetDevice(dev)
-	// An hour of backoff and plenty of retries: without context
-	// propagation through the wait this test would hang.
-	ctl.Policy.Backoff = time.Hour
-	ctl.Policy.MaxBackoff = time.Hour
-	ctl.Policy.MaxRetries = 10
+// TestCancelInterruptsBackoff: a canceled context must cut the commit
+// retry schedule short mid-backoff — with an hour-long configured backoff
+// the install still returns within milliseconds of cancellation, with the
+// device rolled back to the prior program.
+func TestCancelInterruptsBackoff(t *testing.T) {
+	forEachRoute(t, pipeline.Config{}, "stock == GOOGL : fwd(1)\n", func(t *testing.T, r *route) {
+		// An hour of backoff and plenty of retries: without context
+		// propagation through the wait this test would hang.
+		r.ctl.Policy.Backoff = time.Hour
+		r.ctl.Policy.MaxBackoff = time.Hour
+		r.ctl.Policy.MaxRetries = 10
 
-	vecs := probeVectors(t, sp, ctl.Program())
-	before := snapshot(sw, vecs)
-	oldProg := ctl.Program()
+		vecs := probeVectors(t, r.sp, r.ctl.Program())
+		before := snapshot(r.sw, vecs)
+		oldProg := r.ctl.Program()
 
-	// The device wedges: the first write fails transiently, so commit
-	// enters its backoff sleep, which is where cancellation must land.
-	dev.FailOn(1, true)
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		cancel()
-	}()
+		// The device wedges: the first write fails transiently, so commit
+		// enters its backoff sleep, which is where cancellation must land.
+		r.dev.FailOn(1, true)
+		ctx, cancel := context.WithCancel(context.Background())
+		go func() {
+			time.Sleep(30 * time.Millisecond)
+			cancel()
+		}()
 
-	add, err := lang.ParseRules("price > 10 : fwd(7)\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	_, _, err = ctl.Churn(ctx, add, nil)
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("canceled churn succeeded")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("churn error does not carry the cancellation: %v", err)
-	}
-	if elapsed > 10*time.Second {
-		t.Fatalf("canceled churn took %s — backoff not interrupted", elapsed)
-	}
-	// The failed attempt plus the compensating rollback write.
-	if dev.Calls() != 2 {
-		t.Fatalf("device saw %d calls, want 2 (failed install + rollback)", dev.Calls())
-	}
-	if got := snapshot(sw, vecs); got != before {
-		t.Fatalf("device not rolled back after canceled churn:\n got %s\nwant %s", got, before)
-	}
-	if ctl.Program() != oldProg {
-		t.Fatal("controller advanced past a canceled churn")
-	}
-}
-
-// TestUpdateCancelInterruptsBackoff: same property for the full-program
-// Controller.Update path.
-func TestUpdateCancelInterruptsBackoff(t *testing.T) {
-	sp, err := spec.Parse(raceSpecSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw, err := pipeline.New(compileRace(t, sp, "stock == GOOGL : fwd(1)\n"), pipeline.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev := faults.NewFlakyDevice(sw)
-	ctl := NewController(dev)
-	ctl.Policy.Backoff = time.Hour
-	ctl.Policy.MaxBackoff = time.Hour
-	ctl.Policy.MaxRetries = 10
-
-	dev.FailOn(1, true)
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	_, err = ctl.Update(ctx, compileRace(t, sp, "stock == GOOGL : fwd(2)\n"))
-	if err == nil {
-		t.Fatal("canceled update succeeded")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("update error does not carry the cancellation: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("canceled update took %s — backoff not interrupted", elapsed)
-	}
-	if dev.Calls() != 2 {
-		t.Fatalf("device saw %d calls, want 2 (failed install + rollback)", dev.Calls())
-	}
+		start := time.Now()
+		_, err := r.push(ctx, "stock == GOOGL : fwd(1)\nprice > 10 : fwd(7)\n")
+		elapsed := time.Since(start)
+		if err == nil {
+			t.Fatal("canceled install succeeded")
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("install error does not carry the cancellation: %v", err)
+		}
+		if elapsed > 10*time.Second {
+			t.Fatalf("canceled install took %s — backoff not interrupted", elapsed)
+		}
+		// The failed attempt plus the compensating rollback write.
+		if r.dev.Calls() != 2 {
+			t.Fatalf("device saw %d calls, want 2 (failed install + rollback)", r.dev.Calls())
+		}
+		if got := snapshot(r.sw, vecs); got != before {
+			t.Fatalf("device not rolled back after canceled install:\n got %s\nwant %s", got, before)
+		}
+		if r.ctl.Program() != oldProg {
+			t.Fatal("controller advanced past a canceled install")
+		}
+	})
 }

@@ -169,7 +169,7 @@ type Controller struct {
 	prog *compiler.Program
 	tel  *telemetry.Telemetry
 	gate *analyze.Gate
-	// Policy bounds Update's commit phase; the zero value uses defaults.
+	// Policy bounds the commit phase; the zero value uses defaults.
 	Policy UpdatePolicy
 }
 
@@ -183,11 +183,23 @@ func NewController(dev Device) *Controller {
 // once, before the controller is shared.
 func (c *Controller) SetTelemetry(t *telemetry.Telemetry) { c.tel = t }
 
-// SetAdmission installs a static-analysis admission gate: UpdateRules
-// analyzes each prospective rule set and rejects error-severity sets
-// (per the gate's policy) before compiling for or writing to the device.
-// A nil gate disables the step.
+// SetDevice reroutes installs through dev — a fault-injection wrapper
+// around the device the controller was built on.
+func (c *Controller) SetDevice(dev Device) { c.dev = dev }
+
+// SetAdmission installs a static-analysis admission gate: UpdateRules and
+// SessionController.Churn analyze each prospective rule set and reject
+// error-severity sets (per the gate's policy) before compiling for or
+// writing to the device. A nil gate disables the step.
 func (c *Controller) SetAdmission(g *analyze.Gate) { c.gate = g }
+
+// start opens the span one control-plane operation is recorded under.
+func (c *Controller) start(ctx context.Context, name string, labels ...telemetry.Label) (context.Context, *telemetry.Span) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return ctx, c.tel.Trc().Start(ctx, name, labels...)
+}
 
 // admit runs the analysis gate over a prospective rule set, labeling the
 // span with the verdict. A nil receiver gate admits everything.
@@ -208,10 +220,7 @@ func (c *Controller) UpdateRules(ctx context.Context, rules []lang.Rule, copts c
 	if c.gate == nil || c.gate.Spec == nil {
 		return Delta{}, fmt.Errorf("controlplane: UpdateRules needs an admission gate with a spec (SetAdmission)")
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	span := c.tel.Trc().Start(ctx, "controlplane_admission")
+	ctx, span := c.start(ctx, "controlplane_admission")
 	if err := admit(c.gate, rules, span); err != nil {
 		span.EndOutcome("analysis_rejected", err)
 		return Delta{}, fmt.Errorf("controlplane: update rejected by rule analysis: %w", err)
@@ -240,39 +249,37 @@ func (c *Controller) Program() *compiler.Program { return c.prog }
 // write count. The returned Delta reports how much of the old
 // configuration was reused.
 func (c *Controller) Update(ctx context.Context, newProg *compiler.Program) (Delta, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	span := c.tel.Trc().Start(ctx, "controlplane_install")
+	ctx, span := c.start(ctx, "controlplane_install")
+	return c.update(ctx, span, newProg)
+}
+
+// update is Update on a span the caller opened (Churn records its own).
+func (c *Controller) update(ctx context.Context, span *telemetry.Span, newProg *compiler.Program) (Delta, error) {
 	if err := pipeline.CheckResources(newProg, c.dev.Config()); err != nil {
 		span.EndOutcome("admission_rejected", err)
 		return Delta{}, fmt.Errorf("controlplane: update rejected at admission: %w", err)
 	}
-	AlignStates(c.prog, newProg)
-	delta := DiffPrograms(c.prog, newProg)
-	span.SetLabel("writes", fmt.Sprint(delta.Writes()))
-	if err := commit(ctx, c.dev, c.Policy, newProg, c.prog, span); err != nil {
-		return Delta{}, err
-	}
-	c.prog = newProg
-	c.tel.Reg().Counter("camus_controlplane_device_writes_total").Add(uint64(delta.Writes()))
-	return delta, nil
+	return c.install(ctx, span, newProg)
 }
 
 // Install is Update without the resource-admission phase: callers that
 // admit fleet-wide (the fabric's two-phase epoch checks every member's
 // resources before any member commits) run pipeline.CheckResources
-// themselves, then commit each member through Install. It aligns states,
-// diffs, and commits with the controller's retry/rollback policy; the
-// same guarantees as Update apply — on failure the device is rolled back
-// to the prior program and the controller does not advance. Rollback
+// themselves, then commit each member through Install. The same
+// guarantees as Update apply — on failure the device is rolled back to
+// the prior program and the controller does not advance. Rollback
 // reinstalls in particular must go through Install, not Update, so that a
 // program the device already ran is never re-rejected at admission.
 func (c *Controller) Install(ctx context.Context, newProg *compiler.Program) (Delta, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	span := c.tel.Trc().Start(ctx, "controlplane_install")
+	ctx, span := c.start(ctx, "controlplane_install")
+	return c.install(ctx, span, newProg)
+}
+
+// install is the one delta-install path every entry point ends in: align
+// newProg's states to the installed program, diff, commit with the
+// retry/rollback policy, and only then advance the diff base and count
+// the writes. It ends span.
+func (c *Controller) install(ctx context.Context, span *telemetry.Span, newProg *compiler.Program) (Delta, error) {
 	AlignStates(c.prog, newProg)
 	delta := DiffPrograms(c.prog, newProg)
 	span.SetLabel("writes", fmt.Sprint(delta.Writes()))

@@ -107,33 +107,30 @@ func TestIncrementalAddReusesMostEntries(t *testing.T) {
 	}
 }
 
-func TestControllerUpdatePreservesSemantics(t *testing.T) {
-	oldProg := compile(t, "stock == GOOGL : fwd(1)\n")
-	sw, err := pipeline.New(oldProg, pipeline.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctl := NewController(sw)
-
-	newProg := compile(t, "stock == GOOGL : fwd(1)\nstock == AAPL : fwd(2)\n")
-	d, err := ctl.Update(context.Background(), newProg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Entries.Reused == 0 {
-		t.Fatalf("update should reuse the GOOGL path: %s", d)
-	}
-	googl := stockVal(t, newProg, "GOOGL")
-	aapl := stockVal(t, newProg, "AAPL")
-	if res := sw.Process(values(newProg, 0, googl, 0), 0); res.Dropped || !reflect.DeepEqual(res.Ports, []int{1}) {
-		t.Fatalf("GOOGL after update: %+v", res)
-	}
-	if res := sw.Process(values(newProg, 0, aapl, 0), 0); res.Dropped || !reflect.DeepEqual(res.Ports, []int{2}) {
-		t.Fatalf("AAPL after update: %+v", res)
-	}
-	if ctl.Program() != newProg {
-		t.Fatal("controller did not record the new program")
-	}
+// TestInstallPreservesSemantics: through every entry point an install
+// that extends the rule set reuses the unchanged path, serves old and new
+// rules, and advances the controller's diff base.
+func TestInstallPreservesSemantics(t *testing.T) {
+	forEachRoute(t, pipeline.DefaultConfig(), "stock == GOOGL : fwd(1)\n", func(t *testing.T, r *route) {
+		oldProg := r.ctl.Program()
+		d, err := r.push(context.Background(), "stock == GOOGL : fwd(1)\nstock == AAPL : fwd(2)\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Entries.Reused == 0 {
+			t.Fatalf("update should reuse the GOOGL path: %s", d)
+		}
+		newProg := r.ctl.Program()
+		if newProg == oldProg {
+			t.Fatal("controller did not record the new program")
+		}
+		for sym, port := range map[string]int{"GOOGL": 1, "AAPL": 2} {
+			res := r.sw.Process(values(newProg, 0, encodeSym(t, r.sp, sym), 0), 0)
+			if res.Dropped || !reflect.DeepEqual(res.Ports, []int{port}) {
+				t.Fatalf("%s after update: %+v", sym, res)
+			}
+		}
+	})
 }
 
 // TestAlignedProgramStillCorrect verifies that state renumbering does not
@@ -192,29 +189,5 @@ func TestDeltaWritesScaleWithChange(t *testing.T) {
 	if dSmall.Writes() >= dLarge.Writes() {
 		t.Fatalf("small change (%d writes) should cost less than large change (%d writes)",
 			dSmall.Writes(), dLarge.Writes())
-	}
-}
-
-func TestUpdateRejectedWhenTooBig(t *testing.T) {
-	oldProg := compile(t, "stock == GOOGL : fwd(1)\n")
-	cfg := pipeline.DefaultConfig()
-	cfg.SRAMPerStage = 8
-	cfg.TCAMPerStage = 8
-	sw, err := pipeline.New(oldProg, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctl := NewController(sw)
-	var b strings.Builder
-	for i := 0; i < 500; i++ {
-		fmt.Fprintf(&b, "stock == S%03d && price > %d : fwd(%d)\n", i%100, i, 1+i%8)
-	}
-	if _, err := ctl.Update(context.Background(), compile(t, b.String())); err == nil {
-		t.Fatal("oversized update should be rejected")
-	}
-	// The old program must still be live.
-	googl := stockVal(t, oldProg, "GOOGL")
-	if res := sw.Process(values(oldProg, 0, googl, 0), 0); res.Dropped {
-		t.Fatalf("old program lost after failed update: %+v", res)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"camus/internal/analyze"
 	"camus/internal/compiler"
 	"camus/internal/lang"
 	"camus/internal/pipeline"
@@ -18,16 +17,14 @@ import (
 // CoVisor-style entry diffing), so a churn event — a few subscriptions
 // joining or leaving a large live set — costs compile work proportional
 // to the change plus a delta of device writes, not a full reinstall.
+//
+// The install half is the embedded Controller: its device, diff base,
+// telemetry, admission gate and Policy are the session controller's.
 type SessionController struct {
+	*Controller
 	sw      *pipeline.Switch
-	dev     Device // write path; sw unless a test interposes SetDevice
 	session *compiler.Session
-	prog    *compiler.Program
-	tel     *telemetry.Telemetry
-	gate    *analyze.Gate
 	live    map[int]lang.Rule // handle -> rule, mirrors the session's live set
-	// Policy bounds Churn's commit phase; the zero value uses defaults.
-	Policy UpdatePolicy
 }
 
 // NewSessionController builds a controller around an empty incremental
@@ -51,14 +48,8 @@ func NewSessionController(sp *compiler.Session, initial []lang.Rule, cfg pipelin
 	for i, h := range handles {
 		live[h] = initial[i]
 	}
-	return &SessionController{sw: sw, dev: sw, session: sp, prog: prog, live: live}, handles, nil
+	return &SessionController{Controller: NewController(sw), sw: sw, session: sp, live: live}, handles, nil
 }
-
-// SetAdmission installs a static-analysis admission gate: every Churn
-// analyzes the prospective full rule set (live minus removed plus added)
-// and, when the gate's policy rejects it, returns before the session or
-// the device is touched. A nil gate disables the step.
-func (c *SessionController) SetAdmission(g *analyze.Gate) { c.gate = g }
 
 // prospective materializes the rule set Churn would leave live, in
 // deterministic (ascending handle, then added) order, erroring on
@@ -85,18 +76,9 @@ func (c *SessionController) prospective(add []lang.Rule, remove []int) ([]lang.R
 	return append(rules, add...), nil
 }
 
-// SetDevice reroutes installs through dev (a fault-injection wrapper
-// around the switch); packets still flow through Switch() directly.
-func (c *SessionController) SetDevice(dev Device) { c.dev = dev }
-
-// SetTelemetry routes churn spans and counters through t.
-func (c *SessionController) SetTelemetry(t *telemetry.Telemetry) { c.tel = t }
-
-// Switch returns the controlled switch.
+// Switch returns the controlled switch; packets flow through it directly
+// even when SetDevice interposes a wrapper on the write path.
 func (c *SessionController) Switch() *pipeline.Switch { return c.sw }
-
-// Program returns the currently installed program.
-func (c *SessionController) Program() *compiler.Program { return c.prog }
 
 // Session returns the underlying incremental compilation session.
 func (c *SessionController) Session() *compiler.Session { return c.session }
@@ -104,10 +86,10 @@ func (c *SessionController) Session() *compiler.Session { return c.session }
 // Churn applies one subscription churn event: remove rules by handle, add
 // new ones, recompile incrementally, and push only the entry delta to the
 // switch. When an admission gate is installed (SetAdmission), the
-// prospective full rule set is statically analyzed first and a rejected
-// set returns an *analyze.RejectionError before the session or the
-// device is touched. The install follows the same two-phase discipline as
-// Controller.Update — admission check before any write, transient-failure
+// prospective full rule set (live minus removed plus added) is statically
+// analyzed first and a rejected set returns an *analyze.RejectionError
+// before the session or the device is touched. The install is
+// Controller.Update's — admission check before any write, transient-failure
 // retry, rollback to the prior program on permanent failure. After a
 // failed Churn the session keeps the new rule set but the device keeps
 // serving the old program; the next successful Churn converges them,
@@ -118,10 +100,7 @@ func (c *SessionController) Session() *compiler.Session { return c.session }
 // consulted between commit retries, so a canceled churn stops retrying
 // and rolls the device back.
 func (c *SessionController) Churn(ctx context.Context, add []lang.Rule, remove []int) ([]int, Delta, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	span := c.tel.Trc().Start(ctx, "controlplane_churn",
+	ctx, span := c.start(ctx, "controlplane_churn",
 		telemetry.L("add", fmt.Sprint(len(add))), telemetry.L("remove", fmt.Sprint(len(remove))))
 	if c.gate != nil {
 		rules, err := c.prospective(add, remove)
@@ -163,17 +142,6 @@ func (c *SessionController) Churn(ctx context.Context, add []lang.Rule, remove [
 		span.EndOutcome("compile_failed", err)
 		return handles, Delta{}, err
 	}
-	if err := pipeline.CheckResources(newProg, c.dev.Config()); err != nil {
-		span.EndOutcome("admission_rejected", err)
-		return handles, Delta{}, fmt.Errorf("controlplane: churn rejected at admission: %w", err)
-	}
-	AlignStates(c.prog, newProg)
-	delta := DiffPrograms(c.prog, newProg)
-	span.SetLabel("writes", fmt.Sprint(delta.Writes()))
-	if err := commit(ctx, c.dev, c.Policy, newProg, c.prog, span); err != nil {
-		return handles, Delta{}, err
-	}
-	c.prog = newProg
-	c.tel.Reg().Counter("camus_controlplane_device_writes_total").Add(uint64(delta.Writes()))
-	return handles, delta, nil
+	delta, err := c.update(ctx, span, newProg)
+	return handles, delta, err
 }

@@ -22,7 +22,6 @@ import (
 type PubSub struct {
 	spec *spec.Spec
 	opts compiler.Options
-	cfg  pipeline.Config
 	tel  *telemetry.Telemetry
 
 	sw  *pipeline.Switch
@@ -46,21 +45,11 @@ type Config struct {
 // NewPubSub creates a deployment for a message-format spec with an empty
 // subscription set installed.
 func NewPubSub(sp *spec.Spec, cfg Config) (*PubSub, error) {
-	if cfg.Switch.Ports == 0 {
-		// Default the pipeline shape but keep any state-engine knobs the
-		// caller did set (lane count, capacity, mutex baseline).
-		st := cfg.Switch
-		cfg.Switch = pipeline.DefaultConfig()
-		cfg.Switch.StateLanes = st.StateLanes
-		cfg.Switch.StateCapacity = st.StateCapacity
-		cfg.Switch.StateMutex = st.StateMutex
-		cfg.Switch.StateAffine = st.StateAffine
-	}
 	if cfg.Telemetry != nil {
 		cfg.Switch.Telemetry = cfg.Telemetry.Reg()
 		cfg.Compiler.Telemetry = cfg.Telemetry.Reg()
 	}
-	ps := &PubSub{spec: sp, opts: cfg.Compiler, cfg: cfg.Switch, tel: cfg.Telemetry}
+	ps := &PubSub{spec: sp, opts: cfg.Compiler, tel: cfg.Telemetry}
 	prog, err := compiler.CompileSource(sp, "", cfg.Compiler)
 	if err != nil {
 		return nil, err

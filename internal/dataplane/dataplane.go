@@ -83,24 +83,41 @@ type switchStats struct {
 	GroupBytesSaved telemetry.Counter // body bytes NOT re-serialized thanks to sharing
 }
 
+// statSeries names one counter of switchStats.
+type statSeries struct {
+	name string
+	c    *telemetry.Counter
+}
+
+// series lists every counter under its canonical registry name — the one
+// table register and Switch.Metric both read, so a series cannot exist in
+// one and be missing from the other.
+func (s *switchStats) series() []statSeries {
+	return []statSeries{
+		{"camus_dataplane_datagrams_total", &s.Datagrams},
+		{"camus_dataplane_messages_total", &s.Messages},
+		{"camus_dataplane_matched_total", &s.Matched},
+		{"camus_dataplane_forwarded_total", &s.Forwarded},
+		{"camus_dataplane_decode_errors_total", &s.DecodeErrors},
+		{"camus_dataplane_send_errors_total", &s.SendErrors},
+		{"camus_dataplane_unbound_port_total", &s.UnboundPort},
+		{"camus_dataplane_heartbeats_total", &s.Heartbeats},
+		{"camus_dataplane_retx_requests_total", &s.RetxRequests},
+		{"camus_dataplane_retx_messages_total", &s.RetxMessages},
+		{"camus_dataplane_retx_bad_total", &s.RetxBad},
+		{"camus_dataplane_resharded_total", &s.Resharded},
+		{"camus_dataplane_pool_miss_total", &s.PoolMiss},
+		{"camus_dataplane_group_encodes_total", &s.GroupEncodes},
+		{"camus_dataplane_group_sends_total", &s.GroupSends},
+		{"camus_dataplane_group_bytes_saved_total", &s.GroupBytesSaved},
+	}
+}
+
 // register adopts every counter into reg under its canonical series name.
 func (s *switchStats) register(reg *telemetry.Registry) {
-	reg.RegisterCounter("camus_dataplane_datagrams_total", &s.Datagrams)
-	reg.RegisterCounter("camus_dataplane_messages_total", &s.Messages)
-	reg.RegisterCounter("camus_dataplane_matched_total", &s.Matched)
-	reg.RegisterCounter("camus_dataplane_forwarded_total", &s.Forwarded)
-	reg.RegisterCounter("camus_dataplane_decode_errors_total", &s.DecodeErrors)
-	reg.RegisterCounter("camus_dataplane_send_errors_total", &s.SendErrors)
-	reg.RegisterCounter("camus_dataplane_unbound_port_total", &s.UnboundPort)
-	reg.RegisterCounter("camus_dataplane_heartbeats_total", &s.Heartbeats)
-	reg.RegisterCounter("camus_dataplane_retx_requests_total", &s.RetxRequests)
-	reg.RegisterCounter("camus_dataplane_retx_messages_total", &s.RetxMessages)
-	reg.RegisterCounter("camus_dataplane_retx_bad_total", &s.RetxBad)
-	reg.RegisterCounter("camus_dataplane_resharded_total", &s.Resharded)
-	reg.RegisterCounter("camus_dataplane_pool_miss_total", &s.PoolMiss)
-	reg.RegisterCounter("camus_dataplane_group_encodes_total", &s.GroupEncodes)
-	reg.RegisterCounter("camus_dataplane_group_sends_total", &s.GroupSends)
-	reg.RegisterCounter("camus_dataplane_group_bytes_saved_total", &s.GroupBytesSaved)
+	for _, e := range s.series() {
+		reg.RegisterCounter(e.name, e.c)
+	}
 }
 
 // Config configures a dataplane switch.
@@ -122,7 +139,9 @@ type Config struct {
 	ReadBuffer int
 	// Session is the egress session prefix; each port's session is the
 	// prefix padded to 7 bytes plus the 3-digit port number, giving every
-	// subscriber its own MoldUDP64 stream identity. Default "CAMUS".
+	// subscriber its own MoldUDP64 stream identity. Ports of 1000 and up
+	// take the extra digits from the prefix's tail (see sessionFor).
+	// Default "CAMUS".
 	Session string
 	// RetxBuffer is how many egress messages each port retains for
 	// retransmission (default 4096; negative disables the store).
@@ -156,22 +175,10 @@ type Config struct {
 	// of them in the reuseport modes — then retransmission) — the
 	// fault-injection hook.
 	WrapConn func(Conn) Conn
-	// PerPortEncode disables the multicast egress engine: every member
-	// of a multicast group gets its own independently serialized frame
-	// and its own retransmission-store copy, exactly as if the group did
-	// not exist. This is the measured baseline for the encode-once
-	// speedup figures; production configs leave it false.
-	PerPortEncode bool
 	// Telemetry, when non-nil, receives the switch's forwarding counters,
 	// a per-datagram processing-latency histogram, and everything the
 	// embedded compiler/control-plane/pipeline layers record.
 	Telemetry *telemetry.Telemetry
-	// StateMutex selects the global-mutex baseline for stateful
-	// registers instead of the per-lane single-writer engine — the
-	// measured A/B reference for the keyed-state figures. Production
-	// configs leave it false: each worker lane then updates registers
-	// on its own state lane without taking any lock on the packet path.
-	StateMutex bool
 }
 
 // defaultRetxBuffer is the per-port retransmission store size in messages.
@@ -210,9 +217,9 @@ type portState struct {
 	port    int
 	scratch itch.MoldPacket
 
-	// sub is the Subscription that currently owns the port (nil for
-	// legacy BindPort bindings); group its operator-assigned cohort
-	// label. Both are guarded by Switch.mu, not ps.mu.
+	// sub is the Subscription that currently owns the port; group its
+	// operator-assigned cohort label. Both are guarded by Switch.mu, not
+	// ps.mu.
 	sub   *Subscription
 	group string
 }
@@ -238,11 +245,9 @@ type Switch struct {
 	mode      IngressMode // effective ingress mode (Auto resolved, fallback applied)
 	lanes     []*lane
 
-	// Multicast egress engine state: bodies is the shared-buffer free
-	// list group frames are encoded into; perPortEncode reverts to the
-	// baseline one-serialization-per-member path.
-	bodies        *sharedPool
-	perPortEncode bool
+	// bodies is the shared-buffer free list the multicast egress engine
+	// encodes group frames into.
+	bodies *sharedPool
 
 	stats    switchStats
 	tel      *telemetry.Telemetry
@@ -362,7 +367,6 @@ func Listen(cfg Config) (*Switch, error) {
 	}
 
 	engine, err := core.NewPubSub(cfg.Spec, core.Config{
-		Switch:    pipeline.Config{StateMutex: cfg.StateMutex},
 		Compiler:  cfg.Options,
 		Telemetry: cfg.Telemetry,
 	})
@@ -372,22 +376,21 @@ func Listen(cfg Config) (*Switch, error) {
 		return nil, err
 	}
 	sw := &Switch{
-		conns:         conns,
-		retx:          retx,
-		engine:        engine,
-		ports:         make(map[int]*portState, len(cfg.Ports)),
-		bySession:     make(map[[10]byte]*portState, len(cfg.Ports)),
-		session:       cfg.Session,
-		retxCap:       cfg.RetxBuffer,
-		heartbeat:     cfg.Heartbeat,
-		workers:       workers,
-		mode:          mode,
-		tel:           cfg.Telemetry,
-		readBuf:       cfg.ReadBuffer,
-		perPortEncode: cfg.PerPortEncode,
-		portErrs:      make(map[int]*telemetry.Counter),
-		subCounts:     make(map[string]int),
-		runDone:       make(chan struct{}),
+		conns:     conns,
+		retx:      retx,
+		engine:    engine,
+		ports:     make(map[int]*portState, len(cfg.Ports)),
+		bySession: make(map[[10]byte]*portState, len(cfg.Ports)),
+		session:   cfg.Session,
+		retxCap:   cfg.RetxBuffer,
+		heartbeat: cfg.Heartbeat,
+		workers:   workers,
+		mode:      mode,
+		tel:       cfg.Telemetry,
+		readBuf:   cfg.ReadBuffer,
+		portErrs:  make(map[int]*telemetry.Counter),
+		subCounts: make(map[string]int),
+		runDone:   make(chan struct{}),
 	}
 	if sw.session == "" {
 		sw.session = "CAMUS"
@@ -482,37 +485,10 @@ func (sw *Switch) RetxAddr() *net.UDPAddr { return sw.retx.LocalAddr().(*net.UDP
 // removed Stats() struct view: in-process readers name the one series
 // they want; everything at once is Snapshot.
 func (sw *Switch) Metric(name string) uint64 {
-	switch name {
-	case "camus_dataplane_datagrams_total":
-		return sw.stats.Datagrams.Load()
-	case "camus_dataplane_messages_total":
-		return sw.stats.Messages.Load()
-	case "camus_dataplane_matched_total":
-		return sw.stats.Matched.Load()
-	case "camus_dataplane_forwarded_total":
-		return sw.stats.Forwarded.Load()
-	case "camus_dataplane_decode_errors_total":
-		return sw.stats.DecodeErrors.Load()
-	case "camus_dataplane_send_errors_total":
-		return sw.stats.SendErrors.Load()
-	case "camus_dataplane_unbound_port_total":
-		return sw.stats.UnboundPort.Load()
-	case "camus_dataplane_heartbeats_total":
-		return sw.stats.Heartbeats.Load()
-	case "camus_dataplane_retx_requests_total":
-		return sw.stats.RetxRequests.Load()
-	case "camus_dataplane_retx_messages_total":
-		return sw.stats.RetxMessages.Load()
-	case "camus_dataplane_retx_bad_total":
-		return sw.stats.RetxBad.Load()
-	case "camus_dataplane_resharded_total":
-		return sw.stats.Resharded.Load()
-	case "camus_dataplane_group_encodes_total":
-		return sw.stats.GroupEncodes.Load()
-	case "camus_dataplane_group_sends_total":
-		return sw.stats.GroupSends.Load()
-	case "camus_dataplane_group_bytes_saved_total":
-		return sw.stats.GroupBytesSaved.Load()
+	for _, e := range sw.stats.series() {
+		if e.name == name {
+			return e.c.Load()
+		}
 	}
 	return 0
 }
@@ -530,41 +506,29 @@ func (sw *Switch) PortSession(port int) string {
 	return string(s[:])
 }
 
-// sessionFor derives a port's session id: the base padded/truncated to 7
-// bytes plus the zero-padded port number.
+// sessionFor derives a port's session id: the base padded or truncated to
+// 7 bytes plus the zero-padded 3-digit port number. A port of 1000 or more
+// takes the extra digits it needs from the tail of those 7 bytes — padding,
+// under the default "CAMUS" — which keeps the default prefix injective over
+// ports 0–99999. Subscribe rejects a port whose session another port holds,
+// so a prefix that collides anyway never aliases two streams.
 func sessionFor(dst *[10]byte, base string, port int) {
-	for i := 0; i < 7; i++ {
+	p := uint64(port)
+	digits := 3
+	for q := p / 1000; q != 0 && digits < len(dst); q /= 10 {
+		digits++
+	}
+	for i := range dst[:len(dst)-digits] {
 		if i < len(base) {
 			dst[i] = base[i]
 		} else {
 			dst[i] = ' '
 		}
 	}
-	p := port % 1000
-	dst[7] = byte('0' + p/100)
-	dst[8] = byte('0' + (p/10)%10)
-	dst[9] = byte('0' + p%10)
-}
-
-// BindPort maps a Camus output port to a subscriber UDP address.
-//
-// Deprecated: use Subscribe, which returns a Subscription handle that
-// owns the binding (and can carry a subscriber-group label). BindPort
-// remains as a thin wrapper: it subscribes and discards the handle.
-func (sw *Switch) BindPort(port int, addr string) error {
-	_, err := sw.Subscribe(SubscriberConfig{Port: port, Addr: addr})
-	return err
-}
-
-// UnbindPort removes a Camus output port regardless of which
-// Subscription owns it.
-//
-// Deprecated: close the Subscription returned by Subscribe instead;
-// Close only detaches the port if that subscription still owns it, which
-// is race-free under rebinds. UnbindPort remains as the unconditional
-// form.
-func (sw *Switch) UnbindPort(port int) {
-	sw.unbind(port, nil)
+	for i := len(dst) - 1; i >= len(dst)-digits; i-- {
+		dst[i] = byte('0' + p%10)
+		p /= 10
+	}
 }
 
 // portFor resolves a port number on the hot path. Callers hold sw.mu.
@@ -765,7 +729,7 @@ func (sw *Switch) Run(ctx context.Context) error {
 	}()
 
 	for _, l := range sw.lanes {
-		l.st = sw.newProcStateAt(l.id, l.conn)
+		l.st = sw.newProcState(l.id, l.conn)
 	}
 	switch {
 	case sw.mode != IngressShared:
@@ -994,17 +958,12 @@ type groupMsgs struct {
 	ports []int
 }
 
-func (sw *Switch) newProcState() *procState { return sw.newProcStateOn(sw.conn) }
-
-// newProcStateOn builds a lane's scratch with egress bound to conn — in
-// the reuseport modes each lane ships its egress through its own socket,
-// spreading send-side work the same way ingress is spread.
-func (sw *Switch) newProcStateOn(conn Conn) *procState { return sw.newProcStateAt(0, conn) }
-
-// newProcStateAt is newProcStateOn bound to a state lane: each dataplane
-// worker writes stateful registers on its own lane (the pipeline's
+// newProcState builds a lane's scratch with egress bound to conn — in the
+// reuseport modes each lane ships its egress through its own socket,
+// spreading send-side work the same way ingress is spread — and stateful
+// register writes bound to the lane's own state lane (the pipeline's
 // single-writer contract), so the keyed-state packet path takes no lock.
-func (sw *Switch) newProcStateAt(lane int, conn Conn) *procState {
+func (sw *Switch) newProcState(lane int, conn Conn) *procState {
 	st := &procState{proc: sw.engine.NewProcessorAt(lane), conn: conn}
 	if sw.batch > 1 {
 		st.bw = newBatchWriter(conn)
@@ -1090,7 +1049,7 @@ func (sw *Switch) processDatagram(st *procState, datagram []byte) {
 		if results[i].Dropped {
 			continue
 		}
-		if g := results[i].Group; g >= 0 && !sw.perPortEncode {
+		if g := results[i].Group; g >= 0 {
 			gb := st.gbucket(g)
 			if len(gb.msgs) == 0 {
 				st.touchedG = append(st.touchedG, g)

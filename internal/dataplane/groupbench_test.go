@@ -23,48 +23,38 @@ func (nullConn) Close() error                    { return nil }
 func (nullConn) LocalAddr() net.Addr             { return &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)} }
 
 // BenchmarkGroupEgress prices one datagram through the lane at high
-// fanout — 4 messages, each multicast to a 500-member group — with the
-// encode-once engine on (group) and off (perport). The ratio of the two
-// is the figure BENCH_dataplane.json tracks as speedup_vs_perport.
+// fanout — 4 messages, each multicast to a 500-member group.
 func BenchmarkGroupEgress(b *testing.B) {
 	const groups, ports = 4, 2000
-	for _, mode := range []struct {
-		name    string
-		perPort bool
-	}{{"group", false}, {"perport", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			sw, err := Listen(Config{
-				Spec:          workload.ITCHSpec(),
-				Subscriptions: workload.FanoutSubscriptionSource(groups, ports),
-				RetxBuffer:    64,
-				PerPortEncode: mode.perPort,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sw.Close()
-			for h := 1; h <= ports; h++ {
-				if _, err := sw.Subscribe(SubscriberConfig{Port: h, Addr: "127.0.0.1:9"}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			var mp itch.MoldPacket
-			mp.Header.SetSession("BENCH")
-			for i := 0; i < groups; i++ {
-				o := order(workload.StockSymbol(i), uint32(100+i), 1000)
-				o.StockLocate = uint16(i)
-				mp.Append(o.Bytes())
-			}
-			wire := mp.Bytes()
-			st := sw.newProcStateOn(nullConn{})
-			for i := 0; i < 100; i++ {
-				sw.processDatagram(st, wire) // warm rings, pools, scratch
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sw.processDatagram(st, wire)
-			}
-		})
+	sw, err := Listen(Config{
+		Spec:          workload.ITCHSpec(),
+		Subscriptions: workload.FanoutSubscriptionSource(groups, ports),
+		RetxBuffer:    64,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sw.Close()
+	for h := 1; h <= ports; h++ {
+		if _, err := sw.Subscribe(SubscriberConfig{Port: h, Addr: "127.0.0.1:9"}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var mp itch.MoldPacket
+	mp.Header.SetSession("BENCH")
+	for i := 0; i < groups; i++ {
+		o := order(workload.StockSymbol(i), uint32(100+i), 1000)
+		o.StockLocate = uint16(i)
+		mp.Append(o.Bytes())
+	}
+	wire := mp.Bytes()
+	st := sw.newProcState(0, nullConn{})
+	for i := 0; i < 100; i++ {
+		sw.processDatagram(st, wire) // warm rings, pools, scratch
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sw.processDatagram(st, wire)
 	}
 }

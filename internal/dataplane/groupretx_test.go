@@ -15,9 +15,8 @@ import (
 
 // startGroupSwitch builds a switch whose program multicasts GOOGL to
 // ports {1, 2} (one compiled fanout group) with two live subscriber
-// sockets and a running retransmission responder. perPort selects the
-// per-subscriber-encode baseline instead of the shared-body engine.
-func startGroupSwitch(t *testing.T, perPort bool) (*Switch, *net.UDPConn, *net.UDPConn) {
+// sockets and a running retransmission responder.
+func startGroupSwitch(t *testing.T) (*Switch, *net.UDPConn, *net.UDPConn) {
 	t.Helper()
 	sub1, sub2 := listenUDP(t), listenUDP(t)
 	sw, err := Listen(Config{
@@ -25,7 +24,6 @@ func startGroupSwitch(t *testing.T, perPort bool) (*Switch, *net.UDPConn, *net.U
 		Session:       "GRETX",
 		Subscriptions: "stock == GOOGL : fwd(1)\nstock == GOOGL : fwd(2)",
 		RetxBuffer:    64,
-		PerPortEncode: perPort,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -52,72 +50,54 @@ func recvRaw(t *testing.T, conn *net.UDPConn) []byte {
 }
 
 // TestGroupRetxByteExact is the wire contract of the encode-once engine:
-// every member of a multicast group must see exactly the datagram a
-// per-port-encoded switch would have sent it — same patched session and
-// sequence header, same body — and a retransmission of a group-encoded
-// range, served from the shared body the ring retained, must reproduce
-// the live frame byte for byte.
+// every member of a multicast group must see exactly the datagram an
+// independent per-port serialization produces — the port's own session
+// and running sequence in the header, the matched messages as the body —
+// and a retransmission of a group-encoded range, served from the shared
+// body the ring retained, must reproduce the live frame byte for byte.
 func TestGroupRetxByteExact(t *testing.T) {
 	const rounds = 3
-	feed := func(t *testing.T, perPort bool) (*Switch, [2][][]byte) {
-		sw, sub1, sub2 := startGroupSwitch(t, perPort)
-		st := sw.newProcState()
+	sw, sub1, sub2 := startGroupSwitch(t)
+	st := sw.newProcState(0, sw.conn)
+	for r := 0; r < rounds; r++ {
+		// Two matches per datagram (one group frame of count 2 per
+		// round) plus a non-matching order that must not leak in.
+		sw.processDatagram(st, moldWith(t, "ING", uint64(1+2*r),
+			order("GOOGL", uint32(10+r), 1000),
+			order("GOOGL", uint32(20+r), 1001),
+			order("ORCL", 30, 1000)))
+	}
+	if got := sw.Metric("camus_dataplane_group_encodes_total"); got != rounds {
+		t.Fatalf("switch encoded %d group bodies, want %d", got, rounds)
+	}
+
+	rx, err := net.DialUDP("udp", nil, sw.RetxAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rx.Close()
+	for _, m := range []struct {
+		session string // spelled out: the reference shares no code with sessionFor
+		conn    *net.UDPConn
+	}{{"GRETX  001", sub1}, {"GRETX  002", sub2}} {
 		for r := 0; r < rounds; r++ {
-			// Two matches per datagram (one group frame of count 2 per
-			// round) plus a non-matching order that must not leak in.
-			wire := moldWith(t, "ING", uint64(1+2*r),
+			seq := uint64(1 + 2*r)
+			want := moldWith(t, m.session, seq,
 				order("GOOGL", uint32(10+r), 1000),
-				order("GOOGL", uint32(20+r), 1001),
-				order("ORCL", 30, 1000))
-			sw.processDatagram(st, wire)
-		}
-		var live [2][][]byte
-		for i, conn := range []*net.UDPConn{sub1, sub2} {
-			for r := 0; r < rounds; r++ {
-				live[i] = append(live[i], recvRaw(t, conn))
+				order("GOOGL", uint32(20+r), 1001))
+			if live := recvRaw(t, m.conn); !bytes.Equal(live, want) {
+				t.Fatalf("%s seq %d: live group frame differs from the per-port serialization\n live: %x\n want: %x",
+					m.session, seq, live, want)
 			}
-		}
-		return sw, live
-	}
-
-	grp, groupLive := feed(t, false)
-	ctl, ctlLive := feed(t, true)
-	if got := grp.Metric("camus_dataplane_group_encodes_total"); got != rounds {
-		t.Fatalf("group switch encoded %d bodies, want %d", got, rounds)
-	}
-	if got := ctl.Metric("camus_dataplane_group_encodes_total"); got != 0 {
-		t.Fatalf("per-port control group-encoded %d bodies, want 0", got)
-	}
-
-	// Same Session base and port numbers mean the two switches emit
-	// identical session identities, so the frames must match exactly.
-	for p := 0; p < 2; p++ {
-		for r := 0; r < rounds; r++ {
-			if !bytes.Equal(groupLive[p][r], ctlLive[p][r]) {
-				t.Fatalf("port %d frame %d: group-encoded wire differs from per-port control\n group: %x\n perport: %x",
-					p+1, r, groupLive[p][r], ctlLive[p][r])
-			}
-		}
-	}
-
-	// Retransmissions are served from the shared bodies the rings alias;
-	// the replies must be byte-exact replays of the live frames.
-	for pi, port := range []int{1, 2} {
-		rx, err := net.DialUDP("udp", nil, grp.RetxAddr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rx.Close()
-		for r := 0; r < rounds; r++ {
-			req := itch.MoldRequest{Sequence: uint64(1 + 2*r), Count: 2}
-			copy(req.Session[:], grp.PortSession(port))
+			// Served from the shared bodies the rings alias.
+			req := itch.MoldRequest{Sequence: seq, Count: 2}
+			copy(req.Session[:], m.session)
 			if _, err := rx.Write(req.Bytes()); err != nil {
 				t.Fatal(err)
 			}
-			reply := recvRaw(t, rx)
-			if !bytes.Equal(reply, groupLive[pi][r]) {
-				t.Fatalf("port %d seq %d: retransmission differs from live group frame\n retx: %x\n live: %x",
-					port, 1+2*r, reply, groupLive[pi][r])
+			if reply := recvRaw(t, rx); !bytes.Equal(reply, want) {
+				t.Fatalf("%s seq %d: retransmission differs from the per-port serialization\n retx: %x\n want: %x",
+					m.session, seq, reply, want)
 			}
 		}
 	}
@@ -161,7 +141,7 @@ func TestSendEgressPortErrorAttribution(t *testing.T) {
 	// errorConn is not a *net.UDPConn, so newBatchWriter declines and the
 	// lane takes the per-datagram fallback — the path whose error
 	// accounting this test pins down.
-	st := sw.newProcStateOn(errorConn{})
+	st := sw.newProcState(0, errorConn{})
 	wire := moldWith(t, "S", 1,
 		order("GOOGL", 10, 1000),
 		order("MSFT", 20, 1000))

@@ -38,7 +38,9 @@ type Subscription struct {
 // new address without resetting the MoldUDP64 sequence space (the
 // subscriber-facing session identity is the port's, not the handle's);
 // the new handle takes over ownership and the previous handle's Close
-// becomes a no-op.
+// becomes a no-op. A port whose session id is already held by another
+// bound port (possible only under a custom Config.Session; see
+// sessionFor) is refused: two ports never share a retransmission stream.
 func (sw *Switch) Subscribe(cfg SubscriberConfig) (*Subscription, error) {
 	udpAddr, err := net.ResolveUDPAddr("udp", cfg.Addr)
 	if err != nil {
@@ -59,6 +61,9 @@ func (sw *Switch) Subscribe(cfg SubscriberConfig) (*Subscription, error) {
 	}
 	ps := &portState{port: cfg.Port, addr: udpAddr, nextSeq: 1, sub: sub, group: cfg.Group}
 	sessionFor(&ps.session, sw.session, cfg.Port)
+	if other, ok := sw.bySession[ps.session]; ok {
+		return nil, fmt.Errorf("dataplane: port %d: session %q already belongs to port %d", cfg.Port, ps.session[:], other.port)
+	}
 	if sw.retxCap > 0 {
 		ps.store = newRetxStore(sw.retxCap)
 	}
@@ -90,17 +95,17 @@ func (sw *Switch) countSubscriber(group string, delta int) {
 	}
 }
 
-// unbind detaches a port. When owner is non-nil the detach only happens
-// if that subscription still owns the binding — the race-free semantics
-// of Subscription.Close under concurrent rebinds; a nil owner detaches
-// unconditionally (UnbindPort). The port's retransmission store releases
-// its shared group-body references so recycled buffers cannot be pinned
-// (or served stale) by a dead port.
-func (sw *Switch) unbind(port int, owner *Subscription) {
+// unbind detaches owner's port, but only if owner still owns the binding
+// — the race-free semantics of Subscription.Close under concurrent
+// rebinds. The port's retransmission store releases its shared group-body
+// references so recycled buffers cannot be pinned (or served stale) by a
+// dead port.
+func (sw *Switch) unbind(owner *Subscription) {
+	port := owner.port
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	ps, ok := sw.ports[port]
-	if !ok || (owner != nil && ps.sub != owner) {
+	if !ok || ps.sub != owner {
 		return
 	}
 	delete(sw.ports, port)
@@ -135,6 +140,6 @@ func (s *Subscription) Session() string { return s.sw.PortSession(s.port) }
 // same port starts a fresh sequence space. This is how a fabric spine
 // stops forwarding toward a leaf it has declared dead.
 func (s *Subscription) Close() error {
-	s.sw.unbind(s.port, s)
+	s.sw.unbind(s)
 	return nil
 }

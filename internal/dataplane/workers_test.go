@@ -202,7 +202,7 @@ func TestProcessDatagramZeroAlloc(t *testing.T) {
 	}
 	defer sw.Close()
 
-	st := sw.newProcState()
+	st := sw.newProcState(0, sw.conn)
 	wire := moldWith(t, "S", 1,
 		order("GOOGL", 10, 1000),
 		order("MSFT", 20, 1000),
@@ -309,7 +309,7 @@ func BenchmarkProcessDatagram(b *testing.B) {
 				mp.Append(o.Bytes())
 			}
 			wire := mp.Bytes()
-			st := sw.newProcState()
+			st := sw.newProcState(0, sw.conn)
 			sw.processDatagram(st, wire) // warm-up
 			b.ReportAllocs()
 			b.SetBytes(int64(len(wire)))

@@ -14,11 +14,9 @@ import (
 
 // EgressFanoutConfig parameterizes the multicast-fanout experiment: a fixed
 // number of compiled multicast groups is fanned out to a growing
-// subscriber population, and the encode-once egress engine is raced
-// against the per-subscriber-encode baseline on the identical workload.
-// Both runs replay in-memory (serial, shared ingress), so the measured
-// per-packet processing cost isolates the egress framing work the
-// engine exists to amortize.
+// subscriber population. The run replays in-memory (serial, shared
+// ingress), so the measured per-packet processing cost isolates the
+// egress framing work the encode-once engine amortizes.
 type EgressFanoutConfig struct {
 	Ports         []int // subscriber-count axis (default 100, 1000, 10000)
 	Groups        int   // compiled multicast groups (default 20)
@@ -31,42 +29,25 @@ type EgressFanoutConfig struct {
 // EgressFanoutSweep is the default subscriber-count axis.
 var EgressFanoutSweep = []int{100, 1000, 10000}
 
-// EgressFanoutPoint is one row of the subscriber-count sweep. ProcNsPerPacket
-// and PerPortNsPerPacket are the same serial lane cost measured with the
-// group engine on and off; Speedup is their ratio. EncodeOnceRatio is
-// the fraction of egress datagrams whose body was an already-encoded
-// shared buffer rather than a fresh serialization — at fanout F it
-// approaches (F-1)/F.
+// EgressFanoutPoint is one row of the subscriber-count sweep.
+// ProcNsPerPacket is the serial lane cost per ingress datagram.
+// EncodeOnceRatio is the fraction of egress datagrams whose body was an
+// already-encoded shared buffer rather than a fresh serialization — at
+// fanout F it approaches (F-1)/F.
 type EgressFanoutPoint struct {
-	Ports              int     `json:"ports"`
-	Groups             int     `json:"groups"`
-	Fanout             int     `json:"fanout"`
-	Packets            int     `json:"packets"`
-	Messages           int     `json:"messages"`
-	Matched            uint64  `json:"matched"`
-	Forwarded          uint64  `json:"forwarded"`
-	GroupEncodes       uint64  `json:"group_encodes"`
-	GroupSends         uint64  `json:"group_sends"`
-	EncodeOnceRatio    float64 `json:"encode_once_ratio"`
-	GroupBytesSaved    uint64  `json:"group_bytes_saved"`
-	ProcNsPerPacket    float64 `json:"proc_ns_per_packet"`
-	PerPortNsPerPacket float64 `json:"perport_ns_per_packet"`
-	Speedup            float64 `json:"speedup_vs_perport"`
-	AllocsPerOp        float64 `json:"allocs_per_op"` // group engine, steady state
-}
-
-// egressFanoutRun is the raw outcome of one serial replay.
-type egressFanoutRun struct {
-	procNs    int64
-	pkts      int
-	msgs      int
-	matched   uint64
-	forwarded uint64
-	encodes   uint64
-	sends     uint64
-	saved     uint64
-	allocs    uint64
-	measured  int
+	Ports           int     `json:"ports"`
+	Groups          int     `json:"groups"`
+	Fanout          int     `json:"fanout"`
+	Packets         int     `json:"packets"`
+	Messages        int     `json:"messages"`
+	Matched         uint64  `json:"matched"`
+	Forwarded       uint64  `json:"forwarded"`
+	GroupEncodes    uint64  `json:"group_encodes"`
+	GroupSends      uint64  `json:"group_sends"`
+	EncodeOnceRatio float64 `json:"encode_once_ratio"`
+	GroupBytesSaved uint64  `json:"group_bytes_saved"`
+	ProcNsPerPacket float64 `json:"proc_ns_per_packet"`
+	AllocsPerOp     float64 `json:"allocs_per_op"` // steady state
 }
 
 // DataplaneFanout runs the subscriber-count sweep and returns one point
@@ -123,51 +104,21 @@ func DataplaneFanout(cfg EgressFanoutConfig) ([]EgressFanoutPoint, error) {
 			portMap[h] = "127.0.0.1:9"
 		}
 
-		grp, err := replayEgressFanout(cfg, subs, portMap, wires, packets, false)
+		pt, err := replayEgressFanout(cfg, subs, portMap, wires, packets)
 		if err != nil {
 			return nil, err
 		}
-		pp, err := replayEgressFanout(cfg, subs, portMap, wires, packets, true)
-		if err != nil {
-			return nil, err
-		}
-
-		procPerPkt := float64(grp.procNs) / float64(grp.pkts)
-		perPortPerPkt := float64(pp.procNs) / float64(pp.pkts)
-		ratio := 0.0
-		if grp.sends > 0 {
-			ratio = float64(grp.sends-grp.encodes) / float64(grp.sends)
-		}
-		speedup := 0.0
-		if procPerPkt > 0 {
-			speedup = perPortPerPkt / procPerPkt
-		}
-		out = append(out, EgressFanoutPoint{
-			Ports:              ports,
-			Groups:             cfg.Groups,
-			Fanout:             fanout,
-			Packets:            grp.pkts,
-			Messages:           grp.msgs,
-			Matched:            grp.matched,
-			Forwarded:          grp.forwarded,
-			GroupEncodes:       grp.encodes,
-			GroupSends:         grp.sends,
-			EncodeOnceRatio:    ratio,
-			GroupBytesSaved:    grp.saved,
-			ProcNsPerPacket:    procPerPkt,
-			PerPortNsPerPacket: perPortPerPkt,
-			Speedup:            speedup,
-			AllocsPerOp:        float64(grp.allocs) / float64(grp.measured),
-		})
+		pt.Ports, pt.Groups, pt.Fanout = ports, cfg.Groups, fanout
+		out = append(out, pt)
 	}
 	return out, nil
 }
 
 // replayEgressFanout replays the feed serially (one worker, shared ingress,
 // discarded egress writes) through a switch compiled with the fanout
-// workload, with the encode-once engine on or off.
-func replayEgressFanout(cfg EgressFanoutConfig, subs string, ports map[int]string, wires [][]byte, packets int, perPortEncode bool) (egressFanoutRun, error) {
-	var r egressFanoutRun
+// workload and fills in the point's measured columns.
+func replayEgressFanout(cfg EgressFanoutConfig, subs string, ports map[int]string, wires [][]byte, packets int) (EgressFanoutPoint, error) {
+	var r EgressFanoutPoint
 	// Warm-up must outlast ring fill: until every port's retransmission
 	// ring has evicted at least once and the shared-body pool, lazy
 	// per-slot headers, and egress arrays have reached their working-set
@@ -201,7 +152,6 @@ func replayEgressFanout(cfg EgressFanoutConfig, subs string, ports map[int]strin
 		IngressMode:   dataplane.IngressShared,
 		Batch:         cfg.Batch,
 		RetxBuffer:    64,
-		PerPortEncode: perPortEncode,
 		WrapConn:      wrap,
 	})
 	if err != nil {
@@ -224,19 +174,23 @@ func replayEgressFanout(cfg EgressFanoutConfig, subs string, ports map[int]strin
 		return r, err
 	}
 	runtime.ReadMemStats(&m1)
-	_, r.procNs = sw.BusyNs()
-	r.pkts = int(sw.Metric("camus_dataplane_datagrams_total"))
-	r.msgs = int(sw.Metric("camus_dataplane_messages_total"))
-	r.matched = sw.Metric("camus_dataplane_matched_total")
-	r.forwarded = sw.Metric("camus_dataplane_forwarded_total")
-	r.encodes = sw.Metric("camus_dataplane_group_encodes_total")
-	r.sends = sw.Metric("camus_dataplane_group_sends_total")
-	r.saved = sw.Metric("camus_dataplane_group_bytes_saved_total")
-	r.allocs = m1.Mallocs - m0.Mallocs
-	r.measured = r.pkts - int(warm)
-	if r.measured <= 0 {
-		r.measured = r.pkts
+	_, procNs := sw.BusyNs()
+	r.Packets = int(sw.Metric("camus_dataplane_datagrams_total"))
+	r.Messages = int(sw.Metric("camus_dataplane_messages_total"))
+	r.Matched = sw.Metric("camus_dataplane_matched_total")
+	r.Forwarded = sw.Metric("camus_dataplane_forwarded_total")
+	r.GroupEncodes = sw.Metric("camus_dataplane_group_encodes_total")
+	r.GroupSends = sw.Metric("camus_dataplane_group_sends_total")
+	r.GroupBytesSaved = sw.Metric("camus_dataplane_group_bytes_saved_total")
+	if r.GroupSends > 0 {
+		r.EncodeOnceRatio = float64(r.GroupSends-r.GroupEncodes) / float64(r.GroupSends)
 	}
+	r.ProcNsPerPacket = float64(procNs) / float64(r.Packets)
+	measured := r.Packets - int(warm)
+	if measured <= 0 {
+		measured = r.Packets
+	}
+	r.AllocsPerOp = float64(m1.Mallocs-m0.Mallocs) / float64(measured)
 	sw.Close()
 	return r, nil
 }
@@ -247,14 +201,13 @@ func FormatEgressFanout(pts []EgressFanoutPoint) string {
 	if len(pts) == 0 {
 		return ""
 	}
-	fmt.Fprintf(&b, "Multicast egress fanout (%d groups, encode-once vs per-subscriber encode, %d-core host):\n",
+	fmt.Fprintf(&b, "Multicast egress fanout (%d groups, encode-once egress, %d-core host):\n",
 		pts[0].Groups, runtime.NumCPU())
-	fmt.Fprintf(&b, "  %-8s %8s %12s %14s %14s %9s %12s %12s\n",
-		"ports", "fanout", "ns/pkt", "perport ns", "speedup", "hit", "MB saved", "allocs/op")
+	fmt.Fprintf(&b, "  %-8s %8s %12s %9s %12s %12s\n",
+		"ports", "fanout", "ns/pkt", "hit", "MB saved", "allocs/op")
 	for _, p := range pts {
-		fmt.Fprintf(&b, "  %-8d %8d %12.1f %14.1f %13.2fx %8.1f%% %12.1f %12.3f\n",
-			p.Ports, p.Fanout, p.ProcNsPerPacket, p.PerPortNsPerPacket, p.Speedup,
-			100*p.EncodeOnceRatio, float64(p.GroupBytesSaved)/1e6, p.AllocsPerOp)
+		fmt.Fprintf(&b, "  %-8d %8d %12.1f %8.1f%% %12.1f %12.3f\n",
+			p.Ports, p.Fanout, p.ProcNsPerPacket, 100*p.EncodeOnceRatio, float64(p.GroupBytesSaved)/1e6, p.AllocsPerOp)
 	}
 	return b.String()
 }

@@ -3,8 +3,8 @@ package experiments
 import "testing"
 
 // TestDataplaneFanoutSmoke runs a small subscriber-count sweep end to
-// end: both points populate, the group engine actually encodes shared
-// bodies, and the A/B baseline runs per-port.
+// end: both points populate and the group engine actually encodes shared
+// bodies.
 func TestDataplaneFanoutSmoke(t *testing.T) {
 	pts, err := DataplaneFanout(EgressFanoutConfig{
 		Ports:   []int{40, 80},
@@ -43,7 +43,7 @@ func TestDataplaneFanoutSmoke(t *testing.T) {
 		if p.GroupBytesSaved == 0 {
 			t.Fatalf("point %d: no bytes saved", i)
 		}
-		if p.ProcNsPerPacket <= 0 || p.PerPortNsPerPacket <= 0 || p.Speedup <= 0 {
+		if p.ProcNsPerPacket <= 0 {
 			t.Fatalf("point %d: unpopulated costs: %+v", i, p)
 		}
 	}

@@ -15,20 +15,10 @@ import (
 
 // ScenarioConfig parameterizes the stateful-scenario throughput sweep:
 // each scenario workload (IoT threshold-over-window, DDoS heavy-hitter)
-// runs against three state backends at each worker count —
-//
-//	mutex        every register access serializes on one engine mutex
-//	             (Config.StateMutex; the measured A/B baseline)
-//	keyed        per-lane single-writer banks, reads combine across
-//	             lanes through the seqlock (the default engine)
-//	keyed-affine reads restricted to the caller's lane
-//	             (Config.StateAffine; valid here because packets are
-//	             sharded to lanes by flow key, so a key's state lives
-//	             entirely on its lane)
-//
-// Packets are partitioned across lanes by flow key — the same
-// locate-keyed affinity the sharded dataplane applies to market data —
-// and each lane's goroutine drives ProcessBatchOn over its share.
+// runs against the keyed-state engine at each worker count. Packets are
+// partitioned across lanes by flow key — the same locate-keyed affinity
+// the sharded dataplane applies to market data — and each lane's
+// goroutine drives ProcessBatchOn over its share.
 type ScenarioConfig struct {
 	Workers []int // worker counts to sweep (default 1,2,4)
 	Packets int   // packets per run (default 200000)
@@ -40,24 +30,16 @@ type ScenarioConfig struct {
 // ScenarioSweepWorkers is the default worker axis.
 var ScenarioSweepWorkers = []int{1, 2, 4}
 
-// ScenarioPoint is one (scenario, backend, workers) row.
+// ScenarioPoint is one (scenario, workers) row.
 //
 // Like the dataplane sweep, two throughput figures are reported.
 // WallPacketsPerSec is the wall-clock rate on this host and reflects
 // lane parallelism only when the host has the cores (CPUs in the JSON).
-// PacketsPerSec is the derived pipeline capacity, from measured costs on
-// the real code path: each lane's busy clock prices the per-packet lane
-// cost, giving the parallel rate workers/ns-per-packet, and for the
-// mutex backend a single-threaded calibration of the engine's locked
-// state operations prices the serialized section, whose reciprocal
-// bounds the backend's scaling (Amdahl). The keyed backends take no
-// lock on the packet path, so their capacity is the parallel rate; the
-// mutex backend's capacity is the smaller of the two figures. The bound
-// is generous to the baseline: on real multicore hardware the mutex
-// also pays contention beyond its critical-section time.
+// PacketsPerSec is the lane-parallel rate workers/LaneNsPerPacket, from
+// each lane's busy clock on the real code path; the engine takes no lock
+// on the packet path, so nothing serializes the lanes.
 type ScenarioPoint struct {
 	Scenario          string  `json:"scenario"`
-	Backend           string  `json:"backend"`
 	Workers           int     `json:"workers"`
 	Packets           int     `json:"packets"`
 	Keys              int     `json:"keys"`
@@ -67,15 +49,11 @@ type ScenarioPoint struct {
 	EvictLossy        uint64  `json:"evict_lossy"` // in-window cells evicted (0 at this key count)
 	WallSeconds       float64 `json:"wall_seconds"`
 	WallPacketsPerSec float64 `json:"wall_packets_per_sec"`
-	LaneNsPerPacket   float64 `json:"lane_ns_per_packet"`   // measured lane busy cost
-	SerialNsPerPacket float64 `json:"serial_ns_per_packet"` // calibrated locked state ops (mutex backend)
-	PacketsPerSec     float64 `json:"packets_per_sec"`      // derived capacity
+	LaneNsPerPacket   float64 `json:"lane_ns_per_packet"` // measured lane busy cost
+	PacketsPerSec     float64 `json:"packets_per_sec"`    // workers / lane cost
 	NsPerPacket       float64 `json:"ns_per_packet"`
 	AllocsPerOp       float64 `json:"allocs_per_op"` // heap allocations per packet, steady state
 }
-
-// ScenarioBackends is the backend axis, in presentation order.
-var ScenarioBackends = []string{"mutex", "keyed", "keyed-affine"}
 
 // scenarioRun is one compiled scenario's pre-generated, lane-partitioned
 // feed: batches[lane] is a sequence of ProcessBatchOn-shaped slices.
@@ -91,8 +69,7 @@ type laneBatch struct {
 }
 
 // genScenarioRun compiles the scenario and materializes its feed,
-// sharded by flow key across lanes. Rows are generated once per
-// (scenario, workers) pair so every backend sees identical traffic.
+// sharded by flow key across lanes.
 func genScenarioRun(sc workload.Scenario, lanes, packets, keys, batch int, seed int64) (*scenarioRun, error) {
 	sp, err := spec.Parse(sc.SpecSrc)
 	if err != nil {
@@ -131,60 +108,16 @@ func genScenarioRun(sc workload.Scenario, lanes, packets, keys, batch int, seed 
 	return run, nil
 }
 
-// calibrateSerial prices the mutex backend's serialized section: the
-// locked per-operation cost of the engine's state path (lock, bank
-// probe, fold), measured single-threaded on a fresh mutex-mode engine
-// over the same key distribution, times the scenario's measured state
-// operations per packet.
-func calibrateSerial(run *scenarioRun, opsPerPacket float64, keys int, seed int64) float64 {
-	e := pipeline.NewKeyedState(0, true, false, nil)
-	slot := e.EnsureVar("calib", time.Second)
-	const ops = 200000
-	// Key sequence drawn ahead of the timed loop.
-	ks := make([]uint64, 4096)
-	r := newSplitMix(uint64(seed) + 1)
-	for i := range ks {
-		ks[i] = r.next() % uint64(keys)
-	}
-	start := time.Now()
-	for i := 0; i < ops; i++ {
-		k := ks[i&(len(ks)-1)]
-		if i&1 == 0 {
-			e.Update(0, slot, k, false, uint64(i), time.Second, 0)
-		} else {
-			_ = e.Read(0, slot, k, pipeline.AggCount, time.Second, 0)
-		}
-	}
-	nsPerOp := float64(time.Since(start).Nanoseconds()) / float64(ops)
-	return nsPerOp * opsPerPacket
-}
-
-// splitMix is a tiny deterministic PRNG for calibration key draws.
-type splitMix struct{ s uint64 }
-
-func newSplitMix(seed uint64) *splitMix { return &splitMix{s: seed} }
-
-func (m *splitMix) next() uint64 {
-	m.s += 0x9e3779b97f4a7c15
-	z := m.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// runScenarioBackend executes one measured run: W lane goroutines drive
+// runScenario executes one measured run: W lane goroutines drive
 // their shares through ProcessBatchOn behind a start gate, so goroutine
 // setup stays outside the measured window and outside the allocation
 // accounting.
-func runScenarioBackend(run *scenarioRun, sc workload.Scenario, backend string, workers, keys int) (ScenarioPoint, error) {
-	cfg := pipeline.DefaultConfig()
-	cfg.StateLanes = workers
-	cfg.StateMutex = backend == "mutex"
-	cfg.StateAffine = backend == "keyed-affine"
-	sw, err := pipeline.New(run.prog, cfg)
+func runScenario(run *scenarioRun, sc workload.Scenario, workers int) (ScenarioPoint, error) {
+	sw, err := pipeline.New(run.prog, pipeline.DefaultConfig())
 	if err != nil {
 		return ScenarioPoint{}, err
 	}
+	sw.State().EnsureLanes(workers)
 
 	type laneCount struct {
 		fwd, alert uint64
@@ -207,7 +140,7 @@ func runScenarioBackend(run *scenarioRun, sc workload.Scenario, backend string, 
 
 	// Warm pass: each lane replays its first batch once with timestamps
 	// one window era in the future, exercising every one-time path (bank
-	// cell claims, lock acquisition, result buffers) without touching
+	// cell claims, result buffers) without touching
 	// the windows the measured run scores — the warm cells sit in a
 	// later epoch, where the measured run's own epoch makes them read as
 	// zero and evict as expired (transparently). Warm-phase register
@@ -265,7 +198,6 @@ func runScenarioBackend(run *scenarioRun, sc workload.Scenario, backend string, 
 
 	pt := ScenarioPoint{
 		Scenario: sc.Name,
-		Backend:  backend,
 		Workers:  workers,
 		Packets:  run.packets,
 	}
@@ -283,30 +215,13 @@ func runScenarioBackend(run *scenarioRun, sc workload.Scenario, backend string, 
 	pt.LaneNsPerPacket = float64(busyNs) / float64(run.packets)
 	pt.AllocsPerOp = float64(after.Mallocs-before.Mallocs) / float64(run.packets)
 
-	// Derived capacity: the parallel rate from measured lane cost, and
-	// for the mutex backend the calibrated serialization bound.
-	parallel := float64(workers) * 1e9 / pt.LaneNsPerPacket
-	pt.PacketsPerSec = parallel
-	if backend == "mutex" {
-		reads := 0
-		for _, f := range run.prog.Fields {
-			if f.IsState {
-				reads++ // stage-0 reads run for every packet
-			}
-		}
-		opsPerPacket := float64(reads) + float64(pt.Updates)/float64(run.packets)
-		pt.SerialNsPerPacket = calibrateSerial(run, opsPerPacket, keys, 1)
-		if bound := 1e9 / pt.SerialNsPerPacket; bound < parallel {
-			pt.PacketsPerSec = bound
-		}
-	}
+	pt.PacketsPerSec = float64(workers) * 1e9 / pt.LaneNsPerPacket
 	pt.NsPerPacket = 1e9 / pt.PacketsPerSec
 	return pt, nil
 }
 
-// ScenarioSweep runs both scenario workloads across backends and worker
-// counts. Rows are ordered scenario-major, then worker count, then
-// backend (the A/B/C comparison reads off adjacent rows).
+// ScenarioSweep runs both scenario workloads across worker counts. Rows
+// are ordered scenario-major, then worker count.
 func ScenarioSweep(cfg ScenarioConfig) ([]ScenarioPoint, error) {
 	if cfg.Workers == nil {
 		cfg.Workers = ScenarioSweepWorkers
@@ -330,14 +245,12 @@ func ScenarioSweep(cfg ScenarioConfig) ([]ScenarioPoint, error) {
 			if err != nil {
 				return nil, err
 			}
-			for _, backend := range ScenarioBackends {
-				pt, err := runScenarioBackend(run, sc, backend, w, cfg.Keys)
-				if err != nil {
-					return nil, err
-				}
-				pt.Keys = cfg.Keys
-				out = append(out, pt)
+			pt, err := runScenario(run, sc, w)
+			if err != nil {
+				return nil, err
 			}
+			pt.Keys = cfg.Keys
+			out = append(out, pt)
 		}
 	}
 	return out, nil
@@ -353,12 +266,12 @@ func FormatScenarios(pts []ScenarioPoint) string {
 				b.WriteString("\n")
 			}
 			fmt.Fprintf(&b, "Stateful scenario: %s (%d keys, %d packets)\n", p.Scenario, p.Keys, p.Packets)
-			fmt.Fprintf(&b, "%8s %13s %10s %12s %12s %10s %12s %9s\n",
-				"workers", "backend", "capacity", "ns/pkt", "wall pkt/s", "alerts", "updates", "allocs/op")
+			fmt.Fprintf(&b, "%8s %10s %12s %12s %10s %12s %9s\n",
+				"workers", "capacity", "ns/pkt", "wall pkt/s", "alerts", "updates", "allocs/op")
 			last = p.Scenario
 		}
-		fmt.Fprintf(&b, "%8d %13s %10.0f %12.1f %12.0f %10d %12d %9.3f\n",
-			p.Workers, p.Backend, p.PacketsPerSec, p.NsPerPacket, p.WallPacketsPerSec,
+		fmt.Fprintf(&b, "%8d %10.0f %12.1f %12.0f %10d %12d %9.3f\n",
+			p.Workers, p.PacketsPerSec, p.NsPerPacket, p.WallPacketsPerSec,
 			p.Alerts, p.Updates, p.AllocsPerOp)
 	}
 	return b.String()

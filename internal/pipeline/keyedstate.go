@@ -25,10 +25,6 @@ import (
 // window), which makes two things exactly equivalent: a cell whose
 // window has elapsed and a cell that was evicted and re-inserted — so
 // window-aware eviction of expired cells is semantically free.
-//
-// The pre-PR-10 global-mutex path survives behind Config.StateMutex as
-// the measured A/B baseline: the same banks on a single lane, every
-// access serialized by one mutex.
 
 // keyedProbeLimit bounds the linear-probe run of a bank. A probe that
 // finds neither the key nor an empty cell within the run evicts: first
@@ -37,9 +33,10 @@ import (
 // oldest window start (lossy, counted in telemetry).
 const keyedProbeLimit = 16
 
-// defaultStateCapacity is the default number of cells per lane per
-// variable. Power of two; at the flatlookup load-factor discipline this
-// comfortably holds a few hundred active flows per lane per window.
+// defaultStateCapacity is the number of cells per lane per variable of a
+// Switch's engine. Power of two; at the flatlookup load-factor
+// discipline this comfortably holds a few hundred active flows per lane
+// per window.
 const defaultStateCapacity = 1024
 
 // AggKind is the numeric form of an aggregate fold, resolved at install
@@ -194,15 +191,11 @@ type varMeta struct {
 // KeyedState is the switch's sharded keyed-state engine. Variables get a
 // stable slot on first Ensure (surviving Reinstall, like hardware
 // registers surviving table writes); lanes grow on demand to match the
-// embedder's worker count. In mutex mode there is a single lane and
-// every access takes the engine mutex — the retired global-lock
-// discipline, kept as the measured A/B baseline.
+// embedder's worker count.
 type KeyedState struct {
-	capacity  int
-	mutexMode bool
-	affine    bool
+	capacity int
 
-	mu     sync.Mutex // installs and lane growth; every access in mutex mode
+	mu     sync.Mutex // installs and lane growth
 	byName map[string]int
 	vars   []varMeta
 	lanes  atomic.Pointer[[]*laneState]
@@ -212,15 +205,12 @@ type KeyedState struct {
 
 // NewKeyedState builds an engine with the given cells-per-bank capacity
 // (rounded up to a power of two), starting with one lane.
-func NewKeyedState(capacity int, mutexMode, affine bool, tel *telemetry.Registry) *KeyedState {
-	if capacity <= 0 {
-		capacity = defaultStateCapacity
-	}
+func NewKeyedState(capacity int, tel *telemetry.Registry) *KeyedState {
 	cap2 := 1
 	for cap2 < capacity {
 		cap2 <<= 1
 	}
-	e := &KeyedState{capacity: cap2, mutexMode: mutexMode, affine: affine, byName: make(map[string]int), tel: tel}
+	e := &KeyedState{capacity: cap2, byName: make(map[string]int), tel: tel}
 	lanes := []*laneState{e.newLane(0)}
 	e.lanes.Store(&lanes)
 	return e
@@ -277,18 +267,14 @@ func itoa(n int) string {
 // Lanes returns the current lane count.
 func (e *KeyedState) Lanes() int { return len(*e.lanes.Load()) }
 
-// MutexMode reports whether the engine runs the global-mutex baseline.
-func (e *KeyedState) MutexMode() bool { return e.mutexMode }
-
 // EnsureLanes grows the engine to at least n single-writer lanes. The
 // embedder must call it (once, at worker startup) before issuing
 // ProcessBatchOn for a lane index — the engine also self-heals on a
 // too-large lane index, but only growth through here is race-free
 // against in-flight packets, because the lane slice is copied and
-// republished whole. Mutex mode keeps a single lane regardless: all
-// workers funnel into the one global-lock bank set.
+// republished whole.
 func (e *KeyedState) EnsureLanes(n int) {
-	if e.mutexMode || n <= e.Lanes() {
+	if n <= e.Lanes() {
 		return
 	}
 	e.mu.Lock()
@@ -353,19 +339,10 @@ func (e *KeyedState) Window(name string) time.Duration {
 // Update folds one sample into (slot, key) on the caller's lane — the
 // single-writer fast path: a linear probe over cacheline cells and a
 // seqlock-bracketed store burst, no lock taken. zeroArg is the count()
-// fold, which ignores the argument value. In mutex mode the engine
-// serializes on its mutex and uses lane 0, whatever lane the caller
-// names — the A/B baseline.
+// fold, which ignores the argument value.
 //
 //camus:hotpath bench=BenchmarkProcessBatchKeyed
 func (e *KeyedState) Update(lane, slot int, key uint64, zeroArg bool, arg uint64, window, now time.Duration) {
-	if e.mutexMode {
-		e.mu.Lock()
-		ls := (*e.lanes.Load())[0]
-		e.updateLane(ls, slot, key, zeroArg, arg, window, now)
-		e.mu.Unlock()
-		return
-	}
 	lanes := *e.lanes.Load()
 	if lane >= len(lanes) {
 		// Misuse guard (EnsureLanes not called): grow, then retry.
@@ -377,7 +354,7 @@ func (e *KeyedState) Update(lane, slot int, key uint64, zeroArg bool, arg uint64
 }
 
 // updateLane performs the probe-and-fold on one lane's bank. The caller
-// is the lane's single writer (or holds the engine mutex in mutex mode).
+// is the lane's single writer.
 //
 //camus:hotpath
 func (e *KeyedState) updateLane(ls *laneState, slot int, key uint64, zeroArg bool, arg uint64, window, now time.Duration) {
@@ -461,36 +438,18 @@ func (e *KeyedState) updateLane(ls *laneState, slot int, key uint64, zeroArg boo
 // read is non-mutating everywhere — window expiry is decided by
 // comparing a cell's window start against the reader's epoch, never by
 // rewriting the cell — so telemetry scrapes and admin snapshots reuse
-// this path without advancing state. Outside affine mode the read
-// combines the key's cells across every lane (counts and sums add,
-// min/max fold, avg divides the totals, last takes the newest window,
-// highest lane on a tie); affine mode — for embedders that shard packets
-// by the same key — reads only the caller's lane. In mutex mode the read
-// locks and serves lane 0, the baseline discipline.
+// this path without advancing state. The read combines the key's cells
+// across every lane: counts and sums add, min/max fold, avg divides the
+// totals, last takes the newest window (highest lane on a tie).
 //
 //camus:hotpath bench=BenchmarkProcessBatchKeyed
-func (e *KeyedState) Read(lane, slot int, key uint64, agg AggKind, window, now time.Duration) uint64 {
-	if e.mutexMode {
-		e.mu.Lock()
-		v := readLane((*e.lanes.Load())[0], slot, key, agg, window, now)
-		e.mu.Unlock()
-		return v
-	}
-	lanes := *e.lanes.Load()
-	if e.affine {
-		if lane >= len(lanes) {
-			//camus:alloc-ok cold self-heal, runs once per missing lane, never in steady state
-			e.EnsureLanes(lane + 1)
-			lanes = *e.lanes.Load()
-		}
-		return readLane(lanes[lane], slot, key, agg, window, now)
-	}
+func (e *KeyedState) Read(slot int, key uint64, agg AggKind, window, now time.Duration) uint64 {
 	cur := epochStart(now, window)
 	var snap cellSnap
 	var count, sum, min, max, last uint64
 	lastWin := int64(0)
 	seen := false
-	for _, ls := range lanes {
+	for _, ls := range *e.lanes.Load() {
 		if !probeLane(ls, slot, key, &snap) {
 			continue
 		}
@@ -529,20 +488,6 @@ func probeLane(ls *laneState, slot int, key uint64, snap *cellSnap) bool {
 		}
 	}
 	return false
-}
-
-// readLane serves one lane's aggregate (affine and mutex modes).
-//
-//camus:hotpath
-func readLane(ls *laneState, slot int, key uint64, agg AggKind, window, now time.Duration) uint64 {
-	var snap cellSnap
-	if !probeLane(ls, slot, key, &snap) {
-		return 0
-	}
-	if window > 0 && snap.win != epochStart(now, window) {
-		return 0
-	}
-	return foldAgg(agg, snap.count, snap.sum, snap.min, snap.max, snap.last)
 }
 
 // foldAgg serves one aggregate from combined accumulators.
@@ -614,9 +559,7 @@ func (e *KeyedState) Snapshot(name, agg string, now time.Duration, max int) []Ke
 		out = out[:max]
 	}
 	for i := range out {
-		// Reads combine across lanes exactly like the packet path; mutex
-		// mode has a single lane, so lane 0 is correct there too.
-		out[i].Value = e.Read(0, slot, out[i].Key, kind, window, now)
+		out[i].Value = e.Read(slot, out[i].Key, kind, window, now)
 	}
 	return out
 }
@@ -648,10 +591,10 @@ func (e *KeyedState) SnapshotCells(name string, now time.Duration, max int) []Ke
 		out[i] = KeyedCell{
 			Key:   kv.Key,
 			Count: kv.Value,
-			Sum:   e.Read(0, slot, kv.Key, AggSum, window, now),
-			Min:   e.Read(0, slot, kv.Key, AggMin, window, now),
-			Max:   e.Read(0, slot, kv.Key, AggMax, window, now),
-			Last:  e.Read(0, slot, kv.Key, AggLast, window, now),
+			Sum:   e.Read(slot, kv.Key, AggSum, window, now),
+			Min:   e.Read(slot, kv.Key, AggMin, window, now),
+			Max:   e.Read(slot, kv.Key, AggMax, window, now),
+			Last:  e.Read(slot, kv.Key, AggLast, window, now),
 		}
 	}
 	return out

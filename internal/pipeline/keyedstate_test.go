@@ -3,12 +3,14 @@ package pipeline
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"camus/internal/compiler"
 	"camus/internal/spec"
+	"camus/internal/workload"
 )
 
 // ddosSpecSrc is a minimal per-source heavy-hitter spec: a packet header
@@ -110,35 +112,10 @@ func TestKeyedCounterEndToEnd(t *testing.T) {
 	}
 }
 
-// TestKeyedMutexBaselineAgreement runs the same packet sequence through
-// the sharded engine and the global-mutex baseline: identical decisions.
-func TestKeyedMutexBaselineAgreement(t *testing.T) {
-	cfgKeyed := DefaultConfig()
-	cfgMutex := DefaultConfig()
-	cfgMutex.StateMutex = true
-	keyed, prog := buildKeyedSwitch(t, cfgKeyed)
-	mutex, _ := buildKeyedSwitch(t, cfgMutex)
-	if !mutex.State().MutexMode() {
-		t.Fatal("StateMutex config did not select the baseline")
-	}
-
-	r := rand.New(rand.NewSource(42))
-	for i := 0; i < 5000; i++ {
-		src := uint64(r.Intn(16))
-		now := time.Duration(i) * 3 * time.Microsecond
-		a := keyed.Process(ddosValues(prog, src, 1, 64), now)
-		b := mutex.Process(ddosValues(prog, src, 1, 64), now)
-		if a.Dropped != b.Dropped || len(a.Ports) != len(b.Ports) || (len(a.Ports) > 0 && a.Ports[0] != b.Ports[0]) {
-			t.Fatalf("packet %d (src %d): keyed=%+v mutex=%+v", i, src, a, b)
-		}
-	}
-}
-
 // TestKeyedCrossLaneCombine updates the same key from two lanes and
-// checks reads combine counts, sums, min/max and avg across lanes —
-// and that affine mode reads only the caller's lane.
+// checks reads combine counts, sums, min/max and avg across lanes.
 func TestKeyedCrossLaneCombine(t *testing.T) {
-	e := NewKeyedState(64, false, false, nil)
+	e := NewKeyedState(64, nil)
 	e.EnsureLanes(2)
 	slot := e.EnsureVar("v[pkt.src]", time.Millisecond)
 	w := time.Millisecond
@@ -153,22 +130,9 @@ func TestKeyedCrossLaneCombine(t *testing.T) {
 	}{
 		{AggCount, 3}, {AggSum, 42}, {AggMin, 2}, {AggMax, 30}, {AggAvg, 14}, {AggLast, 30},
 	} {
-		if got := e.Read(0, slot, 5, tc.agg, w, 0); got != tc.want {
+		if got := e.Read(slot, 5, tc.agg, w, 0); got != tc.want {
 			t.Errorf("combined agg %d = %d, want %d", tc.agg, got, tc.want)
 		}
-	}
-
-	// Affine engine: reads see only the caller's lane.
-	a := NewKeyedState(64, false, true, nil)
-	a.EnsureLanes(2)
-	s := a.EnsureVar("v[pkt.src]", w)
-	a.Update(0, s, 5, false, 10, w, 0)
-	a.Update(1, s, 5, false, 30, w, 0)
-	if got := a.Read(0, s, 5, AggSum, w, 0); got != 10 {
-		t.Errorf("affine lane-0 sum = %d, want 10", got)
-	}
-	if got := a.Read(1, s, 5, AggSum, w, 0); got != 30 {
-		t.Errorf("affine lane-1 sum = %d, want 30", got)
 	}
 }
 
@@ -176,22 +140,22 @@ func TestKeyedCrossLaneCombine(t *testing.T) {
 // state: an expired cell reads zero, and reading it (or snapshotting the
 // variable) leaves the underlying cell intact for forensic scrapes.
 func TestKeyedWindowExpiryNonMutating(t *testing.T) {
-	e := NewKeyedState(64, false, false, nil)
+	e := NewKeyedState(64, nil)
 	w := time.Millisecond
 	slot := e.EnsureVar("v[pkt.src]", w)
 	e.Update(0, slot, 5, false, 7, w, 100*time.Microsecond)
 
-	if got := e.Read(0, slot, 5, AggSum, w, 200*time.Microsecond); got != 7 {
+	if got := e.Read(slot, 5, AggSum, w, 200*time.Microsecond); got != 7 {
 		t.Fatalf("in-window sum = %d, want 7", got)
 	}
 	// One window later the value reads zero...
 	late := w + 300*time.Microsecond
-	if got := e.Read(0, slot, 5, AggSum, w, late); got != 0 {
+	if got := e.Read(slot, 5, AggSum, w, late); got != 0 {
 		t.Fatalf("expired sum = %d, want 0", got)
 	}
 	// ...but the read mutated nothing: the old window's value is still
 	// there when asked for at the old time.
-	if got := e.Read(0, slot, 5, AggSum, w, 200*time.Microsecond); got != 7 {
+	if got := e.Read(slot, 5, AggSum, w, 200*time.Microsecond); got != 7 {
 		t.Fatalf("post-expiry re-read at old now = %d, want 7 (read mutated state)", got)
 	}
 	if snap := e.Snapshot("v[pkt.src]", "sum", 200*time.Microsecond, 0); len(snap) != 1 || snap[0].Key != 5 || snap[0].Value != 7 {
@@ -203,12 +167,62 @@ func TestKeyedWindowExpiryNonMutating(t *testing.T) {
 	}
 }
 
+// TestKeyedWindowBoundaries pins the tumbling-window grid as a sequence
+// of timed updates and reads per row: windows are epoch-aligned, so an
+// idle stretch of several windows lands the next sample on the grid, not
+// on its own arrival time, and a sample exactly on a boundary opens the
+// new window instead of extending the old one.
+func TestKeyedWindowBoundaries(t *testing.T) {
+	const us = time.Microsecond
+	const w = 100 * us
+	type step struct {
+		at   time.Duration
+		upd  bool // fold v; otherwise read agg and expect v
+		agg  AggKind
+		v    uint64
+		note string
+	}
+	for _, tc := range []struct {
+		name  string
+		steps []step
+	}{
+		{"idle skip", []step{
+			{at: 30 * us, upd: true, v: 5},
+			{at: 40 * us, agg: AggCount, v: 1, note: "first window"},
+			{at: 380 * us, upd: true, v: 7}, // 3.5 windows idle
+			{at: 380 * us, agg: AggCount, v: 1, note: "only the sample that ended the idle stretch"},
+			{at: 380 * us, agg: AggSum, v: 7},
+			{at: 399 * us, agg: AggCount, v: 1, note: "window [300µs,400µs) is grid-aligned, not arrival-aligned"},
+			{at: 400 * us, agg: AggCount, v: 0, note: "boundary rolls"},
+		}},
+		{"exact boundary", []step{
+			{at: 0, upd: true, v: 1},
+			{at: 99 * us, upd: true, v: 2},
+			{at: 99 * us, agg: AggCount, v: 2, note: "before the boundary"},
+			{at: 100 * us, upd: true, v: 3},
+			{at: 100 * us, agg: AggCount, v: 1, note: "sample on the boundary opens the new window"},
+			{at: 100 * us, agg: AggLast, v: 3},
+		}},
+		{"never written", []step{{at: 0, agg: AggCount, v: 0}, {at: 0, agg: AggLast, v: 0}}},
+	} {
+		e := NewKeyedState(64, nil)
+		slot := e.EnsureVar("v[pkt.src]", w)
+		for i, st := range tc.steps {
+			if st.upd {
+				e.Update(0, slot, 5, false, st.v, w, st.at)
+			} else if got := e.Read(slot, 5, st.agg, w, st.at); got != st.v {
+				t.Errorf("%s step %d: agg %d at %v = %d, want %d (%s)", tc.name, i, st.agg, st.at, got, st.v, st.note)
+			}
+		}
+	}
+}
+
 // TestKeyedEviction fills a bank's probe run and checks the engine
 // prefers expired cells (free) and falls back to the oldest window
 // (lossy, counted).
 func TestKeyedEviction(t *testing.T) {
 	// Capacity equal to the probe limit: every key collides into one run.
-	e := NewKeyedState(keyedProbeLimit, false, false, nil)
+	e := NewKeyedState(keyedProbeLimit, nil)
 	w := time.Millisecond
 	slot := e.EnsureVar("v[pkt.src]", w)
 
@@ -229,14 +243,14 @@ func TestKeyedEviction(t *testing.T) {
 	if s.EvictExpired != 1 || s.EvictLossy != 1 {
 		t.Fatalf("expected one expired eviction, got %+v", s)
 	}
-	if got := e.Read(0, slot, 2000, AggCount, w, w+time.Microsecond); got != 1 {
+	if got := e.Read(slot, 2000, AggCount, w, w+time.Microsecond); got != 1 {
 		t.Fatalf("evicted-slot reinsert count = %d, want 1", got)
 	}
 }
 
 // TestKeyedVarsSorted checks the observability name surface.
 func TestKeyedVarsSorted(t *testing.T) {
-	e := NewKeyedState(64, false, false, nil)
+	e := NewKeyedState(64, nil)
 	e.EnsureVar("zeta", 0)
 	e.EnsureVar("alpha[pkt.src]", time.Millisecond)
 	vars := e.Vars()
@@ -304,15 +318,23 @@ func (o *oracleState) read(slot int, key uint64, agg AggKind, window, now time.D
 	return foldAgg(agg, c.count, c.sum, c.min, c.max, c.last)
 }
 
-// TestKeyedDifferentialOracle is the keyed-bank quick-check: random
-// keys, arguments and times driven concurrently from per-lane writer
-// goroutines (the single-writer contract) against a map+mutex oracle.
+// TestKeyedDifferentialOracle holds the engine to the map+mutex model,
+// the baseline every retired state path was measured against: raw bank
+// operations, then whole scenario workloads through the switch.
+func TestKeyedDifferentialOracle(t *testing.T) {
+	t.Run("random-ops", oracleRandomOps)
+	t.Run("scenarios", oracleScenarios)
+}
+
+// oracleRandomOps is the keyed-bank quick-check: random keys, arguments
+// and times driven concurrently from per-lane writer goroutines (the
+// single-writer contract) against the oracle.
 // The run is sized so no lossy eviction occurs — expired-cell evictions
 // are exercised and are exactly transparent under epoch-aligned windows
 // — so the engine must agree with the unbounded oracle bit-for-bit.
 // Run under -race this doubles as the engine's concurrency smoke:
 // readers snapshot cells while writers fold into them.
-func TestKeyedDifferentialOracle(t *testing.T) {
+func oracleRandomOps(t *testing.T) {
 	const (
 		lanes   = 4
 		keys    = 64 // per lane, disjoint across lanes
@@ -320,7 +342,7 @@ func TestKeyedDifferentialOracle(t *testing.T) {
 		perLane = 2000
 	)
 	window := time.Millisecond
-	e := NewKeyedState(1024, false, false, nil)
+	e := NewKeyedState(1024, nil)
 	e.EnsureLanes(lanes)
 	slotA := e.EnsureVar("a[pkt.src]", window)
 	slotB := e.EnsureVar("b[pkt.src]", 0) // windowless plain register
@@ -368,7 +390,7 @@ func TestKeyedDifferentialOracle(t *testing.T) {
 					return
 				default:
 				}
-				e.Read(0, slotA, uint64(r.Intn(lanes*keys)), AggAvg, window, time.Duration(r.Int63n(int64(rounds)*int64(window))))
+				e.Read(slotA, uint64(r.Intn(lanes*keys)), AggAvg, window, time.Duration(r.Int63n(int64(rounds)*int64(window))))
 				e.Snapshot("a[pkt.src]", "count", 0, 8)
 			}
 		}(g)
@@ -419,7 +441,7 @@ func TestKeyedDifferentialOracle(t *testing.T) {
 					w = 0
 				}
 				for _, agg := range aggs {
-					got := e.Read(0, slot, key, agg, w, probe)
+					got := e.Read(slot, key, agg, w, probe)
 					want := oracle.read(slot, key, agg, w, probe)
 					if got != want {
 						t.Fatalf("slot %d key %d agg %d at %v: engine %d, oracle %d", slot, key, agg, probe, got, want)
@@ -430,17 +452,138 @@ func TestKeyedDifferentialOracle(t *testing.T) {
 	}
 }
 
+// oracleScenarios replays both stateful scenario workloads through the
+// switch at 1 and 4 lanes — packets sharded to lanes by flow key, one
+// goroutine per lane, as the dataplane drives it — and requires every
+// forwarding decision to equal the model's: the same install-time
+// descriptors over the map oracle, matched by the reference table walk
+// (compiler.Table.Lookup) instead of the flattened lookups.
+func oracleScenarios(t *testing.T) {
+	const packets = 20000
+	for _, sc := range workload.Scenarios() {
+		sp, err := spec.Parse(sc.SpecSrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := compiler.CompileSource(sp, sc.RulesSrc, compiler.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// 10k packets per second of feed time: the run crosses the
+		// scenarios' 1s tumbling-window boundary.
+		gen := sc.NewGen(workload.ScenarioFeedConfig{Keys: 64, Rate: 10000, Seed: 5}, func(name string) (int, bool) {
+			i, err := prog.FieldIndex(name)
+			return i, err == nil
+		})
+		vals := make([][]uint64, packets)
+		at := make([]time.Duration, packets)
+		keys := make([]uint64, packets)
+		for i := range vals {
+			vals[i] = make([]uint64, len(prog.Fields))
+			at[i] = gen.Next(vals[i])
+			keys[i] = gen.Key(vals[i])
+		}
+
+		// Model decisions, serially in feed order. Per-key order is all
+		// that matters: a packet reads and writes only its own key's state.
+		sw, err := New(prog, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := sw.inst.Load()
+		oracle := newOracle()
+		want := make([][]int, packets)
+		alerts, forwards := 0, 0
+		row := make([]uint64, len(prog.Fields))
+		for i := range vals {
+			copy(row, vals[i])
+			want[i] = modelProcess(in, oracle, row, at[i])
+			for _, p := range want[i] {
+				if p == sc.AlertPort {
+					alerts++
+				} else if p == sc.ForwardPort {
+					forwards++
+				}
+			}
+		}
+		if alerts == 0 || forwards == 0 {
+			t.Fatalf("%s: degenerate run (forwards=%d alerts=%d)", sc.Name, forwards, alerts)
+		}
+
+		for _, lanes := range []int{1, 4} {
+			sw, err := New(prog, DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sw.State().EnsureLanes(lanes)
+			got := make([][]int, packets)
+			var wg sync.WaitGroup
+			for l := 0; l < lanes; l++ {
+				wg.Add(1)
+				go func(l int) {
+					defer wg.Done()
+					row := make([]uint64, len(prog.Fields))
+					for i := range vals {
+						if int(keys[i]%uint64(lanes)) == l {
+							copy(row, vals[i])
+							got[i] = sw.ProcessOn(l, row, at[i]).Ports
+						}
+					}
+				}(l)
+			}
+			wg.Wait()
+			if s := sw.State().Stats(); s.EvictLossy != 0 {
+				t.Fatalf("%s lanes=%d: %d lossy evictions; the model is unbounded", sc.Name, lanes, s.EvictLossy)
+			}
+			for i := range want {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("%s lanes=%d packet %d (key %d at %v): engine %v, model %v",
+						sc.Name, lanes, i, keys[i], at[i], got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// modelProcess is processOne over the oracle: state reads, the reference
+// table walk, then the matched action's updates.
+func modelProcess(in *installed, o *oracleState, vals []uint64, now time.Duration) []int {
+	key := func(idx int32) uint64 {
+		if idx < 0 {
+			return 0
+		}
+		return vals[idx]
+	}
+	for _, rd := range in.reads {
+		vals[rd.field] = o.read(int(rd.slot), key(rd.keyIdx), rd.agg, rd.window, now)
+	}
+	state := in.prog.InitialState
+	for i, t := range in.prog.Tables {
+		if e, ok := t.Lookup(state, vals[i]); ok {
+			state = e.Next
+		}
+	}
+	leaf, ok := in.prog.Leaf.Lookup(state, 0)
+	if !ok {
+		return nil
+	}
+	for _, u := range in.upds[leaf.Next] {
+		o.update(int(u.slot), key(u.keyIdx), u.zeroArg, key(u.argIdx), u.window, now)
+	}
+	return in.prog.Actions[leaf.Next].Ports
+}
+
 // TestKeyedStateZeroAlloc pins the engine's packet-path allocation
 // budget directly (the switch-level budget is TestProcessZeroAlloc).
 func TestKeyedStateZeroAlloc(t *testing.T) {
-	e := NewKeyedState(256, false, false, nil)
+	e := NewKeyedState(256, nil)
 	e.EnsureLanes(4)
 	slot := e.EnsureVar("v[pkt.src]", time.Millisecond)
 	w := time.Millisecond
 	var sink uint64
 	if allocs := testing.AllocsPerRun(1000, func() {
 		e.Update(1, slot, 77, false, 5, w, 0)
-		sink += e.Read(1, slot, 77, AggAvg, w, 0)
+		sink += e.Read(slot, 77, AggAvg, w, 0)
 	}); allocs != 0 {
 		t.Fatalf("keyed update+read allocates %v per op", allocs)
 	}
@@ -452,9 +595,8 @@ func TestKeyedStateZeroAlloc(t *testing.T) {
 // ProcessBatchOn with a multi-lane engine, so the cost includes the
 // cross-lane combine. The bench-agreement test holds it to ~0 allocs/op.
 func BenchmarkProcessBatchKeyed(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.StateLanes = 4
-	sw, prog := buildKeyedSwitch(b, cfg)
+	sw, prog := buildKeyedSwitch(b, DefaultConfig())
+	sw.State().EnsureLanes(4)
 	r := rand.New(rand.NewSource(17))
 	for _, batch := range []int{64} {
 		b.Run(fmt.Sprintf("batch-%d", batch), func(b *testing.B) {

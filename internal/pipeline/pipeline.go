@@ -40,25 +40,6 @@ type Config struct {
 	// through the registry and enables their hot-path maintenance. Nil
 	// keeps Process at its uninstrumented cost.
 	Telemetry *telemetry.Registry
-
-	// Keyed-state engine sizing (see keyedstate.go). StateLanes is the
-	// number of single-writer state lanes to pre-create (defaults to 1;
-	// embedders with worker sharding call EnsureLanes or set this to the
-	// worker count). StateCapacity is the cell count per lane per state
-	// variable (rounded up to a power of two; default 1024).
-	StateLanes    int
-	StateCapacity int
-
-	// StateMutex selects the retired global-mutex state path — a single
-	// bank set serialized by one lock, whatever lane a packet arrives
-	// on — kept as the measured A/B baseline for the sharded engine.
-	StateMutex bool
-
-	// StateAffine lets reads skip the cross-lane combine: the caller
-	// guarantees packets are sharded to lanes by the same flow key that
-	// keys the state (the locate-keyed lane affinity of the dataplane),
-	// so a key's state lives wholly on its lane.
-	StateAffine bool
 }
 
 // DefaultConfig models the 32-port switch used in the paper's testbed.
@@ -96,10 +77,7 @@ type Result struct {
 // variables go through the sharded keyed-state engine (keyedstate.go):
 // each worker lane owns its banks outright — single writer, no lock on
 // the packet path — provided callers honor the ProcessBatchOn contract
-// (one goroutine per lane index). The legacy discipline, every state
-// access behind one global mutex, survives under Config.StateMutex as
-// the measured A/B baseline; there Process and ProcessBatch are safe
-// from any goroutines without lane discipline, as before.
+// (one goroutine per lane index).
 type Switch struct {
 	cfg   Config
 	inst  atomic.Pointer[installed]
@@ -207,13 +185,9 @@ const (
 // fits the device's table resources.
 func New(prog *compiler.Program, cfg Config) (*Switch, error) {
 	if cfg.Ports == 0 {
-		saved := cfg
+		tel := cfg.Telemetry
 		cfg = DefaultConfig()
-		cfg.Telemetry = saved.Telemetry
-		cfg.StateLanes = saved.StateLanes
-		cfg.StateCapacity = saved.StateCapacity
-		cfg.StateMutex = saved.StateMutex
-		cfg.StateAffine = saved.StateAffine
+		cfg.Telemetry = tel
 	}
 	if err := CheckResources(prog, cfg); err != nil {
 		return nil, err
@@ -221,10 +195,7 @@ func New(prog *compiler.Program, cfg Config) (*Switch, error) {
 	sw := &Switch{
 		cfg:   cfg,
 		tel:   cfg.Telemetry,
-		state: NewKeyedState(cfg.StateCapacity, cfg.StateMutex, cfg.StateAffine, cfg.Telemetry),
-	}
-	if cfg.StateLanes > 1 {
-		sw.state.EnsureLanes(cfg.StateLanes)
+		state: NewKeyedState(defaultStateCapacity, cfg.Telemetry),
 	}
 	if sw.tel != nil {
 		sw.tableBase = make(map[string]uint64)
@@ -519,10 +490,8 @@ func (sw *Switch) ProcessBatch(values [][]uint64, now []time.Duration, out []Res
 // ProcessBatchOn is ProcessBatch for one state lane — the sharded
 // dataplane's entry point. The single-writer contract: at most one
 // goroutine issues packets for a given lane index at a time, and the
-// embedder calls EnsureLanes (or sets Config.StateLanes) up front.
-// Reads may cross lanes (see KeyedState.Read); updates touch only the
-// caller's lane. Under Config.StateMutex the lane index is ignored and
-// every state access serializes on the engine mutex — the baseline.
+// embedder calls State().EnsureLanes up front. Reads combine across
+// lanes (see KeyedState.Read); updates touch only the caller's lane.
 //
 //camus:hotpath bench=BenchmarkProcessBatchKeyed
 func (sw *Switch) ProcessBatchOn(lane int, values [][]uint64, now []time.Duration, out []Result) {
@@ -544,15 +513,14 @@ func (sw *Switch) ProcessBatchOn(lane int, values [][]uint64, now []time.Duratio
 func (sw *Switch) processOne(in *installed, lane int, values []uint64, now time.Duration) Result {
 	// Stage 0: state reads populate metadata. Slots, keys, folds and
 	// windows were resolved at install time (installed.reads), so the
-	// read is a bank probe plus the fold — no name-map probe, no lock
-	// outside mutex mode.
+	// read is a bank probe plus the fold — no name-map probe, no lock.
 	for i := range in.reads {
 		rd := &in.reads[i]
 		key := uint64(0)
 		if rd.keyIdx >= 0 {
 			key = values[rd.keyIdx]
 		}
-		values[rd.field] = sw.state.Read(lane, int(rd.slot), key, rd.agg, rd.window, now)
+		values[rd.field] = sw.state.Read(int(rd.slot), key, rd.agg, rd.window, now)
 	}
 	if len(in.reads) > 0 {
 		sw.regReads.Add(uint64(len(in.reads)))
@@ -601,8 +569,7 @@ func (sw *Switch) processOne(in *installed, lane int, values []uint64, now time.
 	// State updates execute in the action stage. Slots, key and argument
 	// field indices were resolved at install time (installed.upds), so
 	// the loop is array loads and the single-writer bank fold — no
-	// name-map probe, no first-touch allocation, no lock outside mutex
-	// mode.
+	// name-map probe, no first-touch allocation, no lock.
 	for i := range in.upds[ai] {
 		u := &in.upds[ai][i]
 		arg := uint64(0)

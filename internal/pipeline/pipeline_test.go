@@ -144,58 +144,6 @@ func TestStatefulAggregateWindow(t *testing.T) {
 	}
 }
 
-func TestRegisterAggregates(t *testing.T) {
-	r := &Register{Window: 100 * time.Microsecond}
-	now := time.Duration(0)
-	for _, v := range []uint64{10, 20, 30} {
-		r.Update(v, now)
-		now += time.Microsecond
-	}
-	if got := r.Value("avg", now); got != 20 {
-		t.Fatalf("avg = %d, want 20", got)
-	}
-	if got := r.Value("sum", now); got != 60 {
-		t.Fatalf("sum = %d", got)
-	}
-	if got := r.Value("count", now); got != 3 {
-		t.Fatalf("count = %d", got)
-	}
-	if got := r.Value("min", now); got != 10 {
-		t.Fatalf("min = %d", got)
-	}
-	if got := r.Value("max", now); got != 30 {
-		t.Fatalf("max = %d", got)
-	}
-	if got := r.Value("last", now); got != 30 {
-		t.Fatalf("last = %d", got)
-	}
-	// Window roll resets. Jump several windows ahead; the window start
-	// must land on a window boundary.
-	now += time.Millisecond
-	if got := r.Value("count", now); got != 0 {
-		t.Fatalf("count after roll = %d, want 0", got)
-	}
-	r.Update(5, now)
-	if got := r.Value("avg", now); got != 5 {
-		t.Fatalf("avg after roll = %d, want 5", got)
-	}
-}
-
-func TestRegisterFileZeroBeforeWrite(t *testing.T) {
-	f := NewRegisterFile()
-	if got := f.Read("ghost", "avg", 0); got != 0 {
-		t.Fatalf("unwritten register read = %d", got)
-	}
-	f.Update("c", "count", 999, 0)
-	f.Update("c", "count", 999, 0)
-	if got := f.Read("c", "count", 0); got != 2 {
-		t.Fatalf("count = %d, want 2", got)
-	}
-	if names := f.Names(); len(names) != 1 || names[0] != "c" {
-		t.Fatalf("names = %v", names)
-	}
-}
-
 func TestResourceRejection(t *testing.T) {
 	sp, err := spec.Parse(itchSpecSrc)
 	if err != nil {
