@@ -122,7 +122,7 @@ func main() {
 		fmt.Print(pipeline.Plan(prog, pipeline.DefaultConfig()))
 	}
 	if *dot {
-		fmt.Print(prog.BDD.Dot())
+		fmt.Print(prog.Dot())
 	}
 	if *dump {
 		fmt.Print(prog.Dump())

@@ -1,8 +1,12 @@
 // Package bdd implements the multi-terminal binary decision diagram at the
 // heart of the Camus compiler (§3.2 of the paper).
 //
-// Non-terminal nodes test an atomic predicate on a packet field; terminal
-// nodes hold the merged set of rule payloads (action sets) that match.
+// Non-terminal nodes test an atomic predicate on a packet field; a terminal
+// node stands for what is done to the packets that reach it — the class a
+// caller's Classifier gives the matching payloads (the compiler: their
+// merged action set), or, without one, the payload set itself. Terminals
+// are hash-consed on that class, so two regions that do the same thing for
+// different reasons are one node and the reductions below see through them.
 // The builder performs Shannon expansion over the rules' DNF conjunctions
 // and applies the paper's three reductions during construction:
 //
@@ -23,6 +27,7 @@ package bdd
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -61,7 +66,7 @@ type Conj struct {
 
 // Node is a BDD node. Non-terminals (Field >= 0) test whether the packet's
 // value for Field lies in Set, branching to True or False. Terminals
-// (Field == -1) carry the sorted, deduplicated payload union.
+// (Field == -1) carry the last three fields.
 type Node struct {
 	ID    int
 	Field int
@@ -69,8 +74,17 @@ type Node struct {
 	Label string
 	True  *Node
 	False *Node
-	// Payloads is non-nil only for terminals (and may be empty: the
-	// "no rule matched" terminal).
+	// Class is the Classifier's name for the terminal; -1 when the builder
+	// has none and the terminal is its payload set.
+	Class int
+	// Matches reports whether a packet reaching the terminal has anything
+	// done to it: the one definition of "matched" that Implies and its
+	// callers share.
+	Matches bool
+	// Payloads, the sorted, deduplicated payloads that matched, is kept only
+	// by a builder without a Classifier (and may be empty: the "no rule
+	// matched" terminal). A class terminal is reached by many payload sets
+	// and names none of them.
 	Payloads []int
 }
 
@@ -98,6 +112,13 @@ func (b *BDD) NumNodes() int { return len(b.nodes) }
 // NumInternal returns the number of predicate (non-terminal) nodes.
 func (b *BDD) NumInternal() int { return len(b.nodes) - len(b.terminals) }
 
+// Classifier names what is done to a packet matched by exactly the given
+// payloads (sorted, deduplicated, possibly none; not retained): equal
+// classes must mean equal treatment, and matches says whether that is
+// anything at all. It must answer the same way for the life of the arena it
+// is given to, and is asked once per distinct payload set.
+type Classifier func(payloads []int) (class int, matches bool)
+
 // Builder is a persistent hash-cons arena that can be reused across Build
 // calls. All nodes live in the arena; the memo, node, and terminal tables
 // are keyed purely by content (predicate interval sets, context sets, and
@@ -112,16 +133,23 @@ func (b *BDD) NumInternal() int { return len(b.nodes) - len(b.terminals) }
 type Builder struct {
 	fieldsKey  hash128
 	haveFields bool
+	classify   Classifier
 
-	memo     map[memoKey]*Node
-	nodeCons map[nodeKey]*Node
-	termCons map[hash128]*Node
-	nnodes   int // arena node counter; arena IDs are never reused
+	memo      map[memoKey]*Node
+	nodeCons  map[nodeKey]*Node
+	termCons  map[hash128]*Node // by payload set
+	classCons map[int]*Node     // by class, under a Classifier
+	nnodes    int               // arena node counter; arena IDs are never reused
 }
 
-// NewBuilder returns an empty reusable arena.
-func NewBuilder() *Builder {
-	bl := &Builder{}
+// NewBuilder returns an empty reusable arena whose terminals are payload
+// sets.
+func NewBuilder() *Builder { return NewClassBuilder(nil) }
+
+// NewClassBuilder returns an empty reusable arena whose terminals are the
+// classes classify gives payload sets.
+func NewClassBuilder(classify Classifier) *Builder {
+	bl := &Builder{classify: classify}
 	bl.Reset()
 	return bl
 }
@@ -131,14 +159,22 @@ func (bl *Builder) Reset() {
 	bl.memo = make(map[memoKey]*Node)
 	bl.nodeCons = make(map[nodeKey]*Node)
 	bl.termCons = make(map[hash128]*Node)
+	bl.classCons = make(map[int]*Node)
 	bl.nnodes = 0
 	bl.haveFields = false
 }
 
 // ArenaSize returns the number of nodes retained in the arena, counting
-// nodes from earlier builds that are no longer reachable. Callers can use
-// the ratio of ArenaSize to the live BDD size to decide when Reset pays.
+// nodes from earlier builds that are no longer reachable.
 func (bl *Builder) ArenaSize() int { return bl.nnodes }
+
+// Retained returns how much the arena holds on to: its nodes plus the
+// subproblem and payload-set table entries, stranded ones included. Under a
+// Classifier the tables grow with every new payload set even when it falls
+// into a class that already has its terminal and no node is made, so this,
+// not ArenaSize, is what to weigh against a cold build's Retained when
+// deciding that Reset pays.
+func (bl *Builder) Retained() int { return bl.nnodes + len(bl.memo) + len(bl.termCons) }
 
 // builder holds per-build construction state on top of a shared arena.
 type builder struct {
@@ -165,6 +201,7 @@ type builder struct {
 	bits      []uint64
 	ints      []int32
 	classes   []class
+	payloads  []int // terminal's scratch: the payload set being looked up
 }
 
 // memoKey identifies a (sub)problem during construction. The alive
@@ -417,7 +454,7 @@ func extract(root *Node, arenaNodes int) (nodes, terminals []*Node, pubRoot *Nod
 		}
 		var c *Node
 		if n.IsTerminal() {
-			c = &Node{ID: len(nodes), Field: -1, Payloads: n.Payloads}
+			c = &Node{ID: len(nodes), Field: -1, Class: n.Class, Matches: n.Matches, Payloads: n.Payloads}
 			nodes = append(nodes, c)
 			terminals = append(terminals, c)
 		} else {
@@ -635,9 +672,10 @@ func (b *builder) chain(f int, alive []int32, classes []class, ctx interval.Set,
 }
 
 // terminal hash-conses the terminal node for the given satisfied
-// conjunctions.
+// conjunctions: on their payload set, and under a Classifier, asked once
+// per payload set, on the class it gives them.
 func (b *builder) terminal(alive []int32) *Node {
-	payloads := make([]int, 0, len(alive))
+	payloads := b.payloads[:0]
 	sorted := true
 	for _, ci := range alive {
 		p := b.conjs[ci].payload
@@ -655,6 +693,7 @@ func (b *builder) terminal(alive []int32) *Node {
 		}
 	}
 	payloads = uniq
+	b.payloads = payloads
 	key := hashSeed
 	for _, p := range payloads {
 		key = key.word(uint64(p))
@@ -662,9 +701,23 @@ func (b *builder) terminal(alive []int32) *Node {
 	if n, ok := b.shared.termCons[key]; ok {
 		return n
 	}
-	n := &Node{ID: b.shared.nnodes, Field: -1, Payloads: payloads}
-	b.shared.nnodes++
+	var n *Node
+	if classify := b.shared.classify; classify == nil {
+		n = b.newTerminal(-1, len(payloads) > 0, slices.Clone(payloads))
+	} else {
+		class, matches := classify(payloads)
+		if n = b.shared.classCons[class]; n == nil {
+			n = b.newTerminal(class, matches, nil)
+			b.shared.classCons[class] = n
+		}
+	}
 	b.shared.termCons[key] = n
+	return n
+}
+
+func (b *builder) newTerminal(class int, matches bool, payloads []int) *Node {
+	n := &Node{ID: b.shared.nnodes, Field: -1, Class: class, Matches: matches, Payloads: payloads}
+	b.shared.nnodes++
 	return n
 }
 
@@ -681,11 +734,11 @@ func (b *builder) consNode(f int, p *pred, t, e *Node) *Node {
 	return n
 }
 
-// Eval walks the BDD for a packet whose field values are given in field
-// order (values[i] is the value of Fields[i]) and returns the matched
-// payload set. It is the reference semantics that the generated
-// match-action tables must agree with.
-func (b *BDD) Eval(values []uint64) []int {
+// Lookup walks the BDD for a packet whose field values are given in field
+// order (values[i] is the value of Fields[i]) and returns the terminal it
+// reaches. It is the reference semantics that the generated match-action
+// tables must agree with.
+func (b *BDD) Lookup(values []uint64) *Node {
 	n := b.Root
 	for !n.IsTerminal() {
 		if n.Set.Contains(values[n.Field]) {
@@ -694,7 +747,7 @@ func (b *BDD) Eval(values []uint64) []int {
 			n = n.False
 		}
 	}
-	return n.Payloads
+	return n
 }
 
 // CountPaths returns the number of distinct root-to-terminal paths,
@@ -728,8 +781,9 @@ func (b *BDD) CountPaths() uint64 {
 }
 
 // Dot renders the BDD in Graphviz dot format (solid edges = true branch,
-// dashed = false branch, mirroring Figure 3 in the paper).
-func (b *BDD) Dot() string {
+// dashed = false branch, mirroring Figure 3 in the paper). terminal labels
+// the terminals: the diagram does not know what its classes stand for.
+func (b *BDD) Dot(terminal func(*Node) string) string {
 	var sb strings.Builder
 	sb.WriteString("digraph bdd {\n  rankdir=TB;\n")
 	var walk func(n *Node, seen map[int]bool)
@@ -739,7 +793,7 @@ func (b *BDD) Dot() string {
 		}
 		seen[n.ID] = true
 		if n.IsTerminal() {
-			fmt.Fprintf(&sb, "  n%d [shape=box,label=\"%v\"];\n", n.ID, n.Payloads)
+			fmt.Fprintf(&sb, "  n%d [shape=box,label=%q];\n", n.ID, terminal(n))
 			return
 		}
 		label := n.Label

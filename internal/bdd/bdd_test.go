@@ -1,6 +1,7 @@
 package bdd
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -66,10 +67,10 @@ func TestBuildSingleEquality(t *testing.T) {
 	if b.Root.IsTerminal() {
 		t.Fatal("root should test the predicate")
 	}
-	if got := b.Eval([]uint64{42}); len(got) != 1 || got[0] != 0 {
+	if got := b.Lookup([]uint64{42}).Payloads; len(got) != 1 || got[0] != 0 {
 		t.Fatalf("Eval(42) = %v", got)
 	}
-	if got := b.Eval([]uint64{41}); len(got) != 0 {
+	if got := b.Lookup([]uint64{41}).Payloads; len(got) != 0 {
 		t.Fatalf("Eval(41) = %v", got)
 	}
 }
@@ -106,10 +107,10 @@ func TestReductionImpliedPredicateNotMaterialized(t *testing.T) {
 	if b.NumInternal() > 2 {
 		t.Fatalf("implied predicates materialized: %d internal nodes", b.NumInternal())
 	}
-	if got := b.Eval([]uint64{150}); len(got) != 1 {
+	if got := b.Lookup([]uint64{150}).Payloads; len(got) != 1 {
 		t.Fatalf("Eval(150) = %v", got)
 	}
-	if got := b.Eval([]uint64{75}); len(got) != 0 {
+	if got := b.Lookup([]uint64{75}).Payloads; len(got) != 0 {
 		t.Fatalf("Eval(75) = %v (75 is not > 100)", got)
 	}
 }
@@ -125,7 +126,7 @@ func TestUnsatisfiableConjunctionDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range []uint64{0, 5, 19, 50, 81, 100} {
-		got := b.Eval([]uint64{v})
+		got := b.Lookup([]uint64{v}).Payloads
 		for _, p := range got {
 			if p == 0 {
 				t.Fatalf("unsatisfiable conjunction matched value %d", v)
@@ -284,7 +285,7 @@ func TestEvalMatchesReferenceSemantics(t *testing.T) {
 		for probe := 0; probe < 200; probe++ {
 			values := []uint64{r.Uint64() % 64, r.Uint64() % 64, r.Uint64() % 64}
 			want := evalConjs(conjs, values)
-			got := b.Eval(values)
+			got := b.Lookup(values).Payloads
 			if got == nil {
 				got = []int{}
 			}
@@ -310,10 +311,12 @@ func TestHashConsingDeterminism(t *testing.T) {
 	if b1.NumNodes() != b2.NumNodes() {
 		t.Fatalf("same input, different node counts: %d vs %d", b1.NumNodes(), b2.NumNodes())
 	}
-	if b1.Dot() != b2.Dot() {
+	if b1.Dot(payloadLabel) != b2.Dot(payloadLabel) {
 		t.Fatal("same input, different structure")
 	}
 }
+
+func payloadLabel(n *Node) string { return fmt.Sprint(n.Payloads) }
 
 func TestDotOutput(t *testing.T) {
 	fields := []Field{{Name: "x", Max: 255}}
@@ -321,7 +324,7 @@ func TestDotOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dot := b.Dot()
+	dot := b.Dot(payloadLabel)
 	if len(dot) == 0 || dot[:7] != "digraph" {
 		t.Fatalf("bad dot output: %q", dot)
 	}
@@ -349,13 +352,13 @@ func TestPaperFigure3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := b.Eval([]uint64{59, aapl}); !reflect.DeepEqual(got, []int{0, 1}) {
+	if got := b.Lookup([]uint64{59, aapl}).Payloads; !reflect.DeepEqual(got, []int{0, 1}) {
 		t.Fatalf("AAPL @59 shares: %v", got)
 	}
-	if got := b.Eval([]uint64{101, msft}); !reflect.DeepEqual(got, []int{2}) {
+	if got := b.Lookup([]uint64{101, msft}).Payloads; !reflect.DeepEqual(got, []int{2}) {
 		t.Fatalf("MSFT @101 shares: %v", got)
 	}
-	if got := b.Eval([]uint64{80, aapl}); len(got) != 0 {
+	if got := b.Lookup([]uint64{80, aapl}).Payloads; len(got) != 0 {
 		t.Fatalf("AAPL @80 shares should match nothing: %v", got)
 	}
 	// Root must test shares (field 0): ordered BDD.

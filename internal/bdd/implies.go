@@ -7,8 +7,7 @@ import (
 )
 
 // Implies reports whether a ⊆ b as match predicates: every packet that a
-// routes to a non-empty payload set is also routed to a non-empty payload
-// set by b. This is the soundness obligation of a covering rule set — a
+// routes to a terminal that Matches is also routed to one by b. This is the soundness obligation of a covering rule set — a
 // spine program b covers a leaf program a iff Implies(a, b) holds, since
 // then no packet a subscriber behind the leaf would match can be dropped
 // at the spine.
@@ -19,9 +18,9 @@ import (
 // the at most four regions the two nodes' predicates cut it into; each
 // region decides both predicates, so both nodes can be descended
 // simultaneously. A node pair is a violation iff both are terminal, a's
-// payload set is non-empty, and b's is empty. On violation a concrete
-// witness packet (one value per field, in field order) is returned;
-// a.Eval(witness) is non-empty while b.Eval(witness) is empty.
+// matches, and b's does not. On violation a concrete witness packet (one
+// value per field, in field order) is returned: a.Lookup(witness) matches
+// while b.Lookup(witness) does not.
 //
 // Both diagrams must be over the same field list (same names, domains,
 // and order).
@@ -64,15 +63,15 @@ type impliesWalk struct {
 func (w *impliesWalk) ok(na, nb *Node, f int, ctx interval.Set) bool {
 	// A packet a cannot match is never a violation; one b always matches
 	// never is either. These two prunes make the walk linear in practice.
-	if na.IsTerminal() && len(na.Payloads) == 0 {
+	if na.IsTerminal() && !na.Matches {
 		return true
 	}
-	if nb.IsTerminal() && len(nb.Payloads) > 0 {
+	if nb.IsTerminal() && nb.Matches {
 		return true
 	}
 	if f == len(w.fields) {
 		// Ordered diagrams: past the last field both nodes are terminal.
-		return !(len(na.Payloads) > 0 && len(nb.Payloads) == 0)
+		return !(na.Matches && !nb.Matches)
 	}
 	if ctx.IsEmpty() {
 		ctx = interval.Full(w.fields[f].Max)

@@ -15,7 +15,7 @@ func bruteImplies(a, b *BDD) (bool, []uint64) {
 	var walk func(f int) []uint64
 	walk = func(f int) []uint64 {
 		if f == len(fields) {
-			if len(a.Eval(values)) > 0 && len(b.Eval(values)) == 0 {
+			if a.Lookup(values).Matches && !b.Lookup(values).Matches {
 				return append([]uint64(nil), values...)
 			}
 			return nil
@@ -58,9 +58,9 @@ func TestImpliesDifferential(t *testing.T) {
 			t.Fatalf("trial %d: Implies = %v, brute force = %v (counterexample %v)", trial, ok, wantOK, wantWitness)
 		}
 		if !ok {
-			if len(a.Eval(witness)) == 0 || len(b.Eval(witness)) != 0 {
+			if !a.Lookup(witness).Matches || b.Lookup(witness).Matches {
 				t.Fatalf("trial %d: witness %v is not a counterexample: a=%v b=%v",
-					trial, witness, a.Eval(witness), b.Eval(witness))
+					trial, witness, a.Lookup(witness).Payloads, b.Lookup(witness).Payloads)
 			}
 		}
 	}
@@ -104,7 +104,7 @@ func TestImpliesCoverByProjection(t *testing.T) {
 		if ok, witness, err := Implies(b, a); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		} else if !ok {
-			if len(b.Eval(witness)) == 0 || len(a.Eval(witness)) != 0 {
+			if !b.Lookup(witness).Matches || a.Lookup(witness).Matches {
 				t.Fatalf("trial %d: reverse witness %v is not genuine", trial, witness)
 			}
 		}
@@ -157,7 +157,7 @@ func TestImpliesEmptyAndFull(t *testing.T) {
 		if ok != tc.want {
 			t.Fatalf("%s: got %v, want %v", tc.name, ok, tc.want)
 		}
-		if !ok && (len(tc.a.Eval(witness)) == 0 || len(tc.b.Eval(witness)) != 0) {
+		if !ok && (!tc.a.Lookup(witness).Matches || tc.b.Lookup(witness).Matches) {
 			t.Fatalf("%s: witness %v not genuine", tc.name, witness)
 		}
 	}

@@ -26,7 +26,7 @@ func TestSingleConjunctionQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got := len(b.Eval([]uint64{uint64(probeA), uint64(probeB)})) == 1
+		got := len(b.Lookup([]uint64{uint64(probeA), uint64(probeB)}).Payloads) == 1
 		want := lo <= uint64(probeA) && uint64(probeA) <= hi && uint64(probeB) == uint64(bPoint)
 		return got == want
 	}
@@ -51,7 +51,7 @@ func TestDisjointPayloadUnionQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got := b.Eval([]uint64{pv})
+		got := b.Lookup([]uint64{pv}).Payloads
 		want := 0
 		if pv == v1 {
 			want++

@@ -14,22 +14,13 @@ import (
 // cross-component edge — i.e. every In node of every field component plus
 // every reachable terminal. Numbering is breadth-first from the root so
 // state IDs are deterministic and small. states is indexed by node ID and
-// holds -1 for the nodes that get no state.
-//
-// termAct maps terminal node IDs to their merged action set, numbered
-// 0..nActs-1; terminals with the same action set share one pipeline state
-// (an additional reduction on top of the BDD's payload-set hash-consing —
-// distinct rule sets often merge to identical actions, e.g. the same
-// forwarding port). leaves lists the first terminal given each such state,
-// in state order.
-func assignStates(b *bdd.BDD, termAct []int32, nActs int) (states, leaves []int) {
+// holds -1 for the nodes that get no state; leaves lists the terminals in
+// state order (one per action class: the builder has already merged the
+// terminals that do the same thing).
+func assignStates(b *bdd.BDD) (states, leaves []int) {
 	states = make([]int, b.NumNodes())
 	for i := range states {
 		states[i] = -1
-	}
-	actState := make([]int, nActs)
-	for i := range actState {
-		actState[i] = -1
 	}
 	next := 0
 	assign := func(n *bdd.Node) {
@@ -37,12 +28,6 @@ func assignStates(b *bdd.BDD, termAct []int32, nActs int) (states, leaves []int)
 			return
 		}
 		if n.IsTerminal() {
-			act := termAct[n.ID]
-			if actState[act] >= 0 {
-				states[n.ID] = actState[act]
-				return
-			}
-			actState[act] = next
 			leaves = append(leaves, n.ID)
 		}
 		states[n.ID] = next
@@ -81,7 +66,10 @@ type pathEntry struct {
 
 // algorithm1 computes, for each field, the component transition entries by
 // enumerating all In→Out paths within the field's subgraph and
-// intersecting the predicates along each path (Algorithm 1 in the paper).
+// intersecting the predicates along each path (Algorithm 1 in the paper),
+// then uniting the paths that share both ends: an ordered chain of tests
+// cannot itself merge two cells of the domain that reach one node by
+// different edges, but a table entry does not care how its range was cut.
 //
 // The BDD builder's reduction (iii) guarantees that the ranges of the
 // paths leaving an In node are disjoint and partition the field domain,
@@ -96,22 +84,29 @@ func algorithm1(b *bdd.BDD, states []int) [][]pathEntry {
 			inNodes[n.Field] = append(inNodes[n.Field], n)
 		}
 	}
+	at := make([]int, len(states))  // Out state -> 1 + its entry among the In node at hand's
+	var cells [][]interval.Interval // per entry of the In node at hand, the ranges that reach its Out state
 	for f := range b.Fields {
 		sort.Slice(inNodes[f], func(i, j int) bool {
 			return states[inNodes[f][i].ID] < states[inNodes[f][j].ID]
 		})
 		max := b.Fields[f].Max
 		for _, u := range inNodes[f] {
-			from := states[u.ID]
+			from, first := states[u.ID], len(perField[f])
+			cells = cells[:0]
 			var walk func(n *bdd.Node, r interval.Set)
 			walk = func(n *bdd.Node, r interval.Set) {
 				if r.IsEmpty() {
 					return
 				}
 				if n.Field != f { // left the component (later field or terminal)
-					perField[f] = append(perField[f], pathEntry{
-						fromState: from, set: r, toState: states[n.ID],
-					})
+					to := states[n.ID]
+					if at[to] == 0 {
+						perField[f] = append(perField[f], pathEntry{fromState: from, toState: to})
+						cells = append(cells, nil)
+						at[to] = len(cells)
+					}
+					cells[at[to]-1] = append(cells[at[to]-1], r.Intervals()...)
 					return
 				}
 				walk(n.True, r.Intersect(n.Set))
@@ -119,6 +114,11 @@ func algorithm1(b *bdd.BDD, states []int) [][]pathEntry {
 			}
 			walk(u.True, interval.Full(max).Intersect(u.Set))
 			walk(u.False, interval.Full(max).Minus(u.Set, max))
+			for i, ivs := range cells {
+				pe := &perField[f][first+i]
+				pe.set = interval.FromIntervals(ivs...)
+				at[pe.toState] = 0
+			}
 		}
 	}
 	return perField
@@ -157,16 +157,20 @@ func lowerEntries(f FieldInfo, paths []pathEntry) ([]Entry, error) {
 				def = i
 			}
 		}
-		if def < 0 && isExactKind(f) {
-			// All paths are single intervals; a non-point one must be the
-			// default since exact tables cannot hold ranges.
+		if isExactKind(f) {
+			// An exact table cannot hold a range: the path that has one must
+			// be the default.
+			ranged := -1
 			for i, pe := range ps {
-				if _, isPt := pe.set.IsPoint(); !isPt {
-					if def >= 0 {
+				if !pointsOnly(pe.set) {
+					if ranged >= 0 {
 						return nil, fmt.Errorf("field %s is declared exact but subscriptions induce range predicates on it", f.Name)
 					}
-					def = i
+					ranged = i
 				}
+			}
+			if ranged >= 0 {
+				def = ranged
 			}
 		}
 		for i, pe := range ps {
@@ -175,14 +179,11 @@ func lowerEntries(f FieldInfo, paths []pathEntry) ([]Entry, error) {
 				continue
 			}
 			for _, iv := range pe.set.Intervals() {
+				kind := EntryRange
 				if iv.IsPoint() {
-					out = append(out, Entry{State: st, Kind: EntryExact, Lo: iv.Lo, Hi: iv.Lo, Next: pe.toState, Priority: 1})
-				} else {
-					if isExactKind(f) {
-						return nil, fmt.Errorf("field %s is declared exact but subscriptions induce range predicates on it", f.Name)
-					}
-					out = append(out, Entry{State: st, Kind: EntryRange, Lo: iv.Lo, Hi: iv.Hi, Next: pe.toState, Priority: 1})
+					kind = EntryExact
 				}
+				out = append(out, Entry{State: st, Kind: kind, Lo: iv.Lo, Hi: iv.Hi, Next: pe.toState, Priority: 1})
 			}
 		}
 	}
@@ -192,6 +193,15 @@ func lowerEntries(f FieldInfo, paths []pathEntry) ([]Entry, error) {
 
 func isExactKind(f FieldInfo) bool {
 	return f.Match == spec.MatchExact
+}
+
+func pointsOnly(s interval.Set) bool {
+	for _, iv := range s.Intervals() {
+		if !iv.IsPoint() {
+			return false
+		}
+	}
+	return true
 }
 
 func sortEntries(entries []Entry) {

@@ -94,7 +94,7 @@ func CompileDNF(sp *spec.Spec, rules []lang.DNFRule, opts Options) (*Program, er
 	if err != nil {
 		return nil, err
 	}
-	prog, err := compileFromConjs(sp, res.fields, res.actions, flattenConjs(rcs), len(rules), opts, nil, nil)
+	prog, err := compileFromConjs(sp, res.fields, res.actions, flattenConjs(rcs), len(rules), opts, newClassArena())
 	if err != nil {
 		return nil, err
 	}
@@ -105,17 +105,61 @@ func CompileDNF(sp *spec.Spec, rules []lang.DNFRule, opts Options) (*Program, er
 	return prog, nil
 }
 
+// classArena is a BDD arena whose terminals are action classes: the
+// builder asks classify, once per distinct set of matching rules, for the
+// merged actions of that set, and a terminal is the index of its ActionSet in
+// sets. Two regions that come to the same actions are therefore one terminal
+// while the diagram is being built, and sharing and equal-branch elision
+// reduce it by what the rules do, not by which rules did it. Everything
+// downstream tells action sets apart by that index, and the control plane,
+// across programs, by the Key the merge gave them.
+//
+// A Session keeps one for its life — payload IDs map to the same actions
+// for as long (the resolver is append-only) — so a terminal whose subscriber
+// set survived the churn is found in the arena and nothing is merged again.
+type classArena struct {
+	builder *bdd.Builder
+	actions [][]lang.Action // payload -> rule actions, set for each build
+	sets    []ActionSet
+	byKey   map[string]int
+	merged  []int // per class, the build that last merged a payload set into it
+	build   int
+
+	ports []int // scratch
+	key   []byte
+}
+
+func newClassArena() *classArena {
+	ca := &classArena{byKey: make(map[string]int)}
+	ca.builder = bdd.NewClassBuilder(ca.classify)
+	return ca
+}
+
+func (ca *classArena) classify(payloads []int) (int, bool) {
+	var as ActionSet
+	as, ca.ports, ca.key = mergeActions(ca.actions, payloads, ca.ports, ca.key)
+	id, ok := ca.byKey[as.key]
+	if !ok {
+		id = len(ca.sets)
+		ca.byKey[as.key] = id
+		ca.sets = append(ca.sets, as)
+		ca.merged = append(ca.merged, 0)
+	}
+	ca.merged[id] = ca.build
+	return id, len(as.Ports) > 0 || len(as.Updates) > 0
+}
+
 // compileFromConjs is the compiler back end shared by one-shot compiles
-// and incremental Session recompiles: BDD construction (via the given
-// persistent builder, or a fresh arena when bl is nil), state assignment,
-// Algorithm 1, and the per-field lowering fan-out.
+// (a fresh arena) and incremental Session recompiles (the session's): BDD
+// construction, state assignment, Algorithm 1, and the per-field lowering
+// fan-out.
 //
 // Each field's table is independent once algorithm1 has sliced the BDD
 // into components, so lowering, exact-match re-typing, and domain
 // compression run concurrently across Options.Workers goroutines; results
 // land in a pre-sized slice, keeping the output bit-identical to serial.
 func compileFromConjs(sp *spec.Spec, fieldInfos []FieldInfo, actions [][]lang.Action,
-	conjs []bdd.Conj, nRules int, opts Options, bl *bdd.Builder, actMemo map[string]ActionSet) (*Program, error) {
+	conjs []bdd.Conj, nRules int, opts Options, ca *classArena) (*Program, error) {
 
 	// Copy the field table so option-driven rewrites (and later Session
 	// recompiles reusing the resolver) never alias a published Program.
@@ -129,62 +173,14 @@ func compileFromConjs(sp *spec.Spec, fieldInfos []FieldInfo, actions [][]lang.Ac
 	for i, f := range fields {
 		bddFields[i] = bdd.Field{Name: f.Name, Max: f.Max}
 	}
-	var b *bdd.BDD
-	var err error
-	if bl != nil {
-		b, err = bl.Build(bddFields, conjs)
-	} else {
-		b, err = bdd.Build(bddFields, conjs)
-	}
+	ca.actions = actions
+	ca.build++
+	b, err := ca.builder.Build(bddFields, conjs)
 	if err != nil {
 		return nil, err
 	}
 
-	// Merge each terminal's rule actions once, and number the distinct
-	// results: everything downstream (state assignment, the leaf table,
-	// group allocation) tells action sets apart by that number, and the
-	// control plane, across programs, by the Key the merge gave them.
-	// Session recompiles pass an actMemo keyed by the terminal's exact
-	// payload set: payload IDs map to the same actions for the life of a
-	// session (the resolver is append-only), so a terminal whose subscriber
-	// set survived the churn reuses its merged ActionSet instead of
-	// re-merging and re-sorting.
-	termAct := make([]int32, b.NumNodes()) // terminal node ID -> index into acts
-	var acts []ActionSet
-	actID := make(map[string]int32, len(b.Terminals()))
-	var scratch, key []byte
-	var ports []int
-	var memoHits, memoMisses uint64
-	for _, term := range b.Terminals() {
-		var as ActionSet
-		var ok bool
-		if actMemo != nil {
-			scratch = payloadKey(scratch[:0], term.Payloads)
-			as, ok = actMemo[string(scratch)]
-		}
-		if !ok {
-			memoMisses++
-			as, ports, key = mergeActions(actions, term.Payloads, ports, key)
-			if actMemo != nil {
-				actMemo[string(scratch)] = as
-			}
-		} else {
-			memoHits++
-		}
-		id, ok := actID[as.key]
-		if !ok {
-			id = int32(len(acts))
-			actID[as.key] = id
-			acts = append(acts, as)
-		}
-		termAct[term.ID] = id
-	}
-	if opts.Telemetry != nil && actMemo != nil {
-		opts.Telemetry.Counter("camus_compiler_memo_hits_total").Add(memoHits)
-		opts.Telemetry.Counter("camus_compiler_memo_misses_total").Add(memoMisses)
-	}
-
-	states, leaves := assignStates(b, termAct, len(acts))
+	states, leaves := assignStates(b)
 	perField := algorithm1(b, states)
 
 	prog := &Program{
@@ -192,6 +188,7 @@ func compileFromConjs(sp *spec.Spec, fieldInfos []FieldInfo, actions [][]lang.Ac
 		Fields:  fields,
 		BDD:     b,
 		Tables:  make([]*Table, len(fields)),
+		conjs:   conjs,
 		stateOf: states,
 	}
 	prog.InitialState = states[b.Root.ID]
@@ -217,20 +214,9 @@ func compileFromConjs(sp *spec.Spec, fieldInfos []FieldInfo, actions [][]lang.Ac
 		return nil, err
 	}
 
-	prog.buildLeaf(acts, termAct, leaves)
-	prog.computeStats(nRules, conjs)
+	prog.buildLeaf(ca.sets, leaves)
+	prog.computeStats(nRules)
 	return prog, nil
-}
-
-// payloadKey writes an exact (collision-free) encoding of a terminal's
-// payload ID set into buf — 4 bytes little-endian per ID (payload IDs are
-// dense small ints) — and returns the extended buffer. Callers look up the
-// memo with string(buf), which Go compiles to an allocation-free probe.
-func payloadKey(buf []byte, payloads []int) []byte {
-	for _, p := range payloads {
-		buf = append(buf, byte(p), byte(p>>8), byte(p>>16), byte(p>>24))
-	}
-	return buf
 }
 
 // autoExactLower applies the paper's second resource optimization: "the
@@ -256,19 +242,18 @@ func autoExactLower(t *Table) {
 	t.Match = spec.MatchExact
 }
 
-// buildLeaf constructs the leaf table: one entry per terminal state, in
-// state order, pointing at that state's action set and allocating
-// multicast groups for multi-port forwards. Terminals share a state exactly
-// when they share an action set; leaves names one terminal per state, states
-// ascending.
-func (p *Program) buildLeaf(acts []ActionSet, termAct []int32, leaves []int) {
+// buildLeaf constructs the leaf table: one entry per terminal, in state
+// order, pointing at the action set that is the terminal's class and
+// allocating multicast groups for multi-port forwards. leaves lists the
+// terminals, states ascending.
+func (p *Program) buildLeaf(sets []ActionSet, leaves []int) {
 	p.Leaf = &Table{Name: "leaf", Field: -1, Match: spec.MatchExact}
 	groupIdx := make(map[string]int) // encoded port set -> group
 	var scratch []byte
 	p.Actions = make([]ActionSet, 0, len(leaves))
 	p.Leaf.Entries = make([]Entry, 0, len(leaves))
 	for _, term := range leaves {
-		as := acts[termAct[term]]
+		as := sets[p.BDD.Nodes()[term].Class]
 		if len(as.Ports) > 1 {
 			scratch = appendPorts(scratch[:0], as.Ports)
 			g, ok := groupIdx[string(scratch)]
@@ -328,17 +313,17 @@ func mergeActions(ruleActions [][]lang.Action, payloads []int, ports []int, key 
 }
 
 // computeStats fills in the resource statistics.
-func (p *Program) computeStats(nRules int, conjs []bdd.Conj) {
+func (p *Program) computeStats(nRules int) {
 	s := Stats{
 		Rules:        nRules,
-		Conjunctions: len(conjs),
+		Conjunctions: len(p.conjs),
 		BDDNodes:     p.BDD.NumNodes(),
 		BDDTerminals: len(p.BDD.Terminals()),
 		LeafEntries:  len(p.Leaf.Entries),
 	}
 	for _, st := range p.stateOf {
 		if st >= 0 {
-			s.States++ // nodes that carry a state; terminals that share one each count
+			s.States++
 		}
 	}
 	s.TableEntries = len(p.Leaf.Entries)
@@ -360,7 +345,7 @@ func (p *Program) computeStats(nRules int, conjs []bdd.Conj) {
 					s.TCAMEntries++
 				}
 			case EntryRange:
-				s.TCAMEntries += len(interval.ExpandRange(e.Lo, e.Hi, bits))
+				s.TCAMEntries += interval.PrefixCount(e.Lo, e.Hi, bits)
 			case EntryWild:
 				s.TCAMEntries++
 			}

@@ -61,7 +61,7 @@ func (c *DomainCodec) TCAMCost(bits int) int {
 	n := 0
 	for code := range c.Bounds {
 		iv := c.IntervalFor(uint64(code))
-		n += len(interval.ExpandRange(iv.Lo, iv.Hi, bits))
+		n += interval.PrefixCount(iv.Lo, iv.Hi, bits)
 	}
 	return n
 }
@@ -127,7 +127,7 @@ func maybeCompress(t *Table, fi FieldInfo, opts Options) {
 	tcamBefore := 0
 	for _, e := range t.Entries {
 		if e.Kind == EntryRange {
-			tcamBefore += len(interval.ExpandRange(e.Lo, e.Hi, fi.Bits))
+			tcamBefore += interval.PrefixCount(e.Lo, e.Hi, fi.Bits)
 		}
 	}
 	if len(rewritten)+codec.NumIntervals() > len(t.Entries)+tcamBefore {

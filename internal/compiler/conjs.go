@@ -50,5 +50,5 @@ func CompileConjs(sp *spec.Spec, conjs []bdd.Conj, actions [][]lang.Action, opts
 			}
 		}
 	}
-	return compileFromConjs(sp, res.fields, actions, conjs, len(actions), opts, nil, nil)
+	return compileFromConjs(sp, res.fields, actions, conjs, len(actions), opts, newClassArena())
 }

@@ -1,0 +1,57 @@
+package compiler
+
+import (
+	"camus/internal/bdd"
+	"camus/internal/lang"
+	"camus/internal/spec"
+)
+
+// Exact is the oracle of TestReducedEqualsExact: the diagram the builder
+// makes of a rule set without a classifier, every terminal the exact set of
+// payloads that match, with the actions those payloads stand for.
+type Exact struct {
+	Fields  []FieldInfo
+	Conjs   []bdd.Conj
+	actions [][]lang.Action
+	diagram *bdd.BDD
+}
+
+// ExactOf resolves rules as Compile does and builds their payload-exact
+// diagram.
+func ExactOf(sp *spec.Spec, rules []lang.Rule) (*Exact, error) {
+	dnf, err := lang.NormalizeAll(rules)
+	if err != nil {
+		return nil, err
+	}
+	res := newResolver(sp)
+	rcs, err := res.resolveRules(dnf, 1)
+	if err != nil {
+		return nil, err
+	}
+	return exactOf(res.fields, flattenConjs(rcs), res.actions)
+}
+
+// ExactOfConjs is ExactOf for the input of CompileConjs.
+func ExactOfConjs(sp *spec.Spec, conjs []bdd.Conj, actions [][]lang.Action) (*Exact, error) {
+	return exactOf(newResolver(sp).fields, conjs, actions)
+}
+
+func exactOf(fields []FieldInfo, conjs []bdd.Conj, actions [][]lang.Action) (*Exact, error) {
+	bddFields := make([]bdd.Field, len(fields))
+	for i, f := range fields {
+		bddFields[i] = bdd.Field{Name: f.Name, Max: f.Max}
+	}
+	b, err := bdd.Build(bddFields, conjs)
+	return &Exact{Fields: fields, Conjs: conjs, actions: actions, diagram: b}, err
+}
+
+// Eval returns the payloads a packet matches and the Key of their merged
+// actions.
+func (e *Exact) Eval(values []uint64) (key string, payloads []int) {
+	payloads = e.diagram.Lookup(values).Payloads
+	as, _, _ := mergeActions(e.actions, payloads, nil, nil)
+	return as.Key(), payloads
+}
+
+// Nodes is the size of the payload-exact diagram.
+func (e *Exact) Nodes() int { return e.diagram.NumNodes() }

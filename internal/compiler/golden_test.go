@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"camus/internal/bdd"
 	"camus/internal/compiler"
 	"camus/internal/fabric"
 	"camus/internal/lang"
@@ -17,12 +18,28 @@ import (
 )
 
 // TestCompileGolden pins the compiler's output, bit for bit, on a corpus
-// that reaches every branch of the BDD builder and the lowering: the
-// digests below were recorded before the builder was restructured around
-// requirement classes, and a change to any of them means the compiler now
-// emits a different program for the same rules. That can be right — a new
-// reduction, a new table layout — but it is never an optimisation: record
-// the new digest in the change that explains why the output moved.
+// that reaches every branch of the BDD builder and the lowering: a change
+// to any digest below means the compiler now emits a different program for
+// the same rules. That can be right — a new reduction, a new table layout
+// — but it is never an optimisation: record the new digest in the change
+// that explains why the output moved, and prove the new program equivalent
+// (TestReducedEqualsExact).
+//
+// Recorded in PR 15, when terminals became action classes and Algorithm 1
+// began uniting same-target paths. The dump's terminal line lost the
+// payload list that class terminals do not have and names instead what the
+// terminal is — whether it matches, and its action set's Key — so every
+// digest changed text; dumped with a bare terminal line, the parent
+// (86ffcd2) and this change agreed on fabric-cover-stock,
+// fabric-cover-stock-price and empty — those programs did not move. The
+// six that did, parent → now:
+//
+//	fig5c-1kx2     bddNodes=2083 states=1093 entries=1196 (sram=104 tcam=8057 codec=0)      → bddNodes=376 states=105 entries=403 (sram=104 tcam=3762 codec=0)
+//	fig5c-2kx200   bddNodes=3725 states=1914 entries=11930 (sram=11829 tcam=445 codec=100)  → bddNodes=3632 states=1830 entries=11930 (same three)
+//	siena-ranges   bddNodes=27869 states=12569 entries=93767 (sram=92138 tcam=1848 codec=170) → bddNodes=5336 states=1530 entries=21149 (sram=20293 tcam=1070 codec=157)
+//	siena-default  bddNodes=360 states=233 entries=1048 (sram=856 tcam=470 codec=41)        → bddNodes=333 states=208 entries=1009 (sram=821 tcam=466 codec=41)
+//	multi-term-dnf bddNodes=33 states=19 entries=48 (sram=27 tcam=152 codec=5)              → bddNodes=33 states=19 entries=44 (sram=24 tcam=146 codec=5): the union alone
+//	itch-stateful  bddNodes=2794 states=1896 entries=2899 (sram=2499 tcam=4425 codec=5)     → bddNodes=298 states=106 entries=361 (sram=99 tcam=3540 codec=0)
 func TestCompileGolden(t *testing.T) {
 	digest := func(p *compiler.Program) string {
 		h := sha256.New()
@@ -32,7 +49,7 @@ func TestCompileGolden(t *testing.T) {
 	for _, c := range goldenCases(t) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			prog, err := c.compile()
+			prog, err := c.compile(compiler.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,13 +79,15 @@ func TestCompileGolden(t *testing.T) {
 }
 
 // goldenCase is one corpus entry. Cases made of rules also run through a
-// compiler.Session; the fabric covers have no rule form and do not.
+// compiler.Session; the fabric covers have no rule form and do not. exact
+// builds the case's payload-exact diagram, for TestReducedEqualsExact.
 type goldenCase struct {
 	name    string
 	digest  string
 	sp      *spec.Spec
 	rules   []lang.Rule
-	compile func() (*compiler.Program, error)
+	compile func(compiler.Options) (*compiler.Program, error)
+	exact   func() (*compiler.Exact, error)
 }
 
 // Keyed-state rules of the benchmark's itch-stateful workload: two 10 ms
@@ -100,7 +119,8 @@ func goldenCases(t *testing.T) []goldenCase {
 	}
 	rules := func(name, digest string, sp *spec.Spec, rules []lang.Rule) goldenCase {
 		return goldenCase{name: name, digest: digest, sp: sp, rules: rules,
-			compile: func() (*compiler.Program, error) { return compiler.Compile(sp, rules, compiler.Options{}) }}
+			compile: func(o compiler.Options) (*compiler.Program, error) { return compiler.Compile(sp, rules, o) },
+			exact:   func() (*compiler.Exact, error) { return compiler.ExactOf(sp, rules) }}
 	}
 	source := func(name, digest string, sp *spec.Spec, src string) goldenCase {
 		parsed, err := lang.ParseRules(src)
@@ -129,9 +149,9 @@ func goldenCases(t *testing.T) []goldenCase {
 	// A spine program: four leaves' rules projected onto keep fields and
 	// compiled through CompileConjs, once on the symbol alone (one
 	// many-interval predicate per leaf) and once on symbol and price.
-	cover := func(keep ...string) func() (*compiler.Program, error) {
-		return func() (*compiler.Program, error) {
-			sp := workload.ITCHSpec()
+	cover := func(name, digest string, keep ...string) goldenCase {
+		sp := workload.ITCHSpec()
+		covers := func() ([]fabric.Cover, []int, error) {
 			leaves := make([][]lang.Rule, 4)
 			for _, r := range itch(600, 16, 50, 16) {
 				leaf := r.Actions[0].Ports[0] % len(leaves)
@@ -142,24 +162,48 @@ func goldenCases(t *testing.T) []goldenCase {
 			for i, rules := range leaves {
 				c, err := fabric.ComputeCover(sp, rules, fabric.CoverOptions{KeepFields: keep})
 				if err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 				covers[i], ports[i] = c, 100+i
 			}
-			return fabric.SpineProgram(sp, covers, ports, compiler.Options{})
+			return covers, ports, nil
 		}
+		return goldenCase{name: name, digest: digest,
+			compile: func(o compiler.Options) (*compiler.Program, error) {
+				covers, ports, err := covers()
+				if err != nil {
+					return nil, err
+				}
+				return fabric.SpineProgram(sp, covers, ports, o)
+			},
+			exact: func() (*compiler.Exact, error) { // SpineProgram's input to CompileConjs
+				covers, ports, err := covers()
+				if err != nil {
+					return nil, err
+				}
+				var conjs []bdd.Conj
+				actions := make([][]lang.Action, len(covers))
+				for j, c := range covers {
+					actions[j] = []lang.Action{lang.Fwd(ports[j])}
+					for _, cj := range c.Conjs {
+						cj.Payload = j
+						conjs = append(conjs, cj)
+					}
+				}
+				return compiler.ExactOfConjs(sp, conjs, actions)
+			}}
 	}
 
 	return []goldenCase{
-		rules("fig5c-1kx2", "4f4bdec34a425a34fe487e97a5544082ce7e0be231b285fe29bb1f71d850ec42", workload.ITCHSpec(), itch(1000, 2, 1, 11)),
-		rules("fig5c-2kx200", "9ef3c466d3254f03f4982f79478e40cd43de2548c561dc9e554a07f184df3eda", workload.ITCHSpec(), itch(2000, 200, 10, 12)),
-		source("siena-ranges", "45f86aca5c97141ffcc140ed019a82742e1cc5da645546e1b223e1e2d445b4b7", workload.SienaSpec(siena), sienaRanges(siena, 160, 13)),
-		rules("siena-default", "c648f058788b38dfe3988b0e9a13803de59dfc5d447e9fca3f15962b599afe70", workload.SienaSpec(siena), workload.Siena(siena)),
-		source("multi-term-dnf", "65409e99f5bd3fc14e8ad6b6e5b6bbcd0ff49ff4a7c46141f6ed45b9f2141173", workload.ITCHSpec(), goldenMultiTerm),
-		source("itch-stateful", "6ec156d2ca279b400813b1527c5138a5695b2df4a36398a0cad0401ff44cce42", statefulSpec, stateful.String()),
-		{name: "fabric-cover-stock", digest: "403a865b19d8b5a83db6404b99acb88aa8fd4ce191b91908a0f0dc8fab363ed3", compile: cover("stock")},
-		{name: "fabric-cover-stock-price", digest: "60bec77f54a148d2bcd6eda0b67836af361df47d31d1820c3f048c317602d5ea", compile: cover("stock", "price")},
-		source("empty", "1c454e6331c4d1fc667c5c728457b543b58047ba2c8a27f49ff35d9ffc9b9a12", workload.ITCHSpec(), ""),
+		rules("fig5c-1kx2", "ab870d8052e094c428d18f2b87f001937c70cb06fd51505795b312b2111f5204", workload.ITCHSpec(), itch(1000, 2, 1, 11)),
+		rules("fig5c-2kx200", "975b3527d3b873b3899a87d012c008f47c87d2fcfcf2c5fcbd2e69fcb62e428e", workload.ITCHSpec(), itch(2000, 200, 10, 12)),
+		source("siena-ranges", "e1901c6cf69a1304160f4747a98005809c1398e3e6c117bf4808079d8a880c0d", workload.SienaSpec(siena), sienaRanges(siena, 160, 13)),
+		rules("siena-default", "a707204801013c878b42d567f3d099c606de8c47cbd2e92106ddb58aaf7f6b6c", workload.SienaSpec(siena), workload.Siena(siena)),
+		source("multi-term-dnf", "77e35445e9531dfd13f8e9f8ed99f9c35d9d4612712b18f5a100cf725ddea0a9", workload.ITCHSpec(), goldenMultiTerm),
+		source("itch-stateful", "de2200d843d6f64553859957ef1744d787f805145d065c45f65398f2687378bb", statefulSpec, stateful.String()),
+		cover("fabric-cover-stock", "fa3e7ae2a476def640371f29e7619d8311a31ab764714a4b73c7153e5f12ef3e", "stock"),
+		cover("fabric-cover-stock-price", "01f5b86c860726d468bda5c8425a9b067dc728646150f1e72ed9a2ef63f93672", "stock", "price"),
+		source("empty", "53b9f81218b14e03c5cd31f27018d1e3cd992443bacb7e30bee794c1faf099e5", workload.ITCHSpec(), ""),
 	}
 }
 
@@ -245,7 +289,10 @@ func dumpProgram(w io.Writer, p *compiler.Program) {
 			st = -1
 		}
 		if n.IsTerminal() {
-			fmt.Fprintf(w, "node %d state=%d payloads=%v\n", n.ID, st, n.Payloads)
+			// What Implies and VerifyCover decide on, and the class the leaf
+			// gives this terminal: a wrong classification moves the digest.
+			e, _ := p.Leaf.Lookup(st, 0)
+			fmt.Fprintf(w, "node %d state=%d terminal matches=%v class=%q\n", n.ID, st, n.Matches, p.Actions[e.Next].Key())
 			continue
 		}
 		fmt.Fprintf(w, "node %d state=%d field=%d set=%s label=%q true=%d false=%d\n",

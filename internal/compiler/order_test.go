@@ -36,7 +36,12 @@ func TestSuggestedOrderShrinksBDD(t *testing.T) {
 	// The workload of Fig. 5c: stock is the discriminator. Price-first
 	// ordering duplicates the per-stock price chains under every price
 	// cell; stock-first keeps them separate. The heuristic must pick the
-	// small one.
+	// small one: fewer nodes, fewer pipeline states, and fewer of the
+	// entries Algorithm 1 lowers them to. (Not fewer entries after domain
+	// compression: that re-encodes a range table as one exact row per code
+	// it covers, under either order some 2,000 rows on this rule set — 2,284
+	// against 2,291 when terminals were payload sets, 2,011 against 1,993
+	// now — so it is measured with compression off.)
 	r := rand.New(rand.NewSource(42))
 	var b strings.Builder
 	for i := 0; i < 300; i++ {
@@ -51,7 +56,8 @@ func TestSuggestedOrderShrinksBDD(t *testing.T) {
 	if err := badSpec.SetFieldOrder("price", "stock"); err != nil {
 		t.Fatal(err)
 	}
-	badProg, err := Compile(badSpec, rules, Options{})
+	opts := Options{DisableCompression: true}
+	badProg, err := Compile(badSpec, rules, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,17 +70,21 @@ func TestSuggestedOrderShrinksBDD(t *testing.T) {
 	if order[0] != "add_order.stock" {
 		t.Fatalf("heuristic picked %v", order)
 	}
-	goodProg, err := Compile(goodSpec, rules, Options{})
+	goodProg, err := Compile(goodSpec, rules, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if goodProg.Stats.BDDNodes >= badProg.Stats.BDDNodes {
-		t.Fatalf("suggested order should shrink the BDD: %d vs %d nodes",
+	if 2*goodProg.Stats.BDDNodes >= badProg.Stats.BDDNodes {
+		t.Fatalf("suggested order should halve the BDD: %d vs %d nodes",
 			goodProg.Stats.BDDNodes, badProg.Stats.BDDNodes)
 	}
-	if goodProg.Stats.TableEntries >= badProg.Stats.TableEntries {
-		t.Fatalf("suggested order should shrink tables: %d vs %d entries",
+	if goodProg.Stats.States >= badProg.Stats.States {
+		t.Fatalf("suggested order should need fewer states: %d vs %d",
+			goodProg.Stats.States, badProg.Stats.States)
+	}
+	if 2*goodProg.Stats.TableEntries >= badProg.Stats.TableEntries {
+		t.Fatalf("suggested order should halve the lowered tables: %d vs %d entries",
 			goodProg.Stats.TableEntries, badProg.Stats.TableEntries)
 	}
 

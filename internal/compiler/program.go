@@ -209,6 +209,10 @@ type Program struct {
 	InitialState int
 	Stats        Stats
 
+	// conjs are the resolved conjunctions the program was built from: what
+	// Trace evaluates to say which rules a packet matched (the BDD's
+	// terminals are action classes and name no rule).
+	conjs []bdd.Conj
 	// stateOf maps BDD node IDs to pipeline state numbers, -1 for the
 	// nodes that carry none (interior nodes of a field's component).
 	stateOf []int
@@ -246,6 +250,15 @@ func (p *Program) RemapStates(mapping map[int]int) {
 			p.stateOf[nodeID] = remap(st)
 		}
 	}
+}
+
+// Dot renders the BDD in Graphviz dot format, every terminal labelled with
+// its action set as in Figure 3 of the paper.
+func (p *Program) Dot() string {
+	return p.BDD.Dot(func(n *bdd.Node) string {
+		e, _ := p.Leaf.Lookup(p.stateOf[n.ID], 0)
+		return p.Actions[e.Next].String()
+	})
 }
 
 // NumStates returns the number of distinct pipeline states.

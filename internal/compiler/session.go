@@ -10,17 +10,15 @@ import (
 )
 
 // Session is an incremental compilation context for a churning
-// subscription set. It keeps four things alive across recompiles:
+// subscription set. It keeps three things alive across recompiles:
 //
 //   - the resolver, so each rule is normalized and resolved exactly once
 //     (added rules get persistent payload IDs that never shift when other
 //     rules are removed — the property that makes BDD memoization hit);
 //   - the per-rule resolved conjunctions, cached at AddRules time;
-//   - a bdd.Builder arena, so Recompile rebuilds only the sub-BDDs whose
-//     alive conjunction sets actually changed;
-//   - a merged-ActionSet memo keyed by terminal payload set, so terminals
-//     whose subscriber population survived the churn skip the
-//     merge-and-sort of their action lists.
+//   - a classArena, so Recompile rebuilds only the sub-BDDs whose alive
+//     conjunction sets actually changed, and merges and sorts action lists
+//     only for subscriber populations it has not met before.
 //
 // This is the compile-time half of the incremental story §3 of the paper
 // sketches ("BDD memoization at compile time and table-entry re-use at
@@ -36,36 +34,39 @@ type Session struct {
 	sp   *spec.Spec
 	opts Options
 
-	res     *resolver
-	builder *bdd.Builder
-	actMemo map[string]ActionSet // terminal payload set → merged ActionSet
+	res   *resolver
+	arena *classArena
 
 	order []int // live rule handles, insertion order
 	live  map[int]sessionRule
 
-	lastLiveNodes int // BDD size of the latest Recompile, for arena trimming
+	// What the arena retained after its first (cold) build, and for how
+	// many conjunctions: the measure of what the live set needs.
+	coldRetained, coldConjs int
 }
 
 type sessionRule struct {
 	conjs []bdd.Conj
 }
 
-// arenaSlack is the tolerated ratio of retained arena nodes to live BDD
-// nodes before Recompile discards the arena. Churn strands the sub-BDDs
+// arenaSlack is the tolerated ratio of what the arena retains (nodes and
+// memo-table entries) to what a cold build of the live set would, before
+// Recompile discards the arena. Churn strands the sub-BDDs and payload sets
 // of removed rules in the memo tables; resetting once they dominate keeps
-// memory proportional to the live set at the cost of one cold build.
+// memory proportional to the live set at the cost of one cold build. The
+// live set's need is the arena's own cold build, scaled by how the number of
+// conjunctions has moved since.
 const arenaSlack = 8
 
 // NewSession creates an empty incremental compilation session against a
 // spec. The options apply to every Recompile.
 func NewSession(sp *spec.Spec, opts Options) *Session {
 	return &Session{
-		sp:      sp,
-		opts:    opts,
-		res:     newResolver(sp),
-		builder: bdd.NewBuilder(),
-		actMemo: make(map[string]ActionSet),
-		live:    make(map[int]sessionRule),
+		sp:    sp,
+		opts:  opts,
+		res:   newResolver(sp),
+		arena: newClassArena(),
+		live:  make(map[int]sessionRule),
 	}
 }
 
@@ -74,7 +75,7 @@ func (s *Session) Len() int { return len(s.order) }
 
 // ArenaNodes reports the number of BDD nodes retained in the memo arena
 // (telemetry: warm recompiles reuse these instead of rebuilding).
-func (s *Session) ArenaNodes() int { return s.builder.ArenaSize() }
+func (s *Session) ArenaNodes() int { return s.arena.builder.ArenaSize() }
 
 // AddRules normalizes, resolves, and caches the given rules, returning
 // one handle per rule for later removal. The rules join the live set but
@@ -145,35 +146,48 @@ func (s *Session) RemoveRules(handles ...int) error {
 // over /metrics shows churn cost the way Fig. 5c plots it.
 func (s *Session) Recompile() (*Program, error) {
 	start := time.Now()
-	if s.builder.ArenaSize() > arenaSlack*s.lastLiveNodes+4096 {
-		s.builder.Reset()
-		// The action memo never goes stale (payload→action bindings are
-		// append-only), but it strands entries for payload sets that no
-		// longer occur; trim it on the same schedule as the arena.
-		s.actMemo = make(map[string]ActionSet)
-		if s.opts.Telemetry != nil {
-			s.opts.Telemetry.Counter("camus_compiler_arena_resets_total").Inc()
-		}
-	}
 	total := 0
 	for _, h := range s.order {
 		total += len(s.live[h].conjs)
 	}
+	live := s.coldRetained * (total + 1) / (s.coldConjs + 1)
+	if s.arena.builder.Retained() > arenaSlack*live+4096 {
+		// The classes never go stale (payload→action bindings are
+		// append-only), but churn strands those that no longer occur; they go
+		// with the terminals that name them.
+		s.arena = newClassArena()
+		if s.opts.Telemetry != nil {
+			s.opts.Telemetry.Counter("camus_compiler_arena_resets_total").Inc()
+		}
+	}
+	cold := s.arena.build == 0
 	conjs := make([]bdd.Conj, 0, total)
 	for _, h := range s.order {
 		conjs = append(conjs, s.live[h].conjs...)
 	}
-	prog, err := compileFromConjs(s.sp, s.res.fields, s.res.actions, conjs, len(s.order), s.opts, s.builder, s.actMemo)
+	prog, err := compileFromConjs(s.sp, s.res.fields, s.res.actions, conjs, len(s.order), s.opts, s.arena)
 	if err != nil {
 		return nil, err
 	}
-	s.lastLiveNodes = prog.Stats.BDDNodes
+	if cold {
+		s.coldRetained, s.coldConjs = s.arena.builder.Retained(), total
+	}
 	if tel := s.opts.Telemetry; tel != nil {
+		// A terminal is a miss when this recompile merged some payload set
+		// into its class, a hit when the arena already held all it needed.
+		var misses uint64
+		for _, term := range prog.BDD.Terminals() {
+			if s.arena.merged[term.Class] == s.arena.build {
+				misses++
+			}
+		}
+		tel.Counter("camus_compiler_memo_hits_total").Add(uint64(len(prog.BDD.Terminals())) - misses)
+		tel.Counter("camus_compiler_memo_misses_total").Add(misses)
 		tel.Counter("camus_compiler_recompiles_total").Inc()
 		tel.Histogram("camus_compiler_recompile_seconds").Observe(time.Since(start))
 		tel.Gauge("camus_compiler_rules").Set(int64(len(s.order)))
 		tel.Gauge("camus_compiler_bdd_nodes").Set(int64(prog.Stats.BDDNodes))
-		tel.Gauge("camus_compiler_arena_nodes").Set(int64(s.builder.ArenaSize()))
+		tel.Gauge("camus_compiler_arena_nodes").Set(int64(s.arena.builder.ArenaSize()))
 		tel.Gauge("camus_compiler_table_entries").Set(int64(prog.Stats.TableEntries))
 	}
 	return prog, nil

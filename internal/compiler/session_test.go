@@ -1,7 +1,9 @@
 package compiler
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -140,4 +142,84 @@ func TestSessionArenaTrimmed(t *testing.T) {
 	if s.ArenaNodes() > arenaSlack*prog.Stats.BDDNodes+4096 {
 		t.Fatalf("arena retains %d nodes for a %d-node live BDD", s.ArenaNodes(), prog.Stats.BDDNodes)
 	}
+}
+
+// TestSessionArenaBoundedWithinOneClass: churn that makes no node must still
+// be trimmed. Every symbol has two ports, so only each port's lowest
+// threshold decides anything; the churned rules sit above it, fall into
+// classes that already have their terminal and leave the node count flat
+// while the arena's payload-set and subproblem tables take an entry for each
+// new set of matching rules. What the arena retains has to stay within
+// arenaSlack of what a cold build of the same live set retains.
+func TestSessionArenaBoundedWithinOneClass(t *testing.T) {
+	sp := itchSpec(t)
+	const symbols, perSymbol, churn, rounds = 20, 10, 50, 300
+	rule := func(sym, k int) string {
+		return fmt.Sprintf("stock == S%02d && price > %d : fwd(%d)\n", sym, 100+k, 1+sym*2+k%2)
+	}
+	var base strings.Builder
+	for sym := 0; sym < symbols; sym++ {
+		for k := 0; k < perSymbol; k++ {
+			base.WriteString(rule(sym, k))
+		}
+	}
+	s := NewSession(sp, Options{})
+	if _, err := s.AddSource(base.String()); err != nil {
+		t.Fatal(err)
+	}
+	first, err := s.Recompile()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	next := perSymbol // thresholds above every symbol's lowest two
+	cold, resets, peak := 0, 0, 0
+	for round := 0; round < rounds; round++ {
+		var add strings.Builder
+		for i := 0; i < churn; i++ {
+			add.WriteString(rule(i%symbols, next))
+			next++
+		}
+		if round == 0 {
+			// What a cold build of the live set retains; every round's live
+			// set has this one's shape.
+			fresh := NewSession(sp, Options{})
+			if _, err := fresh.AddSource(base.String() + add.String()); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fresh.Recompile(); err != nil {
+				t.Fatal(err)
+			}
+			cold = fresh.arena.builder.Retained()
+		}
+		h, err := s.AddSource(add.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := s.arena
+		prog, err := s.Recompile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.arena != before {
+			resets++
+		}
+		if prog.Stats.BDDNodes != first.Stats.BDDNodes {
+			t.Fatalf("round %d: %d nodes, the unchurned set has %d: the churn left its classes", round, prog.Stats.BDDNodes, first.Stats.BDDNodes)
+		}
+		peak = max(peak, s.arena.builder.Retained())
+		if err := s.RemoveRules(h...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Recompile weighs the arena before it builds, so the build that tips it
+	// over adds its own entries on top: at most a cold build's worth.
+	bound := (arenaSlack+1)*cold + 4096
+	if peak > bound {
+		t.Fatalf("arena retained up to %d entries (%d nodes); a cold build retains %d, bound %d", peak, s.ArenaNodes(), cold, bound)
+	}
+	if resets == 0 {
+		t.Fatalf("no reset in %d rounds (peak %d, cold %d): the churn strands nothing and the test proves nothing", rounds, peak, cold)
+	}
+	t.Logf("cold %d, peak %d, bound %d, %d resets, %d arena nodes", cold, peak, bound, resets, s.ArenaNodes())
 }

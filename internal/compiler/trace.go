@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"camus/internal/spec"
@@ -23,15 +24,14 @@ func (s TraceStep) String() string {
 	return fmt.Sprintf("%-24s value=%-12d state %d: %s", s.Field, s.Value, s.FromState, s.Entry)
 }
 
-// Trace is a packet's full walk through the compiled tables, with the
-// matched rules recovered from the BDD terminal — the "why did this packet
-// go there" debugging view.
+// Trace is a packet's full walk through the compiled tables, beside the
+// rules it matched — the "why did this packet go there" debugging view.
 type Trace struct {
 	Steps      []TraceStep
 	FinalState int
 	Action     ActionSet
-	// MatchedRules lists the rule IDs whose conditions the packet
-	// satisfies (from the BDD terminal payload).
+	// MatchedRules lists, ascending, the rule IDs whose conditions the
+	// packet satisfies.
 	MatchedRules []int
 }
 
@@ -45,9 +45,11 @@ func (tr Trace) String() string {
 	return b.String()
 }
 
-// Trace runs a packet through the tables recording every lookup, and
-// recovers the matched rule set by walking the BDD with the same values.
-// It is the diagnostic twin of Evaluate (same semantics, more output).
+// Trace runs a packet through the tables recording every lookup, and finds
+// the matched rule set by evaluating every rule's resolved conjunctions on
+// the same values: O(rules), off the packet path, and independent of the
+// BDD and the tables it explains. It is the diagnostic twin of Evaluate
+// (same semantics, more output).
 func (p *Program) Trace(values []uint64) Trace {
 	tr := Trace{}
 	state := p.InitialState
@@ -67,7 +69,17 @@ func (p *Program) Trace(values []uint64) Trace {
 	} else {
 		tr.Action = ActionSet{Drop: true, Group: -1}
 	}
-	tr.MatchedRules = append(tr.MatchedRules, p.BDD.Eval(values)...)
+conjs:
+	for _, c := range p.conjs {
+		for _, con := range c.Constraints {
+			if !con.Set.Contains(values[con.Field]) {
+				continue conjs
+			}
+		}
+		tr.MatchedRules = append(tr.MatchedRules, c.Payload)
+	}
+	slices.Sort(tr.MatchedRules)
+	tr.MatchedRules = slices.Compact(tr.MatchedRules)
 	return tr
 }
 

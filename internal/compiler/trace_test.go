@@ -35,6 +35,25 @@ stock == AAPL : fwd(3)
 	}
 }
 
+// Two rules that do the same thing share every terminal they reach, so the
+// terminal cannot say which of them matched: Trace asks the rules.
+func TestTraceMatchedRulesAcrossOneClass(t *testing.T) {
+	sp := itchSpec(t)
+	p := compileSrc(t, sp, "price > 10 : fwd(1)\nprice > 20 : fwd(1)\n", Options{})
+	if n := len(p.BDD.Terminals()); n != 2 {
+		t.Fatalf("%d terminals, want drop and fwd(1)", n)
+	}
+	for price, want := range map[uint64][]int{5: nil, 15: {0}, 25: {0, 1}} {
+		tr := p.Trace(itchValues(p, 0, 0, price))
+		if !reflect.DeepEqual(tr.MatchedRules, want) {
+			t.Errorf("price %d: matched rules %v, want %v", price, tr.MatchedRules, want)
+		}
+		if got := tr.Action.String(); (want == nil) != (got == "drop()") {
+			t.Errorf("price %d: action %s beside matched rules %v", price, got, want)
+		}
+	}
+}
+
 func TestTraceMissShowsStateUnchanged(t *testing.T) {
 	sp := itchSpec(t)
 	p := compileSrc(t, sp, "stock == GOOGL : fwd(1)", Options{})

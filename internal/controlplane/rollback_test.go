@@ -190,9 +190,11 @@ func TestOversizedInstallLeavesProgramLive(t *testing.T) {
 	tiny.Stages = 8
 	forEachRoute(t, tiny, "stock == GOOGL : fwd(1)\n", func(t *testing.T, r *route) {
 		oldProg := r.ctl.Program()
+		// Every rule its own port: 200 thresholds cut the price into 201
+		// cells that each forward to a different set, so none can merge.
 		var big strings.Builder
 		for i := 0; i < 200; i++ {
-			fmt.Fprintf(&big, "price > %d : fwd(%d)\n", i+1, i%8+1)
+			fmt.Fprintf(&big, "price > %d : fwd(%d)\n", i+1, i+1)
 		}
 		if _, err := r.push(context.Background(), big.String()); err == nil {
 			t.Fatal("oversized install admitted")

@@ -144,7 +144,11 @@ stock == MSFT && shares >= 500 : fwd(2)
 		t.Fatalf("subscriber 2 got %q shares=%d", o.StockSymbol(), o.Shares)
 	}
 
-	// Counters.
+	// Counters. The lane counts a burst once the kernel has taken it, so
+	// both subscribers can hold their packets before Forwarded moves.
+	for deadline := time.Now().Add(2 * time.Second); sw.stats.Forwarded.Load() < 2 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if sw.stats.Datagrams.Load() != 1 || sw.stats.Messages.Load() != 3 ||
 		sw.stats.Matched.Load() != 2 || sw.stats.Forwarded.Load() != 2 {
 		t.Fatalf("stats: datagrams=%d msgs=%d matched=%d fwd=%d",

@@ -195,11 +195,13 @@ func SpineProgram(sp *spec.Spec, covers []Cover, ports []int, opts compiler.Opti
 	return compiler.CompileConjs(sp, conjs, actions, opts)
 }
 
-// VerifyCover proves containment: every packet the full program matches
-// (routes to a non-empty action set) is matched by the cover program too,
-// so no leaf predicate escapes its cover. On failure the witness is a
-// concrete packet (field values in pipeline order) the leaf wants but the
-// spine would drop.
+// VerifyCover proves containment: every packet the full program does
+// something with (forwards, or updates state on — bdd.Node.Matches) the
+// cover program forwards too, so no leaf predicate escapes its cover. A
+// region the leaf's rules only drop is no different from one they do not
+// mention, and need not be covered. On failure the witness is a concrete
+// packet (field values in pipeline order) the leaf wants but the spine
+// would drop.
 func VerifyCover(full, cover *compiler.Program) (ok bool, witness []uint64, err error) {
 	return bdd.Implies(full.BDD, cover.BDD)
 }

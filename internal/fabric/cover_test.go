@@ -92,7 +92,7 @@ func TestCoverContainsAndCompresses(t *testing.T) {
 				}
 				vals[stockIdx] = sym
 			}
-			if len(full.BDD.Eval(vals)) > 0 && len(coverProg.BDD.Eval(vals)) == 0 {
+			if len(full.Evaluate(vals).Ports) > 0 && len(coverProg.Evaluate(vals).Ports) == 0 {
 				t.Fatalf("leaf %d: packet %v matches leaf but not cover", j, vals)
 			}
 		}
@@ -159,5 +159,91 @@ func TestCoverMergesSingleFieldConjs(t *testing.T) {
 	}
 	if n := len(cover.Conjs[0].Constraints); n != 1 {
 		t.Fatalf("merged conjunction has %d constraints, want 1", n)
+	}
+}
+
+// TestVerifyCoverIgnoresDroppedRegions: a leaf's explicit drop() does to a
+// packet what matching no rule does, so a cover owes it nothing — and says
+// so whether the compiler met the dropping rule or the silent region first.
+// A forwarded or state-updating region that escapes still comes back as a
+// packet. The oracle evaluates both programs on every combination of the
+// values the rules distinguish.
+func TestVerifyCoverIgnoresDroppedRegions(t *testing.T) {
+	sp, err := spec.Parse(workload.ITCHSpecSource + "@query_counter(seen, 1000)\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		fwd    = "stock == GOOGL && price > 100 : fwd(1)\n"
+		drops  = "stock == MSFT : drop()\nstock == AAPL && price < 50 : drop()\n"
+		update = "stock == IBM : seen[add_order.stock] <- count()\n"
+	)
+	q, err := sp.LookupField("stock")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stocks []uint64
+	for _, sym := range []string{"GOOGL", "MSFT", "AAPL", "IBM", "ORCL"} {
+		v, err := spec.EncodeSymbol(q, sym)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stocks = append(stocks, v)
+	}
+	for _, tc := range []struct {
+		name, leaf, covered string
+		want                bool
+	}{
+		{"drops after, uncovered", fwd + drops, fwd, true},
+		{"drops first, uncovered", drops + fwd, fwd, true},
+		{"only drops, covered by nothing that matters", drops, fwd, true},
+		{"forward escapes", drops + fwd, drops, false},
+		{"update escapes", fwd + drops + update, fwd + drops, false},
+		{"update covered", update + drops + fwd, fwd + update, true},
+	} {
+		leafRules, err := lang.ParseRules(tc.leaf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := compiler.Compile(sp, leafRules, compiler.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		coveredRules, err := lang.ParseRules(tc.covered)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cover, err := ComputeCover(sp, coveredRules, CoverOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		coverProg, err := SpineProgram(sp, []Cover{cover}, []int{7}, compiler.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		escapes := func(vals []uint64) bool {
+			as := full.Evaluate(vals)
+			return (len(as.Ports) > 0 || len(as.Updates) > 0) && len(coverProg.Evaluate(vals).Ports) == 0
+		}
+		brute := true
+		stockIdx, _ := full.FieldIndex("stock")
+		priceIdx, _ := full.FieldIndex("price")
+		for _, s := range stocks {
+			for _, p := range []uint64{0, 49, 50, 100, 101, full.Fields[priceIdx].Max} {
+				vals := make([]uint64, len(full.Fields))
+				vals[stockIdx], vals[priceIdx] = s, p
+				brute = brute && !escapes(vals)
+			}
+		}
+		ok, witness, err := VerifyCover(full, coverProg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok != tc.want || ok != brute {
+			t.Errorf("%s: VerifyCover = %v, want %v, enumeration says %v (witness %v)", tc.name, ok, tc.want, brute, witness)
+		}
+		if !ok && !escapes(witness) {
+			t.Errorf("%s: witness %v does not escape: leaf %s, cover %s", tc.name, witness, full.Evaluate(witness), coverProg.Evaluate(witness))
+		}
 	}
 }

@@ -10,7 +10,9 @@
 package interval
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -68,13 +70,22 @@ func Range(lo, hi uint64) Set {
 }
 
 // FromIntervals builds a set from arbitrary (possibly overlapping,
-// unsorted) intervals.
+// unsorted) intervals, which it leaves as they are.
 func FromIntervals(ivs ...Interval) Set {
-	s := Empty()
-	for _, iv := range ivs {
-		s = s.Union(Set{ivs: []Interval{iv}})
+	if len(ivs) == 0 {
+		return Empty()
 	}
-	return s
+	ivs = append([]Interval(nil), ivs...)
+	slices.SortFunc(ivs, func(a, b Interval) int { return cmp.Compare(a.Lo, b.Lo) })
+	out := ivs[:1]
+	for _, iv := range ivs[1:] {
+		if last := &out[len(out)-1]; last.Hi == ^uint64(0) || iv.Lo <= last.Hi+1 {
+			last.Hi = maxU64(last.Hi, iv.Hi)
+		} else {
+			out = append(out, iv)
+		}
+	}
+	return Set{ivs: out}
 }
 
 // GreaterThan returns the set (n, max], i.e. values strictly above n.

@@ -65,12 +65,45 @@ func expand(lo, hi, blockLo, blockHi uint64, bitsLeft, width int, out *[]Prefix)
 	}
 }
 
+// PrefixCount returns len(ExpandRange(lo, hi, width)) without building the
+// prefixes: the walk that meets every maximal aligned block of the range
+// once, bottom up.
+func PrefixCount(lo, hi uint64, width int) int {
+	if width <= 0 || width > 64 {
+		panic("interval: PrefixCount width out of range")
+	}
+	if width < 64 && hi >= 1<<width {
+		hi = 1<<width - 1
+	}
+	if lo > hi {
+		return 0
+	}
+	// Per level: a lo that is a right child, a hi that is a left child, is a
+	// block of its own; step past it and move both up to their parents.
+	n := 0
+	for lo < hi {
+		if lo&1 == 1 {
+			n++
+			lo++
+		}
+		if hi&1 == 0 {
+			n++
+			hi--
+		}
+		if lo > hi { // the two met from either side: nothing is left between them
+			return n
+		}
+		lo, hi = lo>>1, hi>>1
+	}
+	return n + 1 // lo == hi: one block
+}
+
 // TCAMCost returns the number of TCAM entries needed to represent the set
 // over a width-bit field after range-to-prefix expansion.
 func (s Set) TCAMCost(width int) int {
 	n := 0
 	for _, iv := range s.ivs {
-		n += len(ExpandRange(iv.Lo, iv.Hi, width))
+		n += PrefixCount(iv.Lo, iv.Hi, width)
 	}
 	return n
 }

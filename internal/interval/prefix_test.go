@@ -95,3 +95,37 @@ func TestTCAMCost(t *testing.T) {
 		t.Fatalf("TCAMCost(empty) = %d, want 0", got)
 	}
 }
+
+// TestPrefixCountIsLenExpandRange: the count that builds nothing agrees
+// with the expansion, over random ranges at every width and on the shapes
+// the walk could get wrong — the whole domain, its two ends, points, ranges
+// that run off the domain or start beyond it, and empty ones.
+func TestPrefixCountIsLenExpandRange(t *testing.T) {
+	check := func(lo, hi uint64, width int) {
+		t.Helper()
+		if got, want := PrefixCount(lo, hi, width), len(ExpandRange(lo, hi, width)); got != want {
+			t.Fatalf("PrefixCount(%d, %d, %d) = %d, ExpandRange gives %d prefixes", lo, hi, width, got, want)
+		}
+	}
+	r := rand.New(rand.NewSource(15))
+	for width := 1; width <= 64; width++ {
+		max := ^uint64(0) >> (64 - width)
+		for _, c := range [][2]uint64{
+			{0, max}, {0, 0}, {max, max}, {1, max}, {0, max - 1}, {1, max - 1},
+			{max / 2, max/2 + 1}, {0, ^uint64(0)}, {max, ^uint64(0)}, {5, 3},
+		} {
+			check(c[0], c[1], width)
+		}
+		if width < 64 {
+			check(max+1, max+9, width) // wholly outside the domain
+		}
+		for i := 0; i < 500; i++ {
+			lo, hi := r.Uint64()&max, r.Uint64()&max
+			if i%4 == 0 { // narrow ranges, which random ends almost never give
+				hi = lo + r.Uint64()%64
+			}
+			check(lo, hi, width)
+			check(lo, lo, width)
+		}
+	}
+}

@@ -81,7 +81,7 @@ func demand(t *compiler.Table, fi compiler.FieldInfo) TableDemand {
 				d.TCAM++
 			}
 		case compiler.EntryRange:
-			d.TCAM += len(interval.ExpandRange(e.Lo, e.Hi, fi.Bits))
+			d.TCAM += interval.PrefixCount(e.Lo, e.Hi, fi.Bits)
 		case compiler.EntryWild:
 			d.TCAM++
 		}
