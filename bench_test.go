@@ -6,6 +6,7 @@ package camus
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -98,8 +99,10 @@ func BenchmarkFig5cCompileTime(b *testing.B) {
 // BenchmarkCompileCold is the cost gate of a cold compile at the two rule
 // shapes the socket benchmark sets up with: 10k Fig. 5c rules over 2 hosts
 // (itch-sparse) and 20k over 200 hosts and a 10-wide price grid
-// (subs-churn). Workers is 1, so allocs/op is a property of the code and
-// not of the host's core count.
+// (subs-churn) — from parsed rules and, as the live update path does, from
+// source text. Workers is 1, so allocs/op is a property of the code and not
+// of the host's core count, but for source/default, which parses and
+// normalizes on every core.
 func BenchmarkCompileCold(b *testing.B) {
 	sp := workload.ITCHSpec()
 	for _, v := range []struct {
@@ -109,16 +112,31 @@ func BenchmarkCompileCold(b *testing.B) {
 		{"10k×2", workload.ITCHSubsConfig{Subscriptions: 10000, Stocks: 100, Hosts: 2, PriceMax: 1000, PriceGrid: 1, Seed: 1}},
 		{"20k×200", workload.ITCHSubsConfig{Subscriptions: 20000, Stocks: 100, Hosts: 200, PriceMax: 1000, PriceGrid: 10, Seed: 1}},
 	} {
-		b.Run(v.name, func(b *testing.B) {
-			rules := workload.ITCHSubscriptions(v.cfg)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := compiler.Compile(sp, rules, compiler.Options{Workers: 1}); err != nil {
-					b.Fatal(err)
+		rules := workload.ITCHSubscriptions(v.cfg)
+		var text strings.Builder
+		for _, r := range rules {
+			text.WriteString(r.String() + "\n")
+		}
+		src := text.String()
+		for _, from := range []struct {
+			name    string
+			compile func() (*compiler.Program, error)
+		}{
+			{"", func() (*compiler.Program, error) { return compiler.Compile(sp, rules, compiler.Options{Workers: 1}) }},
+			{"/source", func() (*compiler.Program, error) {
+				return compiler.CompileSource(sp, src, compiler.Options{Workers: 1})
+			}},
+			{"/source/default", func() (*compiler.Program, error) { return compiler.CompileSource(sp, src, compiler.Options{}) }},
+		} {
+			b.Run(v.name+from.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := from.compile(); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

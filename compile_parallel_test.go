@@ -61,9 +61,8 @@ func randomProgramProbes(p *compiler.Program, n int, seed int64) [][]uint64 {
 
 // TestParallelCompileMatchesSerialITCH is the differential guarantee the
 // Workers knob advertises: on the Fig. 5c ITCH workload, a parallel
-// compile is bit-identical to the fully serial one. The workload size is
-// chosen to exceed the parallel-normalization threshold so every fan-out
-// path actually runs.
+// compile is bit-identical to the fully serial one. The workload is more
+// than one front-end chunk, so every fan-out path actually runs.
 func TestParallelCompileMatchesSerialITCH(t *testing.T) {
 	sp := workload.ITCHSpec()
 	cfg := workload.DefaultITCHSubsConfig()

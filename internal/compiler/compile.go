@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"slices"
@@ -32,14 +33,14 @@ type Options struct {
 	// ignoring exact-match annotations — the "what if we couldn't use
 	// SRAM" ablation for §3.2's second resource optimization.
 	ForceRangeTables bool
-	// Workers bounds the worker pool used for DNF normalization, rule
-	// resolution, and the per-field table back end. 0 means GOMAXPROCS;
+	// Workers bounds the worker pool used for parsing and DNF normalization
+	// and for the per-field table back end. 0 means GOMAXPROCS;
 	// 1 forces the fully serial path. Parallel output is bit-identical to
 	// serial output (enforced by differential tests).
 	Workers int
-	// Telemetry, when non-nil, receives compile metrics: recompile
-	// durations, BDD node counts, and the Session memo hit rate. It has
-	// no effect on compilation output.
+	// Telemetry, when non-nil, receives compile metrics: compile, recompile
+	// and per-stage durations, BDD node counts, and the Session memo hit
+	// rate. It has no effect on compilation output.
 	Telemetry *telemetry.Registry
 }
 
@@ -64,37 +65,89 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Compile runs the dynamic compilation step: subscription rules are
-// normalized to DNF, resolved against the spec, folded into a
-// multi-terminal BDD, and lowered to table entries via Algorithm 1.
-// Normalization, resolution, and the per-field back end are chunked
-// across Options.Workers goroutines.
-func Compile(sp *spec.Spec, rules []lang.Rule, opts Options) (*Program, error) {
-	dnf, err := lang.NormalizeAllParallel(rules, opts.workers())
-	if err != nil {
-		return nil, err
+// observeStage records the time one stage of a compile took.
+func (o Options) observeStage(stage string, start time.Time) {
+	if o.Telemetry != nil {
+		o.Telemetry.Histogram("camus_compiler_stage_seconds", telemetry.L("stage", stage)).Observe(time.Since(start))
 	}
-	return CompileDNF(sp, dnf, opts)
 }
 
-// CompileSource parses the rule source text and compiles it.
-func CompileSource(sp *spec.Spec, ruleSrc string, opts Options) (*Program, error) {
-	rules, err := lang.ParseRules(ruleSrc)
-	if err != nil {
-		return nil, err
-	}
-	return Compile(sp, rules, opts)
+// chunkRules is how many rules the front end parses and normalizes at a
+// time: enough that a chunk's goroutine is noise beside its work, few enough
+// that the chunks in flight are a small part of what the compile retains.
+const chunkRules = 1024
+
+// source is what a compile starts from: rules already parsed, or rule text.
+type source struct {
+	rules []lang.Rule
+	text  string
 }
 
-// CompileDNF compiles rules that are already in disjunctive normal form.
-func CompileDNF(sp *spec.Spec, rules []lang.DNFRule, opts Options) (*Program, error) {
+// chunks cuts the source into runs of at most chunkRules rules and returns
+// how many there are and the function, safe to call for different chunks at
+// once, that brings the i-th to normal form. Text is cut by lang.Chunks, so
+// rule IDs, positions and diagnostics are the whole source's.
+func (s source) chunks() (int, func(int) ([]lang.DNFRule, error)) {
+	if n := len(s.rules); s.rules != nil {
+		return (n + chunkRules - 1) / chunkRules, func(i int) ([]lang.DNFRule, error) {
+			return lang.NormalizeAll(s.rules[i*chunkRules : min((i+1)*chunkRules, n)])
+		}
+	}
+	parsers := lang.Chunks(s.text, chunkRules)
+	return len(parsers), func(i int) ([]lang.DNFRule, error) {
+		rules, err := parsers[i].Rules()
+		if err != nil {
+			return nil, err
+		}
+		return lang.NormalizeAll(rules)
+	}
+}
+
+// frontEnd is the one pass every entry point takes from a source to resolved
+// rules. Options.Workers goroutines parse and normalize a chunk each, at most
+// that many chunks ahead; resolve is called on this goroutine for every rule
+// in source order, which keeps payload IDs, synthetic fields and the first
+// error those of a serial pass. A chunk's AST and DNF are garbage once
+// resolve has seen its rules. It stops between chunks when ctx is done.
+func frontEnd(ctx context.Context, src source, opts Options, resolve func(*lang.DNFRule) error) error {
+	defer opts.observeStage("frontend", time.Now())
+	n, normalize := src.chunks()
+	return conc.Ordered(n, opts.workers(), normalize, func(dnf []lang.DNFRule) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		for i := range dnf {
+			if err := resolve(&dnf[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// resolveSource runs the front end into a fresh resolver: the conjunctions
+// of the whole source, in source order, and the number of rules.
+func resolveSource(ctx context.Context, sp *spec.Spec, src source, opts Options) (*resolver, []bdd.Conj, int, error) {
+	res, n := newResolver(sp), 0
+	var conjs []bdd.Conj
+	err := frontEnd(ctx, src, opts, func(rule *lang.DNFRule) (err error) {
+		n++
+		conjs, _, err = res.resolve(rule, conjs)
+		return err
+	})
+	return res, conjs, n, err
+}
+
+// compile is the dynamic compilation step: subscription rules are normalized
+// to DNF and resolved against the spec chunk by chunk (frontEnd), folded into
+// a multi-terminal BDD, and lowered to table entries via Algorithm 1.
+func compile(ctx context.Context, sp *spec.Spec, src source, opts Options) (*Program, error) {
 	start := time.Now()
-	res := newResolver(sp)
-	rcs, err := res.resolveRules(rules, opts.workers())
+	res, conjs, n, err := resolveSource(ctx, sp, src, opts)
 	if err != nil {
 		return nil, err
 	}
-	prog, err := compileFromConjs(sp, res.fields, res.actions, flattenConjs(rcs), len(rules), opts, newClassArena())
+	prog, err := compileFromConjs(sp, res.fields, res.actions, conjs, n, opts, newClassArena())
 	if err != nil {
 		return nil, err
 	}
@@ -103,6 +156,22 @@ func CompileDNF(sp *spec.Spec, rules []lang.DNFRule, opts Options) (*Program, er
 		tel.Histogram("camus_compiler_compile_seconds").Observe(time.Since(start))
 	}
 	return prog, nil
+}
+
+// Compile compiles parsed rules.
+func Compile(sp *spec.Spec, rules []lang.Rule, opts Options) (*Program, error) {
+	return compile(context.Background(), sp, source{rules: rules}, opts)
+}
+
+// CompileSource parses the rule source text and compiles it.
+func CompileSource(sp *spec.Spec, ruleSrc string, opts Options) (*Program, error) {
+	return CompileSourceContext(context.Background(), sp, ruleSrc, opts)
+}
+
+// CompileSourceContext is CompileSource that gives up, with ctx's error,
+// between chunks of the front end once ctx is done.
+func CompileSourceContext(ctx context.Context, sp *spec.Spec, ruleSrc string, opts Options) (*Program, error) {
+	return compile(ctx, sp, source{text: ruleSrc}, opts)
 }
 
 // classArena is a BDD arena whose terminals are action classes: the
@@ -161,6 +230,7 @@ func (ca *classArena) classify(payloads []int) (int, bool) {
 func compileFromConjs(sp *spec.Spec, fieldInfos []FieldInfo, actions [][]lang.Action,
 	conjs []bdd.Conj, nRules int, opts Options, ca *classArena) (*Program, error) {
 
+	start := time.Now()
 	// Copy the field table so option-driven rewrites (and later Session
 	// recompiles reusing the resolver) never alias a published Program.
 	fields := append([]FieldInfo(nil), fieldInfos...)
@@ -179,6 +249,8 @@ func compileFromConjs(sp *spec.Spec, fieldInfos []FieldInfo, actions [][]lang.Ac
 	if err != nil {
 		return nil, err
 	}
+	opts.observeStage("build", start)
+	start = time.Now()
 
 	states, leaves := assignStates(b)
 	perField := algorithm1(b, states)
@@ -216,6 +288,7 @@ func compileFromConjs(sp *spec.Spec, fieldInfos []FieldInfo, actions [][]lang.Ac
 
 	prog.buildLeaf(ca.sets, leaves)
 	prog.computeStats(nRules)
+	opts.observeStage("lower", start)
 	return prog, nil
 }
 

@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"context"
 	"fmt"
 
 	"camus/internal/bdd"
@@ -16,16 +17,11 @@ import (
 // existential quantification — before rebuilding a coarser program with
 // CompileConjs.
 func ResolveConjs(sp *spec.Spec, rules []lang.Rule, opts Options) ([]FieldInfo, []bdd.Conj, error) {
-	dnf, err := lang.NormalizeAllParallel(rules, opts.workers())
+	res, conjs, _, err := resolveSource(context.Background(), sp, source{rules: rules}, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	res := newResolver(sp)
-	rcs, err := res.resolveRules(dnf, opts.workers())
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.fields, flattenConjs(rcs), nil
+	return res.fields, conjs, nil
 }
 
 // CompileConjs compiles raw BDD conjunctions — each payload indexing the

@@ -1,6 +1,8 @@
 package compiler
 
 import (
+	"context"
+
 	"camus/internal/bdd"
 	"camus/internal/lang"
 	"camus/internal/spec"
@@ -19,16 +21,11 @@ type Exact struct {
 // ExactOf resolves rules as Compile does and builds their payload-exact
 // diagram.
 func ExactOf(sp *spec.Spec, rules []lang.Rule) (*Exact, error) {
-	dnf, err := lang.NormalizeAll(rules)
+	res, conjs, _, err := resolveSource(context.Background(), sp, source{rules: rules}, Options{Workers: 1})
 	if err != nil {
 		return nil, err
 	}
-	res := newResolver(sp)
-	rcs, err := res.resolveRules(dnf, 1)
-	if err != nil {
-		return nil, err
-	}
-	return exactOf(res.fields, flattenConjs(rcs), res.actions)
+	return exactOf(res.fields, conjs, res.actions)
 }
 
 // ExactOfConjs is ExactOf for the input of CompileConjs.
@@ -55,3 +52,18 @@ func (e *Exact) Eval(values []uint64) (key string, payloads []int) {
 
 // Nodes is the size of the payload-exact diagram.
 func (e *Exact) Nodes() int { return e.diagram.NumNodes() }
+
+// ChunkRules is the front end's chunk size, for tests that cut at its seams.
+const ChunkRules = chunkRules
+
+// Conjs is what the program retains of its rules.
+func (p *Program) Conjs() []bdd.Conj { return p.conjs }
+
+// LiveConjs is what the session retains of its live rules.
+func (s *Session) LiveConjs() []bdd.Conj {
+	var out []bdd.Conj
+	for _, h := range s.order {
+		out = append(out, s.live[h]...)
+	}
+	return out
+}

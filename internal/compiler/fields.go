@@ -11,7 +11,6 @@ import (
 	"sort"
 
 	"camus/internal/bdd"
-	"camus/internal/conc"
 	"camus/internal/interval"
 	"camus/internal/lang"
 	"camus/internal/spec"
@@ -74,16 +73,18 @@ const AggWindowUS = 100
 // stateFieldBits is the width used for synthetic aggregate fields.
 const stateFieldBits = 32
 
-// resolver turns parsed rules into BDD inputs against a spec.
+// resolver turns parsed rules into BDD inputs against a spec. It only ever
+// grows: fields, payload IDs and predicates, once given, keep their meaning.
 type resolver struct {
 	spec    *spec.Spec
 	fields  []FieldInfo
 	byName  map[string]int
-	actions [][]lang.Action // per rule ID
+	actions [][]lang.Action          // per payload ID
+	preds   map[lang.Atom]*predicate // by the atom less its position
 }
 
 func newResolver(sp *spec.Spec) *resolver {
-	r := &resolver{spec: sp, byName: make(map[string]int)}
+	r := &resolver{spec: sp, byName: make(map[string]int), preds: make(map[lang.Atom]*predicate)}
 	for _, q := range sp.OrderedQueries() {
 		r.byName[q.Name] = len(r.fields)
 		r.fields = append(r.fields, FieldInfo{
@@ -265,129 +266,95 @@ func (r *resolver) atomSet(fieldIdx int, a lang.Atom) (interval.Set, error) {
 	return interval.Set{}, fmt.Errorf("predicate %s: unknown operator", a)
 }
 
-// ruleConjs is the resolved form of one rule: its BDD conjunctions plus
-// the payload IDs allocated for the rule and (if it contains aggregate
-// predicates) its implicit state-update companion. The IDs index the
-// resolver's actions table and stay valid for the resolver's lifetime, so
-// a Session can cache resolved rules across recompiles.
-type ruleConjs struct {
-	RuleID   int
-	UpdateID int // -1 when the rule needs no companion
-	Conjs    []bdd.Conj
+// predicate is one distinct atom — operand, operator, constant — resolved
+// against the spec the first time a rule uses it. Every later use is a map
+// lookup and shares the constraint, its interval set and the atom that labels
+// it: a Program or a Session holds one atom per predicate, not one per use.
+type predicate struct {
+	atom   lang.Atom      // without a position: what con.Label points at
+	con    bdd.Constraint // formatted from atom only if the BDD asks
+	update *lang.Action   // the implicit update a self-updating macro atom carries
 }
 
-// resolveRules lowers DNF rules to BDD conjunctions. Rules containing
-// aggregate predicates are split per the paper's semantics ("the macro avg
-// stores the current average, which is updated when the rest of the rule
-// matches"): the aggregate's state-update rides on a companion rule whose
-// condition is the original minus the aggregate atoms.
-//
-// Resolution runs in two phases so the expensive part can fan out across
-// workers without losing determinism. Phase 1 walks rules serially and
-// performs every resolver mutation: payload-ID allocation, synthetic
-// state-field creation (order-sensitive), and companion-action
-// registration. Phase 2 converts atoms to interval sets — pure reads of
-// the now-frozen field table — in parallel, one rule per work item.
-// Output is position-stable, hence identical to a serial resolve.
-func (r *resolver) resolveRules(rules []lang.DNFRule, workers int) ([]ruleConjs, error) {
-	out := make([]ruleConjs, len(rules))
-	fieldIdx := make([][][]int, len(rules)) // rule -> conjunction -> atom -> field index
-
-	for ri := range rules {
-		rule := &rules[ri]
-		actions, err := r.canonicalizeActions(rule.Actions)
-		if err != nil {
-			return nil, fmt.Errorf("rule %d: %w", rule.ID, err)
-		}
-		out[ri] = ruleConjs{RuleID: len(r.actions), UpdateID: -1}
-		r.actions = append(r.actions, actions)
-		fieldIdx[ri] = make([][]int, len(rule.Conjunctions))
-
-		for ci, c := range rule.Conjunctions {
-			idxs := make([]int, len(c))
-			var implicitUpdates []lang.Action
-			for ai, atom := range c {
-				idx, err := r.fieldIndex(atom.LHS)
-				if err != nil {
-					return nil, fmt.Errorf("rule %d: %w", rule.ID, err)
-				}
-				idxs[ai] = idx
-				if r.fields[idx].SelfUpdating() && atom.LHS.IsAggregate() {
-					u := lang.KeyedStateUpdate(r.fields[idx].StateVar, r.fields[idx].KeyField,
-						atom.LHS.Agg, r.fields[idx].BaseField)
-					implicitUpdates = append(implicitUpdates, u)
-				}
-			}
-			fieldIdx[ri][ci] = idxs
-			if len(implicitUpdates) > 0 {
-				if out[ri].UpdateID < 0 {
-					out[ri].UpdateID = len(r.actions)
-					r.actions = append(r.actions, nil)
-				}
-				for _, u := range implicitUpdates {
-					if !containsAction(r.actions[out[ri].UpdateID], u) {
-						r.actions[out[ri].UpdateID] = append(r.actions[out[ri].UpdateID], u)
-					}
-				}
-			}
-		}
+// predicate interns an atom, creating its synthetic state field on first
+// use of the operand.
+func (r *resolver) predicate(a lang.Atom) (*predicate, error) {
+	a.Pos = lang.Pos{}
+	if p, ok := r.preds[a]; ok {
+		return p, nil
 	}
-
-	errs := make([]error, len(rules))
-	conc.ForEach(len(rules), workers, func(ri int) {
-		rule := &rules[ri]
-		rc := &out[ri]
-		for ci, c := range rule.Conjunctions {
-			full := bdd.Conj{Payload: rc.RuleID, Constraints: make([]bdd.Constraint, 0, len(c))}
-			// The companion condition strips only self-updating macro atoms:
-			// reads of explicitly updated variables (keyed or not) carry no
-			// implicit update to ride on it. It is begun at the first such
-			// atom, so a rule without one pays nothing for it.
-			rest := bdd.Conj{Payload: rc.UpdateID}
-			hasAggregate := false
-			for ai := range c {
-				atom := &c[ai] // also the constraint's label, formatted only if the BDD asks
-				idx := fieldIdx[ri][ci][ai]
-				set, err := r.atomSet(idx, *atom)
-				if err != nil {
-					errs[ri] = fmt.Errorf("rule %d: %w", rule.ID, err)
-					return
-				}
-				con := bdd.Constraint{Field: idx, Set: set, Label: atom}
-				if r.fields[idx].SelfUpdating() && atom.LHS.IsAggregate() {
-					if !hasAggregate {
-						hasAggregate = true
-						rest.Constraints = append(rest.Constraints, full.Constraints...)
-					}
-				} else if hasAggregate {
-					rest.Constraints = append(rest.Constraints, con)
-				}
-				full.Constraints = append(full.Constraints, con)
-			}
-			rc.Conjs = append(rc.Conjs, full)
-			if hasAggregate {
-				rc.Conjs = append(rc.Conjs, rest)
-			}
-		}
-	})
-	if err := conc.FirstError(errs); err != nil {
+	idx, err := r.fieldIndex(a.LHS)
+	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	set, err := r.atomSet(idx, a)
+	if err != nil {
+		return nil, err
+	}
+	p := &predicate{atom: a}
+	p.con = bdd.Constraint{Field: idx, Set: set, Label: &p.atom}
+	if f := r.fields[idx]; f.SelfUpdating() && a.LHS.IsAggregate() {
+		u := lang.KeyedStateUpdate(f.StateVar, f.KeyField, a.LHS.Agg, f.BaseField)
+		p.update = &u
+	}
+	r.preds[a] = p
+	return p, nil
 }
 
-// flattenConjs concatenates per-rule conjunctions in rule order — the
-// exact sequence a serial single-pass resolve would emit.
-func flattenConjs(rcs []ruleConjs) []bdd.Conj {
-	total := 0
-	for _, rc := range rcs {
-		total += len(rc.Conjs)
+// resolve lowers one DNF rule to BDD conjunctions, appended to out, and
+// returns the payload ID allocated for the rule. IDs index the resolver's
+// actions table and stay valid for its lifetime, so a Session can cache
+// resolved rules across recompiles. A rule containing aggregate predicates is
+// split per the paper's semantics ("the macro avg stores the current average,
+// which is updated when the rest of the rule matches"): the aggregate's state
+// update rides on a companion conjunction, under a payload ID of its own,
+// whose condition is the original minus the aggregate atoms. Rules are
+// resolved one by one in source order, and that order is the output's:
+// payload IDs count rules and companions as they come, and a synthetic state
+// field is created where its operand first appears.
+func (r *resolver) resolve(rule *lang.DNFRule, out []bdd.Conj) ([]bdd.Conj, int, error) {
+	actions, err := r.canonicalizeActions(rule.Actions)
+	if err != nil {
+		return out, 0, fmt.Errorf("rule %d: %w", rule.ID, err)
 	}
-	out := make([]bdd.Conj, 0, total)
-	for _, rc := range rcs {
-		out = append(out, rc.Conjs...)
+	ruleID, updateID := len(r.actions), -1
+	r.actions = append(r.actions, actions)
+	for _, c := range rule.Conjunctions {
+		full := bdd.Conj{Payload: ruleID, Constraints: make([]bdd.Constraint, 0, len(c))}
+		// The companion condition strips only self-updating macro atoms:
+		// reads of explicitly updated variables (keyed or not) carry no
+		// implicit update to ride on it. It is begun at the first such
+		// atom, so a rule without one pays nothing for it.
+		var rest []bdd.Constraint
+		hasAggregate := false
+		for _, atom := range c {
+			p, err := r.predicate(atom)
+			if err != nil {
+				return out, 0, fmt.Errorf("rule %d: %w", rule.ID, err)
+			}
+			if p.update != nil {
+				if !hasAggregate {
+					hasAggregate = true
+					rest = append(rest, full.Constraints...)
+				}
+				if updateID < 0 {
+					updateID = len(r.actions)
+					r.actions = append(r.actions, nil)
+				}
+				if !containsAction(r.actions[updateID], *p.update) {
+					r.actions[updateID] = append(r.actions[updateID], *p.update)
+				}
+			} else if hasAggregate {
+				rest = append(rest, p.con)
+			}
+			full.Constraints = append(full.Constraints, p.con)
+		}
+		out = append(out, full)
+		if hasAggregate {
+			out = append(out, bdd.Conj{Payload: updateID, Constraints: rest})
+		}
 	}
-	return out
+	return out, ruleID, nil
 }
 
 // canonicalizeActions validates keyed state updates and rewrites their

@@ -41,11 +41,7 @@ import (
 //	multi-term-dnf bddNodes=33 states=19 entries=48 (sram=27 tcam=152 codec=5)              → bddNodes=33 states=19 entries=44 (sram=24 tcam=146 codec=5): the union alone
 //	itch-stateful  bddNodes=2794 states=1896 entries=2899 (sram=2499 tcam=4425 codec=5)     → bddNodes=298 states=106 entries=361 (sram=99 tcam=3540 codec=0)
 func TestCompileGolden(t *testing.T) {
-	digest := func(p *compiler.Program) string {
-		h := sha256.New()
-		dumpProgram(h, p)
-		return hex.EncodeToString(h.Sum(nil))
-	}
+	digest := programDigest
 	for _, c := range goldenCases(t) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
@@ -76,6 +72,13 @@ func TestCompileGolden(t *testing.T) {
 			}
 		})
 	}
+}
+
+// programDigest hashes everything a Program carries (dumpProgram).
+func programDigest(p *compiler.Program) string {
+	h := sha256.New()
+	dumpProgram(h, p)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // goldenCase is one corpus entry. Cases made of rules also run through a
@@ -302,26 +305,44 @@ func dumpProgram(w io.Writer, p *compiler.Program) {
 }
 
 // TestCompileAllocsPerRule is the cost gate of a cold compile: how many
-// heap objects a Fig. 5c rule costs from rule AST to installed-ready
-// Program, with one worker so the number belongs to the code and not to
-// the host. The bound sits a quarter above what the compiler does today
-// (35.1 per rule at 2k×200 under go1.24; before the class-expanding
-// builder and interned action sets, 98.2); a change that brings back a
-// per-constraint string or a per-terminal map goes through it.
+// heap objects a Fig. 5c rule costs on the way to an installed-ready Program
+// — from its AST and, as a live update pays it, from source text — with one
+// worker so the number belongs to the code and not to the host. Each bound
+// sits a quarter above what the compiler does today (24.3 and 37.3 per rule
+// at 2k×200 under go1.24; 35.1 from the AST before predicates were interned,
+// 98.2 before the class-expanding builder and interned action sets); a
+// change that brings back a per-constraint string, a per-use atom or a
+// per-terminal map goes through it.
 func TestCompileAllocsPerRule(t *testing.T) {
-	const n, bound = 2000, 44.0
+	const n = 2000
 	sp := workload.ITCHSpec()
 	rules := workload.ITCHSubscriptions(workload.ITCHSubsConfig{
 		Subscriptions: n, Stocks: 100, Hosts: 200, PriceMax: 1000, PriceGrid: 10, Seed: 12,
 	})
-	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := compiler.Compile(sp, rules, compiler.Options{Workers: 1}); err != nil {
-			t.Fatal(err)
+	var text strings.Builder
+	for _, r := range rules {
+		text.WriteString(r.String() + "\n")
+	}
+	src := text.String()
+	for _, from := range []struct {
+		name    string
+		bound   float64
+		compile func() (*compiler.Program, error)
+	}{
+		{"rules", 31, func() (*compiler.Program, error) { return compiler.Compile(sp, rules, compiler.Options{Workers: 1}) }},
+		{"source", 47, func() (*compiler.Program, error) {
+			return compiler.CompileSource(sp, src, compiler.Options{Workers: 1})
+		}},
+	} {
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := from.compile(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if perRule := allocs / n; perRule > from.bound {
+			t.Errorf("from %s: %.1f allocations per rule compiling %d rules, bound %.0f", from.name, perRule, n, from.bound)
+		} else {
+			t.Logf("from %s: %.1f allocations per rule", from.name, perRule)
 		}
-	})
-	if perRule := allocs / n; perRule > bound {
-		t.Errorf("%.1f allocations per rule compiling %d rules, bound %.0f", perRule, n, bound)
-	} else {
-		t.Logf("%.1f allocations per rule", perRule)
 	}
 }

@@ -88,7 +88,7 @@ func TestRemapStatesPreservesSemantics(t *testing.T) {
 	for st := 0; st < p.NumStates(); st++ {
 		mapping[st] = st + 1000
 	}
-	p.RemapStates(mapping)
+	p.RemapStates(func(s int) int { return mapping[s] })
 	if p.InitialState < 1000 {
 		t.Fatalf("initial state not remapped: %d", p.InitialState)
 	}

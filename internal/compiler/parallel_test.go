@@ -65,7 +65,7 @@ func randomProbes(p *Program, n int, seed int64) [][]uint64 {
 
 // TestParallelCompileMatchesSerialWithAggregates covers the stateful path:
 // rules with aggregate predicates split into companion update rules during
-// resolution, whose two-phase parallel form must stay position-stable.
+// resolution, whatever the number of workers feeding the resolver.
 func TestParallelCompileMatchesSerialWithAggregates(t *testing.T) {
 	sp := itchSpec(t)
 	src := `stock == GOOGL && avg(price) > 50 : fwd(1)

@@ -227,14 +227,8 @@ func (p *Program) StateOf(nodeID int) (int, bool) {
 }
 
 // RemapStates renumbers pipeline states in place (entries, leaf, initial
-// state). Every current state must appear in the mapping.
-func (p *Program) RemapStates(mapping map[int]int) {
-	remap := func(s int) int {
-		if ns, ok := mapping[s]; ok {
-			return ns
-		}
-		return s
-	}
+// state): state s becomes remap(s).
+func (p *Program) RemapStates(remap func(s int) int) {
 	for _, t := range p.Tables {
 		for i := range t.Entries {
 			t.Entries[i].State = remap(t.Entries[i].State)

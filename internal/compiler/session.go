@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -14,7 +15,8 @@ import (
 //
 //   - the resolver, so each rule is normalized and resolved exactly once
 //     (added rules get persistent payload IDs that never shift when other
-//     rules are removed — the property that makes BDD memoization hit);
+//     rules are removed — the property that makes BDD memoization hit) and
+//     each distinct predicate is held once however many rules use it;
 //   - the per-rule resolved conjunctions, cached at AddRules time;
 //   - a classArena, so Recompile rebuilds only the sub-BDDs whose alive
 //     conjunction sets actually changed, and merges and sorts action lists
@@ -37,16 +39,12 @@ type Session struct {
 	res   *resolver
 	arena *classArena
 
-	order []int // live rule handles, insertion order
-	live  map[int]sessionRule
+	order []int              // live rule handles, insertion order
+	live  map[int][]bdd.Conj // by handle: the rule's resolved conjunctions
 
 	// What the arena retained after its first (cold) build, and for how
 	// many conjunctions: the measure of what the live set needs.
 	coldRetained, coldConjs int
-}
-
-type sessionRule struct {
-	conjs []bdd.Conj
 }
 
 // arenaSlack is the tolerated ratio of what the arena retains (nodes and
@@ -66,7 +64,7 @@ func NewSession(sp *spec.Spec, opts Options) *Session {
 		opts:  opts,
 		res:   newResolver(sp),
 		arena: newClassArena(),
-		live:  make(map[int]sessionRule),
+		live:  make(map[int][]bdd.Conj),
 	}
 }
 
@@ -78,34 +76,34 @@ func (s *Session) Len() int { return len(s.order) }
 func (s *Session) ArenaNodes() int { return s.arena.builder.ArenaSize() }
 
 // AddRules normalizes, resolves, and caches the given rules, returning
-// one handle per rule for later removal. The rules join the live set but
-// are not compiled until Recompile.
+// one handle per rule for later removal. The rules join the live set, all
+// or — when one fails — none, but are not compiled until Recompile.
 func (s *Session) AddRules(rules []lang.Rule) ([]int, error) {
-	workers := s.opts.workers()
-	dnf, err := lang.NormalizeAllParallel(rules, workers)
-	if err != nil {
-		return nil, err
-	}
-	rcs, err := s.res.resolveRules(dnf, workers)
-	if err != nil {
-		return nil, err
-	}
-	handles := make([]int, len(rcs))
-	for i, rc := range rcs {
-		handles[i] = rc.RuleID
-		s.order = append(s.order, rc.RuleID)
-		s.live[rc.RuleID] = sessionRule{conjs: rc.Conjs}
-	}
-	return handles, nil
+	return s.add(source{rules: rules})
 }
 
 // AddSource parses rule source text and adds the rules.
 func (s *Session) AddSource(src string) ([]int, error) {
-	rules, err := lang.ParseRules(src)
+	return s.add(source{text: src})
+}
+
+func (s *Session) add(src source) ([]int, error) {
+	var handles []int
+	err := frontEnd(context.Background(), src, s.opts, func(rule *lang.DNFRule) error {
+		conjs, h, err := s.res.resolve(rule, nil)
+		if err == nil {
+			handles, s.live[h] = append(handles, h), conjs
+		}
+		return err
+	})
 	if err != nil {
+		for _, h := range handles {
+			delete(s.live, h)
+		}
 		return nil, err
 	}
-	return s.AddRules(rules)
+	s.order = append(s.order, handles...)
+	return handles, nil
 }
 
 // RemoveRules drops rules by handle. The payload IDs of the remaining
@@ -148,7 +146,7 @@ func (s *Session) Recompile() (*Program, error) {
 	start := time.Now()
 	total := 0
 	for _, h := range s.order {
-		total += len(s.live[h].conjs)
+		total += len(s.live[h])
 	}
 	live := s.coldRetained * (total + 1) / (s.coldConjs + 1)
 	if s.arena.builder.Retained() > arenaSlack*live+4096 {
@@ -163,7 +161,7 @@ func (s *Session) Recompile() (*Program, error) {
 	cold := s.arena.build == 0
 	conjs := make([]bdd.Conj, 0, total)
 	for _, h := range s.order {
-		conjs = append(conjs, s.live[h].conjs...)
+		conjs = append(conjs, s.live[h]...)
 	}
 	prog, err := compileFromConjs(s.sp, s.res.fields, s.res.actions, conjs, len(s.order), s.opts, s.arena)
 	if err != nil {

@@ -12,10 +12,12 @@
 package controlplane
 
 import (
+	"cmp"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -301,101 +303,122 @@ func (c *Controller) Adopt(prog *compiler.Program) { c.prog = prog }
 // States with no behavioral twin get fresh numbers above both programs'
 // ranges to avoid collisions.
 func AlignStates(oldProg, newProg *compiler.Program) {
-	oldSigs := stateSignatures(oldProg)
-	newSigs := stateSignatures(newProg)
+	olds, news := stateSignatures(oldProg), stateSignatures(newProg)
 
-	// Group old states by signature; twins are consumed in ascending
-	// order so the pairing is deterministic.
-	sigToOld := make(map[sig][]int, len(oldSigs))
-	for st, s := range oldSigs {
-		sigToOld[s] = append(sigToOld[s], st)
+	// Both lists ascend by signature, then state: the new states of one
+	// signature take its old twins, smallest first, in ascending order.
+	pairs := make([]statePair, len(news)) // new state -> old twin, -1 without
+	oldInitialTaken := false
+	i, next := 0, 0 // next: above every state of either program
+	for _, o := range olds {
+		next = max(next, o.state+1)
 	}
-	for s := range sigToOld {
-		sort.Ints(sigToOld[s])
-	}
-	mapping := make(map[int]int, len(newSigs))
-
-	// Deterministic order: ascending new state number.
-	newStates := make([]int, 0, len(newSigs))
-	for st := range newSigs {
-		newStates = append(newStates, st)
-	}
-	sort.Ints(newStates)
-
-	assignedOld := make(map[int]bool, len(newSigs))
-	for _, st := range newStates {
-		if twins := sigToOld[newSigs[st]]; len(twins) > 0 {
-			mapping[st] = twins[0]
-			assignedOld[twins[0]] = true
-			sigToOld[newSigs[st]] = twins[1:]
+	for j, n := range news {
+		for i < len(olds) && olds[i].sig.compare(n.sig) < 0 {
+			i++
+		}
+		pairs[j], next = statePair{n.state, -1}, max(next, n.state+1)
+		if i < len(olds) && olds[i].sig == n.sig {
+			pairs[j].to = olds[i].state
+			oldInitialTaken = oldInitialTaken || olds[i].state == oldProg.InitialState
+			i++
 		}
 	}
+	slices.SortFunc(pairs, func(a, b statePair) int { return cmp.Compare(a.from, b.from) })
+
 	// The entry points play the same role even when their downstream
 	// behavior changed (that is what an update *is*), so pin the new
 	// initial state to the old one when neither found a twin. Entries
 	// under the unchanged part of the rule set then diff to zero.
-	if _, ok := mapping[newProg.InitialState]; !ok && !assignedOld[oldProg.InitialState] {
-		mapping[newProg.InitialState] = oldProg.InitialState
-		assignedOld[oldProg.InitialState] = true
+	initial, ok := slices.BinarySearchFunc(pairs, newProg.InitialState, statePair.compareFrom)
+	if ok && pairs[initial].to < 0 && !oldInitialTaken {
+		pairs[initial].to = oldProg.InitialState
 	}
-	// Fresh numbers for unmatched states, starting above everything used.
-	next := 0
-	for st := range oldSigs {
-		if st >= next {
-			next = st + 1
-		}
-	}
-	for _, st := range newStates {
-		if st >= next {
-			next = st + 1
-		}
-	}
-	for _, st := range newStates {
-		if _, ok := mapping[st]; !ok {
-			mapping[st] = next
+	// Fresh numbers for unmatched states, in ascending order of the state,
+	// starting above everything used.
+	for j := range pairs {
+		if pairs[j].to < 0 {
+			pairs[j].to = next
 			next++
 		}
 	}
-	newProg.RemapStates(mapping)
+	newProg.RemapStates(func(st int) int {
+		if st < len(pairs) && pairs[st].from == st { // a freshly compiled program's states are dense
+			return pairs[st].to
+		}
+		if j, ok := slices.BinarySearchFunc(pairs, st, statePair.compareFrom); ok {
+			return pairs[j].to
+		}
+		return st
+	})
 }
 
-// sig is a structural signature of a state's downstream behavior.
+// statePair renumbers one state.
+type statePair struct{ from, to int }
+
+func (p statePair) compareFrom(st int) int { return cmp.Compare(p.from, st) }
+
+// sig is a structural signature of a state's downstream behavior, or the
+// content hash of an action set or a multicast group.
 type sig struct{ a, b uint64 }
 
+func (s sig) compare(t sig) int {
+	if s.a != t.a {
+		return cmp.Compare(s.a, t.a)
+	}
+	return cmp.Compare(s.b, t.b)
+}
+
 func (s sig) mixWord(x uint64) sig {
-	s.a ^= x
-	s.a *= 1099511628211
+	s.a = (s.a ^ x) * 1099511628211
 	s.b = (s.b ^ x) * 0xff51afd7ed558ccd
 	s.b ^= s.b >> 33
 	return s
 }
 
 func (s sig) mixString(data string) sig {
-	for i := 0; i < len(data); i++ {
-		s = s.mixWord(uint64(data[i]))
+	for i := 0; i < len(data); i += 8 { // eight bytes a word, the last zero-padded
+		var w [8]byte
+		copy(w[:], data[i:])
+		s = s.mixWord(binary.LittleEndian.Uint64(w[:]))
 	}
 	return s.mixWord(uint64(len(data)))
+}
+
+// stateSig is a pipeline state and a hash that stands for it.
+type stateSig struct {
+	sig   sig
+	state int
+}
+
+func (s stateSig) compareState(st int) int { return cmp.Compare(s.state, st) }
+
+// actionSig hashes an action set's identity (its Key).
+func actionSig(a compiler.ActionSet) sig {
+	return sig{a: 14695981039346656037, b: 0x2545F4914F6CDD1D}.mixString(a.Key())
 }
 
 // stateSignatures computes a behavioral hash per pipeline state by
 // hashing the sub-BDD rooted at the state's node; terminals hash their
 // merged action set, so two states are equal iff the packets reaching
-// them are treated identically regardless of state numbering.
-func stateSignatures(p *compiler.Program) map[int]sig {
-	leafAction := make(map[int]string, len(p.Leaf.Entries)) // terminal state -> action identity
-	for _, e := range p.Leaf.Entries {
-		leafAction[e.State] = p.Actions[e.Next].Key()
+// them are treated identically regardless of state numbering. Ascending by
+// signature, then state.
+func stateSignatures(p *compiler.Program) []stateSig {
+	leaf := make([]stateSig, len(p.Leaf.Entries)) // terminal state -> action hash, by state
+	for i, e := range p.Leaf.Entries {
+		leaf[i] = stateSig{actionSig(p.Actions[e.Next]), e.State}
 	}
-	out := make(map[int]sig, len(p.Leaf.Entries))
+	slices.SortFunc(leaf, func(a, b stateSig) int { return a.compareState(b.state) })
+
+	out := make([]stateSig, 0, p.Stats.States)
 	nodes := p.BDD.Nodes()
 	sigs := make([]sig, len(nodes)) // by node ID; a node's children have smaller IDs
 	for _, n := range nodes {
 		st, hasState := p.StateOf(n.ID)
 		var s sig
 		if n.IsTerminal() {
-			s = sig{a: 14695981039346656037, b: 0x2545F4914F6CDD1D}
-			if hasState {
-				s = s.mixString(leafAction[st])
+			if at, ok := slices.BinarySearchFunc(leaf, st, stateSig.compareState); hasState && ok {
+				s = leaf[at].sig
 			}
 		} else {
 			s = sig{a: 1469598103934665603, b: 0x9e3779b97f4a7c15}.mixString(p.Fields[n.Field].Name)
@@ -407,92 +430,100 @@ func stateSignatures(p *compiler.Program) map[int]sig {
 		}
 		sigs[n.ID] = s
 		if hasState {
-			out[st] = s
+			out = append(out, stateSig{s, st})
 		}
 	}
+	slices.SortFunc(out, func(a, b stateSig) int {
+		if a.sig != b.sig {
+			return a.sig.compare(b.sig)
+		}
+		return cmp.Compare(a.state, b.state)
+	})
 	return out
 }
 
-// entryKey identifies an installed entry for diffing: a field table's
-// entry by its next state, a leaf entry by its action's identity.
-type entryKey struct {
-	table string
-	state int
-	kind  compiler.EntryKind
-	lo    uint64
-	hi    uint64
-	next  int
-	act   string
-}
+// entryKey identifies an installed entry for diffing, in five words: state,
+// table (its index in the diff's table names) and kind, the bounds, and the
+// next state — or, for a leaf entry, its action's content hash and -1.
+type entryKey [5]uint64
+
+func (k entryKey) compare(l entryKey) int { return slices.Compare(k[:], l[:]) }
 
 // DiffPrograms computes the per-table entry delta between two programs
-// whose states have been aligned.
+// whose states have been aligned: each program's entries, and its groups,
+// become a sorted list of compact keys, and merging old with new counts it.
 func DiffPrograms(oldProg, newProg *compiler.Program) Delta {
-	d := Delta{PerTable: make(map[string]TableDelta)}
+	names := []string{"leaf"} // tables are matched by name: field lists may differ
+	for _, p := range [...]*compiler.Program{oldProg, newProg} {
+		for _, f := range p.Fields {
+			names = append(names, f.Name) // a name's first place is its number
+		}
+	}
+	oldKeys, newKeys := entryKeys(oldProg, names), entryKeys(newProg, names)
+	perTable := make([]TableDelta, len(names))
+	mergeDiff(oldKeys, newKeys, entryKey.compare, func(k entryKey) *TableDelta { return &perTable[k[1]>>8] })
 
-	oldSet := entrySet(oldProg)
-	newSet := entrySet(newProg)
-	for k := range newSet {
-		td := d.PerTable[k.table]
-		if oldSet[k] {
-			td.Reused++
-			d.Entries.Reused++
-		} else {
-			td.Added++
-			d.Entries.Added++
-		}
-		d.PerTable[k.table] = td
-	}
-	for k := range oldSet {
-		if !newSet[k] {
-			td := d.PerTable[k.table]
-			td.Removed++
-			d.PerTable[k.table] = td
-			d.Entries.Removed++
+	d := Delta{PerTable: make(map[string]TableDelta, len(names))}
+	for i, td := range perTable {
+		if td != (TableDelta{}) {
+			d.PerTable[names[i]] = td
+			d.Entries.Added += td.Added
+			d.Entries.Removed += td.Removed
+			d.Entries.Reused += td.Reused
 		}
 	}
-
-	oldGroups := groupSet(oldProg)
-	newGroups := groupSet(newProg)
-	for g := range newGroups {
-		if oldGroups[g] {
-			d.Groups.Reused++
-		} else {
-			d.Groups.Added++
-		}
-	}
-	for g := range oldGroups {
-		if !newGroups[g] {
-			d.Groups.Removed++
-		}
-	}
+	mergeDiff(groupKeys(oldProg), groupKeys(newProg), sig.compare, func(sig) *TableDelta { return &d.Groups })
 	return d
 }
 
-func entrySet(p *compiler.Program) map[entryKey]bool {
-	set := make(map[entryKey]bool, p.EntriesTotal())
-	for i, t := range p.Tables {
-		name := p.Fields[i].Name
-		for _, e := range t.Entries {
-			set[entryKey{table: name, state: e.State, kind: e.Kind, lo: e.Lo, hi: e.Hi, next: e.Next}] = true
+// mergeDiff sorts two key lists, drops repeats, and counts the keys only in
+// news as added, only in olds as removed, in both as reused, in their tallies.
+func mergeDiff[K comparable](olds, news []K, compare func(K, K) int, tally func(K) *TableDelta) {
+	slices.SortFunc(olds, compare)
+	slices.SortFunc(news, compare)
+	olds, news = slices.Compact(olds), slices.Compact(news)
+	for len(olds) > 0 || len(news) > 0 {
+		switch {
+		case len(news) == 0 || (len(olds) > 0 && compare(olds[0], news[0]) < 0):
+			tally(olds[0]).Removed++
+			olds = olds[1:]
+		case len(olds) == 0 || compare(olds[0], news[0]) > 0:
+			tally(news[0]).Added++
+			news = news[1:]
+		default:
+			tally(news[0]).Reused++
+			olds, news = olds[1:], news[1:]
 		}
 	}
-	for _, e := range p.Leaf.Entries {
-		set[entryKey{table: "leaf", state: e.State, kind: e.Kind, next: -1,
-			act: p.Actions[e.Next].Key()}] = true
-	}
-	return set
 }
 
-// groupSet is the program's multicast groups, each as a hash of its ports.
-func groupSet(p *compiler.Program) map[sig]bool {
-	set := make(map[sig]bool, len(p.Groups))
-	for _, ports := range p.Groups {
+// entryKeys lists the program's table entries, its tables numbered by
+// their place in names.
+func entryKeys(p *compiler.Program, names []string) []entryKey {
+	keys := make([]entryKey, 0, p.EntriesTotal())
+	for i, t := range p.Tables {
+		id := uint64(slices.Index(names, p.Fields[i].Name)) << 8
+		for _, e := range t.Entries {
+			keys = append(keys, entryKey{uint64(e.State), id | uint64(e.Kind), e.Lo, e.Hi, uint64(e.Next)})
+		}
+	}
+	id := uint64(slices.Index(names, "leaf")) << 8
+	for _, e := range p.Leaf.Entries {
+		act := actionSig(p.Actions[e.Next])
+		keys = append(keys, entryKey{uint64(e.State), id | uint64(e.Kind), act.a, act.b, ^uint64(0)})
+	}
+	return keys
+}
+
+// groupKeys is the program's multicast groups, each as a hash of its ports.
+func groupKeys(p *compiler.Program) []sig {
+	keys := make([]sig, len(p.Groups))
+	for g, ports := range p.Groups {
 		s := sig{a: 1469598103934665603, b: 0x9e3779b97f4a7c15}
 		for _, pt := range ports {
 			s = s.mixWord(uint64(pt))
 		}
-		set[s.mixWord(uint64(len(ports)))] = true
+		keys[g] = s.mixWord(uint64(len(ports)))
 	}
-	return set
+	return keys
 }

@@ -82,10 +82,10 @@ func (ps *PubSub) SetSubscriptions(src string) (controlplane.Delta, error) {
 }
 
 // SetSubscriptionsContext is SetSubscriptions with a cancelable context:
-// the install stops retrying and rolls back when ctx is done, and the
-// recorded span carries the context deadline.
+// the compile gives up once ctx is done, the install stops retrying and
+// rolls back, and the recorded span carries the context deadline.
 func (ps *PubSub) SetSubscriptionsContext(ctx context.Context, src string) (controlplane.Delta, error) {
-	prog, err := ps.Compile(src)
+	prog, err := ps.Compile(ctx, src)
 	if err != nil {
 		return controlplane.Delta{}, err
 	}
@@ -93,9 +93,10 @@ func (ps *PubSub) SetSubscriptionsContext(ctx context.Context, src string) (cont
 }
 
 // Compile is the long half of SetSubscriptions. It reads nothing an Install
-// or a packet writes, so callers run it outside the lock they install under.
-func (ps *PubSub) Compile(src string) (*compiler.Program, error) {
-	prog, err := compiler.CompileSource(ps.spec, src, ps.opts)
+// or a packet writes, so callers run it outside the lock they install under;
+// it gives up, between chunks of the rule source, once ctx is done.
+func (ps *PubSub) Compile(ctx context.Context, src string) (*compiler.Program, error) {
+	prog, err := compiler.CompileSourceContext(ctx, ps.spec, src, ps.opts)
 	if err != nil {
 		return nil, fmt.Errorf("camus: compile: %w", err)
 	}

@@ -546,20 +546,26 @@ func (sw *Switch) SetSubscriptions(src string) error {
 	return sw.SetSubscriptionsContext(context.Background(), src)
 }
 
-// SetSubscriptionsContext is SetSubscriptions with a cancelable context:
-// the install stops retrying and rolls back when ctx is done.
+// SetSubscriptionsContext is SetSubscriptions with a cancelable context: once
+// ctx is done nothing new begins, and an install stops retrying and rolls back.
 // The compile runs with no lock the packet path takes: forwarding goes on,
 // judged by the old program, until the install swaps the new one in under
 // sw.mu. Concurrent updaters queue on updateMu.
 func (sw *Switch) SetSubscriptionsContext(ctx context.Context, src string) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	sw.updateMu.Lock()
 	defer sw.updateMu.Unlock()
-	prog, err := sw.engine.Compile(src)
+	prog, err := sw.engine.Compile(ctx, src)
 	if err != nil {
 		return err
 	}
 	if sw.installTestHook != nil {
 		sw.installTestHook()
+	}
+	if err := ctx.Err(); err != nil {
+		return err
 	}
 	sw.mu.Lock()
 	defer sw.mu.Unlock()

@@ -2,12 +2,14 @@ package dataplane
 
 import (
 	"context"
+	"errors"
 	"net"
 	"testing"
 	"time"
 
 	"camus/internal/itch"
 	"camus/internal/spec"
+	"camus/internal/telemetry"
 	"camus/internal/workload"
 )
 
@@ -233,6 +235,55 @@ func TestUDPForwardsWhileUpdateCompiles(t *testing.T) {
 		if _, ok := recvMold(t, conn, 200*time.Millisecond); ok {
 			t.Fatal("a message was judged by both programs")
 		}
+	}
+}
+
+// TestSetSubscriptionsHonorsDoneContext: a context done before the call, or
+// cancelled while the new program waits to be installed, buys no install —
+// the error is the context's, the old program stays, and the device sees no
+// write.
+func TestSetSubscriptionsHonorsDoneContext(t *testing.T) {
+	tel := telemetry.New()
+	sw, err := Listen(Config{
+		Spec:          spec.MustParse(workload.ITCHSpecSource),
+		Subscriptions: "stock == GOOGL : fwd(1)",
+		Telemetry:     tel,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sw.Close()
+	writes := tel.Reg().Counter("camus_controlplane_device_writes_total")
+	old, before := sw.Program(), writes.Load()
+	check := func(when string, err error) {
+		t.Helper()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", when, err)
+		}
+		if sw.Program() != old {
+			t.Fatalf("%s: program was swapped", when)
+		}
+		if got := writes.Load(); got != before {
+			t.Fatalf("%s: device writes %d -> %d", when, before, got)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	compiled := false
+	sw.installTestHook = func() { compiled = true }
+	check("cancelled before the call", sw.SetSubscriptionsContext(ctx, "stock == ORCL : fwd(2)"))
+	if compiled {
+		t.Fatal("a done context still bought a compile")
+	}
+
+	ctx, cancel = context.WithCancel(context.Background())
+	sw.installTestHook = cancel
+	check("cancelled before the install", sw.SetSubscriptionsContext(ctx, "stock == ORCL : fwd(2)"))
+
+	sw.installTestHook = nil
+	if err := sw.SetSubscriptions("stock == ORCL : fwd(2)"); err != nil || sw.Program() == old {
+		t.Fatalf("live context: err %v, program swapped %v", err, sw.Program() != old)
 	}
 }
 

@@ -1,10 +1,10 @@
 package lang
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-
-	"camus/internal/conc"
+	"slices"
+	"strings"
 )
 
 // MaxDNFTerms caps the number of conjunctions a single rule may expand to
@@ -45,39 +45,17 @@ func ToDNF(r Rule) (DNFRule, error) {
 	return out, nil
 }
 
-// NormalizeAll applies ToDNF to each rule.
+// NormalizeAll applies ToDNF to each rule, stopping at the first that fails.
 func NormalizeAll(rules []Rule) ([]DNFRule, error) {
-	return NormalizeAllParallel(rules, 1)
-}
-
-// NormalizeAllParallel normalizes rules across a worker pool. Each rule is
-// independent, so the output (and the first error, chosen by rule order)
-// is identical to the serial NormalizeAll.
-func NormalizeAllParallel(rules []Rule, workers int) ([]DNFRule, error) {
 	out := make([]DNFRule, len(rules))
-	if workers <= 1 || len(rules) < 2*minParallelRules {
-		for i, r := range rules {
-			d, err := ToDNF(r)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = d
+	for i, r := range rules {
+		var err error
+		if out[i], err = ToDNF(r); err != nil {
+			return nil, err
 		}
-		return out, nil
-	}
-	errs := make([]error, len(rules))
-	conc.ForEach(len(rules), workers, func(i int) {
-		out[i], errs[i] = ToDNF(rules[i])
-	})
-	if err := conc.FirstError(errs); err != nil {
-		return nil, err
 	}
 	return out, nil
 }
-
-// minParallelRules is the per-worker batch below which goroutine fan-out
-// costs more than it saves.
-const minParallelRules = 256
 
 // dnf converts an expression in negation-normal form to DNF term lists.
 // Negations are pushed down on the fly (there is no separate NNF pass).
@@ -158,7 +136,7 @@ func dnfNegated(e Expr) ([]Conjunction, error) {
 // widths are detected later by the BDD builder.
 func simplifyConjunction(c Conjunction) (Conjunction, bool) {
 	sorted := append(Conjunction(nil), c...)
-	sort.Slice(sorted, func(i, j int) bool { return atomLess(sorted[i], sorted[j]) })
+	slices.SortFunc(sorted, atomCompare)
 	out := sorted[:0]
 	for i, a := range sorted {
 		// Compare with SameAtom, not struct equality: the same predicate
@@ -189,21 +167,8 @@ func simplifyConjunction(c Conjunction) (Conjunction, bool) {
 	return out, true
 }
 
-func atomLess(a, b Atom) bool {
-	if a.LHS.Field != b.LHS.Field {
-		return a.LHS.Field < b.LHS.Field
-	}
-	if a.LHS.Agg != b.LHS.Agg {
-		return a.LHS.Agg < b.LHS.Agg
-	}
-	if a.Op != b.Op {
-		return a.Op < b.Op
-	}
-	if a.RHS.Kind != b.RHS.Kind {
-		return a.RHS.Kind < b.RHS.Kind
-	}
-	if a.RHS.Num != b.RHS.Num {
-		return a.RHS.Num < b.RHS.Num
-	}
-	return a.RHS.Sym < b.RHS.Sym
+func atomCompare(a, b Atom) int {
+	return cmp.Or(strings.Compare(a.LHS.Field, b.LHS.Field), strings.Compare(a.LHS.Agg, b.LHS.Agg),
+		cmp.Compare(a.Op, b.Op), cmp.Compare(a.RHS.Kind, b.RHS.Kind), cmp.Compare(a.RHS.Num, b.RHS.Num),
+		strings.Compare(a.RHS.Sym, b.RHS.Sym))
 }

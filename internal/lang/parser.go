@@ -3,6 +3,7 @@ package lang
 import (
 	"fmt"
 	"strconv"
+	"strings"
 )
 
 // Parser is a recursive-descent parser for subscription rule sets.
@@ -26,9 +27,9 @@ import (
 // keyed state read (src_count[pkt.src]), a keyed aggregate
 // (avg(temp)[sensor_id]), or a keyed update (hits[pkt.src] <- count()).
 type Parser struct {
-	lex  *Lexer
-	tok  Token
-	peek *Token
+	lex     *Lexer
+	tok     Token
+	firstID int // ID of the first rule Rules parses: a chunk's origin in its source
 }
 
 // NewParser returns a parser over src.
@@ -38,8 +39,38 @@ func NewParser(src string) *Parser {
 
 // ParseRules parses src as a newline-separated list of subscription rules.
 func ParseRules(src string) ([]Rule, error) {
-	p := NewParser(src)
-	return p.Rules()
+	return NewParser(src).Rules()
+}
+
+// Chunks cuts a rule source into parsers over consecutive runs of whole
+// lines holding at most n rules each, in source order. A newline always ends
+// a rule (Rules; the lexer refuses one inside a string literal), so a cut
+// after one separates rules and nothing else, and a line holds a rule exactly
+// when something other than blanks and a comment is on it — all the cutter
+// reads. Every parser starts at its chunk's line and rule ID, so the rules,
+// positions and diagnostics of its Rules are those of ParseRules on the
+// whole source, up to the first chunk that fails, where ParseRules stops
+// too. The parsers share nothing and may run concurrently.
+func Chunks(src string, n int) []*Parser {
+	var out []*Parser
+	start, line, id := 0, 1, 0 // of the chunk being cut
+	lines, rules := 0, 0       // in it so far
+	for pos := 0; pos < len(src); {
+		end := len(src)
+		if nl := strings.IndexByte(src[pos:], '\n'); nl >= 0 {
+			end, lines = pos+nl+1, lines+1
+		}
+		if l := strings.TrimLeft(src[pos:end], " \t\r\n"); l != "" && l[0] != '#' && !strings.HasPrefix(l, "//") {
+			rules++
+		}
+		if pos = end; rules == n || (pos == len(src) && rules > 0) {
+			p := NewParser(src[start:pos])
+			p.lex.line, p.firstID = line, id
+			out = append(out, p)
+			start, line, id, lines, rules = pos, line+lines, id+rules, 0, 0
+		}
+	}
+	return out
 }
 
 // ParseRule parses a single subscription rule.
@@ -76,28 +107,12 @@ func ParseCondition(src string) (Expr, error) {
 }
 
 func (p *Parser) next() error {
-	if p.peek != nil {
-		p.tok = *p.peek
-		p.peek = nil
-		return nil
-	}
 	t, err := p.lex.Next()
 	if err != nil {
 		return err
 	}
 	p.tok = t
 	return nil
-}
-
-func (p *Parser) peekTok() (Token, error) {
-	if p.peek == nil {
-		t, err := p.lex.Next()
-		if err != nil {
-			return Token{}, err
-		}
-		p.peek = &t
-	}
-	return *p.peek, nil
 }
 
 func (p *Parser) expect(k TokenKind) (Token, error) {
@@ -128,7 +143,7 @@ func (p *Parser) Rules() ([]Rule, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.ID = len(rules)
+		r.ID = p.firstID + len(rules)
 		rules = append(rules, r)
 		switch p.tok.Kind {
 		case TokNewline:
