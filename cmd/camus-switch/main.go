@@ -29,8 +29,7 @@
 // shard step, per-lane SO_REUSEPORT sockets with kernel flow hashing
 // (-ingress reuseport, for publishers that fan instruments out across
 // flows), or per-lane sockets with a locate-keyed lane-to-lane handoff
-// (-ingress reshard, or the -reuseport shorthand — safe for any feed
-// including a single flow).
+// (-ingress reshard — safe for any feed including a single flow).
 package main
 
 import (
@@ -91,7 +90,6 @@ func main() {
 		workers    = flag.Int("workers", 1, "parallel shard lanes keyed by ITCH stock locate (1 = classic single loop)")
 		batch      = flag.Int("batch", 0, "datagrams per socket operation where recvmmsg/sendmmsg is available (0 = default 32, 1 disables)")
 		ingress    = flag.String("ingress", "auto", "ingress mode: auto, shared (one socket, software shard), reuseport (per-lane SO_REUSEPORT sockets, kernel flow hash), reshard (per-lane sockets + locate-keyed lane handoff)")
-		reuseport  = flag.Bool("reuseport", false, "shorthand for -ingress reshard: per-lane SO_REUSEPORT sockets, safe for any feed including a single flow")
 		fabricMode = flag.Bool("fabric", false, "run an in-process two-hop leaf/spine fabric (covering spines, recovering inter-switch links) instead of a single switch")
 		fabLeaves  = flag.Int("fabric-leaves", 2, "leaf switches for -fabric (host h hangs off leaf h mod leaves)")
 		fabSpines  = flag.Int("fabric-spines", 1, "spine switches for -fabric (spines beyond the first are failover paths)")
@@ -148,11 +146,6 @@ func main() {
 
 	mode, err := dataplane.ParseIngressMode(*ingress)
 	fatal(err)
-	if *reuseport {
-		// The reshard variant is the safe default for arbitrary feeds: a
-		// publisher that keeps everything on one flow still parallelizes.
-		mode = dataplane.IngressReusePortReshard
-	}
 	if mode != dataplane.IngressAuto && mode != dataplane.IngressShared && !dataplane.ReusePortAvailable() {
 		fmt.Fprintf(os.Stderr, "camus-switch: SO_REUSEPORT unavailable on this platform; falling back to shared ingress\n")
 	}

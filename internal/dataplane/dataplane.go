@@ -305,7 +305,7 @@ func Listen(cfg Config) (*Switch, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	mode := ResolveIngressMode(cfg.IngressMode)
+	mode := resolveIngressMode(cfg.IngressMode)
 
 	addr := cfg.Ingress
 	if addr == "" {
@@ -903,8 +903,8 @@ func (sw *Switch) timeProcess(l *lane, datagram []byte) {
 // over the shared reader and every lane; backpressure stalls excluded)
 // and time spent processing datagrams (summed over lanes). Read time
 // includes waiting for traffic, so the split is meaningful only when
-// ingress is saturated — it exists for throughput experiments that
-// replay a pre-generated feed (see experiments.DataplaneThroughput).
+// ingress is saturated — it exists for the socket benchmark's per-layer
+// ledger (see benchmark/).
 // Call after Run returns, or accept slightly stale values. LaneStats
 // reports the same clocks broken out per lane.
 func (sw *Switch) BusyNs() (readNs, procNs int64) {

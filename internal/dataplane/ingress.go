@@ -90,12 +90,10 @@ func (m IngressMode) String() string {
 // SO_REUSEPORT lane sockets (false forces the shared-socket fallback).
 func ReusePortAvailable() bool { return reuseportAvailable }
 
-// ResolveIngressMode maps a configured mode to the one a switch will
+// resolveIngressMode maps a configured mode to the one a switch will
 // actually run: Auto means Shared, and the reuseport modes degrade to
-// Shared where SO_REUSEPORT is unavailable (non-Linux builds). Callers
-// that pre-partition traffic per lane (replay experiments) use this to
-// learn the effective lane layout before Listen.
-func ResolveIngressMode(m IngressMode) IngressMode {
+// Shared where SO_REUSEPORT is unavailable (non-Linux builds).
+func resolveIngressMode(m IngressMode) IngressMode {
 	if m == IngressAuto {
 		return IngressShared
 	}

@@ -22,7 +22,7 @@ func TestLaneFailureSurfacesThroughRun(t *testing.T) {
 	const poisonLocate = 0xBEEF
 	for _, mode := range []IngressMode{IngressShared, IngressReusePortReshard} {
 		t.Run(mode.String(), func(t *testing.T) {
-			if ResolveIngressMode(mode) != mode {
+			if resolveIngressMode(mode) != mode {
 				t.Skipf("ingress mode %s unavailable on this platform", mode)
 			}
 			sub := listenUDP(t)

@@ -6,18 +6,14 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
 	"camus/internal/compiler"
-	"camus/internal/controlplane"
-	"camus/internal/lang"
 	"camus/internal/netsim"
 	"camus/internal/pipeline"
 	"camus/internal/spec"
 	"camus/internal/stats"
-	"camus/internal/telemetry"
 	"camus/internal/workload"
 )
 
@@ -125,239 +121,6 @@ func Fig5c(sizes []int, seed int64) ([]Fig5cPoint, error) {
 		})
 	}
 	return out, nil
-}
-
-// ChurnPoint is one row of the compilation-pipeline experiment: compile
-// cost at one subscription scale, serial vs parallel, and the cost of
-// absorbing a churn event (a slice of the subscription set replaced) by
-// full recompilation vs incremental Session recompilation. Two churn
-// distributions are measured because they bound the incremental story:
-// "uniform" spreads the churned rules across all symbols (every sub-BDD
-// changes, so memoization cannot skip work — the honest worst case), while
-// "localized" confines them to as few symbols as possible (the common
-// pub-sub case of one topic's subscriber population turning over, where
-// unchanged sub-BDDs are reused wholesale).
-type ChurnPoint struct {
-	Subscriptions int `json:"subscriptions"`
-	ChurnRules    int `json:"churn_rules"`
-	Workers       int `json:"workers"`
-
-	SerialCompileMS   float64 `json:"serial_compile_ms"`
-	ParallelCompileMS float64 `json:"parallel_compile_ms"`
-
-	FullRecompileMS        float64 `json:"full_recompile_ms"`
-	IncrementalUniformMS   float64 `json:"incremental_uniform_ms"`
-	IncrementalLocalizedMS float64 `json:"incremental_localized_ms"`
-
-	// DeltaWrites is the number of device writes the control plane pushes
-	// for the localized churn event after state alignment and entry
-	// diffing; InstalledEntries is what a full reinstall would write.
-	DeltaWrites      int `json:"delta_writes"`
-	InstalledEntries int `json:"installed_entries"`
-}
-
-// ChurnSweep is the default subscription-count axis of the churn
-// experiment.
-var ChurnSweep = []int{10000, 100000}
-
-// Churn measures the parallel-compilation and incremental-recompilation
-// pipeline on the Fig. 5c ITCH workload. churnPct is the percentage of the
-// subscription set replaced by the churn event (the paper's highly dynamic
-// workloads motivate 1%).
-func Churn(sizes []int, churnPct float64, seed int64) ([]ChurnPoint, error) {
-	return ChurnInstrumented(sizes, churnPct, seed, nil)
-}
-
-// ChurnInstrumented is Churn with a telemetry registry: every compile and
-// recompile the experiment performs records its duration, memo hit rate,
-// and BDD statistics into reg — the same series a live switch exposes at
-// /metrics, so BENCH_compile.json and production dashboards share one
-// schema.
-func ChurnInstrumented(sizes []int, churnPct float64, seed int64, reg *telemetry.Registry) ([]ChurnPoint, error) {
-	if sizes == nil {
-		sizes = ChurnSweep
-	}
-	if churnPct <= 0 {
-		churnPct = 1
-	}
-	sp := workload.ITCHSpec()
-	var out []ChurnPoint
-	for _, n := range sizes {
-		cfg := workload.DefaultITCHSubsConfig()
-		cfg.Subscriptions = n
-		cfg.Seed = seed
-		rules := workload.ITCHSubscriptions(cfg)
-		churn := int(float64(n) * churnPct / 100)
-		if churn < 1 {
-			churn = 1
-		}
-		freshCfg := cfg
-		freshCfg.Seed = seed + 7777
-		freshCfg.Subscriptions = 2 * n
-		fresh := workload.ITCHSubscriptions(freshCfg)
-
-		start := time.Now()
-		if _, err := compiler.Compile(sp, rules, compiler.Options{Workers: 1, Telemetry: reg}); err != nil {
-			return nil, err
-		}
-		serialMS := msSince(start)
-		start = time.Now()
-		if _, err := compiler.Compile(sp, rules, compiler.Options{Telemetry: reg}); err != nil {
-			return nil, err
-		}
-		parallelMS := msSince(start)
-
-		// Full recompile of the post-churn set (uniform churn: drop the
-		// first `churn` rules, add `churn` fresh ones).
-		after := append(append([]lang.Rule(nil), rules[churn:]...), fresh[:churn]...)
-		start = time.Now()
-		if _, err := compiler.Compile(sp, after, compiler.Options{Telemetry: reg}); err != nil {
-			return nil, err
-		}
-		fullMS := msSince(start)
-
-		uniformMS, _, _, err := churnRecompile(sp, rules, rules[:churn], fresh[:churn], reg)
-		if err != nil {
-			return nil, err
-		}
-		rm, add := localizedChurn(rules, fresh, churn)
-		localizedMS, deltaWrites, entries, err := churnRecompile(sp, rules, rm, add, reg)
-		if err != nil {
-			return nil, err
-		}
-
-		out = append(out, ChurnPoint{
-			Subscriptions: n, ChurnRules: churn, Workers: runtime.GOMAXPROCS(0),
-			SerialCompileMS: serialMS, ParallelCompileMS: parallelMS,
-			FullRecompileMS: fullMS, IncrementalUniformMS: uniformMS,
-			IncrementalLocalizedMS: localizedMS,
-			DeltaWrites:            deltaWrites, InstalledEntries: entries,
-		})
-	}
-	return out, nil
-}
-
-func msSince(t time.Time) float64 { return float64(time.Since(t).Microseconds()) / 1000 }
-
-// ruleSymbol extracts the stock symbol of an ITCH workload rule, or "".
-func ruleSymbol(r lang.Rule) string {
-	and, ok := r.Cond.(lang.And)
-	if !ok {
-		return ""
-	}
-	cmp, ok := and.L.(lang.Cmp)
-	if !ok {
-		return ""
-	}
-	return cmp.RHS.Sym
-}
-
-// localizedChurn picks `churn` installed rules confined to as few stock
-// symbols as possible, plus replacement rules on the same symbols.
-func localizedChurn(rules, fresh []lang.Rule, churn int) (rm, add []lang.Rule) {
-	bySym := make(map[string][]int)
-	for i, r := range rules {
-		if s := ruleSymbol(r); s != "" {
-			bySym[s] = append(bySym[s], i)
-		}
-	}
-	syms := make(map[string]bool)
-	for s := 0; len(rm) < churn && s < 1000; s++ {
-		sym := workload.StockSymbol(s)
-		for _, i := range bySym[sym] {
-			if len(rm) == churn {
-				break
-			}
-			rm = append(rm, rules[i])
-			syms[sym] = true
-		}
-	}
-	for _, r := range fresh {
-		if len(add) == len(rm) {
-			break
-		}
-		if syms[ruleSymbol(r)] {
-			add = append(add, r)
-		}
-	}
-	return rm, add
-}
-
-// churnRecompile installs `rules` in a fresh Session, performs one churn
-// event (remove `rm`, add `add`), and times the incremental recompile. It
-// also reports the control-plane delta writes of the event and the
-// post-churn program's installed entry count.
-func churnRecompile(sp *spec.Spec, rules, rm, add []lang.Rule, reg *telemetry.Registry) (ms float64, deltaWrites, entries int, err error) {
-	sess := compiler.NewSession(sp, compiler.Options{Telemetry: reg})
-	handles, err := sess.AddRules(rules)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	before, err := sess.Recompile()
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	// Map removed rules to handles by position in the original slice.
-	idxOf := make(map[int]bool, len(rm))
-	pos := make(map[string][]int)
-	for i, r := range rules {
-		pos[r.String()] = append(pos[r.String()], i)
-	}
-	for _, r := range rm {
-		key := r.String()
-		list := pos[key]
-		if len(list) == 0 {
-			return 0, 0, 0, fmt.Errorf("churn: rule %q not installed", key)
-		}
-		idxOf[list[0]] = true
-		pos[key] = list[1:]
-	}
-	rmHandles := make([]int, 0, len(rm))
-	for i := range rules {
-		if idxOf[i] {
-			rmHandles = append(rmHandles, handles[i])
-		}
-	}
-
-	start := time.Now()
-	if err := sess.RemoveRules(rmHandles...); err != nil {
-		return 0, 0, 0, err
-	}
-	if _, err := sess.AddRules(add); err != nil {
-		return 0, 0, 0, err
-	}
-	after, err := sess.Recompile()
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	ms = msSince(start)
-
-	controlplane.AlignStates(before, after)
-	delta := controlplane.DiffPrograms(before, after)
-	return ms, delta.Writes(), after.EntriesTotal(), nil
-}
-
-// FormatChurn renders the churn experiment.
-func FormatChurn(pts []ChurnPoint, churnPct float64) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Compilation pipeline: serial vs parallel compile, full vs incremental recompile\n")
-	fmt.Fprintf(&b, "(churn event = %.3g%% of subscriptions replaced; workers = GOMAXPROCS)\n", churnPct)
-	fmt.Fprintf(&b, "%-10s %8s %12s %12s %12s %14s %14s %12s %10s\n",
-		"subs", "workers", "serial-ms", "parallel-ms", "full-ms", "inc-uniform", "inc-localized", "delta-wr", "entries")
-	for _, p := range pts {
-		fmt.Fprintf(&b, "%-10d %8d %12.0f %12.0f %12.0f %14.0f %14.0f %12d %10d\n",
-			p.Subscriptions, p.Workers, p.SerialCompileMS, p.ParallelCompileMS,
-			p.FullRecompileMS, p.IncrementalUniformMS, p.IncrementalLocalizedMS,
-			p.DeltaWrites, p.InstalledEntries)
-	}
-	if len(pts) > 0 {
-		last := pts[len(pts)-1]
-		if last.IncrementalLocalizedMS > 0 {
-			fmt.Fprintf(&b, "localized-churn speedup at %d subs: %.1fx incremental vs full recompile\n",
-				last.Subscriptions, last.FullRecompileMS/last.IncrementalLocalizedMS)
-		}
-	}
-	return b.String()
 }
 
 // Fig7Result holds both curves of one Figure 7 plot plus run telemetry.

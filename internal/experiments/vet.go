@@ -18,18 +18,18 @@ import (
 // must agree exactly — the experiment exists to demonstrate that and to
 // price the admission gate against the compile it guards.
 type VetPoint struct {
-	Subscriptions int     `json:"subscriptions"`
-	AnalyzeMs     float64 `json:"analyze_ms"`
-	CompileMs     float64 `json:"compile_ms"`
-	Diagnostics   int     `json:"diagnostics"`
+	Subscriptions int
+	AnalyzeMs     float64
+	CompileMs     float64
+	Diagnostics   int
 
-	PredictedStages int  `json:"predicted_stages"`
-	PredictedSRAM   int  `json:"predicted_sram"`
-	PredictedTCAM   int  `json:"predicted_tcam"`
-	ActualStages    int  `json:"actual_stages"`
-	ActualSRAM      int  `json:"actual_sram"`
-	ActualTCAM      int  `json:"actual_tcam"`
-	Exact           bool `json:"exact"` // predicted == actual on every axis
+	PredictedStages int
+	PredictedSRAM   int
+	PredictedTCAM   int
+	ActualStages    int
+	ActualSRAM      int
+	ActualTCAM      int
+	Exact           bool // predicted == actual on every axis
 }
 
 // VetEstimate runs the analyzer's resource estimation against ground

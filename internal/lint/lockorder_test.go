@@ -9,11 +9,20 @@ func syncDeps() map[string]string {
 	return map[string]string{"sync": stubSync}
 }
 
-// TestLockOrderGolden: an inversion between two struct-field mutexes,
-// one leg running through a module-local call, reported once with the
-// full cycle path at an exact position.
+// TestLockOrderGolden: an inversion reported once, with the full cycle
+// path, at the first closing edge in file order. Two shapes: two
+// struct-field mutexes on different types with one leg running through a
+// module-local call, and two mutex fields of one type taken in opposite
+// orders by two of its methods under defer (the shape a seeded inversion
+// of dataplane's updateMu → Switch.mu had; see CHANGES.md, PR 17).
 func TestLockOrderGolden(t *testing.T) {
-	src := `package app
+	for _, tc := range []struct {
+		name      string
+		src       string
+		line, col int
+		cycle     string
+	}{
+		{"two-types-through-call", `package app
 
 import "sync"
 
@@ -37,21 +46,45 @@ func ba(a *A, b *B) {
 	a.mu.Unlock()
 	b.mu.Unlock()
 }
-`
-	diags, _ := analyzeSeq(t, syncDeps(), []testPkg{{path: "camus/app", src: src}})
-	lo := byAnalyzer(diags["camus/app"], "lockorder")
-	if len(lo) != 1 {
-		t.Fatalf("got %d diagnostics, want exactly 1 (one cycle, reported once): %v", len(lo), lo)
-	}
-	d := lo[0]
-	// Anchored at the first closing edge in file order: the lockB(b)
-	// call made while holding A.mu.
-	if d.Pos.Filename != "camus_app.go" || d.Pos.Line != 11 || d.Pos.Column != 2 {
-		t.Errorf("diagnostic at %s:%d:%d, want camus_app.go:11:2", d.Pos.Filename, d.Pos.Line, d.Pos.Column)
-	}
-	if !strings.Contains(d.Message, "lock order cycle") ||
-		!strings.Contains(d.Message, "camus/app.A.mu -> camus/app.B.mu -> camus/app.A.mu") {
-		t.Errorf("diagnostic %q should spell the full cycle path", d.Message)
+`, 11, 2, "camus/app.A.mu -> camus/app.B.mu -> camus/app.A.mu"}, // the lockB(b) call made while holding A.mu
+		{"one-type-two-methods", `package app
+
+import "sync"
+
+type Sw struct {
+	updateMu sync.Mutex
+	mu       sync.RWMutex
+}
+
+func (s *Sw) update() {
+	s.updateMu.Lock()
+	defer s.updateMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+}
+
+func (s *Sw) adopt() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.updateMu.Lock()
+	defer s.updateMu.Unlock()
+}
+`, 13, 2, "camus/app.Sw.updateMu -> camus/app.Sw.mu -> camus/app.Sw.updateMu"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			diags, _ := analyzeSeq(t, syncDeps(), []testPkg{{path: "camus/app", src: tc.src}})
+			lo := byAnalyzer(diags["camus/app"], "lockorder")
+			if len(lo) != 1 {
+				t.Fatalf("got %d diagnostics, want exactly 1 (one cycle, reported once): %v", len(lo), lo)
+			}
+			d := lo[0]
+			if d.Pos.Filename != "camus_app.go" || d.Pos.Line != tc.line || d.Pos.Column != tc.col {
+				t.Errorf("diagnostic at %s:%d:%d, want camus_app.go:%d:%d", d.Pos.Filename, d.Pos.Line, d.Pos.Column, tc.line, tc.col)
+			}
+			if !strings.Contains(d.Message, "lock order cycle") || !strings.Contains(d.Message, tc.cycle) {
+				t.Errorf("diagnostic %q should spell the full cycle path %q", d.Message, tc.cycle)
+			}
+		})
 	}
 }
 

@@ -6,10 +6,9 @@ import (
 )
 
 // Snapshot is the one JSON shape every Camus observability surface
-// shares: /debug/camus on a running switch, the final dump camus-switch
-// writes on SIGTERM, and the telemetry block camus-bench embeds in
-// BENCH_compile.json. Keys are full series identities — the metric name
-// plus its sorted label set in Prometheus form (`camus_pipeline_
+// shares: /debug/camus on a running switch and the final dump
+// camus-switch writes on SIGTERM. Keys are full series identities — the
+// metric name plus its sorted label set in Prometheus form (`camus_pipeline_
 // table_hits_total{table="stock"}`), so a snapshot diff lines up
 // one-to-one with a /metrics scrape.
 type Snapshot struct {
