@@ -21,15 +21,16 @@
 // seeded drop/duplication/reordering/delay on the dataplane sockets for
 // chaos testing.
 //
-// -workers shards ingress across parallel processing lanes keyed by ITCH
-// stock locate (per-instrument ordering and per-port sequencing are
-// preserved), and -batch sets how many datagrams each socket operation
-// moves where recvmmsg/sendmmsg is available. -ingress selects how
-// datagrams reach the lanes: the default shared socket with a software
-// shard step, per-lane SO_REUSEPORT sockets with kernel flow hashing
-// (-ingress reuseport, for publishers that fan instruments out across
-// flows), or per-lane sockets with a locate-keyed lane-to-lane handoff
-// (-ingress reshard — safe for any feed including a single flow).
+// -workers sets how many lanes process ingress (per-instrument ordering
+// and per-port sequencing are preserved), and -batch how many datagrams
+// each socket operation moves where recvmmsg/sendmmsg is available.
+// -ingress picks the topology of the one reader→lane loop — how many
+// sockets, and which lane owns a datagram: one shared socket, owner by
+// ITCH stock locate (the default); a SO_REUSEPORT socket per lane, owner
+// is the lane the kernel's flow hash delivered to (-ingress reuseport, for
+// publishers that fan instruments out across flows); or a socket per lane,
+// owner by locate (-ingress reshard — safe for any feed including a single
+// flow). A read error on any ingress socket stops the switch.
 package main
 
 import (
@@ -87,9 +88,9 @@ func main() {
 		heartbeat  = flag.Duration("heartbeat", time.Second, "idle-heartbeat interval per port (0 disables)")
 		faultPlan  = flag.String("fault-plan", "", "inject faults on the dataplane sockets, e.g. seed=7,drop=0.01,dup=0.005,reorder=0.01,delay=0.002:500us")
 		admin      = flag.String("admin", "", "observability HTTP address (e.g. :9090): Prometheus /metrics, JSON /debug/camus, pprof /debug/pprof/")
-		workers    = flag.Int("workers", 1, "parallel shard lanes keyed by ITCH stock locate (1 = classic single loop)")
+		workers    = flag.Int("workers", 1, "processing lanes (1 = the reader processes inline)")
 		batch      = flag.Int("batch", 0, "datagrams per socket operation where recvmmsg/sendmmsg is available (0 = default 32, 1 disables)")
-		ingress    = flag.String("ingress", "auto", "ingress mode: auto, shared (one socket, software shard), reuseport (per-lane SO_REUSEPORT sockets, kernel flow hash), reshard (per-lane sockets + locate-keyed lane handoff)")
+		ingress    = flag.String("ingress", "auto", "ingress topology: auto = shared (one socket, a datagram is owned by lane locate mod workers), reuseport (one SO_REUSEPORT socket per lane, owned by the lane it arrived on), reshard (a socket per lane, owned by locate mod workers)")
 		fabricMode = flag.Bool("fabric", false, "run an in-process two-hop leaf/spine fabric (covering spines, recovering inter-switch links) instead of a single switch")
 		fabLeaves  = flag.Int("fabric-leaves", 2, "leaf switches for -fabric (host h hangs off leaf h mod leaves)")
 		fabSpines  = flag.Int("fabric-spines", 1, "spine switches for -fabric (spines beyond the first are failover paths)")
@@ -146,7 +147,7 @@ func main() {
 
 	mode, err := dataplane.ParseIngressMode(*ingress)
 	fatal(err)
-	if mode != dataplane.IngressAuto && mode != dataplane.IngressShared && !dataplane.ReusePortAvailable() {
+	if mode != dataplane.IngressShared && !dataplane.ReusePortAvailable() {
 		fmt.Fprintf(os.Stderr, "camus-switch: SO_REUSEPORT unavailable on this platform; falling back to shared ingress\n")
 	}
 

@@ -221,7 +221,7 @@ func (a *analysis) condImplies(j, i *ruleInfo) bool {
 	for f, si := range i.proj {
 		sj, ok := j.proj[f]
 		if !ok {
-			sj = interval.Full(a.fields[f].max)
+			sj = interval.Full(a.tab.Fields()[f].Max)
 		}
 		if !sj.SubsetOf(si) {
 			return false
@@ -267,9 +267,10 @@ func (a *analysis) bddImplies(j, i *ruleInfo) bool {
 
 func (a *analysis) bddFields() []bdd.Field {
 	if a.bddFieldList == nil {
-		a.bddFieldList = make([]bdd.Field, len(a.fields))
-		for i, f := range a.fields {
-			a.bddFieldList[i] = bdd.Field{Name: f.name, Max: f.max}
+		fields := a.tab.Fields()
+		a.bddFieldList = make([]bdd.Field, len(fields))
+		for i, f := range fields {
+			a.bddFieldList[i] = bdd.Field{Name: f.Name, Max: f.Max}
 		}
 	}
 	return a.bddFieldList
@@ -280,7 +281,7 @@ func (a *analysis) toBDDConj(rc resolvedConj, payload int) bdd.Conj {
 	for i, f := range rc.fields {
 		c.Constraints = append(c.Constraints, bdd.Constraint{
 			Field: f, Set: rc.sets[i],
-			Label: bdd.Text(a.fields[f].name + "∈" + rc.sets[i].Key()),
+			Label: bdd.Text(a.tab.Fields()[f].Name + "∈" + rc.sets[i].Key()),
 		})
 	}
 	return c

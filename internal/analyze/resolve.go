@@ -6,37 +6,27 @@ import (
 	"strings"
 
 	"camus/internal/bdd"
+	"camus/internal/compiler"
 	"camus/internal/interval"
 	"camus/internal/lang"
 	"camus/internal/spec"
 )
 
-// analysis carries the state of one run: the field table (spec query
-// fields plus synthetic aggregate/state fields, mirroring the compiler's
-// resolver), the per-rule resolved forms, and the accumulated
-// diagnostics.
+// analysis carries the state of one run: the field table (the compiler's
+// own — spec query fields plus synthetic aggregate/state fields — so
+// satisfiability here is compilability there), the per-rule resolved
+// forms, and the accumulated diagnostics.
 type analysis struct {
 	sp    *spec.Spec
 	rules []lang.Rule
 	opts  Options
 
-	fields       []fieldInfo
-	byName       map[string]int
+	tab          *compiler.FieldTable
 	builder      *bdd.Builder // shared arena for every BDD containment test
-	bddFieldList []bdd.Field  // lazily built from fields
+	bddFieldList []bdd.Field  // lazily built from the field table
 
 	infos []*ruleInfo
 	diags []Diagnostic
-}
-
-// fieldInfo is the analyzer's view of one match dimension.
-type fieldInfo struct {
-	name    string
-	bits    int
-	max     uint64
-	match   spec.MatchKind
-	isState bool
-	decl    int // spec declaration line (0 if synthetic/programmatic)
 }
 
 // ruleInfo is the resolved form of one rule.
@@ -85,18 +75,11 @@ func (c resolvedConj) set(field int) (interval.Set, bool) {
 }
 
 func newAnalysis(sp *spec.Spec, rules []lang.Rule, opts Options) *analysis {
-	a := &analysis{
+	return &analysis{
 		sp: sp, rules: rules, opts: opts,
-		byName:  make(map[string]int),
+		tab:     compiler.NewFieldTable(sp),
 		builder: bdd.NewBuilder(),
 	}
-	for _, q := range sp.OrderedQueries() {
-		a.byName[q.Name] = len(a.fields)
-		a.fields = append(a.fields, fieldInfo{
-			name: q.Name, bits: q.Bits, max: q.DomainMax(), match: q.Match, decl: q.Line,
-		})
-	}
-	return a
 }
 
 func (a *analysis) report(d Diagnostic) { a.diags = append(a.diags, d) }
@@ -108,119 +91,6 @@ func rulePos(r lang.Rule, p lang.Pos) (line, col int) {
 		return p.Line, p.Col
 	}
 	return r.Pos.Line, r.Pos.Col
-}
-
-// stateFieldBits mirrors the compiler's width for synthetic state fields.
-const stateFieldBits = 32
-
-// fieldIndex resolves an operand to a field-table index, creating
-// synthetic aggregate/state entries on first use — the same shape the
-// compiler's resolver builds, so satisfiability here matches
-// compilability there. The error message is diagnostic-ready.
-func (a *analysis) fieldIndex(op lang.Operand) (int, error) {
-	keyName := ""
-	if op.IsKeyed() {
-		var err error
-		keyName, err = a.resolveKey(op.Key)
-		if err != nil {
-			return 0, fmt.Errorf("operand %s: %v", op, err)
-		}
-	}
-	keySuffix := ""
-	if keyName != "" {
-		keySuffix = "[" + keyName + "]"
-	}
-	if op.IsAggregate() {
-		if !validAggregate(op.Agg) {
-			return 0, fmt.Errorf("unknown aggregate macro %q (have avg, sum, count, min, max)", op.Agg)
-		}
-		// Aggregate over a declared state variable (avg(temp) where temp
-		// is @query_counter-declared): the window comes from the
-		// declaration, updates are explicit.
-		if v, err := a.sp.LookupState(op.Field); err == nil {
-			name := fmt.Sprintf("%s(%s)%s", op.Agg, v.Name, keySuffix)
-			if idx, ok := a.byName[name]; ok {
-				return idx, nil
-			}
-			idx := len(a.fields)
-			a.byName[name] = idx
-			a.fields = append(a.fields, fieldInfo{
-				name: name, bits: stateFieldBits, max: 1<<stateFieldBits - 1,
-				match: spec.MatchRange, isState: true, decl: v.Line,
-			})
-			return idx, nil
-		}
-		q, err := a.sp.LookupField(op.Field)
-		if err != nil {
-			return 0, fmt.Errorf("aggregate %s: %v", op, err)
-		}
-		name := fmt.Sprintf("%s(%s)%s", op.Agg, q.Name, keySuffix)
-		if idx, ok := a.byName[name]; ok {
-			return idx, nil
-		}
-		idx := len(a.fields)
-		a.byName[name] = idx
-		a.fields = append(a.fields, fieldInfo{
-			name: name, bits: stateFieldBits, max: 1<<stateFieldBits - 1,
-			match: spec.MatchRange, isState: true,
-		})
-		return idx, nil
-	}
-	if v, err := a.sp.LookupState(op.Field); err == nil {
-		name := v.Name + keySuffix
-		if idx, ok := a.byName[name]; ok {
-			return idx, nil
-		}
-		bits := v.Bits
-		if bits == 0 {
-			bits = stateFieldBits
-		}
-		max := ^uint64(0)
-		if bits < 64 {
-			max = uint64(1)<<bits - 1
-		}
-		idx := len(a.fields)
-		a.byName[name] = idx
-		a.fields = append(a.fields, fieldInfo{
-			name: name, bits: bits, max: max,
-			match: spec.MatchRange, isState: true, decl: v.Line,
-		})
-		return idx, nil
-	}
-	if op.IsKeyed() {
-		return 0, fmt.Errorf("operand %s: key suffix on non-state field %q", op, op.Field)
-	}
-	q, err := a.sp.LookupField(op.Field)
-	if err != nil {
-		return 0, fmt.Errorf("unknown field or state variable %q", op.Field)
-	}
-	idx, ok := a.byName[q.Name]
-	if !ok {
-		return 0, fmt.Errorf("internal: field %q missing from index", q.Name)
-	}
-	return idx, nil
-}
-
-// resolveKey mirrors the compiler: a state key must be a
-// @query_field-annotated header field, since the pipeline reads the key
-// value out of the extracted field vector.
-func (a *analysis) resolveKey(key string) (string, error) {
-	q, err := a.sp.LookupField(key)
-	if err != nil {
-		return "", fmt.Errorf("state key [%s]: %v", key, err)
-	}
-	if _, ok := a.byName[q.Name]; !ok {
-		return "", fmt.Errorf("internal: key field %q missing from index", q.Name)
-	}
-	return q.Name, nil
-}
-
-func validAggregate(name string) bool {
-	switch name {
-	case "avg", "sum", "count", "min", "max":
-		return true
-	}
-	return false
 }
 
 // isRangeOp reports whether the operator needs range/ternary matching
@@ -294,7 +164,7 @@ func (a *analysis) checkRule(index int, r lang.Rule) *ruleInfo {
 					"state update targets undeclared variable %q", act.Var)
 			}
 			if act.StateKey != "" {
-				if _, err := a.resolveKey(act.StateKey); err != nil {
+				if _, _, err := a.tab.ResolveKey(act.StateKey); err != nil {
 					reportType(act.Pos, SevError, nil, "state update %s: %v", act, err)
 				}
 			}
@@ -350,35 +220,36 @@ func (a *analysis) resolveConj(r lang.Rule, conj lang.Conjunction, reportType fu
 		if !pos.IsValid() {
 			pos = atom.Pos
 		}
-		idx, err := a.fieldIndex(atom.LHS)
+		idx, err := a.tab.Index(atom.LHS)
 		if err != nil {
 			reportType(atom.Pos, SevError, nil, "%v", err)
 			bad = true
 			continue
 		}
-		f := a.fields[idx]
+		f := a.tab.Fields()[idx]
 
-		if f.match == spec.MatchExact && isRangeOp(atom.Op) {
+		if f.Match == spec.MatchExact && isRangeOp(atom.Op) {
+			// Only a spec query field is exact-match; point at its declaration.
 			var rel []Related
-			if f.decl > 0 {
-				rel = []Related{{Rule: -1, Line: f.decl, Col: 1,
-					Msg: fmt.Sprintf("field %s is declared @query_field_exact here", f.name)}}
+			if q, err := a.sp.LookupField(f.Name); err == nil && q.Line > 0 {
+				rel = []Related{{Rule: -1, Line: q.Line, Col: 1,
+					Msg: fmt.Sprintf("field %s is declared @query_field_exact here", f.Name)}}
 			}
 			reportType(atom.Pos, SevError, rel,
-				"range predicate %q on exact-match field %s (declared @query_field_exact)", atom.Op, f.name)
+				"range predicate %q on exact-match field %s (declared @query_field_exact)", atom.Op, f.Name)
 			bad = true
 			continue
 		}
 
 		v := atom.RHS.Num
 		if atom.RHS.Kind == lang.ValSymbol {
-			if f.isState {
+			if f.IsState {
 				reportType(atom.Pos, SevError, nil,
-					"state field %s compared against symbolic constant %q (state fields take numeric constants)", f.name, atom.RHS.Sym)
+					"state field %s compared against symbolic constant %q (state fields take numeric constants)", f.Name, atom.RHS.Sym)
 				bad = true
 				continue
 			}
-			q, err := a.sp.LookupField(f.name)
+			q, err := a.sp.LookupField(f.Name)
 			if err != nil {
 				reportType(atom.Pos, SevError, nil, "%v", err)
 				bad = true
@@ -390,12 +261,12 @@ func (a *analysis) resolveConj(r lang.Rule, conj lang.Conjunction, reportType fu
 				bad = true
 				continue
 			}
-		} else if v > f.max {
+		} else if v > f.Max {
 			reportType(atom.Pos, SevWarning, nil,
-				"value %d overflows %d-bit field %s (max %d)", v, f.bits, f.name, f.max)
+				"value %d overflows %d-bit field %s (max %d)", v, f.Bits, f.Name, f.Max)
 		}
 
-		set := atomSet(atom.Op, v, f.max)
+		set := compiler.AtomSet(atom.Op, v, f.Max)
 		if prev, ok := sets[idx]; ok {
 			set = prev.Intersect(set)
 		}
@@ -417,33 +288,6 @@ func (a *analysis) resolveConj(r lang.Rule, conj lang.Conjunction, reportType fu
 		}
 	}
 	return rc, true
-}
-
-// atomSet is the compiler's atom-to-interval lowering: out-of-domain
-// constants clamp to never/always via interval math.
-func atomSet(op lang.CmpOp, v, max uint64) interval.Set {
-	if v > max {
-		switch op {
-		case lang.OpEq, lang.OpGt, lang.OpGe:
-			return interval.Empty()
-		default: // OpNeq, OpLt, OpLe
-			return interval.Full(max)
-		}
-	}
-	switch op {
-	case lang.OpEq:
-		return interval.Point(v)
-	case lang.OpNeq:
-		return interval.NotEqual(v, max)
-	case lang.OpLt:
-		return interval.LessThan(v)
-	case lang.OpGt:
-		return interval.GreaterThan(v, max)
-	case lang.OpLe:
-		return interval.AtMost(v)
-	default: // OpGe
-		return interval.AtLeast(v, max)
-	}
 }
 
 // conjKey canonicalizes a resolved conjunction for duplicate detection.

@@ -73,53 +73,78 @@ const AggWindowUS = 100
 // stateFieldBits is the width used for synthetic aggregate fields.
 const stateFieldBits = 32
 
-// resolver turns parsed rules into BDD inputs against a spec. It only ever
-// grows: fields, payload IDs and predicates, once given, keep their meaning.
-type resolver struct {
-	spec    *spec.Spec
-	fields  []FieldInfo
-	byName  map[string]int
-	actions [][]lang.Action          // per payload ID
-	preds   map[lang.Atom]*predicate // by the atom less its position
+// FieldTable resolves subscription operands to pipeline match fields
+// against a spec: the spec's query fields in BDD variable order, then one
+// synthetic state field per aggregate macro or state-variable read, created
+// where its operand first appears. It only ever grows — an index, once
+// given, keeps its meaning. The compiler's resolver and the static analyzer
+// (package analyze) both resolve through it, so a rule the analyzer passes
+// is a rule the compiler accepts.
+type FieldTable struct {
+	spec   *spec.Spec
+	fields []FieldInfo
+	byName map[string]int
 }
 
-func newResolver(sp *spec.Spec) *resolver {
-	r := &resolver{spec: sp, byName: make(map[string]int), preds: make(map[lang.Atom]*predicate)}
+// NewFieldTable indexes the spec's query fields.
+func NewFieldTable(sp *spec.Spec) *FieldTable {
+	t := &FieldTable{spec: sp, byName: make(map[string]int)}
 	for _, q := range sp.OrderedQueries() {
-		r.byName[q.Name] = len(r.fields)
-		r.fields = append(r.fields, FieldInfo{
+		t.byName[q.Name] = len(t.fields)
+		t.fields = append(t.fields, FieldInfo{
 			Name: q.Name, Bits: q.Bits, Max: q.DomainMax(), Match: q.Match,
 		})
 		// Also index by short name when unambiguous; LookupField is the
 		// authority, this map is only keyed by canonical names.
 	}
-	return r
+	return t
 }
 
-// resolveKey canonicalizes a keyed operand's or action's key field and
+// Fields returns the table so far, indexed as Index reports. The slice is
+// the table's own: read it, and re-read it after a later Index.
+func (t *FieldTable) Fields() []FieldInfo { return t.fields }
+
+// ResolveKey canonicalizes a keyed operand's or action's key field and
 // returns its canonical name plus its pipeline field index. Keys must be
 // @query_field-annotated header fields: the pipeline reads the key value
 // from the extracted field vector, so the key has to be a match field the
 // parser already delivers.
-func (r *resolver) resolveKey(key string) (string, int, error) {
-	q, err := r.spec.LookupField(key)
+func (t *FieldTable) ResolveKey(key string) (string, int, error) {
+	q, err := t.spec.LookupField(key)
 	if err != nil {
 		return "", 0, fmt.Errorf("state key [%s]: %w", key, err)
 	}
-	idx, ok := r.byName[q.Name]
+	idx, ok := t.byName[q.Name]
 	if !ok {
 		return "", 0, fmt.Errorf("internal: key field %q missing from index", q.Name)
 	}
 	return q.Name, idx, nil
 }
 
-// fieldIndex resolves a subscription operand to a pipeline field index,
+// state returns the index of the synthetic state field f.Name, adding f on
+// first use.
+func (t *FieldTable) state(f FieldInfo) int {
+	if idx, ok := t.byName[f.Name]; ok {
+		return idx
+	}
+	f.Match, f.IsState = spec.MatchRange, true
+	f.Max = ^uint64(0)
+	if f.Bits < 64 {
+		f.Max = uint64(1)<<f.Bits - 1
+	}
+	idx := len(t.fields)
+	t.byName[f.Name] = idx
+	t.fields = append(t.fields, f)
+	return idx
+}
+
+// Index resolves a subscription operand to a pipeline field index,
 // creating synthetic state fields on first use.
-func (r *resolver) fieldIndex(op lang.Operand) (int, error) {
+func (t *FieldTable) Index(op lang.Operand) (int, error) {
 	keyName, keyIdx := "", -1
 	if op.IsKeyed() {
 		var err error
-		keyName, keyIdx, err = r.resolveKey(op.Key)
+		keyName, keyIdx, err = t.ResolveKey(op.Key)
 		if err != nil {
 			return 0, fmt.Errorf("operand %s: %w", op, err)
 		}
@@ -129,91 +154,98 @@ func (r *resolver) fieldIndex(op lang.Operand) (int, error) {
 		keySuffix = "[" + keyName + "]"
 	}
 	if op.IsAggregate() {
-		if !validAggregate(op.Agg) {
+		switch op.Agg {
+		case "avg", "sum", "count", "min", "max":
+		default:
 			return 0, fmt.Errorf("unknown aggregate macro %q (have avg, sum, count, min, max)", op.Agg)
 		}
 		// Aggregate over a declared state variable — avg(temp) where temp
 		// is @query_counter-declared — reads the variable's cells with the
 		// macro's fold; the window comes from the declaration and updates
 		// are explicit (temp[k] <- sample(...)), so no implicit companion.
-		if v, err := r.spec.LookupState(op.Field); err == nil {
-			name := fmt.Sprintf("%s(%s)%s", op.Agg, v.Name, keySuffix)
-			if idx, ok := r.byName[name]; ok {
-				return idx, nil
-			}
-			idx := len(r.fields)
-			r.byName[name] = idx
-			r.fields = append(r.fields, FieldInfo{
-				Name: name, Bits: stateFieldBits, Max: (1 << stateFieldBits) - 1,
-				Match: spec.MatchRange, IsState: true, Agg: op.Agg,
-				WindowUS: v.WindowUS,
+		if v, err := t.spec.LookupState(op.Field); err == nil {
+			return t.state(FieldInfo{
+				Name: fmt.Sprintf("%s(%s)%s", op.Agg, v.Name, keySuffix), Bits: stateFieldBits,
+				Agg: op.Agg, WindowUS: v.WindowUS,
 				StateVar: v.Name, KeyField: keyName, KeyIndex: keyIdx,
-			})
-			return idx, nil
+			}), nil
 		}
-		q, err := r.spec.LookupField(op.Field)
+		q, err := t.spec.LookupField(op.Field)
 		if err != nil {
 			return 0, fmt.Errorf("aggregate %s: %w", op, err)
 		}
 		stateVar := fmt.Sprintf("%s(%s)", op.Agg, q.Name)
-		name := stateVar + keySuffix
-		if idx, ok := r.byName[name]; ok {
-			return idx, nil
-		}
-		idx := len(r.fields)
-		r.byName[name] = idx
-		r.fields = append(r.fields, FieldInfo{
-			Name: name, Bits: stateFieldBits, Max: (1 << stateFieldBits) - 1,
-			Match: spec.MatchRange, IsState: true, Agg: op.Agg, BaseField: q.Name,
-			WindowUS: AggWindowUS,
+		return t.state(FieldInfo{
+			Name: stateVar + keySuffix, Bits: stateFieldBits,
+			Agg: op.Agg, BaseField: q.Name, WindowUS: AggWindowUS,
 			StateVar: stateVar, KeyField: keyName, KeyIndex: keyIdx,
-		})
-		return idx, nil
+		}), nil
 	}
 	// State variable reference (declared via @query_counter/@query_register).
-	if v, err := r.spec.LookupState(op.Field); err == nil {
-		name := v.Name + keySuffix
-		if idx, ok := r.byName[name]; ok {
-			return idx, nil
-		}
+	if v, err := t.spec.LookupState(op.Field); err == nil {
 		bits := v.Bits
 		if bits == 0 {
 			bits = stateFieldBits
 		}
-		idx := len(r.fields)
-		r.byName[name] = idx
-		max := ^uint64(0)
-		if bits < 64 {
-			max = (uint64(1) << bits) - 1
-		}
-		r.fields = append(r.fields, FieldInfo{
-			Name: name, Bits: bits, Max: max,
-			Match: spec.MatchRange, IsState: true, Agg: "count", BaseField: "",
-			WindowUS: v.WindowUS,
+		return t.state(FieldInfo{
+			Name: v.Name + keySuffix, Bits: bits,
+			Agg: "count", WindowUS: v.WindowUS,
 			StateVar: v.Name, KeyField: keyName, KeyIndex: keyIdx,
-		})
-		return idx, nil
+		}), nil
 	}
 	if op.IsKeyed() {
 		return 0, fmt.Errorf("operand %s: key suffix on non-state field %q", op, op.Field)
 	}
-	q, err := r.spec.LookupField(op.Field)
+	q, err := t.spec.LookupField(op.Field)
 	if err != nil {
 		return 0, err
 	}
-	idx, ok := r.byName[q.Name]
+	idx, ok := t.byName[q.Name]
 	if !ok {
 		return 0, fmt.Errorf("internal: field %q missing from index", q.Name)
 	}
 	return idx, nil
 }
 
-func validAggregate(name string) bool {
-	switch name {
-	case "avg", "sum", "count", "min", "max":
-		return true
+// AtomSet lowers `field op v` to the interval set of values that satisfy
+// it on a field whose domain is [0, max]. A constant outside the domain
+// makes == and > never match and != and < always match; that is expressed
+// via interval math on the clamped domain.
+func AtomSet(op lang.CmpOp, v, max uint64) interval.Set {
+	if v > max {
+		switch op {
+		case lang.OpEq, lang.OpGt, lang.OpGe:
+			return interval.Empty()
+		default: // OpNeq, OpLt, OpLe
+			return interval.Full(max)
+		}
 	}
-	return false
+	switch op {
+	case lang.OpEq:
+		return interval.Point(v)
+	case lang.OpNeq:
+		return interval.NotEqual(v, max)
+	case lang.OpLt:
+		return interval.LessThan(v)
+	case lang.OpGt:
+		return interval.GreaterThan(v, max)
+	case lang.OpLe:
+		return interval.AtMost(v)
+	default: // OpGe
+		return interval.AtLeast(v, max)
+	}
+}
+
+// resolver turns parsed rules into BDD inputs against a spec. It only ever
+// grows: fields, payload IDs and predicates, once given, keep their meaning.
+type resolver struct {
+	*FieldTable
+	actions [][]lang.Action          // per payload ID
+	preds   map[lang.Atom]*predicate // by the atom less its position
+}
+
+func newResolver(sp *spec.Spec) *resolver {
+	return &resolver{FieldTable: NewFieldTable(sp), preds: make(map[lang.Atom]*predicate)}
 }
 
 // atomSet converts an atomic predicate into the interval set of values
@@ -234,36 +266,7 @@ func (r *resolver) atomSet(fieldIdx int, a lang.Atom) (interval.Set, error) {
 			return interval.Set{}, fmt.Errorf("predicate %s: %w", a, err)
 		}
 	}
-	if v > f.Max {
-		// Constant outside the field domain: == never matches, > never
-		// matches, < always matches, etc. Express via interval math on
-		// the clamped domain.
-		switch a.Op {
-		case lang.OpEq:
-			return interval.Empty(), nil
-		case lang.OpNeq:
-			return interval.Full(f.Max), nil
-		case lang.OpLt, lang.OpLe:
-			return interval.Full(f.Max), nil
-		default: // OpGt, OpGe
-			return interval.Empty(), nil
-		}
-	}
-	switch a.Op {
-	case lang.OpEq:
-		return interval.Point(v), nil
-	case lang.OpNeq:
-		return interval.NotEqual(v, f.Max), nil
-	case lang.OpLt:
-		return interval.LessThan(v), nil
-	case lang.OpGt:
-		return interval.GreaterThan(v, f.Max), nil
-	case lang.OpLe:
-		return interval.AtMost(v), nil
-	case lang.OpGe:
-		return interval.AtLeast(v, f.Max), nil
-	}
-	return interval.Set{}, fmt.Errorf("predicate %s: unknown operator", a)
+	return AtomSet(a.Op, v, f.Max), nil
 }
 
 // predicate is one distinct atom — operand, operator, constant — resolved
@@ -283,7 +286,7 @@ func (r *resolver) predicate(a lang.Atom) (*predicate, error) {
 	if p, ok := r.preds[a]; ok {
 		return p, nil
 	}
-	idx, err := r.fieldIndex(a.LHS)
+	idx, err := r.Index(a.LHS)
 	if err != nil {
 		return nil, err
 	}
@@ -366,7 +369,7 @@ func (r *resolver) canonicalizeActions(actions []lang.Action) ([]lang.Action, er
 		if a.Kind != lang.ActState || a.StateKey == "" {
 			continue
 		}
-		keyName, _, err := r.resolveKey(a.StateKey)
+		keyName, _, err := r.ResolveKey(a.StateKey)
 		if err != nil {
 			return nil, fmt.Errorf("action %s: %w", a, err)
 		}

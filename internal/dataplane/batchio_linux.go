@@ -3,8 +3,9 @@
 // Batched socket I/O for the dataplane hot path: recvmmsg/sendmmsg move
 // a burst of datagrams per syscall, amortizing kernel-crossing cost the
 // way an ASIC amortizes per-packet work across its pipeline. The fast
-// path engages only on plain *net.UDPConn sockets; fault-injection
-// wrappers and tests keep the portable per-datagram path.
+// path engages only on plain *net.UDPConn sockets; on fault-injection
+// wrappers and in-memory test conns the reader is the portable one
+// (readOne) and the writer is absent.
 //
 // Everything here uses only the standard library: raw syscalls through
 // (*net.UDPConn).SyscallConn so the runtime netpoller still owns
@@ -48,8 +49,10 @@ func putSockaddr(buf *sockaddrBuf, addr *net.UDPAddr) (uint32, bool) {
 	return 0, false
 }
 
-// batchReader drains an ingress socket with recvmmsg.
+// batchReader drains an ingress socket: with recvmmsg when rc is set,
+// one portable read per batch otherwise.
 type batchReader struct {
+	conn  Conn // portable path only
 	rc    syscall.RawConn
 	hdrs  []mmsghdr
 	iovs  []syscall.Iovec
@@ -63,17 +66,18 @@ type batchReader struct {
 	errno  syscall.Errno
 }
 
-// newBatchReader returns a recvmmsg-backed reader for c, or nil when c
-// is not a plain *net.UDPConn (fault-injection wrappers, in-memory test
-// conns) or batching is disabled.
-func newBatchReader(c Conn, batch int) *batchReader {
+// newBatchReader returns a reader for c and how many datagrams one
+// ReadBatch can return: a recvmmsg-backed reader of batch, or the portable
+// reader of one when c is not a plain *net.UDPConn (fault-injection
+// wrappers, in-memory test conns) or batching is disabled.
+func newBatchReader(c Conn, batch int) (*batchReader, int) {
 	uc, ok := c.(*net.UDPConn)
 	if !ok || batch <= 1 {
-		return nil
+		return &batchReader{conn: c}, 1
 	}
 	rc, err := uc.SyscallConn()
 	if err != nil {
-		return nil
+		return &batchReader{conn: c}, 1
 	}
 	br := &batchReader{
 		rc:    rc,
@@ -91,7 +95,7 @@ func newBatchReader(c Conn, batch int) *batchReader {
 		br.got = int(r)
 		return true
 	}
-	return br
+	return br, batch
 }
 
 // ReadBatch blocks until at least one datagram arrives, then fills bufs
@@ -100,6 +104,9 @@ func newBatchReader(c Conn, batch int) *batchReader {
 //
 //camus:hotpath
 func (br *batchReader) ReadBatch(bufs [][]byte, sizes []int) (int, error) {
+	if br.rc == nil {
+		return readOne(br.conn, bufs, sizes)
+	}
 	n := len(bufs)
 	if n > len(br.hdrs) {
 		n = len(br.hdrs)

@@ -5,17 +5,19 @@ package dataplane
 import "net"
 
 // The mmsg batch-I/O fast path is Linux-only (recvmmsg/sendmmsg); on
-// other platforms the constructors return nil and the dataplane keeps
-// the portable per-datagram socket calls.
+// other platforms the reader is the portable one (readOne), the writer
+// constructor returns nil and egress keeps the per-datagram socket calls.
 
-type batchReader struct{}
+type batchReader struct{ conn Conn }
 
 type batchWriter struct{}
 
-func newBatchReader(Conn, int) *batchReader { return nil }
+func newBatchReader(c Conn, _ int) (*batchReader, int) { return &batchReader{conn: c}, 1 }
 
 func newBatchWriter(Conn) *batchWriter { return nil }
 
-func (*batchReader) ReadBatch([][]byte, []int) (int, error) { return 0, nil }
+func (br *batchReader) ReadBatch(bufs [][]byte, sizes []int) (int, error) {
+	return readOne(br.conn, bufs, sizes)
+}
 
 func (*batchWriter) WriteBatch(_, _ [][]byte, _ []*net.UDPAddr) (int, error) { return 0, nil }

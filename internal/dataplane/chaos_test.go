@@ -37,7 +37,7 @@ func startChaos(t *testing.T, plan faults.Plan, retxBuffer int, rcvTimeout time.
 }
 
 func startChaosWorkers(t *testing.T, plan faults.Plan, retxBuffer int, rcvTimeout time.Duration, workers int) *chaosHarness {
-	return startChaosMode(t, plan, false, retxBuffer, rcvTimeout, workers, IngressAuto)
+	return startChaosMode(t, plan, false, retxBuffer, rcvTimeout, workers, IngressShared)
 }
 
 // startChaosMode is the full-control harness entry: egressOnly restricts

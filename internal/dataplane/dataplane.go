@@ -148,27 +148,29 @@ type Config struct {
 	RetxBuffer int
 	// Heartbeat is the idle-heartbeat interval per port (0 disables).
 	Heartbeat time.Duration
-	// Workers is the number of parallel shard lanes evaluating ingress
-	// datagrams (default 1: the classic single read-process loop). How
-	// ingress reaches the lanes is set by IngressMode; in the default
-	// shared mode one reader fans datagrams out by ITCH stock-locate
-	// (instrument) key, so all messages of one instrument are processed
-	// by the same lane in arrival order; per-port egress sequence
-	// numbering stays dense and race-free at any worker count.
+	// Workers is the number of lanes evaluating ingress datagrams
+	// (default 1: one socket whose reader processes inline, whatever the
+	// mode). How datagrams reach the lanes is set by IngressMode; in the
+	// default shared mode the one reader hands each to the lane its first
+	// add-order's ITCH stock locate (instrument) selects, so all messages
+	// of one instrument are processed by the same lane in arrival order;
+	// per-port egress sequence numbering stays dense and race-free at any
+	// worker count.
 	Workers int
-	// IngressMode selects the ingress architecture: IngressShared (one
-	// socket, one reader; the Auto default), IngressReusePort (one
-	// SO_REUSEPORT socket + read loop per lane, kernel flow hashing as
-	// the shard step), or IngressReusePortReshard (per-lane sockets plus
-	// a locate-keyed lane-to-lane handoff — the correctness fallback for
-	// single-flow feeds). The reuseport modes degrade to IngressShared
-	// on platforms without SO_REUSEPORT.
+	// IngressMode selects the ingress topology — how many sockets are read
+	// and which lane owns a datagram — over the one reader→lane loop:
+	// IngressShared (one socket, owner by locate; the default),
+	// IngressReusePort (one SO_REUSEPORT socket per lane, owner is the lane
+	// the kernel's flow hash delivered to), or IngressReusePortReshard
+	// (per-lane sockets, owner by locate — the correctness fallback for
+	// single-flow feeds). The reuseport modes degrade to IngressShared on
+	// platforms without SO_REUSEPORT.
 	IngressMode IngressMode
 	// Batch is how many datagrams one socket operation moves when the
 	// platform supports batched I/O (recvmmsg/sendmmsg on Linux); on
-	// other platforms and on fault-injection wrapped sockets the switch
-	// transparently falls back to per-datagram calls. 0 selects the
-	// default (32); negative or 1 disables batching.
+	// other platforms and on fault-injection wrapped sockets the same
+	// loops run on per-datagram calls. 0 selects the default (32);
+	// negative or 1 disables batching.
 	Batch int
 	// WrapConn, when non-nil, wraps each socket the switch opens (the
 	// ingress data sockets in lane order — one in shared mode, Workers
@@ -240,9 +242,8 @@ type Switch struct {
 	session   string
 	retxCap   int
 	heartbeat time.Duration
-	workers   int
 	batch     int
-	mode      IngressMode // effective ingress mode (Auto resolved, fallback applied)
+	mode      IngressMode // effective ingress mode (platform fallback applied)
 	lanes     []*lane
 
 	// bodies is the shared-buffer free list the multicast egress engine
@@ -266,17 +267,6 @@ type Switch struct {
 	// maintained by Subscribe/Close under mu.
 	subCounts map[string]int
 
-	// Shared-mode reader busy time, for saturated-ingress throughput
-	// analysis (the reuseport modes account per lane instead — see
-	// LaneStats): busyRead is time inside socket read calls (on an idle
-	// switch this includes waiting for traffic, so it is only meaningful
-	// when ingress is saturated, e.g. under a replay source);
-	// busyDispatch is shard-key + handoff work; busyStall is time blocked
-	// on full lane inboxes (lane backpressure, not reader work).
-	busyRead     atomic.Int64 // ns
-	busyDispatch atomic.Int64 // ns
-	busyStall    atomic.Int64 // ns
-
 	closeMu   sync.Mutex
 	closed    bool
 	runActive bool
@@ -285,18 +275,24 @@ type Switch struct {
 
 	// procTestHook, when non-nil, runs before each datagram is processed
 	// on a lane — a test seam for injecting lane failures (panics) into
-	// the parallel ingress paths.
+	// the ingress loop.
 	procTestHook func(lane int, datagram []byte)
 	// installTestHook, when non-nil, runs in SetSubscriptions between the
 	// compile and the install.
 	installTestHook func()
 }
 
+// bindUDP binds a plain UDP socket to addr.
+func bindUDP(addr string) (*net.UDPConn, error) {
+	ua, err := net.ResolveUDPAddr("udp", addr)
+	if err != nil {
+		return nil, err
+	}
+	return net.ListenUDP("udp", ua)
+}
+
 // Listen binds the ingress and retransmission sockets and
-// compiles/installs the initial subscription set. In the reuseport
-// ingress modes one socket per worker lane is bound to the same ingress
-// address (SO_REUSEPORT), so the kernel's flow hash spreads publisher
-// flows across the lanes.
+// compiles/installs the initial subscription set.
 func Listen(cfg Config) (*Switch, error) {
 	if cfg.Spec == nil {
 		return nil, errors.New("dataplane: Config.Spec is required")
@@ -311,56 +307,39 @@ func Listen(cfg Config) (*Switch, error) {
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}
+	// One socket in shared mode; in the reuseport modes one per lane, all
+	// bound to the same address so the kernel's flow hash spreads publisher
+	// flows across them.
+	nsock, bind := 1, bindUDP
+	if mode != IngressShared {
+		nsock, bind = workers, listenReusePort
+	}
 	var conns []Conn
 	closeConns := func() {
 		for _, c := range conns {
 			c.Close()
 		}
 	}
-	if mode == IngressShared {
-		udpAddr, err := net.ResolveUDPAddr("udp", addr)
+	for i := 0; i < nsock; i++ {
+		c, err := bind(addr)
 		if err != nil {
-			return nil, fmt.Errorf("dataplane: resolve ingress: %w", err)
+			closeConns()
+			return nil, fmt.Errorf("dataplane: listen %s socket %d: %w", mode, i, err)
 		}
-		conn, err := net.ListenUDP("udp", udpAddr)
-		if err != nil {
-			return nil, fmt.Errorf("dataplane: listen: %w", err)
-		}
-		conns = []Conn{conn}
 		// A deep socket buffer absorbs feed microbursts; best effort
 		// (the OS may clamp it).
-		_ = conn.SetReadBuffer(8 << 20)
-	} else {
-		first, err := listenReusePort(addr)
-		if err != nil {
-			return nil, fmt.Errorf("dataplane: listen reuseport: %w", err)
-		}
-		_ = first.SetReadBuffer(8 << 20)
-		conns = append(conns, first)
+		_ = c.SetReadBuffer(8 << 20)
+		conns = append(conns, c)
 		// The first bind resolves a possibly-wildcard port; the other
 		// lanes bind the concrete address it landed on.
-		concrete := first.LocalAddr().String()
-		for i := 1; i < workers; i++ {
-			c, err := listenReusePort(concrete)
-			if err != nil {
-				closeConns()
-				return nil, fmt.Errorf("dataplane: listen reuseport lane %d: %w", i, err)
-			}
-			_ = c.SetReadBuffer(8 << 20)
-			conns = append(conns, c)
-		}
+		addr = c.LocalAddr().String()
 	}
 
 	retxAddr := cfg.Retx
 	if retxAddr == "" {
 		retxAddr = (&net.UDPAddr{IP: conns[0].LocalAddr().(*net.UDPAddr).IP}).String()
 	}
-	retxUDPAddr, err := net.ResolveUDPAddr("udp", retxAddr)
-	if err != nil {
-		closeConns()
-		return nil, fmt.Errorf("dataplane: resolve retx: %w", err)
-	}
-	retx, err := net.ListenUDP("udp", retxUDPAddr)
+	retx, err := bindUDP(retxAddr)
 	if err != nil {
 		closeConns()
 		return nil, fmt.Errorf("dataplane: listen retx: %w", err)
@@ -384,7 +363,6 @@ func Listen(cfg Config) (*Switch, error) {
 		session:   cfg.Session,
 		retxCap:   cfg.RetxBuffer,
 		heartbeat: cfg.Heartbeat,
-		workers:   workers,
 		mode:      mode,
 		tel:       cfg.Telemetry,
 		readBuf:   cfg.ReadBuffer,
@@ -415,13 +393,10 @@ func Listen(cfg Config) (*Switch, error) {
 		sw.retx = cfg.WrapConn(sw.retx)
 	}
 	sw.conn = sw.conns[0]
-	sw.lanes = make([]*lane, sw.workers)
+	sw.lanes = make([]*lane, workers)
 	for i := range sw.lanes {
-		l := &lane{id: i, conn: sw.conn}
-		if sw.mode != IngressShared {
-			l.conn = sw.conns[i]
-		}
-		sw.lanes[i] = l
+		// Its own socket where there is one per lane, else the shared one.
+		sw.lanes[i] = &lane{id: i, conn: sw.conns[i%len(sw.conns)]}
 	}
 	sw.bodies = newSharedPool(sharedPoolCapacity)
 	if reg := cfg.Telemetry.Reg(); reg != nil {
@@ -686,15 +661,15 @@ func (sw *Switch) endSession() {
 // its own MoldUDP64 session with a dense sequence space, so subscribers
 // can detect and repair loss.
 //
-// With Config.Workers > 1 in the default shared ingress mode the ingress
-// socket is drained by one reader that fans datagrams out to shard lanes
-// keyed by the first add-order's stock locate, so each instrument's
-// messages are evaluated in arrival order by a single lane; datagrams of
-// different instruments may be forwarded out of arrival order relative
-// to each other, which the per-port dense sequencing plus receiver-side
-// gap recovery already tolerates. In the reuseport ingress modes every
-// lane drains its own SO_REUSEPORT socket instead (see IngressMode for
-// the ordering argument per mode). Run may be called at most once.
+// Ingress is one loop under every IngressMode (see runIngress): a reader
+// per ingress socket, and with Config.Workers > 1 outside reuseport mode a
+// processor per lane fed by locate, so each instrument's messages are
+// evaluated in arrival order by a single lane; datagrams of different
+// instruments may be forwarded out of arrival order relative to each
+// other, which the per-port dense sequencing plus receiver-side gap
+// recovery already tolerates. A terminal read error on any ingress socket,
+// or a panic while processing, ends Run with that error. Run may be called
+// at most once.
 func (sw *Switch) Run(ctx context.Context) error {
 	sw.closeMu.Lock()
 	if sw.closed {
@@ -737,14 +712,7 @@ func (sw *Switch) Run(ctx context.Context) error {
 	for _, l := range sw.lanes {
 		l.st = sw.newProcState(l.id, l.conn)
 	}
-	switch {
-	case sw.mode != IngressShared:
-		return sw.runReusePort(ctx, sw.mode == IngressReusePortReshard)
-	case sw.workers > 1:
-		return sw.runSharded(ctx)
-	default:
-		return sw.runLaneInline(ctx, sw.lanes[0])
-	}
+	return sw.runIngress(ctx)
 }
 
 // readErr maps a terminal socket error to Run's return value. A read
@@ -760,125 +728,6 @@ func (sw *Switch) readErr(ctx context.Context, err error) error {
 		}
 	}
 	return fmt.Errorf("dataplane: read: %w", err)
-}
-
-// dgram is one pooled ingress datagram in flight between a reader and
-// a shard lane. src is the lane that read it (for re-shard accounting).
-type dgram struct {
-	buf []byte
-	n   int
-	src int32
-}
-
-// runSharded is the shared-socket fan-out: one reader drains the single
-// ingress socket and dispatches to sw.workers processing lanes keyed by
-// stock locate. Buffers come from a bounded free list: the reader takes
-// one, a lane returns it after processing, so the steady state allocates
-// nothing — and, unlike a sync.Pool, the working set survives GC cycles,
-// keeping allocs/op flat at any worker count.
-func (sw *Switch) runSharded(ctx context.Context) error {
-	pool := newDgramPool(sw.poolCapacity(), sw.readBuf, &sw.stats.PoolMiss)
-	var errMu sync.Mutex
-	var firstErr error
-	record := func(err error) {
-		if err == nil {
-			return
-		}
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-	for _, l := range sw.lanes {
-		l.ch = make(chan *dgram, shardQueueDepth)
-	}
-	var wg sync.WaitGroup
-	for _, l := range sw.lanes {
-		wg.Add(1)
-		go func(l *lane) {
-			defer wg.Done()
-			defer sw.recoverLane(l, record, pool)
-			for d := range l.ch {
-				sw.timeProcess(l, d.buf[:d.n])
-				pool.put(d)
-			}
-		}(l)
-	}
-	dispatch := func(d *dgram) {
-		ds := time.Now()
-		sw.stats.Datagrams.Add(1)
-		owner := sw.lanes[0]
-		if loc, ok := itch.FirstAddOrderLocate(d.buf[:d.n]); ok {
-			owner = sw.lanes[int(loc)%sw.workers]
-		}
-		owner.datagrams.Add(1)
-		d.src = int32(owner.id)
-		handoff(owner, d, ds, &sw.busyDispatch, &sw.busyStall)
-	}
-
-	if br := newBatchReader(sw.conn, sw.batch); br != nil {
-		ds := make([]*dgram, sw.batch)
-		bufs := make([][]byte, sw.batch)
-		sizes := make([]int, sw.batch)
-		for {
-			for i := range ds {
-				ds[i] = pool.get()
-				bufs[i] = ds[i].buf
-			}
-			rs := time.Now()
-			n, rerr := br.ReadBatch(bufs, sizes)
-			sw.busyRead.Add(int64(time.Since(rs)))
-			for i := 0; i < n; i++ {
-				ds[i].n = sizes[i]
-				dispatch(ds[i])
-			}
-			for i := n; i < len(ds); i++ {
-				pool.put(ds[i])
-			}
-			if rerr != nil {
-				record(sw.readErr(ctx, rerr))
-				break
-			}
-		}
-	} else {
-		for {
-			d := pool.get()
-			rs := time.Now()
-			var rerr error
-			d.n, _, rerr = sw.conn.ReadFromUDP(d.buf)
-			sw.busyRead.Add(int64(time.Since(rs)))
-			if rerr != nil {
-				pool.put(d)
-				record(sw.readErr(ctx, rerr))
-				break
-			}
-			dispatch(d)
-		}
-	}
-	for _, l := range sw.lanes {
-		close(l.ch)
-	}
-	wg.Wait()
-	return firstErr
-}
-
-// recoverLane converts a processor-goroutine panic into Run's error.
-// Without it a dead lane deadlocks the whole switch: readers block
-// forever handing off to an inbox nobody drains. The panic is recorded
-// as the run's first error, every ingress socket is closed so the
-// readers exit promptly, and the lane keeps draining (and discarding)
-// its inbox until it is closed, so no in-flight handoff can block.
-func (sw *Switch) recoverLane(l *lane, record func(error), pool *dgramPool) {
-	r := recover()
-	if r == nil {
-		return
-	}
-	record(fmt.Errorf("dataplane: lane %d processor failed: %v", l.id, r))
-	sw.closeConns()
-	for d := range l.ch {
-		pool.put(d)
-	}
 }
 
 // timeProcess runs one datagram through the lane, accumulating lane busy
@@ -900,15 +749,14 @@ func (sw *Switch) timeProcess(l *lane, datagram []byte) {
 
 // BusyNs reports cumulative per-stage busy time in nanoseconds: time
 // spent on the ingress side (socket reads plus shard dispatch, summed
-// over the shared reader and every lane; backpressure stalls excluded)
-// and time spent processing datagrams (summed over lanes). Read time
+// over every reader; backpressure stalls excluded) and time spent
+// processing datagrams (summed over lanes). Read time
 // includes waiting for traffic, so the split is meaningful only when
 // ingress is saturated — it exists for the socket benchmark's per-layer
 // ledger (see benchmark/).
 // Call after Run returns, or accept slightly stale values. LaneStats
 // reports the same clocks broken out per lane.
 func (sw *Switch) BusyNs() (readNs, procNs int64) {
-	readNs = sw.busyRead.Load() + sw.busyDispatch.Load()
 	for _, l := range sw.lanes {
 		readNs += l.busyRead.Load() + l.busyDispatch.Load()
 		procNs += l.busyProc.Load()

@@ -12,42 +12,39 @@ import (
 	"camus/internal/telemetry"
 )
 
-// IngressMode selects how ingress datagrams reach the processing lanes.
+// IngressMode selects the ingress topology. Every mode runs the same
+// reader→lane loop (runIngress); a mode only fixes two facts about it —
+// how many sockets are read, and which lane owns a datagram:
 //
-// The paper's ASIC ingests at line rate because every port has its own
-// ingress pipeline; the software switch mirrors that with per-lane
-// SO_REUSEPORT sockets, so the measured (not derived) throughput scales
-// with lanes instead of serializing behind one reader goroutine.
+//	mode       sockets   owner of a datagram      processed by
+//	shared     1         locate % workers         the owner's processor
+//	reuseport  workers   the lane that read it    that lane's reader, inline
+//	reshard    workers   locate % workers         the owner's processor
+//
+// At Workers = 1 every row is the same thing: one socket whose reader
+// processes inline. The paper's ASIC ingests at line rate because every
+// port has its own ingress pipeline; the per-lane SO_REUSEPORT sockets are
+// the software mirror of that, so measured throughput can scale with lanes
+// instead of serializing behind one reader goroutine.
 type IngressMode int
 
 const (
-	// IngressAuto resolves to IngressShared — the portable, compatible
-	// default: one ingress socket drained by one reader.
-	IngressAuto IngressMode = iota
+	// IngressShared is the portable default (the flag spelling "auto"
+	// means it too).
+	IngressShared IngressMode = iota
 
-	// IngressShared is the classic path: a single ingress socket; with
-	// Config.Workers > 1 one reader goroutine fans datagrams out to the
-	// shard lanes keyed by the first add-order's stock locate.
-	IngressShared
-
-	// IngressReusePort gives every lane its own SO_REUSEPORT socket and
-	// read loop; each lane processes exactly what the kernel's flow hash
-	// delivers to its socket, with no software shard step at all. The
-	// shard key is therefore the publisher's flow: per-instrument
-	// ordering is preserved when the publisher keeps each instrument on
-	// one flow (fanning out across source ports per instrument), which
-	// is the natural way to feed a multi-lane switch. Linux only; other
-	// platforms fall back to IngressShared.
+	// IngressReusePort has no software shard step: the shard key is the
+	// publisher's flow, so per-instrument ordering is preserved when the
+	// publisher keeps each instrument on one flow (fanning out across
+	// source ports per instrument), which is the natural way to feed a
+	// multi-lane switch. Linux only; other platforms fall back to
+	// IngressShared.
 	IngressReusePort
 
-	// IngressReusePortReshard also gives every lane its own SO_REUSEPORT
-	// socket, but adds a software re-shard hop: each reader keys every
-	// datagram by its first add-order's stock locate and hands datagrams
-	// owned by another lane over a FIFO channel to that lane's
-	// processor. This is the correctness fallback for feeds the kernel
-	// cannot spread meaningfully (a single-flow publisher lands entirely
-	// on one socket): reads stay on one lane, but processing still
-	// parallelizes across all lanes and per-instrument ordering is
+	// IngressReusePortReshard is the correctness fallback for feeds the
+	// kernel cannot spread meaningfully (a single-flow publisher lands
+	// entirely on one socket): reads stay on one lane, but processing
+	// still parallelizes across all lanes and per-instrument ordering is
 	// preserved for any feed. Linux only; other platforms fall back to
 	// IngressShared.
 	IngressReusePortReshard
@@ -62,28 +59,24 @@ var reuseportAvailable = reuseportOS
 // "auto", "shared", "reuseport", or "reshard".
 func ParseIngressMode(s string) (IngressMode, error) {
 	switch s {
-	case "", "auto":
-		return IngressAuto, nil
-	case "shared":
+	case "", "auto", "shared":
 		return IngressShared, nil
 	case "reuseport":
 		return IngressReusePort, nil
 	case "reshard", "reuseport-reshard":
 		return IngressReusePortReshard, nil
 	}
-	return IngressAuto, fmt.Errorf("dataplane: unknown ingress mode %q (want auto, shared, reuseport, reshard)", s)
+	return IngressShared, fmt.Errorf("dataplane: unknown ingress mode %q (want auto, shared, reuseport, reshard)", s)
 }
 
 func (m IngressMode) String() string {
 	switch m {
-	case IngressShared:
-		return "shared"
 	case IngressReusePort:
 		return "reuseport"
 	case IngressReusePortReshard:
 		return "reshard"
 	}
-	return "auto"
+	return "shared"
 }
 
 // ReusePortAvailable reports whether this build and platform can bind
@@ -91,13 +84,10 @@ func (m IngressMode) String() string {
 func ReusePortAvailable() bool { return reuseportAvailable }
 
 // resolveIngressMode maps a configured mode to the one a switch will
-// actually run: Auto means Shared, and the reuseport modes degrade to
-// Shared where SO_REUSEPORT is unavailable (non-Linux builds).
+// actually run: the reuseport modes degrade to Shared where SO_REUSEPORT
+// is unavailable (non-Linux builds).
 func resolveIngressMode(m IngressMode) IngressMode {
-	if m == IngressAuto {
-		return IngressShared
-	}
-	if m != IngressShared && !reuseportAvailable {
+	if !reuseportAvailable {
 		return IngressShared
 	}
 	return m
@@ -105,10 +95,12 @@ func resolveIngressMode(m IngressMode) IngressMode {
 
 // lane is one ingress/processing path of the switch. In the reuseport
 // modes it owns a socket bound to the shared ingress address; in shared
-// mode every lane's conn aliases the one ingress socket (used for
-// egress writes). Busy-time counters are split so throughput experiments
-// can attribute cost per stage per lane, and the counters are registered
-// per lane (label lane="N") when telemetry is attached.
+// mode every lane's conn aliases the one ingress socket, which lane 0
+// reads and every lane writes egress to. Busy-time counters are split so
+// throughput experiments can attribute cost per stage per lane — the
+// read, dispatch and stall clocks belong to the lane whose socket the
+// reader drains — and the counters are registered per lane (label
+// lane="N") when telemetry is attached.
 type lane struct {
 	id   int
 	conn Conn
@@ -120,7 +112,7 @@ type lane struct {
 	busyStall    atomic.Int64 // ns blocked on a full lane inbox (backpressure)
 	busyProc     atomic.Int64 // ns evaluating and forwarding datagrams
 
-	datagrams   telemetry.Counter // ingress datagrams that arrived on this lane
+	datagrams   telemetry.Counter // ingress datagrams that arrived on this lane (shared socket: that it owns)
 	resharedIn  telemetry.Counter // datagrams received over the re-shard hop
 	resharedOut telemetry.Counter // datagrams read here but owned by another lane
 }
@@ -154,9 +146,9 @@ type LaneStat struct {
 	ProcNs      int64  // processing busy time
 }
 
-// LaneStats snapshots every lane's counters. In shared mode the reader
-// goroutine's read/dispatch/stall time is reported on the Switch level
-// (BusyNs), not on any lane.
+// LaneStats snapshots every lane's counters. The read, dispatch and stall
+// clocks are those of the lane's own reader, so in shared mode they are all
+// on lane 0; summed over lanes they are BusyNs.
 func (sw *Switch) LaneStats() []LaneStat {
 	out := make([]LaneStat, len(sw.lanes))
 	for i, l := range sw.lanes {
@@ -174,8 +166,8 @@ func (sw *Switch) LaneStats() []LaneStat {
 	return out
 }
 
-// IngressMode reports the mode the switch actually runs (after the
-// Auto resolution and any platform fallback).
+// IngressMode reports the mode the switch actually runs (after any
+// platform fallback).
 func (sw *Switch) IngressMode() IngressMode { return sw.mode }
 
 // dgramPool is a bounded free list of ingress buffers. Unlike sync.Pool
@@ -215,139 +207,46 @@ func (p *dgramPool) put(d *dgram) {
 	}
 }
 
-// poolCapacity is the maximum number of pooled datagrams in flight for
-// the sharded paths: every lane inbox full, plus one read batch per
-// reader, plus one datagram in each processor's hands.
+// poolCapacity is the maximum number of pooled datagrams in flight when
+// lanes have inboxes: every inbox full, plus one read batch per reader,
+// plus one datagram in each processor's hands.
 func (sw *Switch) poolCapacity() int {
-	return sw.workers*shardQueueDepth + sw.workers*sw.batch + sw.workers
+	return len(sw.lanes) * (shardQueueDepth + sw.batch + 1)
 }
 
-// runLaneInline reads the lane's socket and processes every datagram in
-// place — the per-lane mirror of the classic single-reader loop. It is
-// the whole ingress path in IngressReusePort mode (the kernel's flow
-// hash is the shard step) and the workers=1 shared loop.
-func (sw *Switch) runLaneInline(ctx context.Context, l *lane) error {
-	if br := newBatchReader(l.conn, sw.batch); br != nil {
-		bufs := make([][]byte, sw.batch)
-		sizes := make([]int, sw.batch)
-		for i := range bufs {
-			bufs[i] = make([]byte, sw.readBuf)
-		}
-		for {
-			rs := time.Now()
-			n, err := br.ReadBatch(bufs, sizes)
-			l.busyRead.Add(int64(time.Since(rs)))
-			for i := 0; i < n; i++ {
-				sw.stats.Datagrams.Add(1)
-				l.datagrams.Add(1)
-				sw.timeProcess(l, bufs[i][:sizes[i]])
-			}
-			if err != nil {
-				return sw.readErr(ctx, err)
-			}
-		}
-	}
-	buf := make([]byte, sw.readBuf)
-	for {
-		rs := time.Now()
-		n, _, err := l.conn.ReadFromUDP(buf)
-		l.busyRead.Add(int64(time.Since(rs)))
-		if err != nil {
-			return sw.readErr(ctx, err)
-		}
-		sw.stats.Datagrams.Add(1)
-		l.datagrams.Add(1)
-		sw.timeProcess(l, buf[:n])
-	}
+// dgram is one ingress datagram buffer: a slot of a reader's batch, or in
+// flight between a reader and the lane that owns it. src is the lane it
+// arrived on (for re-shard accounting).
+type dgram struct {
+	buf []byte
+	n   int
+	src int32
 }
 
-// handoff enqueues a pooled datagram into owner's inbox, attributing the
-// uncontended enqueue to dispatch time and any blocking on a full inbox
-// to stall time (backpressure from a saturated lane is not reader work).
+// sharded reports who owns a datagram: the lane its first add-order's
+// stock locate selects (every lane then has an inbox and a processor), or
+// — reuseport mode, and any mode at one worker — the lane whose socket it
+// arrived on, which processes it inline.
+func (sw *Switch) sharded() bool { return sw.mode != IngressReusePort && len(sw.lanes) > 1 }
+
+// runIngress is the ingress engine of every topology: one reader per
+// ingress socket, plus one processor per lane that has an inbox. It
+// returns the first terminal failure — a read error on any socket or a
+// panic on any goroutine that processes — and any such failure closes
+// every socket, so no reader goes on feeding a switch that is going down
+// and the kernel is not left hashing flows onto a socket nobody reads.
 //
-//camus:hotpath
-func handoff(owner *lane, d *dgram, start time.Time, dispatch, stall *atomic.Int64) {
-	select {
-	case owner.ch <- d:
-		dispatch.Add(int64(time.Since(start)))
-	default:
-		mid := time.Now()
-		dispatch.Add(int64(mid.Sub(start)))
-		owner.ch <- d
-		stall.Add(int64(time.Since(mid)))
-	}
-}
-
-// runLaneReader is one reuseport-reshard reader: it drains the lane's
-// own socket and re-shards every datagram by stock locate, handing each
-// to its owning lane's processor. All datagrams of one flow are read
-// here in kernel arrival order and channel sends from one goroutine are
-// FIFO, so per-instrument order survives the hop for any feed in which
-// an instrument rides a single flow — including the degenerate
-// single-flow feed, where this lane reads everything.
-func (sw *Switch) runLaneReader(ctx context.Context, l *lane, pool *dgramPool) error {
-	dispatch := func(d *dgram) {
-		ds := time.Now()
-		sw.stats.Datagrams.Add(1)
-		l.datagrams.Add(1)
-		owner := l
-		if loc, ok := itch.FirstAddOrderLocate(d.buf[:d.n]); ok {
-			owner = sw.lanes[int(loc)%len(sw.lanes)]
-		}
-		if owner != l {
-			l.resharedOut.Add(1)
-			sw.stats.Resharded.Add(1)
-		}
-		d.src = int32(l.id)
-		handoff(owner, d, ds, &l.busyDispatch, &l.busyStall)
-	}
-	if br := newBatchReader(l.conn, sw.batch); br != nil {
-		ds := make([]*dgram, sw.batch)
-		bufs := make([][]byte, sw.batch)
-		sizes := make([]int, sw.batch)
-		for {
-			for i := range ds {
-				ds[i] = pool.get()
-				bufs[i] = ds[i].buf
-			}
-			rs := time.Now()
-			n, rerr := br.ReadBatch(bufs, sizes)
-			l.busyRead.Add(int64(time.Since(rs)))
-			for i := 0; i < n; i++ {
-				ds[i].n = sizes[i]
-				dispatch(ds[i])
-			}
-			for i := n; i < len(ds); i++ {
-				pool.put(ds[i])
-			}
-			if rerr != nil {
-				return sw.readErr(ctx, rerr)
-			}
-		}
-	}
-	for {
-		d := pool.get()
-		rs := time.Now()
-		var rerr error
-		d.n, _, rerr = l.conn.ReadFromUDP(d.buf)
-		l.busyRead.Add(int64(time.Since(rs)))
-		if rerr != nil {
-			pool.put(d)
-			return sw.readErr(ctx, rerr)
-		}
-		dispatch(d)
-	}
-}
-
-// runReusePort runs the per-lane ingress paths: every lane owns its own
-// SO_REUSEPORT socket. Without reshard each lane reads and processes
-// inline (kernel flow hash = shard); with reshard each lane runs a
-// reader plus a processor, connected lane-to-lane by FIFO inboxes keyed
-// on stock locate. Returns the first terminal read error.
-func (sw *Switch) runReusePort(ctx context.Context, reshard bool) error {
+// Ordering: a reader sees its socket's datagrams in kernel arrival order
+// and sends to an inbox from one goroutine, which is FIFO, so an
+// instrument's messages stay ordered wherever the instrument rides a
+// single flow. Deadlock freedom: readers block only on inboxes, processors
+// only drain theirs (a dead one keeps draining, see recoverLane), and
+// inboxes close only after every reader has exited — any reader may be
+// handing off to any lane until then (DESIGN.md §5g).
+func (sw *Switch) runIngress(ctx context.Context) error {
 	var errMu sync.Mutex
 	var firstErr error
-	record := func(err error) {
+	fail := func(err error) {
 		if err == nil {
 			return
 		}
@@ -356,64 +255,154 @@ func (sw *Switch) runReusePort(ctx context.Context, reshard bool) error {
 			firstErr = err
 		}
 		errMu.Unlock()
+		sw.closeConns()
 	}
 
-	if !reshard {
-		var wg sync.WaitGroup
+	var pool *dgramPool
+	var readers, procs sync.WaitGroup
+	if sw.sharded() {
+		pool = newDgramPool(sw.poolCapacity(), sw.readBuf, &sw.stats.PoolMiss)
 		for _, l := range sw.lanes {
-			wg.Add(1)
+			l.ch = make(chan *dgram, shardQueueDepth)
+			procs.Add(1)
 			go func(l *lane) {
-				defer wg.Done()
-				// An inline lane has no inbox to drain, but a panic must
-				// still surface through Run (and stop the other lanes)
-				// rather than kill the process.
-				defer func() {
-					if r := recover(); r != nil {
-						record(fmt.Errorf("dataplane: lane %d processor failed: %v", l.id, r))
-						sw.closeConns()
+				defer procs.Done()
+				defer sw.recoverLane(l, l.ch, fail)
+				for d := range l.ch {
+					if int(d.src) != l.id {
+						l.resharedIn.Add(1)
 					}
-				}()
-				record(sw.runLaneInline(ctx, l))
+					sw.timeProcess(l, d.buf[:d.n])
+					pool.put(d)
+				}
 			}(l)
 		}
-		wg.Wait()
-		return firstErr
 	}
-
-	pool := newDgramPool(sw.poolCapacity(), sw.readBuf, &sw.stats.PoolMiss)
-	for _, l := range sw.lanes {
-		l.ch = make(chan *dgram, shardQueueDepth)
-	}
-	var procWG sync.WaitGroup
-	for _, l := range sw.lanes {
-		procWG.Add(1)
+	for _, l := range sw.lanes[:len(sw.conns)] {
+		readers.Add(1)
 		go func(l *lane) {
-			defer procWG.Done()
-			defer sw.recoverLane(l, record, pool)
-			for d := range l.ch {
-				if int(d.src) != l.id {
-					l.resharedIn.Add(1)
-				}
-				sw.timeProcess(l, d.buf[:d.n])
-				pool.put(d)
-			}
+			defer readers.Done()
+			defer sw.recoverLane(l, nil, fail)
+			fail(sw.readLane(ctx, l, pool))
 		}(l)
 	}
-	var readWG sync.WaitGroup
+	readers.Wait()
 	for _, l := range sw.lanes {
-		readWG.Add(1)
-		go func(l *lane) {
-			defer readWG.Done()
-			record(sw.runLaneReader(ctx, l, pool))
-		}(l)
+		if l.ch != nil {
+			close(l.ch)
+		}
 	}
-	// Inboxes close only after every reader has exited (any reader may
-	// still be handing off to any lane until then); processors drain the
-	// residue and stop.
-	readWG.Wait()
-	for _, l := range sw.lanes {
-		close(l.ch)
-	}
-	procWG.Wait()
+	procs.Wait()
 	return firstErr
+}
+
+// recoverLane is deferred on every goroutine that may process a datagram
+// and converts a panic into Run's error. A processor that dies keeps
+// draining (and discarding) its inbox until it is closed — otherwise
+// readers would block forever handing off to an inbox nobody drains. An
+// inline reader has no inbox, and ranging over a nil channel never ends.
+func (sw *Switch) recoverLane(l *lane, inbox chan *dgram, fail func(error)) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	fail(fmt.Errorf("dataplane: lane %d processor failed: %v", l.id, r))
+	if inbox != nil {
+		for range inbox {
+		}
+	}
+}
+
+// readLane drains l's socket until a terminal read error, which it maps to
+// Run's return value. The reader owns one buffer per slot of its batch; a
+// slot it hands off is refilled from the pool, so an inline lane never
+// touches the pool at all.
+func (sw *Switch) readLane(ctx context.Context, l *lane, pool *dgramPool) error {
+	br, width := newBatchReader(l.conn, sw.batch)
+	ds := make([]*dgram, width)
+	bufs := make([][]byte, len(ds))
+	sizes := make([]int, len(ds))
+	for i := range ds {
+		ds[i] = &dgram{buf: make([]byte, sw.readBuf)}
+		bufs[i] = ds[i].buf
+	}
+	return sw.readErr(ctx, sw.readLoop(l, br, pool, ds, bufs, sizes))
+}
+
+// readLoop is the one read loop: fill the batch, then process each
+// datagram in place when the lane has no inbox (it is its own processor),
+// or hand it to its owner and take a fresh buffer for the slot.
+//
+//camus:hotpath
+func (sw *Switch) readLoop(l *lane, br *batchReader, pool *dgramPool, ds []*dgram, bufs [][]byte, sizes []int) error {
+	for {
+		rs := time.Now()
+		n, err := br.ReadBatch(bufs, sizes)
+		l.busyRead.Add(int64(time.Since(rs)))
+		for i := 0; i < n; i++ {
+			d := ds[i]
+			d.n = sizes[i]
+			sw.stats.Datagrams.Add(1)
+			if l.ch == nil {
+				l.datagrams.Add(1)
+				sw.timeProcess(l, d.buf[:d.n])
+				continue
+			}
+			sw.dispatch(l, d)
+			//camus:alloc-ok get is inlined here: a pool miss grows the working set once; the steady state recycles
+			ds[i] = pool.get()
+			bufs[i] = ds[i].buf
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// dispatch hands a datagram read on l's socket to the lane that owns it
+// (l itself when there is no add-order to key on). On the shared socket the
+// arrival is counted at the owner and nothing is a re-shard; on a lane
+// socket it is counted where it was read, and a datagram owned elsewhere is
+// the re-shard hop. The uncontended enqueue is dispatch time; blocking on a
+// full inbox is stall time (backpressure from a saturated lane is not
+// reader work).
+//
+//camus:hotpath
+func (sw *Switch) dispatch(l *lane, d *dgram) {
+	start := time.Now()
+	owner := l
+	if loc, ok := itch.FirstAddOrderLocate(d.buf[:d.n]); ok {
+		owner = sw.lanes[int(loc)%len(sw.lanes)]
+	}
+	arrived := l
+	if sw.mode == IngressShared {
+		arrived = owner
+	}
+	arrived.datagrams.Add(1)
+	if owner != arrived {
+		l.resharedOut.Add(1)
+		sw.stats.Resharded.Add(1)
+	}
+	d.src = int32(arrived.id)
+	select {
+	case owner.ch <- d:
+		l.busyDispatch.Add(int64(time.Since(start)))
+	default:
+		mid := time.Now()
+		l.busyDispatch.Add(int64(mid.Sub(start)))
+		owner.ch <- d
+		l.busyStall.Add(int64(time.Since(mid)))
+	}
+}
+
+// readOne is the portable reader: one ReadFromUDP per ReadBatch, so a
+// batch of one. It is the only reader on platforms without recvmmsg, on
+// fault-injection wrapped sockets and when batching is off.
+func readOne(c Conn, bufs [][]byte, sizes []int) (int, error) {
+	n, _, err := c.ReadFromUDP(bufs[0])
+	if err != nil {
+		return 0, err
+	}
+	sizes[0] = n
+	return 1, nil
 }

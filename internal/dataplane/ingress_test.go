@@ -19,8 +19,8 @@ func TestParseIngressMode(t *testing.T) {
 		in   string
 		want IngressMode
 	}{
-		{"", IngressAuto},
-		{"auto", IngressAuto},
+		{"", IngressShared},
+		{"auto", IngressShared},
 		{"shared", IngressShared},
 		{"reuseport", IngressReusePort},
 		{"reshard", IngressReusePortReshard},
@@ -31,10 +31,8 @@ func TestParseIngressMode(t *testing.T) {
 		if err != nil || got != c.want {
 			t.Fatalf("ParseIngressMode(%q) = %v, %v; want %v", c.in, got, err, c.want)
 		}
-		if got != IngressAuto {
-			if back, err := ParseIngressMode(got.String()); err != nil || back != got {
-				t.Fatalf("mode %v does not round-trip through %q", got, got.String())
-			}
+		if back, err := ParseIngressMode(got.String()); err != nil || back != got {
+			t.Fatalf("mode %v does not round-trip through %q", got, got.String())
 		}
 	}
 	if _, err := ParseIngressMode("bogus"); err == nil {
@@ -52,8 +50,14 @@ func forceStubFallback(t *testing.T) {
 	t.Cleanup(func() { reuseportAvailable = old })
 }
 
-// startIngressSwitch is startShardedSwitch with an explicit ingress mode.
-func startIngressSwitch(t *testing.T, subs string, workers, batch int, mode IngressMode) (*Switch, *net.UDPConn, *net.UDPConn) {
+// passConn is a Conn that is not a *net.UDPConn: wrapping a socket in it
+// takes the switch off recvmmsg/sendmmsg and onto the portable reader and
+// per-datagram writes, the way a fault-injection wrapper does.
+type passConn struct{ Conn }
+
+// startIngressSwitch is startShardedSwitch with an explicit ingress mode
+// and an optional socket wrapper.
+func startIngressSwitch(t *testing.T, subs string, workers, batch int, mode IngressMode, wrap func(Conn) Conn) (*Switch, *net.UDPConn, *net.UDPConn) {
 	t.Helper()
 	sub1 := listenUDP(t)
 	sub2 := listenUDP(t)
@@ -67,6 +71,7 @@ func startIngressSwitch(t *testing.T, subs string, workers, batch int, mode Ingr
 		Workers:       workers,
 		Batch:         batch,
 		IngressMode:   mode,
+		WrapConn:      wrap,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +94,7 @@ func TestReusePortLaneSockets(t *testing.T) {
 	if !ReusePortAvailable() {
 		t.Skip("SO_REUSEPORT unavailable on this platform")
 	}
-	sw, sub1, _ := startIngressSwitch(t, "stock == GOOGL : fwd(1)", 4, 4, IngressReusePort)
+	sw, sub1, _ := startIngressSwitch(t, "stock == GOOGL : fwd(1)", 4, 4, IngressReusePort, nil)
 	if sw.IngressMode() != IngressReusePort {
 		t.Fatalf("mode %v, want reuseport", sw.IngressMode())
 	}
@@ -134,22 +139,30 @@ func TestReusePortLaneSockets(t *testing.T) {
 }
 
 // TestIngressModesForwardingComplete is the mode matrix of
-// TestShardedForwardingComplete: under every ingress architecture a
+// TestShardedForwardingComplete: under every ingress topology a
 // 4-worker switch must lose nothing, misroute nothing, keep each port's
 // egress sequence space dense, and preserve per-instrument order — with
 // the publisher shaped the way the mode expects (one flow per
 // instrument for kernel hashing, one flow total for the re-shard
-// fallback).
+// fallback). The stub and wrapped rows put the portable one-datagram
+// reader under the same loop, with batching asked for and without; and
+// every row's busy clocks must add up, lane by lane, to the switch's.
 func TestIngressModesForwardingComplete(t *testing.T) {
 	modes := []struct {
 		name      string
 		mode      IngressMode
+		batch     int
 		multiFlow bool
 		stub      bool
+		wrap      bool
 	}{
-		{"reuseport-multiflow", IngressReusePort, true, false},
-		{"reshard-singleflow", IngressReusePortReshard, false, false},
-		{"stub-fallback", IngressReusePort, false, true},
+		{"reuseport-multiflow", IngressReusePort, 8, true, false, false},
+		{"reshard-singleflow", IngressReusePortReshard, 8, false, false, false},
+		{"stub-fallback", IngressReusePort, 32, false, true, false},
+		{"stub-fallback-batch1", IngressReusePort, 1, false, true, false},
+		{"shared-wrapped", IngressShared, 32, false, false, true},
+		{"shared-wrapped-batch1", IngressShared, 1, false, false, true},
+		{"reshard-wrapped", IngressReusePortReshard, 32, false, false, true},
 	}
 	syms := []struct {
 		name   string
@@ -158,21 +171,23 @@ func TestIngressModesForwardingComplete(t *testing.T) {
 
 	for _, tc := range modes {
 		t.Run(tc.name, func(t *testing.T) {
+			want := tc.mode
 			if tc.stub {
 				forceStubFallback(t)
-			} else if !ReusePortAvailable() {
+				want = IngressShared
+			} else if tc.mode != IngressShared && !ReusePortAvailable() {
 				t.Skip("SO_REUSEPORT unavailable on this platform")
+			}
+			var wrap func(Conn) Conn
+			if tc.wrap {
+				wrap = func(c Conn) Conn { return passConn{c} }
 			}
 			sw, sub1, sub2 := startIngressSwitch(t, `
 stock == GOOGL : fwd(1)
 stock == MSFT : fwd(2)
-`, 4, 8, tc.mode)
-			if tc.stub {
-				if sw.IngressMode() != IngressShared {
-					t.Fatalf("stub fallback ran mode %v, want shared", sw.IngressMode())
-				}
-			} else if sw.IngressMode() != tc.mode {
-				t.Fatalf("mode %v, want %v", sw.IngressMode(), tc.mode)
+`, 4, tc.batch, tc.mode, wrap)
+			if sw.IngressMode() != want {
+				t.Fatalf("ran mode %v, want %v", sw.IngressMode(), want)
 			}
 
 			// One socket per instrument (multi-flow) or one for all
@@ -253,7 +268,7 @@ stock == MSFT : fwd(2)
 			}
 			resharded := sw.stats.Resharded.Load()
 			switch {
-			case tc.mode == IngressReusePortReshard && !tc.stub:
+			case want == IngressReusePortReshard:
 				// A single flow lands on one socket; three distinct
 				// locates cannot all be owned by the reading lane.
 				if resharded == 0 {
@@ -263,6 +278,23 @@ stock == MSFT : fwd(2)
 				if resharded != 0 {
 					t.Fatalf("mode %s resharded %d datagrams", tc.name, resharded)
 				}
+			}
+
+			// The clocks are final once Run has returned: every reader's
+			// time is on the lane whose socket it drained, so the lanes
+			// add up to the switch and nothing is kept beside them.
+			sw.Close()
+			readNs, procNs := sw.BusyNs()
+			var laneRead, laneProc int64
+			for _, l := range sw.LaneStats() {
+				laneRead += l.ReadNs + l.DispatchNs
+				laneProc += l.ProcNs
+			}
+			if readNs <= 0 || laneRead != readNs {
+				t.Fatalf("lanes account for %d ns of reading, BusyNs reports %d", laneRead, readNs)
+			}
+			if procNs <= 0 || laneProc != procNs {
+				t.Fatalf("lanes account for %d ns of processing, BusyNs reports %d", laneProc, procNs)
 			}
 		})
 	}

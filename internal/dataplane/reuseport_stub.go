@@ -8,9 +8,8 @@ import (
 )
 
 // SO_REUSEPORT lane sockets are Linux-only here; on other platforms the
-// switch transparently falls back to the shared-socket ingress (one
-// reader, software shard fan-out), which is portable and preserves the
-// same ordering guarantees.
+// reuseport modes resolve to the shared topology (one socket, owner by
+// locate), which is portable and preserves the same ordering guarantees.
 
 const reuseportOS = false
 
