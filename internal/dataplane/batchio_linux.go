@@ -3,9 +3,10 @@
 // Batched socket I/O for the dataplane hot path: recvmmsg/sendmmsg move
 // a burst of datagrams per syscall, amortizing kernel-crossing cost the
 // way an ASIC amortizes per-packet work across its pipeline. The fast
-// path engages only on plain *net.UDPConn sockets; on fault-injection
-// wrappers and in-memory test conns the reader is the portable one
-// (readOne) and the writer is absent.
+// path engages only on plain *net.UDPConn sockets with batching on; on
+// fault-injection wrappers, in-memory test conns and at Batch 1 the same
+// reader and writer types run the portable one-datagram calls (readOne,
+// writeOne).
 //
 // Everything here uses only the standard library: raw syscalls through
 // (*net.UDPConn).SyscallConn so the runtime netpoller still owns
@@ -30,23 +31,39 @@ type mmsghdr struct {
 // sockaddrBuf holds either an IPv4 or IPv6 raw sockaddr.
 type sockaddrBuf [syscall.SizeofSockaddrInet6]byte
 
-// putSockaddr encodes addr into buf and returns the sockaddr length.
-func putSockaddr(buf *sockaddrBuf, addr *net.UDPAddr) (uint32, bool) {
-	if ip4 := addr.IP.To4(); ip4 != nil {
+// putSockaddr encodes addr for a socket of the given family the way
+// package net does for WriteToUDP (no IP is the family's zero address, an
+// IPv4 address on an IPv6 socket is v4-mapped), so both writers accept the
+// same addresses. ok is false for an address the family cannot carry.
+func putSockaddr(buf *sockaddrBuf, addr *net.UDPAddr, v4 bool) (uint32, bool) {
+	ip := addr.IP
+	port := uint16(addr.Port>>8) | uint16(addr.Port&0xff)<<8
+	if v4 {
+		if len(ip) == 0 {
+			ip = net.IPv4zero
+		}
+		ip4 := ip.To4()
+		if ip4 == nil {
+			return 0, false
+		}
 		sa := (*syscall.RawSockaddrInet4)(unsafe.Pointer(buf))
 		sa.Family = syscall.AF_INET
-		sa.Port = uint16(addr.Port>>8) | uint16(addr.Port&0xff)<<8
+		sa.Port = port
 		copy(sa.Addr[:], ip4)
 		return syscall.SizeofSockaddrInet4, true
 	}
-	if ip6 := addr.IP.To16(); ip6 != nil {
-		sa := (*syscall.RawSockaddrInet6)(unsafe.Pointer(buf))
-		sa.Family = syscall.AF_INET6
-		sa.Port = uint16(addr.Port>>8) | uint16(addr.Port&0xff)<<8
-		copy(sa.Addr[:], ip6)
-		return syscall.SizeofSockaddrInet6, true
+	if len(ip) == 0 || ip.Equal(net.IPv4zero) {
+		ip = net.IPv6zero
 	}
-	return 0, false
+	ip6 := ip.To16()
+	if ip6 == nil {
+		return 0, false
+	}
+	sa := (*syscall.RawSockaddrInet6)(unsafe.Pointer(buf))
+	sa.Family = syscall.AF_INET6
+	sa.Port = port
+	copy(sa.Addr[:], ip6)
+	return syscall.SizeofSockaddrInet6, true
 }
 
 // batchReader drains an ingress socket: with recvmmsg when rc is set,
@@ -134,11 +151,14 @@ func (br *batchReader) ReadBatch(bufs [][]byte, sizes []int) (int, error) {
 	return br.got, nil
 }
 
-// batchWriter ships egress bursts with sendmmsg. Each processing lane
-// owns one (the scratch arrays are not shareable); the underlying fd is
-// safe to write from any number of lanes.
+// batchWriter ships a lane's egress: with sendmmsg when rc is set, one
+// portable write per batch otherwise. Each processing lane owns one (the
+// scratch arrays are not shareable); the underlying fd is safe to write
+// from any number of lanes.
 type batchWriter struct {
+	conn  Conn // portable path only
 	rc    syscall.RawConn
+	v4    bool // the socket's family is AF_INET, not AF_INET6
 	hdrs  []mmsghdr
 	iovs  []syscall.Iovec
 	names []sockaddrBuf
@@ -149,18 +169,21 @@ type batchWriter struct {
 	errno   syscall.Errno
 }
 
-// newBatchWriter returns a sendmmsg-backed writer for c, or nil when the
-// socket is wrapped or the platform lacks the syscall.
-func newBatchWriter(c Conn) *batchWriter {
+// newBatchWriter returns the egress writer for c: sendmmsg-backed, or the
+// portable writer when c is not a plain *net.UDPConn (fault-injection
+// wrappers, in-memory test conns) or batching is disabled.
+func newBatchWriter(c Conn, batch int) *batchWriter {
+	bw := &batchWriter{conn: c}
 	uc, ok := c.(*net.UDPConn)
-	if !ok {
-		return nil
+	if !ok || batch <= 1 {
+		return bw
 	}
 	rc, err := uc.SyscallConn()
 	if err != nil {
-		return nil
+		return bw
 	}
-	bw := &batchWriter{rc: rc}
+	bw.rc = rc
+	bw.v4 = uc.LocalAddr().(*net.UDPAddr).IP.To4() != nil
 	bw.writeFn = func(fd uintptr) bool {
 		r, _, errno := syscall.Syscall6(sysSENDMMSG, fd,
 			uintptr(unsafe.Pointer(&bw.hdrs[0])), uintptr(bw.req), 0, 0, 0)
@@ -174,51 +197,52 @@ func newBatchWriter(c Conn) *batchWriter {
 	return bw
 }
 
-// WriteBatch sends one datagram per entry in a single sendmmsg call and
-// returns how many the kernel accepted; the caller re-invokes with the
-// remainder on partial sends. A non-nil error refers to entry n.
+// WriteBatch sends a prefix of the entries, one datagram each — as many as
+// the kernel takes in one sendmmsg call, or one on the portable path — and
+// returns how many went out; the caller re-invokes with the remainder. A
+// non-nil error refers to the entry at the returned count, and a nil one
+// comes with a count above zero.
 //
-// Entry i is pkts[i] alone when tails[i] is nil, or the scatter pair
-// pkts[i]+tails[i] when it is not — the multicast egress shape, where
-// pkts[i] is a per-port MoldUDP64 header and tails[i] a body shared by
-// every member of the group. The kernel gathers the pair on the way into
-// the skb, so member datagrams never exist contiguously in user memory.
+// An entry goes out as the scatter pair hdr + body[len(hdr):], skipping
+// the body's scratch header region. The kernel gathers the pair on the way
+// into the skb, so member datagrams never exist contiguously in user
+// memory.
 //
 //camus:hotpath
-func (bw *batchWriter) WriteBatch(pkts, tails [][]byte, addrs []*net.UDPAddr) (int, error) {
-	n := len(pkts)
-	if n == 0 {
-		return 0, nil
+func (bw *batchWriter) WriteBatch(out []wireEntry) (int, error) {
+	if bw.rc == nil {
+		return writeOne(bw.conn, out)
 	}
+	n := len(out)
 	if n > len(bw.hdrs) {
 		grow := n - len(bw.hdrs)
 		//camus:alloc-ok scratch grows to the high-water burst size once, then is reused
 		bw.hdrs = append(bw.hdrs, make([]mmsghdr, grow)...)
-		bw.names = append(bw.names, make([]sockaddrBuf, grow)...) //camus:alloc-ok scratch grows to the high-water burst size once, then is reused
-	}
-	if 2*n > len(bw.iovs) {
-		bw.iovs = append(bw.iovs, make([]syscall.Iovec, 2*n-len(bw.iovs))...) //camus:alloc-ok scratch grows to the high-water burst size once, then is reused
+		bw.names = append(bw.names, make([]sockaddrBuf, grow)...)   //camus:alloc-ok scratch grows to the high-water burst size once, then is reused
+		bw.iovs = append(bw.iovs, make([]syscall.Iovec, 2*grow)...) //camus:alloc-ok scratch grows to the high-water burst size once, then is reused
 	}
 	for i := 0; i < n; i++ {
-		salen, ok := putSockaddr(&bw.names[i], addrs[i])
+		e := &out[i]
+		salen, ok := putSockaddr(&bw.names[i], e.addr, bw.v4)
 		if !ok {
-			//camus:alloc-ok Errno is < 256, so boxing hits the runtime's static small-value cache — no heap allocation
-			return 0, syscall.EINVAL
+			if i == 0 {
+				//camus:alloc-ok Errno is < 256, so boxing hits the runtime's static small-value cache — no heap allocation
+				return 0, syscall.EINVAL
+			}
+			n = i // send what precedes the bad address; the next call names it
+			break
 		}
-		iov := &bw.iovs[2*i]
-		iov.Base = &pkts[i][0]
-		iov.Len = uint64(len(pkts[i]))
+		body := e.body[len(e.hdr):]
+		hv, bv := &bw.iovs[2*i], &bw.iovs[2*i+1]
+		hv.Base = &e.hdr[0]
+		hv.Len = uint64(len(e.hdr))
+		bv.Base = &body[0]
+		bv.Len = uint64(len(body))
 		h := &bw.hdrs[i].hdr
 		h.Name = &bw.names[i][0]
 		h.Namelen = salen
-		h.Iov = iov
-		h.Iovlen = 1
-		if i < len(tails) && len(tails[i]) > 0 {
-			tv := &bw.iovs[2*i+1]
-			tv.Base = &tails[i][0]
-			tv.Len = uint64(len(tails[i]))
-			h.Iovlen = 2
-		}
+		h.Iov = hv
+		h.Iovlen = 2
 	}
 	bw.req, bw.sent, bw.errno = n, 0, 0
 	if err := bw.rc.Write(bw.writeFn); err != nil {

@@ -2,22 +2,21 @@
 
 package dataplane
 
-import "net"
-
 // The mmsg batch-I/O fast path is Linux-only (recvmmsg/sendmmsg); on
-// other platforms the reader is the portable one (readOne), the writer
-// constructor returns nil and egress keeps the per-datagram socket calls.
+// other platforms the reader and the writer are the portable ones
+// (readOne, writeOne): the same loops run on per-datagram socket calls.
 
 type batchReader struct{ conn Conn }
 
-type batchWriter struct{}
+type batchWriter struct{ conn Conn }
 
 func newBatchReader(c Conn, _ int) (*batchReader, int) { return &batchReader{conn: c}, 1 }
 
-func newBatchWriter(Conn) *batchWriter { return nil }
+func newBatchWriter(c Conn, _ int) *batchWriter { return &batchWriter{conn: c} }
 
 func (br *batchReader) ReadBatch(bufs [][]byte, sizes []int) (int, error) {
 	return readOne(br.conn, bufs, sizes)
 }
 
-func (*batchWriter) WriteBatch(_, _ [][]byte, _ []*net.UDPAddr) (int, error) { return 0, nil }
+//camus:hotpath
+func (bw *batchWriter) WriteBatch(out []wireEntry) (int, error) { return writeOne(bw.conn, out) }

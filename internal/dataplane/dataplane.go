@@ -19,6 +19,7 @@ package dataplane
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -73,11 +74,11 @@ type switchStats struct {
 	Resharded    telemetry.Counter // datagrams moved lane-to-lane by the re-shard hop
 	PoolMiss     telemetry.Counter // ingress buffers allocated because the free list was empty
 
-	// Multicast egress engine: a "group encode" serializes one matched
-	// message batch once for a whole multicast group; a "group send" is
-	// one member port served from that shared encoding. sends/encodes is
-	// the encode-once hit ratio (the effective fanout amplification that
-	// per-port serialization used to pay in CPU).
+	// Encode-once accounting, multicast groups only (a single-port action
+	// shares its body with nobody): a "group encode" serializes one matched
+	// message batch once for a whole group; a "group send" is one member
+	// port served from that shared encoding. sends/encodes is the hit ratio
+	// (the fanout amplification per-port serialization used to pay in CPU).
 	GroupEncodes    telemetry.Counter // shared bodies serialized (one per touched group per datagram)
 	GroupSends      telemetry.Counter // member-port datagrams served from a shared body
 	GroupBytesSaved telemetry.Counter // body bytes NOT re-serialized thanks to sharing
@@ -216,14 +217,26 @@ type portState struct {
 	lastEgress int64 // UnixNano of the latest egress frame
 	session    [10]byte
 
-	port    int
-	scratch itch.MoldPacket
+	port int
 
 	// sub is the Subscription that currently owns the port; group its
 	// operator-assigned cohort label. Both are guarded by Switch.mu, not
 	// ps.mu.
 	sub   *Subscription
 	group string
+}
+
+// stamp writes the port's next MoldUDP64 header — session, next sequence,
+// count — into hdr (itch.MoldHeaderLen bytes): the one place a frame, a
+// heartbeat, an empty retransmission reply and end-of-session get their
+// header from. Callers hold ps.mu. The fields are stored directly: going
+// through an itch.MoldHeader value costs a group frame ~12 ns per member.
+//
+//camus:hotpath
+func (ps *portState) stamp(hdr []byte, count uint16) {
+	copy(hdr[0:10], ps.session[:])
+	binary.BigEndian.PutUint64(hdr[10:18], ps.nextSeq)
+	binary.BigEndian.PutUint16(hdr[18:20], count)
 }
 
 // Switch is a running UDP dataplane.
@@ -246,8 +259,8 @@ type Switch struct {
 	mode      IngressMode // effective ingress mode (platform fallback applied)
 	lanes     []*lane
 
-	// bodies is the shared-buffer free list the multicast egress engine
-	// encodes group frames into.
+	// bodies is the shared-buffer free list every egress frame is encoded
+	// into.
 	bodies *sharedPool
 
 	stats    switchStats
@@ -398,7 +411,7 @@ func Listen(cfg Config) (*Switch, error) {
 		// Its own socket where there is one per lane, else the shared one.
 		sw.lanes[i] = &lane{id: i, conn: sw.conns[i%len(sw.conns)]}
 	}
-	sw.bodies = newSharedPool(sharedPoolCapacity)
+	sw.bodies = newSharedPool(sharedPoolCapacity, sw.readBuf)
 	if reg := cfg.Telemetry.Reg(); reg != nil {
 		sw.stats.register(reg)
 		sw.procHist = reg.Histogram("camus_dataplane_process_seconds")
@@ -647,8 +660,7 @@ func (sw *Switch) endSession() {
 	var eos [itch.MoldHeaderLen]byte
 	for _, ps := range sw.ports {
 		ps.mu.Lock()
-		h := itch.MoldHeader{Session: ps.session, Sequence: ps.nextSeq, Count: itch.EndOfSessionCount}
-		h.SerializeTo(eos[:])
+		ps.stamp(eos[:], itch.EndOfSessionCount)
 		addr := ps.addr
 		ps.mu.Unlock()
 		_, _ = sw.conn.WriteToUDP(eos[:], addr)
@@ -765,48 +777,41 @@ func (sw *Switch) BusyNs() (readNs, procNs int64) {
 }
 
 // procState is one processing lane's reusable scratch: a per-lane
-// pipeline Processor (own value buffers), per-port and per-group message
-// buckets, and per-egress wire buffers. One lane processes one datagram
-// at a time, so nothing here needs locking and the steady state is
-// allocation-free.
+// pipeline Processor (own value buffers), the message buckets, and the
+// egress entry arrays. One lane processes one datagram at a time, so
+// nothing here needs locking and the steady state is allocation-free.
 //
-// Egress entry i is either a unicast frame — wires[i] is the complete
-// datagram in a lane-owned reusable buffer, tails[i] nil — or a
-// multicast-group frame: wires[i] is a lane-owned 20-byte MoldUDP64
-// header carrying the member port's session/sequence, tails[i] the
-// group's shared encoded body, and shared[i] the refcounted buffer the
-// body lives in. The batch writer emits the pair as one sendmmsg scatter
-// entry; the fallback path patches the header into the shared buffer in
-// place and writes it whole.
+// Egress has one shape. Every matched message lands in a bucket — its
+// action's multicast group, or the group of one a single-port action is —
+// every bucket is serialized once into a refcounted sharedBuf, and every
+// member port of the bucket gets one wireEntry.
 type procState struct {
-	proc     *core.Processor
-	conn     Conn          // egress socket (the lane's own in reuseport modes)
-	bw       *batchWriter  // sendmmsg egress, nil on fallback paths
-	order    itch.AddOrder // decode scratch, kept off the per-call stack
-	msgs     [][]byte      // raw wire bytes of this datagram's add-orders
-	perPort  []portMsgs    // indexed by switch port number
-	touched  []int         // ports with >= 1 unicast message this datagram
-	perGroup []groupMsgs   // indexed by multicast group id
-	touchedG []int         // groups with >= 1 message this datagram
+	proc    *core.Processor
+	bw      *batchWriter  // the lane's egress writer (sendmmsg or portable)
+	order   itch.AddOrder // decode scratch, kept off the per-call stack
+	msgs    [][]byte      // raw wire bytes of this datagram's add-orders
+	buckets []groupMsgs   // dense index: 2g is multicast group g, 2p+1 the single-port action on port p
+	touched []int         // buckets with >= 1 message this datagram, in first-touch order
 
-	wires    [][]byte // egress wires: full frame (unicast) or header (group)
-	tails    [][]byte // shared body per entry; nil marks a unicast entry
-	shared   []*sharedBuf
-	outPorts []int // destination port per entry, for error attribution
-	addrs    []*net.UDPAddr
-	ubufs    [][]byte // lane-owned unicast frame buffers, reused per slot
-	ghdrs    [][]byte // lane-owned 20-byte group headers, reused per slot
-	nOut     int
+	out []wireEntry // this datagram's egress
 
-	gspans []msgSpan    // per-group scratch: message extents in the shared body
+	gspans []msgSpan    // per-bucket scratch: message extents in the shared body
 	owned  []*sharedBuf // buffers this datagram holds a lane reference on
 }
 
-type portMsgs struct{ msgs [][]byte }
+// wireEntry is one egress datagram: the member port's own MoldUDP64
+// header, and the bucket's shared buffer — a scratch header region, then
+// the encoded body every member sends.
+type wireEntry struct {
+	hdr  [itch.MoldHeaderLen]byte
+	body []byte
+	addr *net.UDPAddr
+	port int // destination port, for error attribution
+}
 
-// groupMsgs buckets one multicast group's matched messages for a single
-// datagram. ports aliases the installed program's ActionSet member list
-// (read-only, stable under sw.mu).
+// groupMsgs buckets one action's matched messages for a single datagram.
+// ports aliases the installed program's ActionSet member list (read-only,
+// stable under sw.mu) — one port long for a single-port action.
 type groupMsgs struct {
 	msgs  [][]byte
 	ports []int
@@ -818,53 +823,42 @@ type groupMsgs struct {
 // register writes bound to the lane's own state lane (the pipeline's
 // single-writer contract), so the keyed-state packet path takes no lock.
 func (sw *Switch) newProcState(lane int, conn Conn) *procState {
-	st := &procState{proc: sw.engine.NewProcessorAt(lane), conn: conn}
-	if sw.batch > 1 {
-		st.bw = newBatchWriter(conn)
-	}
-	return st
+	return &procState{proc: sw.engine.NewProcessorAt(lane), bw: newBatchWriter(conn, sw.batch)}
 }
 
-// bucket returns the lane's message bucket for a port, growing the dense
-// index on first sight.
-func (st *procState) bucket(port int) *portMsgs {
-	for port >= len(st.perPort) {
-		st.perPort = append(st.perPort, portMsgs{})
+// collect appends msg to bucket i, growing the dense index on first sight
+// and noting the bucket on its first message of the datagram.
+//
+//camus:hotpath
+func (st *procState) collect(i int, ports []int, msg []byte) {
+	for i >= len(st.buckets) {
+		st.buckets = append(st.buckets, groupMsgs{})
 	}
-	return &st.perPort[port]
+	b := &st.buckets[i]
+	if len(b.msgs) == 0 {
+		st.touched = append(st.touched, i)
+		b.ports = ports
+	}
+	b.msgs = append(b.msgs, msg)
 }
 
-// gbucket returns the lane's message bucket for a multicast group,
-// growing the dense index on first sight.
-func (st *procState) gbucket(g int) *groupMsgs {
-	for g >= len(st.perGroup) {
-		st.perGroup = append(st.perGroup, groupMsgs{})
+// nextOut claims the next egress entry in place: at high fanout building
+// the entry elsewhere and copying it in shows up per member.
+func (st *procState) nextOut() *wireEntry {
+	if len(st.out) == cap(st.out) {
+		st.out = append(st.out, wireEntry{})
+	} else {
+		st.out = st.out[:len(st.out)+1]
 	}
-	return &st.perGroup[g]
-}
-
-// nextOut claims one egress slot, growing the parallel entry arrays on
-// demand while keeping previously grown per-slot buffers for reuse.
-func (st *procState) nextOut() int {
-	if st.nOut == len(st.wires) {
-		st.wires = append(st.wires, nil)
-		st.tails = append(st.tails, nil)
-		st.shared = append(st.shared, nil)
-		st.outPorts = append(st.outPorts, 0)
-		st.addrs = append(st.addrs, nil)
-		st.ubufs = append(st.ubufs, nil)
-		st.ghdrs = append(st.ghdrs, nil)
-	}
-	st.nOut++
-	return st.nOut - 1
+	return &st.out[len(st.out)-1]
 }
 
 // processDatagram evaluates one ingress datagram through the lane and
 // ships the per-port egress datagrams. The whole evaluation runs as one
 // pipeline batch (the program pointer is loaded once per datagram), the
-// matched messages are forwarded as raw wire bytes aliasing the ingress
-// buffer (zero copy), and the egress frames are serialized into the
-// lane's recycled buffers.
+// matched messages are bucketed as raw wire bytes aliasing the ingress
+// buffer, and each bucket is serialized once into a recycled shared
+// buffer.
 //
 //camus:hotpath bench=BenchmarkProcessDatagram
 func (sw *Switch) processDatagram(st *procState, datagram []byte) {
@@ -894,76 +888,45 @@ func (sw *Switch) processDatagram(st *procState, datagram []byte) {
 		return
 	}
 
-	// Bucket matched messages: by multicast group where the program
-	// assigned one (so the body is serialized once for the whole member
-	// set), by output port otherwise.
+	// Bucket matched messages by action: by multicast group where the
+	// program assigned one, by the one output port otherwise. Either way
+	// the body is serialized once for the bucket's whole member set.
 	st.touched = st.touched[:0]
-	st.touchedG = st.touchedG[:0]
 	for i := range results {
-		if results[i].Dropped {
+		r := &results[i]
+		if r.Dropped {
 			continue
 		}
-		if g := results[i].Group; g >= 0 {
-			gb := st.gbucket(g)
-			if len(gb.msgs) == 0 {
-				st.touchedG = append(st.touchedG, g)
-				gb.ports = results[i].Ports
-			}
-			gb.msgs = append(gb.msgs, st.msgs[i])
+		if r.Group >= 0 {
+			st.collect(2*r.Group, r.Ports, st.msgs[i])
 			continue
 		}
-		for _, port := range results[i].Ports {
+		for j, port := range r.Ports {
 			if port < 0 {
 				sw.stats.UnboundPort.Add(1)
 				continue
 			}
-			pb := st.bucket(port)
-			if len(pb.msgs) == 0 {
-				st.touched = append(st.touched, port)
-			}
-			pb.msgs = append(pb.msgs, st.msgs[i])
+			st.collect(2*port+1, r.Ports[j:j+1], st.msgs[i])
 		}
 	}
 
-	// Frame one egress datagram per touched port and one shared body per
-	// touched group; socket writes happen after the install lock drops,
-	// batched when the platform allows.
-	st.nOut = 0
-	for _, port := range st.touched {
-		pb := &st.perPort[port]
-		ps := sw.portFor(port)
-		if ps == nil {
-			// Port not bound: black-hole, like an unwired ASIC port —
-			// but observable.
-			sw.stats.UnboundPort.Add(1)
-			pb.msgs = pb.msgs[:0]
-			continue
-		}
-		i := st.nextOut()
-		st.ubufs[i], st.addrs[i] = ps.frame(pb.msgs, st.ubufs[i])
-		st.wires[i] = st.ubufs[i]
-		st.tails[i] = nil
-		st.shared[i] = nil
-		st.outPorts[i] = port
-		pb.msgs = pb.msgs[:0]
-	}
-	for _, g := range st.touchedG {
-		gb := &st.perGroup[g]
-		sw.frameGroup(st, gb)
-		gb.msgs = gb.msgs[:0]
-		gb.ports = nil
+	// Frame the touched buckets in first-touch order; socket writes happen
+	// after the install lock drops, batched when the platform allows.
+	for _, i := range st.touched {
+		sw.frameGroup(st, &st.buckets[i])
 	}
 	sw.mu.RUnlock()
 
 	sw.sendEgress(st)
 }
 
-// frameGroup serializes one multicast group's matched messages once into
-// a shared refcounted body and claims one egress entry per member port,
-// each carrying only that port's 20-byte MoldUDP64 header. The member
-// ports' retransmission stores retain views into the shared body (one
-// reference per retained message), so recovery is served from the same
-// bytes that went out. Callers hold sw.mu.
+// frameGroup serializes one bucket's matched messages once into a shared
+// refcounted body and claims one egress entry per member port, each
+// carrying only that port's 20-byte MoldUDP64 header. The member ports'
+// retransmission stores retain views into the shared body (one reference
+// per retained message) before the datagram leaves, so recovery is served
+// from the same bytes that went out and any request the send races with
+// can already be served. The bucket is left empty. Callers hold sw.mu.
 //
 //camus:hotpath
 func (sw *Switch) frameGroup(st *procState, gb *groupMsgs) {
@@ -971,6 +934,7 @@ func (sw *Switch) frameGroup(st *procState, gb *groupMsgs) {
 	for _, m := range gb.msgs {
 		need += 2 + len(m)
 	}
+	//camus:alloc-ok get is inlined here: a pool miss grows the working set once; the steady state recycles
 	sb := sw.bodies.get(need)
 	st.owned = append(st.owned, sb)
 	body := sb.b[:itch.MoldHeaderLen]
@@ -981,7 +945,6 @@ func (sw *Switch) frameGroup(st *procState, gb *groupMsgs) {
 		body = append(body, m...)
 	}
 	sb.b = body
-	tail := body[itch.MoldHeaderLen:]
 	count := uint16(len(gb.msgs))
 	now := time.Now().UnixNano()
 
@@ -998,140 +961,63 @@ func (sw *Switch) frameGroup(st *procState, gb *groupMsgs) {
 	for _, port := range gb.ports {
 		ps := sw.portFor(port)
 		if ps == nil {
+			// Port not bound: black-hole, like an unwired ASIC port —
+			// but observable.
 			sw.stats.UnboundPort.Add(1)
 			continue
 		}
-		i := st.nextOut()
-		if st.ghdrs[i] == nil {
-			st.ghdrs[i] = make([]byte, itch.MoldHeaderLen) //camus:alloc-ok per-slot header allocated on first use, then reused forever
-		}
-		// Session and count are stable outside the lock: the session is
-		// fixed when the port is first bound, and count is this frame's.
-		hdr := st.ghdrs[i]
-		copy(hdr[0:10], ps.session[:])
-		hdr[18] = byte(count >> 8)
-		hdr[19] = byte(count)
+		e := st.nextOut()
 		ps.mu.Lock()
-		putUint64BE(hdr[10:18], ps.nextSeq)
+		ps.stamp(e.hdr[:], count)
 		if ps.store != nil {
 			ps.store.addSharedGroup(st.gspans, sb, &ev)
 		}
 		ps.nextSeq += uint64(count)
 		ps.lastEgress = now
-		addr := ps.addr
+		e.addr = ps.addr
 		ps.mu.Unlock()
-		st.wires[i] = hdr
-		st.tails[i] = tail
-		st.shared[i] = sb
-		st.outPorts[i] = port
-		st.addrs[i] = addr
+		e.body, e.port = body, port
 		members++
 	}
 	ev.flush()
 	if ringRefs && members < len(gb.ports) {
 		sb.unrefN(int32((len(gb.ports) - members) * len(st.gspans)))
 	}
-	sw.stats.GroupEncodes.Add(1)
-	sw.stats.GroupSends.Add(uint64(members))
-	if members > 1 {
-		sw.stats.GroupBytesSaved.Add(uint64(members-1) * uint64(len(tail)))
-	}
-}
-
-// putUint64BE is encoding/binary.BigEndian.PutUint64, open-coded to keep
-// the hot path's imports flat.
-//
-//camus:hotpath
-func putUint64BE(b []byte, v uint64) {
-	_ = b[7]
-	b[0] = byte(v >> 56)
-	b[1] = byte(v >> 48)
-	b[2] = byte(v >> 40)
-	b[3] = byte(v >> 32)
-	b[4] = byte(v >> 24)
-	b[5] = byte(v >> 16)
-	b[6] = byte(v >> 8)
-	b[7] = byte(v)
-}
-
-// frame serializes msgs as the port's next egress datagram into buf
-// (reused across calls) and returns the wire bytes and destination. The
-// messages enter the retransmission store before the datagram leaves, so
-// any request the send races with can already be served.
-//
-//camus:hotpath
-func (ps *portState) frame(msgs [][]byte, buf []byte) ([]byte, *net.UDPAddr) {
-	ps.mu.Lock()
-	ps.scratch.Header.Session = ps.session
-	ps.scratch.Header.Sequence = ps.nextSeq
-	ps.scratch.Messages = append(ps.scratch.Messages[:0], msgs...)
-	wire := ps.scratch.AppendTo(buf)
-	if ps.store != nil {
-		for _, m := range msgs {
-			ps.store.add(m)
+	if len(gb.ports) > 1 { // the encode-once series count multicast groups only
+		sw.stats.GroupEncodes.Add(1)
+		sw.stats.GroupSends.Add(uint64(members))
+		if members > 1 {
+			sw.stats.GroupBytesSaved.Add(uint64(members-1) * uint64(len(body)-itch.MoldHeaderLen))
 		}
 	}
-	ps.nextSeq += uint64(len(msgs))
-	ps.lastEgress = time.Now().UnixNano()
-	addr := ps.addr
-	ps.mu.Unlock()
-	return wire, addr
+	gb.msgs = gb.msgs[:0]
+	gb.ports = nil
 }
 
-// sendEgress ships the lane's framed datagrams, preferring one sendmmsg
-// per datagram-burst (group entries ride as header+shared-body scatter
-// pairs) and falling back to per-datagram writes. On the fallback a group
-// entry's per-port header is patched into the shared buffer in place
-// before the write — safe because every datagram the buffer describes
-// carries identical body bytes and the retransmission stores alias only
-// the body region. Write failures are attributed to the destination port
-// (camus_dataplane_port_send_errors_total{port=…}) on both paths, on top
-// of the global send-error counter.
+// sendEgress ships the lane's framed datagrams through the lane's writer,
+// as many per call as the writer takes. Write failures are attributed to
+// the destination port (camus_dataplane_port_send_errors_total{port=…}) on
+// top of the global send-error counter.
 //
 //camus:hotpath
 func (sw *Switch) sendEgress(st *procState) {
-	n := st.nOut
-	st.nOut = 0
-	wires, tails, addrs := st.wires[:n], st.tails[:n], st.addrs[:n]
-	i := 0
-	if st.bw != nil && n > 0 {
-		for i < n {
-			k, err := st.bw.WriteBatch(wires[i:], tails[i:], addrs[i:])
-			sw.stats.Forwarded.Add(uint64(k))
-			i += k
-			if err != nil {
-				// Skip the datagram the kernel rejected; the rest of
-				// the burst still goes out.
-				sw.stats.SendErrors.Add(1)
-				//camus:alloc-ok write-error path; the per-port series is created once per failing port
-				sw.portSendError(st.outPorts[i])
-				i++
-			} else if k == 0 {
-				break // writer unavailable; finish on the slow path
-			}
-		}
-	}
-	var sent uint64
-	for ; i < n; i++ {
-		wire := wires[i]
-		if sb := st.shared[i]; sb != nil {
-			full := sb.b[:itch.MoldHeaderLen+len(tails[i])]
-			copy(full, wire)
-			wire = full
-		}
-		if _, err := st.conn.WriteToUDP(wire, addrs[i]); err != nil {
+	sent := 0
+	for i := 0; i < len(st.out); {
+		k, err := st.bw.WriteBatch(st.out[i:])
+		sent += k
+		i += k
+		if err != nil {
+			// Skip the datagram the write rejected; the rest of the
+			// burst still goes out.
 			sw.stats.SendErrors.Add(1)
 			//camus:alloc-ok write-error path; the per-port series is created once per failing port
-			sw.portSendError(st.outPorts[i])
-			continue
+			sw.portSendError(st.out[i].port)
+			i++
 		}
-		sent++
 	}
+	st.out = st.out[:0]
 	if sent > 0 {
-		sw.stats.Forwarded.Add(sent)
-	}
-	for j := range st.shared[:n] {
-		st.shared[j] = nil
+		sw.stats.Forwarded.Add(uint64(sent))
 	}
 	for j, sb := range st.owned {
 		st.owned[j] = nil
@@ -1169,9 +1055,14 @@ func (sw *Switch) PortSendErrors(port int) uint64 {
 
 // heartbeatLoop emits a MoldUDP64 heartbeat on every port that has been
 // idle for at least one interval, so subscribers can detect tail loss.
+// The frame buffer and the port snapshot are reused across ticks: on a
+// switch with many thousands of subscribers a per-port or per-tick
+// allocation here would be the only steady-state one.
 func (sw *Switch) heartbeatLoop(stop <-chan struct{}) {
 	tick := time.NewTicker(sw.heartbeat)
 	defer tick.Stop()
+	var hb [itch.MoldHeaderLen]byte
+	var states []*portState
 	for {
 		select {
 		case <-stop:
@@ -1179,7 +1070,6 @@ func (sw *Switch) heartbeatLoop(stop <-chan struct{}) {
 		case <-tick.C:
 		}
 		sw.mu.RLock()
-		states := make([]*portState, 0, len(sw.ports))
 		for _, ps := range sw.ports {
 			states = append(states, ps)
 		}
@@ -1188,23 +1078,21 @@ func (sw *Switch) heartbeatLoop(stop <-chan struct{}) {
 		for _, ps := range states {
 			ps.mu.Lock()
 			idle := nowNs-ps.lastEgress >= int64(sw.heartbeat)
-			var hb []byte
-			var addr *net.UDPAddr
 			if idle {
-				// Serialize only for idle ports: on a switch with many
-				// thousands of busy subscribers, building a heartbeat per
-				// port per tick would be the only steady-state allocation.
-				hb = itch.HeartbeatBytes(ps.session, ps.nextSeq)
-				addr = ps.addr
+				ps.stamp(hb[:], 0)
 			}
+			addr := ps.addr
 			ps.mu.Unlock()
 			if !idle {
 				continue
 			}
-			if _, err := sw.conn.WriteToUDP(hb, addr); err == nil {
+			if _, err := sw.conn.WriteToUDP(hb[:], addr); err == nil {
 				sw.stats.Heartbeats.Add(1)
 			}
 		}
+		// Forget the snapshot so an unbound port is not kept alive.
+		clear(states)
+		states = states[:0]
 	}
 }
 
@@ -1222,6 +1110,7 @@ func (sw *Switch) serveRetx() {
 	// ingress socket (requests are tiny, but a fixed small buffer would
 	// silently truncate on configs with jumbo frames).
 	buf := make([]byte, sw.readBuf)
+	var empty [itch.MoldHeaderLen]byte // the no-messages reply, reused
 	for {
 		n, raddr, err := sw.retx.ReadFromUDP(buf)
 		if err != nil {
@@ -1240,27 +1129,28 @@ func (sw *Switch) serveRetx() {
 			continue // unknown session: not our stream
 		}
 		sw.stats.RetxRequests.Add(1)
-		sw.replyRetx(ps, &req, raddr)
+		sw.replyRetx(ps, &req, raddr, empty[:])
 	}
 }
 
 // replyRetx builds and sends one retransmission reply. The reply wire
 // bytes are serialized under the port lock: the store's ring slots are
 // recycled by concurrent sends, so the messages must be captured before
-// the lock is released.
-func (sw *Switch) replyRetx(ps *portState, req *itch.MoldRequest, raddr *net.UDPAddr) {
+// the lock is released. empty is the caller's buffer for a reply that
+// carries no messages.
+func (sw *Switch) replyRetx(ps *portState, req *itch.MoldRequest, raddr *net.UDPAddr, empty []byte) {
 	ps.mu.Lock()
 	var msgs [][]byte
-	from := ps.nextSeq
+	var from uint64
 	if ps.store != nil {
 		msgs, from = ps.store.get(req.Sequence, int(req.Count), maxRetxDatagram-itch.MoldHeaderLen)
 	}
-	var wire []byte
+	wire := empty
 	if len(msgs) == 0 {
 		// Nothing servable at or after the requested sequence: reply
-		// with an empty packet whose sequence is the next one we would
-		// serve, telling the subscriber the prefix is gone.
-		wire = itch.HeartbeatBytes(ps.session, from)
+		// with an empty packet whose sequence is the next one the port
+		// will send, telling the subscriber the prefix is gone.
+		ps.stamp(empty, 0)
 	} else {
 		var mp itch.MoldPacket
 		mp.Header.Session = ps.session
@@ -1279,29 +1169,24 @@ func (sw *Switch) replyRetx(ps *portState, req *itch.MoldRequest, raddr *net.UDP
 // indexed by sequence number. Sequences are dense, so position is just
 // seq modulo capacity.
 //
-// A slot holds the message either privately (copied into a slot-owned
-// buffer — the unicast path, owner nil) or as an extent of a refcounted
-// shared group body (the multicast path, one reference per slot). get
-// reconstructs the message bytes from whichever storage backs the slot;
-// recording an extent rather than a slice keeps a shared reference that
-// must be dropped when the slot moves on, and a private buffer that must
-// never be reused while older bytes could still be requested.
+// A slot holds its message as an extent of the refcounted shared body the
+// message went out in — the reference it must drop when it moves on, next
+// to the bytes that reference guards; get reconstructs the message from
+// the extent. Every slot in [lo, hi) has an owner.
 //
 // The slot is deliberately 16 bytes: at high fanout a datagram touches
 // thousands of rings, none cache-resident, so the insert cost is line
 // fills and the ring's footprint sets the miss rate. Four slots share a
-// line, and the unicast-only copy buffers sit in a side array allocated
-// on first private add — rings fed purely by the multicast path never
-// pay for them.
+// line.
 //
 //camus:cacheline 16
 type retxSlot struct {
-	owner *sharedBuf // non-nil when the slot aliases a shared body
+	owner *sharedBuf // the shared body the slot aliases
 	off   uint32     // extent start within owner's body
-	ln    uint32     // message length (private slots use priv[i][:ln])
+	ln    uint32     // message length
 }
 
-// msgSpan is one encoded message's extent within a shared group body.
+// msgSpan is one encoded message's extent within a shared body.
 //
 //camus:cacheline 8
 type msgSpan struct {
@@ -1310,9 +1195,8 @@ type msgSpan struct {
 
 type retxStore struct {
 	slots []retxSlot
-	priv  [][]byte // slot-private copy buffers; nil until first add
-	lo    uint64   // oldest retained sequence
-	hi    uint64   // next sequence to be stored
+	lo    uint64 // oldest retained sequence
+	hi    uint64 // next sequence to be stored
 }
 
 func newRetxStore(capacity int) *retxStore {
@@ -1323,57 +1207,25 @@ func newRetxStore(capacity int) *retxStore {
 	}
 }
 
-// release drops slot i's shared-body reference, if it holds one.
-func (s *retxStore) release(i uint64) {
-	if o := s.slots[i].owner; o != nil {
-		s.slots[i].owner = nil
-		o.unref()
-	}
-}
-
 // releaseAll empties the store, returning every shared-body reference.
-// Called when the port is unbound so its ring cannot pin group buffers
-// (or serve stale bytes from recycled ones).
+// Called when the port is unbound so its ring cannot pin bodies (or serve
+// stale bytes from recycled ones).
 func (s *retxStore) releaseAll() {
 	for i := range s.slots {
-		s.release(uint64(i))
+		if o := s.slots[i].owner; o != nil {
+			o.unref()
+		}
 		s.slots[i] = retxSlot{}
 	}
 	s.lo = s.hi
 }
 
-// advance moves the ring head one sequence forward.
-func (s *retxStore) advance() {
-	s.hi++
-	if s.hi-s.lo > uint64(len(s.slots)) {
-		s.lo = s.hi - uint64(len(s.slots))
-	}
-}
-
-// add retains one egress message (copied; callers reuse buffers).
-//
-//camus:hotpath
-func (s *retxStore) add(m []byte) {
-	if s.priv == nil {
-		s.priv = make([][]byte, len(s.slots)) //camus:alloc-ok side array allocated on the ring's first private add, then reused
-	}
-	i := s.hi % uint64(len(s.slots))
-	sl := &s.slots[i]
-	if o := sl.owner; o != nil {
-		sl.owner = nil
-		o.unref()
-	}
-	s.priv[i] = append(s.priv[i][:0], m...)
-	sl.ln = uint32(len(m))
-	s.advance()
-}
-
-// addSharedGroup retains one group-encoded batch, each message aliasing
-// the shared body (references already taken via refGroup). Evicted
-// slots' owners are handed to ev rather than dropped here: every member
-// of a group evicts slots aliasing the same earlier bodies, so the
-// accumulator turns members x messages atomic drops into roughly one
-// per retired body per datagram.
+// addSharedGroup retains one encoded batch, each message aliasing the shared body
+// (references already taken via refGroup). Evicted slots' owners are
+// handed to ev rather than dropped here: every member of a group evicts
+// slots aliasing the same earlier bodies, so the accumulator turns
+// members x messages atomic drops into roughly one per retired body per
+// datagram.
 //
 //camus:hotpath
 func (s *retxStore) addSharedGroup(spans []msgSpan, sb *sharedBuf, ev *evictAcc) {
@@ -1415,14 +1267,8 @@ func (s *retxStore) get(from uint64, count int, maxBytes int) ([][]byte, uint64)
 	var out [][]byte
 	bytes := 0
 	for seq := start; seq < end; seq++ {
-		i := seq % uint64(len(s.slots))
-		sl := s.slots[i]
-		var m []byte
-		if sl.owner != nil {
-			m = sl.owner.b[sl.off : sl.off+sl.ln]
-		} else {
-			m = s.priv[i][:sl.ln]
-		}
+		sl := s.slots[seq%uint64(len(s.slots))]
+		m := sl.owner.b[sl.off : sl.off+sl.ln]
 		bytes += 2 + len(m)
 		if bytes > maxBytes && len(out) > 0 {
 			break

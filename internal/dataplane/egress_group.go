@@ -1,17 +1,21 @@
 package dataplane
 
-import "sync/atomic"
+import (
+	"math/bits"
+	"sync/atomic"
+)
 
-// sharedPoolCapacity bounds the free list of recycled group bodies. Like
-// the ingress dgramPool this is a plain channel, not a sync.Pool: the
-// working set survives GC cycles, so steady-state allocs stay at zero.
-// Buffers beyond the bound are simply dropped to the GC.
+// sharedPoolCapacity bounds each size class's free list of recycled
+// bodies. Like the ingress dgramPool a list is a plain channel, not a
+// sync.Pool: the working set survives GC cycles, so steady-state allocs
+// stay at zero. Buffers beyond the bound are simply dropped to the GC.
 const sharedPoolCapacity = 1024
 
-// sharedBuf is one multicast group's encoded egress body, shared by
-// every member port of the group: the sendmmsg scatter path pairs it
-// with per-port headers, the fallback path patches the header region
-// ([0:MoldHeaderLen)) in place between writes, and each member's
+// sharedBuf is one bucket's encoded egress frame, shared by every member
+// port of the bucket's action (one port for a single-port action): the
+// header region ([0:MoldHeaderLen)) is scratch — the sendmmsg writer
+// skips it and pairs the body with per-port headers, the portable writer
+// patches each header into it between writes — and each member's
 // retransmission ring retains per-message views into the body region.
 //
 // Lifetime is reference counted: the encoding lane holds one reference
@@ -32,11 +36,7 @@ type sharedBuf struct {
 func (sb *sharedBuf) refGroup(n int) { sb.refs.Add(int32(n)) }
 
 // unref drops one reference, recycling the buffer on the last drop.
-func (sb *sharedBuf) unref() {
-	if sb.refs.Add(-1) == 0 {
-		sb.pool.put(sb)
-	}
-}
+func (sb *sharedBuf) unref() { sb.unrefN(1) }
 
 // unrefN drops n references at once — the counterpart of refGroup when a
 // ring evicts a whole batch of slots that alias the same body.
@@ -75,30 +75,50 @@ func (a *evictAcc) flush() {
 	}
 }
 
-// sharedPool is the bounded free list sharedBufs circulate through.
+// minBodyClass is the smallest body capacity. A one-message frame (20-byte
+// header region + 2 + 36) fits, so a ring fed one message per datagram
+// pins 64 B of body per slot, not a multicast-sized buffer.
+const minBodyClass = 64
+
+// classOf returns the index k of the smallest class, minBodyClass<<k,
+// that holds need bytes.
+func classOf(need int) int {
+	if need <= minBodyClass {
+		return 0
+	}
+	return bits.Len(uint(need-1)) - bits.Len(minBodyClass-1)
+}
+
+// bodyClass rounds need up to its class's capacity. Bodies vary with how
+// many of a datagram's messages hit the bucket; rounding makes any
+// recycled body of a class fit any need of that class.
+func bodyClass(need int) int { return minBodyClass << classOf(need) }
+
+// sharedPool is the bounded free lists sharedBufs circulate through, one
+// per size class, so a list only ever returns bodies of its class.
 type sharedPool struct {
-	free chan *sharedBuf
+	free []chan *sharedBuf
 }
 
-func newSharedPool(capacity int) *sharedPool {
-	return &sharedPool{free: make(chan *sharedBuf, capacity)}
+// newSharedPool builds the lists for bodies of up to maxBody bytes: the
+// read buffer, since a body re-frames a subset of one ingress datagram's
+// messages and is never longer than the datagram.
+func newSharedPool(capacity, maxBody int) *sharedPool {
+	p := &sharedPool{free: make([]chan *sharedBuf, classOf(maxBody)+1)}
+	for k := range p.free {
+		p.free[k] = make(chan *sharedBuf, capacity)
+	}
+	return p
 }
 
-// get returns a buffer with capacity for at least need bytes and one
-// reference (the caller's). Capacities are rounded up to a power-of-two
-// size class (min 256 bytes): group bodies vary with how many of a
-// datagram's messages hit the group, and without the rounding a small
-// recycled body forces a fresh allocation whenever a larger need comes
-// off the free list — visible as steady-state allocs at high fanout.
+// get returns an empty buffer of need's size class holding one reference
+// (the caller's).
 //
 //camus:hotpath
 func (p *sharedPool) get(need int) *sharedBuf {
 	select {
-	case sb := <-p.free:
+	case sb := <-p.free[classOf(need)]:
 		sb.refs.Store(1)
-		if cap(sb.b) < need {
-			sb.b = make([]byte, 0, bodyClass(need)) //camus:alloc-ok pool refill when a recycled body is too small; size classes make this rare
-		}
 		return sb
 	default:
 	}
@@ -108,22 +128,32 @@ func (p *sharedPool) get(need int) *sharedBuf {
 	return sb
 }
 
-// bodyClass rounds need up to the next power of two, floored at 256.
-func bodyClass(need int) int {
-	c := 256
-	for c < need {
-		c <<= 1
-	}
-	return c
-}
-
-// put recycles a buffer, dropping it if the free list is full.
+// put recycles a buffer onto its class's list, dropping it if the list is
+// full.
 //
 //camus:hotpath
 func (p *sharedPool) put(sb *sharedBuf) {
 	sb.b = sb.b[:0]
 	select {
-	case p.free <- sb:
+	case p.free[classOf(cap(sb.b))] <- sb:
 	default:
 	}
+}
+
+// writeOne is the portable writer: the first entry's header is patched
+// into its buffer's scratch region and the buffer leaves whole in one
+// WriteToUDP, a batch of one. Patching in place is safe because only the
+// lane that encoded a buffer sends from it and the rings alias only the
+// body. It is the only writer on platforms without sendmmsg, on
+// fault-injection wrapped sockets and when batching is off. An error
+// refers to that first entry.
+//
+//camus:hotpath
+func writeOne(c Conn, out []wireEntry) (int, error) {
+	e := &out[0]
+	copy(e.body, e.hdr[:])
+	if _, err := c.WriteToUDP(e.body, e.addr); err != nil {
+		return 0, err
+	}
+	return 1, nil
 }

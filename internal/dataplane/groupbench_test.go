@@ -11,7 +11,7 @@ import (
 
 // nullConn swallows egress without syscalls, so the benchmark prices the
 // lane's CPU work alone (the same path the in-memory replay experiments
-// measure: a non-*net.UDPConn disables the sendmmsg batch writer).
+// measure: a non-*net.UDPConn gets the portable writer).
 type nullConn struct{}
 
 func (nullConn) ReadFromUDP(b []byte) (int, *net.UDPAddr, error) { return 0, nil, net.ErrClosed }

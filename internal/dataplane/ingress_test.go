@@ -350,71 +350,101 @@ func TestShardedSteadyStateAllocs(t *testing.T) {
 	for loc := 0; loc < 8; loc++ {
 		pkts = append(pkts, moldWith(t, "S", uint64(loc),
 			locatedOrder("GOOGL", uint16(loc), uint32(loc+1)),
-			locatedOrder("ORCL", uint16(loc)+100, uint32(loc+1))))
+			locatedOrder("MSFT", uint16(loc)+100, uint32(loc+1))))
 	}
 	const warm, measured = 4000, 20000
 
+	// The replay rides a wrapped ingress socket, so in shared mode every
+	// lane's egress is the portable writer. In reshard mode only lane 0's
+	// socket is the replay: it reads and hands off by locate, and the other
+	// lanes ship through their own plain sockets — the sendmmsg writer.
+	writers := []struct {
+		name string
+		mode IngressMode
+	}{{"portable", IngressShared}, {"sendmmsg", IngressReusePortReshard}}
+
 	for _, workers := range []int{1, 4, 8} {
 		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
-			var pc *phasedReplayConn
-			wrap := func(c Conn) Conn {
-				if pc == nil {
-					pc = &phasedReplayConn{
-						inner: c,
-						pkts:  pkts,
-						warm:  warm,
-						total: warm + measured,
-						gate:  make(chan struct{}),
-						raddr: &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 1},
+			for _, prog := range egressPrograms {
+				for _, w := range writers {
+					if w.mode != IngressShared && (workers == 1 || !ReusePortAvailable()) {
+						continue // one wrapped socket either way: the portable row again
 					}
-					return pc
+					t.Run(prog.name+"/"+w.name, func(t *testing.T) {
+						shardedSteadyState(t, pkts, warm, measured, workers, prog.subs, w.mode)
+					})
 				}
-				return c
-			}
-			sub := listenUDP(t)
-			sw, err := Listen(Config{
-				Spec:          spec.MustParse(workload.ITCHSpecSource),
-				Ports:         map[int]string{1: sub.LocalAddr().String()},
-				Subscriptions: "stock == GOOGL : fwd(1)",
-				Workers:       workers,
-				RetxBuffer:    64,
-				WrapConn:      wrap,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			done := make(chan error, 1)
-			go func() { done <- sw.Run(context.Background()) }()
-
-			// Wait for the warm-up share to be fully processed (each
-			// datagram carries two messages), then settle the heap.
-			deadline := time.Now().Add(10 * time.Second)
-			for sw.stats.Messages.Load() < 2*warm {
-				if time.Now().After(deadline) {
-					t.Fatal("warm-up never completed")
-				}
-				time.Sleep(5 * time.Millisecond)
-			}
-			warmMisses := sw.stats.PoolMiss.Load()
-			close(pc.gate)
-			if err := <-done; err != nil {
-				t.Fatal(err)
-			}
-			sw.Close()
-
-			// Every miss adds a buffer to the working set; if the pool holds
-			// the whole working set, it never misses more often than it has
-			// slots, and what the measured phase adds is only the difference
-			// between warm-up's in-flight peak and its own.
-			misses := sw.stats.PoolMiss.Load()
-			t.Logf("workers=%d: %d pool misses, %d of them in the measured phase, pool of %d", workers, misses, misses-warmMisses, sw.poolCapacity())
-			if limit := uint64(sw.poolCapacity()); workers > 1 && misses > limit {
-				t.Fatalf("workers=%d: %d pool misses (%d of them in the measured %d datagrams) for a pool of %d: buffers are being dropped, not recycled",
-					workers, misses, misses-warmMisses, measured, limit)
-			}
-			if workers == 1 && misses != 0 {
-				t.Fatalf("the inline path took %d buffers from a pool it should not have", misses)
 			}
 		})
+	}
+}
+
+func shardedSteadyState(t *testing.T, pkts [][]byte, warm, measured int64, workers int, subs string, mode IngressMode) {
+	var pc *phasedReplayConn
+	wrap := func(c Conn) Conn {
+		if pc == nil {
+			pc = &phasedReplayConn{
+				inner: c,
+				pkts:  pkts,
+				warm:  warm,
+				total: warm + measured,
+				gate:  make(chan struct{}),
+				raddr: &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 1},
+			}
+			return pc
+		}
+		return c
+	}
+	sub := listenUDP(t)
+	sw, err := Listen(Config{
+		Spec:          spec.MustParse(workload.ITCHSpecSource),
+		Ports:         map[int]string{1: sub.LocalAddr().String(), 2: sub.LocalAddr().String()},
+		Subscriptions: subs,
+		Workers:       workers,
+		IngressMode:   mode,
+		RetxBuffer:    64,
+		WrapConn:      wrap,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- sw.Run(context.Background()) }()
+
+	// Wait for a share of the replay to be fully processed (each datagram
+	// carries two messages).
+	processed := func(datagrams int64) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for sw.stats.Messages.Load() < uint64(2*datagrams) {
+			if time.Now().After(deadline) {
+				t.Fatalf("replay stalled at %d of %d messages", sw.stats.Messages.Load(), 2*datagrams)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	processed(warm)
+	warmMisses := sw.stats.PoolMiss.Load()
+	close(pc.gate)
+	// The replay socket reports itself closed when it runs dry, which ends
+	// Run in shared mode; the reshard lanes' own sockets need the Close.
+	processed(warm + measured)
+	sw.Close()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	// Every miss adds a buffer to the working set; if the pool holds
+	// the whole working set, it never misses more often than it has
+	// slots, and what the measured phase adds is only the difference
+	// between warm-up's in-flight peak and its own.
+	misses := sw.stats.PoolMiss.Load()
+	t.Logf("workers=%d: %d pool misses, %d of them in the measured phase, pool of %d", workers, misses, misses-warmMisses, sw.poolCapacity())
+	if limit := uint64(sw.poolCapacity()); workers > 1 && misses > limit {
+		t.Fatalf("workers=%d: %d pool misses (%d of them in the measured %d datagrams) for a pool of %d: buffers are being dropped, not recycled",
+			workers, misses, misses-warmMisses, measured, limit)
+	}
+	if workers == 1 && misses != 0 {
+		t.Fatalf("the inline path took %d buffers from a pool it should not have", misses)
 	}
 }

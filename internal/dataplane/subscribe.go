@@ -97,9 +97,9 @@ func (sw *Switch) countSubscriber(group string, delta int) {
 
 // unbind detaches owner's port, but only if owner still owns the binding
 // — the race-free semantics of Subscription.Close under concurrent
-// rebinds. The port's retransmission store releases its shared group-body
-// references so recycled buffers cannot be pinned (or served stale) by a
-// dead port.
+// rebinds. The port's retransmission store releases its shared-body
+// references — every slot holds one — so recycled buffers cannot be
+// pinned (or served stale) by a dead port.
 func (sw *Switch) unbind(owner *Subscription) {
 	port := owner.port
 	sw.mu.Lock()

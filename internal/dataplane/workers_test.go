@@ -181,41 +181,63 @@ func TestShardedLiveUpdate(t *testing.T) {
 	}
 }
 
+// egressPrograms are the rule sets the steady-state allocation gates run
+// over: ports 1 and 2 fed by single-port actions only, by one multicast
+// group only, and by both.
+var egressPrograms = []struct{ name, subs string }{
+	{"unicast-only", "stock == GOOGL : fwd(1)\nstock == MSFT : fwd(2)"},
+	{"group-only", "stock == GOOGL : fwd(1,2)"},
+	{"mixed", "stock == GOOGL : fwd(1)\nstock == MSFT : fwd(1,2)"},
+}
+
 // TestProcessDatagramZeroAlloc is the steady-state allocation contract
 // of the lane hot path: after warm-up, evaluating a datagram and
-// shipping its egress (retx store, framing, batched socket write
-// included) allocates nothing.
+// shipping its egress (retx store, framing, socket write included)
+// allocates nothing — whatever mix of single-port actions and multicast
+// groups the program forwards through, on the sendmmsg writer and on the
+// portable one.
 func TestProcessDatagramZeroAlloc(t *testing.T) {
-	sub1 := listenUDP(t)
-	sub2 := listenUDP(t)
-	sw, err := Listen(Config{
-		Spec: spec.MustParse(workload.ITCHSpecSource),
-		Ports: map[int]string{
-			1: sub1.LocalAddr().String(),
-			2: sub2.LocalAddr().String(),
-		},
-		Subscriptions: "stock == GOOGL : fwd(1)\nstock == MSFT : fwd(2)",
-		RetxBuffer:    64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sw.Close()
+	for _, prog := range egressPrograms {
+		for _, w := range []struct {
+			name  string
+			batch int
+		}{{"sendmmsg", 32}, {"portable", 1}} {
+			t.Run(prog.name+"/"+w.name, func(t *testing.T) {
+				sub1 := listenUDP(t)
+				sub2 := listenUDP(t)
+				sw, err := Listen(Config{
+					Spec: spec.MustParse(workload.ITCHSpecSource),
+					Ports: map[int]string{
+						1: sub1.LocalAddr().String(),
+						2: sub2.LocalAddr().String(),
+					},
+					Subscriptions: prog.subs,
+					RetxBuffer:    64,
+					Batch:         w.batch,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sw.Close()
 
-	st := sw.newProcState(0, sw.conn)
-	wire := moldWith(t, "S", 1,
-		order("GOOGL", 10, 1000),
-		order("MSFT", 20, 1000),
-		order("ORCL", 30, 1000))
-	// Warm the lane until every reusable buffer (value rows, egress
-	// wires, retx ring slots) has reached its steady-state capacity.
-	for i := 0; i < 200; i++ {
-		sw.processDatagram(st, wire)
-	}
-	if allocs := testing.AllocsPerRun(500, func() {
-		sw.processDatagram(st, wire)
-	}); allocs != 0 {
-		t.Fatalf("processDatagram allocates %v per op in steady state", allocs)
+				st := sw.newProcState(0, sw.conn)
+				wire := moldWith(t, "S", 1,
+					order("GOOGL", 10, 1000),
+					order("MSFT", 20, 1000),
+					order("ORCL", 30, 1000))
+				// Warm the lane until every reusable buffer (value rows,
+				// egress entries, shared bodies, retx ring slots) has
+				// reached its steady-state capacity.
+				for i := 0; i < 200; i++ {
+					sw.processDatagram(st, wire)
+				}
+				if allocs := testing.AllocsPerRun(500, func() {
+					sw.processDatagram(st, wire)
+				}); allocs != 0 {
+					t.Fatalf("processDatagram allocates %v per op in steady state", allocs)
+				}
+			})
+		}
 	}
 }
 
