@@ -14,7 +14,6 @@ import (
 	"camus/internal/experiments"
 	"camus/internal/itch"
 	"camus/internal/lang"
-	"camus/internal/netsim"
 	"camus/internal/pipeline"
 	"camus/internal/telemetry"
 	"camus/internal/workload"
@@ -332,10 +331,7 @@ func BenchmarkEndToEndSimulator(b *testing.B) {
 	feedCfg.Duration = 20 * time.Millisecond
 	feed := workload.GenerateFeed(feedCfg)
 	for i := 0; i < b.N; i++ {
-		_, err := netsim.RunExperiment(netsim.ExperimentConfig{
-			Feed: feed, TargetSymbol: "GOOGL", Mode: netsim.Baseline,
-		})
-		if err != nil {
+		if _, err := experiments.Fig7(feed, "", "GOOGL"); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -28,7 +28,6 @@ import (
 
 	"camus/internal/experiments"
 	"camus/internal/pipeline"
-	"camus/internal/stats"
 )
 
 // options are the parsed flags a figure may read.
@@ -147,15 +146,7 @@ func fig7(name, title string, get func() (*experiments.Fig7Result, error)) figur
 			fmt.Fprint(w, experiments.FormatFig7(title, r))
 			return nil
 		}
-		fmt.Fprintln(w, "curve,latency_us,cdf")
-		for _, c := range []struct {
-			name string
-			dist *stats.Dist
-		}{{"camus", r.Camus}, {"baseline", r.Baseline}} {
-			for _, pt := range c.dist.CDF(100) {
-				fmt.Fprintf(w, "%s,%.3f,%.4f\n", c.name, float64(pt.X.Nanoseconds())/1000, pt.P)
-			}
-		}
+		fmt.Fprint(w, experiments.FormatFig7CSV(r, 100))
 		return nil
 	}}
 }

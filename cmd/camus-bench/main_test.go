@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -93,5 +94,30 @@ func TestProvenanceLeadsEveryFigure(t *testing.T) {
 		if !seen[want] {
 			t.Errorf("figures table lost %q", want)
 		}
+	}
+}
+
+// TestFiguresMatchExperimentsDoc: the figures that print no wall-clock
+// column are their own golden file. Each, at seed 1 and below its stamp
+// line, must appear verbatim in EXPERIMENTS.md — so a change that moves a
+// simulated number, or a doc that quotes a table the code no longer
+// prints, fails here.
+func TestFiguresMatchExperimentsDoc(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fig := range []string{"5a", "5b", "7a", "7b", "fanout", "fabric"} {
+		t.Run(fig, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if got := run([]string{"-fig", fig, "-seed", "1"}, &stdout, &stderr); got != 0 {
+				t.Fatalf("exit %d: %s", got, stderr.String())
+			}
+			_, table, _ := strings.Cut(stdout.String(), "\n")
+			table = strings.TrimSpace(table)
+			if table == "" || !bytes.Contains(doc, []byte(table)) {
+				t.Fatalf("-fig %s no longer prints the table EXPERIMENTS.md quotes:\n%s", fig, table)
+			}
+		})
 	}
 }

@@ -1,7 +1,8 @@
 // Command camus-sim runs the end-to-end latency experiment of §4 on the
 // discrete-event testbed: a publisher streams a market-data feed through a
 // switch to a subscriber, once with Camus switch filtering and once with
-// the software baseline, and prints the latency CDFs (Figure 7).
+// the software baseline, and prints the latency CDFs (Figure 7). It is
+// experiments.Fig7 with the feed, the rules and the target as flags.
 //
 // Usage:
 //
@@ -13,26 +14,34 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"time"
 
-	"camus/internal/compiler"
 	"camus/internal/experiments"
-	"camus/internal/netsim"
-	"camus/internal/pipeline"
 	"camus/internal/workload"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its streams and exit status as values: 0 on success,
+// 1 when the experiment fails, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("camus-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		feedKind = flag.String("feed", "nasdaq", "feed: nasdaq or synthetic")
-		feedFile = flag.String("feedfile", "", "replay a feed file written by itchgen instead of generating one")
-		subs     = flag.String("subs", "", "subscription rules for the subscriber (default: stock == <target> : fwd(1))")
-		target   = flag.String("target", "GOOGL", "symbol whose latency is measured")
-		seed     = flag.Int64("seed", 0, "feed seed override (0 = preset)")
-		cdfN     = flag.Int("cdf", 0, "also print an N-point CDF per curve")
+		feedKind = fs.String("feed", "nasdaq", "feed: nasdaq or synthetic")
+		feedFile = fs.String("feedfile", "", "replay a feed file written by itchgen instead of generating one")
+		subs     = fs.String("subs", "", "subscription rules for the subscriber on port 1 (default: stock == <target> : fwd(1))")
+		target   = fs.String("target", "GOOGL", "symbol whose latency is measured")
+		seed     = fs.Int64("seed", 0, "feed seed override (0 = preset)")
+		cdfN     = fs.Int("cdf", 0, "also print an N-point CDF per curve")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	var feedCfg workload.FeedConfig
 	switch *feedKind {
@@ -41,68 +50,40 @@ func main() {
 	case "synthetic":
 		feedCfg = workload.SyntheticFeedConfig()
 	default:
-		fmt.Fprintf(os.Stderr, "camus-sim: unknown feed %q\n", *feedKind)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "camus-sim: unknown feed %q\n", *feedKind)
+		return 2
 	}
 	if *seed != 0 {
 		feedCfg.Seed = *seed
 	}
 	feedCfg.TargetSymbol = *target
 
-	rules := *subs
-	if rules == "" {
-		rules = fmt.Sprintf("stock == %s : fwd(1)", *target)
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "camus-sim:", err)
+		return 1
 	}
-
-	sp := workload.ITCHSpec()
-	prog, err := compiler.CompileSource(sp, rules, compiler.Options{})
-	fatal(err)
-	sw, err := pipeline.New(prog, pipeline.DefaultConfig())
-	fatal(err)
-
 	var feed []workload.FeedPacket
 	if *feedFile != "" {
 		f, err := os.Open(*feedFile)
-		fatal(err)
+		if err != nil {
+			return fail(err)
+		}
 		feed, err = workload.ReadFeed(f)
 		f.Close()
-		fatal(err)
+		if err != nil {
+			return fail(err)
+		}
 	} else {
 		feed = workload.GenerateFeed(feedCfg)
 	}
-	camusRes, err := netsim.RunExperiment(netsim.ExperimentConfig{
-		Feed: feed, TargetSymbol: *target,
-		Mode: netsim.SwitchFiltering, Switch: sw, SubscriberPort: 1,
-	})
-	fatal(err)
-	baseRes, err := netsim.RunExperiment(netsim.ExperimentConfig{
-		Feed: feed, TargetSymbol: *target, Mode: netsim.Baseline,
-	})
-	fatal(err)
-
-	r := &experiments.Fig7Result{
-		Camus: camusRes.Latency, Baseline: baseRes.Latency,
-		TargetMsgs: camusRes.TargetMsgs, TotalMsgs: camusRes.TotalMsgs,
-		CamusDelivered: camusRes.DeliveredMsg, BaselineDelivered: baseRes.DeliveredMsg,
+	r, err := experiments.Fig7(feed, *subs, *target)
+	if err != nil {
+		return fail(err)
 	}
-	fmt.Print(experiments.FormatFig7(fmt.Sprintf("%s feed, target %s", *feedKind, *target), r))
+	fmt.Fprint(stdout, experiments.FormatFig7(fmt.Sprintf("%s feed, target %s", *feedKind, *target), r))
 
 	if *cdfN > 0 {
-		fmt.Println("\ncurve,latency_us,cdf")
-		for _, pt := range r.Camus.CDF(*cdfN) {
-			fmt.Printf("camus,%.3f,%.4f\n", us(pt.X), pt.P)
-		}
-		for _, pt := range r.Baseline.CDF(*cdfN) {
-			fmt.Printf("baseline,%.3f,%.4f\n", us(pt.X), pt.P)
-		}
+		fmt.Fprint(stdout, "\n", experiments.FormatFig7CSV(r, *cdfN))
 	}
-}
-
-func us(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1000 }
-
-func fatal(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "camus-sim:", err)
-		os.Exit(1)
-	}
+	return 0
 }

@@ -1,11 +1,16 @@
 // Package experiments implements the paper's evaluation (§4): one
 // function per figure, shared by the camus-bench CLI and the root-level
 // testing.B benchmarks. Each function returns the series the paper plots,
-// so the harness can print the same rows the figures report.
+// so the harness can print the same rows the figures report, and opens
+// with the question it answers (Goal) and what counts as the paper's
+// answer (Success criterion) — the criterion its test asserts. The
+// simulated figures are topologies wired from netsim's vocabulary
+// (topology.go).
 package experiments
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"time"
 
@@ -30,9 +35,8 @@ var Fig5aSweep = []int{10, 15, 20, 25, 30, 35, 40, 45}
 // over (single draws of the Siena generator are noisy).
 const fig5Repeats = 5
 
-// Fig5a measures table entries vs. number of subscriptions on the
-// Siena-style workload. The paper's observation: low growth rate — Camus
-// uses available space effectively.
+// Fig5a — Goal: how do table entries grow with the number of subscriptions on the Siena-style workload (Fig. 5a)?
+// Success criterion: low growth — entries rise with subscriptions but stay far below the naive exponential blowup, so Camus uses the available space effectively.
 func Fig5a(seed int64) ([]EntriesPoint, error) {
 	cfg := workload.DefaultSienaConfig()
 	sp := workload.SienaSpec(cfg)
@@ -57,9 +61,8 @@ func Fig5a(seed int64) ([]EntriesPoint, error) {
 // subscription).
 var Fig5bSweep = []int{2, 3, 4, 5, 6, 7, 8}
 
-// Fig5b measures table entries vs. subscription selectiveness (number of
-// predicates in the conjunction). The paper's observation: more selective
-// subscriptions need fewer entries because they induce fewer BDD paths.
+// Fig5b — Goal: how do table entries change with subscription selectiveness, the number of predicates in the conjunction (Fig. 5b)?
+// Success criterion: more selective subscriptions need fewer entries, because they induce fewer BDD paths.
 func Fig5b(seed int64) ([]EntriesPoint, error) {
 	cfg := workload.DefaultSienaConfig()
 	cfg.Subscriptions = 30
@@ -94,8 +97,10 @@ type Fig5cPoint struct {
 // Fig5cSweep is the default x-axis of Figure 5c.
 var Fig5cSweep = []int{1000, 10000, 25000, 50000, 100000}
 
-// Fig5c measures compile time (and resulting table footprint) for the
-// ITCH workload "stock == S ∧ price > P : fwd(H)" with 100 symbols,
+// Fig5c — Goal: what does compiling 1K–100K ITCH subscriptions cost in time and in table footprint (Fig. 5c)?
+// Success criterion: 100K subscriptions compile to entries within 2x of the paper's 21,401, sublinear in subscriptions, far faster than the paper's ~1000 s.
+//
+// The workload is "stock == S ∧ price > P : fwd(H)" with 100 symbols,
 // P in (0,1000) and 200 hosts.
 func Fig5c(sizes []int, seed int64) ([]Fig5cPoint, error) {
 	if sizes == nil {
@@ -134,48 +139,61 @@ type Fig7Result struct {
 	BaselineDelivered int
 }
 
-// Fig7 runs the end-to-end latency experiment for a feed configuration,
-// once with switch filtering (Camus) and once with the software baseline.
-func Fig7(feedCfg workload.FeedConfig) (*Fig7Result, error) {
-	feed := workload.GenerateFeed(feedCfg)
-	sp := workload.ITCHSpec()
-	prog, err := compiler.CompileSource(sp,
-		fmt.Sprintf("stock == %s : fwd(1)", feedCfg.TargetSymbol), compiler.Options{})
+// fig7Port is the switch port the measured subscriber hangs off.
+const fig7Port = 1
+
+// Fig7 — Goal: does filtering on the switch cut the subscriber's latency tail (Fig. 7)?
+// Success criterion: Camus delivers every target message within ~50µs while the flooding baseline's tail reaches hundreds of µs.
+//
+// It runs the Star testbed twice over feed, once with the switch
+// filtering by rules (source text; "" subscribes the host to target) and
+// once flooding, and returns target's latency distribution at the host
+// on port 1 under each. Rules that strand every target message on ports
+// nothing is wired to are an error, not an empty curve.
+func Fig7(feed []workload.FeedPacket, rules, target string) (*Fig7Result, error) {
+	if rules == "" {
+		rules = fmt.Sprintf("stock == %s : fwd(%d)", target, fig7Port)
+	}
+	sw, err := ITCHSwitch(rules)
 	if err != nil {
 		return nil, err
 	}
-	sw, err := pipeline.New(prog, pipeline.DefaultConfig())
+	camus, err := Star(feed, sw, []int{fig7Port}, false, target, nil)
 	if err != nil {
 		return nil, err
 	}
-	camusRes, err := netsim.RunExperiment(netsim.ExperimentConfig{
-		Feed: feed, TargetSymbol: feedCfg.TargetSymbol,
-		Mode: netsim.SwitchFiltering, Switch: sw, SubscriberPort: 1,
-	})
+	base, err := Star(feed, sw, []int{fig7Port}, true, target, nil)
 	if err != nil {
 		return nil, err
 	}
-	baseRes, err := netsim.RunExperiment(netsim.ExperimentConfig{
-		Feed: feed, TargetSymbol: feedCfg.TargetSymbol, Mode: netsim.Baseline,
-	})
-	if err != nil {
-		return nil, err
+	r := &Fig7Result{
+		Camus:             camus.Hosts[0].Latency,
+		Baseline:          base.Hosts[0].Latency,
+		CamusDelivered:    camus.Hosts[0].Msgs,
+		BaselineDelivered: base.Hosts[0].Msgs,
 	}
-	return &Fig7Result{
-		Camus:             camusRes.Latency,
-		Baseline:          baseRes.Latency,
-		TargetMsgs:        camusRes.TargetMsgs,
-		TotalMsgs:         camusRes.TotalMsgs,
-		CamusDelivered:    camusRes.DeliveredMsg,
-		BaselineDelivered: baseRes.DeliveredMsg,
-	}, nil
+	r.TargetMsgs, r.TotalMsgs = workload.TargetCount(feed, target)
+	if unwired := camus.Switches[0].UnwiredPorts; r.TargetMsgs > 0 && r.Camus.Count() == 0 && len(unwired) > 0 {
+		ports := make([]int, 0, len(unwired))
+		for port := range unwired {
+			ports = append(ports, port)
+		}
+		sort.Ints(ports)
+		return nil, fmt.Errorf("the subscriber on port %d received none of the %d %s messages: the rules forwarded %d messages to port(s) %v, which nothing is wired to",
+			fig7Port, r.TargetMsgs, target, camus.Switches[0].Stats.Unwired, ports)
+	}
+	return r, nil
 }
 
 // Fig7a runs the Nasdaq-trace configuration.
-func Fig7a() (*Fig7Result, error) { return Fig7(workload.NasdaqTraceConfig()) }
+func Fig7a() (*Fig7Result, error) { return fig7(workload.NasdaqTraceConfig()) }
 
 // Fig7b runs the synthetic-feed configuration.
-func Fig7b() (*Fig7Result, error) { return Fig7(workload.SyntheticFeedConfig()) }
+func Fig7b() (*Fig7Result, error) { return fig7(workload.SyntheticFeedConfig()) }
+
+func fig7(cfg workload.FeedConfig) (*Fig7Result, error) {
+	return Fig7(workload.GenerateFeed(cfg), "", cfg.TargetSymbol)
+}
 
 // ThroughputPoint is one row of the line-rate experiment: per-message
 // processing cost of the switch model as the installed subscription count
@@ -190,7 +208,8 @@ type ThroughputPoint struct {
 // ThroughputSweep is the default rule-count axis.
 var ThroughputSweep = []int{1, 100, 1000, 10000, 100000}
 
-// Throughput measures switch-model processing cost vs. rule count.
+// Throughput — Goal: does the switch model's per-message cost depend on how many rules are installed (§4's line-rate claim)?
+// Success criterion: ns/msg stays flat, to within cache effects, from 1 to 100K rules.
 func Throughput(sizes []int, msgs int, seed int64) ([]ThroughputPoint, error) {
 	if sizes == nil {
 		sizes = ThroughputSweep
@@ -272,9 +291,11 @@ type AblationPoint struct {
 	CompileTime time.Duration
 }
 
-// Ablation compiles one ITCH workload under the design variants DESIGN.md
-// calls out: full optimizations, no domain compression, no exact-match
-// lowering, and the naive single-table encoding the paper rejects.
+// Ablation — Goal: what does each compiler optimization buy on one ITCH workload?
+// Success criterion: domain compression cuts TCAM, exact-match lowering moves entries into SRAM, and the naive single wide table the paper rejects costs more than Camus' whole footprint.
+//
+// The variants are the ones DESIGN.md calls out: full optimizations, no
+// domain compression, and range tables forced everywhere.
 func Ablation(subs int, seed int64) ([]AblationPoint, error) {
 	sp := workload.ITCHSpec()
 	cfg := workload.DefaultITCHSubsConfig()
@@ -320,60 +341,44 @@ type FanoutPoint struct {
 	WorstP99      time.Duration
 }
 
-// Fanout quantifies §4's motivation: a brokerage fans the feed out to N
-// servers, each interested in a few symbols. Broadcasting delivers
-// everything everywhere; Camus splits the feed at the switch. Each of the
-// subscribers watches 3 symbols on its own port.
+// Fanout — Goal: what does splitting the feed at the switch save a brokerage that today broadcasts it to N servers (§4's motivation)?
+// Success criterion: Camus moves several times fewer egress bytes than broadcast and improves the worst subscriber's p99.
+//
+// Each of the subscribers watches 3 symbols on its own port of one Star.
 func Fanout(subscribers int) ([]FanoutPoint, error) {
-	sp := workload.ITCHSpec()
-	rules := ""
-	for s := 0; s < subscribers; s++ {
+	var rules strings.Builder
+	ports := make([]int, subscribers)
+	for s := range ports {
+		ports[s] = s + 1
 		for k := 0; k < 3; k++ {
-			rules += fmt.Sprintf("stock == %s : fwd(%d)\n", workload.StockSymbol((s*3+k)%100), s+1)
+			fmt.Fprintf(&rules, "stock == %s : fwd(%d)\n", workload.StockSymbol((s*3+k)%100), ports[s])
 		}
 	}
-	prog, err := compiler.CompileSource(sp, rules, compiler.Options{})
-	if err != nil {
-		return nil, err
-	}
-	sw, err := pipeline.New(prog, pipeline.DefaultConfig())
+	sw, err := ITCHSwitch(rules.String())
 	if err != nil {
 		return nil, err
 	}
 	feedCfg := workload.SyntheticFeedConfig()
 	feedCfg.Duration = 100 * time.Millisecond
 	feed := workload.GenerateFeed(feedCfg)
-	ports := make([]int, subscribers)
-	for i := range ports {
-		ports[i] = i + 1
-	}
+	_, total := workload.TargetCount(feed, "")
 
 	var out []FanoutPoint
 	for _, mode := range []struct {
-		name      string
-		broadcast bool
+		name  string
+		flood bool
 	}{{"camus", false}, {"broadcast", true}} {
-		r, err := netsim.RunFanout(netsim.FanoutConfig{
-			Feed: feed, Switch: sw, Ports: ports, Broadcast: mode.broadcast,
-		})
+		t, err := Star(feed, sw, ports, mode.flood, "", nil)
 		if err != nil {
 			return nil, err
 		}
-		worst := time.Duration(0)
-		for _, ps := range r.PerPort {
-			if ps.Latency.Count() > 0 {
-				if p := ps.Latency.Percentile(99); p > worst {
-					worst = p
-				}
-			}
-		}
 		out = append(out, FanoutPoint{
 			Mode:          mode.name,
-			FabricMBytes:  float64(r.FabricBytes) / 1e6,
-			DeliveredMsgs: r.DeliveredTotal(),
-			TotalMsgs:     r.TotalMsgs,
+			FabricMBytes:  float64(netsim.Total(t.Links[:subscribers]).Bytes) / 1e6,
+			DeliveredMsgs: t.Delivered(),
+			TotalMsgs:     total,
 			Subscribers:   subscribers,
-			WorstP99:      worst,
+			WorstP99:      t.WorstP99(),
 		})
 	}
 	return out, nil
@@ -403,9 +408,10 @@ type OrderPoint struct {
 	CompileTime time.Duration
 }
 
-// OrderAblation compiles the Fig. 5c workload under three field orders:
-// the heuristic's choice (stock first), the adversarial reverse (price
-// first), and the raw spec declaration order.
+// OrderAblation — Goal: how much does the BDD field order matter on the Fig. 5c workload (§3.2)?
+// Success criterion: the heuristic's order (equality discriminators first) compiles faster than the adversarial price-first order and grows no larger a BDD.
+//
+// The third variant is the raw spec declaration order.
 func OrderAblation(subs int, seed int64) ([]OrderPoint, error) {
 	cfg := workload.DefaultITCHSubsConfig()
 	cfg.Subscriptions = subs
@@ -487,6 +493,21 @@ func FormatFig7(name string, r *Fig7Result) string {
 	head := fmt.Sprintf("%s: %d/%d target messages; host load camus=%d baseline=%d msgs\n",
 		name, r.TargetMsgs, r.TotalMsgs, r.CamusDelivered, r.BaselineDelivered)
 	return head + stats.Table(name, r.Camus, r.Baseline, probes)
+}
+
+// FormatFig7CSV renders both Figure 7 curves as n-point CDF series.
+func FormatFig7CSV(r *Fig7Result, n int) string {
+	var b strings.Builder
+	fmt.Fprintln(&b, "curve,latency_us,cdf")
+	for _, c := range []struct {
+		name string
+		dist *stats.Dist
+	}{{"camus", r.Camus}, {"baseline", r.Baseline}} {
+		for _, pt := range c.dist.CDF(n) {
+			fmt.Fprintf(&b, "%s,%.3f,%.4f\n", c.name, float64(pt.X.Nanoseconds())/1000, pt.P)
+		}
+	}
+	return b.String()
 }
 
 // FormatThroughput renders the line-rate series with the bandwidth model.

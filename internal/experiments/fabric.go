@@ -39,16 +39,17 @@ func (p FabricPoint) EntryCompression() float64 {
 	return float64(p.LeafEntries) / float64(p.SpineEntries)
 }
 
-// FabricCovering is the fabric-scaling figure: N subscribers behind a
-// two-leaf/one-spine topology, each watching a few symbols — half of them
-// price-qualified, which is precisely what the spine's covers quantify
-// away. Both spine modes run the same feed over inter-switch links under
-// a 1% drop + 0.5% dup + reorder plan (recovered by the simulated relay,
-// as in the live fabric), so the comparison isolates what the covering
-// tier changes: bytes and messages crossing the fabric, and the spine's
-// table footprint versus the union of leaf rules. The covering run also
-// proves containment — no leaf predicate escapes its cover — via the BDD
-// implication check before any traffic flows.
+// FabricCovering — Goal: what does a covering spine tier save over a broadcast one, in fabric bytes and in spine table entries?
+// Success criterion: both spines deliver exactly the same messages, the covering one moves fewer inter-switch bytes, and its program is coarser than the union of leaf rules (compression > 1x).
+//
+// N subscribers sit behind a two-tier Fabric, each watching a few
+// symbols — half of them price-qualified, which is precisely what the
+// spine's covers quantify away. Both spine modes run the same feed over
+// inter-switch links under a 1% drop + 0.5% dup + reorder plan (recovered
+// by the simulated relay, as in the live fabric), so the comparison
+// isolates what the covering tier changes. The fabric controller proves
+// containment — no leaf predicate escapes its cover — before it installs
+// anything.
 func FabricCovering(subscribers, leaves int, seed int64) ([]FabricPoint, error) {
 	if subscribers <= 0 {
 		subscribers = 16
@@ -81,48 +82,35 @@ func FabricCovering(subscribers, leaves int, seed int64) ([]FabricPoint, error) 
 	feedCfg.Duration = 50 * time.Millisecond
 	feedCfg.Seed = seed
 	feed := workload.GenerateFeed(feedCfg)
+	_, total := workload.TargetCount(feed, "")
 
 	chaos := &faults.Plan{Seed: seed + 1, Drop: 0.01, Duplicate: 0.005, Reorder: 0.01}
 	var out []FabricPoint
-	for _, mode := range []netsim.FabricMode{netsim.FabricCovering, netsim.FabricBroadcast} {
-		r, err := netsim.RunFabric(netsim.FabricSimConfig{
-			Feed:         feed,
-			Rules:        rules,
-			Leaves:       leaves,
-			Hosts:        hosts,
-			Mode:         mode,
-			LinkFaults:   chaos,
-			VerifyCovers: mode == netsim.FabricCovering,
-		})
+	for _, mode := range []struct {
+		name  string
+		flood bool
+	}{{"covering-spine", false}, {"broadcast-spine", true}} {
+		f, err := Fabric(feed, rules, leaves, hosts, mode.flood, chaos, netsim.RecoveryDelay)
 		if err != nil {
 			return nil, err
 		}
-		worst := time.Duration(0)
-		delivered := 0
-		for _, ps := range r.PerHost {
-			delivered += ps.DeliveredMsgs
-			if ps.Latency.Count() > 0 {
-				if p := ps.Latency.Percentile(99); p > worst {
-					worst = p
-				}
-			}
-		}
+		up, down := netsim.Total(f.Uplinks), netsim.Total(f.Downlinks)
 		out = append(out, FabricPoint{
-			Mode:          mode.String(),
+			Mode:          mode.name,
 			Subscribers:   subscribers,
 			Leaves:        leaves,
-			TotalMsgs:     r.TotalMsgs,
-			DeliveredMsgs: delivered,
-			UplinkMsgs:    r.UplinkMsgs,
-			DownlinkMsgs:  r.DownlinkMsgs,
-			InterSwitchMB: float64(r.InterSwitchBytes()) / 1e6,
-			HostMB:        float64(r.HostBytes) / 1e6,
-			LeafEntries:   r.LeafEntries,
-			SpineEntries:  r.SpineEntries,
-			UpEntries:     r.UpEntries,
-			Recovered:     r.Recovered,
-			WorstP99:      worst,
-			CoverVerified: mode == netsim.FabricCovering,
+			TotalMsgs:     total,
+			DeliveredMsgs: f.Delivered(),
+			UplinkMsgs:    up.Msgs,
+			DownlinkMsgs:  down.Msgs,
+			InterSwitchMB: float64(f.InterSwitchBytes()) / 1e6,
+			HostMB:        float64(netsim.Total(f.HostLinks).Bytes) / 1e6,
+			LeafEntries:   f.Epoch.LeafEntries,
+			SpineEntries:  f.Epoch.SpineEntries,
+			UpEntries:     f.Epoch.UpEntries,
+			Recovered:     up.Recovered + down.Recovered,
+			WorstP99:      f.WorstP99(),
+			CoverVerified: true,
 		})
 	}
 	return out, nil

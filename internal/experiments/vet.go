@@ -32,8 +32,8 @@ type VetPoint struct {
 	Exact           bool // predicted == actual on every axis
 }
 
-// VetEstimate runs the analyzer's resource estimation against ground
-// truth over the Fig. 5c workload sizes.
+// VetEstimate — Goal: is camus-vet's resource estimate the compiled program's table plan, and what does the admission gate cost next to the compile it guards?
+// Success criterion: predicted stages, SRAM and TCAM equal the actual plan exactly at every Fig. 5c workload size.
 func VetEstimate(sizes []int, seed int64) ([]VetPoint, error) {
 	if sizes == nil {
 		sizes = Fig5cSweep

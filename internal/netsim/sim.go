@@ -2,12 +2,20 @@
 // the paper's hardware testbed (DPDK publisher/subscriber on Xeon servers
 // with 25G NICs around a Tofino switch).
 //
-// It models what the latency experiment of §4 actually depends on:
-// serialization and propagation delays on links, the switch's fixed
-// pipeline latency, FIFO queueing at the switch egress port, and the
-// subscriber host's per-packet/per-message software costs. The baseline's
-// tail latency emerges from queueing when feed microbursts exceed the
-// host's service rate — exactly the effect the paper measures.
+// It is one small vocabulary. A Link has a rate, a propagation delay and
+// optionally a fault plan under a lossy or a recovering policy; a Host is
+// a subscriber CPU behind a NIC queue; a Switch wraps the real
+// pipeline.Switch — its fixed latency, its installed program — and either
+// filters or floods; Topology.Publish paces a feed onto a link. Every
+// experiment is a Topology wired from these (internal/experiments), and
+// every link and switch keeps a ledger that must balance.
+//
+// That is what the latency experiment of §4 depends on: serialization and
+// propagation delays on links, the switch's fixed pipeline latency, FIFO
+// queueing at the switch egress port, and the subscriber host's
+// per-packet/per-message software costs. The baseline's tail latency
+// emerges from queueing when feed microbursts exceed the host's service
+// rate — exactly the effect the paper measures.
 package netsim
 
 import (
@@ -122,33 +130,3 @@ func (sv *Server) Backlog() time.Duration {
 
 // MaxQueue returns the queue-depth high-water mark.
 func (sv *Server) MaxQueue() int { return sv.maxQueue }
-
-// Link models a point-to-point link: store-and-forward serialization at
-// the link rate (shared, so back-to-back packets queue) plus fixed
-// propagation delay.
-type Link struct {
-	sim         *Sim
-	server      *Server
-	bitsPerSec  float64
-	propagation time.Duration
-}
-
-// NewLink creates a link with the given rate and propagation delay.
-func NewLink(sim *Sim, gbps float64, propagation time.Duration) *Link {
-	return &Link{sim: sim, server: NewServer(sim), bitsPerSec: gbps * 1e9, propagation: propagation}
-}
-
-// SerializationDelay returns the wire time of a packet of n bytes.
-func (l *Link) SerializationDelay(bytes int) time.Duration {
-	return time.Duration(float64(bytes*8) / l.bitsPerSec * float64(time.Second))
-}
-
-// Send transmits a packet of the given size; deliver runs at the far end.
-func (l *Link) Send(bytes int, deliver func()) {
-	l.server.Submit(l.SerializationDelay(bytes), func() {
-		l.sim.After(l.propagation, deliver)
-	})
-}
-
-// MaxQueue exposes the link's transmit-queue high-water mark.
-func (l *Link) MaxQueue() int { return l.server.MaxQueue() }

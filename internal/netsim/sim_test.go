@@ -108,14 +108,14 @@ func TestServerIdleBetweenJobs(t *testing.T) {
 func TestLinkSerializationAndPropagation(t *testing.T) {
 	s := NewSim()
 	// 1 Gb/s: 1000 bytes = 8µs serialization; 2µs propagation.
-	l := NewLink(s, 1, 2*time.Microsecond)
+	l := NewLink(s, 1, 2*time.Microsecond, nil)
 	if got := l.SerializationDelay(1000); got != 8*time.Microsecond {
 		t.Fatalf("serialization = %v", got)
 	}
 	var delivered []time.Duration
 	s.Schedule(0, func() {
-		l.Send(1000, func() { delivered = append(delivered, s.Now()) })
-		l.Send(1000, func() { delivered = append(delivered, s.Now()) })
+		l.carry(1000, func() { delivered = append(delivered, s.Now()) })
+		l.carry(1000, func() { delivered = append(delivered, s.Now()) })
 	})
 	s.Run()
 	// First: 8µs wire + 2µs prop = 10µs. Second queues behind: 16+2 = 18µs.

@@ -10,8 +10,8 @@ import (
 // exercise keyed register banks (state addressed by (variable, flow
 // key)) end to end. Each Scenario bundles a message-format spec, a
 // subscription set using var[key] reads and updates, and a deterministic
-// feed generator, so the pipeline experiments, the netsim mirror, and
-// camus-bench all sweep exactly the same workload.
+// feed generator; they are the fixture of the pipeline's differential
+// oracle (TestKeyedDifferentialOracle/scenarios).
 //
 //   - IoT threshold-over-window: sensors publish temperature readings;
 //     the switch forwards a reading to the alert port when the sensor's

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The simplicity scoreboard (ROADMAP item 5): non-test Go lines outside
+# The simplicity scoreboard (ROADMAP item 10): non-test Go lines outside
 # benchmark/, in total and per package. CHANGES.md quotes these numbers
 # and CI's test job prints them, so they are the same numbers.
 set -euo pipefail
