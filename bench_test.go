@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"camus/internal/bdd"
 	"camus/internal/compiler"
 	"camus/internal/experiments"
 	"camus/internal/itch"
@@ -95,22 +96,24 @@ func BenchmarkFig5cCompileTime(b *testing.B) {
 	}
 }
 
-// BenchmarkCompileCold is the cost gate of a cold compile at the two rule
-// shapes the socket benchmark sets up with: 10k Fig. 5c rules over 2 hosts
-// (itch-sparse) and 20k over 200 hosts and a 10-wide price grid
-// (subs-churn) — from parsed rules and, as the live update path does, from
-// source text. Workers is 1, so allocs/op is a property of the code and not
-// of the host's core count, but for source/default, which parses and
-// normalizes on every core.
+// coldShapes are the two rule shapes the socket benchmark sets up with.
+var coldShapes = []struct {
+	name string
+	cfg  workload.ITCHSubsConfig
+}{
+	{"10k×2", workload.ITCHSubsConfig{Subscriptions: 10000, Stocks: 100, Hosts: 2, PriceMax: 1000, PriceGrid: 1, Seed: 1}},
+	{"20k×200", workload.ITCHSubsConfig{Subscriptions: 20000, Stocks: 100, Hosts: 200, PriceMax: 1000, PriceGrid: 10, Seed: 1}},
+}
+
+// BenchmarkCompileCold is the cost gate of a cold compile at coldShapes —
+// 10k Fig. 5c rules over 2 hosts (itch-sparse) and 20k over 200 hosts and a
+// 10-wide price grid (subs-churn) — from parsed rules and, as the live update
+// path does, from source text. Workers is 1, so allocs/op is a property of
+// the code and not of the host's core count, but for source/default, which
+// parses and normalizes on every core.
 func BenchmarkCompileCold(b *testing.B) {
 	sp := workload.ITCHSpec()
-	for _, v := range []struct {
-		name string
-		cfg  workload.ITCHSubsConfig
-	}{
-		{"10k×2", workload.ITCHSubsConfig{Subscriptions: 10000, Stocks: 100, Hosts: 2, PriceMax: 1000, PriceGrid: 1, Seed: 1}},
-		{"20k×200", workload.ITCHSubsConfig{Subscriptions: 20000, Stocks: 100, Hosts: 200, PriceMax: 1000, PriceGrid: 10, Seed: 1}},
-	} {
+	for _, v := range coldShapes {
 		rules := workload.ITCHSubscriptions(v.cfg)
 		var text strings.Builder
 		for _, r := range rules {
@@ -339,18 +342,27 @@ func BenchmarkEndToEndSimulator(b *testing.B) {
 
 // Micro-benchmarks for the building blocks.
 
-// BenchmarkBDDBuild measures BDD construction alone on 1K conjunctions.
+// BenchmarkBDDBuild measures BDD construction alone, over conjunctions
+// resolved once, at the shapes BenchmarkCompileCold compiles.
 func BenchmarkBDDBuild(b *testing.B) {
 	sp := workload.ITCHSpec()
-	cfg := workload.DefaultITCHSubsConfig()
-	cfg.Subscriptions = 1000
-	rules := workload.ITCHSubscriptions(cfg)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := compiler.Compile(sp, rules, compiler.Options{}); err != nil {
+	for _, v := range coldShapes {
+		infos, conjs, err := compiler.ResolveConjs(sp, workload.ITCHSubscriptions(v.cfg), compiler.Options{})
+		if err != nil {
 			b.Fatal(err)
 		}
+		fields := make([]bdd.Field, len(infos))
+		for i, f := range infos {
+			fields[i] = bdd.Field{Name: f.Name, Max: f.Max}
+		}
+		b.Run(v.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := bdd.NewBuilder().Build(fields, conjs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

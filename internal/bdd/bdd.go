@@ -7,16 +7,19 @@
 // merged action set), or, without one, the payload set itself. Terminals
 // are hash-consed on that class, so two regions that do the same thing for
 // different reasons are one node and the reductions below see through them.
-// The builder performs Shannon expansion over the rules' DNF conjunctions
-// and applies the paper's three reductions during construction:
+// The builder performs Shannon expansion over the rules' DNF conjunctions,
+// a field at a time: one sweep over the elementary cells the field's
+// predicates cut its domain into finds what survives each cell, and the
+// predicate nodes above the cells are then built over sets of cells. It
+// applies the paper's three reductions during construction:
 //
 //	(i)   isomorphic subgraphs are shared (hash-consing),
 //	(ii)  nodes whose branches coincide are elided,
 //	(iii) predicates implied true or false by an ancestor are never
 //	      materialized (the "domain-specific" reduction).
 //
-// Reduction (iii) is obtained by carrying, per field, the interval set of
-// values that can still reach the current node. A consequence — relied on
+// Reduction (iii) is obtained by carrying, per field, the set of cells that
+// can still reach the current node. A consequence — relied on
 // by Algorithm 1 in package compiler — is that the value ranges along the
 // paths leaving a component entry node are pairwise disjoint and partition
 // the field's domain, and the number of such paths is bounded by the
@@ -25,10 +28,10 @@
 package bdd
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 	"strings"
 
 	"camus/internal/interval"
@@ -121,11 +124,11 @@ type Classifier func(payloads []int) (class int, matches bool)
 
 // Builder is a persistent hash-cons arena that can be reused across Build
 // calls. All nodes live in the arena; the memo, node, and terminal tables
-// are keyed purely by content (predicate interval sets, context sets, and
-// the alive conjunctions' constraint/payload hashes), so a later Build
-// whose rule set shares conjunctions with an earlier one reuses the
-// unchanged sub-BDDs instead of re-expanding them — the compile-time
-// memoization §3 of the paper calls for under highly dynamic workloads.
+// are keyed purely by content (predicate interval sets and the alive
+// conjunctions' constraint/payload hashes), so a later Build whose rule set
+// shares conjunctions with an earlier one reuses the unchanged sub-BDDs
+// instead of re-expanding them — the compile-time memoization §3 of the
+// paper calls for under highly dynamic workloads.
 //
 // The arena is invalidated (Reset) automatically when the field list
 // changes between builds, since every content key is relative to the
@@ -135,7 +138,7 @@ type Builder struct {
 	haveFields bool
 	classify   Classifier
 
-	memo      map[memoKey]*Node
+	memo      map[memoKey]*Node // field transitions: what is built below a set of survivors
 	nodeCons  map[nodeKey]*Node
 	termCons  map[hash128]*Node // by payload set
 	classCons map[int]*Node     // by class, under a Classifier
@@ -169,11 +172,13 @@ func (bl *Builder) Reset() {
 func (bl *Builder) ArenaSize() int { return bl.nnodes }
 
 // Retained returns how much the arena holds on to: its nodes plus the
-// subproblem and payload-set table entries, stranded ones included. Under a
-// Classifier the tables grow with every new payload set even when it falls
-// into a class that already has its terminal and no node is made, so this,
-// not ArenaSize, is what to weigh against a cold build's Retained when
-// deciding that Reset pays.
+// field-transition and payload-set table entries, stranded ones included.
+// Under a Classifier the tables grow with every new payload set even when it
+// falls into a class that already has its terminal and no node is made, so
+// this, not ArenaSize, is what to weigh against a cold build's Retained when
+// deciding that Reset pays. It is a measure to compare with itself: what the
+// tables hold per node is the builder's business, and a caller that scales
+// its own cold reading (compiler.Session) stays calibrated when that moves.
 func (bl *Builder) Retained() int { return bl.nnodes + len(bl.memo) + len(bl.termCons) }
 
 // builder holds per-build construction state on top of a shared arena.
@@ -192,34 +197,72 @@ type builder struct {
 	cls  []int32
 
 	// Scratch. classSlot[f][r] is the class a visit gave requirement r (-1
-	// between visits); predSeen[f] is an epoch-stamped set over preds[f];
-	// bits has a bit per alive position. ints and classes are stacks that a
-	// call takes from and gives back to: only *Node outlives the call.
+	// between visits); predSeen[f] is an epoch-stamped set over preds[f] and
+	// predAt[f] the place of each predicate a visit uses among those it uses;
+	// bits has a bit per alive position and is all zero between uses. The
+	// rest are stacks that a call takes from and gives back to: only *Node
+	// outlives the call.
 	classSlot [][]int32
 	predSeen  [][]int
+	predAt    [][]int32
 	predEpoch int
 	bits      []uint64
-	ints      []int32
-	classes   []class
-	payloads  []int // terminal's scratch: the payload set being looked up
+	scratch
+	payloads []int // terminal's scratch: the payload set being looked up
+
+	// steps counts the work that grows with the input: a sweep event, a
+	// survivor listed, a word of a cell set read or written. Tests hold it
+	// to the size of the cells, not to their square.
+	steps int
 }
 
-// memoKey identifies a (sub)problem during construction. The alive
-// conjunction set, the chosen predicate, and the field context are folded
-// into 128-bit content hashes; with double 64-bit hashing the collision
+// scratch is the builder's stacks.
+type scratch struct {
+	ints      []int32
+	words     []uint64
+	classes   []class
+	cellPreds []cellPred
+	nodes     []*Node
+}
+
+type heights struct{ ints, words, classes, cellPreds, nodes int }
+
+func (s *scratch) mark() heights {
+	return heights{len(s.ints), len(s.words), len(s.classes), len(s.cellPreds), len(s.nodes)}
+}
+
+func (s *scratch) release(m heights) {
+	s.ints, s.words, s.classes = s.ints[:m.ints], s.words[:m.words], s.classes[:m.classes]
+	s.cellPreds, s.nodes = s.cellPreds[:m.cellPreds], s.nodes[:m.nodes]
+}
+
+// take takes n elements from the top of a scratch stack, holding whatever
+// was there. When the stack has to grow, slices taken earlier keep the array
+// they were cut from.
+func take[T any](stack *[]T, n int) []T {
+	top := len(*stack)
+	if top+n > cap(*stack) {
+		*stack = append(make([]T, 0, 2*cap(*stack)+n), *stack...)
+	}
+	*stack = (*stack)[:top+n]
+	return (*stack)[top : top+n : top+n]
+}
+
+// memoKey identifies a field transition: what is built for the fields after
+// field, given the conjunctions that survived it. The alive set is folded
+// into a 128-bit content hash; with double 64-bit hashing the collision
 // probability over even millions of memo entries is negligible. Because
 // the key depends only on content (not on per-build conjunction or
 // predicate indices), entries remain valid across Build calls on the same
 // field list. alive is the lane-wise *sum* of the alive conjunctions'
-// hashes: free of order, and formed for a union of classes from the
-// classes' own sums without visiting a member. aliveLen adds the size.
+// hashes: free of order, formed for a union of classes from the classes'
+// own sums without visiting a member, and kept up to date along a sweep by
+// adding the classes that enter and subtracting those that leave. aliveLen
+// adds the size.
 type memoKey struct {
-	kind     uint8 // 'B' for branch problems, 'X' for field transitions
-	field    int32
-	pred     hash128
-	ctx      hash128
 	alive    hash128
 	aliveLen int32
+	field    int32
 }
 
 type nodeKey struct {
@@ -242,8 +285,9 @@ func (h hash128) word(x uint64) hash128 {
 	return h
 }
 
-func (h hash128) mix(x hash128) hash128  { return h.word(x.a).word(x.b) }
-func (h hash128) plus(x hash128) hash128 { return hash128{h.a + x.a, h.b + x.b} }
+func (h hash128) mix(x hash128) hash128   { return h.word(x.a).word(x.b) }
+func (h hash128) plus(x hash128) hash128  { return hash128{h.a + x.a, h.b + x.b} }
+func (h hash128) minus(x hash128) hash128 { return hash128{h.a - x.a, h.b - x.b} }
 
 // avalanche spreads every input bit over both lanes (the splitmix64
 // finalizer, cross-fed). word is close to linear in its first lane; summing
@@ -300,15 +344,26 @@ type conjInfo struct {
 }
 
 // class is the part of a field visit's alive conjunctions that shares one
-// requirement on the field: a context kills, spares, and in the end
-// satisfies or fails a requirement, so what the per-predicate chain decides,
-// it decides for a whole class at once.
+// requirement on the field: a cell satisfies or fails a requirement, and a
+// context kills or spares it, so what is decided on the field is decided for
+// a whole class at once.
 type class struct {
 	req     interval.Set // empty: the members do not constrain the field
 	n       int          // len(members)
 	members []int32      // positions in the visit's alive list, ascending
 	preds   []int32      // distinct indices into preds[f] the members use
 	sum     hash128      // of the members' hashes
+}
+
+// cellPred is a predicate a field visit uses, over the visit's cells: bit
+// c-64*w0 of set is cell c. live is the part of set in the requirement of
+// some class that uses the predicate — a context that misses it has killed
+// every such class.
+type cellPred struct {
+	p         *pred
+	first     int // the lowest cell of set
+	w0        int
+	set, live []uint64
 }
 
 // Build constructs the reduced ordered multi-terminal BDD for the given
@@ -324,34 +379,49 @@ func Build(fields []Field, conjs []Conj) (*BDD, error) {
 // returned BDDs stay valid and the output is bit-identical to a cold
 // build of the same inputs.
 func (bl *Builder) Build(fields []Field, conjs []Conj) (*BDD, error) {
+	b, alive, sum, err := bl.begin(fields, conjs)
+	if err != nil {
+		return nil, err
+	}
+	return b.finish(b.visit(0, alive, sum)), nil
+}
+
+// begin readies a build on the arena: the conjunctions ingested, the
+// predicates in canonical order, and everything alive.
+func (bl *Builder) begin(fields []Field, conjs []Conj) (b *builder, alive []int32, sum hash128, err error) {
 	if fk := hashFields(fields); !bl.haveFields || fk != bl.fieldsKey {
 		bl.Reset()
 		bl.fieldsKey = fk
 		bl.haveFields = true
 	}
-	b := &builder{shared: bl, fields: fields}
+	b = &builder{shared: bl, fields: fields}
 	if err := b.ingest(conjs); err != nil {
-		return nil, err
+		return nil, nil, sum, err
 	}
 	b.sortPreds()
 	b.predSeen = make([][]int, len(fields))
+	b.predAt = make([][]int32, len(fields))
 	b.classSlot = make([][]int32, len(fields))
 	for f := range fields {
 		b.predSeen[f] = make([]int, len(b.preds[f]))
+		b.predAt[f] = make([]int32, len(b.preds[f]))
 		b.classSlot[f] = make([]int32, len(b.reqs[f]))
 		for r := range b.classSlot[f] {
 			b.classSlot[f][r] = -1
 		}
 	}
-	alive := make([]int32, len(b.conjs))
-	var sum hash128
+	b.bits = make([]uint64, (len(b.conjs)+63)/64)
+	alive = make([]int32, len(b.conjs))
 	for i := range alive {
 		alive[i] = int32(i)
 		sum = sum.plus(b.conjs[i].hash)
 	}
-	root := b.visit(0, alive, sum)
-	nodes, terminals, pubRoot := extract(root, bl.nnodes)
-	return &BDD{Fields: fields, Root: pubRoot, nodes: nodes, terminals: terminals}, nil
+	return b, alive, sum, nil
+}
+
+func (b *builder) finish(root *Node) *BDD {
+	nodes, terminals, pubRoot := extract(root, b.shared.nnodes)
+	return &BDD{Fields: b.fields, Root: pubRoot, nodes: nodes, terminals: terminals}
 }
 
 // ingest clamps every constraint to its field's domain, drops
@@ -476,15 +546,15 @@ func extract(root *Node, arenaNodes int) (nodes, terminals []*Node, pubRoot *Nod
 func (b *builder) sortPreds() {
 	remaps := make([][]int32, len(b.preds)) // per field, interned index -> sorted index
 	for f, ps := range b.preds {
-		sort.Slice(ps, func(i, j int) bool {
-			a, c := ps[i].set, ps[j].set
+		slices.SortFunc(ps, func(p, q pred) int {
+			a, c := p.set, q.set
 			if a.Min() != c.Min() {
-				return a.Min() < c.Min()
+				return cmp.Compare(a.Min(), c.Min())
 			}
 			if a.Max() != c.Max() {
-				return a.Max() < c.Max()
+				return cmp.Compare(a.Max(), c.Max())
 			}
-			return a.Key() < c.Key()
+			return cmp.Compare(a.Key(), c.Key())
 		})
 		remaps[f] = make([]int32, len(ps))
 		for i, p := range ps {
@@ -496,30 +566,35 @@ func (b *builder) sortPreds() {
 	}
 }
 
-// takeInts takes n int32s from the top of the scratch stack. When the stack
-// has to grow, slices taken earlier keep the array they were cut from.
-func (b *builder) takeInts(n int) []int32 {
-	top := len(b.ints)
-	if top+n > cap(b.ints) {
-		b.ints = make([]int32, top, 2*cap(b.ints)+n)
-	}
-	b.ints = b.ints[:top+n]
-	return b.ints[top : top+n : top+n]
-}
-
 // visit constructs the subgraph for fields[f:] given the conjunctions still
 // alive on entering field f and the sum of their hashes. It buckets them
-// into requirement classes once; chain then works on classes.
+// into requirement classes once; sweep then works on classes and cells.
 func (b *builder) visit(f int, alive []int32, sum hash128) *Node {
 	if f == len(b.fields) {
 		return b.terminal(alive)
 	}
-	intMark, classMark := len(b.ints), len(b.classes)
-	defer func() { b.ints, b.classes = b.ints[:intMark], b.classes[:classMark] }()
+	defer b.release(b.mark())
 
-	// Give every requirement present a class, then deal the positions out.
-	nf, slot := len(b.fields), b.classSlot[f]
-	which := b.takeInts(len(alive))
+	classes, which := b.bucket(f, alive)
+	if len(classes) == 1 && classes[0].req.IsEmpty() {
+		// Nothing alive constrains f: everything survives it.
+		key := memoKey{field: int32(f), alive: sum, aliveLen: int32(len(alive))}
+		nd, ok := b.shared.memo[key]
+		if !ok {
+			nd = b.visit(f+1, alive, sum)
+			b.shared.memo[key] = nd
+		}
+		return nd
+	}
+	b.deal(f, alive, classes, which)
+	return b.sweep(f, alive, classes)
+}
+
+// bucket gives every requirement on f among the alive conjunctions a class,
+// with its size and hash sum, and says which class each alive position is in.
+func (b *builder) bucket(f int, alive []int32) (classes []class, which []int32) {
+	nf, slot, classMark := len(b.fields), b.classSlot[f], len(b.classes)
+	which = take(&b.ints, len(alive))
 	for pos, ci := range alive {
 		r := b.cls[int(ci)*nf+f]
 		k := slot[r]
@@ -533,33 +608,24 @@ func (b *builder) visit(f int, alive []int32, sum hash128) *Node {
 		c.n++
 		c.sum = c.sum.plus(b.conjs[ci].hash)
 	}
-	classes := b.classes[classMark:]
 	for _, ci := range alive {
 		slot[b.cls[int(ci)*nf+f]] = -1
 	}
-	if len(classes) == 1 && classes[0].req.IsEmpty() {
-		// Nothing alive constrains f: everything survives it.
-		key := memoKey{kind: 'X', field: int32(f), alive: sum, aliveLen: int32(len(alive))}
-		nd, ok := b.shared.memo[key]
-		if !ok {
-			nd = b.visit(f+1, alive, sum)
-			b.shared.memo[key] = nd
-		}
-		return nd
-	}
-	members := b.takeInts(len(alive))
+	return b.classes[classMark:], which
+}
+
+// deal lists each class's members and the distinct predicates on f they use.
+func (b *builder) deal(f int, alive []int32, classes []class, which []int32) {
+	members := take(&b.ints, len(alive))
 	for k := range classes {
 		classes[k].members, members = members[:0:classes[k].n], members[classes[k].n:]
 	}
 	for pos, k := range which {
 		classes[k].members = append(classes[k].members, int32(pos))
 	}
-	// Each class's distinct predicates on f.
 	seen := b.predSeen[f]
-	live := b.takeInts(len(classes))
 	for k := range classes {
 		c := &classes[k]
-		live[k] = int32(k)
 		b.predEpoch++
 		first := len(b.ints)
 		for _, pos := range c.members {
@@ -572,103 +638,287 @@ func (b *builder) visit(f int, alive []int32, sum hash128) *Node {
 		}
 		c.preds = b.ints[first:len(b.ints):len(b.ints)]
 	}
-	return b.chain(f, alive, classes, interval.Full(b.fields[f].Max), live, 0)
 }
 
-// chain is the per-predicate Shannon expansion within field f: ctx is the
-// set of values of f that can still reach this point, live the classes not
-// yet killed by an ancestor's context, and from the first predicate index
-// an ancestor has not already decided (a context only shrinks down the
-// chain, so what it decided stays decided).
-func (b *builder) chain(f int, alive []int32, classes []class, ctx interval.Set, live []int32, from int) *Node {
-	mark := len(b.ints)
-	defer func() { b.ints = b.ints[:mark] }()
+// sweep expands field f for a visit's classes in two passes over the
+// elementary cells — the intervals between consecutive endpoints of the
+// predicates the classes use, inside each of which every predicate and so
+// every requirement is constant.
+//
+// The first pass finds what each cell leads to. It walks the cells in order,
+// a class entering where a run of its requirement starts and leaving where
+// it ends, and keeps the hash sum and count of the classes present: the key
+// of the field transition, so the conjunctions are listed and the fields
+// after f visited only for a set of survivors the arena has not met, and
+// only at a cell where the set changed.
+//
+// The second pass (expand) builds the predicate nodes above the cells.
+func (b *builder) sweep(f int, alive []int32, classes []class) *Node {
+	// The predicates in use, in canonical order.
+	b.predEpoch++
+	seen, at, first := b.predSeen[f], b.predAt[f], len(b.ints)
+	for k := range classes {
+		for _, pi := range classes[k].preds {
+			if seen[pi] != b.predEpoch {
+				seen[pi] = b.predEpoch
+				b.ints = append(b.ints, pi)
+			}
+		}
+	}
+	used := b.ints[first:len(b.ints):len(b.ints)]
+	slices.Sort(used)
 
-	// Classes whose requirement is already disjoint from the context can
-	// never match below this point; dropping them here keeps their
-	// remaining predicates from being materialized.
-	kept := b.takeInts(len(live))[:0]
+	// The cells, by their first values. The value after an interval starts
+	// one unless the interval ends the domain (which may end the integers).
+	top := b.fields[f].Max
+	first = len(b.words)
+	b.words = append(b.words, 0)
+	for j, pi := range used {
+		at[pi] = int32(j)
+		for _, iv := range b.preds[f][pi].set.Intervals() {
+			b.words = append(b.words, iv.Lo)
+			if iv.Hi < top {
+				b.words = append(b.words, iv.Hi+1)
+			}
+		}
+	}
+	slices.Sort(b.words[first:])
+	b.words = b.words[:first+len(slices.Compact(b.words[first:]))]
+	starts := b.words[first:len(b.words):len(b.words)]
+	ncells := len(starts)
+	// cellRun is the run of cells an interval of a predicate in use covers.
+	cellRun := func(iv interval.Interval) (lo, hi int) {
+		lo, _ = slices.BinarySearch(starts, iv.Lo)
+		if hi = ncells; iv.Hi < top {
+			hi, _ = slices.BinarySearch(starts, iv.Hi+1)
+		}
+		return lo, hi
+	}
+
+	// Each predicate in use as a set of cells, and under it the requirements
+	// of the classes that use it. Events — cell, then leave before enter,
+	// then class — sort into the order the walk meets them.
+	cps := take(&b.cellPreds, len(used))
+	for j, pi := range used {
+		p := &b.preds[f][pi]
+		ivs := p.set.Intervals()
+		lo, hi := cellRun(ivs[0])
+		end := hi
+		if len(ivs) > 1 {
+			_, end = cellRun(ivs[len(ivs)-1])
+		}
+		w0, n := lo>>6, (end+63)>>6-lo>>6
+		buf := take(&b.words, 2*n)
+		clear(buf)
+		cps[j] = cellPred{p: p, first: lo, w0: w0, set: buf[:n], live: buf[n:]}
+		b.steps += fillRun(buf[:n], w0, lo, hi)
+		for _, iv := range ivs[1:] {
+			lo, hi := cellRun(iv)
+			b.steps += fillRun(buf[:n], w0, lo, hi)
+		}
+	}
+	const enter = 1 << 31
+	first = len(b.words)
+	for k := range classes {
+		for _, iv := range classes[k].req.Intervals() {
+			lo, hi := cellRun(iv)
+			b.words = append(b.words, uint64(lo)<<32|enter|uint64(k))
+			if hi < ncells {
+				b.words = append(b.words, uint64(hi)<<32|uint64(k))
+			}
+			for _, pi := range classes[k].preds {
+				cp := &cps[at[pi]]
+				b.steps += fillRun(cp.live, cp.w0, lo, hi)
+			}
+		}
+	}
+	events := b.words[first:len(b.words):len(b.words)]
+	slices.Sort(events)
+
+	// The walk. present lists the classes the cell at hand satisfies, where
+	// says at which place; the class that does not constrain f is always in.
+	cells := take(&b.nodes, ncells)
+	present, where := take(&b.ints, len(classes))[:0], take(&b.ints, len(classes))
 	var sum hash128
 	n := 0
-	for _, k := range live {
-		if c := &classes[k]; c.req.IsEmpty() || ctx.Overlaps(c.req) {
-			kept = append(kept, k)
-			sum = sum.plus(c.sum)
-			n += c.n
+	for k := range classes {
+		if classes[k].req.IsEmpty() {
+			present, sum, n = append(present, int32(k)), classes[k].sum, classes[k].n
+		}
+	}
+	for c := range cells {
+		moved := c == 0
+		for ; len(events) > 0 && int(events[0]>>32) == c; events = events[1:] {
+			k := int32(events[0] & (enter - 1))
+			if events[0]&enter != 0 {
+				where[k] = int32(len(present))
+				present = append(present, k)
+				sum, n = sum.plus(classes[k].sum), n+classes[k].n
+			} else {
+				last := present[len(present)-1]
+				present[where[k]], where[last] = last, where[k]
+				present = present[:len(present)-1]
+				sum, n = sum.minus(classes[k].sum), n-classes[k].n
+			}
+			moved = true
+			b.steps++
+		}
+		if moved {
+			cells[c] = b.transition(f, alive, classes, present, sum, n)
+		} else {
+			cells[c] = cells[c-1]
 		}
 	}
 
-	// The first predicate on f, in canonical order, that a kept class uses
-	// and the context does not already decide (one it does is implied true
-	// or false: reduction (iii)).
-	b.predEpoch++
-	seen := b.predSeen[f]
-	for _, k := range kept {
-		for _, pi := range classes[k].preds {
-			seen[pi] = b.predEpoch
-		}
-	}
-	next := from
-	for ; next < len(seen); next++ {
-		if p := b.preds[f][next].set; seen[next] == b.predEpoch && ctx.Overlaps(p) && !ctx.SubsetOf(p) {
-			break
-		}
-	}
+	ctx := take(&b.words, (ncells+63)/64)
+	clear(ctx)
+	b.steps += fillRun(ctx, 0, 0, ncells)
+	return b.expand(f, cps, cells, 0, ctx, 0)
+}
 
-	if next == len(seen) {
-		// Field f is resolved for every kept class. By construction ctx is a
-		// cell of the partition their predicates induce, so it is inside or
-		// disjoint from each requirement: the classes it satisfies move on.
-		pass := kept[:0]
-		sum, n = hash128{}, 0
-		for _, k := range kept {
-			if c := &classes[k]; c.req.IsEmpty() || ctx.SubsetOf(c.req) {
-				pass = append(pass, k)
-				sum = sum.plus(c.sum)
-				n += c.n
-			}
-		}
-		key := memoKey{kind: 'X', field: int32(f), alive: sum, aliveLen: int32(n)}
-		if nd, ok := b.shared.memo[key]; ok {
-			return nd
-		}
-		// Only now are their conjunctions listed, through a bitmap so that
-		// alive lists, and the payloads terminal sorts, stay ascending.
-		words := (len(alive) + 63) / 64
-		if words > len(b.bits) {
-			b.bits = make([]uint64, words)
-		}
-		set := b.bits[:words]
-		clear(set)
-		for _, k := range pass {
-			for _, pos := range classes[k].members {
-				set[pos>>6] |= 1 << (pos & 63)
-			}
-		}
-		survivors := b.takeInts(n)[:0]
-		for w, word := range set {
-			for ; word != 0; word &= word - 1 {
-				survivors = append(survivors, alive[w<<6+bits.TrailingZeros64(word)])
-			}
-		}
-		nd := b.visit(f+1, survivors, sum)
-		b.shared.memo[key] = nd
-		return nd
+// fillRun sets cells [lo, hi) in a cell set whose first word holds cell
+// 64*w0, and returns the number of words it wrote.
+func fillRun(set []uint64, w0, lo, hi int) int {
+	if lo >= hi {
+		return 0
 	}
+	lo, hi = lo-w0<<6, hi-w0<<6
+	wl, wh := lo>>6, (hi-1)>>6
+	head, tail := ^uint64(0)<<(lo&63), ^uint64(0)>>(63-(hi-1)&63)
+	if wl == wh {
+		set[wl] |= head & tail
+		return 1
+	}
+	set[wl] |= head
+	for w := wl + 1; w < wh; w++ {
+		set[w] = ^uint64(0)
+	}
+	set[wh] |= tail
+	return wh - wl + 1
+}
 
-	p := &b.preds[f][next]
-	key := memoKey{kind: 'B', field: int32(f), pred: p.hash, ctx: hashSet(ctx), alive: sum, aliveLen: int32(n)}
+// transition returns what field f's survivors — the n members of the
+// classes present, whose hashes sum to sum — lead to in the fields after f.
+// Only for a set the arena has not met are the conjunctions listed, through
+// a bitmap so that alive lists, and the payloads terminal sorts, stay
+// ascending.
+func (b *builder) transition(f int, alive []int32, classes []class, present []int32, sum hash128, n int) *Node {
+	key := memoKey{field: int32(f), alive: sum, aliveLen: int32(n)}
 	if nd, ok := b.shared.memo[key]; ok {
 		return nd
 	}
-	t := b.chain(f, alive, classes, ctx.Intersect(p.set), kept, next+1)
-	e := b.chain(f, alive, classes, ctx.Minus(p.set, b.fields[f].Max), kept, next+1)
-	nd := t // reduction (ii): a test whose branches coincide is elided
-	if t != e {
-		nd = b.consNode(f, p, t, e)
+	mark := len(b.ints)
+	lo, hi := len(b.bits), -1
+	for _, k := range present {
+		m := classes[k].members
+		lo, hi = min(lo, int(m[0]>>6)), max(hi, int(m[len(m)-1]>>6))
+		for _, pos := range m {
+			b.bits[pos>>6] |= 1 << (pos & 63)
+		}
 	}
+	survivors := take(&b.ints, n)[:0]
+	for w := lo; w <= hi; w++ {
+		for word := b.bits[w]; word != 0; word &= word - 1 {
+			survivors = append(survivors, alive[w<<6+bits.TrailingZeros64(word)])
+		}
+		b.bits[w] = 0
+	}
+	b.steps += n + max(hi-lo+1, 0)
+	nd := b.visit(f+1, survivors, sum)
+	b.ints = b.ints[:mark]
 	b.shared.memo[key] = nd
 	return nd
+}
+
+// expand is the per-predicate Shannon expansion within field f, over cells:
+// ctx, whose first word holds cell 64*w0 and whose first and last words are
+// not zero, is the set of cells that can still reach this point, cells[c]
+// what cell c leads to, and from the first predicate in use an ancestor has
+// not already decided (a context only shrinks on the way down, so what it
+// decided stays decided). expand may overwrite ctx.
+//
+// The predicate tested is the first, in canonical order, that some class
+// not yet killed uses — one whose requirement the context still meets — and
+// that the context does not already decide (one it does is implied true or
+// false: reduction (iii)). A predicate that merely cuts the context will
+// not do: a killed class's predicates must not be materialized, and testing
+// any other than the first gives a different, if equivalent, diagram.
+func (b *builder) expand(f int, cps []cellPred, cells []*Node, w0 int, ctx []uint64, from int) *Node {
+	first := w0<<6 + bits.TrailingZeros64(ctx[0])
+	last := (w0+len(ctx))<<6 - 1 - bits.LeadingZeros64(ctx[len(ctx)-1])
+	if first == last {
+		return cells[first]
+	}
+	// Predicates are in order of their lowest cells: one that starts past
+	// the context ends the search.
+	for j := from; j < len(cps) && cps[j].first <= last; j++ {
+		cp := &cps[j]
+		if !b.meets(w0, ctx, cp.w0, cp.live) || b.within(w0, ctx, cp.w0, cp.set) {
+			continue
+		}
+		// ctx ∩ p is cut fresh and ctx ∖ p takes ctx's place; neither is
+		// empty, the one meeting live and the other not within set.
+		lo, hi := max(w0, cp.w0), min(w0+len(ctx), cp.w0+len(cp.set))
+		mark := len(b.words)
+		in := take(&b.words, hi-lo)
+		for w := lo; w < hi; w++ {
+			in[w-lo] = ctx[w-w0] & cp.set[w-cp.w0]
+			ctx[w-w0] &^= cp.set[w-cp.w0]
+		}
+		b.steps += hi - lo
+		tw0, in := b.trim(lo, in)
+		t := b.expand(f, cps, cells, tw0, in, j+1)
+		b.words = b.words[:mark]
+		ew0, out := b.trim(w0, ctx)
+		e := b.expand(f, cps, cells, ew0, out, j+1)
+		if t == e {
+			return t // reduction (ii): a test whose branches coincide is elided
+		}
+		return b.consNode(f, cp.p, t, e)
+	}
+	// Field f is resolved for every class the context has not killed. By
+	// construction ctx is a cell of the partition their predicates induce,
+	// so it is inside or disjoint from each requirement, and a killed class's
+	// requirement it misses: all its cells lead to the same place.
+	return cells[first]
+}
+
+// trim drops a cell set's zero words at either end.
+func (b *builder) trim(w0 int, set []uint64) (int, []uint64) {
+	n := len(set)
+	for set[0] == 0 {
+		w0, set = w0+1, set[1:]
+	}
+	for set[len(set)-1] == 0 {
+		set = set[:len(set)-1]
+	}
+	b.steps += n - len(set)
+	return w0, set
+}
+
+// meets reports whether two cell sets share a cell.
+func (b *builder) meets(w0 int, s []uint64, v0 int, t []uint64) bool {
+	for w, hi := max(w0, v0), min(w0+len(s), v0+len(t)); w < hi; w++ {
+		b.steps++
+		if s[w-w0]&t[w-v0] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// within reports whether cell set s, its end words not zero, is inside t.
+func (b *builder) within(w0 int, s []uint64, v0 int, t []uint64) bool {
+	if w0 < v0 || w0+len(s) > v0+len(t) {
+		return false
+	}
+	for i, word := range s {
+		b.steps++
+		if word&^t[w0-v0+i] != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // terminal hash-conses the terminal node for the given satisfied
@@ -683,7 +933,7 @@ func (b *builder) terminal(alive []int32) *Node {
 		payloads = append(payloads, p)
 	}
 	if !sorted {
-		sort.Ints(payloads)
+		slices.Sort(payloads)
 	}
 	// Dedupe in place (sorted).
 	uniq := payloads[:0]

@@ -3,6 +3,7 @@ package compiler
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"slices"
 	"time"
@@ -193,9 +194,7 @@ type classArena struct {
 	byKey   map[string]int
 	merged  []int // per class, the build that last merged a payload set into it
 	build   int
-
-	ports []int // scratch
-	key   []byte
+	merge   merger
 }
 
 func newClassArena() *classArena {
@@ -204,18 +203,21 @@ func newClassArena() *classArena {
 	return ca
 }
 
+// classify merges in scratch and makes an ActionSet only of a merge that
+// comes to no class yet: most payload sets are new, few classes are.
 func (ca *classArena) classify(payloads []int) (int, bool) {
-	var as ActionSet
-	as, ca.ports, ca.key = mergeActions(ca.actions, payloads, ca.ports, ca.key)
-	id, ok := ca.byKey[as.key]
+	m := &ca.merge
+	m.fold(ca.actions, payloads)
+	id, ok := ca.byKey[string(m.key)]
 	if !ok {
 		id = len(ca.sets)
+		as := m.actionSet()
 		ca.byKey[as.key] = id
 		ca.sets = append(ca.sets, as)
 		ca.merged = append(ca.merged, 0)
 	}
 	ca.merged[id] = ca.build
-	return id, len(as.Ports) > 0 || len(as.Updates) > 0
+	return id, len(m.ports) > 0 || len(m.updates) > 0
 }
 
 // compileFromConjs is the compiler back end shared by one-shot compiles
@@ -346,43 +348,93 @@ func (p *Program) buildLeaf(sets []ActionSet, leaves []int) {
 	}
 }
 
-// mergeActions folds the action lists of all matched rules into one
-// ActionSet: port sets union (the paper's fwd(1) + fwd(2) ⇒ fwd(1,2)),
-// state updates accumulate, drop is recorded when explicit. A forward
-// beats a drop when both appear (the packet is wanted by someone). The
-// result carries its Key. ports and key are buffers to work in, returned
-// for the next call.
-func mergeActions(ruleActions [][]lang.Action, payloads []int, ports []int, key []byte) (ActionSet, []int, []byte) {
-	as := ActionSet{Group: -1}
-	ports = ports[:0]
+// merger folds the action lists of all matched rules into one action set:
+// port sets union (the paper's fwd(1) + fwd(2) ⇒ fwd(1,2)), state updates
+// accumulate, drop is recorded when explicit. A forward beats a drop when
+// both appear (the packet is wanted by someone). It works in buffers it
+// keeps from one fold to the next, and holds the result as the fields of an
+// ActionSet and its Key.
+type merger struct {
+	ports   []int
+	updates []lang.Action
+	drop    bool
+	key     []byte
+	seen    []uint64 // sortPorts' bitmap, all zero between folds
+}
+
+func (m *merger) fold(ruleActions [][]lang.Action, payloads []int) {
+	m.ports, m.updates, m.drop = m.ports[:0], m.updates[:0], false
 	for _, rid := range payloads {
-		for _, a := range ruleActions[rid] {
-			switch a.Kind {
+		for i := range ruleActions[rid] {
+			switch a := &ruleActions[rid][i]; a.Kind {
 			case lang.ActFwd:
-				ports = append(ports, a.Ports...)
+				for _, p := range a.Ports { // mostly one: not worth a memmove
+					m.ports = append(m.ports, p)
+				}
 			case lang.ActDrop:
-				as.Drop = true
+				m.drop = true
 			case lang.ActState:
-				if !containsAction(as.Updates, a) {
-					as.Updates = append(as.Updates, a)
+				if !containsAction(m.updates, *a) {
+					m.updates = append(m.updates, *a)
 				}
 			}
 		}
 	}
-	if len(ports) > 0 {
-		slices.Sort(ports)
-		ports = slices.Compact(ports)
-		as.Ports = append([]int(nil), ports...)
-		as.Drop = false // a forward beats a drop: the packet is wanted
-	} else if len(as.Updates) == 0 {
-		as.Drop = true
+	if len(m.ports) > 0 {
+		m.sortPorts()
+		m.drop = false // a forward beats a drop: the packet is wanted
+	} else if len(m.updates) == 0 {
+		m.drop = true
 	}
-	if len(as.Updates) > 1 {
-		as.Updates = sortRuleActions(as.Updates)
+	if len(m.updates) > 1 {
+		sortRuleActions(m.updates)
 	}
-	key = as.appendKey(key[:0])
-	as.key = string(key)
-	return as, ports, key
+	m.key = ActionSet{Ports: m.ports, Drop: m.drop, Updates: m.updates}.appendKey(m.key[:0])
+}
+
+// sortPorts orders and dedupes the ports gathered. Ports are host numbers,
+// so a set is usually dense in its span and a bitmap over the span orders it
+// in one pass; a set too sparse for that — fewer ports than the span has
+// words — is sorted by comparison instead.
+func (m *merger) sortPorts() {
+	lo, hi, ascending := m.ports[0], m.ports[0], true
+	for i, p := range m.ports[1:] {
+		lo, hi, ascending = min(lo, p), max(hi, p), ascending && m.ports[i] < p
+	}
+	if ascending {
+		return
+	}
+	words := uint(hi-lo)/64 + 1
+	if words > uint(len(m.ports)) {
+		slices.Sort(m.ports)
+		m.ports = slices.Compact(m.ports)
+		return
+	}
+	if uint(len(m.seen)) < words {
+		m.seen = make([]uint64, words)
+	}
+	for _, p := range m.ports {
+		d := uint(p - lo)
+		m.seen[d>>6] |= 1 << (d & 63)
+	}
+	m.ports = m.ports[:0]
+	for w, word := range m.seen[:words] {
+		for ; word != 0; word &= word - 1 {
+			m.ports = append(m.ports, lo+w<<6+bits.TrailingZeros64(word))
+		}
+		m.seen[w] = 0
+	}
+}
+
+// actionSet is the last fold as an ActionSet of its own.
+func (m *merger) actionSet() ActionSet {
+	return ActionSet{
+		Ports:   append([]int(nil), m.ports...),
+		Drop:    m.drop,
+		Updates: append([]lang.Action(nil), m.updates...),
+		Group:   -1,
+		key:     string(m.key),
+	}
 }
 
 // computeStats fills in the resource statistics.

@@ -523,9 +523,43 @@ func TestActionSetKeyInjective(t *testing.T) {
 	}
 	// A compiled set carries the key it was merged with.
 	rules := [][]lang.Action{{lang.Fwd(1, 23)}, {lang.Fwd(12, 3), lang.Drop()}}
-	a, ports, key := mergeActions(rules, []int{0}, nil, nil)
-	b, _, _ := mergeActions(rules, []int{1}, ports, key)
+	a, b := mergeActions(rules, []int{0}), mergeActions(rules, []int{1})
 	if a.key == "" || a.Key() == b.Key() || a.Key() != (ActionSet{Ports: []int{1, 23}}).Key() {
 		t.Errorf("merged keys %q, %q", a.Key(), b.Key())
+	}
+}
+
+// TestMergeSparsePorts: a port set too sparse for a bitmap over its span
+// takes the comparison sort and keeps no scratch the size of the span; a
+// dense one goes through the bitmap, which it leaves clear. Both come out
+// ordered and deduplicated.
+func TestMergeSparsePorts(t *testing.T) {
+	rules := [][]lang.Action{
+		{lang.Fwd(1048576)}, {lang.Fwd(1)}, {lang.Fwd(1048576, 1)},
+		{lang.Fwd(9, 3)}, {lang.Fwd(3, 200, 9)},
+	}
+	var m merger
+	m.fold(rules, []int{0, 1, 2})
+	if !reflect.DeepEqual(m.ports, []int{1, 1048576}) {
+		t.Errorf("sparse ports merged to %v", m.ports)
+	}
+	if kept := 8 * cap(m.seen); kept > 1024 {
+		t.Errorf("merging two ports kept a %d-byte bitmap", kept)
+	}
+	m.fold(rules, []int{3, 4})
+	if !reflect.DeepEqual(m.ports, []int{3, 9, 200}) {
+		t.Errorf("dense ports merged to %v", m.ports)
+	}
+	if len(m.seen) == 0 {
+		t.Error("five ports within four words did not take the bitmap")
+	}
+	for _, w := range m.seen {
+		if w != 0 {
+			t.Errorf("bitmap left at %x", m.seen)
+			break
+		}
+	}
+	if as := m.actionSet(); as.Key() != (ActionSet{Ports: []int{3, 9, 200}}).Key() || as.key != as.Key() {
+		t.Errorf("merged set %+v carries key %q", as, as.key)
 	}
 }

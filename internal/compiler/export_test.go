@@ -46,8 +46,14 @@ func exactOf(fields []FieldInfo, conjs []bdd.Conj, actions [][]lang.Action) (*Ex
 // actions.
 func (e *Exact) Eval(values []uint64) (key string, payloads []int) {
 	payloads = e.diagram.Lookup(values).Payloads
-	as, _, _ := mergeActions(e.actions, payloads, nil, nil)
-	return as.Key(), payloads
+	return mergeActions(e.actions, payloads).Key(), payloads
+}
+
+// mergeActions is what a classArena makes of a payload set new to it.
+func mergeActions(ruleActions [][]lang.Action, payloads []int) ActionSet {
+	var m merger
+	m.fold(ruleActions, payloads)
+	return m.actionSet()
 }
 
 // Nodes is the size of the payload-exact diagram.

@@ -7,8 +7,9 @@
 package compiler
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"camus/internal/bdd"
 	"camus/internal/interval"
@@ -393,9 +394,8 @@ func containsAction(list []lang.Action, a lang.Action) bool {
 	return false
 }
 
-// sortRuleActions canonicalizes an action list for deduplication.
-func sortRuleActions(actions []lang.Action) []lang.Action {
-	out := append([]lang.Action(nil), actions...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
-	return out
+// sortRuleActions puts an action list in canonical order, for
+// deduplication.
+func sortRuleActions(actions []lang.Action) {
+	slices.SortFunc(actions, func(a, b lang.Action) int { return cmp.Compare(a.Key(), b.Key()) })
 }

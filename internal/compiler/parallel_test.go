@@ -132,7 +132,7 @@ func TestMergeActionsFwdBeatsDrop(t *testing.T) {
 		{lang.Drop()},
 		{lang.Fwd(1, 3)},
 	}
-	as, _, _ := mergeActions(ruleActions, []int{0, 1, 2}, nil, nil)
+	as := mergeActions(ruleActions, []int{0, 1, 2})
 	if as.Drop {
 		t.Fatalf("fwd+drop merged to drop: %+v", as)
 	}
@@ -141,7 +141,7 @@ func TestMergeActionsFwdBeatsDrop(t *testing.T) {
 	}
 
 	// Drop alone stays a drop.
-	as, _, _ = mergeActions(ruleActions, []int{1}, nil, nil)
+	as = mergeActions(ruleActions, []int{1})
 	if !as.Drop || len(as.Ports) != 0 {
 		t.Fatalf("pure drop lost: %+v", as)
 	}

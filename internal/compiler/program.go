@@ -153,11 +153,17 @@ func (a ActionSet) appendKey(b []byte) []byte {
 	} else {
 		b = append(b, 0)
 	}
+	str := func(s string) {
+		b = binary.AppendUvarint(b, uint64(len(s)))
+		b = append(b, s...)
+	}
 	for _, u := range a.Updates { // each: argument count, then length-prefixed strings
 		b = binary.AppendUvarint(b, uint64(len(u.Args)))
-		for _, s := range append([]string{u.Var, u.StateKey, u.Func}, u.Args...) {
-			b = binary.AppendUvarint(b, uint64(len(s)))
-			b = append(b, s...)
+		str(u.Var)
+		str(u.StateKey)
+		str(u.Func)
+		for _, s := range u.Args {
+			str(s)
 		}
 	}
 	return b
