@@ -84,7 +84,7 @@ func main() {
 		demo       = flag.Bool("demo", false, "run a self-contained pub/sub demo and exit")
 		statsSec   = flag.Int("stats", 10, "print forwarding stats every N seconds (0 = off)")
 		session    = flag.String("session", "CAMUS", "egress MoldUDP64 session prefix (per-port suffix appended)")
-		retxBuffer = flag.Int("retx-buffer", 4096, "per-port retransmission store size in messages (negative disables)")
+		retxBuffer = flag.Int("retx-buffer", 4096, "most messages a port retains for retransmission; a bound the store grows toward, not a reservation (negative disables)")
 		heartbeat  = flag.Duration("heartbeat", time.Second, "idle-heartbeat interval per port (0 disables)")
 		faultPlan  = flag.String("fault-plan", "", "inject faults on the dataplane sockets, e.g. seed=7,drop=0.01,dup=0.005,reorder=0.01,delay=0.002:500us")
 		admin      = flag.String("admin", "", "observability HTTP address (e.g. :9090): Prometheus /metrics, JSON /debug/camus, pprof /debug/pprof/")

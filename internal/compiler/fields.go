@@ -10,6 +10,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strings"
 
 	"camus/internal/bdd"
 	"camus/internal/interval"
@@ -295,6 +296,12 @@ func (r *resolver) predicate(a lang.Atom) (*predicate, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A parsed atom's strings are substrings of the rule text. The
+	// predicate outlives the parse, so it takes copies — one set per
+	// distinct predicate — or a Program or Session would pin every source
+	// text it was given.
+	a.LHS = lang.Operand{Field: strings.Clone(a.LHS.Field), Agg: strings.Clone(a.LHS.Agg), Key: strings.Clone(a.LHS.Key)}
+	a.RHS.Sym = strings.Clone(a.RHS.Sym)
 	p := &predicate{atom: a}
 	p.con = bdd.Constraint{Field: idx, Set: set, Label: &p.atom}
 	if f := r.fields[idx]; f.SelfUpdating() && a.LHS.IsAggregate() {
@@ -362,25 +369,32 @@ func (r *resolver) resolve(rule *lang.DNFRule, out []bdd.Conj) ([]bdd.Conj, int,
 }
 
 // canonicalizeActions validates keyed state updates and rewrites their
-// key to the canonical field name (src -> pkt.src), copying the action
-// list only when a rewrite is needed so cached rules stay untouched.
+// key to the canonical field name (src -> pkt.src). The resolver keeps the
+// list it returns: a list with a state update in it is a copy, so the
+// caller's rules stay untouched, and the update's names are copies too —
+// parsed, they are substrings of the rule text (see predicate).
 func (r *resolver) canonicalizeActions(actions []lang.Action) ([]lang.Action, error) {
 	out := actions
 	for i, a := range actions {
-		if a.Kind != lang.ActState || a.StateKey == "" {
+		if a.Kind != lang.ActState {
 			continue
 		}
-		keyName, _, err := r.ResolveKey(a.StateKey)
-		if err != nil {
-			return nil, fmt.Errorf("action %s: %w", a, err)
-		}
-		if keyName == a.StateKey {
-			continue
+		keyName := ""
+		if a.StateKey != "" {
+			var err error
+			if keyName, _, err = r.ResolveKey(a.StateKey); err != nil {
+				return nil, fmt.Errorf("action %s: %w", a, err)
+			}
 		}
 		if &out[0] == &actions[0] {
 			out = append([]lang.Action(nil), actions...)
 		}
-		out[i].StateKey = keyName
+		u := &out[i]
+		u.Var, u.Func, u.StateKey = strings.Clone(a.Var), strings.Clone(a.Func), keyName
+		u.Args = slices.Clone(a.Args)
+		for j, arg := range u.Args {
+			u.Args[j] = strings.Clone(arg)
+		}
 	}
 	return out, nil
 }

@@ -308,13 +308,15 @@ func dumpProgram(w io.Writer, p *compiler.Program) {
 // heap objects a Fig. 5c rule costs on the way to an installed-ready Program
 // — from its AST and, as a live update pays it, from source text — with one
 // worker so the number belongs to the code and not to the host. Each bound
-// sits a tenth above what the compiler does today (21.0 and 34.0 per rule
-// at 2k×200 under go1.24; 24.3 from the AST while the builder cut two
-// interval sets per predicate link and every payload set got a port list of
-// its own, 35.1 before predicates were interned, 98.2 before the
-// class-expanding builder and interned action sets); a change that brings
-// back a per-constraint string, a per-use atom, a per-terminal map or a
-// per-link set goes through it.
+// sits a tenth above what the compiler does today (19.2 and 25.2 per rule
+// at 2k×200 under go1.24; 21.0 and 34.0 while the lexer built every token
+// in a strings.Builder and DNF copied every term to sort it, 24.3 from the
+// AST while the builder cut two interval sets per predicate link and every
+// payload set got a port list of its own, 35.1 before predicates were
+// interned, 98.2 before the class-expanding builder and interned action
+// sets); a change that brings back a per-token builder, a per-constraint
+// string, a per-use atom, a per-terminal map or a per-link set goes through
+// it.
 func TestCompileAllocsPerRule(t *testing.T) {
 	const n = 2000
 	sp := workload.ITCHSpec()
@@ -331,8 +333,8 @@ func TestCompileAllocsPerRule(t *testing.T) {
 		bound   float64
 		compile func() (*compiler.Program, error)
 	}{
-		{"rules", 23.1, func() (*compiler.Program, error) { return compiler.Compile(sp, rules, compiler.Options{Workers: 1}) }},
-		{"source", 37.4, func() (*compiler.Program, error) {
+		{"rules", 21.1, func() (*compiler.Program, error) { return compiler.Compile(sp, rules, compiler.Options{Workers: 1}) }},
+		{"source", 27.7, func() (*compiler.Program, error) {
 			return compiler.CompileSource(sp, src, compiler.Options{Workers: 1})
 		}},
 	} {

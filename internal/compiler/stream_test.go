@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"camus/internal/bdd"
 	"camus/internal/compiler"
@@ -205,7 +207,9 @@ func TestCompileSourceStopsWhenContextIsDone(t *testing.T) {
 
 // TestProgramRetainsOneAtomPerPredicate: what a Program and a Session keep
 // of their rules' predicates is one atom per distinct (operand, operator,
-// constant), shared by every conjunction that uses it — not one per use.
+// constant), shared by every conjunction that uses it — not one per use —
+// and none of its strings is a piece of the source text, which tokens are:
+// a compiled program must not pin the text it was compiled from.
 func TestProgramRetainsOneAtomPerPredicate(t *testing.T) {
 	itch := func(n, hosts int, grid uint64) string {
 		var b strings.Builder
@@ -248,10 +252,20 @@ func TestProgramRetainsOneAtomPerPredicate(t *testing.T) {
 		if len(distinct) > c.atMost {
 			t.Fatalf("%s: %d distinct atoms in the source, expected at most %d", c.name, len(distinct), c.atMost)
 		}
+		inSource := func(s string) bool {
+			if s == "" {
+				return false
+			}
+			p, lo := uintptr(unsafe.Pointer(unsafe.StringData(s))), uintptr(unsafe.Pointer(unsafe.StringData(c.src)))
+			return p >= lo && p < lo+uintptr(len(c.src))
+		}
 		targets := func(conjs []bdd.Conj) int {
 			seen := map[fmt.Stringer]bool{}
 			for _, cj := range conjs {
 				for _, con := range cj.Constraints {
+					if a := con.Label.(*lang.Atom); !seen[a] && (inSource(a.LHS.Field) || inSource(a.LHS.Agg) || inSource(a.LHS.Key) || inSource(a.RHS.Sym)) {
+						t.Errorf("%s: the retained atom %s holds a piece of the source text", c.name, a)
+					}
 					seen[con.Label] = true
 				}
 			}
@@ -268,6 +282,13 @@ func TestProgramRetainsOneAtomPerPredicate(t *testing.T) {
 		if p, s := targets(prog.Conjs()), targets(sess.LiveConjs()); p != len(distinct) || s != len(distinct) {
 			t.Errorf("%s: %d uses of %d distinct atoms; the program retains %d, the session %d",
 				c.name, uses, len(distinct), p, s)
+		}
+		for _, set := range prog.Actions {
+			for _, u := range set.Updates {
+				if inSource(u.Var) || inSource(u.Func) || inSource(u.StateKey) || slices.ContainsFunc(u.Args, inSource) {
+					t.Errorf("%s: the retained update %s holds a piece of the source text", c.name, u)
+				}
+			}
 		}
 	}
 }

@@ -144,8 +144,10 @@ type Config struct {
 	// take the extra digits from the prefix's tail (see sessionFor).
 	// Default "CAMUS".
 	Session string
-	// RetxBuffer is how many egress messages each port retains for
-	// retransmission (default 4096; negative disables the store).
+	// RetxBuffer bounds how many egress messages each port retains for
+	// retransmission (default 4096; negative disables the store). It is
+	// a bound, not a reservation: a port's ring grows toward it as the
+	// port sends, so binding a port costs the same whatever the bound.
 	RetxBuffer int
 	// Heartbeat is the idle-heartbeat interval per port (0 disables).
 	Heartbeat time.Duration
@@ -184,7 +186,7 @@ type Config struct {
 	Telemetry *telemetry.Telemetry
 }
 
-// defaultRetxBuffer is the per-port retransmission store size in messages.
+// defaultRetxBuffer is the per-port retransmission store bound in messages.
 const defaultRetxBuffer = 4096
 
 // defaultIOBatch is how many datagrams one recvmmsg/sendmmsg moves when
@@ -1110,7 +1112,10 @@ func (sw *Switch) serveRetx() {
 	// ingress socket (requests are tiny, but a fixed small buffer would
 	// silently truncate on configs with jumbo frames).
 	buf := make([]byte, sw.readBuf)
-	var empty [itch.MoldHeaderLen]byte // the no-messages reply, reused
+	// One goroutine serves every request, so one reply is reused: building
+	// it under the port lock egress is waiting on costs a copy, not an
+	// allocation.
+	rep := retxReply{wire: make([]byte, 0, maxRetxDatagram)}
 	for {
 		n, raddr, err := sw.retx.ReadFromUDP(buf)
 		if err != nil {
@@ -1129,55 +1134,67 @@ func (sw *Switch) serveRetx() {
 			continue // unknown session: not our stream
 		}
 		sw.stats.RetxRequests.Add(1)
-		sw.replyRetx(ps, &req, raddr, empty[:])
+		sw.replyRetx(ps, &req, raddr, &rep)
 	}
 }
 
-// replyRetx builds and sends one retransmission reply. The reply wire
-// bytes are serialized under the port lock: the store's ring slots are
-// recycled by concurrent sends, so the messages must be captured before
-// the lock is released. empty is the caller's buffer for a reply that
-// carries no messages.
-func (sw *Switch) replyRetx(ps *portState, req *itch.MoldRequest, raddr *net.UDPAddr, empty []byte) {
+// retxReply is the reply serveRetx reuses across requests: the message
+// views retxStore.get appends into (mp.Messages) and the wire bytes they
+// are serialized to.
+type retxReply struct {
+	mp   itch.MoldPacket
+	wire []byte
+}
+
+// replyRetx builds and sends one retransmission reply into rep. The reply
+// wire bytes are serialized under the port lock: the store's ring slots
+// are recycled by concurrent sends, so the messages must be captured
+// before the lock is released.
+func (sw *Switch) replyRetx(ps *portState, req *itch.MoldRequest, raddr *net.UDPAddr, rep *retxReply) {
+	mp := &rep.mp
 	ps.mu.Lock()
-	var msgs [][]byte
-	var from uint64
+	mp.Messages = mp.Messages[:0]
 	if ps.store != nil {
-		msgs, from = ps.store.get(req.Sequence, int(req.Count), maxRetxDatagram-itch.MoldHeaderLen)
+		mp.Messages, mp.Header.Sequence = ps.store.get(mp.Messages, req.Sequence, int(req.Count), maxRetxDatagram-itch.MoldHeaderLen)
 	}
-	wire := empty
-	if len(msgs) == 0 {
+	served := len(mp.Messages)
+	if served == 0 {
 		// Nothing servable at or after the requested sequence: reply
 		// with an empty packet whose sequence is the next one the port
 		// will send, telling the subscriber the prefix is gone.
-		ps.stamp(empty, 0)
+		rep.wire = rep.wire[:itch.MoldHeaderLen]
+		ps.stamp(rep.wire, 0)
 	} else {
-		var mp itch.MoldPacket
 		mp.Header.Session = ps.session
-		mp.Header.Sequence = from
-		mp.Messages = msgs
-		wire = mp.Bytes()
+		rep.wire = mp.AppendTo(rep.wire)
 	}
 	ps.mu.Unlock()
 
-	if _, err := sw.retx.WriteToUDP(wire, raddr); err == nil && len(msgs) > 0 {
-		sw.stats.RetxMessages.Add(uint64(len(msgs)))
+	if _, err := sw.retx.WriteToUDP(rep.wire, raddr); err == nil && served > 0 {
+		sw.stats.RetxMessages.Add(uint64(served))
 	}
 }
 
 // retxStore is a bounded ring of the port's most recent egress messages,
 // indexed by sequence number. Sequences are dense, so position is just
-// seq modulo capacity.
+// seq modulo the ring's length. The ring is paid for by what the port has
+// sent: it starts at retxInitialSlots and grows geometrically toward max
+// (Config.RetxBuffer) as sequences are stored, so nothing is evicted
+// before max messages are retained and binding a port costs one small
+// array whatever the bound is.
 //
 // A slot holds its message as an extent of the refcounted shared body the
 // message went out in — the reference it must drop when it moves on, next
 // to the bytes that reference guards; get reconstructs the message from
-// the extent. Every slot in [lo, hi) has an owner.
+// the extent. Every slot in [lo, hi) has an owner and every other slot has
+// none.
 //
 // The slot is deliberately 16 bytes: at high fanout a datagram touches
 // thousands of rings, none cache-resident, so the insert cost is line
 // fills and the ring's footprint sets the miss rate. Four slots share a
-// line.
+// line. The same argument keeps the ring one flat slice: paging it
+// ([]*[256]retxSlot — no copies, no garbage) puts a dependent miss in
+// front of every insert (DESIGN.md §5c has the measurement).
 //
 //camus:cacheline 16
 type retxSlot struct {
@@ -1193,15 +1210,30 @@ type msgSpan struct {
 	off, ln uint32
 }
 
+// retxInitialSlots is the ring a port is bound with (1 KB): enough that a
+// port which sends a few datagrams never grows, small enough that ten
+// thousand binds cost 10 MB rather than RetxBuffer x 16 B each.
+//
+// retxGrowth is the factor a full ring grows by. At 4 the outgrown arrays
+// a port leaves to the collector sum to a third of its final ring — at 2
+// they sum to all of it, and itch-fanout's 320 ports, which outgrow their
+// rings together, showed that as 1 MB of peak RSS.
+const (
+	retxInitialSlots = 64
+	retxGrowth       = 4
+)
+
 type retxStore struct {
 	slots []retxSlot
+	max   int    // the bound len(slots) grows toward
 	lo    uint64 // oldest retained sequence
 	hi    uint64 // next sequence to be stored
 }
 
-func newRetxStore(capacity int) *retxStore {
+func newRetxStore(max int) *retxStore {
 	return &retxStore{
-		slots: make([]retxSlot, capacity),
+		slots: make([]retxSlot, min(max, retxInitialSlots)),
+		max:   max,
 		lo:    1,
 		hi:    1,
 	}
@@ -1220,15 +1252,41 @@ func (s *retxStore) releaseAll() {
 	s.lo = s.hi
 }
 
+// grow replaces the ring with the smallest retxGrowth-fold multiple of it
+// that holds the retained extents plus n more (max at most), re-seating
+// every retained sequence at its position in the new ring. From
+// retxInitialSlots a port allocates at most ceil(log4(max/64)) rings after
+// the one it was bound with — three at the default bound; each outgrown
+// one is garbage.
+func (s *retxStore) grow(n int) {
+	need := s.hi - s.lo + uint64(n)
+	size := uint64(len(s.slots))
+	for size < need {
+		size *= retxGrowth
+	}
+	size = min(size, uint64(s.max))
+	slots := make([]retxSlot, size)
+	old := uint64(len(s.slots))
+	for seq := s.lo; seq < s.hi; seq++ {
+		slots[seq%size] = s.slots[seq%old]
+	}
+	s.slots = slots
+}
+
 // addSharedGroup retains one encoded batch, each message aliasing the shared body
 // (references already taken via refGroup). Evicted slots' owners are
 // handed to ev rather than dropped here: every member of a group evicts
 // slots aliasing the same earlier bodies, so the accumulator turns
 // members x messages atomic drops into roughly one per retired body per
-// datagram.
+// datagram. A ring below its bound grows first when the batch would not
+// fit, so eviction starts only at max.
 //
 //camus:hotpath
 func (s *retxStore) addSharedGroup(spans []msgSpan, sb *sharedBuf, ev *evictAcc) {
+	if len(s.slots) < s.max && s.hi-s.lo+uint64(len(spans)) > uint64(len(s.slots)) {
+		//camus:alloc-ok the ring grows fourfold toward RetxBuffer: at most ceil(log4(max/64)) allocations in a port's life, none once len(slots) == max
+		s.grow(len(spans))
+	}
 	capacity := uint64(len(s.slots))
 	for _, sp := range spans {
 		sl := &s.slots[s.hi%capacity]
@@ -1245,35 +1303,36 @@ func (s *retxStore) addSharedGroup(spans []msgSpan, sb *sharedBuf, ev *evictAcc)
 	}
 }
 
-// get returns up to count messages starting at the oldest retained
-// sequence >= from, bounded by maxBytes of wire payload, along with the
-// sequence of the first returned message. When nothing at or after from
-// is retained it returns (nil, hi).
-func (s *retxStore) get(from uint64, count int, maxBytes int) ([][]byte, uint64) {
+// get appends to dst up to count messages starting at the oldest retained
+// sequence >= from, bounded by maxBytes of wire payload, and returns them
+// with the sequence of the first. The messages alias ring-owned bodies:
+// they are valid only while the caller holds the port lock. When nothing
+// at or after from is retained it returns (dst, hi).
+func (s *retxStore) get(dst [][]byte, from uint64, count int, maxBytes int) ([][]byte, uint64) {
 	start := from
 	if start < s.lo {
 		start = s.lo
 	}
 	if start >= s.hi || count <= 0 {
-		return nil, s.hi
+		return dst, s.hi
 	}
 	end := from + uint64(count)
 	if end < from || end > s.hi { // overflow or clamp to newest
 		end = s.hi
 	}
 	if end <= start {
-		return nil, s.hi
+		return dst, s.hi
 	}
-	var out [][]byte
+	first := len(dst)
 	bytes := 0
 	for seq := start; seq < end; seq++ {
 		sl := s.slots[seq%uint64(len(s.slots))]
 		m := sl.owner.b[sl.off : sl.off+sl.ln]
 		bytes += 2 + len(m)
-		if bytes > maxBytes && len(out) > 0 {
+		if bytes > maxBytes && len(dst) > first {
 			break
 		}
-		out = append(out, m)
+		dst = append(dst, m)
 	}
-	return out, start
+	return dst, start
 }

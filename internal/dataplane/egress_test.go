@@ -148,7 +148,7 @@ func TestUnbindReleasesRing(t *testing.T) {
 				t.Fatalf("port %d: slot %d still references a shared body after Close", step.port, i)
 			}
 		}
-		if msgs, _ := ps.store.get(1, rounds, 1<<20); msgs != nil {
+		if msgs, _ := ps.store.get(nil, 1, rounds, 1<<20); msgs != nil {
 			t.Fatalf("port %d: an unbound ring still serves %d messages", step.port, len(msgs))
 		}
 		if len(free) != step.wantFree {

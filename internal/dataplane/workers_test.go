@@ -195,13 +195,15 @@ var egressPrograms = []struct{ name, subs string }{
 // shipping its egress (retx store, framing, socket write included)
 // allocates nothing — whatever mix of single-port actions and multicast
 // groups the program forwards through, on the sendmmsg writer and on the
-// portable one.
+// portable one. Warm-up ends when every ring has grown to RetxBuffer: the
+// retx-4096 row is the default bound, warmed past capacity.
 func TestProcessDatagramZeroAlloc(t *testing.T) {
 	for _, prog := range egressPrograms {
 		for _, w := range []struct {
 			name  string
 			batch int
-		}{{"sendmmsg", 32}, {"portable", 1}} {
+			retx  int
+		}{{"sendmmsg", 32, 64}, {"portable", 1, 64}, {"sendmmsg-retx-4096", 32, 4096}} {
 			t.Run(prog.name+"/"+w.name, func(t *testing.T) {
 				sub1 := listenUDP(t)
 				sub2 := listenUDP(t)
@@ -212,7 +214,7 @@ func TestProcessDatagramZeroAlloc(t *testing.T) {
 						2: sub2.LocalAddr().String(),
 					},
 					Subscriptions: prog.subs,
-					RetxBuffer:    64,
+					RetxBuffer:    w.retx,
 					Batch:         w.batch,
 				})
 				if err != nil {
@@ -227,9 +229,15 @@ func TestProcessDatagramZeroAlloc(t *testing.T) {
 					order("ORCL", 30, 1000))
 				// Warm the lane until every reusable buffer (value rows,
 				// egress entries, shared bodies, retx ring slots) has
-				// reached its steady-state capacity.
-				for i := 0; i < 200; i++ {
+				// reached its steady-state capacity. Every port is sent at
+				// least one message per datagram.
+				for i := 0; i < w.retx+200; i++ {
 					sw.processDatagram(st, wire)
+				}
+				for port, ps := range sw.ports {
+					if got := ps.store.hi - ps.store.lo; len(ps.store.slots) != w.retx || got != uint64(w.retx) {
+						t.Fatalf("port %d: ring of %d slots retains %d after warm-up, want %d of %d", port, len(ps.store.slots), got, w.retx, w.retx)
+					}
 				}
 				if allocs := testing.AllocsPerRun(500, func() {
 					sw.processDatagram(st, wire)

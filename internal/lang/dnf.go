@@ -89,6 +89,13 @@ func dnf(e Expr) ([]Conjunction, error) {
 		if err != nil {
 			return nil, err
 		}
+		if len(l) == 1 && len(r) == 1 {
+			// A chain of atoms — most rules — extends its one term in
+			// place: every term dnf returns is freshly built, so nothing
+			// else holds l[0].
+			l[0] = append(l[0], r[0]...)
+			return l, nil
+		}
 		if len(l)*len(r) > MaxDNFTerms {
 			return nil, fmt.Errorf("condition expands to more than %d DNF terms", MaxDNFTerms)
 		}
@@ -133,16 +140,16 @@ func dnfNegated(e Expr) ([]Conjunction, error) {
 // deduplicated, and structurally contradictory combinations on the same
 // operand are detected. It returns ok=false when the conjunction can never
 // match. Numeric (interval-level) contradictions that depend on field
-// widths are detected later by the BDD builder.
+// widths are detected later by the BDD builder. c is sorted and compacted
+// in place: the caller hands over a term dnf built for it.
 func simplifyConjunction(c Conjunction) (Conjunction, bool) {
-	sorted := append(Conjunction(nil), c...)
-	slices.SortFunc(sorted, atomCompare)
-	out := sorted[:0]
-	for i, a := range sorted {
+	slices.SortFunc(c, atomCompare)
+	out := c[:0]
+	for i, a := range c {
 		// Compare with SameAtom, not struct equality: the same predicate
 		// written at two source positions must still deduplicate, keeping
 		// normalized output identical to the pre-position parser's.
-		if i > 0 && a.SameAtom(sorted[i-1]) {
+		if i > 0 && a.SameAtom(c[i-1]) {
 			continue
 		}
 		out = append(out, a)

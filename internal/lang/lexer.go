@@ -172,7 +172,7 @@ func (l *Lexer) lexToken() (Token, error) {
 	case c >= '0' && c <= '9':
 		return l.lexNumber(c, line, col)
 	case isIdentStart(rune(c)):
-		return l.lexIdent(c, line, col)
+		return l.lexIdent(line, col), nil
 	}
 	return Token{}, errAt(line, col, "unexpected character %q", c)
 }
@@ -212,7 +212,31 @@ func (l *Lexer) lexString(quote byte, line, col int) (Token, error) {
 	}
 }
 
+// lexNumber lexes a numeric literal whose first digit has been consumed.
+// A plain decimal of at most 18 digits — every number in a generated rule
+// set — is a substring of the source with its value accumulated during the
+// scan; hex, '_' separators, dotted quads and longer literals take the
+// general path below.
 func (l *Lexer) lexNumber(first byte, line, col int) (Token, error) {
+	start, end, n := l.pos-1, l.pos, uint64(first-'0')
+	for end < len(l.src) && l.src[end] >= '0' && l.src[end] <= '9' {
+		n = n*10 + uint64(l.src[end]-'0')
+		end++
+	}
+	general := end-start > 18
+	if end < len(l.src) {
+		switch c := l.src[end]; {
+		case c == '_' || c == '.':
+			general = true
+		case (c == 'x' || c == 'X') && first == '0' && end == l.pos:
+			general = true
+		}
+	}
+	if !general {
+		l.col += end - l.pos
+		l.pos = end
+		return Token{Kind: TokNumber, Text: l.src[start:end], Num: n, Line: line, Col: col}, nil
+	}
 	var b strings.Builder
 	b.WriteByte(first)
 	base := 10
@@ -302,29 +326,31 @@ func isDigit(c byte, base int) bool {
 	return c >= '0' && c <= '9'
 }
 
-func (l *Lexer) lexIdent(first byte, line, col int) (Token, error) {
-	var b strings.Builder
-	b.WriteByte(first)
-	for {
-		c, ok := l.peekByte()
-		if !ok {
+// lexIdent lexes an identifier or keyword whose first byte has been
+// consumed. The token text is a substring of the source (identifiers hold
+// no newline, so only the column moves), and the three keywords are
+// matched without lowering a copy.
+func (l *Lexer) lexIdent(line, col int) Token {
+	start := l.pos - 1
+	for l.pos < len(l.src) {
+		c := l.src[l.pos]
+		if !isIdentStart(rune(c)) && (c < '0' || c > '9') && c != '.' {
 			break
 		}
-		if isIdentStart(rune(c)) || (c >= '0' && c <= '9') || c == '.' {
-			l.advance()
-			b.WriteByte(c)
-			continue
+		l.pos++
+	}
+	l.col += l.pos - start - 1
+	text := l.src[start:l.pos]
+	kind := TokIdent
+	if len(text) <= 3 {
+		switch {
+		case strings.EqualFold(text, "and"):
+			kind = TokAnd
+		case strings.EqualFold(text, "or"):
+			kind = TokOr
+		case strings.EqualFold(text, "not"):
+			kind = TokNot
 		}
-		break
 	}
-	text := b.String()
-	switch strings.ToLower(text) {
-	case "and":
-		return Token{Kind: TokAnd, Text: text, Line: line, Col: col}, nil
-	case "or":
-		return Token{Kind: TokOr, Text: text, Line: line, Col: col}, nil
-	case "not":
-		return Token{Kind: TokNot, Text: text, Line: line, Col: col}, nil
-	}
-	return Token{Kind: TokIdent, Text: text, Line: line, Col: col}, nil
+	return Token{Kind: kind, Text: text, Line: line, Col: col}
 }

@@ -58,7 +58,10 @@ func (k TokenKind) String() string {
 	return fmt.Sprintf("token(%d)", int(k))
 }
 
-// Token is a lexical token with its source position.
+// Token is a lexical token with its source position. The Text of an
+// identifier or a plain decimal number is a substring of the source, not
+// a copy: whatever keeps it keeps the source text alive, so anything that
+// outlives the parse copies the strings it takes (compiler.resolver does).
 type Token struct {
 	Kind TokenKind
 	Text string
