@@ -343,11 +343,15 @@ func BenchmarkEndToEndSimulator(b *testing.B) {
 // Micro-benchmarks for the building blocks.
 
 // BenchmarkBDDBuild measures BDD construction alone, over conjunctions
-// resolved once, at the shapes BenchmarkCompileCold compiles.
+// resolved once, at the shapes BenchmarkCompileCold compiles: with payload
+// sets for terminals (bdd.NewBuilder, as internal/analyze builds) and, as
+// …/classes, with the compiler's action classes — compiler.CompileConjs,
+// lowering included, the path every compile takes.
 func BenchmarkBDDBuild(b *testing.B) {
 	sp := workload.ITCHSpec()
 	for _, v := range coldShapes {
-		infos, conjs, err := compiler.ResolveConjs(sp, workload.ITCHSubscriptions(v.cfg), compiler.Options{})
+		rules := workload.ITCHSubscriptions(v.cfg)
+		infos, conjs, err := compiler.ResolveConjs(sp, rules, compiler.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -355,10 +359,22 @@ func BenchmarkBDDBuild(b *testing.B) {
 		for i, f := range infos {
 			fields[i] = bdd.Field{Name: f.Name, Max: f.Max}
 		}
+		actions := make([][]lang.Action, len(rules))
+		for i, r := range rules {
+			actions[i] = r.Actions
+		}
 		b.Run(v.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := bdd.NewBuilder().Build(fields, conjs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(v.name+"/classes", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := compiler.CompileConjs(sp, conjs, actions, compiler.Options{Workers: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -10,8 +10,13 @@
 // The builder performs Shannon expansion over the rules' DNF conjunctions,
 // a field at a time: one sweep over the elementary cells the field's
 // predicates cut its domain into finds what survives each cell, and the
-// predicate nodes above the cells are then built over sets of cells. It
-// applies the paper's three reductions during construction:
+// predicate nodes above the cells are then built over sets of cells. A
+// conjunction is settled once its class enters a cell of the last field it
+// constrains: nothing below can kill it, so it leaves the survivor lists
+// and its payload joins an accumulator, counted, that a terminal reads. A
+// cell with nothing unsettled left is a terminal, and what the builder
+// lists is what is still open, not every rule that matched. It applies the
+// paper's three reductions during construction:
 //
 //	(i)   isomorphic subgraphs are shared (hash-consing),
 //	(ii)  nodes whose branches coincide are elided,
@@ -115,12 +120,19 @@ func (b *BDD) NumNodes() int { return len(b.nodes) }
 // NumInternal returns the number of predicate (non-terminal) nodes.
 func (b *BDD) NumInternal() int { return len(b.nodes) - len(b.terminals) }
 
-// Classifier names what is done to a packet matched by exactly the given
-// payloads (sorted, deduplicated, possibly none; not retained): equal
+// Classifier is the accumulator's other half: it holds the set of payloads
+// settled on the path the builder is at — Add when a payload's count there
+// goes from 0 to 1, Remove when it goes back — and Class names what is done
+// to a packet matched by exactly those payloads (possibly none). Equal
 // classes must mean equal treatment, and matches says whether that is
 // anything at all. It must answer the same way for the life of the arena it
-// is given to, and is asked once per distinct payload set.
-type Classifier func(payloads []int) (class int, matches bool)
+// is given to; every Build leaves it holding nothing, so one Classifier
+// serves every build on its arena.
+type Classifier interface {
+	Add(payload int)
+	Remove(payload int)
+	Class() (class int, matches bool)
+}
 
 // Builder is a persistent hash-cons arena that can be reused across Build
 // calls. All nodes live in the arena; the memo, node, and terminal tables
@@ -128,7 +140,9 @@ type Classifier func(payloads []int) (class int, matches bool)
 // conjunctions' constraint/payload hashes), so a later Build whose rule set
 // shares conjunctions with an earlier one reuses the unchanged sub-BDDs
 // instead of re-expanding them — the compile-time memoization §3 of the
-// paper calls for under highly dynamic workloads.
+// paper calls for under highly dynamic workloads. Under a Classifier the
+// terminals are its classes and the arena keeps no table of payload sets;
+// without one a terminal is found by the order-free hash of its payloads.
 //
 // The arena is invalidated (Reset) automatically when the field list
 // changes between builds, since every content key is relative to the
@@ -140,7 +154,7 @@ type Builder struct {
 
 	memo      map[memoKey]*Node // field transitions: what is built below a set of survivors
 	nodeCons  map[nodeKey]*Node
-	termCons  map[hash128]*Node // by payload set
+	termCons  map[hash128]*Node // by payload set, without a Classifier
 	classCons map[int]*Node     // by class, under a Classifier
 	nnodes    int               // arena node counter; arena IDs are never reused
 }
@@ -173,12 +187,13 @@ func (bl *Builder) ArenaSize() int { return bl.nnodes }
 
 // Retained returns how much the arena holds on to: its nodes plus the
 // field-transition and payload-set table entries, stranded ones included.
-// Under a Classifier the tables grow with every new payload set even when it
-// falls into a class that already has its terminal and no node is made, so
-// this, not ArenaSize, is what to weigh against a cold build's Retained when
-// deciding that Reset pays. It is a measure to compare with itself: what the
-// tables hold per node is the builder's business, and a caller that scales
-// its own cold reading (compiler.Session) stays calibrated when that moves.
+// Under a Classifier the payload-set table stays empty, but the transition
+// table grows with every new set of survivors even when it falls into a
+// class that already has its terminal and no node is made, so this, not
+// ArenaSize, is what to weigh against a cold build's Retained when deciding
+// that Reset pays. It is a measure to compare with itself: what the tables
+// hold per node is the builder's business, and a caller that scales its own
+// cold reading (compiler.Session) stays calibrated when that moves.
 func (bl *Builder) Retained() int { return bl.nnodes + len(bl.memo) + len(bl.termCons) }
 
 // builder holds per-build construction state on top of a shared arena.
@@ -198,21 +213,31 @@ type builder struct {
 
 	// Scratch. classSlot[f][r] is the class a visit gave requirement r (-1
 	// between visits); predSeen[f] is an epoch-stamped set over preds[f] and
-	// predAt[f] the place of each predicate a visit uses among those it uses;
-	// bits has a bit per alive position and is all zero between uses. The
-	// rest are stacks that a call takes from and gives back to: only *Node
-	// outlives the call.
+	// predAt[f] the place of each predicate a visit uses among those it uses.
+	// The rest are stacks that a call takes from and gives back to: only
+	// *Node outlives the call.
 	classSlot [][]int32
 	predSeen  [][]int
 	predAt    [][]int32
 	predEpoch int
-	bits      []uint64
 	scratch
-	payloads []int // terminal's scratch: the payload set being looked up
+
+	// The accumulator: per distinct payload (payOf is its value, ascending),
+	// how many of the conjunctions settled on the path at hand carry it.
+	// Without a Classifier it also keeps the payloads counted: a bit each in
+	// held, a bit per word of held that is not zero in heldWords, nheld of
+	// them, and the order-free sum of their hashes, heldSum.
+	payOf     []int
+	count     []int32
+	held      []uint64
+	heldWords []uint64
+	nheld     int
+	heldSum   hash128
 
 	// steps counts the work that grows with the input: a sweep event, a
-	// survivor listed, a word of a cell set read or written. Tests hold it
-	// to the size of the cells, not to their square.
+	// survivor listed, a conjunction settled or unsettled, a word of a cell
+	// set read or written. Tests hold it to the size of the cells, not to
+	// their square.
 	steps int
 }
 
@@ -335,24 +360,28 @@ type pred struct {
 type predRef struct{ f, idx int32 }
 
 type conjInfo struct {
-	payload     int
+	pay         int32 // the payload's place in payOf
 	first, past int32 // the conjunction's predicate uses are refs[first:past]
+	last        int32 // the last field a predicate of it tests; -1: none
 	// hash is a content hash (payload + clamped constraint sets, in order),
 	// avalanched so that sums of them collide no more often than
 	// independent 128-bit values would.
 	hash hash128
 }
 
-// class is the part of a field visit's alive conjunctions that shares one
+// class is the part of a field visit's open conjunctions that shares one
 // requirement on the field: a cell satisfies or fails a requirement, and a
 // context kills or spares it, so what is decided on the field is decided for
-// a whole class at once.
+// a whole class at once. A member the field is the last test of settles
+// while the class is present; the rest stay open.
 type class struct {
-	req     interval.Set // empty: the members do not constrain the field
-	n       int          // len(members)
-	members []int32      // positions in the visit's alive list, ascending
-	preds   []int32      // distinct indices into preds[f] the members use
-	sum     hash128      // of the members' hashes
+	req    interval.Set // empty: the members do not constrain the field
+	n      int          // members
+	nOpen  int          // members a later field tests
+	open   []int32      // those members, as conjunctions
+	settle []int32      // the others
+	preds  []int32      // distinct indices into preds[f] the members use
+	sum    hash128      // of the members' hashes
 }
 
 // cellPred is a predicate a field visit uses, over the visit's cells: bit
@@ -379,16 +408,35 @@ func Build(fields []Field, conjs []Conj) (*BDD, error) {
 // returned BDDs stay valid and the output is bit-identical to a cold
 // build of the same inputs.
 func (bl *Builder) Build(fields []Field, conjs []Conj) (*BDD, error) {
-	b, alive, sum, err := bl.begin(fields, conjs)
+	b, sum, err := bl.begin(fields, conjs)
 	if err != nil {
 		return nil, err
 	}
-	return b.finish(b.visit(0, alive, sum)), nil
+	return b.finish(b.run(sum)), nil
+}
+
+// run builds the diagram of every conjunction, whose hashes sum to sum: the
+// ones that constrain no field are settled from the start, and the
+// accumulator is left as it was found, empty.
+func (b *builder) run(sum hash128) *Node {
+	alive := make([]int32, 0, len(b.conjs))
+	var none []int32
+	for i := range b.conjs {
+		if b.conjs[i].last < 0 {
+			none = append(none, int32(i))
+		} else {
+			alive = append(alive, int32(i))
+		}
+	}
+	b.settle(none)
+	root := b.visit(0, alive, sum, len(b.conjs))
+	b.unsettle(none)
+	return root
 }
 
 // begin readies a build on the arena: the conjunctions ingested, the
-// predicates in canonical order, and everything alive.
-func (bl *Builder) begin(fields []Field, conjs []Conj) (b *builder, alive []int32, sum hash128, err error) {
+// predicates in canonical order, and the sum of every conjunction's hash.
+func (bl *Builder) begin(fields []Field, conjs []Conj) (b *builder, sum hash128, err error) {
 	if fk := hashFields(fields); !bl.haveFields || fk != bl.fieldsKey {
 		bl.Reset()
 		bl.fieldsKey = fk
@@ -396,7 +444,11 @@ func (bl *Builder) begin(fields []Field, conjs []Conj) (b *builder, alive []int3
 	}
 	b = &builder{shared: bl, fields: fields}
 	if err := b.ingest(conjs); err != nil {
-		return nil, nil, sum, err
+		return nil, sum, err
+	}
+	if len(bl.memo) == 0 {
+		// A cold build makes about a field transition per conjunction.
+		bl.memo = make(map[memoKey]*Node, len(b.conjs))
 	}
 	b.sortPreds()
 	b.predSeen = make([][]int, len(fields))
@@ -410,13 +462,15 @@ func (bl *Builder) begin(fields []Field, conjs []Conj) (b *builder, alive []int3
 			b.classSlot[f][r] = -1
 		}
 	}
-	b.bits = make([]uint64, (len(b.conjs)+63)/64)
-	alive = make([]int32, len(b.conjs))
-	for i := range alive {
-		alive[i] = int32(i)
+	b.count = make([]int32, len(b.payOf))
+	if bl.classify == nil {
+		b.held = make([]uint64, (len(b.payOf)+63)/64)
+		b.heldWords = make([]uint64, (len(b.held)+63)/64)
+	}
+	for i := range b.conjs {
 		sum = sum.plus(b.conjs[i].hash)
 	}
-	return b, alive, sum, nil
+	return b, sum, nil
 }
 
 func (b *builder) finish(root *Node) *BDD {
@@ -427,7 +481,8 @@ func (b *builder) finish(root *Node) *BDD {
 // ingest clamps every constraint to its field's domain, drops
 // unsatisfiable conjunctions, and interns what is left: the distinct
 // predicates per field (a label is formatted only for the constraint that
-// introduces one), each conjunction's requirement per field, and its
+// introduces one), each conjunction's requirement per field, the last field
+// it tests, its payload's place among the distinct payloads, and its
 // content hash.
 func (b *builder) ingest(conjs []Conj) error {
 	nf := len(b.fields)
@@ -435,6 +490,8 @@ func (b *builder) ingest(conjs []Conj) error {
 	b.reqs = make([][]interval.Set, nf)
 	predIdx := make([]map[hash128]int32, nf)
 	reqIdx := make([]map[hash128]int32, nf)
+	var payIdx map[int]int32 // see payload
+	b.conjs, b.cls = make([]conjInfo, 0, len(conjs)), make([]int32, 0, len(conjs)*nf)
 	for f := range predIdx {
 		predIdx[f] = make(map[hash128]int32)
 		reqIdx[f] = make(map[hash128]int32)
@@ -505,9 +562,53 @@ func (b *builder) ingest(conjs []Conj) error {
 			b.refs = b.refs[:first]
 			continue
 		}
-		b.conjs = append(b.conjs, conjInfo{c.Payload, int32(first), int32(len(b.refs)), ch.avalanche()})
+		last := int32(-1)
+		for _, r := range b.refs[first:] {
+			last = max(last, r.f)
+		}
+		b.conjs = append(b.conjs, conjInfo{b.payload(c.Payload, &payIdx), int32(first), int32(len(b.refs)), last, ch.avalanche()})
+	}
+	if payIdx != nil {
+		// Number the payloads in ascending order after all.
+		met := b.payOf
+		b.payOf = slices.Clone(met)
+		slices.Sort(b.payOf)
+		for d, p := range b.payOf {
+			payIdx[p] = int32(d)
+		}
+		for i := range b.conjs {
+			b.conjs[i].pay = payIdx[met[b.conjs[i].pay]]
+		}
 	}
 	return nil
+}
+
+// payload returns p's place among the distinct payloads, giving it the next
+// if it has none. Payloads mostly come ascending, and while they do a new one
+// is one above the last and no map is needed; once one does not, *index
+// holds every place.
+func (b *builder) payload(p int, index *map[int]int32) int32 {
+	last := int32(len(b.payOf)) - 1
+	if last >= 0 && b.payOf[last] == p {
+		return last
+	}
+	if *index == nil {
+		if last < 0 || b.payOf[last] < p {
+			b.payOf = append(b.payOf, p)
+			return last + 1
+		}
+		*index = make(map[int]int32, len(b.payOf))
+		for d, q := range b.payOf {
+			(*index)[q] = int32(d)
+		}
+	}
+	d, ok := (*index)[p]
+	if !ok {
+		d = int32(len(b.payOf))
+		(*index)[p] = d
+		b.payOf = append(b.payOf, p)
+	}
+	return d
 }
 
 // extract snapshots the sub-DAG reachable from the arena root into fresh
@@ -567,31 +668,38 @@ func (b *builder) sortPreds() {
 }
 
 // visit constructs the subgraph for fields[f:] given the conjunctions still
-// alive on entering field f and the sum of their hashes. It buckets them
-// into requirement classes once; sweep then works on classes and cells.
-func (b *builder) visit(f int, alive []int32, sum hash128) *Node {
-	if f == len(b.fields) {
-		return b.terminal(alive)
+// open on entering field f — alive, each testing f or a later field — and
+// the number of conjunctions alive, settled ones included, and the sum of
+// their hashes. It buckets the open ones into requirement classes once;
+// sweep then works on classes and cells. With nothing open, the subgraph is
+// the terminal of what the accumulator holds.
+func (b *builder) visit(f int, alive []int32, sum hash128, n int) *Node {
+	if len(alive) == 0 {
+		return b.terminal()
 	}
 	defer b.release(b.mark())
 
 	classes, which := b.bucket(f, alive)
 	if len(classes) == 1 && classes[0].req.IsEmpty() {
-		// Nothing alive constrains f: everything survives it.
-		key := memoKey{field: int32(f), alive: sum, aliveLen: int32(len(alive))}
+		// Nothing open constrains f: everything survives it.
+		key := memoKey{field: int32(f), alive: sum, aliveLen: int32(n)}
 		nd, ok := b.shared.memo[key]
 		if !ok {
-			nd = b.visit(f+1, alive, sum)
+			nd = b.visit(f+1, alive, sum, n)
 			b.shared.memo[key] = nd
 		}
 		return nd
 	}
 	b.deal(f, alive, classes, which)
-	return b.sweep(f, alive, classes)
+	for k := range classes {
+		sum = sum.minus(classes[k].sum)
+	}
+	return b.sweep(f, classes, sum, n-len(alive))
 }
 
 // bucket gives every requirement on f among the alive conjunctions a class,
-// with its size and hash sum, and says which class each alive position is in.
+// with its size, open size and hash sum, and says which class each alive
+// position is in.
 func (b *builder) bucket(f int, alive []int32) (classes []class, which []int32) {
 	nf, slot, classMark := len(b.fields), b.classSlot[f], len(b.classes)
 	which = take(&b.ints, len(alive))
@@ -606,6 +714,9 @@ func (b *builder) bucket(f int, alive []int32) (classes []class, which []int32) 
 		which[pos] = k
 		c := &b.classes[classMark+int(k)]
 		c.n++
+		if int(b.conjs[ci].last) > f {
+			c.nOpen++
+		}
 		c.sum = c.sum.plus(b.conjs[ci].hash)
 	}
 	for _, ci := range alive {
@@ -614,25 +725,34 @@ func (b *builder) bucket(f int, alive []int32) (classes []class, which []int32) 
 	return b.classes[classMark:], which
 }
 
-// deal lists each class's members and the distinct predicates on f they use.
+// deal lists each class's open and settling members and the distinct
+// predicates on f they use.
 func (b *builder) deal(f int, alive []int32, classes []class, which []int32) {
 	members := take(&b.ints, len(alive))
 	for k := range classes {
-		classes[k].members, members = members[:0:classes[k].n], members[classes[k].n:]
+		c := &classes[k]
+		c.open, c.settle, members = members[:0:c.nOpen], members[c.nOpen:c.nOpen:c.n], members[c.n:]
 	}
 	for pos, k := range which {
-		classes[k].members = append(classes[k].members, int32(pos))
+		c, ci := &classes[k], alive[pos]
+		if int(b.conjs[ci].last) > f {
+			c.open = append(c.open, ci)
+		} else {
+			c.settle = append(c.settle, ci)
+		}
 	}
 	seen := b.predSeen[f]
 	for k := range classes {
 		c := &classes[k]
 		b.predEpoch++
 		first := len(b.ints)
-		for _, pos := range c.members {
-			for _, r := range b.refs[b.conjs[alive[pos]].first:b.conjs[alive[pos]].past] {
-				if int(r.f) == f && seen[r.idx] != b.predEpoch {
-					seen[r.idx] = b.predEpoch
-					b.ints = append(b.ints, r.idx) // onto the stack's top
+		for _, members := range [2][]int32{c.open, c.settle} {
+			for _, ci := range members {
+				for _, r := range b.refs[b.conjs[ci].first:b.conjs[ci].past] {
+					if int(r.f) == f && seen[r.idx] != b.predEpoch {
+						seen[r.idx] = b.predEpoch
+						b.ints = append(b.ints, r.idx) // onto the stack's top
+					}
 				}
 			}
 		}
@@ -647,13 +767,15 @@ func (b *builder) deal(f int, alive []int32, classes []class, which []int32) {
 //
 // The first pass finds what each cell leads to. It walks the cells in order,
 // a class entering where a run of its requirement starts and leaving where
-// it ends, and keeps the hash sum and count of the classes present: the key
-// of the field transition, so the conjunctions are listed and the fields
-// after f visited only for a set of survivors the arena has not met, and
-// only at a cell where the set changed.
+// it ends, and keeps the hash sum and count of the classes present on top of
+// the settled conjunctions' — settled, whose hashes sum to sum, and n — the
+// key of the field transition, so the open conjunctions are listed and the
+// fields after f visited only for a set of survivors the arena has not met,
+// and only at a cell where the set changed. A class's settling members are
+// in the accumulator while it is present, and leave it when the walk ends.
 //
 // The second pass (expand) builds the predicate nodes above the cells.
-func (b *builder) sweep(f int, alive []int32, classes []class) *Node {
+func (b *builder) sweep(f int, classes []class, settled hash128, n int) *Node {
 	// The predicates in use, in canonical order.
 	b.predEpoch++
 	seen, at, first := b.predSeen[f], b.predAt[f], len(b.ints)
@@ -735,38 +857,51 @@ func (b *builder) sweep(f int, alive []int32, classes []class) *Node {
 	events := b.words[first:len(b.words):len(b.words)]
 	slices.Sort(events)
 
-	// The walk. present lists the classes the cell at hand satisfies, where
-	// says at which place; the class that does not constrain f is always in.
+	// The walk. present lists the classes with open members that the cell at
+	// hand satisfies, where says at which place, and open counts those
+	// members; the class that does not constrain f is always in.
 	cells := take(&b.nodes, ncells)
 	present, where := take(&b.ints, len(classes))[:0], take(&b.ints, len(classes))
-	var sum hash128
-	n := 0
+	sum, open := settled, 0
 	for k := range classes {
-		if classes[k].req.IsEmpty() {
-			present, sum, n = append(present, int32(k)), classes[k].sum, classes[k].n
+		if c := &classes[k]; c.req.IsEmpty() {
+			present, sum, n, open = append(present, int32(k)), sum.plus(c.sum), n+c.n, c.nOpen
 		}
 	}
 	for c := range cells {
 		moved := c == 0
 		for ; len(events) > 0 && int(events[0]>>32) == c; events = events[1:] {
 			k := int32(events[0] & (enter - 1))
+			cl := &classes[k]
 			if events[0]&enter != 0 {
-				where[k] = int32(len(present))
-				present = append(present, k)
-				sum, n = sum.plus(classes[k].sum), n+classes[k].n
+				if cl.nOpen > 0 {
+					where[k] = int32(len(present))
+					present = append(present, k)
+				}
+				sum, n, open = sum.plus(cl.sum), n+cl.n, open+cl.nOpen
+				b.settle(cl.settle)
 			} else {
-				last := present[len(present)-1]
-				present[where[k]], where[last] = last, where[k]
-				present = present[:len(present)-1]
-				sum, n = sum.minus(classes[k].sum), n-classes[k].n
+				if cl.nOpen > 0 {
+					last := present[len(present)-1]
+					present[where[k]], where[last] = last, where[k]
+					present = present[:len(present)-1]
+				}
+				sum, n, open = sum.minus(cl.sum), n-cl.n, open-cl.nOpen
+				b.unsettle(cl.settle)
 			}
 			moved = true
 			b.steps++
 		}
 		if moved {
-			cells[c] = b.transition(f, alive, classes, present, sum, n)
+			cells[c] = b.transition(f, classes, present, sum, n, open)
 		} else {
 			cells[c] = cells[c-1]
+		}
+	}
+	// The classes the last cell satisfies never left.
+	for k := range classes {
+		if c := &classes[k]; !c.req.IsEmpty() && c.req.Max() == top {
+			b.unsettle(c.settle)
 		}
 	}
 
@@ -797,34 +932,22 @@ func fillRun(set []uint64, w0, lo, hi int) int {
 	return wh - wl + 1
 }
 
-// transition returns what field f's survivors — the n members of the
-// classes present, whose hashes sum to sum — lead to in the fields after f.
-// Only for a set the arena has not met are the conjunctions listed, through
-// a bitmap so that alive lists, and the payloads terminal sorts, stay
-// ascending.
-func (b *builder) transition(f int, alive []int32, classes []class, present []int32, sum hash128, n int) *Node {
+// transition returns what field f's survivors — the n conjunctions, settled
+// ones included, whose hashes sum to sum — lead to in the fields after f.
+// Only for a set the arena has not met are the open members of the classes
+// present listed.
+func (b *builder) transition(f int, classes []class, present []int32, sum hash128, n, open int) *Node {
 	key := memoKey{field: int32(f), alive: sum, aliveLen: int32(n)}
 	if nd, ok := b.shared.memo[key]; ok {
 		return nd
 	}
 	mark := len(b.ints)
-	lo, hi := len(b.bits), -1
+	survivors := take(&b.ints, open)[:0]
 	for _, k := range present {
-		m := classes[k].members
-		lo, hi = min(lo, int(m[0]>>6)), max(hi, int(m[len(m)-1]>>6))
-		for _, pos := range m {
-			b.bits[pos>>6] |= 1 << (pos & 63)
-		}
+		survivors = append(survivors, classes[k].open...)
 	}
-	survivors := take(&b.ints, n)[:0]
-	for w := lo; w <= hi; w++ {
-		for word := b.bits[w]; word != 0; word &= word - 1 {
-			survivors = append(survivors, alive[w<<6+bits.TrailingZeros64(word)])
-		}
-		b.bits[w] = 0
-	}
-	b.steps += n + max(hi-lo+1, 0)
-	nd := b.visit(f+1, survivors, sum)
+	b.steps += open
+	nd := b.visit(f+1, survivors, sum, n)
 	b.ints = b.ints[:mark]
 	b.shared.memo[key] = nd
 	return nd
@@ -921,47 +1044,78 @@ func (b *builder) within(w0 int, s []uint64, v0 int, t []uint64) bool {
 	return true
 }
 
-// terminal hash-conses the terminal node for the given satisfied
-// conjunctions: on their payload set, and under a Classifier, asked once
-// per payload set, on the class it gives them.
-func (b *builder) terminal(alive []int32) *Node {
-	payloads := b.payloads[:0]
-	sorted := true
-	for _, ci := range alive {
-		p := b.conjs[ci].payload
-		sorted = sorted && (len(payloads) == 0 || payloads[len(payloads)-1] <= p)
-		payloads = append(payloads, p)
-	}
-	if !sorted {
-		slices.Sort(payloads)
-	}
-	// Dedupe in place (sorted).
-	uniq := payloads[:0]
-	for i, p := range payloads {
-		if i == 0 || p != payloads[i-1] {
-			uniq = append(uniq, p)
+// settle counts the payloads of conjunctions into the accumulator, and
+// unsettle counts them out. Only a count that leaves or reaches zero
+// changes the set held: the Classifier's, or without one the builder's.
+func (b *builder) settle(conjs []int32) {
+	for _, ci := range conjs {
+		d := b.conjs[ci].pay
+		if b.count[d]++; b.count[d] > 1 {
+			continue
+		}
+		if cl := b.shared.classify; cl != nil {
+			cl.Add(b.payOf[d])
+		} else {
+			b.held[d>>6] |= 1 << (d & 63)
+			b.heldWords[d>>12] |= 1 << (d >> 6 & 63)
+			b.nheld++
+			b.heldSum = b.heldSum.plus(payloadHash(b.payOf[d]))
 		}
 	}
-	payloads = uniq
-	b.payloads = payloads
-	key := hashSeed
-	for _, p := range payloads {
-		key = key.word(uint64(p))
+	b.steps += len(conjs)
+}
+
+func (b *builder) unsettle(conjs []int32) {
+	for _, ci := range conjs {
+		d := b.conjs[ci].pay
+		if b.count[d]--; b.count[d] > 0 {
+			continue
+		}
+		if cl := b.shared.classify; cl != nil {
+			cl.Remove(b.payOf[d])
+		} else {
+			if b.held[d>>6] &^= 1 << (d & 63); b.held[d>>6] == 0 {
+				b.heldWords[d>>12] &^= 1 << (d >> 6 & 63)
+			}
+			b.nheld--
+			b.heldSum = b.heldSum.minus(payloadHash(b.payOf[d]))
+		}
 	}
-	if n, ok := b.shared.termCons[key]; ok {
+	b.steps += len(conjs)
+}
+
+// payloadHash is a payload's term in the accumulator's order-free sum.
+func payloadHash(p int) hash128 { return hash128{uint64(p), 0x4cf5ad432745937f}.avalanche() }
+
+// terminal hash-conses the terminal node for the payloads the accumulator
+// holds: under a Classifier on the class it gives them, and without one on
+// the payload set, found by its hash sum and listed, in order, only when new
+// to the arena.
+func (b *builder) terminal() *Node {
+	sh := b.shared
+	if sh.classify != nil {
+		class, matches := sh.classify.Class()
+		n := sh.classCons[class]
+		if n == nil {
+			n = b.newTerminal(class, matches, nil)
+			sh.classCons[class] = n
+		}
 		return n
 	}
-	var n *Node
-	if classify := b.shared.classify; classify == nil {
-		n = b.newTerminal(-1, len(payloads) > 0, slices.Clone(payloads))
-	} else {
-		class, matches := classify(payloads)
-		if n = b.shared.classCons[class]; n == nil {
-			n = b.newTerminal(class, matches, nil)
-			b.shared.classCons[class] = n
+	if n, ok := sh.termCons[b.heldSum]; ok {
+		return n
+	}
+	payloads := make([]int, 0, b.nheld)
+	for v, top := range b.heldWords {
+		for ; top != 0; top &= top - 1 {
+			w := v<<6 + bits.TrailingZeros64(top)
+			for word := b.held[w]; word != 0; word &= word - 1 {
+				payloads = append(payloads, b.payOf[w<<6+bits.TrailingZeros64(word)])
+			}
 		}
 	}
-	b.shared.termCons[key] = n
+	n := b.newTerminal(-1, len(payloads) > 0, payloads)
+	sh.termCons[b.heldSum] = n
 	return n
 }
 

@@ -3,7 +3,7 @@ package bdd
 import (
 	"fmt"
 	"math"
-	"math/bits"
+	"slices"
 	"testing"
 
 	"camus/internal/interval"
@@ -14,20 +14,64 @@ import (
 // and at every link filters the classes the context has not killed, stamps
 // their predicates and scans for the first the context does not decide. It
 // is quadratic in a field's predicates and plainly the definition of the
-// diagram; sweep must give the same one, node for node.
+// diagram; sweep must give the same one, node for node. Nor does it settle
+// anything: it lists every survivor, settled or not, down to the last field,
+// and makes the terminal of the payloads listed there (listTerminal, the
+// accumulator's oracle).
 
 // buildChain is Builder.Build with the chain in sweep's place.
 func buildChain(bl *Builder, fields []Field, conjs []Conj) (*BDD, error) {
-	b, alive, sum, err := bl.begin(fields, conjs)
+	b, sum, err := bl.begin(fields, conjs)
 	if err != nil {
 		return nil, err
+	}
+	alive := make([]int32, len(b.conjs))
+	for i := range alive {
+		alive[i] = int32(i)
 	}
 	return b.finish(b.chainVisit(0, alive, sum)), nil
 }
 
+// listTerminal hash-conses the terminal node for the given satisfied
+// conjunctions: on their payload set, and under a Classifier, asked once
+// per payload set, on the class it gives them.
+func (b *builder) listTerminal(alive []int32) *Node {
+	payloads := make([]int, 0, len(alive))
+	for _, ci := range alive {
+		payloads = append(payloads, b.payOf[b.conjs[ci].pay])
+	}
+	slices.Sort(payloads)
+	payloads = slices.Compact(payloads)
+	key := hashSeed
+	for _, p := range payloads {
+		key = key.word(uint64(p))
+	}
+	if n, ok := b.shared.termCons[key]; ok {
+		return n
+	}
+	var n *Node
+	if classify := b.shared.classify; classify == nil {
+		n = b.newTerminal(-1, len(payloads) > 0, payloads)
+	} else {
+		for _, p := range payloads {
+			classify.Add(p)
+		}
+		class, matches := classify.Class()
+		for _, p := range payloads {
+			classify.Remove(p)
+		}
+		if n = b.shared.classCons[class]; n == nil {
+			n = b.newTerminal(class, matches, nil)
+			b.shared.classCons[class] = n
+		}
+	}
+	b.shared.termCons[key] = n
+	return n
+}
+
 func (b *builder) chainVisit(f int, alive []int32, sum hash128) *Node {
 	if f == len(b.fields) {
-		return b.terminal(alive)
+		return b.listTerminal(alive)
 	}
 	defer b.release(b.mark())
 
@@ -85,28 +129,18 @@ func (b *builder) chain(f int, alive []int32, classes []class, ctx interval.Set,
 
 	if next == len(seen) {
 		// Field f is resolved for every kept class: the classes the context
-		// satisfies move on.
+		// satisfies move on, every member of them.
 		var sum hash128
-		n := 0
-		set := make([]uint64, (len(alive)+63)/64)
+		var survivors []int32
 		for _, k := range kept {
 			if c := &classes[k]; c.req.IsEmpty() || ctx.SubsetOf(c.req) {
 				sum = sum.plus(c.sum)
-				n += c.n
-				for _, pos := range c.members {
-					set[pos>>6] |= 1 << (pos & 63)
-				}
+				survivors = append(append(survivors, c.open...), c.settle...)
 			}
 		}
-		key := memoKey{field: int32(f), alive: sum, aliveLen: int32(n)}
+		key := memoKey{field: int32(f), alive: sum, aliveLen: int32(len(survivors))}
 		if nd, ok := b.shared.memo[key]; ok {
 			return nd
-		}
-		survivors := take(&b.ints, n)[:0]
-		for w, word := range set {
-			for ; word != 0; word &= word - 1 {
-				survivors = append(survivors, alive[w<<6+bits.TrailingZeros64(word)])
-			}
 		}
 		nd := b.chainVisit(f+1, survivors, sum)
 		b.shared.memo[key] = nd
@@ -359,12 +393,113 @@ var fuzzSeeds = []struct {
 			{0, []fuzzCons{{0, opEq, 4, 0}, {1, opGt, 10, 0}}},
 		},
 	}},
+	// Payloads 0 and 3 are settled before field 0 is visited, and payload 3
+	// is settled again, by a second conjunction, on field 1.
+	{"an unconstrained conjunction", fuzzCase{
+		domains: []byte{1, 2},
+		first: []fuzzConj{
+			{0, nil},
+			{1, []fuzzCons{{0, opGt, 5, 0}}},
+			{3, nil},
+			{3, []fuzzCons{{1, opLt, 12, 0}}},
+			{2, []fuzzCons{{0, opEq, 9, 0}, {1, opGe, 4, 0}}},
+		},
+	}},
+	// Payload 2 settles on field 0 by its first conjunction and on field 2 by
+	// its second; where both match it is counted twice and must stay held
+	// until the second is unsettled too.
+	{"two conjunctions of one payload that settle at different fields", fuzzCase{
+		domains: []byte{0, 1, 2},
+		first: []fuzzConj{
+			{2, []fuzzCons{{0, opGt, 2, 0}}},
+			{2, []fuzzCons{{0, opLt, 6, 0}, {2, opRange, 3, 9}}},
+			{1, []fuzzCons{{1, opEq, 4, 0}, {2, opGt, 5, 0}}},
+			{4, []fuzzCons{{0, opEq, 4, 0}}},
+		},
+	}},
+	// A full-domain constraint is no test: the conjunction's last field is
+	// the last it narrows, or none.
+	{"a constraint equal to the full domain", fuzzCase{
+		domains: []byte{0, 1},
+		first: []fuzzConj{
+			{0, []fuzzCons{{0, opFull, 0, 0}}},
+			{1, []fuzzCons{{0, opEq, 3, 0}, {1, opFull, 0, 0}}},
+			{2, []fuzzCons{{1, opFull, 0, 0}, {1, opGt, 20, 0}}},
+			{3, []fuzzCons{{0, opFull, 0, 0}, {1, opFull, 0, 0}}},
+		},
+	}},
+	// The second build meets the first's classes again on the same
+	// Classifier, and some under payload sets the first never held.
+	{"a warm rebuild on the shared classifier", fuzzCase{
+		domains: []byte{1, 0},
+		first: []fuzzConj{
+			{1, []fuzzCons{{0, opEq, 1, 0}}},
+			{3, []fuzzCons{{0, opRange, 1, 4}, {1, opGt, 2, 0}}},
+			{2, []fuzzCons{{0, opGt, 2, 0}}},
+			{5, []fuzzCons{{1, opLt, 5, 0}}},
+			{4, nil},
+		},
+		drop: 2,
+		then: []fuzzConj{
+			{7, []fuzzCons{{0, opEq, 1, 0}, {1, opEq, 3, 0}}},
+			{6, []fuzzCons{{0, opGt, 2, 0}}},
+		},
+	}},
+}
+
+// funcClassifier adapts a function of the payload set held to a
+// Classifier, and checks how it is driven: an Add of a payload it holds or a
+// Remove of one it does not fails the test, and it counts its calls.
+type funcClassifier struct {
+	t                      testing.TB
+	fn                     func(payloads []int) (class int, matches bool)
+	held                   map[int]bool
+	adds, removes, classes int
+}
+
+func classifierOf(t testing.TB, fn func([]int) (int, bool)) *funcClassifier {
+	return &funcClassifier{t: t, fn: fn, held: map[int]bool{}}
+}
+
+func (c *funcClassifier) Add(p int) {
+	if c.held[p] {
+		c.t.Fatalf("Add(%d) of a payload held", p)
+	}
+	c.held[p] = true
+	c.adds++
+}
+
+func (c *funcClassifier) Remove(p int) {
+	if !c.held[p] {
+		c.t.Fatalf("Remove(%d) of a payload not held", p)
+	}
+	delete(c.held, p)
+	c.removes++
+}
+
+func (c *funcClassifier) Class() (int, bool) {
+	c.classes++
+	payloads := make([]int, 0, len(c.held))
+	for p := range c.held {
+		payloads = append(payloads, p)
+	}
+	slices.Sort(payloads)
+	return c.fn(payloads)
+}
+
+// requireEmpty fails the test unless every Add has had its Remove.
+func (c *funcClassifier) requireEmpty() {
+	c.t.Helper()
+	if len(c.held) != 0 || c.adds != c.removes {
+		c.t.Fatalf("after a build the classifier holds %v: %d adds, %d removes", c.held, c.adds, c.removes)
+	}
 }
 
 // FuzzSweepMatchesChain builds random conjunctions over random fields both
 // ways, cold and then warm on the same two arenas, with payload-set
 // terminals and with class terminals: the extracted diagrams must be
-// identical.
+// identical, so the accumulator's terminals are the listed payloads'. Each
+// build must leave its classifier holding nothing.
 func FuzzSweepMatchesChain(f *testing.F) {
 	for _, seed := range fuzzSeeds {
 		f.Add(seed.bytes())
@@ -373,15 +508,16 @@ func FuzzSweepMatchesChain(f *testing.F) {
 		c := decodeFuzzCase(data)
 		fields := c.fields()
 		// The class of a payload set is its lowest payload's parity.
-		classify := func(payloads []int) (int, bool) {
+		parity := func(payloads []int) (int, bool) {
 			if len(payloads) == 0 {
 				return 2, false
 			}
 			return payloads[0] & 1, true
 		}
+		classifiers := [2]*funcClassifier{classifierOf(t, parity), classifierOf(t, parity)}
 		for _, arenas := range [][2]*Builder{
 			{NewBuilder(), NewBuilder()},
-			{NewClassBuilder(classify), NewClassBuilder(classify)},
+			{NewClassBuilder(classifiers[0]), NewClassBuilder(classifiers[1])},
 		} {
 			for _, conjs := range c.builds() {
 				want, err := buildChain(arenas[0], fields, conjs)
@@ -393,6 +529,9 @@ func FuzzSweepMatchesChain(f *testing.F) {
 					t.Fatal(err)
 				}
 				requireSameDiagram(t, want, got)
+				for _, cl := range classifiers {
+					cl.requireEmpty()
+				}
 			}
 		}
 	})

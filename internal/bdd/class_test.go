@@ -1,7 +1,6 @@
 package bdd
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -22,33 +21,26 @@ func portsOf(payloads []int) (class int, matches bool) {
 // terminals as payload sets and as classes of them, and requires of the
 // second: the class of the payload set the first finds, on every packet of
 // a small space; one terminal per class and no payloads on any; no more
-// nodes than the first; the classifier asked once per distinct payload set;
-// and the same diagram, node for node, from an arena that has built others.
+// nodes than the first; the classifier left holding nothing; and the same
+// diagram, node for node, from an arena (and classifier) that has built
+// others.
 func TestClassTerminalsReduceTheExactDiagram(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	fields := []Field{{Name: "a", Max: 7}, {Name: "b", Max: 7}, {Name: "c", Max: 7}}
-	asked := map[string]int{}
-	counting := func(payloads []int) (int, bool) {
-		asked[fmt.Sprint(payloads)]++
-		return portsOf(payloads)
-	}
-	warm := NewClassBuilder(portsOf)
+	warmClassifier := classifierOf(t, portsOf)
+	warm := NewClassBuilder(warmClassifier)
 	for trial := 0; trial < 100; trial++ {
 		conjs := randomConjs(r, fields, 1+r.Intn(12), 3)
 		exact, err := Build(fields, conjs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		clear(asked)
-		classed, err := NewClassBuilder(counting).Build(fields, conjs)
+		cold := classifierOf(t, portsOf)
+		classed, err := NewClassBuilder(cold).Build(fields, conjs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for set, n := range asked {
-			if n != 1 {
-				t.Fatalf("trial %d: classifier asked %d times about %s", trial, n, set)
-			}
-		}
+		cold.requireEmpty()
 		if classed.NumNodes() > exact.NumNodes() {
 			t.Fatalf("trial %d: %d nodes by class, %d by payload set", trial, classed.NumNodes(), exact.NumNodes())
 		}
@@ -72,6 +64,7 @@ func TestClassTerminalsReduceTheExactDiagram(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		warmClassifier.requireEmpty()
 		requireSameBDD(t, classed, again, fields, int64(trial))
 		for i, term := range classed.Terminals() {
 			if w := again.Terminals()[i]; w.Class != term.Class || w.Matches != term.Matches {
@@ -90,11 +83,11 @@ func TestImpliesOverClasses(t *testing.T) {
 	fields := []Field{{Name: "a", Max: 7}, {Name: "b", Max: 7}, {Name: "c", Max: 7}}
 	refuted := 0
 	for trial := 0; trial < 200; trial++ {
-		a, err := NewClassBuilder(portsOf).Build(fields, randomConjs(r, fields, 1+r.Intn(6), 3))
+		a, err := NewClassBuilder(classifierOf(t, portsOf)).Build(fields, randomConjs(r, fields, 1+r.Intn(6), 3))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := NewClassBuilder(portsOf).Build(fields, randomConjs(r, fields, 1+r.Intn(6), 3))
+		b, err := NewClassBuilder(classifierOf(t, portsOf)).Build(fields, randomConjs(r, fields, 1+r.Intn(6), 3))
 		if err != nil {
 			t.Fatal(err)
 		}

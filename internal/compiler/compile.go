@@ -175,49 +175,210 @@ func CompileSourceContext(ctx context.Context, sp *spec.Spec, ruleSrc string, op
 	return compile(ctx, sp, source{text: ruleSrc}, opts)
 }
 
-// classArena is a BDD arena whose terminals are action classes: the
-// builder asks classify, once per distinct set of matching rules, for the
-// merged actions of that set, and a terminal is the index of its ActionSet in
-// sets. Two regions that come to the same actions are therefore one terminal
-// while the diagram is being built, and sharing and equal-branch elision
-// reduce it by what the rules do, not by which rules did it. Everything
-// downstream tells action sets apart by that index, and the control plane,
-// across programs, by the Key the merge gave them.
+// classArena is a BDD arena whose terminals are action classes, and the
+// bdd.Classifier that names them. The builder Adds and Removes the payloads
+// of the rules settled on its path; the arena counts what those rules do —
+// each port, each state update, each drop — and keeps the order-free sum of
+// the ports and updates present. A class is that sum and the drop rule: an
+// ActionSet is made only of a sum the arena has not met, and a terminal is
+// the index of its ActionSet in sets. Two regions that come to the same
+// actions are therefore one terminal while the diagram is being built, and
+// sharing and equal-branch elision reduce it by what the rules do, not by
+// which rules did it. Everything downstream tells action sets apart by that
+// index, and the control plane, across programs, by the Key made with it.
+//
+// Like the builder's memo keys, the sum is trusted: two sets of ports and
+// updates that differ collide with the odds of two random 128-bit values.
 //
 // A Session keeps one for its life — payload IDs map to the same actions
-// for as long (the resolver is append-only) — so a terminal whose subscriber
-// set survived the churn is found in the arena and nothing is merged again.
+// for as long (the resolver is append-only) — so a terminal whose class
+// survived the churn is found by its sum and nothing is merged again.
 type classArena struct {
 	builder *bdd.Builder
-	actions [][]lang.Action // payload -> rule actions, set for each build
 	sets    []ActionSet
-	byKey   map[string]int
-	merged  []int // per class, the build that last merged a payload set into it
-	build   int
-	merge   merger
+	bySum   map[sum128]int
+
+	// The ports and updates met, numbered densely as atoms after the drop
+	// at dropAtom; ops[p] bounds the atoms of payload p's rule in opAtoms
+	// once a build has bound it. count, by atom, says how many held rules
+	// name it, held lists the ports and updates counted (at says where),
+	// ports how many of them are ports, and sum is the sum of their hashes.
+	portAtom   map[int]int32
+	updateAtom map[string]int32
+	atoms      []atom
+	ops        [][2]int32
+	opAtoms    []int32
+	count, at  []int32
+	held       []int32
+	ports      int
+	sum        sum128
+	scratch    []byte
+	seen       []uint64 // sortPorts' bitmap, all zero between uses
+}
+
+const dropAtom = 0
+
+// atom is a port, or a state update when isUpdate.
+type atom struct {
+	isUpdate bool
+	port     int
+	update   lang.Action
+}
+
+// sum128 is an order-free sum of atom hashes, lane by lane.
+type sum128 struct{ a, b uint64 }
+
+func (s sum128) plus(t sum128) sum128  { return sum128{s.a + t.a, s.b + t.b} }
+func (s sum128) minus(t sum128) sum128 { return sum128{s.a - t.a, s.b - t.b} }
+
+// atomHash spreads an atom number over both lanes (the splitmix64
+// finalizer).
+func atomHash(x int32) sum128 {
+	fmix := func(x uint64) uint64 {
+		x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+		x = (x ^ x>>27) * 0x94d049bb133111eb
+		return x ^ x>>31
+	}
+	a := fmix(uint64(x) + 0x9e3779b97f4a7c15)
+	return sum128{a, fmix(a ^ 0x2545f4914f6cdd1d)}
 }
 
 func newClassArena() *classArena {
-	ca := &classArena{byKey: make(map[string]int)}
-	ca.builder = bdd.NewClassBuilder(ca.classify)
+	ca := &classArena{bySum: make(map[sum128]int), portAtom: make(map[int]int32), updateAtom: make(map[string]int32)}
+	ca.newAtom(atom{}) // dropAtom
+	ca.builder = bdd.NewClassBuilder(ca)
 	return ca
 }
 
-// classify merges in scratch and makes an ActionSet only of a merge that
-// comes to no class yet: most payload sets are new, few classes are.
-func (ca *classArena) classify(payloads []int) (int, bool) {
-	m := &ca.merge
-	m.fold(ca.actions, payloads)
-	id, ok := ca.byKey[string(m.key)]
+// Add counts in what the payload's rule does.
+func (ca *classArena) Add(payload int) { ca.tally(payload, 1) }
+
+// Remove counts it out.
+func (ca *classArena) Remove(payload int) { ca.tally(payload, -1) }
+
+// tally moves the counts of a rule's atoms by one, and a port or update into
+// or out of held when its count leaves or reaches zero.
+func (ca *classArena) tally(payload int, by int32) {
+	op := ca.ops[payload]
+	for _, x := range ca.opAtoms[op[0]:op[1]] {
+		ca.count[x] += by
+		if x == dropAtom {
+			continue
+		}
+		switch {
+		case by > 0 && ca.count[x] == 1:
+			ca.at[x] = int32(len(ca.held))
+			ca.held = append(ca.held, x)
+			ca.sum = ca.sum.plus(atomHash(x))
+			if !ca.atoms[x].isUpdate {
+				ca.ports++
+			}
+		case by < 0 && ca.count[x] == 0:
+			last := ca.held[len(ca.held)-1]
+			ca.held[ca.at[x]], ca.at[last] = last, ca.at[x]
+			ca.held = ca.held[:len(ca.held)-1]
+			ca.sum = ca.sum.minus(atomHash(x))
+			if !ca.atoms[x].isUpdate {
+				ca.ports--
+			}
+		}
+	}
+}
+
+// bind takes the rule actions of a build (payload -> actions) and lists
+// what each rule of its conjunctions that the arena has not met does as
+// atoms: in conjunction order, which is the order the rules were resolved
+// and mostly the order their actions lie in memory. A payload whose rule
+// does nothing is listed again, to no effect.
+func (ca *classArena) bind(actions [][]lang.Action, conjs []bdd.Conj) {
+	if n := len(actions) - len(ca.ops); n > 0 {
+		ca.ops = append(ca.ops, make([][2]int32, n)...)
+	}
+	for _, c := range conjs {
+		if op := &ca.ops[c.Payload]; op[1] == 0 {
+			start := int32(len(ca.opAtoms))
+			ca.atomsOf(actions[c.Payload])
+			*op = [2]int32{start, int32(len(ca.opAtoms))}
+		}
+	}
+}
+
+// atomsOf appends a rule's atoms to opAtoms.
+func (ca *classArena) atomsOf(actions []lang.Action) {
+	for i := range actions {
+		switch a := &actions[i]; a.Kind {
+		case lang.ActFwd:
+			for _, p := range a.Ports {
+				x, ok := ca.portAtom[p]
+				if !ok {
+					x = ca.newAtom(atom{port: p})
+					ca.portAtom[p] = x
+				}
+				ca.opAtoms = append(ca.opAtoms, x)
+			}
+		case lang.ActDrop:
+			ca.opAtoms = append(ca.opAtoms, dropAtom)
+		case lang.ActState:
+			ca.scratch = appendUpdate(ca.scratch[:0], a)
+			x, ok := ca.updateAtom[string(ca.scratch)]
+			if !ok {
+				x = ca.newAtom(atom{isUpdate: true, update: *a})
+				ca.updateAtom[string(ca.scratch)] = x
+			}
+			ca.opAtoms = append(ca.opAtoms, x)
+		}
+	}
+}
+
+func (ca *classArena) newAtom(a atom) int32 {
+	ca.atoms = append(ca.atoms, a)
+	ca.count, ca.at = append(ca.count, 0), append(ca.at, 0)
+	return int32(len(ca.atoms) - 1)
+}
+
+// Class names what the held rules do together: port sets union (the
+// paper's fwd(1) + fwd(2) ⇒ fwd(1,2)), state updates accumulate, and a
+// forward beats a drop (the packet is wanted by someone), while forwarding
+// nowhere and updating nothing is a drop, said or not.
+func (ca *classArena) Class() (int, bool) {
+	drop := ca.ports == 0 && (len(ca.held) == 0 || ca.count[dropAtom] > 0)
+	key := ca.sum
+	if drop {
+		key = key.plus(atomHash(dropAtom))
+	}
+	id, ok := ca.bySum[key]
 	if !ok {
 		id = len(ca.sets)
-		as := m.actionSet()
-		ca.byKey[as.key] = id
-		ca.sets = append(ca.sets, as)
-		ca.merged = append(ca.merged, 0)
+		ca.bySum[key] = id
+		ca.sets = append(ca.sets, ca.actionSet(drop))
 	}
-	ca.merged[id] = ca.build
-	return id, len(m.ports) > 0 || len(m.updates) > 0
+	return id, len(ca.held) > 0
+}
+
+// actionSet is the class held as an ActionSet of its own: ports ascending,
+// updates in canonical order.
+func (ca *classArena) actionSet(drop bool) ActionSet {
+	as := ActionSet{Drop: drop, Group: -1}
+	if ca.ports > 0 {
+		as.Ports = make([]int, 0, ca.ports)
+	}
+	if n := len(ca.held) - ca.ports; n > 0 {
+		as.Updates = make([]lang.Action, 0, n)
+	}
+	for _, x := range ca.held {
+		if a := &ca.atoms[x]; a.isUpdate {
+			as.Updates = append(as.Updates, a.update)
+		} else {
+			as.Ports = append(as.Ports, a.port)
+		}
+	}
+	sortPorts(as.Ports, &ca.seen)
+	if len(as.Updates) > 1 {
+		sortRuleActions(as.Updates)
+	}
+	ca.scratch = as.appendKey(ca.scratch[:0])
+	as.key = string(ca.scratch)
+	return as
 }
 
 // compileFromConjs is the compiler back end shared by one-shot compiles
@@ -245,8 +406,7 @@ func compileFromConjs(sp *spec.Spec, fieldInfos []FieldInfo, actions [][]lang.Ac
 	for i, f := range fields {
 		bddFields[i] = bdd.Field{Name: f.Name, Max: f.Max}
 	}
-	ca.actions = actions
-	ca.build++
+	ca.bind(actions, conjs)
 	b, err := ca.builder.Build(bddFields, conjs)
 	if err != nil {
 		return nil, err
@@ -348,92 +508,35 @@ func (p *Program) buildLeaf(sets []ActionSet, leaves []int) {
 	}
 }
 
-// merger folds the action lists of all matched rules into one action set:
-// port sets union (the paper's fwd(1) + fwd(2) ⇒ fwd(1,2)), state updates
-// accumulate, drop is recorded when explicit. A forward beats a drop when
-// both appear (the packet is wanted by someone). It works in buffers it
-// keeps from one fold to the next, and holds the result as the fields of an
-// ActionSet and its Key.
-type merger struct {
-	ports   []int
-	updates []lang.Action
-	drop    bool
-	key     []byte
-	seen    []uint64 // sortPorts' bitmap, all zero between folds
-}
-
-func (m *merger) fold(ruleActions [][]lang.Action, payloads []int) {
-	m.ports, m.updates, m.drop = m.ports[:0], m.updates[:0], false
-	for _, rid := range payloads {
-		for i := range ruleActions[rid] {
-			switch a := &ruleActions[rid][i]; a.Kind {
-			case lang.ActFwd:
-				for _, p := range a.Ports { // mostly one: not worth a memmove
-					m.ports = append(m.ports, p)
-				}
-			case lang.ActDrop:
-				m.drop = true
-			case lang.ActState:
-				if !containsAction(m.updates, *a) {
-					m.updates = append(m.updates, *a)
-				}
-			}
-		}
-	}
-	if len(m.ports) > 0 {
-		m.sortPorts()
-		m.drop = false // a forward beats a drop: the packet is wanted
-	} else if len(m.updates) == 0 {
-		m.drop = true
-	}
-	if len(m.updates) > 1 {
-		sortRuleActions(m.updates)
-	}
-	m.key = ActionSet{Ports: m.ports, Drop: m.drop, Updates: m.updates}.appendKey(m.key[:0])
-}
-
-// sortPorts orders and dedupes the ports gathered. Ports are host numbers,
-// so a set is usually dense in its span and a bitmap over the span orders it
-// in one pass; a set too sparse for that — fewer ports than the span has
-// words — is sorted by comparison instead.
-func (m *merger) sortPorts() {
-	lo, hi, ascending := m.ports[0], m.ports[0], true
-	for i, p := range m.ports[1:] {
-		lo, hi, ascending = min(lo, p), max(hi, p), ascending && m.ports[i] < p
-	}
-	if ascending {
+// sortPorts orders distinct ports. Ports are host numbers, so a set is
+// usually dense in its span and a bitmap over the span orders it in one
+// pass; a set too sparse for that — fewer ports than the span has words — is
+// sorted by comparison instead, and a port a million up costs no megabyte.
+func sortPorts(ports []int, seen *[]uint64) {
+	if len(ports) < 2 {
 		return
 	}
+	lo, hi := slices.Min(ports), slices.Max(ports)
 	words := uint(hi-lo)/64 + 1
-	if words > uint(len(m.ports)) {
-		slices.Sort(m.ports)
-		m.ports = slices.Compact(m.ports)
+	if words > uint(len(ports)) {
+		slices.Sort(ports)
 		return
 	}
-	if uint(len(m.seen)) < words {
-		m.seen = make([]uint64, words)
+	if uint(len(*seen)) < words {
+		*seen = make([]uint64, words)
 	}
-	for _, p := range m.ports {
+	bitmap := (*seen)[:words]
+	for _, p := range ports {
 		d := uint(p - lo)
-		m.seen[d>>6] |= 1 << (d & 63)
+		bitmap[d>>6] |= 1 << (d & 63)
 	}
-	m.ports = m.ports[:0]
-	for w, word := range m.seen[:words] {
+	i := 0
+	for w, word := range bitmap {
 		for ; word != 0; word &= word - 1 {
-			m.ports = append(m.ports, lo+w<<6+bits.TrailingZeros64(word))
+			ports[i] = lo + w<<6 + bits.TrailingZeros64(word)
+			i++
 		}
-		m.seen[w] = 0
-	}
-}
-
-// actionSet is the last fold as an ActionSet of its own.
-func (m *merger) actionSet() ActionSet {
-	return ActionSet{
-		Ports:   append([]int(nil), m.ports...),
-		Drop:    m.drop,
-		Updates: append([]lang.Action(nil), m.updates...),
-		Group:   -1,
-		key:     string(m.key),
+		bitmap[w] = 0
 	}
 }
 

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"camus/internal/bdd"
 	"camus/internal/lang"
 	"camus/internal/spec"
 )
@@ -529,37 +531,54 @@ func TestActionSetKeyInjective(t *testing.T) {
 	}
 }
 
-// TestMergeSparsePorts: a port set too sparse for a bitmap over its span
-// takes the comparison sort and keeps no scratch the size of the span; a
-// dense one goes through the bitmap, which it leaves clear. Both come out
-// ordered and deduplicated.
+// TestMergeSparsePorts: a class arena counts ports by the order it met them,
+// not by number, and sorts a sparse set by comparison, so a port a million
+// up costs no megabyte; a dense set goes through a bitmap, which it leaves
+// clear. Either way the ports of a class come out ordered and deduplicated,
+// and a set held again, by other rules in another order, is the class it
+// was.
 func TestMergeSparsePorts(t *testing.T) {
 	rules := [][]lang.Action{
 		{lang.Fwd(1048576)}, {lang.Fwd(1)}, {lang.Fwd(1048576, 1)},
-		{lang.Fwd(9, 3)}, {lang.Fwd(3, 200, 9)},
+		{lang.Fwd(9, 3)}, {lang.Fwd(3, 200, 9, 64, 130)}, {lang.Fwd(200, 130), lang.Fwd(3, 9, 64)},
 	}
-	var m merger
-	m.fold(rules, []int{0, 1, 2})
-	if !reflect.DeepEqual(m.ports, []int{1, 1048576}) {
-		t.Errorf("sparse ports merged to %v", m.ports)
+	ca := newClassArena()
+	conjs := make([]bdd.Conj, len(rules))
+	for p := range conjs {
+		conjs[p].Payload = p
 	}
-	if kept := 8 * cap(m.seen); kept > 1024 {
-		t.Errorf("merging two ports kept a %d-byte bitmap", kept)
-	}
-	m.fold(rules, []int{3, 4})
-	if !reflect.DeepEqual(m.ports, []int{3, 9, 200}) {
-		t.Errorf("dense ports merged to %v", m.ports)
-	}
-	if len(m.seen) == 0 {
-		t.Error("five ports within four words did not take the bitmap")
-	}
-	for _, w := range m.seen {
-		if w != 0 {
-			t.Errorf("bitmap left at %x", m.seen)
-			break
+	ca.bind(rules, conjs)
+	class := func(payloads ...int) (int, ActionSet) {
+		for _, p := range payloads {
+			ca.Add(p)
 		}
+		id, _ := ca.Class()
+		for _, p := range payloads {
+			ca.Remove(p)
+		}
+		return id, ca.sets[id]
 	}
-	if as := m.actionSet(); as.Key() != (ActionSet{Ports: []int{3, 9, 200}}).Key() || as.key != as.Key() {
+	sparse, as := class(0, 1, 2)
+	if !reflect.DeepEqual(as.Ports, []int{1, 1048576}) {
+		t.Errorf("sparse ports merged to %v", as.Ports)
+	}
+	if kept := 4*(cap(ca.count)+cap(ca.at)+cap(ca.held)) + 8*cap(ca.seen); kept > 1024 {
+		t.Errorf("counting two ports kept %d bytes", kept)
+	}
+	dense, as := class(4, 3)
+	if !reflect.DeepEqual(as.Ports, []int{3, 9, 64, 130, 200}) {
+		t.Errorf("dense ports merged to %v", as.Ports)
+	}
+	if len(ca.seen) == 0 || slices.ContainsFunc(ca.seen, func(w uint64) bool { return w != 0 }) {
+		t.Errorf("five ports within four words left the bitmap at %x", ca.seen)
+	}
+	if as.Key() != (ActionSet{Ports: []int{3, 9, 64, 130, 200}}).Key() || as.key != as.Key() {
 		t.Errorf("merged set %+v carries key %q", as, as.key)
+	}
+	if again, _ := class(5); again != dense {
+		t.Errorf("fwd(200, 130); fwd(3, 9, 64) is class %d, fwd(3, 200, 9, 64, 130) class %d", again, dense)
+	}
+	if again, _ := class(2, 1); again != sparse || len(ca.held) != 0 {
+		t.Errorf("ports 1 and 1048576 again are class %d, first %d; %d atoms still held", again, sparse, len(ca.held))
 	}
 }

@@ -51,9 +51,17 @@ func (e *Exact) Eval(values []uint64) (key string, payloads []int) {
 
 // mergeActions is what a classArena makes of a payload set new to it.
 func mergeActions(ruleActions [][]lang.Action, payloads []int) ActionSet {
-	var m merger
-	m.fold(ruleActions, payloads)
-	return m.actionSet()
+	ca := newClassArena()
+	conjs := make([]bdd.Conj, len(payloads))
+	for i, p := range payloads {
+		conjs[i].Payload = p
+	}
+	ca.bind(ruleActions, conjs)
+	for _, p := range payloads {
+		ca.Add(p)
+	}
+	id, _ := ca.Class()
+	return ca.sets[id]
 }
 
 // Nodes is the size of the payload-exact diagram.

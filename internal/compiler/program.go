@@ -153,18 +153,25 @@ func (a ActionSet) appendKey(b []byte) []byte {
 	} else {
 		b = append(b, 0)
 	}
+	for i := range a.Updates {
+		b = appendUpdate(b, &a.Updates[i])
+	}
+	return b
+}
+
+// appendUpdate writes a state update as its argument count, then
+// length-prefixed strings.
+func appendUpdate(b []byte, u *lang.Action) []byte {
 	str := func(s string) {
 		b = binary.AppendUvarint(b, uint64(len(s)))
 		b = append(b, s...)
 	}
-	for _, u := range a.Updates { // each: argument count, then length-prefixed strings
-		b = binary.AppendUvarint(b, uint64(len(u.Args)))
-		str(u.Var)
-		str(u.StateKey)
-		str(u.Func)
-		for _, s := range u.Args {
-			str(s)
-		}
+	b = binary.AppendUvarint(b, uint64(len(u.Args)))
+	str(u.Var)
+	str(u.StateKey)
+	str(u.Func)
+	for _, s := range u.Args {
+		str(s)
 	}
 	return b
 }

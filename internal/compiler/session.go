@@ -158,7 +158,8 @@ func (s *Session) Recompile() (*Program, error) {
 			s.opts.Telemetry.Counter("camus_compiler_arena_resets_total").Inc()
 		}
 	}
-	cold := s.arena.build == 0
+	cold := s.arena.builder.ArenaSize() == 0 // nothing built on it yet
+	classes := len(s.arena.sets)
 	conjs := make([]bdd.Conj, 0, total)
 	for _, h := range s.order {
 		conjs = append(conjs, s.live[h]...)
@@ -171,14 +172,10 @@ func (s *Session) Recompile() (*Program, error) {
 		s.coldRetained, s.coldConjs = s.arena.builder.Retained(), total
 	}
 	if tel := s.opts.Telemetry; tel != nil {
-		// A terminal is a miss when this recompile merged some payload set
-		// into its class, a hit when the arena already held all it needed.
-		var misses uint64
-		for _, term := range prog.BDD.Terminals() {
-			if s.arena.merged[term.Class] == s.arena.build {
-				misses++
-			}
-		}
+		// A miss is a class this recompile had to make an ActionSet of, a
+		// hit a terminal whose class the arena already had. Every class made
+		// is some terminal's.
+		misses := uint64(len(s.arena.sets) - classes)
 		tel.Counter("camus_compiler_memo_hits_total").Add(uint64(len(prog.BDD.Terminals())) - misses)
 		tel.Counter("camus_compiler_memo_misses_total").Add(misses)
 		tel.Counter("camus_compiler_recompiles_total").Inc()

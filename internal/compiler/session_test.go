@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"camus/internal/telemetry"
 )
 
 // TestSessionMatchesOneShotCompile: a session that adds all rules once and
@@ -142,6 +144,68 @@ func TestSessionArenaTrimmed(t *testing.T) {
 	if s.ArenaNodes() > arenaSlack*prog.Stats.BDDNodes+4096 {
 		t.Fatalf("arena retains %d nodes for a %d-node live BDD", s.ArenaNodes(), prog.Stats.BDDNodes)
 	}
+}
+
+// TestSessionMemoMissesAreNewClasses: a memo miss is a class a recompile had
+// to make an ActionSet of, a hit a terminal whose class the arena had. After
+// a warm Recompile over 1% churn localized to one symbol — some of it to
+// ports no class had — the misses are at most the classes new to the arena,
+// and hits and misses together are the terminals.
+func TestSessionMemoMissesAreNewClasses(t *testing.T) {
+	const symbols, perSymbol = 20, 50
+	rule := func(sym, k, port int) string {
+		return fmt.Sprintf("stock == S%02d && price > %d : fwd(%d)\n", sym, 10*k, port)
+	}
+	reg := telemetry.NewRegistry()
+	s := NewSession(itchSpec(t), Options{Telemetry: reg})
+	var churned []int
+	for sym := 0; sym < symbols; sym++ {
+		var src strings.Builder
+		for k := 0; k < perSymbol; k++ {
+			src.WriteString(rule(sym, k, 1+(sym+k)%8))
+		}
+		h, err := s.AddSource(src.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sym == 3 {
+			churned = h[:symbols*perSymbol/200]
+		}
+	}
+	if _, err := s.Recompile(); err != nil {
+		t.Fatal(err)
+	}
+	known := map[string]bool{}
+	for _, as := range s.arena.sets {
+		known[as.Key()] = true
+	}
+	if err := s.RemoveRules(churned...); err != nil {
+		t.Fatal(err)
+	}
+	var add strings.Builder
+	for k := range churned {
+		add.WriteString(rule(3, 2*k+1, 9+k%3))
+	}
+	if _, err := s.AddSource(add.String()); err != nil {
+		t.Fatal(err)
+	}
+	hits, misses := reg.Counter("camus_compiler_memo_hits_total"), reg.Counter("camus_compiler_memo_misses_total")
+	hits0, misses0 := hits.Load(), misses.Load()
+	prog, err := s.Recompile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := uint64(0)
+	for _, term := range prog.BDD.Terminals() {
+		if !known[s.arena.sets[term.Class].Key()] {
+			fresh++
+		}
+	}
+	h, m := hits.Load()-hits0, misses.Load()-misses0
+	if m > fresh || h+m != uint64(len(prog.BDD.Terminals())) || fresh == 0 || h == 0 {
+		t.Errorf("warm recompile: %d hits, %d misses over %d terminals, %d classes new to the arena", h, m, len(prog.BDD.Terminals()), fresh)
+	}
+	t.Logf("warm recompile: %d hits, %d misses, %d classes new to the arena", h, m, fresh)
 }
 
 // TestSessionArenaBoundedWithinOneClass: churn that makes no node must still

@@ -47,6 +47,16 @@ func (d Delta) Writes() int {
 	return d.Entries.Added + d.Entries.Removed + d.Groups.Added + d.Groups.Removed
 }
 
+// tally records a table's delta, when it has one, and adds it to the totals.
+func (d *Delta) tally(table string, td TableDelta) {
+	if td != (TableDelta{}) {
+		d.PerTable[table] = td
+		d.Entries.Added += td.Added
+		d.Entries.Removed += td.Removed
+		d.Entries.Reused += td.Reused
+	}
+}
+
 func (d Delta) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "entries: +%d -%d =%d; groups: +%d -%d =%d; writes=%d",
@@ -280,10 +290,17 @@ func (c *Controller) Install(ctx context.Context, newProg *compiler.Program) (De
 // install is the one delta-install path every entry point ends in: align
 // newProg's states to the installed program, diff, commit with the
 // retry/rollback policy, and only then advance the diff base and count
-// the writes. It ends span.
+// the writes. Over a program with no rules — a single terminal, as a switch
+// starts on — there is nothing to align with, and the delta is counted. It
+// ends span.
 func (c *Controller) install(ctx context.Context, span *telemetry.Span, newProg *compiler.Program) (Delta, error) {
-	AlignStates(c.prog, newProg)
-	delta := DiffPrograms(c.prog, newProg)
+	var delta Delta
+	if c.prog.BDD.Root.IsTerminal() {
+		delta = countInstall(c.prog, newProg)
+	} else {
+		AlignStates(c.prog, newProg)
+		delta = DiffPrograms(c.prog, newProg)
+	}
 	span.SetLabel("writes", fmt.Sprint(delta.Writes()))
 	if err := commit(ctx, c.dev, c.Policy, newProg, c.prog, span); err != nil {
 		return Delta{}, err
@@ -465,14 +482,37 @@ func DiffPrograms(oldProg, newProg *compiler.Program) Delta {
 
 	d := Delta{PerTable: make(map[string]TableDelta, len(names))}
 	for i, td := range perTable {
-		if td != (TableDelta{}) {
-			d.PerTable[names[i]] = td
-			d.Entries.Added += td.Added
-			d.Entries.Removed += td.Removed
-			d.Entries.Reused += td.Reused
-		}
+		d.tally(names[i], td)
 	}
 	mergeDiff(groupKeys(oldProg), groupKeys(newProg), sig.compare, func(sig) *TableDelta { return &d.Groups })
+	return d
+}
+
+// countInstall is AlignStates and DiffPrograms for an install over a
+// program whose diagram is one terminal, counted instead of merged, with
+// newProg's states left dense: every entry and group of newProg is added
+// and every one of oldProg removed, but for oldProg's leaf action and group
+// where newProg has them too — alignment gives that terminal oldProg's
+// state, so its leaf entry is reused.
+func countInstall(oldProg, newProg *compiler.Program) Delta {
+	d := Delta{PerTable: make(map[string]TableDelta, len(newProg.Tables)+1)}
+	for i, t := range newProg.Tables {
+		d.tally(newProg.Fields[i].Name, TableDelta{Added: len(t.Entries)})
+	}
+	leaf := TableDelta{Added: len(newProg.Leaf.Entries), Removed: len(oldProg.Leaf.Entries)}
+	for _, e := range oldProg.Leaf.Entries {
+		key := oldProg.Actions[e.Next].Key()
+		if slices.ContainsFunc(newProg.Actions, func(a compiler.ActionSet) bool { return a.Key() == key }) {
+			leaf = TableDelta{Added: leaf.Added - 1, Removed: leaf.Removed - 1, Reused: leaf.Reused + 1}
+		}
+	}
+	d.tally("leaf", leaf)
+	d.Groups = TableDelta{Added: len(newProg.Groups), Removed: len(oldProg.Groups)}
+	for _, g := range oldProg.Groups {
+		if slices.ContainsFunc(newProg.Groups, func(h []int) bool { return slices.Equal(g, h) }) {
+			d.Groups = TableDelta{Added: d.Groups.Added - 1, Removed: d.Groups.Removed - 1, Reused: d.Groups.Reused + 1}
+		}
+	}
 	return d
 }
 

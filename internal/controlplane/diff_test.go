@@ -1,6 +1,7 @@
 package controlplane
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sort"
@@ -8,6 +9,8 @@ import (
 	"testing"
 
 	"camus/internal/compiler"
+	"camus/internal/pipeline"
+	"camus/internal/telemetry"
 )
 
 // The map-based alignment and diff this package used until PR 16, kept as
@@ -177,6 +180,52 @@ func TestMergeDiffEqualsMapOracle(t *testing.T) {
 		if name != "identical" && got.Writes() == 0 {
 			t.Errorf("%s: no writes", name)
 		}
+	}
+}
+
+// TestCountedInstallEqualsDiff: an install over a program with no rules —
+// or whose rules leave one terminal, a forward to a group among them — is
+// counted, not aligned and merged, and the count is the Delta alignment and
+// the merge diff give, field for field, onto every fixture's programs and
+// onto programs that keep the old terminal's action or group or do not.
+// Through a Controller the device writes counted are the same.
+func TestCountedInstallEqualsDiff(t *testing.T) {
+	olds := []string{"", "stock == GOOGL : drop()\n", "price >= 0 : fwd(3,4)\n"}
+	news := []string{"", "stock == XTRA : fwd(3,4)\n", "price >= 0 : fwd(1)\n", "price >= 0 : fwd(3,4)\n"}
+	for _, f := range diffFixtures() {
+		news = append(news, f[1])
+	}
+	for _, o := range olds {
+		for _, n := range news {
+			oldProg := compile(t, o)
+			if !oldProg.BDD.Root.IsTerminal() {
+				t.Fatalf("%q compiles to more than a terminal", o)
+			}
+			got := countInstall(oldProg, compile(t, n))
+			newProg := compile(t, n)
+			AlignStates(oldProg, newProg)
+			if want := DiffPrograms(oldProg, newProg); !reflect.DeepEqual(got, want) {
+				t.Errorf("%q over %q: counted %s %v, diffed %s %v", n, o, got, got.PerTable, want, want.PerTable)
+			}
+		}
+	}
+
+	sw, err := pipeline.New(compile(t, ""), pipeline.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl, tel := NewController(sw), telemetry.New()
+	ctl.SetTelemetry(tel)
+	prog := compile(t, diffFixtures()["from nothing"][1])
+	twin := compile(t, diffFixtures()["from nothing"][1])
+	AlignStates(compile(t, ""), twin)
+	want := DiffPrograms(compile(t, ""), twin)
+	d, err := ctl.Install(context.Background(), prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if writes := tel.Reg().Counter("camus_controlplane_device_writes_total").Load(); d.Writes() != want.Writes() || writes != uint64(want.Writes()) {
+		t.Errorf("first install: %d writes, %d counted on the device; the diff has %d", d.Writes(), writes, want.Writes())
 	}
 }
 
