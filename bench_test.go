@@ -344,9 +344,10 @@ func BenchmarkEndToEndSimulator(b *testing.B) {
 
 // BenchmarkBDDBuild measures BDD construction alone, over conjunctions
 // resolved once, at the shapes BenchmarkCompileCold compiles: with payload
-// sets for terminals (bdd.NewBuilder, as internal/analyze builds) and, as
-// …/classes, with the compiler's action classes — compiler.CompileConjs,
-// lowering included, the path every compile takes.
+// sets for terminals (bdd.Build, whose classifier is bdd.PayloadSets, as
+// internal/analyze builds) and, as …/classes, with the compiler's action
+// classes — compiler.CompileConjs, lowering included, the path every
+// compile takes.
 func BenchmarkBDDBuild(b *testing.B) {
 	sp := workload.ITCHSpec()
 	for _, v := range coldShapes {
@@ -366,7 +367,7 @@ func BenchmarkBDDBuild(b *testing.B) {
 		b.Run(v.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := bdd.NewBuilder().Build(fields, conjs); err != nil {
+				if _, err := bdd.Build(fields, conjs); err != nil {
 					b.Fatal(err)
 				}
 			}

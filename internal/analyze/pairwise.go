@@ -239,10 +239,10 @@ func (a *analysis) condImplies(j, i *ruleInfo) bool {
 func (a *analysis) bddImplies(j, i *ruleInfo) bool {
 	conjs := make([]bdd.Conj, 0, len(j.conjs)+len(i.conjs))
 	for _, rc := range j.conjs {
-		conjs = append(conjs, a.toBDDConj(rc, 0))
+		conjs = append(conjs, toBDDConj(rc, 0))
 	}
 	for _, rc := range i.conjs {
-		conjs = append(conjs, a.toBDDConj(rc, 1))
+		conjs = append(conjs, toBDDConj(rc, 1))
 	}
 	b, err := a.builder.Build(a.bddFields(), conjs)
 	if err != nil {
@@ -250,7 +250,7 @@ func (a *analysis) bddImplies(j, i *ruleInfo) bool {
 	}
 	for _, t := range b.Terminals() {
 		hasJ, hasI := false, false
-		for _, p := range t.Payloads {
+		for _, p := range a.sets.SetOf(t.Class) {
 			switch p {
 			case 0:
 				hasJ = true
@@ -276,13 +276,11 @@ func (a *analysis) bddFields() []bdd.Field {
 	return a.bddFieldList
 }
 
-func (a *analysis) toBDDConj(rc resolvedConj, payload int) bdd.Conj {
+// toBDDConj gives a conjunction no labels: nothing reads the diagram's.
+func toBDDConj(rc resolvedConj, payload int) bdd.Conj {
 	c := bdd.Conj{Payload: payload}
 	for i, f := range rc.fields {
-		c.Constraints = append(c.Constraints, bdd.Constraint{
-			Field: f, Set: rc.sets[i],
-			Label: bdd.Text(a.tab.Fields()[f].Name + "∈" + rc.sets[i].Key()),
-		})
+		c.Constraints = append(c.Constraints, bdd.Constraint{Field: f, Set: rc.sets[i]})
 	}
 	return c
 }

@@ -22,8 +22,9 @@ type analysis struct {
 	opts  Options
 
 	tab          *compiler.FieldTable
-	builder      *bdd.Builder // shared arena for every BDD containment test
-	bddFieldList []bdd.Field  // lazily built from the field table
+	sets         *bdd.PayloadSets // what builder's terminals stand for
+	builder      *bdd.Builder     // shared arena for every BDD containment test
+	bddFieldList []bdd.Field      // lazily built from the field table
 
 	infos []*ruleInfo
 	diags []Diagnostic
@@ -75,10 +76,12 @@ func (c resolvedConj) set(field int) (interval.Set, bool) {
 }
 
 func newAnalysis(sp *spec.Spec, rules []lang.Rule, opts Options) *analysis {
+	sets := bdd.NewPayloadSets()
 	return &analysis{
 		sp: sp, rules: rules, opts: opts,
 		tab:     compiler.NewFieldTable(sp),
-		builder: bdd.NewBuilder(),
+		sets:    sets,
+		builder: bdd.NewClassBuilder(sets),
 	}
 }
 

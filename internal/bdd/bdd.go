@@ -3,9 +3,9 @@
 //
 // Non-terminal nodes test an atomic predicate on a packet field; a terminal
 // node stands for what is done to the packets that reach it — the class a
-// caller's Classifier gives the matching payloads (the compiler: their
-// merged action set), or, without one, the payload set itself. Terminals
-// are hash-consed on that class, so two regions that do the same thing for
+// caller's Classifier gives the matching payloads (the compiler's: their
+// merged action set; PayloadSets: the payload set itself). Terminals are
+// hash-consed on that class, so two regions that do the same thing for
 // different reasons are one node and the reductions below see through them.
 // The builder performs Shannon expansion over the rules' DNF conjunctions,
 // a field at a time: one sweep over the elementary cells the field's
@@ -13,10 +13,10 @@
 // predicate nodes above the cells are then built over sets of cells. A
 // conjunction is settled once its class enters a cell of the last field it
 // constrains: nothing below can kill it, so it leaves the survivor lists
-// and its payload joins an accumulator, counted, that a terminal reads. A
-// cell with nothing unsettled left is a terminal, and what the builder
-// lists is what is still open, not every rule that matched. It applies the
-// paper's three reductions during construction:
+// and its payload is added to the Classifier. A cell with nothing unsettled
+// left is the terminal of the class the Classifier gives what it holds, and
+// what the builder lists is what is still open, not every rule that
+// matched. It applies the paper's three reductions during construction:
 //
 //	(i)   isomorphic subgraphs are shared (hash-consing),
 //	(ii)  nodes whose branches coincide are elided,
@@ -66,7 +66,9 @@ type Text string
 func (t Text) String() string { return string(t) }
 
 // Conj is one DNF conjunction: a set of per-field constraints plus the
-// payload (typically a rule ID) delivered when the conjunction matches.
+// payload delivered when the conjunction matches. A payload is a
+// non-negative number, typically a rule's index, and a Classifier may index
+// by it.
 type Conj struct {
 	Constraints []Constraint
 	Payload     int
@@ -74,7 +76,7 @@ type Conj struct {
 
 // Node is a BDD node. Non-terminals (Field >= 0) test whether the packet's
 // value for Field lies in Set, branching to True or False. Terminals
-// (Field == -1) carry the last three fields.
+// (Field == -1) carry the last two fields.
 type Node struct {
 	ID    int
 	Field int
@@ -82,18 +84,12 @@ type Node struct {
 	Label string
 	True  *Node
 	False *Node
-	// Class is the Classifier's name for the terminal; -1 when the builder
-	// has none and the terminal is its payload set.
+	// Class is the Classifier's name for the terminal.
 	Class int
 	// Matches reports whether a packet reaching the terminal has anything
 	// done to it: the one definition of "matched" that Implies and its
 	// callers share.
 	Matches bool
-	// Payloads, the sorted, deduplicated payloads that matched, is kept only
-	// by a builder without a Classifier (and may be empty: the "no rule
-	// matched" terminal). A class terminal is reached by many payload sets
-	// and names none of them.
-	Payloads []int
 }
 
 // IsTerminal reports whether the node is a terminal.
@@ -120,14 +116,14 @@ func (b *BDD) NumNodes() int { return len(b.nodes) }
 // NumInternal returns the number of predicate (non-terminal) nodes.
 func (b *BDD) NumInternal() int { return len(b.nodes) - len(b.terminals) }
 
-// Classifier is the accumulator's other half: it holds the set of payloads
-// settled on the path the builder is at — Add when a payload's count there
-// goes from 0 to 1, Remove when it goes back — and Class names what is done
-// to a packet matched by exactly those payloads (possibly none). Equal
-// classes must mean equal treatment, and matches says whether that is
-// anything at all. It must answer the same way for the life of the arena it
-// is given to; every Build leaves it holding nothing, so one Classifier
-// serves every build on its arena.
+// Classifier holds the multiset of payloads settled on the path the builder
+// is at — one Add per conjunction settled, one Remove per conjunction
+// unsettled, a payload held while its Adds outnumber its Removes — and Class
+// names what is done to a packet matched by exactly the payloads held
+// (possibly none). Equal classes must mean equal treatment, and matches says
+// whether that is anything at all. It must answer the same way for the life
+// of the arena it is given to; every Build leaves it holding nothing, so one
+// Classifier serves every build on its arena.
 type Classifier interface {
 	Add(payload int)
 	Remove(payload int)
@@ -135,33 +131,26 @@ type Classifier interface {
 }
 
 // Builder is a persistent hash-cons arena that can be reused across Build
-// calls. All nodes live in the arena; the memo, node, and terminal tables
-// are keyed purely by content (predicate interval sets and the alive
-// conjunctions' constraint/payload hashes), so a later Build whose rule set
-// shares conjunctions with an earlier one reuses the unchanged sub-BDDs
-// instead of re-expanding them — the compile-time memoization §3 of the
-// paper calls for under highly dynamic workloads. Under a Classifier the
-// terminals are its classes and the arena keeps no table of payload sets;
-// without one a terminal is found by the order-free hash of its payloads.
+// calls. All nodes live in the arena; the memo and node tables are keyed
+// purely by content (predicate interval sets and the alive conjunctions'
+// constraint/payload hashes), and the terminals by the Classifier's
+// classes, so a later Build whose rule set shares conjunctions with an
+// earlier one reuses the unchanged sub-BDDs instead of re-expanding them —
+// the compile-time memoization §3 of the paper calls for under highly
+// dynamic workloads.
 //
 // The arena is invalidated (Reset) automatically when the field list
 // changes between builds, since every content key is relative to the
 // variable order and domains. A Builder is not safe for concurrent use.
 type Builder struct {
-	fieldsKey  hash128
-	haveFields bool
-	classify   Classifier
+	fieldsKey hash128 // zero: no build yet
+	classify  Classifier
 
 	memo      map[memoKey]*Node // field transitions: what is built below a set of survivors
 	nodeCons  map[nodeKey]*Node
-	termCons  map[hash128]*Node // by payload set, without a Classifier
-	classCons map[int]*Node     // by class, under a Classifier
-	nnodes    int               // arena node counter; arena IDs are never reused
+	classCons map[int]*Node // terminals, by class
+	nnodes    int           // arena node counter; arena IDs are never reused
 }
-
-// NewBuilder returns an empty reusable arena whose terminals are payload
-// sets.
-func NewBuilder() *Builder { return NewClassBuilder(nil) }
 
 // NewClassBuilder returns an empty reusable arena whose terminals are the
 // classes classify gives payload sets.
@@ -175,26 +164,21 @@ func NewClassBuilder(classify Classifier) *Builder {
 func (bl *Builder) Reset() {
 	bl.memo = make(map[memoKey]*Node)
 	bl.nodeCons = make(map[nodeKey]*Node)
-	bl.termCons = make(map[hash128]*Node)
 	bl.classCons = make(map[int]*Node)
 	bl.nnodes = 0
-	bl.haveFields = false
+	bl.fieldsKey = hash128{}
 }
 
 // ArenaSize returns the number of nodes retained in the arena, counting
 // nodes from earlier builds that are no longer reachable.
 func (bl *Builder) ArenaSize() int { return bl.nnodes }
 
-// Retained returns how much the arena holds on to: its nodes plus the
-// field-transition and payload-set table entries, stranded ones included.
-// Under a Classifier the payload-set table stays empty, but the transition
-// table grows with every new set of survivors even when it falls into a
-// class that already has its terminal and no node is made, so this, not
-// ArenaSize, is what to weigh against a cold build's Retained when deciding
-// that Reset pays. It is a measure to compare with itself: what the tables
-// hold per node is the builder's business, and a caller that scales its own
-// cold reading (compiler.Session) stays calibrated when that moves.
-func (bl *Builder) Retained() int { return bl.nnodes + len(bl.memo) + len(bl.termCons) }
+// Retained returns how much the arena holds on to: its nodes plus its field
+// transitions, stranded ones included. A new set of survivors is a new
+// transition even when it falls into a class that has its terminal already,
+// so this, not ArenaSize, is what to weigh against a cold build's Retained
+// when deciding that Reset pays; it is a measure to compare with itself.
+func (bl *Builder) Retained() int { return bl.nnodes + len(bl.memo) }
 
 // builder holds per-build construction state on top of a shared arena.
 type builder struct {
@@ -221,18 +205,6 @@ type builder struct {
 	predAt    [][]int32
 	predEpoch int
 	scratch
-
-	// The accumulator: per distinct payload (payOf is its value, ascending),
-	// how many of the conjunctions settled on the path at hand carry it.
-	// Without a Classifier it also keeps the payloads counted: a bit each in
-	// held, a bit per word of held that is not zero in heldWords, nheld of
-	// them, and the order-free sum of their hashes, heldSum.
-	payOf     []int
-	count     []int32
-	held      []uint64
-	heldWords []uint64
-	nheld     int
-	heldSum   hash128
 
 	// steps counts the work that grows with the input: a sweep event, a
 	// survivor listed, a conjunction settled or unsettled, a word of a cell
@@ -360,7 +332,7 @@ type pred struct {
 type predRef struct{ f, idx int32 }
 
 type conjInfo struct {
-	pay         int32 // the payload's place in payOf
+	payload     int
 	first, past int32 // the conjunction's predicate uses are refs[first:past]
 	last        int32 // the last field a predicate of it tests; -1: none
 	// hash is a content hash (payload + clamped constraint sets, in order),
@@ -396,9 +368,10 @@ type cellPred struct {
 }
 
 // Build constructs the reduced ordered multi-terminal BDD for the given
-// conjunctions over the given ordered fields, using a fresh arena.
+// conjunctions over the given ordered fields, on a fresh arena whose
+// terminals are payload sets (a caller that reads them uses a PayloadSets).
 func Build(fields []Field, conjs []Conj) (*BDD, error) {
-	return NewBuilder().Build(fields, conjs)
+	return NewClassBuilder(NewPayloadSets()).Build(fields, conjs)
 }
 
 // Build constructs the reduced ordered multi-terminal BDD for the given
@@ -417,7 +390,7 @@ func (bl *Builder) Build(fields []Field, conjs []Conj) (*BDD, error) {
 
 // run builds the diagram of every conjunction, whose hashes sum to sum: the
 // ones that constrain no field are settled from the start, and the
-// accumulator is left as it was found, empty.
+// Classifier is left as it was found, empty.
 func (b *builder) run(sum hash128) *Node {
 	alive := make([]int32, 0, len(b.conjs))
 	var none []int32
@@ -437,10 +410,9 @@ func (b *builder) run(sum hash128) *Node {
 // begin readies a build on the arena: the conjunctions ingested, the
 // predicates in canonical order, and the sum of every conjunction's hash.
 func (bl *Builder) begin(fields []Field, conjs []Conj) (b *builder, sum hash128, err error) {
-	if fk := hashFields(fields); !bl.haveFields || fk != bl.fieldsKey {
+	if fk := hashFields(fields); fk != bl.fieldsKey {
 		bl.Reset()
 		bl.fieldsKey = fk
-		bl.haveFields = true
 	}
 	b = &builder{shared: bl, fields: fields}
 	if err := b.ingest(conjs); err != nil {
@@ -462,35 +434,23 @@ func (bl *Builder) begin(fields []Field, conjs []Conj) (b *builder, sum hash128,
 			b.classSlot[f][r] = -1
 		}
 	}
-	b.count = make([]int32, len(b.payOf))
-	if bl.classify == nil {
-		b.held = make([]uint64, (len(b.payOf)+63)/64)
-		b.heldWords = make([]uint64, (len(b.held)+63)/64)
-	}
 	for i := range b.conjs {
 		sum = sum.plus(b.conjs[i].hash)
 	}
 	return b, sum, nil
 }
 
-func (b *builder) finish(root *Node) *BDD {
-	nodes, terminals, pubRoot := extract(root, b.shared.nnodes)
-	return &BDD{Fields: b.fields, Root: pubRoot, nodes: nodes, terminals: terminals}
-}
-
 // ingest clamps every constraint to its field's domain, drops
 // unsatisfiable conjunctions, and interns what is left: the distinct
 // predicates per field (a label is formatted only for the constraint that
 // introduces one), each conjunction's requirement per field, the last field
-// it tests, its payload's place among the distinct payloads, and its
-// content hash.
+// it tests, and its content hash.
 func (b *builder) ingest(conjs []Conj) error {
 	nf := len(b.fields)
 	b.preds = make([][]pred, nf)
 	b.reqs = make([][]interval.Set, nf)
 	predIdx := make([]map[hash128]int32, nf)
 	reqIdx := make([]map[hash128]int32, nf)
-	var payIdx map[int]int32 // see payload
 	b.conjs, b.cls = make([]conjInfo, 0, len(conjs)), make([]int32, 0, len(conjs)*nf)
 	for f := range predIdx {
 		predIdx[f] = make(map[hash128]int32)
@@ -566,58 +526,19 @@ func (b *builder) ingest(conjs []Conj) error {
 		for _, r := range b.refs[first:] {
 			last = max(last, r.f)
 		}
-		b.conjs = append(b.conjs, conjInfo{b.payload(c.Payload, &payIdx), int32(first), int32(len(b.refs)), last, ch.avalanche()})
-	}
-	if payIdx != nil {
-		// Number the payloads in ascending order after all.
-		met := b.payOf
-		b.payOf = slices.Clone(met)
-		slices.Sort(b.payOf)
-		for d, p := range b.payOf {
-			payIdx[p] = int32(d)
-		}
-		for i := range b.conjs {
-			b.conjs[i].pay = payIdx[met[b.conjs[i].pay]]
-		}
+		b.conjs = append(b.conjs, conjInfo{c.Payload, int32(first), int32(len(b.refs)), last, ch.avalanche()})
 	}
 	return nil
 }
 
-// payload returns p's place among the distinct payloads, giving it the next
-// if it has none. Payloads mostly come ascending, and while they do a new one
-// is one above the last and no map is needed; once one does not, *index
-// holds every place.
-func (b *builder) payload(p int, index *map[int]int32) int32 {
-	last := int32(len(b.payOf)) - 1
-	if last >= 0 && b.payOf[last] == p {
-		return last
-	}
-	if *index == nil {
-		if last < 0 || b.payOf[last] < p {
-			b.payOf = append(b.payOf, p)
-			return last + 1
-		}
-		*index = make(map[int]int32, len(b.payOf))
-		for d, q := range b.payOf {
-			(*index)[q] = int32(d)
-		}
-	}
-	d, ok := (*index)[p]
-	if !ok {
-		d = int32(len(b.payOf))
-		(*index)[p] = d
-		b.payOf = append(b.payOf, p)
-	}
-	return d
-}
-
-// extract snapshots the sub-DAG reachable from the arena root into fresh
+// finish snapshots the sub-DAG reachable from the arena root into fresh
 // nodes with dense IDs. IDs are assigned in true-branch-first post-order —
 // exactly the order a cold builder creates nodes in (children complete
 // before their parent is consed, the true subtree before the false one) —
 // so a warm build's output is indistinguishable from a cold build's.
-func extract(root *Node, arenaNodes int) (nodes, terminals []*Node, pubRoot *Node) {
-	clones := make([]*Node, arenaNodes)
+func (b *builder) finish(root *Node) *BDD {
+	out := &BDD{Fields: b.fields}
+	clones := make([]*Node, b.shared.nnodes)
 	var walk func(n *Node) *Node
 	walk = func(n *Node) *Node {
 		if c := clones[n.ID]; c != nil {
@@ -625,20 +546,19 @@ func extract(root *Node, arenaNodes int) (nodes, terminals []*Node, pubRoot *Nod
 		}
 		var c *Node
 		if n.IsTerminal() {
-			c = &Node{ID: len(nodes), Field: -1, Class: n.Class, Matches: n.Matches, Payloads: n.Payloads}
-			nodes = append(nodes, c)
-			terminals = append(terminals, c)
+			c = &Node{Field: -1, Class: n.Class, Matches: n.Matches}
+			out.terminals = append(out.terminals, c)
 		} else {
-			t := walk(n.True)
-			e := walk(n.False)
-			c = &Node{ID: len(nodes), Field: n.Field, Set: n.Set, Label: n.Label, True: t, False: e}
-			nodes = append(nodes, c)
+			t, e := walk(n.True), walk(n.False)
+			c = &Node{Field: n.Field, Set: n.Set, Label: n.Label, True: t, False: e}
 		}
+		c.ID = len(out.nodes)
+		out.nodes = append(out.nodes, c)
 		clones[n.ID] = c
 		return c
 	}
-	pubRoot = walk(root)
-	return nodes, terminals, pubRoot
+	out.Root = walk(root)
+	return out
 }
 
 // sortPreds orders each field's predicate list canonically — by (min, max,
@@ -672,7 +592,7 @@ func (b *builder) sortPreds() {
 // the number of conjunctions alive, settled ones included, and the sum of
 // their hashes. It buckets the open ones into requirement classes once;
 // sweep then works on classes and cells. With nothing open, the subgraph is
-// the terminal of what the accumulator holds.
+// the terminal of what the Classifier holds.
 func (b *builder) visit(f int, alive []int32, sum hash128, n int) *Node {
 	if len(alive) == 0 {
 		return b.terminal()
@@ -681,14 +601,9 @@ func (b *builder) visit(f int, alive []int32, sum hash128, n int) *Node {
 
 	classes, which := b.bucket(f, alive)
 	if len(classes) == 1 && classes[0].req.IsEmpty() {
-		// Nothing open constrains f: everything survives it.
-		key := memoKey{field: int32(f), alive: sum, aliveLen: int32(n)}
-		nd, ok := b.shared.memo[key]
-		if !ok {
-			nd = b.visit(f+1, alive, sum, n)
-			b.shared.memo[key] = nd
-		}
-		return nd
+		// Nothing open constrains f: everything survives it, still open.
+		classes[0].open = alive
+		return b.transition(f, classes, []int32{0}, sum, n, len(alive))
 	}
 	b.deal(f, alive, classes, which)
 	for k := range classes {
@@ -772,7 +687,7 @@ func (b *builder) deal(f int, alive []int32, classes []class, which []int32) {
 // key of the field transition, so the open conjunctions are listed and the
 // fields after f visited only for a set of survivors the arena has not met,
 // and only at a cell where the set changed. A class's settling members are
-// in the accumulator while it is present, and leave it when the walk ends.
+// in the Classifier while it is present, and leave it when the walk ends.
 //
 // The second pass (expand) builds the predicate nodes above the cells.
 func (b *builder) sweep(f int, classes []class, settled hash128, n int) *Node {
@@ -1044,84 +959,33 @@ func (b *builder) within(w0 int, s []uint64, v0 int, t []uint64) bool {
 	return true
 }
 
-// settle counts the payloads of conjunctions into the accumulator, and
-// unsettle counts them out. Only a count that leaves or reaches zero
-// changes the set held: the Classifier's, or without one the builder's.
+// settle adds the payloads of conjunctions to the Classifier, and unsettle
+// removes them: a call per conjunction, the Classifier doing the counting.
 func (b *builder) settle(conjs []int32) {
 	for _, ci := range conjs {
-		d := b.conjs[ci].pay
-		if b.count[d]++; b.count[d] > 1 {
-			continue
-		}
-		if cl := b.shared.classify; cl != nil {
-			cl.Add(b.payOf[d])
-		} else {
-			b.held[d>>6] |= 1 << (d & 63)
-			b.heldWords[d>>12] |= 1 << (d >> 6 & 63)
-			b.nheld++
-			b.heldSum = b.heldSum.plus(payloadHash(b.payOf[d]))
-		}
+		b.shared.classify.Add(b.conjs[ci].payload)
 	}
 	b.steps += len(conjs)
 }
 
 func (b *builder) unsettle(conjs []int32) {
 	for _, ci := range conjs {
-		d := b.conjs[ci].pay
-		if b.count[d]--; b.count[d] > 0 {
-			continue
-		}
-		if cl := b.shared.classify; cl != nil {
-			cl.Remove(b.payOf[d])
-		} else {
-			if b.held[d>>6] &^= 1 << (d & 63); b.held[d>>6] == 0 {
-				b.heldWords[d>>12] &^= 1 << (d >> 6 & 63)
-			}
-			b.nheld--
-			b.heldSum = b.heldSum.minus(payloadHash(b.payOf[d]))
-		}
+		b.shared.classify.Remove(b.conjs[ci].payload)
 	}
 	b.steps += len(conjs)
 }
 
-// payloadHash is a payload's term in the accumulator's order-free sum.
-func payloadHash(p int) hash128 { return hash128{uint64(p), 0x4cf5ad432745937f}.avalanche() }
-
-// terminal hash-conses the terminal node for the payloads the accumulator
-// holds: under a Classifier on the class it gives them, and without one on
-// the payload set, found by its hash sum and listed, in order, only when new
-// to the arena.
+// terminal hash-conses the terminal node of the class the Classifier gives
+// the payloads it holds.
 func (b *builder) terminal() *Node {
 	sh := b.shared
-	if sh.classify != nil {
-		class, matches := sh.classify.Class()
-		n := sh.classCons[class]
-		if n == nil {
-			n = b.newTerminal(class, matches, nil)
-			sh.classCons[class] = n
-		}
-		return n
+	class, matches := sh.classify.Class()
+	n := sh.classCons[class]
+	if n == nil {
+		n = &Node{ID: sh.nnodes, Field: -1, Class: class, Matches: matches}
+		sh.nnodes++
+		sh.classCons[class] = n
 	}
-	if n, ok := sh.termCons[b.heldSum]; ok {
-		return n
-	}
-	payloads := make([]int, 0, b.nheld)
-	for v, top := range b.heldWords {
-		for ; top != 0; top &= top - 1 {
-			w := v<<6 + bits.TrailingZeros64(top)
-			for word := b.held[w]; word != 0; word &= word - 1 {
-				payloads = append(payloads, b.payOf[w<<6+bits.TrailingZeros64(word)])
-			}
-		}
-	}
-	n := b.newTerminal(-1, len(payloads) > 0, payloads)
-	sh.termCons[b.heldSum] = n
-	return n
-}
-
-func (b *builder) newTerminal(class int, matches bool, payloads []int) *Node {
-	n := &Node{ID: b.shared.nnodes, Field: -1, Class: class, Matches: matches, Payloads: payloads}
-	b.shared.nnodes++
 	return n
 }
 

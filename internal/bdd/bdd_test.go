@@ -16,6 +16,14 @@ func mkConj(payload int, cons ...Constraint) Conj {
 
 func c(f int, s interval.Set) Constraint { return Constraint{Field: f, Set: s} }
 
+// buildSets builds with payload-set terminals and returns the sets they
+// are classes of.
+func buildSets(fields []Field, conjs []Conj) (*BDD, *PayloadSets, error) {
+	sets := NewPayloadSets()
+	b, err := NewClassBuilder(sets).Build(fields, conjs)
+	return b, sets, err
+}
+
 // evalConjs is the reference semantics: payloads of conjunctions whose
 // every constraint holds.
 func evalConjs(conjs []Conj, values []uint64) []int {
@@ -48,11 +56,11 @@ func evalConjs(conjs []Conj, values []uint64) []int {
 
 func TestBuildEmptyRuleSet(t *testing.T) {
 	fields := []Field{{Name: "x", Max: 255}}
-	b, err := Build(fields, nil)
+	b, sets, err := buildSets(fields, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !b.Root.IsTerminal() || len(b.Root.Payloads) != 0 {
+	if !b.Root.IsTerminal() || len(sets.SetOf(b.Root.Class)) != 0 {
 		t.Fatalf("empty rule set should produce the empty terminal, got %+v", b.Root)
 	}
 }
@@ -60,17 +68,17 @@ func TestBuildEmptyRuleSet(t *testing.T) {
 func TestBuildSingleEquality(t *testing.T) {
 	fields := []Field{{Name: "stock", Max: ^uint64(0)}}
 	conjs := []Conj{mkConj(0, c(0, interval.Point(42)))}
-	b, err := Build(fields, conjs)
+	b, sets, err := buildSets(fields, conjs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b.Root.IsTerminal() {
 		t.Fatal("root should test the predicate")
 	}
-	if got := b.Lookup([]uint64{42}).Payloads; len(got) != 1 || got[0] != 0 {
+	if got := sets.SetOf(b.Lookup([]uint64{42}).Class); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("Eval(42) = %v", got)
 	}
-	if got := b.Lookup([]uint64{41}).Payloads; len(got) != 0 {
+	if got := sets.SetOf(b.Lookup([]uint64{41}).Class); len(got) != 0 {
 		t.Fatalf("Eval(41) = %v", got)
 	}
 }
@@ -98,7 +106,7 @@ func TestReductionImpliedPredicateNotMaterialized(t *testing.T) {
 	conjs := []Conj{
 		mkConj(0, c(0, interval.GreaterThan(100, 1000)), c(0, interval.GreaterThan(50, 1000))),
 	}
-	b, err := Build(fields, conjs)
+	b, sets, err := buildSets(fields, conjs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,10 +115,10 @@ func TestReductionImpliedPredicateNotMaterialized(t *testing.T) {
 	if b.NumInternal() > 2 {
 		t.Fatalf("implied predicates materialized: %d internal nodes", b.NumInternal())
 	}
-	if got := b.Lookup([]uint64{150}).Payloads; len(got) != 1 {
+	if got := sets.SetOf(b.Lookup([]uint64{150}).Class); len(got) != 1 {
 		t.Fatalf("Eval(150) = %v", got)
 	}
-	if got := b.Lookup([]uint64{75}).Payloads; len(got) != 0 {
+	if got := sets.SetOf(b.Lookup([]uint64{75}).Class); len(got) != 0 {
 		t.Fatalf("Eval(75) = %v (75 is not > 100)", got)
 	}
 }
@@ -121,12 +129,12 @@ func TestUnsatisfiableConjunctionDropped(t *testing.T) {
 		mkConj(0, c(0, interval.GreaterThan(80, 100)), c(0, interval.LessThan(20))),
 		mkConj(1, c(0, interval.Point(5))),
 	}
-	b, err := Build(fields, conjs)
+	b, sets, err := buildSets(fields, conjs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range []uint64{0, 5, 19, 50, 81, 100} {
-		got := b.Lookup([]uint64{v}).Payloads
+		got := sets.SetOf(b.Lookup([]uint64{v}).Class)
 		for _, p := range got {
 			if p == 0 {
 				t.Fatalf("unsatisfiable conjunction matched value %d", v)
@@ -278,17 +286,14 @@ func TestEvalMatchesReferenceSemantics(t *testing.T) {
 	fields := []Field{{Name: "a", Max: 63}, {Name: "b", Max: 63}, {Name: "c", Max: 63}}
 	for trial := 0; trial < 100; trial++ {
 		conjs := randomConjs(r, fields, 15, 3)
-		b, err := Build(fields, conjs)
+		b, sets, err := buildSets(fields, conjs)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for probe := 0; probe < 200; probe++ {
 			values := []uint64{r.Uint64() % 64, r.Uint64() % 64, r.Uint64() % 64}
 			want := evalConjs(conjs, values)
-			got := b.Lookup(values).Payloads
-			if got == nil {
-				got = []int{}
-			}
+			got := sets.SetOf(b.Lookup(values).Class)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d: Eval(%v) = %v, want %v", trial, values, got, want)
 			}
@@ -311,12 +316,12 @@ func TestHashConsingDeterminism(t *testing.T) {
 	if b1.NumNodes() != b2.NumNodes() {
 		t.Fatalf("same input, different node counts: %d vs %d", b1.NumNodes(), b2.NumNodes())
 	}
-	if b1.Dot(payloadLabel) != b2.Dot(payloadLabel) {
+	if b1.Dot(classLabel) != b2.Dot(classLabel) {
 		t.Fatal("same input, different structure")
 	}
 }
 
-func payloadLabel(n *Node) string { return fmt.Sprint(n.Payloads) }
+func classLabel(n *Node) string { return fmt.Sprint(n.Class) }
 
 func TestDotOutput(t *testing.T) {
 	fields := []Field{{Name: "x", Max: 255}}
@@ -324,7 +329,7 @@ func TestDotOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dot := b.Dot(payloadLabel)
+	dot := b.Dot(classLabel)
 	if len(dot) == 0 || dot[:7] != "digraph" {
 		t.Fatalf("bad dot output: %q", dot)
 	}
@@ -348,17 +353,17 @@ func TestPaperFigure3(t *testing.T) {
 		mkConj(1, c(0, interval.LessThan(60)), c(1, interval.Point(aapl))),
 		mkConj(2, c(0, interval.GreaterThan(100, sharesMax)), c(1, interval.Point(msft))),
 	}
-	b, err := Build(fields, conjs)
+	b, sets, err := buildSets(fields, conjs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := b.Lookup([]uint64{59, aapl}).Payloads; !reflect.DeepEqual(got, []int{0, 1}) {
+	if got := sets.SetOf(b.Lookup([]uint64{59, aapl}).Class); !reflect.DeepEqual(got, []int{0, 1}) {
 		t.Fatalf("AAPL @59 shares: %v", got)
 	}
-	if got := b.Lookup([]uint64{101, msft}).Payloads; !reflect.DeepEqual(got, []int{2}) {
+	if got := sets.SetOf(b.Lookup([]uint64{101, msft}).Class); !reflect.DeepEqual(got, []int{2}) {
 		t.Fatalf("MSFT @101 shares: %v", got)
 	}
-	if got := b.Lookup([]uint64{80, aapl}).Payloads; len(got) != 0 {
+	if got := sets.SetOf(b.Lookup([]uint64{80, aapl}).Class); len(got) != 0 {
 		t.Fatalf("AAPL @80 shares should match nothing: %v", got)
 	}
 	// Root must test shares (field 0): ordered BDD.

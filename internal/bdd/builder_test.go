@@ -1,7 +1,6 @@
 package bdd
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -29,53 +28,6 @@ func churnConjs(n int, seed int64) []Conj {
 	return out
 }
 
-// requireSameBDD checks that two BDDs are bit-identical: same node and
-// terminal counts, same node IDs along every path, and the same payload
-// sets on random evaluations.
-func requireSameBDD(t *testing.T, want, got *BDD, fields []Field, seed int64) {
-	t.Helper()
-	if want.NumNodes() != got.NumNodes() {
-		t.Fatalf("node count %d != %d", got.NumNodes(), want.NumNodes())
-	}
-	if len(want.Terminals()) != len(got.Terminals()) {
-		t.Fatalf("terminal count %d != %d", len(got.Terminals()), len(want.Terminals()))
-	}
-	if (want.Root == nil) != (got.Root == nil) {
-		t.Fatalf("root presence differs")
-	}
-	if want.Root != nil && want.Root.ID != got.Root.ID {
-		t.Fatalf("root ID %d != %d", got.Root.ID, want.Root.ID)
-	}
-	wantNodes, gotNodes := want.Nodes(), got.Nodes()
-	for i := range wantNodes {
-		w, g := wantNodes[i], gotNodes[i]
-		if w.ID != g.ID || w.Field != g.Field || w.IsTerminal() != g.IsTerminal() {
-			t.Fatalf("node %d differs: %+v vs %+v", i, w, g)
-		}
-		if !w.IsTerminal() {
-			if w.Set.Key() != g.Set.Key() {
-				t.Fatalf("node %d predicate %s != %s", i, g.Set.Key(), w.Set.Key())
-			}
-			if w.True.ID != g.True.ID || w.False.ID != g.False.ID {
-				t.Fatalf("node %d children (%d,%d) != (%d,%d)",
-					i, g.True.ID, g.False.ID, w.True.ID, w.False.ID)
-			}
-		} else if fmt.Sprint(w.Payloads) != fmt.Sprint(g.Payloads) {
-			t.Fatalf("terminal %d payloads %v != %v", i, g.Payloads, w.Payloads)
-		}
-	}
-	r := rand.New(rand.NewSource(seed))
-	for probe := 0; probe < 200; probe++ {
-		vals := make([]uint64, len(fields))
-		for f := range vals {
-			vals[f] = r.Uint64() % (fields[f].Max + 1)
-		}
-		if w, g := fmt.Sprint(want.Lookup(vals).Payloads), fmt.Sprint(got.Lookup(vals).Payloads); w != g {
-			t.Fatalf("eval(%v) = %s, want %s", vals, g, w)
-		}
-	}
-}
-
 // TestBuilderWarmMatchesCold checks the memoization contract: building the
 // same conjunction set through a warm arena (after unrelated builds) yields
 // a BDD bit-identical to a cold, from-scratch build.
@@ -87,12 +39,13 @@ func TestBuilderWarmMatchesCold(t *testing.T) {
 		b[i].Payload += len(a) // distinct payload space
 	}
 
-	cold, err := Build(fields, a)
+	cold, coldSets, err := buildSets(fields, a)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	bl := NewBuilder()
+	sets := NewPayloadSets()
+	bl := NewClassBuilder(sets)
 	// Warm the arena with a superset build, then rebuild the original set.
 	if _, err := bl.Build(fields, append(append([]Conj(nil), a...), b...)); err != nil {
 		t.Fatal(err)
@@ -101,7 +54,7 @@ func TestBuilderWarmMatchesCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameBDD(t, cold, warm, fields, 77)
+	requireSameDiagram(t, cold, warm, coldSets, sets)
 }
 
 // TestBuilderReuseAcrossChurn simulates rule churn: repeated builds with
@@ -111,7 +64,8 @@ func TestBuilderWarmMatchesCold(t *testing.T) {
 func TestBuilderReuseAcrossChurn(t *testing.T) {
 	fields := stockPriceFields()
 	conjs := churnConjs(300, 3)
-	bl := NewBuilder()
+	sets := NewPayloadSets()
+	bl := NewClassBuilder(sets)
 
 	first, err := bl.Build(fields, conjs)
 	if err != nil {
@@ -138,11 +92,11 @@ func TestBuilderReuseAcrossChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := Build(fields, conjs)
+		cold, coldSets, err := buildSets(fields, conjs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameBDD(t, cold, warm, fields, int64(round))
+		requireSameDiagram(t, cold, warm, coldSets, sets)
 
 		// The previously returned BDD must be untouched by the new build.
 		if prev.Root == nil || prev.NumNodes() == 0 {
@@ -162,7 +116,8 @@ func TestBuilderReuseAcrossChurn(t *testing.T) {
 // its arena when the field universe changes — stale memo hits across
 // incompatible field spaces would be unsound.
 func TestBuilderResetOnFieldChange(t *testing.T) {
-	bl := NewBuilder()
+	sets := NewPayloadSets()
+	bl := NewClassBuilder(sets)
 	fieldsA := stockPriceFields()
 	if _, err := bl.Build(fieldsA, churnConjs(50, 5)); err != nil {
 		t.Fatal(err)
@@ -177,11 +132,11 @@ func TestBuilderResetOnFieldChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Build(fieldsB, conjsB)
+	cold, coldSets, err := buildSets(fieldsB, conjsB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameBDD(t, cold, warm, fieldsB, 9)
+	requireSameDiagram(t, cold, warm, coldSets, sets)
 }
 
 // TestBuilderExplicitReset checks Reset drops the arena but leaves the
@@ -189,7 +144,8 @@ func TestBuilderResetOnFieldChange(t *testing.T) {
 func TestBuilderExplicitReset(t *testing.T) {
 	fields := stockPriceFields()
 	conjs := churnConjs(80, 6)
-	bl := NewBuilder()
+	sets := NewPayloadSets()
+	bl := NewClassBuilder(sets)
 	if _, err := bl.Build(fields, conjs); err != nil {
 		t.Fatal(err)
 	}
@@ -201,9 +157,9 @@ func TestBuilderExplicitReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Build(fields, conjs)
+	cold, coldSets, err := buildSets(fields, conjs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameBDD(t, cold, warm, fields, 10)
+	requireSameDiagram(t, cold, warm, coldSets, sets)
 }

@@ -17,7 +17,7 @@ import (
 // diagram; sweep must give the same one, node for node. Nor does it settle
 // anything: it lists every survivor, settled or not, down to the last field,
 // and makes the terminal of the payloads listed there (listTerminal, the
-// accumulator's oracle).
+// settling's oracle).
 
 // buildChain is Builder.Build with the chain in sweep's place.
 func buildChain(bl *Builder, fields []Field, conjs []Conj) (*BDD, error) {
@@ -32,40 +32,17 @@ func buildChain(bl *Builder, fields []Field, conjs []Conj) (*BDD, error) {
 	return b.finish(b.chainVisit(0, alive, sum)), nil
 }
 
-// listTerminal hash-conses the terminal node for the given satisfied
-// conjunctions: on their payload set, and under a Classifier, asked once
-// per payload set, on the class it gives them.
+// listTerminal is the terminal of the payloads of the given satisfied
+// conjunctions, each added to the Classifier as it is listed and removed
+// again.
 func (b *builder) listTerminal(alive []int32) *Node {
-	payloads := make([]int, 0, len(alive))
 	for _, ci := range alive {
-		payloads = append(payloads, b.payOf[b.conjs[ci].pay])
+		b.shared.classify.Add(b.conjs[ci].payload)
 	}
-	slices.Sort(payloads)
-	payloads = slices.Compact(payloads)
-	key := hashSeed
-	for _, p := range payloads {
-		key = key.word(uint64(p))
+	n := b.terminal()
+	for _, ci := range alive {
+		b.shared.classify.Remove(b.conjs[ci].payload)
 	}
-	if n, ok := b.shared.termCons[key]; ok {
-		return n
-	}
-	var n *Node
-	if classify := b.shared.classify; classify == nil {
-		n = b.newTerminal(-1, len(payloads) > 0, payloads)
-	} else {
-		for _, p := range payloads {
-			classify.Add(p)
-		}
-		class, matches := classify.Class()
-		for _, p := range payloads {
-			classify.Remove(p)
-		}
-		if n = b.shared.classCons[class]; n == nil {
-			n = b.newTerminal(class, matches, nil)
-			b.shared.classCons[class] = n
-		}
-	}
-	b.shared.termCons[key] = n
 	return n
 }
 
@@ -305,21 +282,28 @@ func (c fuzzCase) builds() [2][]Conj {
 }
 
 // requireSameDiagram holds two extracted diagrams to each other node for
-// node.
-func requireSameDiagram(t *testing.T, want, got *BDD) {
+// node. Terminals are compared by the payload sets their classes are when
+// their builds' PayloadSets are given, and by class when they are nil.
+func requireSameDiagram(t *testing.T, want, got *BDD, wantSets, gotSets *PayloadSets) {
 	t.Helper()
 	if want.NumNodes() != got.NumNodes() || len(want.Terminals()) != len(got.Terminals()) || want.Root.ID != got.Root.ID {
-		t.Fatalf("%d nodes, %d terminals, root %d; the chain has %d, %d, %d", got.NumNodes(), len(got.Terminals()),
+		t.Fatalf("%d nodes, %d terminals, root %d; want %d, %d, %d", got.NumNodes(), len(got.Terminals()),
 			got.Root.ID, want.NumNodes(), len(want.Terminals()), want.Root.ID)
+	}
+	name := func(sets *PayloadSets, n *Node) string {
+		if sets == nil {
+			return fmt.Sprint(n.Class)
+		}
+		return fmt.Sprint(sets.SetOf(n.Class))
 	}
 	for i, w := range want.Nodes() {
 		g := got.Nodes()[i]
 		if w.ID != g.ID || w.Field != g.Field || w.Label != g.Label || !w.Set.Equal(g.Set) ||
-			w.Class != g.Class || w.Matches != g.Matches || fmt.Sprint(w.Payloads) != fmt.Sprint(g.Payloads) {
-			t.Fatalf("node %d: %+v, the chain has %+v", i, g, w)
+			w.Matches != g.Matches || w.IsTerminal() && name(wantSets, w) != name(gotSets, g) {
+			t.Fatalf("node %d: %+v, want %+v", i, g, w)
 		}
 		if !w.IsTerminal() && (w.True.ID != g.True.ID || w.False.ID != g.False.ID) {
-			t.Fatalf("node %d branches to (%d, %d), the chain's to (%d, %d)", i, g.True.ID, g.False.ID, w.True.ID, w.False.ID)
+			t.Fatalf("node %d branches to (%d, %d), want (%d, %d)", i, g.True.ID, g.False.ID, w.True.ID, w.False.ID)
 		}
 	}
 }
@@ -448,32 +432,31 @@ var fuzzSeeds = []struct {
 }
 
 // funcClassifier adapts a function of the payload set held to a
-// Classifier, and checks how it is driven: an Add of a payload it holds or a
-// Remove of one it does not fails the test, and it counts its calls.
+// Classifier, and checks how it is driven: a Remove of a payload it does not
+// hold fails the test, and it counts its calls.
 type funcClassifier struct {
 	t                      testing.TB
 	fn                     func(payloads []int) (class int, matches bool)
-	held                   map[int]bool
+	held                   map[int]int // payload -> Adds less Removes
 	adds, removes, classes int
 }
 
 func classifierOf(t testing.TB, fn func([]int) (int, bool)) *funcClassifier {
-	return &funcClassifier{t: t, fn: fn, held: map[int]bool{}}
+	return &funcClassifier{t: t, fn: fn, held: map[int]int{}}
 }
 
 func (c *funcClassifier) Add(p int) {
-	if c.held[p] {
-		c.t.Fatalf("Add(%d) of a payload held", p)
-	}
-	c.held[p] = true
+	c.held[p]++
 	c.adds++
 }
 
 func (c *funcClassifier) Remove(p int) {
-	if !c.held[p] {
+	if c.held[p] == 0 {
 		c.t.Fatalf("Remove(%d) of a payload not held", p)
 	}
-	delete(c.held, p)
+	if c.held[p]--; c.held[p] == 0 {
+		delete(c.held, p)
+	}
 	c.removes++
 }
 
@@ -498,8 +481,9 @@ func (c *funcClassifier) requireEmpty() {
 // FuzzSweepMatchesChain builds random conjunctions over random fields both
 // ways, cold and then warm on the same two arenas, with payload-set
 // terminals and with class terminals: the extracted diagrams must be
-// identical, so the accumulator's terminals are the listed payloads'. Each
-// build must leave its classifier holding nothing.
+// identical, so settling conjunctions as the sweep meets them gives the
+// terminals listing them does. Each build must leave its classifier holding
+// nothing.
 func FuzzSweepMatchesChain(f *testing.F) {
 	for _, seed := range fuzzSeeds {
 		f.Add(seed.bytes())
@@ -515,22 +499,33 @@ func FuzzSweepMatchesChain(f *testing.F) {
 			return payloads[0] & 1, true
 		}
 		classifiers := [2]*funcClassifier{classifierOf(t, parity), classifierOf(t, parity)}
-		for _, arenas := range [][2]*Builder{
-			{NewBuilder(), NewBuilder()},
-			{NewClassBuilder(classifiers[0]), NewClassBuilder(classifiers[1])},
+		// The chain and the sweep meet the payload sets in different orders,
+		// so the same set has a different class on either side.
+		sets := [2]*PayloadSets{NewPayloadSets(), NewPayloadSets()}
+		for _, arm := range []struct {
+			arenas [2]*Builder
+			sets   [2]*PayloadSets
+		}{
+			{[2]*Builder{NewClassBuilder(sets[0]), NewClassBuilder(sets[1])}, sets},
+			{[2]*Builder{NewClassBuilder(classifiers[0]), NewClassBuilder(classifiers[1])}, [2]*PayloadSets{}},
 		} {
 			for _, conjs := range c.builds() {
-				want, err := buildChain(arenas[0], fields, conjs)
+				want, err := buildChain(arm.arenas[0], fields, conjs)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := arenas[1].Build(fields, conjs)
+				got, err := arm.arenas[1].Build(fields, conjs)
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireSameDiagram(t, want, got)
+				requireSameDiagram(t, want, got, arm.sets[0], arm.sets[1])
 				for _, cl := range classifiers {
 					cl.requireEmpty()
+				}
+				for _, s := range sets {
+					if s.nheld != 0 || s.sum != (hash128{}) {
+						t.Fatalf("after a build the payload sets hold %d payloads", s.nheld)
+					}
 				}
 			}
 		}

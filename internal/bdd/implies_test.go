@@ -41,11 +41,11 @@ func TestImpliesDifferential(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		ca := randomConjs(r, fields, 1+r.Intn(6), 3)
 		cb := randomConjs(r, fields, 1+r.Intn(6), 3)
-		a, err := Build(fields, ca)
+		a, aSets, err := buildSets(fields, ca)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		b, err := Build(fields, cb)
+		b, bSets, err := buildSets(fields, cb)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -60,7 +60,7 @@ func TestImpliesDifferential(t *testing.T) {
 		if !ok {
 			if !a.Lookup(witness).Matches || b.Lookup(witness).Matches {
 				t.Fatalf("trial %d: witness %v is not a counterexample: a=%v b=%v",
-					trial, witness, a.Lookup(witness).Payloads, b.Lookup(witness).Payloads)
+					trial, witness, aSets.SetOf(a.Lookup(witness).Class), bSets.SetOf(b.Lookup(witness).Class))
 			}
 		}
 	}

@@ -22,11 +22,11 @@ func TestSingleConjunctionQuick(t *testing.T) {
 			{Field: 0, Set: interval.Range(lo, hi)},
 			{Field: 1, Set: interval.Point(uint64(bPoint))},
 		}}
-		b, err := Build(fields, []Conj{conj})
+		b, sets, err := buildSets(fields, []Conj{conj})
 		if err != nil {
 			return false
 		}
-		got := len(b.Lookup([]uint64{uint64(probeA), uint64(probeB)}).Payloads) == 1
+		got := len(sets.SetOf(b.Lookup([]uint64{uint64(probeA), uint64(probeB)}).Class)) == 1
 		want := lo <= uint64(probeA) && uint64(probeA) <= hi && uint64(probeB) == uint64(bPoint)
 		return got == want
 	}
@@ -47,11 +47,11 @@ func TestDisjointPayloadUnionQuick(t *testing.T) {
 			{Payload: 10, Constraints: []Constraint{{Field: 0, Set: interval.Point(v1)}}},
 			{Payload: 20, Constraints: []Constraint{{Field: 0, Set: interval.Point(v2)}}},
 		}
-		b, err := Build(fields, conjs)
+		b, sets, err := buildSets(fields, conjs)
 		if err != nil {
 			return false
 		}
-		got := b.Lookup([]uint64{pv}).Payloads
+		got := sets.SetOf(b.Lookup([]uint64{pv}).Class)
 		want := 0
 		if pv == v1 {
 			want++

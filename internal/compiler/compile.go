@@ -176,10 +176,11 @@ func CompileSourceContext(ctx context.Context, sp *spec.Spec, ruleSrc string, op
 }
 
 // classArena is a BDD arena whose terminals are action classes, and the
-// bdd.Classifier that names them. The builder Adds and Removes the payloads
-// of the rules settled on its path; the arena counts what those rules do —
-// each port, each state update, each drop — and keeps the order-free sum of
-// the ports and updates present. A class is that sum and the drop rule: an
+// bdd.Classifier that names them. The builder Adds a rule's payload once for
+// each of its conjunctions settled on its path and Removes it once for each
+// unsettled; the arena counts what those rules do, once per Add — each
+// port, each state update, each drop — and keeps the order-free sum of the
+// ports and updates present. A class is that sum and the drop rule: an
 // ActionSet is made only of a sum the arena has not met, and a terminal is
 // the index of its ActionSet in sets. Two regions that come to the same
 // actions are therefore one terminal while the diagram is being built, and

@@ -9,12 +9,13 @@ import (
 )
 
 // Exact is the oracle of TestReducedEqualsExact: the diagram the builder
-// makes of a rule set without a classifier, every terminal the exact set of
+// makes of a rule set under bdd.PayloadSets, every terminal the exact set of
 // payloads that match, with the actions those payloads stand for.
 type Exact struct {
 	Fields  []FieldInfo
 	Conjs   []bdd.Conj
 	actions [][]lang.Action
+	sets    *bdd.PayloadSets
 	diagram *bdd.BDD
 }
 
@@ -38,14 +39,15 @@ func exactOf(fields []FieldInfo, conjs []bdd.Conj, actions [][]lang.Action) (*Ex
 	for i, f := range fields {
 		bddFields[i] = bdd.Field{Name: f.Name, Max: f.Max}
 	}
-	b, err := bdd.Build(bddFields, conjs)
-	return &Exact{Fields: fields, Conjs: conjs, actions: actions, diagram: b}, err
+	sets := bdd.NewPayloadSets()
+	b, err := bdd.NewClassBuilder(sets).Build(bddFields, conjs)
+	return &Exact{Fields: fields, Conjs: conjs, actions: actions, sets: sets, diagram: b}, err
 }
 
 // Eval returns the payloads a packet matches and the Key of their merged
 // actions.
 func (e *Exact) Eval(values []uint64) (key string, payloads []int) {
-	payloads = e.diagram.Lookup(values).Payloads
+	payloads = e.sets.SetOf(e.diagram.Lookup(values).Class)
 	return mergeActions(e.actions, payloads).Key(), payloads
 }
 
