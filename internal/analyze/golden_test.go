@@ -13,11 +13,14 @@ import (
 // is the one whose pairs reach the BDD containment oracle: its first rule is
 // a union of two conjunctions whose projection contains both later rules,
 // and the diagram shows that it contains the second and misses the third.
+// types.rules has one rule for each kind of CAM004, and one with two bad
+// atoms, over the spec of fieldtable_test.go.
 var goldenFiles = []struct{ name, spec, rules string }{
 	{"market", "../../examples/rules/itch.spec", "../../examples/rules/market.rules"},
 	{"ratelimit", "../../examples/rules/ratelimit.spec", "../../examples/rules/ratelimit.rules"},
 	{"bad8", "testdata/bad8.spec", "testdata/bad8.rules"},
 	{"union", "testdata/bad8.spec", "testdata/union.rules"},
+	{"types", "testdata/types.spec", "testdata/types.rules"},
 }
 
 // goldenOutputs renders a report the three ways camus-vet prints one: text,
