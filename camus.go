@@ -167,9 +167,9 @@ type (
 )
 
 // Static analysis of rule sets (camus-vet). WithAnalysis makes Compile
-// and CompileSource run the analyzer first and refuse rule sets the
-// chosen policy rejects; the returned error is an *AnalysisRejection
-// carrying the full diagnostic report.
+// and CompileSource analyze the rules in the pass that compiles them and
+// refuse rule sets the chosen policy rejects; the returned error is an
+// *AnalysisRejection carrying the full diagnostic report.
 type (
 	// AnalysisPolicy selects how strict an analysis-gated compile is.
 	AnalysisPolicy = analyze.Policy
@@ -186,7 +186,7 @@ type (
 
 // Analysis policies re-exported for WithAnalysis.
 const (
-	// AnalysisOff disables the pre-compile analysis (the default).
+	// AnalysisOff disables the analysis (the default).
 	AnalysisOff = analyze.PolicyOff
 	// AnalysisLenient rejects rule sets with error diagnostics.
 	AnalysisLenient = analyze.PolicyLenient
@@ -202,20 +202,16 @@ func WithAnalysis(p AnalysisPolicy) Option {
 	return func(o *facadeOpts) { o.analysis = p }
 }
 
-// Analyze runs the camus-vet static analysis over parsed rules without
-// compiling, returning every diagnostic.
+// Analyze runs the camus-vet static analysis over parsed rules, returning
+// every diagnostic; it installs nothing.
 func Analyze(sp *Spec, rules []Rule, opts AnalysisOptions) *AnalysisReport {
 	return analyze.Rules(sp, rules, opts)
 }
 
-// admitRules applies a facade analysis policy before compilation.
-func (fo facadeOpts) admitRules(sp *Spec, rules []Rule) error {
-	if fo.analysis == AnalysisOff {
-		return nil
-	}
-	gate := analyze.NewGate(sp, analyze.Options{Telemetry: fo.tel.Reg()}, fo.analysis)
-	_, err := gate.Admit(rules)
-	return err
+// gate is the facade's one pass: the analysis policy's checks, if any, and
+// the compile.
+func (fo facadeOpts) gate(sp *Spec) *analyze.Gate {
+	return analyze.NewGate(sp, analyze.Options{Telemetry: fo.tel.Reg()}, fo.analysis)
 }
 
 // Compile compiles parsed rules against a spec. WithTelemetry records
@@ -226,10 +222,8 @@ func Compile(sp *Spec, rules []Rule, opts CompileOptions, o ...Option) (*Program
 	if fo.tel != nil {
 		opts.Telemetry = fo.tel.Reg()
 	}
-	if err := fo.admitRules(sp, rules); err != nil {
-		return nil, err
-	}
-	return compiler.Compile(sp, rules, opts)
+	prog, _, err := fo.gate(sp).Admit(rules, opts)
+	return prog, err
 }
 
 // CompileSource parses and compiles subscription source text.
@@ -238,17 +232,8 @@ func CompileSource(sp *Spec, src string, opts CompileOptions, o ...Option) (*Pro
 	if fo.tel != nil {
 		opts.Telemetry = fo.tel.Reg()
 	}
-	if fo.analysis != AnalysisOff {
-		rules, err := lang.ParseRules(src)
-		if err != nil {
-			return nil, err
-		}
-		if err := fo.admitRules(sp, rules); err != nil {
-			return nil, err
-		}
-		return compiler.Compile(sp, rules, opts)
-	}
-	return compiler.CompileSource(sp, src, opts)
+	prog, _, err := fo.gate(sp).AdmitSource(src, opts)
+	return prog, err
 }
 
 // GenerateP4 renders the static pipeline of a program as P4₁₄ source.

@@ -105,10 +105,9 @@ var figures = []figure{
 	series("vet",
 		func(o options) ([]experiments.VetPoint, error) { return experiments.VetEstimate(o.sizes, o.seed) },
 		experiments.FormatVet,
-		"subscriptions,analyze_ms,compile_ms,predicted_sram,actual_sram,predicted_tcam,actual_tcam,exact",
+		"subscriptions,analyze_ms,compile_ms,stages,sram,tcam",
 		func(p experiments.VetPoint) string {
-			return fmt.Sprintf("%d,%.1f,%.1f,%d,%d,%d,%d,%v", p.Subscriptions, p.AnalyzeMs, p.CompileMs,
-				p.PredictedSRAM, p.ActualSRAM, p.PredictedTCAM, p.ActualTCAM, p.Exact)
+			return fmt.Sprintf("%d,%.1f,%.1f,%d,%d,%d", p.Subscriptions, p.AnalyzeMs, p.CompileMs, p.Stages, p.SRAM, p.TCAM)
 		}),
 }
 

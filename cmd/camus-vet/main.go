@@ -1,8 +1,10 @@
 // Command camus-vet statically analyzes subscription rule files against
-// a message-format specification without compiling or installing
-// anything. It is the standalone front end of internal/analyze — the
-// same pass camusc -check runs and the control plane uses as its
-// admission gate.
+// a message-format specification, installing nothing. It runs the
+// compiler's front end with the analyzer watching every rule, then compiles
+// the rules it kept to price them against a device budget (CAM006;
+// -no-resources stops after the front end). It is the command-line face of
+// internal/analyze — the same pass camusc -check runs and the control plane
+// uses as its admission gate.
 //
 // Usage:
 //
@@ -33,7 +35,7 @@ func main() {
 		jsonOut  = flag.Bool("json", false, "emit diagnostics as JSON (array of {file, report})")
 		sarifOut = flag.Bool("sarif", false, "emit diagnostics as SARIF 2.1.0 (single rule file only)")
 		strict   = flag.Bool("strict", false, "exit 1 on warnings too")
-		noRes    = flag.Bool("no-resources", false, "skip the CAM006 resource-estimation dry run")
+		noRes    = flag.Bool("no-resources", false, "stop after the front end: compile nothing, skip CAM006")
 		stages   = flag.Int("stages", 0, "stage budget override (default: device default)")
 		sram     = flag.Int("sram", 0, "SRAM-entries-per-stage budget override")
 		tcam     = flag.Int("tcam", 0, "TCAM-entries-per-stage budget override")

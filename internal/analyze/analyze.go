@@ -1,15 +1,18 @@
-// Package analyze is the static-analysis front end for subscription rule
-// sets: it checks parsed rules against a message-format spec and emits
-// structured diagnostics with stable codes, before anything touches the
-// compiler or the device.
+// Package analyze is the static analysis of subscription rule sets: it
+// checks rules against a message-format spec and emits structured
+// diagnostics with stable codes, before anything touches the device.
 //
-// The pass layers three kinds of checks:
+// It runs on the compiler's own front end (compiler.Observe): the resolver
+// shows it every rule, and the analysis keeps the rules it finds no error in.
+// Its checks are:
 //
-//   - per-rule checks against the spec (CAM004: unknown fields or state
-//     variables, range predicates on @query_field_exact fields, symbolic
-//     constants that do not encode, values overflowing the declared field
-//     width) and per-rule satisfiability (CAM001), decided on the same
-//     interval sets the compiler lowers atoms to;
+//   - per-rule checks (CAM004): whatever the resolver rejects (unknown
+//     fields, aggregates or keys, symbolic constants that do not encode), in
+//     the resolver's words, and the analyzer's own policy over what it
+//     accepts (range predicates on @query_field_exact fields, values
+//     overflowing the declared field width, updates of undeclared state
+//     variables); and per-rule satisfiability (CAM001), decided on the
+//     interval sets the resolver interned;
 //   - pairwise checks (CAM002 shadowing/subsumption, CAM003 duplicates,
 //     CAM005 conflicting actions on overlapping conditions), using an
 //     interval bounding-projection pre-filter plus a point-value bucketing
@@ -17,21 +20,23 @@
 //     with the multi-terminal BDD of package bdd (shared Builder arena) as
 //     the exact containment oracle when interval reasoning alone is not
 //     decisive;
-//   - whole-set resource estimation (CAM006), by dry-running the real
-//     compiler's field-component slicing and pricing the resulting tables
-//     against a device budget with pipeline.Plan.
+//   - whole-set resources (CAM006): the compiler's back end over the rules
+//     kept, and pipeline.Plan of that program against a device budget.
 //
 // camusc -check and camus-vet print the diagnostics; the control plane
 // runs the same pass as an admission gate (see Gate) so an error-severity
-// rule set is rejected before any device write.
+// rule set is rejected before any device write, and installs the program
+// the gate priced.
 package analyze
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
 	"time"
 
+	"camus/internal/compiler"
 	"camus/internal/lang"
 	"camus/internal/pipeline"
 	"camus/internal/spec"
@@ -107,15 +112,13 @@ type Options struct {
 	// Budget is the device the rule set must fit (CAM006). Nil means
 	// pipeline.DefaultConfig().
 	Budget *pipeline.Config
-	// SkipResources disables the CAM006 dry-run compile (the most
-	// expensive check) — useful when only the front-end checks matter.
+	// SkipResources stops the pass after the front end: no program is
+	// compiled or priced (CAM006).
 	SkipResources bool
 	// MaxPairs caps the number of exact pairwise tests after
 	// pre-filtering; past it the pass emits CAM007 and stops pairing.
 	// 0 means DefaultMaxPairs.
 	MaxPairs int
-	// Workers bounds the dry-run compile's parallelism (0 = GOMAXPROCS).
-	Workers int
 	// Telemetry, when non-nil, receives camus_analyze_* series.
 	Telemetry *telemetry.Registry
 }
@@ -142,8 +145,8 @@ type Report struct {
 	Diagnostics []Diagnostic  `json:"diagnostics"`
 	Rules       int           `json:"rules"`
 	Elapsed     time.Duration `json:"elapsed_ns"`
-	// Estimate is the dry-run resource plan (nil when SkipResources was
-	// set or no rule survived the front-end checks).
+	// Estimate is the plan of the program compiled from the rules kept
+	// (nil when SkipResources was set or no rule was kept).
 	Estimate *pipeline.ResourceReport `json:"estimate,omitempty"`
 }
 
@@ -182,36 +185,59 @@ func (r *Report) ByCode(code string) []Diagnostic {
 // always reflects every check that could run; hard internal failures
 // surface as CAM000 diagnostics, never as panics or lost findings.
 func Rules(sp *spec.Spec, rules []lang.Rule, opts Options) *Report {
+	rep, _ := run(sp, compiler.Source{Rules: rules}, opts, compiler.Options{}, false)
+	return rep
+}
+
+// Source analyzes rule source text. A rule that does not parse or cannot
+// be normalized is the report's one diagnostic, a CAM000 at its position.
+func Source(sp *spec.Spec, src string, opts Options) *Report {
+	rep, _ := run(sp, compiler.Source{Text: src}, opts, compiler.Options{}, false)
+	return rep
+}
+
+// run is the pass, compiling with copts: the front end with the per-rule
+// checks as its observer (CAM001, CAM004), the pairwise checks (CAM002,
+// CAM003, CAM005, CAM007), and the back end over the rules kept (CAM006),
+// unless SkipResources stops it first and program does not ask for it
+// anyway. It returns the program compiled, if any.
+func run(sp *spec.Spec, src compiler.Source, opts Options, copts compiler.Options, program bool) (*Report, *compiler.Program) {
 	start := time.Now()
-	a := newAnalysis(sp, rules, opts)
-	a.checkRules()    // CAM001, CAM004 (+ CAM000 on normalize failure)
-	a.checkPairwise() // CAM002, CAM003, CAM005 (+ CAM007 when truncated)
-	rep := &Report{Rules: len(rules)}
-	if !opts.SkipResources {
-		rep.Estimate = a.checkResources() // CAM006
+	a := newAnalysis(sp, opts)
+	pass, err := compiler.Observe(context.Background(), sp, src, copts, a.checkRule)
+	if err != nil {
+		rep := &Report{Diagnostics: []Diagnostic{frontEndError(err)}}
+		record(opts.Telemetry, rep)
+		return rep, nil
+	}
+	a.fields = compiler.BDDFields(pass.Fields())
+	a.checkPairwise()
+	rep := &Report{Rules: a.seen}
+	var prog *compiler.Program
+	if program || !opts.SkipResources {
+		prog = a.checkResources(pass, rep)
 	}
 	sort.SliceStable(a.diags, func(i, j int) bool { return diagLess(a.diags[i], a.diags[j]) })
 	rep.Diagnostics = a.diags
 	rep.Elapsed = time.Since(start)
 	record(opts.Telemetry, rep)
-	return rep
+	return rep, prog
 }
 
-// Source parses rule source text and analyzes it. Parse failures become a
-// CAM000 error diagnostic carrying the parser's position.
-func Source(sp *spec.Spec, src string, opts Options) *Report {
-	rules, err := lang.ParseRules(src)
-	if err != nil {
-		d := Diagnostic{Code: CodeParse, Severity: SevError, Rule: -1, Msg: err.Error()}
-		var serr *lang.SyntaxError
-		if errors.As(err, &serr) {
-			d.Line, d.Col, d.Msg = serr.Line, serr.Col, serr.Msg
-		}
-		rep := &Report{Diagnostics: []Diagnostic{d}}
-		record(opts.Telemetry, rep)
-		return rep
+// frontEndError is the CAM000 of a rule that does not parse or cannot be
+// normalized; every rule a pass keeps resolves.
+func frontEndError(err error) Diagnostic {
+	d := Diagnostic{Code: CodeParse, Severity: SevError, Rule: -1, Msg: err.Error()}
+	var serr *lang.SyntaxError
+	var rerr *lang.RuleError
+	switch {
+	case errors.As(err, &serr):
+		d.Line, d.Col, d.Msg = serr.Line, serr.Col, serr.Msg
+	case errors.As(err, &rerr):
+		d.Rule, d.Line, d.Col = rerr.ID, rerr.Pos.Line, rerr.Pos.Col
+		d.Msg = "rule cannot be normalized: " + err.Error()
 	}
-	return Rules(sp, rules, opts)
+	return d
 }
 
 // diagLess orders diagnostics by source position, then code, then rule.

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"camus/internal/compiler"
 	"camus/internal/lang"
 	"camus/internal/pipeline"
 	"camus/internal/spec"
@@ -252,19 +253,20 @@ func TestGatePolicies(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Off: everything passes, no report.
-	rep, err := NewGate(sp, opts, PolicyOff).Admit(rules)
-	if rep != nil || err != nil {
-		t.Errorf("PolicyOff: rep=%v err=%v, want nil/nil", rep, err)
+	// Off: no report; the gate only compiles.
+	prog, rep, err := NewGate(sp, opts, PolicyOff).Admit(rules, compiler.Options{})
+	want, werr := compiler.Compile(sp, rules, compiler.Options{})
+	if rep != nil || (err == nil) != (werr == nil) || (prog == nil) != (want == nil) {
+		t.Errorf("PolicyOff: prog=%v rep=%v err=%v, want the compile's (%v)", prog != nil, rep, err, werr)
 	}
 	var nilGate *Gate
-	if rep, err := nilGate.Admit(rules); rep != nil || err != nil {
-		t.Errorf("nil gate: rep=%v err=%v, want nil/nil", rep, err)
+	if prog, rep, err := nilGate.Admit(rules, compiler.Options{}); prog != nil || rep != nil || err != nil {
+		t.Errorf("nil gate: prog=%v rep=%v err=%v, want nil/nil/nil", prog, rep, err)
 	}
 
 	// Lenient: the fixture has errors, so it is rejected.
-	rep, err = NewGate(sp, opts, PolicyLenient).Admit(rules)
-	if err == nil {
+	prog, rep, err = NewGate(sp, opts, PolicyLenient).Admit(rules, compiler.Options{})
+	if err == nil || prog != nil {
 		t.Fatal("PolicyLenient admitted a rule set with errors")
 	}
 	var rej *RejectionError
@@ -283,10 +285,15 @@ func TestGatePolicies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewGate(sp, Options{SkipResources: true}, PolicyLenient).Admit(warnOnly); err != nil {
+	prog, _, err = NewGate(sp, Options{SkipResources: true}, PolicyLenient).Admit(warnOnly, compiler.Options{})
+	if err != nil {
 		t.Errorf("PolicyLenient rejected warnings-only set: %v", err)
 	}
-	if _, err := NewGate(sp, Options{SkipResources: true}, PolicyStrict).Admit(warnOnly); err == nil {
+	// The admitted set's program is the one to install, priced or not.
+	if want, err := compiler.Compile(sp, warnOnly, compiler.Options{}); err != nil || prog == nil || prog.Dump() != want.Dump() {
+		t.Errorf("PolicyLenient's program differs from the compile of the set it admitted (%v)", err)
+	}
+	if _, _, err := NewGate(sp, Options{SkipResources: true}, PolicyStrict).Admit(warnOnly, compiler.Options{}); err == nil {
 		t.Error("PolicyStrict admitted a set with warnings")
 	}
 }

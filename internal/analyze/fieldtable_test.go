@@ -1,9 +1,10 @@
 package analyze
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
-	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -13,12 +14,12 @@ import (
 	"camus/internal/spec"
 )
 
-// The analyzer and the compiler resolve operands through one field table
-// (compiler.FieldTable). This property holds the two to the agreement that
-// sharing is for, over random rule sets salted with everything the
-// resolver rejects: a set the analyzer gives no error-severity CAM004
-// compiles, and when the compiler's resolver rejects a rule, the analyzer
-// has an error-severity CAM004 on that same rule.
+// The analyzer is an observer of the compiler's one resolver. This property
+// holds the two to the agreement that is for, over random rule sets salted
+// with everything the resolver rejects: every rule the resolver rejects has
+// an error-severity CAM004, and the program of the pass is the compile of
+// exactly the rules the analyzer kept, including when a rule it dropped had
+// made a synthetic field.
 
 const ftSpecSrc = `
 header_type order_t {
@@ -102,12 +103,11 @@ func ftRule(rng *rand.Rand) string {
 	return strings.Join(conjs, " || ") + " : " + strings.Join(actions, "; ")
 }
 
-var ftRuleInError = regexp.MustCompile(`rule (\d+): `)
-
 func TestAnalyzerAndCompilerShareOneFieldTable(t *testing.T) {
 	sp := spec.MustParse(ftSpecSrc)
+	queryFields := len(sp.OrderedQueries())
 	rng := rand.New(rand.NewSource(18))
-	passed, rejected := 0, 0
+	clean, rejected, droppedField := 0, 0, 0
 	for iter := 0; iter < 400; iter++ {
 		lines := make([]string, 1+rng.Intn(5))
 		for i := range lines {
@@ -119,43 +119,72 @@ func TestAnalyzerAndCompilerShareOneFieldTable(t *testing.T) {
 			t.Fatalf("generator produced unparsable rules: %v\n%s", err, src)
 		}
 
+		// The pass, watching for a dropped rule that made a synthetic field.
+		a := newAnalysis(sp, Options{})
+		fields, dropped := queryFields, false
+		pass, err := compiler.Observe(context.Background(), sp, compiler.Source{Rules: rules}, compiler.Options{}, func(res *compiler.Resolved) bool {
+			keep := a.checkRule(res)
+			if keep {
+				fields = len(res.Fields)
+			} else if len(res.Fields) > fields {
+				dropped = true
+			}
+			return keep
+		})
+		if err != nil {
+			t.Fatalf("the pass kept a rule the resolver rejects: %v\n%s", err, src)
+		}
 		typeErrors := map[int]bool{} // rule index -> has an error-severity CAM004
-		for _, d := range Rules(sp, rules, Options{SkipResources: true}).ByCode(CodeType) {
-			if d.Severity == SevError {
+		for _, d := range a.diags {
+			if d.Code == CodeType && d.Severity == SevError {
 				typeErrors[d.Rule] = true
 			}
 		}
-		_, cerr := compiler.Compile(sp, rules, compiler.Options{})
 
-		if len(typeErrors) == 0 {
-			passed++
-			if cerr != nil {
-				t.Fatalf("analyzer found no CAM004 error, compiler rejects: %v\n%s", cerr, src)
-			}
-			continue
-		}
-		if cerr == nil {
-			continue // the analyzer is stricter (range predicate on an exact field compiles away here)
-		}
-		m := ftRuleInError.FindStringSubmatch(cerr.Error())
-		if m == nil {
-			continue // rejected after the resolver (exact field with induced ranges)
-		}
-		rejected++
-		id, _ := strconv.Atoi(m[1])
-		index := -1
+		// Every rule the resolver rejects has an error CAM004.
 		for i, r := range rules {
-			if r.ID == id {
-				index = i
+			if _, _, rerr := compiler.ResolveConjs(sp, []lang.Rule{r}, compiler.Options{}); rerr != nil {
+				rejected++
+				if !typeErrors[i] {
+					t.Fatalf("the resolver rejects rule %d (%v), the analyzer has no CAM004 error on it\n%s", i, rerr, src)
+				}
 			}
 		}
-		if !typeErrors[index] {
-			t.Fatalf("compiler's resolver rejects rule %d (%v), analyzer has no CAM004 error on it (has %v)\n%s", id, cerr, typeErrors, src)
+
+		// The pass's program is the compile of the rules it kept.
+		kept := make([]lang.Rule, len(a.infos))
+		for i, info := range a.infos {
+			kept[i] = rules[info.index]
+		}
+		got, gerr := pass.Compile()
+		want, werr := compiler.Compile(sp, kept, compiler.Options{})
+		if gerr != nil || werr != nil {
+			t.Fatalf("kept rules do not compile: pass %v, compile %v\n%s", gerr, werr, src)
+		}
+		if got.Dump() != want.Dump() {
+			t.Fatalf("the pass's program differs from the compile of the %d rules it kept\n%s", len(kept), src)
+		}
+		for k := 0; k < 8; k++ { // payload IDs too: what Trace names as the rules matched
+			values := make([]uint64, len(got.Fields))
+			for f := range values {
+				values[f] = uint64(rng.Intn(300))
+			}
+			if g, w := got.Trace(values).MatchedRules, want.Trace(values).MatchedRules; !slices.Equal(g, w) {
+				t.Fatalf("at %v the pass's program matches payloads %v, the compile %v\n%s", values, g, w, src)
+			}
+		}
+		if len(typeErrors) == 0 {
+			clean++
+		}
+		if dropped {
+			droppedField++
 		}
 	}
-	// The generator has to reach both sides for the property to mean anything.
-	t.Logf("%d sets passed the analyzer and compiled, %d were rejected by the resolver", passed, rejected)
-	if passed < 40 || rejected < 40 {
-		t.Fatalf("generator is lopsided: %d sets passed the analyzer, %d were rejected by the resolver", passed, rejected)
+	// The generator has to reach every side for the property to mean anything.
+	t.Logf("%d sets clean, %d rules rejected by the resolver, %d sets where a dropped rule made a field",
+		clean, rejected, droppedField)
+	if clean < 40 || rejected < 40 || droppedField < 10 {
+		t.Fatalf("generator is lopsided: %d sets clean, %d rules rejected by the resolver, %d sets where a dropped rule made a field",
+			clean, rejected, droppedField)
 	}
 }

@@ -1,9 +1,11 @@
 package analyze
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
+	"camus/internal/compiler"
 	"camus/internal/lang"
 	"camus/internal/spec"
 )
@@ -13,7 +15,7 @@ import (
 type Policy int
 
 const (
-	// PolicyOff disables analysis entirely.
+	// PolicyOff disables analysis entirely: a gate only compiles.
 	PolicyOff Policy = iota
 	// PolicyLenient rejects rule sets with error-severity diagnostics;
 	// warnings are logged/counted but admitted.
@@ -74,9 +76,9 @@ func (e *RejectionError) Error() string {
 }
 
 // Gate is a reusable admission check for the control plane: Admit runs
-// the analysis pass and rejects rule sets the policy disallows, before
-// anything is compiled for or written to a device. A nil *Gate admits
-// everything (zero-cost opt-out).
+// the analysis pass, rejects rule sets the policy disallows before anything
+// is written to a device, and returns the program of a set it admits. A nil
+// *Gate admits everything and compiles nothing.
 type Gate struct {
 	Spec   *spec.Spec
 	Opts   Options
@@ -89,14 +91,33 @@ func NewGate(sp *spec.Spec, opts Options, policy Policy) *Gate {
 	return &Gate{Spec: sp, Opts: opts, Policy: policy}
 }
 
-// Admit analyzes the prospective rule set. It returns the report and,
-// when the policy rejects it, a *RejectionError. Warnings on admitted
-// sets are observable via the report and the telemetry series.
-func (g *Gate) Admit(rules []lang.Rule) (*Report, error) {
-	if g == nil || g.Policy == PolicyOff {
-		return nil, nil
+// Admit analyzes the prospective rule set, compiling it with copts. It
+// returns the program of an admitted set — the one CAM006 priced — and the
+// report (nil under PolicyOff), or, when the policy rejects the set, the
+// report and a *RejectionError. Warnings on admitted sets are observable
+// via the report and the telemetry series.
+func (g *Gate) Admit(rules []lang.Rule, copts compiler.Options) (*compiler.Program, *Report, error) {
+	return g.admit(compiler.Source{Rules: rules}, copts)
+}
+
+// AdmitSource is Admit over rule source text.
+func (g *Gate) AdmitSource(src string, copts compiler.Options) (*compiler.Program, *Report, error) {
+	return g.admit(compiler.Source{Text: src}, copts)
+}
+
+func (g *Gate) admit(src compiler.Source, copts compiler.Options) (*compiler.Program, *Report, error) {
+	if g == nil {
+		return nil, nil, nil
 	}
-	rep := Rules(g.Spec, rules, g.Opts)
+	if g.Policy == PolicyOff {
+		pass, err := compiler.Observe(context.Background(), g.Spec, src, copts, nil)
+		if err != nil {
+			return nil, nil, err
+		}
+		prog, err := pass.Compile()
+		return prog, nil, err
+	}
+	rep, prog := run(g.Spec, src, g.Opts, copts, true)
 	if reg := g.Opts.Telemetry; reg != nil {
 		if g.Policy.rejects(rep) {
 			reg.Counter("camus_analyze_rejected_total").Inc()
@@ -105,7 +126,7 @@ func (g *Gate) Admit(rules []lang.Rule) (*Report, error) {
 		}
 	}
 	if g.Policy.rejects(rep) {
-		return rep, &RejectionError{Policy: g.Policy, Report: rep}
+		return nil, rep, &RejectionError{Policy: g.Policy, Report: rep}
 	}
-	return rep, nil
+	return prog, rep, nil
 }

@@ -5,7 +5,6 @@ import (
 
 	"camus/internal/bdd"
 	"camus/internal/interval"
-	"camus/internal/lang"
 )
 
 // checkPairwise runs the quadratic checks — CAM003 duplicates, CAM002
@@ -28,7 +27,7 @@ func (a *analysis) checkPairwise() {
 
 	eligible := make([]*ruleInfo, 0, len(a.infos))
 	for _, info := range a.infos {
-		if info.bad || info.unsat || len(info.conjs) == 0 {
+		if info.unsat {
 			continue
 		}
 		eligible = append(eligible, info)
@@ -105,7 +104,7 @@ func (a *analysis) checkDuplicates() map[int]int {
 	first := make(map[string]*ruleInfo)
 	dupOf := make(map[int]int)
 	for _, info := range a.infos {
-		if info.bad || len(info.conjs) == 0 {
+		if info.unsat {
 			continue
 		}
 		key := info.condKey + " : " + info.actKey
@@ -115,8 +114,8 @@ func (a *analysis) checkDuplicates() map[int]int {
 			continue
 		}
 		dupOf[info.index] = orig.index
-		line, col := rulePos(info.rule, lang0(info))
-		oline, ocol := rulePos(orig.rule, lang0(orig))
+		line, col := info.pos.Line, info.pos.Col
+		oline, ocol := orig.pos.Line, orig.pos.Col
 		a.report(Diagnostic{Code: CodeDuplicate, Severity: SevWarning, Rule: info.index,
 			Line: line, Col: col,
 			Msg: fmt.Sprintf("duplicate rule: identical condition and actions as rule %d", orig.index),
@@ -148,8 +147,8 @@ func (a *analysis) checkPair(x, y *ruleInfo, shadowed, conflicted map[int]bool) 
 	fwdDrop := (x.drops && len(y.ports) > 0) || (y.drops && len(x.ports) > 0)
 	if fwdDrop && a.condOverlaps(x, y) {
 		conflicted[y.index] = true
-		line, col := rulePos(y.rule, lang0(y))
-		oline, ocol := rulePos(x.rule, lang0(x))
+		line, col := y.pos.Line, y.pos.Col
+		oline, ocol := x.pos.Line, x.pos.Col
 		dropper, fwder := x, y
 		if y.drops && len(x.ports) > 0 {
 			dropper, fwder = y, x
@@ -163,22 +162,13 @@ func (a *analysis) checkPair(x, y *ruleInfo, shadowed, conflicted map[int]bool) 
 }
 
 func (a *analysis) reportShadow(inner, outer *ruleInfo) {
-	line, col := rulePos(inner.rule, lang0(inner))
-	oline, ocol := rulePos(outer.rule, lang0(outer))
+	line, col := inner.pos.Line, inner.pos.Col
+	oline, ocol := outer.pos.Line, outer.pos.Col
 	a.report(Diagnostic{Code: CodeShadowed, Severity: SevWarning, Rule: inner.index,
 		Line: line, Col: col,
 		Msg: fmt.Sprintf("rule shadowed by rule %d: its condition is subsumed and its actions add nothing", outer.index),
 		Related: []Related{{Rule: outer.index, Line: oline, Col: ocol,
 			Msg: fmt.Sprintf("subsuming rule %d declared here", outer.index)}}})
-}
-
-// lang0 returns the position anchor of a rule: its first conjunction's
-// first atom.
-func lang0(info *ruleInfo) (p lang.Pos) {
-	if len(info.conjs) > 0 {
-		return info.conjs[0].pos
-	}
-	return p
 }
 
 // effectSubset reports whether everything rule j does, rule i already
@@ -221,7 +211,7 @@ func (a *analysis) condImplies(j, i *ruleInfo) bool {
 	for f, si := range i.proj {
 		sj, ok := j.proj[f]
 		if !ok {
-			sj = interval.Full(a.tab.Fields()[f].Max)
+			sj = interval.Full(a.fields[f].Max)
 		}
 		if !sj.SubsetOf(si) {
 			return false
@@ -238,13 +228,13 @@ func (a *analysis) condImplies(j, i *ruleInfo) bool {
 // check that no terminal is reachable for j alone.
 func (a *analysis) bddImplies(j, i *ruleInfo) bool {
 	conjs := make([]bdd.Conj, 0, len(j.conjs)+len(i.conjs))
-	for _, rc := range j.conjs {
-		conjs = append(conjs, toBDDConj(rc, 0))
+	for _, cons := range j.conjs {
+		conjs = append(conjs, bdd.Conj{Payload: 0, Constraints: cons})
 	}
-	for _, rc := range i.conjs {
-		conjs = append(conjs, toBDDConj(rc, 1))
+	for _, cons := range i.conjs {
+		conjs = append(conjs, bdd.Conj{Payload: 1, Constraints: cons})
 	}
-	b, err := a.builder.Build(a.bddFields(), conjs)
+	b, err := a.builder.Build(a.fields, conjs)
 	if err != nil {
 		return false // conservatively: not implied
 	}
@@ -263,26 +253,6 @@ func (a *analysis) bddImplies(j, i *ruleInfo) bool {
 		}
 	}
 	return true
-}
-
-func (a *analysis) bddFields() []bdd.Field {
-	if a.bddFieldList == nil {
-		fields := a.tab.Fields()
-		a.bddFieldList = make([]bdd.Field, len(fields))
-		for i, f := range fields {
-			a.bddFieldList[i] = bdd.Field{Name: f.Name, Max: f.Max}
-		}
-	}
-	return a.bddFieldList
-}
-
-// toBDDConj gives a conjunction no labels: nothing reads the diagram's.
-func toBDDConj(rc resolvedConj, payload int) bdd.Conj {
-	c := bdd.Conj{Payload: payload}
-	for i, f := range rc.fields {
-		c.Constraints = append(c.Constraints, bdd.Constraint{Field: f, Set: rc.sets[i]})
-	}
-	return c
 }
 
 // condOverlaps reports whether some packet matches both rules. Overlap
@@ -305,16 +275,16 @@ func (a *analysis) condOverlaps(x, y *ruleInfo) bool {
 	return false
 }
 
-func conjOverlap(a, b resolvedConj) bool {
+func conjOverlap(a, b []bdd.Constraint) bool {
 	i, j := 0, 0
-	for i < len(a.fields) && j < len(b.fields) {
+	for i < len(a) && j < len(b) {
 		switch {
-		case a.fields[i] < b.fields[j]:
+		case a[i].Field < b[j].Field:
 			i++
-		case a.fields[i] > b.fields[j]:
+		case a[i].Field > b[j].Field:
 			j++
 		default:
-			if !a.sets[i].Overlaps(b.sets[j]) {
+			if !a[i].Set.Overlaps(b[j].Set) {
 				return false
 			}
 			i++

@@ -1,11 +1,13 @@
 package analyze
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"camus/internal/compiler"
 	"camus/internal/lang"
 	"camus/internal/spec"
 )
@@ -106,11 +108,15 @@ func TestQuickCheckImpliesAndOverlapsMatchBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatalf("generated source does not parse: %v\n%s", err, src)
 		}
-		a := newAnalysis(sp, rules, Options{})
-		a.checkRules()
+		a := newAnalysis(sp, Options{})
+		pass, err := compiler.Observe(context.Background(), sp, compiler.Source{Rules: rules}, compiler.Options{}, a.checkRule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.fields = compiler.BDDFields(pass.Fields())
 		j, i := a.infos[0], a.infos[1]
-		if j.bad || i.bad || len(j.conjs) == 0 || len(i.conjs) == 0 {
-			continue // pairwise checks only run on satisfiable, well-typed rules
+		if j.unsat || i.unsat {
+			continue // pairwise checks only run on satisfiable rules
 		}
 		pairs++
 		if len(i.conjs) > 1 {

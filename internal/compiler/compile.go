@@ -78,23 +78,24 @@ func (o Options) observeStage(stage string, start time.Time) {
 // that the chunks in flight are a small part of what the compile retains.
 const chunkRules = 1024
 
-// source is what a compile starts from: rules already parsed, or rule text.
-type source struct {
-	rules []lang.Rule
-	text  string
+// Source is what a compile starts from: rules already parsed, or, when
+// Rules is nil, rule text.
+type Source struct {
+	Rules []lang.Rule
+	Text  string
 }
 
 // chunks cuts the source into runs of at most chunkRules rules and returns
 // how many there are and the function, safe to call for different chunks at
 // once, that brings the i-th to normal form. Text is cut by lang.Chunks, so
 // rule IDs, positions and diagnostics are the whole source's.
-func (s source) chunks() (int, func(int) ([]lang.DNFRule, error)) {
-	if n := len(s.rules); s.rules != nil {
+func (s Source) chunks() (int, func(int) ([]lang.DNFRule, error)) {
+	if n := len(s.Rules); s.Rules != nil {
 		return (n + chunkRules - 1) / chunkRules, func(i int) ([]lang.DNFRule, error) {
-			return lang.NormalizeAll(s.rules[i*chunkRules : min((i+1)*chunkRules, n)])
+			return lang.NormalizeAll(s.Rules[i*chunkRules : min((i+1)*chunkRules, n)])
 		}
 	}
-	parsers := lang.Chunks(s.text, chunkRules)
+	parsers := lang.Chunks(s.Text, chunkRules)
 	return len(parsers), func(i int) ([]lang.DNFRule, error) {
 		rules, err := parsers[i].Rules()
 		if err != nil {
@@ -110,7 +111,7 @@ func (s source) chunks() (int, func(int) ([]lang.DNFRule, error)) {
 // in source order, which keeps payload IDs, synthetic fields and the first
 // error those of a serial pass. A chunk's AST and DNF are garbage once
 // resolve has seen its rules. It stops between chunks when ctx is done.
-func frontEnd(ctx context.Context, src source, opts Options, resolve func(*lang.DNFRule) error) error {
+func frontEnd(ctx context.Context, src Source, opts Options, resolve func(*lang.DNFRule) error) error {
 	defer opts.observeStage("frontend", time.Now())
 	n, normalize := src.chunks()
 	return conc.Ordered(n, opts.workers(), normalize, func(dnf []lang.DNFRule) error {
@@ -126,42 +127,82 @@ func frontEnd(ctx context.Context, src source, opts Options, resolve func(*lang.
 	})
 }
 
-// resolveSource runs the front end into a fresh resolver: the conjunctions
-// of the whole source, in source order, and the number of rules.
-func resolveSource(ctx context.Context, sp *spec.Spec, src source, opts Options) (*resolver, []bdd.Conj, int, error) {
-	res, n := newResolver(sp), 0
-	var conjs []bdd.Conj
-	err := frontEnd(ctx, src, opts, func(rule *lang.DNFRule) (err error) {
-		n++
-		conjs, _, err = res.resolve(rule, conjs)
+// Observer is shown every rule of a front end in source order, once the
+// resolver has been through all of it, and answers whether to keep it. A
+// rule it drops leaves no trace: no payload or companion ID, and none of the
+// synthetic fields or interned predicates that only it made. A rule it keeps
+// that the resolver rejected ends the pass with the resolver's error.
+type Observer func(*Resolved) (keep bool)
+
+// Pass is a front end run to its end: the resolver, and the conjunctions and
+// number of the rules kept, in source order.
+type Pass struct {
+	sp    *spec.Spec
+	opts  Options
+	start time.Time
+	res   *resolver
+	conjs []bdd.Conj
+	rules int
+}
+
+// Fields is the pass's field table: the spec's query fields, then the
+// synthetic state fields of the rules kept.
+func (p *Pass) Fields() []FieldInfo { return p.res.fields }
+
+// Compile is the back end over the rules the pass kept: BDD construction,
+// state assignment, Algorithm 1 and lowering. Its Program is Compile's of
+// exactly those rules.
+func (p *Pass) Compile() (*Program, error) {
+	prog, err := compileFromConjs(p.sp, p.res.fields, p.res.actions, p.conjs, p.rules, p.opts, newClassArena())
+	if err != nil {
+		return nil, err
+	}
+	if tel := p.opts.Telemetry; tel != nil {
+		tel.Counter("camus_compiler_compiles_total").Inc()
+		tel.Histogram("camus_compiler_compile_seconds").Observe(time.Since(p.start))
+	}
+	return prog, nil
+}
+
+// Observe runs the front end over src into a fresh resolver, showing every
+// rule to obs when it is not nil; the Pass's Compile is the back end. It
+// stops between chunks when ctx is done.
+func Observe(ctx context.Context, sp *spec.Spec, src Source, opts Options, obs Observer) (*Pass, error) {
+	p := &Pass{sp: sp, opts: opts, start: time.Now(), res: newResolver(sp)}
+	if obs != nil {
+		p.res.seen = &Resolved{}
+	}
+	err := frontEnd(ctx, src, opts, func(rule *lang.DNFRule) error {
+		m, n := p.res.mark(), len(p.conjs)
+		conjs, _, err := p.res.resolve(rule, p.conjs)
+		if obs != nil && !obs(p.res.seen) {
+			p.res.rollback(m, rule)
+			p.conjs = conjs[:n]
+			return nil
+		}
+		p.conjs, p.rules = conjs, p.rules+1
 		return err
 	})
-	return res, conjs, n, err
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // compile is the dynamic compilation step: subscription rules are normalized
 // to DNF and resolved against the spec chunk by chunk (frontEnd), folded into
 // a multi-terminal BDD, and lowered to table entries via Algorithm 1.
-func compile(ctx context.Context, sp *spec.Spec, src source, opts Options) (*Program, error) {
-	start := time.Now()
-	res, conjs, n, err := resolveSource(ctx, sp, src, opts)
+func compile(ctx context.Context, sp *spec.Spec, src Source, opts Options) (*Program, error) {
+	p, err := Observe(ctx, sp, src, opts, nil)
 	if err != nil {
 		return nil, err
 	}
-	prog, err := compileFromConjs(sp, res.fields, res.actions, conjs, n, opts, newClassArena())
-	if err != nil {
-		return nil, err
-	}
-	if tel := opts.Telemetry; tel != nil {
-		tel.Counter("camus_compiler_compiles_total").Inc()
-		tel.Histogram("camus_compiler_compile_seconds").Observe(time.Since(start))
-	}
-	return prog, nil
+	return p.Compile()
 }
 
 // Compile compiles parsed rules.
 func Compile(sp *spec.Spec, rules []lang.Rule, opts Options) (*Program, error) {
-	return compile(context.Background(), sp, source{rules: rules}, opts)
+	return compile(context.Background(), sp, Source{Rules: rules}, opts)
 }
 
 // CompileSource parses the rule source text and compiles it.
@@ -172,7 +213,7 @@ func CompileSource(sp *spec.Spec, ruleSrc string, opts Options) (*Program, error
 // CompileSourceContext is CompileSource that gives up, with ctx's error,
 // between chunks of the front end once ctx is done.
 func CompileSourceContext(ctx context.Context, sp *spec.Spec, ruleSrc string, opts Options) (*Program, error) {
-	return compile(ctx, sp, source{text: ruleSrc}, opts)
+	return compile(ctx, sp, Source{Text: ruleSrc}, opts)
 }
 
 // classArena is a BDD arena whose terminals are action classes, and the
@@ -403,12 +444,8 @@ func compileFromConjs(sp *spec.Spec, fieldInfos []FieldInfo, actions [][]lang.Ac
 			fields[i].Match = spec.MatchRange
 		}
 	}
-	bddFields := make([]bdd.Field, len(fields))
-	for i, f := range fields {
-		bddFields[i] = bdd.Field{Name: f.Name, Max: f.Max}
-	}
 	ca.bind(actions, conjs)
-	b, err := ca.builder.Build(bddFields, conjs)
+	b, err := ca.builder.Build(BDDFields(fields), conjs)
 	if err != nil {
 		return nil, err
 	}
@@ -453,6 +490,15 @@ func compileFromConjs(sp *spec.Spec, fieldInfos []FieldInfo, actions [][]lang.Ac
 	prog.computeStats(nRules)
 	opts.observeStage("lower", start)
 	return prog, nil
+}
+
+// BDDFields is the BDD's view of a field table: names and domains.
+func BDDFields(fields []FieldInfo) []bdd.Field {
+	out := make([]bdd.Field, len(fields))
+	for i, f := range fields {
+		out[i] = bdd.Field{Name: f.Name, Max: f.Max}
+	}
+	return out
 }
 
 // autoExactLower applies the paper's second resource optimization: "the

@@ -1,6 +1,8 @@
 package compiler
 
 import (
+	"cmp"
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -380,6 +382,72 @@ func TestUnknownAggregateError(t *testing.T) {
 	sp := itchSpec(t)
 	if _, err := CompileSource(sp, "median(price) > 10 : fwd(1)", Options{}); err == nil {
 		t.Fatal("unknown aggregate should fail")
+	}
+}
+
+// TestObserverSeesEveryAtom: the resolver goes through every atom of a rule
+// it rejects, the observer sees each atom's predicate or error, and the
+// error returned is the first in atom order.
+func TestObserverSeesEveryAtom(t *testing.T) {
+	sp := itchSpec(t)
+	src := "volume > 1 && price > 2 && median(price) > 3 : fwd(1)"
+	var errs []error
+	_, err := Observe(context.Background(), sp, Source{Text: src}, Options{}, func(r *Resolved) bool {
+		for _, a := range r.Atoms {
+			errs = append(errs, a.Err)
+		}
+		return true
+	})
+	var first error
+	bad := 0
+	for _, e := range errs {
+		if e != nil {
+			first = cmp.Or(first, e)
+			bad++
+		}
+	}
+	if len(errs) != 3 || bad != 2 {
+		t.Fatalf("atom errors %v, want two of three", errs)
+	}
+	if _, cerr := CompileSource(sp, src, Options{}); err == nil || cerr == nil || err.Error() != cerr.Error() ||
+		err.Error() != "rule 0: "+first.Error() {
+		t.Fatalf("kept rule's error %v, compile's %v, want the first atom's", err, cerr)
+	}
+}
+
+// TestObserverDropLeavesNoTrace: a rule the observer drops takes back its
+// payload IDs, the synthetic fields it made and the predicates it interned,
+// so the rules after it compile as if it had never been there — even one
+// repeating its predicate over a field another rule made in between.
+func TestObserverDropLeavesNoTrace(t *testing.T) {
+	sp := itchSpec(t)
+	rules, err := lang.ParseRules("avg(price) > 3 && shares < 9 : fwd(1)\nsum(shares) > 2 : fwd(2)\navg(price) > 3 && shares < 9 : fwd(3)\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pass, err := Observe(context.Background(), sp, Source{Rules: rules}, Options{}, func(r *Resolved) bool { return r.Rule.ID != 0 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := pass.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Compile(sp, rules[1:], Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Dump() != want.Dump() || !reflect.DeepEqual(got.Fields, want.Fields) {
+		t.Fatalf("after a dropped rule:\n%s\nwant:\n%s", got.Dump(), want.Dump())
+	}
+	payloads := func(p *Program) (out []int) {
+		for _, c := range p.Conjs() {
+			out = append(out, c.Payload)
+		}
+		return out
+	}
+	if g, w := payloads(got), payloads(want); !slices.Equal(g, w) {
+		t.Fatalf("payloads %v, want %v", g, w)
 	}
 }
 

@@ -17,11 +17,11 @@ import (
 // existential quantification — before rebuilding a coarser program with
 // CompileConjs.
 func ResolveConjs(sp *spec.Spec, rules []lang.Rule, opts Options) ([]FieldInfo, []bdd.Conj, error) {
-	res, conjs, _, err := resolveSource(context.Background(), sp, source{rules: rules}, opts)
+	p, err := Observe(context.Background(), sp, Source{Rules: rules}, opts, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	return res.fields, conjs, nil
+	return p.res.fields, p.conjs, nil
 }
 
 // CompileConjs compiles raw BDD conjunctions — each payload indexing the

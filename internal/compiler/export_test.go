@@ -22,11 +22,11 @@ type Exact struct {
 // ExactOf resolves rules as Compile does and builds their payload-exact
 // diagram.
 func ExactOf(sp *spec.Spec, rules []lang.Rule) (*Exact, error) {
-	res, conjs, _, err := resolveSource(context.Background(), sp, source{rules: rules}, Options{Workers: 1})
+	p, err := Observe(context.Background(), sp, Source{Rules: rules}, Options{Workers: 1}, nil)
 	if err != nil {
 		return nil, err
 	}
-	return exactOf(res.fields, conjs, res.actions)
+	return exactOf(p.res.fields, p.conjs, p.res.actions)
 }
 
 // ExactOfConjs is ExactOf for the input of CompileConjs.
@@ -35,12 +35,8 @@ func ExactOfConjs(sp *spec.Spec, conjs []bdd.Conj, actions [][]lang.Action) (*Ex
 }
 
 func exactOf(fields []FieldInfo, conjs []bdd.Conj, actions [][]lang.Action) (*Exact, error) {
-	bddFields := make([]bdd.Field, len(fields))
-	for i, f := range fields {
-		bddFields[i] = bdd.Field{Name: f.Name, Max: f.Max}
-	}
 	sets := bdd.NewPayloadSets()
-	b, err := bdd.NewClassBuilder(sets).Build(bddFields, conjs)
+	b, err := bdd.NewClassBuilder(sets).Build(BDDFields(fields), conjs)
 	return &Exact{Fields: fields, Conjs: conjs, actions: actions, sets: sets, diagram: b}, err
 }
 

@@ -75,48 +75,17 @@ const AggWindowUS = 100
 // stateFieldBits is the width used for synthetic aggregate fields.
 const stateFieldBits = 32
 
-// FieldTable resolves subscription operands to pipeline match fields
-// against a spec: the spec's query fields in BDD variable order, then one
-// synthetic state field per aggregate macro or state-variable read, created
-// where its operand first appears. It only ever grows — an index, once
-// given, keeps its meaning. The compiler's resolver and the static analyzer
-// (package analyze) both resolve through it, so a rule the analyzer passes
-// is a rule the compiler accepts.
-type FieldTable struct {
-	spec   *spec.Spec
-	fields []FieldInfo
-	byName map[string]int
-}
-
-// NewFieldTable indexes the spec's query fields.
-func NewFieldTable(sp *spec.Spec) *FieldTable {
-	t := &FieldTable{spec: sp, byName: make(map[string]int)}
-	for _, q := range sp.OrderedQueries() {
-		t.byName[q.Name] = len(t.fields)
-		t.fields = append(t.fields, FieldInfo{
-			Name: q.Name, Bits: q.Bits, Max: q.DomainMax(), Match: q.Match,
-		})
-		// Also index by short name when unambiguous; LookupField is the
-		// authority, this map is only keyed by canonical names.
-	}
-	return t
-}
-
-// Fields returns the table so far, indexed as Index reports. The slice is
-// the table's own: read it, and re-read it after a later Index.
-func (t *FieldTable) Fields() []FieldInfo { return t.fields }
-
-// ResolveKey canonicalizes a keyed operand's or action's key field and
+// resolveKey canonicalizes a keyed operand's or action's key field and
 // returns its canonical name plus its pipeline field index. Keys must be
 // @query_field-annotated header fields: the pipeline reads the key value
 // from the extracted field vector, so the key has to be a match field the
 // parser already delivers.
-func (t *FieldTable) ResolveKey(key string) (string, int, error) {
-	q, err := t.spec.LookupField(key)
+func (r *resolver) resolveKey(key string) (string, int, error) {
+	q, err := r.spec.LookupField(key)
 	if err != nil {
 		return "", 0, fmt.Errorf("state key [%s]: %w", key, err)
 	}
-	idx, ok := t.byName[q.Name]
+	idx, ok := r.byName[q.Name]
 	if !ok {
 		return "", 0, fmt.Errorf("internal: key field %q missing from index", q.Name)
 	}
@@ -125,8 +94,8 @@ func (t *FieldTable) ResolveKey(key string) (string, int, error) {
 
 // state returns the index of the synthetic state field f.Name, adding f on
 // first use.
-func (t *FieldTable) state(f FieldInfo) int {
-	if idx, ok := t.byName[f.Name]; ok {
+func (r *resolver) state(f FieldInfo) int {
+	if idx, ok := r.byName[f.Name]; ok {
 		return idx
 	}
 	f.Match, f.IsState = spec.MatchRange, true
@@ -134,19 +103,19 @@ func (t *FieldTable) state(f FieldInfo) int {
 	if f.Bits < 64 {
 		f.Max = uint64(1)<<f.Bits - 1
 	}
-	idx := len(t.fields)
-	t.byName[f.Name] = idx
-	t.fields = append(t.fields, f)
+	idx := len(r.fields)
+	r.byName[f.Name] = idx
+	r.fields = append(r.fields, f)
 	return idx
 }
 
-// Index resolves a subscription operand to a pipeline field index,
+// index resolves a subscription operand to a pipeline field index,
 // creating synthetic state fields on first use.
-func (t *FieldTable) Index(op lang.Operand) (int, error) {
+func (r *resolver) index(op lang.Operand) (int, error) {
 	keyName, keyIdx := "", -1
 	if op.IsKeyed() {
 		var err error
-		keyName, keyIdx, err = t.ResolveKey(op.Key)
+		keyName, keyIdx, err = r.resolveKey(op.Key)
 		if err != nil {
 			return 0, fmt.Errorf("operand %s: %w", op, err)
 		}
@@ -165,31 +134,31 @@ func (t *FieldTable) Index(op lang.Operand) (int, error) {
 		// is @query_counter-declared — reads the variable's cells with the
 		// macro's fold; the window comes from the declaration and updates
 		// are explicit (temp[k] <- sample(...)), so no implicit companion.
-		if v, err := t.spec.LookupState(op.Field); err == nil {
-			return t.state(FieldInfo{
+		if v, err := r.spec.LookupState(op.Field); err == nil {
+			return r.state(FieldInfo{
 				Name: fmt.Sprintf("%s(%s)%s", op.Agg, v.Name, keySuffix), Bits: stateFieldBits,
 				Agg: op.Agg, WindowUS: v.WindowUS,
 				StateVar: v.Name, KeyField: keyName, KeyIndex: keyIdx,
 			}), nil
 		}
-		q, err := t.spec.LookupField(op.Field)
+		q, err := r.spec.LookupField(op.Field)
 		if err != nil {
 			return 0, fmt.Errorf("aggregate %s: %w", op, err)
 		}
 		stateVar := fmt.Sprintf("%s(%s)", op.Agg, q.Name)
-		return t.state(FieldInfo{
+		return r.state(FieldInfo{
 			Name: stateVar + keySuffix, Bits: stateFieldBits,
 			Agg: op.Agg, BaseField: q.Name, WindowUS: AggWindowUS,
 			StateVar: stateVar, KeyField: keyName, KeyIndex: keyIdx,
 		}), nil
 	}
 	// State variable reference (declared via @query_counter/@query_register).
-	if v, err := t.spec.LookupState(op.Field); err == nil {
+	if v, err := r.spec.LookupState(op.Field); err == nil {
 		bits := v.Bits
 		if bits == 0 {
 			bits = stateFieldBits
 		}
-		return t.state(FieldInfo{
+		return r.state(FieldInfo{
 			Name: v.Name + keySuffix, Bits: bits,
 			Agg: "count", WindowUS: v.WindowUS,
 			StateVar: v.Name, KeyField: keyName, KeyIndex: keyIdx,
@@ -198,11 +167,11 @@ func (t *FieldTable) Index(op lang.Operand) (int, error) {
 	if op.IsKeyed() {
 		return 0, fmt.Errorf("operand %s: key suffix on non-state field %q", op, op.Field)
 	}
-	q, err := t.spec.LookupField(op.Field)
+	q, err := r.spec.LookupField(op.Field)
 	if err != nil {
 		return 0, err
 	}
-	idx, ok := t.byName[q.Name]
+	idx, ok := r.byName[q.Name]
 	if !ok {
 		return 0, fmt.Errorf("internal: field %q missing from index", q.Name)
 	}
@@ -238,16 +207,75 @@ func AtomSet(op lang.CmpOp, v, max uint64) interval.Set {
 	}
 }
 
-// resolver turns parsed rules into BDD inputs against a spec. It only ever
-// grows: fields, payload IDs and predicates, once given, keep their meaning.
+// resolver turns parsed rules into BDD inputs against a spec. Its field
+// table is the spec's query fields in BDD variable order, then one synthetic
+// state field per aggregate macro or state-variable read, created where its
+// operand first appears (byName is keyed by canonical names; LookupField is
+// the authority on short ones). It only grows — fields, payload IDs and
+// predicates, once given, keep their meaning — but for rollback.
 type resolver struct {
-	*FieldTable
+	spec    *spec.Spec
+	fields  []FieldInfo
+	byName  map[string]int
 	actions [][]lang.Action          // per payload ID
 	preds   map[lang.Atom]*predicate // by the atom less its position
+	made    int                      // predicates interned so far
+
+	// seen, when not nil, is filled by resolve with what it made of the
+	// rule, for an Observer.
+	seen *Resolved
+}
+
+// Resolved is what an Observer is shown of one rule, once the resolver has
+// been through all of it. It is valid only during the call.
+type Resolved struct {
+	Rule *lang.DNFRule
+	// Atoms holds one entry per atom of Rule, conjunction by conjunction.
+	Atoms []ResolvedAtom
+	// ActionErr is the resolver's error for Rule.Actions[Action], if any.
+	Action    int
+	ActionErr error
+	// Fields is the field table so far: what Constraint.Field indexes.
+	Fields []FieldInfo
+}
+
+// ResolvedAtom is an atom's interned predicate — its field and interval
+// set — or the resolver's error for it.
+type ResolvedAtom struct {
+	Con bdd.Constraint
+	Err error
+}
+
+// mark is how much a resolver has handed out: fields, payload IDs and
+// interned predicates.
+type mark struct{ fields, actions, preds int }
+
+func (r *resolver) mark() mark { return mark{len(r.fields), len(r.actions), r.made} }
+
+// rollback takes back what resolving rule made since m.
+func (r *resolver) rollback(m mark, rule *lang.DNFRule) {
+	for _, f := range r.fields[m.fields:] {
+		delete(r.byName, f.Name)
+	}
+	r.fields, r.actions = r.fields[:m.fields], r.actions[:m.actions]
+	for _, c := range rule.Conjunctions {
+		for _, a := range c {
+			a.Pos = lang.Pos{}
+			if p, ok := r.preds[a]; ok && p.seq >= m.preds {
+				delete(r.preds, a)
+			}
+		}
+	}
+	r.made = m.preds
 }
 
 func newResolver(sp *spec.Spec) *resolver {
-	return &resolver{FieldTable: NewFieldTable(sp), preds: make(map[lang.Atom]*predicate)}
+	r := &resolver{spec: sp, byName: make(map[string]int), preds: make(map[lang.Atom]*predicate)}
+	for _, q := range sp.OrderedQueries() {
+		r.byName[q.Name] = len(r.fields)
+		r.fields = append(r.fields, FieldInfo{Name: q.Name, Bits: q.Bits, Max: q.DomainMax(), Match: q.Match})
+	}
+	return r
 }
 
 // atomSet converts an atomic predicate into the interval set of values
@@ -279,6 +307,7 @@ type predicate struct {
 	atom   lang.Atom      // without a position: what con.Label points at
 	con    bdd.Constraint // formatted from atom only if the BDD asks
 	update *lang.Action   // the implicit update a self-updating macro atom carries
+	seq    int            // how many predicates the resolver had made before
 }
 
 // predicate interns an atom, creating its synthetic state field on first
@@ -288,7 +317,7 @@ func (r *resolver) predicate(a lang.Atom) (*predicate, error) {
 	if p, ok := r.preds[a]; ok {
 		return p, nil
 	}
-	idx, err := r.Index(a.LHS)
+	idx, err := r.index(a.LHS)
 	if err != nil {
 		return nil, err
 	}
@@ -302,7 +331,8 @@ func (r *resolver) predicate(a lang.Atom) (*predicate, error) {
 	// text it was given.
 	a.LHS = lang.Operand{Field: strings.Clone(a.LHS.Field), Agg: strings.Clone(a.LHS.Agg), Key: strings.Clone(a.LHS.Key)}
 	a.RHS.Sym = strings.Clone(a.RHS.Sym)
-	p := &predicate{atom: a}
+	p := &predicate{atom: a, seq: r.made}
+	r.made++
 	p.con = bdd.Constraint{Field: idx, Set: set, Label: &p.atom}
 	if f := r.fields[idx]; f.SelfUpdating() && a.LHS.IsAggregate() {
 		u := lang.KeyedStateUpdate(f.StateVar, f.KeyField, a.LHS.Agg, f.BaseField)
@@ -322,11 +352,12 @@ func (r *resolver) predicate(a lang.Atom) (*predicate, error) {
 // whose condition is the original minus the aggregate atoms. Rules are
 // resolved one by one in source order, and that order is the output's:
 // payload IDs count rules and companions as they come, and a synthetic state
-// field is created where its operand first appears.
+// field is created where its operand first appears. Every atom is resolved,
+// and the error returned is the actions' or else the first atom's.
 func (r *resolver) resolve(rule *lang.DNFRule, out []bdd.Conj) ([]bdd.Conj, int, error) {
-	actions, err := r.canonicalizeActions(rule.Actions)
-	if err != nil {
-		return out, 0, fmt.Errorf("rule %d: %w", rule.ID, err)
+	actions, bad, err := r.canonicalizeActions(rule.Actions)
+	if r.seen != nil {
+		*r.seen = Resolved{Rule: rule, Atoms: r.seen.Atoms[:0], Action: bad, ActionErr: err}
 	}
 	ruleID, updateID := len(r.actions), -1
 	r.actions = append(r.actions, actions)
@@ -339,9 +370,17 @@ func (r *resolver) resolve(rule *lang.DNFRule, out []bdd.Conj) ([]bdd.Conj, int,
 		var rest []bdd.Constraint
 		hasAggregate := false
 		for _, atom := range c {
-			p, err := r.predicate(atom)
-			if err != nil {
-				return out, 0, fmt.Errorf("rule %d: %w", rule.ID, err)
+			p, perr := r.predicate(atom)
+			if r.seen != nil {
+				ra := ResolvedAtom{Err: perr}
+				if p != nil {
+					ra.Con = p.con
+				}
+				r.seen.Atoms = append(r.seen.Atoms, ra)
+			}
+			if perr != nil {
+				err = cmp.Or(err, perr)
+				continue
 			}
 			if p.update != nil {
 				if !hasAggregate {
@@ -365,6 +404,12 @@ func (r *resolver) resolve(rule *lang.DNFRule, out []bdd.Conj) ([]bdd.Conj, int,
 			out = append(out, bdd.Conj{Payload: updateID, Constraints: rest})
 		}
 	}
+	if r.seen != nil {
+		r.seen.Fields = r.fields
+	}
+	if err != nil {
+		return out, 0, fmt.Errorf("rule %d: %w", rule.ID, err)
+	}
 	return out, ruleID, nil
 }
 
@@ -372,8 +417,9 @@ func (r *resolver) resolve(rule *lang.DNFRule, out []bdd.Conj) ([]bdd.Conj, int,
 // key to the canonical field name (src -> pkt.src). The resolver keeps the
 // list it returns: a list with a state update in it is a copy, so the
 // caller's rules stay untouched, and the update's names are copies too —
-// parsed, they are substrings of the rule text (see predicate).
-func (r *resolver) canonicalizeActions(actions []lang.Action) ([]lang.Action, error) {
+// parsed, they are substrings of the rule text (see predicate). An error
+// comes with the index of the action it is about.
+func (r *resolver) canonicalizeActions(actions []lang.Action) ([]lang.Action, int, error) {
 	out := actions
 	for i, a := range actions {
 		if a.Kind != lang.ActState {
@@ -382,8 +428,8 @@ func (r *resolver) canonicalizeActions(actions []lang.Action) ([]lang.Action, er
 		keyName := ""
 		if a.StateKey != "" {
 			var err error
-			if keyName, _, err = r.ResolveKey(a.StateKey); err != nil {
-				return nil, fmt.Errorf("action %s: %w", a, err)
+			if keyName, _, err = r.resolveKey(a.StateKey); err != nil {
+				return nil, i, fmt.Errorf("action %s: %w", a, err)
 			}
 		}
 		if &out[0] == &actions[0] {
@@ -396,7 +442,7 @@ func (r *resolver) canonicalizeActions(actions []lang.Action) ([]lang.Action, er
 			u.Args[j] = strings.Clone(arg)
 		}
 	}
-	return out, nil
+	return out, 0, nil
 }
 
 func containsAction(list []lang.Action, a lang.Action) bool {

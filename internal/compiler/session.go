@@ -79,15 +79,15 @@ func (s *Session) ArenaNodes() int { return s.arena.builder.ArenaSize() }
 // one handle per rule for later removal. The rules join the live set, all
 // or — when one fails — none, but are not compiled until Recompile.
 func (s *Session) AddRules(rules []lang.Rule) ([]int, error) {
-	return s.add(source{rules: rules})
+	return s.add(Source{Rules: rules})
 }
 
 // AddSource parses rule source text and adds the rules.
 func (s *Session) AddSource(src string) ([]int, error) {
-	return s.add(source{text: src})
+	return s.add(Source{Text: src})
 }
 
-func (s *Session) add(src source) ([]int, error) {
+func (s *Session) add(src Source) ([]int, error) {
 	var handles []int
 	err := frontEnd(context.Background(), src, s.opts, func(rule *lang.DNFRule) error {
 		conjs, h, err := s.res.resolve(rule, nil)

@@ -214,34 +214,32 @@ func (c *Controller) start(ctx context.Context, name string, labels ...telemetry
 }
 
 // admit runs the analysis gate over a prospective rule set, labeling the
-// span with the verdict. A nil receiver gate admits everything.
-func admit(gate *analyze.Gate, rules []lang.Rule, span *telemetry.Span) error {
-	rep, err := gate.Admit(rules)
+// span with the verdict, and returns the program the gate compiled.
+func admit(gate *analyze.Gate, rules []lang.Rule, copts compiler.Options, span *telemetry.Span) (*compiler.Program, error) {
+	prog, rep, err := gate.Admit(rules, copts)
 	if rep != nil {
 		span.SetLabel("analyze_errors", fmt.Sprint(rep.Errors()))
 		span.SetLabel("analyze_warnings", fmt.Sprint(rep.Warnings()))
 	}
-	return err
+	return prog, err
 }
 
 // UpdateRules analyzes, compiles, and installs a full replacement rule
-// set. The admission gate (SetAdmission) sees the rules before the
-// compiler does, so a rejected set costs no compile and — the gate's
-// contract — no device write. Compilation uses the gate's spec.
+// set. The admission gate (SetAdmission) compiles the rules against its
+// spec in the same pass that analyzes them, and this installs that
+// program: one compile per admitted set, and — the gate's contract — no
+// device write for a rejected one.
 func (c *Controller) UpdateRules(ctx context.Context, rules []lang.Rule, copts compiler.Options) (Delta, error) {
 	if c.gate == nil || c.gate.Spec == nil {
 		return Delta{}, fmt.Errorf("controlplane: UpdateRules needs an admission gate with a spec (SetAdmission)")
 	}
 	ctx, span := c.start(ctx, "controlplane_admission")
-	if err := admit(c.gate, rules, span); err != nil {
+	prog, err := admit(c.gate, rules, copts, span)
+	if err != nil {
 		span.EndOutcome("analysis_rejected", err)
 		return Delta{}, fmt.Errorf("controlplane: update rejected by rule analysis: %w", err)
 	}
 	span.End(nil)
-	prog, err := compiler.Compile(c.gate.Spec, rules, copts)
-	if err != nil {
-		return Delta{}, err
-	}
 	return c.Update(ctx, prog)
 }
 

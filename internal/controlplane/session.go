@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"camus/internal/analyze"
 	"camus/internal/compiler"
 	"camus/internal/lang"
 	"camus/internal/pipeline"
@@ -102,13 +103,13 @@ func (c *SessionController) Session() *compiler.Session { return c.session }
 func (c *SessionController) Churn(ctx context.Context, add []lang.Rule, remove []int) ([]int, Delta, error) {
 	ctx, span := c.start(ctx, "controlplane_churn",
 		telemetry.L("add", fmt.Sprint(len(add))), telemetry.L("remove", fmt.Sprint(len(remove))))
-	if c.gate != nil {
+	if c.gate != nil && c.gate.Policy != analyze.PolicyOff {
 		rules, err := c.prospective(add, remove)
 		if err != nil {
 			span.EndOutcome("bad_handle", err)
 			return nil, Delta{}, err
 		}
-		if err := admit(c.gate, rules, span); err != nil {
+		if _, err := admit(c.gate, rules, compiler.Options{}, span); err != nil {
 			span.EndOutcome("analysis_rejected", err)
 			return nil, Delta{}, fmt.Errorf("controlplane: churn rejected by rule analysis: %w", err)
 		}

@@ -224,23 +224,3 @@ func TestOrderAblationHeuristicWins(t *testing.T) {
 		t.Fatal("format broken")
 	}
 }
-
-// TestVetEstimateExact: on the Fig. 5c workload camus-vet's predicted
-// stages, SRAM and TCAM are the compiled program's pipeline.Plan, not an
-// approximation of it.
-func TestVetEstimateExact(t *testing.T) {
-	pts, err := VetEstimate([]int{2000}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := pts[0]
-	if p.ActualStages == 0 || p.ActualSRAM+p.ActualTCAM == 0 {
-		t.Fatalf("compiled program plans to nothing: %+v", p)
-	}
-	if p.PredictedStages != p.ActualStages || p.PredictedSRAM != p.ActualSRAM || p.PredictedTCAM != p.ActualTCAM || !p.Exact {
-		t.Fatalf("prediction differs from the plan: %+v", p)
-	}
-	if !strings.Contains(FormatVet(pts), "true") {
-		t.Fatal("format broken")
-	}
-}

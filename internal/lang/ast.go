@@ -332,4 +332,5 @@ type DNFRule struct {
 	Conjunctions []Conjunction
 	Actions      []Action
 	ID           int
+	Pos          Pos // the rule's
 }

@@ -21,9 +21,9 @@ const MaxDNFTerms = 1 << 16
 func ToDNF(r Rule) (DNFRule, error) {
 	terms, err := dnf(r.Cond)
 	if err != nil {
-		return DNFRule{}, fmt.Errorf("rule %d: %w", r.ID, err)
+		return DNFRule{}, &RuleError{ID: r.ID, Pos: r.Pos, Err: err}
 	}
-	out := DNFRule{Actions: r.Actions, ID: r.ID}
+	out := DNFRule{Actions: r.Actions, ID: r.ID, Pos: r.Pos}
 	var seen map[string]bool // only a rule of several terms can repeat one
 	if len(terms) > 1 {
 		seen = make(map[string]bool, len(terms))
@@ -44,6 +44,17 @@ func ToDNF(r Rule) (DNFRule, error) {
 	}
 	return out, nil
 }
+
+// RuleError is a rule that cannot be brought to normal form.
+type RuleError struct {
+	ID  int
+	Pos Pos
+	Err error
+}
+
+func (e *RuleError) Error() string { return fmt.Sprintf("rule %d: %v", e.ID, e.Err) }
+
+func (e *RuleError) Unwrap() error { return e.Err }
 
 // NormalizeAll applies ToDNF to each rule, stopping at the first that fails.
 func NormalizeAll(rules []Rule) ([]DNFRule, error) {
