@@ -126,12 +126,17 @@ func algorithm1(b *bdd.BDD, states []int) [][]pathEntry {
 
 // lowerEntries converts a field's path entries into physical table
 // entries. Because the path ranges leaving an In state partition the
-// domain, one path per state can always be lowered to a low-priority
-// wildcard default (the '*' rows of Fig. 4); the builder picks the path
-// with the most intervals, which is the residual "everything else" set.
-// The remaining paths become exact entries for points and range entries
-// otherwise. Exact-match fields must end up with no range entries.
-func lowerEntries(f FieldInfo, paths []pathEntry) ([]Entry, error) {
+// domain, one path per state needs no rows of its own: the table's default
+// takes it. The path to noop, the state of the terminal that does nothing,
+// can be left to a miss — it keeps the In state, for which no later table
+// and not the leaf has a row, so the packet drops as that terminal would.
+// Any other path can be left to a low-priority wildcard (the '*' rows of
+// Fig. 4), which saves its intervals less one. The default goes to whichever
+// saves the most rows, a tie to the miss; a wildcard needs a path of at
+// least two intervals. The remaining paths become exact entries for points
+// and range entries otherwise. Exact-match fields must end up with no range
+// entries.
+func lowerEntries(f FieldInfo, paths []pathEntry, noop int) ([]Entry, error) {
 	// algorithm1 emits an In state's paths together, In states ascending.
 	var out []Entry
 	for len(paths) > 0 {
@@ -142,21 +147,24 @@ func lowerEntries(f FieldInfo, paths []pathEntry) ([]Entry, error) {
 		}
 		var ps []pathEntry
 		ps, paths = paths[:n], paths[n:]
-		// Choose the default path: the one with the most intervals (the
-		// residual). A lone full-domain path is trivially the default.
-		def := -1
+		// The candidates: the path to noop, and the path with the most
+		// intervals (the residual) among the others. A lone full-domain path
+		// is trivially the wildcard.
+		def, miss := -1, -1
 		maxIvs := 1
 		for i, pe := range ps {
 			n := len(pe.set.Intervals())
-			if pe.set.IsFull(f.Max) {
+			switch {
+			case pe.toState == noop:
+				miss = i
+			case pe.set.IsFull(f.Max):
 				def = i
-				break
-			}
-			if n > maxIvs {
+			case n > maxIvs:
 				maxIvs = n
 				def = i
 			}
 		}
+		forced := false
 		if isExactKind(f) {
 			// An exact table cannot hold a range: the path that has one must
 			// be the default.
@@ -170,13 +178,19 @@ func lowerEntries(f FieldInfo, paths []pathEntry) ([]Entry, error) {
 				}
 			}
 			if ranged >= 0 {
-				def = ranged
+				def, forced = ranged, true
 			}
+		}
+		if miss >= 0 && (def == miss || !forced && maxIvs-1 <= len(ps[miss].set.Intervals())) {
+			def = -1
 		}
 		for i, pe := range ps {
 			if i == def {
 				out = append(out, Entry{State: st, Kind: EntryWild, Next: pe.toState, Priority: 0})
 				continue
+			}
+			if i == miss && def < 0 {
+				continue // the miss takes it
 			}
 			for _, iv := range pe.set.Intervals() {
 				kind := EntryRange

@@ -10,7 +10,6 @@ import (
 
 	"camus/internal/bdd"
 	"camus/internal/conc"
-	"camus/internal/interval"
 	"camus/internal/lang"
 	"camus/internal/spec"
 	"camus/internal/telemetry"
@@ -454,6 +453,15 @@ func compileFromConjs(sp *spec.Spec, fieldInfos []FieldInfo, actions [][]lang.Ac
 
 	states, leaves := assignStates(b)
 	perField := algorithm1(b, states)
+	// The terminal that forwards nowhere and updates nothing is what a miss
+	// already does; the builder merges terminals by what they do, so there
+	// is at most one.
+	noop := -1
+	for _, term := range leaves {
+		if ca.sets[b.Nodes()[term].Class].doesNothing() {
+			noop = states[term]
+		}
+	}
 
 	prog := &Program{
 		Spec:    sp,
@@ -468,7 +476,7 @@ func compileFromConjs(sp *spec.Spec, fieldInfos []FieldInfo, actions [][]lang.Ac
 	errs := make([]error, len(fields))
 	conc.ForEach(len(fields), opts.workers(), func(f int) {
 		fi := fields[f]
-		entries, err := lowerEntries(fi, perField[f])
+		entries, err := lowerEntries(fi, perField[f], noop)
 		if err != nil {
 			errs[f] = err
 			return
@@ -524,10 +532,11 @@ func autoExactLower(t *Table) {
 	t.Match = spec.MatchExact
 }
 
-// buildLeaf constructs the leaf table: one entry per terminal, in state
-// order, pointing at the action set that is the terminal's class and
-// allocating multicast groups for multi-port forwards. leaves lists the
-// terminals, states ascending.
+// buildLeaf constructs the leaf table: one entry per terminal that does
+// something, in state order, pointing at the action set that is the
+// terminal's class and allocating multicast groups for multi-port forwards.
+// The terminal that does nothing gets no entry: the leaf's miss drops.
+// leaves lists the terminals, states ascending.
 func (p *Program) buildLeaf(sets []ActionSet, leaves []int) {
 	p.Leaf = &Table{Name: "leaf", Field: -1, Match: spec.MatchExact}
 	groupIdx := make(map[string]int) // encoded port set -> group
@@ -536,6 +545,9 @@ func (p *Program) buildLeaf(sets []ActionSet, leaves []int) {
 	p.Leaf.Entries = make([]Entry, 0, len(leaves))
 	for _, term := range leaves {
 		as := sets[p.BDD.Nodes()[term].Class]
+		if as.doesNothing() {
+			continue
+		}
 		if len(as.Ports) > 1 {
 			scratch = appendPorts(scratch[:0], as.Ports)
 			g, ok := groupIdx[string(scratch)]
@@ -608,23 +620,10 @@ func (p *Program) computeStats(nRules int) {
 		if t.Codec != nil {
 			s.CodecEntries += t.Codec.NumIntervals()
 			s.TableEntries += t.Codec.NumIntervals()
-			s.TCAMEntries += t.Codec.TCAMCost(p.Fields[t.Field].Bits)
 		}
-		bits := p.Fields[t.Field].Bits
-		for _, e := range t.Entries {
-			switch e.Kind {
-			case EntryExact:
-				if t.Match == spec.MatchExact || t.Codec != nil {
-					s.SRAMEntries++
-				} else {
-					s.TCAMEntries++
-				}
-			case EntryRange:
-				s.TCAMEntries += interval.PrefixCount(e.Lo, e.Hi, bits)
-			case EntryWild:
-				s.TCAMEntries++
-			}
-		}
+		sram, tcam := t.Slots(p.Fields[t.Field].Bits)
+		s.SRAMEntries += sram
+		s.TCAMEntries += tcam
 	}
 	s.MulticastGroups = len(p.Groups)
 	p.Stats = s

@@ -80,20 +80,22 @@ func itchValues(p *Program, shares, stock, price uint64) []uint64 {
 
 func TestPaperFigure4Shape(t *testing.T) {
 	sp := itchSpec(t)
-	// Rules shaped like Figure 3: conditions on shares then stock.
+	// Rules shaped like Figure 3: conditions on shares then stock, and one
+	// on shares alone, so that the '*' row under few shares leads somewhere.
 	rules := `
 shares < 60 && stock == AAPL : fwd(3)
 shares < 60 && stock == AAPL : fwd(1); fwd(2)
 shares > 100 && stock == MSFT : fwd(1)
+shares < 60 : fwd(4)
 `
 	p := compileSrc(t, sp, rules, Options{})
 	aapl := encodeStock(t, sp, "AAPL")
 	msft := encodeStock(t, sp, "MSFT")
 
-	// AAPL with few shares matches rules 1 and 2: merged fwd(1,2,3).
+	// AAPL with few shares matches rules 1, 2 and 4: merged fwd(1,2,3,4).
 	as := p.Evaluate(itchValues(p, 59, aapl, 0))
-	if !reflect.DeepEqual(as.Ports, []int{1, 2, 3}) {
-		t.Fatalf("AAPL@59 ports = %v, want [1 2 3]", as.Ports)
+	if !reflect.DeepEqual(as.Ports, []int{1, 2, 3, 4}) {
+		t.Fatalf("AAPL@59 ports = %v, want [1 2 3 4]", as.Ports)
 	}
 	if as.Group < 0 {
 		t.Fatal("multi-port forward should have a multicast group")
@@ -106,14 +108,22 @@ shares > 100 && stock == MSFT : fwd(1)
 	if as.Group != -1 {
 		t.Fatal("unicast should have no group")
 	}
-	// No match: drop.
-	as = p.Evaluate(itchValues(p, 80, aapl, 0))
+	// No match: no row leads to the drop, so the shares table misses, the
+	// state stays put and the leaf's default drops.
+	vals := itchValues(p, 80, aapl, 0)
+	as = p.Evaluate(vals)
 	if !as.Drop || len(as.Ports) != 0 {
 		t.Fatalf("AAPL@80 should drop, got %+v", as)
 	}
+	tr := p.Trace(vals)
+	if !slices.ContainsFunc(tr.Steps, func(s TraceStep) bool { return s.Entry == nil && s.ToState == s.FromState }) ||
+		tr.Action.Key() != as.Key() {
+		t.Fatalf("AAPL@80 should miss a table and drop:\n%s", tr)
+	}
 
 	// The shares table carries range entries; the stock table is exact
-	// with per-state wildcards (the '*' rows of Fig. 4).
+	// with a per-state wildcard (the '*' rows of Fig. 4) where one leads
+	// somewhere.
 	var sharesTab, stockTab *Table
 	for i, f := range p.Fields {
 		switch f.Name {

@@ -66,10 +66,32 @@ func (c *DomainCodec) TCAMCost(bits int) int {
 	return n
 }
 
+// Slots prices a table in the switch memory it occupies, as Stats reports
+// it: an exact row of an exact table (a codec's main table is one) is an
+// SRAM word; any other row is a TCAM entry, a range as many as its prefixes;
+// and a codec costs the TCAM entries of its mapping stage. bits is the
+// field's width.
+func (t *Table) Slots(bits int) (sram, tcam int) {
+	if t.Codec != nil {
+		tcam += t.Codec.TCAMCost(bits)
+	}
+	for _, e := range t.Entries {
+		switch {
+		case e.Kind == EntryRange:
+			tcam += interval.PrefixCount(e.Lo, e.Hi, bits)
+		case e.Kind == EntryExact && t.Match == spec.MatchExact:
+			sram++
+		default:
+			tcam++
+		}
+	}
+	return sram, tcam
+}
+
 // maybeCompress rewrites a range table to a codec + exact table when the
-// field has few distinct range boundaries. The mapping stage costs one
-// entry per partition interval; the main table's range entries become one
-// exact (SRAM) entry per covered code.
+// field has few distinct range boundaries and the rewrite occupies fewer
+// Slots: the mapping stage's prefixes plus one exact (SRAM) row per code a
+// range covers, against the prefixes of the ranges it replaces.
 func maybeCompress(t *Table, fi FieldInfo, opts Options) {
 	if t.Match != spec.MatchRange || len(t.Entries) < opts.minEntries() {
 		return
@@ -101,8 +123,7 @@ func maybeCompress(t *Table, fi FieldInfo, opts Options) {
 	sort.Slice(bounds, func(i, j int) bool { return bounds[i] < bounds[j] })
 	codec := &DomainCodec{Bounds: bounds, Max: fi.Max}
 
-	// Rewrite entries onto the code domain; bail out if the rewrite would
-	// inflate the table past the TCAM cost it saves.
+	// Rewrite entries onto the code domain.
 	var rewritten []Entry
 	for _, e := range t.Entries {
 		switch e.Kind {
@@ -124,17 +145,12 @@ func maybeCompress(t *Table, fi FieldInfo, opts Options) {
 			}
 		}
 	}
-	tcamBefore := 0
-	for _, e := range t.Entries {
-		if e.Kind == EntryRange {
-			tcamBefore += interval.PrefixCount(e.Lo, e.Hi, fi.Bits)
-		}
-	}
-	if len(rewritten)+codec.NumIntervals() > len(t.Entries)+tcamBefore {
+	coded := &Table{Name: t.Name, Field: t.Field, Match: spec.MatchExact, Entries: rewritten, Codec: codec}
+	sram, tcam := coded.Slots(fi.Bits)
+	sram0, tcam0 := t.Slots(fi.Bits)
+	if sram+tcam >= sram0+tcam0 {
 		return // not worth it
 	}
 	sortEntries(rewritten)
-	t.Entries = rewritten
-	t.Codec = codec
-	t.Match = spec.MatchExact
+	*t = *coded
 }

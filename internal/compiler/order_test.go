@@ -37,11 +37,10 @@ func TestSuggestedOrderShrinksBDD(t *testing.T) {
 	// ordering duplicates the per-stock price chains under every price
 	// cell; stock-first keeps them separate. The heuristic must pick the
 	// small one: fewer nodes, fewer pipeline states, and fewer of the
-	// entries Algorithm 1 lowers them to. (Not fewer entries after domain
-	// compression: that re-encodes a range table as one exact row per code
-	// it covers, under either order some 2,000 rows on this rule set — 2,284
-	// against 2,291 when terminals were payload sets, 2,011 against 1,993
-	// now — so it is measured with compression off.)
+	// entries the tables hold, domain compression on: a codec is taken only
+	// where it occupies fewer slots, so it cannot blow a range table up to a
+	// row per code it covers (2,011 entries under stock-first while it was
+	// priced by intervals).
 	r := rand.New(rand.NewSource(42))
 	var b strings.Builder
 	for i := 0; i < 300; i++ {
@@ -56,7 +55,7 @@ func TestSuggestedOrderShrinksBDD(t *testing.T) {
 	if err := badSpec.SetFieldOrder("price", "stock"); err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{DisableCompression: true}
+	opts := Options{}
 	badProg, err := Compile(badSpec, rules, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -84,10 +83,12 @@ func TestSuggestedOrderShrinksBDD(t *testing.T) {
 			goodProg.Stats.States, badProg.Stats.States)
 	}
 	if 2*goodProg.Stats.TableEntries >= badProg.Stats.TableEntries {
-		t.Fatalf("suggested order should halve the lowered tables: %d vs %d entries",
+		t.Fatalf("suggested order should halve the tables: %d vs %d entries",
 			goodProg.Stats.TableEntries, badProg.Stats.TableEntries)
 	}
-
+	if goodProg.Stats.TableEntries > 500 {
+		t.Fatalf("stock-first tables hold %d entries, bound 500\n%s", goodProg.Stats.TableEntries, goodProg.Stats)
+	}
 	// Both orders must agree semantically.
 	for probe := 0; probe < 300; probe++ {
 		stock := encodeStock(t, itchSpec(t), fmt.Sprintf("S%03d", probe%25))

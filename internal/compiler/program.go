@@ -134,6 +134,10 @@ func (a ActionSet) String() string {
 	return strings.Join(parts, "; ")
 }
 
+// doesNothing reports whether the set forwards nowhere and updates nothing:
+// what a leaf miss does, so no row need lead to it.
+func (a ActionSet) doesNothing() bool { return len(a.Ports) == 0 && len(a.Updates) == 0 }
+
 // Key returns the action set's identity: a binary string that two sets
 // share exactly when they do the same thing to a packet (same ports, same
 // updates in order, same choice between dropping and only updating state).
@@ -263,8 +267,7 @@ func (p *Program) RemapStates(remap func(s int) int) {
 // its action set as in Figure 3 of the paper.
 func (p *Program) Dot() string {
 	return p.BDD.Dot(func(n *bdd.Node) string {
-		e, _ := p.Leaf.Lookup(p.stateOf[n.ID], 0)
-		return p.Actions[e.Next].String()
+		return p.LeafAction(p.stateOf[n.ID]).String()
 	})
 }
 
@@ -282,6 +285,12 @@ func (p *Program) Evaluate(values []uint64) ActionSet {
 			state = e.Next
 		}
 	}
+	return p.LeafAction(state)
+}
+
+// LeafAction is the leaf stage: the action set of the state a packet ends
+// in, or, when the leaf has no entry for it, the drop of its default action.
+func (p *Program) LeafAction(state int) ActionSet {
 	if e, ok := p.Leaf.Lookup(state, 0); ok {
 		return p.Actions[e.Next]
 	}
@@ -300,8 +309,8 @@ func (p *Program) EntriesTotal() int {
 	return n
 }
 
-// Dump renders the tables in the style of Figure 4 (for debugging and the
-// quickstart example).
+// Dump renders the tables in the style of Figure 4, each ending in what a
+// miss does (for debugging and the quickstart example).
 func (p *Program) Dump() string {
 	var b strings.Builder
 	for i, t := range p.Tables {
@@ -309,10 +318,12 @@ func (p *Program) Dump() string {
 		for _, e := range t.Entries {
 			fmt.Fprintf(&b, "  %s\n", e)
 		}
+		b.WriteString("  miss -> state unchanged\n")
 	}
 	b.WriteString("leaf table:\n")
 	for _, e := range p.Leaf.Entries {
 		fmt.Fprintf(&b, "  (state=%d) -> %s\n", e.State, p.Actions[e.Next])
 	}
+	b.WriteString("  miss -> drop()\n")
 	return b.String()
 }

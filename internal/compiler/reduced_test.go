@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"camus/internal/compiler"
+	"camus/internal/interval"
 	"camus/internal/lang"
 	"camus/internal/spec"
 	"camus/internal/workload"
@@ -183,7 +184,8 @@ func probeGrid(e *compiler.Exact, limit int, r *rand.Rand) [][]uint64 {
 // must compile to tables the size of the latter, and one with nothing to
 // merge must not grow. The bounds are a tenth of what the payload-exact
 // diagram gave (9,702 entries for the first at seed 1, 18,056 for the
-// second), so the reduction cannot silently stop firing.
+// second), so the reduction cannot silently stop firing; the first is a
+// thirtieth since no row leads to the drop (289 entries, from 386).
 func TestTablesScaleWithBehaviours(t *testing.T) {
 	itch := func(n, hosts int, grid uint64, seed int64) []lang.Rule {
 		return workload.ITCHSubscriptions(workload.ITCHSubsConfig{
@@ -205,7 +207,7 @@ func TestTablesScaleWithBehaviours(t *testing.T) {
 		c     goldenCase
 		bound int
 	}{
-		{rulesCase("10k rules, 100 symbols x 2 hosts", workload.ITCHSpec(), itch(10000, 2, 1, 1)), 600},
+		{rulesCase("10k rules, 100 symbols x 2 hosts", workload.ITCHSpec(), itch(10000, 2, 1, 1)), 320},
 		{sourceCase(t, "2k rules under two keyed windows", statefulSpec, stateful.String()), 600},
 		{rulesCase("2k rules, 200 hosts: nothing to merge", workload.ITCHSpec(), itch(2000, 200, 10, 12)), 11930},
 	} {
@@ -217,5 +219,79 @@ func TestTablesScaleWithBehaviours(t *testing.T) {
 			t.Errorf("%s: %d table entries, bound %d (%d distinct action sets)\n%s",
 				c.c.name, got, c.bound, len(prog.Actions), prog.Stats)
 		}
+	}
+}
+
+// TestNoRowLeadsToTheNoOp: a miss does what the terminal that forwards
+// nowhere and updates nothing does, so under every ablation of the lowering
+// no leaf entry and no wildcard leads there, and a row does only in a state
+// whose wildcard leads elsewhere because it had to: it saves more rows than
+// the miss would, or it holds a range an exact table cannot. And a codec
+// stays where it occupies fewer slots than the ranges it replaces: on a 20k
+// Fig. 5c rule set over 200 hosts the price table keeps its codec.
+func TestNoRowLeadsToTheNoOp(t *testing.T) {
+	doesNothing := func(a compiler.ActionSet) bool { return len(a.Ports) == 0 && len(a.Updates) == 0 }
+	ablations := []compiler.Options{{}, {DisableCompression: true}, {DisableExactLowering: true}, {ForceRangeTables: true}}
+	for _, c := range goldenCases(t) {
+		for _, opts := range ablations {
+			prog, err := c.compile(opts)
+			if err != nil {
+				t.Fatalf("%s %+v: %v", c.name, opts, err)
+			}
+			noop := map[int]bool{}
+			for _, n := range prog.BDD.Terminals() {
+				if st, ok := prog.StateOf(n.ID); ok && doesNothing(prog.LeafAction(st)) {
+					noop[st] = true
+				}
+			}
+			for _, e := range prog.Leaf.Entries {
+				if doesNothing(prog.Actions[e.Next]) {
+					t.Errorf("%s %+v: leaf entry %s does nothing", c.name, opts, e)
+				}
+			}
+			for f, tab := range prog.Tables {
+				wild := map[int]int{}                 // state -> its wildcard's next state
+				rows := map[int][]interval.Interval{} // state -> the values its rows match
+				toNoop := map[int]int{}               // state -> its rows leading to a no-op
+				for _, e := range tab.Entries {
+					switch {
+					case e.Kind == compiler.EntryWild:
+						wild[e.State] = e.Next
+						if noop[e.Next] {
+							t.Errorf("%s %+v: %s wildcard %s leads to the no-op", c.name, opts, tab.Name, e)
+						}
+						continue
+					case noop[e.Next]:
+						toNoop[e.State]++
+					}
+					rows[e.State] = append(rows[e.State], interval.Interval{Lo: e.Lo, Hi: e.Hi})
+				}
+				for st, k := range toNoop {
+					if _, ok := wild[st]; !ok {
+						t.Errorf("%s %+v: %s state %d has %d rows to the no-op and no wildcard", c.name, opts, tab.Name, st, k)
+						continue
+					}
+					if tab.Codec != nil {
+						continue // the rows match codes; the choice was made on values
+					}
+					rest := interval.FromIntervals(rows[st]...).Complement(prog.Fields[f].Max).Intervals()
+					ranged := slices.ContainsFunc(rest, func(iv interval.Interval) bool { return !iv.IsPoint() })
+					if len(rest)-1 <= k && !(ranged && prog.Fields[f].Match == spec.MatchExact) {
+						t.Errorf("%s %+v: %s state %d keeps a wildcard of %d intervals beside %d rows to the no-op",
+							c.name, opts, tab.Name, st, len(rest), k)
+					}
+				}
+			}
+		}
+	}
+
+	prog, err := compiler.Compile(workload.ITCHSpec(), workload.ITCHSubscriptions(workload.ITCHSubsConfig{
+		Subscriptions: 20000, Stocks: 100, Hosts: 200, PriceMax: 1000, PriceGrid: 10, Seed: 1,
+	}), compiler.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(prog.Tables, func(t *compiler.Table) bool { return t.Codec != nil }) || prog.Stats.TCAMEntries > 450 {
+		t.Errorf("20k Fig. 5c rules: want a codec and at most 450 TCAM entries, got %s", prog.Stats)
 	}
 }

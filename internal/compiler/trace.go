@@ -64,11 +64,7 @@ func (p *Program) Trace(values []uint64) Trace {
 		tr.Steps = append(tr.Steps, step)
 	}
 	tr.FinalState = state
-	if e, ok := p.Leaf.Lookup(state, 0); ok {
-		tr.Action = p.Actions[e.Next]
-	} else {
-		tr.Action = ActionSet{Drop: true, Group: -1}
-	}
+	tr.Action = p.LeafAction(state)
 conjs:
 	for _, c := range p.conjs {
 		for _, con := range c.Constraints {

@@ -92,6 +92,8 @@ func GenerateP4(prog *compiler.Program) string {
 	// Actions shared by the field tables.
 	b.WriteString("action set_state(next_state) {\n    modify_field(camus_meta.state, next_state);\n}\n\n")
 	b.WriteString("action keep_state() {\n    no_op();\n}\n\n")
+	b.WriteString("// A miss runs the table's default action, which the control-plane entries\n")
+	b.WriteString("// set: keep_state on every field table, do_drop on camus_leaf.\n\n")
 
 	// One table per field (plus a codec stage when compression applies).
 	for i, t := range prog.Tables {
@@ -171,9 +173,16 @@ func tableSize(n int) int {
 // GenerateEntries renders the dynamic compilation output — the
 // control-plane rules — in a simple line-oriented form:
 //
+//	table <name> default -> keep_state
 //	table <name> add state=<n> match=<exact:v|range:lo-hi|*> -> state=<n>
+//	table camus_leaf default -> drop
 //	table camus_leaf add state=<n> -> fwd(ports...)|drop
 //	mcgroup <id> ports=<p1,p2,...>
+//
+// The defaults are what a miss does, and the compiler relies on them: no
+// row leads to the terminal that forwards nowhere and updates nothing, so a
+// packet no rule wants keeps its state through the field tables and is
+// dropped by the leaf.
 func GenerateEntries(prog *compiler.Program) string {
 	var b strings.Builder
 	for gi, ports := range prog.Groups {
@@ -191,12 +200,14 @@ func GenerateEntries(prog *compiler.Program) string {
 				fmt.Fprintf(&b, "table %s_codec add match=range:%d-%d -> code=%d\n", name, iv.Lo, iv.Hi, code)
 			}
 		}
+		fmt.Fprintf(&b, "table %s default -> keep_state\n", name)
 		entries := append([]compiler.Entry(nil), t.Entries...)
 		sort.SliceStable(entries, func(a, c int) bool { return entries[a].State < entries[c].State })
 		for _, e := range entries {
 			fmt.Fprintf(&b, "table %s add state=%d match=%s -> state=%d\n", name, e.State, matchStr(e), e.Next)
 		}
 	}
+	b.WriteString("table camus_leaf default -> drop\n")
 	for _, e := range prog.Leaf.Entries {
 		act := prog.Actions[e.Next]
 		switch {

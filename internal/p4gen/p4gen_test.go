@@ -49,6 +49,7 @@ func TestGenerateP4Structure(t *testing.T) {
 		"camus_meta.state : exact;",
 		"add_order.stock : exact;",
 		"table camus_leaf",
+		"keep_state on every field table, do_drop on camus_leaf",
 		"do_multicast",
 		"control ingress",
 		"apply(camus_leaf);",
@@ -91,14 +92,19 @@ func TestGenerateEntries(t *testing.T) {
 	entries := GenerateEntries(prog)
 	for _, want := range []string{
 		"mcgroup 0 ports=2,3",
+		"table camus_add_order_stock default -> keep_state\n",
 		"table camus_add_order_stock add",
+		"table camus_leaf default -> drop\n",
 		"-> fwd(1)",
 		"-> mcast(0)",
-		"-> drop",
 	} {
 		if !strings.Contains(entries, want) {
 			t.Errorf("entries missing %q\n%s", want, entries)
 		}
+	}
+	// A symbol nobody wants misses: no wildcard row, and no leaf row drops.
+	if strings.Contains(entries, "match=*") || strings.Count(entries, "-> drop\n") != 1 {
+		t.Errorf("a row leads to the drop\n%s", entries)
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"strings"
 
 	"camus/internal/compiler"
-	"camus/internal/interval"
-	"camus/internal/spec"
 )
 
 // TableDemand is the memory a single table needs on the device.
@@ -70,22 +68,8 @@ func demand(t *compiler.Table, fi compiler.FieldInfo) TableDemand {
 	d := TableDemand{Name: t.Name, Stages: 1}
 	if t.Codec != nil {
 		d.Stages++
-		d.TCAM += t.Codec.TCAMCost(fi.Bits)
 	}
-	for _, e := range t.Entries {
-		switch e.Kind {
-		case compiler.EntryExact:
-			if t.Match == spec.MatchExact || t.Codec != nil {
-				d.SRAM++
-			} else {
-				d.TCAM++
-			}
-		case compiler.EntryRange:
-			d.TCAM += interval.PrefixCount(e.Lo, e.Hi, fi.Bits)
-		case compiler.EntryWild:
-			d.TCAM++
-		}
-	}
+	d.SRAM, d.TCAM = t.Slots(fi.Bits)
 	return d
 }
 
