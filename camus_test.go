@@ -102,12 +102,13 @@ stock == GOOGL && shares > 1000 : fwd(3)
 		t.Fatalf("second delivery: %+v", deliveries[1])
 	}
 
-	// Incremental update: mostly reuse.
+	// Incremental update: the stock rows under the share bands the new rule
+	// leaves alone are reused.
 	delta, err = ps.SetSubscriptions(`
 stock == GOOGL : fwd(1)
 stock == MSFT : fwd(2)
 stock == GOOGL && shares > 1000 : fwd(3)
-stock == IBM : fwd(4)
+stock == IBM && shares > 5000 : fwd(4)
 `)
 	if err != nil {
 		t.Fatal(err)
@@ -117,6 +118,7 @@ stock == IBM : fwd(4)
 	}
 	var ibm AddOrder
 	ibm.SetStock("IBM")
+	ibm.Shares = 6000
 	res := ps.ProcessOrder(&ibm, 0)
 	if res.Dropped || !reflect.DeepEqual(res.Ports, []int{4}) {
 		t.Fatalf("IBM after update: %+v", res)

@@ -10,28 +10,31 @@ import (
 )
 
 // assignStates numbers the BDD nodes that the pipeline must be able to
-// name: the root (initial state) and every node that is the target of a
-// cross-component edge — i.e. every In node of every field component plus
-// every reachable terminal. Numbering is breadth-first from the root so
-// state IDs are deterministic and small. states is indexed by node ID and
-// holds -1 for the nodes that get no state; leaves lists the terminals in
-// state order (one per action class: the builder has already merged the
+// name. The In nodes of the field components — the root (initial state)
+// and every other non-terminal target of a cross-component edge — are
+// states. The terminals are not: a terminal is an action, and the row that
+// reaches it decides the packet with it, so a terminal is numbered as its
+// action set's index in Program.Actions. Both numberings are breadth-first
+// from the root, so they are deterministic and small, and a root that is
+// not a terminal is state 0, the initial state. index is by node ID,
+// -1 for the nodes that get neither; leaves lists the terminals in action
+// order (one per action class: the builder has already merged the
 // terminals that do the same thing).
-func assignStates(b *bdd.BDD) (states, leaves []int) {
-	states = make([]int, b.NumNodes())
-	for i := range states {
-		states[i] = -1
+func assignStates(b *bdd.BDD) (index, leaves []int, states int) {
+	index = make([]int, b.NumNodes())
+	for i := range index {
+		index[i] = -1
 	}
-	next := 0
 	assign := func(n *bdd.Node) {
-		if states[n.ID] >= 0 {
-			return
-		}
-		if n.IsTerminal() {
+		switch {
+		case index[n.ID] >= 0:
+		case n.IsTerminal():
+			index[n.ID] = len(leaves)
 			leaves = append(leaves, n.ID)
+		default:
+			index[n.ID] = states
+			states++
 		}
-		states[n.ID] = next
-		next++
 	}
 	assign(b.Root)
 	queue := []*bdd.Node{b.Root}
@@ -52,16 +55,16 @@ func assignStates(b *bdd.BDD) (states, leaves []int) {
 			}
 		}
 	}
-	return states, leaves
+	return index, leaves, states
 }
 
 // pathEntry is an In→Out transition produced by Algorithm 1 before
 // lowering to physical entries: from state (the In node's state), for
-// field values in set, go to the Out node's state.
+// field values in set, go to the Out node's target.
 type pathEntry struct {
 	fromState int
 	set       interval.Set
-	toState   int
+	to        int
 }
 
 // algorithm1 computes, for each field, the component transition entries by
@@ -75,38 +78,42 @@ type pathEntry struct {
 // paths leaving an In node are disjoint and partition the field domain,
 // and that their number is bounded by the cells the field's predicates cut
 // the domain into — the paper's at-most-quadratic bound on In→Out paths.
-func algorithm1(b *bdd.BDD, states []int) [][]pathEntry {
+func algorithm1(b *bdd.BDD, index []int) [][]pathEntry {
 	perField := make([][]pathEntry, len(b.Fields))
 	// In nodes of component f: nodes with Field == f that carry a state.
 	inNodes := make([][]*bdd.Node, len(b.Fields))
 	for _, n := range b.Nodes() {
-		if !n.IsTerminal() && states[n.ID] >= 0 {
+		if !n.IsTerminal() && index[n.ID] >= 0 {
 			inNodes[n.Field] = append(inNodes[n.Field], n)
 		}
 	}
-	at := make([]int, len(states))  // Out state -> 1 + its entry among the In node at hand's
-	var cells [][]interval.Interval // per entry of the In node at hand, the ranges that reach its Out state
+	at := make([]int, len(index))   // Out node ID -> 1 + its entry among the In node at hand's
+	var outs []int                  // per entry of the In node at hand, its Out node ID
+	var cells [][]interval.Interval // and the ranges that reach it
 	for f := range b.Fields {
 		sort.Slice(inNodes[f], func(i, j int) bool {
-			return states[inNodes[f][i].ID] < states[inNodes[f][j].ID]
+			return index[inNodes[f][i].ID] < index[inNodes[f][j].ID]
 		})
 		max := b.Fields[f].Max
 		for _, u := range inNodes[f] {
-			from, first := states[u.ID], len(perField[f])
-			cells = cells[:0]
+			from, first := index[u.ID], len(perField[f])
+			outs, cells = outs[:0], cells[:0]
 			var walk func(n *bdd.Node, r interval.Set)
 			walk = func(n *bdd.Node, r interval.Set) {
 				if r.IsEmpty() {
 					return
 				}
 				if n.Field != f { // left the component (later field or terminal)
-					to := states[n.ID]
-					if at[to] == 0 {
-						perField[f] = append(perField[f], pathEntry{fromState: from, toState: to})
-						cells = append(cells, nil)
-						at[to] = len(cells)
+					if at[n.ID] == 0 {
+						to := index[n.ID]
+						if n.IsTerminal() {
+							to = decision(to)
+						}
+						perField[f] = append(perField[f], pathEntry{fromState: from, to: to})
+						outs, cells = append(outs, n.ID), append(cells, nil)
+						at[n.ID] = len(cells)
 					}
-					cells[at[to]-1] = append(cells[at[to]-1], r.Intervals()...)
+					cells[at[n.ID]-1] = append(cells[at[n.ID]-1], r.Intervals()...)
 					return
 				}
 				walk(n.True, r.Intersect(n.Set))
@@ -115,9 +122,8 @@ func algorithm1(b *bdd.BDD, states []int) [][]pathEntry {
 			walk(u.True, interval.Full(max).Intersect(u.Set))
 			walk(u.False, interval.Full(max).Minus(u.Set, max))
 			for i, ivs := range cells {
-				pe := &perField[f][first+i]
-				pe.set = interval.FromIntervals(ivs...)
-				at[pe.toState] = 0
+				perField[f][first+i].set = interval.FromIntervals(ivs...)
+				at[outs[i]] = 0
 			}
 		}
 	}
@@ -127,15 +133,15 @@ func algorithm1(b *bdd.BDD, states []int) [][]pathEntry {
 // lowerEntries converts a field's path entries into physical table
 // entries. Because the path ranges leaving an In state partition the
 // domain, one path per state needs no rows of its own: the table's default
-// takes it. The path to noop, the state of the terminal that does nothing,
-// can be left to a miss — it keeps the In state, for which no later table
-// and not the leaf has a row, so the packet drops as that terminal would.
-// Any other path can be left to a low-priority wildcard (the '*' rows of
-// Fig. 4), which saves its intervals less one. The default goes to whichever
-// saves the most rows, a tie to the miss; a wildcard needs a path of at
-// least two intervals. The remaining paths become exact entries for points
-// and range entries otherwise. Exact-match fields must end up with no range
-// entries.
+// takes it. The path to noop, the action set of the terminal that does
+// nothing (-1 when there is none), can be left to a miss — it keeps the In
+// state, for which no later table has a row, so no row decides the packet
+// and the leaf drops it as that terminal would. Any other path can be left
+// to a low-priority wildcard (the '*' rows of Fig. 4), which saves its
+// intervals less one. The default goes to whichever saves the most rows, a
+// tie to the miss; a wildcard needs a path of at least two intervals. The
+// remaining paths become exact entries for points and range entries
+// otherwise. Exact-match fields must end up with no range entries.
 func lowerEntries(f FieldInfo, paths []pathEntry, noop int) ([]Entry, error) {
 	// algorithm1 emits an In state's paths together, In states ascending.
 	var out []Entry
@@ -154,8 +160,9 @@ func lowerEntries(f FieldInfo, paths []pathEntry, noop int) ([]Entry, error) {
 		maxIvs := 1
 		for i, pe := range ps {
 			n := len(pe.set.Intervals())
+			a, decides := Decides(pe.to)
 			switch {
-			case pe.toState == noop:
+			case decides && a == noop:
 				miss = i
 			case pe.set.IsFull(f.Max):
 				def = i
@@ -186,7 +193,7 @@ func lowerEntries(f FieldInfo, paths []pathEntry, noop int) ([]Entry, error) {
 		}
 		for i, pe := range ps {
 			if i == def {
-				out = append(out, Entry{State: st, Kind: EntryWild, Next: pe.toState, Priority: 0})
+				out = append(out, Entry{State: st, Kind: EntryWild, Next: pe.to, Priority: 0})
 				continue
 			}
 			if i == miss && def < 0 {
@@ -197,7 +204,7 @@ func lowerEntries(f FieldInfo, paths []pathEntry, noop int) ([]Entry, error) {
 				if iv.IsPoint() {
 					kind = EntryExact
 				}
-				out = append(out, Entry{State: st, Kind: kind, Lo: iv.Lo, Hi: iv.Hi, Next: pe.toState, Priority: 1})
+				out = append(out, Entry{State: st, Kind: kind, Lo: iv.Lo, Hi: iv.Hi, Next: pe.to, Priority: 1})
 			}
 		}
 	}

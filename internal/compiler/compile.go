@@ -451,27 +451,21 @@ func compileFromConjs(sp *spec.Spec, fieldInfos []FieldInfo, actions [][]lang.Ac
 	opts.observeStage("build", start)
 	start = time.Now()
 
-	states, leaves := assignStates(b)
-	perField := algorithm1(b, states)
+	index, leaves, states := assignStates(b)
+	perField := algorithm1(b, index)
+	prog := &Program{ // InitialState 0: the root's state, when it has one
+		Spec:   sp,
+		Fields: fields,
+		BDD:    b,
+		Tables: make([]*Table, len(fields)),
+		conjs:  conjs,
+		index:  index,
+	}
+	prog.buildActions(ca.sets, leaves)
 	// The terminal that forwards nowhere and updates nothing is what a miss
 	// already does; the builder merges terminals by what they do, so there
 	// is at most one.
-	noop := -1
-	for _, term := range leaves {
-		if ca.sets[b.Nodes()[term].Class].doesNothing() {
-			noop = states[term]
-		}
-	}
-
-	prog := &Program{
-		Spec:    sp,
-		Fields:  fields,
-		BDD:     b,
-		Tables:  make([]*Table, len(fields)),
-		conjs:   conjs,
-		stateOf: states,
-	}
-	prog.InitialState = states[b.Root.ID]
+	noop := slices.IndexFunc(prog.Actions, ActionSet.doesNothing)
 
 	errs := make([]error, len(fields))
 	conc.ForEach(len(fields), opts.workers(), func(f int) {
@@ -494,8 +488,8 @@ func compileFromConjs(sp *spec.Spec, fieldInfos []FieldInfo, actions [][]lang.Ac
 		return nil, err
 	}
 
-	prog.buildLeaf(ca.sets, leaves)
-	prog.computeStats(nRules)
+	prog.buildLeaf()
+	prog.computeStats(nRules, states)
 	opts.observeStage("lower", start)
 	return prog, nil
 }
@@ -532,22 +526,16 @@ func autoExactLower(t *Table) {
 	t.Match = spec.MatchExact
 }
 
-// buildLeaf constructs the leaf table: one entry per terminal that does
-// something, in state order, pointing at the action set that is the
-// terminal's class and allocating multicast groups for multi-port forwards.
-// The terminal that does nothing gets no entry: the leaf's miss drops.
-// leaves lists the terminals, states ascending.
-func (p *Program) buildLeaf(sets []ActionSet, leaves []int) {
-	p.Leaf = &Table{Name: "leaf", Field: -1, Match: spec.MatchExact}
+// buildActions lists the action set of every terminal, in the order leaves
+// gives them — the terminal's class — allocating multicast groups for
+// multi-port forwards in the same order.
+func (p *Program) buildActions(sets []ActionSet, leaves []int) {
 	groupIdx := make(map[string]int) // encoded port set -> group
 	var scratch []byte
-	p.Actions = make([]ActionSet, 0, len(leaves))
-	p.Leaf.Entries = make([]Entry, 0, len(leaves))
-	for _, term := range leaves {
+	p.Actions = make([]ActionSet, len(leaves))
+	for i, term := range leaves {
 		as := sets[p.BDD.Nodes()[term].Class]
-		if as.doesNothing() {
-			continue
-		}
+		as.Group = -1
 		if len(as.Ports) > 1 {
 			scratch = appendPorts(scratch[:0], as.Ports)
 			g, ok := groupIdx[string(scratch)]
@@ -557,13 +545,29 @@ func (p *Program) buildLeaf(sets []ActionSet, leaves []int) {
 				p.Groups = append(p.Groups, as.Ports)
 			}
 			as.Group = g
-		} else {
-			as.Group = -1
 		}
-		p.Leaf.Entries = append(p.Leaf.Entries, Entry{
-			State: p.stateOf[term], Kind: EntryWild, Next: len(p.Actions), Priority: 0,
-		})
-		p.Actions = append(p.Actions, as)
+		p.Actions[i] = as
+	}
+}
+
+// buildLeaf constructs the leaf table, the stage that runs state updates. A
+// row that reaches a terminal decides the packet itself, so an action set
+// that only forwards costs no entry here, and one with updates one entry,
+// matched on the action a row decided. A diagram that is a single terminal
+// has no rows: its terminal, unless it does nothing (a miss drops), is the
+// stage's default.
+func (p *Program) buildLeaf() {
+	p.Leaf = &Table{Name: "leaf", Field: -1, Match: spec.MatchExact}
+	if p.BDD.Root.IsTerminal() {
+		if a := p.index[p.BDD.Root.ID]; !p.Actions[a].doesNothing() {
+			p.Leaf.Entries = []Entry{{Kind: EntryWild, Next: decision(a)}}
+		}
+		return
+	}
+	for a, as := range p.Actions {
+		if len(as.Updates) > 0 {
+			p.Leaf.Entries = append(p.Leaf.Entries, Entry{Kind: EntryExact, Lo: uint64(a), Hi: uint64(a), Next: decision(a)})
+		}
 	}
 }
 
@@ -600,21 +604,17 @@ func sortPorts(ports []int, seen *[]uint64) {
 }
 
 // computeStats fills in the resource statistics.
-func (p *Program) computeStats(nRules int) {
+func (p *Program) computeStats(nRules, states int) {
 	s := Stats{
 		Rules:        nRules,
 		Conjunctions: len(p.conjs),
 		BDDNodes:     p.BDD.NumNodes(),
 		BDDTerminals: len(p.BDD.Terminals()),
+		States:       states,
 		LeafEntries:  len(p.Leaf.Entries),
 	}
-	for _, st := range p.stateOf {
-		if st >= 0 {
-			s.States++
-		}
-	}
 	s.TableEntries = len(p.Leaf.Entries)
-	s.SRAMEntries += len(p.Leaf.Entries) // leaf is an exact state match
+	s.SRAMEntries += len(p.Leaf.Entries) // the leaf matches the decided action exactly
 	for _, t := range p.Tables {
 		s.TableEntries += len(t.Entries)
 		if t.Codec != nil {

@@ -32,15 +32,28 @@ func (k EntryKind) String() string {
 }
 
 // Entry is one row of a field table: match on (entry state, field value),
-// action sets the next BDD state (Fig. 4). Higher Priority wins when
-// entries overlap (wildcards are lowest priority).
+// and either move the packet to the next BDD state (Fig. 4) or, when the
+// row's Out node is a terminal, decide it with that terminal's action set
+// and leave the state alone. Higher Priority wins when entries overlap
+// (wildcards are lowest priority).
 type Entry struct {
-	State    int
-	Kind     EntryKind
-	Lo, Hi   uint64
+	State  int
+	Kind   EntryKind
+	Lo, Hi uint64
+	// Next is the row's target, read through Decides: a state, or an
+	// action set.
 	Next     int
 	Priority int
 }
+
+// Decides reads a row's target, Entry.Next. A row whose Out node is a
+// terminal decides the packet: it names that terminal's action set, action
+// indexing Program.Actions, and ok is true. Any other row moves the packet
+// to state next.
+func Decides(next int) (action int, ok bool) { return ^next, next < 0 }
+
+// decision is the target of a row that decides with Actions[action].
+func decision(action int) int { return ^action }
 
 // Matches reports whether the entry matches the given state and value.
 func (e Entry) Matches(state int, value uint64) bool {
@@ -58,21 +71,27 @@ func (e Entry) Matches(state int, value uint64) bool {
 }
 
 func (e Entry) String() string {
-	var m string
+	if a, ok := Decides(e.Next); ok {
+		return fmt.Sprintf("%s -> action %d", e.match(), a)
+	}
+	return fmt.Sprintf("%s -> state %d", e.match(), e.Next)
+}
+
+// match renders what the row matches.
+func (e Entry) match() string {
 	switch e.Kind {
 	case EntryExact:
-		m = fmt.Sprintf("%d", e.Lo)
+		return fmt.Sprintf("(state=%d, %d)", e.State, e.Lo)
 	case EntryRange:
-		m = fmt.Sprintf("[%d,%d]", e.Lo, e.Hi)
+		return fmt.Sprintf("(state=%d, [%d,%d])", e.State, e.Lo, e.Hi)
 	default:
-		m = "*"
+		return fmt.Sprintf("(state=%d, *)", e.State)
 	}
-	return fmt.Sprintf("(state=%d, %s) -> state %d", e.State, m, e.Next)
 }
 
 // Table is one pipeline stage's match-action table. Field indexes the
-// program's field list; the leaf table uses Field == -1 and its entries'
-// Next values index Program.Actions instead of states.
+// program's field list; the leaf table, the stage that runs state updates,
+// uses Field == -1 (see Program.Leaf).
 type Table struct {
 	Name    string
 	Field   int
@@ -86,8 +105,7 @@ type Table struct {
 }
 
 // Lookup finds the highest-priority matching entry. ok is false on a miss
-// (the pipeline then applies the default action: keep state / drop at
-// leaf).
+// (the pipeline then applies the table's default action: keep the state).
 func (t *Table) Lookup(state int, value uint64) (Entry, bool) {
 	if t.Codec != nil {
 		value = t.Codec.Code(value)
@@ -195,7 +213,7 @@ type Stats struct {
 	Conjunctions    int
 	BDDNodes        int
 	BDDTerminals    int
-	States          int
+	States          int // In nodes: a terminal is an action, not a state
 	TableEntries    int // logical entries across all field tables + leaf
 	LeafEntries     int
 	SRAMEntries     int // exact entries
@@ -218,10 +236,15 @@ type Program struct {
 	BDD    *bdd.BDD
 
 	Tables []*Table // one per field, in field order
-	Leaf   *Table   // terminal table: state -> action index
+	// Leaf is the last stage, which runs state updates: one exact entry per
+	// action set with updates, matching the index of the action set a row
+	// decided (Lo); or, for a diagram that is a single terminal doing
+	// something, that terminal as the stage's default, a wildcard. A
+	// packet no row decided, and no default takes, drops.
+	Leaf *Table
 
-	Actions []ActionSet
-	Groups  [][]int // multicast groups: group ID -> port set
+	Actions []ActionSet // one per terminal, in the order assignStates meets them
+	Groups  [][]int     // multicast groups: group ID -> port set
 
 	InitialState int
 	Stats        Stats
@@ -230,35 +253,48 @@ type Program struct {
 	// Trace evaluates to say which rules a packet matched (the BDD's
 	// terminals are action classes and name no rule).
 	conjs []bdd.Conj
-	// stateOf maps BDD node IDs to pipeline state numbers, -1 for the
-	// nodes that carry none (interior nodes of a field's component).
-	stateOf []int
+	// index maps BDD node IDs to what the pipeline names them by: an In
+	// node's state, a terminal's action set (its index in Actions); -1 for
+	// the nodes that are neither (interior nodes of a field's component).
+	index []int
 }
 
 // StateOf exposes the BDD-node → pipeline-state mapping (testing).
 func (p *Program) StateOf(nodeID int) (int, bool) {
-	if nodeID < 0 || nodeID >= len(p.stateOf) || p.stateOf[nodeID] < 0 {
-		return 0, false
-	}
-	return p.stateOf[nodeID], true
+	return p.indexOf(nodeID, false)
 }
 
-// RemapStates renumbers pipeline states in place (entries, leaf, initial
-// state): state s becomes remap(s).
+// ActionOf maps a terminal's BDD node ID to its action set's index in
+// Actions.
+func (p *Program) ActionOf(nodeID int) (int, bool) {
+	return p.indexOf(nodeID, true)
+}
+
+func (p *Program) indexOf(nodeID int, terminal bool) (int, bool) {
+	if nodeID < 0 || nodeID >= len(p.index) || p.index[nodeID] < 0 || p.BDD.Nodes()[nodeID].IsTerminal() != terminal {
+		return 0, false
+	}
+	return p.index[nodeID], true
+}
+
+// RemapStates renumbers pipeline states in place (entries, initial state):
+// state s becomes remap(s). The targets of rows that decide are actions and
+// keep their numbers.
 func (p *Program) RemapStates(remap func(s int) int) {
 	for _, t := range p.Tables {
 		for i := range t.Entries {
-			t.Entries[i].State = remap(t.Entries[i].State)
-			t.Entries[i].Next = remap(t.Entries[i].Next)
+			e := &t.Entries[i]
+			e.State = remap(e.State)
+			if _, ok := Decides(e.Next); !ok {
+				e.Next = remap(e.Next)
+			}
 		}
 	}
-	for i := range p.Leaf.Entries {
-		p.Leaf.Entries[i].State = remap(p.Leaf.Entries[i].State)
-	}
 	p.InitialState = remap(p.InitialState)
-	for nodeID, st := range p.stateOf {
-		if st >= 0 {
-			p.stateOf[nodeID] = remap(st)
+	nodes := p.BDD.Nodes()
+	for nodeID, st := range p.index {
+		if st >= 0 && !nodes[nodeID].IsTerminal() {
+			p.index[nodeID] = remap(st)
 		}
 	}
 }
@@ -267,7 +303,7 @@ func (p *Program) RemapStates(remap func(s int) int) {
 // its action set as in Figure 3 of the paper.
 func (p *Program) Dot() string {
 	return p.BDD.Dot(func(n *bdd.Node) string {
-		return p.LeafAction(p.stateOf[n.ID]).String()
+		return p.Actions[p.index[n.ID]].String()
 	})
 }
 
@@ -275,24 +311,37 @@ func (p *Program) Dot() string {
 func (p *Program) NumStates() int { return p.Stats.States }
 
 // Evaluate runs a packet's field values (indexed like Program.Fields)
-// through the compiled tables and returns the resulting action set. This
-// is the software reference for the hardware pipeline; internal/pipeline
+// through the compiled tables and returns the resulting action set: that
+// of the row that decides it, or else the leaf's default. This is the
+// software reference for the hardware pipeline; internal/pipeline
 // implements the same semantics with resource modeling.
 func (p *Program) Evaluate(values []uint64) ActionSet {
 	state := p.InitialState
 	for i, t := range p.Tables {
 		if e, ok := t.Lookup(state, values[i]); ok {
+			if a, ok := Decides(e.Next); ok {
+				return p.Actions[a]
+			}
 			state = e.Next
 		}
 	}
-	return p.LeafAction(state)
+	return p.leafDefault()
 }
 
-// LeafAction is the leaf stage: the action set of the state a packet ends
-// in, or, when the leaf has no entry for it, the drop of its default action.
-func (p *Program) LeafAction(state int) ActionSet {
-	if e, ok := p.Leaf.Lookup(state, 0); ok {
-		return p.Actions[e.Next]
+// LeafDefault is what the leaf does to a packet no row decided: the index
+// in Actions of its default, or, when ok is false, drop.
+func (p *Program) LeafDefault() (action int, ok bool) {
+	for _, e := range p.Leaf.Entries {
+		if e.Kind == EntryWild {
+			return Decides(e.Next)
+		}
+	}
+	return 0, false
+}
+
+func (p *Program) leafDefault() ActionSet {
+	if a, ok := p.LeafDefault(); ok {
+		return p.Actions[a]
 	}
 	return ActionSet{Drop: true, Group: -1}
 }
@@ -309,21 +358,32 @@ func (p *Program) EntriesTotal() int {
 	return n
 }
 
-// Dump renders the tables in the style of Figure 4, each ending in what a
-// miss does (for debugging and the quickstart example).
+// Dump renders the tables in the style of Figure 4, a row that decides
+// with its action set, each table ending in what a miss does (for
+// debugging and the quickstart example).
 func (p *Program) Dump() string {
 	var b strings.Builder
 	for i, t := range p.Tables {
 		fmt.Fprintf(&b, "%s table (%s):\n", p.Fields[i].Name, t.Match)
 		for _, e := range t.Entries {
-			fmt.Fprintf(&b, "  %s\n", e)
+			if a, ok := Decides(e.Next); ok {
+				fmt.Fprintf(&b, "  %s -> %s\n", e.match(), p.Actions[a])
+			} else {
+				fmt.Fprintf(&b, "  %s\n", e)
+			}
 		}
 		b.WriteString("  miss -> state unchanged\n")
 	}
-	b.WriteString("leaf table:\n")
+	b.WriteString("leaf table (state updates):\n")
 	for _, e := range p.Leaf.Entries {
-		fmt.Fprintf(&b, "  (state=%d) -> %s\n", e.State, p.Actions[e.Next])
+		if a, _ := Decides(e.Next); e.Kind == EntryWild {
+			fmt.Fprintf(&b, "  default -> %s\n", p.Actions[a])
+		} else {
+			fmt.Fprintf(&b, "  (action=%d) -> %s\n", a, p.Actions[a])
+		}
 	}
-	b.WriteString("  miss -> drop()\n")
+	if _, ok := p.LeafDefault(); !ok {
+		b.WriteString("  miss -> drop()\n")
+	}
 	return b.String()
 }

@@ -222,6 +222,73 @@ func TestTablesScaleWithBehaviours(t *testing.T) {
 	}
 }
 
+// TestTerminalsAreActions: a terminal is an action, not a state. The row
+// that reaches one decides the packet with its action set, so no terminal
+// has a state, Stats.States counts the In nodes, and the leaf holds one
+// entry per action set that updates state: none on a 20k Fig. 5c rule set
+// over 200 hosts, where every class only forwards, and one per class on the
+// itch-stateful fixture, where every class updates.
+func TestTerminalsAreActions(t *testing.T) {
+	check := func(name string, prog *compiler.Program) {
+		t.Helper()
+		inNodes := 0
+		for _, n := range prog.BDD.Nodes() {
+			_, hasState := prog.StateOf(n.ID)
+			_, hasAction := prog.ActionOf(n.ID)
+			switch {
+			case n.IsTerminal() && (hasState || !hasAction):
+				t.Errorf("%s: terminal %d has a state (%v) or no action set (%v)", name, n.ID, hasState, !hasAction)
+			case hasState:
+				inNodes++
+			}
+		}
+		if prog.Stats.States != inNodes {
+			t.Errorf("%s: %d states, %d In nodes", name, prog.Stats.States, inNodes)
+		}
+		updating := map[int]bool{}
+		for a, as := range prog.Actions {
+			if len(as.Updates) > 0 {
+				updating[a] = true
+			}
+		}
+		for _, e := range prog.Leaf.Entries {
+			a, ok := compiler.Decides(e.Next)
+			if !ok || e.Kind != compiler.EntryExact || e.Lo != uint64(a) || !updating[a] {
+				t.Errorf("%s: leaf entry %s is not one of an action set that updates state", name, e)
+			}
+			delete(updating, a)
+		}
+		if len(updating) > 0 || prog.Stats.LeafEntries != len(prog.Leaf.Entries) {
+			t.Errorf("%s: %d updating action sets without a leaf entry; %d leaf entries, Stats says %d",
+				name, len(updating), len(prog.Leaf.Entries), prog.Stats.LeafEntries)
+		}
+	}
+
+	prog, err := compiler.Compile(workload.ITCHSpec(), workload.ITCHSubscriptions(workload.ITCHSubsConfig{
+		Subscriptions: 20000, Stocks: 100, Hosts: 200, PriceMax: 1000, PriceGrid: 10, Seed: 1,
+	}), compiler.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("20k Fig. 5c rules", prog)
+	if len(prog.Leaf.Entries) != 0 {
+		t.Errorf("20k Fig. 5c rules: %d leaf entries, want none", len(prog.Leaf.Entries))
+	}
+	for _, c := range goldenCases(t) {
+		if c.name != "itch-stateful" {
+			continue
+		}
+		prog, err := c.compile(compiler.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(c.name, prog)
+		if len(prog.Leaf.Entries) == 0 {
+			t.Errorf("%s: no leaf entries", c.name)
+		}
+	}
+}
+
 // TestNoRowLeadsToTheNoOp: a miss does what the terminal that forwards
 // nowhere and updates nothing does, so under every ablation of the lowering
 // no leaf entry and no wildcard leads there, and a row does only in a state
@@ -238,30 +305,28 @@ func TestNoRowLeadsToTheNoOp(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %+v: %v", c.name, opts, err)
 			}
-			noop := map[int]bool{}
-			for _, n := range prog.BDD.Terminals() {
-				if st, ok := prog.StateOf(n.ID); ok && doesNothing(prog.LeafAction(st)) {
-					noop[st] = true
-				}
+			noop := func(next int) bool {
+				a, ok := compiler.Decides(next)
+				return ok && doesNothing(prog.Actions[a])
 			}
 			for _, e := range prog.Leaf.Entries {
-				if doesNothing(prog.Actions[e.Next]) {
+				if noop(e.Next) {
 					t.Errorf("%s %+v: leaf entry %s does nothing", c.name, opts, e)
 				}
 			}
 			for f, tab := range prog.Tables {
-				wild := map[int]int{}                 // state -> its wildcard's next state
+				wild := map[int]int{}                 // state -> its wildcard's target
 				rows := map[int][]interval.Interval{} // state -> the values its rows match
 				toNoop := map[int]int{}               // state -> its rows leading to a no-op
 				for _, e := range tab.Entries {
 					switch {
 					case e.Kind == compiler.EntryWild:
 						wild[e.State] = e.Next
-						if noop[e.Next] {
+						if noop(e.Next) {
 							t.Errorf("%s %+v: %s wildcard %s leads to the no-op", c.name, opts, tab.Name, e)
 						}
 						continue
-					case noop[e.Next]:
+					case noop(e.Next):
 						toNoop[e.State]++
 					}
 					rows[e.State] = append(rows[e.State], interval.Interval{Lo: e.Lo, Hi: e.Hi})

@@ -15,11 +15,17 @@ type TraceStep struct {
 	FromState int
 	Entry     *Entry // nil on a table miss
 	ToState   int
+	// Action is the action set the step's row decided the packet with, nil
+	// when the row only moved it to ToState, or missed.
+	Action *ActionSet
 }
 
 func (s TraceStep) String() string {
-	if s.Entry == nil {
+	switch {
+	case s.Entry == nil:
 		return fmt.Sprintf("%-24s value=%-12d state %d: miss (state unchanged)", s.Field, s.Value, s.FromState)
+	case s.Action != nil:
+		return fmt.Sprintf("%-24s value=%-12d state %d: %s -> %s", s.Field, s.Value, s.FromState, s.Entry.match(), s.Action)
 	}
 	return fmt.Sprintf("%-24s value=%-12d state %d: %s", s.Field, s.Value, s.FromState, s.Entry)
 }
@@ -27,9 +33,8 @@ func (s TraceStep) String() string {
 // Trace is a packet's full walk through the compiled tables, beside the
 // rules it matched — the "why did this packet go there" debugging view.
 type Trace struct {
-	Steps      []TraceStep
-	FinalState int
-	Action     ActionSet
+	Steps  []TraceStep
+	Action ActionSet
 	// MatchedRules lists, ascending, the rule IDs whose conditions the
 	// packet satisfies.
 	MatchedRules []int
@@ -37,34 +42,42 @@ type Trace struct {
 
 func (tr Trace) String() string {
 	var b strings.Builder
+	decided := false
 	for _, s := range tr.Steps {
 		fmt.Fprintf(&b, "  %s\n", s)
+		decided = decided || s.Action != nil
 	}
-	fmt.Fprintf(&b, "  leaf: state %d -> %s\n", tr.FinalState, tr.Action)
+	if !decided {
+		fmt.Fprintf(&b, "  no row decided: leaf default -> %s\n", tr.Action)
+	}
 	fmt.Fprintf(&b, "  matched rules: %v\n", tr.MatchedRules)
 	return b.String()
 }
 
-// Trace runs a packet through the tables recording every lookup, and finds
-// the matched rule set by evaluating every rule's resolved conjunctions on
-// the same values: O(rules), off the packet path, and independent of the
-// BDD and the tables it explains. It is the diagnostic twin of Evaluate
-// (same semantics, more output).
+// Trace runs a packet through the tables recording every lookup — those
+// after the row that decides miss, as they do on the switch — and finds the
+// matched rule set by evaluating every rule's resolved conjunctions on the
+// same values: O(rules), off the packet path, and independent of the BDD
+// and the tables it explains. It is the diagnostic twin of Evaluate (same
+// semantics, more output).
 func (p *Program) Trace(values []uint64) Trace {
-	tr := Trace{}
+	tr := Trace{Action: p.leafDefault()}
 	state := p.InitialState
 	for i, t := range p.Tables {
 		step := TraceStep{Field: p.Fields[i].Name, Value: values[i], FromState: state}
 		if e, ok := t.Lookup(state, values[i]); ok {
 			eCopy := e
 			step.Entry = &eCopy
-			state = e.Next
+			if a, ok := Decides(e.Next); ok {
+				tr.Action = p.Actions[a]
+				step.Action = &p.Actions[a]
+			} else {
+				state = e.Next
+			}
 		}
 		step.ToState = state
 		tr.Steps = append(tr.Steps, step)
 	}
-	tr.FinalState = state
-	tr.Action = p.LeafAction(state)
 conjs:
 	for _, c := range p.conjs {
 		for _, con := range c.Constraints {

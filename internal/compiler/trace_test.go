@@ -26,8 +26,21 @@ stock == AAPL : fwd(3)
 	if len(tr.Steps) != len(p.Tables) {
 		t.Fatalf("steps = %d, want %d", len(tr.Steps), len(p.Tables))
 	}
-	// The rendered trace mentions the stock table and the merged action.
+	// One step, the stock table's, decides the packet, and shows the merged
+	// action on its row; no line names a state the packet ends in.
+	decided := 0
+	for _, s := range tr.Steps {
+		if s.Action != nil {
+			decided++
+			if s.Action.Key() != as.Key() || !strings.Contains(s.String(), "-> fwd(1,2)") {
+				t.Fatalf("deciding step %s, want the row to fwd(1,2)", s)
+			}
+		}
+	}
 	out := tr.String()
+	if decided != 1 || strings.Contains(out, "leaf") {
+		t.Fatalf("want one deciding step and no leaf line:\n%s", out)
+	}
 	for _, want := range []string{"add_order.stock", "fwd(1,2)", "matched rules: [0 1]"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("trace missing %q:\n%s", want, out)
@@ -64,6 +77,9 @@ func TestTraceMissShowsStateUnchanged(t *testing.T) {
 	}
 	if len(tr.MatchedRules) != 0 {
 		t.Fatalf("matched rules = %v", tr.MatchedRules)
+	}
+	if out := tr.String(); !strings.Contains(out, "miss (state unchanged)") || !strings.Contains(out, "no row decided: leaf default -> drop()") {
+		t.Fatalf("IBM should miss and fall to the leaf's drop:\n%s", out)
 	}
 }
 

@@ -406,36 +406,25 @@ type stateSig struct {
 	state int
 }
 
-func (s stateSig) compareState(st int) int { return cmp.Compare(s.state, st) }
-
 // actionSig hashes an action set's identity (its Key).
 func actionSig(a compiler.ActionSet) sig {
 	return sig{a: 14695981039346656037, b: 0x2545F4914F6CDD1D}.mixString(a.Key())
 }
 
 // stateSignatures computes a behavioral hash per pipeline state by
-// hashing the sub-BDD rooted at the state's node; terminals hash their
-// merged action set, so two states are equal iff the packets reaching
-// them are treated identically regardless of state numbering. Ascending by
-// signature, then state.
+// hashing the sub-BDD rooted at the state's node; terminals, which are not
+// states, hash their merged action set, so two states are equal iff the
+// packets reaching them are treated identically regardless of state
+// numbering. Ascending by signature, then state.
 func stateSignatures(p *compiler.Program) []stateSig {
-	leaf := make([]stateSig, len(p.Leaf.Entries)) // terminal state -> action hash, by state
-	for i, e := range p.Leaf.Entries {
-		leaf[i] = stateSig{actionSig(p.Actions[e.Next]), e.State}
-	}
-	slices.SortFunc(leaf, func(a, b stateSig) int { return a.compareState(b.state) })
-
 	out := make([]stateSig, 0, p.Stats.States)
 	nodes := p.BDD.Nodes()
 	sigs := make([]sig, len(nodes)) // by node ID; a node's children have smaller IDs
 	for _, n := range nodes {
-		st, hasState := p.StateOf(n.ID)
 		var s sig
-		if n.IsTerminal() {
-			if at, ok := slices.BinarySearchFunc(leaf, st, stateSig.compareState); hasState && ok {
-				s = leaf[at].sig
-			}
-		} else {
+		if a, ok := p.ActionOf(n.ID); ok {
+			s = actionSig(p.Actions[a])
+		} else if !n.IsTerminal() {
 			s = sig{a: 1469598103934665603, b: 0x9e3779b97f4a7c15}.mixString(p.Fields[n.Field].Name)
 			for _, iv := range n.Set.Intervals() {
 				s = s.mixWord(iv.Lo).mixWord(iv.Hi)
@@ -444,7 +433,7 @@ func stateSignatures(p *compiler.Program) []stateSig {
 			s = s.mixWord(uint64(len(n.Set.Intervals()))).mixWord(t.a).mixWord(t.b).mixWord(e.a).mixWord(e.b)
 		}
 		sigs[n.ID] = s
-		if hasState {
+		if st, ok := p.StateOf(n.ID); ok {
 			out = append(out, stateSig{s, st})
 		}
 	}
@@ -457,10 +446,12 @@ func stateSignatures(p *compiler.Program) []stateSig {
 	return out
 }
 
-// entryKey identifies an installed entry for diffing, in five words: state,
+// entryKey identifies an installed entry for diffing, in six words: state,
 // table (its index in the diff's table names) and kind, the bounds, and the
-// next state — or, for a leaf entry, its action's content hash and -1.
-type entryKey [5]uint64
+// target in two — the next state and 0, or, for a row that decides and a
+// leaf entry, its action's content hash. A leaf entry keeps state and
+// bounds 0: its match is the per-program number of that same action.
+type entryKey [6]uint64
 
 func (k entryKey) compare(l entryKey) int { return slices.Compare(k[:], l[:]) }
 
@@ -489,9 +480,10 @@ func DiffPrograms(oldProg, newProg *compiler.Program) Delta {
 // countInstall is AlignStates and DiffPrograms for an install over a
 // program whose diagram is one terminal, counted instead of merged, with
 // newProg's states left dense: every entry and group of newProg is added
-// and every one of oldProg removed, but for oldProg's leaf action and group
-// where newProg has them too — alignment gives that terminal oldProg's
-// state, so its leaf entry is reused.
+// and every one of oldProg removed, but for oldProg's leaf entry — the
+// terminal as the leaf's default, when it does something — and group where
+// newProg has an equal one. A leaf entry is keyed by its action's content,
+// so it is reused where newProg is one terminal doing the same.
 func countInstall(oldProg, newProg *compiler.Program) Delta {
 	d := Delta{PerTable: make(map[string]TableDelta, len(newProg.Tables)+1)}
 	for i, t := range newProg.Tables {
@@ -499,8 +491,8 @@ func countInstall(oldProg, newProg *compiler.Program) Delta {
 	}
 	leaf := TableDelta{Added: len(newProg.Leaf.Entries), Removed: len(oldProg.Leaf.Entries)}
 	for _, e := range oldProg.Leaf.Entries {
-		key := oldProg.Actions[e.Next].Key()
-		if slices.ContainsFunc(newProg.Actions, func(a compiler.ActionSet) bool { return a.Key() == key }) {
+		key := leafKey(oldProg, 0, e)
+		if slices.ContainsFunc(newProg.Leaf.Entries, func(f compiler.Entry) bool { return leafKey(newProg, 0, f) == key }) {
 			leaf = TableDelta{Added: leaf.Added - 1, Removed: leaf.Removed - 1, Reused: leaf.Reused + 1}
 		}
 	}
@@ -542,15 +534,25 @@ func entryKeys(p *compiler.Program, names []string) []entryKey {
 	for i, t := range p.Tables {
 		id := uint64(slices.Index(names, p.Fields[i].Name)) << 8
 		for _, e := range t.Entries {
-			keys = append(keys, entryKey{uint64(e.State), id | uint64(e.Kind), e.Lo, e.Hi, uint64(e.Next)})
+			to := sig{a: uint64(e.Next)}
+			if a, ok := compiler.Decides(e.Next); ok {
+				to = actionSig(p.Actions[a])
+			}
+			keys = append(keys, entryKey{uint64(e.State), id | uint64(e.Kind), e.Lo, e.Hi, to.a, to.b})
 		}
 	}
 	id := uint64(slices.Index(names, "leaf")) << 8
 	for _, e := range p.Leaf.Entries {
-		act := actionSig(p.Actions[e.Next])
-		keys = append(keys, entryKey{uint64(e.State), id | uint64(e.Kind), act.a, act.b, ^uint64(0)})
+		keys = append(keys, leafKey(p, id, e))
 	}
 	return keys
+}
+
+// leafKey is a leaf entry's key: its kind and its action's content.
+func leafKey(p *compiler.Program, id uint64, e compiler.Entry) entryKey {
+	a, _ := compiler.Decides(e.Next)
+	act := actionSig(p.Actions[a])
+	return entryKey{0, id | uint64(e.Kind), 0, 0, act.a, act.b}
 }
 
 // groupKeys is the program's multicast groups, each as a hash of its ports.

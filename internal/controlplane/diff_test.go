@@ -29,11 +29,16 @@ func oracleEntries(p *compiler.Program) map[oracleKey]bool {
 	set := make(map[oracleKey]bool)
 	for i, t := range p.Tables {
 		for _, e := range t.Entries {
-			set[oracleKey{table: p.Fields[i].Name, state: e.State, kind: e.Kind, lo: e.Lo, hi: e.Hi, next: e.Next}] = true
+			k := oracleKey{table: p.Fields[i].Name, state: e.State, kind: e.Kind, lo: e.Lo, hi: e.Hi, next: e.Next}
+			if a, ok := compiler.Decides(e.Next); ok {
+				k.next, k.act = -1, p.Actions[a].Key()
+			}
+			set[k] = true
 		}
 	}
 	for _, e := range p.Leaf.Entries {
-		set[oracleKey{table: "leaf", state: e.State, kind: e.Kind, next: -1, act: p.Actions[e.Next].Key()}] = true
+		a, _ := compiler.Decides(e.Next)
+		set[oracleKey{table: "leaf", kind: e.Kind, next: -1, act: p.Actions[a].Key()}] = true
 	}
 	return set
 }

@@ -46,10 +46,12 @@ func GenerateP4(prog *compiler.Program) string {
 	}
 	b.WriteString("\n")
 
-	// Metadata: the BDD state register, one slot per state field, and one
-	// code slot per domain-compressed field.
+	// Metadata: the BDD state register, the decision a row made, one slot
+	// per state field, and one code slot per domain-compressed field.
 	b.WriteString("header_type camus_meta_t {\n    fields {\n")
 	b.WriteString("        state : 16;\n")
+	b.WriteString("        decided : 1;\n")
+	b.WriteString("        class : 16;\n")
 	for _, f := range prog.Fields {
 		if f.IsState {
 			fmt.Fprintf(&b, "        %s : %d;\n", sanitize(f.Name), f.Bits)
@@ -89,11 +91,20 @@ func GenerateP4(prog *compiler.Program) string {
 		fmt.Fprintf(&b, "register reg_%s_window { width : 48; instance_count : 1; }\n\n", id)
 	}
 
-	// Actions shared by the field tables.
+	// Actions shared by the field tables. A row whose Out node is a
+	// terminal decides the packet: it forwards or multicasts it itself, or,
+	// when the terminal's action set updates state, names that class for
+	// the leaf.
 	b.WriteString("action set_state(next_state) {\n    modify_field(camus_meta.state, next_state);\n}\n\n")
 	b.WriteString("action keep_state() {\n    no_op();\n}\n\n")
+	b.WriteString("action do_fwd(port) {\n    modify_field(standard_metadata.egress_spec, port);\n    modify_field(camus_meta.decided, 1);\n}\n\n")
+	b.WriteString("action do_multicast(group) {\n    modify_field(intrinsic_metadata.mcast_grp, group);\n    modify_field(camus_meta.decided, 1);\n}\n\n")
+	b.WriteString("// class is 1 + the action set's index; 0 names none.\n")
+	b.WriteString("action set_class(class) {\n    modify_field(camus_meta.class, class);\n}\n\n")
+	b.WriteString("action do_drop() {\n    drop();\n}\n\n")
 	b.WriteString("// A miss runs the table's default action, which the control-plane entries\n")
-	b.WriteString("// set: keep_state on every field table, do_drop on camus_leaf.\n\n")
+	b.WriteString("// set: keep_state on every field table, do_drop on camus_leaf (or, for a\n")
+	b.WriteString("// program that is one terminal, that terminal's forward).\n\n")
 
 	// One table per field (plus a codec stage when compression applies).
 	for i, t := range prog.Tables {
@@ -115,23 +126,22 @@ func GenerateP4(prog *compiler.Program) string {
 		case spec.MatchTernary:
 			matchKind = "ternary"
 		}
-		fmt.Fprintf(&b, "table camus_%s {\n    reads {\n        camus_meta.state : exact;\n        %s : %s;\n    }\n    actions { set_state; keep_state; }\n    size : %d;\n}\n\n",
+		fmt.Fprintf(&b, "table camus_%s {\n    reads {\n        camus_meta.state : exact;\n        %s : %s;\n    }\n    actions { set_state; keep_state; do_fwd; do_multicast; set_class; }\n    size : %d;\n}\n\n",
 			id, ref, matchKind, tableSize(len(t.Entries)))
 	}
 
-	// Leaf table and its actions.
-	b.WriteString("action do_fwd(port) {\n    modify_field(standard_metadata.egress_spec, port);\n}\n\n")
-	b.WriteString("action do_multicast(group) {\n    modify_field(intrinsic_metadata.mcast_grp, group);\n}\n\n")
-	b.WriteString("action do_drop() {\n    drop();\n}\n\n")
+	// The leaf table runs the state updates of the class a row named.
 	for _, f := range prog.Fields {
 		if f.IsState {
 			id := sanitize(f.Name)
 			fmt.Fprintf(&b, "action update_%s() {\n    // generic state-update stub linked by the dynamic compiler (§3.1)\n    register_write(reg_%s_sum, 0, %s);\n}\n\n", id, id, updateSource(f))
 		}
 	}
-	fmt.Fprintf(&b, "table camus_leaf {\n    reads { camus_meta.state : exact; }\n    actions { do_fwd; do_multicast; do_drop; }\n    size : %d;\n}\n\n", tableSize(len(prog.Leaf.Entries)))
+	fmt.Fprintf(&b, "table camus_leaf {\n    reads { camus_meta.class : exact; }\n    actions { do_fwd; do_multicast; do_drop; }\n    size : %d;\n}\n\n", tableSize(len(prog.Leaf.Entries)))
 
-	// Control flow: fixed-length pipeline, one apply per stage.
+	// Control flow: fixed-length pipeline, one apply per stage. The leaf
+	// runs only for a packet no row forwarded, so its default cannot
+	// override a forward a row already made.
 	b.WriteString("control ingress {\n")
 	for i, t := range prog.Tables {
 		id := sanitize(prog.Fields[i].Name)
@@ -140,7 +150,7 @@ func GenerateP4(prog *compiler.Program) string {
 		}
 		fmt.Fprintf(&b, "    apply(camus_%s);\n", id)
 	}
-	b.WriteString("    apply(camus_leaf);\n}\n")
+	b.WriteString("    if (camus_meta.decided == 0) {\n        apply(camus_leaf);\n    }\n}\n")
 	return b.String()
 }
 
@@ -173,16 +183,18 @@ func tableSize(n int) int {
 // GenerateEntries renders the dynamic compilation output — the
 // control-plane rules — in a simple line-oriented form:
 //
-//	table <name> default -> keep_state
-//	table <name> add state=<n> match=<exact:v|range:lo-hi|*> -> state=<n>
-//	table camus_leaf default -> drop
-//	table camus_leaf add state=<n> -> fwd(ports...)|drop
 //	mcgroup <id> ports=<p1,p2,...>
+//	table <name> default -> keep_state
+//	table <name> add state=<n> match=<exact:v|range:lo-hi|*> -> state=<n>|fwd(p)|mcast(g)|class(c)|keep_state
+//	table camus_leaf default -> drop|fwd(p)|mcast(g)
+//	table camus_leaf add class=<c> -> fwd(p)|mcast(g)|drop
+//	table camus_leaf link class=<c>|default update=<var> func=<f>
 //
-// The defaults are what a miss does, and the compiler relies on them: no
-// row leads to the terminal that forwards nowhere and updates nothing, so a
-// packet no rule wants keeps its state through the field tables and is
-// dropped by the leaf.
+// A row that reaches a terminal decides the packet itself, so only the
+// action sets that update state have leaf rows, and the leaf's default is
+// drop unless the diagram is one terminal. The defaults are what a miss
+// does, and the compiler relies on them: a packet no rule wants keeps its
+// state through the field tables and is dropped by the leaf.
 func GenerateEntries(prog *compiler.Program) string {
 	var b strings.Builder
 	for gi, ports := range prog.Groups {
@@ -204,25 +216,58 @@ func GenerateEntries(prog *compiler.Program) string {
 		entries := append([]compiler.Entry(nil), t.Entries...)
 		sort.SliceStable(entries, func(a, c int) bool { return entries[a].State < entries[c].State })
 		for _, e := range entries {
-			fmt.Fprintf(&b, "table %s add state=%d match=%s -> state=%d\n", name, e.State, matchStr(e), e.Next)
+			fmt.Fprintf(&b, "table %s add state=%d match=%s -> %s\n", name, e.State, matchStr(e), rowAction(prog, e.Next))
 		}
 	}
-	b.WriteString("table camus_leaf default -> drop\n")
+	if _, ok := prog.LeafDefault(); !ok {
+		b.WriteString("table camus_leaf default -> drop\n")
+	}
 	for _, e := range prog.Leaf.Entries {
-		act := prog.Actions[e.Next]
-		switch {
-		case act.Group >= 0:
-			fmt.Fprintf(&b, "table camus_leaf add state=%d -> mcast(%d)\n", e.State, act.Group)
-		case len(act.Ports) == 1:
-			fmt.Fprintf(&b, "table camus_leaf add state=%d -> fwd(%d)\n", e.State, act.Ports[0])
-		default:
-			fmt.Fprintf(&b, "table camus_leaf add state=%d -> drop\n", e.State)
+		a, _ := compiler.Decides(e.Next)
+		key := "default"
+		if e.Kind == compiler.EntryWild {
+			fmt.Fprintf(&b, "table camus_leaf default -> %s\n", forward(prog.Actions[a]))
+		} else {
+			key = fmt.Sprintf("class=%d", a+1)
+			fmt.Fprintf(&b, "table camus_leaf add %s -> %s\n", key, forward(prog.Actions[a]))
 		}
-		for _, u := range act.Updates {
-			fmt.Fprintf(&b, "table camus_leaf link state=%d update=%s func=%s\n", e.State, sanitize(u.Var), u.Func)
+		for _, u := range prog.Actions[a].Updates {
+			fmt.Fprintf(&b, "table camus_leaf link %s update=%s func=%s\n", key, sanitize(u.Var), u.Func)
 		}
 	}
 	return b.String()
+}
+
+// rowAction is what a field-table row does: move to its next state, or
+// decide — forward, multicast, or name a class with state updates for the
+// leaf. A row to the action set that does nothing keeps the state: the leaf
+// drops the packet.
+func rowAction(prog *compiler.Program, next int) string {
+	a, ok := compiler.Decides(next)
+	if !ok {
+		return fmt.Sprintf("state=%d", next)
+	}
+	switch act := prog.Actions[a]; {
+	case len(act.Updates) > 0:
+		return fmt.Sprintf("class(%d)", a+1)
+	case len(act.Ports) == 0:
+		return "keep_state"
+	default:
+		return forward(act)
+	}
+}
+
+// forward is how an action set sends a packet on: one port, a multicast
+// group, or nowhere.
+func forward(act compiler.ActionSet) string {
+	switch {
+	case act.Group >= 0:
+		return fmt.Sprintf("mcast(%d)", act.Group)
+	case len(act.Ports) == 1:
+		return fmt.Sprintf("fwd(%d)", act.Ports[0])
+	default:
+		return "drop"
+	}
 }
 
 func matchStr(e compiler.Entry) string {

@@ -48,11 +48,13 @@ func TestGenerateP4Structure(t *testing.T) {
 		"table camus_add_order_stock",
 		"camus_meta.state : exact;",
 		"add_order.stock : exact;",
+		"actions { set_state; keep_state; do_fwd; do_multicast; set_class; }",
 		"table camus_leaf",
+		"reads { camus_meta.class : exact; }",
 		"keep_state on every field table, do_drop on camus_leaf",
 		"do_multicast",
 		"control ingress",
-		"apply(camus_leaf);",
+		"if (camus_meta.decided == 0) {\n        apply(camus_leaf);",
 	} {
 		if !strings.Contains(src, want) {
 			t.Errorf("generated P4 missing %q\n%s", want, src)
@@ -95,16 +97,29 @@ func TestGenerateEntries(t *testing.T) {
 		"table camus_add_order_stock default -> keep_state\n",
 		"table camus_add_order_stock add",
 		"table camus_leaf default -> drop\n",
-		"-> fwd(1)",
-		"-> mcast(0)",
+		"-> fwd(1)\n",
+		"-> mcast(0)\n",
 	} {
 		if !strings.Contains(entries, want) {
 			t.Errorf("entries missing %q\n%s", want, entries)
 		}
 	}
-	// A symbol nobody wants misses: no wildcard row, and no leaf row drops.
+	// A symbol nobody wants misses: no wildcard row, and no row drops.
 	if strings.Contains(entries, "match=*") || strings.Count(entries, "-> drop\n") != 1 {
 		t.Errorf("a row leads to the drop\n%s", entries)
+	}
+	// The rows that reach the two forwards decide the packet themselves:
+	// no leaf row, and no row names a terminal's state.
+	if strings.Contains(entries, "camus_leaf add") || strings.Contains(entries, "-> state=") {
+		t.Errorf("a forward-only program has a leaf row or a row to a terminal state\n%s", entries)
+	}
+
+	// An action set with state updates keeps one leaf row, named by class.
+	stateful := GenerateEntries(compile(t, "stock == GOOGL && avg(price) > 50 : fwd(1)"))
+	for _, want := range []string{"-> class(", "table camus_leaf add class=", "table camus_leaf link class="} {
+		if !strings.Contains(stateful, want) {
+			t.Errorf("stateful entries missing %q\n%s", want, stateful)
+		}
 	}
 }
 

@@ -42,7 +42,7 @@ func buildTelemetrySwitch(t testing.TB, rules string) (*telemetry.Registry, *com
 // exactly the same fused miss-pattern telemetry as per-packet Process:
 // two switches with the same program, one fed packet-by-packet and one in
 // ragged batches, must expose identical packets/forwarded/dropped and
-// per-table hit/miss series.
+// per-table hit/miss series, and the misses must be the ones Trace shows.
 func TestProcessBatchTelemetryExact(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	rules := genDifferentialRules(r, 80, testSymbols)
@@ -87,6 +87,22 @@ func TestProcessBatchTelemetryExact(t *testing.T) {
 	}
 	if got := sSnap.Counters["camus_pipeline_packets_total"]; got != n {
 		t.Fatalf("packets counter %v != %d", got, n)
+	}
+	// A table's misses are the packets the compiler's Trace has miss it:
+	// the tables after the row that decides a packet miss too.
+	want := make([]uint64, len(prog.Tables))
+	for i := range values {
+		for ti, s := range prog.Trace(values[i]).Steps {
+			if s.Entry == nil {
+				want[ti]++
+			}
+		}
+	}
+	for ti, tab := range prog.Tables {
+		key := fmt.Sprintf("camus_pipeline_table_misses_total{table=%q}", tab.Name)
+		if got := sSnap.Counters[key]; got != want[ti] {
+			t.Fatalf("%s = %d, Trace has %d", key, got, want[ti])
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"math"
 	"math/bits"
 	"sort"
 
@@ -28,11 +29,21 @@ import (
 // Range entries are per-state sorted disjoint runs over shared lo/hi/next
 // arrays (binary search, TCAM-like); wildcards are a direct state-indexed
 // default array.
+//
+// A next value is the entry's target as the compiler encodes it (read with
+// compiler.Decides): a state, or the action set of a row that decides. The
+// leaf stage is no table here: a row's action set indexes the state
+// updates, installed.upds, directly.
 
 // openAddrMinEntries is the exact-entry count above which a table trades
 // the sorted runs for an open-addressed flat table. Below it, binary
 // search over at most a cache line or two of keys wins.
 const openAddrMinEntries = 64
+
+// noTarget marks a state without a wildcard and an empty open-addressed
+// slot: a value no target takes, as it would name the action set
+// math.MaxInt32.
+const noTarget = math.MinInt32
 
 // lookupTable is the runtime form of one compiler.Table.
 type lookupTable struct {
@@ -43,7 +54,7 @@ type lookupTable struct {
 	// miss every part of the table.
 	nStates int
 
-	wild []int32 // state -> next, -1 when the state has no default
+	wild []int32 // state -> next, noTarget when the state has no default
 
 	// Exact entries, sorted-runs encoding (oaNext == nil):
 	exactOff  []int32 // len nStates+1; state s's run is keys[off[s]:off[s+1]]
@@ -54,7 +65,7 @@ type lookupTable struct {
 	oaMask  uint32
 	oaState []int32
 	oaKey   []uint64
-	oaNext  []int32 // -1 marks an empty slot
+	oaNext  []int32 // noTarget marks an empty slot
 
 	// Range entries: per-state sorted disjoint runs.
 	rangeOff  []int32 // len nStates+1
@@ -109,7 +120,7 @@ func buildLookup(t *compiler.Table) lookupTable {
 
 	lt.wild = make([]int32, n)
 	for i := range lt.wild {
-		lt.wild[i] = -1
+		lt.wild[i] = noTarget
 	}
 	for st, next := range wild {
 		lt.wild[st] = int32(next)
@@ -122,11 +133,11 @@ func buildLookup(t *compiler.Table) lookupTable {
 		lt.oaKey = make([]uint64, size)
 		lt.oaNext = make([]int32, size)
 		for i := range lt.oaNext {
-			lt.oaNext[i] = -1
+			lt.oaNext[i] = noTarget
 		}
 		for k, next := range exact {
 			h := oaHash(int32(k.state), k.value) & lt.oaMask
-			for lt.oaNext[h] >= 0 {
+			for lt.oaNext[h] != noTarget {
 				h = (h + 1) & lt.oaMask
 			}
 			lt.oaState[h] = int32(k.state)
@@ -200,7 +211,7 @@ func (lt *lookupTable) lookup(state int, value uint64) (int, bool) {
 		h := oaHash(int32(state), value) & lt.oaMask
 		for {
 			next := lt.oaNext[h]
-			if next < 0 {
+			if next == noTarget {
 				break
 			}
 			if lt.oaKey[h] == value && lt.oaState[h] == int32(state) {
@@ -234,44 +245,8 @@ func (lt *lookupTable) lookup(state int, value uint64) (int, bool) {
 			return int(lt.rangeNext[mid]), true
 		}
 	}
-	if next := lt.wild[state]; next >= 0 {
+	if next := lt.wild[state]; next != noTarget {
 		return int(next), true
-	}
-	return 0, false
-}
-
-// leafTable is the flattened terminal stage: state -> action index, -1
-// when the state has no leaf entry (packet drops).
-type leafTable struct {
-	next []int32
-}
-
-func buildLeaf(entries []compiler.Entry) leafTable {
-	maxState := -1
-	for _, e := range entries {
-		if e.State > maxState {
-			maxState = e.State
-		}
-	}
-	lf := leafTable{next: make([]int32, maxState+1)}
-	for i := range lf.next {
-		lf.next[i] = -1
-	}
-	for _, e := range entries {
-		lf.next[e.State] = int32(e.Next)
-	}
-	return lf
-}
-
-// lookup returns the action index for a terminal state.
-//
-//camus:hotpath
-func (lf *leafTable) lookup(state int) (int, bool) {
-	if uint(state) >= uint(len(lf.next)) {
-		return 0, false
-	}
-	if n := lf.next[state]; n >= 0 {
-		return int(n), true
 	}
 	return 0, false
 }

@@ -557,20 +557,24 @@ func modelProcess(in *installed, o *oracleState, vals []uint64, now time.Duratio
 	for _, rd := range in.reads {
 		vals[rd.field] = o.read(int(rd.slot), key(rd.keyIdx), rd.agg, rd.window, now)
 	}
+	act, ok := in.prog.LeafDefault()
 	state := in.prog.InitialState
 	for i, t := range in.prog.Tables {
-		if e, ok := t.Lookup(state, vals[i]); ok {
+		if e, hit := t.Lookup(state, vals[i]); hit {
+			if a, decides := compiler.Decides(e.Next); decides {
+				act, ok = a, true
+				break
+			}
 			state = e.Next
 		}
 	}
-	leaf, ok := in.prog.Leaf.Lookup(state, 0)
 	if !ok {
 		return nil
 	}
-	for _, u := range in.upds[leaf.Next] {
+	for _, u := range in.upds[act] {
 		o.update(int(u.slot), key(u.keyIdx), u.zeroArg, key(u.argIdx), u.window, now)
 	}
-	return in.prog.Actions[leaf.Next].Ports
+	return in.prog.Actions[act].Ports
 }
 
 // TestKeyedStateZeroAlloc pins the engine's packet-path allocation

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -212,6 +213,9 @@ func TestProcessMatchesEvaluate(t *testing.T) {
 				if !out[i].Dropped && (!reflect.DeepEqual(out[i].Ports, want.Ports) || !reflect.DeepEqual(single.Ports, want.Ports)) {
 					t.Fatalf("trial %d: ports mismatch: batch=%v single=%v want=%v", trial, out[i].Ports, single.Ports, want.Ports)
 				}
+				if out[i].Group != want.Group || single.Group != want.Group {
+					t.Fatalf("trial %d: group mismatch: batch=%d single=%d want=%d", trial, out[i].Group, single.Group, want.Group)
+				}
 			}
 		}
 	}
@@ -219,15 +223,29 @@ func TestProcessMatchesEvaluate(t *testing.T) {
 
 // FuzzFlatLookup fuzzes (table, state, value) probes on a fixed
 // range+codec-heavy program, comparing the flattened lookup to the
-// map-based reference and the compiler's linear scan.
+// map-based reference and the compiler's linear scan. The corpus holds a
+// probe of every table's first row that decides (its target an action set,
+// not a state) and, where it has one, its first wildcard.
 func FuzzFlatLookup(f *testing.F) {
 	r := rand.New(rand.NewSource(4242))
 	rules := genDifferentialRules(r, 120, testSymbols)
 	sw, prog, _ := buildSwitch(f, rules)
 	in := sw.inst.Load()
 	refs := make([]mapLookupTable, len(prog.Tables))
+	decides := 0
 	for fi, tab := range prog.Tables {
 		refs[fi] = buildMapLookup(tab)
+		if i := slices.IndexFunc(tab.Entries, func(e compiler.Entry) bool { _, ok := compiler.Decides(e.Next); return ok }); i >= 0 {
+			e := tab.Entries[i]
+			f.Add(uint8(fi), int32(e.State), e.Lo)
+			decides++
+		}
+		if i := slices.IndexFunc(tab.Entries, func(e compiler.Entry) bool { return e.Kind == compiler.EntryWild }); i >= 0 {
+			f.Add(uint8(fi), int32(tab.Entries[i].State), ^uint64(0))
+		}
+	}
+	if decides == 0 {
+		f.Fatal("no row of the program decides a packet")
 	}
 	f.Add(uint8(0), int32(0), uint64(0))
 	f.Add(uint8(1), int32(3), uint64(500))

@@ -16,6 +16,7 @@ package pipeline
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -113,9 +114,11 @@ type Switch struct {
 // flattened arrays of flatlookup.go, built once here so the per-packet
 // path performs no map probes and no allocation.
 type installed struct {
-	prog    *compiler.Program
-	tables  []lookupTable
-	leaf    leafTable
+	prog   *compiler.Program
+	tables []lookupTable
+	// dflt is the leaf's default, the action set of a packet no row
+	// decided, or -1 to drop it.
+	dflt    int
 	groups  [][]int
 	pat     []atomic.Uint64 // fused packet/miss-pattern counters (see patGen)
 	dropBit uint64          // pattern bit recording "packet dropped"
@@ -152,7 +155,8 @@ type stateUpd struct {
 
 // tableCounters is the fallback per-table counter hook used when a
 // program has too many tables for a pattern array; each miss then pays
-// its own atomic add.
+// its own atomic add. The miss mask holds 64 tables, so a program wider
+// than that counts no misses past its 64th.
 type tableCounters struct {
 	misses *telemetry.Counter
 }
@@ -230,8 +234,11 @@ func (sw *Switch) newInstalled(prog *compiler.Program) *installed {
 	in := &installed{
 		prog:   prog,
 		tables: make([]lookupTable, 0, len(prog.Tables)),
-		leaf:   buildLeaf(prog.Leaf.Entries),
+		dflt:   -1,
 		groups: prog.Groups,
+	}
+	if a, ok := prog.LeafDefault(); ok {
+		in.dflt = a
 	}
 	for _, t := range prog.Tables {
 		in.tables = append(in.tables, buildLookup(t))
@@ -525,75 +532,67 @@ func (sw *Switch) processOne(in *installed, lane int, values []uint64, now time.
 	if len(in.reads) > 0 {
 		sw.regReads.Add(uint64(len(in.reads)))
 	}
-	// Match-action stages. With telemetry on, the miss pattern is
-	// accumulated in a register-resident mask and recorded with one
-	// fused atomic add at the end of the packet — the same number of
-	// atomics the uninstrumented path pays for its packet counter.
-	state := in.prog.InitialState
+	// Match-action stages. A packet misses a table (keeps its state) or
+	// hits a row that moves it to the next state or decides it; the tables
+	// after the row that decides have no row for its state, and miss. The
+	// misses accumulate in a register-resident mask, spent once below.
+	state, act := in.prog.InitialState, in.dflt
 	var mask uint64
-	switch {
-	case in.pat != nil:
-		for i := range in.tables {
-			if next, ok := in.tables[i].lookup(state, values[i]); ok {
-				state = next
-			} else {
-				mask |= 1 << uint(i)
+	for i := range in.tables {
+		next, ok := in.tables[i].lookup(state, values[i])
+		if !ok {
+			mask |= 1 << uint(i)
+			continue
+		}
+		if a, decides := compiler.Decides(next); decides {
+			act = a
+			mask |= (1<<uint(len(in.tables)) - 1) &^ (2<<uint(i) - 1)
+			break
+		}
+		state = next
+	}
+	res := Result{Dropped: true, Group: -1}
+	if act >= 0 {
+		// The leaf stage runs the action set's state updates. Slots, key and
+		// argument field indices were resolved at install time
+		// (installed.upds), so the loop is array loads and the single-writer
+		// bank fold — no name-map probe, no first-touch allocation, no lock.
+		for i := range in.upds[act] {
+			u := &in.upds[act][i]
+			arg := uint64(0)
+			if u.argIdx >= 0 {
+				arg = values[u.argIdx]
 			}
-		}
-	case in.ctrs != nil:
-		sw.packets.Add(1)
-		for i := range in.tables {
-			if next, ok := in.tables[i].lookup(state, values[i]); ok {
-				state = next
-			} else {
-				in.ctrs[i].misses.Add(1)
+			key := uint64(0)
+			if u.keyIdx >= 0 {
+				key = values[u.keyIdx]
 			}
+			sw.state.Update(lane, int(u.slot), key, u.zeroArg, arg, u.window, now)
 		}
-	default:
-		sw.packets.Add(1)
-		for i := range in.tables {
-			if next, ok := in.tables[i].lookup(state, values[i]); ok {
-				state = next
-			}
+		if as := &in.prog.Actions[act]; len(as.Ports) > 0 {
+			res = Result{Ports: as.Ports, Group: as.Group}
 		}
 	}
-	// Leaf stage.
-	ai, ok := in.leaf.lookup(state)
-	if !ok {
-		if in.pat != nil {
-			in.pat[mask|in.dropBit].Add(1)
-		}
-		return Result{Dropped: true, Group: -1}
-	}
-	act := &in.prog.Actions[ai]
-	// State updates execute in the action stage. Slots, key and argument
-	// field indices were resolved at install time (installed.upds), so
-	// the loop is array loads and the single-writer bank fold — no
-	// name-map probe, no first-touch allocation, no lock.
-	for i := range in.upds[ai] {
-		u := &in.upds[ai][i]
-		arg := uint64(0)
-		if u.argIdx >= 0 {
-			arg = values[u.argIdx]
-		}
-		key := uint64(0)
-		if u.keyIdx >= 0 {
-			key = values[u.keyIdx]
-		}
-		sw.state.Update(lane, int(u.slot), key, u.zeroArg, arg, u.window, now)
-	}
-	if len(act.Ports) == 0 {
-		if in.pat != nil {
-			in.pat[mask|in.dropBit].Add(1)
-		}
-		return Result{Dropped: true, Group: -1}
-	}
+	// With telemetry on, the pattern array takes the mask and the drop in
+	// one fused atomic add — the same number of atomics the uninstrumented
+	// path pays for its packet counter.
 	if in.pat != nil {
+		if res.Dropped {
+			mask |= in.dropBit
+		}
 		in.pat[mask].Add(1)
-	} else {
-		sw.fwdFallback.Add(1) // nil-safe no-op when telemetry is off
+		return res
 	}
-	return Result{Ports: act.Ports, Group: act.Group}
+	sw.packets.Add(1)
+	if in.ctrs != nil {
+		for m := mask; m != 0; m &= m - 1 {
+			in.ctrs[bits.TrailingZeros64(m)].misses.Add(1)
+		}
+		if !res.Dropped {
+			sw.fwdFallback.Add(1)
+		}
+	}
+	return res
 }
 
 // Latency returns the fixed port-to-port latency of the pipeline. It does

@@ -57,6 +57,9 @@ func Plan(prog *compiler.Program, cfg Config) ResourceReport {
 		rep.TotalTCAM += d.TCAM
 		rep.StagesUsed += d.Stages
 	}
+	// The leaf runs state updates: an SRAM word per action set that has
+	// them, as the rows that reach a forward-only terminal forward the
+	// packet themselves.
 	leaf := TableDemand{Name: "leaf", SRAM: len(prog.Leaf.Entries), Stages: 1}
 	rep.Demands = append(rep.Demands, leaf)
 	rep.TotalSRAM += leaf.SRAM
