@@ -797,8 +797,8 @@ type procState struct {
 
 	out []wireEntry // this datagram's egress
 
-	gspans []msgSpan    // per-bucket scratch: message extents in the shared body
-	owned  []*sharedBuf // buffers this datagram holds a lane reference on
+	offs  []uint32     // per-bucket scratch: where each message starts in the shared body
+	owned []*sharedBuf // buffers this datagram holds a lane reference on
 }
 
 // wireEntry is one egress datagram: the member port's own MoldUDP64
@@ -940,10 +940,10 @@ func (sw *Switch) frameGroup(st *procState, gb *groupMsgs) {
 	sb := sw.bodies.get(need)
 	st.owned = append(st.owned, sb)
 	body := sb.b[:itch.MoldHeaderLen]
-	st.gspans = st.gspans[:0]
+	st.offs = st.offs[:0]
 	for _, m := range gb.msgs {
 		body = append(body, byte(len(m)>>8), byte(len(m)))
-		st.gspans = append(st.gspans, msgSpan{off: uint32(len(body)), ln: uint32(len(m))})
+		st.offs = append(st.offs, uint32(len(body)))
 		body = append(body, m...)
 	}
 	sb.b = body
@@ -956,9 +956,9 @@ func (sw *Switch) frameGroup(st *procState, gb *groupMsgs) {
 	// positive throughout, so the refund can never recycle the buffer.
 	ringRefs := sw.retxCap > 0
 	if ringRefs {
-		sb.refGroup(len(gb.ports) * len(st.gspans))
+		sb.refGroup(len(gb.ports) * len(st.offs))
 	}
-	var ev evictAcc
+	ev := evictAcc{pool: sw.bodies}
 	members := 0
 	for _, port := range gb.ports {
 		ps := sw.portFor(port)
@@ -972,7 +972,7 @@ func (sw *Switch) frameGroup(st *procState, gb *groupMsgs) {
 		ps.mu.Lock()
 		ps.stamp(e.hdr[:], count)
 		if ps.store != nil {
-			ps.store.addSharedGroup(st.gspans, sb, &ev)
+			ps.store.addSharedGroup(st.offs, sb.h, &ev)
 		}
 		ps.nextSeq += uint64(count)
 		ps.lastEgress = now
@@ -983,7 +983,7 @@ func (sw *Switch) frameGroup(st *procState, gb *groupMsgs) {
 	}
 	ev.flush()
 	if ringRefs && members < len(gb.ports) {
-		sb.unrefN(int32((len(gb.ports) - members) * len(st.gspans)))
+		sb.unrefN(int32((len(gb.ports) - members) * len(st.offs)))
 	}
 	if len(gb.ports) > 1 { // the encode-once series count multicast groups only
 		sw.stats.GroupEncodes.Add(1)
@@ -1183,36 +1183,30 @@ func (sw *Switch) replyRetx(ps *portState, req *itch.MoldRequest, raddr *net.UDP
 // before max messages are retained and binding a port costs one small
 // array whatever the bound is.
 //
-// A slot holds its message as an extent of the refcounted shared body the
-// message went out in — the reference it must drop when it moves on, next
-// to the bytes that reference guards; get reconstructs the message from
-// the extent. Every slot in [lo, hi) has an owner and every other slot has
-// none.
+// A slot holds its message as the handle of the refcounted shared body
+// the message went out in — the reference it must drop when it moves on
+// — and the offset of the message in it. The length is the two bytes
+// frameGroup wrote before the message, so get reads it there. Every slot
+// in [lo, hi) names a body and every other slot holds handle 0.
 //
-// The slot is deliberately 16 bytes: at high fanout a datagram touches
+// The slot is deliberately 8 bytes: at high fanout a datagram touches
 // thousands of rings, none cache-resident, so the insert cost is line
-// fills and the ring's footprint sets the miss rate. Four slots share a
-// line. The same argument keeps the ring one flat slice: paging it
+// fills and the ring's footprint sets the miss rate. Eight slots share a
+// line. An insert writes the handle it was given and never reads the
+// pool's table; evictions dereference it once per retired body
+// (evictAcc). The same argument keeps the ring one flat slice: paging it
 // ([]*[256]retxSlot — no copies, no garbage) puts a dependent miss in
 // front of every insert (DESIGN.md §5c has the measurement).
 //
-//camus:cacheline 16
-type retxSlot struct {
-	owner *sharedBuf // the shared body the slot aliases
-	off   uint32     // extent start within owner's body
-	ln    uint32     // message length
-}
-
-// msgSpan is one encoded message's extent within a shared body.
-//
 //camus:cacheline 8
-type msgSpan struct {
-	off, ln uint32
+type retxSlot struct {
+	body uint32 // handle of the shared body the slot aliases (sharedPool.body)
+	off  uint32 // message start within the body, just past its length
 }
 
-// retxInitialSlots is the ring a port is bound with (1 KB): enough that a
+// retxInitialSlots is the ring a port is bound with (512 B): enough that a
 // port which sends a few datagrams never grows, small enough that ten
-// thousand binds cost 10 MB rather than RetxBuffer x 16 B each.
+// thousand binds cost 5 MB rather than RetxBuffer x 8 B each.
 //
 // retxGrowth is the factor a full ring grows by. At 4 the outgrown arrays
 // a port leaves to the collector sum to a third of its final ring — at 2
@@ -1224,18 +1218,20 @@ const (
 )
 
 type retxStore struct {
-	slots []retxSlot
-	max   int    // the bound len(slots) grows toward
-	lo    uint64 // oldest retained sequence
-	hi    uint64 // next sequence to be stored
+	slots  []retxSlot
+	bodies *sharedPool // names the slots' bodies
+	max    int         // the bound len(slots) grows toward
+	lo     uint64      // oldest retained sequence
+	hi     uint64      // next sequence to be stored
 }
 
-func newRetxStore(max int) *retxStore {
+func newRetxStore(max int, bodies *sharedPool) *retxStore {
 	return &retxStore{
-		slots: make([]retxSlot, min(max, retxInitialSlots)),
-		max:   max,
-		lo:    1,
-		hi:    1,
+		slots:  make([]retxSlot, min(max, retxInitialSlots)),
+		bodies: bodies,
+		max:    max,
+		lo:     1,
+		hi:     1,
 	}
 }
 
@@ -1243,12 +1239,14 @@ func newRetxStore(max int) *retxStore {
 // Called when the port is unbound so its ring cannot pin bodies (or serve
 // stale bytes from recycled ones).
 func (s *retxStore) releaseAll() {
+	ev := evictAcc{pool: s.bodies}
 	for i := range s.slots {
-		if o := s.slots[i].owner; o != nil {
-			o.unref()
+		if h := s.slots[i].body; h != 0 {
+			ev.add(h)
 		}
 		s.slots[i] = retxSlot{}
 	}
+	ev.flush()
 	s.lo = s.hi
 }
 
@@ -1273,34 +1271,40 @@ func (s *retxStore) grow(n int) {
 	s.slots = slots
 }
 
-// addSharedGroup retains one encoded batch, each message aliasing the shared body
-// (references already taken via refGroup). Evicted slots' owners are
-// handed to ev rather than dropped here: every member of a group evicts
-// slots aliasing the same earlier bodies, so the accumulator turns
-// members x messages atomic drops into roughly one per retired body per
-// datagram. A ring below its bound grows first when the batch would not
-// fit, so eviction starts only at max.
+// addSharedGroup retains one encoded batch, the messages at offs in the
+// shared body named by handle h (references already taken via refGroup).
+// Evicted slots' handles are handed to ev rather than dropped here: every
+// member of a group evicts slots aliasing the same earlier bodies, so the
+// accumulator turns members x messages atomic drops into roughly one per
+// retired body per datagram. A ring below its bound grows first when the
+// batch would not fit, so eviction starts only at max.
 //
 //camus:hotpath
-func (s *retxStore) addSharedGroup(spans []msgSpan, sb *sharedBuf, ev *evictAcc) {
-	if len(s.slots) < s.max && s.hi-s.lo+uint64(len(spans)) > uint64(len(s.slots)) {
+func (s *retxStore) addSharedGroup(offs []uint32, h uint32, ev *evictAcc) {
+	if len(s.slots) < s.max && s.hi-s.lo+uint64(len(offs)) > uint64(len(s.slots)) {
 		//camus:alloc-ok the ring grows fourfold toward RetxBuffer: at most ceil(log4(max/64)) allocations in a port's life, none once len(slots) == max
-		s.grow(len(spans))
+		s.grow(len(offs))
 	}
 	capacity := uint64(len(s.slots))
-	for _, sp := range spans {
+	for _, off := range offs {
 		sl := &s.slots[s.hi%capacity]
-		if o := sl.owner; o != nil {
-			ev.add(o)
+		if sl.body != 0 {
+			ev.add(sl.body)
 		}
-		sl.owner = sb
-		sl.off = sp.off
-		sl.ln = sp.ln
+		*sl = retxSlot{body: h, off: off}
 		s.hi++
 	}
 	if s.hi-s.lo > capacity {
 		s.lo = s.hi - capacity
 	}
+}
+
+// message returns the message the slot names: the bytes at its offset in
+// its body, as many as the two-byte length written before them says.
+func (sl retxSlot) message(bodies *sharedPool) []byte {
+	b := bodies.body(sl.body).b
+	n := uint32(b[sl.off-2])<<8 | uint32(b[sl.off-1])
+	return b[sl.off : sl.off+n]
 }
 
 // get appends to dst up to count messages starting at the oldest retained
@@ -1326,8 +1330,7 @@ func (s *retxStore) get(dst [][]byte, from uint64, count int, maxBytes int) ([][
 	first := len(dst)
 	bytes := 0
 	for seq := start; seq < end; seq++ {
-		sl := s.slots[seq%uint64(len(s.slots))]
-		m := sl.owner.b[sl.off : sl.off+sl.ln]
+		m := s.slots[seq%uint64(len(s.slots))].message(s.bodies)
 		bytes += 2 + len(m)
 		if bytes > maxBytes && len(dst) > first {
 			break

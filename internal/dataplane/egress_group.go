@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"math/bits"
+	"sync"
 	"sync/atomic"
 )
 
@@ -27,6 +28,7 @@ const sharedPoolCapacity = 1024
 type sharedBuf struct {
 	b    []byte
 	refs atomic.Int32
+	h    uint32 // the body's handle in pool's table, held for its whole life
 	pool *sharedPool
 }
 
@@ -50,28 +52,28 @@ func (sb *sharedBuf) unrefN(n int32) {
 // retransmission rings during one datagram. Consecutive evictions almost
 // always retire the same body (each member of a group holds views of the
 // same earlier bodies in the same ring order), so the run-length fast
-// path collapses them into one atomic. Delaying the drop is safe: it
-// only postpones the body's return to the free list.
+// path collapses them into one atomic — and one lookup of the handle.
+// Delaying the drop is safe: it only postpones the body's return to the
+// free list, and a body with references pending keeps its handle.
 type evictAcc struct {
-	owner *sharedBuf
-	n     int32
+	pool *sharedPool
+	h    uint32 // handle of the body the run retires; 0 for none
+	n    int32
 }
 
-func (a *evictAcc) add(o *sharedBuf) {
-	if o == a.owner {
+func (a *evictAcc) add(h uint32) {
+	if h == a.h {
 		a.n++
 		return
 	}
-	if a.owner != nil {
-		a.owner.unrefN(a.n)
-	}
-	a.owner, a.n = o, 1
+	a.flush()
+	a.h, a.n = h, 1
 }
 
 func (a *evictAcc) flush() {
-	if a.owner != nil {
-		a.owner.unrefN(a.n)
-		a.owner, a.n = nil, 0
+	if a.h != 0 {
+		a.pool.body(a.h).unrefN(a.n)
+		a.h, a.n = 0, 0
 	}
 }
 
@@ -95,21 +97,43 @@ func classOf(need int) int {
 func bodyClass(need int) int { return minBodyClass << classOf(need) }
 
 // sharedPool is the bounded free lists sharedBufs circulate through, one
-// per size class, so a list only ever returns bodies of its class.
+// per size class, so a list only ever returns bodies of its class — and
+// the table that names every body it made by a 4-byte handle, so a ring
+// slot holds a handle instead of a pointer.
+//
+// A body takes its handle when it is allocated and keeps it while it
+// circulates; the handle is freed for reuse only when the body drops to
+// the collector, when its count is 0 and no ring slot can name it. The
+// table is read without a lock: a reader got its handle, under a port
+// lock or from the lane that framed the body, after the handle was
+// written, so the table it loads holds it. Only a pool miss and a drop
+// write it, under mu: a leaf lock, taken under sw.mu and portState.mu,
+// that takes no other.
 type sharedPool struct {
-	free []chan *sharedBuf
+	free  []chan *sharedBuf
+	table atomic.Pointer[[]*sharedBuf] // handle -> body; [0] is nil, the empty slot's
+
+	mu      sync.Mutex
+	handles []uint32 // handles of bodies dropped to the collector
+	next    uint32   // the lowest handle never issued
 }
 
 // newSharedPool builds the lists for bodies of up to maxBody bytes: the
 // read buffer, since a body re-frames a subset of one ingress datagram's
 // messages and is never longer than the datagram.
 func newSharedPool(capacity, maxBody int) *sharedPool {
-	p := &sharedPool{free: make([]chan *sharedBuf, classOf(maxBody)+1)}
+	p := &sharedPool{free: make([]chan *sharedBuf, classOf(maxBody)+1), next: 1}
 	for k := range p.free {
 		p.free[k] = make(chan *sharedBuf, capacity)
 	}
+	table := make([]*sharedBuf, 64)
+	p.table.Store(&table)
 	return p
 }
+
+// body returns the body handle h names. h must be held: by a ring slot
+// under its port's lock, or by a caller holding a reference.
+func (p *sharedPool) body(h uint32) *sharedBuf { return (*p.table.Load())[h] }
 
 // get returns an empty buffer of need's size class holding one reference
 // (the caller's).
@@ -125,19 +149,50 @@ func (p *sharedPool) get(need int) *sharedBuf {
 	//camus:alloc-ok pool miss grows the working set once; the steady state recycles
 	sb := &sharedBuf{b: make([]byte, 0, bodyClass(need)), pool: p}
 	sb.refs.Store(1)
+	//camus:alloc-ok pool miss: the handle table doubles at most log2(bodies) times in the pool's life
+	p.issue(sb)
 	return sb
 }
 
-// put recycles a buffer onto its class's list, dropping it if the list is
-// full.
+// issue gives a new body a handle: one a dropped body freed, else the
+// next never issued, doubling the table when it is full. The doubled
+// table is published whole, so a lock-free reader sees the old one or
+// the new one, and either holds every handle issued before it.
+func (p *sharedPool) issue(sb *sharedBuf) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	table := *p.table.Load()
+	if n := len(p.handles); n > 0 {
+		sb.h = p.handles[n-1]
+		p.handles = p.handles[:n-1]
+	} else {
+		if int(p.next) == len(table) {
+			grown := make([]*sharedBuf, 2*len(table))
+			copy(grown, table)
+			p.table.Store(&grown)
+			table = grown
+		}
+		sb.h = p.next
+		p.next++
+	}
+	table[sb.h] = sb
+}
+
+// put recycles a buffer onto its class's list. If the list is full the
+// buffer drops to the collector and its handle is freed.
 //
 //camus:hotpath
 func (p *sharedPool) put(sb *sharedBuf) {
 	sb.b = sb.b[:0]
 	select {
 	case p.free[classOf(cap(sb.b))] <- sb:
+		return
 	default:
 	}
+	p.mu.Lock()
+	(*p.table.Load())[sb.h] = nil
+	p.handles = append(p.handles, sb.h)
+	p.mu.Unlock()
 }
 
 // writeOne is the portable writer: the first entry's header is patched

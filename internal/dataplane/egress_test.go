@@ -104,6 +104,8 @@ func TestEgressAcceptsNilIPAddress(t *testing.T) {
 // port fed only by single-port actions as much as a group member. After
 // Subscription.Close the ring holds no reference, and once the last port
 // pinning a body is gone the body is back on its class's free list.
+// Then every handle the pool has issued names a body on a free list:
+// nothing else holds one.
 func TestUnbindReleasesRing(t *testing.T) {
 	const rounds = 5
 	sw, err := Listen(Config{
@@ -144,8 +146,8 @@ func TestUnbindReleasesRing(t *testing.T) {
 		}
 		subs[step.port].Close()
 		for i, sl := range ps.store.slots {
-			if sl.owner != nil {
-				t.Fatalf("port %d: slot %d still references a shared body after Close", step.port, i)
+			if sl.body != 0 {
+				t.Fatalf("port %d: slot %d still names shared body %d after Close", step.port, i, sl.body)
 			}
 		}
 		if msgs, _ := ps.store.get(nil, 1, rounds, 1<<20); msgs != nil {
@@ -154,6 +156,22 @@ func TestUnbindReleasesRing(t *testing.T) {
 		if len(free) != step.wantFree {
 			t.Fatalf("after unbinding port %d: %d bodies on the free list, want %d", step.port, len(free), step.wantFree)
 		}
+	}
+
+	onFree := map[*sharedBuf]bool{}
+	for _, list := range sw.bodies.free {
+		for len(list) > 0 {
+			onFree[<-list] = true
+		}
+	}
+	live := liveHandles(t, sw.bodies)
+	for _, sb := range live {
+		if !onFree[sb] {
+			t.Errorf("handle %d names a body holding %d references that is on no free list", sb.h, sb.refs.Load())
+		}
+	}
+	if len(live) != len(onFree) {
+		t.Fatalf("%d handles name a body, %d bodies are on the free lists", len(live), len(onFree))
 	}
 }
 

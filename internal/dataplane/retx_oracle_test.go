@@ -10,35 +10,34 @@ import (
 // demand: every slot of the bound allocated at bind, position seq % cap.
 // It is the reference FuzzRetxStoreMatchesFlatRing holds retxStore to.
 type flatRing struct {
-	slots []retxSlot
-	lo    uint64
-	hi    uint64
+	slots  []retxSlot
+	bodies *sharedPool
+	lo     uint64
+	hi     uint64
 }
 
-func newFlatRing(capacity int) *flatRing {
-	return &flatRing{slots: make([]retxSlot, capacity), lo: 1, hi: 1}
+func newFlatRing(capacity int, bodies *sharedPool) *flatRing {
+	return &flatRing{slots: make([]retxSlot, capacity), bodies: bodies, lo: 1, hi: 1}
 }
 
 func (s *flatRing) releaseAll() {
 	for i := range s.slots {
-		if o := s.slots[i].owner; o != nil {
-			o.unref()
+		if h := s.slots[i].body; h != 0 {
+			s.bodies.body(h).unref()
 		}
 		s.slots[i] = retxSlot{}
 	}
 	s.lo = s.hi
 }
 
-func (s *flatRing) addSharedGroup(spans []msgSpan, sb *sharedBuf, ev *evictAcc) {
+func (s *flatRing) addSharedGroup(offs []uint32, h uint32, ev *evictAcc) {
 	capacity := uint64(len(s.slots))
-	for _, sp := range spans {
+	for _, off := range offs {
 		sl := &s.slots[s.hi%capacity]
-		if o := sl.owner; o != nil {
-			ev.add(o)
+		if sl.body != 0 {
+			ev.add(sl.body)
 		}
-		sl.owner = sb
-		sl.off = sp.off
-		sl.ln = sp.ln
+		*sl = retxSlot{body: h, off: off}
 		s.hi++
 	}
 	if s.hi-s.lo > capacity {
@@ -64,8 +63,7 @@ func (s *flatRing) get(from uint64, count int, maxBytes int) ([][]byte, uint64) 
 	var out [][]byte
 	bytes := 0
 	for seq := start; seq < end; seq++ {
-		sl := s.slots[seq%uint64(len(s.slots))]
-		m := sl.owner.b[sl.off : sl.off+sl.ln]
+		m := s.slots[seq%uint64(len(s.slots))].message(s.bodies)
 		bytes += 2 + len(m)
 		if bytes > maxBytes && len(out) > 0 {
 			break
@@ -75,59 +73,77 @@ func (s *flatRing) get(from uint64, count int, maxBytes int) ([][]byte, uint64) 
 	return out, start
 }
 
+// retxRing is what the differential drives: the growing ring or the
+// flat one.
+type retxRing interface {
+	addSharedGroup(offs []uint32, h uint32, ev *evictAcc)
+	releaseAll()
+}
+
+// newRingPool is the pool a ring of capacity slots is tested over. Its
+// free lists hold fewer bodies than the ring retains, so a step that
+// retires many bodies drops most of them to the collector, and the next
+// bodies framed take their freed handles.
+func newRingPool(capacity int) *sharedPool { return newSharedPool(capacity/4+1, 1<<17) }
+
 // ringSide is one store under the differential with its own universe of
 // shared bodies, so the two sides' reference counts can be compared body
 // for body.
 type ringSide struct {
-	add     func([]msgSpan, *sharedBuf, *evictAcc)
-	release func()
-	pool    *sharedPool
-	bufs    []*sharedBuf
-	index   map[*sharedBuf]int
+	ring     retxRing
+	pool     *sharedPool
+	bufs     []*sharedBuf
+	index    map[*sharedBuf]int
+	byHandle map[uint32]int // the body a handle was last issued to
+	dropped  int            // pool.handles before the latest ring call: drops beyond it are new
 }
 
-func newRingSide(capacity int, add func([]msgSpan, *sharedBuf, *evictAcc), release func()) *ringSide {
-	return &ringSide{
-		add: add, release: release,
-		pool:  newSharedPool(2*capacity+2, 1<<17),
-		index: map[*sharedBuf]int{},
-	}
+func newRingSide(ring retxRing, pool *sharedPool) *ringSide {
+	return &ringSide{ring: ring, pool: pool, index: map[*sharedBuf]int{}, byHandle: map[uint32]int{}}
 }
 
 // store frames n messages numbered from seq into a fresh body the way
 // frameGroup does — the lane's reference plus one per ring slot — and
 // hands them to the ring, then drops the lane's reference.
-func (r *ringSide) store(seq uint64, n int, spans []msgSpan) []msgSpan {
+func (r *ringSide) store(seq uint64, n int, offs []uint32) []uint32 {
 	need := 20
 	for i := 0; i < n; i++ {
 		need += 2 + retxFuzzLen(seq+uint64(i))
 	}
-	sb := r.pool.get(need)
+	sb := r.pool.get(need) // a new body: recycled drains the free lists
 	r.index[sb] = len(r.bufs)
+	r.byHandle[sb.h] = len(r.bufs)
 	r.bufs = append(r.bufs, sb)
 	body := sb.b[:20]
-	spans = spans[:0]
+	offs = offs[:0]
 	for i := 0; i < n; i++ {
 		s, ln := seq+uint64(i), retxFuzzLen(seq+uint64(i))
 		body = append(body, 0, byte(ln))
-		spans = append(spans, msgSpan{off: uint32(len(body)), ln: uint32(ln)})
+		offs = append(offs, uint32(len(body)))
 		for j := 0; j < ln; j++ {
 			body = append(body, byte(s>>(8*j)))
 		}
 	}
 	sb.b = body
 	sb.refGroup(n)
-	var ev evictAcc
-	r.add(spans, sb, &ev)
+	ev := evictAcc{pool: r.pool}
+	r.dropped = len(r.pool.handles)
+	r.ring.addSharedGroup(offs, sb.h, &ev)
 	ev.flush()
 	sb.unref()
-	return spans
+	return offs
 }
 
-// recycled drains the pool's free lists and returns the creation indices
-// of the bodies on them: the order in which bodies lost their last
-// reference, which after an add is the order the ring handed owners to
-// evictAcc.
+func (r *ringSide) release() {
+	r.dropped = len(r.pool.handles)
+	r.ring.releaseAll()
+}
+
+// recycled returns the creation indices of the bodies that lost their
+// last reference in the latest ring call: those on the pool's free lists,
+// which it drains, then those dropped to the collector, whose handles
+// the pool freed. After an add that is the order, per size class, in
+// which the ring handed handles to evictAcc.
 func (r *ringSide) recycled() []int {
 	var out []int
 	for _, free := range r.pool.free {
@@ -135,7 +151,43 @@ func (r *ringSide) recycled() []int {
 			out = append(out, r.index[<-free])
 		}
 	}
+	for _, h := range r.pool.handles[r.dropped:] {
+		out = append(out, r.byHandle[h])
+	}
+	r.dropped = len(r.pool.handles)
 	return out
+}
+
+// liveHandles checks p's handle table — every body it names sits at its
+// own handle, no freed handle names one and none is freed twice — and
+// returns the bodies it names.
+func liveHandles(t *testing.T, p *sharedPool) []*sharedBuf {
+	t.Helper()
+	table := *p.table.Load()
+	if table[0] != nil {
+		t.Fatal("handle 0, the empty slot's, names a body")
+	}
+	freed := map[uint32]bool{}
+	for _, h := range p.handles {
+		if freed[h] || h == 0 || h >= p.next || table[h] != nil {
+			t.Fatalf("freed handle %d is invalid, freed twice or still names a body", h)
+		}
+		freed[h] = true
+	}
+	var live []*sharedBuf
+	for h, sb := range table {
+		if sb == nil {
+			continue
+		}
+		if sb.h != uint32(h) || uint32(h) >= p.next {
+			t.Fatalf("handle %d names a body holding handle %d", h, sb.h)
+		}
+		live = append(live, sb)
+	}
+	if len(live)+len(freed)+1 != int(p.next) {
+		t.Fatalf("%d handles issued, %d name a body and %d are free", p.next-1, len(live), len(freed))
+	}
+	return live
 }
 
 func retxFuzzLen(seq uint64) int { return 1 + int(seq%7) }
@@ -180,7 +232,9 @@ var retxFuzzMaxBytes = [4]int{maxRetxDatagram - 20, 0, 7, 1 << 20}
 // the same [lo, hi), return identical messages and from, have recycled
 // the same bodies (after an add, in the same order) and hold every body at
 // the same reference count; the growing ring must also keep its own shape (one
-// flat slice no longer than the bound, owners exactly on [lo, hi)).
+// flat slice no longer than the bound, handles exactly on [lo, hi)). Each
+// side's pool keeps fewer free bodies than its ring retains, so retired
+// bodies drop to the collector and their handles name new bodies mid-run.
 func FuzzRetxStoreMatchesFlatRing(f *testing.F) {
 	f.Add(uint16(1), retxOps(retxAdd(1), retxAdd(1), retxGet(0, 0, 9, 0), retxAdd(2), retxGet(0, -1, 1, 3), retxRelease(), retxAdd(1)))
 	for _, c := range []uint16{63, 64, 65} {
@@ -197,17 +251,30 @@ func FuzzRetxStoreMatchesFlatRing(f *testing.F) {
 	f.Add(uint16(300), retxOps(retxAdd(10), retxRelease(), retxAdd(10), retxGet(0, 0, 255, 3), retxAdd(290), retxRelease(), retxGet(0, 0, 1, 0), retxAdd(301), retxGet(0, 0, 255, 3)))
 	// from below lo and at hi, before and after eviction starts.
 	f.Add(uint16(70), retxOps(retxAdd(5), retxGet(0, -3, 4, 3), retxGet(1, 0, 4, 3), retxAdd(80), retxGet(0, -3, 4, 3), retxGet(1, 0, 4, 3), retxGet(1, 1, 250, 1)))
+	// Handle reuse: 32 one-message bodies, all retired by one batch into a
+	// pool that keeps 9, then one-message bodies on the 23 freed handles,
+	// served back byte for byte.
+	reuse := make([]retxFuzzOp, 0, 42)
+	for i := 0; i < 32; i++ {
+		reuse = append(reuse, retxAdd(1))
+	}
+	reuse = append(reuse, retxAdd(32), retxGet(0, 0, 255, 0))
+	for i := 0; i < 6; i++ {
+		reuse = append(reuse, retxAdd(1))
+	}
+	reuse = append(reuse, retxGet(0, 0, 255, 3), retxRelease(), retxAdd(3))
+	f.Add(uint16(32), retxOps(reuse...))
 
 	f.Fuzz(func(t *testing.T, capacity uint16, data []byte) {
 		if capacity == 0 || capacity > 4096 || len(data) > 4*48 {
 			t.Skip()
 		}
 		max := int(capacity)
-		grown, flat := newRetxStore(max), newFlatRing(max)
-		a := newRingSide(max, grown.addSharedGroup, grown.releaseAll)
-		b := newRingSide(max, flat.addSharedGroup, flat.releaseAll)
+		pa, pb := newRingPool(max), newRingPool(max)
+		grown, flat := newRetxStore(max, pa), newFlatRing(max, pb)
+		a, b := newRingSide(grown, pa), newRingSide(flat, pb)
 		rings := 1
-		var spans []msgSpan
+		var offs []uint32
 		var dst [][]byte
 
 		// ordered: the bodies must have been recycled in the same order,
@@ -240,15 +307,16 @@ func FuzzRetxStoreMatchesFlatRing(f *testing.F) {
 			if len(grown.slots) > max {
 				t.Fatalf("step %d (%s): ring of %d slots exceeds the bound %d", step, what, len(grown.slots), max)
 			}
-			owned := 0
+			named := 0
 			for i := range grown.slots {
-				if grown.slots[i].owner != nil {
-					owned++
+				if grown.slots[i].body != 0 {
+					named++
 				}
 			}
-			if uint64(owned) != grown.hi-grown.lo {
-				t.Fatalf("step %d (%s): %d slots own a body, [lo, hi) spans %d", step, what, owned, grown.hi-grown.lo)
+			if uint64(named) != grown.hi-grown.lo {
+				t.Fatalf("step %d (%s): %d slots name a body, [lo, hi) spans %d", step, what, named, grown.hi-grown.lo)
 			}
+			liveHandles(t, pa)
 		}
 
 		for step := 0; len(data) >= 4; step, data = step+1, data[4:] {
@@ -257,8 +325,8 @@ func FuzzRetxStoreMatchesFlatRing(f *testing.F) {
 			case 0:
 				n := 1 + (int(op.a)|int(op.b)<<8)%(2*max)
 				before := len(grown.slots)
-				spans = a.store(grown.hi, n, spans)
-				spans = b.store(flat.hi, n, spans)
+				offs = a.store(grown.hi, n, offs)
+				offs = b.store(flat.hi, n, offs)
 				if len(grown.slots) != before {
 					rings++
 				}

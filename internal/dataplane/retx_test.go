@@ -18,16 +18,17 @@ import (
 func TestRetxRingGrowsToBound(t *testing.T) {
 	for _, max := range []int{1, 63, 64, 65, 1000, 4096, 5000} {
 		t.Run(fmt.Sprint(max), func(t *testing.T) {
-			s := newRetxStore(max)
-			r := newRingSide(max, s.addSharedGroup, s.releaseAll)
+			p := newRingPool(max)
+			s := newRetxStore(max, p)
+			r := newRingSide(s, p)
 			if len(s.slots) != min(max, retxInitialSlots) {
 				t.Fatalf("bound with %d slots, want %d", len(s.slots), min(max, retxInitialSlots))
 			}
 			rings := 0
-			var spans []msgSpan
+			var offs []uint32
 			for n := 1; n <= 2*max+10; n++ {
 				before := len(s.slots)
-				spans = r.store(s.hi, 1, spans)
+				offs = r.store(s.hi, 1, offs)
 				if len(s.slots) != before {
 					rings++
 				}
@@ -49,8 +50,8 @@ func TestRetxRingGrowsToBound(t *testing.T) {
 }
 
 // TestSubscribeCostIndependentOfRetxBuffer: RetxBuffer is a bound, not a
-// reservation. At a bound of 2^20 messages a reserved ring is 16 MB per
-// port; a bind allocates a few hundred bytes of port state and a 1 KB
+// reservation. At a bound of 2^20 messages a reserved ring is 8 MB per
+// port; a bind allocates a few hundred bytes of port state and a 512 B
 // ring.
 func TestSubscribeCostIndependentOfRetxBuffer(t *testing.T) {
 	const ports = 1000
@@ -71,8 +72,8 @@ func TestSubscribeCostIndependentOfRetxBuffer(t *testing.T) {
 		}
 	}
 	runtime.ReadMemStats(&after)
-	if perPort := (after.TotalAlloc - before.TotalAlloc) / ports; perPort >= 4<<10 {
-		t.Fatalf("Subscribe allocates %d B per port at RetxBuffer 1<<20, want < 4 KB", perPort)
+	if perPort := (after.TotalAlloc - before.TotalAlloc) / ports; perPort >= 2<<10 {
+		t.Fatalf("Subscribe allocates %d B per port at RetxBuffer 1<<20, want < 2 KB", perPort)
 	}
 }
 

@@ -2,11 +2,14 @@ package dataplane
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"camus/internal/itch"
+	"camus/internal/lang"
 	"camus/internal/spec"
 	"camus/internal/telemetry"
 	"camus/internal/workload"
@@ -108,6 +111,46 @@ func TestPortSessionsNeverAlias(t *testing.T) {
 	copy(sess[:], clash.PortSession(2345))
 	if ps := clash.bySession[sess]; ps == nil || ps.port != 2345 || len(clash.ports) != 1 {
 		t.Fatalf("refused Subscribe disturbed the bindings: %+v, %d ports", ps, len(clash.ports))
+	}
+}
+
+// TestSubscribePortRange: a port is bound in [0, lang.MaxPort], the ports
+// a fwd() can name. Port 1<<30 and port -1 are refused without growing
+// the port index toward them, and lang.MaxPort itself binds and receives
+// its matches.
+func TestSubscribePortRange(t *testing.T) {
+	sub := listenUDP(t)
+	sw, err := Listen(Config{
+		Spec:          spec.MustParse(workload.ITCHSpecSource),
+		Subscriptions: fmt.Sprintf("stock == GOOGL : fwd(%d)", lang.MaxPort),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sw.Close()
+	for _, port := range []int{1 << 30, lang.MaxPort + 1, -1} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := sw.Subscribe(SubscriberConfig{Port: port, Addr: sub.LocalAddr().String()})
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("Subscribe bound port %d, outside [0, %d]", port, lang.MaxPort)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Fatalf("refusing port %d allocated %d B, want < 1 MB", port, grew)
+		}
+	}
+	if len(sw.ports) != 0 || len(sw.portIdx) != 0 {
+		t.Fatalf("refused Subscribes left %d ports bound and an index of %d", len(sw.ports), len(sw.portIdx))
+	}
+
+	if _, err := sw.Subscribe(SubscriberConfig{Port: lang.MaxPort, Addr: sub.LocalAddr().String()}); err != nil {
+		t.Fatal(err)
+	}
+	sw.processDatagram(sw.newProcState(0, sw.conn), moldWith(t, "ING", 1, order("GOOGL", 10, 1000)))
+	want := moldWith(t, sw.PortSession(lang.MaxPort), 1, order("GOOGL", 10, 1000))
+	if got := recvRaw(t, sub); !bytes.Equal(got, want) {
+		t.Fatalf("port %d frame\n got: %x\nwant: %x", lang.MaxPort, got, want)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 
+	"camus/internal/lang"
 	"camus/internal/telemetry"
 )
 
@@ -41,7 +42,11 @@ type Subscription struct {
 // becomes a no-op. A port whose session id is already held by another
 // bound port (possible only under a custom Config.Session; see
 // sessionFor) is refused: two ports never share a retransmission stream.
+// So is a port outside [0, lang.MaxPort], which no fwd() can name.
 func (sw *Switch) Subscribe(cfg SubscriberConfig) (*Subscription, error) {
+	if cfg.Port < 0 || cfg.Port > lang.MaxPort {
+		return nil, fmt.Errorf("dataplane: port %d out of range [0, %d]", cfg.Port, lang.MaxPort)
+	}
 	udpAddr, err := net.ResolveUDPAddr("udp", cfg.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("dataplane: port %d: %w", cfg.Port, err)
@@ -65,16 +70,14 @@ func (sw *Switch) Subscribe(cfg SubscriberConfig) (*Subscription, error) {
 		return nil, fmt.Errorf("dataplane: port %d: session %q already belongs to port %d", cfg.Port, ps.session[:], other.port)
 	}
 	if sw.retxCap > 0 {
-		ps.store = newRetxStore(sw.retxCap)
+		ps.store = newRetxStore(sw.retxCap, sw.bodies)
 	}
 	sw.ports[cfg.Port] = ps
 	sw.bySession[ps.session] = ps
-	if cfg.Port >= 0 {
-		for cfg.Port >= len(sw.portIdx) {
-			sw.portIdx = append(sw.portIdx, nil)
-		}
-		sw.portIdx[cfg.Port] = ps
+	if n := cfg.Port + 1 - len(sw.portIdx); n > 0 {
+		sw.portIdx = append(sw.portIdx, make([]*portState, n)...)
 	}
+	sw.portIdx[cfg.Port] = ps
 	sw.portsG.Set(int64(len(sw.ports)))
 	sw.countSubscriber(cfg.Group, +1)
 	return sub, nil
@@ -110,9 +113,7 @@ func (sw *Switch) unbind(owner *Subscription) {
 	}
 	delete(sw.ports, port)
 	delete(sw.bySession, ps.session)
-	if port >= 0 && port < len(sw.portIdx) {
-		sw.portIdx[port] = nil
-	}
+	sw.portIdx[port] = nil
 	sw.portsG.Set(int64(len(sw.ports)))
 	sw.countSubscriber(ps.group, -1)
 	ps.mu.Lock()

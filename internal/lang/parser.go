@@ -430,8 +430,8 @@ func (p *Parser) parsePortList() ([]int, error) {
 		if err != nil {
 			return nil, err
 		}
-		if t.Num > uint64(maxPort) {
-			return nil, errAt(t.Line, t.Col, "port %s out of range (max %d)", t.Text, maxPort)
+		if t.Num > uint64(MaxPort) {
+			return nil, errAt(t.Line, t.Col, "port %s out of range (max %d)", t.Text, MaxPort)
 		}
 		ports = append(ports, int(t.Num))
 		if p.tok.Kind != TokComma {
@@ -447,9 +447,10 @@ func (p *Parser) parsePortList() ([]int, error) {
 	return ports, nil
 }
 
-// maxPort bounds the port numbers accepted by fwd() actions. Real switches
-// have hundreds of ports; the generous bound mostly guards against typos.
-const maxPort = 1 << 16
+// MaxPort bounds the port numbers accepted by fwd() actions, and so the
+// ports a dataplane binds. Real switches have hundreds of ports; the
+// generous bound mostly guards against typos.
+const MaxPort = 1 << 16
 
 // FormatPorts renders a port list the way the language prints it.
 func FormatPorts(ports []int) string {
