@@ -102,7 +102,7 @@ func WithTelemetry(t *Telemetry) Option {
 func WithRegistry(r *Registry) Option {
 	return func(o *facadeOpts) {
 		if r != nil {
-			o.tel = &Telemetry{Registry: r}
+			o.tel = telemetry.FromRegistry(r)
 		}
 	}
 }

@@ -1,7 +1,8 @@
-// Command camus-lint adapts the project's custom analyzers
-// (internal/lint: telemetrynil, atomicalign, hotpathalloc, cacheline,
-// lockorder, goroleak) to the `go vet -vettool` unit-checker protocol,
-// using only the standard library:
+// Command camus-lint runs the project's Go checks, using only the
+// standard library. It has two modes.
+//
+// As a vet tool it adapts the analyzers of internal/lint (lockorder,
+// goroleak) to the `go vet -vettool` unit-checker protocol:
 //
 //	go build -o camus-lint ./cmd/camus-lint
 //	go vet -vettool=$PWD/camus-lint ./...
@@ -11,19 +12,20 @@
 // export-data file of every dependency, and the facts (.vetx) files of
 // dependencies already analyzed. The tool type-checks the package
 // against that export data, threads dependency facts into the
-// analyzers (cross-package allocation summaries and lock graphs),
-// writes this package's facts to VetxOutput, prints findings as
-// `file:line:col: message` on stderr, and exits 2 when there are any —
-// exactly what `go vet` expects of a vettool. With -json (advertised
-// via the -flags probe) findings go to stdout as the unitchecker JSON
-// object and the exit code is 0.
+// analyzers (cross-package lock graphs), writes this package's facts to
+// VetxOutput, prints findings as `file:line:col: message` on stderr, and
+// exits 2 when there are any — exactly what `go vet` expects of a
+// vettool. With -json (advertised via the -flags probe) findings go to
+// stdout as the unitchecker JSON object and the exit code is 0.
 //
-// A second mode, `camus-lint -oracle [dir]`, cross-checks the static
-// hotpathalloc verdicts against the compiler's escape analysis: it
+// `camus-lint -oracle [dir]` is the hot-path allocation check. It
 // rebuilds the module with -gcflags=-m, maps every "escapes to heap" /
-// "moved to heap" line into the //camus:hotpath function ranges, and
-// reports escapes that neither the analyzer nor a //camus:alloc-ok
-// annotation accounts for.
+// "moved to heap" report into the bodies of //camus:hotpath functions,
+// and reports, exiting 2, each one that no `//camus:alloc-ok <reason>`
+// on its line or the line above accounts for. A bare //camus:alloc-ok
+// accounts for nothing. The compiler's escape analysis is the only model
+// of what allocates; the annotation decides where it is read, so a
+// callee the packet path reaches needs its own //camus:hotpath.
 package main
 
 import (
@@ -79,7 +81,7 @@ func main() {
 		switch {
 		case arg == "-V=full" || arg == "--V=full":
 			// Format contract: field 2 is the literal "version".
-			fmt.Println("camus-lint version camus0.2")
+			fmt.Println("camus-lint version camus0.3")
 			return
 		case arg == "-flags" || arg == "--flags":
 			fmt.Println(`[{"Name":"json","Bool":true,"Usage":"emit diagnostics as JSON on stdout and exit 0"}]`)
@@ -87,7 +89,7 @@ func main() {
 		case arg == "-json" || arg == "--json" || arg == "-json=true" || arg == "--json=true":
 			jsonMode = true
 		case arg == "-oracle" || arg == "--oracle":
-			os.Exit(runOracle(args[i+1:]))
+			os.Exit(runOracle(args[i+1:], os.Stderr))
 		case strings.HasSuffix(arg, ".cfg"):
 			cfgPath = arg
 		}
@@ -292,33 +294,33 @@ type hotRange struct {
 	name       string
 }
 
-// runOracle cross-checks //camus:hotpath functions against the
-// compiler's escape analysis. Exit codes: 0 clean, 1 operational
-// error, 2 discrepancies found.
-func runOracle(args []string) int {
+// runOracle checks //camus:hotpath functions against the compiler's
+// escape analysis, writing findings to stderr. Exit codes: 0 clean,
+// 1 operational error, 2 unaccounted escapes found.
+func runOracle(args []string, stderr io.Writer) int {
 	dir := "."
 	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
 		dir = args[0]
 	}
 	root, err := findModuleRoot(dir)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "camus-lint: -oracle:", err)
+		fmt.Fprintln(stderr, "camus-lint: -oracle:", err)
 		return 1
 	}
 
 	ranges, allowed, err := collectHotRanges(root)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "camus-lint: -oracle:", err)
+		fmt.Fprintln(stderr, "camus-lint: -oracle:", err)
 		return 1
 	}
 	if len(ranges) == 0 {
-		fmt.Fprintln(os.Stderr, "camus-lint: -oracle: no //camus:hotpath functions found")
+		fmt.Fprintln(stderr, "camus-lint: -oracle: no //camus:hotpath functions found")
 		return 0
 	}
 
 	escapes, err := compilerEscapes(root)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "camus-lint: -oracle:", err)
+		fmt.Fprintln(stderr, "camus-lint: -oracle:", err)
 		return 1
 	}
 
@@ -331,17 +333,17 @@ func runOracle(args []string) int {
 			if allowed[esc.file+":"+strconv.Itoa(esc.line)] {
 				continue
 			}
-			fmt.Fprintf(os.Stderr, "%s:%d:%d: hot path %s: compiler escape analysis reports: %s (annotate //camus:alloc-ok with a reason or restructure)\n",
+			fmt.Fprintf(stderr, "%s:%d:%d: hot path %s: compiler escape analysis reports: %s (annotate //camus:alloc-ok with a reason or restructure)\n",
 				esc.file, esc.line, esc.col, hr.name, esc.msg)
 			found++
 			break
 		}
 	}
 	if found > 0 {
-		fmt.Fprintf(os.Stderr, "camus-lint: -oracle: %d unaccounted escape(s) in //camus:hotpath functions\n", found)
+		fmt.Fprintf(stderr, "camus-lint: -oracle: %d unaccounted escape(s) in //camus:hotpath functions\n", found)
 		return 2
 	}
-	fmt.Fprintf(os.Stderr, "camus-lint: -oracle: %d hot function(s) clean under -gcflags=-m\n", len(ranges))
+	fmt.Fprintf(stderr, "camus-lint: -oracle: %d hot function(s) clean under -gcflags=-m\n", len(ranges))
 	return 0
 }
 
@@ -362,8 +364,8 @@ func findModuleRoot(dir string) (string, error) {
 
 // collectHotRanges parses every non-test .go file under root and
 // returns the //camus:hotpath function extents plus the set of
-// file:line positions covered by //camus:alloc-ok annotations (the
-// annotation's own line and the line below it).
+// file:line positions covered by //camus:alloc-ok annotations that give
+// a reason (the annotation's own line and the line below it).
 func collectHotRanges(root string) ([]hotRange, map[string]bool, error) {
 	var ranges []hotRange
 	allowed := map[string]bool{}
@@ -393,7 +395,7 @@ func collectHotRanges(root string) ([]hotRange, map[string]bool, error) {
 		}
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				if strings.HasPrefix(c.Text, "//camus:alloc-ok ") {
+				if reason, ok := strings.CutPrefix(c.Text, "//camus:alloc-ok "); ok && strings.TrimSpace(reason) != "" {
 					line := fset.Position(c.Pos()).Line
 					allowed[rel+":"+strconv.Itoa(line)] = true
 					allowed[rel+":"+strconv.Itoa(line+1)] = true
@@ -432,17 +434,13 @@ type escapeLine struct {
 // compilerEscapes rebuilds the module's packages with -gcflags=-m
 // (scoped to the module's import patterns, which also busts the build
 // cache for them so the compiler actually re-emits diagnostics) and
-// returns the heap-escape reports.
+// returns the heap-escape reports. Building several packages discards
+// the results, so nothing is written.
 func compilerEscapes(root string) ([]escapeLine, error) {
-	tmp, err := os.MkdirTemp("", "camus-lint-oracle-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(tmp)
 	cmd := exec.Command("go", "build",
 		"-gcflags="+moduleRoot+"=-m",
 		"-gcflags="+moduleRoot+"/...=-m",
-		"-o", tmp, "./...")
+		"./...")
 	cmd.Dir = root
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -482,7 +480,7 @@ func parseEscapeLine(s string) (escapeLine, bool) {
 	if i < 0 {
 		return escapeLine{}, false
 	}
-	file := filepath.ToSlash(rest[:i+3])
+	file := strings.TrimPrefix(filepath.ToSlash(rest[:i+3]), "./") // gc names the root package's files ./name.go
 	rest = rest[i+4:]
 	parts := strings.SplitN(rest, ":", 3)
 	if len(parts) < 3 {

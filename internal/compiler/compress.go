@@ -28,6 +28,8 @@ type DomainCodec struct {
 }
 
 // Code maps a field value to its partition code.
+//
+//camus:hotpath
 func (c *DomainCodec) Code(v uint64) uint64 {
 	lo, hi := 0, len(c.Bounds)-1
 	for lo < hi {

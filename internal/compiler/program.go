@@ -50,6 +50,8 @@ type Entry struct {
 // terminal decides the packet: it names that terminal's action set, action
 // indexing Program.Actions, and ok is true. Any other row moves the packet
 // to state next.
+//
+//camus:hotpath
 func Decides(next int) (action int, ok bool) { return ^next, next < 0 }
 
 // decision is the target of a row that decides with Actions[action].

@@ -35,6 +35,8 @@ type sockaddrBuf [syscall.SizeofSockaddrInet6]byte
 // package net does for WriteToUDP (no IP is the family's zero address, an
 // IPv4 address on an IPv6 socket is v4-mapped), so both writers accept the
 // same addresses. ok is false for an address the family cannot carry.
+//
+//camus:hotpath
 func putSockaddr(buf *sockaddrBuf, addr *net.UDPAddr, v4 bool) (uint32, bool) {
 	ip := addr.IP
 	port := uint16(addr.Port>>8) | uint16(addr.Port&0xff)<<8

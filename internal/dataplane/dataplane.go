@@ -203,11 +203,10 @@ const maxRetxDatagram = 1400
 
 // portState is one output port's delivery state: its own MoldUDP64
 // session with a dense sequence space and a bounded retransmission store.
-//
-//camus:cacheline 64 prefix=session
 type portState struct {
-	// The leading fields are everything a group-egress member visit
-	// touches, packed so the visit dirties a single cacheline: at high
+	// The leading fields, through session, are everything a group-egress
+	// member visit touches, packed so the visit dirties a single cacheline
+	// (TestPortStateHotPrefixFitsALine holds them to 64 bytes): at high
 	// fanout thousands of portStates are walked per datagram and none
 	// stay cache-resident, so the per-member cost is line fills, not
 	// instructions. lastEgress is UnixNano rather than time.Time for
@@ -522,6 +521,8 @@ func sessionFor(dst *[10]byte, base string, port int) {
 }
 
 // portFor resolves a port number on the hot path. Callers hold sw.mu.
+//
+//camus:hotpath
 func (sw *Switch) portFor(port int) *portState {
 	if port < 0 || port >= len(sw.portIdx) {
 		return nil
@@ -846,6 +847,8 @@ func (st *procState) collect(i int, ports []int, msg []byte) {
 
 // nextOut claims the next egress entry in place: at high fanout building
 // the entry elsewhere and copying it in shows up per member.
+//
+//camus:hotpath
 func (st *procState) nextOut() *wireEntry {
 	if len(st.out) == cap(st.out) {
 		st.out = append(st.out, wireEntry{})
@@ -1197,8 +1200,7 @@ func (sw *Switch) replyRetx(ps *portState, req *itch.MoldRequest, raddr *net.UDP
 // (evictAcc). The same argument keeps the ring one flat slice: paging it
 // ([]*[256]retxSlot — no copies, no garbage) puts a dependent miss in
 // front of every insert (DESIGN.md §5c has the measurement).
-//
-//camus:cacheline 8
+// TestRetxSlotIsEightBytes holds it to that size.
 type retxSlot struct {
 	body uint32 // handle of the shared body the slot aliases (sharedPool.body)
 	off  uint32 // message start within the body, just past its length

@@ -410,14 +410,16 @@ func TestCloseSynchronizesWithRun(t *testing.T) {
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Run must already have exited when Close returned.
+	// Run's shutdown must already have finished when Close returned. Its
+	// return value reaches done only once the goroutine is scheduled
+	// again, so runDone, closed as Run's last step, is what is checked.
 	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
+	case <-sw.runDone:
 	default:
 		t.Fatal("Close returned while Run was still active")
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 	if err := sw.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)

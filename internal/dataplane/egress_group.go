@@ -35,13 +35,19 @@ type sharedBuf struct {
 // refGroup takes n references at once — one per ring slot a member port
 // is about to fill — so the hot path pays a single atomic per (port,
 // body) instead of one per message.
+//
+//camus:hotpath
 func (sb *sharedBuf) refGroup(n int) { sb.refs.Add(int32(n)) }
 
 // unref drops one reference, recycling the buffer on the last drop.
+//
+//camus:hotpath
 func (sb *sharedBuf) unref() { sb.unrefN(1) }
 
 // unrefN drops n references at once — the counterpart of refGroup when a
 // ring evicts a whole batch of slots that alias the same body.
+//
+//camus:hotpath
 func (sb *sharedBuf) unrefN(n int32) {
 	if sb.refs.Add(-n) == 0 {
 		sb.pool.put(sb)
@@ -61,6 +67,7 @@ type evictAcc struct {
 	n    int32
 }
 
+//camus:hotpath
 func (a *evictAcc) add(h uint32) {
 	if h == a.h {
 		a.n++
@@ -70,6 +77,7 @@ func (a *evictAcc) add(h uint32) {
 	a.h, a.n = h, 1
 }
 
+//camus:hotpath
 func (a *evictAcc) flush() {
 	if a.h != 0 {
 		a.pool.body(a.h).unrefN(a.n)
@@ -84,6 +92,8 @@ const minBodyClass = 64
 
 // classOf returns the index k of the smallest class, minBodyClass<<k,
 // that holds need bytes.
+//
+//camus:hotpath
 func classOf(need int) int {
 	if need <= minBodyClass {
 		return 0
@@ -133,6 +143,8 @@ func newSharedPool(capacity, maxBody int) *sharedPool {
 
 // body returns the body handle h names. h must be held: by a ring slot
 // under its port's lock, or by a caller holding a reference.
+//
+//camus:hotpath
 func (p *sharedPool) body(h uint32) *sharedBuf { return (*p.table.Load())[h] }
 
 // get returns an empty buffer of need's size class holding one reference

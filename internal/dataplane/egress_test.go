@@ -5,11 +5,22 @@ import (
 	"strconv"
 	"testing"
 	"time"
+	"unsafe"
 
 	"camus/internal/itch"
 	"camus/internal/spec"
 	"camus/internal/workload"
 )
+
+// TestPortStateHotPrefixFitsALine: a group member visit touches the
+// fields of portState through session and nothing after, so they must
+// end within one 64-byte line. The cold tail may spill past it.
+func TestPortStateHotPrefixFitsALine(t *testing.T) {
+	var ps portState
+	if end := unsafe.Offsetof(ps.session) + unsafe.Sizeof(ps.session); end > 64 {
+		t.Fatalf("portState's hot prefix ends at byte %d, past one 64-byte line", end)
+	}
+}
 
 // TestEgressFirstTouchOrder: a port fed by a single-port action and by a
 // multicast group receives one datagram's matches in the order the

@@ -398,6 +398,8 @@ func (sw *Switch) dispatch(l *lane, d *dgram) {
 // readOne is the portable reader: one ReadFromUDP per ReadBatch, so a
 // batch of one. It is the only reader on platforms without recvmmsg, on
 // fault-injection wrapped sockets and when batching is off.
+//
+//camus:hotpath
 func readOne(c Conn, bufs [][]byte, sizes []int) (int, error) {
 	n, _, err := c.ReadFromUDP(bufs[0])
 	if err != nil {

@@ -100,9 +100,9 @@ type Receiver struct {
 	rng      *rand.Rand
 	stats    receiverStats
 
-	// Stream state (owned by Run's goroutine).
-	next      uint64 // next sequence to deliver
-	highest   uint64 // one past the highest sequence known to exist
+	// Stream state (owned by Run's goroutine; NextSeq reads next from any).
+	next      atomic.Uint64 // next sequence to deliver
+	highest   uint64        // one past the highest sequence known to exist
 	pending   map[uint64][]byte
 	sess      [10]byte
 	sessKnown bool
@@ -160,11 +160,11 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 		conn:       conn,
 		cfg:        cfg,
 		rng:        rand.New(rand.NewSource(seed)),
-		next:       cfg.StartSeq,
 		highest:    cfg.StartSeq,
 		pending:    make(map[uint64][]byte),
 		curTimeout: cfg.RequestTimeout,
 	}
+	r.next.Store(cfg.StartSeq)
 	if reg := cfg.Telemetry.Reg(); reg != nil {
 		r.stats.register(reg)
 	}
@@ -216,7 +216,7 @@ func (r *Receiver) Close() error { return r.conn.Close() }
 
 // NextSeq returns the next sequence number the receiver expects; all
 // earlier messages have been delivered or declared lost.
-func (r *Receiver) NextSeq() uint64 { return atomic.LoadUint64(&r.next) }
+func (r *Receiver) NextSeq() uint64 { return r.next.Load() }
 
 // Run drives the receive/recover loop until ctx is canceled, the socket
 // is closed, or end-of-session is reached with nothing outstanding.
@@ -233,7 +233,7 @@ func (r *Receiver) Run(ctx context.Context) error {
 
 	buf := make([]byte, r.cfg.ReadBuffer)
 	for {
-		if r.eosSeen && atomic.LoadUint64(&r.next) >= r.eosSeq {
+		if r.eosSeen && r.next.Load() >= r.eosSeq {
 			if r.cfg.OnEndOfSession != nil {
 				r.cfg.OnEndOfSession()
 			}
@@ -270,7 +270,7 @@ func (r *Receiver) Run(ctx context.Context) error {
 // scheduleRecovery sends a retransmission request when a gap is open and
 // none is in flight.
 func (r *Receiver) scheduleRecovery() {
-	next := atomic.LoadUint64(&r.next)
+	next := r.next.Load()
 	if r.highest <= next {
 		// Fully caught up: reset the recovery machine.
 		r.inFlight = false
@@ -335,7 +335,7 @@ func (r *Receiver) onTimeout() {
 // lowestKnown returns the lowest sequence at or after next that the
 // receiver has evidence for: a buffered message, or the stream frontier.
 func (r *Receiver) lowestKnown() uint64 {
-	next := atomic.LoadUint64(&r.next)
+	next := r.next.Load()
 	low := r.highest
 	for seq := range r.pending {
 		if seq > next && seq < low {
@@ -361,7 +361,7 @@ func (r *Receiver) handle(data []byte, raddr *net.UDPAddr) {
 	}
 
 	seq := mp.Header.Sequence
-	next := atomic.LoadUint64(&r.next)
+	next := r.next.Load()
 
 	if mp.Header.IsEndOfSession() {
 		r.eosSeq = seq
@@ -377,7 +377,7 @@ func (r *Receiver) handle(data []byte, raddr *net.UDPAddr) {
 		// The store starts after what we asked for: the prefix
 		// [next, seq) has aged out and is unrecoverable.
 		r.advanceTo(seq)
-		next = atomic.LoadUint64(&r.next)
+		next = r.next.Load()
 	}
 	if mp.Header.IsHeartbeat() {
 		r.stats.Heartbeats.Add(1)
@@ -416,7 +416,7 @@ func (r *Receiver) handle(data []byte, raddr *net.UDPAddr) {
 
 // drain delivers buffered messages while the sequence stays dense.
 func (r *Receiver) drain() bool {
-	next := atomic.LoadUint64(&r.next)
+	next := r.next.Load()
 	progressed := false
 	for {
 		m, ok := r.pending[next]
@@ -429,7 +429,7 @@ func (r *Receiver) drain() bool {
 		next++
 		progressed = true
 	}
-	atomic.StoreUint64(&r.next, next)
+	r.next.Store(next)
 	return progressed
 }
 
@@ -437,7 +437,7 @@ func (r *Receiver) drain() bool {
 // messages where present and reporting each contiguous missing range as
 // lost.
 func (r *Receiver) advanceTo(bound uint64) {
-	next := atomic.LoadUint64(&r.next)
+	next := r.next.Load()
 	for next < bound {
 		if m, ok := r.pending[next]; ok {
 			delete(r.pending, next)
@@ -458,6 +458,6 @@ func (r *Receiver) advanceTo(bound uint64) {
 			r.cfg.OnGap(lostFrom, next)
 		}
 	}
-	atomic.StoreUint64(&r.next, next)
+	r.next.Store(next)
 	r.drain()
 }

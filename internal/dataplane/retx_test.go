@@ -5,10 +5,20 @@ import (
 	"net"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"camus/internal/itch"
 	"camus/internal/workload"
 )
+
+// TestRetxSlotIsEightBytes: eight ring slots share a cache line, so the
+// ring's footprint, and the miss rate at high fanout, stays what the
+// retxSlot comment measures.
+func TestRetxSlotIsEightBytes(t *testing.T) {
+	if got := unsafe.Sizeof(retxSlot{}); got != 8 {
+		t.Fatalf("retxSlot is %d bytes, want 8", got)
+	}
+}
 
 // TestRetxRingGrowsToBound: a port pays for what it has sent. Stored one
 // message at a time, a ring allocates ceil(log4(max/64)) times after the

@@ -90,6 +90,8 @@ func (m *AddOrder) StockValue() uint64 {
 }
 
 // DecodeFromBytes parses an add-order message (including the type byte).
+//
+//camus:hotpath
 func (m *AddOrder) DecodeFromBytes(data []byte) error {
 	if len(data) < AddOrderLen {
 		return ErrTruncated
@@ -193,6 +195,7 @@ func MessageLen(typ byte) int {
 	}
 }
 
+//camus:hotpath
 func uint48(b []byte) uint64 {
 	return uint64(b[0])<<40 | uint64(b[1])<<32 | uint64(b[2])<<24 |
 		uint64(b[3])<<16 | uint64(b[4])<<8 | uint64(b[5])

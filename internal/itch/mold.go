@@ -41,6 +41,8 @@ func (h *MoldHeader) SessionString() string {
 }
 
 // DecodeFromBytes parses the header.
+//
+//camus:hotpath
 func (h *MoldHeader) DecodeFromBytes(data []byte) error {
 	if len(data) < MoldHeaderLen {
 		return ErrTruncated
@@ -52,6 +54,8 @@ func (h *MoldHeader) DecodeFromBytes(data []byte) error {
 }
 
 // SerializeTo writes the header into b (MoldHeaderLen bytes).
+//
+//camus:hotpath
 func (h *MoldHeader) SerializeTo(b []byte) {
 	copy(b[0:10], h.Session[:])
 	binary.BigEndian.PutUint64(b[10:18], h.Sequence)
@@ -65,6 +69,8 @@ func (h *MoldHeader) IsHeartbeat() bool { return h.Count == 0 }
 
 // IsEndOfSession reports whether the header frames the end-of-session
 // announcement.
+//
+//camus:hotpath
 func (h *MoldHeader) IsEndOfSession() bool { return h.Count == EndOfSessionCount }
 
 // HeartbeatBytes builds an idle-heartbeat datagram for a session whose
@@ -94,12 +100,16 @@ type MoldPacket struct {
 }
 
 // Append adds a message to the packet and bumps the count.
+//
+//camus:hotpath
 func (p *MoldPacket) Append(msg []byte) {
 	p.Messages = append(p.Messages, msg)
 	p.Header.Count = uint16(len(p.Messages))
 }
 
 // WireLen returns the serialized length of the packet.
+//
+//camus:hotpath
 func (p *MoldPacket) WireLen() int {
 	n := MoldHeaderLen
 	for _, m := range p.Messages {

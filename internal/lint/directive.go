@@ -7,96 +7,42 @@ import (
 	"strings"
 )
 
-// This file parses the //camus: comment directives the hot-path
-// analyzers act on. The grammar (documented in DESIGN.md §5j):
-//
-//	//camus:hotpath [bench=BenchmarkName]
-//	    On a func decl: the function and its module-local callee
-//	    closure must be allocation-free (hotpathalloc). bench= names
-//	    the benchmark that measures the same path dynamically; the
-//	    agreement test ties the two together.
-//
-//	//camus:alloc-ok <reason>
-//	    On (or on the line above) an allocating construct or a call
-//	    edge inside hot-path code: suppress it, with a mandatory
-//	    human-readable reason ("pool refill; steady state recycles").
-//
-//	//camus:cacheline <N> [prefix=Field]
-//	    On a struct type decl: the struct (or, with prefix=, the
-//	    leading fields through Field) must fit in N bytes under amd64
-//	    layout (cacheline).
+// This file parses the one //camus: directive the analyzers act on
+// (documented in DESIGN.md §5j):
 //
 //	//camus:ok <analyzer> <reason>
-//	    Generic suppression for cacheline, lockorder, and goroleak
-//	    findings anchored at the directive's line.
+//	    On, or on the line above, a lockorder or goroleak finding:
+//	    suppress it, with a mandatory human-readable reason.
 //
 // Directives must be //-comments with no space before "camus:" — the
 // same lexical convention as //go: directives — so ordinary prose
-// mentioning the words never triggers a check.
+// mentioning the words never triggers a check. //camus:hotpath and
+// //camus:alloc-ok belong to the escape check, `camus-lint -oracle`.
 
-// directive is one parsed //camus: comment.
-type directive struct {
-	pos  token.Pos
-	line int
-	verb string // "hotpath", "alloc-ok", "cacheline", "ok"
-	args string // remainder after the verb, space-trimmed
+// suppressions indexes //camus:ok directives by file and line. A
+// directive suppresses findings on its own line and on the line directly
+// below it (the standalone-comment-above-the-statement form).
+type suppressions struct {
+	fset *token.FileSet
+	// byKey maps "file\x00line" to the arguments of the directive there.
+	byKey map[string]string
 }
 
-// parseDirectives collects every //camus: directive in the file set's
-// files, keyed by file name then line.
-func parseDirectives(fset *token.FileSet, files []*ast.File) []directive {
-	var out []directive
+func newSuppressions(fset *token.FileSet, files []*ast.File) *suppressions {
+	s := &suppressions{fset: fset, byKey: make(map[string]string)}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				d, ok := parseDirective(fset, c)
-				if ok {
-					out = append(out, d)
+				body, ok := strings.CutPrefix(c.Text, "//camus:")
+				if !ok {
+					continue
+				}
+				if verb, args, _ := strings.Cut(body, " "); verb == "ok" {
+					pos := fset.Position(c.Pos())
+					s.byKey[suppKey(pos.Filename, pos.Line)] = strings.TrimSpace(args)
 				}
 			}
 		}
-	}
-	return out
-}
-
-func parseDirective(fset *token.FileSet, c *ast.Comment) (directive, bool) {
-	const prefix = "//camus:"
-	if !strings.HasPrefix(c.Text, prefix) {
-		return directive{}, false
-	}
-	body := c.Text[len(prefix):]
-	verb, args, _ := strings.Cut(body, " ")
-	switch verb {
-	case "hotpath", "alloc-ok", "cacheline", "ok":
-	default:
-		return directive{}, false
-	}
-	return directive{
-		pos:  c.Pos(),
-		line: fset.Position(c.Pos()).Line,
-		verb: verb,
-		args: strings.TrimSpace(args),
-	}, true
-}
-
-// suppressions indexes alloc-ok and ok directives by file and line for
-// O(1) "is this construct suppressed" checks. A directive suppresses
-// findings on its own line and on the line directly below it (the
-// standalone-comment-above-the-statement form).
-type suppressions struct {
-	fset *token.FileSet
-	// byKey maps "file\x00line" to the directive anchored there.
-	byKey map[string]directive
-}
-
-func newSuppressions(fset *token.FileSet, files []*ast.File, verb string) *suppressions {
-	s := &suppressions{fset: fset, byKey: make(map[string]directive)}
-	for _, d := range parseDirectives(fset, files) {
-		if d.verb != verb {
-			continue
-		}
-		pos := fset.Position(d.pos)
-		s.byKey[suppKey(pos.Filename, pos.Line)] = d
 	}
 	return s
 }
@@ -105,44 +51,21 @@ func suppKey(file string, line int) string {
 	return file + "\x00" + strconv.Itoa(line)
 }
 
-// at returns the directive covering pos: one on the same line, or one
-// on the line immediately above.
-func (s *suppressions) at(pos token.Pos) (directive, bool) {
-	p := s.fset.Position(pos)
-	if d, ok := s.byKey[suppKey(p.Filename, p.Line)]; ok {
-		return d, true
-	}
-	if d, ok := s.byKey[suppKey(p.Filename, p.Line-1)]; ok {
-		return d, true
-	}
-	return directive{}, false
-}
-
 // okFor reports whether pos is covered by a `//camus:ok <analyzer>`
 // directive for the named analyzer, returning the reason. An empty
 // reason means the directive is malformed (callers report that).
 func (s *suppressions) okFor(pos token.Pos, analyzer string) (reason string, ok bool) {
-	d, ok := s.at(pos)
+	p := s.fset.Position(pos)
+	args, ok := s.byKey[suppKey(p.Filename, p.Line)]
+	if !ok {
+		args, ok = s.byKey[suppKey(p.Filename, p.Line-1)]
+	}
 	if !ok {
 		return "", false
 	}
-	name, rest, _ := strings.Cut(d.args, " ")
+	name, rest, _ := strings.Cut(args, " ")
 	if name != analyzer {
 		return "", false
 	}
 	return strings.TrimSpace(rest), true
-}
-
-// funcDirective returns the directive with the given verb attached to a
-// function declaration's doc comment, if any.
-func funcDirective(fset *token.FileSet, fn *ast.FuncDecl, verb string) (directive, bool) {
-	if fn.Doc == nil {
-		return directive{}, false
-	}
-	for _, c := range fn.Doc.List {
-		if d, ok := parseDirective(fset, c); ok && d.verb == verb {
-			return d, true
-		}
-	}
-	return directive{}, false
 }

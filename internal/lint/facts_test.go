@@ -2,13 +2,25 @@ package lint
 
 import (
 	"encoding/json"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"reflect"
 	"strings"
 	"testing"
 )
+
+// mapImporter resolves imports from pre-typechecked packages.
+type mapImporter map[string]*types.Package
+
+func (m mapImporter) Import(path string) (*types.Package, error) {
+	if pkg, ok := m[path]; ok {
+		return pkg, nil
+	}
+	return nil, fmt.Errorf("stub importer: unknown package %q", path)
+}
 
 // stubSync declares the sync surface lockorder and goroleak match on.
 const stubSync = `
@@ -43,14 +55,6 @@ type Context interface {
 }
 
 func Background() Context
-`
-
-// stubFmt gives hotpathalloc a fmt package to flag calls into.
-const stubFmt = `
-package fmt
-
-func Sprintf(format string, args ...any) string
-func Errorf(format string, args ...any) error
 `
 
 // testPkg is one module package in an analyzeSeq fixture, analyzed in
@@ -133,7 +137,7 @@ func checkNamed(t *testing.T, pkgPath, filename, src string) []Diagnostic {
 	if err != nil {
 		t.Fatalf("typechecking %s: %v", pkgPath, err)
 	}
-	diags, err := RunPackage(Analyzers(), fset, []*ast.File{f}, pkg, info)
+	diags, _, err := RunPackageFacts(Analyzers(), fset, []*ast.File{f}, pkg, info, nil)
 	if err != nil {
 		t.Fatalf("running analyzers: %v", err)
 	}
@@ -151,20 +155,30 @@ func byAnalyzer(diags []Diagnostic, name string) []Diagnostic {
 	return out
 }
 
-// TestFactRoundTrip proves the fact protocol end to end: a dependency
-// exports its hotpathalloc function summaries, and an importer decodes
-// them and uses them to flag an allocation two packages away from the
-// annotated function.
+// TestFactRoundTrip proves the fact protocol end to end on lockorder's
+// facts: a dependency exports each function's lock-acquire set and its
+// acquisition edges, the middle package re-exports them merged with its
+// own, and an importer that sees only the middle package closes a cycle
+// with an edge two packages away.
 func TestFactRoundTrip(t *testing.T) {
 	dep := testPkg{path: "camus/internal/depa", src: `
 package depa
 
-func Grow(n int) []byte {
-	return make([]byte, n)
+import "sync"
+
+type Store struct{ Mu sync.Mutex }
+type Index struct{ Mu sync.Mutex }
+
+func Fill(s *Store, ix *Index) {
+	s.Mu.Lock()
+	ix.Mu.Lock()
+	ix.Mu.Unlock()
+	s.Mu.Unlock()
 }
 
-func Clean(x int) int {
-	return x + 1
+func LockStore(s *Store) {
+	s.Mu.Lock()
+	s.Mu.Unlock()
 }
 `}
 	mid := testPkg{path: "camus/internal/midb", src: `
@@ -172,71 +186,78 @@ package midb
 
 import "camus/internal/depa"
 
-func Via(n int) []byte {
-	return depa.Grow(n)
+type Pair struct {
+	S depa.Store
+	I depa.Index
 }
+
+func Via(p *Pair) { depa.LockStore(&p.S) }
 `}
 	app := testPkg{path: "camus/app", src: `
 package app
 
 import "camus/internal/midb"
 
-//camus:hotpath
-func Hot(n int) []byte {
-	return midb.Via(n)
+func Drain(p *midb.Pair) {
+	p.I.Mu.Lock()
+	midb.Via(p)
+	p.I.Mu.Unlock()
 }
 `}
-	diags, facts := analyzeSeq(t, nil, []testPkg{dep, mid, app})
+	diags, facts := analyzeSeq(t, syncDeps(), []testPkg{dep, mid, app})
+	const store, index = "camus/internal/depa.Store.Mu", "camus/internal/depa.Index.Mu"
+	decode := func(pkg string) lockFacts {
+		t.Helper()
+		raw, ok := facts[pkg]["lockorder"]
+		if !ok {
+			t.Fatalf("%s exported no lockorder fact", pkg)
+		}
+		var f lockFacts
+		if err := json.Unmarshal(raw, &f); err != nil {
+			t.Fatalf("decoding %s fact: %v", pkg, err)
+		}
+		return f
+	}
+	hasEdge := func(f lockFacts, from, to string) bool {
+		for _, e := range f.Edges {
+			if e.From == from && e.To == to {
+				return true
+			}
+		}
+		return false
+	}
 
 	// The dependency's exported fact decodes into the documented shape.
-	var depFacts hotAllocFacts
-	raw, ok := facts["camus/internal/depa"]["hotpathalloc"]
-	if !ok {
-		t.Fatal("depa exported no hotpathalloc fact")
+	depFacts := decode("camus/internal/depa")
+	if got := depFacts.Funcs["camus/internal/depa.Fill"]; !reflect.DeepEqual(got, []string{index, store}) {
+		t.Errorf("depa fact: Fill acquires %v, want [%s %s]", got, index, store)
 	}
-	if err := json.Unmarshal(raw, &depFacts); err != nil {
-		t.Fatalf("decoding depa fact: %v", err)
+	if got := depFacts.Funcs["camus/internal/depa.LockStore"]; !reflect.DeepEqual(got, []string{store}) {
+		t.Errorf("depa fact: LockStore acquires %v, want [%s]", got, store)
 	}
-	grow, ok := depFacts.Funcs["camus/internal/depa.Grow"]
-	if !ok {
-		t.Fatalf("depa fact missing Grow summary; have %v", keysOf(depFacts.Funcs))
-	}
-	if len(grow.Allocs) != 1 || grow.Allocs[0].What != "make" {
-		t.Fatalf("Grow summary = %+v, want one make alloc", grow)
-	}
-	clean := depFacts.Funcs["camus/internal/depa.Clean"]
-	if len(clean.Allocs) != 0 {
-		t.Fatalf("Clean summary has allocs: %+v", clean)
+	if !hasEdge(depFacts, store, index) {
+		t.Errorf("depa fact lacks Fill's edge %s -> %s: %+v", store, index, depFacts.Edges)
 	}
 
-	// The middle package re-exports the dependency's summaries merged
-	// with its own (so importers need only direct imports).
-	var midFacts hotAllocFacts
-	if err := json.Unmarshal(facts["camus/internal/midb"]["hotpathalloc"], &midFacts); err != nil {
-		t.Fatalf("decoding midb fact: %v", err)
+	// The middle package re-exports the dependency's facts merged with
+	// its own, so importers need only their direct imports.
+	midFacts := decode("camus/internal/midb")
+	if got := midFacts.Funcs["camus/internal/midb.Via"]; !reflect.DeepEqual(got, []string{store}) {
+		t.Errorf("midb fact: Via acquires %v, want [%s] through depa.LockStore", got, store)
 	}
-	if _, ok := midFacts.Funcs["camus/internal/depa.Grow"]; !ok {
-		t.Fatalf("midb fact did not re-export depa.Grow; have %v", keysOf(midFacts.Funcs))
+	if _, ok := midFacts.Funcs["camus/internal/depa.LockStore"]; !ok || !hasEdge(midFacts, store, index) {
+		t.Errorf("midb fact did not re-export depa's functions and edges: %+v", midFacts)
 	}
 
-	// And the importer's hot function is flagged through the chain.
-	hot := byAnalyzer(diags["camus/app"], "hotpathalloc")
-	if len(hot) != 1 {
-		t.Fatalf("got %d hotpathalloc diagnostics in app, want 1: %v", len(hot), hot)
+	// And the importer closes the cycle at its call site.
+	lo := byAnalyzer(diags["camus/app"], "lockorder")
+	if len(lo) != 1 {
+		t.Fatalf("got %d lockorder diagnostics in app, want 1: %v", len(lo), lo)
 	}
-	msg := hot[0].Message
-	if !strings.Contains(msg, "Via -> Grow") || !strings.Contains(msg, "make") {
-		t.Errorf("diagnostic %q does not spell out the cross-package chain and alloc", msg)
+	if want := index + " -> " + store + " -> " + index; !strings.Contains(lo[0].Message, want) {
+		t.Errorf("diagnostic %q does not spell out the cross-package cycle %s", lo[0].Message, want)
 	}
-	if hot[0].Pos.Line != 8 {
-		t.Errorf("diagnostic at line %d, want the call site at line 8", hot[0].Pos.Line)
+	if lo[0].Pos.Line != 8 {
+		t.Errorf("diagnostic at line %d, want the midb.Via call at line 8", lo[0].Pos.Line)
 	}
-}
-
-func keysOf[V any](m map[string]V) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
 }

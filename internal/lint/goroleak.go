@@ -32,7 +32,7 @@ var GoroLeak = &Analyzer{
 }
 
 func runGoroLeak(pass *Pass) error {
-	supp := newSuppressions(pass.Fset, pass.Files, "ok")
+	supp := newSuppressions(pass.Fset, pass.Files)
 
 	// Index same-package function bodies for `go name(...)` resolution.
 	bodies := map[*types.Func]*ast.FuncDecl{}

@@ -6,7 +6,9 @@
 // reports diagnostics. cmd/camus-lint adapts the analyzers here to the
 // `go vet -vettool` unit-checker protocol so they run over the whole
 // module in CI; the unit tests drive them directly over in-memory
-// packages.
+// packages. Only checks the compiler cannot make live here: lock order
+// and goroutine shutdown. Allocation on the packet path is the
+// compiler's own escape analysis, read by `camus-lint -oracle`.
 package lint
 
 import (
@@ -15,6 +17,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // Analyzer is one static check over a type-checked package.
@@ -100,17 +103,7 @@ func (d Diagnostic) String() string {
 
 // Analyzers returns every analyzer this module ships, in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{TelemetryNil, AtomicAlign, HotPathAlloc, CacheLine, LockOrder, GoroLeak}
-}
-
-// RunPackage applies every analyzer in analyzers to one type-checked
-// package and returns the collected diagnostics sorted by position.
-// Fact-producing analyzers run with no dependency facts and their
-// exports are dropped; drivers that thread facts between packages use
-// RunPackageFacts.
-func RunPackage(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Diagnostic, error) {
-	diags, _, err := RunPackageFacts(analyzers, fset, files, pkg, info, nil)
-	return diags, err
+	return []*Analyzer{LockOrder, GoroLeak}
 }
 
 // RunPackageFacts applies every analyzer to one type-checked package,
@@ -175,4 +168,82 @@ func deref(t types.Type) types.Type {
 		return p.Elem()
 	}
 	return t
+}
+
+func calleeIdent(fun ast.Expr) (*ast.Ident, bool) {
+	switch f := fun.(type) {
+	case *ast.Ident:
+		return f, true
+	case *ast.ParenExpr:
+		return calleeIdent(f.X)
+	}
+	return nil, false
+}
+
+// calleeFunc resolves the static *types.Func a call targets, or nil for
+// func values and unresolvable callees.
+func calleeFunc(pass *Pass, call *ast.CallExpr) *types.Func {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		if f, ok := pass.TypesInfo.Uses[fun].(*types.Func); ok {
+			return f
+		}
+	case *ast.SelectorExpr:
+		if sel, ok := pass.TypesInfo.Selections[fun]; ok {
+			if f, ok := sel.Obj().(*types.Func); ok {
+				return f
+			}
+			return nil
+		}
+		if f, ok := pass.TypesInfo.Uses[fun.Sel].(*types.Func); ok {
+			return f // package-qualified function
+		}
+	case *ast.IndexExpr: // generic instantiation f[T](...)
+		if id, ok := fun.X.(*ast.Ident); ok {
+			if f, ok := pass.TypesInfo.Uses[id].(*types.Func); ok {
+				return f
+			}
+		}
+	}
+	return nil
+}
+
+// isInterfaceMethod reports whether f is declared on an interface type
+// (so its implementation cannot be resolved statically).
+func isInterfaceMethod(f *types.Func) bool {
+	sig, ok := f.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return false
+	}
+	return types.IsInterface(sig.Recv().Type())
+}
+
+// funcKey names a function unambiguously across packages:
+// pkgpath.Func or pkgpath.Recv.Method (pointerness of the receiver is
+// normalized away so call sites and declarations agree).
+func funcKey(f *types.Func) string {
+	pkg := ""
+	if f.Pkg() != nil {
+		pkg = f.Pkg().Path()
+	}
+	sig, ok := f.Type().(*types.Signature)
+	if ok && sig.Recv() != nil {
+		if named, ok := deref(sig.Recv().Type()).(*types.Named); ok {
+			return pkg + "." + named.Obj().Name() + "." + f.Name()
+		}
+	}
+	return pkg + "." + f.Name()
+}
+
+// moduleRoot returns the first path element of a package path — the
+// module's root name ("camus" for camus/internal/...).
+func moduleRoot(pkgPath string) string {
+	root, _, _ := strings.Cut(pkgPath, "/")
+	return root
+}
+
+// underModule reports whether path belongs to the module rooted at
+// root.
+func underModule(path, root string) bool {
+	return path == root || strings.HasPrefix(path, root+"/")
 }

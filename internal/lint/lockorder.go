@@ -71,7 +71,7 @@ type funcLockInfo struct {
 
 func runLockOrder(pass *Pass) error {
 	modRoot := moduleRoot(pass.Pkg.Path())
-	supp := newSuppressions(pass.Fset, pass.Files, "ok")
+	supp := newSuppressions(pass.Fset, pass.Files)
 
 	local := map[string]*funcLockInfo{}
 	for _, file := range pass.Files {
@@ -123,10 +123,15 @@ func runLockOrder(pass *Pass) error {
 		}
 	}
 
-	trans := transitiveAcquires(local, extFuncs)
+	// Every function's transitive acquire set: this package's own, merged
+	// over its dependencies' — the fact this package exports.
+	acquires := extFuncs
+	for k, v := range transitiveAcquires(local, extFuncs) {
+		acquires[k] = v
+	}
 
 	// Expand call records into edges using the callees' transitive
-	// acquire sets.
+	// acquire sets, whichever package declares the callee.
 	var ownEdges []lockEdge
 	for _, info := range local {
 		ownEdges = append(ownEdges, info.edges...)
@@ -134,7 +139,7 @@ func runLockOrder(pass *Pass) error {
 			if len(c.held) == 0 {
 				continue
 			}
-			for _, to := range trans[c.callee] {
+			for _, to := range acquires[c.callee] {
 				for _, from := range c.held {
 					ownEdges = append(ownEdges, lockEdge{from: from, to: to, pos: c.pos})
 				}
@@ -155,10 +160,7 @@ func runLockOrder(pass *Pass) error {
 	reportLockCycles(pass, ownEdges, extEdges, supp)
 
 	// Export merged facts.
-	out := lockFacts{Funcs: extFuncs, Edges: extEdges}
-	for k, v := range trans {
-		out.Funcs[k] = v
-	}
+	out := lockFacts{Funcs: acquires, Edges: extEdges}
 	for _, e := range ownEdges {
 		fe := lockFactEdge{From: e.from, To: e.to, Pos: pass.Fset.Position(e.pos).String()}
 		sig := fe.From + "\x00" + fe.To + "\x00" + fe.Pos

@@ -81,6 +81,8 @@ type rangeEntry struct {
 
 // oaHash mixes (state, value) into a probe start; the multiplier spreads
 // the low bits the mask keeps (splitmix64 finalizer constants).
+//
+//camus:hotpath
 func oaHash(state int32, value uint64) uint32 {
 	h := value ^ uint64(state)*0x9e3779b97f4a7c15
 	h ^= h >> 33

@@ -78,9 +78,7 @@ func AggKindOf(name string) AggKind {
 // cross-lane readers snapshot under the sequence counter, so the race
 // detector sees only atomic accesses. seq == 0 doubles as the empty
 // marker (a claimed cell's seq is always ≥ 2); odd values mean a write
-// is in flight.
-//
-//camus:cacheline 64
+// is in flight. TestBankCellFitsALine holds it to 64 bytes.
 type bankCell struct {
 	seq   atomic.Uint32
 	_     uint32 // pad seq to 8 bytes
@@ -157,6 +155,8 @@ func mixKey(key uint64) uint64 {
 // epochStart returns the tumbling window containing now. Windows are
 // epoch-aligned so every lane and every reader derives the same boundary
 // from the same clock, with no per-cell first-touch phase.
+//
+//camus:hotpath
 func epochStart(now, window time.Duration) int64 {
 	if window <= 0 {
 		return 0

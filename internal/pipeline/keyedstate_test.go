@@ -7,11 +7,20 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"camus/internal/compiler"
 	"camus/internal/spec"
 	"camus/internal/workload"
 )
+
+// TestBankCellFitsALine: a bank probe touches one cell, so one cell must
+// fit one 64-byte line.
+func TestBankCellFitsALine(t *testing.T) {
+	if got := unsafe.Sizeof(bankCell{}); got > 64 {
+		t.Fatalf("bankCell is %d bytes, over one 64-byte line", got)
+	}
+}
 
 // ddosSpecSrc is a minimal per-source heavy-hitter spec: a packet header
 // with a source key and a 1ms per-source counter window.

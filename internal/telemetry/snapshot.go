@@ -54,13 +54,8 @@ func (t *Telemetry) Snapshot() Snapshot {
 	if t == nil {
 		return Snapshot{TakenAt: time.Now()}
 	}
-	var snap Snapshot
-	if t.Registry != nil {
-		snap = t.Registry.Snapshot()
-	} else {
-		snap = Snapshot{TakenAt: time.Now()}
-	}
-	snap.Spans = t.Tracer.Spans()
+	snap := t.registry.Snapshot()
+	snap.Spans = t.tracer.Spans()
 	return snap
 }
 

@@ -47,6 +47,8 @@ func (c *Counter) Add(n uint64) {
 }
 
 // Inc increments the counter by one.
+//
+//camus:hotpath
 func (c *Counter) Inc() { c.Add(1) }
 
 // Load returns the current value.
@@ -333,24 +335,31 @@ func (r *Registry) snapshotSeries() []*series {
 // Telemetry bundles the registry and tracer one deployment shares across
 // its compiler, control plane, pipeline, and dataplane. It is the value
 // the top-level camus facade passes around (camus.WithTelemetry).
+//
+// A *Telemetry is nil for every uninstrumented component, so its fields
+// are reached only through the nil-safe Reg and Trc.
 type Telemetry struct {
-	Registry *Registry
-	Tracer   *Tracer
+	registry *Registry
+	tracer   *Tracer
 }
 
 // New returns a Telemetry with a fresh registry and a tracer retaining
 // the default number of recent spans.
 func New() *Telemetry {
 	reg := NewRegistry()
-	return &Telemetry{Registry: reg, Tracer: NewTracer(reg, 0)}
+	return &Telemetry{registry: reg, tracer: NewTracer(reg, 0)}
 }
+
+// FromRegistry returns a Telemetry over reg with no tracer: spans are
+// recorded nowhere.
+func FromRegistry(reg *Registry) *Telemetry { return &Telemetry{registry: reg} }
 
 // Reg returns the registry, nil-safe.
 func (t *Telemetry) Reg() *Registry {
 	if t == nil {
 		return nil
 	}
-	return t.Registry
+	return t.registry
 }
 
 // Trc returns the tracer, nil-safe.
@@ -358,5 +367,5 @@ func (t *Telemetry) Trc() *Tracer {
 	if t == nil {
 		return nil
 	}
-	return t.Tracer
+	return t.tracer
 }

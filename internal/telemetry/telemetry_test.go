@@ -244,11 +244,11 @@ func TestPrometheusLint(t *testing.T) {
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	tel := New()
-	tel.Registry.Counter("camus_x_total").Add(9)
-	tel.Registry.Gauge("camus_y").Set(-4)
-	tel.Registry.Histogram("camus_z_seconds").Observe(2 * time.Millisecond)
-	tel.Registry.CounterFunc("camus_neg_total", func() float64 { return -5 })
-	sp := tel.Tracer.Start(context.Background(), "op", L("k", "v"))
+	tel.Reg().Counter("camus_x_total").Add(9)
+	tel.Reg().Gauge("camus_y").Set(-4)
+	tel.Reg().Histogram("camus_z_seconds").Observe(2 * time.Millisecond)
+	tel.Reg().CounterFunc("camus_neg_total", func() float64 { return -5 })
+	sp := tel.Trc().Start(context.Background(), "op", L("k", "v"))
 	sp.End(errors.New("boom"))
 
 	snap := tel.Snapshot()
@@ -278,6 +278,20 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if back.Counters["camus_x_total"] != 9 {
 		t.Error("round-tripped counter lost")
+	}
+}
+
+// TestFromRegistryRecordsNoSpans: a bundle over a bare registry
+// snapshots that registry and has no tracer.
+func TestFromRegistryRecordsNoSpans(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("camus_x_total").Inc()
+	tel := FromRegistry(reg)
+	if tel.Reg() != reg || tel.Trc() != nil {
+		t.Fatalf("FromRegistry: Reg() = %p, Trc() = %p; want the registry and no tracer", tel.Reg(), tel.Trc())
+	}
+	if snap := tel.Snapshot(); snap.Counters["camus_x_total"] != 1 || snap.Spans != nil {
+		t.Errorf("snapshot = %+v, want the registry's counter and no spans", snap)
 	}
 }
 
@@ -321,7 +335,7 @@ func TestTracerMirrorsIntoRegistry(t *testing.T) {
 // concurrently; run with -race (CI does, with -count=2).
 func TestRegistryConcurrency(t *testing.T) {
 	reg := NewRegistry()
-	tel := &Telemetry{Registry: reg, Tracer: NewTracer(reg, 16)}
+	tel := &Telemetry{registry: reg, tracer: NewTracer(reg, 16)}
 	const workers = 8
 	const iters = 500
 	var wg sync.WaitGroup
@@ -334,7 +348,7 @@ func TestRegistryConcurrency(t *testing.T) {
 				reg.Gauge("camus_conc_gauge").Set(int64(i))
 				reg.Histogram("camus_conc_seconds").Observe(time.Duration(i) * time.Microsecond)
 				if i%50 == 0 {
-					sp := tel.Tracer.Start(context.Background(), "conc_op")
+					sp := tel.Trc().Start(context.Background(), "conc_op")
 					sp.End(nil)
 				}
 			}
