@@ -175,10 +175,11 @@ func commit(ctx context.Context, dev Device, pol UpdatePolicy, newProg, oldProg 
 	return fmt.Errorf("controlplane: install failed, device rolled back to prior program: %w", err)
 }
 
-// Controller manages the program installed on one switch.
+// Controller manages the program installed on one switch. It keeps no copy
+// of that program: the device's is the base every update diffs against,
+// whichever controller wrote it.
 type Controller struct {
 	dev  Device
-	prog *compiler.Program
 	tel  *telemetry.Telemetry
 	gate *analyze.Gate
 	// Policy bounds the commit phase; the zero value uses defaults.
@@ -188,7 +189,7 @@ type Controller struct {
 // NewController wraps a device that already has its initial program
 // installed (pipeline.New installs at construction).
 func NewController(dev Device) *Controller {
-	return &Controller{dev: dev, prog: dev.Program()}
+	return &Controller{dev: dev}
 }
 
 // SetTelemetry routes install spans and counters through t. Safe to call
@@ -243,8 +244,8 @@ func (c *Controller) UpdateRules(ctx context.Context, rules []lang.Rule, copts c
 	return c.Update(ctx, prog)
 }
 
-// Program returns the currently installed program.
-func (c *Controller) Program() *compiler.Program { return c.prog }
+// Program returns the program the device runs.
+func (c *Controller) Program() *compiler.Program { return c.dev.Program() }
 
 // Update installs newProg in two phases. Phase one admits the program:
 // it is checked against the device's TCAM/SRAM/group resources before a
@@ -277,7 +278,7 @@ func (c *Controller) update(ctx context.Context, span *telemetry.Span, newProg *
 // resources before any member commits) run pipeline.CheckResources
 // themselves, then commit each member through Install. The same
 // guarantees as Update apply — on failure the device is rolled back to
-// the prior program and the controller does not advance. Rollback
+// the prior program. Rollback
 // reinstalls in particular must go through Install, not Update, so that a
 // program the device already ran is never re-rejected at admission.
 func (c *Controller) Install(ctx context.Context, newProg *compiler.Program) (Delta, error) {
@@ -286,32 +287,26 @@ func (c *Controller) Install(ctx context.Context, newProg *compiler.Program) (De
 }
 
 // install is the one delta-install path every entry point ends in: align
-// newProg's states to the installed program, diff, commit with the
-// retry/rollback policy, and only then advance the diff base and count
-// the writes. Over a program with no rules — a single terminal, as a switch
-// starts on — there is nothing to align with, and the delta is counted. It
-// ends span.
+// newProg's states to the program the device runs, diff, commit with the
+// retry/rollback policy, and only then count the writes. Over a program
+// with no rules — a single terminal, as a switch starts on — there is
+// nothing to align with, and the delta is counted. It ends span.
 func (c *Controller) install(ctx context.Context, span *telemetry.Span, newProg *compiler.Program) (Delta, error) {
 	var delta Delta
-	if c.prog.BDD.Root.IsTerminal() {
-		delta = countInstall(c.prog, newProg)
+	base := c.dev.Program()
+	if base.BDD.Root.IsTerminal() {
+		delta = countInstall(base, newProg)
 	} else {
-		AlignStates(c.prog, newProg)
-		delta = DiffPrograms(c.prog, newProg)
+		AlignStates(base, newProg)
+		delta = DiffPrograms(base, newProg)
 	}
 	span.SetLabel("writes", fmt.Sprint(delta.Writes()))
-	if err := commit(ctx, c.dev, c.Policy, newProg, c.prog, span); err != nil {
+	if err := commit(ctx, c.dev, c.Policy, newProg, base, span); err != nil {
 		return Delta{}, err
 	}
-	c.prog = newProg
 	c.tel.Reg().Counter("camus_controlplane_device_writes_total").Add(uint64(delta.Writes()))
 	return delta, nil
 }
-
-// Adopt resynchronizes the controller with a program that was installed
-// on the device out of band (a fabric epoch driving the device through
-// its own member controller). Later Updates diff against prog.
-func (c *Controller) Adopt(prog *compiler.Program) { c.prog = prog }
 
 // AlignStates renumbers newProg's pipeline states so that states whose
 // sub-BDD behavior is identical to a state in oldProg get the old number.

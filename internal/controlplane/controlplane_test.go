@@ -191,3 +191,38 @@ func TestDeltaWritesScaleWithChange(t *testing.T) {
 			dSmall.Writes(), dLarge.Writes())
 	}
 }
+
+// TestControllersShareTheDeviceBase: the program a device runs is the base
+// of the next diff, whichever controller wrote it. Two controllers are
+// built on one device; a program installed through A is what B's update
+// counts its delta against, as a diff of the same two programs does.
+func TestControllersShareTheDeviceBase(t *testing.T) {
+	var rules strings.Builder
+	for i := 0; i < 100; i++ {
+		fmt.Fprintf(&rules, "stock == S%03d : fwd(%d)\n", i, 1+i%16)
+	}
+	older := rules.String()
+	newer := older + "stock == NEW1 : fwd(5)\n"
+	sw, err := pipeline.New(compile(t, ""), pipeline.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := NewController(sw), NewController(sw)
+	installed := compile(t, older)
+	if _, err := a.Update(context.Background(), installed); err != nil {
+		t.Fatal(err)
+	}
+	if b.Program() != installed {
+		t.Fatal("B does not see the program A installed")
+	}
+	got, err := b.Update(context.Background(), compile(t, newer))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldProg, newProg := compile(t, older), compile(t, newer)
+	AlignStates(oldProg, newProg)
+	want := DiffPrograms(oldProg, newProg)
+	if got.Entries.Reused == 0 || got.Entries != want.Entries || got.Groups != want.Groups {
+		t.Fatalf("B's delta %s, want %s (against A's program)", got, want)
+	}
+}

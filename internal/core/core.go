@@ -8,6 +8,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"camus/internal/compiler"
@@ -26,9 +27,9 @@ type PubSub struct {
 
 	sw  *pipeline.Switch
 	ctl *controlplane.Controller
-	ex  *itch.Extractor
 
-	valBuf []uint64
+	updateMu sync.Mutex // serializes Install callers; no packet path takes it
+	proc     *Processor // lane 0, for ProcessOrder and ProcessDatagram
 }
 
 // Config bundles the PubSub knobs; zero values select defaults.
@@ -60,10 +61,12 @@ func NewPubSub(sp *spec.Spec, cfg Config) (*PubSub, error) {
 	}
 	ps.ctl = controlplane.NewController(ps.sw)
 	ps.ctl.SetTelemetry(cfg.Telemetry)
-	ps.ex, err = itch.NewExtractor(prog)
-	if err != nil {
+	// Every program of the spec has its ordered queries as packet fields,
+	// so binding the empty one refuses a spec ITCH cannot carry, once.
+	if _, err := itch.NewExtractor(prog); err != nil {
 		return nil, err
 	}
+	ps.proc = ps.NewProcessor()
 	return ps, nil
 }
 
@@ -93,8 +96,8 @@ func (ps *PubSub) SetSubscriptionsContext(ctx context.Context, src string) (cont
 }
 
 // Compile is the long half of SetSubscriptions. It reads nothing an Install
-// or a packet writes, so callers run it outside the lock they install under;
-// it gives up, between chunks of the rule source, once ctx is done.
+// or a packet writes; it gives up, between chunks of the rule source, once
+// ctx is done.
 func (ps *PubSub) Compile(ctx context.Context, src string) (*compiler.Program, error) {
 	prog, err := compiler.CompileSourceContext(ctx, ps.spec, src, ps.opts)
 	if err != nil {
@@ -103,38 +106,28 @@ func (ps *PubSub) Compile(ctx context.Context, src string) (*compiler.Program, e
 	return prog, nil
 }
 
-// Install installs a program Compile returned, incrementally, and swaps the
-// extractor to its field layout. Callers serialize it against Processors.
+// Install installs a program Compile returned, incrementally. Concurrent
+// callers queue; Processors never wait on it: a batch begun before the
+// device swaps is judged by the old program, one begun after by the new.
+// A done ctx buys no device write.
 func (ps *PubSub) Install(ctx context.Context, prog *compiler.Program) (controlplane.Delta, error) {
-	ex, err := itch.NewExtractor(prog)
-	if err != nil {
+	if _, err := itch.NewExtractor(prog); err != nil {
+		return controlplane.Delta{}, err
+	}
+	ps.updateMu.Lock()
+	defer ps.updateMu.Unlock()
+	if err := ctx.Err(); err != nil {
 		return controlplane.Delta{}, err
 	}
 	delta, err := ps.ctl.Update(ctx, prog)
 	if err != nil {
 		return controlplane.Delta{}, fmt.Errorf("camus: install: %w", err)
 	}
-	ps.ex = ex
 	return delta, nil
 }
 
-// Program returns the currently installed compiled program.
-func (ps *PubSub) Program() *compiler.Program { return ps.ctl.Program() }
-
-// AdoptProgram resynchronizes the deployment with a program installed on
-// the switch out of band — the fabric's epoch controller commits through
-// its own per-member control plane, then adopts here so the extractor and
-// the embedded controller's diff base match what the device runs. No
-// device write happens; callers guarantee prog is what is installed.
-func (ps *PubSub) AdoptProgram(prog *compiler.Program) error {
-	ex, err := itch.NewExtractor(prog)
-	if err != nil {
-		return err
-	}
-	ps.ctl.Adopt(prog)
-	ps.ex = ex
-	return nil
-}
+// Program returns the program the device runs.
+func (ps *PubSub) Program() *compiler.Program { return ps.sw.Program() }
 
 // Switch exposes the underlying device model.
 func (ps *PubSub) Switch() *pipeline.Switch { return ps.sw }
@@ -146,21 +139,30 @@ type Delivery struct {
 	Group int // multicast group, or -1
 }
 
-// ProcessOrder runs a single add-order message through the switch.
+// ProcessOrder runs a single add-order message through the switch on the
+// deployment's lane-0 Processor.
 func (ps *PubSub) ProcessOrder(o *itch.AddOrder, now time.Duration) pipeline.Result {
-	ps.valBuf = ps.ex.Values(o, ps.valBuf)
-	return ps.sw.Process(ps.valBuf, now)
+	ps.proc.Begin()
+	ps.proc.Add(o)
+	return ps.proc.Flush(now)[0]
 }
 
 // Processor is a per-goroutine evaluation handle: it owns its value
 // buffers, so any number of Processors may evaluate messages
 // concurrently against the same PubSub (the sharded dataplane gives one
-// to each worker). Zero allocation in steady state. Callers must
-// serialize Begin/Add/Flush against SetSubscriptions (the dataplane does
-// so with its install RWMutex); the pipeline itself is safe concurrently.
+// to each worker). Zero allocation in steady state.
+//
+// Begin loads the device's generation, and the batch's extraction and
+// table walk both run against that generation's program, so an Install
+// never waits for a Processor and each batch is judged by exactly one
+// program. The extractor is the Processor's own, rebuilt when Begin meets
+// a program it has not bound, once per Processor per update.
 type Processor struct {
 	ps   *PubSub
-	lane int        // state lane this processor writes; see NewProcessorAt
+	lane int // state lane this processor writes; see NewProcessorAt
+	gen  *pipeline.Generation
+	prog *compiler.Program // the program ex binds
+	ex   *itch.Extractor
 	vals [][]uint64 // reused per-message value rows
 	now  []time.Duration
 	out  []pipeline.Result
@@ -178,31 +180,41 @@ func (ps *PubSub) NewProcessor() *Processor { return ps.NewProcessorAt(0) }
 // all lanes, so lane assignment affects contention, not semantics.
 func (ps *PubSub) NewProcessorAt(lane int) *Processor {
 	ps.sw.State().EnsureLanes(lane + 1)
-	return &Processor{ps: ps, lane: lane}
+	p := &Processor{ps: ps, lane: lane}
+	p.Begin()
+	return p
 }
 
-// ProcessOrder evaluates one message immediately (the unbatched path).
-func (p *Processor) ProcessOrder(o *itch.AddOrder, now time.Duration) pipeline.Result {
-	if len(p.vals) == 0 {
-		p.vals = append(p.vals, nil)
-	}
-	p.vals[0] = p.ps.ex.Values(o, p.vals[0])
-	return p.ps.sw.ProcessOn(p.lane, p.vals[0], now)
-}
-
-// Begin starts a new batch, discarding any un-flushed messages.
+// Begin starts a new batch on the installed generation, discarding any
+// un-flushed messages.
 //
 //camus:hotpath
-func (p *Processor) Begin() { p.n = 0 }
+func (p *Processor) Begin() {
+	p.n = 0
+	p.gen = p.ps.sw.Generation()
+	if prog := p.gen.Program(); prog != p.prog {
+		p.bind(prog)
+	}
+}
+
+// bind rebuilds the extractor for prog. Install and NewPubSub bound the
+// spec's fields before any program reached the device, so it cannot fail.
+func (p *Processor) bind(prog *compiler.Program) {
+	ex, err := itch.NewExtractor(prog)
+	if err != nil {
+		panic(fmt.Sprintf("core: installed program has no ITCH binding: %v", err))
+	}
+	p.prog, p.ex = prog, ex
+}
 
 // Add extracts one message's field values into the pending batch.
 //
 //camus:hotpath
 func (p *Processor) Add(o *itch.AddOrder) {
 	if p.n < len(p.vals) {
-		p.vals[p.n] = p.ps.ex.Values(o, p.vals[p.n])
+		p.vals[p.n] = p.ex.Values(o, p.vals[p.n])
 	} else {
-		p.vals = append(p.vals, p.ps.ex.Values(o, nil))
+		p.vals = append(p.vals, p.ex.Values(o, nil))
 	}
 	p.n++
 }
@@ -210,10 +222,9 @@ func (p *Processor) Add(o *itch.AddOrder) {
 // Pending returns the number of messages added since Begin.
 func (p *Processor) Pending() int { return p.n }
 
-// Flush runs the pending batch through the switch pipeline in one
-// ProcessBatch call (the program pointer is loaded once for the whole
-// batch) and returns one Result per added message, in Add order. The
-// returned slice is reused by the next Flush.
+// Flush runs the pending batch through the switch pipeline against the
+// generation Begin loaded and returns one Result per added message, in Add
+// order. The returned slice is reused by the next Flush.
 //
 //camus:hotpath
 func (p *Processor) Flush(now time.Duration) []pipeline.Result {
@@ -227,7 +238,7 @@ func (p *Processor) Flush(now time.Duration) []pipeline.Result {
 	for i := range nows {
 		nows[i] = now
 	}
-	p.ps.sw.ProcessBatchOn(p.lane, p.vals[:n], nows, out)
+	p.ps.sw.ProcessBatchOn(p.gen, p.lane, p.vals[:n], nows, out)
 	p.n = 0
 	return out
 }

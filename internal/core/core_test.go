@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"camus/internal/compiler"
+	"camus/internal/faults"
 	"camus/internal/itch"
 	"camus/internal/pipeline"
 	"camus/internal/spec"
@@ -110,5 +113,74 @@ func TestCompilerOptionsPropagate(t *testing.T) {
 		if tab.Codec != nil {
 			t.Fatal("compression should be disabled via Config.Compiler")
 		}
+	}
+}
+
+// TestProcessorBatchSeesOneProgramDuringInstall: a Processor loops
+// Begin/Add/Flush while an Install waits out a retry backoff inside commit,
+// and after. No batch waits for the install, and each batch is judged by
+// exactly one program: the old one until the device swaps, the new one
+// from then on.
+func TestProcessorBatchSeesOneProgramDuringInstall(t *testing.T) {
+	ps := newEngine(t)
+	if _, err := ps.SetSubscriptions("stock == GOOGL : fwd(1)"); err != nil {
+		t.Fatal(err)
+	}
+	dev := faults.NewFlakyDevice(ps.sw)
+	dev.FailOn(1, true)
+	ps.ctl.SetDevice(dev)
+	held, release := make(chan struct{}), make(chan struct{})
+	ps.ctl.Policy.Sleep = func(time.Duration) { close(held); <-release }
+
+	var googl, orcl itch.AddOrder
+	googl.SetStock("GOOGL")
+	orcl.SetStock("ORCL")
+	proc := ps.NewProcessor()
+	// batch runs GOOGL, ORCL, GOOGL, ORCL and names what each message got.
+	batch := func() string {
+		proc.Begin()
+		for i := 0; i < 2; i++ {
+			proc.Add(&googl)
+			proc.Add(&orcl)
+		}
+		var got string
+		for _, r := range proc.Flush(0) {
+			got += fmt.Sprint(r.Ports, " ")
+		}
+		return got
+	}
+	const oldProg, newProg = "[1] [] [1] [] ", "[] [2] [] [2] "
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := ps.SetSubscriptions("stock == ORCL : fwd(2)")
+		done <- err
+	}()
+	<-held
+	for i := 0; i < 100; i++ {
+		if got := batch(); got != oldProg {
+			t.Fatalf("batch %d while the install is held: %q, want the old program's %q", i, got, oldProg)
+		}
+	}
+	close(release)
+	swapped := false
+	for running := true; running; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+		}
+		switch got := batch(); {
+		case got == newProg:
+			swapped = true
+		case got != oldProg || swapped:
+			t.Fatalf("batch after release: %q (swapped %v); want %q, then only %q", got, swapped, oldProg, newProg)
+		}
+	}
+	if !swapped {
+		t.Fatal("no batch saw the new program after the install returned")
 	}
 }

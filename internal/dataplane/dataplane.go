@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"camus/internal/compiler"
+	"camus/internal/controlplane"
 	"camus/internal/core"
 	"camus/internal/itch"
 	"camus/internal/pipeline"
@@ -247,8 +248,7 @@ type Switch struct {
 	retx   Conn
 	engine *core.PubSub
 
-	updateMu  sync.Mutex // serializes SetSubscriptions callers; taken before mu, never by the packet path
-	mu        sync.RWMutex
+	mu        sync.RWMutex // guards port binding; lanes take it only to frame
 	ports     map[int]*portState
 	bySession map[[10]byte]*portState
 	portIdx   []*portState // dense port-number index; hot-path view of ports
@@ -268,7 +268,6 @@ type Switch struct {
 	tel      *telemetry.Telemetry
 	procHist *telemetry.Histogram // per-datagram processing latency; nil when untimed
 	portsG   *telemetry.Gauge
-	groupsG  *telemetry.Gauge // multicast groups in the installed program
 	readBuf  int
 
 	// Per-port egress write-error attribution, created lazily on a
@@ -291,9 +290,9 @@ type Switch struct {
 	// on a lane — a test seam for injecting lane failures (panics) into
 	// the ingress loop.
 	procTestHook func(lane int, datagram []byte)
-	// installTestHook, when non-nil, runs in SetSubscriptions between the
-	// compile and the install.
-	installTestHook func()
+	// install installs a compiled program for SetSubscriptions; tests
+	// replace it to hold an update mid-install.
+	install func(context.Context, *compiler.Program) (controlplane.Delta, error)
 }
 
 // bindUDP binds a plain UDP socket to addr.
@@ -383,6 +382,7 @@ func Listen(cfg Config) (*Switch, error) {
 		portErrs:  make(map[int]*telemetry.Counter),
 		subCounts: make(map[string]int),
 		runDone:   make(chan struct{}),
+		install:   engine.Install,
 	}
 	if sw.session == "" {
 		sw.session = "CAMUS"
@@ -417,7 +417,7 @@ func Listen(cfg Config) (*Switch, error) {
 		sw.stats.register(reg)
 		sw.procHist = reg.Histogram("camus_dataplane_process_seconds")
 		sw.portsG = reg.Gauge("camus_dataplane_ports_bound")
-		sw.groupsG = reg.Gauge("camus_dataplane_egress_groups")
+		reg.GaugeFunc("camus_dataplane_egress_groups", func() float64 { return float64(len(sw.Program().Groups)) })
 		reg.Gauge("camus_dataplane_ingress_lanes").Set(int64(len(sw.lanes)))
 		reg.Gauge("camus_dataplane_ingress_mode", telemetry.L("mode", sw.mode.String())).Set(1)
 		for _, l := range sw.lanes {
@@ -436,19 +436,7 @@ func Listen(cfg Config) (*Switch, error) {
 			return nil, err
 		}
 	}
-	sw.noteGroups()
 	return sw, nil
-}
-
-// noteGroups publishes how many multicast groups the installed program
-// carries. Callers hold no locks, or sw.mu at most.
-func (sw *Switch) noteGroups() {
-	if sw.groupsG == nil {
-		return
-	}
-	if prog := sw.engine.Program(); prog != nil {
-		sw.groupsG.Set(int64(len(prog.Groups)))
-	}
 }
 
 // closeConns closes every socket the switch owns (all ingress lanes and
@@ -531,38 +519,25 @@ func (sw *Switch) portFor(port int) *portState {
 }
 
 // SetSubscriptions compiles and installs a new rule set (the control
-// plane's update path). Safe to call while Run is active: the engine swap
-// is serialized with packet processing.
+// plane's update path). Safe to call while Run is active.
 func (sw *Switch) SetSubscriptions(src string) error {
 	return sw.SetSubscriptionsContext(context.Background(), src)
 }
 
 // SetSubscriptionsContext is SetSubscriptions with a cancelable context: once
 // ctx is done nothing new begins, and an install stops retrying and rolls back.
-// The compile runs with no lock the packet path takes: forwarding goes on,
-// judged by the old program, until the install swaps the new one in under
-// sw.mu. Concurrent updaters queue on updateMu.
+// It takes no lock a lane takes: forwarding goes on, judged by the old
+// program, through the compile and the install, until the device publishes
+// the new generation; each lane batch after that is judged by the new one.
 func (sw *Switch) SetSubscriptionsContext(ctx context.Context, src string) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	sw.updateMu.Lock()
-	defer sw.updateMu.Unlock()
 	prog, err := sw.engine.Compile(ctx, src)
 	if err != nil {
 		return err
 	}
-	if sw.installTestHook != nil {
-		sw.installTestHook()
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	if _, err = sw.engine.Install(ctx, prog); err == nil {
-		sw.noteGroups()
-	}
+	_, err = sw.install(ctx, prog)
 	return err
 }
 
@@ -582,31 +557,13 @@ func (sw *Switch) RegisterDump(maxPerVar int) pipeline.RegisterDump {
 
 // Device exposes the underlying pipeline device for out-of-band control
 // planes (the fabric's epoch controller installs programs through it,
-// interposing fault-injection wrappers in tests). Writes to the device
-// are atomic program swaps; AdoptProgram must follow a successful install
-// so the switch's extractor matches the program the device runs.
+// interposing fault-injection wrappers in tests). Writes to the device are
+// atomic generation swaps, and the lanes and SetSubscriptions read the
+// program from the device, so nothing else needs telling.
 func (sw *Switch) Device() *pipeline.Switch { return sw.engine.Switch() }
 
-// AdoptProgram resynchronizes the switch with a program installed on its
-// device out of band: the ITCH extractor is rebuilt for the program's
-// field layout and the embedded controller's diff base advances. The swap
-// is serialized with packet processing.
-func (sw *Switch) AdoptProgram(prog *compiler.Program) error {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	err := sw.engine.AdoptProgram(prog)
-	if err == nil {
-		sw.noteGroups()
-	}
-	return err
-}
-
-// Program returns the installed compiled program.
-func (sw *Switch) Program() *compiler.Program {
-	sw.mu.RLock()
-	defer sw.mu.RUnlock()
-	return sw.engine.Program()
-}
+// Program returns the program the device runs.
+func (sw *Switch) Program() *compiler.Program { return sw.engine.Program() }
 
 // Close shuts the switch down gracefully. When Run is active it begins a
 // drain: the ingress readers stop taking new datagrams, every datagram
@@ -813,8 +770,8 @@ type wireEntry struct {
 }
 
 // groupMsgs buckets one action's matched messages for a single datagram.
-// ports aliases the installed program's ActionSet member list (read-only,
-// stable under sw.mu) — one port long for a single-port action.
+// ports aliases the batch's program's ActionSet member list (immutable) —
+// one port long for a single-port action.
 type groupMsgs struct {
 	msgs  [][]byte
 	ports []int
@@ -860,7 +817,7 @@ func (st *procState) nextOut() *wireEntry {
 
 // processDatagram evaluates one ingress datagram through the lane and
 // ships the per-port egress datagrams. The whole evaluation runs as one
-// pipeline batch (the program pointer is loaded once per datagram), the
+// pipeline batch (the generation is loaded once per datagram), the
 // matched messages are bucketed as raw wire bytes aliasing the ingress
 // buffer, and each bucket is serialized once into a recycled shared
 // buffer.
@@ -870,8 +827,6 @@ func (sw *Switch) processDatagram(st *procState, datagram []byte) {
 	now := time.Duration(time.Now().UnixNano())
 	st.msgs = st.msgs[:0]
 	st.proc.Begin()
-
-	sw.mu.RLock()
 	//camus:alloc-ok the callback closure never escapes DecodeAddOrders, so it stays on the stack (oracle-verified)
 	err := itch.DecodeAddOrders(datagram, &st.order, func(o *itch.AddOrder, raw []byte) {
 		sw.stats.Messages.Add(1)
@@ -888,7 +843,6 @@ func (sw *Switch) processDatagram(st *procState, datagram []byte) {
 		}
 	}
 	if err != nil {
-		sw.mu.RUnlock()
 		sw.stats.DecodeErrors.Add(1)
 		return
 	}
@@ -915,8 +869,10 @@ func (sw *Switch) processDatagram(st *procState, datagram []byte) {
 		}
 	}
 
-	// Frame the touched buckets in first-touch order; socket writes happen
-	// after the install lock drops, batched when the platform allows.
+	// Frame the touched buckets in first-touch order under the port-binding
+	// lock; socket writes happen after it drops, batched when the platform
+	// allows.
+	sw.mu.RLock()
 	for _, i := range st.touched {
 		sw.frameGroup(st, &st.buckets[i])
 	}

@@ -7,6 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"camus/internal/compiler"
+	"camus/internal/controlplane"
+	"camus/internal/faults"
 	"camus/internal/itch"
 	"camus/internal/spec"
 	"camus/internal/telemetry"
@@ -197,15 +200,19 @@ func TestUDPLiveSubscriptionUpdate(t *testing.T) {
 	}
 }
 
-// TestUDPForwardsWhileUpdateCompiles: SetSubscriptions holds the lock the
-// lanes process under only for its install, not for its compile. Traffic
-// sent when the new rule set has compiled and is waiting to be installed is
-// forwarded, by the old rules; traffic after the call returns, by the new.
+// TestUDPForwardsWhileUpdateCompiles: SetSubscriptions takes no lock a lane
+// takes, for its compile or its install. Traffic sent when the new rule set
+// has compiled, and again while its device write waits out a retry backoff
+// inside commit, is forwarded by the old rules; traffic after the call
+// returns, by the new; no message is judged by both.
 func TestUDPForwardsWhileUpdateCompiles(t *testing.T) {
 	sw, pub, sub1, sub2 := startSwitch(t, "stock == GOOGL : fwd(1)")
 	both := moldWith(t, "S", 1, order("GOOGL", 1, 1), order("ORCL", 1, 1))
-	expect := func(when string, conn *net.UDPConn, sym string) {
+	forwards := func(when string, conn *net.UDPConn, sym string) {
 		t.Helper()
+		if _, err := pub.Write(both); err != nil {
+			t.Fatal(err)
+		}
 		got, ok := recvMold(t, conn, 2*time.Second)
 		if !ok {
 			t.Fatalf("%s: nothing forwarded", when)
@@ -218,19 +225,52 @@ func TestUDPForwardsWhileUpdateCompiles(t *testing.T) {
 			t.Fatalf("%s: got %d messages, first %q; want one %s", when, len(got.Messages), o.StockSymbol(), sym)
 		}
 	}
-	sw.installTestHook = func() {
-		if _, err := pub.Write(both); err != nil {
-			t.Error(err)
+
+	// The install runs through a second controller on the same device: its
+	// first write fails transiently, and its backoff blocks until released.
+	dev := faults.NewFlakyDevice(sw.Device())
+	dev.FailOn(1, true)
+	ctl := controlplane.NewController(dev)
+	compiled, proceed := make(chan struct{}), make(chan struct{})
+	held, release := make(chan struct{}), make(chan struct{})
+	ctl.Policy.Sleep = func(time.Duration) { close(held); <-release }
+	open := func(ch chan struct{}) {
+		select {
+		case <-ch:
+		default:
+			close(ch)
 		}
-		expect("between compile and install", sub1, "GOOGL")
 	}
-	if err := sw.SetSubscriptions("stock == ORCL : fwd(2)"); err != nil {
+	t.Cleanup(func() { open(proceed); open(release) }) // a failed check must not leave the update holding
+	sw.install = func(ctx context.Context, prog *compiler.Program) (controlplane.Delta, error) {
+		close(compiled)
+		<-proceed
+		return ctl.Update(ctx, prog)
+	}
+	done := make(chan error, 1)
+	go func() { done <- sw.SetSubscriptions("stock == ORCL : fwd(2)") }()
+	reach := func(ch chan struct{}) {
+		t.Helper()
+		select {
+		case <-ch:
+		case err := <-done:
+			t.Fatalf("update returned early: %v", err)
+		}
+	}
+
+	reach(compiled)
+	forwards("between compile and install", sub1, "GOOGL")
+	open(proceed)
+	reach(held)
+	forwards("held in commit's backoff", sub1, "GOOGL")
+	open(release)
+	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pub.Write(both); err != nil {
-		t.Fatal(err)
+	if dev.Calls() != 2 {
+		t.Fatalf("device saw %d writes, want the failed one and its retry", dev.Calls())
 	}
-	expect("after install", sub2, "ORCL")
+	forwards("after install", sub2, "ORCL")
 	for _, conn := range []*net.UDPConn{sub1, sub2} {
 		if _, ok := recvMold(t, conn, 200*time.Millisecond); ok {
 			t.Fatal("a message was judged by both programs")
@@ -254,7 +294,8 @@ func TestSetSubscriptionsHonorsDoneContext(t *testing.T) {
 	}
 	defer sw.Close()
 	writes := tel.Reg().Counter("camus_controlplane_device_writes_total")
-	old, before := sw.Program(), writes.Load()
+	compiles := tel.Reg().Counter("camus_compiler_compiles_total")
+	old, before, compiledBefore := sw.Program(), writes.Load(), compiles.Load()
 	check := func(when string, err error) {
 		t.Helper()
 		if !errors.Is(err, context.Canceled) {
@@ -270,18 +311,19 @@ func TestSetSubscriptionsHonorsDoneContext(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	compiled := false
-	sw.installTestHook = func() { compiled = true }
 	check("cancelled before the call", sw.SetSubscriptionsContext(ctx, "stock == ORCL : fwd(2)"))
-	if compiled {
+	if compiles.Load() != compiledBefore {
 		t.Fatal("a done context still bought a compile")
 	}
 
 	ctx, cancel = context.WithCancel(context.Background())
-	sw.installTestHook = cancel
+	sw.install = func(ctx context.Context, prog *compiler.Program) (controlplane.Delta, error) {
+		cancel()
+		return sw.engine.Install(ctx, prog)
+	}
 	check("cancelled before the install", sw.SetSubscriptionsContext(ctx, "stock == ORCL : fwd(2)"))
 
-	sw.installTestHook = nil
+	sw.install = sw.engine.Install
 	if err := sw.SetSubscriptions("stock == ORCL : fwd(2)"); err != nil || sw.Program() == old {
 		t.Fatalf("live context: err %v, program swapped %v", err, sw.Program() != old)
 	}

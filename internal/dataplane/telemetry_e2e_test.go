@@ -11,8 +11,11 @@ import (
 	"testing"
 	"time"
 
+	"camus/internal/compiler"
 	"camus/internal/faults"
+	"camus/internal/spec"
 	"camus/internal/telemetry"
+	"camus/internal/workload"
 )
 
 // TestTelemetryAgreesWithChaosGroundTruth runs the aged-out-store chaos
@@ -158,4 +161,36 @@ func TestAdminEndpointServesLiveMetrics(t *testing.T) {
 	if body, _ := get("/debug/pprof/cmdline"); body == "" {
 		t.Error("/debug/pprof/cmdline returned nothing")
 	}
+}
+
+// TestEgressGroupsGaugeFollowsTheDevice: camus_dataplane_egress_groups is
+// read off the program the device runs, so it is right after any install —
+// SetSubscriptions, or a program written to the device out of band.
+func TestEgressGroupsGaugeFollowsTheDevice(t *testing.T) {
+	tel := telemetry.New()
+	sp := spec.MustParse(workload.ITCHSpecSource)
+	sw, err := Listen(Config{Spec: sp, Subscriptions: "stock == GOOGL : fwd(1,2)", Telemetry: tel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sw.Close()
+	groups := func(when string, want float64) {
+		t.Helper()
+		if got := tel.Snapshot().Gauges["camus_dataplane_egress_groups"]; got != want {
+			t.Fatalf("%s: camus_dataplane_egress_groups = %v, want %v", when, got, want)
+		}
+	}
+	groups("after Listen", 1)
+	prog, err := compiler.CompileSource(sp, "stock == GOOGL : fwd(1,2)\nstock == ORCL : fwd(2,3)", compiler.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Device().Reinstall(prog); err != nil {
+		t.Fatal(err)
+	}
+	groups("after an out-of-band Reinstall", 2)
+	if err := sw.SetSubscriptions("stock == GOOGL : fwd(1)"); err != nil {
+		t.Fatal(err)
+	}
+	groups("after SetSubscriptions", 0)
 }

@@ -130,8 +130,8 @@ stock == MSFT : fwd(2)
 }
 
 // TestShardedLiveUpdate: subscription swaps stay race-free while four
-// workers are evaluating (the install lock serializes the engine swap
-// against every lane).
+// workers are evaluating (each lane batch loads the device's generation
+// once, and nothing else is swapped).
 func TestShardedLiveUpdate(t *testing.T) {
 	sw, pub, sub1, _ := startShardedSwitch(t, "stock == GOOGL : fwd(1)", 4, 4)
 	stop := make(chan struct{})

@@ -20,10 +20,6 @@ type Member struct {
 	// Dev is the fallible install interface; tests interpose
 	// faults.FlakyDevice here to exercise mid-epoch failures.
 	Dev controlplane.Device
-	// Adopt, when non-nil, resynchronizes the member's engine after a
-	// program lands on (or is rolled back onto) its device — dataplane
-	// switches rebuild their ITCH extractor through it.
-	Adopt func(*compiler.Program) error
 }
 
 // ControllerConfig configures the fabric epoch controller.
@@ -333,19 +329,6 @@ func (c *Controller) Apply(ctx context.Context, rules []lang.Rule) (Epoch, error
 	for _, s := range plan {
 		old := s.m.ctl.Program()
 		delta, err := s.m.ctl.Install(ctx, s.prog)
-		if err == nil {
-			if s.m.Adopt != nil {
-				if aerr := s.m.Adopt(s.prog); aerr != nil {
-					// Engine refused the program: put the device back too.
-					if _, rerr := s.m.ctl.Install(ctx, old); rerr != nil {
-						aerr = fmt.Errorf("%v (device rollback also failed: %v)", aerr, rerr)
-					} else {
-						_ = s.m.adoptBack(old)
-					}
-					err = aerr
-				}
-			}
-		}
 		if err != nil {
 			c.rollbacks.Inc()
 			if rbErr := c.rollback(ctx, committed); rbErr != nil {
@@ -371,16 +354,6 @@ func (c *Controller) Apply(ctx context.Context, rules []lang.Rule) (Epoch, error
 	return ep, nil
 }
 
-// adoptBack re-syncs a member's engine to a rolled-back program; adoption
-// of a program the engine already ran cannot reasonably fail, but the
-// error is surfaced to the caller's aggregate anyway.
-func (bm *boundMember) adoptBack(prog *compiler.Program) error {
-	if bm.Adopt == nil {
-		return nil
-	}
-	return bm.Adopt(prog)
-}
-
 // rollback reinstalls the prior program on every committed member, in
 // reverse commit order (spines first, so a leaf never sees new-epoch
 // traffic it no longer understands). All members are attempted; errors
@@ -392,14 +365,8 @@ func (c *Controller) rollback(ctx context.Context, committed []struct {
 	var firstErr error
 	for i := len(committed) - 1; i >= 0; i-- {
 		cm := committed[i]
-		if _, err := cm.m.ctl.Install(ctx, cm.old); err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%s: %w", cm.m.Name, err)
-			}
-			continue
-		}
-		if err := cm.m.adoptBack(cm.old); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("%s: adopt: %w", cm.m.Name, err)
+		if _, err := cm.m.ctl.Install(ctx, cm.old); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("%s: %w", cm.m.Name, err)
 		}
 	}
 	return firstErr

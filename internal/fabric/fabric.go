@@ -167,7 +167,7 @@ func (f *Fabric) member(name string, sw *dataplane.Switch) Member {
 	if f.cfg.WrapDevice != nil {
 		dev = f.cfg.WrapDevice(name, dev)
 	}
-	return Member{Name: name, Dev: dev, Adopt: sw.AdoptProgram}
+	return Member{Name: name, Dev: dev}
 }
 
 func (f *Fabric) build() error {

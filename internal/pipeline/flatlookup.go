@@ -33,7 +33,7 @@ import (
 // A next value is the entry's target as the compiler encodes it (read with
 // compiler.Decides): a state, or the action set of a row that decides. The
 // leaf stage is no table here: a row's action set indexes the state
-// updates, installed.upds, directly.
+// updates, Generation.upds, directly.
 
 // openAddrMinEntries is the exact-entry count above which a table trades
 // the sorted runs for an open-addressed flat table. Below it, binary

@@ -531,11 +531,13 @@ func oracleScenarios(t *testing.T) {
 				wg.Add(1)
 				go func(l int) {
 					defer wg.Done()
-					row := make([]uint64, len(prog.Fields))
+					row := [][]uint64{make([]uint64, len(prog.Fields))}
+					out := make([]Result, 1)
 					for i := range vals {
 						if int(keys[i]%uint64(lanes)) == l {
-							copy(row, vals[i])
-							got[i] = sw.ProcessOn(l, row, at[i]).Ports
+							copy(row[0], vals[i])
+							sw.ProcessBatchOn(sw.Generation(), l, row, at[i:i+1], out)
+							got[i] = out[0].Ports
 						}
 					}
 				}(l)
@@ -556,7 +558,7 @@ func oracleScenarios(t *testing.T) {
 
 // modelProcess is processOne over the oracle: state reads, the reference
 // table walk, then the matched action's updates.
-func modelProcess(in *installed, o *oracleState, vals []uint64, now time.Duration) []int {
+func modelProcess(in *Generation, o *oracleState, vals []uint64, now time.Duration) []int {
 	key := func(idx int32) uint64 {
 		if idx < 0 {
 			return 0
@@ -624,7 +626,7 @@ func BenchmarkProcessBatchKeyed(b *testing.B) {
 			b.SetBytes(int64(batch * 8 * len(prog.Fields)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sw.ProcessBatchOn(0, values, now, out)
+				sw.ProcessBatchOn(sw.Generation(), 0, values, now, out)
 			}
 		})
 	}

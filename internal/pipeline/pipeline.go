@@ -81,7 +81,7 @@ type Result struct {
 // (one goroutine per lane index).
 type Switch struct {
 	cfg   Config
-	inst  atomic.Pointer[installed]
+	inst  atomic.Pointer[Generation]
 	state *KeyedState
 
 	packets telemetry.Counter // packet count on the pattern-free paths
@@ -109,11 +109,14 @@ type Switch struct {
 	foldMisses  map[string]uint64             // misses folded out of retired generations
 }
 
-// installed is one immutable program version: everything Process needs,
-// swapped atomically by Reinstall. The lookup structures are the
-// flattened arrays of flatlookup.go, built once here so the per-packet
-// path performs no map probes and no allocation.
-type installed struct {
+// Generation is one installed program version: everything a packet needs,
+// immutable once Reinstall publishes it. A lane loads it once per batch
+// (Switch.Generation) and runs the batch against it (ProcessBatchOn), so
+// every packet of the batch is judged by that one program whatever is
+// installed meanwhile. The lookup structures are the flattened arrays of
+// flatlookup.go, built once here so the per-packet path performs no map
+// probes and no allocation.
+type Generation struct {
 	prog   *compiler.Program
 	tables []lookupTable
 	// dflt is the leaf's default, the action set of a packet no row
@@ -230,8 +233,8 @@ func New(prog *compiler.Program, cfg Config) (*Switch, error) {
 
 // newInstalled builds the runtime form of a program, attaching the
 // per-table counters when telemetry is enabled.
-func (sw *Switch) newInstalled(prog *compiler.Program) *installed {
-	in := &installed{
+func (sw *Switch) newInstalled(prog *compiler.Program) *Generation {
+	in := &Generation{
 		prog:   prog,
 		tables: make([]lookupTable, 0, len(prog.Tables)),
 		dflt:   -1,
@@ -472,15 +475,6 @@ func (sw *Switch) Process(values []uint64, now time.Duration) Result {
 	return sw.processOne(in, 0, values, now)
 }
 
-// ProcessOn is Process for one state lane — the unbatched form of
-// ProcessBatchOn, with the same single-writer contract per lane.
-//
-//camus:hotpath bench=BenchmarkProcessBatchKeyed
-func (sw *Switch) ProcessOn(lane int, values []uint64, now time.Duration) Result {
-	in := sw.inst.Load()
-	return sw.processOne(in, lane, values, now)
-}
-
 // ProcessBatch runs a batch of packets through the pipeline on lane 0,
 // filling out[i] with the forwarding decision for values[i] arriving at
 // now[i]. The three slices must have equal length. The program pointer
@@ -491,22 +485,22 @@ func (sw *Switch) ProcessOn(lane int, values []uint64, now time.Duration) Result
 //
 //camus:hotpath bench=BenchmarkProcessBatch
 func (sw *Switch) ProcessBatch(values [][]uint64, now []time.Duration, out []Result) {
-	sw.ProcessBatchOn(0, values, now, out)
+	sw.ProcessBatchOn(sw.Generation(), 0, values, now, out)
 }
 
-// ProcessBatchOn is ProcessBatch for one state lane — the sharded
-// dataplane's entry point. The single-writer contract: at most one
-// goroutine issues packets for a given lane index at a time, and the
-// embedder calls State().EnsureLanes up front. Reads combine across
-// lanes (see KeyedState.Read); updates touch only the caller's lane.
+// ProcessBatchOn is ProcessBatch against a generation the caller loaded,
+// for one state lane — the sharded dataplane's entry point. The
+// single-writer contract: at most one goroutine issues packets for a given
+// lane index at a time, and the embedder calls State().EnsureLanes up
+// front. Reads combine across lanes (see KeyedState.Read); updates touch
+// only the caller's lane.
 //
 //camus:hotpath bench=BenchmarkProcessBatchKeyed
-func (sw *Switch) ProcessBatchOn(lane int, values [][]uint64, now []time.Duration, out []Result) {
+func (sw *Switch) ProcessBatchOn(in *Generation, lane int, values [][]uint64, now []time.Duration, out []Result) {
 	if len(values) != len(now) || len(values) != len(out) {
 		//camus:alloc-ok panic argument on the caller-misuse path; the string itself is static
 		panic("pipeline: ProcessBatch slice lengths differ")
 	}
-	in := sw.inst.Load() // one consistent program version per batch
 	for i := range values {
 		out[i] = sw.processOne(in, lane, values[i], now[i])
 	}
@@ -517,9 +511,9 @@ func (sw *Switch) ProcessBatchOn(lane int, values [][]uint64, now []time.Duratio
 // no allocation.
 //
 //camus:hotpath
-func (sw *Switch) processOne(in *installed, lane int, values []uint64, now time.Duration) Result {
+func (sw *Switch) processOne(in *Generation, lane int, values []uint64, now time.Duration) Result {
 	// Stage 0: state reads populate metadata. Slots, keys, folds and
-	// windows were resolved at install time (installed.reads), so the
+	// windows were resolved at install time (Generation.reads), so the
 	// read is a bank probe plus the fold — no name-map probe, no lock.
 	for i := range in.reads {
 		rd := &in.reads[i]
@@ -555,7 +549,7 @@ func (sw *Switch) processOne(in *installed, lane int, values []uint64, now time.
 	if act >= 0 {
 		// The leaf stage runs the action set's state updates. Slots, key and
 		// argument field indices were resolved at install time
-		// (installed.upds), so the loop is array loads and the single-writer
+		// (Generation.upds), so the loop is array loads and the single-writer
 		// bank fold — no name-map probe, no first-touch allocation, no lock.
 		for i := range in.upds[act] {
 			u := &in.upds[act][i]
@@ -619,6 +613,16 @@ func (sw *Switch) PacketsProcessed() uint64 {
 
 // Program returns the installed program.
 func (sw *Switch) Program() *compiler.Program { return sw.inst.Load().prog }
+
+// Generation returns the installed generation.
+//
+//camus:hotpath
+func (sw *Switch) Generation() *Generation { return sw.inst.Load() }
+
+// Program returns the generation's program.
+//
+//camus:hotpath
+func (g *Generation) Program() *compiler.Program { return g.prog }
 
 // Reinstall atomically replaces the installed program (the control plane's
 // commit step). The new lookup structures are built off to the side and
