@@ -164,6 +164,9 @@ type (
 	CompileOptions = compiler.Options
 	// Stats summarizes a program's switch resource usage.
 	Stats = compiler.Stats
+	// PortSet is an immutable set of output ports: a forwarding
+	// decision's, an action's or a multicast group's.
+	PortSet = compiler.PortSet
 )
 
 // Static analysis of rule sets (camus-vet). WithAnalysis makes Compile

@@ -94,11 +94,11 @@ stock == GOOGL && shares > 1000 : fwd(3)
 	if len(deliveries) != 2 {
 		t.Fatalf("want 2 deliveries, got %d: %+v", len(deliveries), deliveries)
 	}
-	if !reflect.DeepEqual(deliveries[0].Ports, []int{1}) {
+	if !reflect.DeepEqual(deliveries[0].Ports.AppendTo(nil), []int{1}) {
 		t.Fatalf("first delivery ports: %v", deliveries[0].Ports)
 	}
 	// Large GOOGL order matches both rules: multicast to 1 and 3.
-	if !reflect.DeepEqual(deliveries[1].Ports, []int{1, 3}) || deliveries[1].Group < 0 {
+	if !reflect.DeepEqual(deliveries[1].Ports.AppendTo(nil), []int{1, 3}) || deliveries[1].Group < 0 {
 		t.Fatalf("second delivery: %+v", deliveries[1])
 	}
 
@@ -120,7 +120,7 @@ stock == IBM && shares > 5000 : fwd(4)
 	ibm.SetStock("IBM")
 	ibm.Shares = 6000
 	res := ps.ProcessOrder(&ibm, 0)
-	if res.Dropped || !reflect.DeepEqual(res.Ports, []int{4}) {
+	if res.Dropped || !reflect.DeepEqual(res.Ports.AppendTo(nil), []int{4}) {
 		t.Fatalf("IBM after update: %+v", res)
 	}
 }

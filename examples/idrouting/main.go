@@ -63,7 +63,7 @@ func main() {
 		if res.Dropped {
 			return 0
 		}
-		return res.Ports[0]
+		return res.Ports.AppendTo(nil)[0]
 	}
 
 	fmt.Println("=== initial placement ===")

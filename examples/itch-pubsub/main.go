@@ -55,7 +55,7 @@ stock == S002 && shares < 300 : fwd(3)
 		}
 		for _, d := range deliveries {
 			forwarded++
-			for _, port := range d.Ports {
+			for _, port := range d.Ports.AppendTo(nil) {
 				perPort[port]++
 			}
 		}

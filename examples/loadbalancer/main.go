@@ -71,7 +71,7 @@ ip.dst == 10.0.0.100 && udp.dport == 80 && udp.sport >= 49152 : fwd(4)
 		if res.Dropped {
 			return 0
 		}
-		return res.Ports[0]
+		return res.Ports.AppendTo(nil)[0]
 	}
 
 	fmt.Println("=== 4 healthy backends ===")

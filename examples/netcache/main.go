@@ -67,7 +67,7 @@ func main() {
 		if res.Dropped {
 			return nil
 		}
-		return res.Ports
+		return res.Ports.AppendTo(nil)
 	}
 
 	fmt.Println("=== hot set {CAFE, BEEF, F00D} cached in-network ===")

@@ -66,7 +66,7 @@ rate[add_order.stock] >= %d : fwd(%d)
 		if res.Dropped {
 			return nil
 		}
-		return res.Ports
+		return res.Ports.AppendTo(nil)
 	}
 
 	fmt.Println("=== interleaved burst inside one 100µs window: 12x GOOGL, 4x MSFT ===")

@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"camus/internal/bdd"
@@ -141,8 +142,13 @@ func algorithm1(b *bdd.BDD, index []int) [][]pathEntry {
 // intervals less one. The default goes to whichever saves the most rows, a
 // tie to the miss; a wildcard needs a path of at least two intervals. The
 // remaining paths become exact entries for points and range entries
-// otherwise. Exact-match fields must end up with no range entries.
-func lowerEntries(f FieldInfo, paths []pathEntry, noop int) ([]Entry, error) {
+// otherwise. Exact-match fields must end up with no range entries: there,
+// an interval of values that conjunctions test for equality one by one —
+// adjacent == rules that do the same thing, merged — is as many exact
+// entries, no more than the == rules that made it. field is f's index in
+// the conjunctions.
+func lowerEntries(f FieldInfo, field int, conjs []bdd.Conj, paths []pathEntry, noop int) ([]Entry, error) {
+	var named *interval.Set // the values conjs test f for equality with, once needed
 	// algorithm1 emits an In state's paths together, In states ascending.
 	var out []Entry
 	for len(paths) > 0 {
@@ -171,18 +177,21 @@ func lowerEntries(f FieldInfo, paths []pathEntry, noop int) ([]Entry, error) {
 				def = i
 			}
 		}
-		forced := false
-		if isExactKind(f) {
+		forced, exact := false, isExactKind(f)
+		if exact {
 			// An exact table cannot hold a range: the path that has one must
-			// be the default.
-			ranged := -1
-			for i, pe := range ps {
-				if !pointsOnly(pe.set) {
-					if ranged >= 0 {
-						return nil, fmt.Errorf("field %s is declared exact but subscriptions induce range predicates on it", f.Name)
-					}
-					ranged = i
+			// be the default. When more than one has, the one whose ranges
+			// are not all values tested for equality is.
+			ranged, ok := soleRange(ps, nil)
+			if !ok {
+				if named == nil {
+					s := pointsNamed(conjs, field)
+					named = &s
 				}
+				ranged, ok = soleRange(ps, named)
+			}
+			if !ok {
+				return nil, fmt.Errorf("field %s is declared exact but subscriptions induce range predicates on it", f.Name)
 			}
 			if ranged >= 0 {
 				def, forced = ranged, true
@@ -200,16 +209,57 @@ func lowerEntries(f FieldInfo, paths []pathEntry, noop int) ([]Entry, error) {
 				continue // the miss takes it
 			}
 			for _, iv := range pe.set.Intervals() {
-				kind := EntryRange
-				if iv.IsPoint() {
-					kind = EntryExact
+				switch {
+				case iv.IsPoint():
+					out = append(out, Entry{State: st, Kind: EntryExact, Lo: iv.Lo, Hi: iv.Hi, Next: pe.to, Priority: 1})
+				case exact:
+					for v := iv.Lo; ; v++ {
+						out = append(out, Entry{State: st, Kind: EntryExact, Lo: v, Hi: v, Next: pe.to, Priority: 1})
+						if v == iv.Hi {
+							break
+						}
+					}
+				default:
+					out = append(out, Entry{State: st, Kind: EntryRange, Lo: iv.Lo, Hi: iv.Hi, Next: pe.to, Priority: 1})
 				}
-				out = append(out, Entry{State: st, Kind: kind, Lo: iv.Lo, Hi: iv.Hi, Next: pe.to, Priority: 1})
 			}
 		}
 	}
 	sortEntries(out)
 	return out, nil
+}
+
+// soleRange finds, among an exact field's paths out of one state, the one
+// path with a range — one not all values in named, when named is not nil —
+// or -1 when there is none; ok is false when there are more.
+func soleRange(ps []pathEntry, named *interval.Set) (ranged int, ok bool) {
+	ranged = -1
+	for i, pe := range ps {
+		if !slices.ContainsFunc(pe.set.Intervals(), func(iv interval.Interval) bool {
+			return !iv.IsPoint() && (named == nil || !interval.Range(iv.Lo, iv.Hi).SubsetOf(*named))
+		}) {
+			continue
+		}
+		if ranged >= 0 {
+			return 0, false
+		}
+		ranged = i
+	}
+	return ranged, true
+}
+
+// pointsNamed is the set of values the conjunctions test field for
+// equality with.
+func pointsNamed(conjs []bdd.Conj, field int) interval.Set {
+	var pts []interval.Interval
+	for _, c := range conjs {
+		for _, k := range c.Constraints {
+			if k.Field == field && pointsOnly(k.Set) {
+				pts = append(pts, k.Set.Intervals()...)
+			}
+		}
+	}
+	return interval.FromIntervals(pts...)
 }
 
 func isExactKind(f FieldInfo) bool {

@@ -2,8 +2,8 @@ package compiler
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
-	"math/bits"
 	"runtime"
 	"slices"
 	"time"
@@ -226,7 +226,11 @@ func CompileSourceContext(ctx context.Context, sp *spec.Spec, ruleSrc string, op
 // actions are therefore one terminal while the diagram is being built, and
 // sharing and equal-branch elision reduce it by what the rules do, not by
 // which rules did it. Everything downstream tells action sets apart by that
-// index, and the control plane, across programs, by the Key made with it.
+// index. An atom hashes its content — a port its number, an update its
+// encoding, the drop a fixed tag, each kind in a domain of its own — not the
+// number the arena gave it, so the sum of a set is the same in every arena,
+// and the control plane tells action sets apart across programs by it
+// (ActionSet.Sum).
 //
 // Like the builder's memo keys, the sum is trusted: two sets of ports and
 // updates that differ collide with the odds of two random 128-bit values.
@@ -254,16 +258,17 @@ type classArena struct {
 	ports      int
 	sum        sum128
 	scratch    []byte
-	seen       []uint64 // sortPorts' bitmap, all zero between uses
+	list       []uint32 // the held ports, while actionSet makes their set
 }
 
 const dropAtom = 0
 
-// atom is a port, or a state update when isUpdate.
+// atom is a port, or a state update when isUpdate, and its content hash.
 type atom struct {
 	isUpdate bool
 	port     int
 	update   lang.Action
+	hash     sum128
 }
 
 // sum128 is an order-free sum of atom hashes, lane by lane.
@@ -272,21 +277,52 @@ type sum128 struct{ a, b uint64 }
 func (s sum128) plus(t sum128) sum128  { return sum128{s.a + t.a, s.b + t.b} }
 func (s sum128) minus(t sum128) sum128 { return sum128{s.a - t.a, s.b - t.b} }
 
-// atomHash spreads an atom number over both lanes (the splitmix64
-// finalizer).
-func atomHash(x int32) sum128 {
-	fmix := func(x uint64) uint64 {
-		x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
-		x = (x ^ x>>27) * 0x94d049bb133111eb
-		return x ^ x>>31
-	}
-	a := fmix(uint64(x) + 0x9e3779b97f4a7c15)
-	return sum128{a, fmix(a ^ 0x2545f4914f6cdd1d)}
+// The atom kinds' hash domains.
+const (
+	portDomain   = 0x9e3779b97f4a7c15
+	updateDomain = 0xc2b2ae3d27d4eb4f
+	dropDomain   = 0x165667b19e3779f9
+)
+
+// fmix is the splitmix64 finalizer.
+func fmix(x uint64) uint64 {
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }
+
+// contentHash spreads words, after a domain, over both lanes.
+type contentHash sum128
+
+func hashIn(domain uint64) contentHash { return contentHash{fmix(domain), fmix(^domain)} }
+
+func (h contentHash) word(w uint64) contentHash {
+	return contentHash{fmix(h.a ^ w), fmix(h.b + w*0xff51afd7ed558ccd)}
+}
+
+func (h contentHash) sum() sum128 { return sum128{h.a, fmix(h.b ^ h.a)} }
+
+// portHash is a port's atom hash.
+func portHash(p int) sum128 { return hashIn(portDomain).word(uint64(p)).sum() }
+
+// updateHash is a state update's atom hash, from its appendUpdate bytes,
+// eight to a word, the last zero-padded, then their length.
+func updateHash(enc []byte) sum128 {
+	h := hashIn(updateDomain)
+	for i := 0; i < len(enc); i += 8 {
+		var w [8]byte
+		copy(w[:], enc[i:])
+		h = h.word(binary.LittleEndian.Uint64(w[:]))
+	}
+	return h.word(uint64(len(enc))).sum()
+}
+
+// dropHash is the drop atom's hash.
+var dropHash = hashIn(dropDomain).sum()
 
 func newClassArena() *classArena {
 	ca := &classArena{bySum: make(map[sum128]int), portAtom: make(map[int]int32), updateAtom: make(map[string]int32)}
-	ca.newAtom(atom{}) // dropAtom
+	ca.newAtom(atom{hash: dropHash}) // dropAtom
 	ca.builder = bdd.NewClassBuilder(ca)
 	return ca
 }
@@ -310,7 +346,7 @@ func (ca *classArena) tally(payload int, by int32) {
 		case by > 0 && ca.count[x] == 1:
 			ca.at[x] = int32(len(ca.held))
 			ca.held = append(ca.held, x)
-			ca.sum = ca.sum.plus(atomHash(x))
+			ca.sum = ca.sum.plus(ca.atoms[x].hash)
 			if !ca.atoms[x].isUpdate {
 				ca.ports++
 			}
@@ -318,7 +354,7 @@ func (ca *classArena) tally(payload int, by int32) {
 			last := ca.held[len(ca.held)-1]
 			ca.held[ca.at[x]], ca.at[last] = last, ca.at[x]
 			ca.held = ca.held[:len(ca.held)-1]
-			ca.sum = ca.sum.minus(atomHash(x))
+			ca.sum = ca.sum.minus(ca.atoms[x].hash)
 			if !ca.atoms[x].isUpdate {
 				ca.ports--
 			}
@@ -352,7 +388,7 @@ func (ca *classArena) atomsOf(actions []lang.Action) {
 			for _, p := range a.Ports {
 				x, ok := ca.portAtom[p]
 				if !ok {
-					x = ca.newAtom(atom{port: p})
+					x = ca.newAtom(atom{port: p, hash: portHash(p)})
 					ca.portAtom[p] = x
 				}
 				ca.opAtoms = append(ca.opAtoms, x)
@@ -363,7 +399,7 @@ func (ca *classArena) atomsOf(actions []lang.Action) {
 			ca.scratch = appendUpdate(ca.scratch[:0], a)
 			x, ok := ca.updateAtom[string(ca.scratch)]
 			if !ok {
-				x = ca.newAtom(atom{isUpdate: true, update: *a})
+				x = ca.newAtom(atom{isUpdate: true, update: *a, hash: updateHash(ca.scratch)})
 				ca.updateAtom[string(ca.scratch)] = x
 			}
 			ca.opAtoms = append(ca.opAtoms, x)
@@ -383,42 +419,38 @@ func (ca *classArena) newAtom(a atom) int32 {
 // nowhere and updating nothing is a drop, said or not.
 func (ca *classArena) Class() (int, bool) {
 	drop := ca.ports == 0 && (len(ca.held) == 0 || ca.count[dropAtom] > 0)
-	key := ca.sum
+	sum := ca.sum
 	if drop {
-		key = key.plus(atomHash(dropAtom))
+		sum = sum.plus(dropHash)
 	}
-	id, ok := ca.bySum[key]
+	id, ok := ca.bySum[sum]
 	if !ok {
 		id = len(ca.sets)
-		ca.bySum[key] = id
-		ca.sets = append(ca.sets, ca.actionSet(drop))
+		ca.bySum[sum] = id
+		ca.sets = append(ca.sets, ca.actionSet(drop, sum))
 	}
 	return id, len(ca.held) > 0
 }
 
-// actionSet is the class held as an ActionSet of its own: ports ascending,
-// updates in canonical order.
-func (ca *classArena) actionSet(drop bool) ActionSet {
-	as := ActionSet{Drop: drop, Group: -1}
-	if ca.ports > 0 {
-		as.Ports = make([]int, 0, ca.ports)
-	}
+// actionSet is the class held as an ActionSet of its own: the ports as a
+// PortSet made from the held atoms, updates in canonical order.
+func (ca *classArena) actionSet(drop bool, sum sum128) ActionSet {
+	as := ActionSet{Drop: drop, Group: -1, sum: sum}
 	if n := len(ca.held) - ca.ports; n > 0 {
 		as.Updates = make([]lang.Action, 0, n)
 	}
+	ca.list = ca.list[:0]
 	for _, x := range ca.held {
 		if a := &ca.atoms[x]; a.isUpdate {
 			as.Updates = append(as.Updates, a.update)
 		} else {
-			as.Ports = append(as.Ports, a.port)
+			ca.list = append(ca.list, uint32(a.port))
 		}
 	}
-	sortPorts(as.Ports, &ca.seen)
+	as.Ports = portSetOf(ca.list)
 	if len(as.Updates) > 1 {
 		sortRuleActions(as.Updates)
 	}
-	ca.scratch = as.appendKey(ca.scratch[:0])
-	as.key = string(ca.scratch)
 	return as
 }
 
@@ -470,7 +502,7 @@ func compileFromConjs(sp *spec.Spec, fieldInfos []FieldInfo, actions [][]lang.Ac
 	errs := make([]error, len(fields))
 	conc.ForEach(len(fields), opts.workers(), func(f int) {
 		fi := fields[f]
-		entries, err := lowerEntries(fi, perField[f], noop)
+		entries, err := lowerEntries(fi, f, conjs, perField[f], noop)
 		if err != nil {
 			errs[f] = err
 			return
@@ -536,8 +568,8 @@ func (p *Program) buildActions(sets []ActionSet, leaves []int) {
 	for i, term := range leaves {
 		as := sets[p.BDD.Nodes()[term].Class]
 		as.Group = -1
-		if len(as.Ports) > 1 {
-			scratch = appendPorts(scratch[:0], as.Ports)
+		if as.Ports.Len() > 1 {
+			scratch = as.Ports.appendKey(scratch[:0])
 			g, ok := groupIdx[string(scratch)]
 			if !ok {
 				g = len(p.Groups)
@@ -568,38 +600,6 @@ func (p *Program) buildLeaf() {
 		if len(as.Updates) > 0 {
 			p.Leaf.Entries = append(p.Leaf.Entries, Entry{Kind: EntryExact, Lo: uint64(a), Hi: uint64(a), Next: decision(a)})
 		}
-	}
-}
-
-// sortPorts orders distinct ports. Ports are host numbers, so a set is
-// usually dense in its span and a bitmap over the span orders it in one
-// pass; a set too sparse for that — fewer ports than the span has words — is
-// sorted by comparison instead, and a port a million up costs no megabyte.
-func sortPorts(ports []int, seen *[]uint64) {
-	if len(ports) < 2 {
-		return
-	}
-	lo, hi := slices.Min(ports), slices.Max(ports)
-	words := uint(hi-lo)/64 + 1
-	if words > uint(len(ports)) {
-		slices.Sort(ports)
-		return
-	}
-	if uint(len(*seen)) < words {
-		*seen = make([]uint64, words)
-	}
-	bitmap := (*seen)[:words]
-	for _, p := range ports {
-		d := uint(p - lo)
-		bitmap[d>>6] |= 1 << (d & 63)
-	}
-	i := 0
-	for w, word := range bitmap {
-		for ; word != 0; word &= word - 1 {
-			ports[i] = lo + w<<6 + bits.TrailingZeros64(word)
-			i++
-		}
-		bitmap[w] = 0
 	}
 }
 

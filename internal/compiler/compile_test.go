@@ -94,7 +94,7 @@ shares < 60 : fwd(4)
 
 	// AAPL with few shares matches rules 1, 2 and 4: merged fwd(1,2,3,4).
 	as := p.Evaluate(itchValues(p, 59, aapl, 0))
-	if !reflect.DeepEqual(as.Ports, []int{1, 2, 3, 4}) {
+	if !reflect.DeepEqual(as.Ports.AppendTo(nil), []int{1, 2, 3, 4}) {
 		t.Fatalf("AAPL@59 ports = %v, want [1 2 3 4]", as.Ports)
 	}
 	if as.Group < 0 {
@@ -102,7 +102,7 @@ shares < 60 : fwd(4)
 	}
 	// MSFT with many shares: fwd(1) only.
 	as = p.Evaluate(itchValues(p, 101, msft, 0))
-	if !reflect.DeepEqual(as.Ports, []int{1}) {
+	if !reflect.DeepEqual(as.Ports.AppendTo(nil), []int{1}) {
 		t.Fatalf("MSFT@101 ports = %v, want [1]", as.Ports)
 	}
 	if as.Group != -1 {
@@ -112,7 +112,7 @@ shares < 60 : fwd(4)
 	// state stays put and the leaf's default drops.
 	vals := itchValues(p, 80, aapl, 0)
 	as = p.Evaluate(vals)
-	if !as.Drop || len(as.Ports) != 0 {
+	if !as.Drop || as.Ports.Len() != 0 {
 		t.Fatalf("AAPL@80 should drop, got %+v", as)
 	}
 	tr := p.Trace(vals)
@@ -282,8 +282,8 @@ func TestDifferentialRandomRules(t *testing.T) {
 					"add_order.price":  price,
 				}
 				want := referenceEval(t, sp, rules, env)
-				got := p.Evaluate(itchValues(p, shares, stock, price)).Ports
-				if !reflect.DeepEqual(got, want) {
+				got := p.Evaluate(itchValues(p, shares, stock, price)).Ports.AppendTo(nil)
+				if !slices.Equal(got, want) {
 					t.Fatalf("trial %d probe %d (%+v): packet{shares=%d stock=%s price=%d}\ngot ports %v want %v\nrules:\n%s\ntables:\n%s",
 						trial, probe, opts, shares, sym, price, got, want, src, p.Dump())
 				}
@@ -312,6 +312,21 @@ func TestRangeOnExactFieldRejected(t *testing.T) {
 	_, err := CompileSource(sp, "stock > AAPL && stock < MSFT : fwd(1)", Options{})
 	if err == nil {
 		t.Fatal("range predicates on an exact field should fail to compile")
+	}
+}
+
+// TestForwardPortOutOfRangeRejected: rules built in Go, not parsed, are held
+// to the parser's port range, which is what a PortSet holds.
+func TestForwardPortOutOfRangeRejected(t *testing.T) {
+	sp := itchSpec(t)
+	for _, port := range []int{-1, lang.MaxPort + 1} {
+		rule := lang.Rule{Cond: lang.True{}, Actions: []lang.Action{lang.Fwd(1, port)}}
+		if _, err := Compile(sp, []lang.Rule{rule}, Options{}); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("fwd(1,%d) compiled: %v", port, err)
+		}
+	}
+	if _, err := Compile(sp, []lang.Rule{{Cond: lang.True{}, Actions: []lang.Action{lang.Fwd(0, lang.MaxPort)}}}, Options{}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -353,7 +368,7 @@ func TestAggregateSplitsRule(t *testing.T) {
 		}
 	}
 	as := p.Evaluate(vals) // avg = 0: condition fails, update fires
-	if len(as.Ports) != 0 {
+	if as.Ports.Len() != 0 {
 		t.Fatalf("low average should not forward: %+v", as)
 	}
 	if len(as.Updates) == 0 {
@@ -366,7 +381,7 @@ func TestAggregateSplitsRule(t *testing.T) {
 		}
 	}
 	as = p.Evaluate(vals)
-	if !reflect.DeepEqual(as.Ports, []int{1}) || len(as.Updates) == 0 {
+	if !reflect.DeepEqual(as.Ports.AppendTo(nil), []int{1}) || len(as.Updates) == 0 {
 		t.Fatalf("high average should forward and update: %+v", as)
 	}
 	// Different stock: neither.
@@ -376,7 +391,7 @@ func TestAggregateSplitsRule(t *testing.T) {
 		}
 	}
 	as = p.Evaluate(vals)
-	if len(as.Ports) != 0 || len(as.Updates) != 0 {
+	if as.Ports.Len() != 0 || len(as.Updates) != 0 {
 		t.Fatalf("non-matching stock should neither forward nor update: %+v", as)
 	}
 }
@@ -426,9 +441,10 @@ func TestObserverSeesEveryAtom(t *testing.T) {
 }
 
 // TestObserverDropLeavesNoTrace: a rule the observer drops takes back its
-// payload IDs, the synthetic fields it made and the predicates it interned,
-// so the rules after it compile as if it had never been there — even one
-// repeating its predicate over a field another rule made in between.
+// payload IDs, the synthetic fields it made and the predicates and action
+// list it interned, so the rules after it compile as if it had never been
+// there — even one repeating its predicate over a field another rule made
+// in between. Rules that do the same thing share one action list.
 func TestObserverDropLeavesNoTrace(t *testing.T) {
 	sp := itchSpec(t)
 	rules, err := lang.ParseRules("avg(price) > 3 && shares < 9 : fwd(1)\nsum(shares) > 2 : fwd(2)\navg(price) > 3 && shares < 9 : fwd(3)\n")
@@ -458,6 +474,25 @@ func TestObserverDropLeavesNoTrace(t *testing.T) {
 	}
 	if g, w := payloads(got), payloads(want); !slices.Equal(g, w) {
 		t.Fatalf("payloads %v, want %v", g, w)
+	}
+	clean, err := Observe(context.Background(), sp, Source{Rules: rules[1:]}, Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pass.res.lists) != len(clean.res.lists) || pass.res.listed != clean.res.listed {
+		t.Fatalf("%d action lists interned after a dropped rule, %d without it", len(pass.res.lists), len(clean.res.lists))
+	}
+	for k, l := range clean.res.lists {
+		if m, ok := pass.res.lists[k]; !ok || m.seq != l.seq {
+			t.Fatalf("action list %v: %+v after a dropped rule, %+v without it", l.actions, m, l)
+		}
+	}
+	shared, err := Observe(context.Background(), sp, Source{Text: "price > 1 : fwd(4)\nshares > 2 : fwd(4)\n"}, Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := shared.res.actions; len(a) != 2 || &a[0][0] != &a[1][0] {
+		t.Errorf("two rules that forward to port 4 keep two action lists")
 	}
 }
 
@@ -534,7 +569,7 @@ func TestDropAction(t *testing.T) {
 	sp := itchSpec(t)
 	p := compileSrc(t, sp, "stock == AAPL : drop()\nstock == MSFT : fwd(1)", Options{})
 	as := p.Evaluate(itchValues(p, 0, encodeStock(t, sp, "AAPL"), 0))
-	if !as.Drop || len(as.Ports) != 0 {
+	if !as.Drop || as.Ports.Len() != 0 {
 		t.Fatalf("explicit drop wrong: %+v", as)
 	}
 }
@@ -544,7 +579,7 @@ func TestTrueRuleMatchesEverything(t *testing.T) {
 	p := compileSrc(t, sp, "true : fwd(7)", Options{})
 	for _, sym := range testSymbols {
 		as := p.Evaluate(itchValues(p, 1, encodeStock(t, sp, sym), 2))
-		if !reflect.DeepEqual(as.Ports, []int{7}) {
+		if !reflect.DeepEqual(as.Ports.AppendTo(nil), []int{7}) {
 			t.Fatalf("catch-all rule missed %s: %+v", sym, as)
 		}
 	}
@@ -565,11 +600,11 @@ func TestProgramDumpIsRenderable(t *testing.T) {
 func TestActionSetKeyInjective(t *testing.T) {
 	upd := func(v, key, fn string, args ...string) lang.Action { return lang.KeyedStateUpdate(v, key, fn, args...) }
 	distinct := []ActionSet{
-		{Ports: []int{1, 23}},
-		{Ports: []int{12, 3}},
-		{Ports: []int{1, 2, 3}},
-		{Ports: []int{123}},
-		{Ports: []int{0}},
+		{Ports: newPortSet(1, 23)},
+		{Ports: newPortSet(12, 3)},
+		{Ports: newPortSet(1, 2, 3)},
+		{Ports: newPortSet(123)},
+		{Ports: newPortSet(0)},
 		{Drop: true},
 		{Drop: true, Updates: []lang.Action{upd("v", "", "count")}},
 		{Updates: []lang.Action{upd("v", "", "count")}},
@@ -579,7 +614,7 @@ func TestActionSetKeyInjective(t *testing.T) {
 		{Updates: []lang.Action{upd("v", "", "add", "ab")}},
 		{Updates: []lang.Action{upd("v", "", "count"), upd("w", "", "count")}},
 		{Updates: []lang.Action{upd("w", "", "count"), upd("v", "", "count")}},
-		{Ports: []int{1}, Updates: []lang.Action{upd("v", "", "count")}},
+		{Ports: newPortSet(1), Updates: []lang.Action{upd("v", "", "count")}},
 	}
 	seen := map[string]int{}
 	for i, as := range distinct {
@@ -592,8 +627,8 @@ func TestActionSetKeyInjective(t *testing.T) {
 	// number, a drop beside a forward, or leaving the drop of "forward
 	// nowhere, update nothing" unsaid.
 	same := [][2]ActionSet{
-		{{Ports: []int{4, 5}, Group: 7}, {Ports: []int{4, 5}, Group: -1}},
-		{{Ports: []int{4}, Drop: true}, {Ports: []int{4}}},
+		{{Ports: newPortSet(4, 5), Group: 7}, {Ports: newPortSet(4, 5), Group: -1}},
+		{{Ports: newPortSet(4), Drop: true}, {Ports: newPortSet(4)}},
 		{{Drop: true}, {}},
 	}
 	for _, p := range same {
@@ -601,20 +636,37 @@ func TestActionSetKeyInjective(t *testing.T) {
 			t.Errorf("%+v and %+v have different keys", p[0], p[1])
 		}
 	}
-	// A compiled set carries the key it was merged with.
+	// A compiled set carries the sum it was merged under, which is the sum
+	// of its content.
 	rules := [][]lang.Action{{lang.Fwd(1, 23)}, {lang.Fwd(12, 3), lang.Drop()}}
 	a, b := mergeActions(rules, []int{0}), mergeActions(rules, []int{1})
-	if a.key == "" || a.Key() == b.Key() || a.Key() != (ActionSet{Ports: []int{1, 23}}).Key() {
+	if a.sum == (sum128{}) || a.Key() == b.Key() || a.Key() != (ActionSet{Ports: newPortSet(1, 23)}).Key() {
 		t.Errorf("merged keys %q, %q", a.Key(), b.Key())
+	}
+	if want := (ActionSet{Ports: newPortSet(23, 1)}).Sum(); a.Sum() != want || b.Sum() == want {
+		t.Errorf("merged sums %x, %x; fwd(1,23) sums to %x", a.Sum(), b.Sum(), want)
+	}
+	// Distinct sets have distinct sums, but for the order of their updates:
+	// a sum is of the set, and a compiled set lists its updates in one order.
+	for i, as := range distinct {
+		for j, bs := range distinct[:i] {
+			if reordered := i == 13 && j == 12; (as.Sum() == bs.Sum()) != reordered {
+				t.Errorf("%+v and %+v: sums equal %v", as, bs, !reordered)
+			}
+		}
+	}
+	for _, p := range same {
+		if p[0].Sum() != p[1].Sum() {
+			t.Errorf("%+v and %+v have different sums", p[0], p[1])
+		}
 	}
 }
 
 // TestMergeSparsePorts: a class arena counts ports by the order it met them,
-// not by number, and sorts a sparse set by comparison, so a port a million
-// up costs no megabyte; a dense set goes through a bitmap, which it leaves
-// clear. Either way the ports of a class come out ordered and deduplicated,
-// and a set held again, by other rules in another order, is the class it
-// was.
+// not by number, and lists a sparse set, so a port a million up costs no
+// megabyte; a dense set is a bitmap. Either way the ports of a class come
+// out ordered and deduplicated, and a set held again, by other rules in
+// another order, is the class it was.
 func TestMergeSparsePorts(t *testing.T) {
 	rules := [][]lang.Action{
 		{lang.Fwd(1048576)}, {lang.Fwd(1)}, {lang.Fwd(1048576, 1)},
@@ -637,21 +689,24 @@ func TestMergeSparsePorts(t *testing.T) {
 		return id, ca.sets[id]
 	}
 	sparse, as := class(0, 1, 2)
-	if !reflect.DeepEqual(as.Ports, []int{1, 1048576}) {
+	if !reflect.DeepEqual(as.Ports.AppendTo(nil), []int{1, 1048576}) {
 		t.Errorf("sparse ports merged to %v", as.Ports)
 	}
-	if kept := 4*(cap(ca.count)+cap(ca.at)+cap(ca.held)) + 8*cap(ca.seen); kept > 1024 {
+	if kept := 4*(cap(ca.count)+cap(ca.at)+cap(ca.held)+cap(ca.list)) + 8*cap(as.Ports.w); kept > 1024 {
 		t.Errorf("counting two ports kept %d bytes", kept)
 	}
+	if as.Ports.base != listed || len(as.Ports.w) != 1 {
+		t.Errorf("ports 1 and 1048576 are %+v, want two listed in one word", as.Ports)
+	}
 	dense, as := class(4, 3)
-	if !reflect.DeepEqual(as.Ports, []int{3, 9, 64, 130, 200}) {
+	if !reflect.DeepEqual(as.Ports.AppendTo(nil), []int{3, 9, 64, 130, 200}) {
 		t.Errorf("dense ports merged to %v", as.Ports)
 	}
-	if len(ca.seen) == 0 || slices.ContainsFunc(ca.seen, func(w uint64) bool { return w != 0 }) {
-		t.Errorf("five ports within four words left the bitmap at %x", ca.seen)
+	if as.Ports.base != 3 || len(as.Ports.w) != 4 {
+		t.Errorf("five ports within four words are %+v, want a bitmap from 3", as.Ports)
 	}
-	if as.Key() != (ActionSet{Ports: []int{3, 9, 64, 130, 200}}).Key() || as.key != as.Key() {
-		t.Errorf("merged set %+v carries key %q", as, as.key)
+	if as.Key() != (ActionSet{Ports: newPortSet(3, 9, 64, 130, 200)}).Key() || as.Sum() != (ActionSet{Ports: newPortSet(200, 3, 9, 64, 130)}).Sum() {
+		t.Errorf("merged set %+v: key %q, sum %x", as, as.Key(), as.Sum())
 	}
 	if again, _ := class(5); again != dense {
 		t.Errorf("fwd(200, 130); fwd(3, 9, 64) is class %d, fwd(3, 200, 9, 64, 130) class %d", again, dense)

@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"context"
+	"slices"
 
 	"camus/internal/bdd"
 	"camus/internal/lang"
@@ -60,6 +61,16 @@ func mergeActions(ruleActions [][]lang.Action, payloads []int) ActionSet {
 	}
 	id, _ := ca.Class()
 	return ca.sets[id]
+}
+
+// newPortSet is the set of the given ports, in any order, repeats allowed.
+func newPortSet(ports ...int) PortSet {
+	list := make([]uint32, len(ports))
+	for i, p := range ports {
+		list[i] = uint32(p)
+	}
+	slices.Sort(list)
+	return portSetOf(slices.Compact(list))
 }
 
 // Nodes is the size of the payload-exact diagram.

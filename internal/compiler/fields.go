@@ -8,6 +8,7 @@ package compiler
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"strings"
@@ -211,8 +212,9 @@ func AtomSet(op lang.CmpOp, v, max uint64) interval.Set {
 // table is the spec's query fields in BDD variable order, then one synthetic
 // state field per aggregate macro or state-variable read, created where its
 // operand first appears (byName is keyed by canonical names; LookupField is
-// the authority on short ones). It only grows — fields, payload IDs and
-// predicates, once given, keep their meaning — but for rollback.
+// the authority on short ones). It only grows — fields, payload IDs,
+// predicates and action lists, once given, keep their meaning — but for
+// rollback.
 type resolver struct {
 	spec    *spec.Spec
 	fields  []FieldInfo
@@ -220,6 +222,9 @@ type resolver struct {
 	actions [][]lang.Action          // per payload ID
 	preds   map[lang.Atom]*predicate // by the atom less its position
 	made    int                      // predicates interned so far
+	lists   map[string]actionList    // a rule's action list by its encoding
+	listed  int                      // action lists interned so far
+	scratch []byte
 
 	// seen, when not nil, is filled by resolve with what it made of the
 	// rule, for an Observer.
@@ -246,17 +251,24 @@ type ResolvedAtom struct {
 	Err error
 }
 
-// mark is how much a resolver has handed out: fields, payload IDs and
-// interned predicates.
-type mark struct{ fields, actions, preds int }
+// mark is how much a resolver has handed out: fields, payload IDs,
+// interned predicates and interned action lists.
+type mark struct{ fields, actions, preds, lists int }
 
-func (r *resolver) mark() mark { return mark{len(r.fields), len(r.actions), r.made} }
+func (r *resolver) mark() mark { return mark{len(r.fields), len(r.actions), r.made, r.listed} }
 
 // rollback takes back what resolving rule made since m.
 func (r *resolver) rollback(m mark, rule *lang.DNFRule) {
 	for _, f := range r.fields[m.fields:] {
 		delete(r.byName, f.Name)
 	}
+	for _, actions := range r.actions[m.actions:] {
+		r.scratch = appendActions(r.scratch[:0], actions)
+		if l, ok := r.lists[string(r.scratch)]; ok && l.seq >= m.lists {
+			delete(r.lists, string(r.scratch))
+		}
+	}
+	r.listed = m.lists
 	r.fields, r.actions = r.fields[:m.fields], r.actions[:m.actions]
 	for _, c := range rule.Conjunctions {
 		for _, a := range c {
@@ -270,7 +282,7 @@ func (r *resolver) rollback(m mark, rule *lang.DNFRule) {
 }
 
 func newResolver(sp *spec.Spec) *resolver {
-	r := &resolver{spec: sp, byName: make(map[string]int), preds: make(map[lang.Atom]*predicate)}
+	r := &resolver{spec: sp, byName: make(map[string]int), preds: make(map[lang.Atom]*predicate), lists: make(map[string]actionList)}
 	for _, q := range sp.OrderedQueries() {
 		r.byName[q.Name] = len(r.fields)
 		r.fields = append(r.fields, FieldInfo{Name: q.Name, Bits: q.Bits, Max: q.DomainMax(), Match: q.Match})
@@ -342,6 +354,45 @@ func (r *resolver) predicate(a lang.Atom) (*predicate, error) {
 	return p, nil
 }
 
+// actionList is one distinct action list, and how many the resolver had
+// interned before it.
+type actionList struct {
+	actions []lang.Action
+	seq     int
+}
+
+// intern returns the resolver's one action list equal to actions, which
+// becomes it when it is the first. Rules that do the same thing — most of
+// a subscription set forwards to one of its hosts — share one list, and the
+// rest of each parsed rule is garbage once its chunk is resolved.
+func (r *resolver) intern(actions []lang.Action) []lang.Action {
+	r.scratch = appendActions(r.scratch[:0], actions)
+	if l, ok := r.lists[string(r.scratch)]; ok {
+		return l.actions
+	}
+	r.lists[string(r.scratch)] = actionList{actions, r.listed}
+	r.listed++
+	return actions
+}
+
+// appendActions encodes an action list, positions aside: per action its
+// kind, then its ports or its update.
+func appendActions(b []byte, actions []lang.Action) []byte {
+	for i := range actions {
+		a := &actions[i]
+		b = append(b, byte(a.Kind))
+		if a.Kind == lang.ActState {
+			b = appendUpdate(b, a)
+			continue
+		}
+		b = binary.AppendUvarint(b, uint64(len(a.Ports)))
+		for _, p := range a.Ports {
+			b = binary.AppendUvarint(b, uint64(p))
+		}
+	}
+	return b
+}
+
 // resolve lowers one DNF rule to BDD conjunctions, appended to out, and
 // returns the payload ID allocated for the rule. IDs index the resolver's
 // actions table and stay valid for its lifetime, so a Session can cache
@@ -360,7 +411,7 @@ func (r *resolver) resolve(rule *lang.DNFRule, out []bdd.Conj) ([]bdd.Conj, int,
 		*r.seen = Resolved{Rule: rule, Atoms: r.seen.Atoms[:0], Action: bad, ActionErr: err}
 	}
 	ruleID, updateID := len(r.actions), -1
-	r.actions = append(r.actions, actions)
+	r.actions = append(r.actions, r.intern(actions))
 	for _, c := range rule.Conjunctions {
 		full := bdd.Conj{Payload: ruleID, Constraints: make([]bdd.Constraint, 0, len(c))}
 		// The companion condition strips only self-updating macro atoms:
@@ -417,11 +468,19 @@ func (r *resolver) resolve(rule *lang.DNFRule, out []bdd.Conj) ([]bdd.Conj, int,
 // key to the canonical field name (src -> pkt.src). The resolver keeps the
 // list it returns: a list with a state update in it is a copy, so the
 // caller's rules stay untouched, and the update's names are copies too —
-// parsed, they are substrings of the rule text (see predicate). An error
-// comes with the index of the action it is about.
+// parsed, they are substrings of the rule text (see predicate). A forward
+// names ports in [0, lang.MaxPort], as the parser has it. An error comes
+// with the index of the action it is about.
 func (r *resolver) canonicalizeActions(actions []lang.Action) ([]lang.Action, int, error) {
 	out := actions
 	for i, a := range actions {
+		if a.Kind == lang.ActFwd {
+			for _, p := range a.Ports {
+				if p < 0 || p > lang.MaxPort {
+					return nil, i, fmt.Errorf("action %s: port %d out of range [0, %d]", a, p, lang.MaxPort)
+				}
+			}
+		}
 		if a.Kind != lang.ActState {
 			continue
 		}

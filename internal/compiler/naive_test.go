@@ -116,7 +116,7 @@ func TestForceRangeTablesOption(t *testing.T) {
 	}
 	// Semantics unchanged.
 	googl := encodeStock(t, sp, "GOOGL")
-	if got := p.Evaluate(itchValues(p, 0, googl, 0)); len(got.Ports) != 1 {
+	if got := p.Evaluate(itchValues(p, 0, googl, 0)); got.Ports.Len() != 1 {
 		t.Fatalf("forced-range program broken: %+v", got)
 	}
 }

@@ -136,13 +136,13 @@ func TestMergeActionsFwdBeatsDrop(t *testing.T) {
 	if as.Drop {
 		t.Fatalf("fwd+drop merged to drop: %+v", as)
 	}
-	if !reflect.DeepEqual(as.Ports, []int{1, 3}) {
+	if !reflect.DeepEqual(as.Ports.AppendTo(nil), []int{1, 3}) {
 		t.Fatalf("ports = %v, want [1 3]", as.Ports)
 	}
 
 	// Drop alone stays a drop.
 	as = mergeActions(ruleActions, []int{1})
-	if !as.Drop || len(as.Ports) != 0 {
+	if !as.Drop || as.Ports.Len() != 0 {
 		t.Fatalf("pure drop lost: %+v", as)
 	}
 
@@ -151,7 +151,7 @@ func TestMergeActionsFwdBeatsDrop(t *testing.T) {
 	sp := itchSpec(t)
 	prog := compileSrc(t, sp, "stock == GOOGL : fwd(7)\nprice > 10 : drop()\n", Options{})
 	got := prog.Evaluate(itchValues(prog, 1, encodeStock(t, sp, "GOOGL"), 500))
-	if got.Drop || !reflect.DeepEqual(got.Ports, []int{7}) {
+	if got.Drop || !reflect.DeepEqual(got.Ports.AppendTo(nil), []int{7}) {
 		t.Fatalf("fwd+drop packet got %+v, want fwd(7)", got)
 	}
 }

@@ -1,0 +1,70 @@
+package compiler
+
+import (
+	"slices"
+	"testing"
+
+	"camus/internal/lang"
+)
+
+// FuzzPortSetMatchesSortedList holds a PortSet to the sorted, deduplicated
+// []int it stands for, over port multisets clustered round a base within a
+// span from one port to past lang.MaxPort: AppendTo is that list, Len and
+// Contains agree with it, the encoding costs at most 8 B a port plus one
+// word, and the set is one value whatever order its ports came in, sorted
+// first or as a class arena makes it.
+func FuzzPortSetMatchesSortedList(f *testing.F) {
+	f.Add(uint32(0), uint8(0), []byte{})
+	f.Add(uint32(0), uint8(17), []byte{0, 0, 0, 0, 0, 1, 255, 255, 0})
+	f.Add(uint32(lang.MaxPort), uint8(0), []byte{0, 0, 0})
+	f.Add(uint32(lang.MaxPort-5), uint8(4), []byte{0, 0, 0, 5, 0, 0, 7, 0, 0, 5, 0, 0})
+	f.Add(uint32(3), uint8(8), []byte{0, 0, 0, 6, 0, 0, 61, 0, 0, 127, 0, 0, 197, 0, 0})
+	f.Add(uint32(1), uint8(16), []byte{0, 0, 0, 255, 255, 0, 0, 128, 0})
+	f.Fuzz(func(t *testing.T, base uint32, spanLog uint8, data []byte) {
+		const ports = lang.MaxPort + 1
+		span := 1 << (spanLog % 18)
+		var multiset []int
+		for ; len(data) >= 3; data = data[3:] {
+			v := int(data[0]) | int(data[1])<<8 | int(data[2])<<16
+			multiset = append(multiset, (int(base%ports)+v%span)%ports)
+		}
+		want := slices.Clone(multiset)
+		slices.Sort(want)
+		want = slices.Compact(want)
+
+		s := newPortSet(multiset...)
+		if got := s.AppendTo(nil); !slices.Equal(got, want) {
+			t.Fatalf("AppendTo = %v, want %v", got, want)
+		}
+		if s.Len() != len(want) {
+			t.Fatalf("Len = %d, want %d", s.Len(), len(want))
+		}
+		if bytes, bound := 8*len(s.w), 8*len(want)+8; bytes > bound {
+			t.Fatalf("%d ports encoded in %d B, bound %d", len(want), bytes, bound)
+		}
+		probes := []int{-1, 0, lang.MaxPort, lang.MaxPort + 1}
+		for _, p := range want {
+			probes = append(probes, p-1, p, p+1, p+64)
+		}
+		for _, p := range probes {
+			if _, in := slices.BinarySearch(want, p); s.Contains(p) != in {
+				t.Fatalf("Contains(%d) = %v, want %v", p, !in, in)
+			}
+		}
+
+		slices.Reverse(multiset)
+		if r := newPortSet(multiset...); !r.Equal(s) {
+			t.Fatalf("ports reversed are %+v, in order %+v", r, s)
+		}
+		distinct := make([]uint32, len(want))
+		for i, p := range want {
+			distinct[len(want)-1-i] = uint32(p)
+		}
+		if a := portSetOf(distinct); !a.Equal(s) {
+			t.Fatalf("an arena's set %+v, the sorted list's %+v", a, s)
+		}
+		if len(want) > 0 && newPortSet(want[1:]...).Equal(s) {
+			t.Fatalf("%v without its first port equals it", want)
+		}
+	})
+}

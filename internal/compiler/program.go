@@ -131,21 +131,22 @@ func (t *Table) Lookup(state int, value uint64) (Entry, bool) {
 // multiple rules merge into one (possibly multicast) forward. An ActionSet
 // is immutable once the compiler has produced it.
 type ActionSet struct {
-	Ports   []int // sorted, deduplicated output ports
-	Drop    bool  // explicit drop() (also the default when no rule matches)
+	Ports   PortSet // output ports
+	Drop    bool    // explicit drop() (also the default when no rule matches)
 	Updates []lang.Action
-	// Group is the multicast group ID when len(Ports) > 1, else -1.
+	// Group is the multicast group ID when Ports has more than one port,
+	// else -1.
 	Group int
 
-	key string // Key(), encoded once when the compiler merged the set
+	sum sum128 // Sum(), kept from the class the compiler merged the set as
 }
 
 // String renders the action set in the surface syntax, for people.
 func (a ActionSet) String() string {
 	var parts []string
-	if len(a.Ports) > 0 {
-		parts = append(parts, "fwd("+lang.FormatPorts(a.Ports)+")")
-	} else if a.Drop || len(a.Updates) == 0 {
+	if a.Ports.Len() > 0 {
+		parts = append(parts, "fwd("+lang.FormatPorts(a.Ports.AppendTo(nil))+")")
+	} else if a.drops() {
 		parts = append(parts, "drop()") // forwarding nowhere and updating nothing is a drop, said or not
 	}
 	for _, u := range a.Updates {
@@ -156,23 +157,44 @@ func (a ActionSet) String() string {
 
 // doesNothing reports whether the set forwards nowhere and updates nothing:
 // what a leaf miss does, so no row need lead to it.
-func (a ActionSet) doesNothing() bool { return len(a.Ports) == 0 && len(a.Updates) == 0 }
+func (a ActionSet) doesNothing() bool { return a.Ports.Len() == 0 && len(a.Updates) == 0 }
 
-// Key returns the action set's identity: a binary string that two sets
-// share exactly when they do the same thing to a packet (same ports, same
-// updates in order, same choice between dropping and only updating state).
-// It holds across programs — Group, a per-program number, is not part of it
-// — so the control plane can match old actions against new.
-func (a ActionSet) Key() string {
-	if a.key != "" {
-		return a.key
+// drops reports whether the set drops the packet: it forwards nowhere, and
+// said drop() or updates nothing.
+func (a ActionSet) drops() bool { return a.Ports.Len() == 0 && (a.Drop || len(a.Updates) == 0) }
+
+// Sum is the action set's identity: the order-free sum of the content
+// hashes of its ports, its state updates and, when it drops, the drop (see
+// classArena). Two sets share it exactly when they do the same thing to a
+// packet, up to the odds of two random 128-bit values colliding. It holds
+// across programs — Group, a per-program number, is not part of it — so the
+// control plane matches old actions against new by it. A compiled set
+// carries the sum it was merged under; any other is summed here.
+func (a ActionSet) Sum() [2]uint64 {
+	s := a.sum
+	if s == (sum128{}) {
+		for it := a.Ports.Iter(); it.Next(); {
+			s = s.plus(portHash(it.Port()))
+		}
+		var b []byte
+		for i := range a.Updates {
+			b = appendUpdate(b[:0], &a.Updates[i])
+			s = s.plus(updateHash(b))
+		}
+		if a.drops() {
+			s = s.plus(dropHash)
+		}
 	}
-	return string(a.appendKey(nil))
+	return [2]uint64{s.a, s.b}
 }
 
-func (a ActionSet) appendKey(b []byte) []byte {
-	b = appendPorts(b, a.Ports)
-	if len(a.Ports) == 0 && (a.Drop || len(a.Updates) == 0) { // as String has it
+// Key encodes the action set's identity as a binary string that two sets
+// share exactly when they do the same thing to a packet (same ports, same
+// updates in order, same choice between dropping and only updating state).
+// The control plane reads Sum; Key is for tools and tests.
+func (a ActionSet) Key() string {
+	b := appendPorts(nil, a.Ports)
+	if a.drops() { // as String has it
 		b = append(b, 1)
 	} else {
 		b = append(b, 0)
@@ -180,7 +202,7 @@ func (a ActionSet) appendKey(b []byte) []byte {
 	for i := range a.Updates {
 		b = appendUpdate(b, &a.Updates[i])
 	}
-	return b
+	return string(b)
 }
 
 // appendUpdate writes a state update as its argument count, then
@@ -200,11 +222,11 @@ func appendUpdate(b []byte, u *lang.Action) []byte {
 	return b
 }
 
-// appendPorts writes a port list length-prefixed, a varint per port.
-func appendPorts(b []byte, ports []int) []byte {
-	b = binary.AppendUvarint(b, uint64(len(ports)))
-	for _, p := range ports {
-		b = binary.AppendUvarint(b, uint64(p))
+// appendPorts writes a port set length-prefixed, a varint per port.
+func appendPorts(b []byte, ports PortSet) []byte {
+	b = binary.AppendUvarint(b, uint64(ports.Len()))
+	for it := ports.Iter(); it.Next(); {
+		b = binary.AppendUvarint(b, uint64(it.Port()))
 	}
 	return b
 }
@@ -246,7 +268,7 @@ type Program struct {
 	Leaf *Table
 
 	Actions []ActionSet // one per terminal, in the order assignStates meets them
-	Groups  [][]int     // multicast groups: group ID -> port set
+	Groups  []PortSet   // multicast groups: group ID -> ports, shared with the actions
 
 	InitialState int
 	Stats        Stats

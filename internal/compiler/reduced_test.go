@@ -297,7 +297,7 @@ func TestTerminalsAreActions(t *testing.T) {
 // stays where it occupies fewer slots than the ranges it replaces: on a 20k
 // Fig. 5c rule set over 200 hosts the price table keeps its codec.
 func TestNoRowLeadsToTheNoOp(t *testing.T) {
-	doesNothing := func(a compiler.ActionSet) bool { return len(a.Ports) == 0 && len(a.Updates) == 0 }
+	doesNothing := func(a compiler.ActionSet) bool { return a.Ports.Len() == 0 && len(a.Updates) == 0 }
 	ablations := []compiler.Options{{}, {DisableCompression: true}, {DisableExactLowering: true}, {ForceRangeTables: true}}
 	for _, c := range goldenCases(t) {
 		for _, opts := range ablations {

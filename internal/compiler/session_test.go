@@ -55,7 +55,7 @@ func TestSessionRemoveSemantics(t *testing.T) {
 	}
 	googl := encodeStock(t, sp, "GOOGL")
 	aapl := encodeStock(t, sp, "AAPL")
-	if as := prog.Evaluate(itchValues(prog, 1, googl, 10)); !reflect.DeepEqual(as.Ports, []int{1}) {
+	if as := prog.Evaluate(itchValues(prog, 1, googl, 10)); !reflect.DeepEqual(as.Ports.AppendTo(nil), []int{1}) {
 		t.Fatalf("GOOGL before remove: %+v", as)
 	}
 
@@ -69,12 +69,12 @@ func TestSessionRemoveSemantics(t *testing.T) {
 	if as := prog2.Evaluate(itchValues(prog2, 1, googl, 10)); !as.Drop {
 		t.Fatalf("GOOGL after remove still forwarded: %+v", as)
 	}
-	if as := prog2.Evaluate(itchValues(prog2, 1, aapl, 10)); !reflect.DeepEqual(as.Ports, []int{2}) {
+	if as := prog2.Evaluate(itchValues(prog2, 1, aapl, 10)); !reflect.DeepEqual(as.Ports.AppendTo(nil), []int{2}) {
 		t.Fatalf("AAPL after unrelated remove: %+v", as)
 	}
 
 	// The earlier program object must be untouched by the recompile.
-	if as := prog.Evaluate(itchValues(prog, 1, googl, 10)); !reflect.DeepEqual(as.Ports, []int{1}) {
+	if as := prog.Evaluate(itchValues(prog, 1, googl, 10)); !reflect.DeepEqual(as.Ports.AppendTo(nil), []int{1}) {
 		t.Fatalf("old program mutated by recompile: %+v", as)
 	}
 	_ = h2

@@ -91,7 +91,7 @@ func TestParseValueAssignment(t *testing.T) {
 		t.Fatal(err)
 	}
 	as := p.Evaluate(vals)
-	if len(as.Ports) != 1 {
+	if as.Ports.Len() != 1 {
 		t.Fatalf("assignment should match: %+v (vals=%v)", as, vals)
 	}
 	// Empty assignment: all zeros.

@@ -57,7 +57,7 @@ func TestWireExtractorOffsets(t *testing.T) {
 		t.Fatal(err)
 	}
 	as := prog.Evaluate(vals)
-	if !reflect.DeepEqual(as.Ports, []int{1}) {
+	if !reflect.DeepEqual(as.Ports.AppendTo(nil), []int{1}) {
 		t.Fatalf("matching packet not forwarded: %+v (vals=%v)", as, vals)
 	}
 
@@ -67,7 +67,7 @@ func TestWireExtractorOffsets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if as := prog.Evaluate(vals); len(as.Ports) != 0 {
+	if as := prog.Evaluate(vals); as.Ports.Len() != 0 {
 		t.Fatalf("non-matching packet forwarded: %+v", as)
 	}
 

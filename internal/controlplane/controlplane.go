@@ -401,9 +401,11 @@ type stateSig struct {
 	state int
 }
 
-// actionSig hashes an action set's identity (its Key).
+// actionSig is an action set's identity: its class sum, the same in every
+// program.
 func actionSig(a compiler.ActionSet) sig {
-	return sig{a: 14695981039346656037, b: 0x2545F4914F6CDD1D}.mixString(a.Key())
+	s := a.Sum()
+	return sig{s[0], s[1]}
 }
 
 // stateSignatures computes a behavioral hash per pipeline state by
@@ -494,7 +496,7 @@ func countInstall(oldProg, newProg *compiler.Program) Delta {
 	d.tally("leaf", leaf)
 	d.Groups = TableDelta{Added: len(newProg.Groups), Removed: len(oldProg.Groups)}
 	for _, g := range oldProg.Groups {
-		if slices.ContainsFunc(newProg.Groups, func(h []int) bool { return slices.Equal(g, h) }) {
+		if slices.ContainsFunc(newProg.Groups, g.Equal) {
 			d.Groups = TableDelta{Added: d.Groups.Added - 1, Removed: d.Groups.Removed - 1, Reused: d.Groups.Reused + 1}
 		}
 	}
@@ -555,10 +557,10 @@ func groupKeys(p *compiler.Program) []sig {
 	keys := make([]sig, len(p.Groups))
 	for g, ports := range p.Groups {
 		s := sig{a: 1469598103934665603, b: 0x9e3779b97f4a7c15}
-		for _, pt := range ports {
-			s = s.mixWord(uint64(pt))
+		for it := ports.Iter(); it.Next(); {
+			s = s.mixWord(uint64(it.Port()))
 		}
-		keys[g] = s.mixWord(uint64(len(ports)))
+		keys[g] = s.mixWord(uint64(ports.Len()))
 	}
 	return keys
 }

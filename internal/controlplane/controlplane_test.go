@@ -126,7 +126,7 @@ func TestInstallPreservesSemantics(t *testing.T) {
 		}
 		for sym, port := range map[string]int{"GOOGL": 1, "AAPL": 2} {
 			res := r.sw.Process(values(newProg, 0, encodeSym(t, r.sp, sym), 0), 0)
-			if res.Dropped || !reflect.DeepEqual(res.Ports, []int{port}) {
+			if res.Dropped || !reflect.DeepEqual(res.Ports.AppendTo(nil), []int{port}) {
 				t.Fatalf("%s after update: %+v", sym, res)
 			}
 		}

@@ -124,7 +124,7 @@ func TestProcessConcurrentWithInstall(t *testing.T) {
 						}
 					}
 					res := sw.Process(values, now)
-					if !res.Dropped && len(res.Ports) == 0 {
+					if !res.Dropped && res.Ports.Len() == 0 {
 						t.Error("forwarded packet with no ports")
 						return
 					}

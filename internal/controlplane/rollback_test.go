@@ -102,7 +102,7 @@ func TestInstallRollbackUnderRace(t *testing.T) {
 						t.Error("GOOGL packet dropped mid-update")
 						return
 					}
-					for _, p := range res.Ports {
+					for _, p := range res.Ports.AppendTo(nil) {
 						if p != 1 && p != 3 {
 							t.Errorf("packet saw torn program: ports %v", res.Ports)
 							return

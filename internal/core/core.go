@@ -135,7 +135,7 @@ func (ps *PubSub) Switch() *pipeline.Switch { return ps.sw }
 // Delivery is one message's forwarding outcome.
 type Delivery struct {
 	Order itch.AddOrder
-	Ports []int
+	Ports compiler.PortSet
 	Group int // multicast group, or -1
 }
 

@@ -58,7 +58,7 @@ func TestProcessDatagramDeliveries(t *testing.T) {
 	if len(ds) != 1 {
 		t.Fatalf("deliveries = %d, want 1", len(ds))
 	}
-	if !reflect.DeepEqual(ds[0].Ports, []int{1, 2}) || ds[0].Group < 0 {
+	if !reflect.DeepEqual(ds[0].Ports.AppendTo(nil), []int{1, 2}) || ds[0].Group < 0 {
 		t.Fatalf("delivery = %+v", ds[0])
 	}
 	if ds[0].Order.StockSymbol() != "GOOGL" {

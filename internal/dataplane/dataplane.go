@@ -770,11 +770,11 @@ type wireEntry struct {
 }
 
 // groupMsgs buckets one action's matched messages for a single datagram.
-// ports aliases the batch's program's ActionSet member list (immutable) —
-// one port long for a single-port action.
+// ports is the batch's program's ActionSet member set (immutable) — one
+// port for a single-port action.
 type groupMsgs struct {
 	msgs  [][]byte
-	ports []int
+	ports compiler.PortSet
 }
 
 // newProcState builds a lane's scratch with egress bound to conn — in the
@@ -790,7 +790,7 @@ func (sw *Switch) newProcState(lane int, conn Conn) *procState {
 // and noting the bucket on its first message of the datagram.
 //
 //camus:hotpath
-func (st *procState) collect(i int, ports []int, msg []byte) {
+func (st *procState) collect(i int, ports compiler.PortSet, msg []byte) {
 	for i >= len(st.buckets) {
 		st.buckets = append(st.buckets, groupMsgs{})
 	}
@@ -860,13 +860,9 @@ func (sw *Switch) processDatagram(st *procState, datagram []byte) {
 			st.collect(2*r.Group, r.Ports, st.msgs[i])
 			continue
 		}
-		for j, port := range r.Ports {
-			if port < 0 {
-				sw.stats.UnboundPort.Add(1)
-				continue
-			}
-			st.collect(2*port+1, r.Ports[j:j+1], st.msgs[i])
-		}
+		it := r.Ports.Iter() // a result without a group forwards to one port
+		it.Next()
+		st.collect(2*it.Port()+1, r.Ports, st.msgs[i])
 	}
 
 	// Frame the touched buckets in first-touch order under the port-binding
@@ -915,11 +911,12 @@ func (sw *Switch) frameGroup(st *procState, gb *groupMsgs) {
 	// positive throughout, so the refund can never recycle the buffer.
 	ringRefs := sw.retxCap > 0
 	if ringRefs {
-		sb.refGroup(len(gb.ports) * len(st.offs))
+		sb.refGroup(gb.ports.Len() * len(st.offs))
 	}
 	ev := evictAcc{pool: sw.bodies}
 	members := 0
-	for _, port := range gb.ports {
+	for it := gb.ports.Iter(); it.Next(); {
+		port := it.Port()
 		ps := sw.portFor(port)
 		if ps == nil {
 			// Port not bound: black-hole, like an unwired ASIC port —
@@ -941,10 +938,10 @@ func (sw *Switch) frameGroup(st *procState, gb *groupMsgs) {
 		members++
 	}
 	ev.flush()
-	if ringRefs && members < len(gb.ports) {
-		sb.unrefN(int32((len(gb.ports) - members) * len(st.offs)))
+	if ringRefs && members < gb.ports.Len() {
+		sb.unrefN(int32((gb.ports.Len() - members) * len(st.offs)))
 	}
-	if len(gb.ports) > 1 { // the encode-once series count multicast groups only
+	if gb.ports.Len() > 1 { // the encode-once series count multicast groups only
 		sw.stats.GroupEncodes.Add(1)
 		sw.stats.GroupSends.Add(uint64(members))
 		if members > 1 {
@@ -952,7 +949,7 @@ func (sw *Switch) frameGroup(st *procState, gb *groupMsgs) {
 		}
 	}
 	gb.msgs = gb.msgs[:0]
-	gb.ports = nil
+	gb.ports = compiler.PortSet{}
 }
 
 // sendEgress ships the lane's framed datagrams through the lane's writer,

@@ -92,7 +92,7 @@ func TestCoverContainsAndCompresses(t *testing.T) {
 				}
 				vals[stockIdx] = sym
 			}
-			if len(full.Evaluate(vals).Ports) > 0 && len(coverProg.Evaluate(vals).Ports) == 0 {
+			if full.Evaluate(vals).Ports.Len() > 0 && coverProg.Evaluate(vals).Ports.Len() == 0 {
 				t.Fatalf("leaf %d: packet %v matches leaf but not cover", j, vals)
 			}
 		}
@@ -223,7 +223,7 @@ func TestVerifyCoverIgnoresDroppedRegions(t *testing.T) {
 		}
 		escapes := func(vals []uint64) bool {
 			as := full.Evaluate(vals)
-			return (len(as.Ports) > 0 || len(as.Updates) > 0) && len(coverProg.Evaluate(vals).Ports) == 0
+			return (as.Ports.Len() > 0 || len(as.Updates) > 0) && coverProg.Evaluate(vals).Ports.Len() == 0
 		}
 		brute := true
 		stockIdx, _ := full.FieldIndex("stock")

@@ -191,12 +191,12 @@ header itch_add_order_t add_order;
 	m.Price = PriceToFixed(75) // 750000 fixed
 	vals := ex.Values(&m, nil)
 	as := prog.Evaluate(vals)
-	if len(as.Ports) != 1 || as.Ports[0] != 1 {
+	if as.Ports.Len() != 1 || !as.Ports.Contains(1) {
 		t.Fatalf("GOOGL@75 should forward: %+v (vals=%v)", as, vals)
 	}
 	m.Price = PriceToFixed(25)
 	vals = ex.Values(&m, vals)
-	if as := prog.Evaluate(vals); len(as.Ports) != 0 {
+	if as := prog.Evaluate(vals); as.Ports.Len() != 0 {
 		t.Fatalf("GOOGL@25 should not forward: %+v", as)
 	}
 	// Buffer reuse: same backing array.

@@ -133,12 +133,13 @@ func (n *Switch) Receive(p Packet) {
 		type groupUse struct{ msgs, members int }
 		groups := make(map[int]groupUse)
 		for i, r := range n.evaluate(p.Orders) {
-			if r.Dropped || len(r.Ports) == 0 {
+			if r.Dropped || r.Ports.Len() == 0 {
 				n.Stats.Filtered++
 				continue
 			}
 			wired := 0
-			for _, port := range r.Ports {
+			for it := r.Ports.Iter(); it.Next(); {
+				port := it.Port()
 				if n.out[port] == nil {
 					n.UnwiredPorts[port]++
 					continue

@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"camus/internal/compiler"
+	"camus/internal/lang"
 	"camus/internal/spec"
 )
 
@@ -198,11 +199,7 @@ func tableSize(n int) int {
 func GenerateEntries(prog *compiler.Program) string {
 	var b strings.Builder
 	for gi, ports := range prog.Groups {
-		strs := make([]string, len(ports))
-		for i, p := range ports {
-			strs[i] = fmt.Sprintf("%d", p)
-		}
-		fmt.Fprintf(&b, "mcgroup %d ports=%s\n", gi, strings.Join(strs, ","))
+		fmt.Fprintf(&b, "mcgroup %d ports=%s\n", gi, lang.FormatPorts(ports.AppendTo(nil)))
 	}
 	for i, t := range prog.Tables {
 		name := "camus_" + sanitize(prog.Fields[i].Name)
@@ -250,7 +247,7 @@ func rowAction(prog *compiler.Program, next int) string {
 	switch act := prog.Actions[a]; {
 	case len(act.Updates) > 0:
 		return fmt.Sprintf("class(%d)", a+1)
-	case len(act.Ports) == 0:
+	case act.Ports.Len() == 0:
 		return "keep_state"
 	default:
 		return forward(act)
@@ -263,8 +260,8 @@ func forward(act compiler.ActionSet) string {
 	switch {
 	case act.Group >= 0:
 		return fmt.Sprintf("mcast(%d)", act.Group)
-	case len(act.Ports) == 1:
-		return fmt.Sprintf("fwd(%d)", act.Ports[0])
+	case act.Ports.Len() == 1:
+		return fmt.Sprintf("fwd(%d)", act.Ports.AppendTo(nil)[0])
 	default:
 		return "drop"
 	}

@@ -88,16 +88,16 @@ func TestKeyedCounterEndToEnd(t *testing.T) {
 		for i := 0; i < n; i++ {
 			vals := ddosValues(prog, src, 9, 64)
 			res := sw.Process(vals, base+time.Duration(i)*time.Microsecond)
-			if res.Dropped || len(res.Ports) != 1 {
+			if res.Dropped || res.Ports.Len() != 1 {
 				t.Fatalf("packet %d of src %d: unexpected result %+v", i, src, res)
 			}
-			switch res.Ports[0] {
+			switch res.Ports.AppendTo(nil)[0] {
 			case 1:
 				port1++
 			case 2:
 				port2++
 			default:
-				t.Fatalf("unexpected port %d", res.Ports[0])
+				t.Fatalf("unexpected ports %v", res.Ports)
 			}
 		}
 		return
@@ -501,18 +501,16 @@ func oracleScenarios(t *testing.T) {
 		}
 		in := sw.inst.Load()
 		oracle := newOracle()
-		want := make([][]int, packets)
+		want := make([]compiler.PortSet, packets)
 		alerts, forwards := 0, 0
 		row := make([]uint64, len(prog.Fields))
 		for i := range vals {
 			copy(row, vals[i])
 			want[i] = modelProcess(in, oracle, row, at[i])
-			for _, p := range want[i] {
-				if p == sc.AlertPort {
-					alerts++
-				} else if p == sc.ForwardPort {
-					forwards++
-				}
+			if want[i].Contains(sc.AlertPort) {
+				alerts++
+			} else if want[i].Contains(sc.ForwardPort) {
+				forwards++
 			}
 		}
 		if alerts == 0 || forwards == 0 {
@@ -525,7 +523,7 @@ func oracleScenarios(t *testing.T) {
 				t.Fatal(err)
 			}
 			sw.State().EnsureLanes(lanes)
-			got := make([][]int, packets)
+			got := make([]compiler.PortSet, packets)
 			var wg sync.WaitGroup
 			for l := 0; l < lanes; l++ {
 				wg.Add(1)
@@ -558,7 +556,7 @@ func oracleScenarios(t *testing.T) {
 
 // modelProcess is processOne over the oracle: state reads, the reference
 // table walk, then the matched action's updates.
-func modelProcess(in *Generation, o *oracleState, vals []uint64, now time.Duration) []int {
+func modelProcess(in *Generation, o *oracleState, vals []uint64, now time.Duration) compiler.PortSet {
 	key := func(idx int32) uint64 {
 		if idx < 0 {
 			return 0
@@ -580,7 +578,7 @@ func modelProcess(in *Generation, o *oracleState, vals []uint64, now time.Durati
 		}
 	}
 	if !ok {
-		return nil
+		return compiler.PortSet{}
 	}
 	for _, u := range in.upds[act] {
 		o.update(int(u.slot), key(u.keyIdx), u.zeroArg, key(u.argIdx), u.window, now)

@@ -207,7 +207,7 @@ func TestProcessMatchesEvaluate(t *testing.T) {
 			for i := 0; i < batch; i++ {
 				want := prog.Evaluate(append([]uint64(nil), values[i]...))
 				single := sw.Process(values[i], 0)
-				if out[i].Dropped != (len(want.Ports) == 0) || single.Dropped != out[i].Dropped {
+				if out[i].Dropped != (want.Ports.Len() == 0) || single.Dropped != out[i].Dropped {
 					t.Fatalf("trial %d: drop mismatch: batch=%+v single=%+v want=%+v", trial, out[i], single, want)
 				}
 				if !out[i].Dropped && (!reflect.DeepEqual(out[i].Ports, want.Ports) || !reflect.DeepEqual(single.Ports, want.Ports)) {

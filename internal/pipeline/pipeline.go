@@ -62,9 +62,9 @@ func (c Config) BandwidthTbps() float64 {
 
 // Result is the forwarding decision for one packet.
 type Result struct {
-	Ports   []int // output ports (shared slice; do not modify)
+	Ports   compiler.PortSet // output ports, the program's own set
 	Dropped bool
-	Group   int // multicast group used, or -1
+	Group   int // multicast group used, or -1 (a result without one forwards to one port)
 }
 
 // Switch is an ASIC with a compiled Camus program installed.
@@ -122,7 +122,6 @@ type Generation struct {
 	// dflt is the leaf's default, the action set of a packet no row
 	// decided, or -1 to drop it.
 	dflt    int
-	groups  [][]int
 	pat     []atomic.Uint64 // fused packet/miss-pattern counters (see patGen)
 	dropBit uint64          // pattern bit recording "packet dropped"
 	ctrs    []tableCounters // fallback per-table miss counters (wide programs)
@@ -238,7 +237,6 @@ func (sw *Switch) newInstalled(prog *compiler.Program) *Generation {
 		prog:   prog,
 		tables: make([]lookupTable, 0, len(prog.Tables)),
 		dflt:   -1,
-		groups: prog.Groups,
 	}
 	if a, ok := prog.LeafDefault(); ok {
 		in.dflt = a
@@ -563,7 +561,7 @@ func (sw *Switch) processOne(in *Generation, lane int, values []uint64, now time
 			}
 			sw.state.Update(lane, int(u.slot), key, u.zeroArg, arg, u.window, now)
 		}
-		if as := &in.prog.Actions[act]; len(as.Ports) > 0 {
+		if as := &in.prog.Actions[act]; as.Ports.Len() > 0 {
 			res = Result{Ports: as.Ports, Group: as.Group}
 		}
 	}
@@ -642,11 +640,11 @@ func (sw *Switch) Reinstall(prog *compiler.Program) error {
 	return nil
 }
 
-// GroupPorts returns the port list of a multicast group.
-func (sw *Switch) GroupPorts(g int) ([]int, error) {
-	in := sw.inst.Load()
-	if g < 0 || g >= len(in.groups) {
-		return nil, fmt.Errorf("multicast group %d not installed", g)
+// GroupPorts returns the ports of a multicast group.
+func (sw *Switch) GroupPorts(g int) (compiler.PortSet, error) {
+	groups := sw.inst.Load().prog.Groups
+	if g < 0 || g >= len(groups) {
+		return compiler.PortSet{}, fmt.Errorf("multicast group %d not installed", g)
 	}
-	return in.groups[g], nil
+	return groups[g], nil
 }

@@ -88,7 +88,7 @@ func TestSwitchMatchesProgramEvaluate(t *testing.T) {
 		vals := packetValues(prog, shares, stock, price)
 		want := prog.Evaluate(append([]uint64(nil), vals...))
 		got := sw.Process(vals, 0)
-		if got.Dropped != (len(want.Ports) == 0) {
+		if got.Dropped != (want.Ports.Len() == 0) {
 			t.Fatalf("drop mismatch: %+v vs %+v", got, want)
 		}
 		if !got.Dropped && !reflect.DeepEqual(got.Ports, want.Ports) {
@@ -100,14 +100,14 @@ func TestSwitchMatchesProgramEvaluate(t *testing.T) {
 func TestMulticastResult(t *testing.T) {
 	sw, prog, sp := buildSwitch(t, "stock == GOOGL : fwd(1,2,3)")
 	res := sw.Process(packetValues(prog, 0, stockVal(t, sp, "GOOGL"), 0), 0)
-	if res.Dropped || !reflect.DeepEqual(res.Ports, []int{1, 2, 3}) {
+	if res.Dropped || !reflect.DeepEqual(res.Ports.AppendTo(nil), []int{1, 2, 3}) {
 		t.Fatalf("multicast result wrong: %+v", res)
 	}
 	if res.Group < 0 {
 		t.Fatal("expected a multicast group")
 	}
 	ports, err := sw.GroupPorts(res.Group)
-	if err != nil || !reflect.DeepEqual(ports, []int{1, 2, 3}) {
+	if err != nil || !ports.Equal(res.Ports) {
 		t.Fatalf("GroupPorts: %v %v", ports, err)
 	}
 	if _, err := sw.GroupPorts(99); err == nil {
@@ -129,7 +129,7 @@ func TestStatefulAggregateWindow(t *testing.T) {
 	// Second packet: avg is now 100 > 50 -> forwarded.
 	now += time.Microsecond
 	res = sw.Process(packetValues(prog, 0, googl, 100), now)
-	if res.Dropped || !reflect.DeepEqual(res.Ports, []int{1}) {
+	if res.Dropped || !reflect.DeepEqual(res.Ports.AppendTo(nil), []int{1}) {
 		t.Fatalf("second packet should forward: %+v", res)
 	}
 	// Non-matching stock must not update state.
