@@ -3,8 +3,7 @@
 // compiler's front end with the analyzer watching every rule, then compiles
 // the rules it kept to price them against a device budget (CAM006;
 // -no-resources stops after the front end). It is the command-line face of
-// internal/analyze — the same pass camusc -check runs and the control plane
-// uses as its admission gate.
+// internal/analyze — the same pass the control plane's admission gate runs.
 //
 // Usage:
 //

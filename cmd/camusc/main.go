@@ -8,12 +8,8 @@
 //	camusc -spec itch.spec -rules subs.txt -out build/
 //	camusc -spec itch.spec -rules subs.txt -stats
 //	camusc -spec itch.spec -rules subs.txt -dot > bdd.dot
-//	camusc -spec itch.spec -rules subs.txt -check
 //
-// -check runs the camus-vet static analyzer instead of compiling: every
-// diagnostic is printed as `file:line:col: severity CAMxxx: msg` (or as
-// JSON/SARIF with -json/-sarif) and the exit status is 1 when the rule
-// set has error-severity findings (with -strict, warnings too).
+// camus-vet is the static analyzer for the same files.
 package main
 
 import (
@@ -22,7 +18,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"camus/internal/analyze"
 	"camus/internal/compiler"
 	"camus/internal/lang"
 	"camus/internal/p4gen"
@@ -44,14 +39,6 @@ func main() {
 		order     = flag.String("field-order", "", "comma-separated BDD field order override")
 		autoOrder = flag.Bool("auto-order", false, "choose the BDD field order heuristically from the rules")
 		explain   = flag.String("explain", "", "trace a packet through the tables, e.g. \"stock=GOOGL,price=55\"")
-
-		check    = flag.Bool("check", false, "statically analyze the rule set instead of compiling (camus-vet)")
-		jsonOut  = flag.Bool("json", false, "with -check: emit diagnostics as JSON")
-		sarifOut = flag.Bool("sarif", false, "with -check: emit diagnostics as SARIF 2.1.0")
-		strict   = flag.Bool("strict", false, "with -check: exit 1 on warnings too")
-		stages   = flag.Int("check-stages", 0, "with -check: stage budget override (default: device default)")
-		sram     = flag.Int("check-sram", 0, "with -check: SRAM-entries-per-stage budget override")
-		tcam     = flag.Int("check-tcam", 0, "with -check: TCAM-entries-per-stage budget override")
 	)
 	flag.Parse()
 	if *specPath == "" || *rulesPath == "" {
@@ -69,36 +56,6 @@ func main() {
 
 	rulesSrc, err := os.ReadFile(*rulesPath)
 	fatal(err)
-
-	if *check {
-		budget := pipeline.DefaultConfig()
-		if *stages > 0 {
-			budget.Stages = *stages
-		}
-		if *sram > 0 {
-			budget.SRAMPerStage = *sram
-		}
-		if *tcam > 0 {
-			budget.TCAMPerStage = *tcam
-		}
-		rep := analyze.Source(sp, string(rulesSrc), analyze.Options{Budget: &budget})
-		switch {
-		case *sarifOut:
-			out, err := rep.SARIF(*rulesPath)
-			fatal(err)
-			fmt.Println(string(out))
-		case *jsonOut:
-			out, err := rep.JSON()
-			fatal(err)
-			fmt.Println(string(out))
-		default:
-			fmt.Print(rep.Text(*rulesPath))
-		}
-		if rep.HasErrors() || (*strict && rep.Warnings() > 0) {
-			os.Exit(1)
-		}
-		return
-	}
 
 	rules, err := lang.ParseRules(string(rulesSrc))
 	fatal(err)

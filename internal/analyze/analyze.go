@@ -14,19 +14,17 @@
 //     variables); and per-rule satisfiability (CAM001), decided on the
 //     interval sets the resolver interned;
 //   - pairwise checks (CAM002 shadowing/subsumption, CAM003 duplicates,
-//     CAM005 conflicting actions on overlapping conditions), using an
-//     interval bounding-projection pre-filter plus a point-value bucketing
-//     pass so the quadratic work is near-linear on realistic rule sets,
-//     with the multi-terminal BDD of package bdd (shared Builder arena) as
-//     the exact containment oracle when interval reasoning alone is not
-//     decisive;
+//     CAM005 conflicting actions on overlapping conditions), bucketed by
+//     the value rules pin on one field so the quadratic work is near-linear
+//     on realistic rule sets, and decided on the rules' own conjunctions;
+//     containment in a union those cannot settle is bdd.Implies;
 //   - whole-set resources (CAM006): the compiler's back end over the rules
 //     kept, and pipeline.Plan of that program against a device budget.
 //
-// camusc -check and camus-vet print the diagnostics; the control plane
-// runs the same pass as an admission gate (see Gate) so an error-severity
-// rule set is rejected before any device write, and installs the program
-// the gate priced.
+// camus-vet prints the diagnostics. Gate.Admit is the control plane's way
+// in: it rejects a rule set the policy disallows before any device write,
+// and returns the program it priced for controlplane.Controller.Update to
+// install.
 package analyze
 
 import (

@@ -8,7 +8,6 @@ import (
 
 	"camus/internal/bdd"
 	"camus/internal/compiler"
-	"camus/internal/interval"
 	"camus/internal/lang"
 	"camus/internal/pipeline"
 	"camus/internal/spec"
@@ -21,9 +20,7 @@ type analysis struct {
 	sp   *spec.Spec
 	opts Options
 
-	fields  []bdd.Field      // the pass's field table
-	sets    *bdd.PayloadSets // what builder's terminals stand for
-	builder *bdd.Builder     // shared arena for every BDD containment test
+	fields []bdd.Field // the pass's field table
 
 	seen  int         // rules shown by the front end
 	infos []*ruleInfo // the rules kept
@@ -44,12 +41,6 @@ type ruleInfo struct {
 	condKey string // canonical condition key (CAM003)
 	actKey  string // canonical action-list key (CAM003)
 
-	// proj is the exact per-field projection of the condition: the union
-	// of each satisfiable conjunction's set, with fields missing from a
-	// conjunction treated as the full domain. Missing keys mean "full
-	// domain" at the rule level too.
-	proj map[int]interval.Set
-
 	// Effect summary for subsumption/conflict checks.
 	ports   []int           // sorted union of fwd ports
 	drops   bool            // has an explicit drop action
@@ -57,8 +48,7 @@ type ruleInfo struct {
 }
 
 func newAnalysis(sp *spec.Spec, opts Options) *analysis {
-	sets := bdd.NewPayloadSets()
-	return &analysis{sp: sp, opts: opts, sets: sets, builder: bdd.NewClassBuilder(sets)}
+	return &analysis{sp: sp, opts: opts}
 }
 
 func (a *analysis) report(d Diagnostic) { a.diags = append(a.diags, d) }
@@ -77,7 +67,7 @@ func rulePos(rule, p lang.Pos) (line, col int) {
 // an error, recording its resolved form for the pairwise checks.
 func (a *analysis) checkRule(res *compiler.Resolved) bool {
 	r := res.Rule
-	info := &ruleInfo{index: a.seen, pos: r.Pos, proj: make(map[int]interval.Set), updates: make(map[string]bool)}
+	info := &ruleInfo{index: a.seen, pos: r.Pos, updates: make(map[string]bool)}
 	a.seen++
 
 	// CAM004s are deduplicated per position+msg — DNF expansion can
@@ -179,27 +169,6 @@ func (a *analysis) checkRule(res *compiler.Resolved) bool {
 			Msg: "condition is unsatisfiable: no packet can match this rule"})
 	}
 
-	// Exact per-field projection across satisfiable conjunctions: a field
-	// constrained by every conjunction projects to the union of its sets;
-	// a field missing anywhere is unconstrained at the rule level.
-	if len(info.conjs) > 0 {
-		counts := make(map[int]int)
-		for _, cons := range info.conjs {
-			for _, c := range cons {
-				counts[c.Field]++
-				if prev, ok := info.proj[c.Field]; ok {
-					info.proj[c.Field] = prev.Union(c.Set)
-				} else {
-					info.proj[c.Field] = c.Set
-				}
-			}
-		}
-		for f, n := range counts {
-			if n < len(info.conjs) {
-				delete(info.proj, f) // some conjunction leaves it free
-			}
-		}
-	}
 	a.infos = append(a.infos, info)
 	return true
 }

@@ -12,9 +12,10 @@ import (
 	"camus/internal/spec"
 )
 
-// The quick-check oracle: condImplies and condOverlaps (interval
-// pre-filter + BDD containment) must agree with brute-force evaluation
-// of the rule conditions over the full (tiny) domain.
+// The containment oracle: condImplies and condOverlaps (merge walks over
+// the rules' conjunctions, bdd.Implies for a union they cannot settle) must
+// agree with brute-force evaluation of the rule conditions over the full
+// (tiny) domain.
 
 const qcBits = 4 // two 4-bit fields -> 256 assignments, cheap to enumerate
 
@@ -95,69 +96,84 @@ func qcRandomCond(rng *rand.Rand) string {
 	return strings.Join(conjs, " || ")
 }
 
-func TestQuickCheckImpliesAndOverlapsMatchBruteForce(t *testing.T) {
+// qcPlain reports whether a condition compares only fields a and b with
+// numeric constants: what qcEval can evaluate.
+func qcPlain(e lang.Expr) bool {
+	switch v := e.(type) {
+	case lang.And:
+		return qcPlain(v.L) && qcPlain(v.R)
+	case lang.Or:
+		return qcPlain(v.L) && qcPlain(v.R)
+	case lang.Not:
+		return qcPlain(v.X)
+	case lang.True:
+		return true
+	case lang.Cmp:
+		return (v.LHS == lang.Operand{Field: "a"} || v.LHS == lang.Operand{Field: "b"}) && v.RHS.Kind == lang.ValNumber
+	default:
+		return false
+	}
+}
+
+// FuzzContainmentMatchesBruteForce: for two conditions over two 4-bit
+// fields, rule j implies rule i, and the two overlap, exactly when brute
+// force over all 256 packets says so. The corpus is the random generator's
+// pairs plus one seed per way condImplies decides.
+func FuzzContainmentMatchesBruteForce(f *testing.F) {
 	sp := &spec.Spec{}
 	sp.AddQueryField("a", qcBits, spec.MatchRange)
 	sp.AddQueryField("b", qcBits, spec.MatchRange)
 
-	rng := rand.New(rand.NewSource(42)) // deterministic corpus
-	pairs, bddUsed := 0, 0
-	for pairs < 400 {
-		src := fmt.Sprintf("%s : fwd(1)\n%s : fwd(1)\n", qcRandomCond(rng), qcRandomCond(rng))
-		rules, err := lang.ParseRules(src)
-		if err != nil {
-			t.Fatalf("generated source does not parse: %v\n%s", err, src)
+	// A conjunction of j that meets none of i's: not implied.
+	f.Add("a < 4 && b < 4 || a > 12 && b > 12", "a < 8 || b < 8")
+	// Every conjunction of j within one of i's: implied.
+	f.Add("a < 4 || b < 2", "a < 8 || b < 8")
+	// Neither settles it, so bdd.Implies does: not implied, then implied.
+	f.Add("a < 12 && b < 12", "a < 8 || b < 8")
+	f.Add("b < 4", "a < 8 || a > 7 && b < 8")
+	rng := rand.New(rand.NewSource(42))
+	for range 200 {
+		f.Add(qcRandomCond(rng), qcRandomCond(rng))
+	}
+	f.Fuzz(func(t *testing.T, jc, ic string) {
+		if len(jc) > 120 || len(ic) > 120 || strings.ContainsAny(jc+ic, ":;\n") {
+			return // one bounded condition each, not more rules
+		}
+		rules, err := lang.ParseRules(jc + " : fwd(1)\n" + ic + " : fwd(1)\n")
+		if err != nil || len(rules) != 2 || !qcPlain(rules[0].Cond) || !qcPlain(rules[1].Cond) {
+			return
 		}
 		a := newAnalysis(sp, Options{})
 		pass, err := compiler.Observe(context.Background(), sp, compiler.Source{Rules: rules}, compiler.Options{}, a.checkRule)
-		if err != nil {
-			t.Fatal(err)
+		if err != nil || len(a.infos) != 2 {
+			return
 		}
 		a.fields = compiler.BDDFields(pass.Fields())
 		j, i := a.infos[0], a.infos[1]
 		if j.unsat || i.unsat {
-			continue // pairwise checks only run on satisfiable rules
+			return // pairwise checks only run on satisfiable rules
 		}
-		pairs++
-		if len(i.conjs) > 1 {
-			bddUsed++ // multi-conjunction outer rule: the BDD oracle decides
-		}
-
-		gotImplies := a.condImplies(j, i)
-		gotOverlaps := a.condOverlaps(j, i)
 		wantImplies, wantOverlaps := qcForAll(rules[0].Cond, rules[1].Cond)
-		if gotImplies != wantImplies {
-			t.Errorf("condImplies = %v, brute force = %v for:\n  j: %s\n  i: %s",
-				gotImplies, wantImplies, rules[0].Cond, rules[1].Cond)
+		if got := a.condImplies(j, i); got != wantImplies {
+			t.Errorf("condImplies = %v, brute force = %v for:\n  j: %s\n  i: %s", got, wantImplies, jc, ic)
 		}
-		if gotOverlaps != wantOverlaps {
-			t.Errorf("condOverlaps = %v, brute force = %v for:\n  j: %s\n  i: %s",
-				gotOverlaps, wantOverlaps, rules[1].Cond, rules[0].Cond)
+		if got := a.condOverlaps(j, i); got != wantOverlaps {
+			t.Errorf("condOverlaps = %v, brute force = %v for:\n  j: %s\n  i: %s", got, wantOverlaps, jc, ic)
 		}
-		if t.Failed() && pairs > 20 {
-			break // enough counterexamples to debug with
-		}
-	}
-	if bddUsed == 0 {
-		t.Error("corpus never exercised the BDD containment path (all outer rules single-conjunction)")
-	}
-	t.Logf("checked %d pairs, %d through the BDD oracle", pairs, bddUsed)
+	})
 }
 
-// TestShadowEndToEnd pins the full CAM002 path on a case where the
-// interval projection pre-filter alone cannot decide containment: the
-// outer rule is a union whose projection box is strictly larger than
-// the union itself.
+// TestShadowEndToEnd pins the full CAM002 path against a union outer rule:
+// a rule in one arm is shadowed, one that adds a port is not, and one that
+// meets both arms without lying in the union is rejected by bdd.Implies.
+// A class of identical rules is CAM003 alone.
 func TestShadowEndToEnd(t *testing.T) {
 	sp := &spec.Spec{}
 	sp.AddQueryField("a", qcBits, spec.MatchRange)
 	sp.AddQueryField("b", qcBits, spec.MatchRange)
 
-	// Rule 0 covers the L-shape (a<8) ∪ (b<8). Its per-field projection
-	// is the full plane (each field is unconstrained in one arm), so the
-	// interval pre-filter accepts any candidate and only the BDD can
-	// decide real containment. Rule 1's corner a<4 && b<4 is inside the
-	// L with identical actions => CAM002.
+	// Rule 0 covers the L-shape (a<8) ∪ (b<8). Rule 1's corner
+	// a<4 && b<4 lies in one arm with identical actions => CAM002.
 	src := "a < 8 || b < 8 : fwd(1)\na < 4 && b < 4 : fwd(1)\n"
 	rep := Source(sp, src, Options{SkipResources: true})
 	shadows := rep.ByCode(CodeShadowed)
@@ -174,11 +190,20 @@ func TestShadowEndToEnd(t *testing.T) {
 	}
 
 	// A square poking out of the L (e.g. a=10, b=10 satisfies neither
-	// arm): the BDD must reject containment even though the pre-filter
-	// passes.
+	// arm) meets both arms and lies in neither: bdd.Implies must reject
+	// containment.
 	src = "a < 8 || b < 8 : fwd(1)\na < 12 && b < 12 : fwd(1)\n"
 	rep = Source(sp, src, Options{SkipResources: true})
 	if n := len(rep.ByCode(CodeShadowed)); n != 0 {
 		t.Fatalf("non-contained rule reported shadowed:\n%s", rep.Text(""))
+	}
+
+	// Three identical rules: each extra copy is one duplicate of the first
+	// and shadowed by no copy.
+	src = "a == 3 : fwd(1)\na == 3 : fwd(1)\na == 3 : fwd(1)\n"
+	rep = Source(sp, src, Options{SkipResources: true})
+	dups := rep.ByCode(CodeDuplicate)
+	if len(dups) != 2 || dups[0].Rule != 1 || dups[1].Rule != 2 || len(rep.ByCode(CodeShadowed)) != 0 {
+		t.Fatalf("three copies: want CAM003 on rules 1 and 2 and no CAM002:\n%s", rep.Text(""))
 	}
 }

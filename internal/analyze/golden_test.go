@@ -10,9 +10,9 @@ import (
 )
 
 // goldenFiles are the checked-in rule files, each with its spec. union.rules
-// is the one whose pairs reach the BDD containment oracle: its first rule is
-// a union of two conjunctions whose projection contains both later rules,
-// and the diagram shows that it contains the second and misses the third.
+// is the one whose pairs reach bdd.Implies: its first rule is a union of two
+// conjunctions, each later rule meets both and lies in neither, and the
+// diagrams show that the union contains the second and misses the third.
 // types.rules has one rule for each kind of CAM004, and one with two bad
 // atoms, over the spec of fieldtable_test.go.
 var goldenFiles = []struct{ name, spec, rules string }{

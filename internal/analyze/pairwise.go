@@ -2,36 +2,29 @@ package analyze
 
 import (
 	"fmt"
+	"slices"
 
 	"camus/internal/bdd"
 	"camus/internal/interval"
 )
 
 // checkPairwise runs the quadratic checks — CAM003 duplicates, CAM002
-// shadowing/subsumption, CAM005 action conflicts — with three layers of
+// shadowing/subsumption, CAM005 action conflicts — with two layers of
 // pruning so realistic rule sets stay near-linear:
 //
 //  1. rules are bucketed by their point value on a discriminator field
 //     (the field most rules pin with ==, e.g. the stock symbol); rules in
 //     different buckets are provably disjoint, so only intra-bucket and
 //     wildcard pairs are examined at all;
-//  2. each examined pair goes through an interval projection pre-filter
-//     (exact projections, so for single-conjunction rules the filter IS
-//     the containment/overlap decision);
-//  3. only multi-conjunction containment falls through to the BDD oracle,
-//     built in the shared Builder arena so sub-BDDs memoize across pairs.
+//  2. each examined pair is decided on the rules' own conjunctions, merge
+//     walks over their constraints, and only containment in a union those
+//     walks cannot settle builds BDDs for bdd.Implies.
 func (a *analysis) checkPairwise() {
-	// Duplicates first: exact, linear, and each duplicate pair is then
-	// excluded from shadowing so it is reported exactly once.
+	// Duplicates first: exact, linear, and every pair inside one duplicate
+	// class is then excluded from shadowing, so each copy is reported once.
 	dupOf := a.checkDuplicates()
 
-	eligible := make([]*ruleInfo, 0, len(a.infos))
-	for _, info := range a.infos {
-		if info.unsat {
-			continue
-		}
-		eligible = append(eligible, info)
-	}
+	eligible := slices.DeleteFunc(slices.Clone(a.infos), func(r *ruleInfo) bool { return r.unsat })
 	if len(eligible) < 2 {
 		return
 	}
@@ -44,6 +37,12 @@ func (a *analysis) checkPairwise() {
 	shadowed := make(map[int]bool)   // rule index → CAM002 already reported
 	conflicted := make(map[int]bool) // rule index → CAM005 already reported
 
+	class := func(r *ruleInfo) int { // the first rule of r's duplicate class
+		if orig, isDup := dupOf[r.index]; isDup {
+			return orig
+		}
+		return r.index
+	}
 	pair := func(x, y *ruleInfo) bool {
 		if x.index > y.index {
 			x, y = y, x
@@ -52,47 +51,42 @@ func (a *analysis) checkPairwise() {
 		if examined > budget {
 			return false
 		}
-		if orig, isDup := dupOf[y.index]; isDup && orig == x.index {
+		if class(x) == class(y) {
 			return true // reported as CAM003
 		}
 		a.checkPair(x, y, shadowed, conflicted)
 		return true
 	}
 
-	truncated := false
-loop:
-	for _, b := range buckets {
-		for i := 0; i < len(b); i++ {
-			for j := i + 1; j < len(b); j++ {
-				if !pair(b[i], b[j]) {
-					truncated = true
-					break loop
+	// Every pair inside a bucket, each bucket's rules with the wildcards,
+	// then every pair of wildcards: false once the budget is spent.
+	all := func() bool {
+		for _, b := range buckets {
+			for k, x := range b {
+				for _, y := range b[k+1:] {
+					if !pair(x, y) {
+						return false
+					}
+				}
+			}
+			for _, x := range b {
+				for _, w := range wild {
+					if !pair(x, w) {
+						return false
+					}
 				}
 			}
 		}
-		for _, x := range b {
-			for _, w := range wild {
-				if !pair(x, w) {
-					truncated = true
-					break loop
+		for k, x := range wild {
+			for _, y := range wild[k+1:] {
+				if !pair(x, y) {
+					return false
 				}
 			}
 		}
+		return true
 	}
-	if !truncated {
-		for i := 0; i < len(wild); i++ {
-			for j := i + 1; j < len(wild); j++ {
-				if !pair(wild[i], wild[j]) {
-					truncated = true
-					break
-				}
-			}
-			if truncated {
-				break
-			}
-		}
-	}
-	if truncated {
+	if !all() {
 		a.report(Diagnostic{Code: CodeLimit, Severity: SevInfo, Rule: -1,
 			Msg: fmt.Sprintf("pairwise analysis truncated after %d pairs (MaxPairs=%d); CAM002/CAM003/CAM005 coverage is incomplete", budget, budget)})
 	}
@@ -204,67 +198,74 @@ func intsSubset(a, b []int) bool {
 }
 
 // condImplies reports whether j's condition implies i's (every packet
-// matching j matches i). The projection pre-filter is a sound necessary
-// condition; when i is a single conjunction it is also sufficient, so
-// only containment in a genuine union of conjunctions pays for a BDD.
+// matching j matches i). A conjunction of j within one of i's is covered; one
+// that meets none of i's is a witness against. Only a conjunction of j that
+// meets a union of i's without lying in any one of them builds the two
+// diagrams for bdd.Implies.
 func (a *analysis) condImplies(j, i *ruleInfo) bool {
-	for f, si := range i.proj {
-		sj, ok := j.proj[f]
-		if !ok {
-			sj = interval.Full(a.fields[f].Max)
+	covered := true
+	for _, cj := range j.conjs {
+		in, meets := false, false
+		for _, ci := range i.conjs {
+			if a.within(cj, ci) {
+				in = true
+				break
+			}
+			meets = meets || conjOverlap(cj, ci)
 		}
-		if !sj.SubsetOf(si) {
+		if in {
+			continue
+		}
+		if !meets || len(i.conjs) == 1 {
 			return false
 		}
+		covered = false
 	}
-	if len(i.conjs) == 1 {
-		return true // the projection test was exact
+	if covered {
+		return true
 	}
-	return a.bddImplies(j, i)
-}
-
-// bddImplies decides containment exactly: build one BDD over both rules'
-// conjunctions (payload 0 = j, payload 1 = i) in the shared arena, then
-// check that no terminal is reachable for j alone.
-func (a *analysis) bddImplies(j, i *ruleInfo) bool {
-	conjs := make([]bdd.Conj, 0, len(j.conjs)+len(i.conjs))
-	for _, cons := range j.conjs {
-		conjs = append(conjs, bdd.Conj{Payload: 0, Constraints: cons})
-	}
-	for _, cons := range i.conjs {
-		conjs = append(conjs, bdd.Conj{Payload: 1, Constraints: cons})
-	}
-	b, err := a.builder.Build(a.fields, conjs)
-	if err != nil {
+	dj, errJ := bdd.Build(a.fields, payloadConjs(j.conjs))
+	di, errI := bdd.Build(a.fields, payloadConjs(i.conjs))
+	if errJ != nil || errI != nil {
 		return false // conservatively: not implied
 	}
-	for _, t := range b.Terminals() {
-		hasJ, hasI := false, false
-		for _, p := range a.sets.SetOf(t.Class) {
-			switch p {
-			case 0:
-				hasJ = true
-			case 1:
-				hasI = true
-			}
+	ok, _, err := bdd.Implies(dj, di)
+	return ok && err == nil
+}
+
+// payloadConjs is a rule's conjunctions as the diagram's, one payload.
+func payloadConjs(conjs [][]bdd.Constraint) []bdd.Conj {
+	out := make([]bdd.Conj, len(conjs))
+	for k, cons := range conjs {
+		out[k] = bdd.Conj{Constraints: cons}
+	}
+	return out
+}
+
+// within reports whether conjunction x lies in conjunction y: every field y
+// constrains, x constrains to a subset, a field x leaves free being its full
+// domain. Both are satisfiable and sorted by field.
+func (a *analysis) within(x, y []bdd.Constraint) bool {
+	k := 0
+	for _, cy := range y {
+		for k < len(x) && x[k].Field < cy.Field {
+			k++
 		}
-		if hasJ && !hasI {
+		if k < len(x) && x[k].Field == cy.Field {
+			if !x[k].Set.SubsetOf(cy.Set) {
+				return false
+			}
+		} else if !interval.Full(a.fields[cy.Field].Max).SubsetOf(cy.Set) {
 			return false
 		}
 	}
 	return true
 }
 
-// condOverlaps reports whether some packet matches both rules. Overlap
-// decomposes over conjunction pairs, so interval reasoning is exact here
-// and no BDD is needed.
+// condOverlaps reports whether some packet matches both rules: overlap
+// decomposes over conjunction pairs, and two conjunctions meet unless some
+// field they both constrain keeps them apart.
 func (a *analysis) condOverlaps(x, y *ruleInfo) bool {
-	// Rule-level projection pre-filter.
-	for f, sx := range x.proj {
-		if sy, ok := y.proj[f]; ok && !sx.Overlaps(sy) {
-			return false
-		}
-	}
 	for _, cx := range x.conjs {
 		for _, cy := range y.conjs {
 			if conjOverlap(cx, cy) {
@@ -294,14 +295,30 @@ func conjOverlap(a, b []bdd.Constraint) bool {
 	return true
 }
 
+// pinned reports the value every conjunction of a rule pins field f to.
+func (info *ruleInfo) pinned(f int) (v uint64, ok bool) {
+	for k, cons := range info.conjs {
+		n, found := slices.BinarySearchFunc(cons, f, func(c bdd.Constraint, f int) int { return c.Field - f })
+		if !found {
+			return 0, false
+		}
+		p, point := cons[n].Set.IsPoint()
+		if !point || (k > 0 && p != v) {
+			return 0, false
+		}
+		v = p
+	}
+	return v, len(info.conjs) > 0
+}
+
 // discriminator picks the field that the most rules constrain to a
 // single point — the best bucketing key.
 func (a *analysis) discriminator(rules []*ruleInfo) int {
 	counts := make(map[int]int)
 	for _, info := range rules {
-		for f, s := range info.proj {
-			if _, ok := s.IsPoint(); ok {
-				counts[f]++
+		for _, c := range info.conjs[0] { // a field every conjunction pins is in the first
+			if _, ok := info.pinned(c.Field); ok {
+				counts[c.Field]++
 			}
 		}
 	}
@@ -324,14 +341,12 @@ func bucketize(rules []*ruleInfo, disc int) (buckets [][]*ruleInfo, wild []*rule
 	byVal := make(map[uint64][]*ruleInfo)
 	var order []uint64
 	for _, info := range rules {
-		if s, ok := info.proj[disc]; ok {
-			if v, isPoint := s.IsPoint(); isPoint {
-				if _, seen := byVal[v]; !seen {
-					order = append(order, v)
-				}
-				byVal[v] = append(byVal[v], info)
-				continue
+		if v, ok := info.pinned(disc); ok {
+			if _, seen := byVal[v]; !seen {
+				order = append(order, v)
 			}
+			byVal[v] = append(byVal[v], info)
+			continue
 		}
 		wild = append(wild, info)
 	}

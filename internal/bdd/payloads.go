@@ -3,9 +3,9 @@ package bdd
 import "math/bits"
 
 // PayloadSets is the Classifier whose classes are the payload sets
-// themselves, which SetOf lists. Build terminates on one, and a caller that
-// reads which payloads matched (package analyze) builds on one of its own.
-// Its tables are indexed by payload.
+// themselves, which SetOf lists. Build terminates on one; a caller that
+// reads which payloads matched builds on one of its own. Its tables are
+// indexed by payload.
 type PayloadSets struct {
 	// count is each payload's Adds less its Removes. held has a bit per
 	// payload held, one whose count is not zero, and heldWords a bit per word

@@ -21,9 +21,7 @@ import (
 	"strings"
 	"time"
 
-	"camus/internal/analyze"
 	"camus/internal/compiler"
-	"camus/internal/lang"
 	"camus/internal/pipeline"
 	"camus/internal/telemetry"
 )
@@ -179,9 +177,8 @@ func commit(ctx context.Context, dev Device, pol UpdatePolicy, newProg, oldProg 
 // of that program: the device's is the base every update diffs against,
 // whichever controller wrote it.
 type Controller struct {
-	dev  Device
-	tel  *telemetry.Telemetry
-	gate *analyze.Gate
+	dev Device
+	tel *telemetry.Telemetry
 	// Policy bounds the commit phase; the zero value uses defaults.
 	Policy UpdatePolicy
 }
@@ -200,48 +197,12 @@ func (c *Controller) SetTelemetry(t *telemetry.Telemetry) { c.tel = t }
 // around the device the controller was built on.
 func (c *Controller) SetDevice(dev Device) { c.dev = dev }
 
-// SetAdmission installs a static-analysis admission gate: UpdateRules and
-// SessionController.Churn analyze each prospective rule set and reject
-// error-severity sets (per the gate's policy) before compiling for or
-// writing to the device. A nil gate disables the step.
-func (c *Controller) SetAdmission(g *analyze.Gate) { c.gate = g }
-
 // start opens the span one control-plane operation is recorded under.
 func (c *Controller) start(ctx context.Context, name string, labels ...telemetry.Label) (context.Context, *telemetry.Span) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	return ctx, c.tel.Trc().Start(ctx, name, labels...)
-}
-
-// admit runs the analysis gate over a prospective rule set, labeling the
-// span with the verdict, and returns the program the gate compiled.
-func admit(gate *analyze.Gate, rules []lang.Rule, copts compiler.Options, span *telemetry.Span) (*compiler.Program, error) {
-	prog, rep, err := gate.Admit(rules, copts)
-	if rep != nil {
-		span.SetLabel("analyze_errors", fmt.Sprint(rep.Errors()))
-		span.SetLabel("analyze_warnings", fmt.Sprint(rep.Warnings()))
-	}
-	return prog, err
-}
-
-// UpdateRules analyzes, compiles, and installs a full replacement rule
-// set. The admission gate (SetAdmission) compiles the rules against its
-// spec in the same pass that analyzes them, and this installs that
-// program: one compile per admitted set, and — the gate's contract — no
-// device write for a rejected one.
-func (c *Controller) UpdateRules(ctx context.Context, rules []lang.Rule, copts compiler.Options) (Delta, error) {
-	if c.gate == nil || c.gate.Spec == nil {
-		return Delta{}, fmt.Errorf("controlplane: UpdateRules needs an admission gate with a spec (SetAdmission)")
-	}
-	ctx, span := c.start(ctx, "controlplane_admission")
-	prog, err := admit(c.gate, rules, copts, span)
-	if err != nil {
-		span.EndOutcome("analysis_rejected", err)
-		return Delta{}, fmt.Errorf("controlplane: update rejected by rule analysis: %w", err)
-	}
-	span.End(nil)
-	return c.Update(ctx, prog)
 }
 
 // Program returns the program the device runs.
@@ -258,7 +219,8 @@ func (c *Controller) Program() *compiler.Program { return c.dev.Program() }
 // new, never half). The whole operation is recorded as a
 // `controlplane_install` span with an outcome label and the delta's
 // write count. The returned Delta reports how much of the old
-// configuration was reused.
+// configuration was reused. A rule set to be vetted first reaches it
+// through analyze.Gate.Admit, which returns the program it priced.
 func (c *Controller) Update(ctx context.Context, newProg *compiler.Program) (Delta, error) {
 	ctx, span := c.start(ctx, "controlplane_install")
 	return c.update(ctx, span, newProg)

@@ -9,6 +9,7 @@ import (
 
 	"camus/internal/compiler"
 	"camus/internal/faults"
+	"camus/internal/lang"
 	"camus/internal/pipeline"
 	"camus/internal/spec"
 )
@@ -27,6 +28,15 @@ header itch_add_order_t add_order;
 @query_field(add_order.price)
 @query_field_exact(add_order.stock)
 `
+
+func parseRules(t *testing.T, src string) []lang.Rule {
+	t.Helper()
+	rules, err := lang.ParseRules(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rules
+}
 
 // route is one public entry point into Controller.install, opened on a
 // fresh switch that runs an initial rule set behind a fault-injecting
