@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -25,25 +26,39 @@ import (
 	"camus/internal/spec"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its streams and exit status as values: 0 on success,
+// 1 when reading, compiling or writing fails, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) (status int) {
+	defer func() {
+		if f, ok := recover().(failure); ok {
+			fmt.Fprintln(stderr, "camusc:", f.err)
+			status = 1
+		}
+	}()
+	fs := flag.NewFlagSet("camusc", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		specPath  = flag.String("spec", "", "message format specification file (required)")
-		rulesPath = flag.String("rules", "", "subscription rules file (required)")
-		outDir    = flag.String("out", "", "output directory for camus.p4 and entries.txt")
-		stats     = flag.Bool("stats", false, "print compilation statistics")
-		dot       = flag.Bool("dot", false, "print the BDD in Graphviz dot form")
-		dump      = flag.Bool("dump", false, "print the tables in Figure-4 style")
-		noCompr   = flag.Bool("no-compression", false, "disable domain compression")
-		noExact   = flag.Bool("no-exact-lowering", false, "disable exact-match lowering")
-		plan      = flag.Bool("plan", false, "print the device resource plan")
-		order     = flag.String("field-order", "", "comma-separated BDD field order override")
-		autoOrder = flag.Bool("auto-order", false, "choose the BDD field order heuristically from the rules")
-		explain   = flag.String("explain", "", "trace a packet through the tables, e.g. \"stock=GOOGL,price=55\"")
+		specPath  = fs.String("spec", "", "message format specification file (required)")
+		rulesPath = fs.String("rules", "", "subscription rules file (required)")
+		outDir    = fs.String("out", "", "output directory for camus.p4 and entries.txt")
+		stats     = fs.Bool("stats", false, "print compilation statistics")
+		dot       = fs.Bool("dot", false, "print the BDD in Graphviz dot form")
+		dump      = fs.Bool("dump", false, "print the tables in Figure-4 style")
+		noCompr   = fs.Bool("no-compression", false, "disable domain compression")
+		noExact   = fs.Bool("no-exact-lowering", false, "disable exact-match lowering")
+		plan      = fs.Bool("plan", false, "print the device resource plan")
+		order     = fs.String("field-order", "", "comma-separated BDD field order override")
+		autoOrder = fs.Bool("auto-order", false, "choose the BDD field order heuristically from the rules")
+		explain   = fs.String("explain", "", "trace a packet through the tables, e.g. \"stock=GOOGL,price=55\"")
 	)
-	flag.Parse()
+	if fs.Parse(args) != nil {
+		return 2
+	}
 	if *specPath == "" || *rulesPath == "" {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
 
 	specSrc, err := os.ReadFile(*specPath)
@@ -62,7 +77,7 @@ func main() {
 	if *autoOrder {
 		chosen, err := compiler.ApplySuggestedOrder(sp, rules)
 		fatal(err)
-		fmt.Fprintf(os.Stderr, "camusc: field order: %v\n", chosen)
+		fmt.Fprintf(stderr, "camusc: field order: %v\n", chosen)
 	}
 
 	opts := compiler.Options{
@@ -73,32 +88,33 @@ func main() {
 	fatal(err)
 
 	if *stats {
-		fmt.Println(prog.Stats)
+		fmt.Fprintln(stdout, prog.Stats)
 	}
 	if *plan {
-		fmt.Print(pipeline.Plan(prog, pipeline.DefaultConfig()))
+		fmt.Fprint(stdout, pipeline.Plan(prog, pipeline.DefaultConfig()))
 	}
 	if *dot {
-		fmt.Print(prog.Dot())
+		fmt.Fprint(stdout, prog.Dot())
 	}
 	if *dump {
-		fmt.Print(prog.Dump())
+		fmt.Fprint(stdout, prog.Dump())
 	}
 	if *explain != "" {
 		values, err := prog.ParseValueAssignment(*explain)
 		fatal(err)
-		fmt.Printf("packet %s:\n%s", *explain, prog.Trace(values))
+		fmt.Fprintf(stdout, "packet %s:\n%s", *explain, prog.Trace(values))
 	}
 	if *outDir != "" {
 		fatal(os.MkdirAll(*outDir, 0o755))
 		fatal(os.WriteFile(filepath.Join(*outDir, "camus.p4"), []byte(p4gen.GenerateP4(prog)), 0o644))
 		fatal(os.WriteFile(filepath.Join(*outDir, "entries.txt"), []byte(p4gen.GenerateEntries(prog)), 0o644))
-		fmt.Fprintf(os.Stderr, "wrote %s and %s\n",
+		fmt.Fprintf(stderr, "wrote %s and %s\n",
 			filepath.Join(*outDir, "camus.p4"), filepath.Join(*outDir, "entries.txt"))
 	}
 	if !*stats && !*dot && !*dump && !*plan && *explain == "" && *outDir == "" {
-		fmt.Println(prog.Stats)
+		fmt.Fprintln(stdout, prog.Stats)
 	}
+	return 0
 }
 
 func splitComma(s string) []string {
@@ -115,9 +131,11 @@ func splitComma(s string) []string {
 	return out
 }
 
+// failure carries an error from fatal to run, which reports it.
+type failure struct{ err error }
+
 func fatal(err error) {
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "camusc:", err)
-		os.Exit(1)
+		panic(failure{err})
 	}
 }
