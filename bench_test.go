@@ -5,6 +5,7 @@
 package camus
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -256,12 +257,16 @@ func BenchmarkAblationCompiler(b *testing.B) {
 			var st compiler.Stats
 			var naive uint64
 			for i := 0; i < b.N; i++ {
-				prog, err := compiler.Compile(sp, rules, v.opts)
+				pass, err := compiler.Observe(context.Background(), sp, compiler.Source{Rules: rules}, v.opts, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				prog, err := pass.Compile()
 				if err != nil {
 					b.Fatal(err)
 				}
 				st = prog.Stats
-				naive = compiler.NaiveTCAMCost(prog)
+				naive = compiler.NaiveTCAMCost(pass)
 			}
 			b.ReportMetric(float64(st.TableEntries), "entries")
 			b.ReportMetric(float64(st.SRAMEntries), "sram")

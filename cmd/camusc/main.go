@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -84,7 +85,9 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 		DisableCompression:   *noCompr,
 		DisableExactLowering: *noExact,
 	}
-	prog, err := compiler.Compile(sp, rules, opts)
+	pass, err := compiler.Observe(context.Background(), sp, compiler.Source{Rules: rules}, opts, nil)
+	fatal(err)
+	prog, err := pass.Compile()
 	fatal(err)
 
 	if *stats {
@@ -94,7 +97,7 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 		fmt.Fprint(stdout, pipeline.Plan(prog, pipeline.DefaultConfig()))
 	}
 	if *dot {
-		fmt.Fprint(stdout, prog.Dot())
+		fmt.Fprint(stdout, pass.Dot())
 	}
 	if *dump {
 		fmt.Fprint(stdout, prog.Dump())
@@ -102,7 +105,7 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 	if *explain != "" {
 		values, err := prog.ParseValueAssignment(*explain)
 		fatal(err)
-		fmt.Fprintf(stdout, "packet %s:\n%s", *explain, prog.Trace(values))
+		fmt.Fprintf(stdout, "packet %s:\n%s", *explain, pass.Trace(values))
 	}
 	if *outDir != "" {
 		fatal(os.MkdirAll(*outDir, 0o755))

@@ -157,7 +157,11 @@ func TestAnalyzerAndCompilerShareOneFieldTable(t *testing.T) {
 			kept[i] = rules[info.index]
 		}
 		got, gerr := pass.Compile()
-		want, werr := compiler.Compile(sp, kept, compiler.Options{})
+		wantPass, werr := compiler.Observe(context.Background(), sp, compiler.Source{Rules: kept}, compiler.Options{}, nil)
+		var want *compiler.Program
+		if werr == nil {
+			want, werr = wantPass.Compile()
+		}
 		if gerr != nil || werr != nil {
 			t.Fatalf("kept rules do not compile: pass %v, compile %v\n%s", gerr, werr, src)
 		}
@@ -169,7 +173,7 @@ func TestAnalyzerAndCompilerShareOneFieldTable(t *testing.T) {
 			for f := range values {
 				values[f] = uint64(rng.Intn(300))
 			}
-			if g, w := got.Trace(values).MatchedRules, want.Trace(values).MatchedRules; !slices.Equal(g, w) {
+			if g, w := pass.Trace(values).MatchedRules, wantPass.Trace(values).MatchedRules; !slices.Equal(g, w) {
 				t.Fatalf("at %v the pass's program matches payloads %v, the compile %v\n%s", values, g, w, src)
 			}
 		}

@@ -134,7 +134,11 @@ func frontEnd(ctx context.Context, src Source, opts Options, resolve func(*lang.
 type Observer func(*Resolved) (keep bool)
 
 // Pass is a front end run to its end: the resolver, and the conjunctions and
-// number of the rules kept, in source order.
+// number of the rules kept, in source order. Once compiled it also holds
+// what its last Compile lowered the program from, which the program does
+// not keep: the diagram, and by node ID what the pipeline names each node
+// by — an In node's state, a terminal's action set (its index in Actions),
+// -1 for the nodes that are neither.
 type Pass struct {
 	sp    *spec.Spec
 	opts  Options
@@ -142,6 +146,10 @@ type Pass struct {
 	res   *resolver
 	conjs []bdd.Conj
 	rules int
+
+	prog    *Program
+	diagram *bdd.BDD
+	index   []int
 }
 
 // Fields is the pass's field table: the spec's query fields, then the
@@ -152,15 +160,25 @@ func (p *Pass) Fields() []FieldInfo { return p.res.fields }
 // state assignment, Algorithm 1 and lowering. Its Program is Compile's of
 // exactly those rules.
 func (p *Pass) Compile() (*Program, error) {
-	prog, err := compileFromConjs(p.sp, p.res.fields, p.res.actions, p.conjs, p.rules, p.opts, newClassArena())
-	if err != nil {
+	if err := p.lower(newClassArena()); err != nil {
 		return nil, err
 	}
 	if tel := p.opts.Telemetry; tel != nil {
 		tel.Counter("camus_compiler_compiles_total").Inc()
 		tel.Histogram("camus_compiler_compile_seconds").Observe(time.Since(p.start))
 	}
-	return prog, nil
+	return p.prog, nil
+}
+
+// Diagram is the reduced diagram the last Compile built.
+func (p *Pass) Diagram() *bdd.BDD { return p.diagram }
+
+// Dot renders the diagram in Graphviz dot format, every terminal labelled
+// with its action set as in Figure 3 of the paper.
+func (p *Pass) Dot() string {
+	return p.diagram.Dot(func(n *bdd.Node) string {
+		return p.prog.Actions[p.index[n.ID]].String()
+	})
 }
 
 // Observe runs the front end over src into a fresh resolver, showing every
@@ -282,6 +300,7 @@ const (
 	portDomain   = 0x9e3779b97f4a7c15
 	updateDomain = 0xc2b2ae3d27d4eb4f
 	dropDomain   = 0x165667b19e3779f9
+	stateDomain  = 0x27d4eb2f165667c5 // a state's signature (Program.Signatures)
 )
 
 // fmix is the splitmix64 finalizer.
@@ -305,17 +324,19 @@ func (h contentHash) sum() sum128 { return sum128{h.a, fmix(h.b ^ h.a)} }
 // portHash is a port's atom hash.
 func portHash(p int) sum128 { return hashIn(portDomain).word(uint64(p)).sum() }
 
-// updateHash is a state update's atom hash, from its appendUpdate bytes,
-// eight to a word, the last zero-padded, then their length.
-func updateHash(enc []byte) sum128 {
-	h := hashIn(updateDomain)
-	for i := 0; i < len(enc); i += 8 {
+// bytes mixes in a byte string, eight bytes to a word, the last
+// zero-padded, then its length.
+func (h contentHash) bytes(b []byte) contentHash {
+	for i := 0; i < len(b); i += 8 {
 		var w [8]byte
-		copy(w[:], enc[i:])
+		copy(w[:], b[i:])
 		h = h.word(binary.LittleEndian.Uint64(w[:]))
 	}
-	return h.word(uint64(len(enc))).sum()
+	return h.word(uint64(len(b)))
 }
+
+// updateHash is a state update's atom hash, from its appendUpdate bytes.
+func updateHash(enc []byte) sum128 { return hashIn(updateDomain).bytes(enc).sum() }
 
 // dropHash is the drop atom's hash.
 var dropHash = hashIn(dropDomain).sum()
@@ -454,31 +475,31 @@ func (ca *classArena) actionSet(drop bool, sum sum128) ActionSet {
 	return as
 }
 
-// compileFromConjs is the compiler back end shared by one-shot compiles
-// (a fresh arena) and incremental Session recompiles (the session's): BDD
+// lower is the compiler back end over the pass's conjunctions, on arena ca
+// (a fresh one for a compile, the session's for a recompile): BDD
 // construction, state assignment, Algorithm 1, and the per-field lowering
-// fan-out.
+// fan-out. It leaves the program, the diagram and the node index on the
+// pass.
 //
 // Each field's table is independent once algorithm1 has sliced the BDD
 // into components, so lowering, exact-match re-typing, and domain
 // compression run concurrently across Options.Workers goroutines; results
 // land in a pre-sized slice, keeping the output bit-identical to serial.
-func compileFromConjs(sp *spec.Spec, fieldInfos []FieldInfo, actions [][]lang.Action,
-	conjs []bdd.Conj, nRules int, opts Options, ca *classArena) (*Program, error) {
-
+func (p *Pass) lower(ca *classArena) error {
+	opts := p.opts
 	start := time.Now()
 	// Copy the field table so option-driven rewrites (and later Session
 	// recompiles reusing the resolver) never alias a published Program.
-	fields := append([]FieldInfo(nil), fieldInfos...)
+	fields := append([]FieldInfo(nil), p.res.fields...)
 	if opts.ForceRangeTables {
 		for i := range fields {
 			fields[i].Match = spec.MatchRange
 		}
 	}
-	ca.bind(actions, conjs)
-	b, err := ca.builder.Build(BDDFields(fields), conjs)
+	ca.bind(p.res.actions, p.conjs)
+	b, err := ca.builder.Build(BDDFields(fields), p.conjs)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	opts.observeStage("build", start)
 	start = time.Now()
@@ -486,14 +507,11 @@ func compileFromConjs(sp *spec.Spec, fieldInfos []FieldInfo, actions [][]lang.Ac
 	index, leaves, states := assignStates(b)
 	perField := algorithm1(b, index)
 	prog := &Program{ // InitialState 0: the root's state, when it has one
-		Spec:   sp,
+		Spec:   p.sp,
 		Fields: fields,
-		BDD:    b,
 		Tables: make([]*Table, len(fields)),
-		conjs:  conjs,
-		index:  index,
 	}
-	prog.buildActions(ca.sets, leaves)
+	prog.buildActions(ca.sets, b, leaves)
 	// The terminal that forwards nowhere and updates nothing is what a miss
 	// already does; the builder merges terminals by what they do, so there
 	// is at most one.
@@ -502,7 +520,7 @@ func compileFromConjs(sp *spec.Spec, fieldInfos []FieldInfo, actions [][]lang.Ac
 	errs := make([]error, len(fields))
 	conc.ForEach(len(fields), opts.workers(), func(f int) {
 		fi := fields[f]
-		entries, err := lowerEntries(fi, f, conjs, perField[f], noop)
+		entries, err := lowerEntries(fi, f, p.conjs, perField[f], noop)
 		if err != nil {
 			errs[f] = err
 			return
@@ -517,13 +535,15 @@ func compileFromConjs(sp *spec.Spec, fieldInfos []FieldInfo, actions [][]lang.Ac
 		prog.Tables[f] = t
 	})
 	if err := conc.FirstError(errs); err != nil {
-		return nil, err
+		return err
 	}
 
-	prog.buildLeaf()
-	prog.computeStats(nRules, states)
+	prog.buildLeaf(b, index)
+	prog.signatures(b, index, states)
+	prog.computeStats(p.rules, len(p.conjs), b, states)
 	opts.observeStage("lower", start)
-	return prog, nil
+	p.prog, p.diagram, p.index = prog, b, index
+	return nil
 }
 
 // BDDFields is the BDD's view of a field table: names and domains.
@@ -561,12 +581,12 @@ func autoExactLower(t *Table) {
 // buildActions lists the action set of every terminal, in the order leaves
 // gives them — the terminal's class — allocating multicast groups for
 // multi-port forwards in the same order.
-func (p *Program) buildActions(sets []ActionSet, leaves []int) {
+func (p *Program) buildActions(sets []ActionSet, b *bdd.BDD, leaves []int) {
 	groupIdx := make(map[string]int) // encoded port set -> group
 	var scratch []byte
 	p.Actions = make([]ActionSet, len(leaves))
 	for i, term := range leaves {
-		as := sets[p.BDD.Nodes()[term].Class]
+		as := sets[b.Nodes()[term].Class]
 		as.Group = -1
 		if as.Ports.Len() > 1 {
 			scratch = as.Ports.appendKey(scratch[:0])
@@ -588,10 +608,10 @@ func (p *Program) buildActions(sets []ActionSet, leaves []int) {
 // matched on the action a row decided. A diagram that is a single terminal
 // has no rows: its terminal, unless it does nothing (a miss drops), is the
 // stage's default.
-func (p *Program) buildLeaf() {
+func (p *Program) buildLeaf(b *bdd.BDD, index []int) {
 	p.Leaf = &Table{Name: "leaf", Field: -1, Match: spec.MatchExact}
-	if p.BDD.Root.IsTerminal() {
-		if a := p.index[p.BDD.Root.ID]; !p.Actions[a].doesNothing() {
+	if b.Root.IsTerminal() {
+		if a := index[b.Root.ID]; !p.Actions[a].doesNothing() {
 			p.Leaf.Entries = []Entry{{Kind: EntryWild, Next: decision(a)}}
 		}
 		return
@@ -604,12 +624,12 @@ func (p *Program) buildLeaf() {
 }
 
 // computeStats fills in the resource statistics.
-func (p *Program) computeStats(nRules, states int) {
+func (p *Program) computeStats(nRules, nConjs int, b *bdd.BDD, states int) {
 	s := Stats{
 		Rules:        nRules,
-		Conjunctions: len(p.conjs),
-		BDDNodes:     p.BDD.NumNodes(),
-		BDDTerminals: len(p.BDD.Terminals()),
+		Conjunctions: nConjs,
+		BDDNodes:     b.NumNodes(),
+		BDDTerminals: len(b.Terminals()),
 		States:       states,
 		LeafEntries:  len(p.Leaf.Entries),
 	}

@@ -48,6 +48,20 @@ func compileSrc(t testing.TB, sp *spec.Spec, rules string, opts Options) *Progra
 	return p
 }
 
+// passSrc compiles rule text through a Pass, which keeps the diagram and
+// the conjunctions its program was lowered from.
+func passSrc(t testing.TB, sp *spec.Spec, rules string, opts Options) *Pass {
+	t.Helper()
+	p, err := Observe(context.Background(), sp, Source{Text: rules}, opts, nil)
+	if err == nil {
+		_, err = p.Compile()
+	}
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	return p
+}
+
 func encodeStock(t testing.TB, sp *spec.Spec, sym string) uint64 {
 	t.Helper()
 	q, err := sp.LookupField("stock")
@@ -88,7 +102,8 @@ shares < 60 && stock == AAPL : fwd(1); fwd(2)
 shares > 100 && stock == MSFT : fwd(1)
 shares < 60 : fwd(4)
 `
-	p := compileSrc(t, sp, rules, Options{})
+	pass := passSrc(t, sp, rules, Options{})
+	p := pass.prog
 	aapl := encodeStock(t, sp, "AAPL")
 	msft := encodeStock(t, sp, "MSFT")
 
@@ -115,7 +130,7 @@ shares < 60 : fwd(4)
 	if !as.Drop || as.Ports.Len() != 0 {
 		t.Fatalf("AAPL@80 should drop, got %+v", as)
 	}
-	tr := p.Trace(vals)
+	tr := pass.Trace(vals)
 	if !slices.ContainsFunc(tr.Steps, func(s TraceStep) bool { return s.Entry == nil && s.ToState == s.FromState }) ||
 		tr.Action.Key() != as.Key() {
 		t.Fatalf("AAPL@80 should miss a table and drop:\n%s", tr)
@@ -466,18 +481,18 @@ func TestObserverDropLeavesNoTrace(t *testing.T) {
 	if got.Dump() != want.Dump() || !reflect.DeepEqual(got.Fields, want.Fields) {
 		t.Fatalf("after a dropped rule:\n%s\nwant:\n%s", got.Dump(), want.Dump())
 	}
-	payloads := func(p *Program) (out []int) {
-		for _, c := range p.Conjs() {
+	clean, err := Observe(context.Background(), sp, Source{Rules: rules[1:]}, Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads := func(p *Pass) (out []int) {
+		for _, c := range p.conjs {
 			out = append(out, c.Payload)
 		}
 		return out
 	}
-	if g, w := payloads(got), payloads(want); !slices.Equal(g, w) {
+	if g, w := payloads(pass), payloads(clean); !slices.Equal(g, w) {
 		t.Fatalf("payloads %v, want %v", g, w)
-	}
-	clean, err := Observe(context.Background(), sp, Source{Rules: rules[1:]}, Options{}, nil)
-	if err != nil {
-		t.Fatal(err)
 	}
 	if len(pass.res.lists) != len(clean.res.lists) || pass.res.listed != clean.res.listed {
 		t.Fatalf("%d action lists interned after a dropped rule, %d without it", len(pass.res.lists), len(clean.res.lists))

@@ -3,6 +3,7 @@ package compiler
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"camus/internal/bdd"
 	"camus/internal/lang"
@@ -35,6 +36,16 @@ func ResolveConjs(sp *spec.Spec, rules []lang.Rule, opts Options) ([]FieldInfo, 
 // resolve); conjunctions referencing synthetic state fields cannot be
 // compiled through this entry.
 func CompileConjs(sp *spec.Spec, conjs []bdd.Conj, actions [][]lang.Action, opts Options) (*Program, error) {
+	p, err := ConjsPass(sp, conjs, actions, opts)
+	if err != nil {
+		return nil, err
+	}
+	return p.Compile()
+}
+
+// ConjsPass is the Pass CompileConjs compiles, for a caller that reads the
+// diagram too.
+func ConjsPass(sp *spec.Spec, conjs []bdd.Conj, actions [][]lang.Action, opts Options) (*Pass, error) {
 	res := newResolver(sp)
 	for _, cj := range conjs {
 		if cj.Payload < 0 || cj.Payload >= len(actions) {
@@ -46,5 +57,6 @@ func CompileConjs(sp *spec.Spec, conjs []bdd.Conj, actions [][]lang.Action, opts
 			}
 		}
 	}
-	return compileFromConjs(sp, res.fields, actions, conjs, len(actions), opts, newClassArena())
+	res.actions = actions
+	return &Pass{sp: sp, opts: opts, start: time.Now(), res: res, conjs: conjs, rules: len(actions)}, nil
 }

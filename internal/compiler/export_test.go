@@ -79,8 +79,26 @@ func (e *Exact) Nodes() int { return e.diagram.NumNodes() }
 // ChunkRules is the front end's chunk size, for tests that cut at its seams.
 const ChunkRules = chunkRules
 
-// Conjs is what the program retains of its rules.
-func (p *Program) Conjs() []bdd.Conj { return p.conjs }
+// Conjs is what the pass retains of its rules.
+func (p *Pass) Conjs() []bdd.Conj { return p.conjs }
+
+// Program is the program the pass's last Compile made.
+func (p *Pass) Program() *Program { return p.prog }
+
+// StateOf maps a node of the pass's diagram to the state the compile gave
+// it, ActionOf a terminal to its action set's index in Actions.
+func (p *Pass) StateOf(nodeID int) (int, bool)  { return p.indexOf(nodeID, false) }
+func (p *Pass) ActionOf(nodeID int) (int, bool) { return p.indexOf(nodeID, true) }
+
+func (p *Pass) indexOf(nodeID int, terminal bool) (int, bool) {
+	if nodeID < 0 || nodeID >= len(p.index) || p.index[nodeID] < 0 || p.diagram.Nodes()[nodeID].IsTerminal() != terminal {
+		return 0, false
+	}
+	return p.index[nodeID], true
+}
+
+// RecompilePass is Recompile, returning the pass the program was lowered on.
+func (s *Session) RecompilePass() (*Pass, error) { return s.recompile() }
 
 // LiveConjs is what the session retains of its live rules.
 func (s *Session) LiveConjs() []bdd.Conj {
@@ -89,4 +107,16 @@ func (s *Session) LiveConjs() []bdd.Conj {
 		out = append(out, s.live[h]...)
 	}
 	return out
+}
+
+// StateHash is the hash a state's signature is made in (Program.Signatures):
+// NewStateHash, then words and byte strings mixed in, then Sum.
+type StateHash struct{ h contentHash }
+
+func NewStateHash() StateHash                { return StateHash{hashIn(stateDomain)} }
+func (s StateHash) Word(x uint64) StateHash  { return StateHash{s.h.word(x)} }
+func (s StateHash) Bytes(b []byte) StateHash { return StateHash{s.h.bytes(b)} }
+func (s StateHash) Sum() [2]uint64 {
+	x := s.h.sum()
+	return [2]uint64{x.a, x.b}
 }

@@ -80,12 +80,12 @@ func TestCompileGolden(t *testing.T) {
 	for _, c := range goldenCases(t) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			prog, err := c.compile(compiler.Options{})
+			pass, err := c.compile(compiler.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := digest(prog); got != c.digest {
-				t.Errorf("digest %s, recorded %s\n%s", got, c.digest, prog.Stats)
+			if got := digest(pass); got != c.digest {
+				t.Errorf("digest %s, recorded %s\n%s", got, c.digest, pass.Program().Stats)
 			}
 			if c.rules == nil {
 				return
@@ -96,24 +96,34 @@ func TestCompileGolden(t *testing.T) {
 			if _, err := sess.AddRules(c.rules); err != nil {
 				t.Fatal(err)
 			}
-			for _, pass := range []string{"cold", "warm"} {
-				prog, err := sess.Recompile()
+			for _, when := range []string{"cold", "warm"} {
+				pass, err := sess.RecompilePass()
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := digest(prog); got != c.digest {
-					t.Errorf("%s session digest %s, recorded %s", pass, got, c.digest)
+				if got := digest(pass); got != c.digest {
+					t.Errorf("%s session digest %s, recorded %s", when, got, c.digest)
 				}
 			}
 		})
 	}
 }
 
-// programDigest hashes everything a Program carries (dumpProgram).
-func programDigest(p *compiler.Program) string {
+// programDigest hashes everything a Program carries, beside the diagram it
+// was lowered from (dumpProgram).
+func programDigest(pass *compiler.Pass) string {
 	h := sha256.New()
-	dumpProgram(h, p)
+	dumpProgram(h, pass)
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// compiled runs a pass's back end, for a test that reads the diagram and
+// the conjunctions beside the program.
+func compiled(p *compiler.Pass, err error) (*compiler.Pass, error) {
+	if err == nil {
+		_, err = p.Compile()
+	}
+	return p, err
 }
 
 // goldenCase is one corpus entry. Cases made of rules also run through a
@@ -124,7 +134,7 @@ type goldenCase struct {
 	digest  string
 	sp      *spec.Spec
 	rules   []lang.Rule
-	compile func(compiler.Options) (*compiler.Program, error)
+	compile func(compiler.Options) (*compiler.Pass, error) // a compiled pass
 	exact   func() (*compiler.Exact, error)
 }
 
@@ -149,16 +159,16 @@ true : fwd(6)
 `
 )
 
-func goldenCases(t *testing.T) []goldenCase {
+func goldenCases(t testing.TB) []goldenCase {
 	itch := func(n, hosts int, grid uint64, seed int64) []lang.Rule {
 		return workload.ITCHSubscriptions(workload.ITCHSubsConfig{
 			Subscriptions: n, Stocks: 100, Hosts: hosts, PriceMax: 1000, PriceGrid: grid, Seed: seed,
 		})
 	}
 	rules := func(name, digest string, sp *spec.Spec, rules []lang.Rule) goldenCase {
-		return goldenCase{name: name, digest: digest, sp: sp, rules: rules,
-			compile: func(o compiler.Options) (*compiler.Program, error) { return compiler.Compile(sp, rules, o) },
-			exact:   func() (*compiler.Exact, error) { return compiler.ExactOf(sp, rules) }}
+		c := rulesCase(name, sp, rules)
+		c.digest = digest
+		return c
 	}
 	source := func(name, digest string, sp *spec.Spec, src string) goldenCase {
 		parsed, err := lang.ParseRules(src)
@@ -185,11 +195,12 @@ func goldenCases(t *testing.T) []goldenCase {
 	siena := workload.DefaultSienaConfig()
 
 	// A spine program: four leaves' rules projected onto keep fields and
-	// compiled through CompileConjs, once on the symbol alone (one
-	// many-interval predicate per leaf) and once on symbol and price.
+	// compiled through CompileConjs, as fabric.SpineProgram does, once on
+	// the symbol alone (one many-interval predicate per leaf) and once on
+	// symbol and price.
 	cover := func(name, digest string, keep ...string) goldenCase {
 		sp := workload.ITCHSpec()
-		covers := func() ([]fabric.Cover, []int, error) {
+		input := func() ([]bdd.Conj, [][]lang.Action, error) {
 			leaves := make([][]lang.Rule, 4)
 			for _, r := range itch(600, 16, 50, 16) {
 				leaf := r.Actions[0].Ports[0] % len(leaves)
@@ -204,29 +215,29 @@ func goldenCases(t *testing.T) []goldenCase {
 				}
 				covers[i], ports[i] = c, 100+i
 			}
-			return covers, ports, nil
+			var conjs []bdd.Conj
+			actions := make([][]lang.Action, len(covers))
+			for j, c := range covers {
+				actions[j] = []lang.Action{lang.Fwd(ports[j])}
+				for _, cj := range c.Conjs {
+					cj.Payload = j
+					conjs = append(conjs, cj)
+				}
+			}
+			return conjs, actions, nil
 		}
 		return goldenCase{name: name, digest: digest,
-			compile: func(o compiler.Options) (*compiler.Program, error) {
-				covers, ports, err := covers()
+			compile: func(o compiler.Options) (*compiler.Pass, error) {
+				conjs, actions, err := input()
 				if err != nil {
 					return nil, err
 				}
-				return fabric.SpineProgram(sp, covers, ports, o)
+				return compiled(compiler.ConjsPass(sp, conjs, actions, o))
 			},
-			exact: func() (*compiler.Exact, error) { // SpineProgram's input to CompileConjs
-				covers, ports, err := covers()
+			exact: func() (*compiler.Exact, error) {
+				conjs, actions, err := input()
 				if err != nil {
 					return nil, err
-				}
-				var conjs []bdd.Conj
-				actions := make([][]lang.Action, len(covers))
-				for j, c := range covers {
-					actions[j] = []lang.Action{lang.Fwd(ports[j])}
-					for _, cj := range c.Conjs {
-						cj.Payload = j
-						conjs = append(conjs, cj)
-					}
 				}
 				return compiler.ExactOfConjs(sp, conjs, actions)
 			}}
@@ -290,10 +301,12 @@ func sienaRanges(cfg workload.SienaConfig, n int, seed int64) string {
 	return b.String()
 }
 
-// dumpProgram writes everything a Program carries in a canonical text
-// form: fields, every table's entries in order, leaf, actions, groups,
-// initial state, every BDD node with its state, and the statistics.
-func dumpProgram(w io.Writer, p *compiler.Program) {
+// dumpProgram writes everything a compiled pass's Program carries in a
+// canonical text form — fields, every table's entries in order, leaf,
+// actions, groups, initial state — then every node of the pass's diagram
+// with its state, and the statistics.
+func dumpProgram(w io.Writer, pass *compiler.Pass) {
+	p := pass.Program()
 	for i, f := range p.Fields {
 		fmt.Fprintf(w, "field %d %+v\n", i, f)
 	}
@@ -321,22 +334,22 @@ func dumpProgram(w io.Writer, p *compiler.Program) {
 		fmt.Fprintf(w, "group %d %v\n", i, g)
 	}
 	fmt.Fprintf(w, "initial %d\n", p.InitialState)
-	for _, n := range p.BDD.Nodes() {
-		if a, ok := p.ActionOf(n.ID); ok {
+	for _, n := range pass.Diagram().Nodes() {
+		if a, ok := pass.ActionOf(n.ID); ok {
 			// What Implies and VerifyCover decide on, and the action set a row
 			// reaching this terminal decides with: a wrong classification moves
 			// the digest.
 			fmt.Fprintf(w, "node %d action=%d terminal matches=%v class=%q\n", n.ID, a, n.Matches, p.Actions[a].Key())
 			continue
 		}
-		st, ok := p.StateOf(n.ID)
+		st, ok := pass.StateOf(n.ID)
 		if !ok {
 			st = -1
 		}
 		fmt.Fprintf(w, "node %d state=%d field=%d set=%s label=%q true=%d false=%d\n",
 			n.ID, st, n.Field, n.Set.Key(), n.Label, n.True.ID, n.False.ID)
 	}
-	fmt.Fprintf(w, "root %d\nstats %+v\n", p.BDD.Root.ID, p.Stats)
+	fmt.Fprintf(w, "root %d\nstats %+v\n", pass.Diagram().Root.ID, p.Stats)
 }
 
 // TestCompileAllocsPerRule is the cost gate of a cold compile: how many

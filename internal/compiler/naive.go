@@ -11,9 +11,10 @@ import (
 // range-to-prefix expansions along that path (a wide TCAM entry matches
 // all fields at once, so expansions multiply). Unconstrained fields are
 // fully masked and contribute a factor of one. The result saturates at
-// MaxUint64.
-func NaiveTCAMCost(p *Program) uint64 {
-	if p.BDD == nil || p.BDD.Root == nil {
+// MaxUint64. It reads the diagram of the pass's last Compile.
+func NaiveTCAMCost(pass *Pass) uint64 {
+	p := pass.prog
+	if pass.diagram == nil || pass.diagram.Root == nil {
 		return 0
 	}
 	const sat = ^uint64(0)
@@ -68,7 +69,7 @@ func NaiveTCAMCost(p *Program) uint64 {
 		}
 		ctx[f] = saved
 	}
-	walk(p.BDD.Root)
+	walk(pass.diagram.Root)
 	return total
 }
 

@@ -14,12 +14,12 @@ func TestNaiveTCAMCostSingleRule(t *testing.T) {
 	// {GOOGL} costs 1 wide entry; the complement's stock constraint is a
 	// 2-interval set over 64 bits whose prefix expansion is large but
 	// finite.
-	p := compileSrc(t, sp, "stock == GOOGL : fwd(1)", Options{})
-	got := NaiveTCAMCost(p)
+	pass := passSrc(t, sp, "stock == GOOGL : fwd(1)", Options{})
+	got := NaiveTCAMCost(pass)
 	if got < 2 {
 		t.Fatalf("naive cost %d too small", got)
 	}
-	if paths := p.BDD.CountPaths(); paths != 2 {
+	if paths := pass.Diagram().CountPaths(); paths != 2 {
 		t.Fatalf("paths = %d, want 2", paths)
 	}
 }
@@ -28,13 +28,13 @@ func TestNaiveTCAMCostMultiplicative(t *testing.T) {
 	sp := itchSpec(t)
 	// A rule constraining two fields: the matching region's wide entry
 	// cost is the product of the per-field expansions.
-	p := compileSrc(t, sp, "shares > 0 && price > 0 : fwd(1)", Options{})
+	pass := passSrc(t, sp, "shares > 0 && price > 0 : fwd(1)", Options{})
 	// shares > 0 over 32 bits: [1, 2^32-1] expands to 32 prefixes; price
 	// likewise. Regions and their wide-entry costs:
 	//   shares>0 ∧ price>0  -> 32 * 32 = 1024
 	//   shares>0 ∧ price==0 -> 32 * 1  = 32
 	//   shares==0           -> 1
-	got := NaiveTCAMCost(p)
+	got := NaiveTCAMCost(pass)
 	want := uint64(32*32 + 32 + 1)
 	if got != want {
 		t.Fatalf("naive cost = %d, want %d", got, want)
@@ -53,9 +53,9 @@ func TestNaiveCostExceedsCamusOnOverlappingRules(t *testing.T) {
 		fmt.Fprintf(&b, "price > %d : fwd(%d)\n", i*37, 1+i%8)
 		fmt.Fprintf(&b, "shares > %d : fwd(%d)\n", i*53, 9+i%8)
 	}
-	p := compileSrc(t, sp, b.String(), Options{})
-	naive := NaiveTCAMCost(p)
-	camus := p.MemoryCost()
+	pass := passSrc(t, sp, b.String(), Options{})
+	naive := NaiveTCAMCost(pass)
+	camus := pass.prog.MemoryCost()
 	if naive < 10*camus {
 		t.Fatalf("naive %d should dwarf camus %d on cross-product workloads", naive, camus)
 	}
@@ -63,17 +63,17 @@ func TestNaiveCostExceedsCamusOnOverlappingRules(t *testing.T) {
 
 func TestNaiveTCAMCostEmptyProgram(t *testing.T) {
 	sp := itchSpec(t)
-	p := compileSrc(t, sp, "", Options{})
-	if got := NaiveTCAMCost(p); got != 1 {
+	pass := passSrc(t, sp, "", Options{})
+	if got := NaiveTCAMCost(pass); got != 1 {
 		t.Fatalf("empty program: one all-wildcard region, got %d", got)
 	}
 }
 
 func TestCountPathsMatchesManualDAG(t *testing.T) {
 	sp := itchSpec(t)
-	p := compileSrc(t, sp, "stock == AAPL : fwd(1)\nstock == MSFT : fwd(2)\n", Options{})
+	pass := passSrc(t, sp, "stock == AAPL : fwd(1)\nstock == MSFT : fwd(2)\n", Options{})
 	// Regions: {AAPL}, {MSFT}, everything else.
-	if got := p.BDD.CountPaths(); got != 3 {
+	if got := pass.Diagram().CountPaths(); got != 3 {
 		t.Fatalf("paths = %d, want 3", got)
 	}
 }

@@ -1,8 +1,10 @@
 package compiler
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 
 	"camus/internal/bdd"
@@ -253,11 +255,12 @@ func (s Stats) String() string {
 
 // Program is a compiled subscription set: the static pipeline layout plus
 // the dynamic table entries, ready to install on a switch (simulated or
-// real) via the control plane.
+// real) via the control plane. It keeps what the device runs and what the
+// next install diffs against; the diagram it was lowered from, and the
+// conjunctions, belong to the Pass that compiled it.
 type Program struct {
 	Spec   *spec.Spec
 	Fields []FieldInfo
-	BDD    *bdd.BDD
 
 	Tables []*Table // one per field, in field order
 	// Leaf is the last stage, which runs state updates: one exact entry per
@@ -270,40 +273,65 @@ type Program struct {
 	Actions []ActionSet // one per terminal, in the order assignStates meets them
 	Groups  []PortSet   // multicast groups: group ID -> ports, shared with the actions
 
+	// Signatures holds one entry per pipeline state, ascending by signature,
+	// then state.
+	Signatures []StateSig
+
 	InitialState int
 	Stats        Stats
-
-	// conjs are the resolved conjunctions the program was built from: what
-	// Trace evaluates to say which rules a packet matched (the BDD's
-	// terminals are action classes and name no rule).
-	conjs []bdd.Conj
-	// index maps BDD node IDs to what the pipeline names them by: an In
-	// node's state, a terminal's action set (its index in Actions); -1 for
-	// the nodes that are neither (interior nodes of a field's component).
-	index []int
 }
 
-// StateOf exposes the BDD-node → pipeline-state mapping (testing).
-func (p *Program) StateOf(nodeID int) (int, bool) {
-	return p.indexOf(nodeID, false)
+// StateSig is a pipeline state beside its behavioural signature: a hash of
+// the sub-diagram the state stands for — each node's field name and
+// intervals mixed with its children's signatures, a terminal being its
+// action set's Sum. Two states share one exactly when the packets reaching
+// them are treated alike, however either program numbers them, up to the
+// odds of two random 128-bit values colliding; the control plane pairs a new
+// program's states with the running one's by it.
+type StateSig struct {
+	Sig   [2]uint64
+	State int
 }
 
-// ActionOf maps a terminal's BDD node ID to its action set's index in
-// Actions.
-func (p *Program) ActionOf(nodeID int) (int, bool) {
-	return p.indexOf(nodeID, true)
-}
-
-func (p *Program) indexOf(nodeID int, terminal bool) (int, bool) {
-	if nodeID < 0 || nodeID >= len(p.index) || p.index[nodeID] < 0 || p.BDD.Nodes()[nodeID].IsTerminal() != terminal {
-		return 0, false
+func (s StateSig) compare(t StateSig) int {
+	if c := slices.Compare(s.Sig[:], t.Sig[:]); c != 0 {
+		return c
 	}
-	return p.index[nodeID], true
+	return cmp.Compare(s.State, t.State)
 }
 
-// RemapStates renumbers pipeline states in place (entries, initial state):
-// state s becomes remap(s). The targets of rows that decide are actions and
-// keep their numbers.
+// signatures fills in Signatures from the diagram the program is lowered
+// from, b, and its node index (assignStates). A node's children have
+// smaller IDs, so one pass in ID order meets them first.
+func (p *Program) signatures(b *bdd.BDD, index []int, states int) {
+	named := make([]contentHash, len(p.Fields)) // each field's name, hashed
+	for f := range p.Fields {
+		named[f] = hashIn(stateDomain).bytes([]byte(p.Fields[f].Name))
+	}
+	sigs := make([][2]uint64, b.NumNodes())
+	p.Signatures = make([]StateSig, 0, states)
+	for _, n := range b.Nodes() {
+		if n.IsTerminal() {
+			sigs[n.ID] = p.Actions[index[n.ID]].Sum()
+			continue
+		}
+		h, ivs := named[n.Field], n.Set.Intervals()
+		for _, iv := range ivs {
+			h = h.word(iv.Lo).word(iv.Hi)
+		}
+		t, e := sigs[n.True.ID], sigs[n.False.ID]
+		s := h.word(uint64(len(ivs))).word(t[0]).word(t[1]).word(e[0]).word(e[1]).sum()
+		sigs[n.ID] = [2]uint64{s.a, s.b}
+		if index[n.ID] >= 0 {
+			p.Signatures = append(p.Signatures, StateSig{sigs[n.ID], index[n.ID]})
+		}
+	}
+	slices.SortFunc(p.Signatures, StateSig.compare)
+}
+
+// RemapStates renumbers pipeline states in place (entries, signatures,
+// initial state): state s becomes remap(s). The targets of rows that decide
+// are actions and keep their numbers.
 func (p *Program) RemapStates(remap func(s int) int) {
 	for _, t := range p.Tables {
 		for i := range t.Entries {
@@ -315,20 +343,10 @@ func (p *Program) RemapStates(remap func(s int) int) {
 		}
 	}
 	p.InitialState = remap(p.InitialState)
-	nodes := p.BDD.Nodes()
-	for nodeID, st := range p.index {
-		if st >= 0 && !nodes[nodeID].IsTerminal() {
-			p.index[nodeID] = remap(st)
-		}
+	for i := range p.Signatures {
+		p.Signatures[i].State = remap(p.Signatures[i].State)
 	}
-}
-
-// Dot renders the BDD in Graphviz dot format, every terminal labelled with
-// its action set as in Figure 3 of the paper.
-func (p *Program) Dot() string {
-	return p.BDD.Dot(func(n *bdd.Node) string {
-		return p.Actions[p.index[n.ID]].String()
-	})
+	slices.SortFunc(p.Signatures, StateSig.compare)
 }
 
 // NumStates returns the number of distinct pipeline states.

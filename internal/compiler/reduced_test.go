@@ -1,6 +1,7 @@
 package compiler_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -82,10 +83,11 @@ func TestReducedEqualsExact(t *testing.T) {
 				keys[i], payloads[i] = exact.Eval(v)
 			}
 			for a, opts := range ablations {
-				prog, err := c.compile(opts)
+				pass, err := c.compile(opts)
 				if err != nil {
 					t.Fatalf("%+v: %v", opts, err)
 				}
+				prog := pass.Program()
 				if prog.Stats.BDDNodes > exact.Nodes() {
 					t.Errorf("%+v: %d nodes, the payload-exact diagram has %d", opts, prog.Stats.BDDNodes, exact.Nodes())
 				}
@@ -96,7 +98,7 @@ func TestReducedEqualsExact(t *testing.T) {
 					if a > 0 {
 						continue // which rules matched is no business of the lowering
 					}
-					tr := prog.Trace(v)
+					tr := pass.Trace(v)
 					if !slices.Equal(tr.MatchedRules, payloads[i]) {
 						t.Fatalf("packet %v: Trace names rules %v, the exact diagram %v", v, tr.MatchedRules, payloads[i])
 					}
@@ -111,8 +113,10 @@ func TestReducedEqualsExact(t *testing.T) {
 
 func rulesCase(name string, sp *spec.Spec, rules []lang.Rule) goldenCase {
 	return goldenCase{name: name, sp: sp, rules: rules,
-		compile: func(o compiler.Options) (*compiler.Program, error) { return compiler.Compile(sp, rules, o) },
-		exact:   func() (*compiler.Exact, error) { return compiler.ExactOf(sp, rules) }}
+		compile: func(o compiler.Options) (*compiler.Pass, error) {
+			return compiled(compiler.Observe(context.Background(), sp, compiler.Source{Rules: rules}, o, nil))
+		},
+		exact: func() (*compiler.Exact, error) { return compiler.ExactOf(sp, rules) }}
 }
 
 func sourceCase(t *testing.T, name string, sp *spec.Spec, src string) goldenCase {
@@ -211,10 +215,11 @@ func TestTablesScaleWithBehaviours(t *testing.T) {
 		{sourceCase(t, "2k rules under two keyed windows", statefulSpec, stateful.String()), 600},
 		{rulesCase("2k rules, 200 hosts: nothing to merge", workload.ITCHSpec(), itch(2000, 200, 10, 12)), 11930},
 	} {
-		prog, err := c.c.compile(compiler.Options{})
+		pass, err := c.c.compile(compiler.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", c.c.name, err)
 		}
+		prog := pass.Program()
 		if got := prog.EntriesTotal(); got > c.bound {
 			t.Errorf("%s: %d table entries, bound %d (%d distinct action sets)\n%s",
 				c.c.name, got, c.bound, len(prog.Actions), prog.Stats)
@@ -229,12 +234,13 @@ func TestTablesScaleWithBehaviours(t *testing.T) {
 // over 200 hosts, where every class only forwards, and one per class on the
 // itch-stateful fixture, where every class updates.
 func TestTerminalsAreActions(t *testing.T) {
-	check := func(name string, prog *compiler.Program) {
+	check := func(name string, pass *compiler.Pass) {
 		t.Helper()
+		prog := pass.Program()
 		inNodes := 0
-		for _, n := range prog.BDD.Nodes() {
-			_, hasState := prog.StateOf(n.ID)
-			_, hasAction := prog.ActionOf(n.ID)
+		for _, n := range pass.Diagram().Nodes() {
+			_, hasState := pass.StateOf(n.ID)
+			_, hasAction := pass.ActionOf(n.ID)
 			switch {
 			case n.IsTerminal() && (hasState || !hasAction):
 				t.Errorf("%s: terminal %d has a state (%v) or no action set (%v)", name, n.ID, hasState, !hasAction)
@@ -264,26 +270,26 @@ func TestTerminalsAreActions(t *testing.T) {
 		}
 	}
 
-	prog, err := compiler.Compile(workload.ITCHSpec(), workload.ITCHSubscriptions(workload.ITCHSubsConfig{
+	pass, err := rulesCase("20k Fig. 5c rules", workload.ITCHSpec(), workload.ITCHSubscriptions(workload.ITCHSubsConfig{
 		Subscriptions: 20000, Stocks: 100, Hosts: 200, PriceMax: 1000, PriceGrid: 10, Seed: 1,
-	}), compiler.Options{})
+	})).compile(compiler.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("20k Fig. 5c rules", prog)
-	if len(prog.Leaf.Entries) != 0 {
-		t.Errorf("20k Fig. 5c rules: %d leaf entries, want none", len(prog.Leaf.Entries))
+	check("20k Fig. 5c rules", pass)
+	if n := len(pass.Program().Leaf.Entries); n != 0 {
+		t.Errorf("20k Fig. 5c rules: %d leaf entries, want none", n)
 	}
 	for _, c := range goldenCases(t) {
 		if c.name != "itch-stateful" {
 			continue
 		}
-		prog, err := c.compile(compiler.Options{})
+		pass, err := c.compile(compiler.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(c.name, prog)
-		if len(prog.Leaf.Entries) == 0 {
+		check(c.name, pass)
+		if len(pass.Program().Leaf.Entries) == 0 {
 			t.Errorf("%s: no leaf entries", c.name)
 		}
 	}
@@ -301,10 +307,11 @@ func TestNoRowLeadsToTheNoOp(t *testing.T) {
 	ablations := []compiler.Options{{}, {DisableCompression: true}, {DisableExactLowering: true}, {ForceRangeTables: true}}
 	for _, c := range goldenCases(t) {
 		for _, opts := range ablations {
-			prog, err := c.compile(opts)
+			pass, err := c.compile(opts)
 			if err != nil {
 				t.Fatalf("%s %+v: %v", c.name, opts, err)
 			}
+			prog := pass.Program()
 			noop := func(next int) bool {
 				a, ok := compiler.Decides(next)
 				return ok && doesNothing(prog.Actions[a])

@@ -143,6 +143,15 @@ func (s *Session) RemoveRules(handles ...int) error {
 // camus_compiler_{rules,bdd_nodes,arena_nodes} gauges, so a dashboard
 // over /metrics shows churn cost the way Fig. 5c plots it.
 func (s *Session) Recompile() (*Program, error) {
+	p, err := s.recompile()
+	if err != nil {
+		return nil, err
+	}
+	return p.prog, nil
+}
+
+// recompile is Recompile, leaving the diagram on the pass it returns.
+func (s *Session) recompile() (*Pass, error) {
 	start := time.Now()
 	total := 0
 	for _, h := range s.order {
@@ -164,10 +173,11 @@ func (s *Session) Recompile() (*Program, error) {
 	for _, h := range s.order {
 		conjs = append(conjs, s.live[h]...)
 	}
-	prog, err := compileFromConjs(s.sp, s.res.fields, s.res.actions, conjs, len(s.order), s.opts, s.arena)
-	if err != nil {
+	p := &Pass{sp: s.sp, opts: s.opts, res: s.res, conjs: conjs, rules: len(s.order)}
+	if err := p.lower(s.arena); err != nil {
 		return nil, err
 	}
+	prog := p.prog
 	if cold {
 		s.coldRetained, s.coldConjs = s.arena.builder.Retained(), total
 	}
@@ -176,7 +186,7 @@ func (s *Session) Recompile() (*Program, error) {
 		// hit a terminal whose class the arena already had. Every class made
 		// is some terminal's.
 		misses := uint64(len(s.arena.sets) - classes)
-		tel.Counter("camus_compiler_memo_hits_total").Add(uint64(len(prog.BDD.Terminals())) - misses)
+		tel.Counter("camus_compiler_memo_hits_total").Add(uint64(prog.Stats.BDDTerminals) - misses)
 		tel.Counter("camus_compiler_memo_misses_total").Add(misses)
 		tel.Counter("camus_compiler_recompiles_total").Inc()
 		tel.Histogram("camus_compiler_recompile_seconds").Observe(time.Since(start))
@@ -185,5 +195,5 @@ func (s *Session) Recompile() (*Program, error) {
 		tel.Gauge("camus_compiler_arena_nodes").Set(int64(s.arena.builder.ArenaSize()))
 		tel.Gauge("camus_compiler_table_entries").Set(int64(prog.Stats.TableEntries))
 	}
-	return prog, nil
+	return p, nil
 }

@@ -191,19 +191,20 @@ func TestSessionMemoMissesAreNewClasses(t *testing.T) {
 	}
 	hits, misses := reg.Counter("camus_compiler_memo_hits_total"), reg.Counter("camus_compiler_memo_misses_total")
 	hits0, misses0 := hits.Load(), misses.Load()
-	prog, err := s.Recompile()
+	pass, err := s.recompile()
 	if err != nil {
 		t.Fatal(err)
 	}
+	terms := pass.Diagram().Terminals()
 	fresh := uint64(0)
-	for _, term := range prog.BDD.Terminals() {
+	for _, term := range terms {
 		if !known[s.arena.sets[term.Class].Key()] {
 			fresh++
 		}
 	}
 	h, m := hits.Load()-hits0, misses.Load()-misses0
-	if m > fresh || h+m != uint64(len(prog.BDD.Terminals())) || fresh == 0 || h == 0 {
-		t.Errorf("warm recompile: %d hits, %d misses over %d terminals, %d classes new to the arena", h, m, len(prog.BDD.Terminals()), fresh)
+	if m > fresh || h+m != uint64(len(terms)) || fresh == 0 || h == 0 {
+		t.Errorf("warm recompile: %d hits, %d misses over %d terminals, %d classes new to the arena", h, m, len(terms), fresh)
 	}
 	t.Logf("warm recompile: %d hits, %d misses, %d classes new to the arena", h, m, fresh)
 }

@@ -113,25 +113,25 @@ func TestStreamedEqualsWhole(t *testing.T) {
 			if !reflect.DeepEqual(chunked, rules) {
 				t.Fatal("the chunk parsers' rules, IDs or positions are not the whole parse's")
 			}
-			whole, err := compiler.Compile(s.sp, rules, compiler.Options{Workers: 1})
+			whole, err := compiled(compiler.Observe(context.Background(), s.sp, compiler.Source{Rules: rules}, compiler.Options{Workers: 1}, nil))
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := programDigest(whole)
 			for _, workers := range []int{1, 2, 4} {
-				prog, err := compiler.CompileSource(s.sp, s.src, compiler.Options{Workers: workers})
+				pass, err := compiled(compiler.Observe(context.Background(), s.sp, compiler.Source{Text: s.src}, compiler.Options{Workers: workers}, nil))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := programDigest(prog); got != want {
-					t.Errorf("workers=%d: streamed digest %s, whole %s\n%s\n%s", workers, got, want, prog.Stats, whole.Stats)
+				if got := programDigest(pass); got != want {
+					t.Errorf("workers=%d: streamed digest %s, whole %s\n%s\n%s", workers, got, want, pass.Program().Stats, whole.Program().Stats)
 				}
 			}
 			sess := compiler.NewSession(s.sp, compiler.Options{Workers: 2})
 			if _, err := sess.AddSource(s.src); err != nil {
 				t.Fatal(err)
 			}
-			if prog, err := sess.Recompile(); err != nil || programDigest(prog) != want {
+			if pass, err := sess.RecompilePass(); err != nil || programDigest(pass) != want {
 				t.Errorf("session from source: err %v, digest differs %v", err, err == nil)
 			}
 		})
@@ -205,11 +205,12 @@ func TestCompileSourceStopsWhenContextIsDone(t *testing.T) {
 	}
 }
 
-// TestProgramRetainsOneAtomPerPredicate: what a Program and a Session keep
-// of their rules' predicates is one atom per distinct (operand, operator,
+// TestProgramRetainsOneAtomPerPredicate: what a Pass and a Session keep of
+// their rules' predicates is one atom per distinct (operand, operator,
 // constant), shared by every conjunction that uses it — not one per use —
 // and none of its strings is a piece of the source text, which tokens are:
-// a compiled program must not pin the text it was compiled from.
+// neither, nor the program's state updates, may pin the text it was
+// compiled from. The program keeps no predicate at all.
 func TestProgramRetainsOneAtomPerPredicate(t *testing.T) {
 	itch := func(n, hosts int, grid uint64) string {
 		var b strings.Builder
@@ -271,16 +272,17 @@ func TestProgramRetainsOneAtomPerPredicate(t *testing.T) {
 			}
 			return len(seen)
 		}
-		prog, err := compiler.CompileSource(c.sp, c.src, compiler.Options{})
+		pass, err := compiled(compiler.Observe(context.Background(), c.sp, compiler.Source{Text: c.src}, compiler.Options{}, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
+		prog := pass.Program()
 		sess := compiler.NewSession(c.sp, compiler.Options{})
 		if _, err := sess.AddSource(c.src); err != nil {
 			t.Fatal(err)
 		}
-		if p, s := targets(prog.Conjs()), targets(sess.LiveConjs()); p != len(distinct) || s != len(distinct) {
-			t.Errorf("%s: %d uses of %d distinct atoms; the program retains %d, the session %d",
+		if p, s := targets(pass.Conjs()), targets(sess.LiveConjs()); p != len(distinct) || s != len(distinct) {
+			t.Errorf("%s: %d uses of %d distinct atoms; the pass retains %d, the session %d",
 				c.name, uses, len(distinct), p, s)
 		}
 		for _, set := range prog.Actions {

@@ -3,6 +3,7 @@ package compiler
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 
 	"camus/internal/spec"
@@ -54,13 +55,14 @@ func (tr Trace) String() string {
 	return b.String()
 }
 
-// Trace runs a packet through the tables recording every lookup — those
-// after the row that decides miss, as they do on the switch — and finds the
-// matched rule set by evaluating every rule's resolved conjunctions on the
-// same values: O(rules), off the packet path, and independent of the BDD
-// and the tables it explains. It is the diagnostic twin of Evaluate (same
-// semantics, more output).
-func (p *Program) Trace(values []uint64) Trace {
+// Trace runs a packet through the tables of the program the last Compile
+// made, recording every lookup — those after the row that decides miss, as
+// they do on the switch — and finds the matched rule set by evaluating the
+// pass's conjunctions on the same values: O(rules), off the packet path,
+// and independent of the BDD and the tables it explains. It is the
+// diagnostic twin of Program.Evaluate (same semantics, more output).
+func (pass *Pass) Trace(values []uint64) Trace {
+	p := pass.prog
 	tr := Trace{Action: p.leafDefault()}
 	state := p.InitialState
 	for i, t := range p.Tables {
@@ -79,7 +81,7 @@ func (p *Program) Trace(values []uint64) Trace {
 		tr.Steps = append(tr.Steps, step)
 	}
 conjs:
-	for _, c := range p.conjs {
+	for _, c := range pass.conjs {
 		for _, con := range c.Constraints {
 			if !con.Set.Contains(values[con.Field]) {
 				continue conjs
@@ -93,8 +95,10 @@ conjs:
 }
 
 // ParseValueAssignment parses "field=value,field=SYMBOL,..." into a
-// program field-value vector (the camusc -explain input format). Symbolic
-// values are encoded per the spec; unmentioned fields stay zero.
+// program field-value vector (the camusc -explain input format). A value is
+// a number when the whole of it reads as a decimal uint64; any other a
+// packet field encodes as a symbol per the spec, and a state field rejects.
+// Unmentioned fields stay zero.
 func (p *Program) ParseValueAssignment(s string) ([]uint64, error) {
 	values := make([]uint64, len(p.Fields))
 	if strings.TrimSpace(s) == "" {
@@ -109,8 +113,8 @@ func (p *Program) ParseValueAssignment(s string) ([]uint64, error) {
 		if err != nil {
 			return nil, err
 		}
-		var v uint64
-		if _, err := fmt.Sscanf(kv[1], "%d", &v); err != nil {
+		v, err := strconv.ParseUint(kv[1], 10, 64)
+		if err != nil {
 			if p.Fields[idx].IsState {
 				return nil, fmt.Errorf("assignment %q: state fields take numbers", part)
 			}

@@ -4,18 +4,21 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"camus/internal/spec"
 )
 
 func TestTraceMatchesEvaluate(t *testing.T) {
 	sp := itchSpec(t)
-	p := compileSrc(t, sp, `
+	pass := passSrc(t, sp, `
 stock == GOOGL && price > 50 : fwd(1)
 stock == GOOGL : fwd(2)
 stock == AAPL : fwd(3)
 `, Options{})
+	p := pass.prog
 	googl := encodeStock(t, sp, "GOOGL")
 	vals := itchValues(p, 0, googl, 100)
-	tr := p.Trace(vals)
+	tr := pass.Trace(vals)
 	as := p.Evaluate(vals)
 	if tr.Action.String() != as.String() {
 		t.Fatalf("trace action %s != evaluate %s", tr.Action, as)
@@ -52,12 +55,13 @@ stock == AAPL : fwd(3)
 // terminal cannot say which of them matched: Trace asks the rules.
 func TestTraceMatchedRulesAcrossOneClass(t *testing.T) {
 	sp := itchSpec(t)
-	p := compileSrc(t, sp, "price > 10 : fwd(1)\nprice > 20 : fwd(1)\n", Options{})
-	if n := len(p.BDD.Terminals()); n != 2 {
+	pass := passSrc(t, sp, "price > 10 : fwd(1)\nprice > 20 : fwd(1)\n", Options{})
+	p := pass.prog
+	if n := len(pass.Diagram().Terminals()); n != 2 {
 		t.Fatalf("%d terminals, want drop and fwd(1)", n)
 	}
 	for price, want := range map[uint64][]int{5: nil, 15: {0}, 25: {0, 1}} {
-		tr := p.Trace(itchValues(p, 0, 0, price))
+		tr := pass.Trace(itchValues(p, 0, 0, price))
 		if !reflect.DeepEqual(tr.MatchedRules, want) {
 			t.Errorf("price %d: matched rules %v, want %v", price, tr.MatchedRules, want)
 		}
@@ -69,9 +73,10 @@ func TestTraceMatchedRulesAcrossOneClass(t *testing.T) {
 
 func TestTraceMissShowsStateUnchanged(t *testing.T) {
 	sp := itchSpec(t)
-	p := compileSrc(t, sp, "stock == GOOGL : fwd(1)", Options{})
+	pass := passSrc(t, sp, "stock == GOOGL : fwd(1)", Options{})
+	p := pass.prog
 	vals := itchValues(p, 0, encodeStock(t, sp, "IBM"), 0)
-	tr := p.Trace(vals)
+	tr := pass.Trace(vals)
 	if !tr.Action.Drop {
 		t.Fatalf("IBM should drop: %+v", tr.Action)
 	}
@@ -104,8 +109,26 @@ func TestParseValueAssignment(t *testing.T) {
 			t.Fatal("empty assignment should be all zero")
 		}
 	}
-	// Errors.
-	for _, bad := range []string{"nofield=1", "price", "stock=\x01"} {
+	// A value is a number only when it is digits throughout: a packet field
+	// takes "1A" as the symbol, not as 1.
+	stockIdx, err := p.FieldIndex("stock")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := sp.LookupField("stock")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := spec.EncodeSymbol(q, "1A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vals, err := p.ParseValueAssignment("stock=1A"); err != nil || vals[stockIdx] != want {
+		t.Errorf("stock=1A: %v, %v; want the symbol %d", vals, err, want)
+	}
+	// Errors; "12abc" is no number, and five bytes do not fit the 4-byte
+	// price as a symbol.
+	for _, bad := range []string{"nofield=1", "price", "stock=\x01", "price=12abc"} {
 		if _, err := p.ParseValueAssignment(bad); err == nil {
 			t.Errorf("ParseValueAssignment(%q) should fail", bad)
 		}

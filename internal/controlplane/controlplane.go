@@ -14,7 +14,6 @@ package controlplane
 import (
 	"cmp"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -251,12 +250,13 @@ func (c *Controller) Install(ctx context.Context, newProg *compiler.Program) (De
 // install is the one delta-install path every entry point ends in: align
 // newProg's states to the program the device runs, diff, commit with the
 // retry/rollback policy, and only then count the writes. Over a program
-// with no rules — a single terminal, as a switch starts on — there is
-// nothing to align with, and the delta is counted. It ends span.
+// whose field tables have no row — its rules, if any, left one terminal,
+// as a switch starts on — there is nothing to align with, and the delta is
+// counted. It ends span.
 func (c *Controller) install(ctx context.Context, span *telemetry.Span, newProg *compiler.Program) (Delta, error) {
 	var delta Delta
 	base := c.dev.Program()
-	if base.BDD.Root.IsTerminal() {
+	if !slices.ContainsFunc(base.Tables, func(t *compiler.Table) bool { return len(t.Entries) > 0 }) {
 		delta = countInstall(base, newProg)
 	} else {
 		AlignStates(base, newProg)
@@ -271,11 +271,12 @@ func (c *Controller) install(ctx context.Context, span *telemetry.Span, newProg 
 }
 
 // AlignStates renumbers newProg's pipeline states so that states whose
-// sub-BDD behavior is identical to a state in oldProg get the old number.
-// States with no behavioral twin get fresh numbers above both programs'
-// ranges to avoid collisions.
+// sub-BDD behavior is identical to a state in oldProg get the old number:
+// it merges the two programs' signature lists (Program.Signatures). States
+// with no behavioral twin get fresh numbers above both programs' ranges to
+// avoid collisions.
 func AlignStates(oldProg, newProg *compiler.Program) {
-	olds, news := stateSignatures(oldProg), stateSignatures(newProg)
+	olds, news := oldProg.Signatures, newProg.Signatures
 
 	// Both lists ascend by signature, then state: the new states of one
 	// signature take its old twins, smallest first, in ascending order.
@@ -283,16 +284,16 @@ func AlignStates(oldProg, newProg *compiler.Program) {
 	oldInitialTaken := false
 	i, next := 0, 0 // next: above every state of either program
 	for _, o := range olds {
-		next = max(next, o.state+1)
+		next = max(next, o.State+1)
 	}
 	for j, n := range news {
-		for i < len(olds) && olds[i].sig.compare(n.sig) < 0 {
+		for i < len(olds) && slices.Compare(olds[i].Sig[:], n.Sig[:]) < 0 {
 			i++
 		}
-		pairs[j], next = statePair{n.state, -1}, max(next, n.state+1)
-		if i < len(olds) && olds[i].sig == n.sig {
-			pairs[j].to = olds[i].state
-			oldInitialTaken = oldInitialTaken || olds[i].state == oldProg.InitialState
+		pairs[j], next = statePair{n.State, -1}, max(next, n.State+1)
+		if i < len(olds) && olds[i].Sig == n.Sig {
+			pairs[j].to = olds[i].State
+			oldInitialTaken = oldInitialTaken || olds[i].State == oldProg.InitialState
 			i++
 		}
 	}
@@ -330,8 +331,7 @@ type statePair struct{ from, to int }
 
 func (p statePair) compareFrom(st int) int { return cmp.Compare(p.from, st) }
 
-// sig is a structural signature of a state's downstream behavior, or the
-// content hash of an action set or a multicast group.
+// sig is the content hash of an action set or a multicast group.
 type sig struct{ a, b uint64 }
 
 func (s sig) compare(t sig) int {
@@ -341,68 +341,11 @@ func (s sig) compare(t sig) int {
 	return cmp.Compare(s.b, t.b)
 }
 
-func (s sig) mixWord(x uint64) sig {
-	s.a = (s.a ^ x) * 1099511628211
-	s.b = (s.b ^ x) * 0xff51afd7ed558ccd
-	s.b ^= s.b >> 33
-	return s
-}
-
-func (s sig) mixString(data string) sig {
-	for i := 0; i < len(data); i += 8 { // eight bytes a word, the last zero-padded
-		var w [8]byte
-		copy(w[:], data[i:])
-		s = s.mixWord(binary.LittleEndian.Uint64(w[:]))
-	}
-	return s.mixWord(uint64(len(data)))
-}
-
-// stateSig is a pipeline state and a hash that stands for it.
-type stateSig struct {
-	sig   sig
-	state int
-}
-
 // actionSig is an action set's identity: its class sum, the same in every
 // program.
 func actionSig(a compiler.ActionSet) sig {
 	s := a.Sum()
 	return sig{s[0], s[1]}
-}
-
-// stateSignatures computes a behavioral hash per pipeline state by
-// hashing the sub-BDD rooted at the state's node; terminals, which are not
-// states, hash their merged action set, so two states are equal iff the
-// packets reaching them are treated identically regardless of state
-// numbering. Ascending by signature, then state.
-func stateSignatures(p *compiler.Program) []stateSig {
-	out := make([]stateSig, 0, p.Stats.States)
-	nodes := p.BDD.Nodes()
-	sigs := make([]sig, len(nodes)) // by node ID; a node's children have smaller IDs
-	for _, n := range nodes {
-		var s sig
-		if a, ok := p.ActionOf(n.ID); ok {
-			s = actionSig(p.Actions[a])
-		} else if !n.IsTerminal() {
-			s = sig{a: 1469598103934665603, b: 0x9e3779b97f4a7c15}.mixString(p.Fields[n.Field].Name)
-			for _, iv := range n.Set.Intervals() {
-				s = s.mixWord(iv.Lo).mixWord(iv.Hi)
-			}
-			t, e := sigs[n.True.ID], sigs[n.False.ID]
-			s = s.mixWord(uint64(len(n.Set.Intervals()))).mixWord(t.a).mixWord(t.b).mixWord(e.a).mixWord(e.b)
-		}
-		sigs[n.ID] = s
-		if st, ok := p.StateOf(n.ID); ok {
-			out = append(out, stateSig{s, st})
-		}
-	}
-	slices.SortFunc(out, func(a, b stateSig) int {
-		if a.sig != b.sig {
-			return a.sig.compare(b.sig)
-		}
-		return cmp.Compare(a.state, b.state)
-	})
-	return out
 }
 
 // entryKey identifies an installed entry for diffing, in six words: state,
@@ -437,7 +380,7 @@ func DiffPrograms(oldProg, newProg *compiler.Program) Delta {
 }
 
 // countInstall is AlignStates and DiffPrograms for an install over a
-// program whose diagram is one terminal, counted instead of merged, with
+// program whose field tables have no row, counted instead of merged, with
 // newProg's states left dense: every entry and group of newProg is added
 // and every one of oldProg removed, but for oldProg's leaf entry — the
 // terminal as the leaf's default, when it does something — and group where
@@ -514,15 +457,12 @@ func leafKey(p *compiler.Program, id uint64, e compiler.Entry) entryKey {
 	return entryKey{0, id | uint64(e.Kind), 0, 0, act.a, act.b}
 }
 
-// groupKeys is the program's multicast groups, each as a hash of its ports.
+// groupKeys is the program's multicast groups, each as the content sum of
+// its ports (ActionSet.Sum).
 func groupKeys(p *compiler.Program) []sig {
 	keys := make([]sig, len(p.Groups))
 	for g, ports := range p.Groups {
-		s := sig{a: 1469598103934665603, b: 0x9e3779b97f4a7c15}
-		for it := ports.Iter(); it.Next(); {
-			s = s.mixWord(uint64(it.Port()))
-		}
-		keys[g] = s.mixWord(uint64(ports.Len()))
+		keys[g] = actionSig(compiler.ActionSet{Ports: ports})
 	}
 	return keys
 }

@@ -89,15 +89,15 @@ func oracleDiff(oldProg, newProg *compiler.Program) Delta {
 }
 
 func oracleAlign(oldProg, newProg *compiler.Program) {
-	sigsOf := func(p *compiler.Program) map[int]sig {
-		out := make(map[int]sig)
-		for _, s := range stateSignatures(p) {
-			out[s.state] = s.sig
+	sigsOf := func(p *compiler.Program) map[int][2]uint64 {
+		out := make(map[int][2]uint64)
+		for _, s := range p.Signatures {
+			out[s.State] = s.Sig
 		}
 		return out
 	}
 	oldSigs, newSigs := sigsOf(oldProg), sigsOf(newProg)
-	sigToOld := make(map[sig][]int)
+	sigToOld := make(map[[2]uint64][]int)
 	for st, s := range oldSigs {
 		sigToOld[s] = append(sigToOld[s], st)
 	}
@@ -203,7 +203,7 @@ func TestCountedInstallEqualsDiff(t *testing.T) {
 	for _, o := range olds {
 		for _, n := range news {
 			oldProg := compile(t, o)
-			if !oldProg.BDD.Root.IsTerminal() {
+			if oldProg.Stats.BDDNodes != 1 {
 				t.Fatalf("%q compiles to more than a terminal", o)
 			}
 			got := countInstall(oldProg, compile(t, n))

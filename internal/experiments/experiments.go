@@ -9,6 +9,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -314,7 +315,11 @@ func Ablation(subs int, seed int64) ([]AblationPoint, error) {
 	var out []AblationPoint
 	for _, v := range variants {
 		start := time.Now()
-		prog, err := compiler.Compile(sp, rules, v.opts)
+		pass, err := compiler.Observe(context.Background(), sp, compiler.Source{Rules: rules}, v.opts, nil)
+		if err != nil {
+			return nil, err
+		}
+		prog, err := pass.Compile()
 		if err != nil {
 			return nil, err
 		}
@@ -323,8 +328,8 @@ func Ablation(subs int, seed int64) ([]AblationPoint, error) {
 			Entries:     prog.Stats.TableEntries,
 			SRAM:        prog.Stats.SRAMEntries,
 			TCAM:        prog.Stats.TCAMEntries,
-			NaivePaths:  prog.BDD.CountPaths(),
-			NaiveTCAM:   compiler.NaiveTCAMCost(prog),
+			NaivePaths:  pass.Diagram().CountPaths(),
+			NaiveTCAM:   compiler.NaiveTCAMCost(pass),
 			CompileTime: time.Since(start),
 		})
 	}

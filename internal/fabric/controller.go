@@ -272,14 +272,9 @@ func (c *Controller) Apply(ctx context.Context, rules []lang.Rule) (Epoch, error
 	ep.UpEntries = upProgs[0].Stats.TableEntries
 
 	if c.cfg.VerifyCovers {
-		for j := range parts {
-			coverProg, err := SpineProgram(c.cfg.Spec, []Cover{covers[j]}, []int{downPorts[j]}, c.cfg.Compiler)
-			if err != nil {
-				c.outcome("compile_failed")
-				return Epoch{}, err
-			}
-			for what, prog := range map[string]*compiler.Program{"spine": coverProg, "uplink": upProgs[j]} {
-				ok, witness, err := VerifyCover(downProgs[j], prog)
+		for j, part := range parts {
+			for what, cover := range map[string]Cover{"spine": covers[j], "uplink": globalCover} {
+				ok, witness, err := VerifyCover(c.cfg.Spec, part, cover, c.cfg.Compiler)
 				if err != nil {
 					c.outcome("cover_unsound")
 					return Epoch{}, fmt.Errorf("fabric: leaf %d %s cover check: %w", j, what, err)

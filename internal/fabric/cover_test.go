@@ -58,7 +58,7 @@ func TestCoverContainsAndCompresses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ok, witness, err := VerifyCover(full, coverProg)
+		ok, witness, err := VerifyCover(sp, part, cover, compiler.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +235,7 @@ func TestVerifyCoverIgnoresDroppedRegions(t *testing.T) {
 				brute = brute && !escapes(vals)
 			}
 		}
-		ok, witness, err := VerifyCover(full, coverProg)
+		ok, witness, err := VerifyCover(sp, leafRules, cover, compiler.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -21,11 +22,14 @@ func mustSpec(t testing.TB) *spec.Spec {
 }
 
 // buildTelemetrySwitch compiles rules and installs them on a switch with
-// a fresh registry attached.
-func buildTelemetrySwitch(t testing.TB, rules string) (*telemetry.Registry, *compiler.Program, *Switch) {
+// a fresh registry attached. The pass is the compile's, for Trace.
+func buildTelemetrySwitch(t testing.TB, rules string) (*telemetry.Registry, *compiler.Pass, *Switch) {
 	t.Helper()
-	sp := mustSpec(t)
-	prog, err := compiler.CompileSource(sp, rules, compiler.Options{})
+	pass, err := compiler.Observe(context.Background(), mustSpec(t), compiler.Source{Text: rules}, compiler.Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := pass.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +39,7 @@ func buildTelemetrySwitch(t testing.TB, rules string) (*telemetry.Registry, *com
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cfg.Telemetry, prog, sw
+	return cfg.Telemetry, pass, sw
 }
 
 // TestProcessBatchTelemetryExact checks that the batch path records
@@ -46,7 +50,8 @@ func buildTelemetrySwitch(t testing.TB, rules string) (*telemetry.Registry, *com
 func TestProcessBatchTelemetryExact(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	rules := genDifferentialRules(r, 80, testSymbols)
-	sReg, prog, single := buildTelemetrySwitch(t, rules)
+	sReg, pass, single := buildTelemetrySwitch(t, rules)
+	prog := single.Program()
 	bReg, _, batched := buildTelemetrySwitch(t, rules)
 	sp := mustSpec(t)
 
@@ -92,7 +97,7 @@ func TestProcessBatchTelemetryExact(t *testing.T) {
 	// the tables after the row that decides a packet miss too.
 	want := make([]uint64, len(prog.Tables))
 	for i := range values {
-		for ti, s := range prog.Trace(values[i]).Steps {
+		for ti, s := range pass.Trace(values[i]).Steps {
 			if s.Entry == nil {
 				want[ti]++
 			}
