@@ -33,9 +33,13 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // 1 when reading, compiling or writing fails, 2 on a usage error.
 func run(args []string, stdout, stderr io.Writer) (status int) {
 	defer func() {
-		if f, ok := recover().(failure); ok {
-			fmt.Fprintln(stderr, "camusc:", f.err)
+		switch r := recover().(type) {
+		case nil:
+		case failure:
+			fmt.Fprintln(stderr, "camusc:", r.err)
 			status = 1
+		default:
+			panic(r)
 		}
 	}()
 	fs := flag.NewFlagSet("camusc", flag.ContinueOnError)

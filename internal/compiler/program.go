@@ -294,10 +294,7 @@ type StateSig struct {
 }
 
 func (s StateSig) compare(t StateSig) int {
-	if c := slices.Compare(s.Sig[:], t.Sig[:]); c != 0 {
-		return c
-	}
-	return cmp.Compare(s.State, t.State)
+	return cmp.Or(slices.Compare(s.Sig[:], t.Sig[:]), cmp.Compare(s.State, t.State))
 }
 
 // signatures fills in Signatures from the diagram the program is lowered

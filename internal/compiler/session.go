@@ -177,7 +177,6 @@ func (s *Session) recompile() (*Pass, error) {
 	if err := p.lower(s.arena); err != nil {
 		return nil, err
 	}
-	prog := p.prog
 	if cold {
 		s.coldRetained, s.coldConjs = s.arena.builder.Retained(), total
 	}
@@ -186,14 +185,14 @@ func (s *Session) recompile() (*Pass, error) {
 		// hit a terminal whose class the arena already had. Every class made
 		// is some terminal's.
 		misses := uint64(len(s.arena.sets) - classes)
-		tel.Counter("camus_compiler_memo_hits_total").Add(uint64(prog.Stats.BDDTerminals) - misses)
+		tel.Counter("camus_compiler_memo_hits_total").Add(uint64(p.prog.Stats.BDDTerminals) - misses)
 		tel.Counter("camus_compiler_memo_misses_total").Add(misses)
 		tel.Counter("camus_compiler_recompiles_total").Inc()
 		tel.Histogram("camus_compiler_recompile_seconds").Observe(time.Since(start))
 		tel.Gauge("camus_compiler_rules").Set(int64(len(s.order)))
-		tel.Gauge("camus_compiler_bdd_nodes").Set(int64(prog.Stats.BDDNodes))
+		tel.Gauge("camus_compiler_bdd_nodes").Set(int64(p.prog.Stats.BDDNodes))
 		tel.Gauge("camus_compiler_arena_nodes").Set(int64(s.arena.builder.ArenaSize()))
-		tel.Gauge("camus_compiler_table_entries").Set(int64(prog.Stats.TableEntries))
+		tel.Gauge("camus_compiler_table_entries").Set(int64(p.prog.Stats.TableEntries))
 	}
 	return p, nil
 }
