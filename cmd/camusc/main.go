@@ -58,7 +58,9 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 		autoOrder = fs.Bool("auto-order", false, "choose the BDD field order heuristically from the rules")
 		explain   = fs.String("explain", "", "trace a packet through the tables, e.g. \"stock=GOOGL,price=55\"")
 	)
-	if fs.Parse(args) != nil {
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
 		return 2
 	}
 	if *specPath == "" || *rulesPath == "" {

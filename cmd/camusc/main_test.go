@@ -38,8 +38,8 @@ func TestOutputGolden(t *testing.T) {
 	}
 }
 
-// TestExitStatus: a usage error exits 2, and a failure to read or compile
-// exits 1 naming the cause.
+// TestExitStatus: -h prints the usage and exits 0, a usage error exits 2,
+// and a failure to read or compile exits 1 naming the cause.
 func TestExitStatus(t *testing.T) {
 	for _, tc := range []struct {
 		args   []string
@@ -47,6 +47,7 @@ func TestExitStatus(t *testing.T) {
 		stderr string
 	}{
 		{[]string{"-spec", "../../examples/rules/itch.spec"}, 2, "-rules"},
+		{[]string{"-h"}, 0, "Usage of camusc"},
 		{[]string{"-nosuch"}, 2, "-nosuch"},
 		{[]string{"-spec", "../../examples/rules/itch.spec", "-rules", "testdata/nosuch.rules"}, 1, "camusc: open testdata/nosuch.rules"},
 		{[]string{"-spec", "../../examples/rules/itch.spec", "-rules", "../../examples/rules/market.rules", "-explain", "nosuch=1"}, 1, "camusc: "},

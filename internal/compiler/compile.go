@@ -134,11 +134,9 @@ func frontEnd(ctx context.Context, src Source, opts Options, resolve func(*lang.
 type Observer func(*Resolved) (keep bool)
 
 // Pass is a front end run to its end: the resolver, and the conjunctions and
-// number of the rules kept, in source order. Once compiled it also holds
-// what its last Compile lowered the program from, which the program does
-// not keep: the diagram, and by node ID what the pipeline names each node
-// by — an In node's state, a terminal's action set (its index in Actions),
-// -1 for the nodes that are neither.
+// number of the rules kept, in source order. Once compiled it also holds what
+// the program does not keep: the diagram, and by node ID an In node's state,
+// a terminal's action set (its index in Actions) or -1 for neither.
 type Pass struct {
 	sp    *spec.Spec
 	opts  Options
@@ -169,6 +167,9 @@ func (p *Pass) Compile() (*Program, error) {
 	}
 	return p.prog, nil
 }
+
+// Program is the program the last Compile made.
+func (p *Pass) Program() *Program { return p.prog }
 
 // Diagram is the reduced diagram the last Compile built.
 func (p *Pass) Diagram() *bdd.BDD { return p.diagram }

@@ -82,9 +82,6 @@ const ChunkRules = chunkRules
 // Conjs is what the pass retains of its rules.
 func (p *Pass) Conjs() []bdd.Conj { return p.conjs }
 
-// Program is the program the pass's last Compile made.
-func (p *Pass) Program() *Program { return p.prog }
-
 // StateOf maps a node of the pass's diagram to the state the compile gave
 // it, ActionOf a terminal to its action set's index in Actions.
 func (p *Pass) StateOf(nodeID int) (int, bool)  { return p.indexOf(nodeID, false) }
@@ -96,9 +93,6 @@ func (p *Pass) indexOf(nodeID int, terminal bool) (int, bool) {
 	}
 	return p.index[nodeID], true
 }
-
-// RecompilePass is Recompile, returning the pass the program was lowered on.
-func (s *Session) RecompilePass() (*Pass, error) { return s.recompile() }
 
 // LiveConjs is what the session retains of its live rules.
 func (s *Session) LiveConjs() []bdd.Conj {

@@ -195,12 +195,13 @@ func goldenCases(t testing.TB) []goldenCase {
 	siena := workload.DefaultSienaConfig()
 
 	// A spine program: four leaves' rules projected onto keep fields and
-	// compiled through CompileConjs, as fabric.SpineProgram does, once on
-	// the symbol alone (one many-interval predicate per leaf) and once on
-	// symbol and price.
+	// compiled through fabric.SpinePass, once on the symbol alone (one
+	// many-interval predicate per leaf) and once on symbol and price. The
+	// oracle builds SpinePass's conjunctions and actions itself, so a wrong
+	// payload-to-port mapping in the fabric fails TestReducedEqualsExact.
 	cover := func(name, digest string, keep ...string) goldenCase {
 		sp := workload.ITCHSpec()
-		input := func() ([]bdd.Conj, [][]lang.Action, error) {
+		input := func() ([]fabric.Cover, []int, error) {
 			leaves := make([][]lang.Rule, 4)
 			for _, r := range itch(600, 16, 50, 16) {
 				leaf := r.Actions[0].Ports[0] % len(leaves)
@@ -215,29 +216,29 @@ func goldenCases(t testing.TB) []goldenCase {
 				}
 				covers[i], ports[i] = c, 100+i
 			}
-			var conjs []bdd.Conj
-			actions := make([][]lang.Action, len(covers))
-			for j, c := range covers {
-				actions[j] = []lang.Action{lang.Fwd(ports[j])}
-				for _, cj := range c.Conjs {
-					cj.Payload = j
-					conjs = append(conjs, cj)
-				}
-			}
-			return conjs, actions, nil
+			return covers, ports, nil
 		}
 		return goldenCase{name: name, digest: digest,
 			compile: func(o compiler.Options) (*compiler.Pass, error) {
-				conjs, actions, err := input()
+				covers, ports, err := input()
 				if err != nil {
 					return nil, err
 				}
-				return compiled(compiler.ConjsPass(sp, conjs, actions, o))
+				return compiled(fabric.SpinePass(sp, covers, ports, o))
 			},
 			exact: func() (*compiler.Exact, error) {
-				conjs, actions, err := input()
+				covers, ports, err := input()
 				if err != nil {
 					return nil, err
+				}
+				var conjs []bdd.Conj
+				actions := make([][]lang.Action, len(covers))
+				for j, c := range covers {
+					actions[j] = []lang.Action{lang.Fwd(ports[j])}
+					for _, cj := range c.Conjs {
+						cj.Payload = j
+						conjs = append(conjs, cj)
+					}
 				}
 				return compiler.ExactOfConjs(sp, conjs, actions)
 			}}

@@ -143,15 +143,16 @@ func (s *Session) RemoveRules(handles ...int) error {
 // camus_compiler_{rules,bdd_nodes,arena_nodes} gauges, so a dashboard
 // over /metrics shows churn cost the way Fig. 5c plots it.
 func (s *Session) Recompile() (*Program, error) {
-	p, err := s.recompile()
+	p, err := s.RecompilePass()
 	if err != nil {
 		return nil, err
 	}
 	return p.prog, nil
 }
 
-// recompile is Recompile, leaving the diagram on the pass it returns.
-func (s *Session) recompile() (*Pass, error) {
+// RecompilePass is Recompile, returning the pass the program was lowered
+// on, for a caller that reads the diagram too.
+func (s *Session) RecompilePass() (*Pass, error) {
 	start := time.Now()
 	total := 0
 	for _, h := range s.order {

@@ -191,7 +191,7 @@ func TestSessionMemoMissesAreNewClasses(t *testing.T) {
 	}
 	hits, misses := reg.Counter("camus_compiler_memo_hits_total"), reg.Counter("camus_compiler_memo_misses_total")
 	hits0, misses0 := hits.Load(), misses.Load()
-	pass, err := s.recompile()
+	pass, err := s.RecompilePass()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -225,7 +225,7 @@ func (c *Controller) Apply(ctx context.Context, rules []lang.Rule) (Epoch, error
 
 	// Compile every program for the new epoch before touching a device.
 	ep := Epoch{Seq: c.epoch + 1, LeafRules: make([]int, c.cfg.Leaves)}
-	downProgs := make([]*compiler.Program, c.cfg.Leaves)
+	leaves := make([]*compiler.Pass, c.cfg.Leaves) // the installed programs' passes
 	covers := make([]Cover, c.cfg.Leaves)
 	downPorts := make([]int, c.cfg.Leaves)
 	for j, part := range parts {
@@ -234,11 +234,11 @@ func (c *Controller) Apply(ctx context.Context, rules []lang.Rule) (Epoch, error
 			c.outcome("compile_failed")
 			return Epoch{}, fmt.Errorf("fabric: leaf %d: %w", j, err)
 		}
-		if downProgs[j], err = c.sessions[j].Recompile(); err != nil {
+		if leaves[j], err = c.sessions[j].RecompilePass(); err != nil {
 			c.outcome("compile_failed")
 			return Epoch{}, fmt.Errorf("fabric: leaf %d: %w", j, err)
 		}
-		ep.LeafEntries += downProgs[j].Stats.TableEntries
+		ep.LeafEntries += leaves[j].Program().Stats.TableEntries
 		if covers[j], err = ComputeCover(c.cfg.Spec, part, c.cfg.Cover); err != nil {
 			c.outcome("compile_failed")
 			return Epoch{}, fmt.Errorf("fabric: leaf %d cover: %w", j, err)
@@ -262,19 +262,29 @@ func (c *Controller) Apply(ctx context.Context, rules []lang.Rule) (Epoch, error
 		c.outcome("compile_failed")
 		return Epoch{}, fmt.Errorf("fabric: global cover: %w", err)
 	}
+	up, err := SpinePass(c.cfg.Spec, []Cover{globalCover}, []int{c.cfg.UplinkPort}, c.cfg.Compiler)
 	upProgs := make([]*compiler.Program, len(c.ups))
-	for j := range c.ups {
-		if upProgs[j], err = SpineProgram(c.cfg.Spec, []Cover{globalCover}, []int{c.cfg.UplinkPort}, c.cfg.Compiler); err != nil {
-			c.outcome("compile_failed")
-			return Epoch{}, fmt.Errorf("fabric: uplink program: %w", err)
-		}
+	for j := 0; err == nil && j < len(c.ups); j++ {
+		upProgs[j], err = up.Compile()
+	}
+	if err != nil {
+		c.outcome("compile_failed")
+		return Epoch{}, fmt.Errorf("fabric: uplink program: %w", err)
 	}
 	ep.UpEntries = upProgs[0].Stats.TableEntries
 
 	if c.cfg.VerifyCovers {
-		for j, part := range parts {
-			for what, cover := range map[string]Cover{"spine": covers[j], "uplink": globalCover} {
-				ok, witness, err := VerifyCover(c.cfg.Spec, part, cover, c.cfg.Compiler)
+		for j := range parts {
+			spine, err := SpinePass(c.cfg.Spec, []Cover{covers[j]}, []int{downPorts[j]}, c.cfg.Compiler)
+			if err == nil {
+				_, err = spine.Compile()
+			}
+			if err != nil {
+				c.outcome("compile_failed")
+				return Epoch{}, fmt.Errorf("fabric: leaf %d cover program: %w", j, err)
+			}
+			for what, cover := range map[string]*compiler.Pass{"spine": spine, "uplink": up} {
+				ok, witness, err := VerifyCover(leaves[j], cover)
 				if err != nil {
 					c.outcome("cover_unsound")
 					return Epoch{}, fmt.Errorf("fabric: leaf %d %s cover check: %w", j, what, err)
@@ -296,7 +306,7 @@ func (c *Controller) Apply(ctx context.Context, rules []lang.Rule) (Epoch, error
 	}
 	var plan []step
 	for j := range c.downs {
-		plan = append(plan, step{c.downs[j], downProgs[j]})
+		plan = append(plan, step{c.downs[j], leaves[j].Program()})
 	}
 	for j := range c.ups {
 		plan = append(plan, step{c.ups[j], upProgs[j]})

@@ -7,6 +7,7 @@ import (
 
 	"camus/internal/compiler"
 	"camus/internal/faults"
+	"camus/internal/lang"
 	"camus/internal/pipeline"
 	"camus/internal/telemetry"
 	"camus/internal/workload"
@@ -214,5 +215,36 @@ func TestEpochFailureRollsBackAllMembers(t *testing.T) {
 	}
 	if ep.Seq != 2 {
 		t.Fatalf("converged epoch seq %d, want 2", ep.Seq)
+	}
+}
+
+// TestEpochDropsRemovedRules: a rule absent from the next epoch leaves its
+// leaf's session, so the leaf program installed from that session stops
+// forwarding its packets. VerifyCovers checks that installed program: a
+// session that kept the rule would match outside the new cover, and the
+// epoch would fail its cover check.
+func TestEpochDropsRemovedRules(t *testing.T) {
+	ctl, devs, _ := testFabricDevices(t, 1, 1)
+	for _, src := range []string{
+		"stock == GOOGL : fwd(1)\nstock == MSFT : fwd(2)\n",
+		"stock == GOOGL : fwd(1)\n",
+	} {
+		rules, err := lang.ParseRules(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ctl.Apply(context.Background(), rules); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leaf := devs[0].Program()
+	for pkt, want := range map[string]int{"stock=GOOGL": 1, "stock=MSFT": 0} {
+		vals, err := leaf.ParseValueAssignment(pkt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := leaf.Evaluate(vals).Ports.Len(); n != want {
+			t.Errorf("%s: leaf forwards to %d ports, want %d", pkt, n, want)
+		}
 	}
 }

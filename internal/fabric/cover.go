@@ -11,7 +11,6 @@
 package fabric
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -181,15 +180,16 @@ func keepSet(sp *spec.Spec, fields []compiler.FieldInfo, names []string) (map[in
 // as little else as the covers allow. Leaves with empty covers get no
 // entries: nothing is forwarded toward a subscriber-less leaf.
 func SpineProgram(sp *spec.Spec, covers []Cover, ports []int, opts compiler.Options) (*compiler.Program, error) {
-	p, err := spinePass(sp, covers, ports, opts)
+	p, err := SpinePass(sp, covers, ports, opts)
 	if err != nil {
 		return nil, err
 	}
 	return p.Compile()
 }
 
-// spinePass is the compiler pass SpineProgram compiles.
-func spinePass(sp *spec.Spec, covers []Cover, ports []int, opts compiler.Options) (*compiler.Pass, error) {
+// SpinePass is the compiler pass SpineProgram compiles, for a caller that
+// reads the diagram too.
+func SpinePass(sp *spec.Spec, covers []Cover, ports []int, opts compiler.Options) (*compiler.Pass, error) {
 	if len(covers) != len(ports) {
 		return nil, fmt.Errorf("fabric: %d covers for %d ports", len(covers), len(ports))
 	}
@@ -205,26 +205,11 @@ func spinePass(sp *spec.Spec, covers []Cover, ports []int, opts compiler.Options
 	return compiler.ConjsPass(sp, conjs, actions, opts)
 }
 
-// VerifyCover proves containment: every packet the leaf's rules do
-// something with (forward, or update state on — bdd.Node.Matches) the
-// cover forwards too, so no leaf predicate escapes its cover. A region the
-// rules only drop is no different from one they do not mention, and need
-// not be covered. It compiles both sides itself and decides on their
-// diagrams. On failure the witness is a concrete packet (field values in
-// pipeline order) the leaf wants but the spine would drop.
-func VerifyCover(sp *spec.Spec, rules []lang.Rule, cover Cover, opts compiler.Options) (ok bool, witness []uint64, err error) {
-	full, err := compiler.Observe(context.Background(), sp, compiler.Source{Rules: rules}, opts, nil)
-	if err != nil {
-		return false, nil, err
-	}
-	spine, err := spinePass(sp, []Cover{cover}, []int{0}, opts)
-	if err != nil {
-		return false, nil, err
-	}
-	for _, p := range []*compiler.Pass{full, spine} {
-		if _, err := p.Compile(); err != nil {
-			return false, nil, err
-		}
-	}
-	return bdd.Implies(full.Diagram(), spine.Diagram())
+// VerifyCover proves containment on two compiled passes: every packet the
+// leaf does something with (forwards, or updates state on — bdd.Node.Matches)
+// the cover forwards too, so no leaf predicate escapes its cover; a region
+// the leaf only drops need not be covered. On failure the witness is a
+// packet (field values in pipeline order) the leaf wants but the spine drops.
+func VerifyCover(leaf, cover *compiler.Pass) (ok bool, witness []uint64, err error) {
+	return bdd.Implies(leaf.Diagram(), cover.Diagram())
 }

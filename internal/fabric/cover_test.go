@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -19,6 +20,30 @@ func splitByHost(rules []lang.Rule, leaves int) [][]lang.Rule {
 		out[host%leaves] = append(out[host%leaves], r)
 	}
 	return out
+}
+
+// verifyCover compiles a leaf's rules and its cover routed to port, and
+// runs VerifyCover on the two passes.
+func verifyCover(t *testing.T, sp *spec.Spec, rules []lang.Rule, cover Cover, port int) (bool, []uint64) {
+	t.Helper()
+	leaf, err := compiler.Observe(context.Background(), sp, compiler.Source{Rules: rules}, compiler.Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spine, err := SpinePass(sp, []Cover{cover}, []int{port}, compiler.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*compiler.Pass{leaf, spine} {
+		if _, err := p.Compile(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ok, witness, err := VerifyCover(leaf, spine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ok, witness
 }
 
 // TestCoverContainsAndCompresses: per-leaf covers must (a) provably
@@ -58,11 +83,7 @@ func TestCoverContainsAndCompresses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ok, witness, err := VerifyCover(sp, part, cover, compiler.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
+		if ok, witness := verifyCover(t, sp, part, cover, j); !ok {
 			t.Fatalf("leaf %d: predicate escapes its cover at packet %v", j, witness)
 		}
 
@@ -235,10 +256,7 @@ func TestVerifyCoverIgnoresDroppedRegions(t *testing.T) {
 				brute = brute && !escapes(vals)
 			}
 		}
-		ok, witness, err := VerifyCover(sp, leafRules, cover, compiler.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		ok, witness := verifyCover(t, sp, leafRules, cover, 7)
 		if ok != tc.want || ok != brute {
 			t.Errorf("%s: VerifyCover = %v, want %v, enumeration says %v (witness %v)", tc.name, ok, tc.want, brute, witness)
 		}
