@@ -206,6 +206,11 @@ type builder struct {
 	predEpoch int
 	scratch
 
+	// old is how many arena nodes earlier builds left; labels holds the
+	// label of each predicate this build met, by field and set (label).
+	old    int
+	labels map[hash128]string
+
 	// steps counts the work that grows with the input: a sweep event, a
 	// survivor listed, a conjunction settled or unsettled, a word of a cell
 	// set read or written. Tests hold it to the size of the cells, not to
@@ -414,7 +419,7 @@ func (bl *Builder) begin(fields []Field, conjs []Conj) (b *builder, sum hash128,
 		bl.Reset()
 		bl.fieldsKey = fk
 	}
-	b = &builder{shared: bl, fields: fields}
+	b = &builder{shared: bl, fields: fields, old: bl.nnodes}
 	if err := b.ingest(conjs); err != nil {
 		return nil, sum, err
 	}
@@ -550,7 +555,7 @@ func (b *builder) finish(root *Node) *BDD {
 			out.terminals = append(out.terminals, c)
 		} else {
 			t, e := walk(n.True), walk(n.False)
-			c = &Node{Field: n.Field, Set: n.Set, Label: n.Label, True: t, False: e}
+			c = &Node{Field: n.Field, Set: n.Set, Label: b.label(n), True: t, False: e}
 		}
 		c.ID = len(out.nodes)
 		out.nodes = append(out.nodes, c)
@@ -559,6 +564,24 @@ func (b *builder) finish(root *Node) *BDD {
 	}
 	out.Root = walk(root)
 	return out
+}
+
+// label is the label this build gives an internal arena node: its
+// predicate's here. A node an earlier build made carries that build's, which
+// differs when another predicate with the same set came first there.
+func (b *builder) label(n *Node) string {
+	if n.ID >= b.old {
+		return n.Label
+	}
+	if b.labels == nil {
+		b.labels = make(map[hash128]string)
+		for f, ps := range b.preds {
+			for _, p := range ps {
+				b.labels[p.hash.word(uint64(f))] = p.label
+			}
+		}
+	}
+	return b.labels[hashSet(n.Set).word(uint64(n.Field))]
 }
 
 // sortPreds orders each field's predicate list canonically — by (min, max,

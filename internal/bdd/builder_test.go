@@ -57,6 +57,32 @@ func TestBuilderWarmMatchesCold(t *testing.T) {
 	requireSameDiagram(t, cold, warm, coldSets, sets)
 }
 
+// TestBuilderWarmLabelsAsCold: a node is labelled by the first predicate a
+// build meets with its set. A warm build that reuses the node an earlier
+// build made under another predicate with the same set labels it as a cold
+// build would.
+func TestBuilderWarmLabelsAsCold(t *testing.T) {
+	fields := stockPriceFields()
+	conj := func(label string) Conj {
+		return mkConj(0, c(0, interval.Point(7)), Constraint{Field: 1, Set: interval.GreaterThan(9, 1000), Label: Text(label)})
+	}
+	gt, ge := conj("price > 9"), conj("price >= 10")
+	sets := NewPayloadSets()
+	bl := NewClassBuilder(sets)
+	if _, err := bl.Build(fields, []Conj{gt, ge}); err != nil {
+		t.Fatal(err)
+	}
+	warm, err := bl.Build(fields, []Conj{ge})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, coldSets, err := buildSets(fields, []Conj{ge})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameDiagram(t, cold, warm, coldSets, sets)
+}
+
 // TestBuilderReuseAcrossChurn simulates rule churn: repeated builds with
 // small deltas must stay correct, keep previously returned BDDs valid, and
 // actually reuse the arena (it grows by less than a full rebuild's worth of

@@ -138,12 +138,13 @@ type Observer func(*Resolved) (keep bool)
 // the program does not keep: the diagram, and by node ID an In node's state,
 // a terminal's action set (its index in Actions) or -1 for neither.
 type Pass struct {
-	sp    *spec.Spec
-	opts  Options
-	start time.Time
-	res   *resolver
-	conjs []bdd.Conj
-	rules int
+	sp     *spec.Spec
+	opts   Options
+	start  time.Time
+	res    *resolver
+	fields []FieldInfo
+	conjs  []bdd.Conj
+	rules  int
 
 	prog    *Program
 	diagram *bdd.BDD
@@ -152,7 +153,7 @@ type Pass struct {
 
 // Fields is the pass's field table: the spec's query fields, then the
 // synthetic state fields of the rules kept.
-func (p *Pass) Fields() []FieldInfo { return p.res.fields }
+func (p *Pass) Fields() []FieldInfo { return p.fields }
 
 // Compile is the back end over the rules the pass kept: BDD construction,
 // state assignment, Algorithm 1 and lowering. Its Program is Compile's of
@@ -204,6 +205,7 @@ func Observe(ctx context.Context, sp *spec.Spec, src Source, opts Options, obs O
 	if err != nil {
 		return nil, err
 	}
+	p.fields = p.res.fields
 	return p, nil
 }
 
@@ -491,7 +493,7 @@ func (p *Pass) lower(ca *classArena) error {
 	start := time.Now()
 	// Copy the field table so option-driven rewrites (and later Session
 	// recompiles reusing the resolver) never alias a published Program.
-	fields := append([]FieldInfo(nil), p.res.fields...)
+	fields := append([]FieldInfo(nil), p.fields...)
 	if opts.ForceRangeTables {
 		for i := range fields {
 			fields[i].Match = spec.MatchRange

@@ -22,7 +22,7 @@ func ResolveConjs(sp *spec.Spec, rules []lang.Rule, opts Options) ([]FieldInfo, 
 	if err != nil {
 		return nil, nil, err
 	}
-	return p.res.fields, p.conjs, nil
+	return p.fields, p.conjs, nil
 }
 
 // CompileConjs compiles raw BDD conjunctions — each payload indexing the
@@ -58,5 +58,5 @@ func ConjsPass(sp *spec.Spec, conjs []bdd.Conj, actions [][]lang.Action, opts Op
 		}
 	}
 	res.actions = actions
-	return &Pass{sp: sp, opts: opts, start: time.Now(), res: res, conjs: conjs, rules: len(actions)}, nil
+	return &Pass{sp: sp, opts: opts, start: time.Now(), res: res, fields: res.fields, conjs: conjs, rules: len(actions)}, nil
 }

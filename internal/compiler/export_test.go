@@ -94,11 +94,20 @@ func (p *Pass) indexOf(nodeID int, terminal bool) (int, bool) {
 	return p.index[nodeID], true
 }
 
+// AddSource parses rule source text and adds the rules.
+func (s *Session) AddSource(src string) ([]int, error) {
+	rules, err := lang.ParseRules(src)
+	if err != nil {
+		return nil, err
+	}
+	return s.AddRules(rules)
+}
+
 // LiveConjs is what the session retains of its live rules.
 func (s *Session) LiveConjs() []bdd.Conj {
 	var out []bdd.Conj
 	for _, h := range s.order {
-		out = append(out, s.live[h]...)
+		out = append(out, s.live[h].conjs...)
 	}
 	return out
 }

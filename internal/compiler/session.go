@@ -3,6 +3,7 @@ package compiler
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"camus/internal/bdd"
@@ -17,7 +18,7 @@ import (
 //     (added rules get persistent payload IDs that never shift when other
 //     rules are removed — the property that makes BDD memoization hit) and
 //     each distinct predicate is held once however many rules use it;
-//   - the per-rule resolved conjunctions, cached at AddRules time;
+//   - the per-rule resolved conjunctions and text, cached at AddRules time;
 //   - a classArena, so Recompile rebuilds only the sub-BDDs whose alive
 //     conjunction sets actually changed, and merges and sorts action lists
 //     only for subscriber populations it has not met before.
@@ -31,6 +32,9 @@ import (
 // entries, same Evaluate behavior) to a from-scratch compile of the
 // current rule set.
 //
+// A caller that holds whole rule sets hands each to Sync; one that tracks
+// rules itself adds and removes them by handle.
+//
 // A Session is not safe for concurrent use.
 type Session struct {
 	sp   *spec.Spec
@@ -39,12 +43,19 @@ type Session struct {
 	res   *resolver
 	arena *classArena
 
-	order []int              // live rule handles, insertion order
-	live  map[int][]bdd.Conj // by handle: the rule's resolved conjunctions
+	order []int            // live rule handles, insertion order
+	live  map[int]liveRule // by handle
 
 	// What the arena retained after its first (cold) build, and for how
 	// many conjunctions: the measure of what the live set needs.
 	coldRetained, coldConjs int
+}
+
+// liveRule is a live rule's text (lang.Rule.String), which Sync tells rules
+// apart by, and its resolved conjunctions.
+type liveRule struct {
+	text  string
+	conjs []bdd.Conj
 }
 
 // arenaSlack is the tolerated ratio of what the arena retains (nodes and
@@ -64,7 +75,7 @@ func NewSession(sp *spec.Spec, opts Options) *Session {
 		opts:  opts,
 		res:   newResolver(sp),
 		arena: newClassArena(),
-		live:  make(map[int][]bdd.Conj),
+		live:  make(map[int]liveRule),
 	}
 }
 
@@ -79,20 +90,12 @@ func (s *Session) ArenaNodes() int { return s.arena.builder.ArenaSize() }
 // one handle per rule for later removal. The rules join the live set, all
 // or — when one fails — none, but are not compiled until Recompile.
 func (s *Session) AddRules(rules []lang.Rule) ([]int, error) {
-	return s.add(Source{Rules: rules})
-}
-
-// AddSource parses rule source text and adds the rules.
-func (s *Session) AddSource(src string) ([]int, error) {
-	return s.add(Source{Text: src})
-}
-
-func (s *Session) add(src Source) ([]int, error) {
 	var handles []int
-	err := frontEnd(context.Background(), src, s.opts, func(rule *lang.DNFRule) error {
+	err := frontEnd(context.Background(), Source{Rules: rules}, s.opts, func(rule *lang.DNFRule) error {
 		conjs, h, err := s.res.resolve(rule, nil)
 		if err == nil {
-			handles, s.live[h] = append(handles, h), conjs
+			s.live[h] = liveRule{rules[len(handles)].String(), conjs}
+			handles = append(handles, h)
 		}
 		return err
 	})
@@ -104,6 +107,37 @@ func (s *Session) add(src Source) ([]int, error) {
 	}
 	s.order = append(s.order, handles...)
 	return handles, nil
+}
+
+// Sync makes rules the live set, telling rules apart by their text: a rule
+// already live keeps its handle and its memoized sub-diagrams, a new one
+// joins and a live one the set lacks leaves. Identical rules count once. The
+// adds run first, so a set with a rule that fails to resolve changes
+// nothing.
+func (s *Session) Sync(rules []lang.Rule) error {
+	live := make(map[string]bool, len(s.order))
+	for _, h := range s.order {
+		live[s.live[h].text] = true
+	}
+	want := make(map[string]bool, len(rules))
+	var fresh []lang.Rule
+	for _, r := range rules {
+		if text := r.String(); !want[text] {
+			if want[text] = true; !live[text] {
+				fresh = append(fresh, r)
+			}
+		}
+	}
+	var gone []int
+	for _, h := range s.order {
+		if !want[s.live[h].text] {
+			gone = append(gone, h)
+		}
+	}
+	if _, err := s.AddRules(fresh); err != nil {
+		return err
+	}
+	return s.RemoveRules(gone...)
 }
 
 // RemoveRules drops rules by handle. The payload IDs of the remaining
@@ -156,7 +190,7 @@ func (s *Session) RecompilePass() (*Pass, error) {
 	start := time.Now()
 	total := 0
 	for _, h := range s.order {
-		total += len(s.live[h])
+		total += len(s.live[h].conjs)
 	}
 	live := s.coldRetained * (total + 1) / (s.coldConjs + 1)
 	if s.arena.builder.Retained() > arenaSlack*live+4096 {
@@ -172,9 +206,10 @@ func (s *Session) RecompilePass() (*Pass, error) {
 	classes := len(s.arena.sets)
 	conjs := make([]bdd.Conj, 0, total)
 	for _, h := range s.order {
-		conjs = append(conjs, s.live[h]...)
+		conjs = append(conjs, s.live[h].conjs...)
 	}
-	p := &Pass{sp: s.sp, opts: s.opts, res: s.res, conjs: conjs, rules: len(s.order)}
+	fields, conjs := s.liveFields(conjs)
+	p := &Pass{sp: s.sp, opts: s.opts, res: s.res, fields: fields, conjs: conjs, rules: len(s.order)}
 	if err := p.lower(s.arena); err != nil {
 		return nil, err
 	}
@@ -196,4 +231,35 @@ func (s *Session) RecompilePass() (*Pass, error) {
 		tel.Gauge("camus_compiler_table_entries").Set(int64(p.prog.Stats.TableEntries))
 	}
 	return p, nil
+}
+
+// liveFields is the field table a cold compile of the live rules would lower
+// on — the spec's query fields, then each state field a live rule reads, in
+// the order first read — and conjs, the live conjunctions, renumbered onto
+// it. The resolver's table only grows, so churn can leave fields in it that
+// no live rule reads, or in another order.
+func (s *Session) liveFields(conjs []bdd.Conj) ([]FieldInfo, []bdd.Conj) {
+	all, n := s.res.fields, len(s.sp.Queries)      // the query fields come first
+	fields, to := all[:n:n], make([]int, len(all)) // to: a state field's new index + 1, 0 unread
+	for _, c := range conjs {
+		for _, con := range c.Constraints {
+			if f := con.Field; f >= n && to[f] == 0 {
+				fields = append(fields, all[f])
+				to[f] = len(fields)
+			}
+		}
+	}
+	if len(fields) == len(all) && slices.IsSorted(to) {
+		return all, conjs
+	}
+	out := make([]bdd.Conj, len(conjs))
+	for i, c := range conjs {
+		out[i] = bdd.Conj{Payload: c.Payload, Constraints: slices.Clone(c.Constraints)}
+		for j, con := range c.Constraints {
+			if con.Field >= n {
+				out[i].Constraints[j].Field = to[con.Field] - 1
+			}
+		}
+	}
+	return fields, out
 }

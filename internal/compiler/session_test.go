@@ -3,9 +3,12 @@ package compiler
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"camus/internal/lang"
+	"camus/internal/spec"
 	"camus/internal/telemetry"
 )
 
@@ -287,4 +290,111 @@ func TestSessionArenaBoundedWithinOneClass(t *testing.T) {
 		t.Fatalf("no reset in %d rounds (peak %d, cold %d): the churn strands nothing and the test proves nothing", rounds, peak, cold)
 	}
 	t.Logf("cold %d, peak %d, bound %d, %d resets, %d arena nodes", cold, peak, bound, resets, s.ArenaNodes())
+}
+
+// TestSessionLowersLiveStateFields: once churn leaves a state field that no
+// live rule reads, or state fields in an order the live rules would not
+// make, a recompile still lowers on the field table a cold compile of the
+// live rules would: the same fields, tables and program.
+func TestSessionLowersLiveStateFields(t *testing.T) {
+	sp, err := spec.Parse(itchSpecSrc + "@query_counter(rate, 10000)\n@query_counter(px, 10000)\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		batches []string // added in order; the first is then removed
+	}{
+		{"unread", []string{
+			"true : rate[add_order.stock] <- count()\nrate[add_order.stock] > 5 : fwd(2)\n",
+			"add_order.price > 10 : fwd(1)\n",
+		}},
+		{"reordered", []string{
+			"rate[add_order.stock] > 5 : fwd(1)\n",
+			"px[add_order.stock] > 3 : fwd(2)\nrate[add_order.stock] > 7 : fwd(3)\n",
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSession(sp, Options{})
+			var first []int
+			for i, src := range tc.batches {
+				h, err := s.AddSource(src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 {
+					first = h
+				}
+			}
+			if _, err := s.Recompile(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.RemoveRules(first...); err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.Recompile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := compileSrc(t, sp, strings.Join(tc.batches[1:], ""), Options{})
+			if !reflect.DeepEqual(got.Fields, want.Fields) || len(got.Tables) != len(want.Tables) {
+				t.Errorf("session fields %+v,\ncold fields %+v", got.Fields, want.Fields)
+			}
+			if g, w := got.Dump(), want.Dump(); g != w {
+				t.Errorf("dumps differ:\n--- session ---\n%s\n--- cold ---\n%s", g, w)
+			}
+		})
+	}
+}
+
+// TestSessionSync pins Sync's contract: a set it cannot resolve changes
+// nothing, identical rules count once, and a set already live — added by
+// handle — keeps its handles and program.
+func TestSessionSync(t *testing.T) {
+	sp := itchSpec(t)
+	const a, b = "stock == GOOGL : fwd(1)\n", "stock == AAPL && price > 10 : fwd(2)\n"
+	for _, tc := range []struct {
+		name       string
+		live, sync string // added by AddRules, then synced
+		err        bool
+		len        int
+		unchanged  bool // handles and the next recompile as before the Sync
+	}{
+		{"unresolvable rule", a, b + "nosuch > 1 : fwd(3)\n", true, 1, true},
+		{"identical rules", "", a + b + a, false, 2, false},
+		{"after AddRules", a + b, b + a, false, 2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSession(sp, Options{})
+			live, err := lang.ParseRules(tc.live)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.AddRules(live); err != nil {
+				t.Fatal(err)
+			}
+			before, err := s.Recompile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			handles := slices.Clone(s.order)
+			set, err := lang.ParseRules(tc.sync)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Sync(set); (err != nil) != tc.err {
+				t.Fatalf("Sync: error %v, want one: %v", err, tc.err)
+			}
+			if s.Len() != tc.len {
+				t.Errorf("Len %d after Sync, want %d", s.Len(), tc.len)
+			}
+			after, err := s.Recompile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.unchanged && (!slices.Equal(s.order, handles) || !reflect.DeepEqual(after, before)) {
+				t.Errorf("Sync changed the session: handles %v -> %v\n--- before ---\n%s--- after ---\n%s", handles, s.order, before.Dump(), after.Dump())
+			}
+		})
+	}
 }

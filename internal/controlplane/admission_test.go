@@ -72,34 +72,29 @@ func TestControllerUpdateRules(t *testing.T) {
 	}
 }
 
-// TestChurnAdmissionGate covers the incremental path: the caller vets the
-// rule set a churn would leave live with Gate.Admit before calling Churn,
-// so a churn adding a CAM004 rule reaches neither the session nor the
-// device, and the same session then takes a clean churn with one install.
+// TestChurnAdmissionGate covers the incremental route: the caller vets the
+// rule set it is about to Sync with Gate.Admit, so a set adding a CAM004
+// rule reaches neither the session nor the device, and the same session
+// then takes a clean set with one install, and the clean set again with no
+// write.
 func TestChurnAdmissionGate(t *testing.T) {
 	sp, err := spec.Parse(raceSpecSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	initial := parseRules(t, "stock == GOOGL : fwd(1)\n")
-	sess := compiler.NewSession(sp, compiler.Options{})
-	ctl, handles, err := NewSessionController(sess, initial, pipeline.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev := faults.NewFlakyDevice(ctl.Switch()) // no faults armed: counts device writes
-	ctl.SetDevice(dev)
+	sess, _, dev, ctl := syncSwitch(t, sp, initial, pipeline.Config{}) // no faults armed: dev counts device writes
 	gate := analyze.NewGate(sp, analyze.Options{}, analyze.PolicyLenient)
 
-	// churn admits the live set the churn would leave, then applies it.
-	churn := func(live, add []lang.Rule, remove []int) ([]int, Delta, error) {
-		if _, _, err := gate.Admit(append(append([]lang.Rule(nil), live...), add...), compiler.Options{}); err != nil {
-			return nil, Delta{}, err
+	// churn admits the set, then syncs the session to it and installs.
+	churn := func(set []lang.Rule) (Delta, error) {
+		if _, _, err := gate.Admit(set, compiler.Options{}); err != nil {
+			return Delta{}, err
 		}
-		return ctl.Churn(context.Background(), add, remove)
+		return syncUpdate(context.Background(), ctl, sess, set)
 	}
 
-	_, _, err = churn(initial, parseRules(t, "stock > 100 : fwd(2)\n"), nil)
+	_, err = churn(append(initial, parseRules(t, "stock > 100 : fwd(2)\n")...))
 	var rej *analyze.RejectionError
 	if !errors.As(err, &rej) {
 		t.Fatalf("a CAM004 churn: error = %v, want a *analyze.RejectionError", err)
@@ -115,12 +110,10 @@ func TestChurnAdmissionGate(t *testing.T) {
 	}
 
 	// Replace the initial rule with two clean ones.
-	added, delta, err := churn(nil, parseRules(t, "stock == AAPL : fwd(2)\nstock == GOOGL && price > 50 : fwd(3)\n"), handles[:1])
+	clean := parseRules(t, "stock == AAPL : fwd(2)\nstock == GOOGL && price > 50 : fwd(3)\n")
+	delta, err := churn(clean)
 	if err != nil {
 		t.Fatalf("a clean churn after a rejection failed: %v", err)
-	}
-	if len(added) != 2 {
-		t.Fatalf("a clean churn returned %d handles, want 2", len(added))
 	}
 	if dev.Calls() != 1 {
 		t.Errorf("a clean churn: %d Reinstall call(s), want 1", dev.Calls())
@@ -132,9 +125,9 @@ func TestChurnAdmissionGate(t *testing.T) {
 		t.Errorf("session Len = %d after the churn, want 2", got)
 	}
 
-	// The initial handle is gone: removing it again fails.
-	if _, _, err := ctl.Churn(context.Background(), nil, handles[:1]); err == nil {
-		t.Error("a churn removing an already-removed handle succeeded")
+	// The same set again is live already: nothing to write.
+	if delta, err := churn(clean); err != nil || delta.Writes() != 0 {
+		t.Errorf("re-syncing the live set: %d writes, error %v", delta.Writes(), err)
 	}
 }
 

@@ -196,14 +196,6 @@ func (c *Controller) SetTelemetry(t *telemetry.Telemetry) { c.tel = t }
 // around the device the controller was built on.
 func (c *Controller) SetDevice(dev Device) { c.dev = dev }
 
-// start opens the span one control-plane operation is recorded under.
-func (c *Controller) start(ctx context.Context, name string, labels ...telemetry.Label) (context.Context, *telemetry.Span) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return ctx, c.tel.Trc().Start(ctx, name, labels...)
-}
-
 // Program returns the program the device runs.
 func (c *Controller) Program() *compiler.Program { return c.dev.Program() }
 
@@ -221,17 +213,7 @@ func (c *Controller) Program() *compiler.Program { return c.dev.Program() }
 // configuration was reused. A rule set to be vetted first reaches it
 // through analyze.Gate.Admit, which returns the program it priced.
 func (c *Controller) Update(ctx context.Context, newProg *compiler.Program) (Delta, error) {
-	ctx, span := c.start(ctx, "controlplane_install")
-	return c.update(ctx, span, newProg)
-}
-
-// update is Update on a span the caller opened (Churn records its own).
-func (c *Controller) update(ctx context.Context, span *telemetry.Span, newProg *compiler.Program) (Delta, error) {
-	if err := pipeline.CheckResources(newProg, c.dev.Config()); err != nil {
-		span.EndOutcome("admission_rejected", err)
-		return Delta{}, fmt.Errorf("controlplane: update rejected at admission: %w", err)
-	}
-	return c.install(ctx, span, newProg)
+	return c.install(ctx, newProg, true)
 }
 
 // Install is Update without the resource-admission phase: callers that
@@ -243,17 +225,27 @@ func (c *Controller) update(ctx context.Context, span *telemetry.Span, newProg *
 // reinstalls in particular must go through Install, not Update, so that a
 // program the device already ran is never re-rejected at admission.
 func (c *Controller) Install(ctx context.Context, newProg *compiler.Program) (Delta, error) {
-	ctx, span := c.start(ctx, "controlplane_install")
-	return c.install(ctx, span, newProg)
+	return c.install(ctx, newProg, false)
 }
 
-// install is the one delta-install path every entry point ends in: align
-// newProg's states to the program the device runs, diff, commit with the
+// install is the one delta-install path both entry points end in, recorded
+// as a `controlplane_install` span: admit newProg when asked, align its
+// states to the program the device runs, diff, commit with the
 // retry/rollback policy, and only then count the writes. Over a program
 // whose field tables have no row — its rules, if any, left one terminal,
 // as a switch starts on — there is nothing to align with, and the delta is
-// counted. It ends span.
-func (c *Controller) install(ctx context.Context, span *telemetry.Span, newProg *compiler.Program) (Delta, error) {
+// counted.
+func (c *Controller) install(ctx context.Context, newProg *compiler.Program, admit bool) (Delta, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	span := c.tel.Trc().Start(ctx, "controlplane_install")
+	if admit {
+		if err := pipeline.CheckResources(newProg, c.dev.Config()); err != nil {
+			span.EndOutcome("admission_rejected", err)
+			return Delta{}, fmt.Errorf("controlplane: update rejected at admission: %w", err)
+		}
+	}
 	var delta Delta
 	base := c.dev.Program()
 	if !slices.ContainsFunc(base.Tables, func(t *compiler.Table) bool { return len(t.Entries) > 0 }) {

@@ -51,10 +51,44 @@ type route struct {
 	push   func(ctx context.Context, src string) (Delta, error)
 }
 
+// syncUpdate is the incremental route: the session Syncs to rules, and its
+// recompile goes in through Controller.Update.
+func syncUpdate(ctx context.Context, ctl *Controller, sess *compiler.Session, rules []lang.Rule) (Delta, error) {
+	if err := sess.Sync(rules); err != nil {
+		return Delta{}, err
+	}
+	pass, err := sess.RecompilePass()
+	if err != nil {
+		return Delta{}, err
+	}
+	return ctl.Update(ctx, pass.Program())
+}
+
+// syncSwitch starts a switch on a new session's program of initial rules,
+// behind a device that counts writes and injects faults, and its
+// controller.
+func syncSwitch(t *testing.T, sp *spec.Spec, initial []lang.Rule, cfg pipeline.Config) (*compiler.Session, *pipeline.Switch, *faults.FlakyDevice, *Controller) {
+	t.Helper()
+	sess := compiler.NewSession(sp, compiler.Options{})
+	if err := sess.Sync(initial); err != nil {
+		t.Fatal(err)
+	}
+	prog, err := sess.Recompile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := pipeline.New(prog, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := faults.NewFlakyDevice(sw)
+	return sess, sw, dev, NewController(dev)
+}
+
 // forEachRoute runs f against every entry point — Controller.Update,
-// Controller.Install and SessionController.Churn — so the rollback,
-// cancel, admission and race suites exercise the one install function
-// through all three.
+// Controller.Install and the incremental route, Session.Sync then
+// Controller.Update (subtest Churn) — so the rollback, cancel, admission
+// and race suites exercise the one install function through all three.
 func forEachRoute(t *testing.T, cfg pipeline.Config, initial string, f func(t *testing.T, r *route)) {
 	sp, err := spec.Parse(raceSpecSrc)
 	if err != nil {
@@ -80,18 +114,10 @@ func forEachRoute(t *testing.T, cfg pipeline.Config, initial string, f func(t *t
 	t.Run("Update", full(false))
 	t.Run("Install", full(true))
 	t.Run("Churn", func(t *testing.T) {
-		sc, live, err := NewSessionController(compiler.NewSession(sp, compiler.Options{}), parseRules(t, initial), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := &route{sp: sp, sw: sc.Switch(), dev: faults.NewFlakyDevice(sc.Switch()), ctl: sc.Controller, admits: true}
-		sc.SetDevice(r.dev)
+		sess, sw, dev, ctl := syncSwitch(t, sp, parseRules(t, initial), cfg)
+		r := &route{sp: sp, sw: sw, dev: dev, ctl: ctl, admits: true}
 		r.push = func(ctx context.Context, src string) (Delta, error) {
-			added, delta, err := sc.Churn(ctx, parseRules(t, src), live)
-			if added != nil {
-				live = added // the session took the set even if the install then failed
-			}
-			return delta, err
+			return syncUpdate(ctx, ctl, sess, parseRules(t, src))
 		}
 		f(t, r)
 	})

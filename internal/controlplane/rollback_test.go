@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"camus/internal/compiler"
-	"camus/internal/faults"
 	"camus/internal/pipeline"
 	"camus/internal/spec"
 )
@@ -135,7 +134,7 @@ func TestInstallRollbackUnderRace(t *testing.T) {
 			t.Fatal("controller advanced past a failed install")
 		}
 
-		// Round 3: no faults — the same update goes through. (Through Churn
+		// Round 3: no faults — the same update goes through. (Through Sync
 		// the session already holds the new set; this converges the device.)
 		if _, err := r.push(context.Background(), next); err != nil {
 			t.Fatal(err)
@@ -180,9 +179,10 @@ func TestInstallRetriesTransient(t *testing.T) {
 }
 
 // TestOversizedInstallLeavesProgramLive: a program that cannot fit the
-// device never displaces the running one. Update and Churn reject it in
-// phase one, before a single device write; Install skips admission by
-// contract, so there the device itself refuses and the commit rolls back.
+// device never displaces the running one. Update, and so the Sync route,
+// rejects it in phase one, before a single device write; Install skips
+// admission by contract, so there the device itself refuses and the commit
+// rolls back.
 func TestOversizedInstallLeavesProgramLive(t *testing.T) {
 	tiny := pipeline.DefaultConfig()
 	tiny.SRAMPerStage = 16
@@ -211,31 +211,27 @@ func TestOversizedInstallLeavesProgramLive(t *testing.T) {
 	})
 }
 
-// TestChurnConvergesWithoutNewRules: after a failed Churn the session
-// keeps the new rule set while the device serves the old program; a Churn
-// that changes nothing pushes the already-recompiled session state.
+// TestChurnConvergesWithoutNewRules: after a failed install the session
+// keeps the new rule set while the device serves the old program; syncing
+// the same set again adds no rule and pushes the already-recompiled session
+// state.
 func TestChurnConvergesWithoutNewRules(t *testing.T) {
 	sp, err := spec.Parse(raceSpecSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := compiler.NewSession(sp, compiler.Options{})
-	ctl, handles, err := NewSessionController(sess, parseRules(t, "stock == GOOGL : fwd(1)\nstock == AAPL : fwd(2)\n"), pipeline.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev := faults.NewFlakyDevice(ctl.Switch())
-	ctl.SetDevice(dev)
-	before := snapshot(ctl.Switch(), probeVectors(t, sp, ctl.Program()))
+	sess, sw, dev, ctl := syncSwitch(t, sp, parseRules(t, "stock == GOOGL : fwd(1)\nstock == AAPL : fwd(2)\n"), pipeline.Config{})
+	before := snapshot(sw, probeVectors(t, sp, ctl.Program()))
 
+	next := parseRules(t, "stock == AAPL : fwd(2)\nprice > 10 : fwd(7)\n")
 	dev.FailDirtyOn(1, false)
-	if _, _, err := ctl.Churn(context.Background(), parseRules(t, "price > 10 : fwd(7)\n"), handles[:1]); err == nil {
+	if _, err := syncUpdate(context.Background(), ctl, sess, next); err == nil {
 		t.Fatal("churn with permanent device failure succeeded")
 	}
-	if _, _, err := ctl.Churn(context.Background(), nil, nil); err != nil {
+	if _, err := syncUpdate(context.Background(), ctl, sess, next); err != nil {
 		t.Fatalf("convergence churn: %v", err)
 	}
-	if got := snapshot(ctl.Switch(), probeVectors(t, sp, ctl.Program())); got == before {
+	if got := snapshot(sw, probeVectors(t, sp, ctl.Program())); got == before {
 		t.Fatal("converged program identical to pre-churn program")
 	}
 }

@@ -70,6 +70,13 @@ type boundMember struct {
 	ctl *controlplane.Controller
 }
 
+// step is a member and a program for it: one to install, or the one to
+// roll back to.
+type step struct {
+	m    *boundMember
+	prog *compiler.Program
+}
+
 // Controller drives the whole fabric through coordinated epochs: it
 // partitions the global rule set across leaves, recompiles each
 // program incrementally (per-leaf compiler.Sessions memoize unchanged
@@ -84,9 +91,6 @@ type Controller struct {
 	ups      []*boundMember
 	spines   []*boundMember
 	sessions []*compiler.Session
-	// ruleKeys[j] maps a rule's canonical string to its session handle,
-	// the diff base for full-set Apply semantics.
-	ruleKeys []map[string]int
 	epoch    uint64
 
 	epochOutcomes map[string]*telemetry.Counter
@@ -111,14 +115,9 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	cover := cfg.Cover
 	cover.Compiler = cfg.Compiler
 	cfg.Cover = cover
-	c := &Controller{
-		cfg:      cfg,
-		sessions: make([]*compiler.Session, cfg.Leaves),
-		ruleKeys: make([]map[string]int, cfg.Leaves),
-	}
+	c := &Controller{cfg: cfg, sessions: make([]*compiler.Session, cfg.Leaves)}
 	for j := range c.sessions {
 		c.sessions[j] = compiler.NewSession(cfg.Spec, cfg.Compiler)
-		c.ruleKeys[j] = make(map[string]int)
 	}
 	if reg := cfg.Telemetry.Reg(); reg != nil {
 		c.epochOutcomes = make(map[string]*telemetry.Counter)
@@ -200,9 +199,14 @@ func (c *Controller) outcome(name string) {
 	}
 }
 
+// fail counts an epoch that ended in outcome, and returns err.
+func (c *Controller) fail(outcome string, err error) (Epoch, error) {
+	c.outcome(outcome)
+	return Epoch{}, err
+}
+
 // Apply rolls the fabric onto a new global rule set as one epoch. The
-// rule set is full-replacement: rules absent from previous epochs are
-// added to their leaf's session, rules no longer present are removed, and
+// rule set is full-replacement: each leaf's session Syncs to its part, so
 // unchanged rules recompile from the session memo. Returns the committed
 // epoch summary, or an error with every device back on the prior epoch
 // (two-phase: admission for all members precedes the first write).
@@ -219,8 +223,7 @@ func (c *Controller) Apply(ctx context.Context, rules []lang.Rule) (Epoch, error
 
 	parts, err := Place(rules, c.cfg.Leaves)
 	if err != nil {
-		c.outcome("compile_failed")
-		return Epoch{}, err
+		return c.fail("compile_failed", err)
 	}
 
 	// Compile every program for the new epoch before touching a device.
@@ -230,18 +233,15 @@ func (c *Controller) Apply(ctx context.Context, rules []lang.Rule) (Epoch, error
 	downPorts := make([]int, c.cfg.Leaves)
 	for j, part := range parts {
 		ep.LeafRules[j] = len(part)
-		if err := c.churnSession(j, part); err != nil {
-			c.outcome("compile_failed")
-			return Epoch{}, fmt.Errorf("fabric: leaf %d: %w", j, err)
+		if err = c.sessions[j].Sync(part); err == nil {
+			leaves[j], err = c.sessions[j].RecompilePass()
 		}
-		if leaves[j], err = c.sessions[j].RecompilePass(); err != nil {
-			c.outcome("compile_failed")
-			return Epoch{}, fmt.Errorf("fabric: leaf %d: %w", j, err)
+		if err != nil {
+			return c.fail("compile_failed", fmt.Errorf("fabric: leaf %d: %w", j, err))
 		}
 		ep.LeafEntries += leaves[j].Program().Stats.TableEntries
 		if covers[j], err = ComputeCover(c.cfg.Spec, part, c.cfg.Cover); err != nil {
-			c.outcome("compile_failed")
-			return Epoch{}, fmt.Errorf("fabric: leaf %d cover: %w", j, err)
+			return c.fail("compile_failed", fmt.Errorf("fabric: leaf %d cover: %w", j, err))
 		}
 		downPorts[j] = c.cfg.DownlinkPort(j)
 	}
@@ -252,15 +252,13 @@ func (c *Controller) Apply(ctx context.Context, rules []lang.Rule) (Epoch, error
 	spineProgs := make([]*compiler.Program, len(c.spines))
 	for s := range c.spines {
 		if spineProgs[s], err = SpineProgram(c.cfg.Spec, covers, downPorts, c.cfg.Compiler); err != nil {
-			c.outcome("compile_failed")
-			return Epoch{}, fmt.Errorf("fabric: spine program: %w", err)
+			return c.fail("compile_failed", fmt.Errorf("fabric: spine program: %w", err))
 		}
 	}
 	ep.SpineEntries = spineProgs[0].Stats.TableEntries
 	globalCover, err := ComputeCover(c.cfg.Spec, rules, c.cfg.Cover)
 	if err != nil {
-		c.outcome("compile_failed")
-		return Epoch{}, fmt.Errorf("fabric: global cover: %w", err)
+		return c.fail("compile_failed", fmt.Errorf("fabric: global cover: %w", err))
 	}
 	up, err := SpinePass(c.cfg.Spec, []Cover{globalCover}, []int{c.cfg.UplinkPort}, c.cfg.Compiler)
 	upProgs := make([]*compiler.Program, len(c.ups))
@@ -268,8 +266,7 @@ func (c *Controller) Apply(ctx context.Context, rules []lang.Rule) (Epoch, error
 		upProgs[j], err = up.Compile()
 	}
 	if err != nil {
-		c.outcome("compile_failed")
-		return Epoch{}, fmt.Errorf("fabric: uplink program: %w", err)
+		return c.fail("compile_failed", fmt.Errorf("fabric: uplink program: %w", err))
 	}
 	ep.UpEntries = upProgs[0].Stats.TableEntries
 
@@ -280,19 +277,10 @@ func (c *Controller) Apply(ctx context.Context, rules []lang.Rule) (Epoch, error
 				_, err = spine.Compile()
 			}
 			if err != nil {
-				c.outcome("compile_failed")
-				return Epoch{}, fmt.Errorf("fabric: leaf %d cover program: %w", j, err)
+				return c.fail("compile_failed", fmt.Errorf("fabric: leaf %d cover program: %w", j, err))
 			}
-			for what, cover := range map[string]*compiler.Pass{"spine": spine, "uplink": up} {
-				ok, witness, err := VerifyCover(leaves[j], cover)
-				if err != nil {
-					c.outcome("cover_unsound")
-					return Epoch{}, fmt.Errorf("fabric: leaf %d %s cover check: %w", j, what, err)
-				}
-				if !ok {
-					c.outcome("cover_unsound")
-					return Epoch{}, fmt.Errorf("fabric: leaf %d predicate escapes its %s cover at %v", j, what, witness)
-				}
+			if err := checkCovers(j, leaves[j], spine, up); err != nil {
+				return c.fail("cover_unsound", err)
 			}
 		}
 	}
@@ -300,10 +288,6 @@ func (c *Controller) Apply(ctx context.Context, rules []lang.Rule) (Epoch, error
 	// The install plan, in commit order: leaf down planes first (a leaf
 	// must understand the new epoch's deliveries before the spine starts
 	// sending them), then up planes, then spines.
-	type step struct {
-		m    *boundMember
-		prog *compiler.Program
-	}
 	var plan []step
 	for j := range c.downs {
 		plan = append(plan, step{c.downs[j], leaves[j].Program()})
@@ -319,35 +303,26 @@ func (c *Controller) Apply(ctx context.Context, rules []lang.Rule) (Epoch, error
 	// device is written. A rejection aborts the epoch untouched.
 	for _, s := range plan {
 		if err := pipeline.CheckResources(s.prog, s.m.Dev.Config()); err != nil {
-			c.outcome("admission_rejected")
-			return Epoch{}, fmt.Errorf("fabric: admission failed for %s: %w", s.m.Name, err)
+			return c.fail("admission_rejected", fmt.Errorf("fabric: admission failed for %s: %w", s.m.Name, err))
 		}
 	}
 
 	// Phase 2: sequential commits. A failure at member k (whose own
 	// device the per-member commit has already rolled back) triggers a
 	// compensating reinstall of the prior program on members 0..k-1.
-	committed := make([]struct {
-		m   *boundMember
-		old *compiler.Program
-	}, 0, len(plan))
+	committed := make([]step, 0, len(plan)) // each with its prior program
 	for _, s := range plan {
 		old := s.m.ctl.Program()
 		delta, err := s.m.ctl.Install(ctx, s.prog)
 		if err != nil {
 			c.rollbacks.Inc()
 			if rbErr := c.rollback(ctx, committed); rbErr != nil {
-				c.outcome("rollback_failed")
-				return Epoch{}, fmt.Errorf("fabric: epoch aborted at %s: %v; fabric rollback incomplete: %w", s.m.Name, err, rbErr)
+				return c.fail("rollback_failed", fmt.Errorf("fabric: epoch aborted at %s: %v; fabric rollback incomplete: %w", s.m.Name, err, rbErr))
 			}
-			c.outcome("rolled_back")
-			return Epoch{}, fmt.Errorf("fabric: epoch aborted at %s, all members rolled back: %w", s.m.Name, err)
+			return c.fail("rolled_back", fmt.Errorf("fabric: epoch aborted at %s, all members rolled back: %w", s.m.Name, err))
 		}
 		ep.Writes += delta.Writes()
-		committed = append(committed, struct {
-			m   *boundMember
-			old *compiler.Program
-		}{s.m, old})
+		committed = append(committed, step{s.m, old})
 	}
 
 	c.epoch++
@@ -363,56 +338,31 @@ func (c *Controller) Apply(ctx context.Context, rules []lang.Rule) (Epoch, error
 // reverse commit order (spines first, so a leaf never sees new-epoch
 // traffic it no longer understands). All members are attempted; errors
 // aggregate.
-func (c *Controller) rollback(ctx context.Context, committed []struct {
-	m   *boundMember
-	old *compiler.Program
-}) error {
+func (c *Controller) rollback(ctx context.Context, committed []step) error {
 	var firstErr error
 	for i := len(committed) - 1; i >= 0; i-- {
 		cm := committed[i]
-		if _, err := cm.m.ctl.Install(ctx, cm.old); err != nil && firstErr == nil {
+		if _, err := cm.m.ctl.Install(ctx, cm.prog); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("%s: %w", cm.m.Name, err)
 		}
 	}
 	return firstErr
 }
 
-// churnSession diffs leaf j's new rule partition against its live session
-// set by canonical rule text: removed rules leave, new rules join,
-// unchanged rules keep their handles (and their memoized sub-BDDs).
-func (c *Controller) churnSession(j int, part []lang.Rule) error {
-	keys := c.ruleKeys[j]
-	want := make(map[string]int, len(part)) // key -> index into part
-	var fresh []lang.Rule
-	for i, r := range part {
-		k := r.String()
-		if _, dup := want[k]; dup {
-			continue // identical duplicate rule: one copy suffices
-		}
-		want[k] = i
-		if _, ok := keys[k]; !ok {
-			fresh = append(fresh, r)
-		}
-	}
-	var gone []int
-	for k, h := range keys {
-		if _, ok := want[k]; !ok {
-			gone = append(gone, h)
-			delete(keys, k)
-		}
-	}
-	if len(gone) > 0 {
-		if err := c.sessions[j].RemoveRules(gone...); err != nil {
-			return err
-		}
-	}
-	if len(fresh) > 0 {
-		handles, err := c.sessions[j].AddRules(fresh)
+// checkCovers proves leaf j's program inside its spine cover and then inside
+// the uplink's global cover, and names the first it escapes: a leaf that
+// escapes the global cover escapes its own too.
+func checkCovers(j int, leaf, spine, up *compiler.Pass) error {
+	for _, cover := range []struct {
+		what string
+		pass *compiler.Pass
+	}{{"spine", spine}, {"uplink", up}} {
+		ok, witness, err := VerifyCover(leaf, cover.pass)
 		if err != nil {
-			return err
+			return fmt.Errorf("fabric: leaf %d %s cover check: %w", j, cover.what, err)
 		}
-		for i, r := range fresh {
-			keys[r.String()] = handles[i]
+		if !ok {
+			return fmt.Errorf("fabric: leaf %d predicate escapes its %s cover at %v", j, cover.what, witness)
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package fabric
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"camus/internal/compiler"
@@ -262,6 +263,44 @@ func TestVerifyCoverIgnoresDroppedRegions(t *testing.T) {
 		}
 		if !ok && !escapes(witness) {
 			t.Errorf("%s: witness %v does not escape: leaf %s, cover %s", tc.name, witness, full.Evaluate(witness), coverProg.Evaluate(witness))
+		}
+	}
+}
+
+// TestCoverCheckNamesSpineFirst: a leaf that escapes the global cover
+// escapes its own spine cover too, and the check reports the spine, every
+// time.
+func TestCoverCheckNamesSpineFirst(t *testing.T) {
+	sp := workload.ITCHSpec()
+	ab, err := lang.ParseRules("stock == GOOGL : fwd(1)\nstock == AAPL : fwd(2)\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := ab[:1]
+	leaf, err := compiler.Observe(context.Background(), sp, compiler.Source{Rules: ab}, compiler.Options{}, nil)
+	if err == nil {
+		_, err = leaf.Compile()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	cover, err := ComputeCover(sp, a, CoverOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	passes := make([]*compiler.Pass, 2) // spine, uplink
+	for i := range passes {
+		if passes[i], err = SpinePass(sp, []Cover{cover}, []int{7 + i}, compiler.Options{}); err == nil {
+			_, err = passes[i].Compile()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		err := checkCovers(0, leaf, passes[0], passes[1])
+		if err == nil || !strings.Contains(err.Error(), "spine cover") {
+			t.Fatalf("leaf {A, B} over covers of {A}, check %d: %v, want the spine named", i, err)
 		}
 	}
 }
