@@ -10,6 +10,10 @@ import (
 	"testing"
 )
 
+// documents are the repository's prose that names its tests and
+// packages.
+var documents = []string{"DESIGN.md", "README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
+
 // TestDocumentsNameOnlyTestsThatExist: every Test…, Benchmark… or Fuzz…
 // name the documents give is a test function of the repository, or the
 // prefix of one that a -run pattern selects it by.
@@ -37,7 +41,7 @@ func TestDocumentsNameOnlyTestsThatExist(t *testing.T) {
 	}
 	slices.Sort(funcs)
 	named := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9]\w*`)
-	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
+	for _, doc := range documents {
 		src, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
@@ -45,6 +49,24 @@ func TestDocumentsNameOnlyTestsThatExist(t *testing.T) {
 		for _, name := range named.FindAllString(string(src), -1) {
 			if i, _ := slices.BinarySearch(funcs, name); i == len(funcs) || !strings.HasPrefix(funcs[i], name) {
 				t.Errorf("%s names %s, which is neither a test function nor the prefix of one", doc, name)
+			}
+		}
+	}
+}
+
+// TestDocumentsNameOnlyPackagesThatExist: every internal/…, cmd/… or
+// examples/… path the documents give names a directory of the
+// repository.
+func TestDocumentsNameOnlyPackagesThatExist(t *testing.T) {
+	named := regexp.MustCompile(`\b(?:internal|cmd|examples)/[A-Za-z0-9_-]+`)
+	for _, doc := range documents {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dir := range named.FindAllString(string(src), -1) {
+			if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+				t.Errorf("%s names %s, which is not a directory", doc, dir)
 			}
 		}
 	}

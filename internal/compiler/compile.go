@@ -23,9 +23,6 @@ type Options struct {
 	// DisableCompression turns off domain compression (§3.2, third
 	// optimization).
 	DisableCompression bool
-	// CompressionMaxCodes bounds the compressed domain size; 0 means the
-	// default of 256 (an 8-bit code, as in the paper).
-	CompressionMaxCodes int
 	// CompressionMinEntries is the table size below which compression is
 	// not worth a pipeline stage; 0 means the default of 16.
 	CompressionMinEntries int
@@ -42,13 +39,6 @@ type Options struct {
 	// and per-stage durations, BDD node counts, and the Session memo hit
 	// rate. It has no effect on compilation output.
 	Telemetry *telemetry.Registry
-}
-
-func (o Options) maxCodes() int {
-	if o.CompressionMaxCodes > 0 {
-		return o.CompressionMaxCodes
-	}
-	return 256
 }
 
 func (o Options) minEntries() int {

@@ -90,6 +90,10 @@ func (t *Table) Slots(bits int) (sram, tcam int) {
 	return sram, tcam
 }
 
+// compressionMaxCodes bounds a compressed domain's size: 256 codes, the
+// paper's 8-bit code.
+const compressionMaxCodes = 256
+
 // maybeCompress rewrites a range table to a codec + exact table when the
 // field has few distinct range boundaries and the rewrite occupies fewer
 // Slots: the mapping stage's prefixes plus one exact (SRAM) row per code a
@@ -115,7 +119,7 @@ func maybeCompress(t *Table, fi FieldInfo, opts Options) {
 			}
 		}
 	}
-	if !hasRange || len(boundSet) > opts.maxCodes() {
+	if !hasRange || len(boundSet) > compressionMaxCodes {
 		return
 	}
 	bounds := make([]uint64, 0, len(boundSet))

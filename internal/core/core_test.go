@@ -49,7 +49,9 @@ func TestProcessDatagramDeliveries(t *testing.T) {
 	b.SetStock("ORCL")
 	mp.Append(a.Bytes())
 	mp.Append(b.Bytes())
-	mp.Append((&itch.SystemEvent{EventCode: 'O'}).Bytes()) // skipped
+	se := make([]byte, 12) // an ITCH system event, skipped
+	se[0] = 'S'
+	mp.Append(se)
 
 	ds, err := ps.ProcessDatagram(mp.Bytes(), 0)
 	if err != nil {

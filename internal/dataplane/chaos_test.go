@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -86,8 +87,12 @@ func startChaosMode(t *testing.T, plan faults.Plan, egressOnly bool, retxBuffer 
 	// seeded plan, so the whole chaos run is replayable. With egressOnly
 	// the read side of every socket is clean: the switch processes the
 	// publisher's exact datagram order, and only its sends face chaos.
+	// Under any plan the receiver's frame carrying sequence 5 is also
+	// dropped once, so every chaos run has a gap to recover whichever
+	// frames the seeded plan happens to hit.
 	mkWrap := func() func(Conn) Conn {
 		seed := plan.Seed
+		dropped := new(atomic.Bool)
 		return func(c Conn) Conn {
 			in, eg := plan, plan
 			if egressOnly {
@@ -95,7 +100,11 @@ func startChaosMode(t *testing.T, plan faults.Plan, egressOnly bool, retxBuffer 
 			}
 			in.Seed, eg.Seed = seed, seed+1
 			seed += 2
-			return faults.WrapConn(c, &in, &eg)
+			c = faults.WrapConn(c, &in, &eg)
+			if plan.Enabled() {
+				c = dropSeqOnce{Conn: c, to: h.rcv.Addr(), seq: 5, dropped: dropped}
+			}
+			return c
 		}
 	}
 	// A second fwd target on the same predicate makes ports {1, 7} a
@@ -150,6 +159,25 @@ func startChaosMode(t *testing.T, plan faults.Plan, egressOnly bool, retxBuffer 
 	t.Cleanup(func() { pub.Close() })
 	h.pub = pub
 	return h
+}
+
+// dropSeqOnce swallows the first frame sent to to that carries Mold
+// sequence seq. Every socket of one switch shares dropped, so a
+// retransmission of seq is not dropped again.
+type dropSeqOnce struct {
+	Conn
+	to      *net.UDPAddr
+	seq     uint64
+	dropped *atomic.Bool
+}
+
+func (d dropSeqOnce) WriteToUDP(b []byte, addr *net.UDPAddr) (int, error) {
+	var h itch.MoldHeader
+	if addr.Port == d.to.Port && h.DecodeFromBytes(b) == nil && !h.IsEndOfSession() &&
+		h.Sequence <= d.seq && d.seq < h.Sequence+uint64(h.Count) && d.dropped.CompareAndSwap(false, true) {
+		return len(b), nil
+	}
+	return d.Conn.WriteToUDP(b, addr)
 }
 
 // publish streams count GOOGL add-orders, several per datagram, pacing
@@ -315,8 +343,8 @@ func TestChaosRecoveryFullStream(t *testing.T) {
 			if len(h.gaps) != 0 {
 				t.Fatalf("gaps declared lost despite full store: %v", h.gaps)
 			}
-			if h.rcv.stats.Recovered.Load() == 0 && h.sw.stats.RetxRequests.Load() == 0 {
-				t.Fatal("chaos plan injected no recoverable loss; test is vacuous")
+			if h.rcv.stats.Recovered.Load() == 0 {
+				t.Fatal("nothing recovered; test is vacuous")
 			}
 		})
 	}
@@ -396,8 +424,8 @@ func TestChaosIngressModes(t *testing.T) {
 				if (tc.mode == IngressReusePort || tc.stub || workers == 1) && resharded != 0 {
 					t.Fatalf("unexpected re-shard traffic: %d", resharded)
 				}
-				if h.rcv.stats.Recovered.Load() == 0 && h.sw.stats.RetxRequests.Load() == 0 {
-					t.Fatal("chaos plan injected no recoverable loss; test is vacuous")
+				if h.rcv.stats.Recovered.Load() == 0 {
+					t.Fatal("nothing recovered; test is vacuous")
 				}
 			})
 		}

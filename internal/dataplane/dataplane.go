@@ -135,10 +135,6 @@ type Config struct {
 	// Spec is the message format; Subscriptions the initial rule set.
 	Spec          *spec.Spec
 	Subscriptions string
-	// Compiler options for rule compilation.
-	Options compiler.Options
-	// ReadBuffer sizes the datagram receive buffer (default 64 KiB).
-	ReadBuffer int
 	// Session is the egress session prefix; each port's session is the
 	// prefix padded to 7 bytes plus the 3-digit port number, giving every
 	// subscriber its own MoldUDP64 stream identity. Ports of 1000 and up
@@ -186,6 +182,10 @@ type Config struct {
 	// embedded compiler/control-plane/pipeline layers record.
 	Telemetry *telemetry.Telemetry
 }
+
+// readBufSize is the datagram receive buffer: 64 KiB holds any UDP
+// payload, so no datagram is truncated.
+const readBufSize = 64 << 10
 
 // defaultRetxBuffer is the per-port retransmission store bound in messages.
 const defaultRetxBuffer = 4096
@@ -268,7 +268,6 @@ type Switch struct {
 	tel      *telemetry.Telemetry
 	procHist *telemetry.Histogram // per-datagram processing latency; nil when untimed
 	portsG   *telemetry.Gauge
-	readBuf  int
 
 	// Per-port egress write-error attribution, created lazily on a
 	// port's first failed write so series cardinality stays bounded by
@@ -358,10 +357,7 @@ func Listen(cfg Config) (*Switch, error) {
 		return nil, fmt.Errorf("dataplane: listen retx: %w", err)
 	}
 
-	engine, err := core.NewPubSub(cfg.Spec, core.Config{
-		Compiler:  cfg.Options,
-		Telemetry: cfg.Telemetry,
-	})
+	engine, err := core.NewPubSub(cfg.Spec, core.Config{Telemetry: cfg.Telemetry})
 	if err != nil {
 		closeConns()
 		retx.Close()
@@ -378,7 +374,6 @@ func Listen(cfg Config) (*Switch, error) {
 		heartbeat: cfg.Heartbeat,
 		mode:      mode,
 		tel:       cfg.Telemetry,
-		readBuf:   cfg.ReadBuffer,
 		portErrs:  make(map[int]*telemetry.Counter),
 		subCounts: make(map[string]int),
 		runDone:   make(chan struct{}),
@@ -389,9 +384,6 @@ func Listen(cfg Config) (*Switch, error) {
 	}
 	if sw.retxCap == 0 {
 		sw.retxCap = defaultRetxBuffer
-	}
-	if sw.readBuf <= 0 {
-		sw.readBuf = 64 << 10
 	}
 	sw.batch = cfg.Batch
 	if sw.batch == 0 {
@@ -412,7 +404,7 @@ func Listen(cfg Config) (*Switch, error) {
 		// Its own socket where there is one per lane, else the shared one.
 		sw.lanes[i] = &lane{id: i, conn: sw.conns[i%len(sw.conns)]}
 	}
-	sw.bodies = newSharedPool(sharedPoolCapacity, sw.readBuf)
+	sw.bodies = newSharedPool(sharedPoolCapacity, readBufSize)
 	if reg := cfg.Telemetry.Reg(); reg != nil {
 		sw.stats.register(reg)
 		sw.procHist = reg.Histogram("camus_dataplane_process_seconds")
@@ -1064,10 +1056,10 @@ func (sw *Switch) heartbeatLoop(stop <-chan struct{}) {
 // switch does not serve — is counted (camus_dataplane_retx_bad_total)
 // and skipped; nothing a remote peer sends can terminate this loop.
 func (sw *Switch) serveRetx() {
-	// The request socket honors the same configured buffer size as the
-	// ingress socket (requests are tiny, but a fixed small buffer would
-	// silently truncate on configs with jumbo frames).
-	buf := make([]byte, sw.readBuf)
+	// The request socket reads with the ingress socket's buffer size
+	// (requests are tiny, but a small buffer would silently truncate an
+	// oversized one).
+	buf := make([]byte, readBufSize)
 	// One goroutine serves every request, so one reply is reused: building
 	// it under the port lock egress is waiting on costs a copy, not an
 	// allocation.

@@ -261,7 +261,7 @@ func (sw *Switch) runIngress(ctx context.Context) error {
 	var pool *dgramPool
 	var readers, procs sync.WaitGroup
 	if sw.sharded() {
-		pool = newDgramPool(sw.poolCapacity(), sw.readBuf, &sw.stats.PoolMiss)
+		pool = newDgramPool(sw.poolCapacity(), readBufSize, &sw.stats.PoolMiss)
 		for _, l := range sw.lanes {
 			l.ch = make(chan *dgram, shardQueueDepth)
 			procs.Add(1)
@@ -323,7 +323,7 @@ func (sw *Switch) readLane(ctx context.Context, l *lane, pool *dgramPool) error 
 	bufs := make([][]byte, len(ds))
 	sizes := make([]int, len(ds))
 	for i := range ds {
-		ds[i] = &dgram{buf: make([]byte, sw.readBuf)}
+		ds[i] = &dgram{buf: make([]byte, readBufSize)}
 		bufs[i] = ds[i].buf
 	}
 	return sw.readErr(ctx, sw.readLoop(l, br, pool, ds, bufs, sizes))

@@ -43,6 +43,14 @@ func (s *receiverStats) register(reg *telemetry.Registry) {
 	reg.RegisterCounter("camus_receiver_decode_errors_total", &s.DecodeErrors)
 }
 
+// A gap's retransmission request is retried up to maxRequestRetries
+// times, its timeout doubling per retry up to maxRequestBackoff, before
+// the gap is declared lost.
+const (
+	maxRequestRetries = 8
+	maxRequestBackoff = time.Second
+)
+
 // ReceiverConfig configures a gap-recovering MoldUDP64 subscriber.
 type ReceiverConfig struct {
 	// Listen is the UDP address to receive the stream on (empty chooses
@@ -51,23 +59,11 @@ type ReceiverConfig struct {
 	// Retx is the switch's retransmission-request address. Empty
 	// disables recovery: gaps are declared lost after RequestTimeout.
 	Retx string
-	// StartSeq is the first expected sequence number (default 1, the
-	// start of a per-port re-sequenced stream).
-	StartSeq uint64
 	// RequestTimeout is the initial retransmission-request timeout
-	// (default 20ms). Each retry backs off exponentially with jitter.
+	// (default 20ms). Each retry doubles it, up to 1s, with jitter.
 	RequestTimeout time.Duration
-	// BackoffFactor multiplies the timeout per retry (default 2).
-	BackoffFactor float64
-	// MaxBackoff caps the per-retry timeout (default 1s).
-	MaxBackoff time.Duration
-	// MaxRetries bounds request retries before the gap is declared lost
-	// (default 8).
-	MaxRetries int
 	// Seed drives the retry jitter (0 behaves like 1).
 	Seed int64
-	// ReadBuffer sizes the datagram receive buffer (default 64 KiB).
-	ReadBuffer int
 	// WrapConn, when non-nil, wraps the subscriber socket — the
 	// fault-injection hook.
 	WrapConn func(Conn) Conn
@@ -80,7 +76,7 @@ type ReceiverConfig struct {
 	// order with no gaps (unless OnGap reported the missing range).
 	OnMessage func(seq uint64, msg []byte)
 	// OnGap reports that messages [from, to) are unrecoverable (the
-	// store aged out or the request channel failed MaxRetries times).
+	// store aged out or the request channel left all 8 retries unanswered).
 	OnGap func(from, to uint64)
 	// OnEndOfSession fires when the stream's end-of-session announcement
 	// has been reached with no gap outstanding; Run then returns.
@@ -122,23 +118,8 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 	if cfg.OnMessage == nil {
 		return nil, errors.New("dataplane: ReceiverConfig.OnMessage is required")
 	}
-	if cfg.StartSeq == 0 {
-		cfg.StartSeq = 1
-	}
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 20 * time.Millisecond
-	}
-	if cfg.BackoffFactor < 1 {
-		cfg.BackoffFactor = 2
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = time.Second
-	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = 8
-	}
-	if cfg.ReadBuffer <= 0 {
-		cfg.ReadBuffer = 64 << 10
 	}
 	seed := cfg.Seed
 	if seed == 0 {
@@ -160,11 +141,11 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 		conn:       conn,
 		cfg:        cfg,
 		rng:        rand.New(rand.NewSource(seed)),
-		highest:    cfg.StartSeq,
+		highest:    1,
 		pending:    make(map[uint64][]byte),
 		curTimeout: cfg.RequestTimeout,
 	}
-	r.next.Store(cfg.StartSeq)
+	r.next.Store(1) // a per-port re-sequenced stream starts at 1
 	if reg := cfg.Telemetry.Reg(); reg != nil {
 		r.stats.register(reg)
 	}
@@ -231,7 +212,7 @@ func (r *Receiver) Run(ctx context.Context) error {
 		}
 	}()
 
-	buf := make([]byte, r.cfg.ReadBuffer)
+	buf := make([]byte, readBufSize)
 	for {
 		if r.eosSeen && r.next.Load() >= r.eosSeq {
 			if r.cfg.OnEndOfSession != nil {
@@ -315,7 +296,7 @@ func (r *Receiver) onTimeout() {
 		return
 	}
 	r.retries++
-	if r.retries > r.cfg.MaxRetries {
+	if r.retries > maxRequestRetries {
 		// The request channel is not answering: declare the gap up to
 		// the first buffered (or known) sequence unrecoverable and move
 		// on rather than hanging.
@@ -325,10 +306,7 @@ func (r *Receiver) onTimeout() {
 		r.curTimeout = r.cfg.RequestTimeout
 		return
 	}
-	r.curTimeout = time.Duration(float64(r.curTimeout) * r.cfg.BackoffFactor)
-	if r.curTimeout > r.cfg.MaxBackoff {
-		r.curTimeout = r.cfg.MaxBackoff
-	}
+	r.curTimeout = min(2*r.curTimeout, maxRequestBackoff)
 	r.inFlight = false // scheduleRecovery resends with the longer timeout
 }
 

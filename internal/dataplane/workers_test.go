@@ -249,16 +249,15 @@ func TestProcessDatagramZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestServeRetxHonorsReadBuffer: the retransmission socket must use the
-// configured read buffer, not a hardcoded one (regression test for the
-// fixed 2048-byte buffer).
+// TestServeRetxHonorsReadBuffer: the retransmission socket must read
+// with the datagram buffer, not a small fixed one (regression test for
+// the fixed 2048-byte buffer).
 func TestServeRetxHonorsReadBuffer(t *testing.T) {
 	sub1 := listenUDP(t)
 	sw, err := Listen(Config{
 		Spec:          spec.MustParse(workload.ITCHSpecSource),
 		Ports:         map[int]string{1: sub1.LocalAddr().String()},
 		Subscriptions: "stock == GOOGL : fwd(1)",
-		ReadBuffer:    4096,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -34,12 +34,6 @@ type ControllerConfig struct {
 	// DownlinkPort maps a leaf index to the spine egress port toward it.
 	// Nil means identity (leaf j behind spine port j).
 	DownlinkPort func(leaf int) int
-	// Compiler options for every program build.
-	Compiler compiler.Options
-	// Cover tunes the covering computation (keep fields).
-	Cover CoverOptions
-	// Policy bounds each member's commit retries.
-	Policy controlplane.UpdatePolicy
 	// VerifyCovers proves BDD containment of every leaf program in its
 	// spine and uplink covers before any device is touched.
 	VerifyCovers bool
@@ -112,12 +106,9 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	if cfg.DownlinkPort == nil {
 		cfg.DownlinkPort = func(leaf int) int { return leaf }
 	}
-	cover := cfg.Cover
-	cover.Compiler = cfg.Compiler
-	cfg.Cover = cover
 	c := &Controller{cfg: cfg, sessions: make([]*compiler.Session, cfg.Leaves)}
 	for j := range c.sessions {
-		c.sessions[j] = compiler.NewSession(cfg.Spec, cfg.Compiler)
+		c.sessions[j] = compiler.NewSession(cfg.Spec, compiler.Options{})
 	}
 	if reg := cfg.Telemetry.Reg(); reg != nil {
 		c.epochOutcomes = make(map[string]*telemetry.Counter)
@@ -135,7 +126,6 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 
 func (c *Controller) bind(m Member) *boundMember {
 	ctl := controlplane.NewController(m.Dev)
-	ctl.Policy = c.cfg.Policy
 	ctl.SetTelemetry(c.cfg.Telemetry)
 	bm := &boundMember{Member: m, ctl: ctl}
 	c.devicesG.Set(int64(len(c.downs) + len(c.ups) + len(c.spines) + 1))
@@ -240,7 +230,7 @@ func (c *Controller) Apply(ctx context.Context, rules []lang.Rule) (Epoch, error
 			return c.fail("compile_failed", fmt.Errorf("fabric: leaf %d: %w", j, err))
 		}
 		ep.LeafEntries += leaves[j].Program().Stats.TableEntries
-		if covers[j], err = ComputeCover(c.cfg.Spec, part, c.cfg.Cover); err != nil {
+		if covers[j], err = ComputeCover(c.cfg.Spec, part, CoverOptions{}); err != nil {
 			return c.fail("compile_failed", fmt.Errorf("fabric: leaf %d cover: %w", j, err))
 		}
 		downPorts[j] = c.cfg.DownlinkPort(j)
@@ -251,16 +241,16 @@ func (c *Controller) Apply(ctx context.Context, rules []lang.Rule) (Epoch, error
 	// from under every device but the last one installed.
 	spineProgs := make([]*compiler.Program, len(c.spines))
 	for s := range c.spines {
-		if spineProgs[s], err = SpineProgram(c.cfg.Spec, covers, downPorts, c.cfg.Compiler); err != nil {
+		if spineProgs[s], err = SpineProgram(c.cfg.Spec, covers, downPorts, compiler.Options{}); err != nil {
 			return c.fail("compile_failed", fmt.Errorf("fabric: spine program: %w", err))
 		}
 	}
 	ep.SpineEntries = spineProgs[0].Stats.TableEntries
-	globalCover, err := ComputeCover(c.cfg.Spec, rules, c.cfg.Cover)
+	globalCover, err := ComputeCover(c.cfg.Spec, rules, CoverOptions{})
 	if err != nil {
 		return c.fail("compile_failed", fmt.Errorf("fabric: global cover: %w", err))
 	}
-	up, err := SpinePass(c.cfg.Spec, []Cover{globalCover}, []int{c.cfg.UplinkPort}, c.cfg.Compiler)
+	up, err := SpinePass(c.cfg.Spec, []Cover{globalCover}, []int{c.cfg.UplinkPort}, compiler.Options{})
 	upProgs := make([]*compiler.Program, len(c.ups))
 	for j := 0; err == nil && j < len(c.ups); j++ {
 		upProgs[j], err = up.Compile()
@@ -272,7 +262,7 @@ func (c *Controller) Apply(ctx context.Context, rules []lang.Rule) (Epoch, error
 
 	if c.cfg.VerifyCovers {
 		for j := range parts {
-			spine, err := SpinePass(c.cfg.Spec, []Cover{covers[j]}, []int{downPorts[j]}, c.cfg.Compiler)
+			spine, err := SpinePass(c.cfg.Spec, []Cover{covers[j]}, []int{downPorts[j]}, compiler.Options{})
 			if err == nil {
 				_, err = spine.Compile()
 			}

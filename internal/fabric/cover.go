@@ -30,8 +30,6 @@ type CoverOptions struct {
 	// soundness direction a cover needs. Empty selects every exact-match
 	// packet field in the spec (for ITCH: the stock symbol).
 	KeepFields []string
-	// Compiler options for rule resolution and cover compilation.
-	Compiler compiler.Options
 }
 
 // Cover is one leaf's covering predicate: a disjunction of projected
@@ -60,7 +58,7 @@ func ComputeCover(sp *spec.Spec, rules []lang.Rule, opts CoverOptions) (Cover, e
 	if len(rules) == 0 {
 		return Cover{}, nil
 	}
-	fields, conjs, err := compiler.ResolveConjs(sp, rules, opts.Compiler)
+	fields, conjs, err := compiler.ResolveConjs(sp, rules, compiler.Options{})
 	if err != nil {
 		return Cover{}, err
 	}

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"camus/internal/compiler"
 	"camus/internal/controlplane"
 	"camus/internal/dataplane"
 	"camus/internal/faults"
@@ -42,10 +41,7 @@ type Config struct {
 	// (default 15ms).
 	RequestTimeout time.Duration
 	// Workers is each switch's shard-lane count (default 1).
-	Workers  int
-	Compiler compiler.Options
-	Cover    CoverOptions
-	Policy   controlplane.UpdatePolicy
+	Workers int
 	// VerifyCovers proves BDD containment of every leaf program in its
 	// covers before each epoch touches a device.
 	VerifyCovers bool
@@ -130,9 +126,6 @@ func New(cfg Config) (*Fabric, error) {
 		Spec:         cfg.Spec,
 		Leaves:       cfg.Leaves,
 		UplinkPort:   0,
-		Compiler:     cfg.Compiler,
-		Cover:        cfg.Cover,
-		Policy:       cfg.Policy,
 		VerifyCovers: cfg.VerifyCovers,
 		Telemetry:    cfg.Telemetry,
 	})
@@ -154,7 +147,6 @@ func New(cfg Config) (*Fabric, error) {
 func (f *Fabric) listen(session string) (*dataplane.Switch, error) {
 	return dataplane.Listen(dataplane.Config{
 		Spec:      f.cfg.Spec,
-		Options:   f.cfg.Compiler,
 		Session:   session,
 		Heartbeat: f.cfg.Heartbeat,
 		Workers:   f.cfg.Workers,

@@ -3,7 +3,8 @@ package itch
 import "testing"
 
 // FuzzMoldDecode checks the Mold/ITCH decoders never panic or read out of
-// bounds on arbitrary datagrams.
+// bounds on arbitrary datagrams, and that the shard key agrees with the
+// decoder.
 func FuzzMoldDecode(f *testing.F) {
 	var good MoldPacket
 	good.Header.SetSession("SEED")
@@ -11,7 +12,7 @@ func FuzzMoldDecode(f *testing.F) {
 	a.SetStock("GOOGL")
 	a.Shares = 100
 	good.Append(a.Bytes())
-	good.Append((&SystemEvent{EventCode: 'O'}).Bytes())
+	good.Append(systemEvent())
 	f.Add(good.Bytes())
 	f.Add([]byte{})
 	f.Add(make([]byte, MoldHeaderLen))
@@ -36,10 +37,23 @@ func FuzzMoldDecode(f *testing.F) {
 				t.Fatalf("message count changed: %d -> %d", len(mp.Messages), len(mp2.Messages))
 			}
 		}
-		_ = ForEachAddOrder(data, func(o *AddOrder) {
+		// The lanes' shard key is the first add-order's locate: whenever
+		// the decoder visits an add-order, the key must name the first.
+		var scratch AddOrder
+		var first uint16
+		visited := false
+		_ = DecodeAddOrders(data, &scratch, func(o *AddOrder, _ []byte) {
 			_ = o.StockSymbol()
 			_ = o.StockValue()
+			if !visited {
+				first, visited = o.StockLocate, true
+			}
 		})
+		if visited {
+			if loc, ok := FirstAddOrderLocate(data); !ok || loc != first {
+				t.Fatalf("FirstAddOrderLocate = %#x, %v; decoder's first add-order has %#x", loc, ok, first)
+			}
+		}
 	})
 }
 

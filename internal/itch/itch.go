@@ -1,7 +1,8 @@
 // Package itch implements the Nasdaq market-data wire formats used in the
-// paper's case study: MoldUDP64 framing and (a subset of) the ITCH 5.0
-// message set, most importantly the add-order message that Camus
-// subscriptions filter on.
+// paper's case study: MoldUDP64 framing and the ITCH 5.0 add-order
+// message that Camus subscriptions filter on. Like the paper's switch
+// parser, it decodes only that message: any other ITCH message is skipped
+// by its length prefix, its type byte the only part read.
 //
 // Like real ITCH, alpha fields (stock symbols, the buy/sell indicator) are
 // ASCII, left-justified and space-padded; integers are big-endian;
@@ -13,30 +14,19 @@ package itch
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"strings"
 )
 
-// Message type bytes (ITCH 5.0).
-const (
-	TypeSystemEvent = 'S'
-	TypeAddOrder    = 'A'
-	TypeOrderExec   = 'E'
-	TypeTrade       = 'P'
-)
+// TypeAddOrder is the ITCH 5.0 type byte of the add-order message.
+const TypeAddOrder = 'A'
 
-// Fixed message lengths in bytes (type byte included).
-const (
-	SystemEventLen = 12
-	AddOrderLen    = 36
-	OrderExecLen   = 31
-	TradeLen       = 44
-)
+// AddOrderLen is the add-order message's wire length (type byte
+// included).
+const AddOrderLen = 36
 
 // Common errors.
 var (
-	ErrTruncated   = errors.New("itch: truncated message")
-	ErrUnknownType = errors.New("itch: unknown message type")
+	ErrTruncated = errors.New("itch: truncated message")
 	// ErrNotAddOrder is returned by AddOrder.DecodeFromBytes for a
 	// well-formed message of a different type. It is a sentinel, not a
 	// formatted error: decoding runs per message on the dataplane's
@@ -131,70 +121,6 @@ func (m *AddOrder) Bytes() []byte {
 	return b
 }
 
-// SystemEvent is the ITCH 'S' message signaling market phase changes.
-type SystemEvent struct {
-	StockLocate    uint16
-	TrackingNumber uint16
-	Timestamp      uint64
-	EventCode      byte // 'O' start of messages, 'S' start of system hours, ...
-}
-
-// DecodeFromBytes parses a system-event message.
-func (m *SystemEvent) DecodeFromBytes(data []byte) error {
-	if len(data) < SystemEventLen {
-		return ErrTruncated
-	}
-	if data[0] != TypeSystemEvent {
-		return fmt.Errorf("itch: message type %q is not a system event", data[0])
-	}
-	m.StockLocate = binary.BigEndian.Uint16(data[1:3])
-	m.TrackingNumber = binary.BigEndian.Uint16(data[3:5])
-	m.Timestamp = uint48(data[5:11])
-	m.EventCode = data[11]
-	return nil
-}
-
-// SerializeTo writes the message into b (SystemEventLen bytes).
-func (m *SystemEvent) SerializeTo(b []byte) {
-	b[0] = TypeSystemEvent
-	binary.BigEndian.PutUint16(b[1:3], m.StockLocate)
-	binary.BigEndian.PutUint16(b[3:5], m.TrackingNumber)
-	putUint48(b[5:11], m.Timestamp)
-	b[11] = m.EventCode
-}
-
-// Bytes serializes the message into a fresh buffer.
-func (m *SystemEvent) Bytes() []byte {
-	b := make([]byte, SystemEventLen)
-	m.SerializeTo(b)
-	return b
-}
-
-// MessageLen returns the wire length of a message from its type byte, or
-// 0 when the type is unknown.
-func MessageLen(typ byte) int {
-	switch typ {
-	case TypeSystemEvent:
-		return SystemEventLen
-	case TypeAddOrder:
-		return AddOrderLen
-	case TypeOrderExec:
-		return OrderExecLen
-	case TypeTrade:
-		return TradeLen
-	case TypeOrderCancel:
-		return OrderCancelLen
-	case TypeOrderDelete:
-		return OrderDeleteLen
-	case TypeOrderReplace:
-		return OrderReplaceLen
-	case TypeStockDirectory:
-		return StockDirectoryLen
-	default:
-		return 0
-	}
-}
-
 //camus:hotpath
 func uint48(b []byte) uint64 {
 	return uint64(b[0])<<40 | uint64(b[1])<<32 | uint64(b[2])<<24 |
@@ -214,6 +140,3 @@ func putUint48(b []byte, v uint64) {
 func PriceToFixed(dollars float64) uint32 {
 	return uint32(dollars*10000 + 0.5)
 }
-
-// FixedToPrice converts ITCH fixed point back to dollars.
-func FixedToPrice(v uint32) float64 { return float64(v) / 10000 }

@@ -34,8 +34,8 @@ func TestAddOrderRoundTrip(t *testing.T) {
 	if d.StockSymbol() != "GOOGL" {
 		t.Fatalf("symbol = %q", d.StockSymbol())
 	}
-	if FixedToPrice(d.Price) != 182.55 {
-		t.Fatalf("price = %v", FixedToPrice(d.Price))
+	if d.Price != 1825500 {
+		t.Fatalf("price = %v", d.Price)
 	}
 }
 
@@ -86,16 +86,17 @@ func TestUint48RoundTrip(t *testing.T) {
 	}
 }
 
-func TestSystemEventRoundTrip(t *testing.T) {
-	m := SystemEvent{StockLocate: 1, TrackingNumber: 2, Timestamp: 12345, EventCode: 'O'}
-	var d SystemEvent
-	if err := d.DecodeFromBytes(m.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if d != m {
-		t.Fatalf("round trip: %+v != %+v", d, m)
-	}
+// otherMsg builds an ITCH message the switch does not parse: the type
+// byte, zero-filled to its wire length. A Mold datagram frames it by its
+// length prefix, and the decoders skip it on the type byte alone.
+func otherMsg(typ byte, n int) []byte {
+	b := make([]byte, n)
+	b[0] = typ
+	return b
 }
+
+// systemEvent is an ITCH 5.0 system-event message ('S', 12 bytes).
+func systemEvent() []byte { return otherMsg('S', 12) }
 
 func TestMoldPacketRoundTrip(t *testing.T) {
 	var p MoldPacket
@@ -106,8 +107,7 @@ func TestMoldPacketRoundTrip(t *testing.T) {
 	a.Shares = 100
 	a.Price = PriceToFixed(190)
 	p.Append(a.Bytes())
-	se := SystemEvent{EventCode: 'O'}
-	p.Append(se.Bytes())
+	p.Append(systemEvent())
 	var b AddOrder
 	b.SetStock("MSFT")
 	b.Shares = 50
@@ -160,12 +160,42 @@ func TestMoldDecodeTruncated(t *testing.T) {
 	}
 }
 
-func TestMessageLen(t *testing.T) {
-	if MessageLen(TypeAddOrder) != AddOrderLen || MessageLen(TypeSystemEvent) != SystemEventLen {
-		t.Fatal("known lengths wrong")
+// TestMoldMixedMessageTypes checks that a datagram carrying eight ITCH
+// 5.0 message types, each at its wire length, decodes and that the
+// add-order filter visits only the add-order.
+func TestMoldMixedMessageTypes(t *testing.T) {
+	var mp MoldPacket
+	mp.Header.SetSession("MIX")
+	var a AddOrder
+	a.SetStock("GOOGL")
+	mp.Append(systemEvent())
+	mp.Append(otherMsg('R', 39)) // stock directory
+	mp.Append(a.Bytes())
+	mp.Append(otherMsg('E', 31)) // order executed
+	mp.Append(otherMsg('X', 23)) // order cancel
+	mp.Append(otherMsg('U', 35)) // order replace
+	mp.Append(otherMsg('D', 19)) // order delete
+	mp.Append(otherMsg('P', 44)) // trade
+	wire := mp.Bytes()
+
+	var decoded MoldPacket
+	if err := decoded.Decode(wire); err != nil {
+		t.Fatal(err)
 	}
-	if MessageLen('?') != 0 {
-		t.Fatal("unknown type should be 0")
+	if len(decoded.Messages) != 8 {
+		t.Fatalf("decoded %d messages", len(decoded.Messages))
+	}
+	adds := 0
+	if err := ForEachAddOrder(wire, func(m *AddOrder) {
+		adds++
+		if m.StockSymbol() != "GOOGL" {
+			t.Fatalf("visited %q", m.StockSymbol())
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if adds != 1 {
+		t.Fatalf("add-order filter saw %d, want 1", adds)
 	}
 }
 

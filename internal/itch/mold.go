@@ -175,22 +175,17 @@ func (p *MoldPacket) Decode(data []byte) error {
 // add-order message, reusing a single AddOrder struct (zero allocation per
 // message). Non-add-order messages are skipped.
 func ForEachAddOrder(data []byte, fn func(*AddOrder)) error {
-	return ForEachAddOrderRaw(data, func(m *AddOrder, _ []byte) { fn(m) })
-}
-
-// ForEachAddOrderRaw is ForEachAddOrder, additionally passing each
-// message's raw wire bytes (aliasing data, without the length prefix) so
-// forwarding paths can reuse them instead of re-serializing — the
-// zero-copy egress path of the software dataplane. The raw slice is only
-// valid until the caller recycles data.
-func ForEachAddOrderRaw(data []byte, fn func(*AddOrder, []byte)) error {
 	var msg AddOrder
-	return DecodeAddOrders(data, &msg, fn)
+	return DecodeAddOrders(data, &msg, func(m *AddOrder, _ []byte) { fn(m) })
 }
 
-// DecodeAddOrders is ForEachAddOrderRaw with a caller-supplied scratch
-// AddOrder: passing a long-lived scratch keeps the message struct off
-// the heap entirely, which the dataplane's zero-alloc lanes rely on.
+// DecodeAddOrders is ForEachAddOrder with a caller-supplied scratch
+// AddOrder, additionally passing each message's raw wire bytes (aliasing
+// data, without the length prefix) so forwarding paths can reuse them
+// instead of re-serializing — the zero-copy egress path of the software
+// dataplane. The raw slice is only valid until the caller recycles data.
+// A long-lived scratch keeps the message struct off the heap entirely,
+// which the dataplane's zero-alloc lanes rely on.
 //
 //camus:hotpath
 func DecodeAddOrders(data []byte, msg *AddOrder, fn func(*AddOrder, []byte)) error {

@@ -12,8 +12,7 @@ func buildShardPacket(t *testing.T) (MoldPacket, AddOrder, AddOrder) {
 	var p MoldPacket
 	p.Header.SetSession("SHARD01")
 	p.Header.Sequence = 77
-	se := SystemEvent{EventCode: 'O'}
-	p.Append(se.Bytes())
+	p.Append(systemEvent())
 	var a AddOrder
 	a.StockLocate = 0x1234
 	a.SetStock("AAPL")
@@ -52,12 +51,13 @@ func TestAppendToReusesBuffer(t *testing.T) {
 	}
 }
 
-func TestForEachAddOrderRaw(t *testing.T) {
+func TestDecodeAddOrdersRaw(t *testing.T) {
 	p, a, b := buildShardPacket(t)
 	wire := p.Bytes()
 	var raws [][]byte
 	var locs []uint16
-	if err := ForEachAddOrderRaw(wire, func(m *AddOrder, raw []byte) {
+	var scratch AddOrder
+	if err := DecodeAddOrders(wire, &scratch, func(m *AddOrder, raw []byte) {
 		raws = append(raws, raw)
 		locs = append(locs, m.StockLocate)
 	}); err != nil {
@@ -70,7 +70,7 @@ func TestForEachAddOrderRaw(t *testing.T) {
 		t.Fatal("raw bytes differ from serialized messages")
 	}
 	// Raw slices must alias the input datagram (zero-copy egress).
-	if &raws[0][0] != &wire[MoldHeaderLen+2+SystemEventLen+2] {
+	if &raws[0][0] != &wire[MoldHeaderLen+2+len(systemEvent())+2] {
 		t.Fatal("raw message does not alias the datagram buffer")
 	}
 }
@@ -90,8 +90,7 @@ func TestFirstAddOrderLocate(t *testing.T) {
 	}
 	var se MoldPacket
 	se.Header.SetSession("SHARD01")
-	ev := SystemEvent{EventCode: 'O'}
-	se.Append(ev.Bytes())
+	se.Append(systemEvent())
 	if _, ok := FirstAddOrderLocate(se.Bytes()); ok {
 		t.Fatal("system-event-only datagram should have no shard key")
 	}

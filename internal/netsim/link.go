@@ -5,7 +5,6 @@ import (
 
 	"camus/internal/faults"
 	"camus/internal/itch"
-	"camus/internal/nethdr"
 )
 
 // Packet is one MoldUDP64 datagram in flight: the add-orders it carries
@@ -19,10 +18,14 @@ type Packet struct {
 // Bytes is the datagram's size on the wire.
 func (p Packet) Bytes() int { return packetBytes(len(p.Orders)) }
 
+// frameHeaderBytes is what carries a datagram on the wire: an Ethernet
+// header (14 bytes), an IPv4 header without options (20) and a UDP
+// header (8).
+const frameHeaderBytes = 14 + 20 + 8
+
 // packetBytes is the wire size of a Mold datagram with n add-orders.
 func packetBytes(n int) int {
-	return nethdr.EthernetLen + nethdr.IPv4MinLen + nethdr.UDPLen +
-		itch.MoldHeaderLen + n*(2+itch.AddOrderLen)
+	return frameHeaderBytes + itch.MoldHeaderLen + n*(2+itch.AddOrderLen)
 }
 
 // Node is the far end of a link: a Host or a Switch.

@@ -45,20 +45,3 @@ func DecodeSymbol(q *QueryField, v uint64) string {
 	}
 	return strings.TrimRight(string(b), " ")
 }
-
-// ExtractField pulls a byte-aligned query field's value out of a
-// serialized header. The caller locates the header inside the packet (the
-// protocol decoder does that); hdr must start at the header's first byte.
-func ExtractField(q *QueryField, hdr []byte) (uint64, error) {
-	if q.ByteLen == 0 {
-		return 0, fmt.Errorf("field %s is not byte-aligned; cannot extract from raw bytes", q.Name)
-	}
-	if q.ByteOffset+q.ByteLen > len(hdr) {
-		return 0, fmt.Errorf("field %s: header truncated (need %d bytes, have %d)", q.Name, q.ByteOffset+q.ByteLen, len(hdr))
-	}
-	var v uint64
-	for _, b := range hdr[q.ByteOffset : q.ByteOffset+q.ByteLen] {
-		v = v<<8 | uint64(b)
-	}
-	return v, nil
-}

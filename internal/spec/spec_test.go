@@ -145,36 +145,6 @@ func TestEncodeSymbolErrors(t *testing.T) {
 	}
 }
 
-func TestExtractField(t *testing.T) {
-	s := MustParse(itchSpec)
-	hdr := make([]byte, 16)
-	// shares = 0x01020304 at offset 0
-	copy(hdr[0:4], []byte{1, 2, 3, 4})
-	copy(hdr[4:12], []byte("GOOGL   "))
-	copy(hdr[12:16], []byte{0, 0, 0, 99})
-	shares, _ := s.LookupField("shares")
-	v, err := ExtractField(shares, hdr)
-	if err != nil || v != 0x01020304 {
-		t.Fatalf("shares = %#x err=%v", v, err)
-	}
-	stock, _ := s.LookupField("stock")
-	sv, err := ExtractField(stock, hdr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if DecodeSymbol(stock, sv) != "GOOGL" {
-		t.Fatalf("stock = %q", DecodeSymbol(stock, sv))
-	}
-	price, _ := s.LookupField("price")
-	pv, err := ExtractField(price, hdr)
-	if err != nil || pv != 99 {
-		t.Fatalf("price = %d err=%v", pv, err)
-	}
-	if _, err := ExtractField(price, hdr[:10]); err == nil {
-		t.Fatal("truncated header should fail")
-	}
-}
-
 func TestSetFieldOrder(t *testing.T) {
 	s := MustParse(itchSpec)
 	if err := s.SetFieldOrder("stock", "price"); err != nil {
