@@ -13,6 +13,7 @@ import (
 
 	"camus/internal/bdd"
 	"camus/internal/compiler"
+	"camus/internal/core"
 	"camus/internal/experiments"
 	"camus/internal/itch"
 	"camus/internal/lang"
@@ -417,10 +418,46 @@ func BenchmarkCompileParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkLiveUpdate is a live update at coldShapes: 1% of the rules
+// replaced in the source text, which core.PubSub.SetSubscriptions syncs its
+// session to, recompiles and installs. Workers is 1, so allocs/op is a
+// property of the code and not of the host's core count.
+func BenchmarkLiveUpdate(b *testing.B) {
+	sp := workload.ITCHSpec()
+	for _, v := range coldShapes {
+		b.Run(v.name, func(b *testing.B) {
+			lines := strings.SplitAfter(workload.ITCHSubscriptionSource(v.cfg), "\n")
+			freshCfg := v.cfg
+			freshCfg.Seed = 7777
+			fresh := strings.SplitAfter(workload.ITCHSubscriptionSource(freshCfg), "\n")
+			ps, err := core.NewPubSub(sp, core.Config{Compiler: compiler.Options{Workers: 1}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := ps.SetSubscriptions(strings.Join(lines, "")); err != nil {
+				b.Fatal(err)
+			}
+			churn := len(lines) / 100
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				at, from := i*churn*7%(len(lines)-churn), i*churn%(len(fresh)-churn)
+				copy(lines[at:at+churn], fresh[from:])
+				src := strings.Join(lines, "")
+				b.StartTimer()
+				if _, err := ps.SetSubscriptions(src); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkChurnIncremental measures a 1% subscription churn event
 // (remove 1%, add 1%, recompile) two ways: a full from-scratch compile of
-// the new rule set versus an incremental Session recompile that reuses
-// memoized sub-BDDs and persistent payload IDs.
+// the new rule set versus a Session recompile, which resolves only the
+// added rules.
 func BenchmarkChurnIncremental(b *testing.B) {
 	sp := workload.ITCHSpec()
 	for _, n := range []int{10000, 100000} {

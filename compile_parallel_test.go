@@ -105,8 +105,8 @@ func TestParallelCompileMatchesSerialSiena(t *testing.T) {
 
 // TestSessionChurnMatchesFullCompile drives an incremental Session through
 // several churn rounds of the ITCH workload and checks after every round
-// that the memoized recompile is indistinguishable from compiling the live
-// rule set from scratch.
+// that the recompile is indistinguishable from compiling the live rule set
+// from scratch.
 func TestSessionChurnMatchesFullCompile(t *testing.T) {
 	sp := workload.ITCHSpec()
 	cfg := workload.DefaultITCHSubsConfig()

@@ -121,68 +121,25 @@ func (b *BDD) NumInternal() int { return len(b.nodes) - len(b.terminals) }
 // unsettled, a payload held while its Adds outnumber its Removes — and Class
 // names what is done to a packet matched by exactly the payloads held
 // (possibly none). Equal classes must mean equal treatment, and matches says
-// whether that is anything at all. It must answer the same way for the life
-// of the arena it is given to; every Build leaves it holding nothing, so one
-// Classifier serves every build on its arena.
+// whether that is anything at all. It must answer the same way for the
+// length of a build; every build leaves it holding nothing, so one
+// Classifier may serve many.
 type Classifier interface {
 	Add(payload int)
 	Remove(payload int)
 	Class() (class int, matches bool)
 }
 
-// Builder is a persistent hash-cons arena that can be reused across Build
-// calls. All nodes live in the arena; the memo and node tables are keyed
-// purely by content (predicate interval sets and the alive conjunctions'
-// constraint/payload hashes), and the terminals by the Classifier's
-// classes, so a later Build whose rule set shares conjunctions with an
-// earlier one reuses the unchanged sub-BDDs instead of re-expanding them —
-// the compile-time memoization §3 of the paper calls for under highly
-// dynamic workloads.
-//
-// The arena is invalidated (Reset) automatically when the field list
-// changes between builds, since every content key is relative to the
-// variable order and domains. A Builder is not safe for concurrent use.
-type Builder struct {
-	fieldsKey hash128 // zero: no build yet
+// builder is one build: its arena, where every node lives and whose tables
+// are keyed by content — predicate interval sets, and the alive
+// conjunctions' hashes — and the construction state on top of it.
+type builder struct {
 	classify  Classifier
-
 	memo      map[memoKey]*Node // field transitions: what is built below a set of survivors
 	nodeCons  map[nodeKey]*Node
 	classCons map[int]*Node // terminals, by class
-	nnodes    int           // arena node counter; arena IDs are never reused
-}
+	nnodes    int           // arena node counter
 
-// NewClassBuilder returns an empty reusable arena whose terminals are the
-// classes classify gives payload sets.
-func NewClassBuilder(classify Classifier) *Builder {
-	bl := &Builder{classify: classify}
-	bl.Reset()
-	return bl
-}
-
-// Reset discards the arena: the next Build starts cold.
-func (bl *Builder) Reset() {
-	bl.memo = make(map[memoKey]*Node)
-	bl.nodeCons = make(map[nodeKey]*Node)
-	bl.classCons = make(map[int]*Node)
-	bl.nnodes = 0
-	bl.fieldsKey = hash128{}
-}
-
-// ArenaSize returns the number of nodes retained in the arena, counting
-// nodes from earlier builds that are no longer reachable.
-func (bl *Builder) ArenaSize() int { return bl.nnodes }
-
-// Retained returns how much the arena holds on to: its nodes plus its field
-// transitions, stranded ones included. A new set of survivors is a new
-// transition even when it falls into a class that has its terminal already,
-// so this, not ArenaSize, is what to weigh against a cold build's Retained
-// when deciding that Reset pays; it is a measure to compare with itself.
-func (bl *Builder) Retained() int { return bl.nnodes + len(bl.memo) }
-
-// builder holds per-build construction state on top of a shared arena.
-type builder struct {
-	shared *Builder
 	fields []Field
 	conjs  []conjInfo
 	// preds[f] lists the distinct atomic predicates appearing on field f,
@@ -205,11 +162,6 @@ type builder struct {
 	predAt    [][]int32
 	predEpoch int
 	scratch
-
-	// old is how many arena nodes earlier builds left; labels holds the
-	// label of each predicate this build met, by field and set (label).
-	old    int
-	labels map[hash128]string
 
 	// steps counts the work that grows with the input: a sweep event, a
 	// survivor listed, a conjunction settled or unsettled, a word of a cell
@@ -253,14 +205,12 @@ func take[T any](stack *[]T, n int) []T {
 // memoKey identifies a field transition: what is built for the fields after
 // field, given the conjunctions that survived it. The alive set is folded
 // into a 128-bit content hash; with double 64-bit hashing the collision
-// probability over even millions of memo entries is negligible. Because
-// the key depends only on content (not on per-build conjunction or
-// predicate indices), entries remain valid across Build calls on the same
-// field list. alive is the lane-wise *sum* of the alive conjunctions'
-// hashes: free of order, formed for a union of classes from the classes'
-// own sums without visiting a member, and kept up to date along a sweep by
-// adding the classes that enter and subtracting those that leave. aliveLen
-// adds the size.
+// probability over even millions of memo entries is negligible. alive is
+// the lane-wise *sum* of the alive conjunctions' hashes: free of order,
+// formed for a union of classes from the classes' own sums without
+// visiting a member, and kept up to date along a sweep by adding the
+// classes that enter and subtracting those that leave. aliveLen adds the
+// size.
 type memoKey struct {
 	alive    hash128
 	aliveLen int32
@@ -313,19 +263,6 @@ func hashSet(s interval.Set) hash128 {
 	return h
 }
 
-// hashFields keys the arena to a field list: name, domain, and order all
-// matter.
-func hashFields(fields []Field) hash128 {
-	h := hash128{a: 0x16a88fbbbd1ca4d9, b: 0x7fb5d329728ea185}
-	for _, f := range fields {
-		for i := 0; i < len(f.Name); i++ {
-			h = h.word(uint64(f.Name[i]))
-		}
-		h = h.word(uint64(len(f.Name))).word(f.Max)
-	}
-	return h
-}
-
 type pred struct {
 	set      interval.Set
 	hash     hash128 // hashSet(set): the predicate's identity in memo and node keys
@@ -373,20 +310,19 @@ type cellPred struct {
 }
 
 // Build constructs the reduced ordered multi-terminal BDD for the given
-// conjunctions over the given ordered fields, on a fresh arena whose
-// terminals are payload sets (a caller that reads them uses a PayloadSets).
+// conjunctions over the given ordered fields, its terminals payload sets (a
+// caller that reads them uses a PayloadSets).
 func Build(fields []Field, conjs []Conj) (*BDD, error) {
-	return NewClassBuilder(NewPayloadSets()).Build(fields, conjs)
+	return BuildClasses(fields, conjs, NewPayloadSets())
 }
 
-// Build constructs the reduced ordered multi-terminal BDD for the given
-// conjunctions, reusing sub-BDDs memoized by earlier builds on the same
-// arena. The returned BDD is an immutable snapshot: its nodes are copies
-// of the arena nodes with dense IDs in construction order, so earlier
-// returned BDDs stay valid and the output is bit-identical to a cold
-// build of the same inputs.
-func (bl *Builder) Build(fields []Field, conjs []Conj) (*BDD, error) {
-	b, sum, err := bl.begin(fields, conjs)
+// BuildClasses constructs the reduced ordered multi-terminal BDD for the
+// given conjunctions over the given ordered fields, its terminals the
+// classes classify gives the payloads that match. Every build is cold: its
+// arena is its own, and what the diagram does not keep is garbage once it
+// returns.
+func BuildClasses(fields []Field, conjs []Conj, classify Classifier) (*BDD, error) {
+	b, sum, err := begin(fields, conjs, classify)
 	if err != nil {
 		return nil, err
 	}
@@ -412,21 +348,15 @@ func (b *builder) run(sum hash128) *Node {
 	return root
 }
 
-// begin readies a build on the arena: the conjunctions ingested, the
-// predicates in canonical order, and the sum of every conjunction's hash.
-func (bl *Builder) begin(fields []Field, conjs []Conj) (b *builder, sum hash128, err error) {
-	if fk := hashFields(fields); fk != bl.fieldsKey {
-		bl.Reset()
-		bl.fieldsKey = fk
-	}
-	b = &builder{shared: bl, fields: fields, old: bl.nnodes}
+// begin readies a build: the conjunctions ingested, the predicates in
+// canonical order, and the sum of every conjunction's hash.
+func begin(fields []Field, conjs []Conj, classify Classifier) (b *builder, sum hash128, err error) {
+	b = &builder{classify: classify, fields: fields, nodeCons: make(map[nodeKey]*Node), classCons: make(map[int]*Node)}
 	if err := b.ingest(conjs); err != nil {
 		return nil, sum, err
 	}
-	if len(bl.memo) == 0 {
-		// A cold build makes about a field transition per conjunction.
-		bl.memo = make(map[memoKey]*Node, len(b.conjs))
-	}
+	// A build makes about a field transition per conjunction.
+	b.memo = make(map[memoKey]*Node, len(b.conjs))
 	b.sortPreds()
 	b.predSeen = make([][]int, len(fields))
 	b.predAt = make([][]int32, len(fields))
@@ -536,52 +466,32 @@ func (b *builder) ingest(conjs []Conj) error {
 	return nil
 }
 
-// finish snapshots the sub-DAG reachable from the arena root into fresh
-// nodes with dense IDs. IDs are assigned in true-branch-first post-order —
-// exactly the order a cold builder creates nodes in (children complete
-// before their parent is consed, the true subtree before the false one) —
-// so a warm build's output is indistinguishable from a cold build's.
+// finish numbers the nodes reachable from the root densely, in
+// true-branch-first post-order — children before their parent, the true
+// subtree before the false one — and lists them. The numbering depends on
+// the diagram alone, not on the order the sweep made its nodes in.
 func (b *builder) finish(root *Node) *BDD {
-	out := &BDD{Fields: b.fields}
-	clones := make([]*Node, b.shared.nnodes)
-	var walk func(n *Node) *Node
-	walk = func(n *Node) *Node {
-		if c := clones[n.ID]; c != nil {
-			return c
+	out := &BDD{Fields: b.fields, Root: root}
+	done := make([]bool, b.nnodes) // by arena ID: nothing is renumbered before the walk ends
+	var walk func(n *Node)
+	walk = func(n *Node) {
+		if done[n.ID] {
+			return
 		}
-		var c *Node
+		done[n.ID] = true
 		if n.IsTerminal() {
-			c = &Node{Field: -1, Class: n.Class, Matches: n.Matches}
-			out.terminals = append(out.terminals, c)
+			out.terminals = append(out.terminals, n)
 		} else {
-			t, e := walk(n.True), walk(n.False)
-			c = &Node{Field: n.Field, Set: n.Set, Label: b.label(n), True: t, False: e}
+			walk(n.True)
+			walk(n.False)
 		}
-		c.ID = len(out.nodes)
-		out.nodes = append(out.nodes, c)
-		clones[n.ID] = c
-		return c
+		out.nodes = append(out.nodes, n)
 	}
-	out.Root = walk(root)
+	walk(root)
+	for id, n := range out.nodes {
+		n.ID = id
+	}
 	return out
-}
-
-// label is the label this build gives an internal arena node: its
-// predicate's here. A node an earlier build made carries that build's, which
-// differs when another predicate with the same set came first there.
-func (b *builder) label(n *Node) string {
-	if n.ID >= b.old {
-		return n.Label
-	}
-	if b.labels == nil {
-		b.labels = make(map[hash128]string)
-		for f, ps := range b.preds {
-			for _, p := range ps {
-				b.labels[p.hash.word(uint64(f))] = p.label
-			}
-		}
-	}
-	return b.labels[hashSet(n.Set).word(uint64(n.Field))]
 }
 
 // sortPreds orders each field's predicate list canonically — by (min, max,
@@ -876,7 +786,7 @@ func fillRun(set []uint64, w0, lo, hi int) int {
 // present listed.
 func (b *builder) transition(f int, classes []class, present []int32, sum hash128, n, open int) *Node {
 	key := memoKey{field: int32(f), alive: sum, aliveLen: int32(n)}
-	if nd, ok := b.shared.memo[key]; ok {
+	if nd, ok := b.memo[key]; ok {
 		return nd
 	}
 	mark := len(b.ints)
@@ -887,7 +797,7 @@ func (b *builder) transition(f int, classes []class, present []int32, sum hash12
 	b.steps += open
 	nd := b.visit(f+1, survivors, sum, n)
 	b.ints = b.ints[:mark]
-	b.shared.memo[key] = nd
+	b.memo[key] = nd
 	return nd
 }
 
@@ -986,14 +896,14 @@ func (b *builder) within(w0 int, s []uint64, v0 int, t []uint64) bool {
 // removes them: a call per conjunction, the Classifier doing the counting.
 func (b *builder) settle(conjs []int32) {
 	for _, ci := range conjs {
-		b.shared.classify.Add(b.conjs[ci].payload)
+		b.classify.Add(b.conjs[ci].payload)
 	}
 	b.steps += len(conjs)
 }
 
 func (b *builder) unsettle(conjs []int32) {
 	for _, ci := range conjs {
-		b.shared.classify.Remove(b.conjs[ci].payload)
+		b.classify.Remove(b.conjs[ci].payload)
 	}
 	b.steps += len(conjs)
 }
@@ -1001,27 +911,26 @@ func (b *builder) unsettle(conjs []int32) {
 // terminal hash-conses the terminal node of the class the Classifier gives
 // the payloads it holds.
 func (b *builder) terminal() *Node {
-	sh := b.shared
-	class, matches := sh.classify.Class()
-	n := sh.classCons[class]
+	class, matches := b.classify.Class()
+	n := b.classCons[class]
 	if n == nil {
-		n = &Node{ID: sh.nnodes, Field: -1, Class: class, Matches: matches}
-		sh.nnodes++
-		sh.classCons[class] = n
+		n = &Node{ID: b.nnodes, Field: -1, Class: class, Matches: matches}
+		b.nnodes++
+		b.classCons[class] = n
 	}
 	return n
 }
 
-// consNode hash-conses an internal node: reduction (i). Node IDs are
-// arena-wide and monotonic; the snapshot pass renumbers them per build.
+// consNode hash-conses an internal node: reduction (i). An arena ID counts
+// the nodes made before; finish renumbers the diagram.
 func (b *builder) consNode(f int, p *pred, t, e *Node) *Node {
 	key := nodeKey{field: int32(f), pred: p.hash, trueID: t.ID, falseID: e.ID}
-	if n, ok := b.shared.nodeCons[key]; ok {
+	if n, ok := b.nodeCons[key]; ok {
 		return n
 	}
-	n := &Node{ID: b.shared.nnodes, Field: f, Set: p.set, Label: p.label, True: t, False: e}
-	b.shared.nnodes++
-	b.shared.nodeCons[key] = n
+	n := &Node{ID: b.nnodes, Field: f, Set: p.set, Label: p.label, True: t, False: e}
+	b.nnodes++
+	b.nodeCons[key] = n
 	return n
 }
 

@@ -20,7 +20,7 @@ func c(f int, s interval.Set) Constraint { return Constraint{Field: f, Set: s} }
 // are classes of.
 func buildSets(fields []Field, conjs []Conj) (*BDD, *PayloadSets, error) {
 	sets := NewPayloadSets()
-	b, err := NewClassBuilder(sets).Build(fields, conjs)
+	b, err := BuildClasses(fields, conjs, sets)
 	return b, sets, err
 }
 

@@ -28,9 +28,10 @@ func churnConjs(n int, seed int64) []Conj {
 	return out
 }
 
-// TestBuilderWarmMatchesCold checks the memoization contract: building the
-// same conjunction set through a warm arena (after unrelated builds) yields
-// a BDD bit-identical to a cold, from-scratch build.
+// TestBuilderWarmMatchesCold: a build whose classifier has served an
+// unrelated superset build first yields a BDD bit-identical to one on a
+// fresh classifier. Every build has its own arena; what it shares with
+// earlier builds is the classifier, which each leaves holding nothing.
 func TestBuilderWarmMatchesCold(t *testing.T) {
 	fields := stockPriceFields()
 	a := churnConjs(200, 1)
@@ -45,22 +46,19 @@ func TestBuilderWarmMatchesCold(t *testing.T) {
 	}
 
 	sets := NewPayloadSets()
-	bl := NewClassBuilder(sets)
-	// Warm the arena with a superset build, then rebuild the original set.
-	if _, err := bl.Build(fields, append(append([]Conj(nil), a...), b...)); err != nil {
+	if _, err := BuildClasses(fields, append(append([]Conj(nil), a...), b...), sets); err != nil {
 		t.Fatal(err)
 	}
-	warm, err := bl.Build(fields, a)
+	warm, err := BuildClasses(fields, a, sets)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSameDiagram(t, cold, warm, coldSets, sets)
 }
 
-// TestBuilderWarmLabelsAsCold: a node is labelled by the first predicate a
-// build meets with its set. A warm build that reuses the node an earlier
-// build made under another predicate with the same set labels it as a cold
-// build would.
+// TestBuilderWarmLabelsAsCold: a node is labelled by the first predicate its
+// build meets with its set. A build after one that met another predicate
+// with the same set first labels its node as a cold build would.
 func TestBuilderWarmLabelsAsCold(t *testing.T) {
 	fields := stockPriceFields()
 	conj := func(label string) Conj {
@@ -68,11 +66,10 @@ func TestBuilderWarmLabelsAsCold(t *testing.T) {
 	}
 	gt, ge := conj("price > 9"), conj("price >= 10")
 	sets := NewPayloadSets()
-	bl := NewClassBuilder(sets)
-	if _, err := bl.Build(fields, []Conj{gt, ge}); err != nil {
+	if _, err := BuildClasses(fields, []Conj{gt, ge}, sets); err != nil {
 		t.Fatal(err)
 	}
-	warm, err := bl.Build(fields, []Conj{ge})
+	warm, err := BuildClasses(fields, []Conj{ge}, sets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,23 +81,20 @@ func TestBuilderWarmLabelsAsCold(t *testing.T) {
 }
 
 // TestBuilderReuseAcrossChurn simulates rule churn: repeated builds with
-// small deltas must stay correct, keep previously returned BDDs valid, and
-// actually reuse the arena (it grows by less than a full rebuild's worth of
-// nodes per round).
+// small deltas on one classifier must equal cold builds, and leave every
+// diagram returned earlier as it was — its node IDs dense and in place,
+// though finish numbers each build's nodes where they lie.
 func TestBuilderReuseAcrossChurn(t *testing.T) {
 	fields := stockPriceFields()
 	conjs := churnConjs(300, 3)
 	sets := NewPayloadSets()
-	bl := NewClassBuilder(sets)
 
-	first, err := bl.Build(fields, conjs)
+	first, err := BuildClasses(fields, conjs, sets)
 	if err != nil {
 		t.Fatal(err)
 	}
-	firstNodes := first.NumNodes()
-	arenaAfterFirst := bl.ArenaSize()
-
 	r := rand.New(rand.NewSource(4))
+	var earlier []*BDD
 	prev := first
 	for round := 0; round < 5; round++ {
 		// Drop 3 random conjunctions, add 3 new ones.
@@ -114,7 +108,7 @@ func TestBuilderReuseAcrossChurn(t *testing.T) {
 		}
 		conjs = append(conjs, fresh...)
 
-		warm, err := bl.Build(fields, conjs)
+		warm, err := BuildClasses(fields, conjs, sets)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,67 +117,35 @@ func TestBuilderReuseAcrossChurn(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireSameDiagram(t, cold, warm, coldSets, sets)
-
-		// The previously returned BDD must be untouched by the new build.
-		if prev.Root == nil || prev.NumNodes() == 0 {
-			t.Fatal("earlier BDD invalidated by warm rebuild")
-		}
+		earlier = append(earlier, prev)
 		prev = warm
 	}
-	// Five churn rounds of 3 conjunctions each must not have rebuilt the
-	// world five times over: the arena holds shared sub-BDDs, not copies.
-	if grown := bl.ArenaSize() - arenaAfterFirst; grown > 2*firstNodes {
-		t.Fatalf("arena grew by %d nodes over 5 small churn rounds (full build is %d): memoization not reusing",
-			grown, firstNodes)
+	for i, b := range earlier {
+		for id, n := range b.Nodes() {
+			if n.ID != id || b.Root != b.Nodes()[len(b.Nodes())-1] {
+				t.Fatalf("diagram %d: node %d carries ID %d after later builds", i, id, n.ID)
+			}
+		}
 	}
 }
 
-// TestBuilderResetOnFieldChange checks that a builder silently discards
-// its arena when the field universe changes — stale memo hits across
-// incompatible field spaces would be unsound.
+// TestBuilderResetOnFieldChange: builds over different field universes on
+// one classifier are each what a cold build over their own fields is —
+// nothing keyed to one field list reaches a build over another.
 func TestBuilderResetOnFieldChange(t *testing.T) {
 	sets := NewPayloadSets()
-	bl := NewClassBuilder(sets)
 	fieldsA := stockPriceFields()
-	if _, err := bl.Build(fieldsA, churnConjs(50, 5)); err != nil {
+	if _, err := BuildClasses(fieldsA, churnConjs(50, 5), sets); err != nil {
 		t.Fatal(err)
-	}
-	if bl.ArenaSize() == 0 {
-		t.Fatal("arena empty after first build")
 	}
 
 	fieldsB := []Field{{Name: "x", Max: 255}}
 	conjsB := []Conj{mkConj(0, c(0, interval.Point(7)))}
-	warm, err := bl.Build(fieldsB, conjsB)
+	warm, err := BuildClasses(fieldsB, conjsB, sets)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cold, coldSets, err := buildSets(fieldsB, conjsB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameDiagram(t, cold, warm, coldSets, sets)
-}
-
-// TestBuilderExplicitReset checks Reset drops the arena but leaves the
-// builder usable.
-func TestBuilderExplicitReset(t *testing.T) {
-	fields := stockPriceFields()
-	conjs := churnConjs(80, 6)
-	sets := NewPayloadSets()
-	bl := NewClassBuilder(sets)
-	if _, err := bl.Build(fields, conjs); err != nil {
-		t.Fatal(err)
-	}
-	bl.Reset()
-	if bl.ArenaSize() != 0 {
-		t.Fatalf("arena size %d after Reset", bl.ArenaSize())
-	}
-	warm, err := bl.Build(fields, conjs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, coldSets, err := buildSets(fields, conjs)
 	if err != nil {
 		t.Fatal(err)
 	}

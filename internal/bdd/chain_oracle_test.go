@@ -19,9 +19,9 @@ import (
 // and makes the terminal of the payloads listed there (listTerminal, the
 // settling's oracle).
 
-// buildChain is Builder.Build with the chain in sweep's place.
-func buildChain(bl *Builder, fields []Field, conjs []Conj) (*BDD, error) {
-	b, sum, err := bl.begin(fields, conjs)
+// buildChain is BuildClasses with the chain in sweep's place.
+func buildChain(fields []Field, conjs []Conj, classify Classifier) (*BDD, error) {
+	b, sum, err := begin(fields, conjs, classify)
 	if err != nil {
 		return nil, err
 	}
@@ -37,11 +37,11 @@ func buildChain(bl *Builder, fields []Field, conjs []Conj) (*BDD, error) {
 // again.
 func (b *builder) listTerminal(alive []int32) *Node {
 	for _, ci := range alive {
-		b.shared.classify.Add(b.conjs[ci].payload)
+		b.classify.Add(b.conjs[ci].payload)
 	}
 	n := b.terminal()
 	for _, ci := range alive {
-		b.shared.classify.Remove(b.conjs[ci].payload)
+		b.classify.Remove(b.conjs[ci].payload)
 	}
 	return n
 }
@@ -55,10 +55,10 @@ func (b *builder) chainVisit(f int, alive []int32, sum hash128) *Node {
 	classes, which := b.bucket(f, alive)
 	if len(classes) == 1 && classes[0].req.IsEmpty() {
 		key := memoKey{field: int32(f), alive: sum, aliveLen: int32(len(alive))}
-		nd, ok := b.shared.memo[key]
+		nd, ok := b.memo[key]
 		if !ok {
 			nd = b.chainVisit(f+1, alive, sum)
-			b.shared.memo[key] = nd
+			b.memo[key] = nd
 		}
 		return nd
 	}
@@ -116,11 +116,11 @@ func (b *builder) chain(f int, alive []int32, classes []class, ctx interval.Set,
 			}
 		}
 		key := memoKey{field: int32(f), alive: sum, aliveLen: int32(len(survivors))}
-		if nd, ok := b.shared.memo[key]; ok {
+		if nd, ok := b.memo[key]; ok {
 			return nd
 		}
 		nd := b.chainVisit(f+1, survivors, sum)
-		b.shared.memo[key] = nd
+		b.memo[key] = nd
 		return nd
 	}
 
@@ -134,7 +134,7 @@ func (b *builder) chain(f int, alive []int32, classes []class, ctx interval.Set,
 }
 
 // fuzzCase is what FuzzSweepMatchesChain makes of its bytes: fields, a set
-// of conjunctions, and a second set built warm on the same arenas — the
+// of conjunctions, and a second set built on the same classifiers — the
 // first with every third conjunction from drop on removed and then added.
 type fuzzCase struct {
 	domains []byte // per field, an index into fuzzDomains
@@ -361,7 +361,7 @@ var fuzzSeeds = []struct {
 			{3, nil},
 		},
 	}},
-	{"a warm build after removing and adding conjunctions", fuzzCase{
+	{"a second build after removing and adding conjunctions", fuzzCase{
 		domains: []byte{3, 2},
 		first: []fuzzConj{
 			{0, []fuzzCons{{0, opEq, 1, 0}, {1, opGt, 10, 0}}},
@@ -414,7 +414,7 @@ var fuzzSeeds = []struct {
 	}},
 	// The second build meets the first's classes again on the same
 	// Classifier, and some under payload sets the first never held.
-	{"a warm rebuild on the shared classifier", fuzzCase{
+	{"a rebuild on the shared classifier", fuzzCase{
 		domains: []byte{1, 0},
 		first: []fuzzConj{
 			{1, []fuzzCons{{0, opEq, 1, 0}}},
@@ -479,7 +479,7 @@ func (c *funcClassifier) requireEmpty() {
 }
 
 // FuzzSweepMatchesChain builds random conjunctions over random fields both
-// ways, cold and then warm on the same two arenas, with payload-set
+// ways, twice on the same two classifiers, with payload-set
 // terminals and with class terminals: the extracted diagrams must be
 // identical, so settling conjunctions as the sweep meets them gives the
 // terminals listing them does. Each build must leave its classifier holding
@@ -503,18 +503,18 @@ func FuzzSweepMatchesChain(f *testing.F) {
 		// so the same set has a different class on either side.
 		sets := [2]*PayloadSets{NewPayloadSets(), NewPayloadSets()}
 		for _, arm := range []struct {
-			arenas [2]*Builder
-			sets   [2]*PayloadSets
+			classify [2]Classifier
+			sets     [2]*PayloadSets
 		}{
-			{[2]*Builder{NewClassBuilder(sets[0]), NewClassBuilder(sets[1])}, sets},
-			{[2]*Builder{NewClassBuilder(classifiers[0]), NewClassBuilder(classifiers[1])}, [2]*PayloadSets{}},
+			{[2]Classifier{sets[0], sets[1]}, sets},
+			{[2]Classifier{classifiers[0], classifiers[1]}, [2]*PayloadSets{}},
 		} {
 			for _, conjs := range c.builds() {
-				want, err := buildChain(arm.arenas[0], fields, conjs)
+				want, err := buildChain(fields, conjs, arm.classify[0])
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := arm.arenas[1].Build(fields, conjs)
+				got, err := BuildClasses(fields, conjs, arm.classify[1])
 				if err != nil {
 					t.Fatal(err)
 				}

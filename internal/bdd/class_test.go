@@ -22,12 +22,11 @@ func portsOf(payloads []int) (class int, matches bool) {
 // second: the class of the payload set the first finds, on every packet of
 // a small space; one terminal per class; no more nodes than the first; the
 // classifier left holding nothing; and the same diagram, node for node, from
-// an arena (and classifier) that has built others.
+// a classifier that has served other builds.
 func TestClassTerminalsReduceTheExactDiagram(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	fields := []Field{{Name: "a", Max: 7}, {Name: "b", Max: 7}, {Name: "c", Max: 7}}
-	warmClassifier := classifierOf(t, portsOf)
-	warm := NewClassBuilder(warmClassifier)
+	used := classifierOf(t, portsOf)
 	for trial := 0; trial < 100; trial++ {
 		conjs := randomConjs(r, fields, 1+r.Intn(12), 3)
 		exact, exactSets, err := buildSets(fields, conjs)
@@ -35,7 +34,7 @@ func TestClassTerminalsReduceTheExactDiagram(t *testing.T) {
 			t.Fatal(err)
 		}
 		cold := classifierOf(t, portsOf)
-		classed, err := NewClassBuilder(cold).Build(fields, conjs)
+		classed, err := BuildClasses(fields, conjs, cold)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,15 +59,15 @@ func TestClassTerminalsReduceTheExactDiagram(t *testing.T) {
 					trial, values, got.Class, got.Matches, payloads, class, matches)
 			}
 		}
-		again, err := warm.Build(fields, conjs)
+		again, err := BuildClasses(fields, conjs, used)
 		if err != nil {
 			t.Fatal(err)
 		}
-		warmClassifier.requireEmpty()
+		used.requireEmpty()
 		requireSameDiagram(t, classed, again, nil, nil)
 		for i, term := range classed.Terminals() {
 			if w := again.Terminals()[i]; w.Class != term.Class || w.Matches != term.Matches {
-				t.Fatalf("trial %d: warm terminal %+v, cold %+v", trial, w, term)
+				t.Fatalf("trial %d: terminal %+v on a used classifier, %+v on a fresh one", trial, w, term)
 			}
 		}
 	}
@@ -83,11 +82,11 @@ func TestImpliesOverClasses(t *testing.T) {
 	fields := []Field{{Name: "a", Max: 7}, {Name: "b", Max: 7}, {Name: "c", Max: 7}}
 	refuted := 0
 	for trial := 0; trial < 200; trial++ {
-		a, err := NewClassBuilder(classifierOf(t, portsOf)).Build(fields, randomConjs(r, fields, 1+r.Intn(6), 3))
+		a, err := BuildClasses(fields, randomConjs(r, fields, 1+r.Intn(6), 3), classifierOf(t, portsOf))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := NewClassBuilder(classifierOf(t, portsOf)).Build(fields, randomConjs(r, fields, 1+r.Intn(6), 3))
+		b, err := BuildClasses(fields, randomConjs(r, fields, 1+r.Intn(6), 3), classifierOf(t, portsOf))
 		if err != nil {
 			t.Fatal(err)
 		}

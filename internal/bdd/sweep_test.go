@@ -51,7 +51,7 @@ func TestSweepScalesWithCells(t *testing.T) {
 			}
 			return len(payloads)*(n+1) + payloads[0] + 1, true
 		})
-		b, sum, err := NewClassBuilder(cl).begin(fields, conjs)
+		b, sum, err := begin(fields, conjs, cl)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,6 @@ package compiler
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"runtime"
 	"slices"
@@ -36,8 +35,8 @@ type Options struct {
 	// serial output (enforced by differential tests).
 	Workers int
 	// Telemetry, when non-nil, receives compile metrics: compile, recompile
-	// and per-stage durations, BDD node counts, and the Session memo hit
-	// rate. It has no effect on compilation output.
+	// and per-stage durations, and BDD node counts. It has no effect on
+	// compilation output.
 	Telemetry *telemetry.Registry
 }
 
@@ -74,35 +73,81 @@ type Source struct {
 	Text  string
 }
 
-// chunks cuts the source into runs of at most chunkRules rules and returns
+// chunks cuts the source into chunks of at most chunkRules rules and returns
 // how many there are and the function, safe to call for different chunks at
-// once, that brings the i-th to normal form. Text is cut by lang.Chunks, so
-// rule IDs, positions and diagnostics are the whole source's.
+// once, that brings the i-th to normal form. Text is cut into lines by
+// lang.Lines, so rule IDs, positions and diagnostics are the whole source's.
 func (s Source) chunks() (int, func(int) ([]lang.DNFRule, error)) {
 	if n := len(s.Rules); s.Rules != nil {
 		return (n + chunkRules - 1) / chunkRules, func(i int) ([]lang.DNFRule, error) {
 			return lang.NormalizeAll(s.Rules[i*chunkRules : min((i+1)*chunkRules, n)])
 		}
 	}
-	parsers := lang.Chunks(s.Text, chunkRules)
-	return len(parsers), func(i int) ([]lang.DNFRule, error) {
-		rules, err := parsers[i].Rules()
-		if err != nil {
-			return nil, err
-		}
-		return lang.NormalizeAll(rules)
-	}
+	c := textChunks{src: s.Text}
+	lang.Lines(s.Text, c.add)
+	return len(c.chunks), c.normalize
 }
 
-// frontEnd is the one pass every entry point takes from a source to resolved
-// rules. Options.Workers goroutines parse and normalize a chunk each, at most
-// that many chunks ahead; resolve is called on this goroutine for every rule
-// in source order, which keeps payload IDs, synthetic fields and the first
+// textChunks is rule text cut for the front end: lines of src that hold a
+// rule, added in source order, in runs of consecutive rules, and the runs
+// in chunks. A rule with ID i is in the chunk of the rules with IDs
+// i/chunkRules*chunkRules to the next multiple less one, whatever other
+// lines are added, so a front end over some of a source's lines stops where
+// one over all of them would — a chunk fails on its first rule that does not
+// parse, else on its first that does not normalize.
+type textChunks struct {
+	src    string
+	chunks [][]lineRun
+	last   int // the chunk number of the last line added
+}
+
+// lineRun is lines first to last of a source, consecutive rules.
+type lineRun struct{ first, last lang.Line }
+
+func (c *textChunks) add(l lang.Line) {
+	if k := l.ID / chunkRules; len(c.chunks) == 0 || k != c.last {
+		c.chunks, c.last = append(c.chunks, nil), k
+	}
+	runs := &c.chunks[len(c.chunks)-1]
+	if n := len(*runs); n > 0 && (*runs)[n-1].last.ID+1 == l.ID {
+		(*runs)[n-1].last = l
+		return
+	}
+	*runs = append(*runs, lineRun{l, l})
+}
+
+func (c *textChunks) normalize(i int) ([]lang.DNFRule, error) {
+	runs := c.chunks[i]
+	rules, err := lang.ParseLines(c.src, runs[0].first, runs[0].last)
+	if len(runs) > 1 && err == nil {
+		n := 0
+		for _, r := range runs {
+			n += r.last.ID - r.first.ID + 1
+		}
+		rules = append(make([]lang.Rule, 0, n), rules...)
+		for _, r := range runs[1:] {
+			var more []lang.Rule
+			if more, err = lang.ParseLines(c.src, r.first, r.last); err != nil {
+				break
+			}
+			rules = append(rules, more...)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return lang.NormalizeAll(rules)
+}
+
+// frontEnd is the one pass every entry point takes from a source, cut into
+// n chunks that normalize brings to normal form, to resolved rules.
+// Options.Workers goroutines normalize a chunk each, at most that many
+// chunks ahead; resolve is called on this goroutine for every rule in
+// source order, which keeps payload IDs, synthetic fields and the first
 // error those of a serial pass. A chunk's AST and DNF are garbage once
 // resolve has seen its rules. It stops between chunks when ctx is done.
-func frontEnd(ctx context.Context, src Source, opts Options, resolve func(*lang.DNFRule) error) error {
+func frontEnd(ctx context.Context, opts Options, n int, normalize func(int) ([]lang.DNFRule, error), resolve func(*lang.DNFRule) error) error {
 	defer opts.observeStage("frontend", time.Now())
-	n, normalize := src.chunks()
 	return conc.Ordered(n, opts.workers(), normalize, func(dnf []lang.DNFRule) error {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -149,7 +194,7 @@ func (p *Pass) Fields() []FieldInfo { return p.fields }
 // state assignment, Algorithm 1 and lowering. Its Program is Compile's of
 // exactly those rules.
 func (p *Pass) Compile() (*Program, error) {
-	if err := p.lower(newClassArena()); err != nil {
+	if err := p.lower(); err != nil {
 		return nil, err
 	}
 	if tel := p.opts.Telemetry; tel != nil {
@@ -181,7 +226,8 @@ func Observe(ctx context.Context, sp *spec.Spec, src Source, opts Options, obs O
 	if obs != nil {
 		p.res.seen = &Resolved{}
 	}
-	err := frontEnd(ctx, src, opts, func(rule *lang.DNFRule) error {
+	n, normalize := src.chunks()
+	err := frontEnd(ctx, opts, n, normalize, func(rule *lang.DNFRule) error {
 		m, n := p.res.mark(), len(p.conjs)
 		conjs, _, err := p.res.resolve(rule, p.conjs)
 		if obs != nil && !obs(p.res.seen) {
@@ -217,42 +263,31 @@ func Compile(sp *spec.Spec, rules []lang.Rule, opts Options) (*Program, error) {
 
 // CompileSource parses the rule source text and compiles it.
 func CompileSource(sp *spec.Spec, ruleSrc string, opts Options) (*Program, error) {
-	return CompileSourceContext(context.Background(), sp, ruleSrc, opts)
+	return compile(context.Background(), sp, Source{Text: ruleSrc}, opts)
 }
 
-// CompileSourceContext is CompileSource that gives up, with ctx's error,
-// between chunks of the front end once ctx is done.
-func CompileSourceContext(ctx context.Context, sp *spec.Spec, ruleSrc string, opts Options) (*Program, error) {
-	return compile(ctx, sp, Source{Text: ruleSrc}, opts)
-}
-
-// classArena is a BDD arena whose terminals are action classes, and the
-// bdd.Classifier that names them. The builder Adds a rule's payload once for
-// each of its conjunctions settled on its path and Removes it once for each
-// unsettled; the arena counts what those rules do, once per Add — each
-// port, each state update, each drop — and keeps the order-free sum of the
-// ports and updates present. A class is that sum and the drop rule: an
-// ActionSet is made only of a sum the arena has not met, and a terminal is
-// the index of its ActionSet in sets. Two regions that come to the same
-// actions are therefore one terminal while the diagram is being built, and
-// sharing and equal-branch elision reduce it by what the rules do, not by
-// which rules did it. Everything downstream tells action sets apart by that
-// index. An atom hashes its content — a port its number, an update its
-// encoding, the drop a fixed tag, each kind in a domain of its own — not the
-// number the arena gave it, so the sum of a set is the same in every arena,
-// and the control plane tells action sets apart across programs by it
+// classArena is the bdd.Classifier whose classes are action classes, one
+// per build. The builder Adds a rule's payload once for each of its
+// conjunctions settled on its path and Removes it once for each unsettled;
+// the arena counts what those rules do, once per Add — each port, each
+// state update, each drop — and keeps the order-free sum of the ports and
+// updates present. A class is that sum and the drop rule: an ActionSet is
+// made only of a sum the arena has not met, and a terminal is the index of
+// its ActionSet in sets. Two regions that come to the same actions are
+// therefore one terminal while the diagram is being built, and sharing and
+// equal-branch elision reduce it by what the rules do, not by which rules
+// did it. Everything downstream tells action sets apart by that index. An
+// atom hashes its content — a port its number, an update its encoding, the
+// drop a fixed tag, each kind in a domain of its own — not the number the
+// arena gave it, so the sum of a set is the same in every arena, and the
+// control plane tells action sets apart across programs by it
 // (ActionSet.Sum).
 //
 // Like the builder's memo keys, the sum is trusted: two sets of ports and
 // updates that differ collide with the odds of two random 128-bit values.
-//
-// A Session keeps one for its life — payload IDs map to the same actions
-// for as long (the resolver is append-only) — so a terminal whose class
-// survived the churn is found by its sum and nothing is merged again.
 type classArena struct {
-	builder *bdd.Builder
-	sets    []ActionSet
-	bySum   map[sum128]int
+	sets  []ActionSet
+	bySum map[sum128]int
 
 	// The ports and updates met, numbered densely as atoms after the drop
 	// at dropAtom; ops[p] bounds the atoms of payload p's rule in opAtoms
@@ -294,6 +329,7 @@ const (
 	updateDomain = 0xc2b2ae3d27d4eb4f
 	dropDomain   = 0x165667b19e3779f9
 	stateDomain  = 0x27d4eb2f165667c5 // a state's signature (Program.Signatures)
+	ruleDomain   = 0x85ebca77c2b2ae63 // a rule's text (Session)
 )
 
 // fmix is the splitmix64 finalizer.
@@ -317,19 +353,24 @@ func (h contentHash) sum() sum128 { return sum128{h.a, fmix(h.b ^ h.a)} }
 // portHash is a port's atom hash.
 func portHash(p int) sum128 { return hashIn(portDomain).word(uint64(p)).sum() }
 
-// bytes mixes in a byte string, eight bytes to a word, the last
-// zero-padded, then its length.
-func (h contentHash) bytes(b []byte) contentHash {
-	for i := 0; i < len(b); i += 8 {
-		var w [8]byte
-		copy(w[:], b[i:])
-		h = h.word(binary.LittleEndian.Uint64(w[:]))
+// text mixes in a byte string, eight bytes to a little-endian word, the
+// last zero-padded, then its length.
+func (h contentHash) text(s string) contentHash {
+	for i := 0; i < len(s); i += 8 {
+		var w uint64
+		for j := min(i+8, len(s)) - 1; j >= i; j-- {
+			w = w<<8 | uint64(s[j])
+		}
+		h = h.word(w)
 	}
-	return h.word(uint64(len(b)))
+	return h.word(uint64(len(s)))
 }
 
 // updateHash is a state update's atom hash, from its appendUpdate bytes.
-func updateHash(enc []byte) sum128 { return hashIn(updateDomain).bytes(enc).sum() }
+func updateHash(enc []byte) sum128 { return hashIn(updateDomain).text(string(enc)).sum() }
+
+// ruleKey is a Session's key for a rule's text.
+func ruleKey(text string) sum128 { return hashIn(ruleDomain).text(text).sum() }
 
 // dropHash is the drop atom's hash.
 var dropHash = hashIn(dropDomain).sum()
@@ -337,7 +378,6 @@ var dropHash = hashIn(dropDomain).sum()
 func newClassArena() *classArena {
 	ca := &classArena{bySum: make(map[sum128]int), portAtom: make(map[int]int32), updateAtom: make(map[string]int32)}
 	ca.newAtom(atom{hash: dropHash}) // dropAtom
-	ca.builder = bdd.NewClassBuilder(ca)
 	return ca
 }
 
@@ -468,17 +508,16 @@ func (ca *classArena) actionSet(drop bool, sum sum128) ActionSet {
 	return as
 }
 
-// lower is the compiler back end over the pass's conjunctions, on arena ca
-// (a fresh one for a compile, the session's for a recompile): BDD
-// construction, state assignment, Algorithm 1, and the per-field lowering
-// fan-out. It leaves the program, the diagram and the node index on the
-// pass.
+// lower is the compiler back end over the pass's conjunctions: BDD
+// construction on a fresh arena, state assignment, Algorithm 1, and the
+// per-field lowering fan-out. It leaves the program, the diagram and the
+// node index on the pass.
 //
 // Each field's table is independent once algorithm1 has sliced the BDD
 // into components, so lowering, exact-match re-typing, and domain
 // compression run concurrently across Options.Workers goroutines; results
 // land in a pre-sized slice, keeping the output bit-identical to serial.
-func (p *Pass) lower(ca *classArena) error {
+func (p *Pass) lower() error {
 	opts := p.opts
 	start := time.Now()
 	// Copy the field table so option-driven rewrites (and later Session
@@ -489,8 +528,9 @@ func (p *Pass) lower(ca *classArena) error {
 			fields[i].Match = spec.MatchRange
 		}
 	}
+	ca := newClassArena()
 	ca.bind(p.res.actions, p.conjs)
-	b, err := ca.builder.Build(BDDFields(fields), p.conjs)
+	b, err := bdd.BuildClasses(BDDFields(fields), p.conjs, ca)
 	if err != nil {
 		return err
 	}

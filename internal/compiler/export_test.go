@@ -37,7 +37,7 @@ func ExactOfConjs(sp *spec.Spec, conjs []bdd.Conj, actions [][]lang.Action) (*Ex
 
 func exactOf(fields []FieldInfo, conjs []bdd.Conj, actions [][]lang.Action) (*Exact, error) {
 	sets := bdd.NewPayloadSets()
-	b, err := bdd.NewClassBuilder(sets).Build(BDDFields(fields), conjs)
+	b, err := bdd.BuildClasses(BDDFields(fields), conjs, sets)
 	return &Exact{Fields: fields, Conjs: conjs, actions: actions, sets: sets, diagram: b}, err
 }
 
@@ -107,7 +107,7 @@ func (s *Session) AddSource(src string) ([]int, error) {
 func (s *Session) LiveConjs() []bdd.Conj {
 	var out []bdd.Conj
 	for _, h := range s.order {
-		out = append(out, s.live[h].conjs...)
+		out = append(out, s.rules[h].conjs...)
 	}
 	return out
 }
@@ -118,7 +118,7 @@ type StateHash struct{ h contentHash }
 
 func NewStateHash() StateHash                { return StateHash{hashIn(stateDomain)} }
 func (s StateHash) Word(x uint64) StateHash  { return StateHash{s.h.word(x)} }
-func (s StateHash) Bytes(b []byte) StateHash { return StateHash{s.h.bytes(b)} }
+func (s StateHash) Bytes(b []byte) StateHash { return StateHash{s.h.text(string(b))} }
 func (s StateHash) Sum() [2]uint64 {
 	x := s.h.sum()
 	return [2]uint64{x.a, x.b}

@@ -212,14 +212,15 @@ func AtomSet(op lang.CmpOp, v, max uint64) interval.Set {
 // table is the spec's query fields in BDD variable order, then one synthetic
 // state field per aggregate macro or state-variable read, created where its
 // operand first appears (byName is keyed by canonical names; LookupField is
-// the authority on short ones). It only grows — fields, payload IDs,
-// predicates and action lists, once given, keep their meaning — but for
-// rollback.
+// the authority on short ones). Fields, predicates and action lists, once
+// given, keep their meaning but for rollback; a payload ID keeps its until
+// it is released, and is then given again.
 type resolver struct {
 	spec    *spec.Spec
 	fields  []FieldInfo
 	byName  map[string]int
 	actions [][]lang.Action          // per payload ID
+	free    []int                    // released payload IDs
 	preds   map[lang.Atom]*predicate // by the atom less its position
 	made    int                      // predicates interned so far
 	lists   map[string]actionList    // a rule's action list by its encoding
@@ -257,7 +258,8 @@ type mark struct{ fields, actions, preds, lists int }
 
 func (r *resolver) mark() mark { return mark{len(r.fields), len(r.actions), r.made, r.listed} }
 
-// rollback takes back what resolving rule made since m.
+// rollback takes back what resolving rule made since m, on a resolver that
+// has released nothing.
 func (r *resolver) rollback(m mark, rule *lang.DNFRule) {
 	for _, f := range r.fields[m.fields:] {
 		delete(r.byName, f.Name)
@@ -393,25 +395,51 @@ func appendActions(b []byte, actions []lang.Action) []byte {
 	return b
 }
 
+// newID gives a payload ID: a released one when there is one.
+func (r *resolver) newID() int {
+	if n := len(r.free); n > 0 {
+		id := r.free[n-1]
+		r.free = r.free[:n-1]
+		return id
+	}
+	r.actions = append(r.actions, nil)
+	return len(r.actions) - 1
+}
+
+// release gives back the payload IDs of a rule that resolve returned id and
+// conjs for: its own, and its companion's when it has one.
+func (r *resolver) release(id int, conjs []bdd.Conj) {
+	r.actions[id] = nil
+	r.free = append(r.free, id)
+	for _, c := range conjs {
+		if c.Payload != id {
+			r.actions[c.Payload] = nil
+			r.free = append(r.free, c.Payload)
+			return
+		}
+	}
+}
+
 // resolve lowers one DNF rule to BDD conjunctions, appended to out, and
-// returns the payload ID allocated for the rule. IDs index the resolver's
-// actions table and stay valid for its lifetime, so a Session can cache
-// resolved rules across recompiles. A rule containing aggregate predicates is
-// split per the paper's semantics ("the macro avg stores the current average,
-// which is updated when the rest of the rule matches"): the aggregate's state
-// update rides on a companion conjunction, under a payload ID of its own,
-// whose condition is the original minus the aggregate atoms. Rules are
-// resolved one by one in source order, and that order is the output's:
-// payload IDs count rules and companions as they come, and a synthetic state
-// field is created where its operand first appears. Every atom is resolved,
-// and the error returned is the actions' or else the first atom's.
+// returns the payload ID given the rule, an error or not. IDs index the
+// resolver's actions table and stay valid until released, so a Session
+// keeps resolved rules across recompiles. A rule containing aggregate
+// predicates is split per the paper's semantics ("the macro avg stores the
+// current average, which is updated when the rest of the rule matches"): the
+// aggregate's state update rides on a companion conjunction, under a payload
+// ID of its own, whose condition is the original minus the aggregate atoms.
+// Rules are resolved one by one in source order, and that order is the
+// output's: payload IDs count rules and companions as they come (on a
+// resolver that has released none), and a synthetic state field is created
+// where its operand first appears. Every atom is resolved, and the error
+// returned is the actions' or else the first atom's.
 func (r *resolver) resolve(rule *lang.DNFRule, out []bdd.Conj) ([]bdd.Conj, int, error) {
 	actions, bad, err := r.canonicalizeActions(rule.Actions)
 	if r.seen != nil {
 		*r.seen = Resolved{Rule: rule, Atoms: r.seen.Atoms[:0], Action: bad, ActionErr: err}
 	}
-	ruleID, updateID := len(r.actions), -1
-	r.actions = append(r.actions, r.intern(actions))
+	ruleID, updateID := r.newID(), -1
+	r.actions[ruleID] = r.intern(actions)
 	for _, c := range rule.Conjunctions {
 		full := bdd.Conj{Payload: ruleID, Constraints: make([]bdd.Constraint, 0, len(c))}
 		// The companion condition strips only self-updating macro atoms:
@@ -439,8 +467,7 @@ func (r *resolver) resolve(rule *lang.DNFRule, out []bdd.Conj) ([]bdd.Conj, int,
 					rest = append(rest, full.Constraints...)
 				}
 				if updateID < 0 {
-					updateID = len(r.actions)
-					r.actions = append(r.actions, nil)
+					updateID = r.newID()
 				}
 				if !containsAction(r.actions[updateID], *p.update) {
 					r.actions[updateID] = append(r.actions[updateID], *p.update)
@@ -459,7 +486,7 @@ func (r *resolver) resolve(rule *lang.DNFRule, out []bdd.Conj) ([]bdd.Conj, int,
 		r.seen.Fields = r.fields
 	}
 	if err != nil {
-		return out, 0, fmt.Errorf("rule %d: %w", rule.ID, err)
+		return out, ruleID, fmt.Errorf("rule %d: %w", rule.ID, err)
 	}
 	return out, ruleID, nil
 }

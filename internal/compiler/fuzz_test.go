@@ -1,8 +1,10 @@
 package compiler_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -72,18 +74,22 @@ func FuzzTablesMatchExact(f *testing.F) {
 	})
 }
 
-// FuzzSessionSyncMatchesCold: a Session that Sync drives through a sequence
-// of rule sets lowers, after every recompile, what a cold compile of its
-// live rules in its order would — the same Dump and golden digest. Every
-// TestCompileGolden rule fixture goes through it first: whole, then its last
-// two thirds, its first two thirds and whole again. The input is then read
-// four bytes a record: a Fig. 5c row, a requirement of two intervals or a
-// line of the golden multi-term, keyed-state and colliding-action fixtures,
-// each from a small pool so that sets overlap, or the end of a set.
+// FuzzSessionSyncMatchesCold: two Sessions, one that Sync drives through a
+// sequence of rule sets and one that SyncSource drives through their text,
+// lower after every recompile what a cold compile of the set would — the
+// same Dump and golden digest. Every TestCompileGolden rule fixture goes
+// through it first: whole, then its last two thirds, its first two thirds,
+// reversed, and whole again. The input is then read four bytes a record: a
+// Fig. 5c row, a requirement of two intervals, a line of the golden
+// multi-term, keyed-state and colliding-action fixtures, each from a small
+// pool so that sets overlap, a blank or comment line, a line of the set
+// before again — repeats and reorders — or the end of a set.
 func FuzzSessionSyncMatchesCold(f *testing.F) {
 	for _, c := range goldenCases(f) {
 		if n := len(c.rules); n > 0 {
-			syncMatchesCold(f, c.name, c.sp, c.rules, c.rules[n/3:], c.rules[:2*n/3], c.rules)
+			reversed := slices.Clone(c.rules)
+			slices.Reverse(reversed)
+			syncMatchesCold(f, c.name, c.sp, ruleText(c.rules), ruleText(c.rules[n/3:]), ruleText(c.rules[:2*n/3]), ruleText(reversed), ruleText(c.rules))
 		}
 	}
 
@@ -113,28 +119,32 @@ func FuzzSessionSyncMatchesCold(f *testing.F) {
 	}
 	f.Add(all)
 	f.Add([]byte{0, 1, 3, 0, 1, 0, 5, 2, 3, 0, 0, 0, 0, 1, 3, 0, 2, 12, 0, 0, 3, 0, 0, 0, 2, 12, 0, 0})
+	// A set, then one of a fixture line, a blank, the first set's lines
+	// reordered and repeated, and the fixture line again.
+	f.Add([]byte{0, 1, 3, 0, 2, 4, 0, 0, 4, 1, 0, 0, 3, 0, 0, 0, 5, 1, 0, 0, 5, 0, 0, 0, 2, 4, 0, 0, 5, 1, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var sets [][]lang.Rule
-		var src strings.Builder
+		var sets, prev, set []string
 		end := func() {
-			rules, err := lang.ParseRules(src.String())
-			if err != nil {
-				t.Fatalf("%v\n%s", err, src.String())
-			}
-			sets = append(sets, rules)
-			src.Reset()
+			sets = append(sets, strings.Join(set, ""))
+			prev, set = set, nil
 		}
 		for i := 0; i+4 <= len(data) && i < 4*64; i += 4 {
 			a, b, c := int(data[i+1]), int(data[i+2]), int(data[i+3])
-			switch data[i] % 4 {
+			switch data[i] % 8 {
 			case 0:
-				fmt.Fprintf(&src, "stock == S%d && price > %d : fwd(%d)\n", a%4, 10*(b%8), 1+c%3)
+				set = append(set, fmt.Sprintf("stock == S%d && price > %d : fwd(%d)\n", a%4, 10*(b%8), 1+c%3))
 			case 1:
 				field, lo := [2]string{"price", "shares"}[a&1], 10*(b%8)
-				fmt.Fprintf(&src, "%s < %d || %s > %d : fwd(%d)\n", field, lo, field, lo+10*(1+c%4), 1+(a>>1)%3)
+				set = append(set, fmt.Sprintf("%s < %d || %s > %d : fwd(%d)\n", field, lo, field, lo+10*(1+c%4), 1+(a>>1)%3))
 			case 2:
-				src.WriteString(lines[a%len(lines)] + "\n")
+				set = append(set, lines[a%len(lines)]+"\n")
+			case 4:
+				set = append(set, [3]string{"\n", "# a comment\n", "  // another\r\n"}[a%3])
+			case 5:
+				if len(prev) > 0 {
+					set = append(set, prev[a%len(prev)])
+				}
 			default:
 				end()
 			}
@@ -144,43 +154,50 @@ func FuzzSessionSyncMatchesCold(f *testing.F) {
 	})
 }
 
-// syncMatchesCold syncs a new session to each set in turn and holds every
-// recompile to a cold compile of the rules the session then holds, in its
-// order: those still live where they were, then the set's new ones in the
-// set's order, each text once.
-func syncMatchesCold(t testing.TB, what string, sp *spec.Spec, sets ...[]lang.Rule) {
+// ruleText is rules as source text, a rule to a line.
+func ruleText(rules []lang.Rule) string {
+	var b strings.Builder
+	for _, r := range rules {
+		b.WriteString(r.String() + "\n")
+	}
+	return b.String()
+}
+
+// syncMatchesCold syncs two new sessions to each set in turn, one by its
+// rules and one by its text, and holds every recompile to a cold compile of
+// the set as given.
+func syncMatchesCold(t testing.TB, what string, sp *spec.Spec, sets ...string) {
 	t.Helper()
-	sess := compiler.NewSession(sp, compiler.Options{})
-	var live []lang.Rule
+	byRules, byText := compiler.NewSession(sp, compiler.Options{}), compiler.NewSession(sp, compiler.Options{})
 	for i, set := range sets {
-		if err := sess.Sync(set); err != nil {
-			t.Fatalf("%s: set %d: %v", what, i, err)
-		}
-		want := make(map[string]bool, len(set))
-		for _, r := range set {
-			want[r.String()] = true
-		}
-		var next []lang.Rule
-		for _, r := range append(live, set...) {
-			if want[r.String()] {
-				next = append(next, r)
-				delete(want, r.String())
-			}
-		}
-		live = next
-		got, err := sess.RecompilePass()
+		rules, err := lang.ParseRules(set)
 		if err != nil {
+			t.Fatalf("%s: set %d: %v\n%s", what, i, err, set)
+		}
+		if err := byRules.Sync(rules); err != nil {
 			t.Fatalf("%s: set %d: %v", what, i, err)
 		}
-		cold, err := rulesCase(what, sp, live).compile(compiler.Options{})
+		if err := byText.SyncSource(context.Background(), set); err != nil {
+			t.Fatalf("%s: set %d: %v", what, i, err)
+		}
+		cold, err := compiled(compiler.Observe(context.Background(), sp, compiler.Source{Text: set}, compiler.Options{}, nil))
 		if err != nil {
 			t.Fatalf("%s: set %d: cold: %v", what, i, err)
 		}
-		if g, w := got.Program().Dump(), cold.Program().Dump(); g != w {
-			t.Fatalf("%s: set %d: dumps differ\n--- session ---\n%s--- cold ---\n%s", what, i, g, w)
-		}
-		if g, w := programDigest(got), programDigest(cold); g != w {
-			t.Fatalf("%s: set %d: session digest %s, cold %s", what, i, g, w)
+		for _, route := range []struct {
+			name string
+			sess *compiler.Session
+		}{{"Sync", byRules}, {"SyncSource", byText}} {
+			got, err := route.sess.RecompilePass()
+			if err != nil {
+				t.Fatalf("%s: set %d: %s: %v", what, i, route.name, err)
+			}
+			if g, w := got.Program().Dump(), cold.Program().Dump(); g != w {
+				t.Fatalf("%s: set %d: %s: dumps differ\n--- session ---\n%s--- cold ---\n%s", what, i, route.name, g, w)
+			}
+			if g, w := programDigest(got), programDigest(cold); g != w {
+				t.Fatalf("%s: set %d: %s: session digest %s, cold %s", what, i, route.name, g, w)
+			}
 		}
 	}
 }

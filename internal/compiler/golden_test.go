@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -90,13 +91,24 @@ func TestCompileGolden(t *testing.T) {
 			if c.rules == nil {
 				return
 			}
-			// The same rules through a Session, cold and then with every
-			// sub-diagram already in the arena, must come out the same.
+			// The same rules through a Session, cold and then after churn —
+			// the last two thirds of the set, reversed, synced and compiled
+			// in between — must come out the same.
 			sess := compiler.NewSession(c.sp, compiler.Options{})
-			if _, err := sess.AddRules(c.rules); err != nil {
-				t.Fatal(err)
-			}
-			for _, when := range []string{"cold", "warm"} {
+			churn := slices.Clone(c.rules[len(c.rules)/3:])
+			slices.Reverse(churn)
+			for _, when := range []string{"cold", "churned"} {
+				if when == "churned" {
+					if err := sess.Sync(churn); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := sess.Recompile(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := sess.Sync(c.rules); err != nil {
+					t.Fatal(err)
+				}
 				pass, err := sess.RecompilePass()
 				if err != nil {
 					t.Fatal(err)

@@ -303,7 +303,7 @@ func (s StateSig) compare(t StateSig) int {
 func (p *Program) signatures(b *bdd.BDD, index []int, states int) {
 	named := make([]contentHash, len(p.Fields)) // each field's name, hashed
 	for f := range p.Fields {
-		named[f] = hashIn(stateDomain).bytes([]byte(p.Fields[f].Name))
+		named[f] = hashIn(stateDomain).text(p.Fields[f].Name)
 	}
 	sigs := make([][2]uint64, b.NumNodes())
 	p.Signatures = make([]StateSig, 0, states)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"time"
 
 	"camus/internal/bdd"
@@ -11,170 +12,258 @@ import (
 	"camus/internal/spec"
 )
 
-// Session is an incremental compilation context for a churning
-// subscription set. It keeps three things alive across recompiles:
-//
-//   - the resolver, so each rule is normalized and resolved exactly once
-//     (added rules get persistent payload IDs that never shift when other
-//     rules are removed — the property that makes BDD memoization hit) and
-//     each distinct predicate is held once however many rules use it;
-//   - the per-rule resolved conjunctions and text, cached at AddRules time;
-//   - a classArena, so Recompile rebuilds only the sub-BDDs whose alive
-//     conjunction sets actually changed, and merges and sorts action lists
-//     only for subscriber populations it has not met before.
+// Session is a compilation context for a churning subscription set. Between
+// recompiles it keeps the resolver, and of each live rule only a key — a
+// 128-bit hash of its text — and its resolved conjunctions: no text, no
+// diagram and no arena. So a rule whose text is already live is never lexed,
+// parsed, normalized or resolved again, and each distinct predicate is held
+// once however many rules use it. The payload IDs of rules that leave are
+// given to rules that come, which keeps the resolver the size of the live set
+// however long the churn goes on.
 //
 // This is the compile-time half of the incremental story §3 of the paper
-// sketches ("BDD memoization at compile time and table-entry re-use at
-// install time"); the install half lives in internal/controlplane. A
-// Recompile after a small churn event therefore touches work proportional
-// to the churned rules plus the shared spine of the BDD, not the full
-// rule set, while producing a Program identical (same Stats, same table
-// entries, same Evaluate behavior) to a from-scratch compile of the
-// current rule set.
+// sketches; the install half lives in internal/controlplane. A Recompile
+// lowers the live conjunctions, in the order of the set, on a fresh arena:
+// its Program is the one a from-scratch compile of the set makes (same
+// Stats, same table entries, same Dump), and what a recompile builds is
+// garbage once its program is made.
 //
-// A caller that holds whole rule sets hands each to Sync; one that tracks
-// rules itself adds and removes them by handle.
+// A caller that holds whole rule sets hands each to SyncSource, as text, or
+// to Sync, parsed; one that tracks rules itself adds and removes them by
+// handle.
 //
 // A Session is not safe for concurrent use.
 type Session struct {
 	sp   *spec.Spec
 	opts Options
+	res  *resolver
 
-	res   *resolver
-	arena *classArena
-
-	order []int            // live rule handles, insertion order
-	live  map[int]liveRule // by handle
-
-	// What the arena retained after its first (cold) build, and for how
-	// many conjunctions: the measure of what the live set needs.
-	coldRetained, coldConjs int
+	rules []liveRule       // by handle
+	free  []int32          // handles not in use
+	byKey map[sum128]int32 // a live rule's handle by its key
+	order []int32          // the live set: handles in set order, repeats included
+	epoch int32            // stamps the handles an operation meets
+	nodes int              // the last recompile's BDD nodes
 }
 
-// liveRule is a live rule's text (lang.Rule.String), which Sync tells rules
-// apart by, and its resolved conjunctions.
+// liveRule is what a Session keeps of a rule: the key of its text, the
+// payload ID resolve gave it, and its conjunctions. A handle not in use, or
+// not yet resolved, has payload -1.
 type liveRule struct {
-	text  string
-	conjs []bdd.Conj
+	key     sum128
+	payload int32
+	epoch   int32
+	conjs   []bdd.Conj
 }
-
-// arenaSlack is the tolerated ratio of what the arena retains (nodes and
-// memo-table entries) to what a cold build of the live set would, before
-// Recompile discards the arena. Churn strands the sub-BDDs and payload sets
-// of removed rules in the memo tables; resetting once they dominate keeps
-// memory proportional to the live set at the cost of one cold build. The
-// live set's need is the arena's own cold build, scaled by how the number of
-// conjunctions has moved since.
-const arenaSlack = 8
 
 // NewSession creates an empty incremental compilation session against a
 // spec. The options apply to every Recompile.
 func NewSession(sp *spec.Spec, opts Options) *Session {
-	return &Session{
-		sp:    sp,
-		opts:  opts,
-		res:   newResolver(sp),
-		arena: newClassArena(),
-		live:  make(map[int]liveRule),
-	}
+	return &Session{sp: sp, opts: opts, res: newResolver(sp), byKey: make(map[sum128]int32)}
 }
 
-// Len returns the number of live rules.
+// Len returns the number of live rules, repeats included.
 func (s *Session) Len() int { return len(s.order) }
 
-// ArenaNodes reports the number of BDD nodes retained in the memo arena
-// (telemetry: warm recompiles reuse these instead of rebuilding).
-func (s *Session) ArenaNodes() int { return s.arena.builder.ArenaSize() }
+// ArenaNodes reports the number of BDD nodes the last recompile built.
+func (s *Session) ArenaNodes() int { return s.nodes }
+
+// handle takes a handle for a rule with the given key, not yet resolved.
+func (s *Session) handle(key sum128) int32 {
+	var h int32
+	if n := len(s.free); n > 0 {
+		h, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		h = int32(len(s.rules))
+		s.rules = append(s.rules, liveRule{})
+	}
+	s.rules[h] = liveRule{key: key, payload: -1}
+	return h
+}
+
+// drop gives a handle back, and the payload IDs of its rule.
+func (s *Session) drop(h int32) {
+	lr := &s.rules[h]
+	if lr.payload >= 0 {
+		s.res.release(int(lr.payload), lr.conjs)
+	}
+	if k, ok := s.byKey[lr.key]; ok && k == h {
+		delete(s.byKey, lr.key)
+	}
+	*lr = liveRule{payload: -1}
+	s.free = append(s.free, h)
+}
+
+// resolve runs the front end over the n chunks normalize brings to normal
+// form, a rule for each of handles in order, and gives each handle its
+// rule's conjunctions. When a rule fails or ctx is done, it drops every
+// handle and returns the error.
+func (s *Session) resolve(ctx context.Context, handles []int32, n int, normalize func(int) ([]lang.DNFRule, error)) error {
+	i := 0
+	err := frontEnd(ctx, s.opts, n, normalize, func(rule *lang.DNFRule) error {
+		conjs, id, err := s.res.resolve(rule, nil)
+		lr := &s.rules[handles[i]]
+		lr.payload, lr.conjs = int32(id), conjs
+		i++
+		return err
+	})
+	if err != nil {
+		for _, h := range handles {
+			s.drop(h)
+		}
+	}
+	return err
+}
 
 // AddRules normalizes, resolves, and caches the given rules, returning
 // one handle per rule for later removal. The rules join the live set, all
 // or — when one fails — none, but are not compiled until Recompile.
 func (s *Session) AddRules(rules []lang.Rule) ([]int, error) {
-	var handles []int
-	err := frontEnd(context.Background(), Source{Rules: rules}, s.opts, func(rule *lang.DNFRule) error {
-		conjs, h, err := s.res.resolve(rule, nil)
-		if err == nil {
-			s.live[h] = liveRule{rules[len(handles)].String(), conjs}
-			handles = append(handles, h)
-		}
-		return err
-	})
-	if err != nil {
-		for _, h := range handles {
-			delete(s.live, h)
-		}
+	handles := make([]int32, len(rules))
+	for i := range rules {
+		handles[i] = s.handle(ruleKey(rules[i].String()))
+	}
+	n, normalize := Source{Rules: rules}.chunks()
+	if err := s.resolve(context.Background(), handles, n, normalize); err != nil {
 		return nil, err
 	}
+	out := make([]int, len(handles))
+	for i, h := range handles {
+		if _, ok := s.byKey[s.rules[h].key]; !ok {
+			s.byKey[s.rules[h].key] = h
+		}
+		out[i] = int(h)
+	}
 	s.order = append(s.order, handles...)
-	return handles, nil
+	return out, nil
 }
 
-// Sync makes rules the live set, telling rules apart by their text: a rule
-// already live keeps its handle and its memoized sub-diagrams, a new one
-// joins and a live one the set lacks leaves. Identical rules count once. The
-// adds run first, so a set with a rule that fails to resolve changes
-// nothing.
-func (s *Session) Sync(rules []lang.Rule) error {
-	live := make(map[string]bool, len(s.order))
-	for _, h := range s.order {
-		live[s.live[h].text] = true
+// syncing is a sync under way: the live set it makes, and the handles it
+// took for the rules new to the session, in set order.
+type syncing struct {
+	s     *Session
+	order []int32
+	fresh []int32
+}
+
+// syncing begins a sync to a set of at most n rules. Into an empty session
+// every rule is new, and its tables are sized for them at once.
+func (s *Session) syncing(n int) *syncing {
+	y := &syncing{s: s, order: make([]int32, 0, n)}
+	if len(s.order) == 0 {
+		y.fresh = make([]int32, 0, n)
+		s.rules = slices.Grow(s.rules, n)
+		s.byKey = make(map[sum128]int32, n)
 	}
-	want := make(map[string]bool, len(rules))
-	var fresh []lang.Rule
-	for _, r := range rules {
-		if text := r.String(); !want[text] {
-			if want[text] = true; !live[text] {
-				fresh = append(fresh, r)
-			}
-		}
+	return y
+}
+
+// next puts the rule with the given key next in the set, and reports whether
+// it is new: neither live nor met earlier in the set.
+func (y *syncing) next(key sum128) bool {
+	s := y.s
+	h, ok := s.byKey[key]
+	if !ok {
+		h = s.handle(key)
+		s.byKey[key] = h
+		y.fresh = append(y.fresh, h)
 	}
-	var gone []int
-	for _, h := range s.order {
-		if !want[s.live[h].text] {
-			gone = append(gone, h)
-		}
-	}
-	if _, err := s.AddRules(fresh); err != nil {
+	y.order = append(y.order, h)
+	return !ok
+}
+
+// commit resolves the new rules, which the n chunks normalize brings to
+// normal form hold in set order, and makes the set live. When a rule fails
+// or ctx is done the live set is as it was.
+func (y *syncing) commit(ctx context.Context, n int, normalize func(int) ([]lang.DNFRule, error)) error {
+	s := y.s
+	if err := s.resolve(ctx, y.fresh, n, normalize); err != nil {
 		return err
 	}
-	return s.RemoveRules(gone...)
+	s.epoch++
+	for _, h := range y.order {
+		s.rules[h].epoch = s.epoch
+	}
+	for _, h := range s.order {
+		if lr := &s.rules[h]; lr.payload >= 0 && lr.epoch != s.epoch {
+			s.drop(h)
+		}
+	}
+	s.order = y.order
+	return nil
 }
 
-// RemoveRules drops rules by handle. The payload IDs of the remaining
-// rules are untouched, so their cached conjunctions — and the memoized
-// sub-BDDs built from them — stay valid.
+// SyncSource makes the rules of a source text the live set, in its order,
+// repeats included. Rules are told apart by the bytes of their lines: only a
+// line whose bytes are not live is parsed, normalized and resolved, in
+// chunks, in parallel, with the whole source's rule IDs, lines and columns.
+// A source CompileSource would refuse fails with CompileSource's error, and
+// a sync that fails or that gives up, between chunks, once ctx is done
+// leaves the live set as it was.
+func (s *Session) SyncSource(ctx context.Context, src string) error {
+	y := s.syncing(strings.Count(src, "\n") + 1)
+	c := textChunks{src: src}
+	lang.Lines(src, func(l lang.Line) {
+		text := src[l.Start:l.End]
+		if text[len(text)-1] == '\n' {
+			text = text[:len(text)-1]
+		}
+		if y.next(ruleKey(text)) {
+			c.add(l)
+		}
+	})
+	return y.commit(ctx, len(c.chunks), c.normalize)
+}
+
+// Sync makes rules the live set, in their order, repeats included, telling
+// rules apart by their text (lang.Rule.String): only a rule whose text is not
+// live is normalized and resolved. A set with a rule that fails to resolve
+// changes nothing.
+func (s *Session) Sync(rules []lang.Rule) error {
+	y := s.syncing(len(rules))
+	var fresh []lang.Rule
+	for _, r := range rules {
+		if y.next(ruleKey(r.String())) {
+			fresh = append(fresh, r)
+		}
+	}
+	n, normalize := Source{Rules: fresh}.chunks()
+	return y.commit(context.Background(), n, normalize)
+}
+
+// RemoveRules drops rules by handle, every place each holds in the live
+// set.
 func (s *Session) RemoveRules(handles ...int) error {
-	drop := make(map[int]bool, len(handles))
+	s.epoch++
 	for _, h := range handles {
-		if _, ok := s.live[h]; !ok {
+		if h < 0 || h >= len(s.rules) || s.rules[h].payload < 0 {
 			return fmt.Errorf("session: rule handle %d is not live", h)
 		}
-		if drop[h] {
+		if s.rules[h].epoch == s.epoch {
 			return fmt.Errorf("session: rule handle %d removed twice", h)
 		}
-		drop[h] = true
-	}
-	for _, h := range handles {
-		delete(s.live, h)
+		s.rules[h].epoch = s.epoch
 	}
 	kept := s.order[:0]
 	for _, h := range s.order {
-		if !drop[h] {
+		if s.rules[h].epoch != s.epoch {
 			kept = append(kept, h)
 		}
 	}
 	s.order = kept
+	for _, h := range handles {
+		s.drop(int32(h))
+	}
 	return nil
 }
 
-// Recompile compiles the current live rule set, reusing memoized
-// sub-BDDs from previous recompiles. The result is a fully independent
+// Recompile compiles the live rule set. The result is a fully independent
 // Program: earlier returned programs remain valid (the control plane
 // diffs old against new).
 //
 // When Options.Telemetry is set, each Recompile observes its duration in
 // camus_compiler_recompile_seconds and refreshes the
-// camus_compiler_{rules,bdd_nodes,arena_nodes} gauges, so a dashboard
+// camus_compiler_{rules,bdd_nodes,table_entries} gauges, so a dashboard
 // over /metrics shows churn cost the way Fig. 5c plots it.
 func (s *Session) Recompile() (*Program, error) {
 	p, err := s.RecompilePass()
@@ -190,44 +279,23 @@ func (s *Session) RecompilePass() (*Pass, error) {
 	start := time.Now()
 	total := 0
 	for _, h := range s.order {
-		total += len(s.live[h].conjs)
+		total += len(s.rules[h].conjs)
 	}
-	live := s.coldRetained * (total + 1) / (s.coldConjs + 1)
-	if s.arena.builder.Retained() > arenaSlack*live+4096 {
-		// The classes never go stale (payload→action bindings are
-		// append-only), but churn strands those that no longer occur; they go
-		// with the terminals that name them.
-		s.arena = newClassArena()
-		if s.opts.Telemetry != nil {
-			s.opts.Telemetry.Counter("camus_compiler_arena_resets_total").Inc()
-		}
-	}
-	cold := s.arena.builder.ArenaSize() == 0 // nothing built on it yet
-	classes := len(s.arena.sets)
 	conjs := make([]bdd.Conj, 0, total)
 	for _, h := range s.order {
-		conjs = append(conjs, s.live[h].conjs...)
+		conjs = append(conjs, s.rules[h].conjs...)
 	}
 	fields, conjs := s.liveFields(conjs)
 	p := &Pass{sp: s.sp, opts: s.opts, res: s.res, fields: fields, conjs: conjs, rules: len(s.order)}
-	if err := p.lower(s.arena); err != nil {
+	if err := p.lower(); err != nil {
 		return nil, err
 	}
-	if cold {
-		s.coldRetained, s.coldConjs = s.arena.builder.Retained(), total
-	}
+	s.nodes = p.prog.Stats.BDDNodes
 	if tel := s.opts.Telemetry; tel != nil {
-		// A miss is a class this recompile had to make an ActionSet of, a
-		// hit a terminal whose class the arena already had. Every class made
-		// is some terminal's.
-		misses := uint64(len(s.arena.sets) - classes)
-		tel.Counter("camus_compiler_memo_hits_total").Add(uint64(p.prog.Stats.BDDTerminals) - misses)
-		tel.Counter("camus_compiler_memo_misses_total").Add(misses)
 		tel.Counter("camus_compiler_recompiles_total").Inc()
 		tel.Histogram("camus_compiler_recompile_seconds").Observe(time.Since(start))
 		tel.Gauge("camus_compiler_rules").Set(int64(len(s.order)))
 		tel.Gauge("camus_compiler_bdd_nodes").Set(int64(p.prog.Stats.BDDNodes))
-		tel.Gauge("camus_compiler_arena_nodes").Set(int64(s.arena.builder.ArenaSize()))
 		tel.Gauge("camus_compiler_table_entries").Set(int64(p.prog.Stats.TableEntries))
 	}
 	return p, nil

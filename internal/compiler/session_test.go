@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"slices"
@@ -9,7 +10,6 @@ import (
 
 	"camus/internal/lang"
 	"camus/internal/spec"
-	"camus/internal/telemetry"
 )
 
 // TestSessionMatchesOneShotCompile: a session that adds all rules once and
@@ -115,181 +115,49 @@ func TestSessionRemoveErrors(t *testing.T) {
 	}
 }
 
-// TestSessionArenaTrimmed: heavy churn must not grow the memo arena
-// without bound — Recompile resets it once stranded nodes dominate.
+// TestSessionArenaTrimmed: heavy churn must not grow the session without
+// bound. A recompile builds on an arena of its own, so the session keeps no
+// nodes of it (ArenaNodes is the last diagram's size), and the handles and
+// payload IDs of removed rules are given to the rules that come after them.
 func TestSessionArenaTrimmed(t *testing.T) {
 	sp := itchSpec(t)
 	s := NewSession(sp, Options{})
-	keep, err := s.AddSource("stock == GOOGL : fwd(1)\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = keep
-	if _, err := s.Recompile(); err != nil {
+	if _, err := s.AddSource("stock == GOOGL : fwd(1)\n"); err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 40; round++ {
-		h, err := s.AddSource("stock == AAPL && price > 10 && shares < 500 : fwd(3)\nstock == MSFT && price < 900 : fwd(4)\n")
+		h, err := s.AddSource(fmt.Sprintf("stock == AAPL && price > %d && shares < 500 : fwd(3)\nstock == MSFT && avg(price) < %d : fwd(4)\n", 10+round, 900-round))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Recompile(); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.RemoveRules(h...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	prog, err := s.Recompile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.ArenaNodes() > arenaSlack*prog.Stats.BDDNodes+4096 {
-		t.Fatalf("arena retains %d nodes for a %d-node live BDD", s.ArenaNodes(), prog.Stats.BDDNodes)
-	}
-}
-
-// TestSessionMemoMissesAreNewClasses: a memo miss is a class a recompile had
-// to make an ActionSet of, a hit a terminal whose class the arena had. After
-// a warm Recompile over 1% churn localized to one symbol — some of it to
-// ports no class had — the misses are at most the classes new to the arena,
-// and hits and misses together are the terminals.
-func TestSessionMemoMissesAreNewClasses(t *testing.T) {
-	const symbols, perSymbol = 20, 50
-	rule := func(sym, k, port int) string {
-		return fmt.Sprintf("stock == S%02d && price > %d : fwd(%d)\n", sym, 10*k, port)
-	}
-	reg := telemetry.NewRegistry()
-	s := NewSession(itchSpec(t), Options{Telemetry: reg})
-	var churned []int
-	for sym := 0; sym < symbols; sym++ {
-		var src strings.Builder
-		for k := 0; k < perSymbol; k++ {
-			src.WriteString(rule(sym, k, 1+(sym+k)%8))
-		}
-		h, err := s.AddSource(src.String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sym == 3 {
-			churned = h[:symbols*perSymbol/200]
-		}
-	}
-	if _, err := s.Recompile(); err != nil {
-		t.Fatal(err)
-	}
-	known := map[string]bool{}
-	for _, as := range s.arena.sets {
-		known[as.Key()] = true
-	}
-	if err := s.RemoveRules(churned...); err != nil {
-		t.Fatal(err)
-	}
-	var add strings.Builder
-	for k := range churned {
-		add.WriteString(rule(3, 2*k+1, 9+k%3))
-	}
-	if _, err := s.AddSource(add.String()); err != nil {
-		t.Fatal(err)
-	}
-	hits, misses := reg.Counter("camus_compiler_memo_hits_total"), reg.Counter("camus_compiler_memo_misses_total")
-	hits0, misses0 := hits.Load(), misses.Load()
-	pass, err := s.RecompilePass()
-	if err != nil {
-		t.Fatal(err)
-	}
-	terms := pass.Diagram().Terminals()
-	fresh := uint64(0)
-	for _, term := range terms {
-		if !known[s.arena.sets[term.Class].Key()] {
-			fresh++
-		}
-	}
-	h, m := hits.Load()-hits0, misses.Load()-misses0
-	if m > fresh || h+m != uint64(len(terms)) || fresh == 0 || h == 0 {
-		t.Errorf("warm recompile: %d hits, %d misses over %d terminals, %d classes new to the arena", h, m, len(terms), fresh)
-	}
-	t.Logf("warm recompile: %d hits, %d misses, %d classes new to the arena", h, m, fresh)
-}
-
-// TestSessionArenaBoundedWithinOneClass: churn that makes no node must still
-// be trimmed. Every symbol has two ports, so only each port's lowest
-// threshold decides anything; the churned rules sit above it, fall into
-// classes that already have their terminal and leave the node count flat
-// while the arena's payload-set and subproblem tables take an entry for each
-// new set of matching rules. What the arena retains has to stay within
-// arenaSlack of what a cold build of the same live set retains.
-func TestSessionArenaBoundedWithinOneClass(t *testing.T) {
-	sp := itchSpec(t)
-	const symbols, perSymbol, churn, rounds = 20, 10, 50, 300
-	rule := func(sym, k int) string {
-		return fmt.Sprintf("stock == S%02d && price > %d : fwd(%d)\n", sym, 100+k, 1+sym*2+k%2)
-	}
-	var base strings.Builder
-	for sym := 0; sym < symbols; sym++ {
-		for k := 0; k < perSymbol; k++ {
-			base.WriteString(rule(sym, k))
-		}
-	}
-	s := NewSession(sp, Options{})
-	if _, err := s.AddSource(base.String()); err != nil {
-		t.Fatal(err)
-	}
-	first, err := s.Recompile()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	next := perSymbol // thresholds above every symbol's lowest two
-	cold, resets, peak := 0, 0, 0
-	for round := 0; round < rounds; round++ {
-		var add strings.Builder
-		for i := 0; i < churn; i++ {
-			add.WriteString(rule(i%symbols, next))
-			next++
-		}
-		if round == 0 {
-			// What a cold build of the live set retains; every round's live
-			// set has this one's shape.
-			fresh := NewSession(sp, Options{})
-			if _, err := fresh.AddSource(base.String() + add.String()); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := fresh.Recompile(); err != nil {
-				t.Fatal(err)
-			}
-			cold = fresh.arena.builder.Retained()
-		}
-		h, err := s.AddSource(add.String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := s.arena
 		prog, err := s.Recompile()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.arena != before {
-			resets++
+		if s.ArenaNodes() != prog.Stats.BDDNodes {
+			t.Fatalf("round %d: %d arena nodes for a %d-node diagram", round, s.ArenaNodes(), prog.Stats.BDDNodes)
 		}
-		if prog.Stats.BDDNodes != first.Stats.BDDNodes {
-			t.Fatalf("round %d: %d nodes, the unchurned set has %d: the churn left its classes", round, prog.Stats.BDDNodes, first.Stats.BDDNodes)
-		}
-		peak = max(peak, s.arena.builder.Retained())
 		if err := s.RemoveRules(h...); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Recompile weighs the arena before it builds, so the build that tips it
-	// over adds its own entries on top: at most a cold build's worth.
-	bound := (arenaSlack+1)*cold + 4096
-	if peak > bound {
-		t.Fatalf("arena retained up to %d entries (%d nodes); a cold build retains %d, bound %d", peak, s.ArenaNodes(), cold, bound)
+	// One rule stays, two come and go: four payload IDs (the macro rule
+	// has a companion) and three handles at most.
+	if len(s.res.actions) > 4 || len(s.rules) > 3 {
+		t.Fatalf("after 40 rounds of churn the session holds %d payload IDs and %d handles for %d live rules", len(s.res.actions), len(s.rules), s.Len())
 	}
-	if resets == 0 {
-		t.Fatalf("no reset in %d rounds (peak %d, cold %d): the churn strands nothing and the test proves nothing", rounds, peak, cold)
+	// The same through SyncSource: each set keeps one rule of the last and
+	// brings two, so at most five rules' IDs and handles are ever taken.
+	s = NewSession(sp, Options{})
+	for round := 0; round < 40; round++ {
+		src := fmt.Sprintf("stock == GOOGL : fwd(1)\nstock == AAPL && price > %d : fwd(3)\nstock == MSFT && avg(price) < %d : fwd(4)\n", 10+round, 900-round)
+		if err := s.SyncSource(context.Background(), src); err != nil {
+			t.Fatal(err)
+		}
 	}
-	t.Logf("cold %d, peak %d, bound %d, %d resets, %d arena nodes", cold, peak, bound, resets, s.ArenaNodes())
+	if len(s.res.actions) > 7 || len(s.rules) > 5 {
+		t.Fatalf("after 40 syncs the session holds %d payload IDs and %d handles for %d live rules", len(s.res.actions), len(s.rules), s.Len())
+	}
 }
 
 // TestSessionLowersLiveStateFields: once churn leaves a state field that no
@@ -348,8 +216,9 @@ func TestSessionLowersLiveStateFields(t *testing.T) {
 }
 
 // TestSessionSync pins Sync's contract: a set it cannot resolve changes
-// nothing, identical rules count once, and a set already live — added by
-// handle — keeps its handles and program.
+// nothing, identical rules each count, and a set already live — added by
+// handle — keeps its handles, in the set's order; the program is
+// CompileSource's of the set.
 func TestSessionSync(t *testing.T) {
 	sp := itchSpec(t)
 	const a, b = "stock == GOOGL : fwd(1)\n", "stock == AAPL && price > 10 : fwd(2)\n"
@@ -358,11 +227,11 @@ func TestSessionSync(t *testing.T) {
 		live, sync string // added by AddRules, then synced
 		err        bool
 		len        int
-		unchanged  bool // handles and the next recompile as before the Sync
+		handles    []int // the live set after the Sync, as places in live
 	}{
-		{"unresolvable rule", a, b + "nosuch > 1 : fwd(3)\n", true, 1, true},
-		{"identical rules", "", a + b + a, false, 2, false},
-		{"after AddRules", a + b, b + a, false, 2, true},
+		{"unresolvable rule", a, b + "nosuch > 1 : fwd(3)\n", true, 1, []int{0}},
+		{"identical rules", "", a + b + a, false, 3, nil},
+		{"after AddRules", a + b, b + a, false, 2, []int{1, 0}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := NewSession(sp, Options{})
@@ -370,14 +239,10 @@ func TestSessionSync(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.AddRules(live); err != nil {
-				t.Fatal(err)
-			}
-			before, err := s.Recompile()
+			added, err := s.AddRules(live)
 			if err != nil {
 				t.Fatal(err)
 			}
-			handles := slices.Clone(s.order)
 			set, err := lang.ParseRules(tc.sync)
 			if err != nil {
 				t.Fatal(err)
@@ -388,13 +253,82 @@ func TestSessionSync(t *testing.T) {
 			if s.Len() != tc.len {
 				t.Errorf("Len %d after Sync, want %d", s.Len(), tc.len)
 			}
-			after, err := s.Recompile()
+			if tc.handles != nil {
+				want := make([]int32, len(tc.handles))
+				for i, k := range tc.handles {
+					want[i] = int32(added[k])
+				}
+				if !slices.Equal(s.order, want) {
+					t.Errorf("handles %v after Sync, want %v", s.order, want)
+				}
+			}
+			got, err := s.Recompile()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.unchanged && (!slices.Equal(s.order, handles) || !reflect.DeepEqual(after, before)) {
-				t.Errorf("Sync changed the session: handles %v -> %v\n--- before ---\n%s--- after ---\n%s", handles, s.order, before.Dump(), after.Dump())
+			src := tc.sync
+			if tc.err {
+				src = tc.live
+			}
+			if want := compileSrc(t, sp, src, Options{}); !reflect.DeepEqual(got.Stats, want.Stats) || got.Dump() != want.Dump() {
+				t.Errorf("session program is not CompileSource's of\n%s--- session ---\n%s--- cold ---\n%s", src, got.Dump(), want.Dump())
 			}
 		})
+	}
+}
+
+// TestSessionSyncIsCompileOfTheSet: whether by rules or by text, a synced
+// session's program is CompileSource's of the set it was given last — each
+// repeat a rule, in the set's order, and so each state field where the set
+// first reads it. A set CompileSource refuses fails, by text with its
+// error, and leaves nothing behind.
+func TestSessionSyncIsCompileOfTheSet(t *testing.T) {
+	sp, err := spec.Parse(itchSpecSrc + "@query_counter(rate, 10000)\n@query_counter(px, 10000)\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const a, b = "stock == GOOGL : fwd(1)\n", "stock == AAPL && price > 10 : fwd(2)\n"
+	const r1, r2 = "rate[add_order.stock] > 5 : fwd(1)\n", "avg(px)[add_order.stock] > 3 : fwd(2)\n"
+	const bad = "nosuch > 1 : fwd(3)\n"
+	for _, sets := range [][]string{
+		{a + b + a},
+		{r1 + r2, r2 + r1},
+		{a + b, b + a + "# note\n\n" + b, a},
+		{a, r1 + bad + b, b + r1},
+	} {
+		rules, text := NewSession(sp, Options{}), NewSession(sp, Options{})
+		for _, set := range sets {
+			parsed, err := lang.ParseRules(set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rulesErr := rules.Sync(parsed)
+			textErr := text.SyncSource(context.Background(), set)
+			if _, wantErr := CompileSource(sp, set, Options{}); wantErr != nil {
+				// A set that fails changes nothing; the next must still be
+				// CompileSource's.
+				if rulesErr == nil || textErr == nil || textErr.Error() != wantErr.Error() {
+					t.Fatalf("to %q: Sync %v, SyncSource %v, CompileSource %v", set, rulesErr, textErr, wantErr)
+				}
+				continue
+			}
+			if rulesErr != nil || textErr != nil {
+				t.Fatalf("to %q: Sync %v, SyncSource %v", set, rulesErr, textErr)
+			}
+			want := compileSrc(t, sp, set, Options{})
+			for _, route := range []struct {
+				name string
+				s    *Session
+			}{{"Sync", rules}, {"SyncSource", text}} {
+				got, err := route.s.Recompile()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got.Stats, want.Stats) || !reflect.DeepEqual(got.Fields, want.Fields) || got.Dump() != want.Dump() {
+					t.Errorf("%s to %q after %q: %+v, CompileSource %+v\n--- session ---\n%s--- cold ---\n%s",
+						route.name, set, sets, got.Stats, want.Stats, got.Dump(), want.Dump())
+				}
+			}
+		}
 	}
 }

@@ -102,16 +102,18 @@ func TestStreamedEqualsWhole(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var lines []lang.Line
+			lang.Lines(s.src, func(l lang.Line) { lines = append(lines, l) })
 			var chunked []lang.Rule
-			for _, p := range lang.Chunks(s.src, chunk) {
-				part, err := p.Rules()
+			for i := 0; i < len(lines); i += chunk {
+				part, err := lang.ParseLines(s.src, lines[i], lines[min(i+chunk, len(lines))-1])
 				if err != nil {
 					t.Fatal(err)
 				}
 				chunked = append(chunked, part...)
 			}
 			if !reflect.DeepEqual(chunked, rules) {
-				t.Fatal("the chunk parsers' rules, IDs or positions are not the whole parse's")
+				t.Fatal("the chunks' rules, IDs or positions are not the whole parse's")
 			}
 			whole, err := compiled(compiler.Observe(context.Background(), s.sp, compiler.Source{Rules: rules}, compiler.Options{Workers: 1}, nil))
 			if err != nil {
@@ -128,7 +130,7 @@ func TestStreamedEqualsWhole(t *testing.T) {
 				}
 			}
 			sess := compiler.NewSession(s.sp, compiler.Options{Workers: 2})
-			if _, err := sess.AddSource(s.src); err != nil {
+			if err := sess.SyncSource(context.Background(), s.src); err != nil {
 				t.Fatal(err)
 			}
 			if pass, err := sess.RecompilePass(); err != nil || programDigest(pass) != want {
@@ -194,14 +196,19 @@ func TestStreamedErrorsAreTheWholeParsesErrors(t *testing.T) {
 	}
 }
 
-// TestCompileSourceStopsWhenContextIsDone: a done context ends the compile
-// at the next chunk with the context's error.
+// TestCompileSourceStopsWhenContextIsDone: a done context ends a compile
+// from source, cold or a session's sync, at the next chunk with the
+// context's error.
 func TestCompileSourceStopsWhenContextIsDone(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	src := strings.Join(fig5cLines(10, 1), "\n")
-	if _, err := compiler.CompileSourceContext(ctx, workload.ITCHSpec(), src, compiler.Options{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	if _, err := compiler.Observe(ctx, workload.ITCHSpec(), compiler.Source{Text: src}, compiler.Options{}, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cold: err = %v, want context.Canceled", err)
+	}
+	sess := compiler.NewSession(workload.ITCHSpec(), compiler.Options{})
+	if err := sess.SyncSource(ctx, src); !errors.Is(err, context.Canceled) || sess.Len() != 0 {
+		t.Fatalf("session: err = %v, %d rules live, want context.Canceled and none", err, sess.Len())
 	}
 }
 

@@ -21,15 +21,15 @@ import (
 
 // PubSub is a running Camus deployment on one switch.
 type PubSub struct {
-	spec *spec.Spec
-	opts compiler.Options
-	tel  *telemetry.Telemetry
+	tel *telemetry.Telemetry
 
 	sw  *pipeline.Switch
 	ctl *controlplane.Controller
 
-	updateMu sync.Mutex // serializes Install callers; no packet path takes it
-	proc     *Processor // lane 0, for ProcessOrder and ProcessDatagram
+	compileMu sync.Mutex        // serializes Compile callers: a Session is not safe for concurrent use
+	sess      *compiler.Session // the rules of the source compiled last, resolved
+	updateMu  sync.Mutex        // serializes Install callers; no packet path takes it
+	proc      *Processor        // lane 0, for ProcessOrder and ProcessDatagram
 }
 
 // Config bundles the PubSub knobs; zero values select defaults.
@@ -50,7 +50,7 @@ func NewPubSub(sp *spec.Spec, cfg Config) (*PubSub, error) {
 		cfg.Switch.Telemetry = cfg.Telemetry.Reg()
 		cfg.Compiler.Telemetry = cfg.Telemetry.Reg()
 	}
-	ps := &PubSub{spec: sp, opts: cfg.Compiler, tel: cfg.Telemetry}
+	ps := &PubSub{tel: cfg.Telemetry, sess: compiler.NewSession(sp, cfg.Compiler)}
 	prog, err := compiler.CompileSource(sp, "", cfg.Compiler)
 	if err != nil {
 		return nil, err
@@ -95,11 +95,21 @@ func (ps *PubSub) SetSubscriptionsContext(ctx context.Context, src string) (cont
 	return ps.Install(ctx, prog)
 }
 
-// Compile is the long half of SetSubscriptions. It reads nothing an Install
-// or a packet writes; it gives up, between chunks of the rule source, once
-// ctx is done.
+// Compile is the long half of SetSubscriptions: it syncs the deployment's
+// compiler.Session to src, so only the rules whose lines are new to it are
+// parsed and resolved, and recompiles. Its program and its errors are
+// compiler.CompileSource's of src. Concurrent callers queue; it reads nothing
+// an Install or a packet writes, so neither waits on it. It gives up,
+// between chunks of the new rules, once ctx is done, and a compile that
+// fails leaves the session as it was.
 func (ps *PubSub) Compile(ctx context.Context, src string) (*compiler.Program, error) {
-	prog, err := compiler.CompileSourceContext(ctx, ps.spec, src, ps.opts)
+	ps.compileMu.Lock()
+	defer ps.compileMu.Unlock()
+	err := ps.sess.SyncSource(ctx, src)
+	var prog *compiler.Program
+	if err == nil {
+		prog, err = ps.sess.Recompile()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("camus: compile: %w", err)
 	}

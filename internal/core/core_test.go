@@ -1,8 +1,13 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"reflect"
+	"slices"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -184,5 +189,111 @@ func TestProcessorBatchSeesOneProgramDuringInstall(t *testing.T) {
 	}
 	if !swapped {
 		t.Fatal("no batch saw the new program after the install returned")
+	}
+}
+
+// cancelAfter is a context that is done once Err has been asked n times: a
+// compile it is handed gives up between chunks, past the first.
+type cancelAfter struct {
+	context.Context
+	n atomic.Int32
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSetSubscriptionsMatchesCompileSource: after every update of a
+// sequence, the switch runs what an oracle switch runs that was given
+// compiler.CompileSource of each text instead — the same Dump, and equal
+// field for field, state numbering and action sums included. The sequence
+// churns 1% of the rules, reorders them, repeats lines, adds comment and
+// blank lines, and changes the order keyed-state rules first read their
+// fields in. A rule that does not resolve or does not parse fails with
+// CompileSource's error — its rule number, line and column — and a context
+// done between chunks of new rules with the context's; either leaves the
+// installed program as it was, and the next good update is still the
+// oracle's.
+func TestSetSubscriptionsMatchesCompileSource(t *testing.T) {
+	sp := spec.MustParse(workload.ITCHSpecSource + "@query_counter(rate, 10000)\n@query_counter(px, 10000)\n")
+	ps, err := NewPubSub(sp, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := NewPubSub(sp, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := strings.SplitAfter(workload.ITCHSubscriptionSource(workload.ITCHSubsConfig{
+		Subscriptions: 3000, Stocks: 50, Hosts: 8, PriceMax: 1000, PriceGrid: 10, Seed: 1,
+	}), "\n")
+	base = base[:len(base)-1] // the empty string after the last newline
+	fresh := strings.SplitAfter(workload.ITCHSubscriptionSource(workload.ITCHSubsConfig{
+		Subscriptions: 3000, Stocks: 50, Hosts: 8, PriceMax: 1000, PriceGrid: 10, Seed: 2,
+	}), "\n")
+	const rate, px = "rate[add_order.stock] > 5 : fwd(1)\n", "avg(px)[add_order.stock] > 3 : fwd(2)\n"
+	churned := slices.Clone(base)
+	copy(churned[500:], fresh[:len(base)/100])
+	reversed := slices.Clone(churned)
+	slices.Reverse(reversed)
+	join := func(parts ...[]string) string {
+		var b strings.Builder
+		for _, p := range parts {
+			b.WriteString(strings.Join(p, ""))
+		}
+		return b.String()
+	}
+	for _, step := range []struct {
+		name, src string
+		ctx       context.Context // nil: context.Background()
+	}{
+		{"first", join(base), nil},
+		{"1% churn", join(churned), nil},
+		{"reordered", join(reversed), nil},
+		{"repeated lines", join(reversed[:100], reversed, reversed[50:60]), nil},
+		{"comments and blanks", join([]string{"# subscriptions\n", "\n"}, churned[:1500], []string{"   \n", "  // more\r\n"}, churned[1500:]), nil},
+		{"keyed state", join(churned[:10], []string{rate, px}, churned[10:]), nil},
+		{"keyed state read in another order", join(churned[:10], []string{px, rate}, churned[10:]), nil},
+		{"unknown field", join(churned[:2000], []string{"nosuch > 1 : fwd(3)\n"}, churned[2000:]), nil},
+		{"syntax error", join(reversed[:1200], []string{"  stock == GOOGL && : fwd(1)\n"}, reversed[1200:]), nil},
+		{"after the bad rules", join(base), nil},
+		{"cancelled between chunks", join(fresh), &cancelAfter{Context: context.Background()}},
+		{"after the cancel", join(fresh[:2500], base[:10]), nil},
+	} {
+		ctx := step.ctx
+		if ctx == nil {
+			ctx = context.Background()
+		} else {
+			ctx.(*cancelAfter).n.Store(1)
+		}
+		installed := ps.Program()
+		_, err := ps.SetSubscriptionsContext(ctx, step.src)
+		want, wantErr := compiler.CompileSource(sp, step.src, compiler.Options{})
+		switch {
+		case step.ctx != nil:
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: err %v, want context.Canceled", step.name, err)
+			}
+		case wantErr != nil:
+			if err == nil || err.Error() != "camus: compile: "+wantErr.Error() {
+				t.Fatalf("%s: err %v, CompileSource's %v", step.name, err, wantErr)
+			}
+		case err != nil:
+			t.Fatalf("%s: %v", step.name, err)
+		default:
+			if _, err := oracle.Install(context.Background(), want); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err != nil && ps.Program() != installed {
+			t.Fatalf("%s: a failed update changed the installed program", step.name)
+		}
+		got, oraclesProg := ps.Program(), oracle.Program()
+		if got.Dump() != oraclesProg.Dump() || !reflect.DeepEqual(got, oraclesProg) {
+			t.Fatalf("%s: the switch runs %+v, CompileSource's program installed runs %+v", step.name, got.Stats, oraclesProg.Stats)
+		}
 	}
 }

@@ -294,7 +294,7 @@ func TestSetSubscriptionsHonorsDoneContext(t *testing.T) {
 	}
 	defer sw.Close()
 	writes := tel.Reg().Counter("camus_controlplane_device_writes_total")
-	compiles := tel.Reg().Counter("camus_compiler_compiles_total")
+	compiles := tel.Reg().Counter("camus_compiler_recompiles_total")
 	old, before, compiledBefore := sw.Program(), writes.Load(), compiles.Load()
 	check := func(when string, err error) {
 		t.Helper()

@@ -73,8 +73,8 @@ type step struct {
 
 // Controller drives the whole fabric through coordinated epochs: it
 // partitions the global rule set across leaves, recompiles each
-// program incrementally (per-leaf compiler.Sessions memoize unchanged
-// rules across churn), and rolls the epoch out in two phases — every
+// program through a per-leaf compiler.Session (a rule already live is not
+// resolved again), and rolls the epoch out in two phases — every
 // member's program is admission-checked against its device resources
 // before a single write happens, then members commit sequentially, and
 // any member's install failure rolls every already-committed member back
@@ -197,7 +197,7 @@ func (c *Controller) fail(outcome string, err error) (Epoch, error) {
 
 // Apply rolls the fabric onto a new global rule set as one epoch. The
 // rule set is full-replacement: each leaf's session Syncs to its part, so
-// unchanged rules recompile from the session memo. Returns the committed
+// only the rules new to a leaf are resolved. Returns the committed
 // epoch summary, or an error with every device back on the prior epoch
 // (two-phase: admission for all members precedes the first write).
 func (c *Controller) Apply(ctx context.Context, rules []lang.Rule) (Epoch, error) {

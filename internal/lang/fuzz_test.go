@@ -47,10 +47,11 @@ func FuzzParseRules(f *testing.F) {
 	})
 }
 
-// FuzzStreamedParse holds the chunk reader to the whole parse: for any bytes
-// and any chunk size, parsing the chunks in order gives the rules ParseRules
-// gives — IDs, positions, text — or fails with the error ParseRules fails
-// with.
+// FuzzStreamedParse holds the line cutter to the whole parse: for any bytes
+// and any run length, parsing the rule lines in runs of that many, in
+// order, gives the rules ParseRules gives — IDs, positions, text — or fails
+// with the error ParseRules fails with; and up to that failure each line
+// parsed alone gives its rule.
 func FuzzStreamedParse(f *testing.F) {
 	seeds := []string{
 		"a == 1 : fwd(1)\nb == 2 : fwd(2)\nc == 3 : fwd(3)\nd == 4 : fwd(4)\ne == 5 : fwd(5)",
@@ -74,16 +75,25 @@ func FuzzStreamedParse(f *testing.F) {
 			return
 		}
 		want, wantErr := ParseRules(src)
+		var lines []Line
+		Lines(src, func(l Line) { lines = append(lines, l) })
 		var got []Rule
 		var gotErr error
-		for _, p := range Chunks(src, n) {
-			rules, err := p.Rules()
+		for i := 0; i < len(lines); i += n {
+			run := lines[i:min(i+n, len(lines))]
+			rules, err := ParseLines(src, run[0], run[len(run)-1])
 			if err != nil {
 				gotErr = err
 				break
 			}
-			if len(rules) == 0 || len(rules) > n {
-				t.Fatalf("a chunk of %d rules, want 1..%d", len(rules), n)
+			if len(rules) != len(run) {
+				t.Fatalf("a run of %d lines parses to %d rules", len(run), len(rules))
+			}
+			for j, l := range run {
+				alone, err := ParseLines(src, l, l)
+				if err != nil || !reflect.DeepEqual(alone, rules[j:j+1]) {
+					t.Fatalf("line %d alone: %v %v, in its run %v", l.Line, alone, err, rules[j])
+				}
 			}
 			got = append(got, rules...)
 		}

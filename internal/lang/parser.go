@@ -29,7 +29,7 @@ import (
 type Parser struct {
 	lex     *Lexer
 	tok     Token
-	firstID int // ID of the first rule Rules parses: a chunk's origin in its source
+	firstID int // ID of the first rule Rules parses: a run's origin in its source
 }
 
 // NewParser returns a parser over src.
@@ -42,35 +42,40 @@ func ParseRules(src string) ([]Rule, error) {
 	return NewParser(src).Rules()
 }
 
-// Chunks cuts a rule source into parsers over consecutive runs of whole
-// lines holding at most n rules each, in source order. A newline always ends
-// a rule (Rules; the lexer refuses one inside a string literal), so a cut
-// after one separates rules and nothing else, and a line holds a rule exactly
-// when something other than blanks and a comment is on it — all the cutter
-// reads. Every parser starts at its chunk's line and rule ID, so the rules,
-// positions and diagnostics of its Rules are those of ParseRules on the
-// whole source, up to the first chunk that fails, where ParseRules stops
-// too. The parsers share nothing and may run concurrently.
-func Chunks(src string, n int) []*Parser {
-	var out []*Parser
-	start, line, id := 0, 1, 0 // of the chunk being cut
-	lines, rules := 0, 0       // in it so far
-	for pos := 0; pos < len(src); {
+// Line is a line of a rule source that holds a rule: src[Start:End], its
+// newline included when it has one, is line Line of the source and holds
+// the rule with ID ID.
+type Line struct{ Start, End, Line, ID int }
+
+// Lines cuts a rule source into the lines that hold a rule and calls each
+// with them, in source order.
+// A newline always ends a rule (Rules; the lexer refuses one inside a string
+// literal), so a line holds a rule exactly when something other than blanks
+// and a comment is on it — all the cutter reads — and each of its rules
+// parses alone (ParseLines) as it does in the whole source.
+func Lines(src string, each func(Line)) {
+	line, id := 1, 0
+	for pos := 0; pos < len(src); line++ {
 		end := len(src)
 		if nl := strings.IndexByte(src[pos:], '\n'); nl >= 0 {
-			end, lines = pos+nl+1, lines+1
+			end = pos + nl + 1
 		}
 		if l := strings.TrimLeft(src[pos:end], " \t\r\n"); l != "" && l[0] != '#' && !strings.HasPrefix(l, "//") {
-			rules++
+			each(Line{pos, end, line, id})
+			id++
 		}
-		if pos = end; rules == n || (pos == len(src) && rules > 0) {
-			p := NewParser(src[start:pos])
-			p.lex.line, p.firstID = line, id
-			out = append(out, p)
-			start, line, id, lines, rules = pos, line+lines, id+rules, 0, 0
-		}
+		pos = end
 	}
-	return out
+}
+
+// ParseLines parses the lines of src from first to last, both Lines gave,
+// as one run: the rules, positions and diagnostics are those ParseRules
+// gives on the whole source, up to the first rule that fails, where
+// ParseRules stops too. Runs share nothing and may be parsed concurrently.
+func ParseLines(src string, first, last Line) ([]Rule, error) {
+	p := NewParser(src[first.Start:last.End])
+	p.lex.line, p.firstID = first.Line, first.ID
+	return p.Rules()
 }
 
 // ParseRule parses a single subscription rule.
