@@ -312,20 +312,8 @@ type (
 	MoldPacket = itch.MoldPacket
 )
 
-// Diagnostics and tooling.
-type (
-	// Trace is a packet's recorded walk through the compiled tables.
-	Trace = compiler.Trace
-	// WireExtractor parses spec-described packet bytes into field values.
-	WireExtractor = compiler.WireExtractor
-)
-
-// NewWireExtractor builds a parser for the program's spec-described wire
-// format (generic formats; ITCH uses the protocol-specific extractor
-// inside PubSub).
-func NewWireExtractor(p *Program) (*WireExtractor, error) {
-	return compiler.NewWireExtractor(p)
-}
+// Trace is a packet's recorded walk through the compiled tables.
+type Trace = compiler.Trace
 
 // SuggestFieldOrder analyzes rules and returns a good BDD field order
 // (equality discriminators first).

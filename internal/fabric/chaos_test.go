@@ -397,11 +397,10 @@ func TestFabricLinkFailureFailover(t *testing.T) {
 	rules := mustParse(t, src.String())
 
 	h := startFabric(t, Config{
-		Leaves:         2,
-		Spines:         2,
-		HealthInterval: 5 * time.Millisecond,
-		HealthTimeout:  40 * time.Millisecond,
-		VerifyCovers:   true,
+		Leaves:       2,
+		Spines:       2,
+		Heartbeat:    5 * time.Millisecond,
+		VerifyCovers: true,
 	}, hosts)
 	if _, err := h.fab.Apply(context.Background(), rules); err != nil {
 		t.Fatal(err)
@@ -479,6 +478,121 @@ func TestFabricLinkFailureFailover(t *testing.T) {
 	// The degraded spine sent nothing more into the dead link.
 	if got := h.fab.DownlinkRelay(0, 1).Forwarded(); got != deadCrossings {
 		t.Fatalf("degraded spine kept forwarding into the dead link: %d crossings, had %d", got, deadCrossings)
+	}
+}
+
+// TestFabricSpineDeathFailsOver: a spine whose switch dies under traffic
+// falls silent on every downlink, so both of its links fail on the
+// spine's own stream alone; both leaves land on the redundant spine, and
+// what is published after failover arrives complete and in order.
+func TestFabricSpineDeathFailsOver(t *testing.T) {
+	hosts := []int{1, 2, 3, 4}
+	// The covers keep only the symbol, so a low-priced order crosses
+	// both hops and the leaf drops it: filler that loads the spines
+	// without changing what any host expects.
+	var src strings.Builder
+	for _, hst := range hosts {
+		fmt.Fprintf(&src, "stock == %s && price > 5000 : fwd(%d)\n", workload.StockSymbol(hst%3), hst)
+	}
+	h := startFabric(t, Config{
+		Leaves:       2,
+		Spines:       2,
+		Heartbeat:    5 * time.Millisecond,
+		VerifyCovers: true,
+	}, hosts)
+	if _, err := h.fab.Apply(context.Background(), mustParse(t, src.String())); err != nil {
+		t.Fatal(err)
+	}
+
+	var shares uint32
+	mkBatch := func(n int, price uint32) []order {
+		batch := make([]order, n)
+		for i := range batch {
+			shares++
+			batch[i] = order{stock: workload.StockSymbol(i % 3), shares: shares, price: price, leaf: i % 2}
+		}
+		return batch
+	}
+	expected := make(map[int][]delivery)
+	for _, hst := range hosts {
+		expected[hst] = []delivery{}
+	}
+	publish := func(batch []order) {
+		h.publish(batch)
+		for _, o := range batch {
+			for _, hst := range hosts {
+				if o.price > 5000 && o.stock == workload.StockSymbol(hst%3) {
+					expected[hst] = append(expected[hst], delivery{stock: o.stock, shares: o.shares, leaf: o.leaf})
+				}
+			}
+		}
+	}
+
+	publish(mkBatch(200, 9000))
+	h.waitDeliveries(expected, 30*time.Second)
+
+	// Spine 0 dies mid-stream; filler keeps flowing until both of its
+	// links have failed.
+	publish(mkBatch(60, 1000))
+	if err := h.fab.Spine(0).Close(); err != nil {
+		t.Fatal(err)
+	}
+	failures := func() uint64 { return h.tel.Snapshot().Counters["camus_fabric_link_failures_total"] }
+	deadline := time.Now().Add(10 * time.Second)
+	for (h.fab.ActiveSpine(0) != 1 || h.fab.ActiveSpine(1) != 1 || failures() < 2) && time.Now().Before(deadline) {
+		publish(mkBatch(6, 1000))
+		time.Sleep(5 * time.Millisecond)
+	}
+	for j := 0; j < 2; j++ {
+		if s := h.fab.ActiveSpine(j); s != 1 {
+			t.Fatalf("leaf %d not rerouted off the dead spine (active %d)", j, s)
+		}
+	}
+	snap := h.tel.Snapshot()
+	if v := snap.Counters["camus_fabric_link_failures_total"]; v != 2 {
+		t.Fatalf("camus_fabric_link_failures_total = %d, want 2", v)
+	}
+	if v := snap.Counters["camus_fabric_reroutes_total"]; v != 2 {
+		t.Fatalf("camus_fabric_reroutes_total = %d, want 2 (both leaves move)", v)
+	}
+	for j := 0; j < 2; j++ {
+		for s, want := range []float64{0, 1} {
+			name := fmt.Sprintf(`camus_fabric_link_up{leaf="%d",spine="%d"}`, j, s)
+			if v := snap.Gauges[name]; v != want {
+				t.Fatalf("%s = %v, want %v", name, v, want)
+			}
+		}
+	}
+
+	// Everything published after failover flows through the surviving
+	// spine, completely and in order.
+	publish(mkBatch(200, 9000))
+	h.waitDeliveries(expected, 30*time.Second)
+}
+
+// TestNewRejectsBadShape: New refuses a fabric it cannot build with an
+// error, and fills in the zero-valued spine count and heartbeat.
+func TestNewRejectsBadShape(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		leaves, spines int
+		heartbeat      time.Duration
+		ok             bool
+	}{
+		{"defaults", 1, 0, 0, true},
+		{"explicit", 2, 2, 5 * time.Millisecond, true},
+		{"no leaves", 0, 1, 0, false},
+		{"negative leaves", -1, 1, 0, false},
+		{"negative spines", 1, -1, 0, false},
+		{"negative heartbeat", 1, 1, -time.Millisecond, false},
+	} {
+		f, err := New(Config{Spec: workload.ITCHSpec(), Leaves: tc.leaves, Spines: tc.spines, Heartbeat: tc.heartbeat})
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: New error %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		if f != nil {
+			f.Close()
+		}
 	}
 }
 

@@ -150,8 +150,8 @@ func (c *Controller) AddSpine(m Member) {
 	c.spines = append(c.spines, c.bind(m))
 }
 
-// Epoch returns the sequence number of the last committed epoch (0 before
-// the first).
+// EpochSeq returns the sequence number of the last committed epoch (0
+// before the first).
 func (c *Controller) EpochSeq() uint64 { return c.epoch }
 
 // Place partitions rules across leaves by forwarding host: a rule forwards

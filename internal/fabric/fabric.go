@@ -29,14 +29,11 @@ type Config struct {
 	// each link derives its own decision-stream seeds from it. The zero
 	// plan leaves the links clean.
 	LinkFaults faults.Plan
-	// Heartbeat is every switch's idle egress heartbeat (default 10ms) —
-	// what lets a link relay detect tail loss promptly.
+	// Heartbeat is every switch's idle egress heartbeat (default 10ms).
+	// It lets a link relay detect tail loss promptly, and it is the
+	// fabric's liveness clock: a downlink relay that hears nothing, data
+	// or heartbeat, for linkTimeout heartbeats fails its link.
 	Heartbeat time.Duration
-	// HealthInterval is the leaf→spine liveness heartbeat period
-	// (default 10ms); HealthTimeout is how much silence kills a link
-	// (default 8× HealthInterval).
-	HealthInterval time.Duration
-	HealthTimeout  time.Duration
 	// RequestTimeout is the link relays' initial retransmission timeout
 	// (default 15ms).
 	RequestTimeout time.Duration
@@ -56,10 +53,11 @@ type Config struct {
 // switch (full subscriber rules → host ports), plus redundant spines
 // (per-leaf covers → downlink relays → leaf down planes). Every
 // inter-switch hop is a MoldUDP64 stream terminated by a gap-recovering
-// Relay, so loss is repaired per hop; leaf liveness flows to each spine
-// over heartbeat channels, a dead link degrades the spine (it stops
-// forwarding toward the silent leaf) and reroutes every leaf whose
-// active spine lost full connectivity onto a redundant one.
+// Relay, so loss is repaired per hop. A spine→leaf link is alive while
+// its relay hears the spine's stream (data or idle heartbeats); a silent
+// link degrades the spine (it stops forwarding toward that leaf) and
+// reroutes every leaf whose active spine lost full connectivity onto a
+// redundant one.
 type Fabric struct {
 	cfg Config
 	ctl *Controller
@@ -75,9 +73,6 @@ type Fabric struct {
 	// the spine forwarding into a dead link.
 	downSubs [][]*dataplane.Subscription
 
-	monitors []*healthMonitor
-	hbs      [][]*heartbeater // [leaf][spine]
-
 	linkMu   sync.Mutex
 	linkDead [][]bool // [leaf][spine]
 	active   []int    // active spine per leaf
@@ -86,19 +81,27 @@ type Fabric struct {
 	linkFailures *telemetry.Counter
 	reroutes     *telemetry.Counter
 
-	started bool
-	cancel  context.CancelFunc
-	wg      sync.WaitGroup
-	errMu   sync.Mutex
-	runErr  error
+	started   bool
+	cancel    context.CancelFunc
+	stopWatch context.CancelFunc
+	watchDone chan struct{} // closed when watchLinks returns
+	wg        sync.WaitGroup
+	errMu     sync.Mutex
+	runErr    error
 
 	closeOnce sync.Once
 	closeErr  error
 }
 
-// New builds the whole fabric — switches, link relays, health channels,
-// epoch controller — without starting any traffic. Call Start, then
-// Apply.
+// A link fails when its relay hears nothing for linkTimeout heartbeat
+// intervals; the link watcher looks linkSweeps times per timeout.
+const (
+	linkTimeout = 8
+	linkSweeps  = 4
+)
+
+// New builds the whole fabric — switches, link relays, epoch controller —
+// without starting any traffic. Call Start, then Apply.
 func New(cfg Config) (*Fabric, error) {
 	if cfg.Spec == nil {
 		return nil, errors.New("fabric: Config.Spec is required")
@@ -106,17 +109,17 @@ func New(cfg Config) (*Fabric, error) {
 	if cfg.Leaves < 1 {
 		return nil, fmt.Errorf("fabric: need at least one leaf, got %d", cfg.Leaves)
 	}
+	if cfg.Spines < 0 {
+		return nil, fmt.Errorf("fabric: negative spine count %d", cfg.Spines)
+	}
+	if cfg.Heartbeat < 0 {
+		return nil, fmt.Errorf("fabric: negative heartbeat %v", cfg.Heartbeat)
+	}
 	if cfg.Spines == 0 {
 		cfg.Spines = 1
 	}
 	if cfg.Heartbeat == 0 {
 		cfg.Heartbeat = 10 * time.Millisecond
-	}
-	if cfg.HealthInterval == 0 {
-		cfg.HealthInterval = 10 * time.Millisecond
-	}
-	if cfg.HealthTimeout == 0 {
-		cfg.HealthTimeout = 8 * cfg.HealthInterval
 	}
 	if cfg.RequestTimeout == 0 {
 		cfg.RequestTimeout = 15 * time.Millisecond
@@ -252,8 +255,7 @@ func (f *Fabric) build() error {
 		}
 	}
 
-	// Health: per spine a monitor socket, per leaf↔spine pair a
-	// heartbeater; link state starts fully connected.
+	// Link state starts fully connected.
 	f.linkDead = make([][]bool, cfg.Leaves)
 	f.linkUpG = make([][]*telemetry.Gauge, cfg.Leaves)
 	reg := cfg.Telemetry.Reg()
@@ -267,26 +269,6 @@ func (f *Fabric) build() error {
 				g.Set(1)
 				f.linkUpG[j][s] = g
 			}
-		}
-	}
-	for s := 0; s < cfg.Spines; s++ {
-		s := s
-		m, err := newHealthMonitor(cfg.Leaves, cfg.HealthTimeout, func(leaf int) {
-			f.onLinkDown(leaf, s)
-		})
-		if err != nil {
-			return err
-		}
-		f.monitors = append(f.monitors, m)
-	}
-	f.hbs = make([][]*heartbeater, cfg.Leaves)
-	for j := 0; j < cfg.Leaves; j++ {
-		for s := 0; s < cfg.Spines; s++ {
-			hb, err := newHeartbeater(j, f.monitors[s].Addr(), cfg.HealthInterval)
-			if err != nil {
-				return err
-			}
-			f.hbs[j] = append(f.hbs[j], hb)
 		}
 	}
 	return nil
@@ -336,10 +318,13 @@ func (f *Fabric) ActiveSpine(leaf int) int {
 	return f.active[leaf]
 }
 
-// Start launches every switch, relay, heartbeater, and health monitor.
+// Start launches every switch and relay, and the link watcher.
 func (f *Fabric) Start(ctx context.Context) {
 	ctx, f.cancel = context.WithCancel(ctx)
 	f.started = true
+	watchCtx, stopWatch := context.WithCancel(ctx)
+	f.stopWatch, f.watchDone = stopWatch, make(chan struct{})
+	go f.watchLinks(watchCtx)
 	run := func(what string, fn func(context.Context) error) {
 		f.wg.Add(1)
 		go func() {
@@ -370,26 +355,46 @@ func (f *Fabric) Start(ctx context.Context) {
 			run(fmt.Sprintf("downlink%d-%d", s, j), r.Run)
 		}
 	}
-	for _, m := range f.monitors {
-		m := m
-		f.wg.Add(1)
-		go func() { defer f.wg.Done(); m.run() }()
-	}
-	for _, row := range f.hbs {
-		for _, hb := range row {
-			hb := hb
-			f.wg.Add(1)
-			go func() { defer f.wg.Done(); hb.run() }()
+}
+
+// watchLinks is the fabric's one liveness loop. A spine→leaf link is
+// alive while its downlink relay hears datagrams, data or the spine's
+// idle heartbeats. The loop sweeps the relays linkSweeps times per
+// timeout and fails each link whose relay heard nothing over linkSweeps
+// sweeps in a row. Counting sweeps, not reading the clock, keeps a
+// stalled process from looking like silent links: a late sweep counts
+// once.
+func (f *Fabric) watchLinks(ctx context.Context) {
+	defer close(f.watchDone)
+	tick := time.NewTicker(linkTimeout * f.cfg.Heartbeat / linkSweeps)
+	defer tick.Stop()
+	leaves := f.cfg.Leaves
+	heard := make([]uint64, f.cfg.Spines*leaves)
+	quiet := make([]int, len(heard))
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-tick.C:
+		}
+		for i := range heard {
+			s, j := i/leaves, i%leaves
+			if n := f.downRelays[s][j].rcv.Metric("camus_receiver_datagrams_total"); n != heard[i] {
+				heard[i], quiet[i] = n, 0
+			} else if quiet[i]++; quiet[i] == linkSweeps {
+				f.onLinkDown(j, s)
+			}
 		}
 	}
 }
 
-// BreakLink fails the leaf↔spine link (test/chaos hook): heartbeats
-// stop and data crossing the link dies in both directions. Recovery
-// — spine-side degrade and uplink reroute — is the health machinery's
-// job, observed via camus_fabric_link_* and camus_fabric_reroutes_total.
+// BreakLink fails the leaf↔spine link (test/chaos hook): the spine stops
+// sending toward the leaf, so the link falls silent, and data crossing
+// it dies in both directions. Recovery — spine-side degrade and uplink
+// reroute — is watchLinks's job, observed via camus_fabric_link_* and
+// camus_fabric_reroutes_total.
 func (f *Fabric) BreakLink(leaf, spine int) {
-	f.hbs[leaf][spine].Break()
+	f.downSubs[spine][leaf].Close()
 	f.downRelays[spine][leaf].Sever()
 	f.linkMu.Lock()
 	if f.active[leaf] == spine {
@@ -398,8 +403,8 @@ func (f *Fabric) BreakLink(leaf, spine int) {
 	f.linkMu.Unlock()
 }
 
-// onLinkDown is the health monitors' callback: spine `spine` has lost
-// leaf `leaf`. The spine degrades — it stops forwarding into the dead
+// onLinkDown is watchLinks's verdict: spine `spine` has lost leaf
+// `leaf`. The spine degrades — it stops forwarding into the dead
 // link — and every leaf whose active spine no longer reaches all leaves
 // is rerouted onto a fully-connected redundant spine, if one exists.
 func (f *Fabric) onLinkDown(leaf, spine int) {
@@ -447,8 +452,9 @@ func (f *Fabric) fullyConnected(s int) bool {
 	return true
 }
 
-// Close shuts the fabric down in stream order — up planes first (their
-// end-of-session drains the uplinks), then spines, then down planes (so
+// Close shuts the fabric down in stream order — the link watcher first,
+// so no end-of-session reads as a dead link, then up planes (their
+// end-of-session drains the uplinks), spines, and down planes (so
 // subscribers get end-of-session last) — and reaps every goroutine.
 func (f *Fabric) Close() error {
 	f.closeOnce.Do(func() {
@@ -456,14 +462,8 @@ func (f *Fabric) Close() error {
 			f.destroy()
 			return
 		}
-		for _, row := range f.hbs {
-			for _, hb := range row {
-				hb.Close()
-			}
-		}
-		for _, m := range f.monitors {
-			m.Close()
-		}
+		f.stopWatch()
+		<-f.watchDone
 		var firstErr error
 		closeAll := func(sws []*dataplane.Switch) {
 			for _, sw := range sws {
@@ -499,16 +499,6 @@ func (f *Fabric) Close() error {
 
 // destroy releases sockets on a fabric that never started.
 func (f *Fabric) destroy() {
-	for _, row := range f.hbs {
-		for _, hb := range row {
-			if hb != nil {
-				hb.conn.Close()
-			}
-		}
-	}
-	for _, m := range f.monitors {
-		m.conn.Close()
-	}
 	for _, r := range f.upRelays {
 		r.Close()
 	}

@@ -112,8 +112,10 @@ func (r *Relay) SetDest(addr *net.UDPAddr) {
 	r.down.Store(false)
 }
 
-// Sever makes the relay drop everything it recovers — the data-plane half
-// of a link failure. SetDest undoes it.
+// Sever makes the relay drop everything it recovers, so nothing crosses a
+// failed link even while its stream still arrives. It does not silence
+// the link: the fabric judges liveness by what the relay hears, not by
+// what it forwards. SetDest undoes it.
 func (r *Relay) Sever() { r.down.Store(true) }
 
 // Forwarded is how many messages crossed the link exactly once.

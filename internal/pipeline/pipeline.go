@@ -16,7 +16,6 @@ package pipeline
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,7 +83,7 @@ type Switch struct {
 	inst  atomic.Pointer[Generation]
 	state *KeyedState
 
-	packets telemetry.Counter // packet count on the pattern-free paths
+	packets telemetry.Counter // packet count when telemetry is off
 
 	// Hardware-style counters, maintained only when cfg.Telemetry is set.
 	// The packet path records a single fused sample per packet — which
@@ -100,13 +99,11 @@ type Switch struct {
 	regReads *telemetry.Counter // @query_counter / state register reads
 
 	ctrMu       sync.Mutex
-	tableBase   map[string]uint64             // packets seen before a table first existed
-	tableMiss   map[string]*telemetry.Counter // fallback miss counters (wide programs)
-	fwdFallback *telemetry.Counter            // fallback forward counter (wide programs)
-	gens        []*patGen                     // live pattern generations, oldest first
-	foldPackets uint64                        // packets folded out of retired generations
-	foldForward uint64                        // forwards folded out of retired generations
-	foldMisses  map[string]uint64             // misses folded out of retired generations
+	tableBase   map[string]uint64 // packets seen before a table first existed
+	gens        []*patGen         // live pattern generations, oldest first
+	foldPackets uint64            // packets folded out of retired generations
+	foldForward uint64            // forwards folded out of retired generations
+	foldMisses  map[string]uint64 // misses folded out of retired generations
 }
 
 // Generation is one installed program version: everything a packet needs,
@@ -124,7 +121,6 @@ type Generation struct {
 	dflt    int
 	pat     []atomic.Uint64 // fused packet/miss-pattern counters (see patGen)
 	dropBit uint64          // pattern bit recording "packet dropped"
-	ctrs    []tableCounters // fallback per-table miss counters (wide programs)
 	// reads and upds are the keyed-state descriptors, fully resolved at
 	// install time (extending PR 9's register precompute): variable
 	// slots, key/argument field indices, numeric aggregate folds, and
@@ -155,14 +151,6 @@ type stateUpd struct {
 	window  time.Duration
 }
 
-// tableCounters is the fallback per-table counter hook used when a
-// program has too many tables for a pattern array; each miss then pays
-// its own atomic add. The miss mask holds 64 tables, so a program wider
-// than that counts no misses past its 64th.
-type tableCounters struct {
-	misses *telemetry.Counter
-}
-
 // patGen is one program generation's fused telemetry sample array:
 // pat[mask] counts packets whose set of missed tables is exactly the
 // table bits of mask, with one extra bit recording whether the packet
@@ -176,8 +164,8 @@ type patGen struct {
 
 const (
 	// patMaxTables bounds the pattern-array size (2^(n+1) counters).
-	// The default device has 12 match stages, so real programs always
-	// qualify; wider custom configs fall back to per-table counters.
+	// Every field table takes at least one stage and the leaf one more,
+	// so New's stage bound keeps every program within it.
 	patMaxTables = 12
 	// keepGens is how many superseded generations stay live before
 	// being folded into the cumulative totals. A Process call caught
@@ -195,6 +183,9 @@ func New(prog *compiler.Program, cfg Config) (*Switch, error) {
 		cfg = DefaultConfig()
 		cfg.Telemetry = tel
 	}
+	if cfg.Stages > patMaxTables+1 {
+		return nil, fmt.Errorf("pipeline: %d stages, at most %d supported", cfg.Stages, patMaxTables+1)
+	}
 	if err := CheckResources(prog, cfg); err != nil {
 		return nil, err
 	}
@@ -205,9 +196,7 @@ func New(prog *compiler.Program, cfg Config) (*Switch, error) {
 	}
 	if sw.tel != nil {
 		sw.tableBase = make(map[string]uint64)
-		sw.tableMiss = make(map[string]*telemetry.Counter)
 		sw.foldMisses = make(map[string]uint64)
-		sw.fwdFallback = new(telemetry.Counter)
 		sw.regReads = sw.tel.Counter("camus_pipeline_register_reads_total")
 		sw.tel.CounterFunc("camus_pipeline_packets_total", func() float64 {
 			sw.ctrMu.Lock()
@@ -305,23 +294,11 @@ func (sw *Switch) newInstalled(prog *compiler.Program) *Generation {
 		}
 		sw.ctrMu.Lock()
 		now := sw.packetsTotalLocked()
-		if len(names) <= patMaxTables {
-			g := &patGen{names: names, pat: make([]atomic.Uint64, 1<<uint(len(names)+1))}
-			sw.gens = append(sw.gens, g)
-			in.pat = g.pat
-			in.dropBit = 1 << uint(len(names))
-			sw.foldOldLocked()
-		} else {
-			in.ctrs = make([]tableCounters, len(names))
-			for i, name := range names {
-				c := sw.tableMiss[name]
-				if c == nil {
-					c = new(telemetry.Counter)
-					sw.tableMiss[name] = c
-				}
-				in.ctrs[i] = tableCounters{misses: c}
-			}
-		}
+		g := &patGen{names: names, pat: make([]atomic.Uint64, 1<<uint(len(names)+1))}
+		sw.gens = append(sw.gens, g)
+		in.pat = g.pat
+		in.dropBit = 1 << uint(len(names))
+		sw.foldOldLocked()
 		for _, name := range names {
 			if _, ok := sw.tableBase[name]; ok {
 				continue
@@ -350,10 +327,10 @@ func (sw *Switch) newInstalled(prog *compiler.Program) *Generation {
 	return in
 }
 
-// packetsTotalLocked sums the direct packet counter, folded totals, and
-// every live pattern generation. ctrMu must be held.
+// packetsTotalLocked sums the folded totals and every live pattern
+// generation. ctrMu must be held.
 func (sw *Switch) packetsTotalLocked() uint64 {
-	total := sw.packets.Load() + sw.foldPackets
+	total := sw.foldPackets
 	for _, g := range sw.gens {
 		for i := range g.pat {
 			total += g.pat[i].Load()
@@ -363,10 +340,10 @@ func (sw *Switch) packetsTotalLocked() uint64 {
 }
 
 // forwardedLocked returns the cumulative forwarded-packet count: live
-// pattern samples without the drop bit, folded totals, and the fallback
-// counter. ctrMu must be held.
+// pattern samples without the drop bit plus folded totals. ctrMu must be
+// held.
 func (sw *Switch) forwardedLocked() uint64 {
-	total := sw.fwdFallback.Load() + sw.foldForward
+	total := sw.foldForward
 	for _, g := range sw.gens {
 		drop := uint64(1) << uint(len(g.names))
 		for mask := range g.pat {
@@ -379,13 +356,10 @@ func (sw *Switch) forwardedLocked() uint64 {
 }
 
 // missesLocked returns a table's cumulative miss count across folded
-// totals, the fallback counter, and live pattern generations that
-// include the table. ctrMu must be held.
+// totals and live pattern generations that include the table. ctrMu must
+// be held.
 func (sw *Switch) missesLocked(table string) uint64 {
 	total := sw.foldMisses[table]
-	if c := sw.tableMiss[table]; c != nil {
-		total += c.Load()
-	}
 	for _, g := range sw.gens {
 		for bit, n := range g.names {
 			if n != table {
@@ -576,14 +550,6 @@ func (sw *Switch) processOne(in *Generation, lane int, values []uint64, now time
 		return res
 	}
 	sw.packets.Add(1)
-	if in.ctrs != nil {
-		for m := mask; m != 0; m &= m - 1 {
-			in.ctrs[bits.TrailingZeros64(m)].misses.Add(1)
-		}
-		if !res.Dropped {
-			sw.fwdFallback.Add(1)
-		}
-	}
 	return res
 }
 

@@ -160,6 +160,21 @@ func TestResourceRejection(t *testing.T) {
 	}
 }
 
+// TestNewRejectsWideDevice: the telemetry pattern array holds 12 tables,
+// so New refuses a device with more stages than 12 tables plus the leaf.
+func TestNewRejectsWideDevice(t *testing.T) {
+	_, prog, _ := buildSwitch(t, "stock == GOOGL : fwd(1)")
+	wide := DefaultConfig()
+	wide.Stages = patMaxTables + 1
+	if _, err := New(prog, wide); err != nil {
+		t.Fatalf("%d stages: %v", wide.Stages, err)
+	}
+	wide.Stages++
+	if _, err := New(prog, wide); err == nil || !strings.Contains(err.Error(), "stages") {
+		t.Fatalf("%d stages accepted (err %v), want a stage-count error", wide.Stages, err)
+	}
+}
+
 func TestPlanReport(t *testing.T) {
 	sw, prog, _ := buildSwitch(t, "stock == GOOGL && price > 50 : fwd(1)")
 	rep := Plan(prog, sw.Config())
