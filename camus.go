@@ -52,11 +52,11 @@ import (
 // Observability. Every layer of the toolchain — compiler, control plane,
 // switch model, UDP dataplane — records into one shared Telemetry: atomic
 // counters and gauges, fixed-bucket latency histograms, and a ring of
-// recent control-plane install spans. Create one with NewTelemetry, hand
-// it to the constructors below via WithTelemetry (or embed it in their
-// Config), and read it back either programmatically (Snapshot) or over
-// HTTP (ServeAdmin: Prometheus text at /metrics, a JSON Snapshot at
-// /debug/camus, pprof under /debug/pprof/).
+// recent control-plane install spans. Create one with NewTelemetry, set
+// it (or its Reg) in a component's Config, or hand it to
+// Controller.SetTelemetry, and read it back either programmatically
+// (Snapshot) or over HTTP (ServeAdmin: Prometheus text at /metrics, a JSON
+// Snapshot at /debug/camus, pprof under /debug/pprof/).
 type (
 	// Telemetry bundles a metrics Registry with a span Tracer.
 	Telemetry = telemetry.Telemetry
@@ -82,38 +82,6 @@ func TelemetryHandler(t *Telemetry) http.Handler { return telemetry.Handler(t) }
 // ServeAdmin starts the observability endpoint on addr in the
 // background; Close the returned server to stop it.
 func ServeAdmin(addr string, t *Telemetry) (*AdminServer, error) { return telemetry.Serve(addr, t) }
-
-// Option configures a facade constructor.
-type Option func(*facadeOpts)
-
-type facadeOpts struct {
-	tel      *Telemetry
-	analysis AnalysisPolicy
-}
-
-// WithTelemetry routes the constructed component's metrics and spans
-// through t. Passing nil is a no-op (the component stays uninstrumented).
-func WithTelemetry(t *Telemetry) Option {
-	return func(o *facadeOpts) { o.tel = t }
-}
-
-// WithRegistry is WithTelemetry for callers that only have a bare metric
-// registry; spans are recorded nowhere but counters/histograms land in r.
-func WithRegistry(r *Registry) Option {
-	return func(o *facadeOpts) {
-		if r != nil {
-			o.tel = telemetry.FromRegistry(r)
-		}
-	}
-}
-
-func applyOpts(opts []Option) facadeOpts {
-	var o facadeOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return o
-}
 
 // Language front end.
 type (
@@ -169,11 +137,14 @@ type (
 	PortSet = compiler.PortSet
 )
 
-// Static analysis of rule sets (camus-vet). WithAnalysis makes Compile
-// and CompileSource analyze the rules in the pass that compiles them and
-// refuse rule sets the chosen policy rejects; the returned error is an
-// *AnalysisRejection carrying the full diagnostic report.
+// Static analysis of rule sets (camus-vet). An AnalysisGate is the one way
+// to vet a rule set: its Admit and AdmitSource analyze the rules in the
+// pass that compiles them (unsatisfiable, shadowed, duplicate, ill-typed,
+// conflicting rules; resource-budget overruns) and refuse a set the policy
+// rejects with an *AnalysisRejection carrying the full diagnostic report.
 type (
+	// AnalysisGate analyzes and compiles a rule set under a policy.
+	AnalysisGate = analyze.Gate
 	// AnalysisPolicy selects how strict an analysis-gated compile is.
 	AnalysisPolicy = analyze.Policy
 	// AnalysisReport is the diagnostics produced by one analysis pass.
@@ -182,14 +153,14 @@ type (
 	AnalysisDiagnostic = analyze.Diagnostic
 	// AnalysisOptions tunes an analysis pass (budget, pair limits).
 	AnalysisOptions = analyze.Options
-	// AnalysisRejection is the error an analysis-gated compile or an
-	// admission gate returns for a rejected rule set.
+	// AnalysisRejection is the error an AnalysisGate returns for a
+	// rejected rule set.
 	AnalysisRejection = analyze.RejectionError
 )
 
-// Analysis policies re-exported for WithAnalysis.
+// Analysis policies re-exported for NewAnalysisGate.
 const (
-	// AnalysisOff disables the analysis (the default).
+	// AnalysisOff disables the analysis: the gate only compiles.
 	AnalysisOff = analyze.PolicyOff
 	// AnalysisLenient rejects rule sets with error diagnostics.
 	AnalysisLenient = analyze.PolicyLenient
@@ -197,12 +168,9 @@ const (
 	AnalysisStrict = analyze.PolicyStrict
 )
 
-// WithAnalysis makes Compile/CompileSource statically analyze the rule
-// set (unsatisfiable, shadowed, duplicate, ill-typed, conflicting rules;
-// resource-budget overruns) and fail with an *AnalysisRejection when the
-// policy rejects it.
-func WithAnalysis(p AnalysisPolicy) Option {
-	return func(o *facadeOpts) { o.analysis = p }
+// NewAnalysisGate builds an admission gate for rule sets over sp.
+func NewAnalysisGate(sp *Spec, opts AnalysisOptions, p AnalysisPolicy) *AnalysisGate {
+	return analyze.NewGate(sp, opts, p)
 }
 
 // Analyze runs the camus-vet static analysis over parsed rules, returning
@@ -211,32 +179,14 @@ func Analyze(sp *Spec, rules []Rule, opts AnalysisOptions) *AnalysisReport {
 	return analyze.Rules(sp, rules, opts)
 }
 
-// gate is the facade's one pass: the analysis policy's checks, if any, and
-// the compile.
-func (fo facadeOpts) gate(sp *Spec) *analyze.Gate {
-	return analyze.NewGate(sp, analyze.Options{Telemetry: fo.tel.Reg()}, fo.analysis)
-}
-
-// Compile compiles parsed rules against a spec. WithTelemetry records
-// the compile's duration and BDD statistics; WithAnalysis runs the
-// static analyzer first and rejects bad rule sets before compilation.
-func Compile(sp *Spec, rules []Rule, opts CompileOptions, o ...Option) (*Program, error) {
-	fo := applyOpts(o)
-	if fo.tel != nil {
-		opts.Telemetry = fo.tel.Reg()
-	}
-	prog, _, err := fo.gate(sp).Admit(rules, opts)
-	return prog, err
+// Compile compiles parsed rules against a spec.
+func Compile(sp *Spec, rules []Rule, opts CompileOptions) (*Program, error) {
+	return compiler.Compile(sp, rules, opts)
 }
 
 // CompileSource parses and compiles subscription source text.
-func CompileSource(sp *Spec, src string, opts CompileOptions, o ...Option) (*Program, error) {
-	fo := applyOpts(o)
-	if fo.tel != nil {
-		opts.Telemetry = fo.tel.Reg()
-	}
-	prog, _, err := fo.gate(sp).AdmitSource(src, opts)
-	return prog, err
+func CompileSource(sp *Spec, src string, opts CompileOptions) (*Program, error) {
+	return compiler.CompileSource(sp, src, opts)
 }
 
 // GenerateP4 renders the static pipeline of a program as P4₁₄ source.
@@ -263,26 +213,11 @@ type (
 // DefaultSwitchConfig models the paper's 32-port Tofino-class device.
 func DefaultSwitchConfig() SwitchConfig { return pipeline.DefaultConfig() }
 
-// NewSwitch instantiates a switch with a program installed. WithTelemetry
-// enables the device's hardware-style counters: per-table hit/miss,
-// register reads, occupancy gauges.
-func NewSwitch(p *Program, cfg SwitchConfig, o ...Option) (*Switch, error) {
-	if fo := applyOpts(o); fo.tel != nil {
-		cfg.Telemetry = fo.tel.Reg()
-	}
-	return pipeline.New(p, cfg)
-}
+// NewSwitch instantiates a switch with a program installed.
+func NewSwitch(p *Program, cfg SwitchConfig) (*Switch, error) { return pipeline.New(p, cfg) }
 
-// NewController manages incremental updates for a switch. WithTelemetry
-// records one controlplane_install span per Update, with retry counts
-// and ok/rolled_back/rollback_failed outcomes.
-func NewController(sw *Switch, o ...Option) *Controller {
-	ctl := controlplane.NewController(sw)
-	if fo := applyOpts(o); fo.tel != nil {
-		ctl.SetTelemetry(fo.tel)
-	}
-	return ctl
-}
+// NewController manages incremental updates for a switch.
+func NewController(sw *Switch) *Controller { return controlplane.NewController(sw) }
 
 // In-network pub/sub engine (the paper's case study).
 type (
@@ -294,15 +229,8 @@ type (
 	Delivery = core.Delivery
 )
 
-// NewPubSub creates a pub/sub deployment for a spec. WithTelemetry
-// instruments every layer of the deployment through one shared registry;
-// read it back with PubSub.Snapshot.
-func NewPubSub(sp *Spec, cfg PubSubConfig, o ...Option) (*PubSub, error) {
-	if fo := applyOpts(o); fo.tel != nil {
-		cfg.Telemetry = fo.tel
-	}
-	return core.NewPubSub(sp, cfg)
-}
+// NewPubSub creates a pub/sub deployment for a spec.
+func NewPubSub(sp *Spec, cfg PubSubConfig) (*PubSub, error) { return core.NewPubSub(sp, cfg) }
 
 // ITCH market-data protocol.
 type (
@@ -342,12 +270,5 @@ type (
 )
 
 // ListenUDP binds the dataplane's ingress socket and installs the initial
-// subscription set. WithTelemetry instruments the whole stack — socket
-// counters, processing latency, and the embedded engine's metrics — and
-// makes the switch servable via ServeAdmin.
-func ListenUDP(cfg UDPSwitchConfig, o ...Option) (*UDPSwitch, error) {
-	if fo := applyOpts(o); fo.tel != nil {
-		cfg.Telemetry = fo.tel
-	}
-	return dataplane.Listen(cfg)
-}
+// subscription set.
+func ListenUDP(cfg UDPSwitchConfig) (*UDPSwitch, error) { return dataplane.Listen(cfg) }

@@ -1,6 +1,7 @@
 package camus
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -161,5 +162,21 @@ func TestStatefulSubscriptionViaPublicAPI(t *testing.T) {
 	}
 	if res := ps.ProcessOrder(&o, 1000); res.Dropped {
 		t.Fatal("second message should forward (average now 100)")
+	}
+}
+
+// TestAnalysisGateViaPublicAPI: the facade's gate refuses a rule set the
+// policy rejects with an *AnalysisRejection, and compiles one it admits.
+func TestAnalysisGateViaPublicAPI(t *testing.T) {
+	sp := MustParseSpec(testSpec)
+	gate := NewAnalysisGate(sp, AnalysisOptions{}, AnalysisStrict)
+	_, rep, err := gate.AdmitSource("stock == GOOGL : fwd(1)\nstock == GOOGL : fwd(1)\n", CompileOptions{})
+	var rej *AnalysisRejection
+	if !errors.As(err, &rej) || rep == nil || len(rep.Diagnostics) == 0 {
+		t.Fatalf("duplicate rules: err = %v, report = %v; want an *AnalysisRejection with diagnostics", err, rep)
+	}
+	prog, _, err := gate.AdmitSource("stock == GOOGL : fwd(1)\nstock == MSFT : fwd(2)\n", CompileOptions{})
+	if err != nil || prog.Stats.Rules != 2 {
+		t.Fatalf("clean rules: program %v, err %v", prog, err)
 	}
 }

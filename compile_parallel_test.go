@@ -160,8 +160,8 @@ func TestSessionChurnMatchesFullCompile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sess.Len() != len(live) {
-			t.Fatalf("session tracks %d rules, test mirror has %d", sess.Len(), len(live))
+		if inc.Stats.Rules != len(live) {
+			t.Fatalf("session tracks %d rules, test mirror has %d", inc.Stats.Rules, len(live))
 		}
 
 		liveRules := make([]lang.Rule, len(live))

@@ -71,3 +71,21 @@ func TestDocumentsNameOnlyPackagesThatExist(t *testing.T) {
 		}
 	}
 }
+
+// TestDocumentsCiteROADMAPItemsByTitle: ROADMAP.md renumbers its items at
+// every re-anchor, so a document that cites one by number goes stale;
+// cite the item's title instead.
+func TestDocumentsCiteROADMAPItemsByTitle(t *testing.T) {
+	cite := regexp.MustCompile(`ROADMAP\s+items?\s+\d`)
+	for _, doc := range documents {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			if m := cite.FindString(line); m != "" {
+				t.Errorf("%s:%d cites %q by number; cite the item's title", doc, i+1, m)
+			}
+		}
+	}
+}

@@ -10,8 +10,7 @@ import (
 	"camus/internal/spec"
 )
 
-// Policy selects how strict an admission gate or a WithAnalysis compile
-// is about diagnostics.
+// Policy selects how strict an admission gate is about diagnostics.
 type Policy int
 
 const (

@@ -123,3 +123,6 @@ func (s StateHash) Sum() [2]uint64 {
 	x := s.h.sum()
 	return [2]uint64{x.a, x.b}
 }
+
+// Len returns the number of live rules, repeats included.
+func (s *Session) Len() int { return len(s.order) }

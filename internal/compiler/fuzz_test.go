@@ -75,7 +75,7 @@ func FuzzTablesMatchExact(f *testing.F) {
 }
 
 // FuzzSessionSyncMatchesCold: two Sessions, one that Sync drives through a
-// sequence of rule sets and one that SyncSource drives through their text,
+// sequence of parsed rule sets and one that it drives through their text,
 // lower after every recompile what a cold compile of the set would — the
 // same Dump and golden digest. Every TestCompileGolden rule fixture goes
 // through it first: whole, then its last two thirds, its first two thirds,
@@ -174,10 +174,10 @@ func syncMatchesCold(t testing.TB, what string, sp *spec.Spec, sets ...string) {
 		if err != nil {
 			t.Fatalf("%s: set %d: %v\n%s", what, i, err, set)
 		}
-		if err := byRules.Sync(rules); err != nil {
+		if err := byRules.Sync(context.Background(), compiler.Source{Rules: rules}); err != nil {
 			t.Fatalf("%s: set %d: %v", what, i, err)
 		}
-		if err := byText.SyncSource(context.Background(), set); err != nil {
+		if err := byText.Sync(context.Background(), compiler.Source{Text: set}); err != nil {
 			t.Fatalf("%s: set %d: %v", what, i, err)
 		}
 		cold, err := compiled(compiler.Observe(context.Background(), sp, compiler.Source{Text: set}, compiler.Options{}, nil))
@@ -187,7 +187,7 @@ func syncMatchesCold(t testing.TB, what string, sp *spec.Spec, sets ...string) {
 		for _, route := range []struct {
 			name string
 			sess *compiler.Session
-		}{{"Sync", byRules}, {"SyncSource", byText}} {
+		}{{"rules", byRules}, {"text", byText}} {
 			got, err := route.sess.RecompilePass()
 			if err != nil {
 				t.Fatalf("%s: set %d: %s: %v", what, i, route.name, err)

@@ -1,6 +1,7 @@
 package compiler_test
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -99,14 +100,14 @@ func TestCompileGolden(t *testing.T) {
 			slices.Reverse(churn)
 			for _, when := range []string{"cold", "churned"} {
 				if when == "churned" {
-					if err := sess.Sync(churn); err != nil {
+					if err := sess.Sync(context.Background(), compiler.Source{Rules: churn}); err != nil {
 						t.Fatal(err)
 					}
 					if _, err := sess.Recompile(); err != nil {
 						t.Fatal(err)
 					}
 				}
-				if err := sess.Sync(c.rules); err != nil {
+				if err := sess.Sync(context.Background(), compiler.Source{Rules: c.rules}); err != nil {
 					t.Fatal(err)
 				}
 				pass, err := sess.RecompilePass()

@@ -61,7 +61,7 @@ func TestSessionRetainedUnderChurn(t *testing.T) {
 		for _, r := range live {
 			text.WriteString(r.String() + "\n")
 		}
-		if err := s.SyncSource(context.Background(), text.String()); err != nil {
+		if err := s.Sync(context.Background(), compiler.Source{Text: text.String()}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := s.Recompile(); err != nil {

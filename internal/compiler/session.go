@@ -28,9 +28,8 @@ import (
 // Stats, same table entries, same Dump), and what a recompile builds is
 // garbage once its program is made.
 //
-// A caller that holds whole rule sets hands each to SyncSource, as text, or
-// to Sync, parsed; one that tracks rules itself adds and removes them by
-// handle.
+// A caller that holds whole rule sets hands each to Sync, as text or
+// parsed; one that tracks rules itself adds and removes them by handle.
 //
 // A Session is not safe for concurrent use.
 type Session struct {
@@ -61,9 +60,6 @@ type liveRule struct {
 func NewSession(sp *spec.Spec, opts Options) *Session {
 	return &Session{sp: sp, opts: opts, res: newResolver(sp), byKey: make(map[sum128]int32)}
 }
-
-// Len returns the number of live rules, repeats included.
-func (s *Session) Len() int { return len(s.order) }
 
 // ArenaNodes reports the number of BDD nodes the last recompile built.
 func (s *Session) ArenaNodes() int { return s.nodes }
@@ -193,18 +189,29 @@ func (y *syncing) commit(ctx context.Context, n int, normalize func(int) ([]lang
 	return nil
 }
 
-// SyncSource makes the rules of a source text the live set, in its order,
-// repeats included. Rules are told apart by the bytes of their lines: only a
-// line whose bytes are not live is parsed, normalized and resolved, in
-// chunks, in parallel, with the whole source's rule IDs, lines and columns.
-// A source CompileSource would refuse fails with CompileSource's error, and
-// a sync that fails or that gives up, between chunks, once ctx is done
-// leaves the live set as it was.
-func (s *Session) SyncSource(ctx context.Context, src string) error {
-	y := s.syncing(strings.Count(src, "\n") + 1)
-	c := textChunks{src: src}
-	lang.Lines(src, func(l lang.Line) {
-		text := src[l.Start:l.End]
+// Sync makes the rules of src the live set, in their order, repeats
+// included. Rules are told apart by their text — a line's bytes, or a parsed
+// rule's lang.Rule.String — and only a rule whose text is not live is
+// parsed, normalized and resolved: in chunks, in parallel, text with the
+// whole source's rule IDs, lines and columns. A set Compile or CompileSource
+// would refuse fails with its error, and a sync that fails or that gives up,
+// between chunks, once ctx is done leaves the live set as it was.
+func (s *Session) Sync(ctx context.Context, src Source) error {
+	if src.Rules != nil {
+		y := s.syncing(len(src.Rules))
+		var fresh []lang.Rule
+		for _, r := range src.Rules {
+			if y.next(ruleKey(r.String())) {
+				fresh = append(fresh, r)
+			}
+		}
+		n, normalize := Source{Rules: fresh}.chunks()
+		return y.commit(ctx, n, normalize)
+	}
+	y := s.syncing(strings.Count(src.Text, "\n") + 1)
+	c := textChunks{src: src.Text}
+	lang.Lines(src.Text, func(l lang.Line) {
+		text := src.Text[l.Start:l.End]
 		if text[len(text)-1] == '\n' {
 			text = text[:len(text)-1]
 		}
@@ -213,22 +220,6 @@ func (s *Session) SyncSource(ctx context.Context, src string) error {
 		}
 	})
 	return y.commit(ctx, len(c.chunks), c.normalize)
-}
-
-// Sync makes rules the live set, in their order, repeats included, telling
-// rules apart by their text (lang.Rule.String): only a rule whose text is not
-// live is normalized and resolved. A set with a rule that fails to resolve
-// changes nothing.
-func (s *Session) Sync(rules []lang.Rule) error {
-	y := s.syncing(len(rules))
-	var fresh []lang.Rule
-	for _, r := range rules {
-		if y.next(ruleKey(r.String())) {
-			fresh = append(fresh, r)
-		}
-	}
-	n, normalize := Source{Rules: fresh}.chunks()
-	return y.commit(context.Background(), n, normalize)
 }
 
 // RemoveRules drops rules by handle, every place each holds in the live

@@ -146,12 +146,12 @@ func TestSessionArenaTrimmed(t *testing.T) {
 	if len(s.res.actions) > 4 || len(s.rules) > 3 {
 		t.Fatalf("after 40 rounds of churn the session holds %d payload IDs and %d handles for %d live rules", len(s.res.actions), len(s.rules), s.Len())
 	}
-	// The same through SyncSource: each set keeps one rule of the last and
+	// The same from text: each set keeps one rule of the last and
 	// brings two, so at most five rules' IDs and handles are ever taken.
 	s = NewSession(sp, Options{})
 	for round := 0; round < 40; round++ {
 		src := fmt.Sprintf("stock == GOOGL : fwd(1)\nstock == AAPL && price > %d : fwd(3)\nstock == MSFT && avg(price) < %d : fwd(4)\n", 10+round, 900-round)
-		if err := s.SyncSource(context.Background(), src); err != nil {
+		if err := s.Sync(context.Background(), Source{Text: src}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -247,7 +247,7 @@ func TestSessionSync(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Sync(set); (err != nil) != tc.err {
+			if err := s.Sync(context.Background(), Source{Rules: set}); (err != nil) != tc.err {
 				t.Fatalf("Sync: error %v, want one: %v", err, tc.err)
 			}
 			if s.Len() != tc.len {
@@ -302,24 +302,24 @@ func TestSessionSyncIsCompileOfTheSet(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rulesErr := rules.Sync(parsed)
-			textErr := text.SyncSource(context.Background(), set)
+			rulesErr := rules.Sync(context.Background(), Source{Rules: parsed})
+			textErr := text.Sync(context.Background(), Source{Text: set})
 			if _, wantErr := CompileSource(sp, set, Options{}); wantErr != nil {
 				// A set that fails changes nothing; the next must still be
 				// CompileSource's.
 				if rulesErr == nil || textErr == nil || textErr.Error() != wantErr.Error() {
-					t.Fatalf("to %q: Sync %v, SyncSource %v, CompileSource %v", set, rulesErr, textErr, wantErr)
+					t.Fatalf("to %q: Sync of rules %v, of text %v, CompileSource %v", set, rulesErr, textErr, wantErr)
 				}
 				continue
 			}
 			if rulesErr != nil || textErr != nil {
-				t.Fatalf("to %q: Sync %v, SyncSource %v", set, rulesErr, textErr)
+				t.Fatalf("to %q: Sync of rules %v, of text %v", set, rulesErr, textErr)
 			}
 			want := compileSrc(t, sp, set, Options{})
 			for _, route := range []struct {
 				name string
 				s    *Session
-			}{{"Sync", rules}, {"SyncSource", text}} {
+			}{{"rules", rules}, {"text", text}} {
 				got, err := route.s.Recompile()
 				if err != nil {
 					t.Fatal(err)

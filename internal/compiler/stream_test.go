@@ -130,7 +130,7 @@ func TestStreamedEqualsWhole(t *testing.T) {
 				}
 			}
 			sess := compiler.NewSession(s.sp, compiler.Options{Workers: 2})
-			if err := sess.SyncSource(context.Background(), s.src); err != nil {
+			if err := sess.Sync(context.Background(), compiler.Source{Text: s.src}); err != nil {
 				t.Fatal(err)
 			}
 			if pass, err := sess.RecompilePass(); err != nil || programDigest(pass) != want {
@@ -207,7 +207,7 @@ func TestCompileSourceStopsWhenContextIsDone(t *testing.T) {
 		t.Fatalf("cold: err = %v, want context.Canceled", err)
 	}
 	sess := compiler.NewSession(workload.ITCHSpec(), compiler.Options{})
-	if err := sess.SyncSource(ctx, src); !errors.Is(err, context.Canceled) || sess.Len() != 0 {
+	if err := sess.Sync(ctx, compiler.Source{Text: src}); !errors.Is(err, context.Canceled) || sess.Len() != 0 {
 		t.Fatalf("session: err = %v, %d rules live, want context.Canceled and none", err, sess.Len())
 	}
 }

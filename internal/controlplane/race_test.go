@@ -54,7 +54,7 @@ type route struct {
 // syncUpdate is the incremental route: the session Syncs to rules, and its
 // recompile goes in through Controller.Update.
 func syncUpdate(ctx context.Context, ctl *Controller, sess *compiler.Session, rules []lang.Rule) (Delta, error) {
-	if err := sess.Sync(rules); err != nil {
+	if err := sess.Sync(context.Background(), compiler.Source{Rules: rules}); err != nil {
 		return Delta{}, err
 	}
 	pass, err := sess.RecompilePass()
@@ -70,7 +70,7 @@ func syncUpdate(ctx context.Context, ctl *Controller, sess *compiler.Session, ru
 func syncSwitch(t *testing.T, sp *spec.Spec, initial []lang.Rule, cfg pipeline.Config) (*compiler.Session, *pipeline.Switch, *faults.FlakyDevice, *Controller) {
 	t.Helper()
 	sess := compiler.NewSession(sp, compiler.Options{})
-	if err := sess.Sync(initial); err != nil {
+	if err := sess.Sync(context.Background(), compiler.Source{Rules: initial}); err != nil {
 		t.Fatal(err)
 	}
 	prog, err := sess.Recompile()

@@ -105,7 +105,7 @@ func (ps *PubSub) SetSubscriptionsContext(ctx context.Context, src string) (cont
 func (ps *PubSub) Compile(ctx context.Context, src string) (*compiler.Program, error) {
 	ps.compileMu.Lock()
 	defer ps.compileMu.Unlock()
-	err := ps.sess.SyncSource(ctx, src)
+	err := ps.sess.Sync(ctx, compiler.Source{Text: src})
 	var prog *compiler.Program
 	if err == nil {
 		prog, err = ps.sess.Recompile()

@@ -28,7 +28,7 @@ func TestPortStateHotPrefixFitsALine(t *testing.T) {
 // single-port bucket ahead of every group bucket, which delivered [B, A]
 // as A then B. One bucket still frames all of its messages together, so
 // an interleaving like [B, A, B] reaches port 1 as B, B, A; keeping that
-// order too is ROADMAP item 2's.
+// order too belongs to ROADMAP's "Egress is the bound" item.
 func TestEgressFirstTouchOrder(t *testing.T) {
 	sub1, sub2 := listenUDP(t), listenUDP(t)
 	sw, err := Listen(Config{

@@ -223,7 +223,7 @@ func (c *Controller) Apply(ctx context.Context, rules []lang.Rule) (Epoch, error
 	downPorts := make([]int, c.cfg.Leaves)
 	for j, part := range parts {
 		ep.LeafRules[j] = len(part)
-		if err = c.sessions[j].Sync(part); err == nil {
+		if err = c.sessions[j].Sync(ctx, compiler.Source{Rules: part}); err == nil {
 			leaves[j], err = c.sessions[j].RecompilePass()
 		}
 		if err != nil {

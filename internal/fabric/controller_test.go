@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -99,6 +100,29 @@ func TestEpochCommitsAllMembers(t *testing.T) {
 		if !decidesSome(d.Program()) {
 			t.Fatalf("device %d still on the empty program: no row decides a packet", i)
 		}
+	}
+}
+
+// TestEpochHonorsDoneContext: Apply resolves new rules under its own ctx,
+// so an epoch begun once ctx is done gives up before any device is
+// written, and the next Apply commits the same rules.
+func TestEpochHonorsDoneContext(t *testing.T) {
+	ctl, devs, _ := testFabricDevices(t, 2, 1)
+	rules := workload.ITCHSubscriptions(workload.ITCHSubsConfig{
+		Subscriptions: 40, Stocks: 10, Hosts: 8, PriceMax: 1000, PriceGrid: 10, Seed: 4,
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := ctl.Apply(ctx, rules); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Apply under a done context: error = %v, want context.Canceled", err)
+	}
+	for i, d := range devs {
+		if d.Calls() != 0 {
+			t.Fatalf("device %d written by an epoch whose context was done (%d calls)", i, d.Calls())
+		}
+	}
+	if ep, err := ctl.Apply(context.Background(), rules); err != nil || ep.Seq != 1 {
+		t.Fatalf("the next Apply: epoch %d, error %v; want epoch 1", ep.Seq, err)
 	}
 }
 

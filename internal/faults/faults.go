@@ -116,7 +116,8 @@ func (in *Injector) DelayBy() time.Duration { return in.plan.DelayBy }
 //	seed=7,drop=0.01,dup=0.005,reorder=0.01,delay=0.002:500us
 //
 // delay takes probability or probability:duration (default duration
-// 200µs). An empty string yields the zero (disabled) plan.
+// 200µs). A probability is in [0, 1] and a duration is not negative. An
+// empty string yields the zero (disabled) plan.
 func ParsePlan(s string) (Plan, error) {
 	var p Plan
 	s = strings.TrimSpace(s)
@@ -142,15 +143,15 @@ func ParsePlan(s string) (Plan, error) {
 			if key == "delay" {
 				if colon := strings.IndexByte(val, ':'); colon >= 0 {
 					d, err := time.ParseDuration(val[colon+1:])
-					if err != nil {
-						return Plan{}, fmt.Errorf("faults: bad delay duration %q: %v", val[colon+1:], err)
+					if err != nil || d < 0 {
+						return Plan{}, fmt.Errorf("faults: bad delay duration %q: want a duration of 0 or more", val[colon+1:])
 					}
 					p.DelayBy = d
 					prob = val[:colon]
 				}
 			}
 			f, err := strconv.ParseFloat(prob, 64)
-			if err != nil || f < 0 || f > 1 {
+			if err != nil || !(f >= 0 && f <= 1) { // NaN fails too
 				return Plan{}, fmt.Errorf("faults: bad probability %q for %s", prob, key)
 			}
 			switch key {

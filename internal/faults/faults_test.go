@@ -79,7 +79,7 @@ func TestParsePlan(t *testing.T) {
 	if p, err = ParsePlan(""); err != nil || p.Enabled() {
 		t.Fatalf("empty plan: %+v %v", p, err)
 	}
-	for _, bad := range []string{"drop", "drop=2", "drop=-1", "frob=1", "seed=x", "delay=0.1:nope"} {
+	for _, bad := range []string{"drop", "drop=2", "drop=-1", "frob=1", "seed=x", "delay=0.1:nope", "drop=NaN", "dup=nan", "delay=0.5:-5ms"} {
 		if _, err := ParsePlan(bad); err == nil {
 			t.Fatalf("ParsePlan(%q) succeeded", bad)
 		}

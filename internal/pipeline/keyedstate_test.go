@@ -3,6 +3,7 @@ package pipeline
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"unsafe"
 
 	"camus/internal/compiler"
+	"camus/internal/itch"
 	"camus/internal/spec"
 	"camus/internal/workload"
 )
@@ -272,7 +274,9 @@ func TestKeyedVarsSorted(t *testing.T) {
 }
 
 // oracleCell mirrors one (slot, key) accumulator with the same
-// epoch-aligned tumbling semantics, behind a plain map and mutex.
+// epoch-aligned tumbling semantics, behind a plain map and mutex. It
+// numbers windows itself (windowOf), not with the engine's epochStart, so
+// an engine window that never rolls differs from the model.
 type oracleCell struct {
 	win                        int64
 	count, sum, min, max, last uint64
@@ -292,7 +296,7 @@ func (o *oracleState) update(slot int, key uint64, zeroArg bool, arg uint64, win
 	if zeroArg {
 		v = 0
 	}
-	cur := epochStart(now, window)
+	cur := windowOf(now, window)
 	k := [2]uint64{uint64(slot), key}
 	c := o.cells[k]
 	if c == nil {
@@ -321,18 +325,32 @@ func (o *oracleState) read(slot int, key uint64, agg AggKind, window, now time.D
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	c := o.cells[[2]uint64{uint64(slot), key}]
-	if c == nil || (window > 0 && c.win != epochStart(now, window)) {
+	if c == nil || (window > 0 && c.win != windowOf(now, window)) {
 		return 0
 	}
 	return foldAgg(agg, c.count, c.sum, c.min, c.max, c.last)
 }
 
+// windowOf numbers the tumbling window holding now; a plain register
+// (window 0) has one window.
+func windowOf(now, window time.Duration) int64 {
+	if window <= 0 {
+		return 0
+	}
+	return int64(now / window)
+}
+
 // TestKeyedDifferentialOracle holds the engine to the map+mutex model,
 // the baseline every retired state path was measured against: raw bank
-// operations, then whole scenario workloads through the switch.
+// operations, then whole ITCH rule sets through the switch.
 func TestKeyedDifferentialOracle(t *testing.T) {
 	t.Run("random-ops", oracleRandomOps)
-	t.Run("scenarios", oracleScenarios)
+	t.Run("scenarios", func(t *testing.T) {
+		orders := stockOrders(20000, 5)
+		for _, sc := range statefulITCH(t) {
+			t.Run(sc.name, func(t *testing.T) { oracleReplay(t, sc, orders) })
+		}
+	})
 }
 
 // oracleRandomOps is the keyed-bank quick-check: random keys, arguments
@@ -461,102 +479,163 @@ func oracleRandomOps(t *testing.T) {
 	}
 }
 
-// oracleScenarios replays both stateful scenario workloads through the
-// switch at 1 and 4 lanes — packets sharded to lanes by flow key, one
-// goroutine per lane, as the dataplane drives it — and requires every
-// forwarding decision to equal the model's: the same install-time
-// descriptors over the map oracle, matched by the reference table walk
-// (compiler.Table.Lookup) instead of the flattened lookups.
-func oracleScenarios(t *testing.T) {
-	const packets = 20000
-	for _, sc := range workload.Scenarios() {
-		sp, err := spec.Parse(sc.SpecSrc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prog, err := compiler.CompileSource(sp, sc.RulesSrc, compiler.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// 10k packets per second of feed time: the run crosses the
-		// scenarios' 1s tumbling-window boundary.
-		gen := sc.NewGen(workload.ScenarioFeedConfig{Keys: 64, Rate: 10000, Seed: 5}, func(name string) (int, bool) {
-			i, err := prog.FieldIndex(name)
-			return i, err == nil
-		})
-		vals := make([][]uint64, packets)
-		at := make([]time.Duration, packets)
-		keys := make([]uint64, packets)
-		for i := range vals {
-			vals[i] = make([]uint64, len(prog.Fields))
-			at[i] = gen.Next(vals[i])
-			keys[i] = gen.Key(vals[i])
-		}
+// itchStatefulRules restates the benchmark's itch-stateful rules
+// (benchmark/workloads.go): per stock, a count and a price sample over
+// 10 ms windows; a stock's orders pass (port 1) or are scrubbed (port 2)
+// by their average price while its window count is in [8, 14), and are
+// dropped otherwise. The last two rules add the one conditional update:
+// large orders are counted per stock, and a stock over its rate with four
+// of them in the window is scrubbed, not dropped.
+const itchStatefulRules = `true : rate[add_order.stock] <- count()
+true : px[add_order.stock] <- sample(add_order.price)
+rate[add_order.stock] >= 8 && rate[add_order.stock] < 14 && avg(px)[add_order.stock] > 500 : fwd(1)
+rate[add_order.stock] >= 8 && rate[add_order.stock] < 14 && avg(px)[add_order.stock] <= 500 : fwd(2)
+add_order.shares >= 500 : big[add_order.stock] <- count()
+rate[add_order.stock] >= 14 && big[add_order.stock] >= 4 : fwd(2)
+`
 
-		// Model decisions, serially in feed order. Per-key order is all
-		// that matters: a packet reads and writes only its own key's state.
+// statefulCase is a keyed rule set over the ITCH add-order format.
+type statefulCase struct {
+	name string
+	prog *compiler.Program
+}
+
+// statefulITCH compiles the two rule sets the oracle replays: the
+// benchmark's itch-stateful rules and the checked-in rate limiter.
+func statefulITCH(t *testing.T) []statefulCase {
+	sp, err := spec.Parse(workload.ITCHSpecSource + "@query_counter(rate, 10000)\n@query_counter(px, 10000)\n@query_counter(big, 10000)\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.SetFieldOrder("stock", "price", "shares"); err != nil {
+		t.Fatal(err)
+	}
+	stateful, err := compiler.CompileSource(sp, itchStatefulRules, compiler.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specSrc, err := os.ReadFile("../../examples/rules/ratelimit.spec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rulesSrc, err := os.ReadFile("../../examples/rules/ratelimit.rules")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp, err = spec.Parse(string(specSrc)); err != nil {
+		t.Fatal(err)
+	}
+	ratelimit, err := compiler.CompileSource(sp, string(rulesSrc), compiler.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []statefulCase{{"itch-stateful", stateful}, {"ratelimit", ratelimit}}
+}
+
+// stockOrders is an ITCH add-order feed: n orders over 500 stocks drawn
+// Zipf(1.3), one every 2 µs, with price and shares uniform in [1, 1000).
+// 20,000 orders are 40 ms of feed: a 10 ms window rolls three times, the
+// rate limiter's 100 µs window 399 times.
+func stockOrders(n int, seed int64) []itch.AddOrder {
+	r := rand.New(rand.NewSource(seed))
+	zipf := rand.NewZipf(r, 1.3, 1, 499)
+	out := make([]itch.AddOrder, n)
+	for i := range out {
+		sym := zipf.Uint64()
+		out[i] = itch.AddOrder{StockLocate: uint16(sym), Side: itch.Buy,
+			Shares: uint32(1 + r.Intn(999)), Price: uint32(1 + r.Intn(999))}
+		out[i].SetStock(fmt.Sprintf("S%05d", sym))
+	}
+	return out
+}
+
+const orderGap = 2 * time.Microsecond
+
+// oracleReplay replays the feed through the switch at 1 and 4 lanes —
+// orders sharded to lanes by stock locate, one goroutine per lane, as the
+// dataplane drives it — and requires every forwarding decision to equal
+// the model's: the same install-time descriptors over the map oracle,
+// matched by the reference table walk (compiler.Table.Lookup) instead of
+// the flattened lookups. Every action of the program must decide at
+// least one order, so every outcome of the rules is held to the model.
+func oracleReplay(t *testing.T, sc statefulCase, orders []itch.AddOrder) {
+	prog := sc.prog
+	ex, err := itch.NewExtractor(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := make([][]uint64, len(orders))
+	for i := range orders {
+		vals[i] = ex.Values(&orders[i], nil)
+	}
+
+	// Model decisions, serially in feed order. Per-key order is all that
+	// matters: an order reads and writes only its own stock's state.
+	sw, err := New(prog, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := sw.inst.Load()
+	oracle := newOracle()
+	want := make([]compiler.PortSet, len(orders))
+	decided := make([]int, len(prog.Actions))
+	row := make([]uint64, len(prog.Fields))
+	for i := range vals {
+		copy(row, vals[i])
+		act := modelProcess(in, oracle, row, time.Duration(i)*orderGap)
+		if act >= 0 {
+			decided[act]++
+			want[i] = prog.Actions[act].Ports
+		}
+	}
+	for act, n := range decided {
+		if n == 0 {
+			t.Fatalf("action %d (%v) decides no order: the feed does not reach every outcome", act, prog.Actions[act])
+		}
+	}
+
+	for _, lanes := range []int{1, 4} {
 		sw, err := New(prog, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		in := sw.inst.Load()
-		oracle := newOracle()
-		want := make([]compiler.PortSet, packets)
-		alerts, forwards := 0, 0
-		row := make([]uint64, len(prog.Fields))
-		for i := range vals {
-			copy(row, vals[i])
-			want[i] = modelProcess(in, oracle, row, at[i])
-			if want[i].Contains(sc.AlertPort) {
-				alerts++
-			} else if want[i].Contains(sc.ForwardPort) {
-				forwards++
-			}
-		}
-		if alerts == 0 || forwards == 0 {
-			t.Fatalf("%s: degenerate run (forwards=%d alerts=%d)", sc.Name, forwards, alerts)
-		}
-
-		for _, lanes := range []int{1, 4} {
-			sw, err := New(prog, DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			sw.State().EnsureLanes(lanes)
-			got := make([]compiler.PortSet, packets)
-			var wg sync.WaitGroup
-			for l := 0; l < lanes; l++ {
-				wg.Add(1)
-				go func(l int) {
-					defer wg.Done()
-					row := [][]uint64{make([]uint64, len(prog.Fields))}
-					out := make([]Result, 1)
-					for i := range vals {
-						if int(keys[i]%uint64(lanes)) == l {
-							copy(row[0], vals[i])
-							sw.ProcessBatchOn(sw.Generation(), l, row, at[i:i+1], out)
-							got[i] = out[0].Ports
-						}
+		sw.State().EnsureLanes(lanes)
+		got := make([]compiler.PortSet, len(orders))
+		var wg sync.WaitGroup
+		for l := 0; l < lanes; l++ {
+			wg.Add(1)
+			go func(l int) {
+				defer wg.Done()
+				row := [][]uint64{make([]uint64, len(prog.Fields))}
+				now := make([]time.Duration, 1)
+				out := make([]Result, 1)
+				for i := range vals {
+					if int(orders[i].StockLocate)%lanes == l {
+						copy(row[0], vals[i])
+						now[0] = time.Duration(i) * orderGap
+						sw.ProcessBatchOn(sw.Generation(), l, row, now, out)
+						got[i] = out[0].Ports
 					}
-				}(l)
-			}
-			wg.Wait()
-			if s := sw.State().Stats(); s.EvictLossy != 0 {
-				t.Fatalf("%s lanes=%d: %d lossy evictions; the model is unbounded", sc.Name, lanes, s.EvictLossy)
-			}
-			for i := range want {
-				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Fatalf("%s lanes=%d packet %d (key %d at %v): engine %v, model %v",
-						sc.Name, lanes, i, keys[i], at[i], got[i], want[i])
 				}
+			}(l)
+		}
+		wg.Wait()
+		if s := sw.State().Stats(); s.EvictLossy != 0 {
+			t.Fatalf("lanes=%d: %d lossy evictions; the model is unbounded", lanes, s.EvictLossy)
+		}
+		for i := range want {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("lanes=%d order %d (%s at %v): engine %v, model %v",
+					lanes, i, orders[i].StockSymbol(), time.Duration(i)*orderGap, got[i], want[i])
 			}
 		}
 	}
 }
 
 // modelProcess is processOne over the oracle: state reads, the reference
-// table walk, then the matched action's updates.
-func modelProcess(in *Generation, o *oracleState, vals []uint64, now time.Duration) compiler.PortSet {
+// table walk, then the matched action's updates. It returns the action
+// that decides, or -1.
+func modelProcess(in *Generation, o *oracleState, vals []uint64, now time.Duration) int {
 	key := func(idx int32) uint64 {
 		if idx < 0 {
 			return 0
@@ -578,12 +657,12 @@ func modelProcess(in *Generation, o *oracleState, vals []uint64, now time.Durati
 		}
 	}
 	if !ok {
-		return compiler.PortSet{}
+		return -1
 	}
 	for _, u := range in.upds[act] {
 		o.update(int(u.slot), key(u.keyIdx), u.zeroArg, key(u.argIdx), u.window, now)
 	}
-	return in.prog.Actions[act].Ports
+	return act
 }
 
 // TestKeyedStateZeroAlloc pins the engine's packet-path allocation

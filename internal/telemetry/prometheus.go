@@ -15,7 +15,7 @@ import (
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	all := r.snapshotSeries()
 
-	// TYPE/HELP lines are per metric name; series of one name must be
+	// TYPE lines are per metric name; series of one name must be
 	// grouped together in the output. Preserve first-registration order
 	// of names, then key order within a name for determinism.
 	byName := make(map[string][]*series)
@@ -30,11 +30,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, name := range names {
 		group := byName[name]
 		sort.Slice(group, func(i, j int) bool { return group[i].key < group[j].key })
-		if help := groupHelp(group); help != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, help); err != nil {
-				return err
-			}
-		}
 		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", name, promType(group[0].kind)); err != nil {
 			return err
 		}
@@ -45,15 +40,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-func groupHelp(group []*series) string {
-	for _, s := range group {
-		if s.help != "" {
-			return s.help
-		}
-	}
-	return ""
 }
 
 func promType(k metricKind) string {

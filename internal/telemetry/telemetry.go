@@ -143,7 +143,6 @@ type series struct {
 	name string // bare metric name (no labels)
 	key  string // seriesKey(name, labels)
 	kind metricKind
-	help string
 
 	counter *Counter
 	gauge   *Gauge
@@ -169,13 +168,6 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{series: make(map[string]*series)}
-}
-
-// help registers/overrides the help string of a metric name.
-func (r *Registry) setHelp(s *series, help string) {
-	if help != "" {
-		s.help = help
-	}
 }
 
 // lookup returns the series for key, or nil.
@@ -303,21 +295,6 @@ func (r *Registry) registerFunc(name string, kind metricKind, fn func() float64,
 	r.order = append(r.order, key)
 }
 
-// Help sets the HELP string emitted for a metric name (applies to every
-// series of that name).
-func (r *Registry) Help(name, help string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, key := range r.order {
-		if s := r.series[key]; s.name == name {
-			r.setHelp(s, help)
-		}
-	}
-}
-
 // snapshotSeries returns the registered series in stable order.
 func (r *Registry) snapshotSeries() []*series {
 	if r == nil {
@@ -333,8 +310,8 @@ func (r *Registry) snapshotSeries() []*series {
 }
 
 // Telemetry bundles the registry and tracer one deployment shares across
-// its compiler, control plane, pipeline, and dataplane. It is the value
-// the top-level camus facade passes around (camus.WithTelemetry).
+// its compiler, control plane, pipeline, and dataplane; each component's
+// Config carries it, or the *Registry it returns from Reg.
 //
 // A *Telemetry is nil for every uninstrumented component, so its fields
 // are reached only through the nil-safe Reg and Trc.
@@ -349,10 +326,6 @@ func New() *Telemetry {
 	reg := NewRegistry()
 	return &Telemetry{registry: reg, tracer: NewTracer(reg, 0)}
 }
-
-// FromRegistry returns a Telemetry over reg with no tracer: spans are
-// recorded nowhere.
-func FromRegistry(reg *Registry) *Telemetry { return &Telemetry{registry: reg} }
 
 // Reg returns the registry, nil-safe.
 func (t *Telemetry) Reg() *Registry {

@@ -64,7 +64,6 @@ func TestNilRegistryReturnsDetachedInstruments(t *testing.T) {
 	}
 	r.RegisterCounter("y_total", c)
 	r.CounterFunc("z_total", func() float64 { return 1 })
-	r.Help("x_total", "help")
 }
 
 func TestRegistryGetOrCreateIdentity(t *testing.T) {
@@ -139,14 +138,12 @@ func TestPrometheusGolden(t *testing.T) {
 	r.Counter("camus_pipeline_table_hits_total", L("table", "price")).Add(3)
 	r.Gauge("camus_pipeline_sram_used").Set(1200)
 	r.GaugeFunc("camus_pipeline_occupancy_ratio", func() float64 { return 0.5 })
-	r.Help("camus_pipeline_packets_total", "Packets processed by the pipeline.")
 
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	want := `# HELP camus_pipeline_packets_total Packets processed by the pipeline.
-# TYPE camus_pipeline_packets_total counter
+	want := `# TYPE camus_pipeline_packets_total counter
 camus_pipeline_packets_total 42
 # TYPE camus_pipeline_table_hits_total counter
 camus_pipeline_table_hits_total{table="price"} 3
@@ -278,20 +275,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if back.Counters["camus_x_total"] != 9 {
 		t.Error("round-tripped counter lost")
-	}
-}
-
-// TestFromRegistryRecordsNoSpans: a bundle over a bare registry
-// snapshots that registry and has no tracer.
-func TestFromRegistryRecordsNoSpans(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("camus_x_total").Inc()
-	tel := FromRegistry(reg)
-	if tel.Reg() != reg || tel.Trc() != nil {
-		t.Fatalf("FromRegistry: Reg() = %p, Trc() = %p; want the registry and no tracer", tel.Reg(), tel.Trc())
-	}
-	if snap := tel.Snapshot(); snap.Counters["camus_x_total"] != 1 || snap.Spans != nil {
-		t.Errorf("snapshot = %+v, want the registry's counter and no spans", snap)
 	}
 }
 
