@@ -21,16 +21,11 @@
 // seeded drop/duplication/reordering/delay on the dataplane sockets for
 // chaos testing.
 //
-// -workers sets how many lanes process ingress (per-instrument ordering
-// and per-port sequencing are preserved), and -batch how many datagrams
-// each socket operation moves where recvmmsg/sendmmsg is available.
-// -ingress picks the topology of the one reader→lane loop — how many
-// sockets, and which lane owns a datagram: one shared socket, owner by
-// ITCH stock locate (the default); a SO_REUSEPORT socket per lane, owner
-// is the lane the kernel's flow hash delivered to (-ingress reuseport, for
-// publishers that fan instruments out across flows); or a socket per lane,
-// owner by locate (-ingress reshard — safe for any feed including a single
-// flow). A read error on any ingress socket stops the switch.
+// -workers sets how many lanes process ingress; a datagram is owned by the
+// lane its ITCH stock locate selects, so per-instrument ordering and
+// per-port sequencing are preserved. On Linux each lane reads its own
+// SO_REUSEPORT socket bound to -listen. A read error on any ingress socket
+// stops the switch. A flag the chosen mode does not read is a usage error.
 package main
 
 import (
@@ -62,15 +57,12 @@ type portMap map[int]string
 func (p portMap) String() string { return fmt.Sprintf("%v", map[int]string(p)) }
 
 func (p portMap) Set(v string) error {
-	eq := strings.IndexByte(v, '=')
-	if eq < 0 {
+	port, addr, ok := strings.Cut(v, "=")
+	n, err := strconv.Atoi(port)
+	if !ok || err != nil {
 		return fmt.Errorf("want PORT=HOST:PORT, got %q", v)
 	}
-	port, err := strconv.Atoi(v[:eq])
-	if err != nil {
-		return fmt.Errorf("bad port number %q", v[:eq])
-	}
-	p[port] = v[eq+1:]
+	p[n] = addr
 	return nil
 }
 
@@ -88,15 +80,17 @@ func main() {
 		heartbeat  = flag.Duration("heartbeat", time.Second, "idle-heartbeat interval per port (0 disables)")
 		faultPlan  = flag.String("fault-plan", "", "inject faults on the dataplane sockets, e.g. seed=7,drop=0.01,dup=0.005,reorder=0.01,delay=0.002:500us")
 		admin      = flag.String("admin", "", "observability HTTP address (e.g. :9090): Prometheus /metrics, JSON /debug/camus, pprof /debug/pprof/")
-		workers    = flag.Int("workers", 1, "processing lanes (1 = the reader processes inline)")
-		batch      = flag.Int("batch", 0, "datagrams per socket operation where recvmmsg/sendmmsg is available (0 = default 32, 1 disables)")
-		ingress    = flag.String("ingress", "auto", "ingress topology: auto = shared (one socket, a datagram is owned by lane locate mod workers), reuseport (one SO_REUSEPORT socket per lane, owned by the lane it arrived on), reshard (a socket per lane, owned by locate mod workers)")
+		workers    = flag.Int("workers", 1, "processing lanes, each owning the instruments whose locate mod workers is its index (1 = the reader processes inline; on Linux one SO_REUSEPORT socket per lane)")
 		fabricMode = flag.Bool("fabric", false, "run an in-process two-hop leaf/spine fabric (covering spines, recovering inter-switch links) instead of a single switch")
 		fabLeaves  = flag.Int("fabric-leaves", 2, "leaf switches for -fabric (host h hangs off leaf h mod leaves)")
 		fabSpines  = flag.Int("fabric-spines", 1, "spine switches for -fabric (spines beyond the first are failover paths)")
 	)
 	flag.Var(ports, "port", "bind switch port to subscriber address, PORT=HOST:PORT (repeatable)")
 	flag.Parse()
+	if mode, unread := unreadFlags(flag.Visit, *demo, *fabricMode); len(unread) > 0 {
+		fmt.Fprintf(os.Stderr, "camus-switch: %s does not read -%s\n", mode, strings.Join(unread, ", -"))
+		os.Exit(2)
+	}
 
 	sp := spec.MustParse(workload.ITCHSpecSource)
 	if *specPath != "" {
@@ -111,19 +105,17 @@ func main() {
 		fatal(err)
 		rules = string(src)
 	}
+	plan, err := faults.ParsePlan(*faultPlan)
+	fatal(err)
+	if *faultPlan != "" {
+		fmt.Fprintf(os.Stderr, "camus-switch: fault plan active: %s\n", *faultPlan)
+	}
 
 	if *demo {
 		runDemo(sp)
 		return
 	}
 	if *fabricMode {
-		var plan faults.Plan
-		if *faultPlan != "" {
-			p, err := faults.ParsePlan(*faultPlan)
-			fatal(err)
-			plan = p
-			fmt.Fprintf(os.Stderr, "camus-switch: inter-switch fault plan active: %s\n", *faultPlan)
-		}
 		if *rulesPath == "" {
 			rules = "stock == GOOGL : fwd(1)\nstock == S001 && shares >= 500 : fwd(2)\n"
 		}
@@ -133,8 +125,6 @@ func main() {
 
 	var wrap func(dataplane.Conn) dataplane.Conn
 	if *faultPlan != "" {
-		plan, err := faults.ParsePlan(*faultPlan)
-		fatal(err)
 		seed := plan.Seed
 		wrap = func(c dataplane.Conn) dataplane.Conn {
 			in, eg := plan, plan
@@ -142,13 +132,6 @@ func main() {
 			seed += 2
 			return faults.WrapConn(c, &in, &eg)
 		}
-		fmt.Fprintf(os.Stderr, "camus-switch: fault plan active: %s\n", *faultPlan)
-	}
-
-	mode, err := dataplane.ParseIngressMode(*ingress)
-	fatal(err)
-	if mode != dataplane.IngressShared && !dataplane.ReusePortAvailable() {
-		fmt.Fprintf(os.Stderr, "camus-switch: SO_REUSEPORT unavailable on this platform; falling back to shared ingress\n")
 	}
 
 	tel := telemetry.New()
@@ -161,8 +144,6 @@ func main() {
 		RetxBuffer:    *retxBuffer,
 		Heartbeat:     *heartbeat,
 		Workers:       *workers,
-		IngressMode:   mode,
-		Batch:         *batch,
 		WrapConn:      wrap,
 		Telemetry:     tel,
 	})
@@ -173,9 +154,9 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "camus-switch: listening on %s (retx %s), %d ports bound, %d table entries installed\n",
 		sw.Addr(), sw.RetxAddr(), len(ports), sw.Program().Stats.TableEntries)
-	fmt.Fprintf(os.Stderr, "camus-switch: config: rules=%s spec=%s session=%q retx-buffer=%d heartbeat=%s workers=%d ingress=%s batch=%d stats=%ds fault-plan=%q admin=%q\n",
+	fmt.Fprintf(os.Stderr, "camus-switch: config: rules=%s spec=%s session=%q retx-buffer=%d heartbeat=%s workers=%d stats=%ds fault-plan=%q admin=%q\n",
 		orDefault(*rulesPath, "<built-in>"), orDefault(*specPath, "<itch-add-order>"),
-		*session, *retxBuffer, *heartbeat, *workers, sw.IngressMode(), *batch, *statsSec, *faultPlan, *admin)
+		*session, *retxBuffer, *heartbeat, *workers, *statsSec, *faultPlan, *admin)
 
 	if *admin != "" {
 		regs := telemetry.DebugRoute{Path: "/debug/registers", Doc: func() any {
@@ -347,6 +328,23 @@ func runFabric(sp *spec.Spec, rulesSrc string, ports portMap, plan faults.Plan, 
 	}
 }
 
+// unreadFlags returns the mode that demo and fabric select, and which of
+// the flags set on the command line (those visit visits) it does not read.
+func unreadFlags(visit func(func(*flag.Flag)), demo, fabric bool) (mode string, unread []string) {
+	mode, reads := "a single switch", " demo fabric listen retx rules spec stats session retx-buffer heartbeat fault-plan admin workers port "
+	if demo {
+		mode, reads = "-demo", " demo spec "
+	} else if fabric {
+		mode, reads = "-fabric", " demo fabric rules spec stats fault-plan admin workers port fabric-leaves fabric-spines "
+	}
+	visit(func(f *flag.Flag) {
+		if !strings.Contains(reads, " "+f.Name+" ") {
+			unread = append(unread, f.Name)
+		}
+	})
+	return mode, unread
+}
+
 // orDefault substitutes def for an empty flag value in the config log.
 func orDefault(v, def string) string {
 	if v == "" {
@@ -366,16 +364,16 @@ func runDemo(sp *spec.Spec) {
 
 	sw, err := dataplane.Listen(dataplane.Config{
 		Spec: sp,
-		Ports: map[int]string{
-			1: sub1.LocalAddr().String(),
-			2: sub2.LocalAddr().String(),
-		},
 		Subscriptions: `
 stock == GOOGL : fwd(1)
 stock == S001 && shares >= 500 : fwd(2)
 `,
 	})
 	fatal(err)
+	for port, sub := range map[int]*net.UDPConn{1: sub1, 2: sub2} {
+		_, err := sw.Subscribe(dataplane.SubscriberConfig{Port: port, Addr: sub.LocalAddr().String()})
+		fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	go sw.Run(ctx)
 	defer cancel()

@@ -38,14 +38,14 @@ func startChaos(t *testing.T, plan faults.Plan, retxBuffer int, rcvTimeout time.
 }
 
 func startChaosWorkers(t *testing.T, plan faults.Plan, retxBuffer int, rcvTimeout time.Duration, workers int) *chaosHarness {
-	return startChaosMode(t, plan, false, retxBuffer, rcvTimeout, workers, IngressShared)
+	return startChaosMode(t, plan, false, retxBuffer, rcvTimeout, workers)
 }
 
 // startChaosMode is the full-control harness entry: egressOnly restricts
 // fault injection to the switch's send side (so the switch sees the
 // publisher's exact ingress order, making per-instrument ordering
-// assertions sharp), and mode selects the ingress architecture.
-func startChaosMode(t *testing.T, plan faults.Plan, egressOnly bool, retxBuffer int, rcvTimeout time.Duration, workers int, mode IngressMode) *chaosHarness {
+// assertions sharp).
+func startChaosMode(t *testing.T, plan faults.Plan, egressOnly bool, retxBuffer int, rcvTimeout time.Duration, workers int) *chaosHarness {
 	t.Helper()
 	h := &chaosHarness{
 		runCh:     make(chan error, 1),
@@ -119,7 +119,6 @@ func startChaosMode(t *testing.T, plan faults.Plan, egressOnly bool, retxBuffer 
 		RetxBuffer:    retxBuffer,
 		Heartbeat:     20 * time.Millisecond,
 		Workers:       workers,
-		IngressMode:   mode,
 		WrapConn:      mkWrap(),
 		Telemetry:     h.tel,
 	})
@@ -350,31 +349,32 @@ func TestChaosRecoveryFullStream(t *testing.T) {
 	}
 }
 
-// TestChaosIngressModes runs the recovery scenario across the ingress
-// architectures — SO_REUSEPORT with a multi-flow publisher, the
-// single-flow re-shard fallback, and the non-Linux stub fallback — at 1
-// and 4 workers. Faults are injected on the switch's send side only, so
-// the assertions are exact: every published message is matched,
-// delivered in dense egress order with no gap declared lost, and within
-// every instrument delivery preserves publish order (zero cross-lane
-// ordering violations).
+// TestChaosIngressModes runs the recovery scenario on SO_REUSEPORT lane
+// sockets and on the forced one-socket fallback (the non-Linux stub), each
+// with a multi-flow and a single-flow publisher, at 1 and 4 workers.
+// Faults are injected on the switch's send side only, so the assertions
+// are exact: every published message is matched, delivered in dense
+// egress order with no gap declared lost, and within every instrument
+// delivery preserves publish order (zero cross-lane ordering violations).
 func TestChaosIngressModes(t *testing.T) {
 	cases := []struct {
 		name  string
-		mode  IngressMode
-		flows int // publisher sockets; 0 = one socket, mixed-locate feed
-		stub  bool
+		flows int  // publisher sockets; 0 = one socket, mixed-locate feed
+		stub  bool // force the one-socket fallback
 	}{
-		{"reuseport-multiflow", IngressReusePort, 8, false},
-		{"reshard-singleflow", IngressReusePortReshard, 0, false},
-		{"stub-fallback", IngressReusePort, 0, true},
+		{"reuseport-multiflow", 8, false},
+		{"reshard-singleflow", 0, false},
+		{"stub-fallback", 0, true},
+		{"stub-fallback-multiflow", 8, true},
 	}
 	for _, tc := range cases {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers-%d", tc.name, workers), func(t *testing.T) {
+				sockets := workers
 				if tc.stub {
 					forceStubFallback(t)
-				} else if !ReusePortAvailable() {
+					sockets = 1
+				} else if !reuseportAvailable {
 					t.Skip("SO_REUSEPORT unavailable on this platform")
 				}
 				total := 3000
@@ -382,9 +382,9 @@ func TestChaosIngressModes(t *testing.T) {
 					total = 600
 				}
 				plan := faults.Plan{Seed: 31, Drop: 0.01, Duplicate: 0.005, Reorder: 0.01}
-				h := startChaosMode(t, plan, true /* egress only */, 0, 15*time.Millisecond, workers, tc.mode)
-				if tc.stub && h.sw.IngressMode() != IngressShared {
-					t.Fatalf("stub fallback ran mode %v, want shared", h.sw.IngressMode())
+				h := startChaosMode(t, plan, true /* egress only */, 0, 15*time.Millisecond, workers)
+				if len(h.sw.conns) != sockets {
+					t.Fatalf("%d ingress sockets, want %d", len(h.sw.conns), sockets)
 				}
 				if tc.flows > 0 {
 					h.publishFlows(t, tc.flows, total, 4)
@@ -418,11 +418,19 @@ func TestChaosIngressModes(t *testing.T) {
 				}
 				h.checkInstrumentOrder(t)
 				resharded := h.sw.stats.Resharded.Load()
-				if tc.mode == IngressReusePortReshard && !tc.stub && workers > 1 && resharded == 0 {
-					t.Fatal("single-flow reshard run moved nothing lane-to-lane")
+				if (tc.flows == 0 || tc.stub) && workers > 1 && resharded == 0 {
+					t.Fatal("single-reader run moved nothing lane-to-lane")
 				}
-				if (tc.mode == IngressReusePort || tc.stub || workers == 1) && resharded != 0 {
+				if workers == 1 && resharded != 0 {
 					t.Fatalf("unexpected re-shard traffic: %d", resharded)
+				}
+				var out, in uint64
+				for _, l := range h.sw.LaneStats() {
+					out += l.ResharedOut
+					in += l.ResharedIn
+				}
+				if out != resharded || in != resharded {
+					t.Fatalf("lanes handed out %d and took in %d datagrams, the switch resharded %d", out, in, resharded)
 				}
 				if h.rcv.stats.Recovered.Load() == 0 {
 					t.Fatal("nothing recovered; test is vacuous")

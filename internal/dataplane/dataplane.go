@@ -130,8 +130,6 @@ type Config struct {
 	// Retx is the retransmission-request listen address (empty binds a
 	// random port on the ingress IP).
 	Retx string
-	// Ports maps Camus switch ports to subscriber UDP addresses.
-	Ports map[int]string
 	// Spec is the message format; Subscriptions the initial rule set.
 	Spec          *spec.Spec
 	Subscriptions string
@@ -149,23 +147,15 @@ type Config struct {
 	// Heartbeat is the idle-heartbeat interval per port (0 disables).
 	Heartbeat time.Duration
 	// Workers is the number of lanes evaluating ingress datagrams
-	// (default 1: one socket whose reader processes inline, whatever the
-	// mode). How datagrams reach the lanes is set by IngressMode; in the
-	// default shared mode the one reader hands each to the lane its first
-	// add-order's ITCH stock locate (instrument) selects, so all messages
-	// of one instrument are processed by the same lane in arrival order;
-	// per-port egress sequence numbering stays dense and race-free at any
-	// worker count.
+	// (default 1: one socket whose reader processes inline). With more,
+	// each datagram is owned by the lane its first add-order's ITCH stock
+	// locate (instrument) selects, locate % Workers, so all messages of one
+	// instrument are processed by the same lane in arrival order; per-port
+	// egress sequence numbering stays dense and race-free at any worker
+	// count. Where the platform has SO_REUSEPORT (Linux) the switch binds
+	// one socket per lane to the ingress address and each socket's reader
+	// hands datagrams to their owners; elsewhere one socket's reader does.
 	Workers int
-	// IngressMode selects the ingress topology — how many sockets are read
-	// and which lane owns a datagram — over the one reader→lane loop:
-	// IngressShared (one socket, owner by locate; the default),
-	// IngressReusePort (one SO_REUSEPORT socket per lane, owner is the lane
-	// the kernel's flow hash delivered to), or IngressReusePortReshard
-	// (per-lane sockets, owner by locate — the correctness fallback for
-	// single-flow feeds). The reuseport modes degrade to IngressShared on
-	// platforms without SO_REUSEPORT.
-	IngressMode IngressMode
 	// Batch is how many datagrams one socket operation moves when the
 	// platform supports batched I/O (recvmmsg/sendmmsg on Linux); on
 	// other platforms and on fault-injection wrapped sockets the same
@@ -173,8 +163,8 @@ type Config struct {
 	// negative or 1 disables batching.
 	Batch int
 	// WrapConn, when non-nil, wraps each socket the switch opens (the
-	// ingress data sockets in lane order — one in shared mode, Workers
-	// of them in the reuseport modes — then retransmission) — the
+	// ingress data sockets in lane order — Workers of them where the
+	// switch binds one per lane, else one — then retransmission) — the
 	// fault-injection hook.
 	WrapConn func(Conn) Conn
 	// Telemetry, when non-nil, receives the switch's forwarding counters,
@@ -244,7 +234,7 @@ func (ps *portState) stamp(hdr []byte, count uint16) {
 // Switch is a running UDP dataplane.
 type Switch struct {
 	conn   Conn   // first ingress socket: egress writes, heartbeats, EOS
-	conns  []Conn // all ingress sockets (one per lane in the reuseport modes)
+	conns  []Conn // all ingress sockets (one per lane where SO_REUSEPORT binds them)
 	retx   Conn
 	engine *core.PubSub
 
@@ -257,7 +247,6 @@ type Switch struct {
 	retxCap   int
 	heartbeat time.Duration
 	batch     int
-	mode      IngressMode // effective ingress mode (platform fallback applied)
 	lanes     []*lane
 
 	// bodies is the shared-buffer free list every egress frame is encoded
@@ -313,17 +302,16 @@ func Listen(cfg Config) (*Switch, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	mode := resolveIngressMode(cfg.IngressMode)
 
 	addr := cfg.Ingress
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}
-	// One socket in shared mode; in the reuseport modes one per lane, all
-	// bound to the same address so the kernel's flow hash spreads publisher
-	// flows across them.
+	// One socket per lane where the platform has SO_REUSEPORT, all bound to
+	// the same address so the kernel's flow hash spreads publisher flows
+	// across them; else one socket.
 	nsock, bind := 1, bindUDP
-	if mode != IngressShared {
+	if workers > 1 && reuseportAvailable {
 		nsock, bind = workers, listenReusePort
 	}
 	var conns []Conn
@@ -336,7 +324,7 @@ func Listen(cfg Config) (*Switch, error) {
 		c, err := bind(addr)
 		if err != nil {
 			closeConns()
-			return nil, fmt.Errorf("dataplane: listen %s socket %d: %w", mode, i, err)
+			return nil, fmt.Errorf("dataplane: listen ingress socket %d: %w", i, err)
 		}
 		// A deep socket buffer absorbs feed microbursts; best effort
 		// (the OS may clamp it).
@@ -367,12 +355,11 @@ func Listen(cfg Config) (*Switch, error) {
 		conns:     conns,
 		retx:      retx,
 		engine:    engine,
-		ports:     make(map[int]*portState, len(cfg.Ports)),
-		bySession: make(map[[10]byte]*portState, len(cfg.Ports)),
+		ports:     make(map[int]*portState),
+		bySession: make(map[[10]byte]*portState),
 		session:   cfg.Session,
 		retxCap:   cfg.RetxBuffer,
 		heartbeat: cfg.Heartbeat,
-		mode:      mode,
 		tel:       cfg.Telemetry,
 		portErrs:  make(map[int]*telemetry.Counter),
 		subCounts: make(map[string]int),
@@ -411,15 +398,8 @@ func Listen(cfg Config) (*Switch, error) {
 		sw.portsG = reg.Gauge("camus_dataplane_ports_bound")
 		reg.GaugeFunc("camus_dataplane_egress_groups", func() float64 { return float64(len(sw.Program().Groups)) })
 		reg.Gauge("camus_dataplane_ingress_lanes").Set(int64(len(sw.lanes)))
-		reg.Gauge("camus_dataplane_ingress_mode", telemetry.L("mode", sw.mode.String())).Set(1)
 		for _, l := range sw.lanes {
 			l.register(reg)
-		}
-	}
-	for port, a := range cfg.Ports {
-		if _, err := sw.Subscribe(SubscriberConfig{Port: port, Addr: a}); err != nil {
-			sw.closeConns()
-			return nil, err
 		}
 	}
 	if cfg.Subscriptions != "" {
@@ -625,13 +605,12 @@ func (sw *Switch) endSession() {
 // its own MoldUDP64 session with a dense sequence space, so subscribers
 // can detect and repair loss.
 //
-// Ingress is one loop under every IngressMode (see runIngress): a reader
-// per ingress socket, and with Config.Workers > 1 outside reuseport mode a
-// processor per lane fed by locate, so each instrument's messages are
-// evaluated in arrival order by a single lane; datagrams of different
-// instruments may be forwarded out of arrival order relative to each
-// other, which the per-port dense sequencing plus receiver-side gap
-// recovery already tolerates. A terminal read error on any ingress socket,
+// Ingress is one loop (see runIngress): a reader per ingress socket, and
+// with Config.Workers > 1 a processor per lane fed by locate, so each
+// instrument's messages are evaluated in arrival order by a single lane;
+// datagrams of different instruments may be forwarded out of arrival
+// order relative to each other, which the per-port dense sequencing plus
+// receiver-side gap recovery already tolerates. A terminal read error on any ingress socket,
 // or a panic while processing, ends Run with that error. Run may be called
 // at most once.
 func (sw *Switch) Run(ctx context.Context) error {
@@ -769,8 +748,8 @@ type groupMsgs struct {
 	ports compiler.PortSet
 }
 
-// newProcState builds a lane's scratch with egress bound to conn — in the
-// reuseport modes each lane ships its egress through its own socket,
+// newProcState builds a lane's scratch with egress bound to conn — where
+// lanes have their own sockets each ships its egress through its own,
 // spreading send-side work the same way ingress is spread — and stateful
 // register writes bound to the lane's own state lane (the pipeline's
 // single-writer contract), so the keyed-state packet path takes no lock.
@@ -990,17 +969,6 @@ func (sw *Switch) portSendError(port int) {
 	}
 	sw.portErrMu.Unlock()
 	c.Add(1)
-}
-
-// PortSendErrors reports how many egress writes to port have failed.
-func (sw *Switch) PortSendErrors(port int) uint64 {
-	sw.portErrMu.Lock()
-	c := sw.portErrs[port]
-	sw.portErrMu.Unlock()
-	if c == nil {
-		return 0
-	}
-	return c.Load()
 }
 
 // heartbeatLoop emits a MoldUDP64 heartbeat on every port that has been

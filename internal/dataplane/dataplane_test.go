@@ -26,22 +26,34 @@ func listenUDP(t *testing.T) *net.UDPConn {
 	return conn
 }
 
+// bindPorts binds each switch port to its subscriber address through
+// Subscribe, the one way a port is bound.
+func bindPorts(tb testing.TB, sw *Switch, ports map[int]string) {
+	tb.Helper()
+	for port, addr := range ports {
+		if _, err := sw.Subscribe(SubscriberConfig{Port: port, Addr: addr}); err != nil {
+			sw.Close()
+			tb.Fatal(err)
+		}
+	}
+}
+
 // startSwitch brings up a dataplane switch with two subscriber sockets.
 func startSwitch(t *testing.T, subs string) (*Switch, *net.UDPConn, *net.UDPConn, *net.UDPConn) {
 	t.Helper()
 	sub1 := listenUDP(t)
 	sub2 := listenUDP(t)
 	sw, err := Listen(Config{
-		Spec: spec.MustParse(workload.ITCHSpecSource),
-		Ports: map[int]string{
-			1: sub1.LocalAddr().String(),
-			2: sub2.LocalAddr().String(),
-		},
+		Spec:          spec.MustParse(workload.ITCHSpecSource),
 		Subscriptions: subs,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	bindPorts(t, sw, map[int]string{
+		1: sub1.LocalAddr().String(),
+		2: sub2.LocalAddr().String(),
+	})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- sw.Run(ctx) }()
@@ -347,10 +359,12 @@ func TestListenValidation(t *testing.T) {
 	if _, err := Listen(Config{}); err == nil {
 		t.Fatal("missing spec should fail")
 	}
-	if _, err := Listen(Config{
-		Spec:  spec.MustParse(workload.ITCHSpecSource),
-		Ports: map[int]string{1: "not-an-address::::"},
-	}); err == nil {
+	sw, err := Listen(Config{Spec: spec.MustParse(workload.ITCHSpecSource)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sw.Close()
+	if _, err := sw.Subscribe(SubscriberConfig{Port: 1, Addr: "not-an-address::::"}); err == nil {
 		t.Fatal("bad port address should fail")
 	}
 	if _, err := Listen(Config{
@@ -427,12 +441,12 @@ func TestCloseSynchronizesWithRun(t *testing.T) {
 	sub1 := listenUDP(t)
 	sw, err := Listen(Config{
 		Spec:          spec.MustParse(workload.ITCHSpecSource),
-		Ports:         map[int]string{1: sub1.LocalAddr().String()},
 		Subscriptions: "stock == GOOGL : fwd(1)",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	bindPorts(t, sw, map[int]string{1: sub1.LocalAddr().String()})
 	done := make(chan error, 1)
 	go func() { done <- sw.Run(context.Background()) }()
 

@@ -32,16 +32,16 @@ func TestPortStateHotPrefixFitsALine(t *testing.T) {
 func TestEgressFirstTouchOrder(t *testing.T) {
 	sub1, sub2 := listenUDP(t), listenUDP(t)
 	sw, err := Listen(Config{
-		Spec: spec.MustParse(workload.ITCHSpecSource),
-		Ports: map[int]string{
-			1: sub1.LocalAddr().String(),
-			2: sub2.LocalAddr().String(),
-		},
+		Spec:          spec.MustParse(workload.ITCHSpecSource),
 		Subscriptions: "stock == GOOGL : fwd(1)\nstock == MSFT : fwd(1,2)",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	bindPorts(t, sw, map[int]string{
+		1: sub1.LocalAddr().String(),
+		2: sub2.LocalAddr().String(),
+	})
 	defer sw.Close()
 
 	sw.processDatagram(sw.newProcState(0, sw.conn), moldWith(t, "ING", 1,
@@ -80,17 +80,17 @@ func TestEgressAcceptsNilIPAddress(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			sub1, sub2 := listenUDP(t), listenUDP(t)
 			sw, err := Listen(Config{
-				Spec: spec.MustParse(workload.ITCHSpecSource),
-				Ports: map[int]string{
-					1: sub1.LocalAddr().String(),
-					2: ":" + strconv.Itoa(sub2.LocalAddr().(*net.UDPAddr).Port),
-				},
+				Spec:          spec.MustParse(workload.ITCHSpecSource),
 				Subscriptions: "stock == GOOGL : fwd(1)\nstock == GOOGL : fwd(2)",
 				Batch:         tc.batch,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
+			bindPorts(t, sw, map[int]string{
+				1: sub1.LocalAddr().String(),
+				2: ":" + strconv.Itoa(sub2.LocalAddr().(*net.UDPAddr).Port),
+			})
 			defer sw.Close()
 
 			sw.processDatagram(sw.newProcState(0, sw.conn), moldWith(t, "ING", 1, order("GOOGL", 10, 1000)))

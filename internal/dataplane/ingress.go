@@ -12,95 +12,20 @@ import (
 	"camus/internal/telemetry"
 )
 
-// IngressMode selects the ingress topology. Every mode runs the same
-// reader→lane loop (runIngress); a mode only fixes two facts about it —
-// how many sockets are read, and which lane owns a datagram:
-//
-//	mode       sockets   owner of a datagram      processed by
-//	shared     1         locate % workers         the owner's processor
-//	reuseport  workers   the lane that read it    that lane's reader, inline
-//	reshard    workers   locate % workers         the owner's processor
-//
-// At Workers = 1 every row is the same thing: one socket whose reader
-// processes inline. The paper's ASIC ingests at line rate because every
-// port has its own ingress pipeline; the per-lane SO_REUSEPORT sockets are
-// the software mirror of that, so measured throughput can scale with lanes
-// instead of serializing behind one reader goroutine.
-type IngressMode int
-
-const (
-	// IngressShared is the portable default (the flag spelling "auto"
-	// means it too).
-	IngressShared IngressMode = iota
-
-	// IngressReusePort has no software shard step: the shard key is the
-	// publisher's flow, so per-instrument ordering is preserved when the
-	// publisher keeps each instrument on one flow (fanning out across
-	// source ports per instrument), which is the natural way to feed a
-	// multi-lane switch. Linux only; other platforms fall back to
-	// IngressShared.
-	IngressReusePort
-
-	// IngressReusePortReshard is the correctness fallback for feeds the
-	// kernel cannot spread meaningfully (a single-flow publisher lands
-	// entirely on one socket): reads stay on one lane, but processing
-	// still parallelizes across all lanes and per-instrument ordering is
-	// preserved for any feed. Linux only; other platforms fall back to
-	// IngressShared.
-	IngressReusePortReshard
-)
-
-// reuseportAvailable gates the SO_REUSEPORT ingress modes; it is a
-// variable (initialized from the build-tagged reuseportOS constant) so
-// tests can force the non-Linux fallback path on any platform.
+// reuseportAvailable says whether a multi-lane switch binds one
+// SO_REUSEPORT socket per lane; it is a variable (initialized from the
+// build-tagged reuseportOS constant) so tests can force the one-socket
+// fallback on any platform.
 var reuseportAvailable = reuseportOS
 
-// ParseIngressMode parses the flag spelling of an ingress mode:
-// "auto", "shared", "reuseport", or "reshard".
-func ParseIngressMode(s string) (IngressMode, error) {
-	switch s {
-	case "", "auto", "shared":
-		return IngressShared, nil
-	case "reuseport":
-		return IngressReusePort, nil
-	case "reshard", "reuseport-reshard":
-		return IngressReusePortReshard, nil
-	}
-	return IngressShared, fmt.Errorf("dataplane: unknown ingress mode %q (want auto, shared, reuseport, reshard)", s)
-}
-
-func (m IngressMode) String() string {
-	switch m {
-	case IngressReusePort:
-		return "reuseport"
-	case IngressReusePortReshard:
-		return "reshard"
-	}
-	return "shared"
-}
-
-// ReusePortAvailable reports whether this build and platform can bind
-// SO_REUSEPORT lane sockets (false forces the shared-socket fallback).
-func ReusePortAvailable() bool { return reuseportAvailable }
-
-// resolveIngressMode maps a configured mode to the one a switch will
-// actually run: the reuseport modes degrade to Shared where SO_REUSEPORT
-// is unavailable (non-Linux builds).
-func resolveIngressMode(m IngressMode) IngressMode {
-	if !reuseportAvailable {
-		return IngressShared
-	}
-	return m
-}
-
-// lane is one ingress/processing path of the switch. In the reuseport
-// modes it owns a socket bound to the shared ingress address; in shared
-// mode every lane's conn aliases the one ingress socket, which lane 0
-// reads and every lane writes egress to. Busy-time counters are split so
-// throughput experiments can attribute cost per stage per lane — the
-// read, dispatch and stall clocks belong to the lane whose socket the
-// reader drains — and the counters are registered per lane (label
-// lane="N") when telemetry is attached.
+// lane is one ingress/processing path of the switch. Where the platform
+// has SO_REUSEPORT each lane owns a socket bound to the shared ingress
+// address; on the one-socket fallback every lane's conn aliases the one
+// ingress socket, which lane 0 reads and every lane writes egress to.
+// Busy-time counters are split so throughput experiments can attribute
+// cost per stage per lane — the read, dispatch and stall clocks belong to
+// the lane whose socket the reader drains — and the counters are
+// registered per lane (label lane="N") when telemetry is attached.
 type lane struct {
 	id   int
 	conn Conn
@@ -112,7 +37,7 @@ type lane struct {
 	busyStall    atomic.Int64 // ns blocked on a full lane inbox (backpressure)
 	busyProc     atomic.Int64 // ns evaluating and forwarding datagrams
 
-	datagrams   telemetry.Counter // ingress datagrams that arrived on this lane (shared socket: that it owns)
+	datagrams   telemetry.Counter // ingress datagrams read from this lane's socket
 	resharedIn  telemetry.Counter // datagrams received over the re-shard hop
 	resharedOut telemetry.Counter // datagrams read here but owned by another lane
 }
@@ -137,7 +62,7 @@ func (l *lane) register(reg *telemetry.Registry) {
 // stages (read, shard+handoff, backpressure stall, processing).
 type LaneStat struct {
 	Lane        int
-	Datagrams   uint64 // ingress datagrams that arrived on this lane
+	Datagrams   uint64 // ingress datagrams read from this lane's socket
 	ResharedIn  uint64 // datagrams received from other lanes' readers
 	ResharedOut uint64 // datagrams this lane's reader handed elsewhere
 	ReadNs      int64  // socket read busy time
@@ -147,7 +72,7 @@ type LaneStat struct {
 }
 
 // LaneStats snapshots every lane's counters. The read, dispatch and stall
-// clocks are those of the lane's own reader, so in shared mode they are all
+// clocks are those of the lane's own reader, so on one socket they are all
 // on lane 0; summed over lanes they are BusyNs.
 func (sw *Switch) LaneStats() []LaneStat {
 	out := make([]LaneStat, len(sw.lanes))
@@ -165,10 +90,6 @@ func (sw *Switch) LaneStats() []LaneStat {
 	}
 	return out
 }
-
-// IngressMode reports the mode the switch actually runs (after any
-// platform fallback).
-func (sw *Switch) IngressMode() IngressMode { return sw.mode }
 
 // dgramPool is a bounded free list of ingress buffers. Unlike sync.Pool
 // it is immune to GC clearing — once the in-flight working set is
@@ -215,26 +136,26 @@ func (sw *Switch) poolCapacity() int {
 }
 
 // dgram is one ingress datagram buffer: a slot of a reader's batch, or in
-// flight between a reader and the lane that owns it. src is the lane it
-// arrived on (for re-shard accounting).
+// flight between a reader and the lane that owns it. src is the lane whose
+// socket read it (for re-shard accounting).
 type dgram struct {
 	buf []byte
 	n   int
 	src int32
 }
 
-// sharded reports who owns a datagram: the lane its first add-order's
-// stock locate selects (every lane then has an inbox and a processor), or
-// — reuseport mode, and any mode at one worker — the lane whose socket it
-// arrived on, which processes it inline.
-func (sw *Switch) sharded() bool { return sw.mode != IngressReusePort && len(sw.lanes) > 1 }
+// sharded reports whether lanes have inboxes: with more than one, a
+// datagram is owned by the lane its first add-order's stock locate
+// selects, and every lane has a processor; the one lane of a one-worker
+// switch is processed inline by its reader.
+func (sw *Switch) sharded() bool { return len(sw.lanes) > 1 }
 
-// runIngress is the ingress engine of every topology: one reader per
-// ingress socket, plus one processor per lane that has an inbox. It
-// returns the first terminal failure — a read error on any socket or a
-// panic on any goroutine that processes — and any such failure closes
-// every socket, so no reader goes on feeding a switch that is going down
-// and the kernel is not left hashing flows onto a socket nobody reads.
+// runIngress is the ingress engine: one reader per ingress socket, plus
+// one processor per lane that has an inbox. It returns the first terminal
+// failure — a read error on any socket or a panic on any goroutine that
+// processes — and any such failure closes every socket, so no reader goes
+// on feeding a switch that is going down and the kernel is not left
+// hashing flows onto a socket nobody reads.
 //
 // Ordering: a reader sees its socket's datagrams in kernel arrival order
 // and sends to an inbox from one goroutine, which is FIFO, so an
@@ -343,8 +264,8 @@ func (sw *Switch) readLoop(l *lane, br *batchReader, pool *dgramPool, ds []*dgra
 			d := ds[i]
 			d.n = sizes[i]
 			sw.stats.Datagrams.Add(1)
+			l.datagrams.Add(1)
 			if l.ch == nil {
-				l.datagrams.Add(1)
 				sw.timeProcess(l, d.buf[:d.n])
 				continue
 			}
@@ -360,12 +281,10 @@ func (sw *Switch) readLoop(l *lane, br *batchReader, pool *dgramPool, ds []*dgra
 }
 
 // dispatch hands a datagram read on l's socket to the lane that owns it
-// (l itself when there is no add-order to key on). On the shared socket the
-// arrival is counted at the owner and nothing is a re-shard; on a lane
-// socket it is counted where it was read, and a datagram owned elsewhere is
-// the re-shard hop. The uncontended enqueue is dispatch time; blocking on a
-// full inbox is stall time (backpressure from a saturated lane is not
-// reader work).
+// (l itself when there is no add-order to key on); a datagram owned
+// elsewhere is the re-shard hop. The uncontended enqueue is dispatch time;
+// blocking on a full inbox is stall time (backpressure from a saturated
+// lane is not reader work).
 //
 //camus:hotpath
 func (sw *Switch) dispatch(l *lane, d *dgram) {
@@ -374,16 +293,11 @@ func (sw *Switch) dispatch(l *lane, d *dgram) {
 	if loc, ok := itch.FirstAddOrderLocate(d.buf[:d.n]); ok {
 		owner = sw.lanes[int(loc)%len(sw.lanes)]
 	}
-	arrived := l
-	if sw.mode == IngressShared {
-		arrived = owner
-	}
-	arrived.datagrams.Add(1)
-	if owner != arrived {
+	if owner != l {
 		l.resharedOut.Add(1)
 		sw.stats.Resharded.Add(1)
 	}
-	d.src = int32(arrived.id)
+	d.src = int32(l.id)
 	select {
 	case owner.ch <- d:
 		l.busyDispatch.Add(int64(time.Since(start)))

@@ -14,35 +14,9 @@ import (
 	"camus/internal/workload"
 )
 
-func TestParseIngressMode(t *testing.T) {
-	cases := []struct {
-		in   string
-		want IngressMode
-	}{
-		{"", IngressShared},
-		{"auto", IngressShared},
-		{"shared", IngressShared},
-		{"reuseport", IngressReusePort},
-		{"reshard", IngressReusePortReshard},
-		{"reuseport-reshard", IngressReusePortReshard},
-	}
-	for _, c := range cases {
-		got, err := ParseIngressMode(c.in)
-		if err != nil || got != c.want {
-			t.Fatalf("ParseIngressMode(%q) = %v, %v; want %v", c.in, got, err, c.want)
-		}
-		if back, err := ParseIngressMode(got.String()); err != nil || back != got {
-			t.Fatalf("mode %v does not round-trip through %q", got, got.String())
-		}
-	}
-	if _, err := ParseIngressMode("bogus"); err == nil {
-		t.Fatal("ParseIngressMode accepted bogus mode")
-	}
-}
-
-// forceStubFallback makes the reuseport modes resolve to IngressShared
-// for the duration of the test, exercising the non-Linux code path on
-// any platform.
+// forceStubFallback makes a multi-lane switch bind one socket for the
+// duration of the test, exercising the non-Linux code path on any
+// platform.
 func forceStubFallback(t *testing.T) {
 	t.Helper()
 	old := reuseportAvailable
@@ -55,27 +29,26 @@ func forceStubFallback(t *testing.T) {
 // per-datagram writes, the way a fault-injection wrapper does.
 type passConn struct{ Conn }
 
-// startIngressSwitch is startShardedSwitch with an explicit ingress mode
-// and an optional socket wrapper.
-func startIngressSwitch(t *testing.T, subs string, workers, batch int, mode IngressMode, wrap func(Conn) Conn) (*Switch, *net.UDPConn, *net.UDPConn) {
+// startIngressSwitch is startSwitch with explicit worker/batch knobs and
+// an optional socket wrapper.
+func startIngressSwitch(t *testing.T, subs string, workers, batch int, wrap func(Conn) Conn) (*Switch, *net.UDPConn, *net.UDPConn) {
 	t.Helper()
 	sub1 := listenUDP(t)
 	sub2 := listenUDP(t)
 	sw, err := Listen(Config{
-		Spec: spec.MustParse(workload.ITCHSpecSource),
-		Ports: map[int]string{
-			1: sub1.LocalAddr().String(),
-			2: sub2.LocalAddr().String(),
-		},
+		Spec:          spec.MustParse(workload.ITCHSpecSource),
 		Subscriptions: subs,
 		Workers:       workers,
 		Batch:         batch,
-		IngressMode:   mode,
 		WrapConn:      wrap,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	bindPorts(t, sw, map[int]string{
+		1: sub1.LocalAddr().String(),
+		2: sub2.LocalAddr().String(),
+	})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- sw.Run(ctx) }()
@@ -88,16 +61,14 @@ func startIngressSwitch(t *testing.T, subs string, workers, batch int, mode Ingr
 	return sw, sub1, sub2
 }
 
-// TestReusePortLaneSockets: the reuseport modes bind one socket per lane
-// to the same ingress address, and all of them accept traffic.
+// TestReusePortLaneSockets: where the platform has SO_REUSEPORT a 4-worker
+// switch binds one socket per lane to the same ingress address, and all of
+// them accept traffic.
 func TestReusePortLaneSockets(t *testing.T) {
-	if !ReusePortAvailable() {
+	if !reuseportAvailable {
 		t.Skip("SO_REUSEPORT unavailable on this platform")
 	}
-	sw, sub1, _ := startIngressSwitch(t, "stock == GOOGL : fwd(1)", 4, 4, IngressReusePort, nil)
-	if sw.IngressMode() != IngressReusePort {
-		t.Fatalf("mode %v, want reuseport", sw.IngressMode())
-	}
+	sw, sub1, _ := startIngressSwitch(t, "stock == GOOGL : fwd(1)", 4, 4, nil)
 	if len(sw.conns) != 4 {
 		t.Fatalf("%d ingress sockets, want 4", len(sw.conns))
 	}
@@ -138,31 +109,33 @@ func TestReusePortLaneSockets(t *testing.T) {
 	}
 }
 
-// TestIngressModesForwardingComplete is the mode matrix of
-// TestShardedForwardingComplete: under every ingress topology a
-// 4-worker switch must lose nothing, misroute nothing, keep each port's
-// egress sequence space dense, and preserve per-instrument order — with
-// the publisher shaped the way the mode expects (one flow per
-// instrument for kernel hashing, one flow total for the re-shard
-// fallback). The stub and wrapped rows put the portable one-datagram
-// reader under the same loop, with batching asked for and without; and
-// every row's busy clocks must add up, lane by lane, to the switch's.
+// TestIngressModesForwardingComplete is the topology matrix of
+// TestShardedForwardingComplete: on SO_REUSEPORT lane sockets (the
+// reuseport and reshard rows) and on the forced one-socket fallback (the
+// stub and shared rows) a 4-worker switch must lose nothing, misroute
+// nothing, keep each port's egress sequence space dense, and preserve
+// per-instrument order — with one flow per instrument, which the kernel
+// spreads over the lane sockets, or one flow for all. The stub and
+// wrapped rows put the portable one-datagram reader under the same loop,
+// with batching asked for and without; every lane must have processed
+// exactly the datagrams its locate owns; and every row's busy clocks must
+// add up, lane by lane, to the switch's.
 func TestIngressModesForwardingComplete(t *testing.T) {
+	const workers = 4
 	modes := []struct {
 		name      string
-		mode      IngressMode
 		batch     int
 		multiFlow bool
-		stub      bool
+		stub      bool // force the one-socket fallback
 		wrap      bool
 	}{
-		{"reuseport-multiflow", IngressReusePort, 8, true, false, false},
-		{"reshard-singleflow", IngressReusePortReshard, 8, false, false, false},
-		{"stub-fallback", IngressReusePort, 32, false, true, false},
-		{"stub-fallback-batch1", IngressReusePort, 1, false, true, false},
-		{"shared-wrapped", IngressShared, 32, false, false, true},
-		{"shared-wrapped-batch1", IngressShared, 1, false, false, true},
-		{"reshard-wrapped", IngressReusePortReshard, 32, false, false, true},
+		{"reuseport-multiflow", 8, true, false, false},
+		{"reshard-singleflow", 8, false, false, false},
+		{"stub-fallback", 32, false, true, false},
+		{"stub-fallback-batch1", 1, false, true, false},
+		{"shared-wrapped", 32, false, true, true},
+		{"shared-wrapped-batch1", 1, false, true, true},
+		{"reshard-wrapped", 32, false, false, true},
 	}
 	syms := []struct {
 		name   string
@@ -171,11 +144,11 @@ func TestIngressModesForwardingComplete(t *testing.T) {
 
 	for _, tc := range modes {
 		t.Run(tc.name, func(t *testing.T) {
-			want := tc.mode
+			sockets := workers
 			if tc.stub {
 				forceStubFallback(t)
-				want = IngressShared
-			} else if tc.mode != IngressShared && !ReusePortAvailable() {
+				sockets = 1
+			} else if !reuseportAvailable {
 				t.Skip("SO_REUSEPORT unavailable on this platform")
 			}
 			var wrap func(Conn) Conn
@@ -185,13 +158,13 @@ func TestIngressModesForwardingComplete(t *testing.T) {
 			sw, sub1, sub2 := startIngressSwitch(t, `
 stock == GOOGL : fwd(1)
 stock == MSFT : fwd(2)
-`, 4, tc.batch, tc.mode, wrap)
-			if sw.IngressMode() != want {
-				t.Fatalf("ran mode %v, want %v", sw.IngressMode(), want)
+`, workers, tc.batch, wrap)
+			if len(sw.conns) != sockets {
+				t.Fatalf("%d ingress sockets, want %d", len(sw.conns), sockets)
 			}
 
-			// One socket per instrument (multi-flow) or one for all
-			// (single-flow / shared fallback).
+			// One publisher socket per instrument (multi-flow) or one for
+			// all (single-flow).
 			pubs := make([]*net.UDPConn, len(syms))
 			for i := range syms {
 				if i == 0 || tc.multiFlow {
@@ -259,24 +232,41 @@ stock == MSFT : fwd(2)
 			if got := sw.stats.Messages.Load(); got != uint64(sent) {
 				t.Fatalf("messages evaluated %d, want %d", got, sent)
 			}
-			var lanePkts uint64
+			// Every datagram is counted on the lane whose socket read it,
+			// and processed by the lane its locate owns: what a lane read
+			// and kept, plus what other lanes handed it, is what it owns.
+			owned := make([]uint64, workers)
+			for _, sym := range syms {
+				owned[int(sym.locate)%workers] += perSym
+			}
+			var lanePkts, out, in uint64
+			readers := 0
 			for _, l := range sw.LaneStats() {
+				if got := l.Datagrams + l.ResharedIn - l.ResharedOut; got != owned[l.Lane] {
+					t.Fatalf("lane %d processed %d datagrams, owns %d", l.Lane, got, owned[l.Lane])
+				}
 				lanePkts += l.Datagrams
+				out += l.ResharedOut
+				in += l.ResharedIn
+				if l.Datagrams > 0 {
+					readers++
+				}
 			}
 			if lanePkts != uint64(sent) {
 				t.Fatalf("lane datagram accounting %d, want %d", lanePkts, sent)
 			}
 			resharded := sw.stats.Resharded.Load()
-			switch {
-			case want == IngressReusePortReshard:
-				// A single flow lands on one socket; three distinct
+			if out != resharded || in != resharded {
+				t.Fatalf("lanes handed out %d and took in %d datagrams, the switch resharded %d", out, in, resharded)
+			}
+			if !tc.multiFlow {
+				// One flow, or one socket, is one reader; three distinct
 				// locates cannot all be owned by the reading lane.
-				if resharded == 0 {
-					t.Fatal("single-flow reshard run moved nothing lane-to-lane")
+				if readers != 1 {
+					t.Fatalf("one flow was read on %d lanes", readers)
 				}
-			default:
-				if resharded != 0 {
-					t.Fatalf("mode %s resharded %d datagrams", tc.name, resharded)
+				if resharded == 0 {
+					t.Fatal("single-reader run moved nothing lane-to-lane")
 				}
 			}
 
@@ -354,24 +344,28 @@ func TestShardedSteadyStateAllocs(t *testing.T) {
 	}
 	const warm, measured = 4000, 20000
 
-	// The replay rides a wrapped ingress socket, so in shared mode every
-	// lane's egress is the portable writer. In reshard mode only lane 0's
-	// socket is the replay: it reads and hands off by locate, and the other
-	// lanes ship through their own plain sockets — the sendmmsg writer.
+	// The replay rides a wrapped ingress socket, so on the one-socket
+	// fallback every lane's egress is the portable writer. On lane sockets
+	// only lane 0's socket is the replay: it reads and hands off by locate,
+	// and the other lanes ship through their own plain sockets — the
+	// sendmmsg writer.
 	writers := []struct {
-		name string
-		mode IngressMode
-	}{{"portable", IngressShared}, {"sendmmsg", IngressReusePortReshard}}
+		name      string
+		oneSocket bool
+	}{{"portable", true}, {"sendmmsg", false}}
 
 	for _, workers := range []int{1, 4, 8} {
 		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
 			for _, prog := range egressPrograms {
 				for _, w := range writers {
-					if w.mode != IngressShared && (workers == 1 || !ReusePortAvailable()) {
+					if !w.oneSocket && (workers == 1 || !reuseportAvailable) {
 						continue // one wrapped socket either way: the portable row again
 					}
 					t.Run(prog.name+"/"+w.name, func(t *testing.T) {
-						shardedSteadyState(t, pkts, warm, measured, workers, prog.subs, w.mode)
+						if w.oneSocket {
+							forceStubFallback(t)
+						}
+						shardedSteadyState(t, pkts, warm, measured, workers, prog.subs)
 					})
 				}
 			}
@@ -379,7 +373,7 @@ func TestShardedSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-func shardedSteadyState(t *testing.T, pkts [][]byte, warm, measured int64, workers int, subs string, mode IngressMode) {
+func shardedSteadyState(t *testing.T, pkts [][]byte, warm, measured int64, workers int, subs string) {
 	var pc *phasedReplayConn
 	wrap := func(c Conn) Conn {
 		if pc == nil {
@@ -398,16 +392,15 @@ func shardedSteadyState(t *testing.T, pkts [][]byte, warm, measured int64, worke
 	sub := listenUDP(t)
 	sw, err := Listen(Config{
 		Spec:          spec.MustParse(workload.ITCHSpecSource),
-		Ports:         map[int]string{1: sub.LocalAddr().String(), 2: sub.LocalAddr().String()},
 		Subscriptions: subs,
 		Workers:       workers,
-		IngressMode:   mode,
 		RetxBuffer:    64,
 		WrapConn:      wrap,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	bindPorts(t, sw, map[int]string{1: sub.LocalAddr().String(), 2: sub.LocalAddr().String()})
 	done := make(chan error, 1)
 	go func() { done <- sw.Run(context.Background()) }()
 
@@ -427,7 +420,7 @@ func shardedSteadyState(t *testing.T, pkts [][]byte, warm, measured int64, worke
 	warmMisses := sw.stats.PoolMiss.Load()
 	close(pc.gate)
 	// The replay socket reports itself closed when it runs dry, which ends
-	// Run in shared mode; the reshard lanes' own sockets need the Close.
+	// Run on one socket; the other lane sockets need the Close.
 	processed(warm + measured)
 	sw.Close()
 	if err := <-done; err != nil {

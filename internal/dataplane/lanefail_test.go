@@ -16,40 +16,46 @@ import (
 
 // TestLaneFailureSurfacesThroughRun: when a goroutine that processes dies
 // (panics) — a lane's processor, or the reader of a lane that processes
-// inline, which is every mode at one worker — Run must return an error
+// inline, which is every switch at one worker — Run must return an error
 // describing the failure instead of deadlocking or killing the process.
 // Before the first fix, readers blocked forever handing off datagrams to
 // the dead lane's inbox; before the second, the default configuration had
 // no recovery at all. The test floods the dead lane's instrument after the
 // panic so a handoff channel, where there is one, is guaranteed to fill.
+// It runs on one shared socket (the forced fallback) and on SO_REUSEPORT
+// lane sockets, whose reader reshards to the dead lane.
 func TestLaneFailureSurfacesThroughRun(t *testing.T) {
-	for _, mode := range []IngressMode{IngressShared, IngressReusePort, IngressReusePortReshard} {
-		t.Run(mode.String(), func(t *testing.T) {
-			if resolveIngressMode(mode) != mode {
-				t.Skipf("ingress mode %s unavailable on this platform", mode)
+	for _, tc := range []struct {
+		name      string
+		oneSocket bool
+	}{{"shared", true}, {"reshard", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.oneSocket {
+				forceStubFallback(t)
+			} else if !reuseportAvailable {
+				t.Skip("SO_REUSEPORT unavailable on this platform")
 			}
 			for _, workers := range []int{1, 4} {
 				t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
-					laneFailureSurfaces(t, mode, workers)
+					laneFailureSurfaces(t, workers)
 				})
 			}
 		})
 	}
 }
 
-func laneFailureSurfaces(t *testing.T, mode IngressMode, workers int) {
+func laneFailureSurfaces(t *testing.T, workers int) {
 	const poisonLocate = 0xBEEF
 	sub := listenUDP(t)
 	sw, err := Listen(Config{
 		Spec:          spec.MustParse(workload.ITCHSpecSource),
-		Ports:         map[int]string{1: sub.LocalAddr().String()},
 		Subscriptions: "stock == GOOGL : fwd(1)",
 		Workers:       workers,
-		IngressMode:   mode,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	bindPorts(t, sw, map[int]string{1: sub.LocalAddr().String()})
 	sw.procTestHook = func(lane int, datagram []byte) {
 		if loc, ok := itch.FirstAddOrderLocate(datagram); ok && loc == poisonLocate {
 			panic("injected lane failure")
@@ -126,24 +132,29 @@ var errSocketDied = errors.New("injected socket failure")
 func (failingConn) ReadFromUDP([]byte) (int, *net.UDPAddr, error) { return 0, nil, errSocketDied }
 
 // TestReaderFailureEndsRun: a terminal read error on one of several lane
-// sockets must end Run with that error, as it always has on the one shared
-// socket. Before the fix the failed reader exited alone and Run went on
-// waiting for the others, while the kernel kept hashing flows onto a
-// socket nobody read.
+// sockets must end Run with that error, as it does on the one shared
+// socket of the fallback. Before the fix the failed reader exited alone
+// and Run went on waiting for the others, while the kernel kept hashing
+// flows onto a socket nobody read.
 func TestReaderFailureEndsRun(t *testing.T) {
-	for _, mode := range []IngressMode{IngressReusePort, IngressReusePortReshard} {
-		t.Run(mode.String(), func(t *testing.T) {
-			if resolveIngressMode(mode) != mode {
-				t.Skipf("ingress mode %s unavailable on this platform", mode)
+	for _, tc := range []struct {
+		name      string
+		oneSocket bool
+		fail      int // the socket that fails, counted in WrapConn order
+	}{{"shared", true, 1}, {"reshard", false, 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.oneSocket {
+				forceStubFallback(t)
+			} else if !reuseportAvailable {
+				t.Skip("SO_REUSEPORT unavailable on this platform")
 			}
 			sockets := 0
 			sw, err := Listen(Config{
 				Spec:          spec.MustParse(workload.ITCHSpecSource),
 				Subscriptions: "stock == GOOGL : fwd(1)",
 				Workers:       4,
-				IngressMode:   mode,
 				WrapConn: func(c Conn) Conn {
-					if sockets++; sockets == 2 {
+					if sockets++; sockets == tc.fail {
 						return failingConn{c}
 					}
 					return c
@@ -157,7 +168,7 @@ func TestReaderFailureEndsRun(t *testing.T) {
 			select {
 			case err := <-run:
 				if !errors.Is(err, errSocketDied) || !strings.Contains(err.Error(), "dataplane: read") {
-					t.Fatalf("Run returned %v, want the lane socket's read error", err)
+					t.Fatalf("Run returned %v, want the ingress socket's read error", err)
 				}
 			case <-time.After(10 * time.Second):
 				t.Error("Run outlived a dead lane socket")

@@ -95,12 +95,12 @@ func TestReplyRetxAllocatesNothing(t *testing.T) {
 	sub := listenUDP(t)
 	sw, err := Listen(Config{
 		Spec:          workload.ITCHSpec(),
-		Ports:         map[int]string{1: sub.LocalAddr().String()},
 		Subscriptions: "stock == GOOGL : fwd(1)",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	bindPorts(t, sw, map[int]string{1: sub.LocalAddr().String()})
 	defer sw.Close()
 	st := sw.newProcState(0, nullConn{})
 	wire := moldWith(t, "S", 1, order("GOOGL", 10, 1000))

@@ -36,6 +36,21 @@ func soReuseport() int {
 // any number of lane sockets can share the address and the kernel
 // flow-hashes arriving datagrams across them.
 func listenReusePort(addr string) (*net.UDPConn, error) {
+	ua, err := net.ResolveUDPAddr("udp", addr)
+	if err != nil {
+		return nil, err
+	}
+	if ua.Port == 0 {
+		// The kernel may pick, for a SO_REUSEPORT socket, a port that
+		// another SO_REUSEPORT group of the same user holds, and join it;
+		// for a plain socket it picks a port no socket holds.
+		probe, err := net.ListenUDP("udp", ua)
+		if err != nil {
+			return nil, err
+		}
+		ua = probe.LocalAddr().(*net.UDPAddr)
+		probe.Close()
+	}
 	lc := net.ListenConfig{
 		Control: func(network, address string, c syscall.RawConn) error {
 			var serr error
@@ -47,7 +62,7 @@ func listenReusePort(addr string) (*net.UDPConn, error) {
 			return serr
 		},
 	}
-	pc, err := lc.ListenPacket(context.Background(), "udp", addr)
+	pc, err := lc.ListenPacket(context.Background(), "udp", ua.String())
 	if err != nil {
 		return nil, err
 	}

@@ -7,9 +7,9 @@ import (
 	"net"
 )
 
-// SO_REUSEPORT lane sockets are Linux-only here; on other platforms the
-// reuseport modes resolve to the shared topology (one socket, owner by
-// locate), which is portable and preserves the same ordering guarantees.
+// SO_REUSEPORT lane sockets are Linux-only here; on other platforms a
+// multi-lane switch binds one socket whose reader hands each datagram to
+// the lane its locate selects, with the same ordering guarantees.
 
 const reuseportOS = false
 

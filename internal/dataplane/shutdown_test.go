@@ -26,7 +26,6 @@ func TestGracefulShutdownDrainsBeforeEOS(t *testing.T) {
 			_ = sub.SetReadBuffer(8 << 20)
 			sw, err := Listen(Config{
 				Spec:          spec.MustParse(workload.ITCHSpecSource),
-				Ports:         map[int]string{1: sub.LocalAddr().String()},
 				Subscriptions: "stock == GOOGL : fwd(1)",
 				Workers:       workers,
 				Heartbeat:     5 * time.Millisecond,
@@ -34,6 +33,7 @@ func TestGracefulShutdownDrainsBeforeEOS(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			bindPorts(t, sw, map[int]string{1: sub.LocalAddr().String()})
 			// Slow the lanes down so a healthy backlog is in flight when
 			// Close lands — the drain has to actually drain something.
 			sw.procTestHook = func(int, []byte) { time.Sleep(100 * time.Microsecond) }

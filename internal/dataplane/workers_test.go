@@ -12,33 +12,11 @@ import (
 	"camus/internal/workload"
 )
 
-// startShardedSwitch is startSwitch with explicit worker/batch knobs.
+// startShardedSwitch is startIngressSwitch on plain sockets, with a
+// publisher dialed to it.
 func startShardedSwitch(t *testing.T, subs string, workers, batch int) (*Switch, *net.UDPConn, *net.UDPConn, *net.UDPConn) {
 	t.Helper()
-	sub1 := listenUDP(t)
-	sub2 := listenUDP(t)
-	sw, err := Listen(Config{
-		Spec: spec.MustParse(workload.ITCHSpecSource),
-		Ports: map[int]string{
-			1: sub1.LocalAddr().String(),
-			2: sub2.LocalAddr().String(),
-		},
-		Subscriptions: subs,
-		Workers:       workers,
-		Batch:         batch,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- sw.Run(ctx) }()
-	t.Cleanup(func() {
-		cancel()
-		if err := <-done; err != nil {
-			t.Errorf("Run: %v", err)
-		}
-	})
+	sw, sub1, sub2 := startIngressSwitch(t, subs, workers, batch, nil)
 	pub, err := net.DialUDP("udp", nil, sw.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -208,11 +186,7 @@ func TestProcessDatagramZeroAlloc(t *testing.T) {
 				sub1 := listenUDP(t)
 				sub2 := listenUDP(t)
 				sw, err := Listen(Config{
-					Spec: spec.MustParse(workload.ITCHSpecSource),
-					Ports: map[int]string{
-						1: sub1.LocalAddr().String(),
-						2: sub2.LocalAddr().String(),
-					},
+					Spec:          spec.MustParse(workload.ITCHSpecSource),
 					Subscriptions: prog.subs,
 					RetxBuffer:    w.retx,
 					Batch:         w.batch,
@@ -220,6 +194,10 @@ func TestProcessDatagramZeroAlloc(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				bindPorts(t, sw, map[int]string{
+					1: sub1.LocalAddr().String(),
+					2: sub2.LocalAddr().String(),
+				})
 				defer sw.Close()
 
 				st := sw.newProcState(0, sw.conn)
@@ -256,12 +234,12 @@ func TestServeRetxHonorsReadBuffer(t *testing.T) {
 	sub1 := listenUDP(t)
 	sw, err := Listen(Config{
 		Spec:          spec.MustParse(workload.ITCHSpecSource),
-		Ports:         map[int]string{1: sub1.LocalAddr().String()},
 		Subscriptions: "stock == GOOGL : fwd(1)",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	bindPorts(t, sw, map[int]string{1: sub1.LocalAddr().String()})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- sw.Run(ctx) }()
@@ -318,12 +296,12 @@ func BenchmarkProcessDatagram(b *testing.B) {
 	defer sink.Close()
 	sw, err := Listen(Config{
 		Spec:          spec.MustParse(workload.ITCHSpecSource),
-		Ports:         map[int]string{1: sink.LocalAddr().String()},
 		Subscriptions: "stock == GOOGL : fwd(1)",
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
+	bindPorts(b, sw, map[int]string{1: sink.LocalAddr().String()})
 	defer sw.Close()
 	for _, msgs := range []int{1, 8, 32} {
 		b.Run(fmt.Sprintf("msgs-%d", msgs), func(b *testing.B) {

@@ -21,10 +21,13 @@ func TestUDPSwitchPublicAPI(t *testing.T) {
 
 	sw, err := ListenUDP(UDPSwitchConfig{
 		Spec:          MustParseSpec(testSpec),
-		Ports:         map[int]string{1: sub.LocalAddr().String()},
 		Subscriptions: "stock == GOOGL && shares > 100 : fwd(1)",
 	})
 	if err != nil {
+		t.Fatal(err)
+	}
+	defer sw.Close()
+	if _, err := sw.Subscribe(SubscriberConfig{Port: 1, Addr: sub.LocalAddr().String()}); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
