@@ -77,6 +77,47 @@ func (s PortSet) Contains(p int) bool {
 // at is the i-th port of a listed set.
 func (s PortSet) at(i int) uint32 { return uint32(s.w[i>>1] >> ((i & 1) * 32)) }
 
+// Mark sets the ports in bm, a bitmap of ports from 0 that it grows to
+// hold them, and reports whether any of them was set already. A bitmap
+// set is marked and tested a word at a time.
+//
+//camus:hotpath
+func (s PortSet) Mark(bm []uint64) ([]uint64, bool) {
+	if s.n == 0 {
+		return bm, false
+	}
+	top := s.base>>6 + uint32(len(s.w)) // the word a shifted bitmap may spill into
+	if s.base == listed {
+		top = s.at(int(s.n)-1) >> 6 // the word of the last port
+	}
+	if need := int(top) + 1; need > len(bm) {
+		//camus:alloc-ok grows to the caller's high-water port once, then is reused
+		bm = append(bm, make([]uint64, need-len(bm))...)
+	}
+	var met uint64
+	if s.base == listed {
+		for i := 0; i < int(s.n); i++ {
+			p := s.at(i)
+			bit := uint64(1) << (p & 63)
+			met |= bm[p>>6] & bit
+			bm[p>>6] |= bit
+		}
+		return bm, met != 0
+	}
+	w0, sh := int(s.base>>6), s.base&63
+	for j, x := range s.w {
+		lo := x << sh
+		met |= bm[w0+j] & lo
+		bm[w0+j] |= lo
+		if sh != 0 {
+			hi := x >> (64 - sh)
+			met |= bm[w0+j+1] & hi
+			bm[w0+j+1] |= hi
+		}
+	}
+	return bm, met != 0
+}
+
 // AppendTo appends the ports, ascending, to dst.
 func (s PortSet) AppendTo(dst []int) []int {
 	for it := s.Iter(); it.Next(); {

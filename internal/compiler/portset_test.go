@@ -52,6 +52,41 @@ func FuzzPortSetMatchesSortedList(f *testing.F) {
 			}
 		}
 
+		// Mark: into nothing it sets exactly the ports and meets nothing;
+		// over every third port and one past the span it meets exactly when
+		// the set holds a third port.
+		bits := func(bm []uint64) []int {
+			var out []int
+			for p := 0; p < 64*len(bm); p++ {
+				if bm[p>>6]&(1<<(p&63)) != 0 {
+					out = append(out, p)
+				}
+			}
+			return out
+		}
+		bm, met := s.Mark(nil)
+		if got := bits(bm); met || !slices.Equal(got, want) {
+			t.Fatalf("Mark(nil) = %v, met %v, want %v, false", got, met, want)
+		}
+		var prior []int
+		for _, p := range want {
+			if p%3 == 0 {
+				prior = append(prior, p)
+			}
+		}
+		prior = append(prior, (int(base%ports)+span)%ports)
+		wantMet := slices.ContainsFunc(prior, func(p int) bool { return s.Contains(p) })
+		var pm []uint64
+		for _, p := range prior {
+			pm, _ = newPortSet(p).Mark(pm)
+		}
+		union := append(slices.Clone(prior), want...)
+		slices.Sort(union)
+		union = slices.Compact(union)
+		if pm, met = s.Mark(pm); met != wantMet || !slices.Equal(bits(pm), union) {
+			t.Fatalf("Mark over %v = %v, met %v, want %v, %v", prior, bits(pm), met, union, wantMet)
+		}
+
 		slices.Reverse(multiset)
 		if r := newPortSet(multiset...); !r.Equal(s) {
 			t.Fatalf("ports reversed are %+v, in order %+v", r, s)

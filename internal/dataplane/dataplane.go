@@ -65,9 +65,10 @@ type switchStats struct {
 	Messages     telemetry.Counter // ITCH messages evaluated
 	Matched      telemetry.Counter // messages that matched >= 1 subscription
 	Forwarded    telemetry.Counter // egress datagrams sent
+	SendCalls    telemetry.Counter // egress writer calls: one per sendmmsg or portable WriteToUDP (and per batch refused for its first address)
 	DecodeErrors telemetry.Counter
 	SendErrors   telemetry.Counter
-	UnboundPort  telemetry.Counter // egress datagrams black-holed on unbound ports
+	UnboundPort  telemetry.Counter // egress frames black-holed, one per unbound member port
 	Heartbeats   telemetry.Counter // idle heartbeats sent
 	RetxRequests telemetry.Counter // retransmission requests served
 	RetxMessages telemetry.Counter // messages resent from the store
@@ -80,7 +81,7 @@ type switchStats struct {
 	// message batch once for a whole group; a "group send" is one member
 	// port served from that shared encoding. sends/encodes is the hit ratio
 	// (the fanout amplification per-port serialization used to pay in CPU).
-	GroupEncodes    telemetry.Counter // shared bodies serialized (one per touched group per datagram)
+	GroupEncodes    telemetry.Counter // shared bodies serialized (one per group frame)
 	GroupSends      telemetry.Counter // member-port datagrams served from a shared body
 	GroupBytesSaved telemetry.Counter // body bytes NOT re-serialized thanks to sharing
 }
@@ -100,6 +101,7 @@ func (s *switchStats) series() []statSeries {
 		{"camus_dataplane_messages_total", &s.Messages},
 		{"camus_dataplane_matched_total", &s.Matched},
 		{"camus_dataplane_forwarded_total", &s.Forwarded},
+		{"camus_dataplane_send_calls_total", &s.SendCalls},
 		{"camus_dataplane_decode_errors_total", &s.DecodeErrors},
 		{"camus_dataplane_send_errors_total", &s.SendErrors},
 		{"camus_dataplane_unbound_port_total", &s.UnboundPort},
@@ -159,7 +161,8 @@ type Config struct {
 	// Batch is how many datagrams one socket operation moves when the
 	// platform supports batched I/O (recvmmsg/sendmmsg on Linux); on
 	// other platforms and on fault-injection wrapped sockets the same
-	// loops run on per-datagram calls. 0 selects the default (32);
+	// loops run on per-datagram calls. It also bounds a lane batch, the
+	// datagrams one flush frames and sends. 0 selects the default (32);
 	// negative or 1 disables batching.
 	Batch int
 	// WrapConn, when non-nil, wraps each socket the switch opens (the
@@ -168,7 +171,7 @@ type Config struct {
 	// fault-injection hook.
 	WrapConn func(Conn) Conn
 	// Telemetry, when non-nil, receives the switch's forwarding counters,
-	// a per-datagram processing-latency histogram, and everything the
+	// a per-lane-batch processing-latency histogram, and everything the
 	// embedded compiler/control-plane/pipeline layers record.
 	Telemetry *telemetry.Telemetry
 }
@@ -188,8 +191,9 @@ const defaultIOBatch = 32
 // socket buffer absorbs bursts beyond it while the reader blocks.
 const shardQueueDepth = 256
 
-// maxRetxDatagram caps one retransmission reply's wire size so recovery
-// traffic stays within a conventional MTU.
+// maxRetxDatagram caps the wire size of one egress frame and of one
+// retransmission reply, so forwarded and recovery traffic alike stay
+// within a conventional MTU.
 const maxRetxDatagram = 1400
 
 // portState is one output port's delivery state: its own MoldUDP64
@@ -255,7 +259,7 @@ type Switch struct {
 
 	stats    switchStats
 	tel      *telemetry.Telemetry
-	procHist *telemetry.Histogram // per-datagram processing latency; nil when untimed
+	procHist *telemetry.Histogram // per-lane-batch processing latency; nil when untimed
 	portsG   *telemetry.Gauge
 
 	// Per-port egress write-error attribution, created lazily on a
@@ -673,23 +677,6 @@ func (sw *Switch) readErr(ctx context.Context, err error) error {
 	return fmt.Errorf("dataplane: read: %w", err)
 }
 
-// timeProcess runs one datagram through the lane, accumulating lane busy
-// time and feeding the latency histogram when one is attached.
-//
-//camus:hotpath
-func (sw *Switch) timeProcess(l *lane, datagram []byte) {
-	if sw.procTestHook != nil {
-		sw.procTestHook(l.id, datagram)
-	}
-	start := time.Now()
-	sw.processDatagram(l.st, datagram)
-	d := time.Since(start)
-	l.busyProc.Add(int64(d))
-	if sw.procHist != nil {
-		sw.procHist.Observe(d)
-	}
-}
-
 // BusyNs reports cumulative per-stage busy time in nanoseconds: time
 // spent on the ingress side (socket reads plus shard dispatch, summed
 // over every reader; backpressure stalls excluded) and time spent
@@ -709,25 +696,28 @@ func (sw *Switch) BusyNs() (readNs, procNs int64) {
 
 // procState is one processing lane's reusable scratch: a per-lane
 // pipeline Processor (own value buffers), the message buckets, and the
-// egress entry arrays. One lane processes one datagram at a time, so
-// nothing here needs locking and the steady state is allocation-free.
+// egress entry arrays. One lane processes one batch at a time, so nothing
+// here needs locking and the steady state is allocation-free.
 //
 // Egress has one shape. Every matched message lands in a bucket — its
 // action's multicast group, or the group of one a single-port action is —
 // every bucket is serialized once into a refcounted sharedBuf, and every
-// member port of the bucket gets one wireEntry.
+// member port of the bucket gets one wireEntry. A bucket stays open across
+// the datagrams of a lane batch and is framed when the batch ends, when a
+// message of another bucket needs one of its ports, or when it is full.
 type procState struct {
 	proc    *core.Processor
 	bw      *batchWriter  // the lane's egress writer (sendmmsg or portable)
 	order   itch.AddOrder // decode scratch, kept off the per-call stack
+	now     time.Duration // the batch's clock, read once per batch
 	msgs    [][]byte      // raw wire bytes of this datagram's add-orders
 	buckets []groupMsgs   // dense index: 2g is multicast group g, 2p+1 the single-port action on port p
-	touched []int         // buckets with >= 1 message this datagram, in first-touch order
+	touched []int         // open buckets (>= 1 message), in first-touch order
+	open    []uint64      // bitmap of the open buckets' ports, which are pairwise disjoint
 
-	out []wireEntry // this datagram's egress
+	out []wireEntry // this batch's egress
 
-	offs  []uint32     // per-bucket scratch: where each message starts in the shared body
-	owned []*sharedBuf // buffers this datagram holds a lane reference on
+	owned []*sharedBuf // buffers this batch holds a lane reference on
 }
 
 // wireEntry is one egress datagram: the member port's own MoldUDP64
@@ -740,12 +730,13 @@ type wireEntry struct {
 	port int // destination port, for error attribution
 }
 
-// groupMsgs buckets one action's matched messages for a single datagram.
+// groupMsgs buckets one action's matched messages until they are framed.
 // ports is the batch's program's ActionSet member set (immutable) — one
-// port for a single-port action.
+// port for a single-port action; size is the frame's wire bytes so far.
 type groupMsgs struct {
 	msgs  [][]byte
 	ports compiler.PortSet
+	size  int
 }
 
 // newProcState builds a lane's scratch with egress bound to conn — where
@@ -757,20 +748,61 @@ func (sw *Switch) newProcState(lane int, conn Conn) *procState {
 	return &procState{proc: sw.engine.NewProcessorAt(lane), bw: newBatchWriter(conn, sw.batch)}
 }
 
-// collect appends msg to bucket i, growing the dense index on first sight
-// and noting the bucket on its first message of the datagram.
+// begin starts a lane batch at now: every datagram of the batch is judged
+// by the one generation Begin loads — so a bucket index keeps one meaning
+// until the batch's flush — and stamped with the one clock reading.
 //
 //camus:hotpath
-func (st *procState) collect(i int, ports compiler.PortSet, msg []byte) {
+func (st *procState) begin(now time.Time) {
+	st.proc.Begin()
+	st.now = time.Duration(now.UnixNano())
+}
+
+// collect appends msg to bucket i, growing the dense index on first sight.
+// A message that opens a bucket whose ports meet an open bucket's first
+// frames every open bucket, and one that would take its bucket's frame past
+// maxRetxDatagram first frames that bucket: so every port receives its
+// messages in ingress order, in frames that fit an MTU.
+//
+//camus:hotpath
+func (sw *Switch) collect(st *procState, i int, ports compiler.PortSet, msg []byte) {
 	for i >= len(st.buckets) {
 		st.buckets = append(st.buckets, groupMsgs{})
 	}
 	b := &st.buckets[i]
 	if len(b.msgs) == 0 {
+		var met bool
+		if st.open, met = ports.Mark(st.open); met {
+			sw.frameOpen(st)
+			st.open, _ = ports.Mark(st.open)
+		}
 		st.touched = append(st.touched, i)
-		b.ports = ports
+		b.ports, b.size = ports, itch.MoldHeaderLen
+	} else if b.size+2+len(msg) > maxRetxDatagram {
+		// Framed and still open: its ports stay marked.
+		sw.mu.RLock()
+		sw.frameGroup(st, b)
+		sw.mu.RUnlock()
 	}
 	b.msgs = append(b.msgs, msg)
+	b.size += 2 + len(msg)
+}
+
+// frameOpen frames every open bucket, in first-touch order, under the
+// port-binding lock and closes them all. Open buckets share no port, so
+// their order is nobody's arrival order.
+//
+//camus:hotpath
+func (sw *Switch) frameOpen(st *procState) {
+	sw.mu.RLock()
+	for _, i := range st.touched {
+		b := &st.buckets[i]
+		sw.frameGroup(st, b)
+		b.ports = compiler.PortSet{}
+	}
+	sw.mu.RUnlock()
+	st.touched = st.touched[:0]
+	clear(st.open)
 }
 
 // nextOut claims the next egress entry in place: at high fanout building
@@ -787,17 +819,23 @@ func (st *procState) nextOut() *wireEntry {
 }
 
 // processDatagram evaluates one ingress datagram through the lane and
-// ships the per-port egress datagrams. The whole evaluation runs as one
-// pipeline batch (the generation is loaded once per datagram), the
-// matched messages are bucketed as raw wire bytes aliasing the ingress
-// buffer, and each bucket is serialized once into a recycled shared
-// buffer.
+// ships its egress: a lane batch of one.
 //
 //camus:hotpath bench=BenchmarkProcessDatagram
 func (sw *Switch) processDatagram(st *procState, datagram []byte) {
-	now := time.Duration(time.Now().UnixNano())
+	st.begin(time.Now())
+	sw.evaluate(st, datagram)
+	sw.flush(st)
+}
+
+// evaluate runs one datagram of the lane's batch into its buckets. The
+// datagram's messages are one pipeline batch on the generation begin
+// loaded, and the matched ones are bucketed as raw wire bytes aliasing the
+// ingress buffer, which must outlive the batch's flush.
+//
+//camus:hotpath
+func (sw *Switch) evaluate(st *procState, datagram []byte) {
 	st.msgs = st.msgs[:0]
-	st.proc.Begin()
 	//camus:alloc-ok the callback closure never escapes DecodeAddOrders, so it stays on the stack (oracle-verified)
 	err := itch.DecodeAddOrders(datagram, &st.order, func(o *itch.AddOrder, raw []byte) {
 		sw.stats.Messages.Add(1)
@@ -807,7 +845,7 @@ func (sw *Switch) processDatagram(st *procState, datagram []byte) {
 	// The prefix of a datagram that fails to decode mid-way is still
 	// evaluated (and counted) exactly as the per-message path did, but
 	// nothing from a bad datagram is forwarded.
-	results := st.proc.Flush(now)
+	results := st.proc.Flush(st.now)
 	for i := range results {
 		if !results[i].Dropped {
 			sw.stats.Matched.Add(1)
@@ -821,60 +859,54 @@ func (sw *Switch) processDatagram(st *procState, datagram []byte) {
 	// Bucket matched messages by action: by multicast group where the
 	// program assigned one, by the one output port otherwise. Either way
 	// the body is serialized once for the bucket's whole member set.
-	st.touched = st.touched[:0]
 	for i := range results {
 		r := &results[i]
 		if r.Dropped {
 			continue
 		}
 		if r.Group >= 0 {
-			st.collect(2*r.Group, r.Ports, st.msgs[i])
+			sw.collect(st, 2*r.Group, r.Ports, st.msgs[i])
 			continue
 		}
 		it := r.Ports.Iter() // a result without a group forwards to one port
 		it.Next()
-		st.collect(2*it.Port()+1, r.Ports, st.msgs[i])
+		sw.collect(st, 2*it.Port()+1, r.Ports, st.msgs[i])
 	}
+}
 
-	// Frame the touched buckets in first-touch order under the port-binding
-	// lock; socket writes happen after it drops, batched when the platform
-	// allows.
-	sw.mu.RLock()
-	for _, i := range st.touched {
-		sw.frameGroup(st, &st.buckets[i])
+// flush ends a lane batch: it frames the open buckets and ships every
+// frame of the batch, as many per socket call as the writer takes.
+//
+//camus:hotpath
+func (sw *Switch) flush(st *procState) {
+	if len(st.touched) > 0 {
+		sw.frameOpen(st)
 	}
-	sw.mu.RUnlock()
-
 	sw.sendEgress(st)
 }
 
 // frameGroup serializes one bucket's matched messages once into a shared
 // refcounted body and claims one egress entry per member port, each
 // carrying only that port's 20-byte MoldUDP64 header. The member ports'
-// retransmission stores retain views into the shared body (one reference
-// per retained message) before the datagram leaves, so recovery is served
+// retransmission stores retain the shared body (one reference per
+// retained message) before the datagram leaves, so recovery is served
 // from the same bytes that went out and any request the send races with
-// can already be served. The bucket is left empty. Callers hold sw.mu.
+// can already be served. The bucket's messages are cleared; its ports are
+// kept. Callers hold sw.mu.
 //
 //camus:hotpath
 func (sw *Switch) frameGroup(st *procState, gb *groupMsgs) {
-	need := itch.MoldHeaderLen
-	for _, m := range gb.msgs {
-		need += 2 + len(m)
-	}
 	//camus:alloc-ok get is inlined here: a pool miss grows the working set once; the steady state recycles
-	sb := sw.bodies.get(need)
+	sb := sw.bodies.get(gb.size)
 	st.owned = append(st.owned, sb)
 	body := sb.b[:itch.MoldHeaderLen]
-	st.offs = st.offs[:0]
 	for _, m := range gb.msgs {
 		body = append(body, byte(len(m)>>8), byte(len(m)))
-		st.offs = append(st.offs, uint32(len(body)))
 		body = append(body, m...)
 	}
 	sb.b = body
-	count := uint16(len(gb.msgs))
-	now := time.Now().UnixNano()
+	n := len(gb.msgs)
+	count := uint16(n)
 
 	// Every member's ring slots are paid for with one atomic up front;
 	// unbound members hand their share back after the loop. The lane's
@@ -882,35 +914,38 @@ func (sw *Switch) frameGroup(st *procState, gb *groupMsgs) {
 	// positive throughout, so the refund can never recycle the buffer.
 	ringRefs := sw.retxCap > 0
 	if ringRefs {
-		sb.refGroup(gb.ports.Len() * len(st.offs))
+		sb.refGroup(gb.ports.Len() * n)
 	}
 	ev := evictAcc{pool: sw.bodies}
-	members := 0
+	unbound := 0
 	for it := gb.ports.Iter(); it.Next(); {
 		port := it.Port()
 		ps := sw.portFor(port)
 		if ps == nil {
 			// Port not bound: black-hole, like an unwired ASIC port —
 			// but observable.
-			sw.stats.UnboundPort.Add(1)
+			unbound++
 			continue
 		}
 		e := st.nextOut()
 		ps.mu.Lock()
 		ps.stamp(e.hdr[:], count)
 		if ps.store != nil {
-			ps.store.addSharedGroup(st.offs, sb.h, &ev)
+			ps.store.addSharedGroup(n, sb.h, &ev)
 		}
 		ps.nextSeq += uint64(count)
-		ps.lastEgress = now
+		ps.lastEgress = int64(st.now)
 		e.addr = ps.addr
 		ps.mu.Unlock()
 		e.body, e.port = body, port
-		members++
 	}
 	ev.flush()
-	if ringRefs && members < gb.ports.Len() {
-		sb.unrefN(int32((gb.ports.Len() - members) * len(st.offs)))
+	members := gb.ports.Len() - unbound
+	if unbound > 0 {
+		sw.stats.UnboundPort.Add(uint64(unbound))
+		if ringRefs {
+			sw.bodies.unref(sb, int32(unbound*n))
+		}
 	}
 	if gb.ports.Len() > 1 { // the encode-once series count multicast groups only
 		sw.stats.GroupEncodes.Add(1)
@@ -920,7 +955,7 @@ func (sw *Switch) frameGroup(st *procState, gb *groupMsgs) {
 		}
 	}
 	gb.msgs = gb.msgs[:0]
-	gb.ports = compiler.PortSet{}
+	gb.size = itch.MoldHeaderLen
 }
 
 // sendEgress ships the lane's framed datagrams through the lane's writer,
@@ -930,9 +965,10 @@ func (sw *Switch) frameGroup(st *procState, gb *groupMsgs) {
 //
 //camus:hotpath
 func (sw *Switch) sendEgress(st *procState) {
-	sent := 0
+	sent, calls := 0, 0
 	for i := 0; i < len(st.out); {
 		k, err := st.bw.WriteBatch(st.out[i:])
+		calls++
 		sent += k
 		i += k
 		if err != nil {
@@ -945,12 +981,15 @@ func (sw *Switch) sendEgress(st *procState) {
 		}
 	}
 	st.out = st.out[:0]
+	if calls > 0 {
+		sw.stats.SendCalls.Add(uint64(calls))
+	}
 	if sent > 0 {
 		sw.stats.Forwarded.Add(uint64(sent))
 	}
 	for j, sb := range st.owned {
 		st.owned[j] = nil
-		sb.unref()
+		sw.bodies.unref(sb, 1)
 	}
 	st.owned = st.owned[:0]
 }
@@ -1100,28 +1139,31 @@ func (sw *Switch) replyRetx(ps *portState, req *itch.MoldRequest, raddr *net.UDP
 // array whatever the bound is.
 //
 // A slot holds its message as the handle of the refcounted shared body
-// the message went out in — the reference it must drop when it moves on
-// — and the offset of the message in it. The length is the two bytes
-// frameGroup wrote before the message, so get reads it there. Every slot
-// in [lo, hi) names a body and every other slot holds handle 0.
+// the message went out in — the reference it must drop when it moves on —
+// and nothing else: where the message sits in the body follows from the
+// ring. A port stores each frame whole, in consecutive slots, and never
+// receives two frames from one body, and a handle is issued again only
+// once no slot names it; so a run of equal handles in [lo, hi) is one
+// frame, cut at most at its front by lo, and a message is as many from
+// its body's end as its run goes on past it (seek). Every slot in
+// [lo, hi) names a body and every other slot holds handle 0.
 //
-// The slot is deliberately 8 bytes: at high fanout a datagram touches
+// The slot is deliberately 4 bytes: at high fanout a datagram touches
 // thousands of rings, none cache-resident, so the insert cost is line
-// fills and the ring's footprint sets the miss rate. Eight slots share a
-// line. An insert writes the handle it was given and never reads the
+// fills and the ring's footprint sets the miss rate. Sixteen slots share
+// a line. An insert writes the handle it was given and never reads the
 // pool's table; evictions dereference it once per retired body
 // (evictAcc). The same argument keeps the ring one flat slice: paging it
 // ([]*[256]retxSlot — no copies, no garbage) puts a dependent miss in
 // front of every insert (DESIGN.md §5c has the measurement).
-// TestRetxSlotIsEightBytes holds it to that size.
+// TestRetxSlotIsFourBytes holds it to that size.
 type retxSlot struct {
 	body uint32 // handle of the shared body the slot aliases (sharedPool.body)
-	off  uint32 // message start within the body, just past its length
 }
 
-// retxInitialSlots is the ring a port is bound with (512 B): enough that a
+// retxInitialSlots is the ring a port is bound with (256 B): enough that a
 // port which sends a few datagrams never grows, small enough that ten
-// thousand binds cost 5 MB rather than RetxBuffer x 8 B each.
+// thousand binds cost 2.5 MB rather than RetxBuffer x 4 B each.
 //
 // retxGrowth is the factor a full ring grows by. At 4 the outgrown arrays
 // a port leaves to the collector sum to a third of its final ring — at 2
@@ -1186,27 +1228,27 @@ func (s *retxStore) grow(n int) {
 	s.slots = slots
 }
 
-// addSharedGroup retains one encoded batch, the messages at offs in the
-// shared body named by handle h (references already taken via refGroup).
-// Evicted slots' handles are handed to ev rather than dropped here: every
-// member of a group evicts slots aliasing the same earlier bodies, so the
-// accumulator turns members x messages atomic drops into roughly one per
-// retired body per datagram. A ring below its bound grows first when the
-// batch would not fit, so eviction starts only at max.
+// addSharedGroup retains one frame, the n messages of the shared body
+// named by handle h (references already taken via refGroup), in the next n
+// slots. Evicted slots' handles are handed to ev rather than dropped here:
+// every member of a group evicts slots aliasing the same earlier bodies,
+// so the accumulator turns members x messages atomic drops into roughly
+// one per retired body per frame. A ring below its bound grows first when
+// the frame would not fit, so eviction starts only at max.
 //
 //camus:hotpath
-func (s *retxStore) addSharedGroup(offs []uint32, h uint32, ev *evictAcc) {
-	if len(s.slots) < s.max && s.hi-s.lo+uint64(len(offs)) > uint64(len(s.slots)) {
+func (s *retxStore) addSharedGroup(n int, h uint32, ev *evictAcc) {
+	if len(s.slots) < s.max && s.hi-s.lo+uint64(n) > uint64(len(s.slots)) {
 		//camus:alloc-ok the ring grows fourfold toward RetxBuffer: at most ceil(log4(max/64)) allocations in a port's life, none once len(slots) == max
-		s.grow(len(offs))
+		s.grow(n)
 	}
 	capacity := uint64(len(s.slots))
-	for _, off := range offs {
+	for ; n > 0; n-- {
 		sl := &s.slots[s.hi%capacity]
 		if sl.body != 0 {
 			ev.add(sl.body)
 		}
-		*sl = retxSlot{body: h, off: off}
+		sl.body = h
 		s.hi++
 	}
 	if s.hi-s.lo > capacity {
@@ -1214,12 +1256,29 @@ func (s *retxStore) addSharedGroup(offs []uint32, h uint32, ev *evictAcc) {
 	}
 }
 
-// message returns the message the slot names: the bytes at its offset in
-// its body, as many as the two-byte length written before them says.
-func (sl retxSlot) message(bodies *sharedPool) []byte {
-	b := bodies.body(sl.body).b
-	n := uint32(b[sl.off-2])<<8 | uint32(b[sl.off-1])
-	return b[sl.off : sl.off+n]
+// msgLen is the length of the message whose two-byte prefix is at b[at:].
+func msgLen(b []byte, at int) int { return int(b[at])<<8 | int(b[at+1]) }
+
+// seek returns where the length prefix of message seq sits in its body b,
+// named by h: the message is as many from the body's end as the run of
+// slots naming h goes on past seq (bounded by hi, so no slot outside the
+// retained range is read). A frame is bounded at maxRetxDatagram, so the
+// two walks over the body's prefixes are short; this is the cold path.
+func (s *retxStore) seek(b []byte, h uint32, seq uint64) int {
+	capacity := uint64(len(s.slots))
+	after := 0
+	for e := seq + 1; e < s.hi && s.slots[e%capacity].body == h; e++ {
+		after++
+	}
+	count := 0
+	for at := itch.MoldHeaderLen; at < len(b); at += 2 + msgLen(b, at) {
+		count++
+	}
+	at := itch.MoldHeaderLen
+	for i := count - 1 - after; i > 0; i-- {
+		at += 2 + msgLen(b, at)
+	}
+	return at
 }
 
 // get appends to dst up to count messages starting at the oldest retained
@@ -1244,13 +1303,26 @@ func (s *retxStore) get(dst [][]byte, from uint64, count int, maxBytes int) ([][
 	}
 	first := len(dst)
 	bytes := 0
+	var h uint32
+	var b []byte
+	at := 0 // the next message's length prefix in b
 	for seq := start; seq < end; seq++ {
-		m := s.slots[seq%uint64(len(s.slots))].message(s.bodies)
-		bytes += 2 + len(m)
+		if sl := s.slots[seq%uint64(len(s.slots))].body; sl != h { // a slot in [lo, hi) is never 0
+			// A new run: the start's may be cut by lo, any later one
+			// begins its frame.
+			h, b = sl, s.bodies.body(sl).b
+			at = itch.MoldHeaderLen
+			if seq == start {
+				at = s.seek(b, h, seq)
+			}
+		}
+		n := msgLen(b, at)
+		bytes += 2 + n
 		if bytes > maxBytes && len(dst) > first {
 			break
 		}
-		dst = append(dst, m)
+		dst = append(dst, b[at+2:at+2+n])
+		at += 2 + n
 	}
 	return dst, start
 }

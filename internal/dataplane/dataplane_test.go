@@ -390,17 +390,38 @@ func TestUnboundPortBlackholes(t *testing.T) {
 	if sw.stats.UnboundPort.Load() != 1 {
 		t.Fatalf("UnboundPort = %d, want 1", sw.stats.UnboundPort.Load())
 	}
+
+	// A group frame counts one per member it black-holes: port 1 of
+	// {1, 7, 8} is bound, so one frame of two messages counts 2.
+	sub := listenUDP(t)
+	gw, err := Listen(Config{
+		Spec:          spec.MustParse(workload.ITCHSpecSource),
+		Subscriptions: "stock == MSFT : fwd(1,7,8)",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bindPorts(t, gw, map[int]string{1: sub.LocalAddr().String()})
+	defer gw.Close()
+	gw.processDatagram(gw.newProcState(0, gw.conn), moldWith(t, "S", 1, order("MSFT", 1, 1), order("MSFT", 2, 1)))
+	if got := gw.Metric("camus_dataplane_unbound_port_total"); got != 2 {
+		t.Fatalf("unbound_port_total = %d for one frame to a group with 2 unbound members, want 2", got)
+	}
+	if mp, ok := recvMold(t, sub, 2*time.Second); !ok || len(mp.Messages) != 2 {
+		t.Fatal("the group's bound member did not receive its frame")
+	}
 }
 
 // TestPerPortSequenceDensity is the egress-framing regression test: every
 // port's sequence numbers are dense (1, 2, 3, ...) with Count matching
-// the per-datagram message count, even when ingress datagrams fan out
-// unevenly across ports.
+// each frame's messages, even when ingress datagrams fan out unevenly
+// across ports. Over the socket the frames are whatever the reads
+// batched; three datagrams in one lane batch are one frame per port.
 func TestPerPortSequenceDensity(t *testing.T) {
-	_, pub, sub1, sub2 := startSwitch(t, `
+	const subs = `
 stock == GOOGL : fwd(1)
 stock == MSFT : fwd(2)
-`)
+`
 	// Uneven fan-out: datagram 1 has 2 GOOGL + 1 MSFT, datagram 2 has
 	// 1 GOOGL, datagram 3 has 3 MSFT.
 	sends := [][]itch.AddOrder{
@@ -408,31 +429,64 @@ stock == MSFT : fwd(2)
 		{order("GOOGL", 3, 1)},
 		{order("MSFT", 2, 1), order("MSFT", 3, 1), order("MSFT", 4, 1)},
 	}
+	wires := make([][]byte, len(sends))
 	for i, orders := range sends {
-		if _, err := pub.Write(moldWith(t, "IGNORED", uint64(1000*i), orders...)); err != nil {
-			t.Fatal(err)
-		}
+		wires[i] = moldWith(t, "IGNORED", uint64(1000*i), orders...)
 	}
 
-	check := func(conn *net.UDPConn, wantCounts []int) {
+	// check reads frames until want messages arrived, and returns each
+	// frame's count.
+	check := func(conn *net.UDPConn, want int) []int {
 		t.Helper()
-		wantSeq := uint64(1)
-		for _, wantN := range wantCounts {
+		var counts []int
+		for got := 0; got < want; {
 			mp, ok := recvMold(t, conn, 2*time.Second)
 			if !ok {
-				t.Fatalf("missing egress datagram (want %d messages at seq %d)", wantN, wantSeq)
+				t.Fatalf("missing egress datagram (want %d more messages at seq %d)", want-got, 1+got)
 			}
-			if mp.Header.Sequence != wantSeq {
-				t.Fatalf("sequence %d, want %d (density broken)", mp.Header.Sequence, wantSeq)
+			if mp.Header.Sequence != uint64(1+got) {
+				t.Fatalf("sequence %d, want %d (density broken)", mp.Header.Sequence, 1+got)
 			}
-			if int(mp.Header.Count) != wantN || len(mp.Messages) != wantN {
-				t.Fatalf("count %d/%d messages, want %d", mp.Header.Count, len(mp.Messages), wantN)
+			if int(mp.Header.Count) != len(mp.Messages) || len(mp.Messages) == 0 {
+				t.Fatalf("count %d with %d messages", mp.Header.Count, len(mp.Messages))
 			}
-			wantSeq += uint64(wantN)
+			got += len(mp.Messages)
+			counts = append(counts, len(mp.Messages))
 		}
+		if mp, ok := recvMold(t, conn, 100*time.Millisecond); ok {
+			t.Fatalf("a frame at sequence %d beyond the %d messages sent", mp.Header.Sequence, want)
+		}
+		return counts
 	}
-	check(sub1, []int{2, 1})
-	check(sub2, []int{1, 3})
+
+	t.Run("socket", func(t *testing.T) {
+		_, pub, sub1, sub2 := startSwitch(t, subs)
+		for _, w := range wires {
+			if _, err := pub.Write(w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(sub1, 3)
+		check(sub2, 4)
+	})
+	t.Run("one-batch", func(t *testing.T) {
+		sub1, sub2 := listenUDP(t), listenUDP(t)
+		sw, err := Listen(Config{Spec: spec.MustParse(workload.ITCHSpecSource), Subscriptions: subs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bindPorts(t, sw, map[int]string{1: sub1.LocalAddr().String(), 2: sub2.LocalAddr().String()})
+		defer sw.Close()
+		processWires(sw, wires...)
+		for port, c := range map[int]struct {
+			conn *net.UDPConn
+			want int
+		}{1: {sub1, 3}, 2: {sub2, 4}} {
+			if counts := check(c.conn, c.want); len(counts) != 1 {
+				t.Fatalf("port %d received frames of %v messages, want one of %d", port, counts, c.want)
+			}
+		}
+	})
 }
 
 // TestCloseSynchronizesWithRun: Close must return only after the Run

@@ -17,19 +17,19 @@ const sharedPoolCapacity = 1024
 // header region ([0:MoldHeaderLen)) is scratch — the sendmmsg writer
 // skips it and pairs the body with per-port headers, the portable writer
 // patches each header into it between writes — and each member's
-// retransmission ring retains per-message views into the body region.
+// retransmission ring retains the body, one slot per message.
 //
 // Lifetime is reference counted: the encoding lane holds one reference
-// for the duration of the datagram's sends, and every retransmission
-// ring slot that aliases the body holds one more. The buffer returns to
-// the pool when the last reference drops — which is when no ring can
-// still serve bytes from it, so recycling can never corrupt a pending
-// retransmission.
+// for the duration of the batch's sends, and every retransmission ring
+// slot that aliases the body holds one more. The buffer returns to its
+// pool when the last reference drops (sharedPool.unref) — which is when
+// no ring can still serve bytes from it, so recycling can never corrupt a
+// pending retransmission. It names no pool: every body of a switch is its
+// one pool's, and a ring retains one per frame, so 32 B beats 48.
 type sharedBuf struct {
 	b    []byte
 	refs atomic.Int32
-	h    uint32 // the body's handle in pool's table, held for its whole life
-	pool *sharedPool
+	h    uint32 // the body's handle in its pool's table, held for its whole life
 }
 
 // refGroup takes n references at once — one per ring slot a member port
@@ -39,18 +39,14 @@ type sharedBuf struct {
 //camus:hotpath
 func (sb *sharedBuf) refGroup(n int) { sb.refs.Add(int32(n)) }
 
-// unref drops one reference, recycling the buffer on the last drop.
+// unref drops n of sb's references at once — one for the lane's, the
+// counterpart of refGroup when a ring evicts a run of slots that alias
+// the same body — recycling it on the last drop.
 //
 //camus:hotpath
-func (sb *sharedBuf) unref() { sb.unrefN(1) }
-
-// unrefN drops n references at once — the counterpart of refGroup when a
-// ring evicts a whole batch of slots that alias the same body.
-//
-//camus:hotpath
-func (sb *sharedBuf) unrefN(n int32) {
+func (p *sharedPool) unref(sb *sharedBuf, n int32) {
 	if sb.refs.Add(-n) == 0 {
-		sb.pool.put(sb)
+		p.put(sb)
 	}
 }
 
@@ -80,7 +76,7 @@ func (a *evictAcc) add(h uint32) {
 //camus:hotpath
 func (a *evictAcc) flush() {
 	if a.h != 0 {
-		a.pool.body(a.h).unrefN(a.n)
+		a.pool.unref(a.pool.body(a.h), a.n)
 		a.h, a.n = 0, 0
 	}
 }
@@ -90,21 +86,34 @@ func (a *evictAcc) flush() {
 // pins 64 B of body per slot, not a multicast-sized buffer.
 const minBodyClass = 64
 
-// classOf returns the index k of the smallest class, minBodyClass<<k,
-// that holds need bytes.
+// classOf returns the index k of the smallest class that holds need
+// bytes. The classes are minBodyClass<<m (k = 2m) and one and a half
+// times it (k = 2m+1) — 64, 96, 128, 192, ... — so a body wastes under a
+// third of its bytes, not half: a frame's size follows how many of a
+// batch's messages its bucket took, and a ring retains one body a frame.
 //
 //camus:hotpath
 func classOf(need int) int {
 	if need <= minBodyClass {
 		return 0
 	}
-	return bits.Len(uint(need-1)) - bits.Len(minBodyClass-1)
+	c := bits.Len(uint(need - 1)) // 1<<(c-1) < need <= 1<<c
+	k := 2 * (c - bits.Len(minBodyClass-1))
+	if need <= 3<<(c-2) {
+		k--
+	}
+	return k
 }
 
-// bodyClass rounds need up to its class's capacity. Bodies vary with how
-// many of a datagram's messages hit the bucket; rounding makes any
+// bodyClass rounds need up to its class's capacity; rounding makes any
 // recycled body of a class fit any need of that class.
-func bodyClass(need int) int { return minBodyClass << classOf(need) }
+func bodyClass(need int) int {
+	k := classOf(need)
+	if k%2 == 1 {
+		return minBodyClass * 3 / 2 << (k / 2)
+	}
+	return minBodyClass << (k / 2)
+}
 
 // sharedPool is the bounded free lists sharedBufs circulate through, one
 // per size class, so a list only ever returns bodies of its class — and
@@ -159,7 +168,7 @@ func (p *sharedPool) get(need int) *sharedBuf {
 	default:
 	}
 	//camus:alloc-ok pool miss grows the working set once; the steady state recycles
-	sb := &sharedBuf{b: make([]byte, 0, bodyClass(need)), pool: p}
+	sb := &sharedBuf{b: make([]byte, 0, bodyClass(need))}
 	sb.refs.Store(1)
 	//camus:alloc-ok pool miss: the handle table doubles at most log2(bodies) times in the pool's life
 	p.issue(sb)

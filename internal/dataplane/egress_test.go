@@ -3,6 +3,7 @@ package dataplane
 import (
 	"net"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -23,48 +24,154 @@ func TestPortStateHotPrefixFitsALine(t *testing.T) {
 }
 
 // TestEgressFirstTouchOrder: a port fed by a single-port action and by a
-// multicast group receives one datagram's matches in the order the
-// buckets were first touched, with dense sequences — not every
-// single-port bucket ahead of every group bucket, which delivered [B, A]
-// as A then B. One bucket still frames all of its messages together, so
-// an interleaving like [B, A, B] reaches port 1 as B, B, A; keeping that
-// order too belongs to ROADMAP's "Egress is the bound" item.
+// multicast group receives one datagram's matches in ingress order, with
+// dense sequences — not every single-port bucket ahead of every group
+// bucket, which delivered [B, A] as A then B, and not one bucket's
+// messages together, which delivered [B, A, B] as B, B then A.
 func TestEgressFirstTouchOrder(t *testing.T) {
-	sub1, sub2 := listenUDP(t), listenUDP(t)
+	for _, in := range [][]string{{"MSFT", "GOOGL"}, {"MSFT", "GOOGL", "MSFT"}} {
+		t.Run(strings.Join(in, ","), func(t *testing.T) {
+			sub1, sub2 := listenUDP(t), listenUDP(t)
+			sw, err := Listen(Config{
+				Spec:          spec.MustParse(workload.ITCHSpecSource),
+				Subscriptions: "stock == GOOGL : fwd(1)\nstock == MSFT : fwd(1,2)",
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bindPorts(t, sw, map[int]string{
+				1: sub1.LocalAddr().String(),
+				2: sub2.LocalAddr().String(),
+			})
+			defer sw.Close()
+
+			var orders []itch.AddOrder
+			for i, sym := range in {
+				orders = append(orders, order(sym, uint32(10+i), 1000))
+			}
+			sw.processDatagram(sw.newProcState(0, sw.conn), moldWith(t, "ING", 1, orders...))
+
+			for i, want := range in {
+				mp, ok := recvMold(t, sub1, 2*time.Second)
+				if !ok {
+					t.Fatalf("port 1: frame %d never arrived", i)
+				}
+				if mp.Header.Sequence != uint64(1+i) || len(mp.Messages) != 1 {
+					t.Fatalf("port 1 frame %d: sequence %d with %d messages, want sequence %d with 1",
+						i, mp.Header.Sequence, len(mp.Messages), 1+i)
+				}
+				var o itch.AddOrder
+				if err := o.DecodeFromBytes(mp.Messages[0]); err != nil {
+					t.Fatal(err)
+				}
+				if got := o.StockSymbol(); got != want || o.Shares != uint32(10+i) {
+					t.Fatalf("port 1 frame %d carries %s (%d shares), want %s (%d): ingress order was %v", i, got, o.Shares, want, 10+i, in)
+				}
+			}
+		})
+	}
+}
+
+// TestEgressFramesFitAnMTU: one datagram's 60 add-orders for one port
+// reach it as frames of at most maxRetxDatagram bytes, with dense
+// sequences and every message once, in order — not as one 2.3 KB frame.
+func TestEgressFramesFitAnMTU(t *testing.T) {
+	const n = 60
+	sub := listenUDP(t)
 	sw, err := Listen(Config{
 		Spec:          spec.MustParse(workload.ITCHSpecSource),
-		Subscriptions: "stock == GOOGL : fwd(1)\nstock == MSFT : fwd(1,2)",
+		Subscriptions: "stock == GOOGL : fwd(1)",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bindPorts(t, sw, map[int]string{
-		1: sub1.LocalAddr().String(),
-		2: sub2.LocalAddr().String(),
-	})
+	bindPorts(t, sw, map[int]string{1: sub.LocalAddr().String()})
 	defer sw.Close()
 
-	sw.processDatagram(sw.newProcState(0, sw.conn), moldWith(t, "ING", 1,
-		order("MSFT", 10, 1000),
-		order("GOOGL", 20, 1000)))
+	var orders []itch.AddOrder
+	for i := 0; i < n; i++ {
+		orders = append(orders, order("GOOGL", uint32(1+i), 1000))
+	}
+	sw.processDatagram(sw.newProcState(0, sw.conn), moldWith(t, "ING", 1, orders...))
 
-	for i, want := range []string{"MSFT", "GOOGL"} {
-		mp, ok := recvMold(t, sub1, 2*time.Second)
-		if !ok {
-			t.Fatalf("port 1: frame %d never arrived", i)
+	buf := make([]byte, 64<<10)
+	for got, frames := 0, 0; got < n; frames++ {
+		sub.SetReadDeadline(time.Now().Add(2 * time.Second))
+		size, _, err := sub.ReadFromUDP(buf)
+		if err != nil {
+			t.Fatalf("after %d frames and %d of %d messages: %v", frames, got, n, err)
 		}
-		if mp.Header.Sequence != uint64(1+i) || len(mp.Messages) != 1 {
-			t.Fatalf("port 1 frame %d: sequence %d with %d messages, want sequence %d with 1",
-				i, mp.Header.Sequence, len(mp.Messages), 1+i)
+		if size > maxRetxDatagram {
+			t.Fatalf("frame %d is %d bytes, over the %d-byte cap", frames, size, maxRetxDatagram)
 		}
-		var o itch.AddOrder
-		if err := o.DecodeFromBytes(mp.Messages[0]); err != nil {
+		var mp itch.MoldPacket
+		if err := mp.Decode(buf[:size]); err != nil {
 			t.Fatal(err)
 		}
-		if got := o.StockSymbol(); got != want {
-			t.Fatalf("port 1 frame %d carries %s, want %s (ingress order was MSFT, GOOGL)", i, got, want)
+		if mp.Header.Sequence != uint64(1+got) || int(mp.Header.Count) != len(mp.Messages) {
+			t.Fatalf("frame %d: sequence %d count %d with %d messages, want sequence %d", frames, mp.Header.Sequence, mp.Header.Count, len(mp.Messages), 1+got)
+		}
+		for _, m := range mp.Messages {
+			var o itch.AddOrder
+			if err := o.DecodeFromBytes(m); err != nil {
+				t.Fatal(err)
+			}
+			if got++; o.Shares != uint32(got) {
+				t.Fatalf("message %d carries %d shares, want %d", got, o.Shares, got)
+			}
 		}
 	}
+	if f := sw.Metric("camus_dataplane_forwarded_total"); f < 2 {
+		t.Fatalf("%d frames carried %d messages", f, n)
+	}
+}
+
+// TestEgressOneSendCallPerBatch: eight datagrams of one lane batch, all
+// for port 1, cost one socket call between them — one frame — on either
+// writer, where a flush per datagram made eight.
+func TestEgressOneSendCallPerBatch(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		batch int
+	}{{"sendmmsg", 32}, {"portable", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			sub := listenUDP(t)
+			sw, err := Listen(Config{
+				Spec:          spec.MustParse(workload.ITCHSpecSource),
+				Subscriptions: "stock == GOOGL : fwd(1)",
+				Batch:         tc.batch,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bindPorts(t, sw, map[int]string{1: sub.LocalAddr().String()})
+			defer sw.Close()
+
+			var wires [][]byte
+			for i := 0; i < 8; i++ {
+				wires = append(wires, moldWith(t, "ING", uint64(1+i), order("GOOGL", uint32(1+i), 1000)))
+			}
+			processWires(sw, wires...)
+			if got := sw.Metric("camus_dataplane_send_calls_total"); got != 1 {
+				t.Fatalf("send_calls_total = %d for one batch of 8 datagrams, want 1", got)
+			}
+			mp, ok := recvMold(t, sub, 2*time.Second)
+			if !ok || mp.Header.Sequence != 1 || len(mp.Messages) != 8 {
+				t.Fatalf("port 1 did not receive one frame of the 8 messages")
+			}
+		})
+	}
+}
+
+// processWires runs wires through a fresh lane as one lane batch, as one
+// read of that many datagrams does.
+func processWires(sw *Switch, wires ...[]byte) {
+	l := &lane{st: sw.newProcState(0, sw.conn)}
+	ds := make([]*dgram, len(wires))
+	for i, w := range wires {
+		ds[i] = &dgram{buf: w, n: len(w)}
+	}
+	sw.processBatch(l, ds)
 }
 
 // TestEgressAcceptsNilIPAddress: ":p" resolves to a UDPAddr with no IP,
@@ -187,14 +294,21 @@ func TestUnbindReleasesRing(t *testing.T) {
 }
 
 // TestSharedPoolSizeClasses pins the ring-memory bound: a one-message
-// frame takes the 64-byte class, not a multicast-sized buffer, and a
-// class's free list only ever returns bodies of that class, however the
-// buffers were sized when they were put back.
+// frame takes the 64-byte class, not a multicast-sized buffer, a larger
+// one a class under a third bigger than it, a body's header is 32 bytes,
+// and a class's free list only ever returns bodies of that class, however
+// the buffers were sized when they were put back.
 func TestSharedPoolSizeClasses(t *testing.T) {
 	if got := bodyClass(itch.MoldHeaderLen + 2 + 36); got != 64 {
 		t.Fatalf("a one-message body takes a %d-byte class, want 64", got)
 	}
-	for need, want := range map[int]int{1: 64, 64: 64, 65: 128, 128: 128, 129: 256, 1500: 2048, 64 << 10: 64 << 10} {
+	if got := unsafe.Sizeof(sharedBuf{}); got > 32 {
+		t.Fatalf("sharedBuf is %d bytes, want at most 32", got)
+	}
+	for need, want := range map[int]int{
+		1: 64, 64: 64, 65: 96, 96: 96, 97: 128, 128: 128, 129: 192, 193: 256,
+		maxRetxDatagram: 1536, 1537: 2048, 64 << 10: 64 << 10,
+	} {
 		if got := bodyClass(need); got != want {
 			t.Errorf("bodyClass(%d) = %d, want %d", need, got, want)
 		}
@@ -208,7 +322,7 @@ func TestSharedPoolSizeClasses(t *testing.T) {
 	}
 	for _, sb := range held {
 		sb.b = sb.b[:cap(sb.b)] // as left by an encode
-		sb.unref()
+		p.unref(sb, 1)
 	}
 	// Ask in the opposite order, so a single free list would hand a small
 	// body to a large need.

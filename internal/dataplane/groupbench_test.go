@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -22,8 +23,10 @@ func (nullConn) SetReadDeadline(time.Time) error { return nil }
 func (nullConn) Close() error                    { return nil }
 func (nullConn) LocalAddr() net.Addr             { return &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)} }
 
-// BenchmarkGroupEgress prices one datagram through the lane at high
-// fanout — 4 messages, each multicast to a 500-member group.
+// BenchmarkGroupEgress prices lane work at high fanout — a datagram of 4
+// messages, each multicast to a 500-member group — for one datagram
+// through its own flush, and for a lane batch of 32 such datagrams
+// through one flush (one op is the whole batch).
 func BenchmarkGroupEgress(b *testing.B) {
 	const groups, ports = 4, 2000
 	sw, err := Listen(Config{
@@ -48,13 +51,25 @@ func BenchmarkGroupEgress(b *testing.B) {
 		mp.Append(o.Bytes())
 	}
 	wire := mp.Bytes()
-	st := sw.newProcState(0, nullConn{})
-	for i := 0; i < 100; i++ {
-		sw.processDatagram(st, wire) // warm rings, pools, scratch
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sw.processDatagram(st, wire)
+	for _, n := range []int{1, 32} {
+		name := "datagram"
+		if n > 1 {
+			name = fmt.Sprintf("batch-%d", n)
+		}
+		b.Run(name, func(b *testing.B) {
+			l := &lane{st: sw.newProcState(0, nullConn{})}
+			ds := make([]*dgram, n)
+			for i := range ds {
+				ds[i] = &dgram{buf: wire, n: len(wire)}
+			}
+			for i := 0; i < 100; i++ {
+				sw.processBatch(l, ds) // warm rings, pools, scratch
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sw.processBatch(l, ds)
+			}
+		})
 	}
 }

@@ -7,25 +7,41 @@ import (
 )
 
 // flatRing is the retransmission store as it was before the ring grew on
-// demand: every slot of the bound allocated at bind, position seq % cap.
-// It is the reference FuzzRetxStoreMatchesFlatRing holds retxStore to.
+// demand: every slot of the bound allocated at bind, position seq % cap,
+// and each slot storing its message's offset in the body rather than
+// deriving it from the ring. It is the reference
+// FuzzRetxStoreMatchesFlatRing holds retxStore to.
 type flatRing struct {
-	slots  []retxSlot
+	slots  []flatSlot
 	bodies *sharedPool
 	lo     uint64
 	hi     uint64
 }
 
+// flatSlot is a message as the handle of its body and its offset in it.
+type flatSlot struct {
+	body uint32 // handle of the shared body the slot aliases
+	off  uint32 // message start within the body, just past its length
+}
+
+// message returns the bytes at the slot's offset in its body, as many as
+// the two-byte length written before them says.
+func (sl flatSlot) message(bodies *sharedPool) []byte {
+	b := bodies.body(sl.body).b
+	n := uint32(b[sl.off-2])<<8 | uint32(b[sl.off-1])
+	return b[sl.off : sl.off+n]
+}
+
 func newFlatRing(capacity int, bodies *sharedPool) *flatRing {
-	return &flatRing{slots: make([]retxSlot, capacity), bodies: bodies, lo: 1, hi: 1}
+	return &flatRing{slots: make([]flatSlot, capacity), bodies: bodies, lo: 1, hi: 1}
 }
 
 func (s *flatRing) releaseAll() {
 	for i := range s.slots {
 		if h := s.slots[i].body; h != 0 {
-			s.bodies.body(h).unref()
+			s.bodies.unref(s.bodies.body(h), 1)
 		}
-		s.slots[i] = retxSlot{}
+		s.slots[i] = flatSlot{}
 	}
 	s.lo = s.hi
 }
@@ -37,7 +53,7 @@ func (s *flatRing) addSharedGroup(offs []uint32, h uint32, ev *evictAcc) {
 		if sl.body != 0 {
 			ev.add(sl.body)
 		}
-		*sl = retxSlot{body: h, off: off}
+		*sl = flatSlot{body: h, off: off}
 		s.hi++
 	}
 	if s.hi-s.lo > capacity {
@@ -80,6 +96,14 @@ type retxRing interface {
 	releaseAll()
 }
 
+// grownRing drives a retxStore through retxRing: it is given the frame's
+// message count, not the offsets, which it derives.
+type grownRing struct{ *retxStore }
+
+func (g grownRing) addSharedGroup(offs []uint32, h uint32, ev *evictAcc) {
+	g.retxStore.addSharedGroup(len(offs), h, ev)
+}
+
 // newRingPool is the pool a ring of capacity slots is tested over. Its
 // free lists hold fewer bodies than the ring retains, so a step that
 // retires many bodies drops most of them to the collector, and the next
@@ -96,21 +120,41 @@ type ringSide struct {
 	index    map[*sharedBuf]int
 	byHandle map[uint32]int // the body a handle was last issued to
 	dropped  int            // pool.handles before the latest ring call: drops beyond it are new
+	spare    []*sharedBuf   // bodies recycled() took off the free lists, handles kept
 }
 
 func newRingSide(ring retxRing, pool *sharedPool) *ringSide {
 	return &ringSide{ring: ring, pool: pool, index: map[*sharedBuf]int{}, byHandle: map[uint32]int{}}
 }
 
-// store frames n messages numbered from seq into a fresh body the way
+// store frames n messages numbered from seq into a body the way
 // frameGroup does — the lane's reference plus one per ring slot — and
-// hands them to the ring, then drops the lane's reference.
-func (r *ringSide) store(seq uint64, n int, offs []uint32) []uint32 {
+// hands them to the ring, then drops the lane's reference. The body is a
+// new one (recycled drains the free lists), or with reuse the earliest
+// made of the recycled bodies that fits, as a free list would return it:
+// under the handle it had in its earlier life.
+func (r *ringSide) store(seq uint64, n int, offs []uint32, reuse bool) []uint32 {
 	need := 20
 	for i := 0; i < n; i++ {
 		need += 2 + retxFuzzLen(seq+uint64(i))
 	}
-	sb := r.pool.get(need) // a new body: recycled drains the free lists
+	var sb *sharedBuf
+	if reuse {
+		pick := -1
+		for i, c := range r.spare {
+			if cap(c.b) >= need && (pick < 0 || r.index[c] < r.index[r.spare[pick]]) {
+				pick = i
+			}
+		}
+		if pick >= 0 {
+			sb = r.spare[pick]
+			r.spare = append(r.spare[:pick], r.spare[pick+1:]...)
+			sb.refs.Store(1)
+		}
+	}
+	if sb == nil {
+		sb = r.pool.get(need)
+	}
 	r.index[sb] = len(r.bufs)
 	r.byHandle[sb.h] = len(r.bufs)
 	r.bufs = append(r.bufs, sb)
@@ -130,7 +174,7 @@ func (r *ringSide) store(seq uint64, n int, offs []uint32) []uint32 {
 	r.dropped = len(r.pool.handles)
 	r.ring.addSharedGroup(offs, sb.h, &ev)
 	ev.flush()
-	sb.unref()
+	r.pool.unref(sb, 1)
 	return offs
 }
 
@@ -148,7 +192,9 @@ func (r *ringSide) recycled() []int {
 	var out []int
 	for _, free := range r.pool.free {
 		for len(free) > 0 { // nothing else sends or receives
-			out = append(out, r.index[<-free])
+			sb := <-free
+			out = append(out, r.index[sb])
+			r.spare = append(r.spare, sb)
 		}
 	}
 	for _, h := range r.pool.handles[r.dropped:] {
@@ -205,12 +251,16 @@ func retxGrowthSteps(max int) int {
 // retxFuzzOp is one step of the differential, four bytes of fuzz input.
 // kind%3: 0 add, 1 get, 2 releaseAll.
 //
-//	add: 1 + (a | b<<8) % (2*cap) messages
+//	add: 1 + (a | b<<8) % (2*cap) messages, into a recycled body when
+//	     c is odd and one fits
 //	get: from = anchor(a%3: lo, hi, midway) + int8(b); count c (>= 250
 //	     asks for 65535); maxBytes picked by kind/3
 type retxFuzzOp struct{ kind, a, b, c byte }
 
 func retxAdd(n int) retxFuzzOp { return retxFuzzOp{0, byte(n - 1), byte((n - 1) >> 8), 0} }
+func retxAddReused(n int) retxFuzzOp {
+	return retxFuzzOp{0, byte(n - 1), byte((n - 1) >> 8), 1}
+}
 func retxGet(anchor, off, count, maxSel int) retxFuzzOp {
 	return retxFuzzOp{byte(1 + 3*maxSel), byte(anchor), byte(int8(off)), byte(count)}
 }
@@ -264,6 +314,11 @@ func FuzzRetxStoreMatchesFlatRing(f *testing.F) {
 	}
 	reuse = append(reuse, retxGet(0, 0, 255, 3), retxRelease(), retxAdd(3))
 	f.Add(uint16(32), retxOps(reuse...))
+	// A body recycled through a free list, handle kept, framed again into
+	// the slots right after those of its earlier life: X at 1–2 (slots 1,
+	// 2), Y at 3–6 retires X, X again at 7–8 (slots 3, 0) cuts Y to 5–6.
+	// The ring then holds Y's last two messages, then X's two.
+	f.Add(uint16(4), retxOps(retxAdd(2), retxAdd(4), retxAddReused(2), retxGet(0, 0, 255, 3), retxGet(0, 1, 255, 3), retxGet(1, -2, 255, 3), retxAddReused(3), retxGet(0, 0, 255, 0)))
 
 	f.Fuzz(func(t *testing.T, capacity uint16, data []byte) {
 		if capacity == 0 || capacity > 4096 || len(data) > 4*48 {
@@ -272,7 +327,7 @@ func FuzzRetxStoreMatchesFlatRing(f *testing.F) {
 		max := int(capacity)
 		pa, pb := newRingPool(max), newRingPool(max)
 		grown, flat := newRetxStore(max, pa), newFlatRing(max, pb)
-		a, b := newRingSide(grown, pa), newRingSide(flat, pb)
+		a, b := newRingSide(grownRing{grown}, pa), newRingSide(flat, pb)
 		rings := 1
 		var offs []uint32
 		var dst [][]byte
@@ -325,8 +380,8 @@ func FuzzRetxStoreMatchesFlatRing(f *testing.F) {
 			case 0:
 				n := 1 + (int(op.a)|int(op.b)<<8)%(2*max)
 				before := len(grown.slots)
-				offs = a.store(grown.hi, n, offs)
-				offs = b.store(flat.hi, n, offs)
+				offs = a.store(grown.hi, n, offs, op.c%2 == 1)
+				offs = b.store(flat.hi, n, offs, op.c%2 == 1)
 				if len(grown.slots) != before {
 					rings++
 				}

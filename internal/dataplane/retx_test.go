@@ -11,12 +11,12 @@ import (
 	"camus/internal/workload"
 )
 
-// TestRetxSlotIsEightBytes: eight ring slots share a cache line, so the
+// TestRetxSlotIsFourBytes: sixteen ring slots share a cache line, so the
 // ring's footprint, and the miss rate at high fanout, stays what the
 // retxSlot comment measures.
-func TestRetxSlotIsEightBytes(t *testing.T) {
-	if got := unsafe.Sizeof(retxSlot{}); got != 8 {
-		t.Fatalf("retxSlot is %d bytes, want 8", got)
+func TestRetxSlotIsFourBytes(t *testing.T) {
+	if got := unsafe.Sizeof(retxSlot{}); got != 4 {
+		t.Fatalf("retxSlot is %d bytes, want 4", got)
 	}
 }
 
@@ -30,7 +30,7 @@ func TestRetxRingGrowsToBound(t *testing.T) {
 		t.Run(fmt.Sprint(max), func(t *testing.T) {
 			p := newRingPool(max)
 			s := newRetxStore(max, p)
-			r := newRingSide(s, p)
+			r := newRingSide(grownRing{s}, p)
 			if len(s.slots) != min(max, retxInitialSlots) {
 				t.Fatalf("bound with %d slots, want %d", len(s.slots), min(max, retxInitialSlots))
 			}
@@ -38,7 +38,7 @@ func TestRetxRingGrowsToBound(t *testing.T) {
 			var offs []uint32
 			for n := 1; n <= 2*max+10; n++ {
 				before := len(s.slots)
-				offs = r.store(s.hi, 1, offs)
+				offs = r.store(s.hi, 1, offs, false)
 				if len(s.slots) != before {
 					rings++
 				}
@@ -60,8 +60,8 @@ func TestRetxRingGrowsToBound(t *testing.T) {
 }
 
 // TestSubscribeCostIndependentOfRetxBuffer: RetxBuffer is a bound, not a
-// reservation. At a bound of 2^20 messages a reserved ring is 8 MB per
-// port; a bind allocates a few hundred bytes of port state and a 512 B
+// reservation. At a bound of 2^20 messages a reserved ring is 4 MB per
+// port; a bind allocates a few hundred bytes of port state and a 256 B
 // ring.
 func TestSubscribeCostIndependentOfRetxBuffer(t *testing.T) {
 	const ports = 1000
