@@ -99,10 +99,16 @@ func (n *Node) IsTerminal() bool { return n.Field < 0 }
 type BDD struct {
 	Fields []Field
 	Root   *Node
+	Sizes  Sizes // what the build made
 
 	nodes     []*Node // all nodes, terminals included, by ID
 	terminals []*Node
 }
+
+// Sizes counts what a build made: the field transitions it memoized, and the
+// predicate nodes and terminals of its diagram. Handed the last build's, a
+// build of a set much like it makes its tables at their size.
+type Sizes struct{ Transitions, Internal, Terminals int }
 
 // Nodes returns every node in the BDD (terminals included), indexed by ID.
 func (b *BDD) Nodes() []*Node { return b.nodes }
@@ -112,9 +118,6 @@ func (b *BDD) Terminals() []*Node { return b.terminals }
 
 // NumNodes returns the total node count (terminals included).
 func (b *BDD) NumNodes() int { return len(b.nodes) }
-
-// NumInternal returns the number of predicate (non-terminal) nodes.
-func (b *BDD) NumInternal() int { return len(b.nodes) - len(b.terminals) }
 
 // Classifier holds the multiset of payloads settled on the path the builder
 // is at — one Add per conjunction settled, one Remove per conjunction
@@ -218,10 +221,8 @@ type memoKey struct {
 }
 
 type nodeKey struct {
-	field   int32
-	pred    hash128
-	trueID  int
-	falseID int
+	pred            *pred
+	trueID, falseID int32
 }
 
 type hash128 struct{ a, b uint64 }
@@ -265,7 +266,6 @@ func hashSet(s interval.Set) hash128 {
 
 type pred struct {
 	set      interval.Set
-	hash     hash128 // hashSet(set): the predicate's identity in memo and node keys
 	label    string
 	interned int32 // position in preds[f] before sortPreds
 }
@@ -313,16 +313,16 @@ type cellPred struct {
 // conjunctions over the given ordered fields, its terminals payload sets (a
 // caller that reads them uses a PayloadSets).
 func Build(fields []Field, conjs []Conj) (*BDD, error) {
-	return BuildClasses(fields, conjs, NewPayloadSets())
+	return BuildClasses(fields, conjs, NewPayloadSets(), Sizes{})
 }
 
 // BuildClasses constructs the reduced ordered multi-terminal BDD for the
 // given conjunctions over the given ordered fields, its terminals the
 // classes classify gives the payloads that match. Every build is cold: its
-// arena is its own, and what the diagram does not keep is garbage once it
-// returns.
-func BuildClasses(fields []Field, conjs []Conj, classify Classifier) (*BDD, error) {
-	b, sum, err := begin(fields, conjs, classify)
+// arena is its own, sized by hint where it is not zero, and what the diagram
+// does not keep is garbage once it returns.
+func BuildClasses(fields []Field, conjs []Conj, classify Classifier, hint Sizes) (*BDD, error) {
+	b, sum, err := begin(fields, conjs, classify, hint)
 	if err != nil {
 		return nil, err
 	}
@@ -350,13 +350,13 @@ func (b *builder) run(sum hash128) *Node {
 
 // begin readies a build: the conjunctions ingested, the predicates in
 // canonical order, and the sum of every conjunction's hash.
-func begin(fields []Field, conjs []Conj, classify Classifier) (b *builder, sum hash128, err error) {
-	b = &builder{classify: classify, fields: fields, nodeCons: make(map[nodeKey]*Node), classCons: make(map[int]*Node)}
+func begin(fields []Field, conjs []Conj, classify Classifier, hint Sizes) (b *builder, sum hash128, err error) {
+	b = &builder{classify: classify, fields: fields, nodeCons: make(map[nodeKey]*Node, hint.Internal), classCons: make(map[int]*Node, hint.Terminals)}
 	if err := b.ingest(conjs); err != nil {
 		return nil, sum, err
 	}
-	// A build makes about a field transition per conjunction.
-	b.memo = make(map[memoKey]*Node, len(b.conjs))
+	// Without a hint, a build makes about a field transition per conjunction.
+	b.memo = make(map[memoKey]*Node, cmp.Or(hint.Transitions, len(b.conjs)))
 	b.sortPreds()
 	b.predSeen = make([][]int, len(fields))
 	b.predAt = make([][]int32, len(fields))
@@ -386,7 +386,11 @@ func (b *builder) ingest(conjs []Conj) error {
 	b.reqs = make([][]interval.Set, nf)
 	predIdx := make([]map[hash128]int32, nf)
 	reqIdx := make([]map[hash128]int32, nf)
-	b.conjs, b.cls = make([]conjInfo, 0, len(conjs)), make([]int32, 0, len(conjs)*nf)
+	uses := 0
+	for _, c := range conjs {
+		uses += len(c.Constraints)
+	}
+	b.conjs, b.cls, b.refs = make([]conjInfo, 0, len(conjs)), make([]int32, 0, len(conjs)*nf), make([]predRef, 0, uses)
 	for f := range predIdx {
 		predIdx[f] = make(map[hash128]int32)
 		reqIdx[f] = make(map[hash128]int32)
@@ -421,7 +425,7 @@ func (b *builder) ingest(conjs []Conj) error {
 				if !ok {
 					idx = int32(len(b.preds[f]))
 					predIdx[f][hs] = idx
-					p := pred{set: set, hash: hs, interned: idx}
+					p := pred{set: set, interned: idx}
 					if con.Label != nil {
 						p.label = con.Label.String()
 					}
@@ -471,7 +475,7 @@ func (b *builder) ingest(conjs []Conj) error {
 // subtree before the false one — and lists them. The numbering depends on
 // the diagram alone, not on the order the sweep made its nodes in.
 func (b *builder) finish(root *Node) *BDD {
-	out := &BDD{Fields: b.fields, Root: root}
+	out := &BDD{Fields: b.fields, Root: root, nodes: make([]*Node, 0, b.nnodes), terminals: make([]*Node, 0, len(b.classCons))}
 	done := make([]bool, b.nnodes) // by arena ID: nothing is renumbered before the walk ends
 	var walk func(n *Node)
 	walk = func(n *Node) {
@@ -488,6 +492,7 @@ func (b *builder) finish(root *Node) *BDD {
 		out.nodes = append(out.nodes, n)
 	}
 	walk(root)
+	out.Sizes = Sizes{len(b.memo), len(out.nodes) - len(out.terminals), len(out.terminals)}
 	for id, n := range out.nodes {
 		n.ID = id
 	}
@@ -924,7 +929,7 @@ func (b *builder) terminal() *Node {
 // consNode hash-conses an internal node: reduction (i). An arena ID counts
 // the nodes made before; finish renumbers the diagram.
 func (b *builder) consNode(f int, p *pred, t, e *Node) *Node {
-	key := nodeKey{field: int32(f), pred: p.hash, trueID: t.ID, falseID: e.ID}
+	key := nodeKey{p, int32(t.ID), int32(e.ID)}
 	if n, ok := b.nodeCons[key]; ok {
 		return n
 	}

@@ -20,7 +20,7 @@ func c(f int, s interval.Set) Constraint { return Constraint{Field: f, Set: s} }
 // are classes of.
 func buildSets(fields []Field, conjs []Conj) (*BDD, *PayloadSets, error) {
 	sets := NewPayloadSets()
-	b, err := BuildClasses(fields, conjs, sets)
+	b, err := BuildClasses(fields, conjs, sets, Sizes{})
 	return b, sets, err
 }
 
@@ -112,8 +112,8 @@ func TestReductionImpliedPredicateNotMaterialized(t *testing.T) {
 	}
 	// Expect: 1 or 2 internal nodes; a path can test at most the two
 	// distinct thresholds once each.
-	if b.NumInternal() > 2 {
-		t.Fatalf("implied predicates materialized: %d internal nodes", b.NumInternal())
+	if b.Sizes.Internal > 2 {
+		t.Fatalf("implied predicates materialized: %d internal nodes", b.Sizes.Internal)
 	}
 	if got := sets.SetOf(b.Lookup([]uint64{150}).Class); len(got) != 1 {
 		t.Fatalf("Eval(150) = %v", got)
@@ -227,11 +227,11 @@ func TestPathRangesPartitionDomain(t *testing.T) {
 					return
 				}
 				walk(n.True, acc.Intersect(n.Set))
-				walk(n.False, acc.Minus(n.Set, max))
+				walk(n.False, acc.Minus(n.Set))
 			}
 			full := interval.Full(max)
 			walk(u.True, full.Intersect(u.Set))
-			walk(u.False, full.Minus(u.Set, max))
+			walk(u.False, full.Minus(u.Set))
 
 			union := interval.Empty()
 			for i, ri := range ranges {

@@ -46,10 +46,10 @@ func TestBuilderWarmMatchesCold(t *testing.T) {
 	}
 
 	sets := NewPayloadSets()
-	if _, err := BuildClasses(fields, append(append([]Conj(nil), a...), b...), sets); err != nil {
+	if _, err := BuildClasses(fields, append(append([]Conj(nil), a...), b...), sets, Sizes{}); err != nil {
 		t.Fatal(err)
 	}
-	warm, err := BuildClasses(fields, a, sets)
+	warm, err := BuildClasses(fields, a, sets, Sizes{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,10 +66,10 @@ func TestBuilderWarmLabelsAsCold(t *testing.T) {
 	}
 	gt, ge := conj("price > 9"), conj("price >= 10")
 	sets := NewPayloadSets()
-	if _, err := BuildClasses(fields, []Conj{gt, ge}, sets); err != nil {
+	if _, err := BuildClasses(fields, []Conj{gt, ge}, sets, Sizes{}); err != nil {
 		t.Fatal(err)
 	}
-	warm, err := BuildClasses(fields, []Conj{ge}, sets)
+	warm, err := BuildClasses(fields, []Conj{ge}, sets, Sizes{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestBuilderReuseAcrossChurn(t *testing.T) {
 	conjs := churnConjs(300, 3)
 	sets := NewPayloadSets()
 
-	first, err := BuildClasses(fields, conjs, sets)
+	first, err := BuildClasses(fields, conjs, sets, Sizes{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestBuilderReuseAcrossChurn(t *testing.T) {
 		}
 		conjs = append(conjs, fresh...)
 
-		warm, err := BuildClasses(fields, conjs, sets)
+		warm, err := BuildClasses(fields, conjs, sets, Sizes{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,13 +135,13 @@ func TestBuilderReuseAcrossChurn(t *testing.T) {
 func TestBuilderResetOnFieldChange(t *testing.T) {
 	sets := NewPayloadSets()
 	fieldsA := stockPriceFields()
-	if _, err := BuildClasses(fieldsA, churnConjs(50, 5), sets); err != nil {
+	if _, err := BuildClasses(fieldsA, churnConjs(50, 5), sets, Sizes{}); err != nil {
 		t.Fatal(err)
 	}
 
 	fieldsB := []Field{{Name: "x", Max: 255}}
 	conjsB := []Conj{mkConj(0, c(0, interval.Point(7)))}
-	warm, err := BuildClasses(fieldsB, conjsB, sets)
+	warm, err := BuildClasses(fieldsB, conjsB, sets, Sizes{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ import (
 
 // buildChain is BuildClasses with the chain in sweep's place.
 func buildChain(fields []Field, conjs []Conj, classify Classifier) (*BDD, error) {
-	b, sum, err := begin(fields, conjs, classify)
+	b, sum, err := begin(fields, conjs, classify, Sizes{})
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +126,7 @@ func (b *builder) chain(f int, alive []int32, classes []class, ctx interval.Set,
 
 	p := &b.preds[f][next]
 	t := b.chain(f, alive, classes, ctx.Intersect(p.set), kept, next+1)
-	e := b.chain(f, alive, classes, ctx.Minus(p.set, b.fields[f].Max), kept, next+1)
+	e := b.chain(f, alive, classes, ctx.Minus(p.set), kept, next+1)
 	if t == e {
 		return t
 	}
@@ -514,7 +514,7 @@ func FuzzSweepMatchesChain(f *testing.F) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := BuildClasses(fields, conjs, arm.classify[1])
+				got, err := BuildClasses(fields, conjs, arm.classify[1], Sizes{})
 				if err != nil {
 					t.Fatal(err)
 				}

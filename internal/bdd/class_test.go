@@ -34,7 +34,7 @@ func TestClassTerminalsReduceTheExactDiagram(t *testing.T) {
 			t.Fatal(err)
 		}
 		cold := classifierOf(t, portsOf)
-		classed, err := BuildClasses(fields, conjs, cold)
+		classed, err := BuildClasses(fields, conjs, cold, Sizes{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func TestClassTerminalsReduceTheExactDiagram(t *testing.T) {
 					trial, values, got.Class, got.Matches, payloads, class, matches)
 			}
 		}
-		again, err := BuildClasses(fields, conjs, used)
+		again, err := BuildClasses(fields, conjs, used, Sizes{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,11 +82,11 @@ func TestImpliesOverClasses(t *testing.T) {
 	fields := []Field{{Name: "a", Max: 7}, {Name: "b", Max: 7}, {Name: "c", Max: 7}}
 	refuted := 0
 	for trial := 0; trial < 200; trial++ {
-		a, err := BuildClasses(fields, randomConjs(r, fields, 1+r.Intn(6), 3), classifierOf(t, portsOf))
+		a, err := BuildClasses(fields, randomConjs(r, fields, 1+r.Intn(6), 3), classifierOf(t, portsOf), Sizes{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := BuildClasses(fields, randomConjs(r, fields, 1+r.Intn(6), 3), classifierOf(t, portsOf))
+		b, err := BuildClasses(fields, randomConjs(r, fields, 1+r.Intn(6), 3), classifierOf(t, portsOf), Sizes{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -106,12 +106,12 @@ func (w *impliesWalk) ok(na, nb *Node, f int, ctx interval.Set) bool {
 		bSet = nb.Set
 	}
 	inA := ctx.Intersect(aSet)
-	outA := ctx.Minus(aSet, w.fields[f].Max)
+	outA := ctx.Minus(aSet)
 	for _, region := range []interval.Set{
 		inA.Intersect(bSet),
-		inA.Minus(bSet, w.fields[f].Max),
+		inA.Minus(bSet),
 		outA.Intersect(bSet),
-		outA.Minus(bSet, w.fields[f].Max),
+		outA.Minus(bSet),
 	} {
 		if region.IsEmpty() {
 			continue

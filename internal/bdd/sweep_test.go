@@ -51,7 +51,7 @@ func TestSweepScalesWithCells(t *testing.T) {
 			}
 			return len(payloads)*(n+1) + payloads[0] + 1, true
 		})
-		b, sum, err := begin(fields, conjs, cl)
+		b, sum, err := begin(fields, conjs, cl, Sizes{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -22,7 +23,7 @@ import (
 // order (one per action class: the builder has already merged the
 // terminals that do the same thing).
 func assignStates(b *bdd.BDD) (index, leaves []int, states int) {
-	index = make([]int, b.NumNodes())
+	index, leaves = make([]int, b.NumNodes()), make([]int, 0, len(b.Terminals()))
 	for i := range index {
 		index[i] = -1
 	}
@@ -38,7 +39,7 @@ func assignStates(b *bdd.BDD) (index, leaves []int, states int) {
 		}
 	}
 	assign(b.Root)
-	queue := []*bdd.Node{b.Root}
+	queue := append(make([]*bdd.Node, 0, b.NumNodes()), b.Root)
 	seen := make([]bool, b.NumNodes())
 	seen[b.Root.ID] = true
 	for head := 0; head < len(queue); head++ {
@@ -88,40 +89,71 @@ func algorithm1(b *bdd.BDD, index []int) [][]pathEntry {
 			inNodes[n.Field] = append(inNodes[n.Field], n)
 		}
 	}
-	at := make([]int, len(index))   // Out node ID -> 1 + its entry among the In node at hand's
+	at := make([]int32, len(index)) // Out node ID -> 1 + its entry among the In node at hand's
+	// An In node has a path to each Out node it reaches (reduction (iii)
+	// leaves no test whose branch no value takes), so counting those, the
+	// In node's state stamped on what it reaches, sizes a field's paths.
+	var reach func(f int, stamp int32, n *bdd.Node) int
+	reach = func(f int, stamp int32, n *bdd.Node) int {
+		if at[n.ID] == stamp {
+			return 0
+		}
+		at[n.ID] = stamp
+		if n.Field != f {
+			return 1
+		}
+		return reach(f, stamp, n.True) + reach(f, stamp, n.False)
+	}
+	for f := range b.Fields {
+		paths := 0
+		for _, u := range inNodes[f] {
+			stamp := int32(-1 - index[u.ID])
+			paths += reach(f, stamp, u.True) + reach(f, stamp, u.False)
+		}
+		perField[f] = make([]pathEntry, 0, paths)
+	}
+	clear(at)
 	var outs []int                  // per entry of the In node at hand, its Out node ID
 	var cells [][]interval.Interval // and the ranges that reach it
+	var stack []interval.Interval   // the ranges of the walk's paths, a true branch's above its parent's
 	for f := range b.Fields {
 		sort.Slice(inNodes[f], func(i, j int) bool {
 			return index[inNodes[f][i].ID] < index[inNodes[f][j].ID]
 		})
-		max := b.Fields[f].Max
 		for _, u := range inNodes[f] {
 			from, first := index[u.ID], len(perField[f])
 			outs, cells = outs[:0], cells[:0]
-			var walk func(n *bdd.Node, r interval.Set)
-			walk = func(n *bdd.Node, r interval.Set) {
-				if r.IsEmpty() {
-					return
+			// walk takes the paths from n, the values r reach it with on top of
+			// the stack, true branch first. A false branch takes r's place.
+			var walk func(n *bdd.Node, r []interval.Interval)
+			walk = func(n *bdd.Node, r []interval.Interval) {
+				for len(r) > 0 && n.Field == f {
+					top := len(stack)
+					stack = interval.AppendIntersect(stack, r, n.Set.Intervals())
+					walk(n.True, stack[top:len(stack):len(stack)])
+					stack = interval.AppendMinus(stack[:top], r, n.Set.Intervals())
+					base := top - len(r)
+					stack = append(stack[:base], stack[top:]...)
+					n, r = n.False, stack[base:len(stack):len(stack)]
 				}
-				if n.Field != f { // left the component (later field or terminal)
+				if len(r) > 0 { // left the component (later field or terminal)
 					if at[n.ID] == 0 {
 						to := index[n.ID]
 						if n.IsTerminal() {
 							to = decision(to)
 						}
 						perField[f] = append(perField[f], pathEntry{fromState: from, to: to})
-						outs, cells = append(outs, n.ID), append(cells, nil)
-						at[n.ID] = len(cells)
+						outs = append(outs, n.ID)
+						cells = slices.Grow(cells, 1)[:len(cells)+1] // reusing the ranges of an earlier In node's entry
+						cells[len(cells)-1] = cells[len(cells)-1][:0]
+						at[n.ID] = int32(len(cells))
 					}
-					cells[at[n.ID]-1] = append(cells[at[n.ID]-1], r.Intervals()...)
-					return
+					cells[at[n.ID]-1] = append(cells[at[n.ID]-1], r...)
 				}
-				walk(n.True, r.Intersect(n.Set))
-				walk(n.False, r.Minus(n.Set, max))
+				stack = stack[:len(stack)-len(r)]
 			}
-			walk(u.True, interval.Full(max).Intersect(u.Set))
-			walk(u.False, interval.Full(max).Minus(u.Set, max))
+			stack = append(stack[:0], interval.Interval{Lo: 0, Hi: b.Fields[f].Max})
+			walk(u, stack)
 			for i, ivs := range cells {
 				perField[f][first+i].set = interval.FromIntervals(ivs...)
 				at[outs[i]] = 0
@@ -149,16 +181,20 @@ func algorithm1(b *bdd.BDD, index []int) [][]pathEntry {
 // the conjunctions.
 func lowerEntries(f FieldInfo, field int, conjs []bdd.Conj, paths []pathEntry, noop int) ([]Entry, error) {
 	var named *interval.Set // the values conjs test f for equality with, once needed
+	exact := isExactKind(f)
 	// algorithm1 emits an In state's paths together, In states ascending.
-	var out []Entry
-	for len(paths) > 0 {
-		st := paths[0].fromState
+	// The first pass picks each state's default and counts the rows, the
+	// second writes them.
+	type choice struct{ n, def, miss int } // a state's paths, and those the default and the miss take
+	var choices []choice
+	rows := 0
+	for rest := paths; len(rest) > 0; {
 		n := 1
-		for n < len(paths) && paths[n].fromState == st {
+		for n < len(rest) && rest[n].fromState == rest[0].fromState {
 			n++
 		}
 		var ps []pathEntry
-		ps, paths = paths[:n], paths[n:]
+		ps, rest = rest[:n], rest[n:]
 		// The candidates: the path to noop, and the path with the most
 		// intervals (the residual) among the others. A lone full-domain path
 		// is trivially the wildcard.
@@ -177,7 +213,7 @@ func lowerEntries(f FieldInfo, field int, conjs []bdd.Conj, paths []pathEntry, n
 				def = i
 			}
 		}
-		forced, exact := false, isExactKind(f)
+		forced := false
 		if exact {
 			// An exact table cannot hold a range: the path that has one must
 			// be the default. When more than one has, the one whose ranges
@@ -200,12 +236,37 @@ func lowerEntries(f FieldInfo, field int, conjs []bdd.Conj, paths []pathEntry, n
 		if miss >= 0 && (def == miss || !forced && maxIvs-1 <= len(ps[miss].set.Intervals())) {
 			def = -1
 		}
+		choices = append(choices, choice{n, def, miss})
 		for i, pe := range ps {
-			if i == def {
+			switch {
+			case i == def:
+				rows++
+			case i == miss && def < 0:
+			default:
+				for _, iv := range pe.set.Intervals() {
+					if exact {
+						rows += int(iv.Hi - iv.Lo + 1)
+					} else {
+						rows++
+					}
+				}
+			}
+		}
+	}
+	if rows == 0 {
+		return nil, nil
+	}
+	out := make([]Entry, 0, rows)
+	for _, c := range choices {
+		var ps []pathEntry
+		ps, paths = paths[:c.n], paths[c.n:]
+		for i, pe := range ps {
+			st := pe.fromState
+			if i == c.def {
 				out = append(out, Entry{State: st, Kind: EntryWild, Next: pe.to, Priority: 0})
 				continue
 			}
-			if i == miss && def < 0 {
+			if i == c.miss && c.def < 0 {
 				continue // the miss takes it
 			}
 			for _, iv := range pe.set.Intervals() {
@@ -276,17 +337,7 @@ func pointsOnly(s interval.Set) bool {
 }
 
 func sortEntries(entries []Entry) {
-	sort.Slice(entries, func(i, j int) bool {
-		a, b := entries[i], entries[j]
-		if a.State != b.State {
-			return a.State < b.State
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		if a.Lo != b.Lo {
-			return a.Lo < b.Lo
-		}
-		return a.Next < b.Next
+	slices.SortFunc(entries, func(a, b Entry) int {
+		return cmp.Or(cmp.Compare(a.State, b.State), cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Lo, b.Lo), cmp.Compare(a.Next, b.Next))
 	})
 }

@@ -184,6 +184,7 @@ type Pass struct {
 	prog    *Program
 	diagram *bdd.BDD
 	index   []int
+	hint    bdd.Sizes // the build's size hint: in a Session the last recompile's, else zero
 }
 
 // Fields is the pass's field table: the spec's query fields, then the
@@ -273,10 +274,10 @@ func CompileSource(sp *spec.Spec, ruleSrc string, opts Options) (*Program, error
 // state update, each drop — and keeps the order-free sum of the ports and
 // updates present. A class is that sum and the drop rule: an ActionSet is
 // made only of a sum the arena has not met, and a terminal is the index of
-// its ActionSet in sets. Two regions that come to the same actions are
-// therefore one terminal while the diagram is being built, and sharing and
-// equal-branch elision reduce it by what the rules do, not by which rules
-// did it. Everything downstream tells action sets apart by that index. An
+// its ActionSet among the arena's sets. Two regions that come to the same
+// actions are therefore one terminal while the diagram is being built, and
+// sharing and equal-branch elision reduce it by what the rules do, not by
+// which rules did it. Everything downstream tells action sets apart by that index. An
 // atom hashes its content — a port its number, an update its encoding, the
 // drop a fixed tag, each kind in a domain of its own — not the number the
 // arena gave it, so the sum of a set is the same in every arena, and the
@@ -286,7 +287,7 @@ func CompileSource(sp *spec.Spec, ruleSrc string, opts Options) (*Program, error
 // Like the builder's memo keys, the sum is trusted: two sets of ports and
 // updates that differ collide with the odds of two random 128-bit values.
 type classArena struct {
-	sets  []ActionSet
+	sets  [][]ActionSet // by class, in chunks of setChunk: never copied to grow
 	bySum map[sum128]int
 
 	// The ports and updates met, numbered densely as atoms after the drop
@@ -308,6 +309,12 @@ type classArena struct {
 }
 
 const dropAtom = 0
+
+// setChunk is how many ActionSets a chunk of the arena's sets holds.
+const setChunk = 256
+
+// set is the ActionSet of class c.
+func (ca *classArena) set(c int) ActionSet { return ca.sets[c/setChunk][c%setChunk] }
 
 // atom is a port, or a state update when isUpdate, and its content hash.
 type atom struct {
@@ -375,8 +382,10 @@ func ruleKey(text string) sum128 { return hashIn(ruleDomain).text(text).sum() }
 // dropHash is the drop atom's hash.
 var dropHash = hashIn(dropDomain).sum()
 
-func newClassArena() *classArena {
-	ca := &classArena{bySum: make(map[sum128]int), portAtom: make(map[int]int32), updateAtom: make(map[string]int32)}
+// newClassArena makes an arena for a build of about the given number of
+// classes.
+func newClassArena(classes int) *classArena {
+	ca := &classArena{bySum: make(map[sum128]int, classes), portAtom: make(map[int]int32), updateAtom: make(map[string]int32)}
 	ca.newAtom(atom{hash: dropHash}) // dropAtom
 	return ca
 }
@@ -417,16 +426,24 @@ func (ca *classArena) tally(payload int, by int32) {
 }
 
 // bind takes the rule actions of a build (payload -> actions) and lists
-// what each rule of its conjunctions that the arena has not met does as
-// atoms: in conjunction order, which is the order the rules were resolved
-// and mostly the order their actions lie in memory. A payload whose rule
-// does nothing is listed again, to no effect.
+// what each rule of its conjunctions does as atoms: in conjunction order,
+// which is the order the rules were resolved and mostly the order their
+// actions lie in memory. An arena is bound once; the first pass counts the
+// atoms, the second lists them.
 func (ca *classArena) bind(actions [][]lang.Action, conjs []bdd.Conj) {
-	if n := len(actions) - len(ca.ops); n > 0 {
-		ca.ops = append(ca.ops, make([][2]int32, n)...)
-	}
+	ca.ops = make([][2]int32, len(actions))
+	n := 0
 	for _, c := range conjs {
 		if op := &ca.ops[c.Payload]; op[1] == 0 {
+			op[1] = -1
+			for i := range actions[c.Payload] {
+				n += max(len(actions[c.Payload][i].Ports), 1) // a drop or an update is one
+			}
+		}
+	}
+	ca.opAtoms = make([]int32, 0, n)
+	for _, c := range conjs {
+		if op := &ca.ops[c.Payload]; op[1] < 0 {
 			start := int32(len(ca.opAtoms))
 			ca.atomsOf(actions[c.Payload])
 			*op = [2]int32{start, int32(len(ca.opAtoms))}
@@ -479,9 +496,13 @@ func (ca *classArena) Class() (int, bool) {
 	}
 	id, ok := ca.bySum[sum]
 	if !ok {
-		id = len(ca.sets)
+		id = len(ca.bySum)
 		ca.bySum[sum] = id
-		ca.sets = append(ca.sets, ca.actionSet(drop, sum))
+		if id%setChunk == 0 {
+			ca.sets = append(ca.sets, make([]ActionSet, 0, setChunk))
+		}
+		chunk := &ca.sets[len(ca.sets)-1]
+		*chunk = append(*chunk, ca.actionSet(drop, sum))
 	}
 	return id, len(ca.held) > 0
 }
@@ -522,15 +543,16 @@ func (p *Pass) lower() error {
 	start := time.Now()
 	// Copy the field table so option-driven rewrites (and later Session
 	// recompiles reusing the resolver) never alias a published Program.
-	fields := append([]FieldInfo(nil), p.fields...)
+	fields := make([]FieldInfo, len(p.fields))
+	copy(fields, p.fields)
 	if opts.ForceRangeTables {
 		for i := range fields {
 			fields[i].Match = spec.MatchRange
 		}
 	}
-	ca := newClassArena()
+	ca := newClassArena(p.hint.Terminals)
 	ca.bind(p.res.actions, p.conjs)
-	b, err := bdd.BuildClasses(BDDFields(fields), p.conjs, ca)
+	b, err := bdd.BuildClasses(BDDFields(fields), p.conjs, ca, p.hint)
 	if err != nil {
 		return err
 	}
@@ -544,7 +566,7 @@ func (p *Pass) lower() error {
 		Fields: fields,
 		Tables: make([]*Table, len(fields)),
 	}
-	prog.buildActions(ca.sets, b, leaves)
+	prog.buildActions(ca, b, leaves)
 	// The terminal that forwards nowhere and updates nothing is what a miss
 	// already does; the builder merges terminals by what they do, so there
 	// is at most one.
@@ -613,25 +635,37 @@ func autoExactLower(t *Table) {
 
 // buildActions lists the action set of every terminal, in the order leaves
 // gives them — the terminal's class — allocating multicast groups for
-// multi-port forwards in the same order.
-func (p *Program) buildActions(sets []ActionSet, b *bdd.BDD, leaves []int) {
-	groupIdx := make(map[string]int) // encoded port set -> group
-	var scratch []byte
+// multi-port forwards in the same order. Every multi-port forward is a group
+// until two share their ports.
+func (p *Program) buildActions(ca *classArena, b *bdd.BDD, leaves []int) {
 	p.Actions = make([]ActionSet, len(leaves))
+	multi := 0
 	for i, term := range leaves {
-		as := sets[b.Nodes()[term].Class]
+		p.Actions[i] = ca.set(b.Nodes()[term].Class)
+		if p.Actions[i].Ports.Len() > 1 {
+			multi++
+		}
+	}
+	var groupIdx map[sum128]int // port set -> group
+	if multi > 0 {
+		groupIdx, p.Groups = make(map[sum128]int, multi), make([]PortSet, 0, multi)
+	}
+	for i := range p.Actions {
+		as := &p.Actions[i]
 		as.Group = -1
 		if as.Ports.Len() > 1 {
-			scratch = as.Ports.appendKey(scratch[:0])
-			g, ok := groupIdx[string(scratch)]
+			h := as.Ports.hash()
+			g, ok := groupIdx[h]
 			if !ok {
 				g = len(p.Groups)
-				groupIdx[string(scratch)] = g
+				groupIdx[h] = g
 				p.Groups = append(p.Groups, as.Ports)
 			}
 			as.Group = g
 		}
-		p.Actions[i] = as
+	}
+	if len(p.Groups) < multi {
+		p.Groups = append(make([]PortSet, 0, len(p.Groups)), p.Groups...)
 	}
 }
 
@@ -648,6 +682,13 @@ func (p *Program) buildLeaf(b *bdd.BDD, index []int) {
 			p.Leaf.Entries = []Entry{{Kind: EntryWild, Next: decision(a)}}
 		}
 		return
+	}
+	n := 0
+	for _, as := range p.Actions {
+		n += min(len(as.Updates), 1)
+	}
+	if n > 0 {
+		p.Leaf.Entries = make([]Entry, 0, n)
 	}
 	for a, as := range p.Actions {
 		if len(as.Updates) > 0 {

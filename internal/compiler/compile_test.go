@@ -358,6 +358,21 @@ stock == GOOGL : fwd(3,4)
 	if p.Stats.MulticastGroups != 2 {
 		t.Fatalf("stats groups = %d", p.Stats.MulticastGroups)
 	}
+	// An action set that updates state shares the group of one that only
+	// forwards to the same ports.
+	p = compileSrc(t, sp, `
+stock == AAPL : fwd(1,2)
+stock == MSFT && avg(price) > 50 : fwd(1,2)
+`, Options{})
+	groups := map[int]int{}
+	for _, as := range p.Actions {
+		if as.Ports.Len() > 1 {
+			groups[as.Group] += 1 + len(as.Updates)
+		}
+	}
+	if len(p.Groups) != 1 || len(groups) != 1 || groups[0] < 3 || cap(p.Groups) != 1 {
+		t.Fatalf("fwd(1,2) with and without a state update: groups %v, by action %v", p.Groups, groups)
+	}
 }
 
 func TestAggregateSplitsRule(t *testing.T) {
@@ -687,7 +702,7 @@ func TestMergeSparsePorts(t *testing.T) {
 		{lang.Fwd(1048576)}, {lang.Fwd(1)}, {lang.Fwd(1048576, 1)},
 		{lang.Fwd(9, 3)}, {lang.Fwd(3, 200, 9, 64, 130)}, {lang.Fwd(200, 130), lang.Fwd(3, 9, 64)},
 	}
-	ca := newClassArena()
+	ca := newClassArena(0)
 	conjs := make([]bdd.Conj, len(rules))
 	for p := range conjs {
 		conjs[p].Payload = p
@@ -701,7 +716,7 @@ func TestMergeSparsePorts(t *testing.T) {
 		for _, p := range payloads {
 			ca.Remove(p)
 		}
-		return id, ca.sets[id]
+		return id, ca.set(id)
 	}
 	sparse, as := class(0, 1, 2)
 	if !reflect.DeepEqual(as.Ports.AppendTo(nil), []int{1, 1048576}) {

@@ -1,7 +1,7 @@
 package compiler
 
 import (
-	"sort"
+	"slices"
 
 	"camus/internal/interval"
 	"camus/internal/spec"
@@ -78,16 +78,21 @@ func (t *Table) Slots(bits int) (sram, tcam int) {
 		tcam += t.Codec.TCAMCost(bits)
 	}
 	for _, e := range t.Entries {
-		switch {
-		case e.Kind == EntryRange:
-			tcam += interval.PrefixCount(e.Lo, e.Hi, bits)
-		case e.Kind == EntryExact && t.Match == spec.MatchExact:
-			sram++
-		default:
-			tcam++
-		}
+		s, c := e.slots(t.Match, bits)
+		sram, tcam = sram+s, tcam+c
 	}
 	return sram, tcam
+}
+
+// slots prices one row of a table that matches m, as Slots does.
+func (e Entry) slots(m spec.MatchKind, bits int) (sram, tcam int) {
+	switch {
+	case e.Kind == EntryRange:
+		return 0, interval.PrefixCount(e.Lo, e.Hi, bits)
+	case e.Kind == EntryExact && m == spec.MatchExact:
+		return 1, 0
+	}
+	return 0, 1
 }
 
 // compressionMaxCodes bounds a compressed domain's size: 256 codes, the
@@ -97,12 +102,15 @@ const compressionMaxCodes = 256
 // maybeCompress rewrites a range table to a codec + exact table when the
 // field has few distinct range boundaries and the rewrite occupies fewer
 // Slots: the mapping stage's prefixes plus one exact (SRAM) row per code a
-// range covers, against the prefixes of the ranges it replaces.
+// range covers, against the prefixes of the ranges it replaces. The rewrite
+// is priced from its bounds before a row is written, and takes the table's
+// own rows when it has as many.
 func maybeCompress(t *Table, fi FieldInfo, opts Options) {
 	if t.Match != spec.MatchRange || len(t.Entries) < opts.minEntries() {
 		return
 	}
-	boundSet := map[uint64]bool{0: true}
+	boundSet := make(map[uint64]bool, min(2*len(t.Entries)+1, compressionMaxCodes+1))
+	boundSet[0] = true
 	hasRange := false
 	for _, e := range t.Entries {
 		switch e.Kind {
@@ -118,19 +126,41 @@ func maybeCompress(t *Table, fi FieldInfo, opts Options) {
 				boundSet[e.Hi+1] = true
 			}
 		}
+		if len(boundSet) > compressionMaxCodes {
+			return
+		}
 	}
-	if !hasRange || len(boundSet) > compressionMaxCodes {
+	if !hasRange {
 		return
 	}
 	bounds := make([]uint64, 0, len(boundSet))
 	for b := range boundSet {
 		bounds = append(bounds, b)
 	}
-	sort.Slice(bounds, func(i, j int) bool { return bounds[i] < bounds[j] })
+	slices.Sort(bounds)
 	codec := &DomainCodec{Bounds: bounds, Max: fi.Max}
 
-	// Rewrite entries onto the code domain.
-	var rewritten []Entry
+	// The rewrite's rows and Slots: a row per row, but a range an exact row
+	// per code it covers.
+	rows, sram, tcam := 0, 0, codec.TCAMCost(fi.Bits)
+	for _, e := range t.Entries {
+		n := 1
+		if e.Kind == EntryRange {
+			n, e.Kind = int(codec.Code(e.Hi)-codec.Code(e.Lo))+1, EntryExact
+		}
+		s, c := e.slots(spec.MatchExact, fi.Bits)
+		rows, sram, tcam = rows+n, sram+n*s, tcam+n*c
+	}
+	if sram0, tcam0 := t.Slots(fi.Bits); sram+tcam >= sram0+tcam0 {
+		return // not worth it
+	}
+
+	// Rewrite entries onto the code domain. Every row is one or more, so a
+	// rewrite with as many rows writes row i over row i.
+	rewritten := t.Entries[:0]
+	if rows > len(t.Entries) {
+		rewritten = make([]Entry, 0, rows)
+	}
 	for _, e := range t.Entries {
 		switch e.Kind {
 		case EntryWild:
@@ -151,12 +181,6 @@ func maybeCompress(t *Table, fi FieldInfo, opts Options) {
 			}
 		}
 	}
-	coded := &Table{Name: t.Name, Field: t.Field, Match: spec.MatchExact, Entries: rewritten, Codec: codec}
-	sram, tcam := coded.Slots(fi.Bits)
-	sram0, tcam0 := t.Slots(fi.Bits)
-	if sram+tcam >= sram0+tcam0 {
-		return // not worth it
-	}
 	sortEntries(rewritten)
-	*t = *coded
+	*t = Table{Name: t.Name, Field: t.Field, Match: spec.MatchExact, Entries: rewritten, Codec: codec}
 }

@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"context"
+	"fmt"
 	"slices"
 
 	"camus/internal/bdd"
@@ -37,7 +38,7 @@ func ExactOfConjs(sp *spec.Spec, conjs []bdd.Conj, actions [][]lang.Action) (*Ex
 
 func exactOf(fields []FieldInfo, conjs []bdd.Conj, actions [][]lang.Action) (*Exact, error) {
 	sets := bdd.NewPayloadSets()
-	b, err := bdd.BuildClasses(BDDFields(fields), conjs, sets)
+	b, err := bdd.BuildClasses(BDDFields(fields), conjs, sets, bdd.Sizes{})
 	return &Exact{Fields: fields, Conjs: conjs, actions: actions, sets: sets, diagram: b}, err
 }
 
@@ -50,7 +51,7 @@ func (e *Exact) Eval(values []uint64) (key string, payloads []int) {
 
 // mergeActions is what a classArena makes of a payload set new to it.
 func mergeActions(ruleActions [][]lang.Action, payloads []int) ActionSet {
-	ca := newClassArena()
+	ca := newClassArena(0)
 	conjs := make([]bdd.Conj, len(payloads))
 	for i, p := range payloads {
 		conjs[i].Payload = p
@@ -60,7 +61,7 @@ func mergeActions(ruleActions [][]lang.Action, payloads []int) ActionSet {
 		ca.Add(p)
 	}
 	id, _ := ca.Class()
-	return ca.sets[id]
+	return ca.set(id)
 }
 
 // newPortSet is the set of the given ports, in any order, repeats allowed.
@@ -126,3 +127,20 @@ func (s StateHash) Sum() [2]uint64 {
 
 // Len returns the number of live rules, repeats included.
 func (s *Session) Len() int { return len(s.order) }
+
+// Slack names each list the program keeps — a table's entries, the leaf's,
+// the action sets, the multicast groups — whose capacity passes its length.
+func (p *Program) Slack() []string {
+	var out []string
+	note := func(name string, n, c int) {
+		if n != c {
+			out = append(out, fmt.Sprintf("%s holds %d in %d slots", name, n, c))
+		}
+	}
+	for _, t := range append(slices.Clone(p.Tables), p.Leaf) {
+		note(t.Name, len(t.Entries), cap(t.Entries))
+	}
+	note("actions", len(p.Actions), cap(p.Actions))
+	note("groups", len(p.Groups), cap(p.Groups))
+	return out
+}

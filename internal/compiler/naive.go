@@ -63,7 +63,7 @@ func NaiveTCAMCost(pass *Pass) uint64 {
 		if !ctx[f].IsEmpty() {
 			walk(n.True)
 		}
-		ctx[f] = base.Minus(n.Set, p.Fields[f].Max)
+		ctx[f] = base.Minus(n.Set)
 		if !ctx[f].IsEmpty() {
 			walk(n.False)
 		}

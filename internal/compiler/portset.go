@@ -1,7 +1,6 @@
 package compiler
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -134,14 +133,15 @@ func (s PortSet) Equal(t PortSet) bool {
 // String renders the ports as a []int prints.
 func (s PortSet) String() string { return fmt.Sprint(s.AppendTo(nil)) }
 
-// appendKey appends the encoding, which is the set's identity.
-func (s PortSet) appendKey(b []byte) []byte {
-	b = binary.LittleEndian.AppendUint32(b, s.base)
-	b = binary.LittleEndian.AppendUint32(b, s.n)
+// hash is the content hash of the encoding, which is the set's identity:
+// two sets share it exactly when they are equal, up to the odds of two
+// random 128-bit values colliding.
+func (s PortSet) hash() sum128 {
+	h := hashIn(portDomain).word(uint64(s.base)<<32 | uint64(s.n))
 	for _, w := range s.w {
-		b = binary.LittleEndian.AppendUint64(b, w)
+		h = h.word(w)
 	}
-	return b
+	return h.sum()
 }
 
 // Iter starts a walk over the ports in ascending order:

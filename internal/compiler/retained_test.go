@@ -2,11 +2,13 @@ package compiler_test
 
 import (
 	"context"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
 	"camus/internal/compiler"
+	"camus/internal/spec"
 	"camus/internal/workload"
 )
 
@@ -92,5 +94,111 @@ func TestSessionRetainedUnderChurn(t *testing.T) {
 	t.Logf("churned session retains %.2f MB, a new one %.2f MB", float64(got)/(1<<20), float64(want)/(1<<20))
 	if 2*got > 3*want {
 		t.Fatalf("after %d rounds of churn the session retains %.2f MB, a new one synced to the same set %.2f MB", rounds, float64(got)/(1<<20), float64(want)/(1<<20))
+	}
+}
+
+// TestProgramHoldsNoSlack: every list a compiled program keeps — each
+// table's entries, the leaf's, the action sets and the multicast groups —
+// is allocated at its length, so the installed program, which the next
+// install diffs against, holds no append slack. It compiles the rules of
+// the socket benchmark's four workloads: itch-sparse, itch-fanout,
+// itch-stateful (its keyed windows over a body of Fig. 5c rules) and
+// subs-churn.
+func TestProgramHoldsNoSlack(t *testing.T) {
+	stateful, err := spec.Parse(workload.ITCHSpecSource + "@query_counter(rate, 10000)\n@query_counter(px, 10000)\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stateful.SetFieldOrder("stock", "price", "shares"); err != nil {
+		t.Fatal(err)
+	}
+	const keyed = `true : rate[add_order.stock] <- count()
+true : px[add_order.stock] <- sample(add_order.price)
+rate[add_order.stock] >= 8 && rate[add_order.stock] < 14 && avg(px)[add_order.stock] > 500 : fwd(1)
+rate[add_order.stock] >= 8 && rate[add_order.stock] < 14 && avg(px)[add_order.stock] <= 500 : fwd(2)
+`
+	subs := func(n, hosts int, grid uint64) string {
+		return workload.ITCHSubscriptionSource(workload.ITCHSubsConfig{Subscriptions: n, Stocks: 100, Hosts: hosts, PriceMax: 1000, PriceGrid: grid, Seed: 1})
+	}
+	for _, w := range []struct {
+		name string
+		sp   *spec.Spec
+		src  string
+	}{
+		{"itch-sparse", workload.ITCHSpec(), subs(10000, 2, 1)},
+		{"itch-fanout", workload.ITCHSpec(), workload.FanoutSubscriptionSource(20, 320)},
+		{"itch-stateful", stateful, keyed + subs(2000, 2, 1)},
+		{"subs-churn", workload.ITCHSpec(), subs(20000, 200, 10)},
+	} {
+		prog, err := compiler.CompileSource(w.sp, w.src, compiler.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", w.name, err)
+		}
+		for _, slack := range prog.Slack() {
+			t.Errorf("%s: %s", w.name, slack)
+		}
+	}
+}
+
+// TestSessionStaleSizeHints: a recompile sizes what it builds by the last
+// recompile's counts, and a hint from a set a hundred times smaller or a few
+// times larger changes nothing it makes. A session synced to 20k Fig. 5c
+// rules, then to 200 of them, then to the 20k again, then to 8k compiles
+// CompileSource's program, with no slack, at each step. After the shrink to
+// 200 the session retains within 1.5x of a new one synced to the 200, the
+// bound of TestSessionRetainedUnderChurn.
+func TestSessionStaleSizeHints(t *testing.T) {
+	cfg := workload.ITCHSubsConfig{Subscriptions: 20000, Stocks: 100, Hosts: 200, PriceMax: 1000, PriceGrid: 10, Seed: 1}
+	big := workload.ITCHSubscriptionSource(cfg)
+	cfg.Subscriptions = 200
+	small := workload.ITCHSubscriptionSource(cfg)
+	cfg.Subscriptions = 8000
+	mid := workload.ITCHSubscriptionSource(cfg)
+	sp := workload.ITCHSpec()
+	sync := func(s *compiler.Session, src string) *compiler.Program {
+		t.Helper()
+		if err := s.Sync(context.Background(), compiler.Source{Text: src}); err != nil {
+			t.Fatal(err)
+		}
+		prog, err := s.Recompile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog
+	}
+	s := compiler.NewSession(sp, compiler.Options{})
+	for _, step := range []struct{ name, src string }{{"20k", big}, {"200", small}, {"20k again", big}, {"8k", mid}} {
+		want, err := compiler.CompileSource(sp, step.src, compiler.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := sync(s, step.src)
+		if !reflect.DeepEqual(got, want) || got.Dump() != want.Dump() {
+			t.Fatalf("%s: the session compiles %+v, CompileSource %+v", step.name, got.Stats, want.Stats)
+		}
+		if slack := got.Slack(); len(slack) > 0 {
+			t.Fatalf("%s: %v", step.name, slack)
+		}
+	}
+
+	shrunk, cold := compiler.NewSession(sp, compiler.Options{}), compiler.NewSession(sp, compiler.Options{})
+	sync(shrunk, big)
+	sync(shrunk, small)
+	sync(cold, small)
+	// Each session's heap is what a collection frees once it is dead.
+	heap := func() int64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	both := heap()
+	runtime.KeepAlive(shrunk)
+	one := heap()
+	runtime.KeepAlive(cold)
+	got, want := both-one, one-heap()
+	t.Logf("shrunk session retains %.1f KB, a new one %.1f KB", float64(got)/(1<<10), float64(want)/(1<<10))
+	if 2*got > 3*want {
+		t.Fatalf("synced from 20k rules to 200 the session retains %.1f KB, a new one synced to the 200 %.1f KB", float64(got)/(1<<10), float64(want)/(1<<10))
 	}
 }

@@ -42,7 +42,8 @@ type Session struct {
 	byKey map[sum128]int32 // a live rule's handle by its key
 	order []int32          // the live set: handles in set order, repeats included
 	epoch int32            // stamps the handles an operation meets
-	nodes int              // the last recompile's BDD nodes
+	last  bdd.Sizes        // what the last recompile's build made: the next one's size hint
+	kept  bool             // AddRules has given out handles, which Sync keeps
 }
 
 // liveRule is what a Session keeps of a rule: the key of its text, the
@@ -62,7 +63,7 @@ func NewSession(sp *spec.Spec, opts Options) *Session {
 }
 
 // ArenaNodes reports the number of BDD nodes the last recompile built.
-func (s *Session) ArenaNodes() int { return s.nodes }
+func (s *Session) ArenaNodes() int { return s.last.Internal + s.last.Terminals }
 
 // handle takes a handle for a rule with the given key, not yet resolved.
 func (s *Session) handle(key sum128) int32 {
@@ -131,6 +132,7 @@ func (s *Session) AddRules(rules []lang.Rule) ([]int, error) {
 		out[i] = int(h)
 	}
 	s.order = append(s.order, handles...)
+	s.kept = true
 	return out, nil
 }
 
@@ -196,9 +198,32 @@ func (y *syncing) commit(ctx context.Context, n int, normalize func(int) ([]lang
 // whole source's rule IDs, lines and columns. A set Compile or CompileSource
 // would refuse fails with its error, and a sync that fails or that gives up,
 // between chunks, once ctx is done leaves the live set as it was.
+//
+// The session's tables are as large as the largest set it has held. A set
+// of under a quarter of that is synced into a new session instead, every
+// rule new to it, which then takes this one's place: what a session retains
+// follows its live set down as well as up. That renumbers the handles, so a
+// session AddRules has given handles to is never replaced.
 func (s *Session) Sync(ctx context.Context, src Source) error {
+	n := len(src.Rules)
+	if src.Rules == nil {
+		n = strings.Count(src.Text, "\n") + 1
+	}
+	if s.kept || len(s.rules) <= 4*n {
+		return s.sync(ctx, src, n)
+	}
+	t := NewSession(s.sp, s.opts)
+	if err := t.sync(ctx, src, n); err != nil {
+		return err
+	}
+	*s = *t
+	return nil
+}
+
+// sync is Sync of a set of at most n rules.
+func (s *Session) sync(ctx context.Context, src Source, n int) error {
 	if src.Rules != nil {
-		y := s.syncing(len(src.Rules))
+		y := s.syncing(n)
 		var fresh []lang.Rule
 		for _, r := range src.Rules {
 			if y.next(ruleKey(r.String())) {
@@ -208,7 +233,7 @@ func (s *Session) Sync(ctx context.Context, src Source) error {
 		n, normalize := Source{Rules: fresh}.chunks()
 		return y.commit(ctx, n, normalize)
 	}
-	y := s.syncing(strings.Count(src.Text, "\n") + 1)
+	y := s.syncing(n)
 	c := textChunks{src: src.Text}
 	lang.Lines(src.Text, func(l lang.Line) {
 		text := src.Text[l.Start:l.End]
@@ -277,11 +302,11 @@ func (s *Session) RecompilePass() (*Pass, error) {
 		conjs = append(conjs, s.rules[h].conjs...)
 	}
 	fields, conjs := s.liveFields(conjs)
-	p := &Pass{sp: s.sp, opts: s.opts, res: s.res, fields: fields, conjs: conjs, rules: len(s.order)}
+	p := &Pass{sp: s.sp, opts: s.opts, res: s.res, fields: fields, conjs: conjs, rules: len(s.order), hint: s.last}
 	if err := p.lower(); err != nil {
 		return nil, err
 	}
-	s.nodes = p.prog.Stats.BDDNodes
+	s.last = p.diagram.Sizes
 	if tel := s.opts.Telemetry; tel != nil {
 		tel.Counter("camus_compiler_recompiles_total").Inc()
 		tel.Histogram("camus_compiler_recompile_seconds").Observe(time.Since(start))

@@ -217,11 +217,13 @@ func TestSessionLowersLiveStateFields(t *testing.T) {
 
 // TestSessionSync pins Sync's contract: a set it cannot resolve changes
 // nothing, identical rules each count, and a set already live — added by
-// handle — keeps its handles, in the set's order; the program is
-// CompileSource's of the set.
+// handle — keeps its handles, in the set's order, even when it is a small
+// part of what was live; the program is CompileSource's of the set, and each
+// handle kept removes its own rule.
 func TestSessionSync(t *testing.T) {
 	sp := itchSpec(t)
 	const a, b = "stock == GOOGL : fwd(1)\n", "stock == AAPL && price > 10 : fwd(2)\n"
+	const more = "stock == MSFT : fwd(3)\nstock == IBM : fwd(4)\nstock == ORCL : fwd(5)\nstock == INTC : fwd(6)\n"
 	for _, tc := range []struct {
 		name       string
 		live, sync string // added by AddRules, then synced
@@ -232,6 +234,7 @@ func TestSessionSync(t *testing.T) {
 		{"unresolvable rule", a, b + "nosuch > 1 : fwd(3)\n", true, 1, []int{0}},
 		{"identical rules", "", a + b + a, false, 3, nil},
 		{"after AddRules", a + b, b + a, false, 2, []int{1, 0}},
+		{"shrinking after AddRules", a + b + more + more, b, false, 1, []int{1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := NewSession(sp, Options{})
@@ -272,6 +275,14 @@ func TestSessionSync(t *testing.T) {
 			}
 			if want := compileSrc(t, sp, src, Options{}); !reflect.DeepEqual(got.Stats, want.Stats) || got.Dump() != want.Dump() {
 				t.Errorf("session program is not CompileSource's of\n%s--- session ---\n%s--- cold ---\n%s", src, got.Dump(), want.Dump())
+			}
+			for i, k := range tc.handles {
+				if err := s.RemoveRules(added[k]); err != nil {
+					t.Fatal(err)
+				}
+				if s.Len() != len(tc.handles)-1-i {
+					t.Fatalf("Len %d after removing %d of the %d kept handles", s.Len(), i+1, len(tc.handles))
+				}
 			}
 		})
 	}

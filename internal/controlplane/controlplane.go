@@ -340,12 +340,13 @@ func actionSig(a compiler.ActionSet) sig {
 	return sig{s[0], s[1]}
 }
 
-// entryKey identifies an installed entry for diffing, in six words: state,
-// table (its index in the diff's table names) and kind, the bounds, and the
-// target in two — the next state and 0, or, for a row that decides and a
-// leaf entry, its action's content hash. A leaf entry keeps state and
-// bounds 0: its match is the per-program number of that same action.
-type entryKey [6]uint64
+// entryKey identifies an installed entry for diffing, in five words: state
+// (the high half), table (its index in the diff's table names, above the low
+// byte) and kind, the bounds, and the target in two — the next state and 0,
+// or, for a row that decides and a leaf entry, its action's content hash. A
+// leaf entry keeps state and bounds 0: its match is the per-program number
+// of that same action.
+type entryKey [5]uint64
 
 func (k entryKey) compare(l entryKey) int { return slices.Compare(k[:], l[:]) }
 
@@ -361,7 +362,7 @@ func DiffPrograms(oldProg, newProg *compiler.Program) Delta {
 	}
 	oldKeys, newKeys := entryKeys(oldProg, names), entryKeys(newProg, names)
 	perTable := make([]TableDelta, len(names))
-	mergeDiff(oldKeys, newKeys, entryKey.compare, func(k entryKey) *TableDelta { return &perTable[k[1]>>8] })
+	mergeDiff(oldKeys, newKeys, entryKey.compare, func(k entryKey) *TableDelta { return &perTable[uint32(k[0])>>8] })
 
 	d := Delta{PerTable: make(map[string]TableDelta, len(names))}
 	for i, td := range perTable {
@@ -432,7 +433,7 @@ func entryKeys(p *compiler.Program, names []string) []entryKey {
 			if a, ok := compiler.Decides(e.Next); ok {
 				to = actionSig(p.Actions[a])
 			}
-			keys = append(keys, entryKey{uint64(e.State), id | uint64(e.Kind), e.Lo, e.Hi, to.a, to.b})
+			keys = append(keys, entryKey{uint64(e.State)<<32 | id | uint64(e.Kind), e.Lo, e.Hi, to.a, to.b})
 		}
 	}
 	id := uint64(slices.Index(names, "leaf")) << 8
@@ -446,7 +447,7 @@ func entryKeys(p *compiler.Program, names []string) []entryKey {
 func leafKey(p *compiler.Program, id uint64, e compiler.Entry) entryKey {
 	a, _ := compiler.Decides(e.Next)
 	act := actionSig(p.Actions[a])
-	return entryKey{0, id | uint64(e.Kind), 0, 0, act.a, act.b}
+	return entryKey{id | uint64(e.Kind), 0, 0, act.a, act.b}
 }
 
 // groupKeys is the program's multicast groups, each as the content sum of

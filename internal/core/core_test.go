@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -295,5 +296,44 @@ func TestSetSubscriptionsMatchesCompileSource(t *testing.T) {
 		if got.Dump() != oraclesProg.Dump() || !reflect.DeepEqual(got, oraclesProg) {
 			t.Fatalf("%s: the switch runs %+v, CompileSource's program installed runs %+v", step.name, got.Stats, oraclesProg.Stats)
 		}
+	}
+}
+
+// TestLiveUpdateAllocBudget: a 1% churn through SetSubscriptions at
+// BenchmarkLiveUpdate's 20k×200 shape allocates at most 15 MiB, the median
+// of three updates. A recompile makes each table at the size its counts
+// give, and sizes what it throws away by them or by the last recompile's
+// build. It counts bytes and times nothing.
+func TestLiveUpdateAllocBudget(t *testing.T) {
+	const budget = 15 << 20
+	cfg := workload.ITCHSubsConfig{Subscriptions: 20000, Stocks: 100, Hosts: 200, PriceMax: 1000, PriceGrid: 10, Seed: 1}
+	lines := strings.SplitAfter(workload.ITCHSubscriptionSource(cfg), "\n")
+	cfg.Seed = 7777
+	fresh := strings.SplitAfter(workload.ITCHSubscriptionSource(cfg), "\n")
+	ps, err := NewPubSub(workload.ITCHSpec(), Config{Compiler: compiler.Options{Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ps.SetSubscriptions(strings.Join(lines, "")); err != nil {
+		t.Fatal(err)
+	}
+	churn := len(lines) / 100
+	var bytes []uint64
+	for i := range 3 {
+		at := i * churn * 7 % (len(lines) - churn)
+		copy(lines[at:at+churn], fresh[i*churn:])
+		src := strings.Join(lines, "")
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := ps.SetSubscriptions(src); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		bytes = append(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	slices.Sort(bytes)
+	t.Logf("a 1%% update allocates %.2f MiB (of %v)", float64(bytes[1])/(1<<20), bytes)
+	if bytes[1] > budget {
+		t.Fatalf("a 1%% update allocates %.2f MiB, want at most %.2f MiB", float64(bytes[1])/(1<<20), float64(budget)/(1<<20))
 	}
 }

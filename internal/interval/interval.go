@@ -185,15 +185,18 @@ func (s Set) Count() uint64 {
 }
 
 // Intersect returns the set of values in both s and t.
-func (s Set) Intersect(t Set) Set {
-	var out []Interval
+func (s Set) Intersect(t Set) Set { return Set{ivs: AppendIntersect(nil, s.ivs, t.ivs)} }
+
+// AppendIntersect appends to dst the intervals of the values in both s and
+// t, each a Set's Intervals.
+func AppendIntersect(dst, s, t []Interval) []Interval {
 	i, j := 0, 0
-	for i < len(s.ivs) && j < len(t.ivs) {
-		a, b := s.ivs[i], t.ivs[j]
+	for i < len(s) && j < len(t) {
+		a, b := s[i], t[j]
 		lo := maxU64(a.Lo, b.Lo)
 		hi := minU64(a.Hi, b.Hi)
 		if lo <= hi {
-			out = append(out, Interval{lo, hi})
+			dst = append(dst, Interval{lo, hi})
 		}
 		if a.Hi < b.Hi {
 			i++
@@ -201,7 +204,33 @@ func (s Set) Intersect(t Set) Set {
 			j++
 		}
 	}
-	return Set{ivs: out}
+	return dst
+}
+
+// AppendMinus appends to dst the intervals of the values in s that are not
+// in t, each a Set's Intervals.
+func AppendMinus(dst, s, t []Interval) []Interval {
+	j := 0 // t's intervals before j end below the interval of s at hand
+	for _, a := range s {
+		for j < len(t) && t[j].Hi < a.Lo {
+			j++
+		}
+		lo := a.Lo
+		for k := j; ; k++ {
+			if k == len(t) || t[k].Lo > a.Hi {
+				dst = append(dst, Interval{lo, a.Hi})
+				break
+			}
+			if t[k].Lo > lo {
+				dst = append(dst, Interval{lo, t[k].Lo - 1})
+			}
+			if t[k].Hi >= a.Hi {
+				break
+			}
+			lo = t[k].Hi + 1
+		}
+	}
+	return dst
 }
 
 // Union returns the set of values in either s or t, with adjacent
@@ -262,9 +291,7 @@ func (s Set) Complement(max uint64) Set {
 }
 
 // Minus returns the values in s that are not in t.
-func (s Set) Minus(t Set, max uint64) Set {
-	return s.Intersect(t.Complement(max))
-}
+func (s Set) Minus(t Set) Set { return Set{ivs: AppendMinus(nil, s.ivs, t.ivs)} }
 
 // Equal reports whether two sets contain exactly the same values.
 func (s Set) Equal(t Set) bool {

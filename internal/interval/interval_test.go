@@ -104,6 +104,12 @@ func TestComplementOfFull64BitDomain(t *testing.T) {
 	if s.Contains(max) || !s.Contains(max-1) {
 		t.Fatalf("complement of {2^64-1} wrong: %s", s)
 	}
+	if got := Full(max).Minus(Point(max)); !got.Equal(s) {
+		t.Fatalf("full 64-bit domain minus {2^64-1} = %s, want %s", got, s)
+	}
+	if got := Point(max).Minus(Full(max)); !got.IsEmpty() {
+		t.Fatalf("{2^64-1} minus the full 64-bit domain = %s", got)
+	}
 }
 
 // randomSet builds a pseudo-random interval set within [0, max].
@@ -129,8 +135,8 @@ func TestSetAlgebraProperties(t *testing.T) {
 		b := randomSet(r, max)
 		inter := a.Intersect(b)
 		uni := a.Union(b)
-		compA := a.Complement(max)
-		minus := a.Minus(b, max)
+		compA, compB := a.Complement(max), b.Complement(max)
+		minus := a.Minus(b)
 		for v := uint64(0); v <= max; v++ {
 			inA, inB := a.Contains(v), b.Contains(v)
 			if inter.Contains(v) != (inA && inB) {
@@ -145,6 +151,9 @@ func TestSetAlgebraProperties(t *testing.T) {
 			if minus.Contains(v) != (inA && !inB) {
 				t.Fatalf("trial %d: minus wrong at %d: a=%s b=%s", trial, v, a, b)
 			}
+		}
+		if want := a.Intersect(compB); !minus.Equal(want) { // the same values, so canonical when equal
+			t.Fatalf("trial %d: minus %s, not in canonical form %s: a=%s b=%s", trial, minus, want, a, b)
 		}
 		if a.Overlaps(b) != !inter.IsEmpty() {
 			t.Fatalf("trial %d: Overlaps inconsistent with Intersect", trial)

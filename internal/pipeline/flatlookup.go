@@ -1,8 +1,10 @@
 package pipeline
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"camus/internal/compiler"
@@ -94,42 +96,29 @@ func oaHash(state int32, value uint64) uint32 {
 func buildLookup(t *compiler.Table) lookupTable {
 	lt := lookupTable{field: t.Field, codec: t.Codec}
 
-	// Last-wins dedup mirrors the old map-based build exactly: a later
-	// entry for the same (state, value) / state replaces the earlier one.
-	type exactKey struct {
-		state int
-		value uint64
-	}
-	exact := make(map[exactKey]int)
-	wild := make(map[int]int)
-	ranges := make(map[int][]rangeEntry)
-	maxState := -1
+	// The first pass sizes the tables; the second fills them. A later entry
+	// for the same (state, value) / state replaces the earlier one.
+	maxState, nExact := -1, 0
 	for _, e := range t.Entries {
-		if e.State > maxState {
-			maxState = e.State
-		}
-		switch e.Kind {
-		case compiler.EntryExact:
-			exact[exactKey{e.State, e.Lo}] = e.Next
-		case compiler.EntryWild:
-			wild[e.State] = e.Next
-		case compiler.EntryRange:
-			ranges[e.State] = append(ranges[e.State], rangeEntry{e.Lo, e.Hi, e.Next})
+		maxState = max(maxState, e.State)
+		if e.Kind == compiler.EntryExact {
+			nExact++
 		}
 	}
 	lt.nStates = maxState + 1
 	n := lt.nStates
-
 	lt.wild = make([]int32, n)
 	for i := range lt.wild {
 		lt.wild[i] = noTarget
 	}
-	for st, next := range wild {
-		lt.wild[st] = int32(next)
+	type exactKey struct {
+		state int
+		value uint64
+		next  int
 	}
-
-	if len(exact) >= openAddrMinEntries {
-		size := 1 << bits.Len(uint(len(exact)*2-1)) // power of two, load factor <= 0.5
+	var keys []exactKey // the exact entries of a table too small to hash
+	if nExact >= openAddrMinEntries {
+		size := 1 << bits.Len(uint(nExact*2-1)) // power of two, load factor <= 0.5
 		lt.oaMask = uint32(size - 1)
 		lt.oaState = make([]int32, size)
 		lt.oaKey = make([]uint64, size)
@@ -137,26 +126,43 @@ func buildLookup(t *compiler.Table) lookupTable {
 		for i := range lt.oaNext {
 			lt.oaNext[i] = noTarget
 		}
-		for k, next := range exact {
-			h := oaHash(int32(k.state), k.value) & lt.oaMask
-			for lt.oaNext[h] != noTarget {
+	} else {
+		keys = make([]exactKey, 0, nExact)
+	}
+	ranges := make(map[int][]rangeEntry)
+	for _, e := range t.Entries {
+		switch e.Kind {
+		case compiler.EntryExact:
+			if keys != nil {
+				keys = append(keys, exactKey{e.State, e.Lo, e.Next})
+				continue
+			}
+			h := oaHash(int32(e.State), e.Lo) & lt.oaMask
+			for lt.oaNext[h] != noTarget && (lt.oaKey[h] != e.Lo || lt.oaState[h] != int32(e.State)) {
 				h = (h + 1) & lt.oaMask
 			}
-			lt.oaState[h] = int32(k.state)
-			lt.oaKey[h] = k.value
-			lt.oaNext[h] = int32(next)
+			lt.oaState[h] = int32(e.State)
+			lt.oaKey[h] = e.Lo
+			lt.oaNext[h] = int32(e.Next)
+		case compiler.EntryWild:
+			lt.wild[e.State] = int32(e.Next)
+		case compiler.EntryRange:
+			ranges[e.State] = append(ranges[e.State], rangeEntry{e.Lo, e.Hi, e.Next})
 		}
-	} else {
-		keys := make([]exactKey, 0, len(exact))
-		for k := range exact {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].state != keys[j].state {
-				return keys[i].state < keys[j].state
-			}
-			return keys[i].value < keys[j].value
+	}
+
+	if lt.oaNext == nil {
+		// Sorted by (state, value), the last of equal keys kept.
+		slices.SortStableFunc(keys, func(a, b exactKey) int {
+			return cmp.Or(cmp.Compare(a.state, b.state), cmp.Compare(a.value, b.value))
 		})
+		kept := keys[:0]
+		for i, k := range keys {
+			if i+1 == len(keys) || k.state != keys[i+1].state || k.value != keys[i+1].value {
+				kept = append(kept, k)
+			}
+		}
+		keys = kept
 		lt.exactOff = make([]int32, n+1)
 		lt.exactKeys = make([]uint64, len(keys))
 		lt.exactNext = make([]int32, len(keys))
@@ -167,7 +173,7 @@ func buildLookup(t *compiler.Table) lookupTable {
 				st++
 			}
 			lt.exactKeys[pos] = k.value
-			lt.exactNext[pos] = int32(exact[k])
+			lt.exactNext[pos] = int32(k.next)
 			pos++
 		}
 		for ; st <= n; st++ {

@@ -659,7 +659,8 @@ func modelProcess(in *Generation, o *oracleState, vals []uint64, now time.Durati
 	if !ok {
 		return -1
 	}
-	for _, u := range in.upds[act] {
+	for i := 0; act < len(in.upds) && i < len(in.upds[act]); i++ {
+		u := in.upds[act][i]
 		o.update(int(u.slot), key(u.keyIdx), u.zeroArg, key(u.argIdx), u.window, now)
 	}
 	return act

@@ -125,7 +125,8 @@ type Generation struct {
 	// install time (extending PR 9's register precompute): variable
 	// slots, key/argument field indices, numeric aggregate folds, and
 	// windows — so the packet path performs no name-map probe, no string
-	// switch, and no first-touch allocation.
+	// switch, and no first-touch allocation. upds is by action, and ends
+	// at the last action that updates state.
 	reads []stateRead
 	upds  [][]stateUpd
 }
@@ -258,8 +259,14 @@ func (sw *Switch) newInstalled(prog *compiler.Program) *Generation {
 			agg: AggKindOf(f.Agg), window: fieldWindow(f),
 		})
 	}
-	in.upds = make([][]stateUpd, len(prog.Actions))
+	updating := 0
 	for ai := range prog.Actions {
+		if len(prog.Actions[ai].Updates) > 0 {
+			updating = ai + 1
+		}
+	}
+	in.upds = make([][]stateUpd, updating)
+	for ai := range in.upds {
 		ups := prog.Actions[ai].Updates
 		if len(ups) == 0 {
 			continue
@@ -523,8 +530,12 @@ func (sw *Switch) processOne(in *Generation, lane int, values []uint64, now time
 		// argument field indices were resolved at install time
 		// (Generation.upds), so the loop is array loads and the single-writer
 		// bank fold — no name-map probe, no first-touch allocation, no lock.
-		for i := range in.upds[act] {
-			u := &in.upds[act][i]
+		var upds []stateUpd
+		if act < len(in.upds) {
+			upds = in.upds[act]
+		}
+		for i := range upds {
+			u := &upds[i]
 			arg := uint64(0)
 			if u.argIdx >= 0 {
 				arg = values[u.argIdx]
