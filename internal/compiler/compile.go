@@ -646,15 +646,15 @@ func (p *Program) buildActions(ca *classArena, b *bdd.BDD, leaves []int) {
 			multi++
 		}
 	}
-	var groupIdx map[sum128]int // port set -> group
+	var groupIdx map[[2]uint64]int // port set -> group
 	if multi > 0 {
-		groupIdx, p.Groups = make(map[sum128]int, multi), make([]PortSet, 0, multi)
+		groupIdx, p.Groups = make(map[[2]uint64]int, multi), make([]PortSet, 0, multi)
 	}
 	for i := range p.Actions {
 		as := &p.Actions[i]
 		as.Group = -1
 		if as.Ports.Len() > 1 {
-			h := as.Ports.hash()
+			h := as.Ports.Hash()
 			g, ok := groupIdx[h]
 			if !ok {
 				g = len(p.Groups)

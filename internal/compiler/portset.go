@@ -133,15 +133,16 @@ func (s PortSet) Equal(t PortSet) bool {
 // String renders the ports as a []int prints.
 func (s PortSet) String() string { return fmt.Sprint(s.AppendTo(nil)) }
 
-// hash is the content hash of the encoding, which is the set's identity:
-// two sets share it exactly when they are equal, up to the odds of two
-// random 128-bit values colliding.
-func (s PortSet) hash() sum128 {
+// Hash is the content hash of the encoding, which is the set's identity in
+// every program: two sets share it exactly when they are equal, up to the
+// odds of two random 128-bit values colliding. Groups are keyed by it.
+func (s PortSet) Hash() [2]uint64 {
 	h := hashIn(portDomain).word(uint64(s.base)<<32 | uint64(s.n))
 	for _, w := range s.w {
 		h = h.word(w)
 	}
-	return h.sum()
+	sum := h.sum()
+	return [2]uint64{sum.a, sum.b}
 }
 
 // Iter starts a walk over the ports in ascending order:

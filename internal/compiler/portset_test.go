@@ -11,8 +11,9 @@ import (
 // []int it stands for, over port multisets clustered round a base within a
 // span from one port to past lang.MaxPort: AppendTo is that list, Len and
 // Contains agree with it, the encoding costs at most 8 B a port plus one
-// word, and the set is one value whatever order its ports came in, sorted
-// first or as a class arena makes it.
+// word, the set is one value whatever order its ports came in, sorted
+// first or as a class arena makes it, and its Hash is equal exactly when
+// the sorted lists are.
 func FuzzPortSetMatchesSortedList(f *testing.F) {
 	f.Add(uint32(0), uint8(0), []byte{})
 	f.Add(uint32(0), uint8(17), []byte{0, 0, 0, 0, 0, 1, 255, 255, 0})
@@ -100,6 +101,22 @@ func FuzzPortSetMatchesSortedList(f *testing.F) {
 		}
 		if len(want) > 0 && newPortSet(want[1:]...).Equal(s) {
 			t.Fatalf("%v without its first port equals it", want)
+		}
+
+		// Hash is equal exactly when the sorted lists are, whichever of
+		// bitmap and list each side is: a port far from the rest makes a
+		// bitmap a list, and moving the last port up one keeps the count.
+		others := []PortSet{newPortSet(multiset...), portSetOf(distinct), newPortSet(append(slices.Clone(want), (int(base%ports)+ports/2)%ports)...)}
+		if n := len(want); n > 0 {
+			moved := slices.Clone(want)
+			moved[n-1] = (moved[n-1] + 1) % ports
+			others = append(others, newPortSet(want[1:]...), newPortSet(want[:n-1]...), newPortSet(moved...))
+		}
+		for _, o := range others {
+			if same := slices.Equal(o.AppendTo(nil), want); (o.Hash() == s.Hash()) != same {
+				t.Fatalf("%v (listed %v) and %v (listed %v): equal %v, hashes %x and %x",
+					want, s.base == listed, o, o.base == listed, same, s.Hash(), o.Hash())
+			}
 		}
 	})
 }

@@ -25,7 +25,8 @@ import (
 	"camus/internal/telemetry"
 )
 
-// TableDelta counts entry changes for one table.
+// TableDelta counts the changes to one kind of device state: table
+// entries, or multicast groups.
 type TableDelta struct {
 	Added, Removed, Reused int
 }
@@ -34,24 +35,13 @@ type TableDelta struct {
 // ASIC. Reused entries cost nothing; added/removed entries each cost one
 // driver write.
 type Delta struct {
-	PerTable map[string]TableDelta
-	Entries  TableDelta // totals across tables (leaf included)
-	Groups   TableDelta // multicast group adds/removes/reuse
+	Entries TableDelta // totals across tables (leaf included)
+	Groups  TableDelta // multicast group adds/removes/reuse
 }
 
 // Writes returns the number of device writes the update needs.
 func (d Delta) Writes() int {
 	return d.Entries.Added + d.Entries.Removed + d.Groups.Added + d.Groups.Removed
-}
-
-// tally records a table's delta, when it has one, and adds it to the totals.
-func (d *Delta) tally(table string, td TableDelta) {
-	if td != (TableDelta{}) {
-		d.PerTable[table] = td
-		d.Entries.Added += td.Added
-		d.Entries.Removed += td.Removed
-		d.Entries.Reused += td.Reused
-	}
 }
 
 func (d Delta) String() string {
@@ -231,10 +221,7 @@ func (c *Controller) Install(ctx context.Context, newProg *compiler.Program) (De
 // install is the one delta-install path both entry points end in, recorded
 // as a `controlplane_install` span: admit newProg when asked, align its
 // states to the program the device runs, diff, commit with the
-// retry/rollback policy, and only then count the writes. Over a program
-// whose field tables have no row — its rules, if any, left one terminal,
-// as a switch starts on — there is nothing to align with, and the delta is
-// counted.
+// retry/rollback policy, and only then count the writes.
 func (c *Controller) install(ctx context.Context, newProg *compiler.Program, admit bool) (Delta, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -246,14 +233,9 @@ func (c *Controller) install(ctx context.Context, newProg *compiler.Program, adm
 			return Delta{}, fmt.Errorf("controlplane: update rejected at admission: %w", err)
 		}
 	}
-	var delta Delta
 	base := c.dev.Program()
-	if !slices.ContainsFunc(base.Tables, func(t *compiler.Table) bool { return len(t.Entries) > 0 }) {
-		delta = countInstall(base, newProg)
-	} else {
-		AlignStates(base, newProg)
-		delta = DiffPrograms(base, newProg)
-	}
+	AlignStates(base, newProg)
+	delta := DiffPrograms(base, newProg)
 	span.SetLabel("writes", fmt.Sprint(delta.Writes()))
 	if err := commit(ctx, c.dev, c.Policy, newProg, base, span); err != nil {
 		return Delta{}, err
@@ -265,8 +247,9 @@ func (c *Controller) install(ctx context.Context, newProg *compiler.Program, adm
 // AlignStates renumbers newProg's pipeline states so that states whose
 // sub-BDD behavior is identical to a state in oldProg get the old number:
 // it merges the two programs' signature lists (Program.Signatures). States
-// with no behavioral twin get fresh numbers above both programs' ranges to
-// avoid collisions.
+// with no behavioral twin get the smallest numbers oldProg does not use, so
+// the numbers a switch runs stay below its last two programs' state counts
+// however many updates it takes.
 func AlignStates(oldProg, newProg *compiler.Program) {
 	olds, news := oldProg.Signatures, newProg.Signatures
 
@@ -274,15 +257,12 @@ func AlignStates(oldProg, newProg *compiler.Program) {
 	// signature take its old twins, smallest first, in ascending order.
 	pairs := make([]statePair, len(news)) // new state -> old twin, -1 without
 	oldInitialTaken := false
-	i, next := 0, 0 // next: above every state of either program
-	for _, o := range olds {
-		next = max(next, o.State+1)
-	}
+	i := 0
 	for j, n := range news {
 		for i < len(olds) && slices.Compare(olds[i].Sig[:], n.Sig[:]) < 0 {
 			i++
 		}
-		pairs[j], next = statePair{n.State, -1}, max(next, n.State+1)
+		pairs[j] = statePair{n.State, -1}
 		if i < len(olds) && olds[i].Sig == n.Sig {
 			pairs[j].to = olds[i].State
 			oldInitialTaken = oldInitialTaken || olds[i].State == oldProg.InitialState
@@ -299,12 +279,26 @@ func AlignStates(oldProg, newProg *compiler.Program) {
 	if ok && pairs[initial].to < 0 && !oldInitialTaken {
 		pairs[initial].to = oldProg.InitialState
 	}
-	// Fresh numbers for unmatched states, in ascending order of the state,
-	// starting above everything used.
+	// Fresh numbers for unmatched states, in ascending order of the state:
+	// the smallest that are neither oldProg's states nor its initial state,
+	// which the pin above may have given out.
+	top := oldProg.InitialState
+	for _, o := range olds {
+		top = max(top, o.State)
+	}
+	used := make([]bool, top+1)
+	used[oldProg.InitialState] = true
+	for _, o := range olds {
+		used[o.State] = true
+	}
+	fresh := 0
 	for j := range pairs {
 		if pairs[j].to < 0 {
-			pairs[j].to = next
-			next++
+			for fresh < len(used) && used[fresh] {
+				fresh++
+			}
+			pairs[j].to = fresh
+			fresh++
 		}
 	}
 	newProg.RemapStates(func(st int) int {
@@ -350,7 +344,7 @@ type entryKey [5]uint64
 
 func (k entryKey) compare(l entryKey) int { return slices.Compare(k[:], l[:]) }
 
-// DiffPrograms computes the per-table entry delta between two programs
+// DiffPrograms computes the entry and group delta between two programs
 // whose states have been aligned: each program's entries, and its groups,
 // become a sorted list of compact keys, and merging old with new counts it.
 func DiffPrograms(oldProg, newProg *compiler.Program) Delta {
@@ -360,70 +354,37 @@ func DiffPrograms(oldProg, newProg *compiler.Program) Delta {
 			names = append(names, f.Name) // a name's first place is its number
 		}
 	}
-	oldKeys, newKeys := entryKeys(oldProg, names), entryKeys(newProg, names)
-	perTable := make([]TableDelta, len(names))
-	mergeDiff(oldKeys, newKeys, entryKey.compare, func(k entryKey) *TableDelta { return &perTable[uint32(k[0])>>8] })
-
-	d := Delta{PerTable: make(map[string]TableDelta, len(names))}
-	for i, td := range perTable {
-		d.tally(names[i], td)
+	return Delta{
+		Entries: mergeDiff(entryKeys(oldProg, names), entryKeys(newProg, names), entryKey.compare),
+		Groups:  mergeDiff(groupKeys(oldProg), groupKeys(newProg), sig.compare),
 	}
-	mergeDiff(groupKeys(oldProg), groupKeys(newProg), sig.compare, func(sig) *TableDelta { return &d.Groups })
-	return d
-}
-
-// countInstall is AlignStates and DiffPrograms for an install over a
-// program whose field tables have no row, counted instead of merged, with
-// newProg's states left dense: every entry and group of newProg is added
-// and every one of oldProg removed, but for oldProg's leaf entry — the
-// terminal as the leaf's default, when it does something — and group where
-// newProg has an equal one. A leaf entry is keyed by its action's content,
-// so it is reused where newProg is one terminal doing the same.
-func countInstall(oldProg, newProg *compiler.Program) Delta {
-	d := Delta{PerTable: make(map[string]TableDelta, len(newProg.Tables)+1)}
-	for i, t := range newProg.Tables {
-		d.tally(newProg.Fields[i].Name, TableDelta{Added: len(t.Entries)})
-	}
-	leaf := TableDelta{Added: len(newProg.Leaf.Entries), Removed: len(oldProg.Leaf.Entries)}
-	for _, e := range oldProg.Leaf.Entries {
-		key := leafKey(oldProg, 0, e)
-		if slices.ContainsFunc(newProg.Leaf.Entries, func(f compiler.Entry) bool { return leafKey(newProg, 0, f) == key }) {
-			leaf = TableDelta{Added: leaf.Added - 1, Removed: leaf.Removed - 1, Reused: leaf.Reused + 1}
-		}
-	}
-	d.tally("leaf", leaf)
-	d.Groups = TableDelta{Added: len(newProg.Groups), Removed: len(oldProg.Groups)}
-	for _, g := range oldProg.Groups {
-		if slices.ContainsFunc(newProg.Groups, g.Equal) {
-			d.Groups = TableDelta{Added: d.Groups.Added - 1, Removed: d.Groups.Removed - 1, Reused: d.Groups.Reused + 1}
-		}
-	}
-	return d
 }
 
 // mergeDiff sorts two key lists, drops repeats, and counts the keys only in
-// news as added, only in olds as removed, in both as reused, in their tallies.
-func mergeDiff[K comparable](olds, news []K, compare func(K, K) int, tally func(K) *TableDelta) {
+// news as added, only in olds as removed, and in both as reused.
+func mergeDiff[K comparable](olds, news []K, compare func(K, K) int) TableDelta {
 	slices.SortFunc(olds, compare)
 	slices.SortFunc(news, compare)
 	olds, news = slices.Compact(olds), slices.Compact(news)
-	for len(olds) > 0 || len(news) > 0 {
-		switch {
-		case len(news) == 0 || (len(olds) > 0 && compare(olds[0], news[0]) < 0):
-			tally(olds[0]).Removed++
-			olds = olds[1:]
-		case len(olds) == 0 || compare(olds[0], news[0]) > 0:
-			tally(news[0]).Added++
-			news = news[1:]
+	var d TableDelta
+	for o, n := 0, 0; o < len(olds) && n < len(news); {
+		switch c := compare(olds[o], news[n]); {
+		case c < 0:
+			o++
+		case c > 0:
+			n++
 		default:
-			tally(news[0]).Reused++
-			olds, news = olds[1:], news[1:]
+			d.Reused++
+			o, n = o+1, n+1
 		}
 	}
+	d.Added, d.Removed = len(news)-d.Reused, len(olds)-d.Reused
+	return d
 }
 
 // entryKeys lists the program's table entries, its tables numbered by
-// their place in names.
+// their place in names. A leaf entry is keyed by its kind and its action's
+// content.
 func entryKeys(p *compiler.Program, names []string) []entryKey {
 	keys := make([]entryKey, 0, p.EntriesTotal())
 	for i, t := range p.Tables {
@@ -436,26 +397,21 @@ func entryKeys(p *compiler.Program, names []string) []entryKey {
 			keys = append(keys, entryKey{uint64(e.State)<<32 | id | uint64(e.Kind), e.Lo, e.Hi, to.a, to.b})
 		}
 	}
-	id := uint64(slices.Index(names, "leaf")) << 8
-	for _, e := range p.Leaf.Entries {
-		keys = append(keys, leafKey(p, id, e))
+	for _, e := range p.Leaf.Entries { // the leaf is table 0
+		a, _ := compiler.Decides(e.Next)
+		act := actionSig(p.Actions[a])
+		keys = append(keys, entryKey{uint64(e.Kind), 0, 0, act.a, act.b})
 	}
 	return keys
 }
 
-// leafKey is a leaf entry's key: its kind and its action's content.
-func leafKey(p *compiler.Program, id uint64, e compiler.Entry) entryKey {
-	a, _ := compiler.Decides(e.Next)
-	act := actionSig(p.Actions[a])
-	return entryKey{id | uint64(e.Kind), 0, 0, act.a, act.b}
-}
-
-// groupKeys is the program's multicast groups, each as the content sum of
-// its ports (ActionSet.Sum).
+// groupKeys is the program's multicast groups, each as its port set's
+// identity (PortSet.Hash), which the ports alone decide.
 func groupKeys(p *compiler.Program) []sig {
 	keys := make([]sig, len(p.Groups))
 	for g, ports := range p.Groups {
-		keys[g] = actionSig(compiler.ActionSet{Ports: ports})
+		h := ports.Hash()
+		keys[g] = sig{h[0], h[1]}
 	}
 	return keys
 }

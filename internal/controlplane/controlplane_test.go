@@ -11,6 +11,7 @@ import (
 	"camus/internal/compiler"
 	"camus/internal/pipeline"
 	"camus/internal/spec"
+	"camus/internal/telemetry"
 )
 
 const itchSpecSrc = `
@@ -53,19 +54,6 @@ func values(prog *compiler.Program, shares, stock, price uint64) []uint64 {
 		}
 	}
 	return vals
-}
-
-func stockVal(t testing.TB, prog *compiler.Program, sym string) uint64 {
-	t.Helper()
-	q, err := prog.Spec.LookupField("stock")
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := spec.EncodeSymbol(q, sym)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return v
 }
 
 func TestIdenticalProgramsDiffToZero(t *testing.T) {
@@ -133,29 +121,31 @@ func TestInstallPreservesSemantics(t *testing.T) {
 	})
 }
 
-// TestAlignedProgramStillCorrect verifies that state renumbering does not
-// break table semantics (differential check before/after alignment).
+// TestAlignedProgramStillCorrect: on every diff fixture, what the aligned
+// program does to a packet is what the program did as compiled, on probes
+// at and beside every bound its tables name. Two states given one number,
+// as a fresh state given the pinned initial state's number would be, fail
+// it.
 func TestAlignedProgramStillCorrect(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	syms := []string{"AAPL", "MSFT", "GOOGL", "ORCL", "IBM"}
-	var b strings.Builder
-	for i := 0; i < 30; i++ {
-		fmt.Fprintf(&b, "stock == %s && price > %d : fwd(%d)\n", syms[r.Intn(len(syms))], r.Intn(1000), 1+r.Intn(8))
-	}
-	oldProg := compile(t, b.String())
-	fmt.Fprintf(&b, "stock == TSLA : fwd(7)\n")
-	newProg := compile(t, b.String())
-	ref := compile(t, b.String()) // same rules, never realigned
-
-	AlignStates(oldProg, newProg)
-	for probe := 0; probe < 500; probe++ {
-		sym := append(syms, "TSLA")[r.Intn(len(syms)+1)]
-		stock := stockVal(t, newProg, sym)
-		price := r.Uint64() % 1100
-		got := newProg.Evaluate(values(newProg, 0, stock, price))
-		want := ref.Evaluate(values(ref, 0, stock, price))
-		if !reflect.DeepEqual(got.Ports, want.Ports) {
-			t.Fatalf("alignment broke semantics for %s@%d: %v vs %v", sym, price, got.Ports, want.Ports)
+	for name, f := range diffFixtures() {
+		r := rand.New(rand.NewSource(1))
+		oldProg, newProg, ref := compile(t, f[0]), compile(t, f[1]), compile(t, f[1])
+		AlignStates(oldProg, newProg)
+		cands := make([][]uint64, len(ref.Fields))
+		for i, tb := range ref.Tables {
+			cands[i] = []uint64{0, ref.Fields[i].Max}
+			for _, e := range tb.Entries {
+				cands[i] = append(cands[i], e.Lo, e.Lo-1, e.Hi, e.Hi+1)
+			}
+		}
+		vals := make([]uint64, len(ref.Fields))
+		for range 2000 {
+			for i, c := range cands {
+				vals[i] = min(c[r.Intn(len(c))], ref.Fields[i].Max)
+			}
+			if got, want := newProg.Evaluate(vals), ref.Evaluate(vals); got.Sum() != want.Sum() {
+				t.Fatalf("%s: aligned, %v does %s; as compiled, %s", name, vals, got, want)
+			}
 		}
 	}
 }
@@ -195,7 +185,9 @@ func TestDeltaWritesScaleWithChange(t *testing.T) {
 // TestControllersShareTheDeviceBase: the program a device runs is the base
 // of the next diff, whichever controller wrote it. Two controllers are
 // built on one device; a program installed through A is what B's update
-// counts its delta against, as a diff of the same two programs does.
+// counts its delta against, as a diff of the same two programs does. A's
+// install, the device's first, returns and counts on the device the writes
+// of a diff from the program the device started on.
 func TestControllersShareTheDeviceBase(t *testing.T) {
 	var rules strings.Builder
 	for i := 0; i < 100; i++ {
@@ -207,10 +199,18 @@ func TestControllersShareTheDeviceBase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := NewController(sw), NewController(sw)
+	a, b, tel := NewController(sw), NewController(sw), telemetry.New()
+	a.SetTelemetry(tel)
 	installed := compile(t, older)
-	if _, err := a.Update(context.Background(), installed); err != nil {
+	first, err := a.Update(context.Background(), installed)
+	if err != nil {
 		t.Fatal(err)
+	}
+	twin := compile(t, older)
+	AlignStates(compile(t, ""), twin)
+	want := DiffPrograms(compile(t, ""), twin)
+	if writes := tel.Reg().Counter("camus_controlplane_device_writes_total").Load(); first.Writes() != want.Writes() || writes != uint64(want.Writes()) {
+		t.Errorf("first install: %d writes, %d counted on the device; the diff has %d", first.Writes(), writes, want.Writes())
 	}
 	if b.Program() != installed {
 		t.Fatal("B does not see the program A installed")
@@ -221,8 +221,8 @@ func TestControllersShareTheDeviceBase(t *testing.T) {
 	}
 	oldProg, newProg := compile(t, older), compile(t, newer)
 	AlignStates(oldProg, newProg)
-	want := DiffPrograms(oldProg, newProg)
-	if got.Entries.Reused == 0 || got.Entries != want.Entries || got.Groups != want.Groups {
+	want = DiffPrograms(oldProg, newProg)
+	if got.Entries.Reused == 0 || got != want {
 		t.Fatalf("B's delta %s, want %s (against A's program)", got, want)
 	}
 }

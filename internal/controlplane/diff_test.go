@@ -3,14 +3,12 @@ package controlplane
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
 	"camus/internal/compiler"
 	"camus/internal/pipeline"
-	"camus/internal/telemetry"
 )
 
 // The map-based alignment and diff this package used until PR 16, kept as
@@ -44,24 +42,17 @@ func oracleEntries(p *compiler.Program) map[oracleKey]bool {
 }
 
 func oracleDiff(oldProg, newProg *compiler.Program) Delta {
-	d := Delta{PerTable: make(map[string]TableDelta)}
+	var d Delta
 	oldSet, newSet := oracleEntries(oldProg), oracleEntries(newProg)
 	for k := range newSet {
-		td := d.PerTable[k.table]
 		if oldSet[k] {
-			td.Reused++
 			d.Entries.Reused++
 		} else {
-			td.Added++
 			d.Entries.Added++
 		}
-		d.PerTable[k.table] = td
 	}
 	for k := range oldSet {
 		if !newSet[k] {
-			td := d.PerTable[k.table]
-			td.Removed++
-			d.PerTable[k.table] = td
 			d.Entries.Removed++
 		}
 	}
@@ -121,15 +112,16 @@ func oracleAlign(oldProg, newProg *compiler.Program) {
 	if _, ok := mapping[newProg.InitialState]; !ok && !assignedOld[oldProg.InitialState] {
 		mapping[newProg.InitialState] = oldProg.InitialState
 	}
-	next := 0
+	used := map[int]bool{oldProg.InitialState: true}
 	for st := range oldSigs {
-		next = max(next, st+1)
+		used[st] = true
 	}
-	for _, st := range newStates {
-		next = max(next, st+1)
-	}
+	next := 0
 	for _, st := range newStates {
 		if _, ok := mapping[st]; !ok {
+			for used[next] {
+				next++
+			}
 			mapping[st] = next
 			next++
 		}
@@ -144,7 +136,9 @@ func oracleAlign(oldProg, newProg *compiler.Program) {
 
 // diffFixtures are pairs of rule sets an update goes between: the churn
 // shapes of the tests beside this one, a change of one leaf action, a change
-// of one multicast group, and a change of the pipeline's own field list.
+// of one multicast group, a change of the pipeline's own field list, and
+// installs over and onto programs whose rules leave one terminal, the leaf's
+// default: a drop, or a forward to a group the new program keeps or not.
 func diffFixtures() map[string][2]string {
 	stocks := func(n int, prefix string) string {
 		var b strings.Builder
@@ -163,12 +157,17 @@ func diffFixtures() map[string][2]string {
 		"leaf action":   {base + "stock == XTRA : fwd(3)\n", base + "stock == XTRA : fwd(4)\n"},
 		"group":         {base + "stock == XTRA : fwd(3,4)\n", base + "stock == XTRA : fwd(3,5)\n"},
 		"field list":    {base + "avg(price) > 50 : fwd(1)\n", base + "sum(shares) > 10 : fwd(1)\n"},
+		"over a drop":   {"stock == GOOGL : drop()\n", base},
+		"over a group":  {"price >= 0 : fwd(3,4)\n", base + "stock == XTRA : fwd(3,4)\n"},
+		"terminals":     {"price >= 0 : fwd(3,4)\n", "price >= 0 : fwd(1)\n"},
+		"to a terminal": {base, "price >= 0 : fwd(3,4)\n"},
 	}
 }
 
 // TestMergeDiffEqualsMapOracle: on every fixture the merge-based alignment
-// numbers the new program's states as the map-based one did, and the merge
-// diff's Delta equals the map diff's field for field.
+// numbers the new program's states as the map-based one does, and the merge
+// diff's Delta equals the map diff's field for field. The fixtures' bases
+// that are one terminal are so.
 func TestMergeDiffEqualsMapOracle(t *testing.T) {
 	for name, f := range diffFixtures() {
 		oldProg, newProg, twin := compile(t, f[0]), compile(t, f[1]), compile(t, f[1])
@@ -179,66 +178,25 @@ func TestMergeDiffEqualsMapOracle(t *testing.T) {
 			continue
 		}
 		got, want := DiffPrograms(oldProg, newProg), oracleDiff(oldProg, newProg)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s:\n merge %s %v\n maps  %s %v", name, got, got.PerTable, want, want.PerTable)
+		if got != want {
+			t.Errorf("%s:\n merge %s\n maps  %s", name, got, want)
 		}
 		if name != "identical" && got.Writes() == 0 {
 			t.Errorf("%s: no writes", name)
 		}
 	}
-}
-
-// TestCountedInstallEqualsDiff: an install over a program with no rules —
-// or whose rules leave one terminal, a forward to a group among them — is
-// counted, not aligned and merged, and the count is the Delta alignment and
-// the merge diff give, field for field, onto every fixture's programs and
-// onto programs that keep the old terminal's action or group or do not.
-// Through a Controller the device writes counted are the same.
-func TestCountedInstallEqualsDiff(t *testing.T) {
-	olds := []string{"", "stock == GOOGL : drop()\n", "price >= 0 : fwd(3,4)\n"}
-	news := []string{"", "stock == XTRA : fwd(3,4)\n", "price >= 0 : fwd(1)\n", "price >= 0 : fwd(3,4)\n"}
-	for _, f := range diffFixtures() {
-		news = append(news, f[1])
-	}
-	for _, o := range olds {
-		for _, n := range news {
-			oldProg := compile(t, o)
-			if oldProg.Stats.BDDNodes != 1 {
-				t.Fatalf("%q compiles to more than a terminal", o)
-			}
-			got := countInstall(oldProg, compile(t, n))
-			newProg := compile(t, n)
-			AlignStates(oldProg, newProg)
-			if want := DiffPrograms(oldProg, newProg); !reflect.DeepEqual(got, want) {
-				t.Errorf("%q over %q: counted %s %v, diffed %s %v", n, o, got, got.PerTable, want, want.PerTable)
-			}
+	for _, base := range []string{"", "stock == GOOGL : drop()\n", "price >= 0 : fwd(3,4)\n"} {
+		if n := compile(t, base).Stats.BDDNodes; n != 1 {
+			t.Errorf("%q compiles to %d nodes, not one terminal", base, n)
 		}
 	}
-
-	sw, err := pipeline.New(compile(t, ""), pipeline.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctl, tel := NewController(sw), telemetry.New()
-	ctl.SetTelemetry(tel)
-	prog := compile(t, diffFixtures()["from nothing"][1])
-	twin := compile(t, diffFixtures()["from nothing"][1])
-	AlignStates(compile(t, ""), twin)
-	want := DiffPrograms(compile(t, ""), twin)
-	d, err := ctl.Install(context.Background(), prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if writes := tel.Reg().Counter("camus_controlplane_device_writes_total").Load(); d.Writes() != want.Writes() || writes != uint64(want.Writes()) {
-		t.Errorf("first install: %d writes, %d counted on the device; the diff has %d", d.Writes(), writes, want.Writes())
-	}
 }
 
-// TestDiffAllocatesNoMaps: what DiffPrograms allocates is its two key lists
-// and a few fixed-size tallies — a count that does not move with the number
+// TestDiffAllocatesNoMaps: what DiffPrograms allocates is its table names
+// and its key lists — a count that does not move with the number
 // of entries, as a hash set per program did.
 func TestDiffAllocatesNoMaps(t *testing.T) {
-	const bound = 16
+	const bound = 8
 	for _, n := range []int{200, 2000} {
 		var a, b strings.Builder
 		for i := 0; i < n; i++ {
@@ -253,8 +211,43 @@ func TestDiffAllocatesNoMaps(t *testing.T) {
 		if allocs > bound {
 			t.Errorf("%d rules, %d entries: DiffPrograms allocates %.0f objects, bound %d", n, newProg.EntriesTotal(), allocs, bound)
 		}
-		if !reflect.DeepEqual(d, oracleDiff(oldProg, newProg)) || d.Writes() == 0 {
+		if d != oracleDiff(oldProg, newProg) || d.Writes() == 0 {
 			t.Errorf("%d rules: merge diff %s, map diff %s", n, d, oracleDiff(oldProg, newProg))
 		}
+	}
+}
+
+// TestStateNumbersStayBounded: a switch that alternates between two rule
+// sets through its Controller runs no state number as high as the two
+// programs' state counts together, however many updates it takes. Fresh
+// states take the smallest numbers the running program leaves free.
+func TestStateNumbersStayBounded(t *testing.T) {
+	sets := [2]string{
+		"stock == GOOGL && price > 10 : fwd(1)\nstock == AAPL && price > 20 : fwd(2)\nstock == MSFT && shares > 5 : fwd(3)\n",
+		"stock == GOOGL && price > 15 : fwd(1)\nstock == AAPL && shares > 20 : fwd(2)\nstock == IBM && price > 5 : fwd(3)\n",
+	}
+	sw, err := pipeline.New(compile(t, ""), pipeline.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl := NewController(sw)
+	largest := func(p *compiler.Program) int {
+		top := p.InitialState
+		for _, s := range p.Signatures {
+			top = max(top, s.State)
+		}
+		return top
+	}
+	states := [2]int{compile(t, sets[0]).NumStates(), compile(t, sets[1]).NumStates()}
+	top := 0
+	for i := range 200 {
+		if _, err := ctl.Install(context.Background(), compile(t, sets[i%2])); err != nil {
+			t.Fatal(err)
+		}
+		top = max(top, largest(ctl.Program()))
+	}
+	t.Logf("%d and %d states: the largest state number is %d", states[0], states[1], top)
+	if top >= states[0]+states[1] {
+		t.Fatalf("after 200 updates between %d and %d states the largest state number is %d", states[0], states[1], top)
 	}
 }

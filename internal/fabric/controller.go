@@ -31,9 +31,6 @@ type ControllerConfig struct {
 	// UplinkPort is the egress port of every leaf up plane toward its
 	// spine.
 	UplinkPort int
-	// DownlinkPort maps a leaf index to the spine egress port toward it.
-	// Nil means identity (leaf j behind spine port j).
-	DownlinkPort func(leaf int) int
 	// VerifyCovers proves BDD containment of every leaf program in its
 	// spine and uplink covers before any device is touched.
 	VerifyCovers bool
@@ -102,9 +99,6 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	}
 	if cfg.Leaves < 1 {
 		return nil, fmt.Errorf("fabric: need at least one leaf, got %d", cfg.Leaves)
-	}
-	if cfg.DownlinkPort == nil {
-		cfg.DownlinkPort = func(leaf int) int { return leaf }
 	}
 	c := &Controller{cfg: cfg, sessions: make([]*compiler.Session, cfg.Leaves)}
 	for j := range c.sessions {
@@ -233,7 +227,7 @@ func (c *Controller) Apply(ctx context.Context, rules []lang.Rule) (Epoch, error
 		if covers[j], err = ComputeCover(c.cfg.Spec, part, CoverOptions{}); err != nil {
 			return c.fail("compile_failed", fmt.Errorf("fabric: leaf %d cover: %w", j, err))
 		}
-		downPorts[j] = c.cfg.DownlinkPort(j)
+		downPorts[j] = j // leaf j sits behind spine port j
 	}
 	// Every member owns its program instance: installing a program aligns
 	// (renumbers) its pipeline states in place against that device's prior
