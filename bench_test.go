@@ -525,13 +525,30 @@ func BenchmarkITCHDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkSubscriptionParse measures the language front end.
+// BenchmarkSubscriptionParse is the compile's text route over coldShapes'
+// 20k×200 rule text: cut into chunks, parsed straight to normal form in an
+// arena per chunk, and resolved to conjunctions — the front end every
+// Listen, camus-switch start and Session sync runs before the BDD build.
+// Workers is 1, so allocs/rule is a property of the code.
 func BenchmarkSubscriptionParse(b *testing.B) {
-	src := "stock == GOOGL && price > 50 && shares < 1000 : fwd(1,2,3)\n"
+	sp := workload.ITCHSpec()
+	rules := workload.ITCHSubscriptions(coldShapes[1].cfg)
+	var text strings.Builder
+	for _, r := range rules {
+		text.WriteString(r.String() + "\n")
+	}
+	src := compiler.Source{Text: text.String()}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ParseSubscriptions(src); err != nil {
+		if _, err := compiler.Observe(context.Background(), sp, src, compiler.Options{Workers: 1}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rules)), "ns/rule")
+	allocs := testing.AllocsPerRun(1, func() {
+		compiler.Observe(context.Background(), sp, src, compiler.Options{Workers: 1}, nil)
+	})
+	b.ReportMetric(allocs/float64(len(rules)), "allocs/rule")
 }

@@ -74,18 +74,24 @@ type Source struct {
 }
 
 // chunks cuts the source into chunks of at most chunkRules rules and returns
-// how many there are and the function, safe to call for different chunks at
-// once, that brings the i-th to normal form. Text is cut into lines by
-// lang.Lines, so rule IDs, positions and diagnostics are the whole source's.
-func (s Source) chunks() (int, func(int) ([]lang.DNFRule, error)) {
+// how many rules and chunks there are and the function, safe to call for
+// different chunks and arenas at once, that brings the i-th to normal form in
+// an arena. Text is cut into lines by lang.Lines, so rule IDs, positions and
+// diagnostics are the whole source's.
+func (s Source) chunks() (int, int, func(int, *lang.Arena) error) {
 	if n := len(s.Rules); s.Rules != nil {
-		return (n + chunkRules - 1) / chunkRules, func(i int) ([]lang.DNFRule, error) {
-			return lang.NormalizeAll(s.Rules[i*chunkRules : min((i+1)*chunkRules, n)])
+		return n, (n + chunkRules - 1) / chunkRules, func(i int, a *lang.Arena) error {
+			for _, r := range s.Rules[i*chunkRules : min((i+1)*chunkRules, n)] {
+				if err := a.Normalize(r); err != nil {
+					return err
+				}
+			}
+			return nil
 		}
 	}
 	c := textChunks{src: s.Text}
 	lang.Lines(s.Text, c.add)
-	return len(c.chunks), c.normalize
+	return c.rules, len(c.chunks), c.normalize
 }
 
 // textChunks is rule text cut for the front end: lines of src that hold a
@@ -99,12 +105,14 @@ type textChunks struct {
 	src    string
 	chunks [][]lineRun
 	last   int // the chunk number of the last line added
+	rules  int // lines added
 }
 
 // lineRun is lines first to last of a source, consecutive rules.
 type lineRun struct{ first, last lang.Line }
 
 func (c *textChunks) add(l lang.Line) {
+	c.rules++
 	if k := l.ID / chunkRules; len(c.chunks) == 0 || k != c.last {
 		c.chunks, c.last = append(c.chunks, nil), k
 	}
@@ -116,47 +124,50 @@ func (c *textChunks) add(l lang.Line) {
 	*runs = append(*runs, lineRun{l, l})
 }
 
-func (c *textChunks) normalize(i int) ([]lang.DNFRule, error) {
-	runs := c.chunks[i]
-	rules, err := lang.ParseLines(c.src, runs[0].first, runs[0].last)
-	if len(runs) > 1 && err == nil {
-		n := 0
-		for _, r := range runs {
-			n += r.last.ID - r.first.ID + 1
-		}
-		rules = append(make([]lang.Rule, 0, n), rules...)
-		for _, r := range runs[1:] {
-			var more []lang.Rule
-			if more, err = lang.ParseLines(c.src, r.first, r.last); err != nil {
-				break
-			}
-			rules = append(rules, more...)
+// normalize parses chunk i's runs into a, straight to normal form.
+func (c *textChunks) normalize(i int, a *lang.Arena) error {
+	for _, r := range c.chunks[i] {
+		if err := a.ParseLines(c.src, r.first, r.last); err != nil {
+			return err
 		}
 	}
-	if err != nil {
-		return nil, err
-	}
-	return lang.NormalizeAll(rules)
+	_, err := a.Rules()
+	return err
 }
 
 // frontEnd is the one pass every entry point takes from a source, cut into
 // n chunks that normalize brings to normal form, to resolved rules.
-// Options.Workers goroutines normalize a chunk each, at most that many
-// chunks ahead; resolve is called on this goroutine for every rule in
-// source order, which keeps payload IDs, synthetic fields and the first
-// error those of a serial pass. A chunk's AST and DNF are garbage once
-// resolve has seen its rules. It stops between chunks when ctx is done.
-func frontEnd(ctx context.Context, opts Options, n int, normalize func(int) ([]lang.DNFRule, error), resolve func(*lang.DNFRule) error) error {
+// Options.Workers goroutines normalize a chunk each into an arena of their
+// own, at most that many chunks ahead; resolve is called on this goroutine
+// for every rule in source order, which keeps payload IDs, synthetic fields
+// and the first error those of a serial pass. Once resolve has seen a
+// chunk's rules its arena normalizes a later chunk, so a front end allocates
+// a few arenas, not a tree and a normal form per rule; resolve copies what
+// it keeps. It stops between chunks when ctx is done.
+func frontEnd(ctx context.Context, opts Options, n int, normalize func(int, *lang.Arena) error, resolve func(*lang.DNFRule) error) error {
 	defer opts.observeStage("frontend", time.Now())
-	return conc.Ordered(n, opts.workers(), normalize, func(dnf []lang.DNFRule) error {
+	workers := opts.workers()
+	free := make(chan *lang.Arena, workers+1) // Ordered has at most workers+1 chunks out
+	return conc.Ordered(n, workers, func(i int) (*lang.Arena, error) {
+		var a *lang.Arena
+		select {
+		case a = <-free:
+			a.Reset()
+		default:
+			a = new(lang.Arena)
+		}
+		return a, normalize(i, a)
+	}, func(a *lang.Arena) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
+		dnf, _ := a.Rules()
 		for i := range dnf {
 			if err := resolve(&dnf[i]); err != nil {
 				return err
 			}
 		}
+		free <- a
 		return nil
 	})
 }
@@ -227,7 +238,8 @@ func Observe(ctx context.Context, sp *spec.Spec, src Source, opts Options, obs O
 	if obs != nil {
 		p.res.seen = &Resolved{}
 	}
-	n, normalize := src.chunks()
+	rules, n, normalize := src.chunks()
+	p.conjs, p.res.actions = make([]bdd.Conj, 0, rules), make([][]lang.Action, 0, rules)
 	err := frontEnd(ctx, opts, n, normalize, func(rule *lang.DNFRule) error {
 		m, n := p.res.mark(), len(p.conjs)
 		conjs, _, err := p.res.resolve(rule, p.conjs)

@@ -370,15 +370,18 @@ func dumpProgram(w io.Writer, pass *compiler.Pass) {
 // heap objects a Fig. 5c rule costs on the way to an installed-ready Program
 // — from its AST and, as a live update pays it, from source text — with one
 // worker so the number belongs to the code and not to the host. Each bound
-// sits a tenth above what the compiler does today (19.2 and 25.2 per rule
-// at 2k×200 under go1.24; 21.0 and 34.0 while the lexer built every token
-// in a strings.Builder and DNF copied every term to sort it, 24.3 from the
-// AST while the builder cut two interval sets per predicate link and every
-// payload set got a port list of its own, 35.1 before predicates were
-// interned, 98.2 before the class-expanding builder and interned action
-// sets); a change that brings back a per-token builder, a per-constraint
-// string, a per-use atom, a per-terminal map or a per-link set goes through
-// it.
+// sits under a tenth above what the compiler does today (5.7 per rule from
+// either at 2k×200 under go1.24, the text parsed straight to normal form in
+// a chunk's arena and the rules folded into one; 11.6 and 17.6 while a
+// chunk's rules were a syntax tree, then a slice per term; 19.2 and 25.2
+// when the bounds before were set; 21.0 and 34.0 while the lexer built
+// every token in a strings.Builder and DNF copied every term to sort it,
+// 24.3 from the AST while the builder cut two interval sets per predicate
+// link and every payload set got a port list of its own, 35.1 before
+// predicates were interned, 98.2 before the class-expanding builder and
+// interned action sets); a change that brings back a per-rule tree or term
+// slice, a per-token builder, a per-constraint string, a per-use atom, a
+// per-terminal map or a per-link set goes through it.
 func TestCompileAllocsPerRule(t *testing.T) {
 	const n = 2000
 	sp := workload.ITCHSpec()
@@ -395,8 +398,8 @@ func TestCompileAllocsPerRule(t *testing.T) {
 		bound   float64
 		compile func() (*compiler.Program, error)
 	}{
-		{"rules", 21.1, func() (*compiler.Program, error) { return compiler.Compile(sp, rules, compiler.Options{Workers: 1}) }},
-		{"source", 27.7, func() (*compiler.Program, error) {
+		{"rules", 6.2, func() (*compiler.Program, error) { return compiler.Compile(sp, rules, compiler.Options{Workers: 1}) }},
+		{"source", 6.2, func() (*compiler.Program, error) {
 			return compiler.CompileSource(sp, src, compiler.Options{Workers: 1})
 		}},
 	} {

@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
+	"weak"
 
 	"camus/internal/compiler"
 	"camus/internal/spec"
@@ -18,35 +20,58 @@ import (
 // sets, groups and state signatures, and not the diagram, the conjunctions
 // or a node index. During a live update two programs are live beside the
 // compile, so each MB a program keeps raises the update's peak by several.
-// It counts bytes and times nothing.
+// Compiled from rule text, as a switch compiles, it keeps no part of the
+// text: nothing of a chunk's arena either, whose atoms are parts of it. It
+// counts bytes and times nothing.
 func TestProgramRetainedHeap(t *testing.T) {
 	const budget = 5 << 19
 	rules := workload.ITCHSubscriptions(workload.ITCHSubsConfig{
 		Subscriptions: 20000, Stocks: 100, Hosts: 200, PriceMax: 1000, PriceGrid: 10, Seed: 1,
 	})
 	sp := workload.ITCHSpec()
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	prog, err := compiler.Compile(sp, rules, compiler.Options{})
-	if err != nil {
-		t.Fatal(err)
+	for _, from := range []string{"rules", "source"} {
+		var text weak.Pointer[byte]
+		compile := func() (*compiler.Program, error) { return compiler.Compile(sp, rules, compiler.Options{}) }
+		if from == "source" {
+			compile = func() (*compiler.Program, error) {
+				var b strings.Builder
+				for _, r := range rules {
+					b.WriteString(r.String() + "\n")
+				}
+				src := b.String()
+				text = weak.Make(unsafe.StringData(src))
+				return compiler.CompileSource(sp, src, compiler.Options{})
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		prog, err := compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		t.Logf("from %s: %d rules, %d entries, %d groups: %.2f MB retained", from, len(rules), prog.Stats.TableEntries, len(prog.Groups), float64(retained)/(1<<20))
+		if retained > budget {
+			t.Fatalf("from %s: the program retains %.2f MB, want at most %.2f MB", from, float64(retained)/(1<<20), float64(budget)/(1<<20))
+		}
+		if text.Value() != nil {
+			t.Fatalf("a program compiled from rule text keeps the text")
+		}
+		runtime.KeepAlive(prog)
 	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-	t.Logf("%d rules, %d entries, %d groups: %.2f MB retained", len(rules), prog.Stats.TableEntries, len(prog.Groups), float64(retained)/(1<<20))
-	if retained > budget {
-		t.Fatalf("the program retains %.2f MB, want at most %.2f MB", float64(retained)/(1<<20), float64(budget)/(1<<20))
-	}
-	runtime.KeepAlive(prog)
 	runtime.KeepAlive(rules)
 }
 
 // TestSessionRetainedUnderChurn: what a session keeps is proportional to its
 // live set. After 50 rounds of 1% fresh churn at 10k Fig. 5c rules, the heap
 // it retains is within 1.5x of what a new session synced to the same live set
-// retains. It counts bytes and times nothing.
+// retains, and neither keeps any part of a rule text it was synced to — a
+// predicate's names and an action list are copies, and nothing points into a
+// chunk's arena, whose atoms are parts of the text. It counts bytes and times
+// nothing.
 func TestSessionRetainedUnderChurn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles 10k rules 52 times")
@@ -58,12 +83,15 @@ func TestSessionRetainedUnderChurn(t *testing.T) {
 	cfg.Subscriptions, cfg.Seed = churn*rounds, 2
 	fresh := workload.ITCHSubscriptions(cfg)
 	sp := workload.ITCHSpec()
+	var texts []weak.Pointer[byte]
 	sync := func(s *compiler.Session) {
 		var text strings.Builder
 		for _, r := range live {
 			text.WriteString(r.String() + "\n")
 		}
-		if err := s.Sync(context.Background(), compiler.Source{Text: text.String()}); err != nil {
+		src := text.String()
+		texts = append(texts, weak.Make(unsafe.StringData(src)))
+		if err := s.Sync(context.Background(), compiler.Source{Text: src}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := s.Recompile(); err != nil {
@@ -87,6 +115,11 @@ func TestSessionRetainedUnderChurn(t *testing.T) {
 		return int64(m.HeapAlloc)
 	}
 	both := heap()
+	for i, text := range texts {
+		if text.Value() != nil {
+			t.Fatalf("a live session keeps the text of sync %d of %d", i+1, len(texts))
+		}
+	}
 	runtime.KeepAlive(churned)
 	one := heap()
 	runtime.KeepAlive(cold)

@@ -95,7 +95,7 @@ func (s *Session) drop(h int32) {
 // form, a rule for each of handles in order, and gives each handle its
 // rule's conjunctions. When a rule fails or ctx is done, it drops every
 // handle and returns the error.
-func (s *Session) resolve(ctx context.Context, handles []int32, n int, normalize func(int) ([]lang.DNFRule, error)) error {
+func (s *Session) resolve(ctx context.Context, handles []int32, n int, normalize func(int, *lang.Arena) error) error {
 	i := 0
 	err := frontEnd(ctx, s.opts, n, normalize, func(rule *lang.DNFRule) error {
 		conjs, id, err := s.res.resolve(rule, nil)
@@ -120,7 +120,7 @@ func (s *Session) AddRules(rules []lang.Rule) ([]int, error) {
 	for i := range rules {
 		handles[i] = s.handle(ruleKey(rules[i].String()))
 	}
-	n, normalize := Source{Rules: rules}.chunks()
+	_, n, normalize := Source{Rules: rules}.chunks()
 	if err := s.resolve(context.Background(), handles, n, normalize); err != nil {
 		return nil, err
 	}
@@ -150,7 +150,7 @@ func (s *Session) syncing(n int) *syncing {
 	y := &syncing{s: s, order: make([]int32, 0, n)}
 	if len(s.order) == 0 {
 		y.fresh = make([]int32, 0, n)
-		s.rules = slices.Grow(s.rules, n)
+		s.rules, s.res.actions = slices.Grow(s.rules, n), slices.Grow(s.res.actions, n)
 		s.byKey = make(map[sum128]int32, n)
 	}
 	return y
@@ -173,7 +173,7 @@ func (y *syncing) next(key sum128) bool {
 // commit resolves the new rules, which the n chunks normalize brings to
 // normal form hold in set order, and makes the set live. When a rule fails
 // or ctx is done the live set is as it was.
-func (y *syncing) commit(ctx context.Context, n int, normalize func(int) ([]lang.DNFRule, error)) error {
+func (y *syncing) commit(ctx context.Context, n int, normalize func(int, *lang.Arena) error) error {
 	s := y.s
 	if err := s.resolve(ctx, y.fresh, n, normalize); err != nil {
 		return err
@@ -230,7 +230,7 @@ func (s *Session) sync(ctx context.Context, src Source, n int) error {
 				fresh = append(fresh, r)
 			}
 		}
-		n, normalize := Source{Rules: fresh}.chunks()
+		_, n, normalize := Source{Rules: fresh}.chunks()
 		return y.commit(ctx, n, normalize)
 	}
 	y := s.syncing(n)

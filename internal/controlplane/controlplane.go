@@ -345,8 +345,9 @@ type entryKey [5]uint64
 func (k entryKey) compare(l entryKey) int { return slices.Compare(k[:], l[:]) }
 
 // DiffPrograms computes the entry and group delta between two programs
-// whose states have been aligned: each program's entries, and its groups,
-// become a sorted list of compact keys, and merging old with new counts it.
+// whose states have been aligned: each program's entries become a sorted list
+// of compact keys, and merging old with new counts them; its groups are
+// looked up in the other program's.
 func DiffPrograms(oldProg, newProg *compiler.Program) Delta {
 	names := []string{"leaf"} // tables are matched by name: field lists may differ
 	for _, p := range [...]*compiler.Program{oldProg, newProg} {
@@ -356,13 +357,14 @@ func DiffPrograms(oldProg, newProg *compiler.Program) Delta {
 	}
 	return Delta{
 		Entries: mergeDiff(entryKeys(oldProg, names), entryKeys(newProg, names), entryKey.compare),
-		Groups:  mergeDiff(groupKeys(oldProg), groupKeys(newProg), sig.compare),
+		Groups:  groupDiff(groupKeys(oldProg), groupKeys(newProg)),
 	}
 }
 
 // mergeDiff sorts two key lists, drops repeats, and counts the keys only in
-// news as added, only in olds as removed, and in both as reused.
-func mergeDiff[K comparable](olds, news []K, compare func(K, K) int) TableDelta {
+// news as added, only in olds as removed, and in both as reused. A program's
+// entry keys come out of its tables in order, so the sorts only check them.
+func mergeDiff(olds, news []entryKey, compare func(entryKey, entryKey) int) TableDelta {
 	slices.SortFunc(olds, compare)
 	slices.SortFunc(news, compare)
 	olds, news = slices.Compact(olds), slices.Compact(news)
@@ -403,6 +405,29 @@ func entryKeys(p *compiler.Program, names []string) []entryKey {
 		keys = append(keys, entryKey{uint64(e.Kind), 0, 0, act.a, act.b})
 	}
 	return keys
+}
+
+// groupDiff counts the groups only in news as added, only in olds as
+// removed, and in both as reused. A program's group keys are distinct — its
+// groups are one per port set — so only the shorter list is sorted, and each
+// key of the longer is looked up in it: a first install, whose base has no
+// groups, sorts nothing.
+func groupDiff(olds, news []sig) TableDelta {
+	short, long := olds, news
+	if len(short) > len(long) {
+		short, long = long, short
+	}
+	var d TableDelta
+	if len(short) > 0 {
+		slices.SortFunc(short, sig.compare)
+		for _, k := range long {
+			if _, ok := slices.BinarySearchFunc(short, k, sig.compare); ok {
+				d.Reused++
+			}
+		}
+	}
+	d.Added, d.Removed = len(news)-d.Reused, len(olds)-d.Reused
+	return d
 }
 
 // groupKeys is the program's multicast groups, each as its port set's

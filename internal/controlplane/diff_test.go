@@ -9,6 +9,7 @@ import (
 
 	"camus/internal/compiler"
 	"camus/internal/pipeline"
+	"camus/internal/workload"
 )
 
 // The map-based alignment and diff this package used until PR 16, kept as
@@ -249,5 +250,23 @@ func TestStateNumbersStayBounded(t *testing.T) {
 	t.Logf("%d and %d states: the largest state number is %d", states[0], states[1], top)
 	if top >= states[0]+states[1] {
 		t.Fatalf("after 200 updates between %d and %d states the largest state number is %d", states[0], states[1], top)
+	}
+}
+
+// BenchmarkDiffFromEmpty is the first install's diff: the program every
+// switch starts on, one terminal, against subs-churn's 20k Fig. 5c rules
+// over 200 hosts.
+func BenchmarkDiffFromEmpty(b *testing.B) {
+	rules := workload.ITCHSubscriptions(workload.ITCHSubsConfig{Subscriptions: 20000, Stocks: 100, Hosts: 200, PriceMax: 1000, PriceGrid: 10, Seed: 1})
+	var src strings.Builder
+	for _, r := range rules {
+		src.WriteString(r.String() + "\n")
+	}
+	oldProg, newProg := compile(b, ""), compile(b, src.String())
+	AlignStates(oldProg, newProg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		DiffPrograms(oldProg, newProg)
 	}
 }

@@ -2,6 +2,7 @@ package lang
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -233,11 +234,7 @@ func KeyedStateUpdate(v, key, fn string, args ...string) Action {
 func (a Action) String() string {
 	switch a.Kind {
 	case ActFwd:
-		parts := make([]string, len(a.Ports))
-		for i, p := range a.Ports {
-			parts[i] = fmt.Sprintf("%d", p)
-		}
-		return fmt.Sprintf("fwd(%s)", strings.Join(parts, ","))
+		return "fwd(" + FormatPorts(a.Ports) + ")"
 	case ActDrop:
 		return "drop()"
 	default:
@@ -252,23 +249,8 @@ func (a Action) String() string {
 // Equal reports structural equality of actions, ignoring source
 // positions.
 func (a Action) Equal(b Action) bool {
-	if a.Kind != b.Kind || a.Var != b.Var || a.StateKey != b.StateKey || a.Func != b.Func {
-		return false
-	}
-	if len(a.Ports) != len(b.Ports) || len(a.Args) != len(b.Args) {
-		return false
-	}
-	for i := range a.Ports {
-		if a.Ports[i] != b.Ports[i] {
-			return false
-		}
-	}
-	for i := range a.Args {
-		if a.Args[i] != b.Args[i] {
-			return false
-		}
-	}
-	return true
+	return a.Kind == b.Kind && a.Var == b.Var && a.StateKey == b.StateKey && a.Func == b.Func &&
+		slices.Equal(a.Ports, b.Ports) && slices.Equal(a.Args, b.Args)
 }
 
 // Key returns a canonical string for the action, usable as a map key.

@@ -114,3 +114,33 @@ func FuzzStreamedParse(f *testing.F) {
 		}
 	})
 }
+
+// FuzzArenaMatchesTree holds the compile's text route to the tree route: for
+// any bytes and any run length, each run of that many rule lines parsed
+// straight to normal form in an arena gives what NormalizeAll gives over
+// ParseLines of the run — conjunctions, atom order, IDs, positions — or
+// fails with its first error's text, and the runs together give
+// NormalizeAll over ParseRules of the whole source. The runs share one
+// arena, reset between them, as a compile's chunks do.
+func FuzzArenaMatchesTree(f *testing.F) {
+	seeds := []string{
+		"(stock == S081 && price > 260) : fwd(48)\n(stock == S059 && price > 510) : fwd(119, 3)",
+		"a == 1 || b < 2 && !(c > 3) : fwd(3,1,2); v[k] <- count(a, b)",
+		"!(a == 1 || b == 2) && (c == 1 || !(d == 2 && e == 3)) : drop()",
+		"(a == 1 || a == 1) && (b == 2 || b == 2) : fwd(1)\na == 1 && a == 2 : fwd(2)\na == 1 && a != 1 : fwd(3)",
+		"true : drop()\n!true : fwd(1)\n!!true && x == \"y z\" : fwd(2)",
+		"avg(px)[k] > 5 && px == 0x1f || ip == 10.0.0.1 : fwd(1)\nb = 2 : fwd(2)",
+		"a == 1 : fwd(1)\n# note\n\n  // note\nb == 2 : fwd(70000)\n",
+	}
+	for _, s := range seeds {
+		for n := 1; n <= 4; n++ {
+			f.Add(s, n)
+		}
+	}
+	f.Fuzz(func(t *testing.T, src string, n int) {
+		if n < 1 || n > 4 {
+			return
+		}
+		checkArenaMatchesTree(t, src, n)
+	})
+}

@@ -13,9 +13,8 @@ type Lexer struct {
 	pos  int
 	line int
 	col  int
-	// pendingNL suppresses duplicate newline tokens for blank lines.
+	// lastWasNewline suppresses duplicate newline tokens for blank lines.
 	lastWasNewline bool
-	started        bool
 }
 
 // NewLexer returns a lexer over src.
@@ -42,37 +41,35 @@ func (l *Lexer) advance() byte {
 	return c
 }
 
-// Next returns the next token, or an error for malformed input.
-func (l *Lexer) Next() (Token, error) {
-	for {
-		c, ok := l.peekByte()
-		if !ok {
-			return Token{Kind: TokEOF, Line: l.line, Col: l.col}, nil
-		}
-		switch {
+// scan lexes the next token into t, which it leaves in an unspecified state
+// on error.
+func (l *Lexer) scan(t *Token) error {
+	for l.pos < len(l.src) {
+		switch c := l.src[l.pos]; {
+		case c == ' ' || c == '\t' || c == '\r':
+			l.pos++
+			l.col++
 		case c == '\n':
 			line, col := l.line, l.col
-			l.advance()
+			l.pos, l.line, l.col = l.pos+1, l.line+1, 1
 			if l.lastWasNewline {
 				continue // collapse blank lines
 			}
 			l.lastWasNewline = true
-			return Token{Kind: TokNewline, Line: line, Col: col}, nil
-		case c == ' ' || c == '\t' || c == '\r':
-			l.advance()
-		case c == '#':
-			l.skipLineComment()
-		case c == '/' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '/':
+			t.Kind, t.Text, t.Num, t.Line, t.Col = TokNewline, "", 0, line, col
+			return nil
+		case c == '#' || c == '/' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '/':
 			l.skipLineComment()
 		default:
-			tok, err := l.lexToken()
-			if err != nil {
-				return Token{}, err
+			if err := l.lexToken(t); err != nil {
+				return err
 			}
 			l.lastWasNewline = false
-			return tok, nil
+			return nil
 		}
 	}
+	t.Kind, t.Text, t.Num, t.Line, t.Col = TokEOF, "", 0, l.line, l.col
+	return nil
 }
 
 func (l *Lexer) skipLineComment() {
@@ -85,71 +82,66 @@ func (l *Lexer) skipLineComment() {
 	}
 }
 
-func (l *Lexer) lexToken() (Token, error) {
+// punct is the token a one-byte punctuator lexes to, by its byte.
+var punct = [256]TokenKind{'(': TokLParen, ')': TokRParen, '[': TokLBracket, ']': TokRBracket,
+	',': TokComma, ':': TokColon, ';': TokSemicolon}
+
+func (l *Lexer) lexToken(t *Token) error {
 	line, col := l.line, l.col
+	start := l.pos
 	c := l.advance()
-	mk := func(k TokenKind, text string) Token {
-		return Token{Kind: k, Text: text, Line: line, Col: col}
+	mk := func(k TokenKind) error {
+		t.Kind, t.Text, t.Num, t.Line, t.Col = k, l.src[start:l.pos], 0, line, col
+		return nil
+	}
+	if k := punct[c]; k != TokEOF {
+		return mk(k)
 	}
 	switch c {
-	case '(':
-		return mk(TokLParen, "("), nil
-	case ')':
-		return mk(TokRParen, ")"), nil
-	case '[':
-		return mk(TokLBracket, "["), nil
-	case ']':
-		return mk(TokRBracket, "]"), nil
-	case ',':
-		return mk(TokComma, ","), nil
-	case ':':
-		return mk(TokColon, ":"), nil
-	case ';':
-		return mk(TokSemicolon, ";"), nil
 	case '!':
 		if n, ok := l.peekByte(); ok && n == '=' {
 			l.advance()
-			return mk(TokNeq, "!="), nil
+			return mk(TokNeq)
 		}
-		return mk(TokNot, "!"), nil
+		return mk(TokNot)
 	case '&':
 		if n, ok := l.peekByte(); ok && n == '&' {
 			l.advance()
-			return mk(TokAnd, "&&"), nil
+			return mk(TokAnd)
 		}
-		return Token{}, errAt(line, col, "unexpected '&' (use '&&')")
+		return errAt(line, col, "unexpected '&' (use '&&')")
 	case '|':
 		if n, ok := l.peekByte(); ok && n == '|' {
 			l.advance()
-			return mk(TokOr, "||"), nil
+			return mk(TokOr)
 		}
-		return Token{}, errAt(line, col, "unexpected '|' (use '||')")
+		return errAt(line, col, "unexpected '|' (use '||')")
 	case '=':
 		if n, ok := l.peekByte(); ok && n == '=' {
 			l.advance()
-			return mk(TokEq, "=="), nil
+			return mk(TokEq)
 		}
-		return Token{}, errAt(line, col, "unexpected '=' (use '==')")
+		return errAt(line, col, "unexpected '=' (use '==')")
 	case '<':
 		if n, ok := l.peekByte(); ok {
 			switch n {
 			case '=':
 				l.advance()
-				return mk(TokLe, "<="), nil
+				return mk(TokLe)
 			case '-':
 				l.advance()
-				return mk(TokArrow, "<-"), nil
+				return mk(TokArrow)
 			}
 		}
-		return mk(TokLt, "<"), nil
+		return mk(TokLt)
 	case '>':
 		if n, ok := l.peekByte(); ok && n == '=' {
 			l.advance()
-			return mk(TokGe, ">="), nil
+			return mk(TokGe)
 		}
-		return mk(TokGt, ">"), nil
+		return mk(TokGt)
 	case '"', '\'':
-		return l.lexString(c, line, col)
+		return l.lexString(t, c, line, col)
 	}
 	if c >= 0x80 {
 		// Unicode operators ∧ ∨ (multi-byte); back up and decode.
@@ -160,45 +152,47 @@ func (l *Lexer) lexToken() (Token, error) {
 		case strings.HasPrefix(rest, "∧"):
 			l.pos += len("∧")
 			l.col++
-			return Token{Kind: TokAnd, Text: "∧", Line: line, Col: col}, nil
+			return mk(TokAnd)
 		case strings.HasPrefix(rest, "∨"):
 			l.pos += len("∨")
 			l.col++
-			return Token{Kind: TokOr, Text: "∨", Line: line, Col: col}, nil
+			return mk(TokOr)
 		}
-		return Token{}, errAt(line, col, "unexpected character %q", l.src[l.pos:l.pos+1])
+		return errAt(line, col, "unexpected character %q", l.src[l.pos:l.pos+1])
 	}
 	switch {
 	case c >= '0' && c <= '9':
-		return l.lexNumber(c, line, col)
+		return l.lexNumber(t, c, line, col)
 	case isIdentStart(rune(c)):
-		return l.lexIdent(line, col), nil
+		l.lexIdent(t, line, col)
+		return nil
 	}
-	return Token{}, errAt(line, col, "unexpected character %q", c)
+	return errAt(line, col, "unexpected character %q", c)
 }
 
-func (l *Lexer) lexString(quote byte, line, col int) (Token, error) {
+func (l *Lexer) lexString(t *Token, quote byte, line, col int) error {
 	var b strings.Builder
 	for {
 		c, ok := l.peekByte()
 		if !ok || c == '\n' {
-			return Token{}, errAt(line, col, "unterminated string literal")
+			return errAt(line, col, "unterminated string literal")
 		}
 		l.advance()
 		if c == quote {
-			return Token{Kind: TokString, Text: b.String(), Line: line, Col: col}, nil
+			*t = Token{Kind: TokString, Text: b.String(), Line: line, Col: col}
+			return nil
 		}
 		if c == '\\' {
 			n, ok := l.peekByte()
 			if !ok {
-				return Token{}, errAt(line, col, "unterminated escape in string literal")
+				return errAt(line, col, "unterminated escape in string literal")
 			}
 			l.advance()
 			switch n {
 			case '\\', '"', '\'':
 				b.WriteByte(n)
 			default:
-				return Token{}, errAt(line, col, "unknown escape \\%c", n)
+				return errAt(line, col, "unknown escape \\%c", n)
 			}
 			continue
 		}
@@ -206,7 +200,7 @@ func (l *Lexer) lexString(quote byte, line, col int) (Token, error) {
 		// ids); those are printable ASCII on the wire, so the language
 		// only admits printable ASCII literals.
 		if c < 0x20 || c > 0x7e {
-			return Token{}, errAt(line, col, "non-printable byte 0x%02x in string literal", c)
+			return errAt(line, col, "non-printable byte 0x%02x in string literal", c)
 		}
 		b.WriteByte(c)
 	}
@@ -217,7 +211,7 @@ func (l *Lexer) lexString(quote byte, line, col int) (Token, error) {
 // set — is a substring of the source with its value accumulated during the
 // scan; hex, '_' separators, dotted quads and longer literals take the
 // general path below.
-func (l *Lexer) lexNumber(first byte, line, col int) (Token, error) {
+func (l *Lexer) lexNumber(t *Token, first byte, line, col int) error {
 	start, end, n := l.pos-1, l.pos, uint64(first-'0')
 	for end < len(l.src) && l.src[end] >= '0' && l.src[end] <= '9' {
 		n = n*10 + uint64(l.src[end]-'0')
@@ -235,7 +229,8 @@ func (l *Lexer) lexNumber(first byte, line, col int) (Token, error) {
 	if !general {
 		l.col += end - l.pos
 		l.pos = end
-		return Token{Kind: TokNumber, Text: l.src[start:end], Num: n, Line: line, Col: col}, nil
+		t.Kind, t.Text, t.Num, t.Line, t.Col = TokNumber, l.src[start:end], n, line, col
+		return nil
 	}
 	var b strings.Builder
 	b.WriteByte(first)
@@ -261,24 +256,25 @@ func (l *Lexer) lexNumber(first byte, line, col int) (Token, error) {
 		}
 		// An IPv4 dotted quad like 192.168.0.1 lexes as a single number.
 		if base == 10 && c == '.' && l.pos+1 < len(l.src) && l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9' {
-			return l.lexIPv4(b.String(), line, col)
+			return l.lexIPv4(t, b.String(), line, col)
 		}
 		break
 	}
 	text := b.String()
 	if text == "" {
-		return Token{}, errAt(line, col, "malformed numeric literal")
+		return errAt(line, col, "malformed numeric literal")
 	}
 	n, err := strconv.ParseUint(text, base, 64)
 	if err != nil {
-		return Token{}, errAt(line, col, "malformed numeric literal %q", text)
+		return errAt(line, col, "malformed numeric literal %q", text)
 	}
-	return Token{Kind: TokNumber, Text: text, Num: n, Line: line, Col: col}, nil
+	*t = Token{Kind: TokNumber, Text: text, Num: n, Line: line, Col: col}
+	return nil
 }
 
 // lexIPv4 finishes lexing a dotted-quad IPv4 literal whose first octet has
 // already been consumed. The token value is the 32-bit big-endian address.
-func (l *Lexer) lexIPv4(firstOctet string, line, col int) (Token, error) {
+func (l *Lexer) lexIPv4(t *Token, firstOctet string, line, col int) error {
 	octets := []string{firstOctet}
 	for len(octets) < 4 {
 		c, ok := l.peekByte()
@@ -296,23 +292,24 @@ func (l *Lexer) lexIPv4(firstOctet string, line, col int) (Token, error) {
 			b.WriteByte(c)
 		}
 		if b.Len() == 0 {
-			return Token{}, errAt(line, col, "malformed IPv4 literal")
+			return errAt(line, col, "malformed IPv4 literal")
 		}
 		octets = append(octets, b.String())
 	}
 	if len(octets) != 4 {
-		return Token{}, errAt(line, col, "malformed IPv4 literal")
+		return errAt(line, col, "malformed IPv4 literal")
 	}
 	var v uint64
 	for _, o := range octets {
 		n, err := strconv.ParseUint(o, 10, 8)
 		if err != nil {
-			return Token{}, errAt(line, col, "IPv4 octet %q out of range", o)
+			return errAt(line, col, "IPv4 octet %q out of range", o)
 		}
 		v = v<<8 | n
 	}
 	text := strings.Join(octets, ".")
-	return Token{Kind: TokNumber, Text: text, Num: v, Line: line, Col: col}, nil
+	*t = Token{Kind: TokNumber, Text: text, Num: v, Line: line, Col: col}
+	return nil
 }
 
 func isIdentStart(r rune) bool {
@@ -330,17 +327,14 @@ func isDigit(c byte, base int) bool {
 // consumed. The token text is a substring of the source (identifiers hold
 // no newline, so only the column moves), and the three keywords are
 // matched without lowering a copy.
-func (l *Lexer) lexIdent(line, col int) Token {
-	start := l.pos - 1
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if !isIdentStart(rune(c)) && (c < '0' || c > '9') && c != '.' {
-			break
-		}
-		l.pos++
+func (l *Lexer) lexIdent(t *Token, line, col int) {
+	start, end := l.pos-1, l.pos
+	for end < len(l.src) && identPart[l.src[end]] {
+		end++
 	}
-	l.col += l.pos - start - 1
-	text := l.src[start:l.pos]
+	l.col += end - l.pos
+	l.pos = end
+	text := l.src[start:end]
 	kind := TokIdent
 	if len(text) <= 3 {
 		switch {
@@ -352,5 +346,13 @@ func (l *Lexer) lexIdent(line, col int) Token {
 			kind = TokNot
 		}
 	}
-	return Token{Kind: kind, Text: text, Line: line, Col: col}
+	t.Kind, t.Text, t.Num, t.Line, t.Col = kind, text, 0, line, col
 }
+
+// identPart says of each byte whether it continues an identifier.
+var identPart = func() (part [256]bool) {
+	for c := range part {
+		part[c] = isIdentStart(rune(c)) || c >= '0' && c <= '9' || c == '.'
+	}
+	return part
+}()

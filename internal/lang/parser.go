@@ -2,6 +2,7 @@ package lang
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -29,7 +30,8 @@ import (
 type Parser struct {
 	lex     *Lexer
 	tok     Token
-	firstID int // ID of the first rule Rules parses: a run's origin in its source
+	firstID int  // ID of the first rule Rules parses: a run's origin in its source
+	atom    Atom // the atom last parsed, which its sink copies
 }
 
 // NewParser returns a parser over src.
@@ -73,9 +75,14 @@ func Lines(src string, each func(Line)) {
 // gives on the whole source, up to the first rule that fails, where
 // ParseRules stops too. Runs share nothing and may be parsed concurrently.
 func ParseLines(src string, first, last Line) ([]Rule, error) {
+	return linesParser(src, first, last).Rules()
+}
+
+// linesParser is a parser over the lines of src from first to last.
+func linesParser(src string, first, last Line) *Parser {
 	p := NewParser(src[first.Start:last.End])
 	p.lex.line, p.firstID = first.Line, first.ID
-	return p.Rules()
+	return p
 }
 
 // ParseRule parses a single subscription rule.
@@ -90,226 +97,252 @@ func ParseRule(src string) (Rule, error) {
 	return rules[0], nil
 }
 
-// ParseCondition parses a bare condition expression (no action part).
-func ParseCondition(src string) (Expr, error) {
-	p := NewParser(src)
-	if err := p.next(); err != nil {
-		return nil, err
-	}
-	e, err := p.parseOr()
-	if err != nil {
-		return nil, err
-	}
-	for p.tok.Kind == TokNewline {
-		if err := p.next(); err != nil {
-			return nil, err
-		}
-	}
-	if p.tok.Kind != TokEOF {
-		return nil, errAt(p.tok.Line, p.tok.Col, "unexpected %v after condition", p.tok)
-	}
-	return e, nil
-}
+func (p *Parser) next() error { return p.lex.scan(&p.tok) }
 
-func (p *Parser) next() error {
-	t, err := p.lex.Next()
-	if err != nil {
-		return err
-	}
-	p.tok = t
-	return nil
-}
-
-func (p *Parser) expect(k TokenKind) (Token, error) {
+// expect consumes a token of kind k, returning its text and position.
+func (p *Parser) expect(k TokenKind) (string, Pos, error) {
 	if p.tok.Kind != k {
-		return Token{}, errAt(p.tok.Line, p.tok.Col, "expected %v, found %v", k, p.tok)
+		return "", Pos{}, errAt(p.tok.Line, p.tok.Col, "expected %v, found %v", k, p.tok)
 	}
-	t := p.tok
-	err := p.next()
-	return t, err
+	text, pos := p.tok.Text, Pos{Line: p.tok.Line, Col: p.tok.Col}
+	return text, pos, p.next()
 }
 
 // Rules parses the entire input as a rule set.
 func (p *Parser) Rules() ([]Rule, error) {
-	if err := p.next(); err != nil {
+	var rules []Rule
+	g := grammar[Expr, tree]{p: p}
+	err := p.rules(func(id int, pos Pos) error {
+		cond, actions, _, err := g.rule(nil, nil)
+		if err == nil {
+			rules = append(rules, Rule{Cond: cond, Actions: actions, ID: id, Pos: pos})
+		}
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
-	var rules []Rule
-	for {
+	return rules, nil
+}
+
+// rules walks the input as a rule set, calling rule at each rule's first
+// token with the rule's ID and position; rule parses the rule.
+func (p *Parser) rules(rule func(id int, pos Pos) error) error {
+	if err := p.next(); err != nil {
+		return err
+	}
+	for id := p.firstID; ; id++ {
 		for p.tok.Kind == TokNewline {
 			if err := p.next(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		if p.tok.Kind == TokEOF {
-			return rules, nil
+			return nil
 		}
-		r, err := p.parseRule()
-		if err != nil {
-			return nil, err
+		if err := rule(id, Pos{Line: p.tok.Line, Col: p.tok.Col}); err != nil {
+			return err
 		}
-		r.ID = p.firstID + len(rules)
-		rules = append(rules, r)
 		switch p.tok.Kind {
 		case TokNewline:
 			if err := p.next(); err != nil {
-				return nil, err
+				return err
 			}
 		case TokEOF:
-			return rules, nil
+			return nil
 		default:
-			return nil, errAt(p.tok.Line, p.tok.Col, "expected newline after rule, found %v", p.tok)
+			return errAt(p.tok.Line, p.tok.Col, "expected newline after rule, found %v", p.tok)
 		}
 	}
 }
 
-func (p *Parser) parseRule() (Rule, error) {
-	pos := Pos{Line: p.tok.Line, Col: p.tok.Col}
-	cond, err := p.parseOr()
-	if err != nil {
-		return Rule{}, err
-	}
-	if _, err := p.expect(TokColon); err != nil {
-		return Rule{}, err
-	}
-	actions, err := p.parseActions()
-	if err != nil {
-		return Rule{}, err
-	}
-	return Rule{Cond: cond, Actions: actions, Pos: pos}, nil
+// sink is what the grammar builds a condition into: its syntax tree (tree),
+// or its disjunctive normal form (dnf). The grammar hands it the condition
+// bottom-up, left to right, and says of each node whether an odd number of
+// '!' encloses it (neg), which is how the normal form pushes negation down
+// to the atoms as it goes.
+type sink[T any] interface {
+	atom(a *Atom, neg bool) T
+	truth(neg bool) T
+	join(and bool, l, r T, neg bool) T // l && r, or l || r
+	not(x T) T
 }
 
-func (p *Parser) parseOr() (Expr, error) {
-	l, err := p.parseAnd()
-	if err != nil {
-		return nil, err
+// tree is the sink that builds the syntax tree. Negation stays a Not node
+// there, so it ignores polarity.
+type tree struct{}
+
+func (tree) atom(a *Atom, _ bool) Expr { return Cmp(*a) }
+func (tree) truth(bool) Expr           { return True{} }
+func (tree) not(x Expr) Expr           { return Not{X: x} }
+
+func (tree) join(and bool, l, r Expr, _ bool) Expr {
+	if and {
+		return And{L: l, R: r}
 	}
-	for p.tok.Kind == TokOr {
-		if err := p.next(); err != nil {
-			return nil, err
+	return Or{L: l, R: r}
+}
+
+// grammar is the recursive descent of a rule, written once for every sink.
+type grammar[T any, S sink[T]] struct {
+	p *Parser
+	s S
+}
+
+// rule parses cond ':' actions, appending the actions to acts and their
+// ports to ports (Parser.actions).
+func (g grammar[T, S]) rule(acts []Action, ports []int) (T, []Action, []int, error) {
+	cond, err := g.or(false)
+	if err != nil {
+		return cond, nil, nil, err
+	}
+	if _, _, err := g.p.expect(TokColon); err != nil {
+		return cond, nil, nil, err
+	}
+	acts, ports, err = g.p.actions(acts, ports)
+	return cond, acts, ports, err
+}
+
+func (g grammar[T, S]) or(neg bool) (T, error) {
+	l, err := g.and(neg)
+	if err != nil {
+		return l, err
+	}
+	for g.p.tok.Kind == TokOr {
+		if err := g.p.next(); err != nil {
+			return l, err
 		}
-		r, err := p.parseAnd()
+		r, err := g.and(neg)
 		if err != nil {
-			return nil, err
+			return l, err
 		}
-		l = Or{L: l, R: r}
+		l = g.s.join(false, l, r, neg)
 	}
 	return l, nil
 }
 
-func (p *Parser) parseAnd() (Expr, error) {
-	l, err := p.parseUnary()
+func (g grammar[T, S]) and(neg bool) (T, error) {
+	l, err := g.unary(neg)
 	if err != nil {
-		return nil, err
+		return l, err
 	}
-	for p.tok.Kind == TokAnd {
-		if err := p.next(); err != nil {
-			return nil, err
+	for g.p.tok.Kind == TokAnd {
+		if err := g.p.next(); err != nil {
+			return l, err
 		}
-		r, err := p.parseUnary()
+		r, err := g.unary(neg)
 		if err != nil {
-			return nil, err
+			return l, err
 		}
-		l = And{L: l, R: r}
+		l = g.s.join(true, l, r, neg)
 	}
 	return l, nil
 }
 
-func (p *Parser) parseUnary() (Expr, error) {
+func (g grammar[T, S]) unary(neg bool) (T, error) {
+	p := g.p
 	switch p.tok.Kind {
 	case TokNot:
 		if err := p.next(); err != nil {
-			return nil, err
+			var zero T
+			return zero, err
 		}
-		x, err := p.parseUnary()
+		x, err := g.unary(!neg)
 		if err != nil {
-			return nil, err
+			return x, err
 		}
-		return Not{X: x}, nil
+		return g.s.not(x), nil
 	case TokLParen:
 		if err := p.next(); err != nil {
-			return nil, err
+			var zero T
+			return zero, err
 		}
-		e, err := p.parseOr()
+		e, err := g.or(neg)
 		if err != nil {
-			return nil, err
+			return e, err
 		}
-		if _, err := p.expect(TokRParen); err != nil {
-			return nil, err
-		}
-		return e, nil
+		_, _, err = p.expect(TokRParen)
+		return e, err
 	case TokIdent:
 		if p.tok.Text == "true" {
-			if err := p.next(); err != nil {
-				return nil, err
-			}
-			return True{}, nil
+			err := p.next()
+			return g.s.truth(neg), err
 		}
-		return p.parseAtom()
+		if err := p.parseAtom(); err != nil {
+			var zero T
+			return zero, err
+		}
+		return g.s.atom(&p.atom, neg), nil
 	default:
-		return nil, errAt(p.tok.Line, p.tok.Col, "expected condition, found %v", p.tok)
+		var zero T
+		return zero, errAt(p.tok.Line, p.tok.Col, "expected condition, found %v", p.tok)
 	}
 }
 
-func (p *Parser) parseAtom() (Expr, error) {
-	ident, err := p.expect(TokIdent)
+// parseAtom parses an atom into p.atom.
+func (p *Parser) parseAtom() error {
+	a := &p.atom
+	ident, pos, err := p.expect(TokIdent)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	operand := Operand{Field: ident.Text}
+	a.LHS, a.Pos = Operand{Field: ident}, pos
 	if p.tok.Kind == TokLParen {
 		// Aggregate macro: avg(price), count(...), ...
 		if err := p.next(); err != nil {
-			return nil, err
+			return err
 		}
-		field, err := p.expect(TokIdent)
+		field, _, err := p.expect(TokIdent)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if _, err := p.expect(TokRParen); err != nil {
-			return nil, err
+		if _, _, err := p.expect(TokRParen); err != nil {
+			return err
 		}
-		operand = Operand{Agg: ident.Text, Field: field.Text}
+		a.LHS = Operand{Agg: ident, Field: field}
 	}
 	if p.tok.Kind == TokLBracket {
 		// Keyed state: var[key] or agg(field)[key].
-		if err := p.next(); err != nil {
-			return nil, err
-		}
-		key, err := p.expect(TokIdent)
+		key, err := p.key()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if _, err := p.expect(TokRBracket); err != nil {
-			return nil, err
-		}
-		operand.Key = key.Text
+		a.LHS.Key = key
 	}
-	var op CmpOp
 	switch p.tok.Kind {
 	case TokEq:
-		op = OpEq
+		a.Op = OpEq
 	case TokNeq:
-		op = OpNeq
+		a.Op = OpNeq
 	case TokLt:
-		op = OpLt
+		a.Op = OpLt
 	case TokGt:
-		op = OpGt
+		a.Op = OpGt
 	case TokLe:
-		op = OpLe
+		a.Op = OpLe
 	case TokGe:
-		op = OpGe
+		a.Op = OpGe
 	default:
-		return nil, errAt(p.tok.Line, p.tok.Col, "expected relational operator, found %v", p.tok)
+		return errAt(p.tok.Line, p.tok.Col, "expected relational operator, found %v", p.tok)
 	}
 	if err := p.next(); err != nil {
-		return nil, err
+		return err
 	}
-	val, err := p.parseValue()
+	a.RHS, err = p.parseValue()
+	return err
+}
+
+// key parses '[' IDENT ']'.
+func (p *Parser) key() (string, error) {
+	if err := p.next(); err != nil {
+		return "", err
+	}
+	key, _, err := p.expect(TokIdent)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	return Cmp{LHS: operand, Op: op, RHS: val, Pos: Pos{Line: ident.Line, Col: ident.Col}}, nil
+	_, _, err = p.expect(TokRBracket)
+	return key, err
 }
 
 func (p *Parser) parseValue() (Value, error) {
@@ -329,127 +362,120 @@ func (p *Parser) parseValue() (Value, error) {
 	}
 }
 
-func (p *Parser) parseActions() ([]Action, error) {
-	var actions []Action
+// actions parses a rule's action list, appending the actions to acts and a
+// forward's ports, sorted, to ports: an action's Ports are its own part of
+// ports, so a list parsed into nil buffers is the rule's alone.
+func (p *Parser) actions(acts []Action, ports []int) ([]Action, []int, error) {
 	for {
-		a, err := p.parseAction()
-		if err != nil {
-			return nil, err
+		acts = append(acts, Action{})
+		var err error
+		if ports, err = p.action(&acts[len(acts)-1], ports); err != nil {
+			return nil, nil, err
 		}
-		actions = append(actions, a)
 		if p.tok.Kind != TokSemicolon {
-			return actions, nil
+			return acts, ports, nil
 		}
 		if err := p.next(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 }
 
-func (p *Parser) parseAction() (Action, error) {
-	ident, err := p.expect(TokIdent)
+// action parses an action into a.
+func (p *Parser) action(a *Action, ports []int) ([]int, error) {
+	ident, pos, err := p.expect(TokIdent)
 	if err != nil {
-		return Action{}, err
+		return ports, err
 	}
-	pos := Pos{Line: ident.Line, Col: ident.Col}
-	switch ident.Text {
+	switch ident {
 	case "fwd", "forward":
-		ports, err := p.parsePortList()
-		if err != nil {
-			return Action{}, err
+		start := len(ports)
+		if ports, err = p.parsePortList(ports); err != nil {
+			return ports, err
 		}
-		if len(ports) == 0 {
-			return Action{}, errAt(ident.Line, ident.Col, "fwd() requires at least one port")
+		if len(ports) == start {
+			return ports, errAt(pos.Line, pos.Col, "fwd() requires at least one port")
 		}
-		a := Fwd(ports...)
-		a.Pos = pos
-		return a, nil
+		own := ports[start:len(ports):len(ports)]
+		slices.Sort(own)
+		*a = Action{Kind: ActFwd, Ports: own, Pos: pos}
+		return ports, nil
 	case "drop":
-		if _, err := p.expect(TokLParen); err != nil {
-			return Action{}, err
+		if _, _, err := p.expect(TokLParen); err != nil {
+			return ports, err
 		}
-		if _, err := p.expect(TokRParen); err != nil {
-			return Action{}, err
+		if _, _, err := p.expect(TokRParen); err != nil {
+			return ports, err
 		}
-		a := Drop()
-		a.Pos = pos
-		return a, nil
+		*a = Action{Kind: ActDrop, Pos: pos}
+		return ports, nil
 	}
 	// State update: var <- func(args), or keyed var[key] <- func(args).
 	stateKey := ""
 	if p.tok.Kind == TokLBracket {
-		if err := p.next(); err != nil {
-			return Action{}, err
+		if stateKey, err = p.key(); err != nil {
+			return ports, err
 		}
-		key, err := p.expect(TokIdent)
-		if err != nil {
-			return Action{}, err
-		}
-		if _, err := p.expect(TokRBracket); err != nil {
-			return Action{}, err
-		}
-		stateKey = key.Text
 	}
 	if p.tok.Kind != TokArrow {
-		return Action{}, errAt(p.tok.Line, p.tok.Col, "expected 'fwd', 'drop' or '<-' in action, found %v", p.tok)
+		return ports, errAt(p.tok.Line, p.tok.Col, "expected 'fwd', 'drop' or '<-' in action, found %v", p.tok)
 	}
 	if err := p.next(); err != nil {
-		return Action{}, err
+		return ports, err
 	}
-	fn, err := p.expect(TokIdent)
+	fn, _, err := p.expect(TokIdent)
 	if err != nil {
-		return Action{}, err
+		return ports, err
 	}
-	if _, err := p.expect(TokLParen); err != nil {
-		return Action{}, err
+	if _, _, err := p.expect(TokLParen); err != nil {
+		return ports, err
 	}
 	var args []string
 	for p.tok.Kind == TokIdent {
 		args = append(args, p.tok.Text)
 		if err := p.next(); err != nil {
-			return Action{}, err
+			return ports, err
 		}
 		if p.tok.Kind != TokComma {
 			break
 		}
 		if err := p.next(); err != nil {
-			return Action{}, err
+			return ports, err
 		}
 	}
-	if _, err := p.expect(TokRParen); err != nil {
-		return Action{}, err
+	if _, _, err := p.expect(TokRParen); err != nil {
+		return ports, err
 	}
-	a := StateUpdate(ident.Text, fn.Text, args...)
-	a.StateKey = stateKey
+	*a = KeyedStateUpdate(ident, stateKey, fn, args...)
 	a.Pos = pos
-	return a, nil
+	return ports, nil
 }
 
-func (p *Parser) parsePortList() ([]int, error) {
-	if _, err := p.expect(TokLParen); err != nil {
-		return nil, err
+// parsePortList parses '(' NUMBER (',' NUMBER)* ')', appending the ports
+// to ports.
+func (p *Parser) parsePortList(ports []int) ([]int, error) {
+	if _, _, err := p.expect(TokLParen); err != nil {
+		return ports, err
 	}
-	var ports []int
 	for {
-		t, err := p.expect(TokNumber)
+		n := p.tok.Num
+		text, pos, err := p.expect(TokNumber)
 		if err != nil {
-			return nil, err
+			return ports, err
 		}
-		if t.Num > uint64(MaxPort) {
-			return nil, errAt(t.Line, t.Col, "port %s out of range (max %d)", t.Text, MaxPort)
+		if n > uint64(MaxPort) {
+			return ports, errAt(pos.Line, pos.Col, "port %s out of range (max %d)", text, MaxPort)
 		}
-		ports = append(ports, int(t.Num))
+		ports = append(ports, int(n))
 		if p.tok.Kind != TokComma {
 			break
 		}
 		if err := p.next(); err != nil {
-			return nil, err
+			return ports, err
 		}
 	}
-	if _, err := p.expect(TokRParen); err != nil {
-		return nil, err
-	}
-	return ports, nil
+	_, _, err := p.expect(TokRParen)
+	return ports, err
 }
 
 // MaxPort bounds the port numbers accepted by fwd() actions, and so the

@@ -101,9 +101,15 @@ stock == ORCL || stock == IBM : fwd(4)
 	}
 }
 
+// parseCondition parses src as the condition of a rule.
+func parseCondition(src string) (Expr, error) {
+	r, err := ParseRule(src + " : drop()")
+	return r.Cond, err
+}
+
 func TestParsePrecedence(t *testing.T) {
 	// && binds tighter than ||.
-	e, err := ParseCondition("a == 1 || b == 2 && c == 3")
+	e, err := parseCondition("a == 1 || b == 2 && c == 3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +121,7 @@ func TestParsePrecedence(t *testing.T) {
 		t.Fatalf("right of Or should be And, got %T", or.R)
 	}
 	// Parentheses override.
-	e2, err := ParseCondition("(a == 1 || b == 2) && c == 3")
+	e2, err := parseCondition("(a == 1 || b == 2) && c == 3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +131,7 @@ func TestParsePrecedence(t *testing.T) {
 }
 
 func TestParseUnicodeOperators(t *testing.T) {
-	e, err := ParseCondition("stock == GOOGL ∧ price > 50 ∨ shares < 10")
+	e, err := parseCondition("stock == GOOGL ∧ price > 50 ∨ shares < 10")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +141,7 @@ func TestParseUnicodeOperators(t *testing.T) {
 }
 
 func TestParseKeywordOperators(t *testing.T) {
-	e, err := ParseCondition("stock == GOOGL and not price > 50")
+	e, err := parseCondition("stock == GOOGL and not price > 50")
 	if err != nil {
 		t.Fatal(err)
 	}
