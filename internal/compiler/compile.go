@@ -74,13 +74,13 @@ type Source struct {
 }
 
 // chunks cuts the source into chunks of at most chunkRules rules and returns
-// how many rules and chunks there are and the function, safe to call for
-// different chunks and arenas at once, that brings the i-th to normal form in
-// an arena. Text is cut into lines by lang.Lines, so rule IDs, positions and
-// diagnostics are the whole source's.
-func (s Source) chunks() (int, int, func(int, *lang.Arena) error) {
+// how many there are and the function, safe to call for different chunks and
+// arenas at once, that brings the i-th to normal form in an arena. Text is
+// cut into lines by lang.Lines, so rule IDs, positions and diagnostics are
+// the whole source's.
+func (s Source) chunks() (int, func(int, *lang.Arena) error) {
 	if n := len(s.Rules); s.Rules != nil {
-		return n, (n + chunkRules - 1) / chunkRules, func(i int, a *lang.Arena) error {
+		return (n + chunkRules - 1) / chunkRules, func(i int, a *lang.Arena) error {
 			for _, r := range s.Rules[i*chunkRules : min((i+1)*chunkRules, n)] {
 				if err := a.Normalize(r); err != nil {
 					return err
@@ -91,7 +91,7 @@ func (s Source) chunks() (int, int, func(int, *lang.Arena) error) {
 	}
 	c := textChunks{src: s.Text}
 	lang.Lines(s.Text, c.add)
-	return c.rules, len(c.chunks), c.normalize
+	return len(c.chunks), c.normalize
 }
 
 // textChunks is rule text cut for the front end: lines of src that hold a
@@ -105,14 +105,12 @@ type textChunks struct {
 	src    string
 	chunks [][]lineRun
 	last   int // the chunk number of the last line added
-	rules  int // lines added
 }
 
 // lineRun is lines first to last of a source, consecutive rules.
 type lineRun struct{ first, last lang.Line }
 
 func (c *textChunks) add(l lang.Line) {
-	c.rules++
 	if k := l.ID / chunkRules; len(c.chunks) == 0 || k != c.last {
 		c.chunks, c.last = append(c.chunks, nil), k
 	}
@@ -238,8 +236,8 @@ func Observe(ctx context.Context, sp *spec.Spec, src Source, opts Options, obs O
 	if obs != nil {
 		p.res.seen = &Resolved{}
 	}
-	rules, n, normalize := src.chunks()
-	p.conjs, p.res.actions = make([]bdd.Conj, 0, rules), make([][]lang.Action, 0, rules)
+	n, normalize := src.chunks()
+	p.conjs, p.res.actions = make([]bdd.Conj, 0, n*chunkRules), make([][]lang.Action, 0, n*chunkRules)
 	err := frontEnd(ctx, opts, n, normalize, func(rule *lang.DNFRule) error {
 		m, n := p.res.mark(), len(p.conjs)
 		conjs, _, err := p.res.resolve(rule, p.conjs)

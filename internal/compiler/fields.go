@@ -212,42 +212,24 @@ func AtomSet(op lang.CmpOp, v, max uint64) interval.Set {
 // table is the spec's query fields in BDD variable order, then one synthetic
 // state field per aggregate macro or state-variable read, created where its
 // operand first appears (byName is keyed by canonical names; LookupField is
-// the authority on short ones). Fields, operands, predicates and action
-// lists, once given, keep their meaning but for rollback; a payload ID keeps
-// its until it is released, and is then given again.
+// the authority on short ones). Fields, predicates and action lists, once
+// given, keep their meaning but for rollback; a payload ID keeps its until
+// it is released, and is then given again.
 type resolver struct {
-	spec     *spec.Spec
-	fields   []FieldInfo
-	byName   map[string]int
-	actions  [][]lang.Action        // per payload ID
-	free     []int                  // released payload IDs
-	operands map[lang.Operand]int32 // an operand's index in ops, by its spelling
-	ops      []operand              // the operands met, in order
-	preds    map[predKey]*predicate // by operand, operator and constant
-	made     int                    // predicates interned so far
-	names    map[string]string      // the resolver's copy of each name it keeps
-	lists    map[string]actionList  // a rule's action list by its encoding
-	listed   int                    // action lists interned so far
-	scratch  []byte
+	spec    *spec.Spec
+	fields  []FieldInfo
+	byName  map[string]int
+	actions [][]lang.Action          // per payload ID
+	free    []int                    // released payload IDs
+	preds   map[lang.Atom]*predicate // by the atom less its position
+	made    int                      // predicates interned so far
+	lists   map[string]actionList    // a rule's action list by its encoding
+	listed  int                      // action lists interned so far
+	scratch []byte
 
 	// seen, when not nil, is filled by resolve with what it made of the
 	// rule, for an Observer.
 	seen *Resolved
-}
-
-// operand is an operand as spelled, in the resolver's copies of its names,
-// and the field it reads.
-type operand struct {
-	lhs   lang.Operand
-	field int
-}
-
-// predKey is a predicate: its operand's index in ops, its operator and its
-// constant.
-type predKey struct {
-	operand int32
-	op      lang.CmpOp
-	val     lang.Value
 }
 
 // Resolved is what an Observer is shown of one rule, once the resolver has
@@ -271,12 +253,10 @@ type ResolvedAtom struct {
 }
 
 // mark is how much a resolver has handed out: fields, payload IDs,
-// operands, interned predicates and interned action lists.
-type mark struct{ fields, actions, ops, preds, lists int }
+// interned predicates and interned action lists.
+type mark struct{ fields, actions, preds, lists int }
 
-func (r *resolver) mark() mark {
-	return mark{len(r.fields), len(r.actions), len(r.ops), r.made, r.listed}
-}
+func (r *resolver) mark() mark { return mark{len(r.fields), len(r.actions), r.made, r.listed} }
 
 // rollback takes back what resolving rule made since m, on a resolver that
 // has released nothing.
@@ -294,24 +274,17 @@ func (r *resolver) rollback(m mark, rule *lang.DNFRule) {
 	r.fields, r.actions = r.fields[:m.fields], r.actions[:m.actions]
 	for _, c := range rule.Conjunctions {
 		for _, a := range c {
-			if o, ok := r.operands[a.LHS]; ok {
-				k := predKey{o, a.Op, a.RHS}
-				if p, ok := r.preds[k]; ok && p.seq >= m.preds {
-					delete(r.preds, k)
-				}
+			a.Pos = lang.Pos{}
+			if p, ok := r.preds[a]; ok && p.seq >= m.preds {
+				delete(r.preds, a)
 			}
 		}
 	}
 	r.made = m.preds
-	for _, o := range r.ops[m.ops:] {
-		delete(r.operands, o.lhs)
-	}
-	r.ops = r.ops[:m.ops]
 }
 
 func newResolver(sp *spec.Spec) *resolver {
-	r := &resolver{spec: sp, byName: make(map[string]int), operands: make(map[lang.Operand]int32),
-		preds: make(map[predKey]*predicate), names: make(map[string]string), lists: make(map[string]actionList)}
+	r := &resolver{spec: sp, byName: make(map[string]int), preds: make(map[lang.Atom]*predicate), lists: make(map[string]actionList)}
 	for _, q := range sp.OrderedQueries() {
 		r.byName[q.Name] = len(r.fields)
 		r.fields = append(r.fields, FieldInfo{Name: q.Name, Bits: q.Bits, Max: q.DomainMax(), Match: q.Match})
@@ -351,59 +324,35 @@ type predicate struct {
 	seq    int            // how many predicates the resolver had made before
 }
 
-// name is the resolver's copy of a name. A parsed name is a substring of the
-// rule text, so what the resolver keeps is copied, once per name, or a
-// Program or Session would pin every source text it was given.
-func (r *resolver) name(s string) string {
-	n, ok := r.names[s]
-	if !ok {
-		n = strings.Clone(s)
-		r.names[n] = n
-	}
-	return n
-}
-
-// operand is the index in ops of an operand, resolved the first time it is
-// spelled so.
-func (r *resolver) operand(lhs lang.Operand) (int32, error) {
-	if o, ok := r.operands[lhs]; ok {
-		return o, nil
-	}
-	idx, err := r.index(lhs)
-	if err != nil {
-		return 0, err
-	}
-	lhs = lang.Operand{Field: r.name(lhs.Field), Agg: r.name(lhs.Agg), Key: r.name(lhs.Key)}
-	r.ops = append(r.ops, operand{lhs, idx})
-	r.operands[lhs] = int32(len(r.ops) - 1)
-	return int32(len(r.ops) - 1), nil
-}
-
 // predicate interns an atom, creating its synthetic state field on first
 // use of the operand.
-func (r *resolver) predicate(a *lang.Atom) (*predicate, error) {
-	o, err := r.operand(a.LHS)
-	if err != nil {
-		return nil, err
-	}
-	k := predKey{o, a.Op, a.RHS}
-	if p, ok := r.preds[k]; ok {
+func (r *resolver) predicate(a lang.Atom) (*predicate, error) {
+	a.Pos = lang.Pos{}
+	if p, ok := r.preds[a]; ok {
 		return p, nil
 	}
-	op := r.ops[o]
-	set, err := r.atomSet(op.field, *a)
+	idx, err := r.index(a.LHS)
 	if err != nil {
 		return nil, err
 	}
-	k.val.Sym = r.name(k.val.Sym)
-	p := &predicate{atom: lang.Atom{LHS: op.lhs, Op: a.Op, RHS: k.val}, seq: r.made}
+	set, err := r.atomSet(idx, a)
+	if err != nil {
+		return nil, err
+	}
+	// A parsed atom's strings are substrings of the rule text. The
+	// predicate outlives the parse, so it takes copies — one set per
+	// distinct predicate — or a Program or Session would pin every source
+	// text it was given.
+	a.LHS = lang.Operand{Field: strings.Clone(a.LHS.Field), Agg: strings.Clone(a.LHS.Agg), Key: strings.Clone(a.LHS.Key)}
+	a.RHS.Sym = strings.Clone(a.RHS.Sym)
+	p := &predicate{atom: a, seq: r.made}
 	r.made++
-	p.con = bdd.Constraint{Field: op.field, Set: set, Label: &p.atom}
-	if f := r.fields[op.field]; f.SelfUpdating() && a.LHS.IsAggregate() {
+	p.con = bdd.Constraint{Field: idx, Set: set, Label: &p.atom}
+	if f := r.fields[idx]; f.SelfUpdating() && a.LHS.IsAggregate() {
 		u := lang.KeyedStateUpdate(f.StateVar, f.KeyField, a.LHS.Agg, f.BaseField)
 		p.update = &u
 	}
-	r.preds[k] = p
+	r.preds[a] = p
 	return p, nil
 }
 
@@ -503,8 +452,8 @@ func (r *resolver) resolve(rule *lang.DNFRule, out []bdd.Conj) ([]bdd.Conj, int,
 		// atom, so a rule without one pays nothing for it.
 		var rest []bdd.Constraint
 		hasAggregate := false
-		for i := range c {
-			p, perr := r.predicate(&c[i])
+		for _, atom := range c {
+			p, perr := r.predicate(atom)
 			if r.seen != nil {
 				ra := ResolvedAtom{Err: perr}
 				if p != nil {
@@ -547,10 +496,11 @@ func (r *resolver) resolve(rule *lang.DNFRule, out []bdd.Conj) ([]bdd.Conj, int,
 }
 
 // canonicalizeActions validates keyed state updates and rewrites their
-// key to the canonical field name (src -> pkt.src). A list with a state
-// update in it is a copy, so the caller's rules stay untouched, and the
-// update's names are copies too — parsed, they are substrings of the rule
-// text (see name), and intern keeps the first list of each kind. A forward
+// key to the canonical field name (src -> pkt.src). The resolver keeps a
+// copy of the list it returns (intern): a list with a state update in it is
+// a copy, so the caller's rules stay untouched, and the update's names are
+// copies too — parsed, they are substrings of the rule text (see predicate),
+// which intern's copy shares. A forward
 // names ports in [0, lang.MaxPort], as the parser has it. An error comes
 // with the index of the action it is about.
 func (r *resolver) canonicalizeActions(actions []lang.Action) ([]lang.Action, int, error) {

@@ -370,7 +370,7 @@ func dumpProgram(w io.Writer, pass *compiler.Pass) {
 // heap objects a Fig. 5c rule costs on the way to an installed-ready Program
 // — from its AST and, as a live update pays it, from source text — with one
 // worker so the number belongs to the code and not to the host. Each bound
-// sits under a tenth above what the compiler does today (5.7 per rule from
+// sits under a tenth above what the compiler does today (5.8 per rule from
 // either at 2k×200 under go1.24, the text parsed straight to normal form in
 // a chunk's arena and the rules folded into one; 11.6 and 17.6 while a
 // chunk's rules were a syntax tree, then a slice per term; 19.2 and 25.2

@@ -271,7 +271,7 @@ type Program struct {
 	Leaf *Table
 
 	Actions []ActionSet // one per terminal, in the order assignStates meets them
-	Groups  []PortSet   // multicast groups, one per port set: group ID -> ports, shared with the actions
+	Groups  []PortSet   // multicast groups: group ID -> ports, shared with the actions
 
 	// Signatures holds one entry per pipeline state, ascending by signature,
 	// then state.

@@ -4,12 +4,12 @@ import (
 	"context"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
+	"time"
 	"unsafe"
-	"weak"
 
 	"camus/internal/compiler"
+	"camus/internal/lang"
 	"camus/internal/spec"
 	"camus/internal/workload"
 )
@@ -30,16 +30,12 @@ func TestProgramRetainedHeap(t *testing.T) {
 	})
 	sp := workload.ITCHSpec()
 	for _, from := range []string{"rules", "source"} {
-		var text weak.Pointer[byte]
+		var freed <-chan struct{}
 		compile := func() (*compiler.Program, error) { return compiler.Compile(sp, rules, compiler.Options{}) }
 		if from == "source" {
 			compile = func() (*compiler.Program, error) {
-				var b strings.Builder
-				for _, r := range rules {
-					b.WriteString(r.String() + "\n")
-				}
-				src := b.String()
-				text = weak.Make(unsafe.StringData(src))
+				var src string
+				src, freed = freeableText(rules)
 				return compiler.CompileSource(sp, src, compiler.Options{})
 			}
 		}
@@ -50,6 +46,9 @@ func TestProgramRetainedHeap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if freed != nil && !collected(freed) {
+			t.Fatalf("a program compiled from rule text keeps the text")
+		}
 		runtime.GC()
 		runtime.ReadMemStats(&after)
 		retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
@@ -57,21 +56,43 @@ func TestProgramRetainedHeap(t *testing.T) {
 		if retained > budget {
 			t.Fatalf("from %s: the program retains %.2f MB, want at most %.2f MB", from, float64(retained)/(1<<20), float64(budget)/(1<<20))
 		}
-		if text.Value() != nil {
-			t.Fatalf("a program compiled from rule text keeps the text")
-		}
 		runtime.KeepAlive(prog)
 	}
 	runtime.KeepAlive(rules)
 }
 
+// freeableText is the rules' text, one a line, and a channel closed once the
+// text is garbage: its bytes are a heap object of their own, with a
+// finalizer.
+func freeableText(rules []lang.Rule) (string, <-chan struct{}) {
+	b := []byte(ruleText(rules))
+	freed := make(chan struct{})
+	runtime.SetFinalizer(&b[0], func(*byte) { close(freed) })
+	return unsafe.String(&b[0], len(b)), freed
+}
+
+// collected reports whether freed is closed within a few collections, that
+// is, whether nothing holds on to the text freeableText gave with it.
+func collected(freed <-chan struct{}) bool {
+	for try := 0; try < 20; try++ {
+		select {
+		case <-freed:
+			return true
+		default:
+			runtime.GC() // the finalizer runs after it, on a goroutine of its own
+			time.Sleep(time.Millisecond)
+		}
+	}
+	return false
+}
+
 // TestSessionRetainedUnderChurn: what a session keeps is proportional to its
 // live set. After 50 rounds of 1% fresh churn at 10k Fig. 5c rules, the heap
 // it retains is within 1.5x of what a new session synced to the same live set
-// retains, and neither keeps any part of a rule text it was synced to — a
-// predicate's names and an action list are copies, and nothing points into a
-// chunk's arena, whose atoms are parts of the text. It counts bytes and times
-// nothing.
+// retains. Neither keeps any part of a rule text it was synced to, nor of a
+// chunk's arena, whose atoms are parts of the text: a predicate's names and
+// an action list are copies, so the new one retains within 16 KB of one
+// synced to the parsed rules. It counts bytes and times nothing.
 func TestSessionRetainedUnderChurn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles 10k rules 52 times")
@@ -83,14 +104,10 @@ func TestSessionRetainedUnderChurn(t *testing.T) {
 	cfg.Subscriptions, cfg.Seed = churn*rounds, 2
 	fresh := workload.ITCHSubscriptions(cfg)
 	sp := workload.ITCHSpec()
-	var texts []weak.Pointer[byte]
+	var texts []<-chan struct{}
 	sync := func(s *compiler.Session) {
-		var text strings.Builder
-		for _, r := range live {
-			text.WriteString(r.String() + "\n")
-		}
-		src := text.String()
-		texts = append(texts, weak.Make(unsafe.StringData(src)))
+		src, freed := freeableText(live)
+		texts = append(texts, freed)
 		if err := s.Sync(context.Background(), compiler.Source{Text: src}); err != nil {
 			t.Fatal(err)
 		}
@@ -105,8 +122,14 @@ func TestSessionRetainedUnderChurn(t *testing.T) {
 		copy(live[at:at+churn], fresh[round*churn:])
 		sync(churned)
 	}
-	cold := compiler.NewSession(sp, compiler.Options{})
+	cold, parsed := compiler.NewSession(sp, compiler.Options{}), compiler.NewSession(sp, compiler.Options{})
 	sync(cold)
+	if err := parsed.Sync(context.Background(), compiler.Source{Rules: live}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := parsed.Recompile(); err != nil {
+		t.Fatal(err)
+	}
 	// Each session's heap is what a collection frees once it is dead.
 	heap := func() int64 {
 		var m runtime.MemStats
@@ -114,19 +137,25 @@ func TestSessionRetainedUnderChurn(t *testing.T) {
 		runtime.ReadMemStats(&m)
 		return int64(m.HeapAlloc)
 	}
-	both := heap()
-	for i, text := range texts {
-		if text.Value() != nil {
+	for i, freed := range texts {
+		if !collected(freed) {
 			t.Fatalf("a live session keeps the text of sync %d of %d", i+1, len(texts))
 		}
 	}
+	all := heap()
 	runtime.KeepAlive(churned)
-	one := heap()
+	two := heap()
 	runtime.KeepAlive(cold)
-	got, want := both-one, one-heap()
-	t.Logf("churned session retains %.2f MB, a new one %.2f MB", float64(got)/(1<<20), float64(want)/(1<<20))
+	one := heap()
+	runtime.KeepAlive(parsed)
+	got, want, fromRules := all-two, two-one, one-heap()
+	t.Logf("churned session retains %.2f MB, a new one %.2f MB, a new one synced to the parsed rules %.2f MB",
+		float64(got)/(1<<20), float64(want)/(1<<20), float64(fromRules)/(1<<20))
 	if 2*got > 3*want {
 		t.Fatalf("after %d rounds of churn the session retains %.2f MB, a new one synced to the same set %.2f MB", rounds, float64(got)/(1<<20), float64(want)/(1<<20))
+	}
+	if want > fromRules+16<<10 {
+		t.Fatalf("synced to the rule text a session retains %.2f MB, synced to the parsed rules %.2f MB", float64(want)/(1<<20), float64(fromRules)/(1<<20))
 	}
 }
 

@@ -120,7 +120,7 @@ func (s *Session) AddRules(rules []lang.Rule) ([]int, error) {
 	for i := range rules {
 		handles[i] = s.handle(ruleKey(rules[i].String()))
 	}
-	_, n, normalize := Source{Rules: rules}.chunks()
+	n, normalize := Source{Rules: rules}.chunks()
 	if err := s.resolve(context.Background(), handles, n, normalize); err != nil {
 		return nil, err
 	}
@@ -230,7 +230,7 @@ func (s *Session) sync(ctx context.Context, src Source, n int) error {
 				fresh = append(fresh, r)
 			}
 		}
-		_, n, normalize := Source{Rules: fresh}.chunks()
+		n, normalize := Source{Rules: fresh}.chunks()
 		return y.commit(ctx, n, normalize)
 	}
 	y := s.syncing(n)

@@ -2,7 +2,6 @@ package lang
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -221,12 +220,8 @@ func Fwd(ports ...int) Action {
 // Drop builds a drop action.
 func Drop() Action { return Action{Kind: ActDrop} }
 
-// StateUpdate builds a state-update action v <- f(args...).
-func StateUpdate(v, fn string, args ...string) Action {
-	return Action{Kind: ActState, Var: v, Func: fn, Args: args}
-}
-
-// KeyedStateUpdate builds a keyed state-update action v[key] <- f(args...).
+// KeyedStateUpdate builds a state-update action v[key] <- f(args...), or
+// v <- f(args...) when key is empty.
 func KeyedStateUpdate(v, key, fn string, args ...string) Action {
 	return Action{Kind: ActState, Var: v, StateKey: key, Func: fn, Args: args}
 }
@@ -234,7 +229,11 @@ func KeyedStateUpdate(v, key, fn string, args ...string) Action {
 func (a Action) String() string {
 	switch a.Kind {
 	case ActFwd:
-		return "fwd(" + FormatPorts(a.Ports) + ")"
+		parts := make([]string, len(a.Ports))
+		for i, p := range a.Ports {
+			parts[i] = fmt.Sprintf("%d", p)
+		}
+		return fmt.Sprintf("fwd(%s)", strings.Join(parts, ","))
 	case ActDrop:
 		return "drop()"
 	default:
@@ -249,8 +248,23 @@ func (a Action) String() string {
 // Equal reports structural equality of actions, ignoring source
 // positions.
 func (a Action) Equal(b Action) bool {
-	return a.Kind == b.Kind && a.Var == b.Var && a.StateKey == b.StateKey && a.Func == b.Func &&
-		slices.Equal(a.Ports, b.Ports) && slices.Equal(a.Args, b.Args)
+	if a.Kind != b.Kind || a.Var != b.Var || a.StateKey != b.StateKey || a.Func != b.Func {
+		return false
+	}
+	if len(a.Ports) != len(b.Ports) || len(a.Args) != len(b.Args) {
+		return false
+	}
+	for i := range a.Ports {
+		if a.Ports[i] != b.Ports[i] {
+			return false
+		}
+	}
+	for i := range a.Args {
+		if a.Args[i] != b.Args[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Key returns a canonical string for the action, usable as a map key.

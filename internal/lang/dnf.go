@@ -274,13 +274,6 @@ func (a *Arena) finish(v terms, actions []Action, id int, pos Pos) error {
 // in place: the caller hands over a term built for it.
 func simplifyConjunction(c Conjunction) (Conjunction, bool) {
 	slices.SortFunc(c, atomCompare)
-	distinct := true // sorted, atoms on one field lie together
-	for i := 1; i < len(c) && distinct; i++ {
-		distinct = c[i].LHS.Field != c[i-1].LHS.Field
-	}
-	if distinct {
-		return c, true // no two atoms on one operand: nothing to merge or contradict
-	}
 	out := c[:0]
 	for i, a := range c {
 		// Compare with SameAtom, not struct equality: the same predicate

@@ -46,18 +46,17 @@ func (l *Lexer) advance() byte {
 func (l *Lexer) scan(t *Token) error {
 	for l.pos < len(l.src) {
 		switch c := l.src[l.pos]; {
-		case c == ' ' || c == '\t' || c == '\r':
-			l.pos++
-			l.col++
 		case c == '\n':
 			line, col := l.line, l.col
-			l.pos, l.line, l.col = l.pos+1, l.line+1, 1
+			l.advance()
 			if l.lastWasNewline {
 				continue // collapse blank lines
 			}
 			l.lastWasNewline = true
 			t.Kind, t.Text, t.Num, t.Line, t.Col = TokNewline, "", 0, line, col
 			return nil
+		case c == ' ' || c == '\t' || c == '\r':
+			l.advance()
 		case c == '#' || c == '/' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '/':
 			l.skipLineComment()
 		default:
@@ -82,10 +81,6 @@ func (l *Lexer) skipLineComment() {
 	}
 }
 
-// punct is the token a one-byte punctuator lexes to, by its byte.
-var punct = [256]TokenKind{'(': TokLParen, ')': TokRParen, '[': TokLBracket, ']': TokRBracket,
-	',': TokComma, ':': TokColon, ';': TokSemicolon}
-
 func (l *Lexer) lexToken(t *Token) error {
 	line, col := l.line, l.col
 	start := l.pos
@@ -94,10 +89,21 @@ func (l *Lexer) lexToken(t *Token) error {
 		t.Kind, t.Text, t.Num, t.Line, t.Col = k, l.src[start:l.pos], 0, line, col
 		return nil
 	}
-	if k := punct[c]; k != TokEOF {
-		return mk(k)
-	}
 	switch c {
+	case '(':
+		return mk(TokLParen)
+	case ')':
+		return mk(TokRParen)
+	case '[':
+		return mk(TokLBracket)
+	case ']':
+		return mk(TokRBracket)
+	case ',':
+		return mk(TokComma)
+	case ':':
+		return mk(TokColon)
+	case ';':
+		return mk(TokSemicolon)
 	case '!':
 		if n, ok := l.peekByte(); ok && n == '=' {
 			l.advance()
@@ -328,13 +334,16 @@ func isDigit(c byte, base int) bool {
 // no newline, so only the column moves), and the three keywords are
 // matched without lowering a copy.
 func (l *Lexer) lexIdent(t *Token, line, col int) {
-	start, end := l.pos-1, l.pos
-	for end < len(l.src) && identPart[l.src[end]] {
-		end++
+	start := l.pos - 1
+	for l.pos < len(l.src) {
+		c := l.src[l.pos]
+		if !isIdentStart(rune(c)) && (c < '0' || c > '9') && c != '.' {
+			break
+		}
+		l.pos++
 	}
-	l.col += end - l.pos
-	l.pos = end
-	text := l.src[start:end]
+	l.col += l.pos - start - 1
+	text := l.src[start:l.pos]
 	kind := TokIdent
 	if len(text) <= 3 {
 		switch {
@@ -348,11 +357,3 @@ func (l *Lexer) lexIdent(t *Token, line, col int) {
 	}
 	t.Kind, t.Text, t.Num, t.Line, t.Col = kind, text, 0, line, col
 }
-
-// identPart says of each byte whether it continues an identifier.
-var identPart = func() (part [256]bool) {
-	for c := range part {
-		part[c] = isIdentStart(rune(c)) || c >= '0' && c <= '9' || c == '.'
-	}
-	return part
-}()

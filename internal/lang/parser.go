@@ -239,44 +239,34 @@ func (g grammar[T, S]) and(neg bool) (T, error) {
 	return l, nil
 }
 
-func (g grammar[T, S]) unary(neg bool) (T, error) {
+func (g grammar[T, S]) unary(neg bool) (x T, err error) {
 	p := g.p
 	switch p.tok.Kind {
 	case TokNot:
-		if err := p.next(); err != nil {
-			var zero T
-			return zero, err
-		}
-		x, err := g.unary(!neg)
-		if err != nil {
+		if err = p.next(); err != nil {
 			return x, err
 		}
-		return g.s.not(x), nil
+		x, err = g.unary(!neg)
+		return g.s.not(x), err
 	case TokLParen:
-		if err := p.next(); err != nil {
-			var zero T
-			return zero, err
+		if err = p.next(); err != nil {
+			return x, err
 		}
-		e, err := g.or(neg)
-		if err != nil {
-			return e, err
+		if x, err = g.or(neg); err != nil {
+			return x, err
 		}
 		_, _, err = p.expect(TokRParen)
-		return e, err
+		return x, err
 	case TokIdent:
 		if p.tok.Text == "true" {
-			err := p.next()
-			return g.s.truth(neg), err
+			return g.s.truth(neg), p.next()
 		}
-		if err := p.parseAtom(); err != nil {
-			var zero T
-			return zero, err
+		if err = p.parseAtom(); err != nil {
+			return x, err
 		}
 		return g.s.atom(&p.atom, neg), nil
-	default:
-		var zero T
-		return zero, errAt(p.tok.Line, p.tok.Col, "expected condition, found %v", p.tok)
 	}
+	return x, errAt(p.tok.Line, p.tok.Col, "expected condition, found %v", p.tok)
 }
 
 // parseAtom parses an atom into p.atom.
