@@ -22,9 +22,6 @@ type Options struct {
 	// DisableCompression turns off domain compression (§3.2, third
 	// optimization).
 	DisableCompression bool
-	// CompressionMinEntries is the table size below which compression is
-	// not worth a pipeline stage; 0 means the default of 16.
-	CompressionMinEntries int
 	// ForceRangeTables compiles every field as a range (TCAM) table,
 	// ignoring exact-match annotations — the "what if we couldn't use
 	// SRAM" ablation for §3.2's second resource optimization.
@@ -38,13 +35,6 @@ type Options struct {
 	// and per-stage durations, and BDD node counts. It has no effect on
 	// compilation output.
 	Telemetry *telemetry.Registry
-}
-
-func (o Options) minEntries() int {
-	if o.CompressionMinEntries > 0 {
-		return o.CompressionMinEntries
-	}
-	return 16
 }
 
 func (o Options) workers() int {
@@ -595,7 +585,7 @@ func (p *Pass) lower() error {
 			autoExactLower(t)
 		}
 		if !opts.DisableCompression {
-			maybeCompress(t, fi, opts)
+			maybeCompress(t, fi)
 		}
 		prog.Tables[f] = t
 	})

@@ -553,9 +553,15 @@ func TestCompressionCorrectness(t *testing.T) {
 	if err := sp.SetFieldOrder("stock", "price"); err != nil {
 		t.Fatal(err)
 	}
-	// Many states sharing few price boundaries: prime codec territory.
+	// Many states sharing few price boundaries: prime codec territory,
+	// two price rows for each of 16 symbols, so the price table is large
+	// enough to compress.
+	var syms []string
+	for i := range 16 {
+		syms = append(syms, fmt.Sprintf("S%02d", i))
+	}
 	var b strings.Builder
-	for i, sym := range testSymbols {
+	for i, sym := range syms {
 		fmt.Fprintf(&b, "stock == %s && price > 500 : fwd(%d)\n", sym, i+1)
 		fmt.Fprintf(&b, "stock == %s && price < 100 : fwd(%d)\n", sym, i+1)
 	}
@@ -563,7 +569,7 @@ func TestCompressionCorrectness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pOn, err := Compile(sp, rules, Options{CompressionMinEntries: 1})
+	pOn, err := Compile(sp, rules, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -582,7 +588,7 @@ func TestCompressionCorrectness(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(9))
 	for probe := 0; probe < 300; probe++ {
-		stock := encodeStock(t, sp, testSymbols[r.Intn(len(testSymbols))])
+		stock := encodeStock(t, sp, syms[r.Intn(len(syms))])
 		price := r.Uint64() % 1100
 		a := pOn.Evaluate(itchValues(pOn, 0, stock, price)).Ports
 		b := pOff.Evaluate(itchValues(pOff, 0, stock, price)).Ports

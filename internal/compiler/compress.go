@@ -95,6 +95,10 @@ func (e Entry) slots(m spec.MatchKind, bits int) (sram, tcam int) {
 	return 0, 1
 }
 
+// compressionMinEntries is the table size below which compression is not
+// worth a pipeline stage.
+const compressionMinEntries = 16
+
 // compressionMaxCodes bounds a compressed domain's size: 256 codes, the
 // paper's 8-bit code.
 const compressionMaxCodes = 256
@@ -105,8 +109,8 @@ const compressionMaxCodes = 256
 // range covers, against the prefixes of the ranges it replaces. The rewrite
 // is priced from its bounds before a row is written, and takes the table's
 // own rows when it has as many.
-func maybeCompress(t *Table, fi FieldInfo, opts Options) {
-	if t.Match != spec.MatchRange || len(t.Entries) < opts.minEntries() {
+func maybeCompress(t *Table, fi FieldInfo) {
+	if t.Match != spec.MatchRange || len(t.Entries) < compressionMinEntries {
 		return
 	}
 	boundSet := make(map[uint64]bool, min(2*len(t.Entries)+1, compressionMaxCodes+1))

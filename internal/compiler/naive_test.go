@@ -78,34 +78,6 @@ func TestCountPathsMatchesManualDAG(t *testing.T) {
 	}
 }
 
-func TestRemapStatesPreservesSemantics(t *testing.T) {
-	sp := itchSpec(t)
-	p := compileSrc(t, sp, "stock == AAPL && price > 10 : fwd(1)\nstock == MSFT : fwd(2)\n", Options{})
-	ref := compileSrc(t, sp, "stock == AAPL && price > 10 : fwd(1)\nstock == MSFT : fwd(2)\n", Options{})
-
-	// Shift every state by 1000.
-	mapping := map[int]int{}
-	for st := 0; st < p.NumStates(); st++ {
-		mapping[st] = st + 1000
-	}
-	p.RemapStates(func(s int) int { return mapping[s] })
-	if p.InitialState < 1000 {
-		t.Fatalf("initial state not remapped: %d", p.InitialState)
-	}
-	aapl := encodeStock(t, sp, "AAPL")
-	msft := encodeStock(t, sp, "MSFT")
-	for _, probe := range []struct {
-		stock uint64
-		price uint64
-	}{{aapl, 5}, {aapl, 50}, {msft, 0}, {encodeStock(t, sp, "IBM"), 7}} {
-		got := p.Evaluate(itchValues(p, 0, probe.stock, probe.price))
-		want := ref.Evaluate(itchValues(ref, 0, probe.stock, probe.price))
-		if got.String() != want.String() {
-			t.Fatalf("remap broke semantics at %+v: %s vs %s", probe, got, want)
-		}
-	}
-}
-
 func TestForceRangeTablesOption(t *testing.T) {
 	sp := itchSpec(t)
 	p := compileSrc(t, sp, "stock == GOOGL : fwd(1)", Options{ForceRangeTables: true, DisableCompression: true})

@@ -326,26 +326,6 @@ func (p *Program) signatures(b *bdd.BDD, index []int, states int) {
 	slices.SortFunc(p.Signatures, StateSig.compare)
 }
 
-// RemapStates renumbers pipeline states in place (entries, signatures,
-// initial state): state s becomes remap(s). The targets of rows that decide
-// are actions and keep their numbers.
-func (p *Program) RemapStates(remap func(s int) int) {
-	for _, t := range p.Tables {
-		for i := range t.Entries {
-			e := &t.Entries[i]
-			e.State = remap(e.State)
-			if _, ok := Decides(e.Next); !ok {
-				e.Next = remap(e.Next)
-			}
-		}
-	}
-	p.InitialState = remap(p.InitialState)
-	for i := range p.Signatures {
-		p.Signatures[i].State = remap(p.Signatures[i].State)
-	}
-	slices.SortFunc(p.Signatures, StateSig.compare)
-}
-
 // NumStates returns the number of distinct pipeline states.
 func (p *Program) NumStates() int { return p.Stats.States }
 

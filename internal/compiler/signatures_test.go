@@ -16,8 +16,8 @@ import (
 // walkSignatures is the oracle of the signatures a compile stores: a walk
 // down the pass's diagram from its root, each In node's signature its field
 // name and intervals mixed with its children's, a terminal its action set's
-// Sum, every state renumbered by remap. Ascending by signature, then state.
-func walkSignatures(pass *compiler.Pass, remap func(int) int) []compiler.StateSig {
+// Sum. Ascending by signature, then state.
+func walkSignatures(pass *compiler.Pass) []compiler.StateSig {
 	prog := pass.Program()
 	memo := make(map[*bdd.Node][2]uint64)
 	var out []compiler.StateSig
@@ -38,7 +38,7 @@ func walkSignatures(pass *compiler.Pass, remap func(int) int) []compiler.StateSi
 			t, e := walk(n.True), walk(n.False)
 			s = h.Word(uint64(len(ivs))).Word(t[0]).Word(t[1]).Word(e[0]).Word(e[1]).Sum()
 			if st, ok := pass.StateOf(n.ID); ok {
-				out = append(out, compiler.StateSig{Sig: s, State: remap(st)})
+				out = append(out, compiler.StateSig{Sig: s, State: st})
 			}
 		}
 		memo[n] = s
@@ -54,25 +54,18 @@ func walkSignatures(pass *compiler.Pass, remap func(int) int) []compiler.StateSi
 	return out
 }
 
-// checkSignatures holds a compiled pass's stored signatures to the walk,
-// then renumbers the program's states in reverse and holds them again.
+// checkSignatures holds a compiled pass's stored signatures to the walk.
 func checkSignatures(t testing.TB, what string, pass *compiler.Pass) {
 	t.Helper()
 	prog := pass.Program()
-	same := func(s int) int { return s }
-	if want := walkSignatures(pass, same); !slices.Equal(prog.Signatures, want) {
+	if want := walkSignatures(pass); !slices.Equal(prog.Signatures, want) {
 		t.Fatalf("%s: stored signatures\n%v\nthe diagram walk\n%v", what, prog.Signatures, want)
-	}
-	reverse := func(s int) int { return 1<<30 - s }
-	prog.RemapStates(reverse)
-	if want := walkSignatures(pass, reverse); !slices.Equal(prog.Signatures, want) {
-		t.Fatalf("%s: after RemapStates, stored signatures\n%v\nthe diagram walk\n%v", what, prog.Signatures, want)
 	}
 }
 
 // FuzzSignaturesMatchDiagramWalk: the state signatures lowering stores while
 // it still has the diagram are the walk over that diagram the control plane
-// used to make on every install, before and after RemapStates — on every
+// used to make on every install — on every
 // TestCompileGolden fixture, and on small rule sets read four bytes a rule
 // from the input: a Fig. 5c row, a requirement of two intervals, or a line
 // of the golden multi-term, keyed-state and colliding-action fixtures.

@@ -15,11 +15,10 @@ import (
 // device rolled back to the prior program.
 func TestCancelInterruptsBackoff(t *testing.T) {
 	forEachRoute(t, pipeline.Config{}, "stock == GOOGL : fwd(1)\n", func(t *testing.T, r *route) {
-		// An hour of backoff and plenty of retries: without context
-		// propagation through the wait this test would hang.
+		// An hour of backoff: without context propagation through the
+		// wait this test would hang.
 		r.ctl.Policy.Backoff = time.Hour
 		r.ctl.Policy.MaxBackoff = time.Hour
-		r.ctl.Policy.MaxRetries = 10
 
 		vecs := probeVectors(t, r.sp, r.ctl.Program())
 		before := snapshot(r.sw, vecs)

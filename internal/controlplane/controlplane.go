@@ -5,10 +5,10 @@
 // The paper notes (§3) that highly dynamic workloads need incremental
 // techniques — BDD memoization at compile time and table-entry re-use at
 // install time (the CoVisor approach). This package implements the install
-// side: when a new program replaces an old one, states are aligned by
-// behavioral signature (identical sub-BDDs get identical state numbers),
-// so unchanged parts of the rule set diff to zero and only the delta is
-// pushed to the device.
+// side: when a new program replaces an old one, its states are paired with
+// the old one's by behavioral signature (identical sub-BDDs are twins), so
+// unchanged parts of the rule set diff to zero and only the delta counts as
+// device writes.
 package controlplane
 
 import (
@@ -61,14 +61,13 @@ type Device interface {
 	Reinstall(*compiler.Program) error
 }
 
-// UpdatePolicy bounds the commit phase of an update: how often a
-// transient device-write failure is retried, and how the retry delay
-// grows. The zero value uses the defaults below.
+// UpdatePolicy bounds the commit phase of an update: a transient
+// device-write failure is retried up to maxRetries times, the delay
+// doubling from Backoff up to MaxBackoff. The zero value uses the
+// defaults below.
 type UpdatePolicy struct {
-	MaxRetries    int           // transient-failure retries (default 3)
-	Backoff       time.Duration // initial retry delay (default 1ms)
-	BackoffFactor float64       // delay growth per retry (default 2)
-	MaxBackoff    time.Duration // delay cap (default 50ms)
+	Backoff    time.Duration // initial retry delay (default 1ms)
+	MaxBackoff time.Duration // delay cap (default 50ms)
 	// Sleep, when set, replaces the default backoff wait (a timer that
 	// also watches the context). It is a test hook: cancellation is
 	// still honored once it returns, but the hook itself is not
@@ -76,15 +75,12 @@ type UpdatePolicy struct {
 	Sleep func(time.Duration)
 }
 
+// maxRetries is how often commit retries a transient write failure.
+const maxRetries = 3
+
 func (p UpdatePolicy) withDefaults() UpdatePolicy {
-	if p.MaxRetries <= 0 {
-		p.MaxRetries = 3
-	}
 	if p.Backoff <= 0 {
 		p.Backoff = time.Millisecond
-	}
-	if p.BackoffFactor < 1 {
-		p.BackoffFactor = 2
 	}
 	if p.MaxBackoff <= 0 {
 		p.MaxBackoff = 50 * time.Millisecond
@@ -136,7 +132,7 @@ func commit(ctx context.Context, dev Device, pol UpdatePolicy, newProg, oldProg 
 			span.End(nil)
 			return nil
 		}
-		if !transient(err) || attempt >= pol.MaxRetries {
+		if !transient(err) || attempt >= maxRetries {
 			break
 		}
 		if ctx.Err() != nil {
@@ -148,10 +144,7 @@ func commit(ctx context.Context, dev Device, pol UpdatePolicy, newProg, oldProg 
 			err = fmt.Errorf("%w (last write error: %v)", werr, err)
 			break
 		}
-		delay = time.Duration(float64(delay) * pol.BackoffFactor)
-		if delay > pol.MaxBackoff {
-			delay = pol.MaxBackoff
-		}
+		delay = min(2*delay, pol.MaxBackoff)
 	}
 	span.SetLabel("retries", fmt.Sprint(retries))
 	if rbErr := dev.Reinstall(oldProg); rbErr != nil {
@@ -192,49 +185,29 @@ func (c *Controller) Program() *compiler.Program { return c.dev.Program() }
 // Update installs newProg in two phases. Phase one admits the program:
 // it is checked against the device's TCAM/SRAM/group resources before a
 // single write is issued, so an oversized update is rejected with the
-// device untouched. Phase two aligns states, computes the entry delta,
-// and commits — retrying transient write failures per Policy (between
-// retries the context is consulted, so a canceled install stops retrying
-// and rolls back) and rolling back to the prior program on permanent
-// failure, so concurrent packets always see a complete program (old or
-// new, never half). The whole operation is recorded as a
-// `controlplane_install` span with an outcome label and the delta's
-// write count. The returned Delta reports how much of the old
+// device untouched. Admission reads only the program and the device's
+// fixed Config, so a program the device already ran is always admitted
+// again, and a rollback may go through Update too. Phase two diffs the
+// program against the one the device runs and commits — retrying
+// transient write failures per Policy (between retries the context is
+// consulted, so a canceled install stops retrying and rolls back) and
+// rolling back to the prior program on permanent failure, so concurrent
+// packets always see a complete program (old or new, never half). The
+// whole operation is recorded as a `controlplane_install` span with an
+// outcome label and the delta's write count, and the writes are counted
+// only once committed. The returned Delta reports how much of the old
 // configuration was reused. A rule set to be vetted first reaches it
 // through analyze.Gate.Admit, which returns the program it priced.
 func (c *Controller) Update(ctx context.Context, newProg *compiler.Program) (Delta, error) {
-	return c.install(ctx, newProg, true)
-}
-
-// Install is Update without the resource-admission phase: callers that
-// admit fleet-wide (the fabric's two-phase epoch checks every member's
-// resources before any member commits) run pipeline.CheckResources
-// themselves, then commit each member through Install. The same
-// guarantees as Update apply — on failure the device is rolled back to
-// the prior program. Rollback
-// reinstalls in particular must go through Install, not Update, so that a
-// program the device already ran is never re-rejected at admission.
-func (c *Controller) Install(ctx context.Context, newProg *compiler.Program) (Delta, error) {
-	return c.install(ctx, newProg, false)
-}
-
-// install is the one delta-install path both entry points end in, recorded
-// as a `controlplane_install` span: admit newProg when asked, align its
-// states to the program the device runs, diff, commit with the
-// retry/rollback policy, and only then count the writes.
-func (c *Controller) install(ctx context.Context, newProg *compiler.Program, admit bool) (Delta, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	span := c.tel.Trc().Start(ctx, "controlplane_install")
-	if admit {
-		if err := pipeline.CheckResources(newProg, c.dev.Config()); err != nil {
-			span.EndOutcome("admission_rejected", err)
-			return Delta{}, fmt.Errorf("controlplane: update rejected at admission: %w", err)
-		}
+	if err := pipeline.CheckResources(newProg, c.dev.Config()); err != nil {
+		span.EndOutcome("admission_rejected", err)
+		return Delta{}, fmt.Errorf("controlplane: update rejected at admission: %w", err)
 	}
 	base := c.dev.Program()
-	AlignStates(base, newProg)
 	delta := DiffPrograms(base, newProg)
 	span.SetLabel("writes", fmt.Sprint(delta.Writes()))
 	if err := commit(ctx, c.dev, c.Policy, newProg, base, span); err != nil {
@@ -244,78 +217,41 @@ func (c *Controller) install(ctx context.Context, newProg *compiler.Program, adm
 	return delta, nil
 }
 
-// AlignStates renumbers newProg's pipeline states so that states whose
-// sub-BDD behavior is identical to a state in oldProg get the old number:
-// it merges the two programs' signature lists (Program.Signatures). States
-// with no behavioral twin get the smallest numbers oldProg does not use, so
-// the numbers a switch runs stay below its last two programs' state counts
-// however many updates it takes.
-func AlignStates(oldProg, newProg *compiler.Program) {
+// AlignStates pairs newProg's pipeline states with oldProg's by behaviour:
+// it merges the two programs' signature lists (Program.Signatures) and
+// returns, for each new state, the old state whose sub-BDD is identical, or
+// -1 when there is none; a new initial state with no twin is paired with the
+// old initial state when no other new state took it. Neither program is
+// written.
+func AlignStates(oldProg, newProg *compiler.Program) []int {
 	olds, news := oldProg.Signatures, newProg.Signatures
 
 	// Both lists ascend by signature, then state: the new states of one
-	// signature take its old twins, smallest first, in ascending order.
-	pairs := make([]statePair, len(news)) // new state -> old twin, -1 without
+	// signature take its old twins, smallest first, in ascending order. A
+	// compiled program's states are 0..NumStates-1.
+	twins := make([]int, len(news))
 	oldInitialTaken := false
 	i := 0
-	for j, n := range news {
+	for _, n := range news {
 		for i < len(olds) && slices.Compare(olds[i].Sig[:], n.Sig[:]) < 0 {
 			i++
 		}
-		pairs[j] = statePair{n.State, -1}
+		twins[n.State] = -1
 		if i < len(olds) && olds[i].Sig == n.Sig {
-			pairs[j].to = olds[i].State
+			twins[n.State] = olds[i].State
 			oldInitialTaken = oldInitialTaken || olds[i].State == oldProg.InitialState
 			i++
 		}
 	}
-	slices.SortFunc(pairs, func(a, b statePair) int { return cmp.Compare(a.from, b.from) })
-
 	// The entry points play the same role even when their downstream
 	// behavior changed (that is what an update *is*), so pin the new
 	// initial state to the old one when neither found a twin. Entries
 	// under the unchanged part of the rule set then diff to zero.
-	initial, ok := slices.BinarySearchFunc(pairs, newProg.InitialState, statePair.compareFrom)
-	if ok && pairs[initial].to < 0 && !oldInitialTaken {
-		pairs[initial].to = oldProg.InitialState
+	if s := newProg.InitialState; s < len(twins) && twins[s] < 0 && !oldInitialTaken {
+		twins[s] = oldProg.InitialState
 	}
-	// Fresh numbers for unmatched states, in ascending order of the state:
-	// the smallest that are neither oldProg's states nor its initial state,
-	// which the pin above may have given out.
-	top := oldProg.InitialState
-	for _, o := range olds {
-		top = max(top, o.State)
-	}
-	used := make([]bool, top+1)
-	used[oldProg.InitialState] = true
-	for _, o := range olds {
-		used[o.State] = true
-	}
-	fresh := 0
-	for j := range pairs {
-		if pairs[j].to < 0 {
-			for fresh < len(used) && used[fresh] {
-				fresh++
-			}
-			pairs[j].to = fresh
-			fresh++
-		}
-	}
-	newProg.RemapStates(func(st int) int {
-		if st < len(pairs) && pairs[st].from == st { // a freshly compiled program's states are dense
-			return pairs[st].to
-		}
-		if j, ok := slices.BinarySearchFunc(pairs, st, statePair.compareFrom); ok {
-			return pairs[j].to
-		}
-		return st
-	})
+	return twins
 }
-
-// statePair renumbers one state.
-type statePair struct{ from, to int }
-
-func (p statePair) compareFrom(st int) int { return cmp.Compare(p.from, st) }
 
 // sig is the content hash of an action set or a multicast group.
 type sig struct{ a, b uint64 }
@@ -344,10 +280,10 @@ type entryKey [5]uint64
 
 func (k entryKey) compare(l entryKey) int { return slices.Compare(k[:], l[:]) }
 
-// DiffPrograms computes the entry and group delta between two programs
-// whose states have been aligned: each program's entries become a sorted list
-// of compact keys, and merging old with new counts them; its groups are
-// looked up in the other program's.
+// DiffPrograms computes the entry and group delta of installing newProg over
+// oldProg: each program's entries become a sorted list of compact keys, a new
+// state keyed by its old twin (AlignStates), and merging old with new counts
+// them; its groups are looked up in the other program's.
 func DiffPrograms(oldProg, newProg *compiler.Program) Delta {
 	names := []string{"leaf"} // tables are matched by name: field lists may differ
 	for _, p := range [...]*compiler.Program{oldProg, newProg} {
@@ -356,21 +292,20 @@ func DiffPrograms(oldProg, newProg *compiler.Program) Delta {
 		}
 	}
 	return Delta{
-		Entries: mergeDiff(entryKeys(oldProg, names), entryKeys(newProg, names), entryKey.compare),
+		Entries: mergeDiff(entryKeys(oldProg, names, nil), entryKeys(newProg, names, AlignStates(oldProg, newProg))),
 		Groups:  groupDiff(groupKeys(oldProg), groupKeys(newProg)),
 	}
 }
 
 // mergeDiff sorts two key lists, drops repeats, and counts the keys only in
-// news as added, only in olds as removed, and in both as reused. A program's
-// entry keys come out of its tables in order, so the sorts only check them.
-func mergeDiff(olds, news []entryKey, compare func(entryKey, entryKey) int) TableDelta {
-	slices.SortFunc(olds, compare)
-	slices.SortFunc(news, compare)
+// news as added, only in olds as removed, and in both as reused.
+func mergeDiff(olds, news []entryKey) TableDelta {
+	slices.SortFunc(olds, entryKey.compare)
+	slices.SortFunc(news, entryKey.compare)
 	olds, news = slices.Compact(olds), slices.Compact(news)
 	var d TableDelta
 	for o, n := 0, 0; o < len(olds) && n < len(news); {
-		switch c := compare(olds[o], news[n]); {
+		switch c := olds[o].compare(news[n]); {
 		case c < 0:
 			o++
 		case c > 0:
@@ -385,18 +320,20 @@ func mergeDiff(olds, news []entryKey, compare func(entryKey, entryKey) int) Tabl
 }
 
 // entryKeys lists the program's table entries, its tables numbered by
-// their place in names. A leaf entry is keyed by its kind and its action's
-// content.
-func entryKeys(p *compiler.Program, names []string) []entryKey {
+// their place in names and its states by stateKey. A leaf entry is keyed by
+// its kind and its action's content.
+func entryKeys(p *compiler.Program, names []string, twins []int) []entryKey {
 	keys := make([]entryKey, 0, p.EntriesTotal())
 	for i, t := range p.Tables {
 		id := uint64(slices.Index(names, p.Fields[i].Name)) << 8
 		for _, e := range t.Entries {
-			to := sig{a: uint64(e.Next)}
+			to := sig{}
 			if a, ok := compiler.Decides(e.Next); ok {
 				to = actionSig(p.Actions[a])
+			} else {
+				to.a = stateKey(twins, e.Next)
 			}
-			keys = append(keys, entryKey{uint64(e.State)<<32 | id | uint64(e.Kind), e.Lo, e.Hi, to.a, to.b})
+			keys = append(keys, entryKey{stateKey(twins, e.State)<<32 | id | uint64(e.Kind), e.Lo, e.Hi, to.a, to.b})
 		}
 	}
 	for _, e := range p.Leaf.Entries { // the leaf is table 0
@@ -405,6 +342,19 @@ func entryKeys(p *compiler.Program, names []string) []entryKey {
 		keys = append(keys, entryKey{uint64(e.Kind), 0, 0, act.a, act.b})
 	}
 	return keys
+}
+
+// stateKey is state s's number in a diff. The old program (twins nil) keys
+// a state by its own number; the new one by its old twin's, or, without a
+// twin, by a number no old state has.
+func stateKey(twins []int, s int) uint64 {
+	switch {
+	case twins == nil:
+		return uint64(s)
+	case twins[s] >= 0:
+		return uint64(twins[s])
+	}
+	return 1<<31 + uint64(s)
 }
 
 // groupDiff counts the groups only in news as added, only in olds as

@@ -3,7 +3,6 @@ package controlplane
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -60,7 +59,6 @@ func TestIdenticalProgramsDiffToZero(t *testing.T) {
 	rules := "stock == GOOGL : fwd(1)\nstock == AAPL && price > 50 : fwd(2,3)\n"
 	a := compile(t, rules)
 	b := compile(t, rules)
-	AlignStates(a, b)
 	d := DiffPrograms(a, b)
 	if d.Entries.Added != 0 || d.Entries.Removed != 0 {
 		t.Fatalf("identical programs should diff to zero: %s", d)
@@ -82,7 +80,6 @@ func TestIncrementalAddReusesMostEntries(t *testing.T) {
 	fmt.Fprintf(&b, "stock == NEW1 : fwd(5)\n")
 	newProg := compile(t, b.String())
 
-	AlignStates(oldProg, newProg)
 	d := DiffPrograms(oldProg, newProg)
 	if d.Entries.Reused < 90 {
 		t.Fatalf("adding 1 rule to 100 should reuse most entries: %s", d)
@@ -121,35 +118,6 @@ func TestInstallPreservesSemantics(t *testing.T) {
 	})
 }
 
-// TestAlignedProgramStillCorrect: on every diff fixture, what the aligned
-// program does to a packet is what the program did as compiled, on probes
-// at and beside every bound its tables name. Two states given one number,
-// as a fresh state given the pinned initial state's number would be, fail
-// it.
-func TestAlignedProgramStillCorrect(t *testing.T) {
-	for name, f := range diffFixtures() {
-		r := rand.New(rand.NewSource(1))
-		oldProg, newProg, ref := compile(t, f[0]), compile(t, f[1]), compile(t, f[1])
-		AlignStates(oldProg, newProg)
-		cands := make([][]uint64, len(ref.Fields))
-		for i, tb := range ref.Tables {
-			cands[i] = []uint64{0, ref.Fields[i].Max}
-			for _, e := range tb.Entries {
-				cands[i] = append(cands[i], e.Lo, e.Lo-1, e.Hi, e.Hi+1)
-			}
-		}
-		vals := make([]uint64, len(ref.Fields))
-		for range 2000 {
-			for i, c := range cands {
-				vals[i] = min(c[r.Intn(len(c))], ref.Fields[i].Max)
-			}
-			if got, want := newProg.Evaluate(vals), ref.Evaluate(vals); got.Sum() != want.Sum() {
-				t.Fatalf("%s: aligned, %v does %s; as compiled, %s", name, vals, got, want)
-			}
-		}
-	}
-}
-
 func TestDeltaWritesScaleWithChange(t *testing.T) {
 	var b strings.Builder
 	for i := 0; i < 200; i++ {
@@ -159,7 +127,6 @@ func TestDeltaWritesScaleWithChange(t *testing.T) {
 
 	// Small change: one more rule.
 	small := compile(t, b.String()+"stock == XTRA : fwd(3)\n")
-	AlignStates(base, small)
 	dSmall := DiffPrograms(base, small)
 
 	// Large change: half the rules replaced.
@@ -173,7 +140,6 @@ func TestDeltaWritesScaleWithChange(t *testing.T) {
 	}
 	base2 := compile(t, b.String())
 	large := compile(t, b2.String())
-	AlignStates(base2, large)
 	dLarge := DiffPrograms(base2, large)
 
 	if dSmall.Writes() >= dLarge.Writes() {
@@ -206,9 +172,7 @@ func TestControllersShareTheDeviceBase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	twin := compile(t, older)
-	AlignStates(compile(t, ""), twin)
-	want := DiffPrograms(compile(t, ""), twin)
+	want := DiffPrograms(compile(t, ""), compile(t, older))
 	if writes := tel.Reg().Counter("camus_controlplane_device_writes_total").Load(); first.Writes() != want.Writes() || writes != uint64(want.Writes()) {
 		t.Errorf("first install: %d writes, %d counted on the device; the diff has %d", first.Writes(), writes, want.Writes())
 	}
@@ -219,9 +183,7 @@ func TestControllersShareTheDeviceBase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldProg, newProg := compile(t, older), compile(t, newer)
-	AlignStates(oldProg, newProg)
-	want = DiffPrograms(oldProg, newProg)
+	want = DiffPrograms(compile(t, older), compile(t, newer))
 	if got.Entries.Reused == 0 || got != want {
 		t.Fatalf("B's delta %s, want %s (against A's program)", got, want)
 	}

@@ -3,6 +3,7 @@ package controlplane
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -12,8 +13,8 @@ import (
 	"camus/internal/workload"
 )
 
-// The map-based alignment and diff this package used until PR 16, kept as
-// the oracle the merge implementations are held to.
+// The map-based pairing of states and diff this package used until PR 16,
+// kept as the oracle the merge implementations are held to.
 
 type oracleKey struct {
 	table  string
@@ -24,13 +25,17 @@ type oracleKey struct {
 	act    string
 }
 
-func oracleEntries(p *compiler.Program) map[oracleKey]bool {
+// oracleEntries is the program's entries as a set, each state keyed by
+// state(s).
+func oracleEntries(p *compiler.Program, state func(int) int) map[oracleKey]bool {
 	set := make(map[oracleKey]bool)
 	for i, t := range p.Tables {
 		for _, e := range t.Entries {
-			k := oracleKey{table: p.Fields[i].Name, state: e.State, kind: e.Kind, lo: e.Lo, hi: e.Hi, next: e.Next}
+			k := oracleKey{table: p.Fields[i].Name, state: state(e.State), kind: e.Kind, lo: e.Lo, hi: e.Hi}
 			if a, ok := compiler.Decides(e.Next); ok {
 				k.next, k.act = -1, p.Actions[a].Key()
+			} else {
+				k.next = state(e.Next)
 			}
 			set[k] = true
 		}
@@ -42,9 +47,19 @@ func oracleEntries(p *compiler.Program) map[oracleKey]bool {
 	return set
 }
 
+// oracleDiff keys the old program's states by their numbers and the new
+// one's by their old twins' (oracleTwins); a new state without a twin gets
+// a number no old state has.
 func oracleDiff(oldProg, newProg *compiler.Program) Delta {
 	var d Delta
-	oldSet, newSet := oracleEntries(oldProg), oracleEntries(newProg)
+	twins := oracleTwins(oldProg, newProg)
+	oldSet := oracleEntries(oldProg, func(s int) int { return s })
+	newSet := oracleEntries(newProg, func(s int) int {
+		if old, ok := twins[s]; ok {
+			return old
+		}
+		return 1<<40 + s
+	})
 	for k := range newSet {
 		if oldSet[k] {
 			d.Entries.Reused++
@@ -80,59 +95,38 @@ func oracleDiff(oldProg, newProg *compiler.Program) Delta {
 	return d
 }
 
-func oracleAlign(oldProg, newProg *compiler.Program) {
-	sigsOf := func(p *compiler.Program) map[int][2]uint64 {
-		out := make(map[int][2]uint64)
-		for _, s := range p.Signatures {
-			out[s.State] = s.Sig
-		}
-		return out
-	}
-	oldSigs, newSigs := sigsOf(oldProg), sigsOf(newProg)
+// oracleTwins maps each new state that has an old twin to it: the new
+// states of one signature, in ascending order, take the old states of that
+// signature, smallest first. The new initial state, when it is a state and
+// found no twin, takes the old initial state if no other new state did.
+func oracleTwins(oldProg, newProg *compiler.Program) map[int]int {
 	sigToOld := make(map[[2]uint64][]int)
-	for st, s := range oldSigs {
-		sigToOld[s] = append(sigToOld[s], st)
+	for _, s := range oldProg.Signatures {
+		sigToOld[s.Sig] = append(sigToOld[s.Sig], s.State)
 	}
 	for s := range sigToOld {
 		sort.Ints(sigToOld[s])
 	}
+	newSigs := make(map[int][2]uint64)
 	var newStates []int
-	for st := range newSigs {
-		newStates = append(newStates, st)
+	for _, s := range newProg.Signatures {
+		newSigs[s.State] = s.Sig
+		newStates = append(newStates, s.State)
 	}
 	sort.Ints(newStates)
-	mapping := make(map[int]int)
-	assignedOld := make(map[int]bool)
+	twins := make(map[int]int)
+	taken := make(map[int]bool)
 	for _, st := range newStates {
-		if twins := sigToOld[newSigs[st]]; len(twins) > 0 {
-			mapping[st] = twins[0]
-			assignedOld[twins[0]] = true
-			sigToOld[newSigs[st]] = twins[1:]
+		if olds := sigToOld[newSigs[st]]; len(olds) > 0 {
+			twins[st], taken[olds[0]] = olds[0], true
+			sigToOld[newSigs[st]] = olds[1:]
 		}
 	}
-	if _, ok := mapping[newProg.InitialState]; !ok && !assignedOld[oldProg.InitialState] {
-		mapping[newProg.InitialState] = oldProg.InitialState
+	_, isState := newSigs[newProg.InitialState]
+	if _, ok := twins[newProg.InitialState]; isState && !ok && !taken[oldProg.InitialState] {
+		twins[newProg.InitialState] = oldProg.InitialState
 	}
-	used := map[int]bool{oldProg.InitialState: true}
-	for st := range oldSigs {
-		used[st] = true
-	}
-	next := 0
-	for _, st := range newStates {
-		if _, ok := mapping[st]; !ok {
-			for used[next] {
-				next++
-			}
-			mapping[st] = next
-			next++
-		}
-	}
-	newProg.RemapStates(func(st int) int {
-		if to, ok := mapping[st]; ok {
-			return to
-		}
-		return st
-	})
+	return twins
 }
 
 // diffFixtures are pairs of rule sets an update goes between: the churn
@@ -165,25 +159,37 @@ func diffFixtures() map[string][2]string {
 	}
 }
 
-// TestMergeDiffEqualsMapOracle: on every fixture the merge-based alignment
-// numbers the new program's states as the map-based one does, and the merge
-// diff's Delta equals the map diff's field for field. The fixtures' bases
-// that are one terminal are so.
+// TestMergeDiffEqualsMapOracle: on every fixture, in both directions, the
+// merge pairs the new program's states with the old one's as the map oracle
+// does, the merge diff's Delta equals the map diff's field for field, and
+// neither writes to the programs. The fixtures' bases that are one terminal
+// are so.
 func TestMergeDiffEqualsMapOracle(t *testing.T) {
 	for name, f := range diffFixtures() {
-		oldProg, newProg, twin := compile(t, f[0]), compile(t, f[1]), compile(t, f[1])
-		AlignStates(oldProg, newProg)
-		oracleAlign(oldProg, twin)
-		if got, want := newProg.Dump(), twin.Dump(); got != want || newProg.InitialState != twin.InitialState {
-			t.Errorf("%s: the merge alignment numbers states differently from the map alignment", name)
-			continue
-		}
-		got, want := DiffPrograms(oldProg, newProg), oracleDiff(oldProg, newProg)
-		if got != want {
-			t.Errorf("%s:\n merge %s\n maps  %s", name, got, want)
-		}
-		if name != "identical" && got.Writes() == 0 {
-			t.Errorf("%s: no writes", name)
+		for _, pair := range [][2]string{f, {f[1], f[0]}} {
+			oldProg, newProg := compile(t, pair[0]), compile(t, pair[1])
+			oldDump, newDump := oldProg.Dump(), newProg.Dump()
+			what := fmt.Sprintf("%s (%d over %d rules)", name, newProg.Stats.Rules, oldProg.Stats.Rules)
+			twins, want := AlignStates(oldProg, newProg), oracleTwins(oldProg, newProg)
+			if len(twins) != newProg.NumStates() {
+				t.Errorf("%s: %d twins for %d states", what, len(twins), newProg.NumStates())
+				continue
+			}
+			for s, old := range twins {
+				if w, ok := want[s]; (old >= 0) != ok || ok && old != w {
+					t.Errorf("%s: state %d pairs with %d, the map oracle's twin is %d (has one: %v)", what, s, old, w, ok)
+				}
+			}
+			got, wantDelta := DiffPrograms(oldProg, newProg), oracleDiff(oldProg, newProg)
+			if got != wantDelta {
+				t.Errorf("%s:\n merge %s\n maps  %s", what, got, wantDelta)
+			}
+			if name != "identical" && got.Writes() == 0 {
+				t.Errorf("%s: no writes", what)
+			}
+			if oldProg.Dump() != oldDump || newProg.Dump() != newDump {
+				t.Errorf("%s: aligning and diffing wrote to a program", what)
+			}
 		}
 	}
 	for _, base := range []string{"", "stock == GOOGL : drop()\n", "price >= 0 : fwd(3,4)\n"} {
@@ -193,9 +199,33 @@ func TestMergeDiffEqualsMapOracle(t *testing.T) {
 	}
 }
 
-// TestDiffAllocatesNoMaps: what DiffPrograms allocates is its table names
-// and its key lists — a count that does not move with the number
-// of entries, as a hash set per program did.
+// TestUpdateInstallsTheCompiledProgram: on every fixture, an update through
+// the Controller leaves the device running the very program it was given,
+// with the tables, initial state and signatures it was compiled with: an
+// install writes nothing into a program.
+func TestUpdateInstallsTheCompiledProgram(t *testing.T) {
+	for name, f := range diffFixtures() {
+		sw, err := pipeline.New(compile(t, f[0]), pipeline.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog := compile(t, f[1])
+		dump, initial, sigs := prog.Dump(), prog.InitialState, slices.Clone(prog.Signatures)
+		if _, err := NewController(sw).Update(context.Background(), prog); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if sw.Program() != prog {
+			t.Errorf("%s: the device runs another program than the one installed", name)
+		}
+		if prog.Dump() != dump || prog.InitialState != initial || !slices.Equal(prog.Signatures, sigs) {
+			t.Errorf("%s: installing the program renumbered it", name)
+		}
+	}
+}
+
+// TestDiffAllocatesNoMaps: what DiffPrograms allocates is its table names,
+// its twin list and its key lists — a count that does not move with the
+// number of entries, as a hash set per program did.
 func TestDiffAllocatesNoMaps(t *testing.T) {
 	const bound = 8
 	for _, n := range []int{200, 2000} {
@@ -205,7 +235,6 @@ func TestDiffAllocatesNoMaps(t *testing.T) {
 			fmt.Fprintf(&b, "stock == S%03d && price > %d : fwd(%d)\n", i%100, 10*(i%90), 1+(i+i/97)%16)
 		}
 		oldProg, newProg := compile(t, a.String()), compile(t, b.String())
-		AlignStates(oldProg, newProg)
 		var d Delta
 		allocs := testing.AllocsPerRun(5, func() { d = DiffPrograms(oldProg, newProg) })
 		t.Logf("%d rules, %d entries: %.0f allocations", n, newProg.EntriesTotal(), allocs)
@@ -219,9 +248,9 @@ func TestDiffAllocatesNoMaps(t *testing.T) {
 }
 
 // TestStateNumbersStayBounded: a switch that alternates between two rule
-// sets through its Controller runs no state number as high as the two
-// programs' state counts together, however many updates it takes. Fresh
-// states take the smallest numbers the running program leaves free.
+// sets through its Controller runs, after every update, no state number as
+// high as the installed program's own state count, however many updates it
+// takes.
 func TestStateNumbersStayBounded(t *testing.T) {
 	sets := [2]string{
 		"stock == GOOGL && price > 10 : fwd(1)\nstock == AAPL && price > 20 : fwd(2)\nstock == MSFT && shares > 5 : fwd(3)\n",
@@ -237,19 +266,23 @@ func TestStateNumbersStayBounded(t *testing.T) {
 		for _, s := range p.Signatures {
 			top = max(top, s.State)
 		}
+		for _, tb := range p.Tables {
+			for _, e := range tb.Entries {
+				top = max(top, e.State)
+				if _, ok := compiler.Decides(e.Next); !ok {
+					top = max(top, e.Next)
+				}
+			}
+		}
 		return top
 	}
-	states := [2]int{compile(t, sets[0]).NumStates(), compile(t, sets[1]).NumStates()}
-	top := 0
 	for i := range 200 {
-		if _, err := ctl.Install(context.Background(), compile(t, sets[i%2])); err != nil {
+		if _, err := ctl.Update(context.Background(), compile(t, sets[i%2])); err != nil {
 			t.Fatal(err)
 		}
-		top = max(top, largest(ctl.Program()))
-	}
-	t.Logf("%d and %d states: the largest state number is %d", states[0], states[1], top)
-	if top >= states[0]+states[1] {
-		t.Fatalf("after 200 updates between %d and %d states the largest state number is %d", states[0], states[1], top)
+		if p := ctl.Program(); largest(p) >= p.NumStates() {
+			t.Fatalf("update %d: the device runs state %d of a %d-state program", i, largest(p), p.NumStates())
+		}
 	}
 }
 
@@ -263,7 +296,6 @@ func BenchmarkDiffFromEmpty(b *testing.B) {
 		src.WriteString(r.String() + "\n")
 	}
 	oldProg, newProg := compile(b, ""), compile(b, src.String())
-	AlignStates(oldProg, newProg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -38,17 +38,15 @@ func parseRules(t *testing.T, src string) []lang.Rule {
 	return rules
 }
 
-// route is one public entry point into Controller.install, opened on a
-// fresh switch that runs an initial rule set behind a fault-injecting
-// device. push replaces the installed rule set with src through that
-// entry point.
+// route is one way into Controller.Update, opened on a fresh switch that
+// runs an initial rule set behind a fault-injecting device. push replaces
+// the installed rule set with src that way.
 type route struct {
-	sp     *spec.Spec
-	sw     *pipeline.Switch
-	dev    *faults.FlakyDevice
-	ctl    *Controller
-	admits bool // the entry point checks device resources before writing
-	push   func(ctx context.Context, src string) (Delta, error)
+	sp   *spec.Spec
+	sw   *pipeline.Switch
+	dev  *faults.FlakyDevice
+	ctl  *Controller
+	push func(ctx context.Context, src string) (Delta, error)
 }
 
 // syncUpdate is the incremental route: the session Syncs to rules, and its
@@ -85,37 +83,30 @@ func syncSwitch(t *testing.T, sp *spec.Spec, initial []lang.Rule, cfg pipeline.C
 	return sess, sw, dev, NewController(dev)
 }
 
-// forEachRoute runs f against every entry point — Controller.Update,
-// Controller.Install and the incremental route, Session.Sync then
+// forEachRoute runs f against both ways into Controller.Update — a
+// program compiled whole, and the incremental route, Session.Sync then
 // Controller.Update (subtest Churn) — so the rollback, cancel, admission
-// and race suites exercise the one install function through all three.
+// and race suites exercise the one install function through both.
 func forEachRoute(t *testing.T, cfg pipeline.Config, initial string, f func(t *testing.T, r *route)) {
 	sp, err := spec.Parse(raceSpecSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := func(install bool) func(t *testing.T) {
-		return func(t *testing.T) {
-			sw, err := pipeline.New(compileRace(t, sp, initial), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r := &route{sp: sp, sw: sw, dev: faults.NewFlakyDevice(sw), admits: !install}
-			r.ctl = NewController(r.dev)
-			r.push = func(ctx context.Context, src string) (Delta, error) {
-				if install {
-					return r.ctl.Install(ctx, compileRace(t, sp, src))
-				}
-				return r.ctl.Update(ctx, compileRace(t, sp, src))
-			}
-			f(t, r)
+	t.Run("Update", func(t *testing.T) {
+		sw, err := pipeline.New(compileRace(t, sp, initial), cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	t.Run("Update", full(false))
-	t.Run("Install", full(true))
+		r := &route{sp: sp, sw: sw, dev: faults.NewFlakyDevice(sw)}
+		r.ctl = NewController(r.dev)
+		r.push = func(ctx context.Context, src string) (Delta, error) {
+			return r.ctl.Update(ctx, compileRace(t, sp, src))
+		}
+		f(t, r)
+	})
 	t.Run("Churn", func(t *testing.T) {
 		sess, sw, dev, ctl := syncSwitch(t, sp, parseRules(t, initial), cfg)
-		r := &route{sp: sp, sw: sw, dev: dev, ctl: ctl, admits: true}
+		r := &route{sp: sp, sw: sw, dev: dev, ctl: ctl}
 		r.push = func(ctx context.Context, src string) (Delta, error) {
 			return syncUpdate(ctx, ctl, sess, parseRules(t, src))
 		}

@@ -180,9 +180,7 @@ func TestInstallRetriesTransient(t *testing.T) {
 
 // TestOversizedInstallLeavesProgramLive: a program that cannot fit the
 // device never displaces the running one. Update, and so the Sync route,
-// rejects it in phase one, before a single device write; Install skips
-// admission by contract, so there the device itself refuses and the commit
-// rolls back.
+// rejects it in phase one, before a single device write.
 func TestOversizedInstallLeavesProgramLive(t *testing.T) {
 	tiny := pipeline.DefaultConfig()
 	tiny.SRAMPerStage = 16
@@ -199,7 +197,7 @@ func TestOversizedInstallLeavesProgramLive(t *testing.T) {
 		if _, err := r.push(context.Background(), big.String()); err == nil {
 			t.Fatal("oversized install admitted")
 		}
-		if r.admits && r.dev.Calls() != 0 {
+		if r.dev.Calls() != 0 {
 			t.Fatalf("admission rejection still issued %d device writes", r.dev.Calls())
 		}
 		if r.ctl.Program() != oldProg {

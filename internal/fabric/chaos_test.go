@@ -396,10 +396,14 @@ func TestFabricLinkFailureFailover(t *testing.T) {
 	}
 	rules := mustParse(t, src.String())
 
+	// The default heartbeat, so a link fails after 80 ms of silence. Under
+	// -race beside other test binaries on 2 CPUs, healthy links went 36–61
+	// ms without a datagram after the epoch committed: a 5 ms heartbeat's
+	// 40 ms timeout failed them.
 	h := startFabric(t, Config{
 		Leaves:       2,
 		Spines:       2,
-		Heartbeat:    5 * time.Millisecond,
+		Heartbeat:    10 * time.Millisecond,
 		VerifyCovers: true,
 	}, hosts)
 	if _, err := h.fab.Apply(context.Background(), rules); err != nil {
@@ -494,10 +498,10 @@ func TestFabricSpineDeathFailsOver(t *testing.T) {
 	for _, hst := range hosts {
 		fmt.Fprintf(&src, "stock == %s && price > 5000 : fwd(%d)\n", workload.StockSymbol(hst%3), hst)
 	}
-	h := startFabric(t, Config{
+	h := startFabric(t, Config{ // the default heartbeat, as in TestFabricLinkFailureFailover
 		Leaves:       2,
 		Spines:       2,
-		Heartbeat:    5 * time.Millisecond,
+		Heartbeat:    10 * time.Millisecond,
 		VerifyCovers: true,
 	}, hosts)
 	if _, err := h.fab.Apply(context.Background(), mustParse(t, src.String())); err != nil {

@@ -3,6 +3,7 @@ package fabric
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"camus/internal/compiler"
 	"camus/internal/controlplane"
@@ -82,7 +83,7 @@ type Controller struct {
 	ups      []*boundMember
 	spines   []*boundMember
 	sessions []*compiler.Session
-	epoch    uint64
+	epoch    atomic.Uint64 // read by the fabric's link watcher
 
 	epochOutcomes map[string]*telemetry.Counter
 	rollbacks     *telemetry.Counter
@@ -146,7 +147,7 @@ func (c *Controller) AddSpine(m Member) {
 
 // EpochSeq returns the sequence number of the last committed epoch (0
 // before the first).
-func (c *Controller) EpochSeq() uint64 { return c.epoch }
+func (c *Controller) EpochSeq() uint64 { return c.epoch.Load() }
 
 // Place partitions rules across leaves by forwarding host: a rule forwards
 // behind leaf (host mod Leaves); a rule forwarding to hosts behind several
@@ -211,7 +212,7 @@ func (c *Controller) Apply(ctx context.Context, rules []lang.Rule) (Epoch, error
 	}
 
 	// Compile every program for the new epoch before touching a device.
-	ep := Epoch{Seq: c.epoch + 1, LeafRules: make([]int, c.cfg.Leaves)}
+	ep := Epoch{Seq: c.epoch.Load() + 1, LeafRules: make([]int, c.cfg.Leaves)}
 	leaves := make([]*compiler.Pass, c.cfg.Leaves) // the installed programs' passes
 	covers := make([]Cover, c.cfg.Leaves)
 	downPorts := make([]int, c.cfg.Leaves)
@@ -229,30 +230,25 @@ func (c *Controller) Apply(ctx context.Context, rules []lang.Rule) (Epoch, error
 		}
 		downPorts[j] = j // leaf j sits behind spine port j
 	}
-	// Every member owns its program instance: installing a program aligns
-	// (renumbers) its pipeline states in place against that device's prior
-	// epoch, so one instance shared across devices would be remapped out
-	// from under every device but the last one installed.
-	spineProgs := make([]*compiler.Program, len(c.spines))
-	for s := range c.spines {
-		if spineProgs[s], err = SpineProgram(c.cfg.Spec, covers, downPorts, compiler.Options{}); err != nil {
-			return c.fail("compile_failed", fmt.Errorf("fabric: spine program: %w", err))
-		}
+	// One program per role: an install reads a program and writes nothing
+	// into it, so every spine runs one instance, and every up plane one.
+	spineProg, err := SpineProgram(c.cfg.Spec, covers, downPorts, compiler.Options{})
+	if err != nil {
+		return c.fail("compile_failed", fmt.Errorf("fabric: spine program: %w", err))
 	}
-	ep.SpineEntries = spineProgs[0].Stats.TableEntries
+	ep.SpineEntries = spineProg.Stats.TableEntries
 	globalCover, err := ComputeCover(c.cfg.Spec, rules, CoverOptions{})
 	if err != nil {
 		return c.fail("compile_failed", fmt.Errorf("fabric: global cover: %w", err))
 	}
 	up, err := SpinePass(c.cfg.Spec, []Cover{globalCover}, []int{c.cfg.UplinkPort}, compiler.Options{})
-	upProgs := make([]*compiler.Program, len(c.ups))
-	for j := 0; err == nil && j < len(c.ups); j++ {
-		upProgs[j], err = up.Compile()
+	if err == nil {
+		_, err = up.Compile()
 	}
 	if err != nil {
 		return c.fail("compile_failed", fmt.Errorf("fabric: uplink program: %w", err))
 	}
-	ep.UpEntries = upProgs[0].Stats.TableEntries
+	ep.UpEntries = up.Program().Stats.TableEntries
 
 	if c.cfg.VerifyCovers {
 		for j := range parts {
@@ -276,11 +272,11 @@ func (c *Controller) Apply(ctx context.Context, rules []lang.Rule) (Epoch, error
 	for j := range c.downs {
 		plan = append(plan, step{c.downs[j], leaves[j].Program()})
 	}
-	for j := range c.ups {
-		plan = append(plan, step{c.ups[j], upProgs[j]})
+	for _, m := range c.ups {
+		plan = append(plan, step{m, up.Program()})
 	}
-	for s := range c.spines {
-		plan = append(plan, step{c.spines[s], spineProgs[s]})
+	for _, m := range c.spines {
+		plan = append(plan, step{m, spineProg})
 	}
 
 	// Phase 1: every member's device must fit its program before any
@@ -294,10 +290,11 @@ func (c *Controller) Apply(ctx context.Context, rules []lang.Rule) (Epoch, error
 	// Phase 2: sequential commits. A failure at member k (whose own
 	// device the per-member commit has already rolled back) triggers a
 	// compensating reinstall of the prior program on members 0..k-1.
+	// Update admits again what phase 1 admitted: it rejects nothing here.
 	committed := make([]step, 0, len(plan)) // each with its prior program
 	for _, s := range plan {
 		old := s.m.ctl.Program()
-		delta, err := s.m.ctl.Install(ctx, s.prog)
+		delta, err := s.m.ctl.Update(ctx, s.prog)
 		if err != nil {
 			c.rollbacks.Inc()
 			if rbErr := c.rollback(ctx, committed); rbErr != nil {
@@ -309,9 +306,8 @@ func (c *Controller) Apply(ctx context.Context, rules []lang.Rule) (Epoch, error
 		committed = append(committed, step{s.m, old})
 	}
 
-	c.epoch++
-	ep.Seq = c.epoch
-	c.epochG.Set(int64(c.epoch))
+	ep.Seq = c.epoch.Add(1)
+	c.epochG.Set(int64(ep.Seq))
 	c.leafEntriesG.Set(int64(ep.LeafEntries))
 	c.spineEntriesG.Set(int64(ep.SpineEntries))
 	c.outcome("committed")
@@ -320,13 +316,13 @@ func (c *Controller) Apply(ctx context.Context, rules []lang.Rule) (Epoch, error
 
 // rollback reinstalls the prior program on every committed member, in
 // reverse commit order (spines first, so a leaf never sees new-epoch
-// traffic it no longer understands). All members are attempted; errors
-// aggregate.
+// traffic it no longer understands); each program ran on its device, so
+// Update admits it again. All members are attempted; errors aggregate.
 func (c *Controller) rollback(ctx context.Context, committed []step) error {
 	var firstErr error
 	for i := len(committed) - 1; i >= 0; i-- {
 		cm := committed[i]
-		if _, err := cm.m.ctl.Install(ctx, cm.prog); err != nil && firstErr == nil {
+		if _, err := cm.m.ctl.Update(ctx, cm.prog); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("%s: %w", cm.m.Name, err)
 		}
 	}

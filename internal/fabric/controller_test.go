@@ -103,6 +103,33 @@ func TestEpochCommitsAllMembers(t *testing.T) {
 	}
 }
 
+// TestEpochSharesOneProgramPerRole: an epoch compiles one spine program
+// and one uplink program, and every member of the role runs that instance,
+// epoch after epoch: an install writes nothing into a program, so nothing
+// needs a private copy.
+func TestEpochSharesOneProgramPerRole(t *testing.T) {
+	ctl, devs, _ := testFabricDevices(t, 2, 3)
+	for seed := int64(5); seed < 7; seed++ {
+		rules := workload.ITCHSubscriptions(workload.ITCHSubsConfig{
+			Subscriptions: 60, Stocks: 10, Hosts: 12, PriceMax: 1000, PriceGrid: 10, Seed: seed,
+		})
+		if _, err := ctl.Apply(context.Background(), rules); err != nil {
+			t.Fatal(err)
+		}
+		ups, spines := []*faults.FlakyDevice{devs[1], devs[3]}, devs[4:]
+		for _, role := range []struct {
+			name string
+			devs []*faults.FlakyDevice
+		}{{"up plane", ups}, {"spine", spines}} {
+			for i, d := range role.devs {
+				if d.Program() != role.devs[0].Program() {
+					t.Errorf("seed %d: %s %d runs another program instance than %s 0", seed, role.name, i, role.name)
+				}
+			}
+		}
+	}
+}
+
 // TestEpochHonorsDoneContext: Apply resolves new rules under its own ctx,
 // so an epoch begun once ctx is done gives up before any device is
 // written, and the next Apply commits the same rules.

@@ -361,21 +361,27 @@ func (f *Fabric) Start(ctx context.Context) {
 // alive while its downlink relay hears datagrams, data or the spine's
 // idle heartbeats. The loop sweeps the relays linkSweeps times per
 // timeout and fails each link whose relay heard nothing over linkSweeps
-// sweeps in a row. Counting sweeps, not reading the clock, keeps a
-// stalled process from looking like silent links: a late sweep counts
-// once.
+// sweeps in a row, each timed from the end of the last. Counting sweeps,
+// not reading the clock, keeps a stalled process from looking like
+// silent links: a late sweep counts once. Links are judged from the
+// first committed epoch on: before it the fabric carries no traffic, and
+// its switches may not have run at all while the epoch compiles.
 func (f *Fabric) watchLinks(ctx context.Context) {
 	defer close(f.watchDone)
-	tick := time.NewTicker(linkTimeout * f.cfg.Heartbeat / linkSweeps)
+	period := linkTimeout * f.cfg.Heartbeat / linkSweeps
+	tick := time.NewTimer(period)
 	defer tick.Stop()
 	leaves := f.cfg.Leaves
 	heard := make([]uint64, f.cfg.Spines*leaves)
 	quiet := make([]int, len(heard))
-	for {
+	for ; ; tick.Reset(period) {
 		select {
 		case <-ctx.Done():
 			return
 		case <-tick.C:
+		}
+		if f.ctl.EpochSeq() == 0 {
+			continue
 		}
 		for i := range heard {
 			s, j := i/leaves, i%leaves

@@ -125,9 +125,6 @@ func (r *Relay) Forwarded() uint64 { return r.forwarded.Load() }
 // upstream retransmission channel.
 func (r *Relay) Recovered() uint64 { return r.rcv.Metric("camus_receiver_recovered_total") }
 
-// GapsLost is how many messages the link declared unrecoverable.
-func (r *Relay) GapsLost() uint64 { return r.rcv.Metric("camus_receiver_gaps_lost_total") }
-
 // Run drives the link until ctx is canceled, the socket closes, or the
 // upstream announces end-of-session.
 func (r *Relay) Run(ctx context.Context) error { return r.rcv.Run(ctx) }

@@ -120,13 +120,5 @@ func (sv *Server) Submit(cost time.Duration, done func()) {
 	})
 }
 
-// Backlog returns how long a job submitted now would wait before starting.
-func (sv *Server) Backlog() time.Duration {
-	if sv.busyUntil > sv.sim.now {
-		return sv.busyUntil - sv.sim.now
-	}
-	return 0
-}
-
 // MaxQueue returns the queue-depth high-water mark.
 func (sv *Server) MaxQueue() int { return sv.maxQueue }

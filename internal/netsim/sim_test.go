@@ -100,9 +100,6 @@ func TestServerIdleBetweenJobs(t *testing.T) {
 	if done[0] != time.Microsecond || done[1] != 11*time.Microsecond {
 		t.Fatalf("done = %v", done)
 	}
-	if sv.Backlog() != 0 {
-		t.Fatalf("backlog = %v", sv.Backlog())
-	}
 }
 
 func TestLinkSerializationAndPropagation(t *testing.T) {

@@ -1,6 +1,7 @@
 package p4gen
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -131,11 +132,13 @@ func TestGenerateEntriesWithCodec(t *testing.T) {
 	if err := sp.SetFieldOrder("stock", "price"); err != nil {
 		t.Fatal(err)
 	}
+	// One price row for each of 16 symbols: a table large enough to
+	// compress.
 	var b strings.Builder
-	for i, sym := range []string{"AAPL", "MSFT", "GOOGL", "ORCL", "IBM", "AMZN"} {
-		b.WriteString("stock == " + sym + " && price > 500 : fwd(" + string(rune('1'+i)) + ")\n")
+	for i := range 16 {
+		fmt.Fprintf(&b, "stock == S%02d && price > 500 : fwd(%d)\n", i, i+1)
 	}
-	prog, err := compiler.CompileSource(sp, b.String(), compiler.Options{CompressionMinEntries: 1})
+	prog, err := compiler.CompileSource(sp, b.String(), compiler.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

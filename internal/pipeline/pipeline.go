@@ -616,12 +616,3 @@ func (sw *Switch) Reinstall(prog *compiler.Program) error {
 	sw.publishOccupancy(prog)
 	return nil
 }
-
-// GroupPorts returns the ports of a multicast group.
-func (sw *Switch) GroupPorts(g int) (compiler.PortSet, error) {
-	groups := sw.inst.Load().prog.Groups
-	if g < 0 || g >= len(groups) {
-		return compiler.PortSet{}, fmt.Errorf("multicast group %d not installed", g)
-	}
-	return groups[g], nil
-}

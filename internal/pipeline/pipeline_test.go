@@ -106,13 +106,6 @@ func TestMulticastResult(t *testing.T) {
 	if res.Group < 0 {
 		t.Fatal("expected a multicast group")
 	}
-	ports, err := sw.GroupPorts(res.Group)
-	if err != nil || !ports.Equal(res.Ports) {
-		t.Fatalf("GroupPorts: %v %v", ports, err)
-	}
-	if _, err := sw.GroupPorts(99); err == nil {
-		t.Fatal("bogus group should error")
-	}
 }
 
 func TestStatefulAggregateWindow(t *testing.T) {

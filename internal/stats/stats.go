@@ -26,40 +26,6 @@ func (d *Dist) Add(v time.Duration) {
 // Count returns the number of samples.
 func (d *Dist) Count() int { return len(d.samples) }
 
-// Merge folds other's samples into d (other is unchanged). When both
-// sides are already sorted the merge preserves order with one linear
-// pass, so a Percentile right after merging sharded distributions —
-// the common aggregation pattern — costs no re-sort.
-func (d *Dist) Merge(other *Dist) {
-	if other == nil || len(other.samples) == 0 {
-		return
-	}
-	if len(d.samples) == 0 {
-		d.samples = append(d.samples, other.samples...)
-		d.sorted = other.sorted
-		return
-	}
-	if d.sorted && other.sorted {
-		merged := make([]time.Duration, 0, len(d.samples)+len(other.samples))
-		i, j := 0, 0
-		for i < len(d.samples) && j < len(other.samples) {
-			if d.samples[i] <= other.samples[j] {
-				merged = append(merged, d.samples[i])
-				i++
-			} else {
-				merged = append(merged, other.samples[j])
-				j++
-			}
-		}
-		merged = append(merged, d.samples[i:]...)
-		merged = append(merged, other.samples[j:]...)
-		d.samples = merged
-		return
-	}
-	d.samples = append(d.samples, other.samples...)
-	d.sorted = false
-}
-
 func (d *Dist) sortSamples() {
 	if !d.sorted {
 		sort.Slice(d.samples, func(i, j int) bool { return d.samples[i] < d.samples[j] })

@@ -123,71 +123,3 @@ func TestSummaryAndTable(t *testing.T) {
 		}
 	}
 }
-
-func TestMerge(t *testing.T) {
-	mk := func(vs ...time.Duration) *Dist {
-		d := &Dist{}
-		for _, v := range vs {
-			d.Add(v)
-		}
-		return d
-	}
-
-	t.Run("sorted-fast-path", func(t *testing.T) {
-		a := mk(5, 1, 3)
-		b := mk(4, 2, 6)
-		_ = a.Median() // force both sides sorted
-		_ = b.Median()
-		a.Merge(b)
-		if got, want := a.Count(), 6; got != want {
-			t.Fatalf("Count = %d, want %d", got, want)
-		}
-		for p, want := range map[float64]time.Duration{0: 1, 50: 3, 100: 6} {
-			if got := a.Percentile(p); got != want {
-				t.Errorf("p%v = %v, want %v", p, got, want)
-			}
-		}
-		if !a.sorted {
-			t.Error("merge of two sorted dists should stay sorted")
-		}
-	})
-
-	t.Run("unsorted", func(t *testing.T) {
-		a := mk(5, 1)
-		a.Merge(mk(4, 2))
-		if got, want := a.Max(), 5*time.Nanosecond; got != want {
-			t.Errorf("Max = %v, want %v", got, want)
-		}
-		if got, want := a.Min(), 1*time.Nanosecond; got != want {
-			t.Errorf("Min = %v, want %v", got, want)
-		}
-	})
-
-	t.Run("into-empty", func(t *testing.T) {
-		a := &Dist{}
-		b := mk(3, 1, 2)
-		_ = b.Median()
-		a.Merge(b)
-		if got, want := a.Median(), 2*time.Nanosecond; got != want {
-			t.Errorf("Median = %v, want %v", got, want)
-		}
-	})
-
-	t.Run("nil-and-empty-noop", func(t *testing.T) {
-		a := mk(1, 2)
-		a.Merge(nil)
-		a.Merge(&Dist{})
-		if got, want := a.Count(), 2; got != want {
-			t.Errorf("Count = %d, want %d", got, want)
-		}
-	})
-
-	t.Run("other-unchanged", func(t *testing.T) {
-		a := mk(9)
-		b := mk(3, 1)
-		a.Merge(b)
-		if got, want := b.Count(), 2; got != want {
-			t.Errorf("other.Count = %d, want %d", got, want)
-		}
-	})
-}
